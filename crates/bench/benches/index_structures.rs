@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the index substrates running *natively*
-//! (NullMemory, real wall-clock): sorted-array binary search, CSB+ tree
+//! (NullMemory, real wall-clock): sorted-array binary search, the
+//! cache-line directory (single walks and lockstep groups), CSB+ tree
 //! descent, pointer n-ary tree (the CSB+ ablation baseline), and the
 //! Zhou–Ross buffered batch lookup.
 //!
@@ -10,7 +11,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use dini_cache_sim::{AddressSpace, NullMemory};
 use dini_index::{
-    BufferedLookup, CsbTree, DeltaArray, HashIndex, PtrNaryTree, RankIndex, SortedArray,
+    BufferedLookup, CsbTree, DeltaArray, HashIndex, LineDirectory, PtrNaryTree, RankIndex,
+    SharedKeys, SortedArray,
 };
 use dini_workload::{gen_search_keys, gen_sorted_unique_keys};
 use std::hint::black_box;
@@ -27,9 +29,19 @@ fn bench_single_lookup(c: &mut Criterion) {
     let arr = SortedArray::new(keys.clone(), 4096, 0.0);
     let csb = CsbTree::with_leaf_entries(&keys, 7, 4, 32, 1 << 20, 0.0);
     let ptr = PtrNaryTree::new(&keys, 32, 1 << 24, 0.0);
+    let dir = LineDirectory::new(arr.shared_keys().clone(), 0..keys.len(), 0, 0.0);
 
     let mut g = c.benchmark_group("single_lookup");
     g.throughput(Throughput::Elements(queries.len() as u64));
+    g.bench_function("line_directory", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for &q in &queries {
+                acc = acc.wrapping_add(dir.rank(black_box(q), &mut NullMemory).0 as u64);
+            }
+            acc
+        })
+    });
     g.bench_function("sorted_array", |b| {
         b.iter(|| {
             let mut acc = 0u64;
@@ -122,8 +134,17 @@ fn bench_batched_lookup(c: &mut Criterion) {
     let (keys, queries) = inputs();
     let csb = CsbTree::with_leaf_entries(&keys, 7, 4, 32, 1 << 20, 0.0);
 
+    let dir = LineDirectory::new(SharedKeys::owned(keys.clone()), 0..keys.len(), 0, 0.0);
+
     let mut g = c.benchmark_group("batched_lookup");
     g.throughput(Throughput::Elements(queries.len() as u64));
+    g.bench_function("line_directory", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            dir.rank_batch(black_box(&queries), &mut out, &mut NullMemory);
+            out.last().copied()
+        })
+    });
     for cache_kb in [16u64, 512] {
         g.bench_with_input(
             BenchmarkId::new("buffered", format!("{cache_kb}KB_target")),
@@ -156,6 +177,13 @@ fn bench_build(c: &mut Criterion) {
     });
     g.bench_function("sorted_array", |b| {
         b.iter_batched(|| keys.clone(), |k| SortedArray::new(k, 0, 0.0), BatchSize::LargeInput)
+    });
+    g.bench_function("line_directory", |b| {
+        b.iter_batched(
+            || SharedKeys::owned(keys.clone()),
+            |k| LineDirectory::new(k, 0..N_KEYS, 0, 0.0),
+            BatchSize::LargeInput,
+        )
     });
     g.finish();
 }

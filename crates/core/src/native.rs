@@ -5,13 +5,14 @@
 //! per "slave", each pinned (when possible) to its own core so its
 //! partition stays hot in that core's cache; a dispatcher (the calling
 //! thread, the "master") routes batched queries by binary search over the
-//! partition delimiters. The modern analogue of the paper's cluster is a
-//! multicore with per-core private L2: the cache-aggregation argument
-//! carries over unchanged.
+//! partition delimiters, and each slave answers its whole share of a
+//! batch through one miss-overlapping kernel ([`LineDirectory`]). The
+//! modern analogue of the paper's cluster is a multicore with per-core
+//! private L2: the cache-aggregation argument carries over unchanged.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dini_cache_sim::NullMemory;
-use dini_index::{CsbTree, RankIndex};
+use dini_index::{CsbTree, LineDirectory, RankIndex};
 use dini_store::SharedKeys;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,17 +22,29 @@ type Req = (u64, Vec<(u32, u32)>);
 /// A response: `(batch_id, (query slot, global rank) pairs)`.
 type Resp = (u64, Vec<(u32, u32)>);
 
-/// Which structure each worker holds — the native analogue of the
-/// paper's C-1 / C-3 distinction. (C-2's buffering exists to fight cache
-/// misses the simulator models; natively it degenerates to C-1, so it is
-/// not offered here.)
+/// Which structure each worker holds — the native descendants of the
+/// paper's C-1 / C-2 / C-3 slaves.
+///
+/// The paper's winner is C-3 (sorted array), on a Pentium III whose
+/// partitions fit its cache. On a partition that does *not* fit, the
+/// committed ladder (`benchmark ladder`, 2^24 keys, naming host) says
+/// buffering is what pays: `index.buffered_rank_ns.big` 349 ns per key
+/// against 463 for per-key binary search and 530 for the CSB+ walk —
+/// batching the accesses beats either layout probed one key at a time.
+/// The default slave is therefore C-3's array probed C-2's way: the
+/// sorted slice stays the only copy of the keys, a [`LineDirectory`] over
+/// it cuts a lookup to one line per level, and the worker answers its
+/// whole share of a batch in lockstep groups so the misses that remain
+/// overlap (see DESIGN.md, "Slave kernel").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NativeStructure {
-    /// Sorted array + `partition_point` binary search (Method C-3, the
-    /// paper's winner and the default).
+    /// The partition's sorted slice under a cache-line separator
+    /// directory, batches probed group-interleaved (Method C-3's
+    /// structure with Method C-2's batching; the default).
     #[default]
     SortedArray,
-    /// CSB+ n-ary tree with 64-byte nodes (Method C-1 on a modern line).
+    /// CSB+ n-ary tree with 64-byte nodes, walked one key at a time
+    /// (Method C-1 on a modern line; kept as the ablation).
     CsbTree,
 }
 
@@ -62,28 +75,33 @@ impl NativeConfig {
 
 /// A worker's lookup engine (built once, owned by the thread).
 ///
-/// The sorted-array engine does not copy its partition: it holds the
-/// shared key backing ([`SharedKeys`]: an `Arc`-shared sorted vector or
-/// a mapped snapshot window) plus its slice bounds, so any number of
-/// indexes built over the same backing (replica groups in `dini-serve`)
-/// share one copy of the keys — and a mapped backing is served straight
-/// out of the OS page cache with no deserialization. The CSB+ engine
-/// rebuilds its node pages from the slice and therefore still owns its
-/// storage.
+/// The sorted-array engine does not copy its partition: its
+/// [`LineDirectory`] holds the shared key backing ([`SharedKeys`]: an
+/// `Arc`-shared sorted vector or a mapped snapshot window) plus its slice
+/// bounds, so any number of indexes built over the same backing (replica
+/// groups in `dini-serve`) share one copy of the keys — and a mapped
+/// backing is served straight out of the OS page cache with no
+/// deserialization. What the worker owns is the directory (1/15 of its
+/// partition's bytes), derived from the slice when the thread starts. The
+/// CSB+ engine rebuilds its node pages from the slice and therefore still
+/// owns its storage.
 enum WorkerEngine {
-    Array { keys: SharedKeys, start: usize, end: usize },
+    Array(LineDirectory),
     Tree(CsbTree),
 }
 
 impl WorkerEngine {
     fn build(structure: NativeStructure, keys: SharedKeys, start: usize, end: usize) -> Self {
         match structure {
-            NativeStructure::SortedArray => WorkerEngine::Array { keys, start, end },
+            // Addresses are simulated-only; NullMemory makes the walk free
+            // of instrumentation.
+            NativeStructure::SortedArray => {
+                WorkerEngine::Array(LineDirectory::new(keys, start..end, 0, 0.0))
+            }
             NativeStructure::CsbTree => {
                 // 64-byte nodes: 15 keys + first-child, 8 (key, id) leaf
                 // entries — the modern-line equivalent of the paper's
-                // geometry. Addresses are simulated-only; NullMemory makes
-                // the walk free of instrumentation.
+                // geometry.
                 WorkerEngine::Tree(CsbTree::with_leaf_entries(
                     &keys.as_slice()[start..end],
                     15,
@@ -96,13 +114,18 @@ impl WorkerEngine {
         }
     }
 
-    #[inline]
-    fn local_rank(&self, key: u32) -> u32 {
+    /// Answer a slave's share of a batch in place: every `(slot, key)`
+    /// becomes `(slot, base_rank + local rank of key)`.
+    fn rank_pairs(&self, pairs: &mut [(u32, u32)], base_rank: u32) {
         match self {
-            WorkerEngine::Array { keys, start, end } => {
-                keys.as_slice()[*start..*end].partition_point(|&s| s <= key) as u32
+            WorkerEngine::Array(dir) => {
+                dir.rank_pairs(pairs, base_rank, &mut NullMemory);
             }
-            WorkerEngine::Tree(t) => t.rank(key, &mut NullMemory).0,
+            WorkerEngine::Tree(t) => {
+                for (_, kr) in pairs.iter_mut() {
+                    *kr = base_rank + t.rank(*kr, &mut NullMemory).0;
+                }
+            }
         }
     }
 }
@@ -136,6 +159,8 @@ pub struct DistributedIndex {
     /// the master↔slave traffic stops allocating once capacities have
     /// grown to the steady-state batch shape.
     spare_bufs: Vec<Vec<(u32, u32)>>,
+    /// One-slot result scratch for [`lookup`](Self::lookup).
+    one: Vec<u32>,
 }
 
 impl DistributedIndex {
@@ -149,10 +174,11 @@ impl DistributedIndex {
     /// sorted-array worker holds the `Arc` plus its partition bounds, so
     /// several indexes built from the *same* `Arc` (e.g. the replicas of
     /// one `dini-serve` shard) share a single copy of the keys — replicas
-    /// cost threads, not index memory. `keys` must be sorted ascending,
-    /// unique. (CSB+ workers rebuild node pages from the slice and so
-    /// still own their storage; sharing only pays off for the default
-    /// sorted-array structure.)
+    /// cost threads and a derived directory (1/15 of the key bytes), not
+    /// a copy of the index. `keys` must be sorted ascending, unique.
+    /// (CSB+ workers rebuild node pages from the slice and so still own
+    /// their storage; sharing only pays off for the default sorted-array
+    /// structure.)
     pub fn build_shared(keys: &Arc<Vec<u32>>, cfg: NativeConfig) -> Self {
         Self::build_backed(SharedKeys::from_arc(keys.clone()), cfg)
     }
@@ -162,9 +188,10 @@ impl DistributedIndex {
     /// [`build_shared`](Self::build_shared); a *mapped* backing (a
     /// window into a `dini-store` snapshot file) gives the instant-
     /// restart path — the index comes up by pointing workers at the
-    /// page-cached file instead of sorting, and lookups stay
-    /// allocation-free because the probe path is the same `&[u32]`
-    /// `partition_point` either way.
+    /// page-cached file instead of sorting (each worker still derives
+    /// its directory from the mapped slice, one strided pass), and
+    /// lookups stay allocation-free because the probe path is the same
+    /// `&[u32]` kernel either way.
     pub fn build_backed(keys: SharedKeys, cfg: NativeConfig) -> Self {
         assert!(cfg.n_slaves >= 1, "need at least one slave");
         assert!(keys.len() >= cfg.n_slaves, "need at least one key per partition");
@@ -214,9 +241,7 @@ impl DistributedIndex {
                         }
                         let engine = WorkerEngine::build(structure, part, part_start, part_end);
                         for (batch, mut pairs) in req_rx.iter() {
-                            for (_, kr) in pairs.iter_mut() {
-                                *kr = base_rank + engine.local_rank(*kr);
-                            }
+                            engine.rank_pairs(&mut pairs, base_rank);
                             if tx.send((batch, pairs)).is_err() {
                                 return; // master hung up
                             }
@@ -238,6 +263,7 @@ impl DistributedIndex {
             n_keys: keys.len(),
             out_bufs: vec![Vec::new(); cfg.n_slaves],
             spare_bufs: Vec::with_capacity(cfg.n_slaves),
+            one: Vec::with_capacity(1),
         }
     }
 
@@ -331,8 +357,14 @@ impl DistributedIndex {
     }
 
     /// Rank a single key (convenience; batches amortise much better).
+    /// The same path as a batch of one, answered into a one-slot scratch
+    /// kept on the index, so a warmed `lookup` allocates nothing either.
     pub fn lookup(&mut self, key: u32) -> u32 {
-        self.lookup_batch(std::slice::from_ref(&key))[0]
+        let mut one = std::mem::take(&mut self.one);
+        self.lookup_batch_into(&[key], &mut one);
+        let rank = one[0];
+        self.one = one;
+        rank
     }
 }
 

@@ -8,6 +8,10 @@
 //!
 //! * [`SortedArray`] — cache-aligned sorted array with binary search
 //!   (Method C-3's slave structure and the master's delimiter array).
+//! * [`LineDirectory`] — a sorted slice under a cache-line separator
+//!   directory (the static CSS layout of Rao & Ross), probed for a group
+//!   of keys in lockstep with prefetch so their misses overlap: what a
+//!   native `DistributedIndex` slave answers its batches with.
 //! * [`CsbTree`] — sorted n-ary tree in the CSB+ layout of Rao & Ross:
 //!   each 1-line node stores `n` keys plus a single first-child index;
 //!   children are contiguous (Methods A, B, and C-1).
@@ -38,6 +42,7 @@ pub mod buffered;
 pub mod csb;
 pub mod delta;
 pub mod hash_index;
+pub mod line_directory;
 pub mod partition;
 pub mod ptr_tree;
 pub mod sorted_array;
@@ -47,7 +52,12 @@ pub use buffered::{BufferedLookup, SubtreeCuts};
 pub use csb::CsbTree;
 pub use delta::DeltaArray;
 pub use hash_index::HashIndex;
+pub use line_directory::LineDirectory;
 pub use partition::{PartitionedIndex, Partitions};
 pub use ptr_tree::PtrNaryTree;
 pub use sorted_array::SortedArray;
 pub use traits::{Cost, RankIndex};
+
+/// The key backing [`SortedArray::from_shared`] and [`LineDirectory::new`]
+/// index without copying (re-exported from `dini-store`).
+pub use dini_store::SharedKeys;

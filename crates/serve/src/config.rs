@@ -25,8 +25,9 @@ pub struct ServeConfig {
     pub n_shards: usize,
     /// Replicated dispatchers per shard. Replicas share one
     /// [`EpochCell`](crate::EpochCell) overlay and `Arc`-shared main-key
-    /// storage, so they cost dispatcher + slave threads but no extra
-    /// index memory. Lookups are routed among a shard's replicas by
+    /// storage, so they cost dispatcher + slave threads and a derived
+    /// directory (1/15 of the key bytes), not a copy of the index.
+    /// Lookups are routed among a shard's replicas by
     /// power-of-two-choices on live queue depth (see
     /// [`ReplicaSelector`](crate::ReplicaSelector)); when a replica
     /// crashes, its backlog is re-routed to surviving siblings and a

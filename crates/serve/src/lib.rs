@@ -17,7 +17,7 @@
 //!   (the paper's master/slave rank composition, one level up). Each
 //!   shard is served by a **replica group** of `replicas_per_shard`
 //!   dispatchers over `Arc`-shared snapshots and key storage (replicas
-//!   cost threads, not index memory); a [`ReplicaSelector`] picks among
+//!   cost threads, not a copy of the index); a [`ReplicaSelector`] picks among
 //!   them by **power-of-two choices** on live queue depth, and a
 //!   crashed replica **fails over** — its backlog is re-routed to
 //!   surviving siblings, so a shard only answers `ShuttingDown` once

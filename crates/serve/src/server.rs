@@ -17,8 +17,9 @@
 //!   `replicas_per_shard` replicated dispatchers. Replicas share one
 //!   [`EpochCell`] (the overlay snapshot is published once per shard)
 //!   and build their [`DistributedIndex`]es over one `Arc`-shared key
-//!   array, so a replica costs dispatcher + slave threads but **no
-//!   extra index memory**. Routing picks the shard from the key
+//!   array, so a replica costs dispatcher + slave threads and the
+//!   slaves' derived directories (1/15 of the key bytes) but **no copy
+//!   of the index**. Routing picks the shard from the key
 //!   (ranks must compose), then a replica by **power-of-two choices**
 //!   on live queue depth ([`ReplicaSelector`]) — a straggling replica's
 //!   depth grows and traffic flows around it.
@@ -321,7 +322,7 @@ impl IndexServer {
             }));
             // One shared key backing for the whole replica group
             // (owned-sorted or mapped-snapshot, transparently): replicas
-            // add threads, not index memory.
+            // add threads, not copies of the keys.
             let part_shared = seed.main.clone();
             base_rank += seed.live_len() as u32;
             deltas.push(DeltaArray::from_parts(

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | [`cache_sim`] | set-associative L1/L2(/L3) simulator + Table 2 cost model, TLB, prefetchers, victim cache, page coloring, write-backs |
 //! | [`cluster`] | discrete-event cluster/network simulator (timers, fault injection, switch backplane, tracing, RTT histograms) + thread backend |
-//! | [`index`] | sorted array, CSB+ tree, Zhou–Ross buffered traversal, partitioning, hash strawman, updatable delta array |
+//! | [`index`] | sorted array, cache-line directory with group-interleaved batch probes (the native slave kernel), CSB+ tree, Zhou–Ross buffered traversal, partitioning, hash strawman, updatable delta array |
 //! | [`workload`] | seeded key/query generators (uniform, Zipf, clustered, self-similar) + churn streams |
 //! | [`model`] | the paper's Appendix-A analytical model + Figure 4 trends + sensitivity solvers |
 //! | [`sysprobe`] | host measurements of the paper's Table 2 quantities + cache-size knee detection |
@@ -17,6 +17,7 @@
 //! | [`serve`] | sharded, replicated, batch-coalescing serving layer: replica groups with load-aware routing + failover, admission control, online updates, load generators, `Clock` time-virtualization seam |
 //! | [`net`] | the transport layer: versioned wire frames, TCP and simulated-network backends, `NetServer` span hosting, `RemoteClient` with shard-map routing + client-side coalescing + retry + failover |
 //! | [`obs`] | observability: lock-free per-request stage tracing, atomic metrics registry with JSON/Prometheus snapshots, wire-pollable live stats, host context capture |
+//! | [`store`] | shared key storage (`SharedKeys`: `Arc`-owned or memory-mapped) + versioned, checksummed index snapshots |
 //! | [`simtest`] | deterministic simulation testing: the real serving stack on seeded virtual time, fault scenarios + invariant oracles |
 //!
 //! ## Quickstart (native, real threads)
@@ -100,6 +101,7 @@ pub use dini_net as net;
 pub use dini_obs as obs;
 pub use dini_serve as serve;
 pub use dini_simtest as simtest;
+pub use dini_store as store;
 pub use dini_sysprobe as sysprobe;
 pub use dini_workload as workload;
 

@@ -2,6 +2,7 @@
 //! [`dini::DistributedIndex`].
 
 use dini::index::traits::oracle_rank;
+use dini::store::{open_snapshot, write_snapshot, ShardRecord, SharedKeys, SpanRecord};
 use dini::workload::{gen_search_keys, gen_sorted_unique_keys};
 use dini::{DistributedIndex, NativeConfig};
 use proptest::collection::vec;
@@ -57,6 +58,48 @@ fn interleaved_single_and_batch_lookups() {
         assert_eq!(single, batch[0]);
         assert_eq!(batch[2], keys.len() as u32);
     }
+}
+
+/// The slave kernel derives its directory from whatever slice it is
+/// handed: an `Arc`-owned vector and a window mapped out of a
+/// `dini-store` snapshot of the same keys must answer identically —
+/// every key, its neighbours and the extremes — at partition counts that
+/// cut the slice on and off cache-line boundaries.
+#[test]
+fn owned_and_mapped_backings_answer_identically() {
+    let keys = gen_sorted_unique_keys(40_000, 21);
+    let dir = std::env::temp_dir().join(format!("dini-native-backing-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("snapshot scratch dir");
+    let path = dir.join("backing.snap");
+    let rec = SpanRecord {
+        delims: &[],
+        shards: vec![ShardRecord { main: &keys, inserts: &[], deletes: &[], main_epoch: 0 }],
+        log_epoch: 0,
+        log_seq: 0,
+    };
+    write_snapshot(&path, &rec).expect("write snapshot");
+    let snap = open_snapshot(&path).expect("snapshot must map back");
+    let mapped = &snap.shards[0].main;
+    #[cfg(unix)]
+    assert!(mapped.is_mapped(), "the backing under test is the mmap, not a heap copy");
+
+    let mut probes = vec![0u32, u32::MAX];
+    for &k in &keys {
+        probes.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
+    }
+    let want: Vec<u32> = probes.iter().map(|&q| oracle_rank(&keys, q)).collect();
+    for n_slaves in [1, 2, 7] {
+        let mut owned =
+            DistributedIndex::build_backed(SharedKeys::owned(keys.clone()), cfg(n_slaves));
+        let mut served = DistributedIndex::build_backed(mapped.clone(), cfg(n_slaves));
+        assert_eq!(owned.lookup_batch(&probes), want, "owned backing, {n_slaves} slaves");
+        assert_eq!(served.lookup_batch(&probes), want, "mapped backing, {n_slaves} slaves");
+        for &q in probes.iter().step_by(1_009) {
+            assert_eq!(owned.lookup(q), served.lookup(q), "single lookup {q}, {n_slaves} slaves");
+        }
+    }
+    drop(snap);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {

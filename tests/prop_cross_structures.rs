@@ -3,8 +3,12 @@
 //! `partition_point` oracle, over arbitrary key sets and queries.
 
 use dini::cache_sim::{AddressSpace, NullMemory};
+use dini::index::line_directory::GROUP;
 use dini::index::traits::oracle_rank;
-use dini::index::{BufferedLookup, CsbTree, PartitionedIndex, PtrNaryTree, RankIndex, SortedArray};
+use dini::index::{
+    BufferedLookup, CsbTree, LineDirectory, PartitionedIndex, PtrNaryTree, RankIndex, SortedArray,
+};
+use dini::store::SharedKeys;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -27,6 +31,51 @@ proptest! {
         let arr = SortedArray::new(keys.clone(), 4096, 0.0);
         for q in queries {
             prop_assert_eq!(arr.rank(q, &mut NullMemory).0, oracle_rank(&keys, q));
+        }
+    }
+
+    /// The directory's edges: sizes on both sides of every block and
+    /// level boundary (16, 16², 16³), duplicate runs, a slice starting
+    /// anywhere within a cache line, every query a rank can change at,
+    /// and batches on both sides of the lockstep group.
+    #[test]
+    fn line_directory_matches_oracle_at_every_edge(
+        raw in vec(any::<u32>(), 6016),
+        n in prop_oneof![
+            Just(0usize), Just(1), Just(15), Just(16), Just(17), Just(255), Just(256),
+            Just(257), Just(4097), 0usize..6000,
+        ],
+        start in 0usize..16,
+        // 1 keeps the keys as drawn; larger folds them into runs of
+        // duplicates that span blocks.
+        fold in prop_oneof![Just(1u32), Just(1 << 20), Just(1 << 28)],
+        batch_len in prop_oneof![
+            Just(0usize), Just(1), Just(GROUP - 1), Just(GROUP), Just(GROUP + 1), Just(4096),
+        ],
+        random in vec(any::<u32>(), 64),
+    ) {
+        let mut all: Vec<u32> = raw.into_iter().map(|k| k / fold * fold).collect();
+        all.sort_unstable();
+        let keys = &all[start..start + n];
+        let dir = LineDirectory::new(SharedKeys::owned(all.clone()), start..start + n, 0, 0.0);
+
+        // 0, min − 1, min, every key (so every separator, whatever the
+        // alignment made them) and its neighbours, max, max + 1, MAX.
+        let mut pool = vec![0, u32::MAX];
+        for &k in keys {
+            pool.extend([k.wrapping_sub(1), k, k.wrapping_add(1)]);
+        }
+        pool.extend(random);
+        for &q in &pool {
+            prop_assert_eq!(dir.rank(q, &mut NullMemory).0, oracle_rank(keys, q));
+        }
+
+        let queries: Vec<u32> = pool.iter().rev().cycle().take(batch_len).copied().collect();
+        let mut out = vec![7; 3];
+        dir.rank_batch(&queries, &mut out, &mut NullMemory);
+        prop_assert_eq!(out.len(), batch_len);
+        for (i, &q) in queries.iter().enumerate() {
+            prop_assert_eq!(out[i], oracle_rank(keys, q));
         }
     }
 

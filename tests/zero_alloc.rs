@@ -114,6 +114,20 @@ fn native_lookup_batch_into_is_allocation_free_when_warm() {
          the scatter/response recycling must keep the steady state allocation-free"
     );
     assert_eq!(out[0], keys.partition_point(|&k| k <= queries[0]) as u32, "still correct");
+
+    // The single-key form answers into a scratch slot kept on the index:
+    // it is a batch of one, not a fresh `Vec` per call.
+    let mut checksum = 0u64;
+    for &q in &queries {
+        checksum += u64::from(index.lookup(q));
+    }
+    let allocs = count_allocs(|| {
+        for &q in &queries {
+            checksum += u64::from(index.lookup(q));
+        }
+    });
+    assert_eq!(allocs, 0, "lookup() allocated {allocs} times across 512 warmed single-key calls");
+    assert_eq!(checksum, 2 * out.iter().map(|&r| u64::from(r)).sum::<u64>(), "still correct");
 }
 
 #[test]
