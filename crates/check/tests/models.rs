@@ -7,7 +7,8 @@
 //! scenario, asserting the contract the rest of the repo relies on:
 //!
 //! * `EpochCell`: readers never observe a torn or freed snapshot; the
-//!   superseded epoch is freed exactly once, on the last unpin.
+//!   superseded epoch is released by the cell inside `publish` and freed
+//!   exactly once, on the last unpin.
 //! * `SlotPool` / `ReplyCell`: a reply is never lost and never
 //!   duplicated, across fills, parks, and generation recycling.
 //! * `TraceRing`: a concurrent snapshot never returns a torn record.
@@ -24,7 +25,7 @@
 #![cfg(dini_check)]
 
 use dini_check::model::{model, thread, Checker};
-use dini_check::sync::{AtomicU64, Ordering};
+use dini_check::sync::{Arc, AtomicU64, Ordering};
 use dini_obs::{MetricsRegistry, TraceRing};
 use dini_serve::admission::AdmissionQueue;
 use dini_serve::batcher::Request;
@@ -69,8 +70,11 @@ fn assert_untorn(s: &ShardSnapshot) {
 
 /// Two readers pin and dereference snapshots while a publisher swaps
 /// the epoch under them. The model `Arc` turns a premature free into a
-/// use-after-free failure, the leak check proves the superseded epoch
-/// *is* freed, and the self-describing payload catches torn reads.
+/// use-after-free failure, the self-describing payload catches torn
+/// reads, and the strong counts prove the release rule: once `publish`
+/// has returned, the cell holds no reference to the superseded epoch —
+/// only the readers that pinned it do — so the last unpin frees it
+/// without waiting for another publish.
 #[test]
 fn epoch_cell_readers_race_one_publish() {
     let report = model("epoch-cell/readers-vs-publish", || {
@@ -81,14 +85,22 @@ fn epoch_cell_readers_race_one_publish() {
                 thread::spawn(move || {
                     let s = cell.load();
                     assert_untorn(&s);
-                    s.main_epoch
+                    s
                 })
             })
             .collect();
         cell.publish(snap(1));
-        for r in readers {
-            let epoch = r.join();
-            assert!(epoch <= 1, "reader observed unpublished epoch {epoch}");
+        let pins: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
+        let superseded = pins.iter().filter(|s| s.main_epoch == 0).count();
+        for s in &pins {
+            assert!(s.main_epoch <= 1, "reader observed unpublished epoch {}", s.main_epoch);
+            if s.main_epoch == 0 {
+                assert_eq!(
+                    Arc::strong_count(s),
+                    superseded,
+                    "publish returned but the cell still references the superseded epoch"
+                );
+            }
         }
         let now = cell.load();
         assert_untorn(&now);

@@ -25,9 +25,6 @@
 //!   how `dini-net`'s simulated network backend drops and jitters wire
 //!   frames deterministically.
 //! * [`metrics`] — log-spaced histograms for response-time accounting.
-//! * [`thread_backend`] — a real master/slaves execution on OS threads and
-//!   crossbeam channels, with optional `core_affinity` pinning; the same
-//!   method drivers run on it for modern-hardware wall-clock numbers.
 
 #![warn(missing_docs)]
 
@@ -37,7 +34,6 @@ pub mod metrics;
 pub mod network;
 pub mod sim;
 pub mod switch;
-pub mod thread_backend;
 
 pub use fault::{FaultPlan, FaultState, MsgFate};
 pub use inject::{FrameFate, LinkPlan, LinkState};
@@ -45,4 +41,3 @@ pub use metrics::LogHistogram;
 pub use network::NetworkModel;
 pub use sim::{Actor, Ctx, MsgRecord, NodeId, NodeReport, SimCluster, SimReport};
 pub use switch::SwitchModel;
-pub use thread_backend::{run_master_slaves, scatter_drain, ThreadClusterConfig};

@@ -12,7 +12,7 @@
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dini_cache_sim::NullMemory;
-use dini_index::{CsbTree, LineDirectory, RankIndex};
+use dini_index::{CsbTree, LineDirectory, Partitions, RankIndex};
 use dini_store::SharedKeys;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -200,10 +200,9 @@ impl DistributedIndex {
             "keys must be sorted unique"
         );
 
-        // Balanced split (first `len % n` partitions one key larger), so
-        // every partition is non-empty for any keys.len() >= n_slaves.
-        let base = keys.len() / cfg.n_slaves;
-        let extra = keys.len() % cfg.n_slaves;
+        let Partitions { delimiters, mut base_ranks, ranges } =
+            Partitions::split(keys.as_slice(), cfg.n_slaves);
+        base_ranks.push(keys.len() as u32);
         let cores = if cfg.pin_cores {
             core_affinity::get_core_ids().unwrap_or_default()
         } else {
@@ -213,20 +212,10 @@ impl DistributedIndex {
         let (resp_tx, from_slaves) = bounded::<Resp>(cfg.channel_capacity * cfg.n_slaves);
         let mut to_slaves = Vec::with_capacity(cfg.n_slaves);
         let mut joins = Vec::with_capacity(cfg.n_slaves);
-        let mut delimiters = Vec::with_capacity(cfg.n_slaves - 1);
 
-        let mut base_ranks = Vec::with_capacity(cfg.n_slaves + 1);
-        let mut start = 0usize;
-        for j in 0..cfg.n_slaves {
-            let end = start + base + usize::from(j < extra);
-            base_ranks.push(start as u32);
-            if j > 0 {
-                delimiters.push(keys.as_slice()[start]);
-            }
+        for (j, range) in ranges.into_iter().enumerate() {
             let part = keys.clone();
-            let (part_start, part_end) = (start, end);
-            let base_rank = start as u32;
-            start = end;
+            let base_rank = base_ranks[j];
             let (req_tx, req_rx) = bounded::<Req>(cfg.channel_capacity);
             to_slaves.push(req_tx);
             let tx = resp_tx.clone();
@@ -239,7 +228,7 @@ impl DistributedIndex {
                         if let Some(c) = core {
                             core_affinity::set_for_current(c);
                         }
-                        let engine = WorkerEngine::build(structure, part, part_start, part_end);
+                        let engine = WorkerEngine::build(structure, part, range.start, range.end);
                         for (batch, mut pairs) in req_rx.iter() {
                             engine.rank_pairs(&mut pairs, base_rank);
                             if tx.send((batch, pairs)).is_err() {
@@ -250,8 +239,6 @@ impl DistributedIndex {
                     .expect("spawn native slave"),
             );
         }
-
-        base_ranks.push(keys.len() as u32);
 
         Self {
             delimiters,

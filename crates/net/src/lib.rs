@@ -58,8 +58,7 @@
 //! let addr = acceptor.addr();
 //! let keys: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
 //! let topo = Topology::single(vec![addr.clone()]);
-//! let mut serve = ServeConfig::new(2);
-//! serve.slaves_per_shard = 1;
+//! let serve = ServeConfig::new(2);
 //! let server = NetServer::start(Box::new(acceptor), &keys, NetServerConfig::new(serve, topo, 0));
 //!
 //! // …and a remote client that learns the shard map from the handshake.

@@ -543,7 +543,6 @@ mod tests {
 
     fn cfg(addr: &str) -> NetServerConfig {
         let mut serve = ServeConfig::new(2);
-        serve.slaves_per_shard = 1;
         serve.max_delay = Duration::from_micros(100);
         NetServerConfig::new(serve, Topology::single(vec![addr.to_owned()]), 0)
     }
@@ -818,8 +817,7 @@ mod tests {
             ],
         };
         let hi_keys = topo.split(&keys)[1].to_vec();
-        let mut serve = ServeConfig::new(2);
-        serve.slaves_per_shard = 1;
+        let serve = ServeConfig::new(2);
         let server =
             NetServer::start(Box::new(acc), &hi_keys, NetServerConfig::new(serve, topo, 1));
 

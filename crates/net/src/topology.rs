@@ -95,15 +95,7 @@ impl Topology {
     /// Split a sorted-unique global key set into per-span slices along
     /// the span boundaries (what each span's server is built over).
     pub fn split<'a>(&self, keys: &'a [u32]) -> Vec<&'a [u32]> {
-        let mut out = Vec::with_capacity(self.spans.len());
-        let mut start = 0usize;
-        for s in &self.spans[1..] {
-            let end = start + keys[start..].partition_point(|&k| k < s.lo_key);
-            out.push(&keys[start..end]);
-            start = end;
-        }
-        out.push(&keys[start..]);
-        out
+        self.router().split(keys)
     }
 }
 

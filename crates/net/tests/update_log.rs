@@ -132,7 +132,6 @@ fn ctrl_retry_fills_waiter_once_and_strays_are_dropped() {
 
 fn sim_serve_cfg(clock: &Clock) -> ServeConfig {
     let mut serve = ServeConfig::new(2);
-    serve.slaves_per_shard = 1;
     serve.max_batch = 64;
     serve.max_delay = Duration::from_micros(100);
     serve.clock = clock.clone();

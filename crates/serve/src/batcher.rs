@@ -1,14 +1,15 @@
 //! Time/size-bounded batch coalescing.
 //!
 //! The paper's core observation is that per-query costs (network
-//! overhead there, dispatch and channel hops here) amortise across a
+//! overhead there, wake-ups and channel hops here) amortise across a
 //! batch, and its Figure 3 sweeps batch size against both throughput and
 //! response time. A *server* cannot choose its batch size — concurrent
 //! callers arrive one query at a time — so the serving layer manufactures
 //! batches: the first query to arrive opens a batch, co-travellers join
 //! until either `max_batch` queries are aboard or `max_delay` has passed
-//! since the batch opened, and then the whole batch rides one
-//! `lookup_batch_into` through the shard's `DistributedIndex`.
+//! since the batch opened, and then the dispatcher ranks the whole batch
+//! in place against one pinned snapshot
+//! ([`ShardSnapshot::rank_batch`](crate::ShardSnapshot::rank_batch)).
 //!
 //! Collection fills a caller-owned buffer ([`collect_batch_into`]) so the
 //! dispatcher loop reuses one `Vec` for every batch it ever dispatches —

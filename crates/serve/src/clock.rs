@@ -30,10 +30,8 @@
 //! 1. Every thread that participates in simulated time **registers**
 //!    (the scenario's main thread via [`SimClock::register_main`];
 //!    children are spawned through [`Clock::spawn`], which assigns slot
-//!    ids in program order). Threads that never touch the clock — the
-//!    `DistributedIndex` slave workers — stay unregistered: they only
-//!    ever run synchronously *inside* a registered thread's turn, so
-//!    they cannot introduce scheduling races.
+//!    ids in program order). Every thread the server owns —
+//!    dispatchers and the writer — is spawned this way.
 //! 2. **At most one registered thread runs at a time.** All blocking
 //!    operations (sleeps, channel sends/recvs, reply waits, joins)
 //!    funnel into `SimClock::block`, which parks the caller and hands

@@ -14,29 +14,32 @@ use std::time::Duration;
 /// Figure 3 batch-size trade-off: `max_batch` bounds how much latency a
 /// query can absorb waiting for co-travellers, `max_delay` bounds how
 /// long a lone query waits before the batch departs anyway. Larger
-/// batches amortise the master's dispatch and the per-message overhead
+/// batches amortise the dispatcher's wake-up and the per-message overhead
 /// across more queries (throughput ↑), at the price of queueing delay
 /// (response time ↑) — exactly the tension the paper resolves by showing
 /// both constraints can be met at once.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of shards; each shard is an independent
-    /// `DistributedIndex` over a contiguous key range.
+    /// Number of shards; each shard is one contiguous key range — the
+    /// paper's partition — answered by its dispatcher thread. This is
+    /// the knob for parallelism inside the key space: pick it so a
+    /// shard's keys fit a core's L2.
     pub n_shards: usize,
-    /// Replicated dispatchers per shard. Replicas share one
-    /// [`EpochCell`](crate::EpochCell) overlay and `Arc`-shared main-key
-    /// storage, so they cost dispatcher + slave threads and a derived
-    /// directory (1/15 of the key bytes), not a copy of the index.
+    /// Replicated dispatchers per shard. Replicas share the shard's one
+    /// [`EpochCell`](crate::EpochCell) — main array, directory and
+    /// overlay alike — so a replica costs one dispatcher thread and
+    /// nothing else.
     /// Lookups are routed among a shard's replicas by
     /// power-of-two-choices on live queue depth (see
     /// [`ReplicaSelector`](crate::ReplicaSelector)); when a replica
     /// crashes, its backlog is re-routed to surviving siblings and a
     /// shard only answers `ShuttingDown` once its last replica is gone.
     pub replicas_per_shard: usize,
-    /// Worker ("slave") threads per replica's `DistributedIndex`.
+    /// Dead: the dispatcher ranks its batch itself. Kept only because
+    /// the frozen `benchmark/` still assigns it; goes with that line.
+    #[deprecated(note = "read nowhere; use more shards for parallelism inside a key range")]
+    #[doc(hidden)]
     pub slaves_per_shard: usize,
-    /// Pin index worker threads to cores (best-effort).
-    pub pin_cores: bool,
     /// Maximum queries coalesced into one index batch.
     pub max_batch: usize,
     /// Maximum time the first query of a batch waits for co-travellers.
@@ -45,7 +48,7 @@ pub struct ServeConfig {
     /// (`try_lookup` fails fast) rather than growing without limit.
     pub queue_capacity: usize,
     /// Per-shard delta budget: when a shard's pending churn exceeds this,
-    /// the writer merges and republishes a rebuilt index.
+    /// the writer merges and publishes the new main array.
     pub merge_threshold: usize,
     /// How many churn operations the writer folds in before publishing a
     /// fresh snapshot (update visibility granularity).
@@ -87,16 +90,15 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// `n_shards` shards with serving-friendly defaults: 1 replica and
-    /// 2 slaves per shard, unpinned, batches of ≤ 256 coalesced for
-    /// ≤ 100 µs, queues of 1024, merges every 4096 delta entries,
-    /// snapshots every 64 ops.
+    /// `n_shards` shards with serving-friendly defaults: 1 replica per
+    /// shard, batches of ≤ 256 coalesced for ≤ 100 µs, queues of 1024,
+    /// merges every 4096 delta entries, snapshots every 64 ops.
+    #[allow(deprecated)] // the one initialiser of `slaves_per_shard`
     pub fn new(n_shards: usize) -> Self {
         Self {
             n_shards,
             replicas_per_shard: 1,
-            slaves_per_shard: 2,
-            pin_cores: false,
+            slaves_per_shard: 1,
             max_batch: 256,
             max_delay: Duration::from_micros(100),
             queue_capacity: 1024,
@@ -115,7 +117,6 @@ impl ServeConfig {
     pub fn validate(&self) {
         assert!(self.n_shards >= 1, "need at least one shard");
         assert!(self.replicas_per_shard >= 1, "need at least one replica per shard");
-        assert!(self.slaves_per_shard >= 1, "need at least one slave per shard");
         assert!(self.max_batch >= 1, "max_batch must be at least 1");
         assert!(self.queue_capacity >= 1, "queue_capacity must be at least 1");
         assert!(self.merge_threshold >= 1, "merge_threshold must be at least 1");

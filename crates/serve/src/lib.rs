@@ -1,7 +1,6 @@
 //! # dini-serve
 //!
-//! A sharded, batch-coalescing, online-updatable query-serving layer
-//! over the native [`DistributedIndex`](dini_core::DistributedIndex) —
+//! A sharded, batch-coalescing, online-updatable query-serving layer —
 //! the production-shaped face of the DINI reproduction of Ma & Cooperman
 //! (CLUSTER 2005).
 //!
@@ -9,15 +8,19 @@
 //! turns a latency-bound lookup into a throughput machine. A real server
 //! cannot choose its batch size, so this crate manufactures the paper's
 //! batches from live traffic and wraps the result in the machinery a
-//! serving system needs:
+//! serving system needs. The paper's design appears here exactly once:
+//! the router is the master, a shard is a partition, and the shard's
+//! dispatcher is the slave that answers a batch over its sorted piece
+//! (with [`LineDirectory`](dini_index::LineDirectory)'s batch kernel).
 //!
 //! * [`router`] — the u32 key space is **range-sharded** across
 //!   `n_shards` shards; routing is a binary search over a delimiter
 //!   array, and global ranks compose as `base_rank(shard) + local_rank`
-//!   (the paper's master/slave rank composition, one level up). Each
+//!   (the paper's master/slave rank composition). Each
 //!   shard is served by a **replica group** of `replicas_per_shard`
-//!   dispatchers over `Arc`-shared snapshots and key storage (replicas
-//!   cost threads, not a copy of the index); a [`ReplicaSelector`] picks among
+//!   dispatchers over one `Arc`-shared snapshot — keys, directory and
+//!   overlay (a replica costs one thread and nothing else); a
+//!   [`ReplicaSelector`] picks among
 //!   them by **power-of-two choices** on live queue depth, and a
 //!   crashed replica **fails over** — its backlog is re-routed to
 //!   surviving siblings, so a shard only answers `ShuttingDown` once
@@ -33,15 +36,17 @@
 //! * [`oneshot`] — **pooled reply slots**: a slab of reusable
 //!   generation-tagged reply cells replaces the per-lookup reply
 //!   channel, making the steady-state lookup path allocation-free
-//!   end to end (slots, batch scratch, and scatter buffers all recycle).
+//!   end to end (slots and batch scratch all recycle).
 //! * [`snapshot`] + the writer in [`server`] — **online updates**: one
 //!   writer folds churn through
-//!   [`DeltaArray`](dini_index::DeltaArray)s and publishes immutable
-//!   overlay snapshots via a hand-rolled **lock-free epoch swap**
+//!   [`DeltaArray`](dini_index::DeltaArray)s and publishes each shard's
+//!   whole read state — main array, overlay, base rank — as one
+//!   immutable snapshot via a hand-rolled **lock-free epoch swap**
 //!   (`AtomicPtr` two-slot scheme: readers pin with three atomic RMWs
-//!   and no lock, superseded epochs freed on last unpin); on crossing the merge
-//!   threshold it rebuilds the shard's index off the read path and ships
-//!   it to the dispatcher. Lookups never block on writers.
+//!   and no lock, superseded epochs freed on last unpin); on crossing the
+//!   merge threshold it merges and builds the new main array's directory
+//!   off the read path and publishes it the same way. Lookups never
+//!   block on writers.
 //! * [`stats`] — p50/p99/p999 latency and batch-shape accounting on
 //!   [`LogHistogram`](dini_cluster::LogHistogram)s, held live in
 //!   lock-free `dini-obs` atomics ([`ReplicaMetrics`]) registered in a
@@ -69,7 +74,7 @@
 //! use dini_serve::loadgen::run_load;
 //! use dini_serve::KeyDistribution;
 //!
-//! // 40k keys, 2 shards × 2 slave threads each.
+//! // 40k keys, 2 shards: two dispatcher threads and one writer.
 //! let keys: Vec<u32> = (0..40_000).map(|i| i * 2).collect();
 //! let server = IndexServer::build(&keys, ServeConfig::new(2));
 //!

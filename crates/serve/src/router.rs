@@ -20,6 +20,8 @@
 //!    selection is a pure function of `(tick, depths)`, which is what
 //!    keeps `dini-simtest` runs bit-reproducible.
 
+use dini_index::Partitions;
+
 /// Routes keys to shards by range partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRouter {
@@ -40,18 +42,7 @@ impl ShardRouter {
             keys.len()
         );
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be sorted unique");
-        let base = keys.len() / n_shards;
-        let extra = keys.len() % n_shards;
-        let mut delimiters = Vec::with_capacity(n_shards - 1);
-        let mut start = 0usize;
-        for j in 0..n_shards {
-            let end = start + base + usize::from(j < extra);
-            if j > 0 {
-                delimiters.push(keys[start]);
-            }
-            start = end;
-        }
-        Self { delimiters }
+        Self { delimiters: Partitions::split(keys, n_shards).delimiters }
     }
 
     /// An explicit delimiter list (`delimiters[i]` = first key of shard

@@ -1,25 +1,32 @@
 //! The multi-tenant index server: shards, replica groups, dispatchers,
 //! and the writer.
 //!
-//! Thread topology for an `n`-shard server with `R` replicas per shard
-//! and `k` slaves per replica:
+//! Thread topology for an `n`-shard server with `R` replicas per shard —
+//! `n·R` dispatchers and one writer, nothing else:
 //!
 //! ```text
-//!  callers ──route(key) → p2c(depth)──► [admission queue s·r] ─► dispatcher s·r ─► DistributedIndex s·r
-//!    │                                        (bounded,            (coalesces        (k pinned slave
-//!    │                                         shed-on-full)        batches)           threads; keys
-//!    │                                                                                 Arc-shared per shard)
-//!    └──update(Op)──► writer ──DeltaArray per shard──► EpochCell s  (overlay publish, shared by replicas)
-//!                        │                        └──► rebuild channel s·r (merged index swap, fanned out)
+//!  callers ──route(key) → p2c(depth)──► [admission queue s·r] ─► dispatcher s·r ─► replies
+//!    │                                        (bounded,            (coalesces a batch, pins the
+//!    │                                         shed-on-full)        shard's snapshot, ranks it)
+//!    │                                                                      ▲ load()
+//!    └──update(Op)──► writer ──DeltaArray per shard──► EpochCell s ─────────┘
+//!                                                      (main array + overlay + base rank,
+//!                                                       one publish, shared by replicas)
 //! ```
 //!
+//! * **The shard is the paper's partition and its dispatcher the paper's
+//!   slave**: the router's delimiter search is the master's dispatch,
+//!   and a dispatcher answers its coalesced batch over one sorted piece
+//!   with [`LineDirectory::rank_batch`](dini_index::LineDirectory) —
+//!   in place, on its own thread. Parallelism inside a key range is
+//!   expressed the one way there is: more shards (size `n_shards` so a
+//!   shard's keys fit a core's L2).
 //! * **Replica groups**: each keyspace shard is served by
 //!   `replicas_per_shard` replicated dispatchers. Replicas share one
-//!   [`EpochCell`] (the overlay snapshot is published once per shard)
-//!   and build their [`DistributedIndex`]es over one `Arc`-shared key
-//!   array, so a replica costs dispatcher + slave threads and the
-//!   slaves' derived directories (1/15 of the key bytes) but **no copy
-//!   of the index**. Routing picks the shard from the key
+//!   [`EpochCell`] — the shard's whole read state (main array behind
+//!   its directory, overlay, base rank) is published once per shard —
+//!   so a replica costs one dispatcher thread and **nothing else**.
+//!   Routing picks the shard from the key
 //!   (ranks must compose), then a replica by **power-of-two choices**
 //!   on live queue depth ([`ReplicaSelector`]) — a straggling replica's
 //!   depth grows and traffic flows around it.
@@ -28,23 +35,23 @@
 //!   surviving replicas of the same shard — callers see degraded
 //!   capacity, not errors. Only when a shard's *last* replica dies does
 //!   its traffic resolve to [`ShuttingDown`](crate::ServeError::ShuttingDown).
-//! * **Dispatchers** (one per replica) own their replica's
-//!   [`DistributedIndex`] outright — `lookup_batch` needs `&mut self` —
-//!   and serve consistent `(index, overlay)` pairs; see
-//!   [`crate::snapshot`] for the epoch protocol.
+//! * **Dispatchers** (one per replica) hold no index state between
+//!   batches: each batch is answered from one [`EpochCell::load`] taken
+//!   at service time, so the `(main, overlay)` pair it sees is
+//!   consistent by construction; see [`crate::snapshot`].
 //! * **The writer** (single thread) owns every shard's
 //!   [`DeltaArray`], folds churn through it,
-//!   publishes overlays every `publish_every` ops (once per shard — the
+//!   publishes snapshots every `publish_every` ops (once per shard — the
 //!   shared `EpochCell` *is* the fan-out), and on crossing
-//!   `merge_threshold` merges, rebuilds that shard's index on its own
-//!   thread (readers keep serving the old epoch), and ships one
-//!   `Arc`-sharing rebuild to every replica of the shard. Lookups
+//!   `merge_threshold` merges and builds the merged array's directory on
+//!   its own thread (readers keep serving the old epoch), then
+//!   publishes the new main array like any other snapshot. Lookups
 //!   therefore never block on writers.
 //! * **Global ranks** compose across shards: the writer republishes every
 //!   shard's `base_rank` (live keys in lower shards) with each snapshot
 //!   wave, so a lookup in shard `s` returns
 //!   `base_rank(s) + main_rank + overlay_adjust` — the paper's
-//!   master/slave rank composition, one level up.
+//!   master/slave rank composition.
 
 use crate::admission::AdmissionQueue;
 use crate::batcher::{collect_batch_into, Request};
@@ -55,11 +62,10 @@ use crate::oneshot::{ReplySlot, SlotPool};
 use crate::router::{ReplicaSelector, ShardRouter};
 use crate::snapshot::{EpochCell, ShardSnapshot};
 use crate::stats::{ReplicaMetrics, ServeStats, ShardStats};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dini_cache_sim::NullMemory;
-use dini_core::{DistributedIndex, NativeConfig};
 use dini_flight::EventKind;
-use dini_index::{DeltaArray, RankIndex};
+use dini_index::{DeltaArray, LineDirectory, RankIndex};
 use dini_obs::{HeatMap, MetricsRegistry, MetricsSnapshot, StageRecord, HEAT_BUCKETS};
 use dini_store::{write_snapshot, ShardRecord, SharedKeys, Snapshot, SpanRecord};
 use dini_workload::Op;
@@ -69,14 +75,6 @@ use std::time::Duration;
 
 /// How long an idle dispatcher sleeps between shutdown-flag checks.
 const IDLE_POLL: Duration = Duration::from_millis(10);
-
-/// An index-swap message from the writer to one replica dispatcher.
-struct Rebuild {
-    main_epoch: u64,
-    /// `None` when the shard's main array emptied (all keys deleted).
-    index: Option<DistributedIndex>,
-    snapshot: ShardSnapshot,
-}
 
 enum WriterMsg {
     Apply(Op),
@@ -219,21 +217,26 @@ impl Clone for ServerHandle {
     }
 }
 
-fn build_index(keys: &SharedKeys, slaves: usize, pin: bool) -> Option<DistributedIndex> {
-    if keys.is_empty() {
-        return None;
-    }
-    let mut cfg = NativeConfig::new(slaves.min(keys.len()));
-    cfg.pin_cores = pin;
-    Some(DistributedIndex::build_backed(keys.clone(), cfg))
+/// The directory a shard's snapshots carry over `keys` (one strided
+/// pass, no copy of the keys); `None` for an emptied main array.
+fn directory(keys: &SharedKeys) -> Option<Arc<LineDirectory>> {
+    (!keys.is_empty()).then(|| Arc::new(LineDirectory::new(keys.clone(), 0..keys.len(), 0, 0.0)))
+}
+
+/// The writer's state for one shard.
+struct WriterShard {
+    delta: DeltaArray,
+    main_epoch: u64,
+    /// Directory over `delta`'s current main array: rebuilt on merge,
+    /// shared by every snapshot published until the next one.
+    main: Option<Arc<LineDirectory>>,
+    cell: Arc<EpochCell>,
 }
 
 impl IndexServer {
     /// Build a server over `keys` (sorted ascending, unique). Spawns
-    /// `n_shards × replicas_per_shard` dispatcher threads, as many
-    /// `DistributedIndex`es of `slaves_per_shard` worker threads each
-    /// (replicas of a shard share their key storage), and one writer
-    /// thread.
+    /// `n_shards × replicas_per_shard` dispatcher threads (replicas of a
+    /// shard share its key storage and directory) and one writer thread.
     pub fn build(keys: &[u32], cfg: ServeConfig) -> Self {
         cfg.validate();
         let router = Arc::new(ShardRouter::from_keys(keys, cfg.n_shards));
@@ -303,54 +306,52 @@ impl IndexServer {
         let n_replicas = cfg.replicas_per_shard;
         let mut queues = Vec::with_capacity(cfg.n_shards);
         let mut replica_metrics = Vec::with_capacity(cfg.n_shards * n_replicas);
-        let mut cells = Vec::with_capacity(cfg.n_shards);
-        let mut rebuild_txs = Vec::with_capacity(cfg.n_shards);
         let mut dispatchers = Vec::with_capacity(cfg.n_shards * n_replicas);
-        let mut deltas = Vec::with_capacity(cfg.n_shards);
-        let mut main_epochs = Vec::with_capacity(cfg.n_shards);
+        let mut shards = Vec::with_capacity(cfg.n_shards);
 
         let mut base_rank = 0u32;
         for (s, seed) in seeds.into_iter().enumerate() {
-            // The initial overlay must carry the seed's pending deltas:
-            // a recovered shard serves exact ranks from its very first
+            // One read state for the whole replica group (owned-sorted
+            // or mapped-snapshot backing, transparently): replicas add
+            // threads, not copies of the keys or the directory. The
+            // initial snapshot must carry the seed's pending deltas: a
+            // recovered shard serves exact ranks from its very first
             // batch, before any fresh churn triggers a publish.
+            let main = directory(&seed.main);
             let cell = Arc::new(EpochCell::new(ShardSnapshot {
                 main_epoch: seed.main_epoch,
                 base_rank,
+                main: main.clone(),
                 inserts: seed.inserts.clone(),
                 deletes: seed.deletes.clone(),
             }));
-            // One shared key backing for the whole replica group
-            // (owned-sorted or mapped-snapshot, transparently): replicas
-            // add threads, not copies of the keys.
-            let part_shared = seed.main.clone();
             base_rank += seed.live_len() as u32;
-            deltas.push(DeltaArray::from_parts(
-                seed.main,
-                seed.inserts,
-                seed.deletes,
-                0,
-                0.0,
-                cfg.merge_threshold,
-            ));
-            main_epochs.push(seed.main_epoch);
+            let main_epoch = seed.main_epoch;
+            shards.push(WriterShard {
+                delta: DeltaArray::from_parts(
+                    seed.main,
+                    seed.inserts,
+                    seed.deletes,
+                    0,
+                    0.0,
+                    cfg.merge_threshold,
+                ),
+                main_epoch,
+                main,
+                cell: cell.clone(),
+            });
 
             // The whole group's admission queues must exist before any
             // dispatcher spawns: a crashing replica re-routes through
             // its siblings' queues.
             let mut group = Vec::with_capacity(n_replicas);
             let mut req_rxs = Vec::with_capacity(n_replicas);
-            let mut group_rebuild_txs = Vec::with_capacity(n_replicas);
-            let mut rebuild_rxs = Vec::with_capacity(n_replicas);
             for _ in 0..n_replicas {
                 let (req_tx, req_rx) = bounded::<Request>(cfg.queue_capacity);
                 group.push(AdmissionQueue::new(s, group.len(), req_tx, cfg.clock.clone()));
                 req_rxs.push(req_rx);
-                let (rebuild_tx, rebuild_rx) = unbounded::<Rebuild>();
-                group_rebuild_txs.push(rebuild_tx);
-                rebuild_rxs.push(rebuild_rx);
             }
-            for (r, (req_rx, rebuild_rx)) in req_rxs.into_iter().zip(rebuild_rxs).enumerate() {
+            for (r, req_rx) in req_rxs.into_iter().enumerate() {
                 let stats = Arc::new(ReplicaMetrics::new(&metrics, s, r, &cfg.trace));
                 // Queue gauges poll the admission atomics at snapshot
                 // time — live depth is already load-bearing state (the
@@ -365,14 +366,12 @@ impl IndexServer {
                 dispatchers.push(spawn_dispatcher(Dispatcher {
                     shard: s,
                     replica: r,
-                    index: build_index(&part_shared, cfg.slaves_per_shard, cfg.pin_cores),
-                    main_epoch: seed.main_epoch,
                     req_rx,
-                    rebuild_rx,
                     cell: cell.clone(),
                     group: group.clone(),
                     stats: stats.clone(),
                     shutdown: shutdown.clone(),
+                    main_epoch,
                     max_batch: cfg.max_batch,
                     max_delay: cfg.max_delay,
                     clock: cfg.clock.clone(),
@@ -381,19 +380,13 @@ impl IndexServer {
                 replica_metrics.push(stats);
             }
             queues.push(group);
-            cells.push(cell);
-            rebuild_txs.push(group_rebuild_txs);
         }
 
         let (writer_tx, writer_rx) = bounded::<WriterMsg>(4096);
         let writer = spawn_writer(
-            deltas,
-            main_epochs,
+            shards,
             watermark,
             router.clone(),
-            cells,
-            rebuild_txs,
-            queues.clone(),
             counters.clone(),
             writer_rx,
             cfg.clone(),
@@ -616,7 +609,7 @@ impl IndexServer {
 
 impl Drop for IndexServer {
     fn drop(&mut self) {
-        // Writer first: it still holds rebuild/cell endpoints.
+        // Writer first: it exits once the last update sender hangs up.
         self.writer_tx.take(); // hang up
         if let Some(w) = self.writer.take() {
             let _ = w.join();
@@ -882,9 +875,7 @@ fn crashed_failover(
 struct Dispatcher {
     shard: usize,
     replica: usize,
-    index: Option<DistributedIndex>,
     req_rx: Receiver<Request>,
-    rebuild_rx: Receiver<Rebuild>,
     cell: Arc<EpochCell>,
     /// The whole replica group's admission queues (including this
     /// replica's own, at index `replica`): the failover path re-routes
@@ -892,10 +883,9 @@ struct Dispatcher {
     group: Vec<AdmissionQueue>,
     stats: Arc<ReplicaMetrics>,
     shutdown: Arc<AtomicBool>,
-    /// Epoch of the main array this dispatcher starts on — 0 for a fresh
-    /// build, the recovered epoch after a snapshot restart (the overlay
-    /// adoption check compares epochs, so starting at 0 would wedge a
-    /// recovered shard on its first publish).
+    /// Main epoch the shard was built on — 0 for a fresh build, the
+    /// recovered epoch after a snapshot restart; `rebuilds` counts the
+    /// epochs this replica has crossed since.
     main_epoch: u64,
     max_batch: usize,
     max_delay: Duration,
@@ -903,14 +893,12 @@ struct Dispatcher {
     faults: ReplicaFaults,
 }
 
-/// Per-replica dispatcher: coalesce → lookup_batch → reply.
+/// Per-replica dispatcher: coalesce → pin the snapshot → rank → reply.
 fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
     let Dispatcher {
         shard,
         replica,
-        mut index,
         req_rx,
-        rebuild_rx,
         cell,
         group,
         stats,
@@ -922,14 +910,11 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
         mut faults,
     } = d;
     clock.clone().spawn(&format!("dini-serve-shard-{shard}-r{replica}"), move || {
-        let mut main_epoch = main_epoch;
-        let mut overlay = cell.load();
-        let mut rebuilds_adopted = 0u64;
         // Scratch reused across every batch this dispatcher ever
         // serves: after warmup the dispatch loop never allocates.
         let mut batch: Vec<Request> = Vec::new();
         let mut keys: Vec<u32> = Vec::new();
-        let mut local: Vec<u32> = Vec::new();
+        let mut ranks: Vec<u32> = Vec::new();
         let mut latencies: Vec<f64> = Vec::new();
         // Admission timestamp + trace id of this batch's *sampled*
         // requests — decided before replies go out (a reaped caller may
@@ -951,24 +936,11 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
                         );
                         break;
                     }
-                    // Idle housekeeping: adopt pending rebuilds now
-                    // rather than at the next batch. Load-aware routing
-                    // can legitimately starve a replica for a while
-                    // (ties pin single-stream traffic to one sibling),
-                    // and a starved replica must not sit on a retired
-                    // main epoch — or on the slave threads of the index
-                    // it would have replaced.
-                    let mut adopted = false;
-                    while let Ok(r) = rebuild_rx.try_recv() {
-                        index = r.index;
-                        main_epoch = r.main_epoch;
-                        overlay = crate::sync::Arc::new(r.snapshot);
-                        rebuilds_adopted += 1;
-                        adopted = true;
-                    }
-                    if adopted {
-                        stats.set_rebuilds(rebuilds_adopted);
-                    }
+                    // Load-aware routing can legitimately starve a
+                    // replica for a while (ties pin single-stream
+                    // traffic to one sibling); it still reports the
+                    // epochs the shard has crossed.
+                    stats.set_rebuilds(cell.load().main_epoch - main_epoch);
                     continue;
                 }
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -1003,32 +975,15 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
             // Pin the read state at *service* time, after collection:
             // a request admitted after a writer quiesce() returned may
             // join this still-open batch, so the snapshot must be at
-            // least as fresh as the youngest batch member. Adopt
-            // pending index rebuilds (merge epochs) first, newest
-            // last…
-            while let Ok(r) = rebuild_rx.try_recv() {
-                index = r.index;
-                main_epoch = r.main_epoch;
-                overlay = crate::sync::Arc::new(r.snapshot);
-                rebuilds_adopted += 1;
-            }
-            // …then the freshest overlay, only if it matches the main
-            // array actually being served (see snapshot.rs).
-            let fresh = cell.load();
-            if fresh.main_epoch == main_epoch {
-                overlay = fresh;
-            }
+            // least as fresh as the youngest batch member. The pin is
+            // dropped with the batch, so an idle replica never keeps a
+            // superseded main array alive.
+            let state = cell.load();
             let dispatched = clock.now();
 
             keys.clear();
             keys.extend(batch.iter().map(|r| r.key));
-            match index.as_mut() {
-                Some(ix) => ix.lookup_batch_into(&keys, &mut local),
-                None => {
-                    local.clear();
-                    local.resize(keys.len(), 0);
-                }
-            }
+            state.rank_batch(&keys, &mut ranks);
 
             let done = clock.now();
             let served = batch.len();
@@ -1042,7 +997,7 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
             // fill, and the caller's reap is an Acquire — so a reaped
             // reply implies visible counters, mutex or no mutex.
             stats.record_batch(&latencies);
-            stats.set_rebuilds(rebuilds_adopted);
+            stats.set_rebuilds(state.main_epoch - main_epoch);
             // Stage tracing: pick the sampled requests now (the seeded
             // counter must advance once per request, served or not),
             // stamp records after replies are released.
@@ -1053,14 +1008,10 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
                     sampled.push((req.enqueued, req.trace));
                 }
             }
-            for (req, &local_rank) in batch.drain(..).zip(local.iter()) {
-                let rank = i64::from(overlay.base_rank)
-                    + i64::from(local_rank)
-                    + overlay.rank_adjust(req.key);
-                debug_assert!(rank >= 0, "rank underflow for key {}", req.key);
+            for (req, &rank) in batch.drain(..).zip(ranks.iter()) {
                 // A gone caller is fine; the stale-generation CAS
                 // discards the reply.
-                req.respond(Ok(rank as u32));
+                req.respond(Ok(rank));
             }
             // Replies are out: release the batch from the depth gauge
             // (in-flight requests count as load, which is what lets
@@ -1093,19 +1044,13 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
     })
 }
 
-/// The single writer: fold churn → publish overlays → merge/rebuild →
-/// (optionally) checkpoint a `dini-store` snapshot.
-#[allow(clippy::too_many_arguments)]
+/// The single writer: fold churn → publish snapshots → merge (a new
+/// main array and directory) → (optionally) checkpoint a `dini-store`
+/// snapshot.
 fn spawn_writer(
-    mut deltas: Vec<DeltaArray>,
-    mut main_epochs: Vec<u64>,
+    mut shards: Vec<WriterShard>,
     watermark: (u64, u64),
     router: Arc<ShardRouter>,
-    cells: Vec<Arc<EpochCell>>,
-    rebuild_txs: Vec<Vec<Sender<Rebuild>>>,
-    // Mirrors `rebuild_txs`: the liveness flags the fan-out consults so
-    // rebuilds are never built for (or parked at) dead replicas.
-    queues: Vec<Vec<AdmissionQueue>>,
     counters: Arc<WriterCounters>,
     rx: Receiver<WriterMsg>,
     cfg: ServeConfig,
@@ -1123,10 +1068,7 @@ fn spawn_writer(
         // deltas, epochs, router delimiters, log watermark — as one
         // mmap-able snapshot file. Failures are counted, never fatal:
         // a full disk must not take the read path down.
-        let checkpoint = |deltas: &[DeltaArray],
-                          main_epochs: &[u64],
-                          watermark: (u64, u64),
-                          counters: &WriterCounters| {
+        let checkpoint = |shards: &[WriterShard], watermark: (u64, u64)| {
             let Some(plan) = &cfg.store else { return };
             // Flight-record the attempt *before* touching the disk: if
             // the process dies mid-write, the journal still shows a
@@ -1134,19 +1076,17 @@ fn spawn_writer(
             if let Some(j) = &cfg.flight {
                 j.record(EventKind::CheckpointBegin, 0, 0, watermark.1, 0, clock.now());
             }
-            let shards: Vec<ShardRecord<'_>> = deltas
-                .iter()
-                .zip(main_epochs)
-                .map(|(d, &e)| ShardRecord {
-                    main: d.main_keys(),
-                    inserts: d.pending_inserts(),
-                    deletes: d.pending_deletes(),
-                    main_epoch: e,
-                })
-                .collect();
             let rec = SpanRecord {
                 delims: router.delimiters(),
-                shards,
+                shards: shards
+                    .iter()
+                    .map(|sh| ShardRecord {
+                        main: sh.delta.main_keys(),
+                        inserts: sh.delta.pending_inserts(),
+                        deletes: sh.delta.pending_deletes(),
+                        main_epoch: sh.main_epoch,
+                    })
+                    .collect(),
                 log_epoch: watermark.0,
                 log_seq: watermark.1,
             };
@@ -1166,35 +1106,23 @@ fn spawn_writer(
             }
         };
 
-        let base_ranks = |deltas: &[DeltaArray]| -> Vec<u32> {
-            let mut base = 0u32;
-            deltas
-                .iter()
-                .map(|d| {
-                    let b = base;
-                    base += d.len() as u32;
-                    b
-                })
-                .collect()
+        let publish_all = |shards: &[WriterShard]| {
+            let mut base_rank = 0u32;
+            for sh in shards {
+                // One publish per shard: the shard's replicas share
+                // the cell, so publication fan-out is free.
+                sh.cell.publish(ShardSnapshot {
+                    main_epoch: sh.main_epoch,
+                    base_rank,
+                    main: sh.main.clone(),
+                    inserts: sh.delta.pending_inserts().to_vec(),
+                    deletes: sh.delta.pending_deletes().to_vec(),
+                });
+                base_rank += sh.delta.len() as u32;
+            }
+            counters.live_keys.store(u64::from(base_rank), Ordering::Relaxed);
+            counters.snapshots.fetch_add(1, Ordering::Relaxed);
         };
-
-        let publish_all =
-            |deltas: &[DeltaArray], main_epochs: &[u64], counters: &WriterCounters| {
-                let bases = base_ranks(deltas);
-                for (s, d) in deltas.iter().enumerate() {
-                    // One publish per shard: the shard's replicas share
-                    // the cell, so publication fan-out is free.
-                    cells[s].publish(ShardSnapshot {
-                        main_epoch: main_epochs[s],
-                        base_rank: bases[s],
-                        inserts: d.pending_inserts().to_vec(),
-                        deletes: d.pending_deletes().to_vec(),
-                    });
-                }
-                let live: u64 = deltas.iter().map(|d| d.len() as u64).sum();
-                counters.live_keys.store(live, Ordering::Relaxed);
-                counters.snapshots.fetch_add(1, Ordering::Relaxed);
-            };
 
         // The sim-visible analogue of `for msg in rx.iter()`: the
         // writer parks in the scheduler between messages and exits
@@ -1210,24 +1138,24 @@ fn spawn_writer(
                     (None, ops, mark)
                 }
                 WriterMsg::Quiesce(ack) => {
-                    publish_all(&deltas, &main_epochs, &counters);
+                    publish_all(&shards);
                     since_publish = 0;
                     // Durability barrier: whatever a caller saw applied
                     // before `quiesce` returned is on disk.
-                    checkpoint(&deltas, &main_epochs, watermark, &counters);
+                    checkpoint(&shards, watermark);
                     merges_since_checkpoint = 0;
                     let _ = ack.send(());
                     continue;
                 }
             };
             for op in one.into_iter().chain(many) {
-                let key = op.key();
-                let s = router.route(key);
+                let s = router.route(op.key());
+                let sh = &mut shards[s];
                 let mut mem = NullMemory;
                 let applied = match op {
                     Op::Query(_) => continue, // lookups go via handles
-                    Op::Insert(k) => deltas[s].insert(k, &mut mem).0,
-                    Op::Delete(k) => deltas[s].delete(k, &mut mem).0,
+                    Op::Insert(k) => sh.delta.insert(k, &mut mem).0,
+                    Op::Delete(k) => sh.delta.delete(k, &mut mem).0,
                 };
                 // Only mutations that changed the index count as
                 // applied; duplicate inserts and deletes of
@@ -1238,37 +1166,19 @@ fn spawn_writer(
                     counters.nops.fetch_add(1, Ordering::Relaxed);
                 }
 
-                if deltas[s].needs_merge() {
-                    // Merge + rebuild off the read path: readers
-                    // keep serving the old epoch until the new
-                    // index lands on their swap channel.
-                    deltas[s].merge(&mut mem);
-                    main_epochs[s] += 1;
+                if sh.delta.needs_merge() {
+                    // Merge and directory build off the read path:
+                    // readers keep serving the old epoch until the
+                    // publish below, and its main array is freed when
+                    // the last of them unpins it.
+                    sh.delta.merge(&mut mem);
+                    sh.main = directory(sh.delta.main_shared());
+                    sh.main_epoch += 1;
                     counters.merges.fetch_add(1, Ordering::Relaxed);
                     if let Some(j) = &cfg.flight {
-                        j.record(EventKind::EpochSwap, s as u16, 0, main_epochs[s], 0, clock.now());
+                        j.record(EventKind::EpochSwap, s as u16, 0, sh.main_epoch, 0, clock.now());
                     }
-                    // One merged key array, Arc-shared by every
-                    // replica's rebuilt index: the fan-out costs
-                    // threads per replica, not memory.
-                    let merged = deltas[s].main_shared().clone();
-                    let base = base_ranks(&deltas)[s];
-                    for (r, tx) in rebuild_txs[s].iter().enumerate() {
-                        // A dead replica never drains its swap
-                        // channel; building (and parking) an index
-                        // there would leak its worker threads until
-                        // server shutdown, one leak per merge.
-                        if !queues[s][r].is_alive() {
-                            continue;
-                        }
-                        let index = build_index(&merged, cfg.slaves_per_shard, cfg.pin_cores);
-                        let snapshot = ShardSnapshot::empty(main_epochs[s], base);
-                        // Send before publishing the new epoch's
-                        // overlay so dispatchers can always catch
-                        // up.
-                        let _ = tx.send(Rebuild { main_epoch: main_epochs[s], index, snapshot });
-                    }
-                    publish_all(&deltas, &main_epochs, &counters);
+                    publish_all(&shards);
                     since_publish = 0;
                     // The merge already produced the flat array a
                     // snapshot stores — checkpointing here is one
@@ -1277,7 +1187,7 @@ fn spawn_writer(
                     merges_since_checkpoint += 1;
                     if cfg.store.as_ref().is_some_and(|p| merges_since_checkpoint >= p.every_merges)
                     {
-                        checkpoint(&deltas, &main_epochs, watermark, &counters);
+                        checkpoint(&shards, watermark);
                         merges_since_checkpoint = 0;
                     }
                     continue;
@@ -1285,7 +1195,7 @@ fn spawn_writer(
 
                 since_publish += 1;
                 if since_publish >= cfg.publish_every {
-                    publish_all(&deltas, &main_epochs, &counters);
+                    publish_all(&shards);
                     since_publish = 0;
                 }
             }
@@ -1338,7 +1248,6 @@ mod tests {
         let set: BTreeSet<u32> = keys.iter().copied().collect();
         let mut c = cfg(2);
         c.replicas_per_shard = 3;
-        c.slaves_per_shard = 1;
         let server = IndexServer::build(&keys, c);
         assert_eq!(server.replicas_per_shard(), 3);
         let h = server.handle();
@@ -1360,7 +1269,6 @@ mod tests {
         let keys: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
         let mut c = ServeConfig::new(1);
         c.replicas_per_shard = 2;
-        c.slaves_per_shard = 1;
         c.max_batch = 1024;
         c.max_delay = Duration::from_millis(40);
         let server = IndexServer::build(&keys, c);
@@ -1388,7 +1296,6 @@ mod tests {
         let keys: Vec<u32> = (0..5_000).map(|i| i * 3).collect();
         let mut c = cfg(1);
         c.replicas_per_shard = 2;
-        c.slaves_per_shard = 1;
         c.faults = ServeFaultPlan::none().crash_replica(0, 0, 0);
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
@@ -1412,7 +1319,6 @@ mod tests {
         let keys: Vec<u32> = (0..1_000).map(|i| i * 2).collect();
         let mut c = cfg(1);
         c.replicas_per_shard = 2;
-        c.slaves_per_shard = 1;
         c.faults = ServeFaultPlan::none().crash_replica(0, 0, 0).crash_replica(0, 1, 0);
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
@@ -1493,12 +1399,11 @@ mod tests {
     }
 
     #[test]
-    fn merges_fan_rebuilds_out_to_every_replica() {
+    fn merges_reach_every_replica() {
         let keys: Vec<u32> = (0..2000).map(|i| i * 8).collect();
         let mut set: BTreeSet<u32> = keys.iter().copied().collect();
         let mut c = cfg(2);
         c.replicas_per_shard = 2;
-        c.slaves_per_shard = 1;
         c.merge_threshold = 32;
         c.publish_every = 8;
         let server = IndexServer::build(&keys, c);
@@ -1514,26 +1419,32 @@ mod tests {
             }
         }
         server.quiesce();
-        assert!(server.stats().merges > 0, "merge_threshold 32 must trigger merges");
+        let merges = server.stats().merges;
+        assert!(merges > 0, "merge_threshold 32 must trigger merges");
         // Every replica must answer from the post-merge epoch: sweep
         // enough queries that both replicas of each shard serve some.
         for q in (0..20_100u32).step_by(53) {
             assert_eq!(h.lookup(q).unwrap(), oracle(&set, q), "rank({q})");
         }
-        // Load-aware routing may starve a replica of batches (ties pin
-        // single-stream traffic to its sibling), in which case it
-        // adopts the fanned-out rebuilds on its idle poll instead —
-        // give it a few polls' worth of time before judging.
+        // Every replica reports the main epochs its shard has crossed —
+        // the shard's merge count — whether it learnt them serving a
+        // batch or, starved by load-aware routing (ties pin
+        // single-stream traffic to its sibling), on its idle poll: give
+        // it a few polls' worth of time before judging.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
+            // Replica-major: [s0r0, s0r1, s1r0, s1r1].
             let rebuilds: Vec<u64> = server.replica_stats().iter().map(|s| s.rebuilds).collect();
-            if rebuilds.iter().all(|&r| r > 0) {
+            if rebuilds[0] == rebuilds[1]
+                && rebuilds[2] == rebuilds[3]
+                && rebuilds[0] + rebuilds[2] == merges
+            {
                 break;
             }
             assert!(
                 std::time::Instant::now() < deadline,
-                "every replica must adopt the fanned-out rebuilds (idle polls included): \
-                 {rebuilds:?}"
+                "every replica must report its shard's share of the {merges} merges \
+                 (idle polls included): {rebuilds:?}"
             );
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -1648,7 +1559,6 @@ mod tests {
         let keys_arc = Arc::new(keys.clone());
         let mut c = cfg(4);
         c.replicas_per_shard = 2;
-        c.slaves_per_shard = 1;
         let server = IndexServer::build(&keys, c);
         let workers: Vec<_> = (0..8)
             .map(|w| {

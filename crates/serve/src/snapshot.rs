@@ -7,37 +7,46 @@
 //! the current epoch (a lock-free pointer load plus reference bump) and
 //! keep using their pinned snapshot for the whole batch. A superseded
 //! snapshot is freed when its last reader drops its pin — no reader ever
-//! blocks on the writer, and the writer never waits for readers.
+//! blocks on the writer, and the writer waits for readers only across
+//! their few-instruction pin window.
 //!
-//! A snapshot is the *overlay* half of a shard's read state: the bulky
-//! main array lives in each replica's `DistributedIndex` (rebuilt only on
-//! merge, shipped to every replica's dispatcher over a channel because
-//! worker threads cannot be cloned — the rebuilt indexes `Arc`-share one
-//! merged key array), while the overlay carries the small sorted
-//! insert/delete deltas plus the shard's global base rank. `main_epoch`
-//! ties the two halves together: a dispatcher only adopts an overlay
-//! whose `main_epoch` matches the index it is actually serving from, so
-//! readers always see a *consistent* (if slightly stale) pair even while
-//! a rebuild is in flight.
+//! A snapshot is a shard's *whole* read state: the merged main array
+//! behind its [`LineDirectory`] (rebuilt only on merge, `Arc`-shared by
+//! every snapshot of that main epoch), the small sorted insert/delete
+//! deltas folded in since, and the shard's global base rank. The three
+//! are published as one value, so a reader can never pair an overlay with
+//! a main array it was not computed against — consistency holds by
+//! construction, not by protocol. `main_epoch` counts the merges behind
+//! `main`; it is data (the snapshot file's per-shard epoch, the
+//! `rebuilds` statistic), not something readers compare.
 //!
 //! With replica groups, one `EpochCell` serves a whole shard: every
 //! replica's dispatcher pins epochs from the same cell, so publication
-//! fans out to `R` replicas for the price of one pointer swap, and
-//! replicas can never serve diverging overlays of the same main epoch.
+//! fans out to `R` replicas for the price of one pointer swap, replicas
+//! share the main array *and* its directory, and they can never serve
+//! diverging states of the same shard.
 
 use crate::sync::{Arc, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use dini_cache_sim::NullMemory;
+use dini_index::{LineDirectory, RankIndex};
 
-/// Immutable per-shard read overlay. Ranks compose as
+/// Immutable per-shard read state. Ranks compose as
 /// `base_rank + main_rank + inserts≤key − deletes≤key`
 /// (the [`DeltaArray`](dini_index::DeltaArray) rank decomposition,
 /// republished as shared-nothing data).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ShardSnapshot {
-    /// Epoch of the main array this overlay applies to; bumped on merge.
+    /// Merges behind `main`; bumped each time the writer replaces it.
     pub main_epoch: u64,
     /// Global rank of the first slot of this shard (number of live keys
     /// in all lower shards) as of publication.
     pub base_rank: u32,
+    /// The merged main array behind its cache-line directory, shared by
+    /// every snapshot (and every replica) of this main epoch; `None`
+    /// when the main array is empty (all keys deleted). (`std`'s `Arc`,
+    /// not the `sync` seam's: the directory is payload, not part of the
+    /// modeled publication protocol.)
+    pub main: Option<std::sync::Arc<LineDirectory>>,
     /// Keys inserted since the last merge (sorted, unique, disjoint from
     /// the main array).
     pub inserts: Vec<u32>,
@@ -47,9 +56,31 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    /// An empty overlay for epoch `main_epoch` with the given base rank.
+    /// No main array and no deltas, at epoch `main_epoch` with the given
+    /// base rank.
     pub fn empty(main_epoch: u64, base_rank: u32) -> Self {
-        Self { main_epoch, base_rank, inserts: Vec::new(), deletes: Vec::new() }
+        Self { main_epoch, base_rank, main: None, inserts: Vec::new(), deletes: Vec::new() }
+    }
+
+    /// Global rank of every key in `keys` (all routed to this shard) into
+    /// `ranks` (cleared first): the main array is probed for the whole
+    /// batch at once (see [`LineDirectory`]), then each rank is shifted
+    /// by the base rank and the overlay. Allocates only to grow `ranks`.
+    pub fn rank_batch(&self, keys: &[u32], ranks: &mut Vec<u32>) {
+        match &self.main {
+            Some(main) => {
+                main.rank_batch(keys, ranks, &mut NullMemory);
+            }
+            None => {
+                ranks.clear();
+                ranks.resize(keys.len(), 0);
+            }
+        }
+        for (rank, &key) in ranks.iter_mut().zip(keys) {
+            let global = i64::from(self.base_rank) + i64::from(*rank) + self.rank_adjust(key);
+            debug_assert!(global >= 0, "rank underflow for key {key}");
+            *rank = global as u32;
+        }
     }
 
     /// Rank adjustment for `key`: inserts ≤ `key` minus deletes ≤ `key`.
@@ -105,12 +136,15 @@ impl PinSlot {
 /// active slot, bump the `Arc` count, unpin) plus two loads.
 /// The two-slot scheme closes the classic race between reading the
 /// pointer and bumping its count: [`publish`](Self::publish) installs
-/// into the *inactive* slot and flips, so the slot a reader pinned keeps
-/// its snapshot alive — the pointer it loads can never be freed mid-bump,
-/// because reclaiming a slot first waits out its (transient, few-
-/// instruction) pinners. Superseded snapshots are freed on the last
-/// unpin: the cell's own reference is dropped one publish later, and
-/// whichever of cell/readers drops the final `Arc` frees the epoch.
+/// into the *inactive* (empty) slot and flips, so the slot a reader
+/// pinned keeps its snapshot alive — the pointer it loads can never be
+/// freed mid-bump, because emptying a slot first waits out its
+/// (transient, few-instruction) pinners. Superseded snapshots are freed
+/// on the last unpin: `publish` drops the cell's own reference before it
+/// returns — a snapshot carries its shard's main array, so holding it
+/// until the next publish would pin a second copy of the shard for as
+/// long as no update arrives — and whichever of cell/readers drops the
+/// final `Arc` frees the epoch.
 ///
 /// `publish` is single-writer by design (the serve writer thread); a
 /// publisher-side spin guard keeps concurrent publishes merely serialized
@@ -169,35 +203,41 @@ impl EpochCell {
         }
     }
 
-    /// Publish `snapshot`, superseding the current epoch. Readers holding
-    /// the old `Arc` finish their batch on the old epoch. Never blocks on
-    /// readers beyond the few-instruction pin window of the slot being
-    /// recycled (retired two publishes ago).
+    /// Publish `snapshot`, superseding the current epoch, and release the
+    /// cell's reference to the superseded one. Readers holding the old
+    /// `Arc` finish their batch on the old epoch. Never blocks on readers
+    /// beyond the few-instruction pin window of the slot being retired.
     pub fn publish(&self, snapshot: ShardSnapshot) {
         let mut spins = 0u32;
         while self.publishing.swap(true, Ordering::Acquire) {
             backoff(&mut spins);
         }
-        let inactive = 1 - self.active.load(Ordering::SeqCst);
-        // Wait out stragglers still pinning the retired slot. Pins last a
+        let retired = self.active.load(Ordering::SeqCst);
+        let fresh = Arc::into_raw(Arc::new(snapshot)).cast_mut();
+        // The inactive slot is empty (the previous publish emptied it, or
+        // the cell is new). A straggler may still pin it — it read
+        // `active` before an earlier flip — but it dereferences the slot
+        // only if its recheck sees the flip below, and the flip is what
+        // makes this store visible to it.
+        self.slots[1 - retired].ptr.store(fresh, Ordering::Release);
+        self.active.store(1 - retired, Ordering::SeqCst);
+        // Wait out readers still pinning the retired slot. Pins last a
         // handful of instructions (increment → recheck → count bump), so
         // this resolves in a few spins — except when a pinner is
         // preempted mid-window, which is what the backoff's yield is for
         // (otherwise the writer would burn a core for the reader's whole
-        // scheduling quantum).
+        // scheduling quantum). A reader that pins after this drain
+        // rechecks `active` after the flip and retries on the new slot.
         let mut spins = 0u32;
-        while self.slots[inactive].pinners.load(Ordering::SeqCst) != 0 {
+        while self.slots[retired].pinners.load(Ordering::SeqCst) != 0 {
             backoff(&mut spins);
         }
-        let fresh = Arc::into_raw(Arc::new(snapshot)).cast_mut();
-        let stale = self.slots[inactive].ptr.swap(fresh, Ordering::AcqRel);
-        self.active.store(inactive, Ordering::SeqCst);
+        let stale = self.slots[retired].ptr.swap(std::ptr::null_mut(), Ordering::AcqRel);
         self.publishing.store(false, Ordering::Release);
-        if !stale.is_null() {
-            // SAFETY: `stale` owned the slot's strong count; the slot no
-            // longer references it and its pinners drained above.
-            drop(unsafe { Arc::from_raw(stale) });
-        }
+        // SAFETY: `stale` owned the retired slot's strong count (an
+        // active slot is never empty); the slot no longer references it
+        // and its pinners drained above.
+        drop(unsafe { Arc::from_raw(stale) });
     }
 }
 
@@ -221,15 +261,15 @@ impl Drop for EpochCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dini_index::SharedKeys;
     use std::thread;
 
     #[test]
     fn rank_adjust_counts_both_sides() {
         let snap = ShardSnapshot {
-            main_epoch: 0,
-            base_rank: 100,
             inserts: vec![5, 15, 25],
             deletes: vec![10, 20],
+            ..ShardSnapshot::empty(0, 100)
         };
         assert_eq!(snap.rank_adjust(0), 0);
         assert_eq!(snap.rank_adjust(5), 1);
@@ -238,16 +278,35 @@ mod tests {
         assert_eq!(snap.net_delta(), 1);
     }
 
+    fn directory(keys: Vec<u32>) -> std::sync::Arc<LineDirectory> {
+        let n = keys.len();
+        std::sync::Arc::new(LineDirectory::new(SharedKeys::owned(keys), 0..n, 0, 0.0))
+    }
+
+    #[test]
+    fn rank_batch_composes_base_main_and_overlay() {
+        // Main {10, 20, …, 1000} with 20 deleted and 15 inserted, 7 live
+        // keys in lower shards.
+        let snap = ShardSnapshot {
+            main: Some(directory((1..=100).map(|i| i * 10).collect())),
+            inserts: vec![15],
+            deletes: vec![20],
+            ..ShardSnapshot::empty(3, 7)
+        };
+        let mut ranks = vec![99; 2];
+        snap.rank_batch(&[0, 10, 15, 20, 1000, u32::MAX], &mut ranks);
+        assert_eq!(ranks, vec![7, 8, 9, 9, 107, 107]);
+        // An emptied main array: ranks are base + overlay alone.
+        let snap = ShardSnapshot { inserts: vec![4, 6], ..ShardSnapshot::empty(4, 7) };
+        snap.rank_batch(&[3, 5, 7], &mut ranks);
+        assert_eq!(ranks, vec![7, 8, 9]);
+    }
+
     #[test]
     fn publish_supersedes_but_pins_survive() {
         let cell = EpochCell::new(ShardSnapshot::empty(0, 0));
         let pinned = cell.load();
-        cell.publish(ShardSnapshot {
-            main_epoch: 1,
-            base_rank: 7,
-            inserts: vec![1],
-            deletes: vec![],
-        });
+        cell.publish(ShardSnapshot { inserts: vec![1], ..ShardSnapshot::empty(1, 7) });
         // The pinned epoch is unchanged…
         assert_eq!(pinned.main_epoch, 0);
         // …while new readers see the new epoch.
@@ -258,16 +317,21 @@ mod tests {
 
     #[test]
     fn superseded_snapshots_are_freed_on_last_unpin() {
-        let cell = EpochCell::new(ShardSnapshot::empty(0, 0));
+        let main = directory((0..100).collect());
+        let main_probe = std::sync::Arc::downgrade(&main);
+        let cell = EpochCell::new(ShardSnapshot { main: Some(main), ..ShardSnapshot::empty(0, 0) });
         let pinned = cell.load();
         let probe = Arc::downgrade(&pinned);
-        // One publish retires epoch 0 into the inactive slot; the next
-        // recycles that slot and drops the cell's reference to it.
+        // One publish retires epoch 0 *and* drops the cell's reference to
+        // it: from here on only the reader's pin keeps it alive.
         cell.publish(ShardSnapshot::empty(1, 0));
-        cell.publish(ShardSnapshot::empty(2, 0));
         assert!(probe.upgrade().is_some(), "the reader's pin must keep epoch 0 alive");
         drop(pinned);
         assert!(probe.upgrade().is_none(), "last unpin must free the superseded epoch");
+        assert!(
+            main_probe.upgrade().is_none(),
+            "the superseded main array must not wait for another publish"
+        );
     }
 
     #[test]
@@ -313,12 +377,11 @@ mod tests {
         // snapshot would prove a torn or use-after-free read.
         let cell = Arc::new(EpochCell::new(ShardSnapshot::empty(0, 0)));
         let stop = Arc::new(AtomicBool::new(false));
+        let loads = Arc::new(AtomicUsize::new(0));
         let readers: Vec<_> = (0..3)
             .map(|_| {
-                let cell = cell.clone();
-                let stop = stop.clone();
+                let (cell, stop, loads) = (cell.clone(), stop.clone(), loads.clone());
                 thread::spawn(move || {
-                    let mut loads = 0u64;
                     while !stop.load(Ordering::Relaxed) {
                         let s = cell.load();
                         let e = s.main_epoch;
@@ -327,22 +390,24 @@ mod tests {
                         for (i, &k) in s.inserts.iter().enumerate() {
                             assert_eq!(u64::from(k), e + i as u64, "torn epoch {e}");
                         }
-                        loads += 1;
+                        loads.fetch_add(1, Ordering::Relaxed);
                     }
-                    loads
                 })
             })
             .collect();
-        for e in 1..=20_000u64 {
+        // Keep publishing until the readers have raced a fair share of
+        // it, however late the scheduler starts them.
+        let mut e = 0u64;
+        while e < 20_000 || loads.load(Ordering::Relaxed) < 1_000 {
+            e += 1;
             cell.publish(ShardSnapshot {
-                main_epoch: e,
-                base_rank: (e % 1000) as u32,
                 inserts: (0..e % 7).map(|i| (e + i) as u32).collect(),
-                deletes: Vec::new(),
+                ..ShardSnapshot::empty(e, (e % 1000) as u32)
             });
         }
         stop.store(true, Ordering::Relaxed);
-        let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        assert!(total > 0, "readers must have made progress");
+        for r in readers {
+            r.join().unwrap();
+        }
     }
 }

@@ -72,8 +72,8 @@ impl ReplicaMetrics {
         self.batches.inc();
     }
 
-    /// Overwrite the rebuilds-adopted running total (the dispatcher
-    /// tracks it locally and republishes).
+    /// Overwrite the main-epochs-crossed total (the dispatcher reads it
+    /// off the snapshot it loaded and republishes).
     pub fn set_rebuilds(&self, n: u64) {
         self.rebuilds.set(n);
     }
@@ -122,7 +122,7 @@ pub struct ShardStats {
     pub served: u64,
     /// Batches dispatched.
     pub batches: u64,
-    /// Index rebuilds adopted (merge epochs crossed).
+    /// Main epochs (merges of its shard) this replica has crossed.
     pub rebuilds: u64,
     /// Requests this replica re-routed to surviving siblings when it
     /// crashed (failover hand-offs, not errors).
@@ -152,7 +152,7 @@ pub struct ServeStats {
     pub served: u64,
     /// Total batches dispatched.
     pub batches: u64,
-    /// Total index rebuilds adopted by dispatchers.
+    /// Main epochs crossed, summed over replicas.
     pub rebuilds: u64,
     /// Requests admitted into some replica queue.
     pub admitted: u64,
@@ -173,7 +173,8 @@ pub struct ServeStats {
     pub update_batches: u64,
     /// Snapshot epochs published by the writer.
     pub snapshots_published: u64,
-    /// Delta merges (and index rebuilds) performed by the writer.
+    /// Delta merges (each a new main array and directory) performed by
+    /// the writer.
     pub merges: u64,
 }
 

@@ -340,7 +340,6 @@ pub fn run_scenario(sc: &Scenario, seed: u64) -> Report {
     cfg.queue_capacity = sc.queue_capacity;
     cfg.merge_threshold = sc.merge_threshold;
     cfg.publish_every = sc.publish_every;
-    cfg.slaves_per_shard = 1; // thread economy: scenarios sweep many seeds
     cfg.clock = clock.clone();
     cfg.faults = sc.faults.clone();
     cfg.trace = if sc.trace_sample_period == 0 {

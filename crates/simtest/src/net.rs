@@ -439,7 +439,6 @@ pub fn run_net_scenario(sc: &NetScenario, seed: u64) -> NetReport {
     for (s, part) in parts.iter().enumerate() {
         for e in 0..sc.endpoints_per_span {
             let mut serve = ServeConfig::new(sc.shards_per_server);
-            serve.slaves_per_shard = 1;
             serve.max_batch = 64;
             serve.max_delay = sc.server_max_delay;
             serve.clock = clock.clone();
@@ -906,7 +905,6 @@ pub fn run_restart_scenario(sc: &RestartScenario, seed: u64) -> RestartReport {
 
     let serve_cfg = |ep: &str| {
         let mut serve = ServeConfig::new(sc.shards_per_server);
-        serve.slaves_per_shard = 1;
         serve.max_batch = 64;
         serve.max_delay = Duration::from_micros(200);
         serve.merge_threshold = sc.merge_threshold;

@@ -7,7 +7,8 @@
 //! * [`SharedKeys::Owned`] — the classic `Arc<Vec<u32>>`, produced by a
 //!   sort-based build or a delta merge.
 //! * [`SharedKeys::Mapped`] — a window into a read-only memory-mapped
-//!   snapshot file ([`MappedFile`]). Nothing is deserialized: the file
+//!   snapshot file ([`MappedFile`], a read-only view of the crate's one
+//!   mapping wrapper, `map`). Nothing is deserialized: the file
 //!   *is* the array, the OS page cache is the only copy, and every
 //!   process mapping the same snapshot shares it.
 //!
@@ -15,131 +16,17 @@
 //! machinery, `lookup_batch_into` — sees a `&[u32]` either way, so the
 //! read path stays allocation-free regardless of backing.
 
+use crate::map::Map;
 use std::fmt;
-use std::fs::File;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-
-#[cfg(unix)]
-mod sys {
-    use std::ffi::{c_int, c_void};
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: c_int = 1;
-    const MAP_PRIVATE: c_int = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    /// A read-only, private, whole-file memory mapping.
-    pub(super) struct RawMap {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ and MAP_PRIVATE — no thread can
-    // write through it, so shared references from any thread observe
-    // immutable memory for the lifetime of the map.
-    unsafe impl Send for RawMap {}
-    // SAFETY: as above — the pages are read-only for the whole lifetime
-    // of the mapping, so concurrent `&self` access is race-free.
-    unsafe impl Sync for RawMap {}
-
-    impl RawMap {
-        /// Map `len` bytes of `file` read-only. `len` must not exceed the
-        /// file's current size (the caller stats the file first), and the
-        /// snapshot write protocol (write-temp + rename, never truncate
-        /// in place) guarantees the mapped inode keeps its pages until
-        /// unmapped — replacing the path swaps the directory entry, not
-        /// the mapped inode — so faulting a mapped page cannot SIGBUS.
-        pub(super) fn map(file: &File, len: usize) -> io::Result<RawMap> {
-            assert!(len > 0, "mapping an empty file is a caller bug");
-            // SAFETY: `fd` is a valid open descriptor for the duration of
-            // the call; addr=null lets the kernel pick placement; length
-            // and offset describe a range inside the file per the
-            // documented precondition. The result is checked for
-            // MAP_FAILED before use.
-            let ptr = unsafe {
-                mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, file.as_raw_fd(), 0)
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(RawMap { ptr: ptr as *const u8, len })
-        }
-
-        pub(super) fn bytes(&self) -> &[u8] {
-            // SAFETY: `ptr` is the page-aligned base of a live mapping of
-            // exactly `len` readable bytes (established in `map`, torn
-            // down only in `drop`).
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for RawMap {
-        fn drop(&mut self) {
-            // SAFETY: `ptr`/`len` describe exactly the mapping created in
-            // `map`, unmapped exactly once (Drop runs once).
-            unsafe {
-                munmap(self.ptr as *mut c_void, self.len);
-            }
-        }
-    }
-}
-
-/// Heap copy of a file, 8-byte aligned so `u32` windows can be viewed
-/// in place. The portable fallback backing where `mmap` is unavailable.
-struct HeapBytes {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl HeapBytes {
-    // Reachable only off-unix (and from tests); the unix build maps.
-    #[cfg_attr(unix, allow(dead_code))]
-    fn read(path: &Path) -> io::Result<HeapBytes> {
-        let bytes = std::fs::read(path)?;
-        let len = bytes.len();
-        let mut words = vec![0u64; len.div_ceil(8)];
-        // SAFETY: the destination slice covers `words`'s own allocation
-        // byte-for-byte (len ≤ words.len() * 8), and `u64 -> u8` widening
-        // of the view is always in-bounds and validly aligned.
-        let dst = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len) };
-        dst.copy_from_slice(&bytes);
-        Ok(HeapBytes { words, len })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: `len` bytes fit inside the `words` allocation by
-        // construction, and any `u64` pointer is a valid `u8` pointer.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
-    }
-}
-
-enum Backing {
-    #[cfg(unix)]
-    Map(sys::RawMap),
-    #[cfg_attr(unix, allow(dead_code))]
-    Heap(HeapBytes),
-}
 
 /// A whole snapshot file held open for zero-copy reads: an `mmap` on
 /// unix, an aligned heap copy elsewhere. Cloning the [`Arc`] it is
 /// shipped in is how shards, replicas, and worker threads share it.
 pub struct MappedFile {
-    backing: Backing,
+    map: Map,
 }
 
 impl MappedFile {
@@ -147,40 +34,18 @@ impl MappedFile {
     /// (`PROT_READ`, `MAP_PRIVATE`); elsewhere it is read into an
     /// 8-byte-aligned heap buffer so the same `u32`-window views work.
     pub fn open(path: &Path) -> io::Result<MappedFile> {
-        #[cfg(unix)]
-        {
-            let file = File::open(path)?;
-            let len = file.metadata()?.len();
-            if len == 0 {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "empty snapshot file"));
-            }
-            let len = usize::try_from(len)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file exceeds usize"))?;
-            Ok(MappedFile { backing: Backing::Map(sys::RawMap::map(&file, len)?) })
-        }
-        #[cfg(not(unix))]
-        {
-            Ok(MappedFile { backing: Backing::Heap(HeapBytes::read(path)?) })
-        }
+        Ok(MappedFile { map: Map::open(path, false)? })
     }
 
     /// The file's bytes, in place (no copy on unix).
     pub fn bytes(&self) -> &[u8] {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map(m) => m.bytes(),
-            Backing::Heap(h) => h.bytes(),
-        }
+        self.map.bytes()
     }
 
     /// Whether this is a true memory mapping (as opposed to the portable
     /// heap-copy fallback).
     pub fn is_mmap(&self) -> bool {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map(_) => true,
-            Backing::Heap(_) => false,
-        }
+        self.map.is_mmap()
     }
 }
 
@@ -312,19 +177,6 @@ mod tests {
             assert_eq!(c.as_slice(), &[1, 2, 3]);
         }
         assert!(!k.is_mapped());
-    }
-
-    #[test]
-    fn heap_bytes_views_are_aligned_and_exact() {
-        let dir = std::env::temp_dir().join(format!("dini-store-keys-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("heap.bin");
-        let payload: Vec<u8> = (0..129u8).collect(); // odd length: tail padding exercised
-        std::fs::write(&path, &payload).unwrap();
-        let h = HeapBytes::read(&path).unwrap();
-        assert_eq!(h.bytes(), payload.as_slice());
-        assert_eq!(h.bytes().as_ptr() as usize % 8, 0, "heap backing must be 8-aligned");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -47,11 +47,11 @@
 //! ```
 
 mod keys;
-mod mapmut;
+mod map;
 mod snap;
 
 pub use keys::{MappedFile, MappedKeys, SharedKeys};
-pub use mapmut::MappedFileMut;
+pub use map::MappedFileMut;
 pub use snap::{
     encode_snapshot, fnv1a, open_snapshot, write_snapshot, ShardRecord, SnapError, Snapshot,
     SnapshotShard, SpanRecord, StorePlan, MAX_SNAP_SHARDS, SNAP_MAGIC, SNAP_VERSION,

@@ -179,7 +179,6 @@ fn smoke_run() {
     let acceptor = TcpAcceptorT::bind("127.0.0.1:0").expect("bind loopback");
     let addr = acceptor.addr();
     let mut cfg = ServeConfig::new(2);
-    cfg.slaves_per_shard = 1;
     cfg.replicas_per_shard = 2;
     cfg.max_delay = Duration::from_micros(50);
     let server = NetServer::start(

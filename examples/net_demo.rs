@@ -52,7 +52,6 @@ fn server_process() {
         std::thread::available_parallelism().map(|n| (n.get() / 2).clamp(2, 4)).unwrap_or(2);
     let mut cfg = ServeConfig::new(shards);
     cfg.replicas_per_shard = 2;
-    cfg.slaves_per_shard = 2;
     cfg.max_batch = 256;
     cfg.max_delay = Duration::from_micros(50);
     cfg.merge_threshold = 2048;

@@ -34,18 +34,17 @@ fn main() {
         std::thread::available_parallelism().map(|n| (n.get() / 2).clamp(2, 4)).unwrap_or(2);
     let mut cfg = ServeConfig::new(shards);
     // Two replicated dispatchers per shard: they share the shard's
-    // snapshots and Arc-shared key storage (no extra index memory), the
+    // snapshots — keys, directory and overlay (no extra index memory) — the
     // router spreads load between them by queue depth, and either can
     // absorb the other's backlog if it crashes.
     cfg.replicas_per_shard = 2;
-    cfg.slaves_per_shard = 2;
     cfg.max_batch = 256;
     cfg.max_delay = Duration::from_micros(50);
     cfg.merge_threshold = 2048;
     cfg.publish_every = 64;
     println!(
-        "serving {} keys over {} shards × {} replicas × {} slaves (batch ≤ {}, delay ≤ {:?})",
-        n_keys, shards, cfg.replicas_per_shard, cfg.slaves_per_shard, cfg.max_batch, cfg.max_delay
+        "serving {} keys over {} shards × {} replicas (batch ≤ {}, delay ≤ {:?})",
+        n_keys, shards, cfg.replicas_per_shard, cfg.max_batch, cfg.max_delay
     );
     let server = IndexServer::build(&keys, cfg);
 
@@ -135,7 +134,6 @@ fn tcp_comparison(keys: &[u32], clients: usize, lookups_per_client: usize) {
         std::thread::available_parallelism().map(|n| (n.get() / 2).clamp(2, 4)).unwrap_or(2);
     let mut cfg = ServeConfig::new(shards);
     cfg.replicas_per_shard = 2;
-    cfg.slaves_per_shard = 2;
     cfg.max_batch = 256;
     cfg.max_delay = Duration::from_micros(50);
 

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | [`cache_sim`] | set-associative L1/L2(/L3) simulator + Table 2 cost model, TLB, prefetchers, victim cache, page coloring, write-backs |
 //! | [`cluster`] | discrete-event cluster/network simulator (timers, fault injection, switch backplane, tracing, RTT histograms) + thread backend |
-//! | [`index`] | sorted array, cache-line directory with group-interleaved batch probes (the native slave kernel), CSB+ tree, Zhou–Ross buffered traversal, partitioning, hash strawman, updatable delta array |
+//! | [`index`] | sorted array, cache-line directory with group-interleaved batch probes (the kernel serving dispatchers and native slaves rank batches with), CSB+ tree, Zhou–Ross buffered traversal, partitioning, hash strawman, updatable delta array |
 //! | [`workload`] | seeded key/query generators (uniform, Zipf, clustered, self-similar) + churn streams |
 //! | [`model`] | the paper's Appendix-A analytical model + Figure 4 trends + sensitivity solvers |
 //! | [`sysprobe`] | host measurements of the paper's Table 2 quantities + cache-size knee detection |
@@ -35,13 +35,14 @@
 //! ## Quickstart (serving layer)
 //!
 //! [`DistributedIndex`] answers one caller's batches; [`IndexServer`]
-//! turns it into a multi-tenant server: concurrent callers' lookups
-//! coalesce into batches (the paper's Figure 3 knob, applied to live
-//! traffic), the key space is range-sharded across indexes — each shard
-//! served by a replica group with power-of-two-choices routing and
-//! crash failover — bounded queues shed on overload, and a writer
-//! thread folds churn in behind immutable snapshots so reads never
-//! block on updates.
+//! is the same design as a multi-tenant server: concurrent callers'
+//! lookups coalesce into batches (the paper's Figure 3 knob, applied to
+//! live traffic); the key space is range-sharded (a shard is the
+//! paper's partition, its dispatcher thread the slave that ranks the
+//! batch); each shard is served by a replica group with
+//! power-of-two-choices routing and crash failover; bounded queues shed
+//! on overload; and a writer thread folds churn in behind immutable
+//! snapshots so reads never block on updates.
 //!
 //! ```
 //! use dini::serve::{IndexServer, Op, ServeConfig};

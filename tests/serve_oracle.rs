@@ -164,6 +164,87 @@ fn lookups_during_churn_converge_to_oracle() {
 }
 
 #[test]
+fn replica_reads_stay_inside_the_rank_window_across_merges() {
+    // A reply computed from a main array and an overlay of different
+    // epochs double-counts (or drops) up to a merge threshold's worth of
+    // keys. Insert-only churn makes that visible from outside: the rank
+    // of u32::MAX is the live count, which only ever grows, so a reply
+    // must lie between what was certainly published when the lookup was
+    // submitted and what had been sent when it returned. The updater
+    // keeps that window narrower than the merge threshold by never
+    // running more than a chunk ahead of publication.
+    const CHUNK: usize = 8;
+    const PUBLISH_EVERY: usize = 4;
+    const MERGE_THRESHOLD: usize = 48;
+    const INSERTS: usize = 1200;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let keys = initial_keys(4000);
+    let mut set: BTreeSet<u32> = keys.iter().copied().collect();
+    let mut cfg = serve_cfg(1);
+    cfg.replicas_per_shard = 2;
+    cfg.merge_threshold = MERGE_THRESHOLD;
+    cfg.publish_every = PUBLISH_EVERY;
+    let server = IndexServer::build(&keys, cfg);
+
+    let sent = std::sync::Arc::new(AtomicUsize::new(0));
+    let stop = std::sync::Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..4)
+        .map(|_| {
+            let h = server.handle();
+            let (sent, stop) = (sent.clone(), stop.clone());
+            let n0 = keys.len();
+            std::thread::spawn(move || {
+                let mut served = 0u64;
+                while !stop.load(Ordering::SeqCst) {
+                    let before = sent.load(Ordering::SeqCst);
+                    let rank = h.lookup(u32::MAX).expect("serving") as usize;
+                    let after = sent.load(Ordering::SeqCst);
+                    let lo = n0 + before.saturating_sub(CHUNK + PUBLISH_EVERY);
+                    assert!(
+                        (lo..=n0 + after).contains(&rank),
+                        "rank {rank} outside [{lo}, {}]: a mixed (main, overlay) pair",
+                        n0 + after
+                    );
+                    served += 1;
+                }
+                served
+            })
+        })
+        .collect();
+
+    // Keys that are never in the initial set (those are ≡ 3 mod 16).
+    let fresh: Vec<u32> = (0..INSERTS as u32).map(|i| i * 48 + 5).collect();
+    for chunk in fresh.chunks(CHUNK) {
+        for &k in chunk {
+            sent.fetch_add(1, Ordering::SeqCst);
+            server.update(Op::Insert(k)).expect("writer alive");
+            set.insert(k);
+        }
+        // `len()` is the live count as of the last publication, which
+        // trails the applied count by less than `publish_every`.
+        while server.len() + PUBLISH_EVERY <= set.len() {
+            std::thread::yield_now();
+        }
+    }
+    server.quiesce();
+    stop.store(true, Ordering::SeqCst);
+    for r in readers {
+        assert!(r.join().unwrap() > 0, "every reader must have made progress");
+    }
+    assert!(server.stats().merges >= 20, "only {} merges", server.stats().merges);
+    assert!(
+        server.replica_stats().iter().all(|r| r.served > 0),
+        "both replicas must have served part of the storm"
+    );
+
+    let handle = server.handle();
+    for q in (0..70_100u32).step_by(101) {
+        assert_eq!(handle.lookup(q).expect("serving"), oracle_rank(&set, q), "query {q}");
+    }
+}
+
+#[test]
 fn shard_boundary_churn_with_concurrent_readers_matches_oracle() {
     // The rank-composition edges the plain churn sweep doesn't pin down:
     // inserts *below the global minimum key* (shard 0's base grows from

@@ -27,7 +27,6 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn cfg(shards: usize) -> ServeConfig {
     let mut c = ServeConfig::new(shards);
-    c.slaves_per_shard = 1;
     c.max_batch = 64;
     c.max_delay = Duration::from_micros(50);
     c

@@ -3,12 +3,13 @@
 //!
 //! The serving read path is built so that a warmed-up lookup touches the
 //! allocator zero times: reply cells come from a pooled slab, the
-//! dispatcher's batch/keys/latency scratch is reused across batches, the
-//! master↔slave scatter buffers recycle, and snapshot pins are
-//! `Arc`-count bumps on a lock-free epoch cell. This binary installs a
-//! counting allocator and asserts the invariant end to end: *after
-//! warmup, N lookups perform exactly zero heap allocations anywhere in
-//! the process* — caller, dispatcher, and index workers included.
+//! dispatcher's batch/keys/ranks/latency scratch is reused across
+//! batches, the lockstep probe's group state lives on the stack, and
+//! snapshot pins are `Arc`-count bumps on a lock-free epoch cell (a bare
+//! `DistributedIndex` also recycles its master↔slave scatter buffers).
+//! This binary installs a counting allocator and asserts the invariant
+//! end to end: *after warmup, N lookups perform exactly zero heap
+//! allocations anywhere in the process* — caller and dispatcher included.
 //!
 //! Warmup is what "steady state" means: the first lookups grow channel
 //! buffers, batch scratch, and the slot slab to the workload's shape;
@@ -135,7 +136,6 @@ fn serve_steady_state_lookup_is_allocation_free() {
     let _gate = GATE.lock().unwrap();
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
     let mut cfg = ServeConfig::new(2);
-    cfg.slaves_per_shard = 2;
     cfg.max_batch = 64;
     cfg.max_delay = Duration::from_micros(50);
     // Densest possible observability: *every* request is considered and
@@ -148,8 +148,8 @@ fn serve_steady_state_lookup_is_allocation_free() {
     let server = IndexServer::build(&keys, cfg);
     let h = server.handle();
 
-    // Warmup: fill the slot slab, channel rings, dispatcher scratch, and
-    // scatter buffers; spread keys across both shards.
+    // Warmup: fill the slot slab, channel rings and dispatcher scratch;
+    // spread keys across both shards.
     let mut k = 0u32;
     for _ in 0..3000 {
         k = k.wrapping_add(0x9E37_79B9);
@@ -168,8 +168,8 @@ fn serve_steady_state_lookup_is_allocation_free() {
         allocs, 0,
         "the steady-state dispatch path allocated {allocs} times across 1000 lookups \
          with dense stage tracing enabled; pooled reply slots + reused batch scratch + \
-         recycled scatter buffers + pre-allocated trace rings must make warmed, fully \
-         instrumented lookups allocation-free end to end"
+         pre-allocated trace rings must make warmed, fully instrumented lookups \
+         allocation-free end to end"
     );
     assert!(checksum > 0, "lookups still answer");
 
@@ -210,7 +210,6 @@ fn recovered_mapped_backing_lookup_is_allocation_free_when_warm() {
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
     let mut expect: BTreeSet<u32> = keys.iter().copied().collect();
     let mut cfg = ServeConfig::new(2);
-    cfg.slaves_per_shard = 2;
     cfg.max_batch = 64;
     cfg.max_delay = Duration::from_micros(50);
     cfg.trace = TraceConfig::dense();
