@@ -25,7 +25,7 @@ proptest! {
         prop_assert_eq!(h.min(), min);
         prop_assert_eq!(h.max(), max);
         // Quantiles are monotone and bounded by the extremes (up to one
-        // log-bin of slack, ~19 %).
+        // log-bin of slack, ~2.2 %).
         let qs: Vec<f64> = [0.0, 0.25, 0.5, 0.75, 0.99, 1.0]
             .iter()
             .map(|&q| h.quantile(q))
@@ -34,7 +34,7 @@ proptest! {
             prop_assert!(w[0] <= w[1] + 1e-9, "quantiles must be monotone: {:?}", qs);
         }
         prop_assert!(qs[5] <= max * 1.0 + 1e-9);
-        prop_assert!(qs[0] >= min / 1.26 - 1e-9, "q0 {} vs min {}", qs[0], min);
+        prop_assert!(qs[0] >= min / 1.03 - 1e-9, "q0 {} vs min {}", qs[0], min);
     }
 
     #[test]

@@ -15,7 +15,17 @@
 //!   [`AdmissionQueue`] and a worker thread coalesces them with the
 //!   *same* [`collect_batch_into`] the server's dispatchers use, so one
 //!   `Lookup` frame amortises the per-frame overhead across a batch:
-//!   the paper's Figure 3 economics, applied to the wire.
+//!   the paper's Figure 3 economics, applied to the wire. By default
+//!   this is group commit — a frame is the first key plus whatever
+//!   queued while the previous frame was being written — so no lookup
+//!   waits on a timer.
+//! * **One socket, many writers** — an endpoint's sending half sits
+//!   behind a mutex in the client core, and whichever thread has a
+//!   frame for it writes it: the worker its `Lookup` batches, the span
+//!   appender its `Update` records, a caller its `Quiesce` /
+//!   `EpochPing` / `StatsRequest`. Frames leave in lock order, so a
+//!   control frame stays FIFO with the updates written before it, and
+//!   nothing but lookups ever waits for the worker.
 //! * **Replies** — pooled generation-tagged reply slots (the server's
 //!   own [`SlotPool`]) match replies to waiters; a duplicated reply
 //!   frame finds its request already resolved and is dropped, so
@@ -37,13 +47,15 @@
 //!   log (epoch-stamped, sequence-numbered, coalesced like lookups) and
 //!   only report `Ok` once a quorum of the span's live endpoints has
 //!   acked applying them in order; endpoint death elects the
-//!   longest-log survivor and replays laggards' missing suffixes (the
-//!   appender thread's docs spell out the protocol).
+//!   longest-log survivor and replays laggards' missing suffixes
+//!   (`SpanLog` and the appender thread's docs spell out the
+//!   protocol). The endpoint reader that receives an `UpdateAck` folds
+//!   it into the quorum itself and releases the waiters it covers.
 
 use crate::topology::Topology;
 use crate::transport::{Dialer, Duplex, FrameRx, FrameTx, NetError};
 use crate::wire::{Frame, LookupStatus, StatsMsg, StatusCode, WireOp, WIRE_VERSION};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dini_cluster::LogHistogram;
 use dini_flight::{EventKind, FlightJournal};
 use dini_obs::{AtomicLogHistogram, StageRecord, TraceConfig, TraceRing};
@@ -58,13 +70,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How often an endpoint worker wakes to flush control frames, check
-/// retries, and notice shutdown.
+/// An endpoint worker's idle housekeeping tick: lookup retry deadlines,
+/// the endpoint's liveness flag, the shutdown flag. No request waits it
+/// out — a submit wakes the worker through its queue, and update and
+/// control frames never pass through the worker.
 const WORKER_POLL: Duration = Duration::from_millis(1);
 /// How often an endpoint reader wakes to notice shutdown/death.
 const READER_POLL: Duration = Duration::from_millis(10);
-/// How often a span's log appender wakes to fold in acks, scan
-/// liveness, and check repair deadlines.
+/// A span appender's idle housekeeping tick: repair (resend) deadlines,
+/// the liveness scan that elects after an endpoint death, the shutdown
+/// flag. No update or ack waits it out — an append wakes the appender
+/// through its queue, and an ack is folded by the reader that got it.
 const APPENDER_POLL: Duration = Duration::from_millis(1);
 
 /// Client-side knobs.
@@ -72,7 +88,11 @@ const APPENDER_POLL: Duration = Duration::from_millis(1);
 pub struct ClientConfig {
     /// Max keys coalesced into one `Lookup` frame.
     pub max_batch: usize,
-    /// Max time the first key of a frame waits for co-travellers.
+    /// How long a partial `Lookup` frame (or churn-log batch) is held
+    /// open for co-travellers after its first item arrives. Zero (the
+    /// default) is group commit: a frame carries that item plus whatever
+    /// queued while the previous frame was being written, and leaves at
+    /// once. See [`ServeConfig::max_delay`](dini_serve::ServeConfig).
     pub max_delay: Duration,
     /// Per-endpoint submit queue bound; `try_lookup` sheds client-side
     /// when the chosen endpoint's queue is full.
@@ -119,7 +139,7 @@ impl Default for ClientConfig {
     fn default() -> Self {
         Self {
             max_batch: 256,
-            max_delay: Duration::from_micros(50),
+            max_delay: Duration::ZERO,
             queue_capacity: 1024,
             retry_timeout: Duration::from_secs(1),
             max_retries: 8,
@@ -153,24 +173,6 @@ enum UpdMsg {
     Flush(Sender<Result<(), ServeError>>),
 }
 
-/// An endpoint event routed to its span's appender thread.
-enum EpEvent {
-    /// An `UpdateAck` from an endpoint reader: `pos` (position within
-    /// the span's endpoint list) has applied the log through `seq`. The
-    /// ack's epoch is dropped at the reader — sequences are global (one
-    /// sequencer, records immutable per seq), so a seq means the same
-    /// thing in every epoch.
-    Ack { pos: usize, seq: u64 },
-    /// `pos`'s server restarted from a snapshot and its connection was
-    /// re-established: its log cursor is exactly `seq` (the snapshot
-    /// watermark — everything at or below is folded in, everything
-    /// above must be replayed). Sent by the endpoint worker *before*
-    /// the queue flips alive, and honored by the appender's liveness
-    /// scan only after it is processed, so a stale-high ack from the
-    /// endpoint's previous life can never count toward quorum.
-    Revive { pos: usize, seq: u64 },
-}
-
 /// One lookup batch on the wire, awaiting its reply.
 struct BatchInFlight {
     keys: Vec<u32>,
@@ -185,11 +187,12 @@ struct BatchInFlight {
 
 type InFlight = Arc<Mutex<BTreeMap<u64, BatchInFlight>>>;
 
-/// Connect-time plumbing for one endpoint worker: the submit/control
-/// receive halves, the dialed connection (`None` when the endpoint was
-/// unreachable — the worker starts in its dead-wait loop), and the
-/// revive route [`NetHandle::rejoin`] hands fresh connections through.
-type EndpointPipes = (Receiver<Request>, Receiver<Frame>, Option<Duplex>, Receiver<Duplex>);
+/// Connect-time plumbing for one endpoint worker: the submit receive
+/// half, the dialed connection's receiving half (`None` when the
+/// endpoint was unreachable — the worker starts in its dead-wait loop;
+/// the sending half is already installed in the core), and the revive
+/// route [`NetHandle::rejoin`] hands fresh connections through.
+type EndpointPipes = (Receiver<Request>, Option<Box<dyn FrameRx>>, Receiver<Duplex>);
 
 /// Client-side accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -217,7 +220,11 @@ struct ClientCore {
     selectors: Vec<ReplicaSelector>,
     /// Flat, span-major: `queues[span_eps[span][i]]`.
     queues: Vec<AdmissionQueue>,
-    ctrl_txs: Vec<Sender<Frame>>,
+    /// Each endpoint's sending half, `None` between connection
+    /// generations. Any thread with a frame for the endpoint writes it
+    /// under the lock ([`send_frame`](Self::send_frame)); the endpoint's
+    /// worker installs and clears the slot.
+    conns: Vec<Mutex<Option<Box<dyn FrameTx>>>>,
     span_eps: Vec<Vec<usize>>,
     ep_span: Vec<usize>,
     /// Position of each flat endpoint within its span's endpoint list
@@ -228,10 +235,9 @@ struct ClientCore {
     upd_txs: Vec<Sender<UpdMsg>>,
     /// Per-span reply-slot pools for pending updates.
     upd_pools: Vec<SlotPool>,
-    /// Per-span event routes: endpoint readers push `UpdateAck`
-    /// positions (and workers push revive cursors) here; the span's
-    /// appender folds them into its quorum watermark.
-    upd_ack_txs: Vec<Sender<EpEvent>>,
+    /// Per-span churn logs, shared by the span's appender and its
+    /// endpoints' readers and workers.
+    logs: Vec<Mutex<SpanLog>>,
     /// The dialer endpoints were connected through, kept for
     /// [`NetHandle::rejoin`]'s re-dial.
     dialer: Box<dyn Dialer>,
@@ -292,10 +298,22 @@ impl ClientCore {
         }
     }
 
+    /// Write one frame to endpoint `ep`'s socket, from whichever thread
+    /// has it. Frames leave in lock order. `Err` means the frame did
+    /// not go out — the endpoint is between connections, or the write
+    /// failed, which marks the endpoint dead so its worker's next tick
+    /// runs the failover path. A TCP write can block on back-pressure
+    /// (bounded by the transport's write timeout); endpoint readers
+    /// never send, so the peer's replies keep draining meanwhile.
+    fn send_frame(&self, ep: usize, frame: &Frame) -> Result<(), ()> {
+        let mut conn = self.conns[ep].lock().expect("conn lock");
+        let tx = conn.as_mut().ok_or(())?;
+        tx.send(frame).map_err(|_| self.queues[ep].mark_dead())
+    }
+
     /// Send `make(req)` to endpoint `ep` and wait for its ack, retrying
-    /// on per-attempt timeout. Control frames ride the lookup socket
-    /// (via the worker's control channel), so they order FIFO with the
-    /// updates that preceded them.
+    /// on per-attempt timeout. Control frames ride the lookup socket, so
+    /// they order FIFO with the updates written before them.
     fn ctrl_roundtrip(
         &self,
         ep: usize,
@@ -306,7 +324,7 @@ impl ClientCore {
         self.ctrl.lock().expect("ctrl lock").insert(req, tx);
         let frame = make(req);
         for _ in 0..=self.cfg.max_retries {
-            if !self.queues[ep].is_alive() || self.ctrl_txs[ep].send(frame.clone()).is_err() {
+            if !self.queues[ep].is_alive() || self.send_frame(ep, &frame).is_err() {
                 break;
             }
             match self.clock.recv_timeout(&rx, self.cfg.ctrl_timeout) {
@@ -403,8 +421,9 @@ enum ConnExit {
 }
 
 /// The per-endpoint lifecycle thread. Owns the endpoint across
-/// connection *generations*: serve the current connection (coalesce →
-/// frame → send, retries, outbound control frames — the transmit half),
+/// connection *generations*: serve the current connection's lookups
+/// (coalesce → frame → send, retries — the sending half lives in the
+/// core, where the appender and control callers write to it too),
 /// spawning one reader per generation for the receive half; on endpoint
 /// death, mark dead, re-home the backlog, **join the dead generation's
 /// reader**, and sit in a dead-wait loop that keeps draining (and
@@ -420,17 +439,15 @@ fn run_worker(
     core: Arc<ClientCore>,
     ep: usize,
     req_rx: Receiver<Request>,
-    ctrl_rx: Receiver<Frame>,
-    mut conn: Option<Duplex>,
+    mut conn: Option<Box<dyn FrameRx>>,
     revive_rx: Receiver<Duplex>,
 ) {
     let clock = core.clock.clone();
     let mut batch: Vec<Request> = Vec::new();
     let mut generation = 0u64;
     loop {
-        if let Some(duplex) = conn.take() {
+        if let Some(frx) = conn.take() {
             generation += 1;
-            let Duplex { tx: mut ftx, rx: frx, peer: _ } = duplex;
             let in_flight: InFlight = Arc::new(Mutex::new(BTreeMap::new()));
             let reader = {
                 let c = core.clone();
@@ -440,13 +457,18 @@ fn run_worker(
                 })
             };
             // Flip alive only now: the reader that will drain replies
-            // and the worker that will drain submits are both wired up.
-            // (No-op on generation 1 — the queue starts alive.)
+            // and the worker that will drain submits are both wired up,
+            // and the sending half was installed before `conn` was
+            // handed here. (No-op on generation 1 — the queue starts
+            // alive.)
             core.queues[ep].revive();
-            let exit = serve_conn(&core, ep, &req_rx, &ctrl_rx, &mut ftx, &in_flight, &mut batch);
+            let exit = serve_conn(&core, ep, &req_rx, &in_flight, &mut batch);
             // Mark dead before re-homing (even on teardown — it lets the
-            // reader exit on its poll) so nothing re-routes back here.
+            // reader exit on its poll) so nothing re-routes back here,
+            // then close the sending half: frames for a dead connection
+            // are refused at `send_frame`, exactly as if sent and lost.
             core.queues[ep].mark_dead();
+            core.conns[ep].lock().expect("conn lock").take();
             if exit == ConnExit::Dead {
                 // One record per death, whoever noticed first (reader,
                 // appender stall, or this worker's send failure) — every
@@ -471,16 +493,14 @@ fn run_worker(
             let _ = reader.join();
         }
         // Dead wait: drain racing submits into survivors, watch for a
-        // revive. Control frames for the dead connection are dropped —
-        // their round trips time out, exactly as if sent and lost.
+        // revive.
         loop {
             if core.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            while ctrl_rx.try_recv().is_ok() {}
             if let Ok(duplex) = revive_rx.try_recv() {
-                if let Some(d) = revive_handshake(&core, ep, duplex) {
-                    conn = Some(d);
+                conn = revive_handshake(&core, ep, duplex);
+                if conn.is_some() {
                     break;
                 }
             }
@@ -498,23 +518,19 @@ fn run_worker(
     }
 }
 
-/// Serve one connection generation until teardown or endpoint death.
+/// Serve one connection generation's lookups until teardown or endpoint
+/// death. The worker blocks on its submit queue — the one thing every
+/// producer of work for it wakes; `WORKER_POLL` only bounds how stale
+/// the housekeeping around it (flags, retry deadlines) can get.
 fn serve_conn(
     core: &ClientCore,
     ep: usize,
     req_rx: &Receiver<Request>,
-    ctrl_rx: &Receiver<Frame>,
-    tx: &mut Box<dyn FrameTx>,
     in_flight: &InFlight,
     batch: &mut Vec<Request>,
 ) -> ConnExit {
     let clock = core.clock.clone();
     loop {
-        while let Ok(f) = ctrl_rx.try_recv() {
-            if tx.send(&f).is_err() {
-                return ConnExit::Dead;
-            }
-        }
         if core.shutdown.load(Ordering::SeqCst) {
             return ConnExit::Teardown;
         }
@@ -531,7 +547,7 @@ fn serve_conn(
                     core.cfg.max_batch,
                     core.cfg.max_delay,
                 );
-                if send_batch(core, ep, tx, batch, in_flight).is_err() {
+                if send_batch(core, ep, batch, in_flight).is_err() {
                     return ConnExit::Dead;
                 }
                 if disconnected {
@@ -541,7 +557,7 @@ fn serve_conn(
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return ConnExit::Teardown,
         }
-        if check_retries(core, ep, tx, in_flight).is_err() {
+        if check_retries(core, ep, in_flight).is_err() {
             return ConnExit::Dead;
         }
     }
@@ -549,11 +565,15 @@ fn serve_conn(
 
 /// Handshake a revive connection: `Hello` → `ShardMap`, whose
 /// `log_seq` is the restarted server's recovered snapshot watermark.
-/// The appender's cursor for this endpoint is positioned there —
-/// *before* the caller flips the queue alive — so the next ship pass
-/// replays exactly the churn-log suffix the snapshot missed. Returns
-/// `None` (endpoint stays dead) on any failure or a wrong-span server.
-fn revive_handshake(core: &ClientCore, ep: usize, mut duplex: Duplex) -> Option<Duplex> {
+/// The span log's cursors for this endpoint are positioned there —
+/// *before* the caller flips the queue alive, so a stale-high ack from
+/// the endpoint's previous life can never count toward quorum — and the
+/// appender's next ship pass replays exactly the churn-log suffix the
+/// snapshot missed. On success the sending half is installed in the
+/// core and the receiving half returned; `None` (endpoint stays dead)
+/// on any failure, a wrong-span server, or a watermark the retained
+/// log tail no longer reaches.
+fn revive_handshake(core: &ClientCore, ep: usize, mut duplex: Duplex) -> Option<Box<dyn FrameRx>> {
     let span = core.ep_span[ep];
     if duplex.tx.send(&Frame::Hello { proto: WIRE_VERSION as u16 }).is_err() {
         return None;
@@ -563,13 +583,20 @@ fn revive_handshake(core: &ClientCore, ep: usize, mut duplex: Duplex) -> Option<
             if my_span as usize != span {
                 return None; // a different server answered this address
             }
+            let revived = core.logs[span].lock().expect("log lock").revive(
+                core.ep_pos[ep],
+                log_seq,
+                core.clock.now(),
+            );
+            if !revived {
+                return None;
+            }
             // ordering: SeqCst — same control-plane ordering as the
             // reader-thread refreshes of this gauge.
             core.span_live[span].store(live_keys, Ordering::SeqCst);
-            let _ =
-                core.upd_ack_txs[span].send(EpEvent::Revive { pos: core.ep_pos[ep], seq: log_seq });
             core.flight(EventKind::EndpointRejoin, span as u16, ep as u32, log_seq);
-            Some(duplex)
+            *core.conns[ep].lock().expect("conn lock") = Some(duplex.tx);
+            Some(duplex.rx)
         }
         _ => None,
     }
@@ -584,7 +611,6 @@ fn revive_handshake(core: &ClientCore, ep: usize, mut duplex: Duplex) -> Option<
 fn send_batch(
     core: &ClientCore,
     ep: usize,
-    tx: &mut Box<dyn FrameTx>,
     batch: &mut Vec<Request>,
     in_flight: &InFlight,
 ) -> Result<(), ()> {
@@ -609,19 +635,14 @@ fn send_batch(
         .lock()
         .expect("in-flight lock")
         .insert(req, BatchInFlight { keys, handles, sent_at: now, attempts: 1, trace });
-    tx.send(&frame).map_err(|_| ())
+    core.send_frame(ep, &frame)
 }
 
 /// Resend overdue batches (same request id: replies are deduplicated by
 /// the in-flight map). A batch past `max_retries` fails the whole
 /// endpoint — per-batch surrender would strand its sibling batches on a
 /// connection that is clearly gone.
-fn check_retries(
-    core: &ClientCore,
-    ep: usize,
-    tx: &mut Box<dyn FrameTx>,
-    in_flight: &InFlight,
-) -> Result<(), ()> {
+fn check_retries(core: &ClientCore, ep: usize, in_flight: &InFlight) -> Result<(), ()> {
     let now = core.clock.now();
     let timeout = dur_ns(core.cfg.retry_timeout);
     let mut resend: Vec<(u64, u64, Vec<u32>)> = Vec::new();
@@ -643,24 +664,29 @@ fn check_retries(
         core.retries.fetch_add(1, Ordering::Relaxed);
         // The resend reuses the original trace id: causally it is the
         // same request, and the reply joins whichever attempt answered.
-        if tx.send(&Frame::Lookup { req, trace, parent: ep as u32, keys }).is_err() {
-            return Err(());
-        }
+        core.send_frame(ep, &Frame::Lookup { req, trace, parent: ep as u32, keys })?;
     }
     Ok(())
 }
 
-/// One span's churn-log appender: the single writer of the span's
-/// replicated update log (neon-safekeeper shape, one level down).
+/// One span's replicated churn log: the state behind the span's single
+/// sequencer (neon-safekeeper shape, one level down).
 ///
-/// Callers append epoch-stamped, sequence-numbered records; the
-/// appender coalesces them ([`collect_batch_into`], the same machinery
-/// the lookup path batches with), ships each live endpoint the log
-/// suffix it has not yet been sent, and resolves a record's waiter only
-/// once a **quorum** (majority of the span's live endpoints) has acked
-/// its sequence. Replicas apply strictly in order from a per-connection
-/// cursor, so an acked record is applied — never reordered, never
-/// silently lost.
+/// Callers append epoch-stamped, sequence-numbered records through the
+/// span's appender thread ([`run_appender`]), which ships each live
+/// endpoint the log suffix it has not yet been sent; a record's waiter
+/// resolves only once a **quorum** (majority of the span's live
+/// endpoints) has acked its sequence. Replicas apply strictly in order
+/// from a per-connection cursor, so an acked record is applied — never
+/// reordered, never silently lost.
+///
+/// The log sits behind a mutex because two kinds of thread advance it,
+/// each the moment it has the event in hand instead of through another
+/// thread's inbox: the appender (appends, shipping, repair, election)
+/// and the endpoints' readers and workers (acks, revive cursors — the
+/// reader that receives an `UpdateAck` releases the waiters it covers
+/// itself). Nobody holds the lock across a socket write or any other
+/// wait, so a reader folding an ack only ever waits for in-memory work.
 ///
 /// Failure handling:
 /// * a lagging endpoint (acks stalled past `retry_timeout`) gets the
@@ -682,121 +708,166 @@ fn check_retries(
 /// already folded part of it is safe (in-order apply trims duplicates;
 /// membership ops are idempotent) while *reissuing* a sequence with
 /// different content could silently diverge a checkpointed replica.
-fn run_appender(
-    core: Arc<ClientCore>,
-    span: usize,
-    upd_rx: Receiver<UpdMsg>,
-    ack_rx: Receiver<EpEvent>,
-) {
+struct SpanLog {
+    epoch: u64,
+    /// Sequences <= base are trimmed; `ops[i]` is record `base + 1 + i`.
+    base: u64,
+    ops: VecDeque<WireOp>,
+    /// Per endpoint (by position in the span's endpoint list): the
+    /// highest sequence acked and sent, when it last made progress, and
+    /// how many repair resends it has stalled through.
+    acked: Vec<u64>,
+    sent: Vec<u64>,
+    progress_at: Vec<Nanos>,
+    tries: Vec<u32>,
+    /// The liveness the log last acted on; the appender's election scan
+    /// compares it with the queues' live flags.
+    was_alive: Vec<bool>,
+    waiters: VecDeque<(u64, ReplyHandle)>,
+    flushes: Vec<(u64, Sender<Result<(), ServeError>>)>,
+}
+
+impl SpanLog {
+    fn new(alive: Vec<bool>, now: Nanos) -> Self {
+        let n = alive.len();
+        Self {
+            epoch: 1,
+            base: 0,
+            ops: VecDeque::new(),
+            acked: vec![0; n],
+            sent: vec![0; n],
+            progress_at: vec![now; n],
+            tries: vec![0; n],
+            was_alive: alive,
+            waiters: VecDeque::new(),
+            flushes: Vec::new(),
+        }
+    }
+
+    /// Sequence of the newest record.
+    fn head(&self) -> u64 {
+        self.base + self.ops.len() as u64
+    }
+
+    /// Fold in an `UpdateAck`: endpoint `pos` has applied the log
+    /// through `seq`. The ack's epoch is dropped at the reader —
+    /// sequences are global (one sequencer, records immutable per seq),
+    /// so a seq means the same thing in every epoch.
+    fn ack(&mut self, pos: usize, seq: u64, now: Nanos) {
+        // An honest ack never exceeds the log head; clamping keeps a
+        // stray or corrupt one from dragging the trim watermark past
+        // the log it indexes.
+        let seq = seq.min(self.head());
+        if seq > self.acked[pos] {
+            self.acked[pos] = seq;
+            self.progress_at[pos] = now;
+            self.tries[pos] = 0;
+        }
+    }
+
+    /// `pos`'s server restarted from a snapshot whose watermark is
+    /// `seq` — everything at or below is folded in, everything above
+    /// must be replayed. Both cursors land exactly there (clamped to
+    /// the head — a server that folded records this log already trimmed
+    /// acks of is simply up to date), so the next ship pass sends
+    /// precisely the suffix the snapshot missed. `false` when that
+    /// suffix starts below the retained tail: the endpoint cannot be
+    /// caught up from this log and must stay dead — a future snapshot
+    /// on its side (with a fresher watermark) can still rejoin.
+    fn revive(&mut self, pos: usize, seq: u64, now: Nanos) -> bool {
+        if seq < self.base {
+            return false;
+        }
+        let seq = seq.min(self.head());
+        self.acked[pos] = seq;
+        self.sent[pos] = seq;
+        self.tries[pos] = 0;
+        self.progress_at[pos] = now;
+        true
+    }
+
+    fn fail_pending(&mut self) {
+        for (_, h) in self.waiters.drain(..) {
+            h.send(Err(ServeError::ShuttingDown));
+        }
+        for (_, tx) in self.flushes.drain(..) {
+            let _ = tx.send(Err(ServeError::ShuttingDown));
+        }
+    }
+
+    /// Release everything the acks now cover — waiters up to the quorum
+    /// watermark, flushes up to the slowest live endpoint — and trim.
+    fn settle(&mut self, retention: u64) {
+        let mut live_acks: Vec<u64> = self
+            .acked
+            .iter()
+            .zip(&self.was_alive)
+            .filter_map(|(&acked, &alive)| alive.then_some(acked))
+            .collect();
+        live_acks.sort_unstable_by(|a, b| b.cmp(a));
+        // With no live endpoint no quorum is reachable: fail the
+        // pending appends (their outcome is *unknown* — some replica
+        // may have applied them before dying, and a revived endpoint
+        // may yet replay them; membership ops are idempotent, so
+        // at-least-once is safe) but keep the retained tail, measured
+        // from the head — a snapshot-restarted server rejoins through
+        // this very log, and re-issuing a consumed sequence with
+        // different content could silently diverge a replica that
+        // checkpointed the original.
+        let Some(&min_live) = live_acks.last() else {
+            self.fail_pending();
+            self.trim(self.head().saturating_sub(retention));
+            return;
+        };
+        // A record is durable once a majority of the span's live
+        // endpoints has acked it.
+        let durable = live_acks[live_acks.len() / 2];
+        while self.waiters.front().is_some_and(|&(seq, _)| seq <= durable) {
+            let (_, h) = self.waiters.pop_front().expect("non-empty: just peeked");
+            h.send(Ok(0));
+        }
+        // A flush resolves only when *every* live endpoint has acked
+        // its target — stronger than quorum, because the quiesce
+        // barrier that follows it must find all replicas caught up.
+        self.flushes.retain(|(target, tx)| {
+            if *target <= min_live {
+                let _ = tx.send(Ok(()));
+                false
+            } else {
+                true
+            }
+        });
+        // Retain `log_retention` records *below* the fully-acked
+        // watermark — the replay window a snapshot-restarted endpoint
+        // catches up from when it rejoins.
+        self.trim(min_live.saturating_sub(retention));
+    }
+
+    fn trim(&mut self, keep_from: u64) {
+        if keep_from > self.base {
+            self.ops.drain(..(keep_from - self.base) as usize);
+            self.base = keep_from;
+        }
+    }
+}
+
+/// One span's churn-log appender: the thread that sequences the span's
+/// [`SpanLog`]. It blocks on the append queue — the one thing every
+/// producer of work for it wakes — coalesces what it finds
+/// ([`collect_batch_into`], the same group commit the lookup path
+/// batches with), and then runs one pass over the log: election after
+/// an endpoint death, repair of stalled endpoints, shipping each live
+/// endpoint its missing suffix. Acks do not come through here: the
+/// reader that receives one folds it into the log itself.
+/// `APPENDER_POLL` only bounds how late an idle pass (repair deadline,
+/// liveness scan, shutdown) can run.
+fn run_appender(core: Arc<ClientCore>, span: usize, upd_rx: Receiver<UpdMsg>) {
     let clock = core.clock.clone();
     let eps: Vec<usize> = core.span_eps[span].clone();
-    let n = eps.len();
-    let mut epoch = 1u64;
-    // Sequences <= base are trimmed; log[i] is record base+1+i.
-    let mut base = 0u64;
-    let mut log: VecDeque<WireOp> = VecDeque::new();
-    let mut acked = vec![0u64; n];
-    let mut sent = vec![0u64; n];
-    let mut progress_at = vec![clock.now(); n];
-    let mut tries = vec![0u32; n];
-    let mut was_alive: Vec<bool> = eps.iter().map(|&e| core.queues[e].is_alive()).collect();
-    // A dead→alive transition is honored only once the endpoint's
-    // `Revive` event has positioned its cursors. Without this gate, the
-    // liveness scan could admit a revived endpoint while `acked` still
-    // holds its *previous* life's high ack — counting toward quorum log
-    // records the restarted server never applied. Endpoints alive at
-    // start are trivially ready.
-    let mut revive_ready: Vec<bool> = was_alive.clone();
-    let mut waiters: VecDeque<(u64, ReplyHandle)> = VecDeque::new();
-    let mut flushes: Vec<(u64, Sender<Result<(), ServeError>>)> = Vec::new();
     let mut batch: Vec<UpdMsg> = Vec::new();
+    let mut frames: Vec<(usize, Frame)> = Vec::new();
 
     loop {
-        if core.shutdown.load(Ordering::SeqCst) {
-            for (_, h) in waiters.drain(..) {
-                h.send(Err(ServeError::ShuttingDown));
-            }
-            for (_, tx) in flushes.drain(..) {
-                let _ = tx.send(Err(ServeError::ShuttingDown));
-            }
-            return;
-        }
-
-        // Fold in acks and revives.
-        while let Ok(ev) = ack_rx.try_recv() {
-            match ev {
-                EpEvent::Ack { pos, seq } => {
-                    // An honest ack never exceeds the log head; clamping
-                    // keeps a stray or corrupt one from dragging the trim
-                    // watermark past the log it indexes.
-                    let seq = seq.min(base + log.len() as u64);
-                    if seq > acked[pos] {
-                        acked[pos] = seq;
-                        progress_at[pos] = clock.now();
-                        tries[pos] = 0;
-                    }
-                }
-                EpEvent::Revive { pos, seq } => {
-                    if seq < base {
-                        // The suffix this endpoint needs starts below the
-                        // retained tail: it cannot be caught up from this
-                        // log. Bury it — a future snapshot on its side
-                        // (with a fresher watermark) can still rejoin.
-                        core.queues[eps[pos]].mark_dead();
-                        revive_ready[pos] = false;
-                        continue;
-                    }
-                    // Both cursors land exactly on the snapshot
-                    // watermark (clamped to the head — a server that
-                    // folded records this appender already trimmed acks
-                    // of is simply up to date): the next ship pass sends
-                    // precisely the suffix the snapshot missed.
-                    let seq = seq.min(base + log.len() as u64);
-                    acked[pos] = seq;
-                    sent[pos] = seq;
-                    tries[pos] = 0;
-                    progress_at[pos] = clock.now();
-                    revive_ready[pos] = true;
-                }
-            }
-        }
-
-        // Election: any live→dead transition bumps the epoch and
-        // rewinds every survivor's send cursor to its ack point, so the
-        // next ship pass replays whatever suffix each laggard is
-        // missing. (The longest-log survivor needs no catch-up: its
-        // rewind re-sends nothing it has already acked.)
-        let mut died = false;
-        for (pos, &e) in eps.iter().enumerate() {
-            let alive = core.queues[e].is_alive();
-            if was_alive[pos] && !alive {
-                died = true;
-                // The next life must present a fresh Revive cursor.
-                revive_ready[pos] = false;
-            }
-            if !was_alive[pos] && alive && !revive_ready[pos] {
-                // Queue flipped alive but the Revive event hasn't been
-                // folded in yet (it is in flight in this channel):
-                // admit the endpoint on the pass that has its cursors.
-                continue;
-            }
-            was_alive[pos] = alive;
-        }
-        if died {
-            epoch += 1;
-            core.elections.fetch_add(1, Ordering::Relaxed);
-            core.flight(EventKind::Election, span as u16, 0, epoch);
-            let now = clock.now();
-            for pos in 0..n {
-                if was_alive[pos] {
-                    sent[pos] = acked[pos];
-                    progress_at[pos] = now;
-                    tries[pos] = 0;
-                }
-            }
-        }
-
-        // Collect new appends (coalesced exactly like lookup batches).
         match clock.recv_timeout(&upd_rx, APPENDER_POLL) {
             Ok(first) => {
                 collect_batch_into(
@@ -807,127 +878,105 @@ fn run_appender(
                     core.cfg.max_batch,
                     core.cfg.max_delay,
                 );
-                for msg in batch.drain(..) {
-                    match msg {
-                        UpdMsg::Op { op, reply } => {
-                            log.push_back(op);
-                            waiters.push_back((base + log.len() as u64, reply));
-                        }
-                        UpdMsg::Flush(tx) => flushes.push((base + log.len() as u64, tx)),
-                    }
-                }
             }
             Err(RecvTimeoutError::Timeout) => {}
             // The core owns a sender for the appender's whole lifetime;
             // disconnect means teardown already ran.
             Err(RecvTimeoutError::Disconnected) => return,
         }
-        let last = base + log.len() as u64;
+
+        let mut guard = core.logs[span].lock().expect("log lock");
+        let log = &mut *guard;
+        for msg in batch.drain(..) {
+            match msg {
+                UpdMsg::Op { op, reply } => {
+                    log.ops.push_back(op);
+                    log.waiters.push_back((log.head(), reply));
+                }
+                UpdMsg::Flush(tx) => log.flushes.push((log.head(), tx)),
+            }
+        }
+        if core.shutdown.load(Ordering::SeqCst) {
+            log.fail_pending();
+            return;
+        }
+        let now = clock.now();
+
+        // Election: any live→dead transition bumps the epoch and
+        // rewinds every survivor's send cursor to its ack point, so the
+        // ship pass below replays whatever suffix each laggard is
+        // missing. (The longest-log survivor needs no catch-up: its
+        // rewind re-sends nothing it has already acked.) A dead→alive
+        // transition needs nothing here: the revived endpoint's worker
+        // positioned its cursors before flipping the queue alive.
+        let mut died = false;
+        for (pos, &e) in eps.iter().enumerate() {
+            let alive = core.queues[e].is_alive();
+            died |= log.was_alive[pos] && !alive;
+            log.was_alive[pos] = alive;
+        }
+        if died {
+            log.epoch += 1;
+            core.elections.fetch_add(1, Ordering::Relaxed);
+            core.flight(EventKind::Election, span as u16, 0, log.epoch);
+            for pos in 0..eps.len() {
+                if log.was_alive[pos] {
+                    log.sent[pos] = log.acked[pos];
+                    log.progress_at[pos] = now;
+                    log.tries[pos] = 0;
+                }
+            }
+        }
 
         // Ship + repair, per live endpoint.
-        let now = clock.now();
+        let last = log.head();
         let timeout = dur_ns(core.cfg.retry_timeout);
         for (pos, &e) in eps.iter().enumerate() {
-            if !was_alive[pos] {
+            if !log.was_alive[pos] {
                 continue;
             }
             // Repair a stalled endpoint: rewind to its ack point and
             // resend that suffix; too many stalls and it is dead (the
             // election above fails the span over on the next pass).
-            if acked[pos] < sent[pos] && now.saturating_sub(progress_at[pos]) >= timeout {
-                if tries[pos] >= core.cfg.max_retries {
+            if log.acked[pos] < log.sent[pos] && now.saturating_sub(log.progress_at[pos]) >= timeout
+            {
+                if log.tries[pos] >= core.cfg.max_retries {
                     core.queues[e].mark_dead();
                     continue;
                 }
-                tries[pos] += 1;
-                progress_at[pos] = now;
-                sent[pos] = acked[pos];
+                log.tries[pos] += 1;
+                log.progress_at[pos] = now;
+                log.sent[pos] = log.acked[pos];
                 core.update_resends.fetch_add(1, Ordering::Relaxed);
-                core.flight(EventKind::UpdateResend, span as u16, e as u32, acked[pos] + 1);
+                core.flight(EventKind::UpdateResend, span as u16, e as u32, log.acked[pos] + 1);
             }
-            if sent[pos] < last {
-                if sent[pos] == acked[pos] {
+            if log.sent[pos] < last {
+                if log.sent[pos] == log.acked[pos] {
                     // Nothing was outstanding: the stall clock starts
                     // with this send, not at the last ack.
-                    progress_at[pos] = now;
+                    log.progress_at[pos] = now;
                 }
                 // Everything below `base` is trimmed away — a cursor
-                // under it belongs to a replica the revive path already
-                // buried (or is about to).
-                let from = sent[pos].max(base);
-                let ops: Vec<WireOp> = log.iter().skip((from - base) as usize).copied().collect();
-                let frame = Frame::Update {
-                    req: core.fresh_req(),
-                    epoch,
-                    seq: from + 1,
-                    trace: 0,
-                    parent: 0,
-                    ops,
-                };
-                if core.ctrl_txs[e].send(frame).is_ok() {
-                    sent[pos] = last;
-                }
+                // under it belongs to a replica the revive path refused.
+                let from = log.sent[pos].max(log.base);
+                let ops: Vec<WireOp> =
+                    log.ops.iter().skip((from - log.base) as usize).copied().collect();
+                let req = core.fresh_req();
+                let (epoch, seq) = (log.epoch, from + 1);
+                frames.push((e, Frame::Update { req, epoch, seq, trace: 0, parent: 0, ops }));
+                // A frame that then fails to go out marked its endpoint
+                // dead in `send_frame`; the next pass's election rewinds
+                // the survivors, and a revive resets this cursor.
+                log.sent[pos] = last;
             }
         }
+        log.settle(core.cfg.log_retention);
+        drop(guard);
 
-        // Quorum watermark: a record is durable once a majority of the
-        // span's live endpoints has acked it.
-        let mut live_acks: Vec<u64> = (0..n).filter(|&p| was_alive[p]).map(|p| acked[p]).collect();
-        if live_acks.is_empty() {
-            // No quorum is reachable: fail the pending appends (their
-            // outcome is *unknown* — some replica may have applied them
-            // before dying, and a revived endpoint may yet replay them;
-            // membership ops are idempotent, so at-least-once is safe).
-            for (_, h) in waiters.drain(..) {
-                h.send(Err(ServeError::ShuttingDown));
-            }
-            for (_, tx) in flushes.drain(..) {
-                let _ = tx.send(Err(ServeError::ShuttingDown));
-            }
-            // Keep the retained tail — never advance `base` over records
-            // that existed: a snapshot-restarted server rejoins through
-            // this very log, and re-issuing a consumed sequence with
-            // different content could silently diverge a replica that
-            // checkpointed the original.
-            let head = base + log.len() as u64;
-            let keep_from = head.saturating_sub(core.cfg.log_retention);
-            if keep_from > base {
-                log.drain(..(keep_from - base) as usize);
-                base = keep_from;
-            }
-            continue;
-        }
-        live_acks.sort_unstable_by(|a, b| b.cmp(a));
-        let quorum = live_acks.len() / 2 + 1;
-        let durable = live_acks[quorum - 1];
-        while let Some(&(seq, _)) = waiters.front() {
-            if seq > durable {
-                break;
-            }
-            let (_, h) = waiters.pop_front().expect("non-empty: just peeked");
-            h.send(Ok(0));
-        }
-
-        // A flush resolves only when *every* live endpoint has acked
-        // its target — stronger than quorum, because the quiesce
-        // barrier that follows it must find all replicas caught up.
-        let min_live = *live_acks.last().expect("non-empty checked above");
-        flushes.retain(|(target, tx)| {
-            if *target <= min_live {
-                let _ = tx.send(Ok(()));
-                false
-            } else {
-                true
-            }
-        });
-
-        // Trim, retaining `log_retention` records *below* the fully-acked
-        // watermark — the replay window a snapshot-restarted endpoint
-        // catches up from when it rejoins.
-        let keep_from = min_live.saturating_sub(core.cfg.log_retention);
-        if keep_from > base {
-            log.drain(..(keep_from - base) as usize);
-            base = keep_from;
+        // The socket writes, outside the log lock: a write held up by
+        // TCP back-pressure must not keep a reader from folding an ack.
+        for (e, frame) in frames.drain(..) {
+            let _ = core.send_frame(e, &frame);
         }
     }
 }
@@ -988,10 +1037,13 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
                 core.queues[ep].complete(served);
             }
             Ok(Frame::UpdateAck { req: _, epoch: _, seq }) => {
-                // Update acks feed the span's appender (quorum
-                // tracking), not the ctrl waiter map: the ack's meaning
-                // is its log position, not its request id.
-                let _ = core.upd_ack_txs[span].send(EpEvent::Ack { pos: core.ep_pos[ep], seq });
+                // Update acks feed the span's log (quorum tracking),
+                // not the ctrl waiter map: the ack's meaning is its log
+                // position, not its request id. This thread folds it
+                // and releases the waiters it covers — no hand-off.
+                let mut log = core.logs[span].lock().expect("log lock");
+                log.ack(core.ep_pos[ep], seq, core.clock.now());
+                log.settle(core.cfg.log_retention);
             }
             Ok(Frame::QuiesceAck { req, live_keys, snapshots: _ })
             | Ok(Frame::EpochPong { req, live_keys, snapshots: _ }) => {
@@ -1411,7 +1463,7 @@ impl RemoteClient {
         // Wire up every endpoint (span-major order, deterministic).
         let n_spans = topology.n_spans();
         let mut queues = Vec::new();
-        let mut ctrl_txs = Vec::new();
+        let mut conns = Vec::new();
         let mut span_eps: Vec<Vec<usize>> = Vec::with_capacity(n_spans);
         let mut ep_span = Vec::new();
         let mut ep_pos = Vec::new();
@@ -1423,24 +1475,23 @@ impl RemoteClient {
             for (pos, addr) in s.endpoints.iter().enumerate() {
                 let ep = queues.len();
                 let (req_tx, req_rx) = bounded::<Request>(cfg.queue_capacity);
-                let (ctl_tx, ctl_rx) = unbounded::<Frame>();
                 let (rev_tx, rev_rx) = bounded::<Duplex>(1);
                 let queue = AdmissionQueue::new(span, pos, req_tx, clock.clone());
-                let conn = match dialer.dial(addr) {
-                    Ok(duplex) => Some(duplex),
+                let (tx, rx) = match dialer.dial(addr) {
+                    Ok(Duplex { tx, rx, peer: _ }) => (Some(tx), Some(rx)),
                     Err(_) => {
                         // Unreachable from the start: a dead endpoint,
                         // exactly as if it crashed later — its worker
                         // starts in the dead-wait loop, rejoinable.
                         queue.mark_dead();
-                        None
+                        (None, None)
                     }
                 };
-                plumbing.push((req_rx, ctl_rx, conn, rev_rx));
+                plumbing.push((req_rx, rx, rev_rx));
                 revive_txs.push(rev_tx);
                 ep_addrs.push(addr.clone());
                 queues.push(queue);
-                ctrl_txs.push(ctl_tx);
+                conns.push(Mutex::new(tx));
                 ep_span.push(span);
                 ep_pos.push(pos);
                 eps.push(ep);
@@ -1461,21 +1512,18 @@ impl RemoteClient {
                 )
             })
             .collect();
-        // Per-span churn-log plumbing: one appender thread per span
-        // (the span's single log writer), fed through a bounded append
-        // queue and an unbounded ack route from the endpoint readers.
-        let mut upd_txs = Vec::with_capacity(n_spans);
-        let mut upd_rxs = Vec::with_capacity(n_spans);
-        let mut upd_ack_txs = Vec::with_capacity(n_spans);
-        let mut upd_ack_rxs = Vec::with_capacity(n_spans);
-        for _ in 0..n_spans {
-            let (tx, rx) = bounded::<UpdMsg>(cfg.queue_capacity);
-            upd_txs.push(tx);
-            upd_rxs.push(rx);
-            let (atx, arx) = unbounded::<EpEvent>();
-            upd_ack_txs.push(atx);
-            upd_ack_rxs.push(arx);
-        }
+        // Per-span churn-log plumbing: the log itself, and one appender
+        // thread per span (the span's sequencer) fed through a bounded
+        // append queue.
+        let (upd_txs, upd_rxs): (Vec<_>, Vec<_>) =
+            (0..n_spans).map(|_| bounded::<UpdMsg>(cfg.queue_capacity)).unzip();
+        let logs = span_eps
+            .iter()
+            .map(|eps| {
+                let alive = eps.iter().map(|&e| queues[e].is_alive()).collect();
+                Mutex::new(SpanLog::new(alive, clock.now()))
+            })
+            .collect();
         let upd_pools: Vec<SlotPool> = (0..n_spans)
             .map(|_| SlotPool::with_clock(cfg.queue_capacity + cfg.max_batch, clock.clone()))
             .collect();
@@ -1499,14 +1547,14 @@ impl RemoteClient {
             span_router: topology.router(),
             selectors,
             queues,
-            ctrl_txs,
+            conns,
             span_eps,
             ep_span,
             ep_pos,
             pools,
             upd_txs,
             upd_pools,
-            upd_ack_txs,
+            logs,
             dialer,
             ep_addrs,
             revive_txs,
@@ -1526,17 +1574,17 @@ impl RemoteClient {
         // server that comes back later can rejoin. Each worker spawns
         // (and joins) its own per-generation reader.
         let mut threads = Vec::new();
-        for (ep, (req_rx, ctl_rx, conn, rev_rx)) in plumbing.into_iter().enumerate() {
+        for (ep, (req_rx, conn, rev_rx)) in plumbing.into_iter().enumerate() {
             let c = core.clone();
             threads.push(clock.spawn(&format!("dini-net-cw-{ep}"), move || {
-                run_worker(c, ep, req_rx, ctl_rx, conn, rev_rx)
+                run_worker(c, ep, req_rx, conn, rev_rx)
             }));
         }
-        for (span, (upd_rx, ack_rx)) in upd_rxs.into_iter().zip(upd_ack_rxs).enumerate() {
+        for (span, upd_rx) in upd_rxs.into_iter().enumerate() {
             let c = core.clone();
-            threads.push(clock.spawn(&format!("dini-net-ua-{span}"), move || {
-                run_appender(c, span, upd_rx, ack_rx)
-            }));
+            threads.push(
+                clock.spawn(&format!("dini-net-ua-{span}"), move || run_appender(c, span, upd_rx)),
+            );
         }
 
         let client = Self { handle: NetHandle { core, tick: AtomicU64::new(0) }, threads };

@@ -120,11 +120,16 @@ enum Job {
 /// Assemble a [`StatsMsg`] from the hosted server's live accounting:
 /// the merged [`ServeStats`](dini_serve::ServeStats) snapshot,
 /// replica-major depths zipped with per-replica served counts, and the
-/// sampled stage-trace sums.
+/// sampled stage-trace sums. A poll can land while dispatchers are
+/// serving (any thread may write a `StatsRequest` to the socket at any
+/// time), so the message is made consistent by construction rather than
+/// by timing: the per-replica split is snapshotted first, `served` is
+/// the sum of exactly that split, and everything read afterwards
+/// (`admitted` in particular) can only be ahead of it.
 fn assemble_stats(server: &IndexServer, log: &LogPosition) -> StatsMsg {
+    let per_replica = server.replica_stats();
     let s = server.stats();
-    let replicas: Vec<ReplicaStatsMsg> = server
-        .replica_stats()
+    let replicas: Vec<ReplicaStatsMsg> = per_replica
         .iter()
         .zip(server.replica_depths())
         .enumerate()
@@ -146,7 +151,7 @@ fn assemble_stats(server: &IndexServer, log: &LogPosition) -> StatsMsg {
         fill += t.fill_ns();
     }
     StatsMsg {
-        served: s.served,
+        served: replicas.iter().map(|r| r.served).sum(),
         admitted: s.admitted,
         shed: s.shed,
         rerouted: s.rerouted,
@@ -542,9 +547,7 @@ mod tests {
     const SEC: Duration = Duration::from_secs(1);
 
     fn cfg(addr: &str) -> NetServerConfig {
-        let mut serve = ServeConfig::new(2);
-        serve.max_delay = Duration::from_micros(100);
-        NetServerConfig::new(serve, Topology::single(vec![addr.to_owned()]), 0)
+        NetServerConfig::new(ServeConfig::new(2), Topology::single(vec![addr.to_owned()]), 0)
     }
 
     #[test]

@@ -15,7 +15,6 @@ use std::time::Duration;
 fn serve_cfg(shards: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(shards);
     cfg.max_batch = 64;
-    cfg.max_delay = Duration::from_micros(100);
     cfg
 }
 

@@ -133,7 +133,6 @@ fn ctrl_retry_fills_waiter_once_and_strays_are_dropped() {
 fn sim_serve_cfg(clock: &Clock) -> ServeConfig {
     let mut serve = ServeConfig::new(2);
     serve.max_batch = 64;
-    serve.max_delay = Duration::from_micros(100);
     serve.clock = clock.clone();
     serve
 }
@@ -142,7 +141,6 @@ fn sim_client_cfg(clock: &Clock) -> ClientConfig {
     ClientConfig {
         clock: clock.clone(),
         max_batch: 64,
-        max_delay: Duration::from_micros(100),
         retry_timeout: Duration::from_millis(4),
         max_retries: 50,
         ctrl_timeout: Duration::from_millis(20),

@@ -1,25 +1,36 @@
-//! Time/size-bounded batch coalescing.
+//! Group-commit batch coalescing, with an optional time bound.
 //!
 //! The paper's core observation is that per-query costs (network
 //! overhead there, wake-ups and channel hops here) amortise across a
 //! batch, and its Figure 3 sweeps batch size against both throughput and
 //! response time. A *server* cannot choose its batch size — concurrent
 //! callers arrive one query at a time — so the serving layer manufactures
-//! batches: the first query to arrive opens a batch, co-travellers join
-//! until either `max_batch` queries are aboard or `max_delay` has passed
-//! since the batch opened, and then the dispatcher ranks the whole batch
-//! in place against one pinned snapshot
+//! batches, and it does so without a clock: the first query to arrive
+//! opens a batch, everything that queued while the previous batch was in
+//! service joins it (up to `max_batch`), and the batch departs at once.
+//! Under load the queue is never empty and batches fill by themselves;
+//! a lone query on an idle dispatcher is dispatched the moment it
+//! arrives. The dispatcher then ranks the whole batch in place against
+//! one pinned snapshot
 //! ([`ShardSnapshot::rank_batch`](crate::ShardSnapshot::rank_batch)).
+//!
+//! When a caller configures a nonzero `max_delay`, a partial batch is
+//! additionally held open for co-travellers until `max_batch` queries
+//! are aboard or `max_delay` has passed since it opened — the timed
+//! point on the Figure 3 curve, kept for callers that want it and for
+//! the simulation tests that use it to place requests in one batch.
 //!
 //! Collection fills a caller-owned buffer ([`collect_batch_into`]) so the
 //! dispatcher loop reuses one `Vec` for every batch it ever dispatches —
 //! part of the allocation-free steady-state read path.
 //!
-//! All waiting is in [`Clock`] time: with the system clock this compiles
-//! to the same `recv_timeout` loop as before the seam existed; under a
+//! All waiting is in [`Clock`] time: with the system clock the timed
+//! wait compiles to a `recv_timeout` loop; under a
 //! [`SimClock`](crate::SimClock) the deadline is virtual, which is what
-//! lets `dini-simtest` prove deadline semantics exactly (a lone request
-//! departs at precisely `open + max_delay` in virtual time).
+//! lets `dini-simtest` prove both semantics exactly (at zero delay a
+//! batch departs at its open instant holding exactly the backlog present
+//! then; with a delay configured, a lone request departs at precisely
+//! `open + max_delay`).
 
 use crate::clock::{dur_ns, Clock, Nanos};
 use crate::config::ServeError;
@@ -53,15 +64,16 @@ impl Request {
     }
 }
 
-/// Collect one batch into `batch` (cleared first): `first` plus
-/// co-travellers from `rx`, bounded by `max_batch` items and
-/// `max_delay` since the batch opened (= now, in `clock` time). Backlog
-/// already sitting in the queue joins for free — under load, batches
-/// fill to `max_batch` without ever paying the delay; the delay is only
-/// paid by sparse traffic waiting for co-travellers. Returns whether the
-/// queue disconnected while collecting. Generic over the item type: the
-/// read path coalesces [`Request`]s, `dini-net`'s churn-log appender
-/// coalesces update records through the same code.
+/// Collect one batch into `batch` (cleared first): `first` plus whatever
+/// already sits in `rx`, up to `max_batch` items — the backlog that
+/// formed while the caller served its previous batch. With a nonzero
+/// `max_delay`, a batch still short of `max_batch` then waits for
+/// co-travellers until `max_delay` after it opened (= now, in `clock`
+/// time); at zero the clock is never read. Returns whether the queue
+/// disconnected while collecting. Generic over the item type: the read
+/// path coalesces [`Request`]s, `dini-net`'s endpoint workers and
+/// churn-log appender coalesce lookups and update records through the
+/// same code.
 pub fn collect_batch_into<T>(
     clock: &Clock,
     rx: &Receiver<T>,
@@ -70,7 +82,7 @@ pub fn collect_batch_into<T>(
     max_batch: usize,
     max_delay: Duration,
 ) -> bool {
-    let deadline = clock.now().saturating_add(dur_ns(max_delay));
+    let deadline = (!max_delay.is_zero()).then(|| clock.now().saturating_add(dur_ns(max_delay)));
     batch.clear();
     batch.push(first);
 
@@ -83,7 +95,9 @@ pub fn collect_batch_into<T>(
         }
     }
 
-    // Paid co-travellers: wait out the remaining delay budget.
+    // Paid co-travellers, only when a delay is configured: wait out the
+    // remaining budget.
+    let Some(deadline) = deadline else { return false };
     while batch.len() < max_batch {
         if clock.now() >= deadline {
             break;

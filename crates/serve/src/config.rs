@@ -11,13 +11,15 @@ use std::time::Duration;
 /// Configuration for [`IndexServer`](crate::IndexServer).
 ///
 /// The two coalescing knobs are the server-side analogue of the paper's
-/// Figure 3 batch-size trade-off: `max_batch` bounds how much latency a
-/// query can absorb waiting for co-travellers, `max_delay` bounds how
-/// long a lone query waits before the batch departs anyway. Larger
-/// batches amortise the dispatcher's wake-up and the per-message overhead
-/// across more queries (throughput ↑), at the price of queueing delay
-/// (response time ↑) — exactly the tension the paper resolves by showing
-/// both constraints can be met at once.
+/// Figure 3 batch-size trade-off. Larger batches amortise the
+/// dispatcher's wake-up and the per-message overhead across more queries
+/// (throughput ↑) at the price of queueing delay (response time ↑) — but
+/// a server does not have to pick a point on that curve with a clock:
+/// by default a batch is whatever queued while the previous batch was in
+/// service (group commit), so batches grow with load and a lone query is
+/// dispatched the moment it arrives. `max_batch` caps a batch;
+/// `max_delay`, zero by default, makes a partial batch wait for
+/// co-travellers.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of shards; each shard is one contiguous key range — the
@@ -42,7 +44,13 @@ pub struct ServeConfig {
     pub slaves_per_shard: usize,
     /// Maximum queries coalesced into one index batch.
     pub max_batch: usize,
-    /// Maximum time the first query of a batch waits for co-travellers.
+    /// How long a partial batch is held open for co-travellers after its
+    /// first query arrives. Zero (the default) is group commit: the batch
+    /// is that query plus whatever queued while the previous batch was
+    /// in service, dispatched at once — no request ever waits on a
+    /// timer. A nonzero delay trades response time for batch size under
+    /// sparse traffic, and is what the simulation tests use to place
+    /// requests in one batch deliberately.
     pub max_delay: Duration,
     /// Bound of each shard's admission queue; a full queue sheds
     /// (`try_lookup` fails fast) rather than growing without limit.
@@ -91,8 +99,9 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// `n_shards` shards with serving-friendly defaults: 1 replica per
-    /// shard, batches of ≤ 256 coalesced for ≤ 100 µs, queues of 1024,
-    /// merges every 4096 delta entries, snapshots every 64 ops.
+    /// shard, group-committed batches of ≤ 256 (no coalescing delay),
+    /// queues of 1024, merges every 4096 delta entries, snapshots every
+    /// 64 ops.
     #[allow(deprecated)] // the one initialiser of `slaves_per_shard`
     pub fn new(n_shards: usize) -> Self {
         Self {
@@ -100,7 +109,7 @@ impl ServeConfig {
             replicas_per_shard: 1,
             slaves_per_shard: 1,
             max_batch: 256,
-            max_delay: Duration::from_micros(100),
+            max_delay: Duration::ZERO,
             queue_capacity: 1024,
             merge_threshold: 4096,
             publish_every: 64,

@@ -25,11 +25,12 @@
 //!   crashed replica **fails over** — its backlog is re-routed to
 //!   surviving siblings, so a shard only answers `ShuttingDown` once
 //!   its last replica is gone.
-//! * [`batcher`] — concurrent callers' requests **coalesce** into
-//!   time/size-bounded batches (`max_batch` / `max_delay`): the
-//!   server-side analogue of the paper's Figure 3 batch-size trade-off.
-//!   Backlog joins a departing batch for free; only sparse traffic pays
-//!   the delay.
+//! * [`batcher`] — concurrent callers' requests **coalesce** by group
+//!   commit: a batch is the first request plus whatever queued while the
+//!   previous batch was in service (≤ `max_batch`), dispatched at once —
+//!   the paper's Figure 3 batch-size trade-off settled by load, not by a
+//!   timer. A nonzero `max_delay` additionally holds a partial batch
+//!   open for co-travellers.
 //! * [`admission`] — bounded per-shard queues **shed on full**, so
 //!   overload surfaces as cheap explicit rejection (and a counter)
 //!   instead of unbounded queueing delay.

@@ -259,9 +259,7 @@ mod tests {
 
     fn quick_server(shards: usize) -> IndexServer {
         let keys = gen_sorted_unique_keys(20_000, 5);
-        let mut cfg = ServeConfig::new(shards);
-        cfg.max_delay = Duration::from_micros(100);
-        IndexServer::build(&keys, cfg)
+        IndexServer::build(&keys, ServeConfig::new(shards))
     }
 
     #[test]

@@ -73,7 +73,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long an idle dispatcher sleeps between shutdown-flag checks.
+/// An idle dispatcher's housekeeping tick: shutdown flag, scripted crash
+/// point, the `rebuilds` gauge. No request waits it out — a submit wakes
+/// the dispatcher through its admission queue.
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
 enum WriterMsg {
@@ -1000,11 +1002,16 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
             stats.set_rebuilds(state.main_epoch - main_epoch);
             // Stage tracing: pick the sampled requests now (the seeded
             // counter must advance once per request, served or not),
-            // stamp records after replies are released.
+            // stamp records after replies are released. Sampling is
+            // head-based: a request that arrives carrying a trace id
+            // was already chosen by its client, so it is always
+            // recorded — the client's wire record then always finds its
+            // server half — and the seeded sampler decides only for
+            // untraced (in-process) traffic.
             sampled.clear();
             let ring = stats.trace();
             for req in batch.iter() {
-                if ring.sample() {
+                if ring.sample() || req.trace != 0 {
                     sampled.push((req.enqueued, req.trace));
                 }
             }
@@ -1605,6 +1612,26 @@ mod tests {
         let snap = server.metrics_snapshot();
         assert!(snap.to_prometheus().contains("dini_serve_served"));
         assert!(snap.to_json().contains("dini_serve_latency_ns"));
+    }
+
+    #[test]
+    fn traced_requests_are_always_stage_recorded() {
+        // Head-based sampling: a request carrying a trace id was chosen
+        // by its client, so the dispatcher records it whatever its own
+        // sampler says — here a sampler whose first hit is request
+        // 24 301, i.e. never.
+        let keys = gen_sorted_unique_keys(2_000, 53);
+        let mut c = cfg(1);
+        c.trace = dini_obs::TraceConfig { sample_period: 1 << 40, ..Default::default() };
+        let server = IndexServer::build(&keys, c);
+        let h = server.handle();
+        for id in 1..=50u64 {
+            h.begin_lookup_traced(id as u32 * 7, id).unwrap().wait().unwrap();
+            h.lookup(id as u32 * 11).unwrap();
+        }
+        let mut ids: Vec<u64> = server.stage_traces().iter().map(|t| t.trace).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (1..=50).collect::<Vec<u64>>(), "every traced request, nothing else");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property tests for batcher deadline semantics, on virtual time.
+//! Property tests for batcher semantics — group commit and the timed
+//! wait — on virtual time.
 //!
 //! The wall-clock batcher tests can only assert loose brackets ("waited
 //! at least 25 ms, at most 300 ms") because real schedulers add noise.
@@ -9,7 +10,11 @@
 //! 2. no batch is held open past `open + max_delay`;
 //! 3. a partial batch (not full, feeder still alive) departs at
 //!    **exactly** its deadline — in particular, a lone request
-//!    dispatches at precisely `enqueue + max_delay`.
+//!    dispatches at precisely `enqueue + max_delay`;
+//! 4. at `max_delay` 0 (group commit, the shipped default) a batch
+//!    departs at its open instant holding exactly the backlog present
+//!    then, capped at `max_batch` — which is what 2 and 3 say at zero,
+//!    plus the size.
 
 use crossbeam::channel::bounded;
 use dini_serve::batcher::{collect_batch_into, Request};
@@ -25,7 +30,7 @@ proptest! {
     #[test]
     fn deadline_semantics_exact_under_virtual_time(
         max_batch in 1usize..24,
-        max_delay_us in 1u64..400,
+        max_delay_us in prop_oneof![Just(0u64), 0u64..400],
         // Arrival gaps in µs; 0 = back-to-back (co-travellers for free).
         gaps_us in vec(0u64..600, 1..48),
     ) {
@@ -60,6 +65,7 @@ proptest! {
                 Err(_) => break,
             };
             let open = clock.now();
+            let backlog = rx.len();
             let disconnected =
                 collect_batch_into(&clock, &rx, first, &mut batch, max_batch, max_delay);
             let departed = clock.now();
@@ -83,6 +89,12 @@ proptest! {
                     open + dur_ns(max_delay),
                     "partial batch departed early"
                 );
+            }
+            // (4) group commit: the opener plus the backlog at open,
+            // nothing else, at once.
+            if max_delay.is_zero() {
+                prop_assert_eq!(departed, open, "a zero-delay batch waited");
+                prop_assert_eq!(batch.len(), (1 + backlog).min(max_batch));
             }
             batch.clear();
             if disconnected {

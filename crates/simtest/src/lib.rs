@@ -33,8 +33,9 @@
 //! 3. **Latency bound** — in virtual time, service is instantaneous and
 //!    delays are only what the configuration and fault plan inject, so
 //!    the scenario can assert a *tight* bound on the worst served
-//!    latency (`max_delay` + a small multiple of the injected delays) —
-//!    a bound wall-clock tests could never hold.
+//!    latency (the configured `max_delay`, zero by default, + a small
+//!    multiple of the injected delays) — a bound wall-clock tests could
+//!    never hold.
 //! 4. **Accounting** — client-side and server-side counters agree
 //!    (sheds match exactly; no reply without an admission).
 //!
@@ -103,7 +104,10 @@ pub struct Scenario {
     pub replicas_per_shard: usize,
     /// Coalescing bound: queries per batch.
     pub max_batch: usize,
-    /// Coalescing bound: max wait for co-travellers.
+    /// Coalescing bound: max wait for co-travellers. The base scenario
+    /// sets one explicitly — a timed batch is how the fault scenarios
+    /// keep requests queued and coalescing when a fault fires; zero is
+    /// the server's shipped group commit.
     pub max_delay: Duration,
     /// Admission queue depth per shard.
     pub queue_capacity: usize,
@@ -212,6 +216,10 @@ pub struct Report {
     pub admitted: u64,
     /// Worst served latency in virtual nanoseconds (server-side).
     pub max_latency_ns: u64,
+    /// Worst traced coalescing wait (admission → batch closed), virtual
+    /// nanoseconds; over every request under dense tracing, 0 with
+    /// tracing off. What the group-commit scenarios bound.
+    pub max_wait_ns: u64,
     /// Writer merges (index rebuilds).
     pub merges: u64,
     /// Snapshot epochs published.
@@ -515,6 +523,7 @@ pub fn run_scenario(sc: &Scenario, seed: u64) -> Report {
         served: stats.served,
         admitted: stats.admitted,
         max_latency_ns,
+        max_wait_ns: traces.iter().map(|r| r.wait_ns()).max().unwrap_or(0),
         merges: stats.merges,
         snapshots: stats.snapshots_published,
         updates_applied: stats.updates_applied,

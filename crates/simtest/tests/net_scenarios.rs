@@ -4,7 +4,12 @@
 //! virtual time, swept across the `DINI_SIMTEST_SEEDS` matrix with
 //! every run executed twice to pin the event-trace digest.
 
+use dini_cluster::LinkPlan;
+use dini_net::transport::ChanNet;
+use dini_net::{ClientConfig, NetServer, NetServerConfig, RemoteClient, Topology};
+use dini_serve::{Clock, ServeConfig, SimClock};
 use dini_simtest::{run_net_scenario_reproducibly, seeds_from_env, NetScenario};
+use dini_workload::Op;
 use std::time::Duration;
 
 #[test]
@@ -299,6 +304,69 @@ fn live_stats_polls_mid_load_agree_with_the_processes() {
             r.stats_polls_ok > 0,
             "seed {seed}: mid-load polls must actually come back ({r:?})"
         );
+    }
+}
+
+#[test]
+fn lone_update_resolves_in_exactly_its_quorum_round_trip() {
+    // No timer on an update's path: with the shipped client and server
+    // configs over fault-free links, a lone quorum-acked `update()`
+    // costs its link latencies and nothing else. One span, three
+    // replica endpoints with one-way latencies 20 / 50 / 90 µs: the
+    // record is durable when the second ack lands (quorum 2 of 3), so
+    // the call returns exactly 2 × 50 µs after it was made — out and
+    // back on the median link. Every hop in between (caller → appender
+    // → socket → server reader → responder → socket → client reader →
+    // quorum fold → caller) is a wake-up, which costs no virtual time;
+    // a poll anywhere on the path would show up as a residue of its
+    // period, which is why the calls are issued at instants that share
+    // no factor with a millisecond tick.
+    let sim = SimClock::new();
+    let _main = sim.register_main();
+    let clock = Clock::sim(&sim);
+    let net = ChanNet::new(clock.clone());
+
+    let one_way_ns = [20_000u64, 50_000, 90_000];
+    let addrs: Vec<String> = (0..one_way_ns.len()).map(|e| format!("s0e{e}")).collect();
+    let topology = Topology::single(addrs.clone());
+    let keys: Vec<u32> = (0..2_000u32).map(|i| i * 4).collect();
+    let servers: Vec<NetServer> = addrs
+        .iter()
+        .zip(one_way_ns)
+        .map(|(addr, ns)| {
+            net.set_link_plan(addr, LinkPlan::reliable().with_latency_ns(ns));
+            let mut serve = ServeConfig::new(2);
+            serve.clock = clock.clone();
+            NetServer::start(
+                Box::new(net.listen(addr)),
+                &keys,
+                NetServerConfig::new(serve, topology.clone(), 0),
+            )
+        })
+        .collect();
+    let ccfg = ClientConfig { clock: clock.clone(), ..ClientConfig::default() };
+    let client = RemoteClient::connect(net.dialer(), &addrs[0], ccfg).expect("connect");
+
+    for i in 0..16u32 {
+        clock.sleep(Duration::from_nanos(137_111 + 311_003 * u64::from(i)));
+        let issued = clock.now();
+        client.update(Op::Insert(4 * i + 1)).expect("fault-free quorum append");
+        assert_eq!(
+            clock.now() - issued,
+            2 * one_way_ns[1],
+            "update {i}, issued at {issued} ns: the ack path added a wait that is not a link"
+        );
+    }
+    let stats = client.stats();
+    assert_eq!((stats.update_resends, stats.elections, stats.retries), (0, 0, 0));
+
+    client.quiesce().expect("barrier");
+    for srv in &servers {
+        assert_eq!(srv.server().len(), keys.len() + 16, "every replica applied every record");
+    }
+    drop(client);
+    for s in servers {
+        s.shutdown();
     }
 }
 

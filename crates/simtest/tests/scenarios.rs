@@ -1,5 +1,7 @@
 //! The seeded fault-scenario suite: the real `IndexServer` under nine
-//! hostile (and one clean) schedules, on deterministic virtual time.
+//! hostile (and one clean) schedules plus the two group-commit
+//! scenarios that run the shipped coalescing defaults, on deterministic
+//! virtual time.
 //!
 //! Every scenario runs across the seed matrix (`DINI_SIMTEST_SEEDS`,
 //! default 3, CI 8) and **twice per seed** via
@@ -9,7 +11,7 @@
 //! seed. Wall-clock cost stays in seconds because idle waits
 //! fast-forward in virtual time.
 
-use dini_serve::ServeFaultPlan;
+use dini_serve::{ServeConfig, ServeFaultPlan};
 use dini_simtest::{run_scenario_reproducibly, seeds_from_env, Scenario};
 use dini_workload::ArrivalProcess;
 use std::time::Duration;
@@ -32,6 +34,71 @@ fn clean_quiesce() {
         assert!(report.snapshots >= 2, "quiesce + churn must publish snapshots");
         assert!(report.updates_applied > 0);
         assert!(report.oracle_checks > 0, "post-quiesce sweep must check ranks");
+    }
+}
+
+/// The shipped coalescing defaults, read off `ServeConfig::new` so these
+/// scenarios follow whatever the server actually ships.
+fn shipped_coalescing(sc: &mut Scenario) {
+    let shipped = ServeConfig::new(sc.shards);
+    sc.max_batch = shipped.max_batch;
+    sc.max_delay = shipped.max_delay;
+    sc.trace_sample_period = 1; // every request's wait is recorded
+}
+
+/// Group commit, idle half: under the shipped defaults a lone request on
+/// an idle dispatcher departs at its open instant. Sparse arrivals from
+/// one client — every request is lone — and in virtual time service is
+/// instantaneous, so the worst coalescing wait *and* the worst served
+/// latency are exactly zero: there is no timer on the path.
+#[test]
+fn group_commit_lone_request_departs_at_open() {
+    for seed in seeds_from_env() {
+        let mut sc = Scenario::base("group_commit_lone_request_departs_at_open");
+        shipped_coalescing(&mut sc);
+        sc.clients = 1;
+        sc.lookups_per_client = 64;
+        sc.arrival = ArrivalProcess::poisson_rate(1_000.0);
+        sc.latency_bound = Some(Duration::ZERO);
+        let report = run_scenario_reproducibly(&sc, seed);
+        assert_eq!(report.issued, report.ok, "seed {seed}");
+        assert!(report.trace_records > 0, "seed {seed}: dense tracing must see the requests");
+        assert_eq!(report.max_wait_ns, 0, "seed {seed}: a lone request waited on something");
+        assert_eq!(report.max_latency_ns, 0, "seed {seed}");
+    }
+}
+
+/// Group commit, busy half: batches form by themselves while the
+/// previous one is in service. The only shard pays an injected `D` per
+/// batch; everything that arrives during one batch's `D` leaves together
+/// as the next batch, the moment the dispatcher frees up. So no request
+/// waits longer than `D` to be collected — not `D + max_delay`, and not
+/// `2 D`, which is what a backlog split over two batches would cost its
+/// second half.
+#[test]
+fn group_commit_backlog_leaves_as_one_batch() {
+    for seed in seeds_from_env() {
+        let mut sc = Scenario::base("group_commit_backlog_leaves_as_one_batch");
+        shipped_coalescing(&mut sc);
+        sc.shards = 1;
+        let d = Duration::from_millis(1);
+        sc.faults = ServeFaultPlan::none().slow_shard(0, d);
+        // 3 clients × 20k/s ≈ 60 arrivals per D: well under max_batch,
+        // so the size cap never splits a backlog.
+        sc.latency_bound = Some(2 * d); // ≤ D queued behind a batch + D in its own
+        let report = run_scenario_reproducibly(&sc, seed);
+        assert_eq!(report.issued, report.ok, "a straggler is slow, not wrong (seed {seed})");
+        assert!(
+            report.max_wait_ns <= d.as_nanos() as u64,
+            "seed {seed}: a request waited {} ns to be collected behind a {} ns batch",
+            report.max_wait_ns,
+            d.as_nanos()
+        );
+        assert!(
+            report.max_wait_ns > d.as_nanos() as u64 / 2,
+            "seed {seed}: the load must actually queue behind the straggler (worst wait {} ns)",
+            report.max_wait_ns
+        );
     }
 }
 

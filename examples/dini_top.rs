@@ -180,7 +180,6 @@ fn smoke_run() {
     let addr = acceptor.addr();
     let mut cfg = ServeConfig::new(2);
     cfg.replicas_per_shard = 2;
-    cfg.max_delay = Duration::from_micros(50);
     let server = NetServer::start(
         Box::new(acceptor),
         &keys,

@@ -22,7 +22,6 @@ use dini::workload::{ChurnGen, KeyDistribution, Op, OpMix};
 use dini::{NetServer, RemoteClient};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::time::Duration;
 
 fn smoke() -> bool {
     std::env::var_os("DINI_NET_DEMO_SMOKE").is_some_and(|v| v != "0" && !v.is_empty())
@@ -53,7 +52,6 @@ fn server_process() {
     let mut cfg = ServeConfig::new(shards);
     cfg.replicas_per_shard = 2;
     cfg.max_batch = 256;
-    cfg.max_delay = Duration::from_micros(50);
     cfg.merge_threshold = 2048;
 
     let acceptor = TcpAcceptorT::bind("127.0.0.1:0").expect("bind loopback");

@@ -21,7 +21,6 @@ use dini::workload::{ChurnGen, KeyDistribution, OpMix};
 use dini::{NetServer, RemoteClient};
 use dini_serve::run_load;
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 fn main() {
     // Initial index: 200k keys in a compact range so churn collides with
@@ -39,12 +38,11 @@ fn main() {
     // absorb the other's backlog if it crashes.
     cfg.replicas_per_shard = 2;
     cfg.max_batch = 256;
-    cfg.max_delay = Duration::from_micros(50);
     cfg.merge_threshold = 2048;
     cfg.publish_every = 64;
     println!(
-        "serving {} keys over {} shards × {} replicas (batch ≤ {}, delay ≤ {:?})",
-        n_keys, shards, cfg.replicas_per_shard, cfg.max_batch, cfg.max_delay
+        "serving {} keys over {} shards × {} replicas (group-committed batches ≤ {})",
+        n_keys, shards, cfg.replicas_per_shard, cfg.max_batch
     );
     let server = IndexServer::build(&keys, cfg);
 
@@ -135,7 +133,6 @@ fn tcp_comparison(keys: &[u32], clients: usize, lookups_per_client: usize) {
     let mut cfg = ServeConfig::new(shards);
     cfg.replicas_per_shard = 2;
     cfg.max_batch = 256;
-    cfg.max_delay = Duration::from_micros(50);
 
     let acceptor = TcpAcceptorT::bind("127.0.0.1:0").expect("bind loopback");
     let addr = acceptor.addr();

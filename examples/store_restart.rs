@@ -11,12 +11,11 @@
 
 use dini::serve::{open_snapshot, IndexServer, ServeConfig, StorePlan};
 use dini::workload::gen_sorted_unique_keys;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn cfg(shards: usize) -> ServeConfig {
     let mut c = ServeConfig::new(shards);
     c.max_batch = 64;
-    c.max_delay = Duration::from_micros(50);
     c
 }
 

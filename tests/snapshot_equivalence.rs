@@ -17,7 +17,6 @@ use dini::serve::{open_snapshot, IndexServer, ServeConfig, ServerHandle, StorePl
 use dini::workload::Op;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dini-snap-equiv-{}", std::process::id()));
@@ -28,7 +27,6 @@ fn scratch(tag: &str) -> PathBuf {
 fn cfg(shards: usize) -> ServeConfig {
     let mut c = ServeConfig::new(shards);
     c.max_batch = 64;
-    c.max_delay = Duration::from_micros(50);
     c
 }
 

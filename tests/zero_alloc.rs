@@ -23,7 +23,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Counts allocations (and reallocations) while armed; delegates to the
 /// system allocator.
@@ -137,7 +136,6 @@ fn serve_steady_state_lookup_is_allocation_free() {
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
     let mut cfg = ServeConfig::new(2);
     cfg.max_batch = 64;
-    cfg.max_delay = Duration::from_micros(50);
     // Densest possible observability: *every* request is considered and
     // recorded into the pre-allocated stage-trace rings, key-range heat
     // counters tick on every admission, and the lock-free per-replica
@@ -211,7 +209,6 @@ fn recovered_mapped_backing_lookup_is_allocation_free_when_warm() {
     let mut expect: BTreeSet<u32> = keys.iter().copied().collect();
     let mut cfg = ServeConfig::new(2);
     cfg.max_batch = 64;
-    cfg.max_delay = Duration::from_micros(50);
     cfg.trace = TraceConfig::dense();
     cfg.store = Some(StorePlan::new(path.clone()));
     let origin = IndexServer::build(&keys, cfg.clone());
