@@ -7,11 +7,16 @@
 //! Model threads are real OS threads, but only one ever runs at a time:
 //! every shim operation (atomic access, fence, mutex/condvar op, `Arc`
 //! count change, yield, spawn/join) funnels through [`atomic_step`],
-//! which waits until the scheduler hands the thread the baton, performs
-//! the operation against the model state, then picks the next thread to
-//! run. Code *between* shim operations executes atomically — the
-//! standard reduction for data-race-free programs, and the shimmed
-//! primitives' only shared mutable state is their atomics.
+//! which waits until the scheduler hands the thread the baton *and every
+//! other thread stands at a step of its own* (`ThreadState::parked`),
+//! performs the operation against the model state, then picks the next
+//! thread to run. Code *between* shim operations therefore executes
+//! atomically — the standard reduction for data-race-free programs —
+//! and that covers code the shim knows nothing about: a model may pass
+//! values between its threads through a real channel (the
+//! `AdmissionQueue` models do) and remain a pure function of the
+//! schedule, because the sender has come to rest at its next step
+//! before the receiver's turn begins.
 //!
 //! ## How the space is explored
 //!
@@ -125,6 +130,14 @@ struct ThreadState {
     blocked: Blocked,
     /// Voluntarily descheduled (spin backoff); cleared when scheduled.
     yielded: bool,
+    /// Standing at a step (waiting for the baton, blocked, not yet
+    /// started, or finished) rather than running code of its own. A
+    /// step runs only while every other thread is parked, so exactly
+    /// one thread executes at any time — *all* of its code, not just
+    /// the shimmed operations. That is what lets a model share
+    /// unmodeled state between threads (a real channel, say) and still
+    /// be a pure function of the schedule.
+    parked: bool,
 }
 
 impl ThreadState {
@@ -136,6 +149,8 @@ impl ThreadState {
             acq_pending: VClock::default(),
             blocked: Blocked::No,
             yielded: false,
+            // A new thread runs nothing until its entry gate is scheduled.
+            parked: true,
         }
     }
 }
@@ -338,6 +353,12 @@ fn atomic_step<R>(mut f: impl FnMut(&mut Exec, Tid) -> StepOutcome<R>) -> Option
     let tid = TID.with(|t| t.get())?;
     let g = global();
     let mut guard = lock_global();
+    // Arrived at a step: whoever holds the baton may have been waiting
+    // for this thread to stop running.
+    if let Some(e) = guard.as_mut() {
+        e.threads[tid].parked = true;
+        g.cv.notify_all();
+    }
     loop {
         loop {
             match guard.as_ref() {
@@ -347,7 +368,12 @@ fn atomic_step<R>(mut f: impl FnMut(&mut Exec, Tid) -> StepOutcome<R>) -> Option
                     UNWINDING.with(|u| u.set(true));
                     panic::panic_any(SilentUnwind);
                 }
-                Some(e) if e.current == tid => break,
+                Some(e)
+                    if e.current == tid
+                        && e.threads.iter().enumerate().all(|(t, th)| t == tid || th.parked) =>
+                {
+                    break
+                }
                 Some(_) => guard = g.cv.wait(guard).unwrap_or_else(|p| p.into_inner()),
             }
         }
@@ -363,6 +389,8 @@ fn atomic_step<R>(mut f: impl FnMut(&mut Exec, Tid) -> StepOutcome<R>) -> Option
         match f(exec, tid) {
             StepOutcome::Done(r) => {
                 schedule_next(exec, tid);
+                // Off to run its own code until its next step.
+                exec.threads[tid].parked = false;
                 g.cv.notify_all();
                 return Some(r);
             }
@@ -789,6 +817,7 @@ pub(crate) fn finish_thread(tid: Tid, panicked: Option<String>) {
     let mut guard = lock_global();
     let Some(exec) = guard.as_mut() else { return };
     exec.threads[tid].blocked = Blocked::Finished;
+    exec.threads[tid].parked = true;
     for t in exec.threads.iter_mut() {
         if t.blocked == Blocked::Join(tid) {
             t.blocked = Blocked::No;
@@ -849,7 +878,8 @@ pub(crate) fn run_one(f: &(dyn Fn() + Sync), prefix: Vec<Decision>, bounds: Boun
         let mut guard = lock_global();
         assert!(guard.is_none(), "dini-check: nested model() executions are not supported");
         *guard = Some(Exec {
-            threads: vec![ThreadState::fresh(VClock::default())],
+            // The closure's own thread is running from the start.
+            threads: vec![ThreadState { parked: false, ..ThreadState::fresh(VClock::default()) }],
             locs: HashMap::new(),
             mutexes: HashMap::new(),
             current: 0,

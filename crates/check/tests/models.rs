@@ -13,7 +13,10 @@
 //!   duplicated, across fills, parks, and generation recycling.
 //! * `TraceRing`: a concurrent snapshot never returns a torn record.
 //! * `AdmissionQueue`: the admitted/shed/depth gauges stay coherent
-//!   with what actually entered the queue.
+//!   with what actually entered the queue; the depth gauge holds a
+//!   request before the request can be served (so it never dips below
+//!   zero), and as the claim it admits one claimant at a time and sends
+//!   every loser down the queue exactly once.
 //! * `ReplicaMetrics`: a caller that has observed its reply observes
 //!   the `served` count of the batch that produced it (the
 //!   record-before-release contract `stats.rs` documents).
@@ -208,16 +211,18 @@ fn trace_ring_snapshot_never_returns_torn_record() {
     assert!(report.executions >= 10, "seqlock race under-explored: {report:?}");
 }
 
+/// A request nobody waits on (the waiter half is dropped at once).
+fn req(key: u32) -> Request {
+    let (_slot, handle) = reply_pair();
+    Request { key, enqueued: Clock::system().now(), trace: 0, reply: handle }
+}
+
 /// Admission gauges under a submit/probe race: `admitted`, `shed`, and
 /// the depth gauge must agree with what actually entered the bounded
 /// queue, and a concurrent probe must never read a depth beyond what
 /// was ever submitted.
 #[test]
 fn admission_gauges_stay_coherent_under_race() {
-    fn req(key: u32) -> Request {
-        let (_slot, handle) = reply_pair();
-        Request { key, enqueued: Clock::system().now(), trace: 0, reply: handle }
-    }
     let report = model("admission/gauges", || {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system());
@@ -244,6 +249,110 @@ fn admission_gauges_stay_coherent_under_race() {
     assert!(report.executions >= 2, "gauge race under-explored: {report:?}");
 }
 
+/// Regression (admit ‖ serve-and-complete): the depth gauge must hold a
+/// request *before* the request is sent. A dispatcher can receive,
+/// answer and `complete` it the instant it lands in the channel; with
+/// the increment after the send, that `complete` ran first and the
+/// unsigned gauge wrapped to 2^64 − 1 — which power-of-two-choices then
+/// read as an unboundedly loaded replica. With one request ever
+/// admitted, no thread may ever read a depth above 1.
+#[test]
+fn admission_depth_holds_a_request_before_it_can_be_served() {
+    let report = model("admission/depth-before-send", || {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let q = AdmissionQueue::new(0, 0, tx, Clock::system());
+        let dispatcher = {
+            let q = q.clone();
+            thread::spawn(move || loop {
+                match rx.try_recv() {
+                    Ok(request) => {
+                        drop(request);
+                        q.complete(1);
+                        let d = q.depth();
+                        assert!(d <= 1, "depth {d} after serving the only request: it wrapped");
+                        break;
+                    }
+                    Err(_) => dini_check::sync::yield_now(),
+                }
+            })
+        };
+        q.try_submit(req(1)).expect("room for one");
+        let d = q.depth();
+        assert!(d <= 1, "depth {d} with one request ever admitted");
+        dispatcher.join();
+        assert_eq!((q.admitted(), q.depth()), (1, 0));
+    });
+    assert!(report.executions >= 2, "admit/serve race under-explored: {report:?}");
+}
+
+/// The claim: two callers race for one idle replica exactly as
+/// `ServerHandle` does — `claim(1)`, and either rank-and-`complete` or
+/// queue — beside the replica's dispatcher, which serves whatever was
+/// queued. Whatever the interleaving: the two callers are never both
+/// inside the claim; a caller that lost is queued exactly once and
+/// served exactly once (so every request is answered exactly once, by
+/// its caller or by the dispatcher); the gauge covers a queued request
+/// for as long as it is queued or in service (it never dips below
+/// zero, and nobody reads it above the two requests that exist); and it
+/// reads 0 at the end. The dispatcher *may* serve the loser while the
+/// winner is still inside its claim — a caller and the dispatcher share
+/// nothing that is not atomic (they write different trace rings) — so
+/// that overlap is explored, not forbidden.
+#[test]
+fn claim_admits_one_claimant_and_queues_the_loser_once() {
+    let report = model("admission/claim", || {
+        let (tx, rx) = crossbeam::channel::bounded(2);
+        let q = AdmissionQueue::new(0, 0, tx, Clock::system());
+        let inside = StdArc::new(AtomicU64::new(0));
+        let finished = StdArc::new(AtomicU64::new(0));
+        let caller = |key: u32| {
+            let (q, inside, finished) = (q.clone(), inside.clone(), finished.clone());
+            thread::spawn(move || {
+                let claimed = q.claim(1);
+                if claimed {
+                    let others = inside.fetch_add(1, Ordering::SeqCst);
+                    assert_eq!(others, 0, "two callers inside one replica's claim");
+                    inside.fetch_sub(1, Ordering::SeqCst);
+                    q.complete(1);
+                } else {
+                    q.try_submit(req(key)).expect("a lost claim queues, with room to spare");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                claimed
+            })
+        };
+        let callers = [caller(1), caller(2)];
+        let dispatcher = {
+            let (q, finished) = (q.clone(), finished.clone());
+            thread::spawn(move || {
+                let mut served = 0u64;
+                loop {
+                    // Read `finished` first: a request sent before a
+                    // caller finished is then certainly seen below.
+                    let all_in = finished.load(Ordering::SeqCst) == 2;
+                    match rx.try_recv() {
+                        Ok(request) => {
+                            drop(request);
+                            q.complete(1);
+                            served += 1;
+                            let d = q.depth();
+                            assert!(d <= 2, "depth {d} with two requests in existence");
+                        }
+                        Err(_) if all_in => return served,
+                        Err(_) => dini_check::sync::yield_now(),
+                    }
+                }
+            })
+        };
+        let claimed = callers.map(|c| u64::from(c.join())).iter().sum::<u64>();
+        let served = dispatcher.join();
+        assert!(claimed >= 1, "an idle replica turned both callers away");
+        assert_eq!(claimed + served, 2, "a request was lost, or answered twice");
+        assert_eq!((q.admitted(), q.depth()), (2, 0));
+    });
+    assert!(report.executions >= 10, "claim race under-explored: {report:?}");
+}
+
 /// Regression: the record-before-release contract `stats.rs` documents.
 /// The dispatcher folds a batch into `ReplicaMetrics` (all `Relaxed`
 /// adds) *before* releasing the reply; the release is an
@@ -259,7 +368,7 @@ fn replica_metrics_record_before_release_is_visible() {
         let dispatcher = {
             let m = StdArc::clone(&m);
             thread::spawn(move || {
-                m.record_batch(&[100.0]);
+                m.record_batch([100].into_iter());
                 handle.send(Ok(1));
             })
         };

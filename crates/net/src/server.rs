@@ -5,25 +5,33 @@
 //! and serves it to remote callers:
 //!
 //! ```text
-//!   acceptor thread ──► per-connection reader ──begin_lookup()──► IndexServer
-//!                                   │                                   │
-//!                                   └─jobs─► per-connection responder ◄─┘
-//!                                                (reply mux: waits the
-//!                                                 pending lookups, writes
-//!                                                 one Reply frame per batch)
+//!   acceptor thread ──► per-connection reader ──begin_lookup_many()──► IndexServer
+//!                          │       │   (ranks the frame itself when          │
+//!                          │       │    its replicas are idle)               │
+//!                          │       └─jobs─► per-connection responder ◄───────┘
+//!                          │                  (waits a frame's still-pending
+//!                          ▼                   lookups; acks, stats, bye)
+//!                       send half ◄───────────────────┘
+//!                  (one mutex; whoever has a frame writes it)
 //! ```
 //!
-//! * The **reader** decodes frames and turns a `Lookup` batch into
-//!   per-key [`begin_lookup`](dini_serve::ServerHandle::begin_lookup)
-//!   submissions — non-blocking, so server-side admission control sheds
-//!   exactly as it does for local callers, and the coalescing batcher
-//!   sees remote keys as ordinary traffic (a remote batch and local
-//!   callers coalesce together).
-//! * The **responder** is the writer-side reply mux: it redeems each
-//!   batch's pooled reply slots (generation-tagged cells from the
-//!   server's `SlotPool`s) and ships one positionally-aligned `Reply`
-//!   frame, so a slow consumer never blocks the dispatch path — only
-//!   its own connection.
+//! * The **reader** decodes frames. A `Lookup` frame is already a
+//!   batch, and it is admitted as one
+//!   ([`begin_lookup_many`](dini_serve::ServerHandle::begin_lookup_many),
+//!   non-blocking, so server-side admission control sheds exactly as it
+//!   does for local callers): the keys bound for an idle replica are
+//!   ranked in place, by this thread, as one batch. When every rank is
+//!   ready on return — the quiet case — the reader encodes the `Reply`
+//!   and writes it through the connection's send half itself: no
+//!   hand-off, no second thread.
+//! * The **responder** takes what cannot be answered on the spot: a
+//!   frame with keys still queued behind a busy replica (it redeems
+//!   their pooled reply slots and ships the positionally-aligned
+//!   `Reply`, so a slow dispatcher never stalls the connection's frame
+//!   stream), and every non-lookup reply.
+//! * The **send half** sits behind a mutex shared by the two, the
+//!   client's `conns[ep]` pattern server-side. Replies are matched by
+//!   `req`, so their order across the two writers is free.
 //! * Updates feed the span's single writer; `Quiesce` runs the writer
 //!   barrier and returns the fresh live-key count (the client uses it
 //!   to recompose cross-span base ranks).
@@ -39,8 +47,8 @@ use crate::wire::{
 };
 use crossbeam::channel::unbounded;
 use dini_serve::{
-    open_snapshot, Clock, ClockJoinHandle, IndexServer, PendingLookup, ServeConfig, ServeError,
-    SnapError,
+    open_snapshot, Clock, ClockJoinHandle, IndexServer, LookupScratch, PendingLookup, ServeConfig,
+    ServeError, SnapError,
 };
 use dini_workload::Op;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,9 +109,10 @@ impl LogPosition {
 enum Job {
     /// Answer the handshake.
     Map,
-    /// Redeem a lookup batch and ship its reply, echoing the frame's
-    /// causal trace context so the client can stitch.
-    Reply { req: u64, trace: u64, parent: u32, pendings: Vec<Result<PendingLookup, ServeError>> },
+    /// Redeem a lookup batch some of whose keys are still queued and
+    /// ship its reply, echoing the frame's causal trace context so the
+    /// client can stitch.
+    Reply { req: u64, trace: u64, parent: u32, pendings: Vec<PendingLookup> },
     /// Acknowledge an acked update, reporting the connection's applied
     /// log position.
     Ack { req: u64, epoch: u64, seq: u64 },
@@ -115,6 +124,15 @@ enum Job {
     Stats { req: u64 },
     /// Tell the peer we are going away, then hang up.
     Bye,
+}
+
+/// What one key's outcome looks like on the wire.
+fn lookup_status(outcome: Result<u32, ServeError>) -> LookupStatus {
+    match outcome {
+        Ok(rank) => LookupStatus::Rank(rank),
+        Err(ServeError::Overloaded { shard }) => LookupStatus::Shed(shard as u32),
+        Err(ServeError::ShuttingDown) => LookupStatus::Shutdown,
+    }
 }
 
 /// Assemble a [`StatsMsg`] from the hosted server's live accounting:
@@ -367,14 +385,23 @@ fn spawn_connection(
     shared: ConnShared,
 ) -> (ClockJoinHandle<()>, ClockJoinHandle<()>) {
     let ConnShared { server, topology, span, shutdown, log, init_log } = shared;
-    let Duplex { tx: mut frame_tx, rx: mut frame_rx, peer: _ } = duplex;
+    let Duplex { tx: frame_tx, rx: mut frame_rx, peer: _ } = duplex;
+    // The send half: whoever has a frame writes it (the reader a lookup
+    // reply it could complete itself, the responder everything else).
+    let frame_tx = Arc::new(Mutex::new(frame_tx));
     let (job_tx, job_rx) = unbounded::<Job>();
 
     let reader = {
         let server = server.clone();
         let log = log.clone();
+        let frame_tx = frame_tx.clone();
         clock.spawn(&format!("dini-net-read-{conn_id}"), move || {
             let handle = server.handle();
+            // Kept across frames: a warmed quiet `Lookup` allocates only
+            // what the transport does.
+            let mut scratch = LookupScratch::default();
+            let mut pendings: Vec<PendingLookup> = Vec::new();
+            let mut results: Vec<LookupStatus> = Vec::new();
             // The connection's churn-log cursor: the highest sequence
             // applied with no gaps below it, and the epoch adopted from
             // the writer. One writer per connection keeps the cursor
@@ -398,14 +425,26 @@ fn spawn_connection(
                         let _ = job_tx.send(Job::Map);
                     }
                     Frame::Lookup { req, trace, parent, keys } => {
-                        // Non-blocking submits: remote traffic sheds under
-                        // the same admission control as local callers. The
-                        // frame's trace id rides into each Request, so the
-                        // dispatcher's stage records for this batch carry
-                        // the same id as the client's wire record.
-                        let pendings: Vec<Result<PendingLookup, ServeError>> =
-                            keys.iter().map(|&k| handle.begin_lookup_traced(k, trace)).collect();
-                        let _ = job_tx.send(Job::Reply { req, trace, parent, pendings });
+                        // Non-blocking: remote traffic sheds under the
+                        // same admission control as local callers. The
+                        // frame's trace id rides along, so the stage
+                        // records of whoever ranks this batch carry the
+                        // same id as the client's wire record.
+                        handle.begin_lookup_many(&keys, trace, &mut scratch, &mut pendings);
+                        if pendings.iter().any(|p| p.poll().is_none()) {
+                            let pendings = std::mem::take(&mut pendings);
+                            let _ = job_tx.send(Job::Reply { req, trace, parent, pendings });
+                            continue;
+                        }
+                        results.clear();
+                        results.extend(pendings.drain(..).map(|p| lookup_status(p.wait())));
+                        let reply = Frame::Reply { req, trace, parent, results };
+                        let sent = frame_tx.lock().expect("send half lock").send(&reply);
+                        let Frame::Reply { results: shipped, .. } = reply else { unreachable!() };
+                        results = shipped;
+                        if sent.is_err() {
+                            break;
+                        }
                     }
                     Frame::Update { req, epoch, seq, trace: _, parent: _, ops } => {
                         // Strict in-order apply from the cursor: a
@@ -488,25 +527,12 @@ fn spawn_connection(
                         log_epoch: init_log.0,
                         log_seq: init_log.1,
                     },
-                    Job::Reply { req, trace, parent, pendings } => {
-                        let results: Vec<LookupStatus> = pendings
-                            .into_iter()
-                            .map(|p| {
-                                let outcome = match p {
-                                    Ok(pending) => pending.wait(),
-                                    Err(e) => Err(e),
-                                };
-                                match outcome {
-                                    Ok(rank) => LookupStatus::Rank(rank),
-                                    Err(ServeError::Overloaded { shard }) => {
-                                        LookupStatus::Shed(shard as u32)
-                                    }
-                                    Err(ServeError::ShuttingDown) => LookupStatus::Shutdown,
-                                }
-                            })
-                            .collect();
-                        Frame::Reply { req, trace, parent, results }
-                    }
+                    Job::Reply { req, trace, parent, pendings } => Frame::Reply {
+                        req,
+                        trace,
+                        parent,
+                        results: pendings.into_iter().map(|p| lookup_status(p.wait())).collect(),
+                    },
                     Job::Ack { req, epoch, seq } => Frame::UpdateAck { req, epoch, seq },
                     Job::QuiesceAck { req } => Frame::QuiesceAck {
                         req,
@@ -522,11 +548,14 @@ fn spawn_connection(
                         Frame::StatsReply { req, stats: Box::new(assemble_stats(&server, &log)) }
                     }
                     Job::Bye => {
-                        let _ = frame_tx.send(&Frame::Status { code: StatusCode::ShuttingDown });
+                        let _ = frame_tx
+                            .lock()
+                            .expect("send half lock")
+                            .send(&Frame::Status { code: StatusCode::ShuttingDown });
                         break;
                     }
                 };
-                if frame_tx.send(&frame).is_err() {
+                if frame_tx.lock().expect("send half lock").send(&frame).is_err() {
                     break;
                 }
             }

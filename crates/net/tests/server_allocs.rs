@@ -1,0 +1,134 @@
+//! What a `Lookup` frame costs the *server* in heap allocations, pinned
+//! with a counting global allocator.
+//!
+//! A quiet frame — every key bound for an idle replica — is ranked and
+//! answered by the connection's reader thread alone, out of scratch it
+//! keeps across frames: the shard grouping, the ranks, the pending list
+//! and the `Reply`'s result vector all recycle. What is left is the
+//! transport's own: over `ChanNet` the reply is cloned onto the
+//! in-process "wire" (one allocation, its result vector — the analogue
+//! of TCP's encoded reply, which goes into a reused buffer), and the
+//! decoded key vector is allocated by whoever decodes, here the client
+//! half cloning the `Lookup` onto the wire (over TCP that one moves to
+//! the server's reader: the tally is the same two per frame, split
+//! differently). This test counts every allocation made by any thread
+//! *but* the one playing the client, so it sees exactly the server's
+//! share.
+
+use dini_net::transport::ChanNet;
+use dini_net::wire::{Frame, LookupStatus};
+use dini_net::{NetServer, NetServerConfig, Topology};
+use dini_serve::{Clock, ServeConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Duration;
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set on the thread playing the client: its allocations (building
+    /// and cloning `Lookup` frames, receiving replies) are not the
+    /// server's. Const-initialized and destructor-free, so touching it
+    /// from inside the allocator cannot itself allocate.
+    static CLIENT_SIDE: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counted() -> bool {
+    ARMED.load(Ordering::Relaxed) && !CLIENT_SIDE.try_with(Cell::get).unwrap_or(true)
+}
+
+// SAFETY: pure passthrough to the `System` allocator plus lock-free
+// counters and a const-initialized thread-local flag; upholds
+// `GlobalAlloc`'s contract because `System` does, and the counting adds
+// no allocation, locking, or reentrancy.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: same layout contract as `System::alloc`, to which this
+    // delegates unchanged.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if counted() {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.alloc(layout)
+    }
+
+    // SAFETY: same ptr/layout contract as `System::dealloc`, to which
+    // this delegates unchanged.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    // SAFETY: same ptr/layout/size contract as `System::realloc`, to
+    // which this delegates unchanged.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if counted() {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+const SEC: Duration = Duration::from_secs(5);
+const FRAME_KEYS: u32 = 16;
+
+/// One `Lookup` frame of `FRAME_KEYS` keys spread over both shards, and
+/// its reply checked against the key set.
+fn round_trip(c: &mut dini_net::transport::Duplex, keys: &[u32], req: u64) {
+    let queries: Vec<u32> = (0..FRAME_KEYS)
+        .map(|i| (req as u32 * FRAME_KEYS + i).wrapping_mul(2_654_435_761))
+        .collect();
+    c.tx.send(&Frame::Lookup { req, trace: 0, parent: 0, keys: queries.clone() }).unwrap();
+    match c.rx.recv_timeout(SEC).unwrap() {
+        Frame::Reply { req: got, results, .. } => {
+            assert_eq!(got, req);
+            for (q, r) in queries.iter().zip(&results) {
+                assert_eq!(*r, LookupStatus::Rank(keys.partition_point(|&k| k <= *q) as u32));
+            }
+        }
+        other => panic!("expected Reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
+    CLIENT_SIDE.with(|c| c.set(true));
+    let net = ChanNet::new(Clock::system());
+    let acceptor = net.listen("srv");
+    let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
+    let cfg = NetServerConfig::new(ServeConfig::new(2), Topology::single(vec!["srv".into()]), 0);
+    let server = NetServer::start(Box::new(acceptor), &keys, cfg);
+    let mut c = net.dialer().dial("srv").unwrap();
+
+    // Warmup: the reader's scratch, the channel rings.
+    for req in 1..=300 {
+        round_trip(&mut c, &keys, req);
+    }
+
+    const FRAMES: u64 = 200;
+    let before = ALLOCS.load(Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    for req in 301..=300 + FRAMES {
+        round_trip(&mut c, &keys, req);
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+
+    // Every frame was ranked by the reader: one batch per shard it
+    // touched, and nothing ever reached a dispatcher's queue.
+    let stats = server.server().stats();
+    assert_eq!(stats.served, (300 + FRAMES) * u64::from(FRAME_KEYS));
+    assert!(stats.batches <= 2 * (300 + FRAMES), "a frame is one batch per shard");
+    assert_eq!(
+        allocs, FRAMES,
+        "{allocs} server-side allocations across {FRAMES} warmed quiet Lookup frames: the \
+         budget is one per frame — ChanNet cloning the Reply's result vector onto the wire"
+    );
+    drop(c);
+    server.shutdown();
+}

@@ -12,10 +12,21 @@
 //! router and the failover path live on:
 //!
 //! * a **depth gauge** — requests admitted to this replica and not yet
-//!   answered (or handed off). Incremented at admission, decremented by
-//!   the dispatcher after replying; this is the live load signal
+//!   answered (or handed off). Incremented *before* the request is sent
+//!   (and given back when the send fails), decremented by whoever
+//!   answers it after replying, so it reads > 0 whenever a request is
+//!   queued or in service; this is the live load signal
 //!   power-of-two-choices routing samples
-//!   ([`ReplicaSelector`](crate::ReplicaSelector)).
+//!   ([`ReplicaSelector`](crate::ReplicaSelector)). And because "idle"
+//!   is exactly "depth 0", the gauge is also **the claim**: a caller
+//!   that takes it 0 → n ([`claim`](AdmissionQueue::claim)) found
+//!   nothing queued and nothing in service, holds the replica until its
+//!   [`complete`](AdmissionQueue::complete), and ranks its own keys on
+//!   its own thread instead of waking the dispatcher. A caller that
+//!   finds depth > 0 queues as ever. At most one claimant holds a
+//!   replica at a time, and its parked dispatcher is woken only by a
+//!   request that lost a claim — which it may then serve while the
+//!   winner is still ranking: the two share nothing that is not atomic.
 //! * an **alive flag** — cleared by the dispatcher when its fault plan
 //!   crashes it, so routers stop picking the replica and its siblings
 //!   know not to re-route back into it. A shard is only `ShuttingDown`
@@ -36,17 +47,22 @@ pub struct AdmissionQueue {
     /// Blocking admission waits in this clock's time (a full queue under
     /// a sim clock parks in the scheduler instead of wedging the run).
     clock: Clock,
-    // ordering: relaxed-ok: the three gauges below are advisory load and
-    // accounting signals; the channel send/recv orders the request
-    // handoff itself, so gauge readers need atomicity, never
-    // synchronization.
+    // ordering: relaxed-ok: `admitted` and `shed` are accounting, and a
+    // *reader* of `depth` (the p2c probe, the gauge) wants atomicity, never
+    // synchronization; the channel send/recv orders the request handoff
+    // itself. The one pairing on `depth` is the claim: `claim` is an
+    // Acquire RMW and `complete` a Release RMW — every other write is an
+    // RMW too, so the release sequence is never broken — which orders
+    // successive claimants, who share the replica's claim-side trace ring.
     admitted: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
     /// Requests admitted and not yet answered or handed off — the live
-    /// load signal replica routing samples.
+    /// load signal replica routing samples, and the claim.
     depth: Arc<AtomicU64>,
     /// Cleared when this replica's dispatcher crashes.
     alive: Arc<AtomicBool>,
+    /// Whether a [`claim`](Self::claim) may ever succeed.
+    claimable: bool,
 }
 
 impl AdmissionQueue {
@@ -62,34 +78,77 @@ impl AdmissionQueue {
             shed: Arc::new(AtomicU64::new(0)),
             depth: Arc::new(AtomicU64::new(0)),
             alive: Arc::new(AtomicBool::new(true)),
+            claimable: true,
         }
+    }
+
+    /// This replica's requests always go through its dispatcher:
+    /// [`claim`](Self::claim) never succeeds. For a replica with a
+    /// scripted fault plan — stragglers and crashes are dispatcher
+    /// faults, so its traffic must reach the dispatcher to meet them.
+    pub fn dispatcher_only(mut self) -> Self {
+        self.claimable = false;
+        self
+    }
+
+    /// Claim the replica for `n` requests if it is idle: `true` means
+    /// the depth gauge went 0 → `n` — nothing was queued, nothing in
+    /// service — and the caller now holds the replica: its `n` requests
+    /// count as admitted (they never enter the channel, so no send will
+    /// count them), it answers them itself, and it releases with
+    /// [`complete(n)`](Self::complete). `false` (busy, or
+    /// [`dispatcher_only`](Self::dispatcher_only)) changes nothing: the
+    /// requests go down the queue like any others.
+    #[inline]
+    pub fn claim(&self, n: usize) -> bool {
+        // Acquire on success: pairs with the Release in `complete`,
+        // ordering this claimant after whatever the last holder did.
+        let claimed = self.claimable
+            && self
+                .depth
+                .compare_exchange(0, n as u64, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok();
+        if claimed {
+            self.admitted.fetch_add(n as u64, Ordering::Relaxed);
+        }
+        claimed
     }
 
     /// Admit without blocking; a full queue sheds the request.
     pub fn try_submit(&self, req: Request) -> Result<(), ServeError> {
+        // Depth first: the dispatcher may answer (and `complete`) the
+        // request the instant it is sent, and the gauge must already
+        // hold it — counted late, it would dip below zero and wrap.
+        self.depth.fetch_add(1, Ordering::Relaxed);
         match self.tx.try_send(req) {
             Ok(()) => {
                 self.admitted.fetch_add(1, Ordering::Relaxed);
-                self.depth.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err(TrySendError::Full(_)) => {
+                self.complete(1);
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 Err(ServeError::Overloaded { shard: self.shard })
             }
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
+            Err(TrySendError::Disconnected(_)) => {
+                self.complete(1);
+                Err(ServeError::ShuttingDown)
+            }
         }
     }
 
     /// Admit, blocking while the queue is full (closed-loop callers).
     pub fn submit(&self, req: Request) -> Result<(), ServeError> {
+        self.depth.fetch_add(1, Ordering::Relaxed);
         match self.clock.send(&self.tx, req) {
             Ok(()) => {
                 self.admitted.fetch_add(1, Ordering::Relaxed);
-                self.depth.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
-            Err(_) => Err(ServeError::ShuttingDown),
+            Err(_) => {
+                self.complete(1);
+                Err(ServeError::ShuttingDown)
+            }
         }
     }
 
@@ -103,31 +162,27 @@ impl AdmissionQueue {
     /// `AdmissionQueue`s, and a dead endpoint re-homes its backlog
     /// through its replica endpoints exactly like a crashed replica.
     pub fn resubmit(&self, req: Request, blocking: bool) -> Result<(), Request> {
-        if blocking {
-            match self.clock.send(&self.tx, req) {
-                Ok(()) => {
-                    self.depth.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }
-                Err(e) => Err(e.0),
-            }
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        let sent = if blocking {
+            self.clock.send(&self.tx, req).map_err(|e| e.0)
         } else {
-            match self.tx.try_send(req) {
-                Ok(()) => {
-                    self.depth.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }
-                Err(TrySendError::Full(req)) | Err(TrySendError::Disconnected(req)) => Err(req),
-            }
+            self.tx.try_send(req).map_err(|e| match e {
+                TrySendError::Full(req) | TrySendError::Disconnected(req) => req,
+            })
+        };
+        if sent.is_err() {
+            self.complete(1);
         }
+        sent
     }
 
-    /// The dispatcher answered (or re-routed, or dropped) `n` admitted
-    /// requests: release them from the depth gauge. (Public for
-    /// transport layers that drain the queue themselves — see
-    /// [`resubmit`](Self::resubmit).)
+    /// `n` admitted requests were answered (or re-routed, or dropped) —
+    /// by the dispatcher, or by the claimant that held the replica:
+    /// release them from the depth gauge. (Public for transport layers
+    /// that drain the queue themselves — see [`resubmit`](Self::resubmit).)
     pub fn complete(&self, n: usize) {
-        self.depth.fetch_sub(n as u64, Ordering::Relaxed);
+        // Release: the claim's other half (see `claim`).
+        self.depth.fetch_sub(n as u64, Ordering::Release);
     }
 
     /// Live queue depth: admitted requests not yet answered.
@@ -241,6 +296,30 @@ mod tests {
         q2.try_submit(req(1)).unwrap();
         let _ = q2.try_submit(req(2));
         assert_eq!(q2.depth(), 1);
+    }
+
+    #[test]
+    fn claim_takes_only_an_idle_replica() {
+        let (tx, rx) = bounded(8);
+        let q = AdmissionQueue::new(0, 0, tx, Clock::system());
+        assert!(q.claim(3), "idle: the gauge goes 0 → 3");
+        assert_eq!(q.depth(), 3);
+        assert!(!q.claim(1), "held: a second claimant loses and pays nothing");
+        assert_eq!(q.depth(), 3);
+        q.complete(3);
+        assert_eq!((q.admitted(), q.depth()), (3, 0));
+        // A queued request keeps the replica busy until it is answered.
+        q.try_submit(req(1)).unwrap();
+        assert!(!q.claim(1));
+        drop(rx.recv().unwrap());
+        q.complete(1);
+        assert!(q.claim(1));
+        q.complete(1);
+        // A scripted replica is never claimed, idle or not.
+        let (tx, _rx) = bounded(1);
+        let q = AdmissionQueue::new(0, 0, tx, Clock::system()).dispatcher_only();
+        assert!(!q.claim(1));
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]

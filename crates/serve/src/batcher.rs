@@ -9,7 +9,9 @@
 //! opens a batch, everything that queued while the previous batch was in
 //! service joins it (up to `max_batch`), and the batch departs at once.
 //! Under load the queue is never empty and batches fill by themselves;
-//! a lone query on an idle dispatcher is dispatched the moment it
+//! a lone query on an idle replica never gets here — its caller ranks
+//! it (see [`server`](crate::server)) — so what a dispatcher sees is
+//! contention, and the first request it receives departs the moment it
 //! arrives. The dispatcher then ranks the whole batch in place against
 //! one pinned snapshot
 //! ([`ShardSnapshot::rank_batch`](crate::ShardSnapshot::rank_batch)).

@@ -192,6 +192,22 @@ impl Clock {
         }
     }
 
+    /// A scheduling point that costs no time: nothing on the system
+    /// clock (no syscall, no spin), and under a sim clock a hand-off to
+    /// any other registered thread that is due at this very instant —
+    /// and only then, so a thread alone at its instant passes through
+    /// without a scheduler event. A caller that holds a replica's claim
+    /// passes through here, which is what lets the deterministic
+    /// scheduler put a second caller *inside* the claim window: on
+    /// virtual time the window is otherwise zero-length and nothing could
+    /// ever overlap it.
+    #[inline]
+    pub fn yield_now(&self) {
+        if let Inner::Sim(c) = &self.0 {
+            c.yield_now();
+        }
+    }
+
     /// Spawn a named thread. Under a sim clock the child is registered
     /// with the scheduler (slot assigned here, in program order, so
     /// spawn order — and therefore the whole schedule — is
@@ -328,6 +344,17 @@ impl SimState {
     fn next_pollable(&self, from: usize) -> Option<usize> {
         (from..self.threads.len())
             .find(|&i| matches!(self.threads[i], Slot::Starting | Slot::Blocked { .. }))
+    }
+
+    /// Would a round wake slot `i` right now, whatever it waits on? (A
+    /// thread parked on an event may be runnable too; only its own
+    /// `attempt` can tell.)
+    fn due(&self, i: usize) -> bool {
+        match self.threads[i] {
+            Slot::Starting => true,
+            Slot::Blocked { deadline } => deadline.is_some_and(|d| d <= self.now),
+            Slot::Running | Slot::Exited => false,
+        }
     }
 
     fn earliest_deadline(&self) -> Option<Nanos> {
@@ -485,6 +512,34 @@ impl SimClock {
     /// visible to the scheduler, so virtual time keeps flowing.
     pub fn wait_until<T>(&self, mut ready: impl FnMut() -> Option<T>) -> T {
         self.block(None, |_| ready()).expect("untimed block always resolves")
+    }
+
+    /// See [`Clock::yield_now`]. Threads with a lower slot id are polled
+    /// before this one when the round starts; for the ones after it, this
+    /// thread declines its first poll so the cursor reaches them. Every
+    /// thread it defers to is due by its deadline, so one of them is
+    /// certain to wake and the round cannot end (and advance time, or
+    /// declare deadlock) with this thread still parked and ready.
+    fn yield_now(&self) {
+        let id = SIM_ID.with(Cell::get);
+        if id == NOT_REGISTERED {
+            return;
+        }
+        {
+            let st = self.lock();
+            if !(0..st.threads.len()).any(|i| i != id && st.due(i)) {
+                return;
+            }
+        }
+        let mut polls = 0u32;
+        self.block(None, |st| {
+            polls += 1;
+            // Poll 1 is `block`'s in-line attempt (still running), poll 2
+            // the first time the cursor reaches this thread.
+            let defer = polls == 1 || (polls == 2 && (id + 1..st.threads.len()).any(|i| st.due(i)));
+            (!defer).then_some(())
+        })
+        .expect("untimed block always resolves");
     }
 
     fn recv_blocking<T>(

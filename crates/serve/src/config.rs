@@ -16,10 +16,11 @@ use std::time::Duration;
 /// (throughput ↑) at the price of queueing delay (response time ↑) — but
 /// a server does not have to pick a point on that curve with a clock:
 /// by default a batch is whatever queued while the previous batch was in
-/// service (group commit), so batches grow with load and a lone query is
-/// dispatched the moment it arrives. `max_batch` caps a batch;
-/// `max_delay`, zero by default, makes a partial batch wait for
-/// co-travellers.
+/// service (group commit), so batches grow with load, and a query that
+/// finds its replica idle is not dispatched at all: the calling thread
+/// ranks it (see [`server`](crate::server)). `max_batch` caps a batch;
+/// `max_delay`, zero by default, makes a partial batch a dispatcher has
+/// opened wait for co-travellers.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of shards; each shard is one contiguous key range — the
@@ -50,7 +51,9 @@ pub struct ServeConfig {
     /// in service, dispatched at once — no request ever waits on a
     /// timer. A nonzero delay trades response time for batch size under
     /// sparse traffic, and is what the simulation tests use to place
-    /// requests in one batch deliberately.
+    /// requests in one batch deliberately. It governs batches a
+    /// dispatcher collects; a request that finds its replica idle never
+    /// reaches one (the caller ranks it) and waits on nothing.
     pub max_delay: Duration,
     /// Bound of each shard's admission queue; a full queue sheds
     /// (`try_lookup` fails fast) rather than growing without limit.

@@ -162,6 +162,12 @@ pub(crate) struct ReplicaFaults {
 }
 
 impl ReplicaFaults {
+    /// True when nothing is scripted for this replica — the condition
+    /// under which a caller may rank in its dispatcher's place.
+    pub(crate) fn is_noop(&self) -> bool {
+        self.jitter.is_none() && self.slow_ns == 0 && self.crash_at.is_none()
+    }
+
     /// Has this replica's crash point passed? Reads the clock only when
     /// a crash is actually scheduled, so the (universal) fault-free path
     /// pays one branch, not a timestamp.

@@ -11,7 +11,10 @@
 //! serving system needs. The paper's design appears here exactly once:
 //! the router is the master, a shard is a partition, and the shard's
 //! dispatcher is the slave that answers a batch over its sorted piece
-//! (with [`LineDirectory`](dini_index::LineDirectory)'s batch kernel).
+//! (with [`LineDirectory`](dini_index::LineDirectory)'s batch kernel) —
+//! and, the paper's own economics applied to a batch of one, a caller
+//! that finds the replica idle ranks its key itself rather than pay a
+//! hand-off worth a hundred ranks (see [`server`]).
 //!
 //! * [`router`] — the u32 key space is **range-sharded** across
 //!   `n_shards` shards; routing is a binary search over a delimiter
@@ -33,11 +36,14 @@
 //!   open for co-travellers.
 //! * [`admission`] — bounded per-shard queues **shed on full**, so
 //!   overload surfaces as cheap explicit rejection (and a counter)
-//!   instead of unbounded queueing delay.
+//!   instead of unbounded queueing delay. Each queue's depth gauge is
+//!   the router's load signal and, read as "idle", the **claim** that
+//!   decides who ranks: the caller, or the dispatcher.
 //! * [`oneshot`] — **pooled reply slots**: a slab of reusable
 //!   generation-tagged reply cells replaces the per-lookup reply
-//!   channel, making the steady-state lookup path allocation-free
-//!   end to end (slots and batch scratch all recycle).
+//!   channel, making the queued lookup path allocation-free end to end
+//!   (slots and batch scratch all recycle; a lookup its caller ranks
+//!   needs neither).
 //! * [`snapshot`] + the writer in [`server`] — **online updates**: one
 //!   writer folds churn through
 //!   [`DeltaArray`](dini_index::DeltaArray)s and publishes each shard's
@@ -51,11 +57,12 @@
 //! * [`stats`] — p50/p99/p999 latency and batch-shape accounting on
 //!   [`LogHistogram`](dini_cluster::LogHistogram)s, held live in
 //!   lock-free `dini-obs` atomics ([`ReplicaMetrics`]) registered in a
-//!   [`MetricsRegistry`](dini_obs::MetricsRegistry) — dispatchers never
-//!   take a stats lock; snapshots merge per replica on demand. Each
-//!   replica also carries a seeded-sampling **stage-trace ring**
-//!   ([`TraceConfig`]): admitted → collected → dispatched → answered →
-//!   filled timestamps per sampled request, readable via
+//!   [`MetricsRegistry`](dini_obs::MetricsRegistry) — nobody takes a
+//!   stats lock; snapshots merge per replica on demand. Each replica
+//!   also carries seeded-sampling **stage-trace rings**
+//!   ([`TraceConfig`]; one its dispatcher writes, one its claimants do):
+//!   admitted → collected → dispatched → answered → filled timestamps
+//!   per sampled request, readable via
 //!   [`IndexServer::stage_traces`](server::IndexServer::stage_traces).
 //! * [`loadgen`] — closed- and open-loop load generators (uniform/Zipf
 //!   keys via `dini-workload`, Poisson arrivals) for exercising all of
@@ -117,7 +124,7 @@ pub use faults::ServeFaultPlan;
 pub use loadgen::{run_load, LoadMode, LoadReport};
 pub use oneshot::SlotPool;
 pub use router::{ReplicaSelector, ShardRouter};
-pub use server::{IndexServer, PendingLookup, ServerHandle, UpdateHandle};
+pub use server::{IndexServer, LookupScratch, PendingLookup, ServerHandle, UpdateHandle};
 pub use snapshot::{EpochCell, ShardSnapshot};
 pub use stats::{ReplicaMetrics, ServeStats, ShardStats};
 

@@ -5,11 +5,14 @@
 //! `n·R` dispatchers and one writer, nothing else:
 //!
 //! ```text
-//!  callers ──route(key) → p2c(depth)──► [admission queue s·r] ─► dispatcher s·r ─► replies
-//!    │                                        (bounded,            (coalesces a batch, pins the
-//!    │                                         shed-on-full)        shard's snapshot, ranks it)
-//!    │                                                                      ▲ load()
-//!    └──update(Op)──► writer ──DeltaArray per shard──► EpochCell s ─────────┘
+//!                                    ┌─ depth 0 → n: claimed ─► the caller pins the shard's snapshot,
+//!                                    │                          ranks its own key(s), returns
+//!  callers ──route(key) → p2c(depth)─┤                                          │ load()
+//!    │                               └─ depth > 0 ─► [admission queue s·r] ─► dispatcher s·r ─► replies
+//!    │                                                  (bounded,            (coalesces a batch, pins
+//!    │                                                   shed-on-full)        the snapshot, ranks it)
+//!    │                                                                              ▲ load()
+//!    └──update(Op)──► writer ──DeltaArray per shard──► EpochCell s ─────────────────┘
 //!                                                      (main array + overlay + base rank,
 //!                                                       one publish, shared by replicas)
 //! ```
@@ -21,6 +24,28 @@
 //!   in place, on its own thread. Parallelism inside a key range is
 //!   expressed the one way there is: more shards (size `n_shards` so a
 //!   shard's keys fit a core's L2).
+//! * **The thread that has the keys ranks them, when it can**: the paper
+//!   ships a key to another node because the search it buys there is
+//!   cheaper than the hop, and a batch of one buys nothing — waking a
+//!   parked dispatcher costs a hundred times the rank it then performs.
+//!   "Idle" is read off the gauge the router already trusts: the chosen
+//!   replica's depth. A caller that takes it 0 → n
+//!   ([`AdmissionQueue::claim`]) found nothing queued and nothing in
+//!   service; it pins the shard's snapshot, ranks on its own thread,
+//!   folds the same accounting the dispatcher would have (served,
+//!   admitted, batch size, heat, stage records with a wait of exactly
+//!   zero), releases the claim and returns a resolved
+//!   [`PendingLookup`] — no slot, no channel, no wake. A caller that
+//!   finds depth > 0 queues as ever, which is where batches keep forming
+//!   by themselves under concurrent load: the dispatcher keeps exactly
+//!   the regime the paper argues for. No threshold, option or spin
+//!   decides between the two. A slice of keys
+//!   ([`ServerHandle::lookup_many`], a wire frame) is admitted shard by
+//!   shard as a unit, so an idle replica's share of it is *one* batch
+//!   through the kernel's lockstep groups. `max_delay`, when set, holds
+//!   open only batches a dispatcher collects. A replica with any fault
+//!   scripted is never claimed: stragglers and crashes are dispatcher
+//!   faults.
 //! * **Replica groups**: each keyspace shard is served by
 //!   `replicas_per_shard` replicated dispatchers. Replicas share one
 //!   [`EpochCell`] — the shard's whole read state (main array behind
@@ -38,7 +63,12 @@
 //! * **Dispatchers** (one per replica) hold no index state between
 //!   batches: each batch is answered from one [`EpochCell::load`] taken
 //!   at service time, so the `(main, overlay)` pair it sees is
-//!   consistent by construction; see [`crate::snapshot`].
+//!   consistent by construction; see [`crate::snapshot`]. The same
+//!   holds for a claimant, which is why it can stand in: a shard's read
+//!   state is one immutable value any thread may pin. A dispatcher is
+//!   woken only by a request that lost a claim, and may serve it while
+//!   the winner is still ranking — the two share the replica's atomics
+//!   and nothing else (each writes its own stage-trace ring).
 //! * **The writer** (single thread) owns every shard's
 //!   [`DeltaArray`], folds churn through it,
 //!   publishes snapshots every `publish_every` ops (once per shard — the
@@ -162,9 +192,12 @@ pub struct IndexServer {
     /// `queues[shard][replica]`.
     queues: Vec<Vec<AdmissionQueue>>,
     pools: Vec<SlotPool>,
+    /// `cells[shard]`, shared with the writer, the shard's dispatchers
+    /// and every handle.
+    cells: Vec<Arc<EpochCell>>,
     /// Replica-major: `shard * replicas_per_shard + replica`. Live
-    /// lock-free accumulators (the dispatchers write them in place);
-    /// [`stats`](Self::stats) folds them at read time.
+    /// lock-free accumulators (whoever answers a batch writes them in
+    /// place); [`stats`](Self::stats) folds them at read time.
     replica_metrics: Vec<Arc<ReplicaMetrics>>,
     /// Every instrument above plus queue/writer gauges, behind named
     /// handles — what [`metrics_snapshot`](Self::metrics_snapshot)
@@ -185,12 +218,14 @@ pub struct IndexServer {
 
 /// A cheap, cloneable caller-side handle: routes lookups to the shard
 /// owning the key, then to a live replica by power-of-two-choices on
-/// queue depth.
+/// queue depth — and, when that replica is idle, ranks them right here
+/// on the calling thread against the shard's pinned snapshot.
 ///
-/// Handles share one [`SlotPool`] of reusable reply cells *per shard*,
-/// so a warmed-up lookup allocates nothing (the cell cycles take →
-/// submit → reply → reap → return for the server's whole lifetime) and
-/// slab traffic serializes only within a shard, never across the server.
+/// For lookups that queue, handles share one [`SlotPool`] of reusable
+/// reply cells *per shard*, so a warmed-up lookup allocates nothing on
+/// either path (the cell cycles take → submit → reply → reap → return
+/// for the server's whole lifetime) and slab traffic serializes only
+/// within a shard, never across the server.
 /// Each clone carries its own routing tick, so clones never contend on
 /// a shared counter (a fresh clone restarts its candidate rotation —
 /// load awareness, not the rotation phase, is what balances replicas).
@@ -199,6 +234,12 @@ pub struct ServerHandle {
     selector: ReplicaSelector,
     queues: Vec<Vec<AdmissionQueue>>,
     pools: Vec<SlotPool>,
+    /// `cells[shard]`: the shard's read state, which any thread may pin —
+    /// what lets a caller that claimed an idle replica rank its own keys.
+    cells: Vec<Arc<EpochCell>>,
+    /// Replica-major, as in [`IndexServer`]: a claimant folds its batch
+    /// into the replica's accounting exactly as the dispatcher would.
+    replica_metrics: Vec<Arc<ReplicaMetrics>>,
     heat: Option<Arc<HeatMap>>,
     clock: Clock,
     /// Per-clone power-of-two-choices rotation tick.
@@ -212,6 +253,8 @@ impl Clone for ServerHandle {
             selector: self.selector,
             queues: self.queues.clone(),
             pools: self.pools.clone(),
+            cells: self.cells.clone(),
+            replica_metrics: self.replica_metrics.clone(),
             heat: self.heat.clone(),
             clock: self.clock.clone(),
             tick: AtomicU64::new(0),
@@ -307,6 +350,7 @@ impl IndexServer {
 
         let n_replicas = cfg.replicas_per_shard;
         let mut queues = Vec::with_capacity(cfg.n_shards);
+        let mut cells = Vec::with_capacity(cfg.n_shards);
         let mut replica_metrics = Vec::with_capacity(cfg.n_shards * n_replicas);
         let mut dispatchers = Vec::with_capacity(cfg.n_shards * n_replicas);
         let mut shards = Vec::with_capacity(cfg.n_shards);
@@ -347,13 +391,17 @@ impl IndexServer {
             // dispatcher spawns: a crashing replica re-routes through
             // its siblings' queues.
             let mut group = Vec::with_capacity(n_replicas);
-            let mut req_rxs = Vec::with_capacity(n_replicas);
-            for _ in 0..n_replicas {
+            let mut wiring = Vec::with_capacity(n_replicas);
+            for r in 0..n_replicas {
                 let (req_tx, req_rx) = bounded::<Request>(cfg.queue_capacity);
-                group.push(AdmissionQueue::new(s, group.len(), req_tx, cfg.clock.clone()));
-                req_rxs.push(req_rx);
+                let q = AdmissionQueue::new(s, r, req_tx, cfg.clock.clone());
+                // Stragglers and crashes are dispatcher faults: a replica
+                // scripted to have any never lets a caller rank in its place.
+                let faults = cfg.faults.for_replica(s, r);
+                group.push(if faults.is_noop() { q } else { q.dispatcher_only() });
+                wiring.push((req_rx, faults));
             }
-            for (r, req_rx) in req_rxs.into_iter().enumerate() {
+            for (r, (req_rx, faults)) in wiring.into_iter().enumerate() {
                 let stats = Arc::new(ReplicaMetrics::new(&metrics, s, r, &cfg.trace));
                 // Queue gauges poll the admission atomics at snapshot
                 // time — live depth is already load-bearing state (the
@@ -377,11 +425,12 @@ impl IndexServer {
                     max_batch: cfg.max_batch,
                     max_delay: cfg.max_delay,
                     clock: cfg.clock.clone(),
-                    faults: cfg.faults.for_replica(s, r),
+                    faults,
                 }));
                 replica_metrics.push(stats);
             }
             queues.push(group);
+            cells.push(cell);
         }
 
         let (writer_tx, writer_rx) = bounded::<WriterMsg>(4096);
@@ -425,6 +474,7 @@ impl IndexServer {
             selector,
             queues,
             pools,
+            cells,
             replica_metrics,
             metrics,
             counters,
@@ -444,6 +494,8 @@ impl IndexServer {
             selector: self.selector,
             queues: self.queues.clone(),
             pools: self.pools.clone(),
+            cells: self.cells.clone(),
+            replica_metrics: self.replica_metrics.clone(),
             heat: self.heat.clone(),
             clock: self.clock.clone(),
             tick: AtomicU64::new(0),
@@ -620,7 +672,11 @@ impl Drop for IndexServer {
         // admission senders (a plain channel-disconnect protocol would
         // block this join on them).
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queues.clear();
+        // No replica is alive any more: a handle that outlives the server
+        // must not rank on its own against a state nobody publishes to.
+        for q in self.queues.drain(..).flatten() {
+            q.mark_dead();
+        }
         for d in self.dispatchers.drain(..) {
             let _ = d.join();
         }
@@ -633,24 +689,51 @@ impl Drop for IndexServer {
 /// submit time, so the caller's arrival schedule never stretches on slow
 /// replies.
 ///
-/// Backed by a pooled oneshot slot rather than a per-lookup channel:
-/// dropping the `PendingLookup` (after reaping, or abandoning the
-/// lookup) returns the reply cell to the server's slab for reuse.
+/// A lookup that found its replica idle was ranked by the submitting
+/// thread and is born resolved. One that was queued is backed by a
+/// pooled oneshot slot rather than a per-lookup channel: dropping the
+/// `PendingLookup` (after reaping, or abandoning the lookup) returns the
+/// reply cell to the server's slab for reuse.
 #[derive(Debug)]
-pub struct PendingLookup {
-    slot: ReplySlot,
+pub struct PendingLookup(Pending);
+
+#[derive(Debug)]
+enum Pending {
+    Ready(Result<u32, ServeError>),
+    Queued(ReplySlot),
 }
 
 impl PendingLookup {
+    fn ready(reply: Result<u32, ServeError>) -> Self {
+        Self(Pending::Ready(reply))
+    }
+
     /// Block for the rank.
     pub fn wait(self) -> Result<u32, ServeError> {
-        self.slot.wait()
+        match self.0 {
+            Pending::Ready(reply) => reply,
+            Pending::Queued(slot) => slot.wait(),
+        }
     }
 
     /// The rank if it has arrived, `None` if still in flight.
     pub fn poll(&self) -> Option<Result<u32, ServeError>> {
-        self.slot.poll()
+        match &self.0 {
+            Pending::Ready(reply) => Some(*reply),
+            Pending::Queued(slot) => slot.poll(),
+        }
     }
+}
+
+/// Reusable scratch for [`ServerHandle::begin_lookup_many`]: per-key
+/// shard assignments and one shard's keys, positions and ranks. Keep one
+/// per submitting thread and a warmed call allocates nothing.
+#[derive(Debug, Default)]
+pub struct LookupScratch {
+    shards: Vec<usize>,
+    keys: Vec<u32>,
+    positions: Vec<usize>,
+    ranks: Vec<u32>,
 }
 
 /// A cloneable churn-feeding handle: routes [`Op`]s to the writer from
@@ -692,28 +775,78 @@ impl UpdateHandle {
 }
 
 impl ServerHandle {
-    fn enqueue(&self, key: u32, blocking: bool, trace: u64) -> Result<PendingLookup, ServeError> {
-        let shard = self.router.route(key);
-        // Heat is counted at admission — shed requests were still
-        // demand on this key range, which is what a split/cache
-        // decision wants to see.
-        if let Some(h) = &self.heat {
-            h.record(shard, key);
-        }
+    /// Pick a live replica of `shard`: power-of-two choices on live
+    /// queue depth, skipping crashed replicas. `None` means the whole
+    /// group is gone — the shard is shutting down, and saying so here
+    /// beats queueing into a channel nobody drains.
+    fn select(&self, shard: usize) -> Option<usize> {
         let group = &self.queues[shard];
-        // Load-aware replica choice: power-of-two choices on live queue
-        // depth, skipping crashed replicas. `None` means the whole
-        // group is gone — the shard is shutting down, and saying so
-        // here beats queueing into a channel nobody drains.
         // ordering: relaxed-ok: per-clone rotation phase; only atomicity
         // matters, and clones never share the counter.
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let Some(replica) = self.selector.select(tick, |r| group[r].probe()) else {
-            return Err(ServeError::ShuttingDown);
-        };
+        self.selector.select(tick, |r| group[r].probe())
+    }
+
+    /// Answer `n` requests on the caller's own thread, under the claim
+    /// the caller holds on `replica` of `shard`: pin the snapshot, run
+    /// `rank` against it, fold the batch into the replica's accounting
+    /// just as its dispatcher would, release the claim. Admission,
+    /// collection and dispatch are one instant, so the recorded wait is
+    /// exactly zero.
+    fn serve_claimed<T>(
+        &self,
+        shard: usize,
+        replica: usize,
+        n: usize,
+        trace: u64,
+        rank: impl FnOnce(&ShardSnapshot) -> T,
+    ) -> T {
+        let q = &self.queues[shard][replica];
+        let stats = &self.replica_metrics[shard * self.selector.n_replicas() + replica];
+        let admitted = self.clock.now();
+        self.clock.yield_now();
+        let answer = rank(&self.cells[shard].load());
+        let done = self.clock.now();
+        stats.record_batch((0..n).map(|_| done.saturating_sub(admitted)));
+        // Same sampling rule as the dispatcher: the seeded counter
+        // advances once per request, and a request carrying a trace id
+        // is always recorded.
+        let sampler = stats.trace();
+        for _ in 0..n {
+            if sampler.sample() || trace != 0 {
+                stats.claim_trace().push(&StageRecord {
+                    shard: shard as u16,
+                    replica: replica as u16,
+                    batch_len: n as u32,
+                    trace,
+                    admitted_ns: admitted,
+                    collected_ns: admitted,
+                    dispatched_ns: admitted,
+                    answered_ns: done,
+                    filled_ns: done,
+                    encoded_ns: 0,
+                    acked_ns: 0,
+                });
+            }
+        }
+        // Last: the claim is what makes this thread the claim ring's
+        // only writer.
+        q.complete(n);
+        answer
+    }
+
+    /// Queue one request for `replica`'s dispatcher.
+    fn queue(
+        &self,
+        shard: usize,
+        replica: usize,
+        key: u32,
+        blocking: bool,
+        trace: u64,
+    ) -> Result<PendingLookup, ServeError> {
         let (slot, handle) = self.pools[shard].take();
         let req = Request { key, enqueued: self.clock.now(), trace, reply: handle };
-        let q = &group[replica];
+        let q = &self.queues[shard][replica];
         if blocking {
             q.submit(req)?;
         } else {
@@ -722,7 +855,82 @@ impl ServerHandle {
         // On the error paths above the un-submitted request is dropped
         // inside the admission queue, which drop-fills the cell; `slot`
         // then returns it to the pool on its own drop. No leak, no alloc.
-        Ok(PendingLookup { slot })
+        Ok(PendingLookup(Pending::Queued(slot)))
+    }
+
+    fn enqueue(&self, key: u32, blocking: bool, trace: u64) -> Result<PendingLookup, ServeError> {
+        let shard = self.router.route(key);
+        // Heat is counted at admission — shed requests were still
+        // demand on this key range, which is what a split/cache
+        // decision wants to see.
+        if let Some(h) = &self.heat {
+            h.record(shard, key);
+        }
+        let replica = self.select(shard).ok_or(ServeError::ShuttingDown)?;
+        // Claim before anything else: the caller that takes the depth
+        // gauge 0 → 1 ranks its own key.
+        if self.queues[shard][replica].claim(1) {
+            let rank = self.serve_claimed(shard, replica, 1, trace, |state| state.rank(key));
+            return Ok(PendingLookup::ready(Ok(rank)));
+        }
+        self.queue(shard, replica, key, blocking, trace)
+    }
+
+    /// [`enqueue`](Self::enqueue) for a slice: `out[i]` answers
+    /// `keys[i]`. The keys of one shard travel together — one replica
+    /// choice, one claim, and if it wins one pinned snapshot and one
+    /// [`rank_batch`](ShardSnapshot::rank_batch), counted as one batch.
+    fn enqueue_many(
+        &self,
+        keys: &[u32],
+        blocking: bool,
+        trace: u64,
+        scratch: &mut LookupScratch,
+        out: &mut Vec<PendingLookup>,
+    ) {
+        /// Marks a key whose shard has been handled.
+        const DONE: usize = usize::MAX;
+        out.clear();
+        out.extend(keys.iter().map(|_| PendingLookup::ready(Err(ServeError::ShuttingDown))));
+        scratch.shards.clear();
+        scratch.shards.extend(keys.iter().map(|&k| self.router.route(k)));
+        if let Some(h) = &self.heat {
+            for (&shard, &key) in scratch.shards.iter().zip(keys) {
+                h.record(shard, key);
+            }
+        }
+        for first in 0..keys.len() {
+            let shard = scratch.shards[first];
+            if shard == DONE {
+                continue;
+            }
+            scratch.keys.clear();
+            scratch.positions.clear();
+            for (i, (mark, &key)) in scratch.shards.iter_mut().zip(keys).enumerate().skip(first) {
+                if *mark == shard {
+                    *mark = DONE;
+                    scratch.keys.push(key);
+                    scratch.positions.push(i);
+                }
+            }
+            // A shard with no live replica keeps its `ShuttingDown`s.
+            let Some(replica) = self.select(shard) else { continue };
+            let n = scratch.keys.len();
+            if self.queues[shard][replica].claim(n) {
+                self.serve_claimed(shard, replica, n, trace, |state| {
+                    state.rank_batch(&scratch.keys, &mut scratch.ranks)
+                });
+                for (&i, &rank) in scratch.positions.iter().zip(&scratch.ranks) {
+                    out[i] = PendingLookup::ready(Ok(rank));
+                }
+            } else {
+                for (&i, &key) in scratch.positions.iter().zip(&scratch.keys) {
+                    out[i] = self
+                        .queue(shard, replica, key, blocking, trace)
+                        .unwrap_or_else(|e| PendingLookup::ready(Err(e)));
+                }
+            }
+        }
     }
 
     /// Rank of `key` (number of live index keys ≤ `key`), blocking while
@@ -738,26 +946,41 @@ impl ServerHandle {
     }
 
     /// Submit without waiting: sheds when the chosen replica's queue is
-    /// full, otherwise returns a [`PendingLookup`] to redeem later.
+    /// full, otherwise returns a [`PendingLookup`] to redeem later —
+    /// already resolved if the replica was idle.
     pub fn begin_lookup(&self, key: u32) -> Result<PendingLookup, ServeError> {
         self.enqueue(key, false, 0)
     }
 
     /// [`begin_lookup`](Self::begin_lookup) carrying a causal trace id
-    /// (0 = untraced): the transport layer stamps the id from the
-    /// incoming `Lookup` frame here, so the dispatcher's sampled stage
-    /// records share the originating client's timeline.
+    /// (0 = untraced), so the stage records of whoever answers share the
+    /// originating client's timeline.
     pub fn begin_lookup_traced(&self, key: u32, trace: u64) -> Result<PendingLookup, ServeError> {
         self.enqueue(key, false, trace)
     }
 
+    /// [`begin_lookup_traced`](Self::begin_lookup_traced) for a whole
+    /// slice — what a `Lookup` wire frame is: `out` is cleared and
+    /// `out[i]` answers `keys[i]`, refusals included (an already-resolved
+    /// error). Each shard's keys are admitted as one unit: ranked as one
+    /// batch by this thread when their replica is idle, queued for its
+    /// dispatcher otherwise.
+    pub fn begin_lookup_many(
+        &self,
+        keys: &[u32],
+        trace: u64,
+        scratch: &mut LookupScratch,
+        out: &mut Vec<PendingLookup>,
+    ) {
+        self.enqueue_many(keys, false, trace, scratch, out);
+    }
+
     /// Rank every key, preserving order. Submits everything before
-    /// collecting, so the whole slice coalesces into few batches.
+    /// collecting, so whatever this thread does not rank itself
+    /// coalesces into few batches.
     pub fn lookup_many(&self, keys: &[u32]) -> Result<Vec<u32>, ServeError> {
         let mut replies = Vec::with_capacity(keys.len());
-        for &k in keys {
-            replies.push(self.enqueue(k, true, 0)?);
-        }
+        self.enqueue_many(keys, true, 0, &mut LookupScratch::default(), &mut replies);
         replies.into_iter().map(PendingLookup::wait).collect()
     }
 
@@ -917,7 +1140,6 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
         let mut batch: Vec<Request> = Vec::new();
         let mut keys: Vec<u32> = Vec::new();
         let mut ranks: Vec<u32> = Vec::new();
-        let mut latencies: Vec<f64> = Vec::new();
         // Admission timestamp + trace id of this batch's *sampled*
         // requests — decided before replies go out (a reaped caller may
         // tear the server down), stamped after, so tracing never delays
@@ -989,8 +1211,6 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
 
             let done = clock.now();
             let served = batch.len();
-            latencies.clear();
-            latencies.extend(batch.iter().map(|req| done.saturating_sub(req.enqueued) as f64));
             // Record the batch *before* releasing any reply: the first
             // respond() below wakes its caller, and a caller that has
             // reaped every reply must be able to read fully settled
@@ -998,7 +1218,7 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
             // are Relaxed but sequenced before the reply slot's Release
             // fill, and the caller's reap is an Acquire — so a reaped
             // reply implies visible counters, mutex or no mutex.
-            stats.record_batch(&latencies);
+            stats.record_batch(batch.iter().map(|req| done.saturating_sub(req.enqueued)));
             stats.set_rebuilds(state.main_epoch - main_epoch);
             // Stage tracing: pick the sampled requests now (the seeded
             // counter must advance once per request, served or not),
@@ -1271,13 +1491,14 @@ mod tests {
     fn p2c_spreads_concurrent_backlog_across_replicas() {
         // Submit a burst without reaping: depths grow, so power-of-two
         // choices must alternate replicas instead of piling everything
-        // on one. (A long coalescing delay keeps the burst in-queue
-        // while it is being issued.)
+        // on one. Both replicas are stragglers, which keeps the burst
+        // queued (and in service) while it is being issued — idle
+        // replicas would be ranked on by the caller and never back up.
         let keys: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
         let mut c = ServeConfig::new(1);
         c.replicas_per_shard = 2;
         c.max_batch = 1024;
-        c.max_delay = Duration::from_millis(40);
+        c.faults = ServeFaultPlan::none().slow_shard(0, Duration::from_millis(40));
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
         let pending: Vec<_> =
@@ -1518,7 +1739,12 @@ mod tests {
     #[test]
     fn steady_state_lookups_reuse_pooled_slots() {
         let keys = gen_sorted_unique_keys(5_000, 77);
-        let server = IndexServer::build(&keys, cfg(2));
+        // Slots are the queued path's: a (barely) slow plan sends every
+        // lookup through the dispatchers.
+        let mut c = cfg(2);
+        let extra = Duration::from_micros(20);
+        c.faults = ServeFaultPlan::none().slow_shard(0, extra).slow_shard(1, extra);
+        let server = IndexServer::build(&keys, c);
         let h = server.handle();
         for _ in 0..50 {
             h.lookup(12345).unwrap();
@@ -1532,6 +1758,99 @@ mod tests {
             h.lookup(54321).unwrap();
         }
         assert_eq!(idle(&server), idle_before, "steady state must not grow the slabs");
+    }
+
+    #[test]
+    fn idle_lookups_are_ranked_by_the_caller() {
+        let keys = gen_sorted_unique_keys(5_000, 78);
+        let set: BTreeSet<u32> = keys.iter().copied().collect();
+        let mut c = cfg(2);
+        c.trace = dini_obs::TraceConfig::dense();
+        let server = IndexServer::build(&keys, c);
+        let h = server.handle();
+        for i in 0..200u32 {
+            let q = i.wrapping_mul(2_654_435_761);
+            assert_eq!(h.lookup(q).unwrap(), oracle(&set, q), "query {q}");
+        }
+        // No slot was ever taken, nothing ever queued …
+        assert_eq!(server.pools.iter().map(|p| p.idle()).sum::<usize>(), 0);
+        assert_eq!(server.replica_depths(), vec![0, 0]);
+        // … and the accounting reads as if a dispatcher had served 200
+        // batches of one that never waited.
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.admitted, stats.batches), (200, 200, 200));
+        let traces = server.stage_traces();
+        assert_eq!(traces.len(), 200);
+        assert!(traces
+            .iter()
+            .all(|t| t.wait_ns() == 0 && t.stages_monotonic() && t.batch_len == 1));
+    }
+
+    #[test]
+    fn a_slice_bound_for_idle_replicas_is_one_batch_per_shard() {
+        let keys = gen_sorted_unique_keys(20_000, 79);
+        let set: BTreeSet<u32> = keys.iter().copied().collect();
+        let server = IndexServer::build(&keys, cfg(2));
+        let h = server.handle();
+        let queries: Vec<u32> = (0..256u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let want: Vec<u32> = queries.iter().map(|&q| oracle(&set, q)).collect();
+        assert_eq!(h.lookup_many(&queries).unwrap(), want, "order survives the per-shard grouping");
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.admitted, stats.batches), (256, 256, 2));
+        assert_eq!(stats.mean_batch(), 128.0);
+    }
+
+    #[test]
+    fn both_paths_leave_the_same_accounting() {
+        // The same 300 lone lookups (every third one traced), once ranked
+        // by the caller and once — a replica with any fault scripted
+        // never lets a caller rank for it — by the dispatchers.
+        let keys = gen_sorted_unique_keys(10_000, 80);
+        let run = |faults: ServeFaultPlan, expect_traces: u64| {
+            let mut c = cfg(2);
+            c.heat = true;
+            c.trace = dini_obs::TraceConfig { sample_period: 7, ..Default::default() };
+            c.faults = faults;
+            let server = IndexServer::build(&keys, c);
+            let h = server.handle();
+            for i in 0..300u32 {
+                let trace = if i % 3 == 0 { u64::from(i) + 1 } else { 0 };
+                let q = i.wrapping_mul(747_796_405);
+                h.begin_lookup_traced(q, trace).unwrap().wait().unwrap();
+            }
+            let stats = server.stats();
+            let slots: usize = server.pools.iter().map(|p| p.idle()).sum();
+            // A dispatcher stamps its records after releasing the
+            // replies: give the last batch's a moment to land.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while (server.stage_traces().len() as u64) < expect_traces
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut traces: Vec<(u16, u16, u32, u64)> = server
+                .stage_traces()
+                .iter()
+                .map(|t| (t.shard, t.replica, t.batch_len, t.trace))
+                .collect();
+            traces.sort_unstable();
+            let counts = (stats.served, stats.admitted, stats.batches, stats.shed);
+            let served: Vec<u64> = server.replica_stats().iter().map(|r| r.served).collect();
+            (counts, served, server.heat_snapshot(), traces, slots)
+        };
+        let nudge = Duration::from_nanos(1);
+        let claimed = run(ServeFaultPlan::none(), 0);
+        let queued = run(
+            ServeFaultPlan::none().slow_shard(0, nudge).slow_shard(1, nudge),
+            claimed.3.len() as u64,
+        );
+        assert_eq!(claimed.4, 0, "idle replicas: the callers ranked, no slot was taken");
+        assert!(queued.4 > 0, "scripted replicas: every lookup went through a dispatcher");
+        assert_eq!(claimed.0, queued.0, "served/admitted/batches/shed");
+        assert_eq!(claimed.1, queued.1, "per-replica split");
+        assert_eq!(claimed.2, queued.2, "heat");
+        assert_eq!(claimed.3, queued.3, "stage records: same requests sampled, same shapes");
+        assert!(claimed.3.len() > 100, "every traced request and a seventh of the rest");
     }
 
     #[test]

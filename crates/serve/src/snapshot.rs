@@ -77,10 +77,25 @@ impl ShardSnapshot {
             }
         }
         for (rank, &key) in ranks.iter_mut().zip(keys) {
-            let global = i64::from(self.base_rank) + i64::from(*rank) + self.rank_adjust(key);
-            debug_assert!(global >= 0, "rank underflow for key {key}");
-            *rank = global as u32;
+            *rank = self.globalize(key, *rank);
         }
+    }
+
+    /// Global rank of one `key` routed to this shard:
+    /// [`rank_batch`](Self::rank_batch) for a batch of one, without the
+    /// output vector (one directory walk instead of a lockstep group).
+    pub fn rank(&self, key: u32) -> u32 {
+        let local = self.main.as_ref().map_or(0, |main| main.rank(key, &mut NullMemory).0);
+        self.globalize(key, local)
+    }
+
+    /// Shift `key`'s rank in the main array by the base rank and the
+    /// overlay.
+    #[inline]
+    fn globalize(&self, key: u32, main_rank: u32) -> u32 {
+        let global = i64::from(self.base_rank) + i64::from(main_rank) + self.rank_adjust(key);
+        debug_assert!(global >= 0, "rank underflow for key {key}");
+        global as u32
     }
 
     /// Rank adjustment for `key`: inserts ≤ `key` minus deletes ≤ `key`.
@@ -294,12 +309,15 @@ mod tests {
             ..ShardSnapshot::empty(3, 7)
         };
         let mut ranks = vec![99; 2];
-        snap.rank_batch(&[0, 10, 15, 20, 1000, u32::MAX], &mut ranks);
+        let keys = [0, 10, 15, 20, 1000, u32::MAX];
+        snap.rank_batch(&keys, &mut ranks);
         assert_eq!(ranks, vec![7, 8, 9, 9, 107, 107]);
+        assert_eq!(keys.map(|k| snap.rank(k)), ranks[..], "rank() is a batch of one");
         // An emptied main array: ranks are base + overlay alone.
         let snap = ShardSnapshot { inserts: vec![4, 6], ..ShardSnapshot::empty(4, 7) };
         snap.rank_batch(&[3, 5, 7], &mut ranks);
         assert_eq!(ranks, vec![7, 8, 9]);
+        assert_eq!([3, 5, 7].map(|k| snap.rank(k)), ranks[..]);
     }
 
     #[test]

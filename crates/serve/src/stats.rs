@@ -9,18 +9,21 @@
 //! The live accumulators are [`ReplicaMetrics`]: `dini-obs` atomics
 //! (lock-free histograms, counters, and a stage-trace ring) registered
 //! under named handles in the server's
-//! [`MetricsRegistry`]. Dispatchers record
+//! [`MetricsRegistry`]. Whoever answers a batch — the replica's
+//! dispatcher, or the caller that claimed the idle replica — records
 //! once per *batch* without taking any lock; the mutex-guarded fold
 //! this replaced only materializes now at snapshot time, as the plain
 //! [`ShardStats`] value type.
 
+use crate::clock::Nanos;
 use crate::sync::Arc;
 use dini_cluster::LogHistogram;
 use dini_obs::{AtomicLogHistogram, Counter, MetricsRegistry, StageRecord, TraceConfig, TraceRing};
 
-/// One replica's live, lock-free accounting: `dini-obs` atomics the
-/// dispatcher updates in place (no mutex anywhere on the dispatch
-/// path), plus the replica's stage-trace ring. Handles are registered
+/// One replica's live, lock-free accounting: `dini-obs` atomics that
+/// whoever answers a batch — the dispatcher, or a caller holding the
+/// replica's claim — updates in place (no mutex anywhere on the read
+/// path), plus the replica's stage-trace rings. Handles are registered
 /// in the server's [`MetricsRegistry`] under
 /// `shard="s",replica="r"` labels, so a registry snapshot sees every
 /// replica without touching the dispatchers.
@@ -39,7 +42,13 @@ pub struct ReplicaMetrics {
     batches: Counter,
     rebuilds: Counter,
     rerouted: Counter,
+    /// The dispatcher's ring, and the one sampler both paths consult.
     trace: TraceRing,
+    /// The ring claimants write. A ring has one writer at a time: the
+    /// dispatcher can be mid-batch (serving a request that lost a claim)
+    /// while the claim's winner is still ranking, so the two cannot
+    /// share one; claimants exclude each other through the claim.
+    claim_trace: TraceRing,
 }
 
 impl ReplicaMetrics {
@@ -50,6 +59,7 @@ impl ReplicaMetrics {
     pub fn new(reg: &MetricsRegistry, shard: usize, replica: usize, trace: &TraceConfig) -> Self {
         let labels = format!("shard=\"{shard}\",replica=\"{replica}\"");
         let flat_salt = ((shard as u64) << 16 | replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let trace = TraceConfig { seed: trace.seed ^ flat_salt, ..trace.clone() };
         Self {
             latency_ns: reg.histogram("dini_serve_latency_ns", &labels),
             batch_size: reg.histogram("dini_serve_batch_size", &labels),
@@ -57,18 +67,20 @@ impl ReplicaMetrics {
             batches: reg.counter("dini_serve_batches", &labels),
             rebuilds: reg.counter("dini_serve_rebuilds", &labels),
             rerouted: reg.counter("dini_serve_rerouted", &labels),
-            trace: TraceRing::new(&TraceConfig { seed: trace.seed ^ flat_salt, ..trace.clone() }),
+            trace: TraceRing::new(&trace),
+            claim_trace: TraceRing::new(&trace),
         }
     }
 
-    /// Fold one departed batch in. Lock-free and allocation-free:
-    /// atomic adds only.
-    pub fn record_batch(&self, latencies_ns: &[f64]) {
-        for &ns in latencies_ns {
-            self.latency_ns.record(ns.max(0.0) as u64);
+    /// Fold one departed batch in, one latency per query. Lock-free and
+    /// allocation-free: atomic adds only.
+    pub fn record_batch(&self, latencies_ns: impl ExactSizeIterator<Item = Nanos>) {
+        let n = latencies_ns.len() as u64;
+        for ns in latencies_ns {
+            self.latency_ns.record(ns);
         }
-        self.batch_size.record(latencies_ns.len() as u64);
-        self.served.add(latencies_ns.len() as u64);
+        self.batch_size.record(n);
+        self.served.add(n);
         self.batches.inc();
     }
 
@@ -83,15 +95,29 @@ impl ReplicaMetrics {
         self.rerouted.inc();
     }
 
-    /// This replica's stage-trace ring (the dispatcher is its single
-    /// writer; anyone may snapshot it).
+    /// This replica's stage-trace ring and sampler: the dispatcher is
+    /// the ring's single writer; anyone may snapshot it or offer a
+    /// request to [`sample`](TraceRing::sample).
     pub fn trace(&self) -> &TraceRing {
         &self.trace
     }
 
-    /// Sampled stage records currently retained, oldest first.
+    /// The ring a caller holding this replica's
+    /// [claim](crate::admission::AdmissionQueue::claim) writes its
+    /// stage records to (sampling still goes through
+    /// [`trace`](Self::trace), so which path served a request does not
+    /// change whether it is recorded).
+    pub fn claim_trace(&self) -> &TraceRing {
+        &self.claim_trace
+    }
+
+    /// Sampled stage records currently retained by either ring, oldest
+    /// admission first.
     pub fn stage_records(&self) -> Vec<StageRecord> {
-        self.trace.snapshot()
+        let mut records = self.trace.snapshot();
+        records.extend(self.claim_trace.snapshot());
+        records.sort_by_key(|r| r.admitted_ns);
+        records
     }
 
     /// Materialize the atomics into a plain [`ShardStats`] value — the
@@ -244,7 +270,7 @@ mod tests {
         let m = ReplicaMetrics::new(&reg, 1, 0, &TraceConfig::default());
         let mut plain = ShardStats::default();
         for batch in [&[100.0, 200.0, 300.0][..], &[50.0][..]] {
-            m.record_batch(batch);
+            m.record_batch(batch.iter().map(|&ns| ns as Nanos));
             plain.record_batch(batch);
         }
         m.set_rebuilds(3);

@@ -3,14 +3,19 @@
 //! or raw `thread::sleep` creeping back into a sim-clocked path) fails
 //! here first, with a clear name.
 
+use dini_serve::ServeFaultPlan;
 use dini_simtest::{run_scenario, Report, Scenario};
 use dini_workload::ArrivalProcess;
 use std::collections::HashSet;
 use std::time::Duration;
 
 /// A scenario that exercises every subsystem at once (churn + merges +
-/// publication + mid-run quiesce + multiple clients): the widest surface
-/// a nondeterminism bug could hide in.
+/// publication + mid-run quiesce + multiple clients + both ways a lookup
+/// is answered): the widest surface a nondeterminism bug could hide in.
+/// Shard 0 is a straggler, so its requests queue, coalesce and wait on
+/// its dispatcher — real contention, whose timing follows the seeded
+/// arrivals — while the other shards' lookups are ranked by the clients
+/// themselves, at no virtual cost.
 fn busy_scenario() -> Scenario {
     let mut sc = Scenario::base("determinism-busy");
     sc.churn_ops = 800;
@@ -19,7 +24,10 @@ fn busy_scenario() -> Scenario {
     sc.publish_every = 8;
     sc.quiesce_mid_run = true;
     sc.arrival = ArrivalProcess::poisson_rate(15_000.0);
-    sc.latency_bound = Some(Duration::from_micros(250));
+    let extra = Duration::from_micros(300);
+    sc.faults = ServeFaultPlan::none().slow_shard(0, extra);
+    // Queued behind one slow batch, then riding its own.
+    sc.latency_bound = Some(sc.max_delay + 2 * extra);
     sc
 }
 

@@ -1,7 +1,7 @@
 //! The seeded fault-scenario suite: the real `IndexServer` under nine
-//! hostile (and one clean) schedules plus the two group-commit
-//! scenarios that run the shipped coalescing defaults, on deterministic
-//! virtual time.
+//! hostile (and one clean) schedules plus the two group-commit and the
+//! two fast-path scenarios that run the shipped coalescing defaults, on
+//! deterministic virtual time.
 //!
 //! Every scenario runs across the seed matrix (`DINI_SIMTEST_SEEDS`,
 //! default 3, CI 8) and **twice per seed** via
@@ -11,9 +11,9 @@
 //! seed. Wall-clock cost stays in seconds because idle waits
 //! fast-forward in virtual time.
 
-use dini_serve::{ServeConfig, ServeFaultPlan};
+use dini_serve::{Clock, IndexServer, ServeConfig, ServeFaultPlan, SimClock, TraceConfig};
 use dini_simtest::{run_scenario_reproducibly, seeds_from_env, Scenario};
-use dini_workload::ArrivalProcess;
+use dini_workload::{gen_sorted_unique_keys, ArrivalProcess};
 use std::time::Duration;
 
 /// Clean quiesce: churn + lookups + a mid-run quiesce, no faults. The
@@ -372,5 +372,101 @@ fn overload_to_shed() {
         assert!(report.shed > 0, "seed {seed}: overload must shed");
         assert!(report.ok > 0, "admitted traffic is still served");
         assert_eq!(report.issued, report.ok + report.shed + report.shutdown);
+    }
+}
+
+/// The shipped defaults (dense tracing aside) on `sim`'s virtual time,
+/// for the fast-path scenarios below. They drive a server directly:
+/// what a *single* lookup does to the scheduler is not something the
+/// scenario runner's totals can show.
+fn fast_path_cfg(sim: &std::sync::Arc<SimClock>, shards: usize, seed: u64) -> ServeConfig {
+    let mut cfg = ServeConfig::new(shards);
+    cfg.clock = Clock::sim(sim);
+    cfg.trace = TraceConfig { capacity: 256, sample_period: 1, seed };
+    cfg
+}
+
+/// The idle fast path, seen from the scheduler: a lone request on an
+/// idle replica is ranked by its caller, so answering it involves no
+/// other thread at all — not a block, not a wake, not even a
+/// satisfied-at-once wait: the sim's event count does not move across
+/// the call. (The queued path costs a reply wait and a dispatcher wake
+/// at the least.) Wait and latency are exactly zero and the accounting
+/// reads one batch of one per lookup.
+#[test]
+fn fast_path_lone_request_makes_no_scheduler_handoff() {
+    for seed in seeds_from_env() {
+        let sim = SimClock::new();
+        let _main = sim.register_main();
+        let keys = gen_sorted_unique_keys(8_192, seed);
+        let server = IndexServer::build(&keys, fast_path_cfg(&sim, 2, seed));
+        let h = server.handle();
+        let clock = h.clock().clone();
+        let mut key = seed as u32;
+        for i in 0..64u64 {
+            clock.sleep(Duration::from_micros(100 + i)); // lone: nothing else is in flight
+            key = key.wrapping_mul(2_654_435_761).wrapping_add(12_345);
+            let before = sim.digest();
+            let rank = h.lookup(key).expect("fault-free");
+            assert_eq!(sim.digest(), before, "seed {seed}: a lone lookup reached the scheduler");
+            assert_eq!(rank, keys.partition_point(|&k| k <= key) as u32, "seed {seed}");
+        }
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.admitted, stats.batches), (64, 64, 64), "seed {seed}");
+        assert_eq!(stats.latency_ns.max(), 0.0, "seed {seed}: latency − service must be zero");
+        let traces = server.stage_traces();
+        assert_eq!(traces.len(), 64, "seed {seed}: dense tracing sees the caller-ranked lookups");
+        assert!(traces.iter().all(|t| t.wait_ns() == 0 && t.total_ns() == 0), "seed {seed}");
+    }
+}
+
+/// Two callers due at the same virtual instant on a one-replica shard,
+/// no fault scripted anywhere. The first takes the claim; the claim
+/// window is a scheduling point, so the second arrives *inside* it,
+/// finds depth 1, queues, and is answered by the dispatcher — while the
+/// first is still in service. Both answers are exact, each path served
+/// exactly one of them, nobody waited (virtual service is instant), and
+/// the whole interleaving reproduces.
+#[test]
+fn fast_path_second_caller_is_queued_for_the_dispatcher() {
+    fn run(seed: u64) -> (u64, u64) {
+        let sim = SimClock::new();
+        let _main = sim.register_main();
+        let keys = gen_sorted_unique_keys(8_192, seed);
+        let server = IndexServer::build(&keys, fast_path_cfg(&sim, 1, seed));
+        let clock = server.clock().clone();
+        let callers: Vec<_> = (0..2u32)
+            .map(|c| {
+                let h = server.handle();
+                let key = (seed as u32 ^ c).wrapping_mul(2_654_435_761);
+                clock.spawn(&format!("fast-path-caller-{c}"), move || {
+                    h.clock().sleep(Duration::from_millis(1));
+                    let pending = h.begin_lookup(key).expect("fault-free");
+                    let ranked_by_caller = pending.poll().is_some();
+                    (key, ranked_by_caller, pending.wait().expect("fault-free"))
+                })
+            })
+            .collect();
+        let outcomes: Vec<_> = callers.into_iter().map(|c| c.join().unwrap()).collect();
+        for &(key, _, rank) in &outcomes {
+            assert_eq!(rank, keys.partition_point(|&k| k <= key) as u32, "seed {seed}");
+        }
+        assert!(outcomes[0].1, "seed {seed}: the first caller found the replica idle");
+        assert!(!outcomes[1].1, "seed {seed}: the second arrived mid-claim and must queue");
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.admitted, stats.batches), (2, 2, 2), "seed {seed}");
+        assert_eq!(stats.latency_ns.max(), 0.0, "seed {seed}");
+        assert_eq!(server.replica_depths(), vec![0], "seed {seed}");
+        // One record per path; the dispatcher's is stamped on its own
+        // time, after the reply that let the caller (and us) go on.
+        clock.sleep(Duration::from_millis(1));
+        let traces = server.stage_traces();
+        assert_eq!(traces.len(), 2, "seed {seed}");
+        assert!(traces.iter().all(|t| t.batch_len == 1 && t.wait_ns() == 0), "seed {seed}");
+        drop(server);
+        sim.digest()
+    }
+    for seed in seeds_from_env() {
+        assert_eq!(run(seed), run(seed), "seed {seed}: the claim-window hand-off must reproduce");
     }
 }

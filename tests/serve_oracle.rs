@@ -6,7 +6,7 @@
 //! forced often, and with concurrent readers hammering the server while
 //! snapshots are being published.
 
-use dini::serve::{IndexServer, LoadMode, Op, ServeConfig, ServeError};
+use dini::serve::{IndexServer, LoadMode, Op, ServeConfig, ServeError, ServeFaultPlan};
 use dini::workload::{ChurnGen, KeyDistribution, OpMix};
 use dini_serve::run_load;
 use std::collections::BTreeSet;
@@ -195,10 +195,15 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
             let (sent, stop) = (sent.clone(), stop.clone());
             let n0 = keys.len();
             std::thread::spawn(move || {
-                let mut served = 0u64;
+                // (ranked by this thread on an idle replica, queued for
+                // a dispatcher behind a claimed one)
+                let mut served = (0u64, 0u64);
                 while !stop.load(Ordering::SeqCst) {
                     let before = sent.load(Ordering::SeqCst);
-                    let rank = h.lookup(u32::MAX).expect("serving") as usize;
+                    let pending =
+                        h.begin_lookup(u32::MAX).expect("four callers never fill a queue");
+                    let claimed = pending.poll().is_some();
+                    let rank = pending.wait().expect("serving") as usize;
                     let after = sent.load(Ordering::SeqCst);
                     let lo = n0 + before.saturating_sub(CHUNK + PUBLISH_EVERY);
                     assert!(
@@ -206,7 +211,11 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
                         "rank {rank} outside [{lo}, {}]: a mixed (main, overlay) pair",
                         n0 + after
                     );
-                    served += 1;
+                    if claimed {
+                        served.0 += 1;
+                    } else {
+                        served.1 += 1;
+                    }
                 }
                 served
             })
@@ -229,9 +238,16 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
     }
     server.quiesce();
     stop.store(true, Ordering::SeqCst);
+    let (mut claimed, mut queued) = (0, 0);
     for r in readers {
-        assert!(r.join().unwrap() > 0, "every reader must have made progress");
+        let served = r.join().unwrap();
+        assert!(served.0 + served.1 > 0, "every reader must have made progress");
+        claimed += served.0;
+        queued += served.1;
     }
+    // Four callers on two replicas: the window must hold whoever ranks.
+    assert!(claimed > 0, "no lookup was ranked by its caller");
+    assert!(queued > 0, "no lookup was queued behind a claimed replica");
     assert!(server.stats().merges >= 20, "only {} merges", server.stats().merges);
     assert!(
         server.replica_stats().iter().all(|r| r.served > 0),
@@ -320,12 +336,16 @@ fn overload_sheds_instead_of_queueing_without_bound() {
     // dispatch round, so a multi-threaded fire-and-forget burst offers
     // far more than the shard can admit and the bounded queue must shed —
     // while every *admitted* lookup still returns the exact oracle rank.
+    // The shard is a (mild) straggler: an idle replica is ranked on by
+    // its callers, who then cannot outrun it; a scripted one always
+    // answers through its dispatcher and its queue.
     let keys = initial_keys(2000);
     let set: BTreeSet<u32> = keys.iter().copied().collect();
     let mut cfg = ServeConfig::new(1);
     cfg.queue_capacity = 1;
     cfg.max_batch = 1;
     cfg.max_delay = Duration::ZERO;
+    cfg.faults = ServeFaultPlan::none().slow_shard(0, Duration::from_micros(50));
     let server = IndexServer::build(&keys, cfg);
 
     let submitters: Vec<_> = (0..4u32)

@@ -37,6 +37,12 @@ fn a_server_is_its_dispatchers_and_one_writer() {
     let server = IndexServer::build(&keys, cfg);
     let handle = server.handle();
     assert_eq!(handle.lookup(80).unwrap(), 11);
+    // A thread names itself once it runs, and nothing above waited for
+    // one: the lookup found its replica idle and was ranked right here.
+    let named = std::time::Instant::now();
+    while census() != [6, 1, 0] && named.elapsed() < std::time::Duration::from_secs(10) {
+        std::thread::yield_now();
+    }
     assert_eq!(census(), [6, 1, 0], "3 shards × 2 replicas: 6 dispatchers, 1 writer, no slaves");
 
     // Every ninth insert into a shard crosses its merge threshold.

@@ -7,6 +7,8 @@
 //! batches, the lockstep probe's group state lives on the stack, and
 //! snapshot pins are `Arc`-count bumps on a lock-free epoch cell (a bare
 //! `DistributedIndex` also recycles its master↔slave scatter buffers).
+//! A lookup that finds its replica idle does not even get that far: the
+//! calling thread ranks it against the pinned snapshot and returns.
 //! This binary installs a counting allocator and asserts the invariant
 //! end to end: *after warmup, N lookups perform exactly zero heap
 //! allocations anywhere in the process* — caller and dispatcher included.
@@ -188,6 +190,93 @@ fn serve_steady_state_lookup_is_allocation_free() {
     for q in [0u32, 1, 199_997, 200_000, u32::MAX] {
         assert_eq!(h.lookup(q).unwrap(), keys.partition_point(|&key| key <= q) as u32);
     }
+}
+
+/// The pins above are single-caller, so every lookup in them finds its
+/// replica idle and is ranked by the calling thread. This one reaches
+/// the other path: two callers hammer one shard until their claims have
+/// collided — a caller that finds the replica claimed takes a pooled
+/// slot, queues, and is answered by the dispatcher — and the whole mix,
+/// both paths and both hand-offs between them, must stay at zero.
+#[test]
+fn serve_queued_and_claimed_paths_are_allocation_free_when_warm() {
+    use std::sync::atomic::Ordering::{Acquire, Release};
+    use std::time::{Duration, Instant};
+
+    /// Two callers, each looking keys up until `WANT_QUEUED` lookups in
+    /// all have been seen still pending on return (or ten seconds pass);
+    /// the counter is armed from before the first lookup until after the
+    /// last. Returns (allocations, lookups seen queued).
+    fn hammer(server: &IndexServer, armed: bool) -> (u64, u64) {
+        const WANT_QUEUED: u64 = 64;
+        let queued = AtomicU64::new(0);
+        let go = AtomicBool::new(false);
+        let finished = AtomicU64::new(0);
+        let release = AtomicBool::new(false);
+        let mut allocs = 0;
+        std::thread::scope(|s| {
+            for t in 0..2u32 {
+                let (queued, go, finished, release) = (&queued, &go, &finished, &release);
+                let h = server.handle();
+                s.spawn(move || {
+                    while !go.load(Acquire) {
+                        std::thread::yield_now();
+                    }
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    let mut k = t;
+                    while queued.load(Ordering::Relaxed) < WANT_QUEUED && Instant::now() < deadline
+                    {
+                        for _ in 0..256 {
+                            k = k.wrapping_add(0x9E37_79B9);
+                            let pending = h.begin_lookup(k % 250_000).unwrap();
+                            if pending.poll().is_none() {
+                                queued.fetch_add(1, Ordering::Relaxed);
+                            }
+                            std::hint::black_box(pending.wait().unwrap());
+                        }
+                    }
+                    // Park (without exiting: thread teardown may free and
+                    // allocate) until the counter is disarmed.
+                    finished.fetch_add(1, Release);
+                    while !release.load(Acquire) {
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            let before = ALLOCS.load(Ordering::SeqCst);
+            ARMED.store(armed, Ordering::SeqCst);
+            go.store(true, Release);
+            while finished.load(Acquire) < 2 {
+                std::thread::yield_now();
+            }
+            ARMED.store(false, Ordering::SeqCst);
+            allocs = ALLOCS.load(Ordering::SeqCst) - before;
+            release.store(true, Release);
+        });
+        (allocs, queued.load(Ordering::Relaxed))
+    }
+
+    let _gate = GATE.lock().unwrap();
+    let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
+    let mut cfg = ServeConfig::new(1);
+    cfg.max_batch = 64;
+    cfg.trace = TraceConfig::dense();
+    cfg.heat = true;
+    let server = IndexServer::build(&keys, cfg);
+
+    // Warmup runs the same mix: it is the queued path's slab, channel
+    // ring and dispatcher scratch that need filling.
+    let (_, warm_queued) = hammer(&server, false);
+    assert!(warm_queued > 0, "two callers on one shard never collided during warmup");
+    let (allocs, queued) = hammer(&server, true);
+    assert!(queued > 0, "the armed window never reached the queued path");
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations with {queued} lookups queued behind a claimed replica and the \
+         rest ranked by their callers; both paths must be allocation-free once warm"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.served, stats.admitted, "every admitted lookup was answered");
 }
 
 /// The invariant must survive recovery: a server whose main arrays are
