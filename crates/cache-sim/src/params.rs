@@ -5,8 +5,6 @@
 //! paper verbatim; the Pentium 4 preset follows the parameters the paper
 //! quotes in passing (128-byte L2 lines, ~150 ns L2 miss penalty).
 
-use serde::{Deserialize, Serialize};
-
 /// Convert a bandwidth expressed in MB/s (as the paper does) into bytes/ns.
 #[inline]
 pub fn mb_per_s(mb: f64) -> f64 {
@@ -21,7 +19,7 @@ pub fn gbit_per_s(gb: f64) -> f64 {
 }
 
 /// Replacement policy for a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementPolicy {
     /// Evict the least-recently-used way (the paper's assumption: "to the
     /// extent that a cache eviction algorithm approximates an LRU
@@ -36,7 +34,7 @@ pub enum ReplacementPolicy {
 }
 
 /// Geometry and policy of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -83,7 +81,7 @@ impl CacheConfig {
 /// The fields named `b1_*`/`b2_*`/`w1` follow the paper's notation
 /// (Table 4): `B1` is the L1 line / L2→L1 fill, `B2` the L2 line /
 /// RAM→L2 fill, `W1` the sequential memory bandwidth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineParams {
     /// Human-readable name ("Pentium III", …).
     pub name: String,

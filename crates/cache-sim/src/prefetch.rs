@@ -8,10 +8,8 @@
 //! stride prefetch should help) versus Method B's buffer writes (stride-1
 //! streams a stride prefetcher eats for breakfast).
 
-use serde::{Deserialize, Serialize};
-
 /// Prefetch configuration for a [`crate::memory::SimMemory`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Prefetcher {
     /// No prefetching (the paper's machine).
     None,

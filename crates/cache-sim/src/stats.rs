@@ -1,9 +1,7 @@
 //! Access statistics collected by [`crate::memory::SimMemory`].
 
-use serde::{Deserialize, Serialize};
-
 /// Hit/miss counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// Accesses satisfied at this level.
     pub hits: u64,
@@ -24,7 +22,7 @@ impl LevelStats {
 }
 
 /// Aggregate statistics for a [`crate::memory::SimMemory`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccessStats {
     /// L1 outcomes for random (non-streaming) accesses.
     pub l1: LevelStats,

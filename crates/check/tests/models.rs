@@ -224,7 +224,7 @@ fn req(key: u32) -> Request {
 #[test]
 fn admission_gauges_stay_coherent_under_race() {
     let report = model("admission/gauges", || {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system());
         let submitter = {
             let q = q.clone();
@@ -259,7 +259,7 @@ fn admission_gauges_stay_coherent_under_race() {
 #[test]
 fn admission_depth_holds_a_request_before_it_can_be_served() {
     let report = model("admission/depth-before-send", || {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system());
         let dispatcher = {
             let q = q.clone();
@@ -301,7 +301,7 @@ fn admission_depth_holds_a_request_before_it_can_be_served() {
 #[test]
 fn claim_admits_one_claimant_and_queues_the_loser_once() {
     let report = model("admission/claim", || {
-        let (tx, rx) = crossbeam::channel::bounded(2);
+        let (tx, rx) = std::sync::mpsc::sync_channel(2);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system());
         let inside = StdArc::new(AtomicU64::new(0));
         let finished = StdArc::new(AtomicU64::new(0));

@@ -8,8 +8,6 @@
 //! fixed memory, O(1) insert, quantile queries good to one bin width —
 //! rather than storing 8 M samples.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of log2 bins: covers [1 ns, ~18 s) with 32 sub-bins per
 /// octave — adjacent reportable values are 2.2 % apart (8.5 KiB of
 /// counters per histogram), fine enough to read a 19 µs median off.
@@ -19,7 +17,7 @@ const NBINS: usize = OCTAVES * SUBBINS;
 
 /// A log2-spaced histogram of non-negative `f64` samples (nanoseconds by
 /// convention, but unit-agnostic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     bins: Vec<u64>,
     count: u64,

@@ -8,10 +8,8 @@
 //! attribute this overhead both to the overhead of MPI and the operating
 //! system").
 
-use serde::{Deserialize, Serialize};
-
 /// A point-to-point network model. Times in ns, bandwidth in bytes/ns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Human-readable name.
     pub name: &'static str,

@@ -30,7 +30,6 @@
 use crate::fault::{FaultPlan, FaultState, MsgFate};
 use crate::network::NetworkModel;
 use crate::switch::SwitchModel;
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Index of a node in the cluster.
@@ -118,7 +117,7 @@ impl<'a, P> Ctx<'a, P> {
 }
 
 /// Per-node accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NodeReport {
     /// CPU time consumed (handler work + per-message overheads).
     pub busy_ns: f64,
@@ -150,7 +149,7 @@ impl NodeReport {
 }
 
 /// Result of a simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Time of the last event in the system.
     pub makespan_ns: f64,
@@ -183,7 +182,7 @@ impl SimReport {
 }
 
 /// One message's life in a traced run ([`SimCluster::run_traced`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MsgRecord {
     /// Sender node.
     pub from: NodeId,

@@ -10,15 +10,13 @@
 //! [`SwitchModel`] serialises every transfer on a shared fabric with a
 //! finite aggregate bandwidth, on top of the per-node TX/ingress links.
 
-use serde::{Deserialize, Serialize};
-
 /// A shared switching fabric with finite aggregate bandwidth.
 ///
 /// Each message occupies the fabric for `bytes / backplane_bandwidth`; the
 /// fabric serves messages one at a time in issue order (a conservative
 /// store-and-forward bound — real crossbars do better, the paper's
 /// unlimited assumption is the other extreme).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchModel {
     /// Aggregate fabric bandwidth in bytes/ns.
     pub backplane_bandwidth: f64,

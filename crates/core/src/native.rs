@@ -10,10 +10,10 @@
 //! modern analogue of the paper's cluster is a multicore with per-core
 //! private L2: the cache-aggregation argument carries over unchanged.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use dini_cache_sim::NullMemory;
 use dini_index::{CsbTree, LineDirectory, Partitions, RankIndex};
 use dini_store::SharedKeys;
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -53,7 +53,12 @@ pub enum NativeStructure {
 pub struct NativeConfig {
     /// Number of worker ("slave") threads / partitions.
     pub n_slaves: usize,
-    /// Pin each worker to its own core.
+    /// Pin each worker to one core of the set the process is allowed to
+    /// run on (`sched_getaffinity`): slave `j` to allowed core
+    /// `(j + 1) mod n`, sharing cores once slaves outnumber them. Best
+    /// effort: where the platform cannot pin (not Linux, or the kernel
+    /// refuses) the slaves run unpinned, and
+    /// [`DistributedIndex::pinned_slaves`] says how many did pin.
     pub pin_cores: bool,
     /// Bounded-channel capacity per worker (backpressure ≈ MPI buffering).
     pub channel_capacity: usize,
@@ -147,9 +152,10 @@ pub struct DistributedIndex {
     /// Rank of each partition's first key, plus the total count as a
     /// sentinel (`n_slaves + 1` entries).
     base_ranks: Vec<u32>,
-    to_slaves: Vec<Sender<Req>>,
+    to_slaves: Vec<SyncSender<Req>>,
     from_slaves: Receiver<Resp>,
     joins: Vec<JoinHandle<()>>,
+    pinned_slaves: usize,
     next_batch: u64,
     n_keys: usize,
     /// Per-slave scatter staging for the batch being assembled.
@@ -203,30 +209,30 @@ impl DistributedIndex {
         let Partitions { delimiters, mut base_ranks, ranges } =
             Partitions::split(keys.as_slice(), cfg.n_slaves);
         base_ranks.push(keys.len() as u32);
-        let cores = if cfg.pin_cores {
-            core_affinity::get_core_ids().unwrap_or_default()
-        } else {
-            Vec::new()
-        };
+        let cores = if cfg.pin_cores { dini_sysprobe::allowed_cores() } else { Vec::new() };
+        // Each slave that is asked to pin reports whether it did.
+        let (pin_tx, pin_rx) = channel::<bool>();
 
-        let (resp_tx, from_slaves) = bounded::<Resp>(cfg.channel_capacity * cfg.n_slaves);
+        let (resp_tx, from_slaves) = sync_channel::<Resp>(cfg.channel_capacity * cfg.n_slaves);
         let mut to_slaves = Vec::with_capacity(cfg.n_slaves);
         let mut joins = Vec::with_capacity(cfg.n_slaves);
 
         for (j, range) in ranges.into_iter().enumerate() {
             let part = keys.clone();
             let base_rank = base_ranks[j];
-            let (req_tx, req_rx) = bounded::<Req>(cfg.channel_capacity);
+            let (req_tx, req_rx) = sync_channel::<Req>(cfg.channel_capacity);
             to_slaves.push(req_tx);
             let tx = resp_tx.clone();
-            let core = if cores.is_empty() { None } else { Some(cores[(j + 1) % cores.len()]) };
+            let pin = (!cores.is_empty()).then(|| (cores[(j + 1) % cores.len()], pin_tx.clone()));
             let structure = cfg.structure;
             joins.push(
                 std::thread::Builder::new()
                     .name(format!("dini-native-{j}"))
                     .spawn(move || {
-                        if let Some(c) = core {
-                            core_affinity::set_for_current(c);
+                        if let Some((core, pin_tx)) = pin {
+                            // Before the engine is built, so its pages are
+                            // first touched from the core that will read them.
+                            let _ = pin_tx.send(dini_sysprobe::pin_current_thread(core));
                         }
                         let engine = WorkerEngine::build(structure, part, range.start, range.end);
                         for (batch, mut pairs) in req_rx.iter() {
@@ -240,12 +246,18 @@ impl DistributedIndex {
             );
         }
 
+        // Ends once every slave that holds a sender has reported and
+        // dropped it; at once when nobody was asked to pin.
+        drop(pin_tx);
+        let pinned_slaves = pin_rx.iter().filter(|&pinned| pinned).count();
+
         Self {
             delimiters,
             base_ranks,
             to_slaves,
             from_slaves,
             joins,
+            pinned_slaves,
             next_batch: 0,
             n_keys: keys.len(),
             out_bufs: vec![Vec::new(); cfg.n_slaves],
@@ -274,6 +286,14 @@ impl DistributedIndex {
     /// Number of partitions / worker threads.
     pub fn n_slaves(&self) -> usize {
         self.to_slaves.len()
+    }
+
+    /// How many workers are pinned to a core: `n_slaves()` when
+    /// [`NativeConfig::pin_cores`] was set and the host allowed it, 0
+    /// when it was not set, anything between when the kernel refused
+    /// some — a measurement that assumes placement should check this.
+    pub fn pinned_slaves(&self) -> usize {
+        self.pinned_slaves
     }
 
     /// Which slave owns `key`.
@@ -465,6 +485,26 @@ mod tests {
         assert!(idx.spare_bufs.len() <= idx.n_slaves());
         assert!(!idx.spare_bufs.is_empty(), "responses must be recycled, not dropped");
         assert!(idx.spare_bufs.iter().all(|b| b.capacity() > 0));
+    }
+
+    #[test]
+    fn pinned_slaves_are_counted_and_answer_like_unpinned_ones() {
+        let keys = gen_sorted_unique_keys(20_000, 5);
+        let queries: Vec<u32> = (0..5_000u32).map(|i| i.wrapping_mul(747_796_405)).collect();
+        let mut unpinned = DistributedIndex::build(&keys, cfg(3));
+        assert_eq!(unpinned.pinned_slaves(), 0);
+        let mut pinned = DistributedIndex::build(&keys, NativeConfig { pin_cores: true, ..cfg(3) });
+        // Whether this host lets a thread pin itself, asked the way a
+        // slave asks (in a thread of its own: the mask is per thread).
+        let permitted = std::thread::spawn(|| {
+            dini_sysprobe::allowed_cores()
+                .first()
+                .is_some_and(|&c| dini_sysprobe::pin_current_thread(c))
+        })
+        .join()
+        .expect("probe thread");
+        assert_eq!(pinned.pinned_slaves(), if permitted { 3 } else { 0 });
+        assert_eq!(pinned.lookup_batch(&queries), unpinned.lookup_batch(&queries));
     }
 
     #[test]

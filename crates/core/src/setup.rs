@@ -9,10 +9,9 @@
 use dini_cache_sim::{MachineParams, MemoryModel};
 use dini_cluster::NetworkModel;
 use dini_index::{CsbTree, RankIndex, SubtreeCuts};
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's five methods to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MethodId {
     /// Replicated n-ary tree, one lookup at a time.
     A,
@@ -55,7 +54,7 @@ impl std::fmt::Display for MethodId {
 }
 
 /// Full experiment configuration (Tables 1 + 2 plus the cluster shape).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentSetup {
     /// Per-node machine parameters (Table 2).
     pub machine: MachineParams,
@@ -202,7 +201,7 @@ impl ExperimentSetup {
 }
 
 /// The derived index-structure setup (the paper's Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Table1 {
     /// Number of keys on the sorted array (327 680).
     pub n_keys: usize,

@@ -2,10 +2,9 @@
 
 use crate::setup::MethodId;
 use dini_cache_sim::AccessStats;
-use serde::{Deserialize, Serialize};
 
 /// What one experiment run produced. All times are *simulated*.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunStats {
     /// Which method ran.
     pub method: MethodId,

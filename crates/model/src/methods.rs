@@ -8,10 +8,9 @@
 
 use crate::params::ModelParams;
 use crate::xd::{steady_misses_per_lookup, tree_level_lines, TreeShape};
-use serde::{Deserialize, Serialize};
 
 /// Model outputs for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MethodCosts {
     /// Method A ns/key (normalized by node count).
     pub a: f64,

@@ -1,10 +1,9 @@
 //! Model parameters (the paper's Table 4 notation).
 
 use dini_cache_sim::params::{gbit_per_s, MachineParams};
-use serde::{Deserialize, Serialize};
 
 /// Everything Appendix A needs to price the three methods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
     /// Per-node machine parameters (Table 2).
     pub machine: MachineParams,

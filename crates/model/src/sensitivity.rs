@@ -15,10 +15,9 @@
 
 use crate::methods::{method_c3_per_key_ns, MethodCosts};
 use crate::params::ModelParams;
-use serde::{Deserialize, Serialize};
 
 /// One sweep sample: the varied value and the resulting costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// The parameter value at this sample.
     pub value: f64,

@@ -19,7 +19,6 @@
 
 use crate::methods::MethodCosts;
 use crate::params::ModelParams;
-use serde::{Deserialize, Serialize};
 
 /// Scale `p` forward by `years` under the paper's §4.2 assumptions.
 pub fn scale_params(p: &ModelParams, years: f64) -> ModelParams {
@@ -39,7 +38,7 @@ pub fn scale_params(p: &ModelParams, years: f64) -> ModelParams {
 }
 
 /// One point on the Figure 4 curves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrendPoint {
     /// Years from the paper's year 0.
     pub year: f64,

@@ -9,8 +9,6 @@
 //! `Σᵢ X_D(λᵢ, q₀+1) − C2/B2` (Eqs. 4–5), which telescopes to the closed
 //! form `Σᵢ (1 − 1/λᵢ)^{q₀}`.
 
-use serde::{Deserialize, Serialize};
-
 /// Expected distinct lines among `lambda` lines after `q` uniform lookups.
 pub fn expected_distinct_lines(lambda: f64, q: f64) -> f64 {
     debug_assert!(lambda >= 1.0 && q >= 0.0);
@@ -21,7 +19,7 @@ pub fn expected_distinct_lines(lambda: f64, q: f64) -> f64 {
 }
 
 /// Per-level line counts λᵢ of the index tree, root level first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeShape {
     /// λᵢ for level i (root first). One node = one cache line.
     pub level_lines: Vec<f64>,

@@ -55,7 +55,6 @@
 use crate::topology::Topology;
 use crate::transport::{Dialer, Duplex, FrameRx, FrameTx, NetError};
 use crate::wire::{Frame, LookupStatus, StatsMsg, StatusCode, WireOp, WIRE_VERSION};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dini_cluster::LogHistogram;
 use dini_flight::{EventKind, FlightJournal};
 use dini_obs::{AtomicLogHistogram, StageRecord, TraceConfig, TraceRing};
@@ -67,6 +66,7 @@ use dini_serve::{Clock, ClockJoinHandle, Nanos, ReplicaSelector, ServeError, Sha
 use dini_workload::Op;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -170,7 +170,7 @@ enum UpdMsg {
     Op { op: WireOp, reply: ReplyHandle },
     /// Resolve once every *live* endpoint has acked everything appended
     /// before this flush (the pre-barrier half of `quiesce`).
-    Flush(Sender<Result<(), ServeError>>),
+    Flush(SyncSender<Result<(), ServeError>>),
 }
 
 /// One lookup batch on the wire, awaiting its reply.
@@ -232,7 +232,7 @@ struct ClientCore {
     ep_pos: Vec<usize>,
     pools: Vec<SlotPool>,
     /// Per-span append queues into the churn-log appender threads.
-    upd_txs: Vec<Sender<UpdMsg>>,
+    upd_txs: Vec<SyncSender<UpdMsg>>,
     /// Per-span reply-slot pools for pending updates.
     upd_pools: Vec<SlotPool>,
     /// Per-span churn logs, shared by the span's appender and its
@@ -245,11 +245,11 @@ struct ClientCore {
     /// [`NetHandle::rejoin`] resolves an address to its endpoint slot.
     ep_addrs: Vec<String>,
     /// Per-endpoint revive routes into the worker's dead-wait loop.
-    revive_txs: Vec<Sender<Duplex>>,
+    revive_txs: Vec<SyncSender<Duplex>>,
     /// Live key count per span, refreshed by pings and quiesce acks —
     /// the cross-process half of rank composition.
     span_live: Vec<AtomicU64>,
-    ctrl: Mutex<BTreeMap<u64, Sender<CtrlReply>>>,
+    ctrl: Mutex<BTreeMap<u64, SyncSender<CtrlReply>>>,
     next_req: AtomicU64,
     shutdown: AtomicBool,
     // ordering: relaxed-ok: retries/rerouted are monotonic counters
@@ -320,7 +320,7 @@ impl ClientCore {
         make: impl Fn(u64) -> Frame,
     ) -> Result<CtrlReply, ServeError> {
         let req = self.fresh_req();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.ctrl.lock().expect("ctrl lock").insert(req, tx);
         let frame = make(req);
         for _ in 0..=self.cfg.max_retries {
@@ -724,7 +724,7 @@ struct SpanLog {
     /// compares it with the queues' live flags.
     was_alive: Vec<bool>,
     waiters: VecDeque<(u64, ReplyHandle)>,
-    flushes: Vec<(u64, Sender<Result<(), ServeError>>)>,
+    flushes: Vec<(u64, SyncSender<Result<(), ServeError>>)>,
 }
 
 impl SpanLog {
@@ -1239,7 +1239,7 @@ impl NetHandle {
     pub fn quiesce(&self) -> Result<(), ServeError> {
         let core = &self.core;
         for span in 0..core.span_eps.len() {
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = sync_channel(1);
             core.clock
                 .send(&core.upd_txs[span], UpdMsg::Flush(tx))
                 .map_err(|_| ServeError::ShuttingDown)?;
@@ -1474,8 +1474,8 @@ impl RemoteClient {
             let mut eps = Vec::with_capacity(s.endpoints.len());
             for (pos, addr) in s.endpoints.iter().enumerate() {
                 let ep = queues.len();
-                let (req_tx, req_rx) = bounded::<Request>(cfg.queue_capacity);
-                let (rev_tx, rev_rx) = bounded::<Duplex>(1);
+                let (req_tx, req_rx) = sync_channel::<Request>(cfg.queue_capacity);
+                let (rev_tx, rev_rx) = sync_channel::<Duplex>(1);
                 let queue = AdmissionQueue::new(span, pos, req_tx, clock.clone());
                 let (tx, rx) = match dialer.dial(addr) {
                     Ok(Duplex { tx, rx, peer: _ }) => (Some(tx), Some(rx)),
@@ -1516,7 +1516,7 @@ impl RemoteClient {
         // thread per span (the span's sequencer) fed through a bounded
         // append queue.
         let (upd_txs, upd_rxs): (Vec<_>, Vec<_>) =
-            (0..n_spans).map(|_| bounded::<UpdMsg>(cfg.queue_capacity)).unzip();
+            (0..n_spans).map(|_| sync_channel::<UpdMsg>(cfg.queue_capacity)).unzip();
         let logs = span_eps
             .iter()
             .map(|eps| {

@@ -45,13 +45,13 @@ use crate::transport::{Acceptor, Duplex, NetError};
 use crate::wire::{
     Frame, LookupStatus, ReplicaStatsMsg, StatsMsg, StatusCode, WireOp, WIRE_VERSION,
 };
-use crossbeam::channel::unbounded;
 use dini_serve::{
     open_snapshot, Clock, ClockJoinHandle, IndexServer, LookupScratch, PendingLookup, ServeConfig,
     ServeError, SnapError,
 };
 use dini_workload::Op;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -389,7 +389,7 @@ fn spawn_connection(
     // The send half: whoever has a frame writes it (the reader a lookup
     // reply it could complete itself, the responder everything else).
     let frame_tx = Arc::new(Mutex::new(frame_tx));
-    let (job_tx, job_rx) = unbounded::<Job>();
+    let (job_tx, job_rx) = channel::<Job>();
 
     let reader = {
         let server = server.clone();
@@ -537,12 +537,12 @@ fn spawn_connection(
                     Job::QuiesceAck { req } => Frame::QuiesceAck {
                         req,
                         live_keys: server.len() as u64,
-                        snapshots: server.stats().snapshots_published,
+                        snapshots: server.snapshots_published(),
                     },
                     Job::Pong { req } => Frame::EpochPong {
                         req,
                         live_keys: server.len() as u64,
-                        snapshots: server.stats().snapshots_published,
+                        snapshots: server.snapshots_published(),
                     },
                     Job::Stats { req } => {
                         Frame::StatsReply { req, stats: Box::new(assemble_stats(&server, &log)) }

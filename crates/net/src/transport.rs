@@ -22,13 +22,13 @@
 //!   loopback used by unit tests.
 
 use crate::wire::{frame_len, Frame, WireError};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dini_cluster::{FrameFate, LinkPlan};
 use dini_serve::clock::dur_ns;
 use dini_serve::{Clock, Nanos};
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -347,7 +347,7 @@ impl ChanNet {
     /// Register a listener at `addr` (any string; these are names, not
     /// sockets). Re-listening on a taken address replaces the listener.
     pub fn listen(self: &Arc<Self>, addr: &str) -> ChanAcceptor {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.inner.lock().expect("net lock").listeners.insert(addr.to_owned(), tx);
         ChanAcceptor { clock: self.clock.clone(), rx, addr: addr.to_owned() }
     }
@@ -402,8 +402,8 @@ impl Dialer for ChanDialer {
             (listener, plan, inner.dials)
         };
         let clock = self.net.clock.clone();
-        let (c2s_tx, c2s_rx) = unbounded::<Delivery>();
-        let (s2c_tx, s2c_rx) = unbounded::<Delivery>();
+        let (c2s_tx, c2s_rx) = channel::<Delivery>();
+        let (s2c_tx, s2c_rx) = channel::<Delivery>();
         let down_at = plan.down_at_ns;
         let server_half = Duplex {
             tx: Box::new(ChanTx { clock: clock.clone(), tx: s2c_tx, link: plan.state(n * 2) }),

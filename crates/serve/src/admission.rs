@@ -8,6 +8,11 @@
 //! replica degrades alone while the rest of the key space serves
 //! normally.
 //!
+//! The queue is a `std::sync::mpsc::sync_channel`: there is no lock
+//! between a caller and the dispatcher (`dini-lint` R4 holds this module
+//! to that), a send makes a syscall only when the dispatcher is parked,
+//! and the `queue_capacity` slots are allocated once, at construction.
+//!
 //! With replica groups, each queue also carries the two signals the
 //! router and the failover path live on:
 //!
@@ -36,14 +41,14 @@ use crate::batcher::Request;
 use crate::clock::Clock;
 use crate::config::ServeError;
 use crate::sync::{Arc, AtomicBool, AtomicU64, Ordering};
-use crossbeam::channel::{Sender, TrySendError};
+use std::sync::mpsc::{SyncSender, TrySendError};
 
 /// The admission side of one replica's request queue.
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue {
     shard: usize,
     replica: usize,
-    tx: Sender<Request>,
+    tx: SyncSender<Request>,
     /// Blocking admission waits in this clock's time (a full queue under
     /// a sim clock parks in the scheduler instead of wedging the run).
     clock: Clock,
@@ -68,7 +73,7 @@ pub struct AdmissionQueue {
 impl AdmissionQueue {
     /// Wrap the bounded sender for `replica` of `shard`, waiting in
     /// `clock` time.
-    pub fn new(shard: usize, replica: usize, tx: Sender<Request>, clock: Clock) -> Self {
+    pub fn new(shard: usize, replica: usize, tx: SyncSender<Request>, clock: Clock) -> Self {
         Self {
             shard,
             replica,
@@ -247,7 +252,7 @@ impl AdmissionQueue {
 mod tests {
     use super::*;
     use crate::oneshot::reply_pair;
-    use crossbeam::channel::bounded;
+    use std::sync::mpsc::sync_channel;
 
     fn req(key: u32) -> Request {
         // The waiter half is dropped: these tests never reap replies.
@@ -257,7 +262,7 @@ mod tests {
 
     #[test]
     fn sheds_exactly_past_capacity() {
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = sync_channel(2);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system());
         assert!(q.try_submit(req(1)).is_ok());
         assert!(q.try_submit(req(2)).is_ok());
@@ -271,7 +276,7 @@ mod tests {
 
     #[test]
     fn disconnect_is_shutdown_not_shed() {
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = sync_channel(2);
         let q = AdmissionQueue::new(3, 1, tx, Clock::system());
         drop(rx);
         assert_eq!(q.try_submit(req(1)), Err(ServeError::ShuttingDown));
@@ -282,7 +287,7 @@ mod tests {
 
     #[test]
     fn depth_tracks_admissions_and_completions() {
-        let (tx, _rx) = bounded(8);
+        let (tx, _rx) = sync_channel(8);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system());
         assert_eq!(q.probe(), Some(0));
         q.try_submit(req(1)).unwrap();
@@ -291,7 +296,7 @@ mod tests {
         q.complete(2);
         assert_eq!(q.depth(), 0);
         // Shed requests never enter the gauge.
-        let (tx2, _rx2) = bounded(1);
+        let (tx2, _rx2) = sync_channel(1);
         let q2 = AdmissionQueue::new(0, 0, tx2, Clock::system());
         q2.try_submit(req(1)).unwrap();
         let _ = q2.try_submit(req(2));
@@ -300,7 +305,7 @@ mod tests {
 
     #[test]
     fn claim_takes_only_an_idle_replica() {
-        let (tx, rx) = bounded(8);
+        let (tx, rx) = sync_channel(8);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system());
         assert!(q.claim(3), "idle: the gauge goes 0 → 3");
         assert_eq!(q.depth(), 3);
@@ -316,7 +321,7 @@ mod tests {
         assert!(q.claim(1));
         q.complete(1);
         // A scripted replica is never claimed, idle or not.
-        let (tx, _rx) = bounded(1);
+        let (tx, _rx) = sync_channel(1);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system()).dispatcher_only();
         assert!(!q.claim(1));
         assert_eq!(q.depth(), 0);
@@ -324,7 +329,7 @@ mod tests {
 
     #[test]
     fn resubmit_bumps_depth_but_not_admitted() {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let q = AdmissionQueue::new(0, 1, tx, Clock::system());
         assert!(q.resubmit(req(1), false).is_ok());
         assert_eq!((q.admitted(), q.depth()), (0, 1));
@@ -340,7 +345,7 @@ mod tests {
 
     #[test]
     fn dead_replicas_probe_none() {
-        let (tx, _rx) = bounded(2);
+        let (tx, _rx) = sync_channel(2);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system());
         let clone = q.clone();
         assert!(clone.is_alive());

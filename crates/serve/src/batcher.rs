@@ -37,7 +37,7 @@
 use crate::clock::{dur_ns, Clock, Nanos};
 use crate::config::ServeError;
 use crate::oneshot::ReplyHandle;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::Duration;
 
 /// One enqueued lookup.
@@ -117,7 +117,7 @@ pub fn collect_batch_into<T>(
 mod tests {
     use super::*;
     use crate::oneshot::{reply_pair, ReplySlot};
-    use crossbeam::channel::bounded;
+    use std::sync::mpsc::sync_channel;
     use std::time::Instant;
 
     fn req(key: u32) -> (Request, ReplySlot) {
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn fills_to_max_batch_without_waiting_out_the_delay() {
         let clock = Clock::system();
-        let (tx, rx) = bounded(16);
+        let (tx, rx) = sync_channel(16);
         for k in 1..8u32 {
             tx.send(req(k).0).unwrap();
         }
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn departs_at_deadline_with_partial_batch() {
         let clock = Clock::system();
-        let (_tx, rx) = bounded::<Request>(4);
+        let (_tx, rx) = sync_channel::<Request>(4);
         let start = Instant::now();
         let mut batch = Vec::new();
         let disc =
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn reports_disconnect() {
         let clock = Clock::system();
-        let (tx, rx) = bounded(4);
+        let (tx, rx) = sync_channel(4);
         tx.send(req(1).0).unwrap();
         drop(tx);
         let mut batch = Vec::new();
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn max_batch_one_never_waits() {
         let clock = Clock::system();
-        let (_tx, rx) = bounded::<Request>(4);
+        let (_tx, rx) = sync_channel::<Request>(4);
         let start = Instant::now();
         let mut batch = Vec::new();
         let _ = collect_batch_into(&clock, &rx, req(0).0, &mut batch, 1, Duration::from_secs(10));
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn stale_results_cleared_and_capacity_reused() {
         let clock = Clock::system();
-        let (tx, rx) = bounded(8);
+        let (tx, rx) = sync_channel(8);
         let mut batch = Vec::new();
         for round in 0..3u32 {
             for k in 0..4u32 {
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn dropping_a_collected_batch_shuts_waiters_down() {
         let clock = Clock::system();
-        let (tx, rx) = bounded(4);
+        let (tx, rx) = sync_channel(4);
         let (r1, s1) = req(1);
         tx.send(r1).unwrap();
         let (r0, s0) = req(0);

@@ -54,10 +54,10 @@
 //! with the same seed produce identical digests, and any failure
 //! replays exactly from its seed.
 
-use crossbeam::channel::{
-    Receiver, RecvError, RecvTimeoutError, SendError, Sender, TryRecvError, TrySendError,
-};
 use std::cell::Cell;
+use std::sync::mpsc::{
+    Receiver, RecvError, RecvTimeoutError, SendError, SyncSender, TryRecvError, TrySendError,
+};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -174,7 +174,7 @@ impl Clock {
 
     /// Send, blocking while the channel is full (the sim-safe analogue
     /// of `tx.send(msg)`).
-    pub fn send<T>(&self, tx: &Sender<T>, msg: T) -> Result<(), SendError<T>> {
+    pub fn send<T>(&self, tx: &SyncSender<T>, msg: T) -> Result<(), SendError<T>> {
         match &self.0 {
             Inner::System => tx.send(msg),
             Inner::Sim(c) => {
@@ -665,7 +665,7 @@ impl SimClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
+    use std::sync::mpsc::sync_channel;
 
     #[test]
     fn system_clock_is_monotonic_and_sleeps() {
@@ -693,7 +693,7 @@ mod tests {
         let sim = SimClock::new();
         let _main = sim.register_main();
         let c = Clock::sim(&sim);
-        let (_tx, rx) = bounded::<u32>(1);
+        let (_tx, rx) = sync_channel::<u32>(1);
         let err = c.recv_timeout(&rx, Duration::from_millis(250)).unwrap_err();
         assert_eq!(err, RecvTimeoutError::Timeout);
         assert_eq!(c.now(), 250_000_000);
@@ -704,7 +704,7 @@ mod tests {
         let sim = SimClock::new();
         let _main = sim.register_main();
         let c = Clock::sim(&sim);
-        let (tx, rx) = bounded::<Nanos>(4);
+        let (tx, rx) = sync_channel::<Nanos>(4);
         let producer = {
             let c2 = c.clone();
             c.spawn("producer", move || {
@@ -730,7 +730,7 @@ mod tests {
         let sim = SimClock::new();
         let _main = sim.register_main();
         let c = Clock::sim(&sim);
-        let (tx, rx) = bounded::<u32>(1);
+        let (tx, rx) = sync_channel::<u32>(1);
         let drainer = {
             let c2 = c.clone();
             c.spawn("drainer", move || {
@@ -748,13 +748,90 @@ mod tests {
         assert_eq!(drainer.join().unwrap(), vec![1, 2]);
     }
 
+    /// Run `f` on the system clock, then on a fresh sim clock with the
+    /// calling thread registered as its main thread.
+    fn on_both_clocks(f: impl Fn(Clock)) {
+        f(Clock::system());
+        let sim = SimClock::new();
+        let _main = sim.register_main();
+        f(Clock::sim(&sim));
+    }
+
+    // The three channel behaviours the serving code leans on, on both
+    // clocks. (Unblocked cases are pinned elsewhere: a send to a dropped
+    // receiver by `admission::tests::disconnect_is_shutdown_not_shed`,
+    // one sender's order by `sim_blocking_send_waits_for_capacity` and
+    // `batcher::tests::fills_to_max_batch_without_waiting_out_the_delay`.)
+
+    #[test]
+    fn a_sender_blocked_in_send_observes_the_receivers_drop() {
+        on_both_clocks(|c| {
+            let (tx, rx) = sync_channel::<u32>(1);
+            c.send(&tx, 1).unwrap(); // fills capacity
+            let sender = {
+                let c2 = c.clone();
+                c.spawn("sender", move || c2.send(&tx, 2))
+            };
+            // Exact on virtual time (the sender is parked by now); on the
+            // system clock the nap only makes that likely — dropped early,
+            // the send fails at once, which is the same answer.
+            c.sleep(Duration::from_millis(5));
+            drop(rx);
+            assert_eq!(sender.join().unwrap(), Err(SendError(2)));
+        });
+    }
+
+    #[test]
+    fn recv_timeout_tells_timeout_from_disconnect_after_a_drain() {
+        on_both_clocks(|c| {
+            let wait = Duration::from_millis(2);
+            let (tx, rx) = sync_channel::<u32>(4);
+            tx.send(1).unwrap();
+            assert_eq!(c.recv_timeout(&rx, wait), Ok(1));
+            assert_eq!(c.recv_timeout(&rx, wait), Err(RecvTimeoutError::Timeout), "sender alive");
+            tx.send(2).unwrap();
+            drop(tx);
+            assert_eq!(c.recv_timeout(&rx, wait), Ok(2), "queued messages outlive their sender");
+            assert_eq!(c.recv_timeout(&rx, wait), Err(RecvTimeoutError::Disconnected));
+            assert_eq!(c.recv(&rx), Err(RecvError));
+        });
+    }
+
+    #[test]
+    fn each_senders_messages_arrive_in_the_order_it_sent_them() {
+        on_both_clocks(|c| {
+            // Capacity 2 against 2 × 50 messages: both senders block often.
+            let (tx, rx) = sync_channel::<(u32, u32)>(2);
+            let senders: Vec<_> = (0..2u32)
+                .map(|who| {
+                    let (c2, tx) = (c.clone(), tx.clone());
+                    c.spawn("sender", move || {
+                        for i in 0..50 {
+                            c2.send(&tx, (who, i)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let mut next = [0u32; 2];
+            while let Ok((who, i)) = c.recv(&rx) {
+                assert_eq!(i, next[who as usize], "sender {who} reordered");
+                next[who as usize] += 1;
+            }
+            assert_eq!(next, [50, 50]);
+            for s in senders {
+                s.join().unwrap();
+            }
+        });
+    }
+
     #[test]
     fn same_schedule_same_digest() {
         let run = || {
             let sim = SimClock::new();
             let _main = sim.register_main();
             let c = Clock::sim(&sim);
-            let (tx, rx) = bounded::<u32>(2);
+            let (tx, rx) = sync_channel::<u32>(2);
             let child = {
                 let c2 = c.clone();
                 c.spawn("child", move || {
@@ -781,7 +858,7 @@ mod tests {
             let sim = SimClock::new();
             let _main = sim.register_main();
             let c = Clock::sim(&sim);
-            let (_tx, rx) = bounded::<u32>(1);
+            let (_tx, rx) = sync_channel::<u32>(1);
             let _ = c.recv(&rx); // nobody will ever send, and _tx lives on
         })
         .join();

@@ -92,7 +92,6 @@ use crate::oneshot::{ReplySlot, SlotPool};
 use crate::router::{ReplicaSelector, ShardRouter};
 use crate::snapshot::{EpochCell, ShardSnapshot};
 use crate::stats::{ReplicaMetrics, ServeStats, ShardStats};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use dini_cache_sim::NullMemory;
 use dini_flight::EventKind;
 use dini_index::{DeltaArray, LineDirectory, RankIndex};
@@ -100,6 +99,7 @@ use dini_obs::{HeatMap, MetricsRegistry, MetricsSnapshot, StageRecord, HEAT_BUCK
 use dini_store::{write_snapshot, ShardRecord, SharedKeys, Snapshot, SpanRecord};
 use dini_workload::Op;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -121,7 +121,7 @@ enum WriterMsg {
         ops: Vec<Op>,
         mark: Option<(u64, u64)>,
     },
-    Quiesce(Sender<()>),
+    Quiesce(SyncSender<()>),
 }
 
 // ordering: relaxed-ok: pure monotonic accounting — written by the single
@@ -212,7 +212,7 @@ pub struct IndexServer {
     shutdown: Arc<AtomicBool>,
     clock: Clock,
     dispatchers: Vec<ClockJoinHandle<()>>,
-    writer_tx: Option<Sender<WriterMsg>>,
+    writer_tx: Option<SyncSender<WriterMsg>>,
     writer: Option<ClockJoinHandle<()>>,
 }
 
@@ -393,7 +393,7 @@ impl IndexServer {
             let mut group = Vec::with_capacity(n_replicas);
             let mut wiring = Vec::with_capacity(n_replicas);
             for r in 0..n_replicas {
-                let (req_tx, req_rx) = bounded::<Request>(cfg.queue_capacity);
+                let (req_tx, req_rx) = sync_channel::<Request>(cfg.queue_capacity);
                 let q = AdmissionQueue::new(s, r, req_tx, cfg.clock.clone());
                 // Stragglers and crashes are dispatcher faults: a replica
                 // scripted to have any never lets a caller rank in its place.
@@ -433,7 +433,7 @@ impl IndexServer {
             cells.push(cell);
         }
 
-        let (writer_tx, writer_rx) = bounded::<WriterMsg>(4096);
+        let (writer_tx, writer_rx) = sync_channel::<WriterMsg>(4096);
         let writer = spawn_writer(
             shards,
             watermark,
@@ -568,7 +568,7 @@ impl IndexServer {
     /// of them. With a [`ServeConfig::store`] plan this is also a
     /// durability barrier: a checkpoint lands before `quiesce` returns.
     pub fn quiesce(&self) {
-        let (ack_tx, ack_rx) = bounded(1);
+        let (ack_tx, ack_rx) = sync_channel(1);
         let tx = self.writer_tx.as_ref().expect("writer alive until drop");
         if self.clock.send(tx, WriterMsg::Quiesce(ack_tx)).is_ok() {
             let _ = self.clock.recv(&ack_rx);
@@ -583,6 +583,14 @@ impl IndexServer {
     /// Whether the index currently holds no live keys.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Snapshots the writer has published so far — the one counter a
+    /// control frame reports, read directly: [`stats`](Self::stats)
+    /// returns the same number but folds every replica's histograms to
+    /// get there.
+    pub fn snapshots_published(&self) -> u64 {
+        self.counters.snapshots.load(Ordering::Relaxed)
     }
 
     /// Number of shards.
@@ -617,7 +625,7 @@ impl IndexServer {
         total.updates_applied = self.counters.updates.load(Ordering::Relaxed);
         total.update_nops = self.counters.nops.load(Ordering::Relaxed);
         total.update_batches = self.counters.update_batches.load(Ordering::Relaxed);
-        total.snapshots_published = self.counters.snapshots.load(Ordering::Relaxed);
+        total.snapshots_published = self.snapshots_published();
         total.merges = self.counters.merges.load(Ordering::Relaxed);
         total
     }
@@ -741,7 +749,7 @@ pub struct LookupScratch {
 /// asynchronously, exactly as via [`IndexServer::update`].
 #[derive(Clone)]
 pub struct UpdateHandle {
-    tx: Sender<WriterMsg>,
+    tx: SyncSender<WriterMsg>,
     clock: Clock,
 }
 
@@ -1582,6 +1590,10 @@ mod tests {
         assert_eq!(h.lookup(1).unwrap(), 1); // {1} ≤ 1
         assert_eq!(h.lookup(0).unwrap(), 0); // 0 deleted
         assert_eq!(server.len(), 1000);
+        // The direct counter and the folded one are the same number.
+        let published = server.snapshots_published();
+        assert!(published >= 1, "quiesce publishes what it applied");
+        assert_eq!(published, server.stats().snapshots_published);
     }
 
     #[test]

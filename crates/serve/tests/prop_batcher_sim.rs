@@ -16,12 +16,14 @@
 //!    then, capped at `max_batch` — which is what 2 and 3 say at zero,
 //!    plus the size.
 
-use crossbeam::channel::bounded;
 use dini_serve::batcher::{collect_batch_into, Request};
 use dini_serve::clock::{dur_ns, Clock, SimClock};
 use dini_serve::oneshot::reply_pair;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 use std::time::Duration;
 
 proptest! {
@@ -39,10 +41,17 @@ proptest! {
         let clock = Clock::sim(&sim);
         let max_delay = Duration::from_micros(max_delay_us);
 
-        let (tx, rx) = bounded::<Request>(1024);
+        let (tx, rx) = sync_channel::<Request>(1024);
+        // Requests sent so far. `std`'s receiver has no `len()`, so the
+        // backlog is counted: sent minus received. One thread runs at a
+        // time under a `SimClock` and the feeder counts a request in the
+        // same turn it sends it, so the difference is exact whenever
+        // this thread reads it.
+        let sent = Arc::new(AtomicUsize::new(0));
         let feeder = {
             let clock = clock.clone();
             let gaps = gaps_us.clone();
+            let sent = sent.clone();
             clock.clone().spawn("feeder", move || {
                 for (i, gap) in gaps.into_iter().enumerate() {
                     clock.sleep(Duration::from_micros(gap));
@@ -51,6 +60,7 @@ proptest! {
                     if tx.send(req).is_err() {
                         break;
                     }
+                    sent.fetch_add(1, Ordering::Relaxed);
                 }
                 // Dropping tx disconnects the queue: collection ends.
             })
@@ -65,7 +75,7 @@ proptest! {
                 Err(_) => break,
             };
             let open = clock.now();
-            let backlog = rx.len();
+            let backlog = sent.load(Ordering::Relaxed) - (collected + 1);
             let disconnected =
                 collect_batch_into(&clock, &rx, first, &mut batch, max_batch, max_delay);
             let departed = clock.now();

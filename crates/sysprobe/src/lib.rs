@@ -11,9 +11,16 @@
 //! Table 2 values); they exist so `table2 --measure` can print the
 //! paper-era and present-day columns side by side, demonstrating that the
 //! random-access penalty the paper exploits still exists today.
+//!
+//! The crate also holds the one other thing the workspace asks of the
+//! host: thread placement ([`affinity`] — the cores a thread may run on,
+//! and pinning it to one), which is what
+//! `dini_core::NativeConfig::pin_cores` calls.
 
 #![warn(missing_docs)]
 
+pub mod affinity;
 pub mod measure;
 
+pub use affinity::{allowed_cores, pin_current_thread};
 pub use measure::{detect_knees, measure_all, measure_latency_curve, HostParams, LatencyPoint};

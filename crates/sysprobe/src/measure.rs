@@ -10,12 +10,11 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Measured host parameters (the present-day column of Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostParams {
     /// Sequential read bandwidth, MB/s (paper: 647).
     pub seq_bw_mb_s: f64,
@@ -120,7 +119,7 @@ pub fn measure_comp_cost_node() -> f64 {
 }
 
 /// One point of a latency-vs-working-set curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyPoint {
     /// Working-set size in bytes.
     pub bytes: u64,

@@ -10,10 +10,9 @@
 use crate::dist::KeyDistribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One operation in an update workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Look the key up.
     Query(u32),
@@ -33,7 +32,7 @@ impl Op {
 }
 
 /// Operation-mix weights (need not sum to 1; normalised internally).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpMix {
     /// Relative weight of queries.
     pub query: f64,

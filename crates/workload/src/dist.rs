@@ -6,10 +6,9 @@
 //! erodes Method C's balance assumption.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How search keys are drawn from the `u32` space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDistribution {
     /// Uniform over all of `u32` (the paper's workload).
     Uniform,

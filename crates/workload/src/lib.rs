@@ -8,8 +8,8 @@
 //! plus skewed variants (Zipf, clustered, self-similar) used by our
 //! beyond-paper ablations, interleaved update streams ([`churn`]) for the
 //! dynamic-index extensions, open-loop arrival processes ([`arrivals`])
-//! for serving-layer load generation, and serde-serialisable query traces
-//! for replay.
+//! for serving-layer load generation, and compact query-trace descriptions
+//! ([`trace`]: seeds and counts, not keys) for replay.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Serialisable query traces for record/replay.
+//! Query-trace descriptions for record/replay.
 //!
 //! Experiments record (seed, distribution, counts) rather than raw keys,
 //! so traces stay small; `materialize` regenerates the identical key
@@ -6,10 +6,9 @@
 
 use crate::dist::KeyDistribution;
 use crate::keys::{gen_search_keys, gen_sorted_unique_keys, KeyGen};
-use serde::{Deserialize, Serialize};
 
 /// A reproducible description of one experiment's workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryTrace {
     /// Number of keys in the index (the paper: 327,680).
     pub index_keys: usize,

@@ -8,11 +8,11 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`cache_sim`] | set-associative L1/L2(/L3) simulator + Table 2 cost model, TLB, prefetchers, victim cache, page coloring, write-backs |
-//! | [`cluster`] | discrete-event cluster/network simulator (timers, fault injection, switch backplane, tracing, RTT histograms) + thread backend |
+//! | [`cluster`] | discrete-event cluster/network simulator (timers, fault injection, switch backplane, tracing, RTT histograms) |
 //! | [`index`] | sorted array, cache-line directory with group-interleaved batch probes (the kernel serving dispatchers and native slaves rank batches with), CSB+ tree, Zhou–Ross buffered traversal, partitioning, hash strawman, updatable delta array |
 //! | [`workload`] | seeded key/query generators (uniform, Zipf, clustered, self-similar) + churn streams |
 //! | [`model`] | the paper's Appendix-A analytical model + Figure 4 trends + sensitivity solvers |
-//! | [`sysprobe`] | host measurements of the paper's Table 2 quantities + cache-size knee detection |
+//! | [`sysprobe`] | host measurements of the paper's Table 2 quantities + cache-size knee detection + thread placement (allowed cores, pinning) |
 //! | [`core`] | Methods A, B, C-1/C-2/C-3, really-dispatched A/B + the native [`DistributedIndex`] |
 //! | [`serve`] | sharded, replicated, batch-coalescing serving layer: replica groups with load-aware routing + failover, admission control, online updates, load generators, `Clock` time-virtualization seam |
 //! | [`net`] | the transport layer: versioned wire frames, TCP and simulated-network backends, `NetServer` span hosting, `RemoteClient` with shard-map routing + client-side coalescing + retry + failover |

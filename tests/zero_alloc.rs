@@ -13,10 +13,11 @@
 //! end to end: *after warmup, N lookups perform exactly zero heap
 //! allocations anywhere in the process* — caller and dispatcher included.
 //!
-//! Warmup is what "steady state" means: the first lookups grow channel
-//! buffers, batch scratch, and the slot slab to the workload's shape;
-//! those allocations are the amortised setup the paper's economics
-//! permit. What the invariant forbids is *per-lookup* allocation.
+//! Warmup is what "steady state" means: the server's threads start and
+//! park on their queues (`settle`), and the first lookups grow batch
+//! scratch and the slot slab to the workload's shape; those allocations
+//! are the amortised setup the paper's economics permit. What the
+//! invariant forbids is *per-lookup* allocation.
 
 use dini::serve::{open_snapshot, IndexServer, ServeConfig, StorePlan, TraceConfig};
 use dini::workload::Op;
@@ -78,6 +79,35 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::SeqCst) - before
 }
 
+/// Wait (at most ten seconds) until the `n` threads a server owns have
+/// all started and gone to sleep on their queues. A thread the scheduler
+/// has not yet run, or has not yet let park, still owes the allocator
+/// its start-up — its name, and on its first park the channel's
+/// per-thread context and the queue's waiter list — and on a busy host
+/// that can be milliseconds after `build` returned, inside a window
+/// armed by then. A thread names itself when it first runs, so `n`
+/// sleeping `dini-…` threads in `/proc` means none is left to start.
+/// Elsewhere than Linux this is a no-op and warmup is the lookups alone.
+fn settle(n: usize) {
+    #[cfg(target_os = "linux")]
+    {
+        let asleep = || {
+            std::fs::read_dir("/proc/self/task")
+                .expect("procfs")
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("stat")).ok())
+                // "<tid> (<name>) <state> …"
+                .filter(|stat| stat.contains("(dini-") && stat.contains(") S "))
+                .count()
+        };
+        let started = std::time::Instant::now();
+        while asleep() != n && started.elapsed() < std::time::Duration::from_secs(10) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = n;
+}
+
 #[test]
 fn the_counter_itself_counts() {
     // Guards the guard: if arming ever breaks, the two invariant tests
@@ -100,7 +130,9 @@ fn native_lookup_batch_into_is_allocation_free_when_warm() {
     let queries: Vec<u32> = (0..512u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
     let mut out = Vec::new();
 
-    // Warmup: grow scatter/response/result buffers to the batch shape.
+    // Warmup: the three slaves, then grow scatter/response/result
+    // buffers to the batch shape.
+    settle(3);
     for _ in 0..50 {
         index.lookup_batch_into(&queries, &mut out);
     }
@@ -148,8 +180,10 @@ fn serve_steady_state_lookup_is_allocation_free() {
     let server = IndexServer::build(&keys, cfg);
     let h = server.handle();
 
-    // Warmup: fill the slot slab, channel rings and dispatcher scratch;
-    // spread keys across both shards.
+    // Warmup: the server's own threads first (two dispatchers and the
+    // writer), then the slot slab and dispatcher scratch; spread keys
+    // across both shards.
+    settle(3);
     let mut k = 0u32;
     for _ in 0..3000 {
         k = k.wrapping_add(0x9E37_79B9);
@@ -207,6 +241,15 @@ fn serve_queued_and_claimed_paths_are_allocation_free_when_warm() {
     /// all have been seen still pending on return (or ten seconds pass);
     /// the counter is armed from before the first lookup until after the
     /// last. Returns (allocations, lookups seen queued).
+    ///
+    /// The slab grows to the most reply cells ever out at once, which
+    /// for two callers is two — but only at a moment when both are
+    /// queued, and whether a pass has such a moment is up to the
+    /// scheduler. So the warmup pass (`armed == false`) makes it
+    /// certain: each caller keeps its first two queued lookups
+    /// un-redeemed while it carries on, and redeems them at the end.
+    /// After that the slab holds at least as many cells as the armed
+    /// pass, which holds none back, can ever have out.
     fn hammer(server: &IndexServer, armed: bool) -> (u64, u64) {
         const WANT_QUEUED: u64 = 64;
         let queued = AtomicU64::new(0);
@@ -223,6 +266,7 @@ fn serve_queued_and_claimed_paths_are_allocation_free_when_warm() {
                         std::thread::yield_now();
                     }
                     let deadline = Instant::now() + Duration::from_secs(10);
+                    let mut held = Vec::with_capacity(if armed { 0 } else { 2 });
                     let mut k = t;
                     while queued.load(Ordering::Relaxed) < WANT_QUEUED && Instant::now() < deadline
                     {
@@ -231,9 +275,16 @@ fn serve_queued_and_claimed_paths_are_allocation_free_when_warm() {
                             let pending = h.begin_lookup(k % 250_000).unwrap();
                             if pending.poll().is_none() {
                                 queued.fetch_add(1, Ordering::Relaxed);
+                                if held.len() < held.capacity() {
+                                    held.push(pending);
+                                    continue;
+                                }
                             }
                             std::hint::black_box(pending.wait().unwrap());
                         }
+                    }
+                    for pending in held {
+                        std::hint::black_box(pending.wait().unwrap());
                     }
                     // Park (without exiting: thread teardown may free and
                     // allocate) until the counter is disarmed.
@@ -264,8 +315,9 @@ fn serve_queued_and_claimed_paths_are_allocation_free_when_warm() {
     cfg.heat = true;
     let server = IndexServer::build(&keys, cfg);
 
-    // Warmup runs the same mix: it is the queued path's slab, channel
-    // ring and dispatcher scratch that need filling.
+    // Warmup runs the same mix: it is the queued path's slab and the
+    // dispatcher's scratch that need filling.
+    settle(2);
     let (_, warm_queued) = hammer(&server, false);
     assert!(warm_queued > 0, "two callers on one shard never collided during warmup");
     let (allocs, queued) = hammer(&server, true);
@@ -324,6 +376,7 @@ fn recovered_mapped_backing_lookup_is_allocation_free_when_warm() {
 
     // Warmup, then the armed window: identical protocol to the owned
     // sibling test above.
+    settle(3);
     let mut k = 0u32;
     for _ in 0..3000 {
         k = k.wrapping_add(0x9E37_79B9);
