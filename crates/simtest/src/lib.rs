@@ -1,151 +1,259 @@
 //! # dini-simtest
 //!
-//! FoundationDB-style deterministic simulation testing for the
-//! `dini-serve` stack: the **actual** [`IndexServer`] — dispatchers,
-//! admission queues, the writer's snapshot/merge machinery, and
-//! open-loop arrival processes — runs on a seeded
-//! [`SimClock`], so
+//! FoundationDB-style deterministic simulation testing for the whole
+//! serving stack: the **actual** [`IndexServer`](dini_serve::IndexServer)
+//! — dispatchers, admission queues, the writer's snapshot/merge
+//! machinery — alone in a process or hosted by several
+//! [`NetServer`](dini_net::NetServer)s behind a
+//! [`RemoteClient`](dini_net::RemoteClient), with the wire between them
+//! ([`ChanNet`](dini_net::transport::ChanNet), whose frames route
+//! through `dini-cluster`'s seeded fate machinery), all on one seeded
+//! [`SimClock`](dini_serve::SimClock), so
 //!
 //! * idle waits fast-forward: a multi-second soak finishes in
 //!   milliseconds of wall-clock;
 //! * hostile schedules are *scripted*, not hoped for: a
-//!   [`ServeFaultPlan`] crashes a shard (or one replica of it)
-//!   mid-batch, jitters the dispatch path, or turns one shard or
-//!   replica into a straggler at an exact virtual instant — and the
-//!   replica scenarios then hold failover to "degraded capacity, never
-//!   errors": a crashed replica's backlog must be re-routed and
-//!   answered exactly, not resolved to `ShuttingDown`;
-//! * every run is reproducible: the scheduler folds its event trace
-//!   into a digest, and the same scenario + seed yields the same digest
-//!   bit-for-bit — a failure replays exactly.
+//!   [`ServeFaultPlan`] crashes or slows a shard or one replica at an
+//!   exact virtual instant, a link drops, duplicates, reorders, blacks
+//!   out or is severed, and a [`Step`] list kills a server process,
+//!   restarts it from its snapshot and rejoins it;
+//! * every run is reproducible: every thread (dispatchers, acceptors,
+//!   connection readers, client workers, probes) waits through the same
+//!   clock, the scheduler folds its event trace into a digest, and the
+//!   same deployment + seed yields the same digest bit-for-bit — a
+//!   failure replays exactly.
 //!
-//! The crate exposes a scenario runner ([`run_scenario`]) whose
-//! invariant oracles hold for *every* scenario:
+//! There is one description, [`Deployment`], one runner, [`run`], and
+//! one outcome, [`Report`]. What a deployment *is* switches its oracles
+//! on; there is no flag per oracle:
 //!
-//! 1. **Reply completeness** — every issued lookup resolves exactly
-//!    once, as a rank, a shed, or a shutdown. (The scheduler's deadlock
-//!    detector enforces the "at least once" half: a lost reply strands
-//!    its waiter and panics the run instead of hanging.)
-//! 2. **Answer correctness** — with no concurrent churn, every rank is
-//!    checked against `keys.partition_point`; with churn, a
-//!    post-quiesce sweep checks ranks against a replayed `BTreeSet`
-//!    mirror of the deterministic churn stream.
-//! 3. **Latency bound** — in virtual time, service is instantaneous and
-//!    delays are only what the configuration and fault plan inject, so
-//!    the scenario can assert a *tight* bound on the worst served
-//!    latency (the configured `max_delay`, zero by default, + a small
-//!    multiple of the injected delays) — a bound wall-clock tests could
-//!    never hold.
-//! 4. **Accounting** — client-side and server-side counters agree
-//!    (sheds match exactly; no reply without an admission).
+//! 1. **Reply completeness** (always) — every issued lookup resolves
+//!    exactly once, as a rank, a shed, or a shutdown; retries and
+//!    duplicated frames must not double-resolve anything. The
+//!    scheduler's deadlock detector enforces "at least once": a lost
+//!    reply strands its waiter and panics the run instead of hanging.
+//! 2. **Per-reply exactness** (static keys: no churn anywhere) — every
+//!    rank is checked against `keys.partition_point` when it is reaped,
+//!    drops, jitter and failover notwithstanding.
+//! 3. **Mirror sweep, live-key accounting, replica convergence**
+//!    (churn, beside the probes or step by step) — the one churn
+//!    generator folds every acknowledged op into a `BTreeSet` mirror;
+//!    after a quiesce barrier, sampled ranks through the deployment's
+//!    front must match the mirror, the live-key count must equal its
+//!    size, and every server process that kept its link must hold
+//!    exactly its span's slice of it (set size and local ranks), so a
+//!    dropped, duplicated or blacked-out update frame can never silently
+//!    diverge one replica. In process the sweep runs for static keys
+//!    too: it costs no wire traffic.
+//! 4. **Latency bound** ([`Deployment::latency_bound`]) — in virtual
+//!    time service is instantaneous and delays are only what the
+//!    description injects, so a *tight* bound holds: on every server's
+//!    worst served latency and traced stage span, and over a wire on
+//!    what the probes observed.
+//! 5. **Accounting** (always) — no reply without an admission; in
+//!    process, where the probes are the only way in, client- and
+//!    server-side sheds match exactly; with wire stats polls, every
+//!    mid-load poll is monotone and never ahead of admissions, and a
+//!    final poll per single-endpoint span equals that process's own
+//!    counters.
+//! 6. **Stage timing** (tracing on, sampled or dense) — on *every*
+//!    server process, each sampled record advances monotonically
+//!    through admitted → collected → dispatched → answered → filled,
+//!    names a shard and replica that exist, and carries a batch length
+//!    in `1..=max_batch`. That one field sizes both the dispatcher's
+//!    batches and the client's frames, which is why it is the ceiling
+//!    either way a lookup is answered: a frame the connection reader
+//!    ranks in place is one claimed batch per shard, so it is bounded
+//!    by the client's frame size, a queued one by the server's batch.
+//! 7. **Causal stitching** (dense tracing over a wire) — client wire
+//!    records and server stage records must stitch into timelines on
+//!    the shared trace id, each monotone on the one virtual clock.
+//! 8. **Journals agree with counters** ([`Deployment::flight`]) — the
+//!    client's flight journal holds one record per counted election and
+//!    update resend (and shows every kill and rejoin); a killed
+//!    server's journal, read cold off disk, tells exactly its
+//!    checkpoint counters' story, and its restart appends past it.
 //!
-//! Scenario tests live in `tests/scenarios.rs` and run across a seed
-//! matrix sized by the `DINI_SIMTEST_SEEDS` env var.
+//! Scenario tests live in `tests/` and sweep a seed matrix sized by
+//! `DINI_SIMTEST_SEEDS`, each run executed twice
+//! ([`run_reproducibly`]). `tests/golden.txt` pins `(digest, events,
+//! virtual_ns)` of every scenario × seeds 0–7, so a change to the
+//! harness, or to anything under it, that moves a schedule has to edit
+//! that file.
 //!
-//! ## Running a scenario
+//! ## Running a deployment
 //!
-//! A scenario is plain data: describe the server, the load, and the
-//! faults, then run it under a seed — the whole multi-threaded server
+//! A deployment is plain data: describe the topology, the servers, the
+//! load and the faults, then run it under a seed — every thread
 //! executes on virtual time and the call returns a deterministic
 //! [`Report`]:
 //!
 //! ```
-//! use dini_simtest::{run_scenario, Scenario};
+//! use dini_simtest::{run, Deployment};
 //!
-//! let mut sc = Scenario::base("doc-example");
-//! sc.clients = 1;
-//! sc.lookups_per_client = 50;
-//! sc.replicas_per_shard = 2; // a replica group per shard
-//! let report = run_scenario(&sc, 42);
+//! let mut d = Deployment::in_process("doc-example");
+//! d.clients = 1;
+//! d.lookups_per_client = 50;
+//! d.replicas_per_shard = 2; // a replica group per shard
+//! let report = run(&d, 42);
 //! assert_eq!(report.issued, 50);
 //! assert_eq!(report.ok, 50, "fault-free: every lookup answers");
-//! assert_eq!(report.per_replica_served.len(), sc.shards * 2);
-//! assert_eq!(run_scenario(&sc, 42), report, "same seed, same run");
+//! assert_eq!(report.per_replica_served.len(), d.shards * 2);
+//! assert_eq!(run(&d, 42), report, "same seed, same run");
+//!
+//! // The same load through a client, over a wire, to one server process.
+//! d.spans = 1;
+//! d.latency_bound = None; // links and client coalescing add to what a probe sees
+//! let wired = run(&d, 42);
+//! assert_eq!((wired.issued, wired.ok), (report.issued, report.ok));
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod net;
+mod oracles;
+mod run;
 
-pub use net::{
-    run_net_scenario, run_net_scenario_reproducibly, run_restart_scenario,
-    run_restart_scenario_reproducibly, NetReport, NetScenario, RestartReport, RestartScenario,
-};
+pub use run::run;
 
-use dini_serve::{
-    Clock, IndexServer, PendingLookup, ServeConfig, ServeError, ServeFaultPlan, ServerHandle,
-    SimClock, TraceConfig,
-};
-use dini_workload::{
-    gen_sorted_unique_keys, ArrivalGen, ArrivalProcess, ChurnGen, KeyDistribution, KeyGen, Op,
-    OpMix,
-};
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use dini_serve::ServeFaultPlan;
+use dini_workload::ArrivalProcess;
 use std::time::Duration;
 
-/// Salt mixed into per-purpose RNG seeds so the key, arrival, churn, and
-/// fault streams of one scenario seed are decorrelated.
-const CHURN_SALT: u64 = 0xC0A1_E5CE ^ 0x9E37_79B9_7F4A_7C15;
-
-/// One deterministic scenario: a server shape, a load shape, a fault
-/// plan, and the oracles to hold it to.
+/// One deterministic deployment: a topology, a server shape, a load, a
+/// fault schedule, and what to hold the run to.
 #[derive(Debug, Clone)]
-pub struct Scenario {
-    /// Name (labels panics and reports).
+pub struct Deployment {
+    /// Name (labels panics, reports and scratch directories).
     pub name: &'static str,
-    /// Initial sorted key count.
+    /// Server *processes* along the key space, each reached over a
+    /// [`ChanNet`](dini_net::transport::ChanNet) link through one
+    /// `RemoteClient`. Zero is the in-process deployment: one
+    /// `IndexServer`, probed through its own handle, no wire.
+    pub spans: usize,
+    /// Replica endpoints per span (independent full copies; the client
+    /// fails over between them). Endpoints are numbered span-major.
+    pub endpoints_per_span: usize,
+    /// Initial sorted key count (split evenly across spans).
     pub n_keys: usize,
-    /// Server shards.
+    /// Shards inside each server.
     pub shards: usize,
-    /// Replicated dispatchers per shard (1 = the classic single
-    /// dispatcher; more enables failover and load-aware routing
-    /// scenarios).
+    /// Replicated dispatchers per shard (more than one enables failover
+    /// and load-aware routing inside a server).
     pub replicas_per_shard: usize,
-    /// Coalescing bound: queries per batch.
+    /// Queries per dispatcher batch, and keys per client frame.
     pub max_batch: usize,
-    /// Coalescing bound: max wait for co-travellers. The base scenario
-    /// sets one explicitly — a timed batch is how the fault scenarios
-    /// keep requests queued and coalescing when a fault fires; zero is
-    /// the server's shipped group commit.
+    /// Server-side coalescing window. The constructors set one
+    /// explicitly — a timed batch is how the fault scenarios keep
+    /// requests queued and coalescing when a fault fires; zero is the
+    /// server's shipped group commit.
     pub max_delay: Duration,
     /// Admission queue depth per shard.
     pub queue_capacity: usize,
-    /// Writer delta budget before merge/rebuild.
+    /// Writer delta budget before a merge — and, with
+    /// [`flight`](Self::flight), a checkpoint. Small → a churn storm
+    /// checkpoints itself; huge → only quiesce barriers do.
     pub merge_threshold: usize,
     /// Writer ops per snapshot publication.
     pub publish_every: usize,
-    /// Open-loop client threads.
+    /// Client-side coalescing window.
+    pub client_max_delay: Duration,
+    /// Client resend timeout for unanswered lookup batches.
+    pub retry_timeout: Duration,
+    /// Client retry budget before declaring an endpoint dead.
+    pub max_retries: u32,
+    /// Open-loop probe threads.
     pub clients: usize,
-    /// Arrivals issued per client.
+    /// Arrivals issued per probe.
     pub lookups_per_client: usize,
-    /// Per-client arrival process (virtual time).
+    /// Per-probe arrival process (virtual time).
     pub arrival: ArrivalProcess,
-    /// Concurrent churn operations fed by a dedicated updater thread
-    /// (0 = static keys, enabling per-reply exact verification).
+    /// Churn operations fed *beside* the probes by a dedicated thread
+    /// (0 = none). Over a wire they ride the replicated churn log: each
+    /// op resolves only once quorum-acked. A deployment churns here or
+    /// through [`Step::Churn`], not both — the mirror has one owner.
     pub churn_ops: usize,
-    /// Virtual pause between churn operations.
+    /// Virtual pause between those operations.
     pub churn_gap: Duration,
-    /// Deterministic fault plan (crashes / jitter / stragglers).
+    /// Fault plan of every server (crashes / jitter / stragglers).
     pub faults: ServeFaultPlan,
-    /// Upper bound on the worst *served* latency (server-side, virtual).
-    /// `None` disables the oracle (e.g. under overload, where queueing
-    /// delay is the point).
+    /// Fixed one-way link latency (all links).
+    pub link_latency: Duration,
+    /// Per-frame drop probability (all links).
+    pub drop_prob: f64,
+    /// Per-frame duplicate probability (all links).
+    pub duplicate_prob: f64,
+    /// Uniform per-frame delivery jitter in `[0, max)` (all links;
+    /// reorders frames).
+    pub jitter_max: Duration,
+    /// Sever the link to these endpoints at a virtual instant — the
+    /// network view of an endpoint crash.
+    pub link_down: Vec<(usize, Duration)>,
+    /// Black out the link to these endpoints over a half-open virtual
+    /// window `[start, end)`: frames sent inside it are dropped, the
+    /// link heals afterwards — a partition that ends.
+    pub blackout: Vec<(usize, Duration, Duration)>,
+    /// What the driving thread does, in order, while the probes run.
+    pub lifecycle: Vec<Step>,
+    /// Upper bound on the worst latency, where the deployment measures
+    /// it: every server's served latency and traced stage spans, and —
+    /// over a wire — what the probes observed, issue to reap (they reap
+    /// on a 100 µs cadence, already included in the bound you pass).
+    /// `None` disables it (overload, or drops, where tails legitimately
+    /// include queueing or retry timeouts).
     pub latency_bound: Option<Duration>,
-    /// Issue a mid-run `quiesce()` and verify immediate visibility.
-    pub quiesce_mid_run: bool,
-    /// Stage-trace sampling period (1 = trace every request, 0 =
-    /// tracing off). Sampled records feed the stage-timing oracle and
-    /// their count is pinned in the deterministic report.
+    /// Mid-load `StatsRequest` polls per span from a dedicated thread
+    /// (0 = none; needs a wire).
+    pub stats_polls: usize,
+    /// Virtual pause between stats polls.
+    pub stats_poll_gap: Duration,
+    /// Stage-trace sampling period on the client and every server
+    /// (1 = trace everything, 0 = off). Dense tracing over a wire is
+    /// for clean links only: a retried frame re-encodes, so a reply
+    /// answered from an earlier delivered attempt would legitimately
+    /// violate cross-attempt ordering.
     pub trace_sample_period: u64,
+    /// Keep crash-safe state in a per-run scratch directory: a flight
+    /// journal for the client and for every server, and a snapshot
+    /// store per server — what [`Step::Restart`] recovers from.
+    pub flight: bool,
 }
 
-impl Scenario {
-    /// A small, fast, fault-free baseline scenario; override fields per
-    /// test.
-    pub fn base(name: &'static str) -> Self {
+/// One step of a deployment's [lifecycle](Deployment::lifecycle).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Let virtual time pass.
+    Pause(Duration),
+    /// Feed this many churn ops, each acknowledged before the next (so
+    /// the mirror is exact at every instant).
+    Churn(usize),
+    /// Barrier: every fed op applied and published — with
+    /// [`Deployment::flight`], checkpointed — everywhere.
+    Quiesce,
+    /// [`Quiesce`](Self::Quiesce), then check this many sampled ranks
+    /// through the front against the mirror.
+    Sweep(usize),
+    /// Kill this endpoint's server process, crash-like: no parting
+    /// checkpoint. Its journal is read cold off disk and must match the
+    /// checkpoint counters it had.
+    Kill(usize),
+    /// Restart a killed endpoint by *mapping* its last snapshot (a
+    /// sort-rebuild fallback fails the run). The client must already
+    /// see it dead.
+    Restart(usize),
+    /// Have the client re-dial a restarted endpoint and wait until it
+    /// is live; the churn-log suffix past its recovered watermark is
+    /// replayed to it.
+    Rejoin(usize),
+}
+
+impl Deployment {
+    /// A small, fast, fault-free in-process baseline; override fields
+    /// per test.
+    pub fn in_process(name: &'static str) -> Self {
         Self {
             name,
+            spans: 0,
+            endpoints_per_span: 1,
             n_keys: 8_192,
             shards: 3,
             replicas_per_shard: 1,
@@ -154,54 +262,130 @@ impl Scenario {
             queue_capacity: 1024,
             merge_threshold: 4096,
             publish_every: 64,
+            client_max_delay: Duration::from_micros(100),
+            retry_timeout: Duration::from_millis(5),
+            max_retries: 40,
             clients: 3,
             lookups_per_client: 400,
             arrival: ArrivalProcess::poisson_rate(20_000.0),
             churn_ops: 0,
             churn_gap: Duration::from_micros(50),
             faults: ServeFaultPlan::none(),
+            link_latency: Duration::from_micros(50),
+            drop_prob: 0.0,
+            duplicate_prob: 0.0,
+            jitter_max: Duration::ZERO,
+            link_down: Vec::new(),
+            blackout: Vec::new(),
+            lifecycle: Vec::new(),
             latency_bound: Some(Duration::from_micros(250)),
-            quiesce_mid_run: false,
+            stats_polls: 0,
+            stats_poll_gap: Duration::from_micros(500),
             trace_sample_period: 64,
+            flight: false,
         }
     }
 
-    /// Shards this scenario's fault plan kills *entirely* — a
-    /// shard-wide crash, or per-replica crashes covering every one of
-    /// its replicas. A shard with a surviving replica keeps answering
-    /// (failover), so only fully crashed shards are excluded from
-    /// post-run probes.
-    fn fully_crashed_shards(&self) -> Vec<usize> {
-        let mut gone: Vec<usize> = self.faults.crash_at.iter().map(|&(s, _)| s).collect();
-        for s in 0..self.shards {
-            let dead_replicas = (0..self.replicas_per_shard)
-                .filter(|&r| {
-                    self.faults.crash_replica_at.iter().any(|&(cs, cr, _)| (cs, cr) == (s, r))
-                })
-                .count();
-            if dead_replicas == self.replicas_per_shard {
-                gone.push(s);
-            }
+    /// A small, fast, fault-free two-process baseline over 50 µs links.
+    pub fn wire(name: &'static str) -> Self {
+        Self {
+            spans: 2,
+            shards: 2,
+            max_batch: 64,
+            clients: 2,
+            lookups_per_client: 300,
+            latency_bound: None,
+            ..Self::in_process(name)
         }
-        gone.sort_unstable();
-        gone.dedup();
-        gone
+    }
+
+    /// A small, fast kill-and-recover baseline: one span, two replica
+    /// endpoints under quorum-acked churn, no probes. Endpoint 1 is
+    /// killed after a checkpointing barrier, churn continues through
+    /// the survivor (quorum degrades 2 → 1), then the victim restarts
+    /// from its snapshot, replays the log suffix and rejoins; the ops
+    /// after the rejoin need a quorum of 2 again, so their `Ok`s prove
+    /// the revived endpoint applied the whole replayed suffix.
+    pub fn restart(name: &'static str) -> Self {
+        Self {
+            spans: 1,
+            endpoints_per_span: 2,
+            n_keys: 2_048,
+            merge_threshold: 1 << 30,
+            retry_timeout: Duration::from_millis(2),
+            clients: 0,
+            flight: true,
+            lifecycle: vec![
+                Step::Churn(200),
+                Step::Quiesce,
+                Step::Kill(1),
+                Step::Churn(200),
+                Step::Sweep(128),
+                Step::Restart(1),
+                Step::Rejoin(1),
+                Step::Churn(100),
+                Step::Sweep(128),
+            ],
+            ..Self::wire(name)
+        }
+    }
+
+    /// Does any op ever reach the index — is there a mirror to check?
+    pub(crate) fn churns(&self) -> bool {
+        self.churn_ops > 0 || self.has_step(Step::Churn(0))
+    }
+
+    /// Key-space owners (shards in process, spans over a wire) the
+    /// description takes down for good, so no probe after the load can
+    /// expect an answer from them: a shard-wide crash or crashes
+    /// covering every replica of a shard; a span whose every endpoint
+    /// link is severed. One survivor keeps an owner answering.
+    pub(crate) fn dark_owners(&self) -> Vec<usize> {
+        if self.spans == 0 {
+            let f = &self.faults;
+            (0..self.shards)
+                .filter(|&s| {
+                    f.crash_at.iter().any(|&(cs, _)| cs == s)
+                        || (0..self.replicas_per_shard).all(|r| {
+                            f.crash_replica_at.iter().any(|&(cs, cr, _)| (cs, cr) == (s, r))
+                        })
+                })
+                .collect()
+        } else {
+            (0..self.spans)
+                .filter(|&s| {
+                    (0..self.endpoints_per_span)
+                        .all(|e| self.severed(s * self.endpoints_per_span + e))
+                })
+                .collect()
+        }
+    }
+
+    /// Does the lifecycle contain a step like `like` (payload aside)?
+    pub(crate) fn has_step(&self, like: Step) -> bool {
+        self.lifecycle.iter().any(|s| std::mem::discriminant(s) == std::mem::discriminant(&like))
+    }
+
+    /// Is this endpoint's link severed at some point of the run?
+    pub(crate) fn severed(&self, endpoint: usize) -> bool {
+        self.link_down.iter().any(|&(ep, _)| ep == endpoint)
     }
 }
 
-/// Deterministic outcome of one scenario run. Two runs of the same
-/// scenario with the same seed produce `Report`s that compare equal —
-/// including the scheduler's event-trace `digest`, which pins the entire
-/// thread interleaving, not just the totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Deterministic outcome of one run. Two runs of the same deployment
+/// with the same seed produce `Report`s that compare equal — including
+/// the scheduler's event-trace `digest`, which pins the entire thread
+/// interleaving, not just the totals. Server-side fields sum over every
+/// server process alive at the end.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     /// FNV-1a fold of every scheduling event (block/wake/advance/…).
     pub digest: u64,
     /// Number of scheduling events folded into `digest`.
     pub events: u64,
-    /// Virtual time consumed by the whole scenario.
+    /// Virtual time the whole deployment consumed.
     pub virtual_ns: u64,
-    /// Lookups issued by all clients.
+    /// Lookups issued by all probes.
     pub issued: u64,
     /// Lookups answered with a rank.
     pub ok: u64,
@@ -210,6 +394,8 @@ pub struct Report {
     /// Lookups answered `ShuttingDown` (crashed shard, at submit or in
     /// flight).
     pub shutdown: u64,
+    /// Worst probe-observed latency (issue → reap), virtual ns.
+    pub max_client_latency_ns: u64,
     /// Queries served (server-side).
     pub served: u64,
     /// Requests admitted (server-side).
@@ -224,348 +410,83 @@ pub struct Report {
     pub merges: u64,
     /// Snapshot epochs published.
     pub snapshots: u64,
-    /// Churn operations that mutated the index.
+    /// Churn operations that mutated some server's index.
     pub updates_applied: u64,
-    /// Exact-rank assertions performed (during-run + post-quiesce).
-    pub oracle_checks: u64,
-    /// Requests re-routed from crashed replicas to surviving siblings
-    /// (failover hand-offs; 0 in any scenario without replica crashes).
-    pub rerouted: u64,
-    /// Queries served per replica, replica-major
-    /// (`shard * replicas_per_shard + replica`) — the breakdown the
+    /// Queries served per server process (span-major; one entry in
+    /// process; 0 for a process that is down at the end).
+    pub served_per_server: Vec<u64>,
+    /// Queries served per replica, server-major then
+    /// `shard * replicas_per_shard + replica` — the breakdown the
     /// straggler and load-balance oracles read.
     pub per_replica_served: Vec<u64>,
-    /// Stage-trace records sampled across all replicas. Same seed, same
-    /// schedule, same samples — pinned by the reproducibility contract
-    /// like every other field.
+    /// Stage-trace records sampled across all replicas of all servers,
+    /// each one held to the stage-timing oracle.
     pub trace_records: u64,
+    /// Requests re-routed to a surviving sibling: from a crashed
+    /// replica inside a server, or from a dead endpoint by the client.
+    pub rerouted: u64,
+    /// Lookup batches the client resent after a reply timeout.
+    pub retries: u64,
+    /// Churn-log suffixes resent to lagging or lossy endpoints (a
+    /// rejoin's catch-up rides this path).
+    pub update_resends: u64,
+    /// Churn-log epoch bumps (an endpoint died with appends pending).
+    pub elections: u64,
+    /// Exact-rank assertions performed (per reply, post-quiesce sweeps,
+    /// replica convergence).
+    pub oracle_checks: u64,
+    /// Mid-load wire stats polls that came back (each one checked for
+    /// monotone accounting).
+    pub stats_polls_ok: u64,
+    /// Client↔server causal timelines stitched post-run (dense tracing
+    /// over a wire; each one asserted monotone on virtual time).
+    pub stitched_timelines: u64,
+    /// Events in the client's flight journal at the end.
+    pub flight_events: u64,
+    /// Live keys at the end (equals the mirror's size under churn).
+    pub live_keys: u64,
+    /// Churn-log seq of the victim's span at the last [`Step::Kill`]
+    /// (what the survivors had acked).
+    pub seq_at_kill: u64,
+    /// Events the last victim's flight journal held at its kill, read
+    /// cold off disk.
+    pub flight_events_at_kill: u64,
+    /// The `(epoch, seq)` watermark the last [`Step::Restart`] recovered
+    /// at, having mapped a valid snapshot — its state folds exactly the
+    /// churn-log prefix up to this point. `None` if nothing restarted.
+    pub recovered_watermark: Option<(u64, u64)>,
 }
 
-/// What one probe client observed.
-struct Tally {
-    issued: u64,
-    ok: u64,
-    shed: u64,
-    shutdown: u64,
-    oracle_checks: u64,
-}
-
-/// An open-loop probe client: issues `n_lookups` on a seeded arrival
-/// schedule (admission never waits on replies), then drains. When
-/// `verify` is set (static key set), every rank is checked on the spot.
-fn probe_client(
-    h: ServerHandle,
-    keys: Arc<Vec<u32>>,
-    seed: u64,
-    n_lookups: usize,
-    arrival: ArrivalProcess,
-    verify: bool,
-) -> Tally {
-    let clock = h.clock().clone();
-    let mut keygen = KeyGen::new(seed, KeyDistribution::Uniform);
-    let mut arrivals = ArrivalGen::new(seed ^ 0x9E37_79B9, arrival);
-    let mut t = Tally { issued: 0, ok: 0, shed: 0, shutdown: 0, oracle_checks: 0 };
-    let mut in_flight: Vec<(u32, PendingLookup)> = Vec::new();
-    let start = clock.now();
-    let mut at = 0u64;
-    for _ in 0..n_lookups {
-        at = arrivals.next_at_ns(at);
-        let target = start.saturating_add(at);
-        loop {
-            let now = clock.now();
-            if now >= target {
-                break;
-            }
-            clock.sleep(Duration::from_nanos(target - now));
-        }
-        t.issued += 1;
-        let key = keygen.next_key();
-        match h.begin_lookup(key) {
-            Ok(pending) => in_flight.push((key, pending)),
-            Err(ServeError::Overloaded { .. }) => t.shed += 1,
-            Err(ServeError::ShuttingDown) => t.shutdown += 1,
-        }
-    }
-    for (key, pending) in in_flight {
-        match pending.wait() {
-            Ok(rank) => {
-                t.ok += 1;
-                if verify {
-                    let expect = keys.partition_point(|&k| k <= key) as u32;
-                    assert_eq!(rank, expect, "rank({key}) wrong under simulation");
-                    t.oracle_checks += 1;
-                }
-            }
-            Err(ServeError::ShuttingDown) => t.shutdown += 1,
-            Err(ServeError::Overloaded { .. }) => t.shed += 1,
-        }
-    }
-    t
-}
-
-/// Replay the churn stream a scenario's updater thread fed, into a
-/// `BTreeSet` mirror (the generator is deterministic, so this is exact).
-fn churn_mirror(sc: &Scenario, seed: u64, initial: &[u32]) -> BTreeSet<u32> {
-    let mut set: BTreeSet<u32> = initial.iter().copied().collect();
-    let mut gen = churn_gen(seed);
-    for _ in 0..sc.churn_ops {
-        match gen.next_op() {
-            Op::Insert(k) => {
-                set.insert(k);
-            }
-            Op::Delete(k) => {
-                set.remove(&k);
-            }
-            Op::Query(_) => {}
-        }
-    }
-    set
-}
-
-fn churn_gen(seed: u64) -> ChurnGen {
-    // No queries in the mix: the updater thread only mutates; lookups
-    // come from the probe clients.
-    ChurnGen::new(
-        seed ^ CHURN_SALT,
-        KeyDistribution::Uniform,
-        OpMix { query: 0.0, insert: 0.6, delete: 0.4 },
-    )
-}
-
-/// Run `sc` once under seed `seed` and enforce its oracles. Panics (with
-/// the scenario name) on any violation; returns the deterministic
-/// [`Report`] otherwise.
-pub fn run_scenario(sc: &Scenario, seed: u64) -> Report {
-    let sim = SimClock::new();
-    let _main = sim.register_main();
-    let clock = Clock::sim(&sim);
-
-    let keys = Arc::new(gen_sorted_unique_keys(sc.n_keys, seed));
-    let mut cfg = ServeConfig::new(sc.shards);
-    cfg.replicas_per_shard = sc.replicas_per_shard;
-    cfg.max_batch = sc.max_batch;
-    cfg.max_delay = sc.max_delay;
-    cfg.queue_capacity = sc.queue_capacity;
-    cfg.merge_threshold = sc.merge_threshold;
-    cfg.publish_every = sc.publish_every;
-    cfg.clock = clock.clone();
-    cfg.faults = sc.faults.clone();
-    cfg.trace = if sc.trace_sample_period == 0 {
-        TraceConfig::disabled()
-    } else {
-        TraceConfig { capacity: 4096, sample_period: sc.trace_sample_period, seed }
-    };
-    let server = IndexServer::build(&keys, cfg);
-    let handle = server.handle();
-
-    // Concurrent churn, from a dedicated (sim-registered) updater thread.
-    let churn_thread = (sc.churn_ops > 0).then(|| {
-        let updater = server.updater();
-        let clock2 = clock.clone();
-        let mut gen = churn_gen(seed);
-        let (ops, gap) = (sc.churn_ops, sc.churn_gap);
-        clock.spawn("simtest-churn", move || {
-            for _ in 0..ops {
-                clock2.sleep(gap);
-                if updater.update(gen.next_op()).is_err() {
-                    break;
-                }
-            }
-        })
-    });
-
-    // Probe clients. Exact per-reply verification only makes sense when
-    // the key set is static.
-    let verify_during = sc.churn_ops == 0;
-    let client_threads: Vec<_> = (0..sc.clients)
-        .map(|id| {
-            let h = handle.clone();
-            let keys = keys.clone();
-            let (n, arrival) = (sc.lookups_per_client, sc.arrival);
-            let seed_c = seed.wrapping_add(1 + id as u64);
-            clock.spawn(&format!("simtest-client-{id}"), move || {
-                probe_client(h, keys, seed_c, n, arrival, verify_during)
-            })
-        })
-        .collect();
-
-    if sc.quiesce_mid_run {
-        // Quiesce while clients are genuinely in flight: sleep partway
-        // into the load window first (under the sim clock, blocking
-        // main is what hands the clients and the churn feeder their
-        // turns), then demand full visibility mid-storm.
-        clock.sleep(Duration::from_millis(2));
-        server.quiesce();
-    }
-
-    let mut issued = 0u64;
-    let mut ok = 0u64;
-    let mut shed = 0u64;
-    let mut shutdown = 0u64;
-    let mut oracle_checks = 0u64;
-    for t in client_threads {
-        let t = t.join().expect("probe client panicked");
-        issued += t.issued;
-        ok += t.ok;
-        shed += t.shed;
-        shutdown += t.shutdown;
-        oracle_checks += t.oracle_checks;
-    }
-    if let Some(t) = churn_thread {
-        t.join().expect("churn thread panicked");
-    }
-
-    // Oracle 1: reply completeness — every issued lookup resolved
-    // exactly once. (That none hung is enforced by the scheduler's
-    // deadlock detector: a lost reply cannot terminate the run.)
-    assert_eq!(
-        issued,
-        ok + shed + shutdown,
-        "[{}] lookups unaccounted for: issued {issued}, ok {ok}, shed {shed}, \
-         shutdown {shutdown}",
-        sc.name
-    );
-
-    // Post-churn sweep: quiesce, then check ranks against the mirror on
-    // shards with at least one surviving replica (failover keeps a
-    // partially crashed shard answering).
-    server.quiesce();
-    let crashed = sc.fully_crashed_shards();
-    let mirror = churn_mirror(sc, seed, &keys);
-    let mut probe = 0x9E37u32;
-    for _ in 0..256 {
-        probe = probe.wrapping_mul(2_654_435_761).wrapping_add(12_345);
-        if crashed.contains(&handle.shard_of(probe)) {
-            continue;
-        }
-        let expect = mirror.range(..=probe).count() as u32;
-        assert_eq!(
-            handle.lookup(probe).expect("surviving shard must answer"),
-            expect,
-            "[{}] post-quiesce rank({probe}) diverged from the churn mirror",
-            sc.name
-        );
-        oracle_checks += 1;
-    }
-
-    let stats = server.stats();
-
-    // Oracle 3: virtual-time latency bound over every served query.
-    let max_latency_ns = stats.latency_ns.max() as u64;
-    if let Some(bound) = sc.latency_bound {
-        assert!(
-            stats.served == 0 || max_latency_ns <= bound.as_nanos() as u64,
-            "[{}] worst served latency {max_latency_ns} ns exceeds the virtual-time bound \
-             {} ns (max_delay + injected delays)",
-            sc.name,
-            bound.as_nanos()
-        );
-    }
-
-    // Oracle 4: client- and server-side accounting agree. (Probe clients
-    // are the only lookup traffic; the post-quiesce sweep adds `ok`s.)
-    assert_eq!(shed, stats.shed, "[{}] shed counts disagree", sc.name);
-    assert!(ok <= stats.admitted, "[{}] more oks than admissions", sc.name);
-
-    // Oracle 5: stage-timing — every sampled trace record advances
-    // monotonically through admitted → collected → dispatched →
-    // answered → filled on the virtual clock, batches respect the
-    // configured ceiling, and when the scenario declares a latency
-    // bound, both the coalescing wait and the full stage span honour
-    // it (the bound covers admitted→answered, which is exactly the
-    // per-query latency Oracle 3 already pins).
-    let traces = server.stage_traces();
-    for r in &traces {
-        assert!(r.stages_monotonic(), "[{}] stage trace not monotonic: {r:?}", sc.name);
-        assert!(
-            (r.batch_len as usize) >= 1 && (r.batch_len as usize) <= sc.max_batch,
-            "[{}] traced batch of {} outside 1..={}",
-            sc.name,
-            r.batch_len,
-            sc.max_batch
-        );
-        assert!(
-            (r.shard as usize) < sc.shards && (r.replica as usize) < sc.replicas_per_shard,
-            "[{}] trace record from unknown replica {}/{}",
-            sc.name,
-            r.shard,
-            r.replica
-        );
-        if let Some(bound) = sc.latency_bound {
-            let bound = bound.as_nanos() as u64;
-            assert!(
-                r.wait_ns() <= bound && r.answered_ns.saturating_sub(r.admitted_ns) <= bound,
-                "[{}] traced stage span exceeds the virtual-time bound {bound} ns: {r:?}",
-                sc.name
-            );
-        }
-        oracle_checks += 1;
-    }
-    if sc.trace_sample_period == 1 && sc.faults.is_noop() {
-        // Dense sampling with no crashes: every served query was
-        // considered, so a busy run must have retained records.
-        assert!(
-            stats.served == 0 || !traces.is_empty(),
-            "[{}] dense tracing recorded nothing across {} served",
-            sc.name,
-            stats.served
-        );
-    }
-
-    let report = Report {
-        digest: 0, // filled after the server (and its threads) wind down
-        events: 0,
-        virtual_ns: 0,
-        issued,
-        ok,
-        shed,
-        shutdown,
-        served: stats.served,
-        admitted: stats.admitted,
-        max_latency_ns,
-        max_wait_ns: traces.iter().map(|r| r.wait_ns()).max().unwrap_or(0),
-        merges: stats.merges,
-        snapshots: stats.snapshots_published,
-        updates_applied: stats.updates_applied,
-        oracle_checks,
-        rerouted: stats.rerouted,
-        per_replica_served: server.replica_stats().iter().map(|s| s.served).collect(),
-        trace_records: traces.len() as u64,
-    };
-    drop(handle);
-    drop(server);
-    let (digest, events) = sim.digest();
-    Report { digest, events, virtual_ns: sim.now(), ..report }
-}
-
-/// Run the scenario twice with the same seed and assert the runs are
+/// Run the deployment twice with the same seed and assert the runs are
 /// identical — totals *and* the full event-trace digest — then return
 /// the report. This is the reproducibility contract every scenario test
-/// goes through.
-pub fn run_scenario_reproducibly(sc: &Scenario, seed: u64) -> Report {
-    let a = run_scenario(sc, seed);
-    let b = run_scenario(sc, seed);
+/// goes through: a kill, a snapshot map, a suffix replay and a rejoin
+/// must be as replayable as everything else.
+pub fn run_reproducibly(d: &Deployment, seed: u64) -> Report {
+    let a = run(d, seed);
+    let b = run(d, seed);
     assert_eq!(
         a, b,
-        "[{}] seed {seed} did not reproduce: wall-clock leaked into the simulation",
-        sc.name
+        "[{}] seed {seed} did not reproduce: wall-clock (or leftover scratch state) leaked \
+         into the simulation",
+        d.name
     );
     a
 }
 
-/// The scenario seed matrix: `DINI_SIMTEST_SEEDS` selects how many seeds
-/// to sweep (default 3; CI sets 8). Virtual time makes extra seeds
-/// cheap. An unparsable value panics rather than silently shrinking the
-/// advertised matrix.
+/// The seed matrix: `DINI_SIMTEST_SEEDS` selects how many seeds to
+/// sweep (default 3; CI sets 8 and 16). Virtual time makes extra seeds
+/// cheap. A value that is not a count in `1..=64` panics rather than
+/// silently shrinking the advertised matrix.
 pub fn seeds_from_env() -> Vec<u64> {
-    let n = match std::env::var("DINI_SIMTEST_SEEDS") {
-        Ok(v) => v
-            .trim()
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("DINI_SIMTEST_SEEDS must be a seed count, got {v:?}")),
-        Err(_) => 3,
-    };
-    (0..n.clamp(1, 64)).collect()
+    (0..std::env::var("DINI_SIMTEST_SEEDS").map_or(3, |v| seed_count(&v))).collect()
+}
+
+fn seed_count(v: &str) -> u64 {
+    match v.trim().parse::<u64>() {
+        Ok(n) if (1..=64).contains(&n) => n,
+        _ => panic!("DINI_SIMTEST_SEEDS must be a seed count in 1..=64, got {v:?}"),
+    }
 }
 
 #[cfg(test)]
@@ -574,7 +495,7 @@ mod tests {
 
     #[test]
     fn base_scenario_is_clean_and_reproducible() {
-        let report = run_scenario_reproducibly(&Scenario::base("unit-base"), 1);
+        let report = run_reproducibly(&Deployment::in_process("unit-base"), 1);
         assert_eq!(report.issued, 3 * 400);
         assert_eq!(report.shed, 0);
         assert_eq!(report.shutdown, 0);
@@ -584,9 +505,19 @@ mod tests {
 
     #[test]
     fn distinct_seeds_distinct_schedules() {
-        let sc = Scenario::base("unit-seeds");
-        let a = run_scenario(&sc, 1);
-        let b = run_scenario(&sc, 2);
+        let d = Deployment::in_process("unit-seeds");
+        let a = run(&d, 1);
+        let b = run(&d, 2);
         assert_ne!(a.digest, b.digest, "different seeds must interleave differently");
+    }
+
+    #[test]
+    fn seed_counts_outside_the_range_are_refused_not_clamped() {
+        assert_eq!(seed_count("8 "), 8);
+        for bad in ["0", "65", "eight"] {
+            let panic = std::panic::catch_unwind(|| seed_count(bad)).expect_err(bad);
+            let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.contains(&format!("in 1..=64, got {bad:?}")), "{msg}");
+        }
     }
 }

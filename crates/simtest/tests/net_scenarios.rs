@@ -4,11 +4,13 @@
 //! virtual time, swept across the `DINI_SIMTEST_SEEDS` matrix with
 //! every run executed twice to pin the event-trace digest.
 
+mod catalog;
+
 use dini_cluster::LinkPlan;
 use dini_net::transport::ChanNet;
 use dini_net::{ClientConfig, NetServer, NetServerConfig, RemoteClient, Topology};
 use dini_serve::{Clock, ServeConfig, SimClock};
-use dini_simtest::{run_net_scenario_reproducibly, seeds_from_env, NetScenario};
+use dini_simtest::{run, run_reproducibly, seeds_from_env};
 use dini_workload::Op;
 use std::time::Duration;
 
@@ -18,15 +20,16 @@ fn clean_two_span_deployment_is_exact_and_bounded() {
     // Every rank is verified at reap time, and the end-to-end tail is
     // bounded by coalescing (client 100 µs + server 200 µs) + two link
     // crossings + the probe's 100 µs reap cadence.
-    let mut sc = NetScenario::base("net-clean-two-spans");
-    sc.latency_bound = Some(Duration::from_micros(700));
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_clean_two_spans(seed), seed);
         assert_eq!(r.issued, 2 * 300);
         assert_eq!(r.ok, r.issued, "fault-free: every lookup answers");
         assert_eq!((r.shed, r.shutdown, r.retries, r.rerouted), (0, 0, 0, 0));
         assert_eq!(r.oracle_checks, r.ok, "every rank verified");
         assert!(r.served_per_server.iter().all(|&s| s > 0), "both spans served traffic");
+        // Default 1-in-64 sampling: the stage-timing oracle runs on both
+        // server processes, and had records to hold.
+        assert!(r.trace_records > 0, "seed {seed}: no stage record sampled over the wire");
         assert!(r.virtual_ns > 0);
     }
 }
@@ -38,18 +41,9 @@ fn frame_drops_with_retry_lose_and_duplicate_nothing() {
     // losses; the in-flight map and generation-tagged reply cells drop
     // the duplicates. Exactly one resolution per lookup, every rank
     // exact.
-    let mut sc = NetScenario::base("net-frame-drop-retry");
-    sc.spans = 1;
-    sc.shards_per_server = 2;
-    sc.link_latency = Duration::from_micros(20);
-    sc.drop_prob = 0.05;
-    sc.duplicate_prob = 0.05;
-    sc.retry_timeout = Duration::from_millis(2);
-    sc.max_retries = 40;
-    sc.latency_bound = None; // tails legitimately include retry timeouts
     let mut total_retries = 0u64;
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_frame_drop_retry(seed), seed);
         assert_eq!(r.ok, r.issued, "drops must be repaired, not surfaced: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0));
         assert_eq!(r.oracle_checks, r.ok, "every recovered rank verified exact");
@@ -64,16 +58,9 @@ fn endpoint_crash_fails_over_to_replica_endpoint() {
     // mid-run (the network view of a server crash): the client re-homes
     // everything in flight and keeps answering through endpoint 1 —
     // degraded capacity, never errors, never a wrong rank.
-    let mut sc = NetScenario::base("net-endpoint-crash-failover");
-    sc.spans = 1;
-    sc.endpoints_per_span = 2;
-    sc.shards_per_server = 2;
-    sc.lookups_per_client = 400;
-    sc.link_down = vec![(0, Duration::from_millis(3))];
-    sc.latency_bound = None; // failover re-homing can stretch a tail
     let mut total_rerouted = 0u64;
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_endpoint_crash_failover(seed), seed);
         assert_eq!(r.ok, r.issued, "failover must hide the crash: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0), "a surviving replica means no errors");
         assert_eq!(r.oracle_checks, r.ok);
@@ -96,15 +83,8 @@ fn jittered_links_keep_virtual_time_tails_bounded() {
     // wire). Request-id matching absorbs the reordering, and the worst
     // client-observed latency stays under coalescing + two worst-case
     // link crossings + the reap cadence.
-    let mut sc = NetScenario::base("net-jittered-links");
-    sc.spans = 1;
-    sc.shards_per_server = 2;
-    sc.link_latency = Duration::from_micros(20);
-    sc.jitter_max = Duration::from_micros(300);
-    // client 100 + server 200 + 2×(20+300) + reap 100 = 1040 µs; margin.
-    sc.latency_bound = Some(Duration::from_micros(1200));
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_jittered_links(seed), seed);
         assert_eq!(r.ok, r.issued, "jitter delays, it must not lose: {r:?}");
         assert_eq!((r.shed, r.shutdown, r.retries), (0, 0, 0));
         assert_eq!(r.oracle_checks, r.ok);
@@ -117,12 +97,8 @@ fn churn_stays_epoch_consistent_across_processes() {
     // owning each key. After a quiesce round trip the client's
     // cross-span base ranks must recompose exactly: a post-quiesce
     // sweep against the BTreeSet mirror, plus live-key accounting.
-    let mut sc = NetScenario::base("net-epoch-consistency");
-    sc.churn_ops = 300;
-    sc.churn_gap = Duration::from_micros(40);
-    sc.latency_bound = None; // server-side quiesce stalls its connection
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_epoch_consistency(seed), seed);
         assert_eq!(r.issued, r.ok + r.shed + r.shutdown);
         assert_eq!((r.shed, r.shutdown), (0, 0));
         assert!(r.updates_applied > 0, "churn must mutate the indexes");
@@ -140,21 +116,9 @@ fn lossy_links_cannot_diverge_replicas_thanks_to_the_quorum_log() {
     // only fires once both endpoints acked. The runner's convergence
     // oracle then checks both replicas against the BTreeSet mirror —
     // the check the old fire-and-forget broadcast failed.
-    let mut sc = NetScenario::base("net-lossy-update-quorum");
-    sc.spans = 1;
-    sc.endpoints_per_span = 2;
-    sc.shards_per_server = 2;
-    sc.link_latency = Duration::from_micros(20);
-    sc.drop_prob = 0.05;
-    sc.duplicate_prob = 0.05;
-    sc.retry_timeout = Duration::from_millis(2);
-    sc.max_retries = 40;
-    sc.churn_ops = 300;
-    sc.churn_gap = Duration::from_micros(40);
-    sc.latency_bound = None; // tails legitimately include retry timeouts
     let mut total_resends = 0u64;
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_lossy_update_quorum(seed), seed);
         assert_eq!(r.ok, r.issued, "drops must be repaired, not surfaced: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0));
         assert!(r.updates_applied > 0, "churn must mutate the indexes");
@@ -176,24 +140,8 @@ fn append_target_crash_mid_churn_elects_and_replays() {
     // to its ack point, and replay the missing suffix; afterwards the
     // surviving replica's applied-op set must equal the mirror exactly
     // (the runner's convergence + post-quiesce sweep oracles).
-    let mut sc = NetScenario::base("net-leader-crash-mid-append");
-    sc.spans = 1;
-    sc.endpoints_per_span = 2;
-    sc.shards_per_server = 2;
-    sc.link_latency = Duration::from_micros(20);
-    sc.drop_prob = 0.05;
-    sc.retry_timeout = Duration::from_millis(2);
-    sc.max_retries = 40;
-    sc.churn_ops = 300;
-    sc.churn_gap = Duration::from_micros(40);
-    sc.link_down = vec![(0, Duration::from_millis(3))];
-    sc.latency_bound = None; // failover re-homing can stretch a tail
-                             // The flight journal rides along: the runner asserts the recorded
-                             // election/resend story matches the counters exactly, so the crash
-                             // below must leave a journal trail.
-    sc.flight = true;
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_leader_crash_mid_append(seed), seed);
         assert_eq!(r.ok, r.issued, "failover must hide the crash: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0), "a surviving replica means no errors");
         assert!(
@@ -222,20 +170,8 @@ fn partition_heals_and_the_lagging_replica_reconverges() {
     // repair resends the suffix endpoint 1 missed. The convergence
     // oracle then checks the *healed* replica against the mirror — it
     // lagged, it must not have diverged.
-    let mut sc = NetScenario::base("net-partition-then-heal");
-    sc.spans = 1;
-    sc.endpoints_per_span = 2;
-    sc.shards_per_server = 2;
-    sc.link_latency = Duration::from_micros(20);
-    sc.retry_timeout = Duration::from_millis(2);
-    sc.max_retries = 40;
-    sc.churn_ops = 300;
-    sc.churn_gap = Duration::from_micros(40);
-    sc.blackout = vec![(1, Duration::from_millis(2), Duration::from_millis(10))];
-    sc.latency_bound = None; // appends stall across the window
-    sc.flight = true; // every healed-suffix resend must leave a journal record
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_partition_then_heal(seed), seed);
         assert_eq!(r.ok, r.issued, "a healed partition must cost time, not answers: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0));
         assert!(r.update_resends >= 1, "seed {seed}: healing must have replayed a suffix ({r:?})");
@@ -262,14 +198,8 @@ fn dense_tracing_stitches_monotone_timelines_across_the_wire() {
     // re-encodes, which would legitimately reorder stages across
     // attempts. The flight journal rides along and must stay silent —
     // a fault-free run records no elections and no resends.
-    let mut sc = NetScenario::base("net-dense-tracing-stitch");
-    sc.dense_tracing = true;
-    sc.flight = true;
-    sc.churn_ops = 100;
-    sc.churn_gap = Duration::from_micros(40);
-    sc.latency_bound = None; // server-side quiesce stalls its connection
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_dense_tracing_stitch(seed), seed);
         assert_eq!(r.ok, r.issued, "clean links: every lookup answers: {r:?}");
         assert!(
             r.stitched_timelines > 0,
@@ -292,12 +222,8 @@ fn live_stats_polls_mid_load_agree_with_the_processes() {
     // and after the load drains a final poll per span must agree
     // *exactly* with the in-process server's own accounting — the
     // observability plane and the data plane describing one truth.
-    let mut sc = NetScenario::base("net-live-stats-polls");
-    sc.stats_polls = 8;
-    sc.stats_poll_gap = Duration::from_micros(500);
-    sc.latency_bound = None; // ctrl frames share the lookup FIFO
     for seed in seeds_from_env() {
-        let r = run_net_scenario_reproducibly(&sc, seed);
+        let r = run_reproducibly(&catalog::net_live_stats_polls(seed), seed);
         assert_eq!(r.ok, r.issued, "polling must not perturb the load: {r:?}");
         assert_eq!((r.shed, r.shutdown, r.retries), (0, 0, 0));
         assert!(
@@ -372,8 +298,7 @@ fn lone_update_resolves_in_exactly_its_quorum_round_trip() {
 
 #[test]
 fn distinct_seeds_produce_distinct_schedules() {
-    let sc = NetScenario::base("net-seeds-differ");
-    let a = dini_simtest::run_net_scenario(&sc, 1);
-    let b = dini_simtest::run_net_scenario(&sc, 2);
+    let a = run(&catalog::net_seeds_differ(1), 1);
+    let b = run(&catalog::net_seeds_differ(2), 2);
     assert_ne!(a.digest, b.digest, "different seeds must interleave the cluster differently");
 }

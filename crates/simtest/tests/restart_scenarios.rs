@@ -5,7 +5,7 @@
 //!
 //! Every scenario runs digest-pinned (twice per seed, reports must be
 //! identical) across the `DINI_SIMTEST_SEEDS` seed sweep, and every run
-//! enforces the full oracle set inside `run_restart_scenario`: all
+//! enforces the full oracle set inside `run`: all
 //! churn ops quorum-acked `Ok` through the kill and recovery, wire
 //! ranks against a runner-side `BTreeSet` mirror mid-dead-window and
 //! post-rejoin, both server *processes* converged to the mirror
@@ -19,7 +19,9 @@
 //! append past the pre-kill story; and the client's journal must agree
 //! with its election/resend counters and show the death and rejoin.
 
-use dini_simtest::{run_restart_scenario_reproducibly, seeds_from_env, RestartScenario};
+mod catalog;
+
+use dini_simtest::{run_reproducibly, seeds_from_env};
 
 /// The headline recovery path: a checkpoint exists (the pre-kill
 /// quiesce barrier guarantees one on both endpoints), the victim is
@@ -28,13 +30,9 @@ use dini_simtest::{run_restart_scenario_reproducibly, seeds_from_env, RestartSce
 /// suffix past its watermark and mirror the survivor key-for-key.
 #[test]
 fn kill_span_mid_churn_restart_mirrors_exactly() {
-    let mut sc = RestartScenario::base("kill-span-mid-churn");
-    sc.churn_before_kill = 250;
-    sc.churn_while_dead = 300;
-    sc.churn_after_rejoin = 120;
     for seed in seeds_from_env() {
-        let r = run_restart_scenario_reproducibly(&sc, seed);
-        assert!(r.recovered_from_snapshot, "seed {seed}: restart must map, not rebuild");
+        let r = run_reproducibly(&catalog::kill_span_mid_churn(seed), seed);
+        let (_, recovered_seq) = r.recovered_watermark.expect("restart must map, not rebuild");
         assert!(
             r.elections >= 1,
             "seed {seed}: the kill must bump the churn-log epoch, got {}",
@@ -44,7 +42,7 @@ fn kill_span_mid_churn_restart_mirrors_exactly() {
         // so the recovered watermark is exactly the kill-time seq: the
         // replay suffix is precisely the dead-window ops.
         assert_eq!(
-            r.recovered_watermark.1, r.seq_at_kill,
+            recovered_seq, r.seq_at_kill,
             "seed {seed}: a post-quiesce checkpoint must carry the kill-time watermark"
         );
         assert!(r.oracle_checks >= 512, "seed {seed}: sweeps must have run");
@@ -68,21 +66,14 @@ fn kill_span_mid_churn_restart_mirrors_exactly() {
 /// threshold 16 crosses the merge trigger with wide margin.)
 #[test]
 fn snapshot_mid_churn_storm_recovers_from_merge_checkpoint() {
-    let mut sc = RestartScenario::base("snapshot-mid-churn-storm");
-    sc.merge_threshold = 16;
-    sc.quiesce_before_kill = false;
-    sc.churn_before_kill = 500;
-    sc.churn_while_dead = 250;
-    sc.churn_after_rejoin = 120;
     for seed in seeds_from_env() {
-        let r = run_restart_scenario_reproducibly(&sc, seed);
-        assert!(
-            r.recovered_from_snapshot,
-            "seed {seed}: 500 pre-kill ops across 2 shards at threshold 16 must have \
-             merge-checkpointed; the restart must map that snapshot"
+        let r = run_reproducibly(&catalog::snapshot_mid_churn_storm(seed), seed);
+        let (_, recovered_seq) = r.recovered_watermark.expect(
+            "500 pre-kill ops across 2 shards at threshold 16 must have merge-checkpointed; \
+             the restart must map that snapshot",
         );
         assert!(
-            r.recovered_watermark.1 > 0,
+            recovered_seq > 0,
             "seed {seed}: a mid-storm checkpoint folds a nonempty log prefix"
         );
         assert!(r.elections >= 1, "seed {seed}: the kill must bump the epoch");
@@ -97,19 +88,13 @@ fn snapshot_mid_churn_storm_recovers_from_merge_checkpoint() {
 /// carried almost entirely by the suffix replay.
 #[test]
 fn stale_snapshot_recovers_via_long_log_replay() {
-    let mut sc = RestartScenario::base("stale-snapshot-log-replay");
-    sc.merge_threshold = 1 << 30;
-    sc.churn_before_kill = 60;
-    sc.quiesce_before_kill = true;
-    sc.churn_while_dead = 600;
-    sc.churn_after_rejoin = 150;
     for seed in seeds_from_env() {
-        let r = run_restart_scenario_reproducibly(&sc, seed);
-        assert!(r.recovered_from_snapshot, "seed {seed}: the stale snapshot must still map");
+        let r = run_reproducibly(&catalog::stale_snapshot_log_replay(seed), seed);
+        let (_, recovered_seq) = r.recovered_watermark.expect("the stale snapshot must still map");
         // The watermark sits at the early barrier; everything after —
         // the 600-op dead window — must have come back as log replay.
         assert_eq!(
-            r.recovered_watermark.1, r.seq_at_kill,
+            recovered_seq, r.seq_at_kill,
             "seed {seed}: the quiesce checkpoint carries the pre-kill head"
         );
         assert!(

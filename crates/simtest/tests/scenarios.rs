@@ -5,15 +5,17 @@
 //!
 //! Every scenario runs across the seed matrix (`DINI_SIMTEST_SEEDS`,
 //! default 3, CI 8) and **twice per seed** via
-//! [`run_scenario_reproducibly`], which asserts the two runs agree on
+//! [`run_reproducibly`], which asserts the two runs agree on
 //! every counter *and* on the scheduler's event-trace digest — the
 //! reproducibility contract that makes any failure replayable from its
 //! seed. Wall-clock cost stays in seconds because idle waits
 //! fast-forward in virtual time.
 
-use dini_serve::{Clock, IndexServer, ServeConfig, ServeFaultPlan, SimClock, TraceConfig};
-use dini_simtest::{run_scenario_reproducibly, seeds_from_env, Scenario};
-use dini_workload::{gen_sorted_unique_keys, ArrivalProcess};
+mod catalog;
+
+use dini_serve::{Clock, IndexServer, ServeConfig, SimClock, TraceConfig};
+use dini_simtest::{run_reproducibly, seeds_from_env};
+use dini_workload::gen_sorted_unique_keys;
 use std::time::Duration;
 
 /// Clean quiesce: churn + lookups + a mid-run quiesce, no faults. The
@@ -22,12 +24,7 @@ use std::time::Duration;
 #[test]
 fn clean_quiesce() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("clean_quiesce");
-        sc.churn_ops = 600;
-        sc.churn_gap = Duration::from_micros(20);
-        sc.quiesce_mid_run = true;
-        sc.latency_bound = Some(Duration::from_micros(250));
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::clean_quiesce(seed), seed);
         assert_eq!(report.issued, report.ok, "no faults: every lookup must answer (seed {seed})");
         assert_eq!(report.shutdown, 0);
         assert_eq!(report.shed, 0);
@@ -35,15 +32,6 @@ fn clean_quiesce() {
         assert!(report.updates_applied > 0);
         assert!(report.oracle_checks > 0, "post-quiesce sweep must check ranks");
     }
-}
-
-/// The shipped coalescing defaults, read off `ServeConfig::new` so these
-/// scenarios follow whatever the server actually ships.
-fn shipped_coalescing(sc: &mut Scenario) {
-    let shipped = ServeConfig::new(sc.shards);
-    sc.max_batch = shipped.max_batch;
-    sc.max_delay = shipped.max_delay;
-    sc.trace_sample_period = 1; // every request's wait is recorded
 }
 
 /// Group commit, idle half: under the shipped defaults a lone request on
@@ -54,13 +42,7 @@ fn shipped_coalescing(sc: &mut Scenario) {
 #[test]
 fn group_commit_lone_request_departs_at_open() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("group_commit_lone_request_departs_at_open");
-        shipped_coalescing(&mut sc);
-        sc.clients = 1;
-        sc.lookups_per_client = 64;
-        sc.arrival = ArrivalProcess::poisson_rate(1_000.0);
-        sc.latency_bound = Some(Duration::ZERO);
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::group_commit_lone(seed), seed);
         assert_eq!(report.issued, report.ok, "seed {seed}");
         assert!(report.trace_records > 0, "seed {seed}: dense tracing must see the requests");
         assert_eq!(report.max_wait_ns, 0, "seed {seed}: a lone request waited on something");
@@ -78,15 +60,8 @@ fn group_commit_lone_request_departs_at_open() {
 #[test]
 fn group_commit_backlog_leaves_as_one_batch() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("group_commit_backlog_leaves_as_one_batch");
-        shipped_coalescing(&mut sc);
-        sc.shards = 1;
-        let d = Duration::from_millis(1);
-        sc.faults = ServeFaultPlan::none().slow_shard(0, d);
-        // 3 clients × 20k/s ≈ 60 arrivals per D: well under max_batch,
-        // so the size cap never splits a backlog.
-        sc.latency_bound = Some(2 * d); // ≤ D queued behind a batch + D in its own
-        let report = run_scenario_reproducibly(&sc, seed);
+        let d = catalog::BACKLOG_D;
+        let report = run_reproducibly(&catalog::group_commit_backlog(seed), seed);
         assert_eq!(report.issued, report.ok, "a straggler is slow, not wrong (seed {seed})");
         assert!(
             report.max_wait_ns <= d.as_nanos() as u64,
@@ -109,13 +84,7 @@ fn group_commit_backlog_leaves_as_one_batch() {
 #[test]
 fn shard_crash_mid_batch() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("shard_crash_mid_batch");
-        // Crash shard 1 at 3 virtual ms — squarely inside the ~20 ms
-        // load window, so requests are queued and coalescing when it
-        // dies.
-        sc.faults = ServeFaultPlan::none().crash_shard(1, 3_000_000);
-        sc.latency_bound = Some(Duration::from_micros(250));
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::shard_crash_mid_batch(seed), seed);
         assert!(report.shutdown > 0, "seed {seed}: the crash window must catch in-flight lookups");
         assert!(report.ok > 0, "surviving shards keep serving");
         assert_eq!(report.issued, report.ok + report.shed + report.shutdown);
@@ -132,16 +101,7 @@ fn shard_crash_mid_batch() {
 #[test]
 fn shard_crash_with_queued_backlog() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("shard_crash_with_queued_backlog");
-        sc.shards = 1;
-        sc.max_batch = 1;
-        sc.faults = ServeFaultPlan::none()
-            .slow_shard(0, Duration::from_millis(1))
-            .crash_shard(0, 2_000_000);
-        sc.clients = 3;
-        sc.lookups_per_client = 150;
-        sc.latency_bound = None; // the backlog *is* the scenario
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::shard_crash_with_queued_backlog(seed), seed);
         assert!(report.shutdown > 0, "seed {seed}: the backlog must be shut down, not lost");
         assert_eq!(report.issued, report.ok + report.shed + report.shutdown);
     }
@@ -157,17 +117,7 @@ fn shard_crash_with_queued_backlog() {
 #[test]
 fn replica_crash_mid_batch() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("replica_crash_mid_batch");
-        sc.replicas_per_shard = 2;
-        // Crash replica 0 of shard 1 at 3 virtual ms — squarely inside
-        // the ~20 ms load window, so requests are queued and coalescing
-        // on the dying replica.
-        sc.faults = ServeFaultPlan::none().crash_replica(1, 0, 3_000_000);
-        // Re-homed requests ride one extra coalescing window on the
-        // survivor; anything slower than a handful of max_delays would
-        // mean the backlog sat un-drained.
-        sc.latency_bound = Some(5 * sc.max_delay);
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::replica_crash_mid_batch(seed), seed);
         assert_eq!(
             report.shutdown, 0,
             "seed {seed}: a crash with a surviving replica must never surface ShuttingDown"
@@ -199,18 +149,7 @@ fn replica_crash_mid_batch() {
 #[test]
 fn straggler_replica_with_bounded_tail() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("straggler_replica_with_bounded_tail");
-        sc.replicas_per_shard = 2;
-        let extra = Duration::from_millis(2);
-        sc.faults = ServeFaultPlan::none().slow_replica(0, 0, extra);
-        sc.arrival = ArrivalProcess::poisson_rate(4_000.0);
-        // A request can land on the straggler just as a slow batch
-        // departs and then ride its own: ≤ max_delay + 2 × extra. The
-        // healthy replica's own traffic stays under max_delay, which is
-        // what keeps the *shard's* tail bounded by the straggler's
-        // single-batch delay instead of its queue length.
-        sc.latency_bound = Some(sc.max_delay + 2 * extra);
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::straggler_replica(seed), seed);
         assert_eq!(report.issued, report.ok, "a straggler is slow, not wrong (seed {seed})");
         assert_eq!(report.rerouted, 0, "nothing crashes here");
         let straggler = report.per_replica_served[0]; // shard 0, replica 0
@@ -230,12 +169,7 @@ fn straggler_replica_with_bounded_tail() {
 #[test]
 fn all_replicas_down_is_shutdown() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("all_replicas_down_is_shutdown");
-        sc.replicas_per_shard = 2;
-        sc.faults =
-            ServeFaultPlan::none().crash_replica(1, 0, 2_000_000).crash_replica(1, 1, 6_000_000);
-        sc.latency_bound = None; // the second crash can strand re-homed backlog mid-wait
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::all_replicas_down(seed), seed);
         assert!(
             report.rerouted > 0,
             "seed {seed}: the first crash must fail over while its sibling lives"
@@ -255,12 +189,7 @@ fn all_replicas_down_is_shutdown() {
 #[test]
 fn dispatch_jitter() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("dispatch_jitter");
-        let jitter = Duration::from_micros(400);
-        sc.faults = ServeFaultPlan::none().with_jitter(seed ^ 0x4A17_7E55, jitter);
-        sc.arrival = ArrivalProcess::poisson_rate(5_000.0);
-        sc.latency_bound = Some(sc.max_delay + 2 * jitter);
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::dispatch_jitter(seed), seed);
         assert_eq!(report.issued, report.ok, "jitter delays, never drops (seed {seed})");
         assert!(report.max_latency_ns > 0);
     }
@@ -272,15 +201,8 @@ fn dispatch_jitter() {
 #[test]
 fn slow_shard_straggler() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("slow_shard_straggler");
-        let extra = Duration::from_millis(2);
-        sc.faults = ServeFaultPlan::none().slow_shard(0, extra);
-        sc.arrival = ArrivalProcess::poisson_rate(4_000.0);
-        // A request can land behind one in-flight slow batch and then
-        // ride its own: ≤ max_delay + 2 × extra, exactly, in virtual
-        // time.
-        sc.latency_bound = Some(sc.max_delay + 2 * extra);
-        let report = run_scenario_reproducibly(&sc, seed);
+        let extra = catalog::STRAGGLER_EXTRA;
+        let report = run_reproducibly(&catalog::slow_shard_straggler(seed), seed);
         assert_eq!(report.issued, report.ok, "straggler is slow, not wrong (seed {seed})");
         assert!(
             report.max_latency_ns > extra.as_nanos() as u64,
@@ -295,13 +217,7 @@ fn slow_shard_straggler() {
 #[test]
 fn churn_storm_during_snapshot_publish() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("churn_storm_during_snapshot_publish");
-        sc.churn_ops = 1_500;
-        sc.churn_gap = Duration::from_micros(5); // storm
-        sc.merge_threshold = 48; // force frequent merges/rebuilds
-        sc.publish_every = 4; // publication storm
-        sc.latency_bound = Some(Duration::from_micros(250));
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::churn_storm(seed), seed);
         assert!(report.merges > 0, "seed {seed}: the storm must cross the merge threshold");
         assert!(report.snapshots > 20, "publication storm must publish constantly");
         assert_eq!(report.issued, report.ok);
@@ -310,8 +226,8 @@ fn churn_storm_during_snapshot_publish() {
 }
 
 /// Stage-timing observability on virtual time: dense tracing (every
-/// served request sampled) under a clean schedule. Oracle 5 inside the
-/// runner already asserts each record advances monotonically through
+/// served request sampled) under a clean schedule. The stage-timing oracle
+/// inside the runner already asserts each record advances monotonically through
 /// admitted → collected → dispatched → answered → filled and honours
 /// the latency bound; here we pin that dense sampling actually retains
 /// records, that the count reproduces bit-for-bit across the digest
@@ -320,10 +236,7 @@ fn churn_storm_during_snapshot_publish() {
 #[test]
 fn stage_traces_on_virtual_time() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("stage_traces_on_virtual_time");
-        sc.trace_sample_period = 1; // dense: every request sampled
-        sc.latency_bound = Some(Duration::from_micros(250));
-        let dense = run_scenario_reproducibly(&sc, seed);
+        let dense = run_reproducibly(&catalog::stage_traces_dense(seed), seed);
         assert_eq!(dense.issued, dense.ok, "tracing must not perturb correctness (seed {seed})");
         assert!(
             dense.trace_records > 0,
@@ -331,9 +244,7 @@ fn stage_traces_on_virtual_time() {
             dense.served
         );
 
-        sc.name = "stage_traces_sparse";
-        sc.trace_sample_period = 64;
-        let sparse = run_scenario_reproducibly(&sc, seed);
+        let sparse = run_reproducibly(&catalog::stage_traces_sparse(seed), seed);
         assert!(
             sparse.trace_records < dense.trace_records,
             "seed {seed}: 1-in-64 sampling must retain fewer records than dense \
@@ -342,9 +253,7 @@ fn stage_traces_on_virtual_time() {
             dense.trace_records
         );
 
-        sc.name = "stage_traces_disabled";
-        sc.trace_sample_period = 0;
-        let off = run_scenario_reproducibly(&sc, seed);
+        let off = run_reproducibly(&catalog::stage_traces_disabled(seed), seed);
         assert_eq!(off.trace_records, 0, "seed {seed}: disabled tracing must record nothing");
         assert_eq!(off.issued, off.ok);
     }
@@ -357,18 +266,7 @@ fn stage_traces_on_virtual_time() {
 #[test]
 fn overload_to_shed() {
     for seed in seeds_from_env() {
-        let mut sc = Scenario::base("overload_to_shed");
-        // Every batch costs 1 virtual ms to dispatch; arrivals offered
-        // at 20k/s/client against queues of 4 → guaranteed overrun.
-        sc.faults = ServeFaultPlan::none()
-            .slow_shard(0, Duration::from_millis(1))
-            .slow_shard(1, Duration::from_millis(1))
-            .slow_shard(2, Duration::from_millis(1));
-        sc.queue_capacity = 4;
-        sc.max_batch = 4;
-        sc.lookups_per_client = 300;
-        sc.latency_bound = None; // queueing delay is the point here
-        let report = run_scenario_reproducibly(&sc, seed);
+        let report = run_reproducibly(&catalog::overload_to_shed(seed), seed);
         assert!(report.shed > 0, "seed {seed}: overload must shed");
         assert!(report.ok > 0, "admitted traffic is still served");
         assert_eq!(report.issued, report.ok + report.shed + report.shutdown);

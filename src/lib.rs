@@ -18,7 +18,7 @@
 //! | [`net`] | the transport layer: versioned wire frames, TCP and simulated-network backends, `NetServer` span hosting, `RemoteClient` with shard-map routing + client-side coalescing + retry + failover |
 //! | [`obs`] | observability: lock-free per-request stage tracing, atomic metrics registry with JSON/Prometheus snapshots, wire-pollable live stats, host context capture |
 //! | [`store`] | shared key storage (`SharedKeys`: `Arc`-owned or memory-mapped) + versioned, checksummed index snapshots |
-//! | [`simtest`] | deterministic simulation testing: the real serving stack on seeded virtual time, fault scenarios + invariant oracles |
+//! | [`simtest`] | deterministic simulation testing: one `Deployment` description (in process, or servers × client × wire) run by one `run` on seeded virtual time, oracles switched on by what it describes, schedules pinned in `tests/golden.txt` |
 //!
 //! ## Quickstart (native, real threads)
 //!
