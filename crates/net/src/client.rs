@@ -395,11 +395,11 @@ impl ClientCore {
     fn drain_in_flight(&self, ep: usize, in_flight: &InFlight) {
         let span = self.ep_span[ep];
         let drained = std::mem::take(&mut *in_flight.lock().expect("in-flight lock"));
-        let now = self.clock.now();
         for (_, b) in drained {
             for (key, handle) in b.keys.into_iter().zip(b.handles) {
                 self.queues[ep].complete(1);
-                if self.reroute(span, ep, Request { key, enqueued: now, trace: 0, reply: handle }) {
+                // `enqueued`: unread on the client, as in `NetHandle::enqueue`.
+                if self.reroute(span, ep, Request { key, enqueued: 0, trace: 0, reply: handle }) {
                     self.rerouted.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -1148,7 +1148,10 @@ impl NetHandle {
             return Err(ServeError::ShuttingDown);
         };
         let (slot, handle) = core.pools[span].take();
-        let req = Request { key, enqueued: core.clock.now(), trace: 0, reply: handle };
+        // `enqueued` is the dispatcher's input in `dini-serve`; nothing on
+        // the client reads it (the worker stamps `sent_at` once per
+        // frame), so a remote lookup does not pay a clock read for it.
+        let req = Request { key, enqueued: 0, trace: 0, reply: handle };
         let q = &core.queues[eps[choice]];
         if blocking {
             q.submit(req)?;

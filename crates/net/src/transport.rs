@@ -146,7 +146,11 @@ fn tcp_duplex(stream: TcpStream, peer: String) -> Result<Duplex, NetError> {
     let rx_stream = stream.try_clone().map_err(|e| NetError::Io(e.to_string()))?;
     Ok(Duplex {
         tx: Box::new(TcpTx { stream, buf: Vec::with_capacity(4096) }),
-        rx: Box::new(TcpRx { stream: rx_stream, buf: Vec::with_capacity(4096) }),
+        rx: Box::new(TcpRx {
+            stream: rx_stream,
+            buf: Vec::with_capacity(4096),
+            read_timeout: None,
+        }),
         peer,
     })
 }
@@ -219,6 +223,9 @@ impl FrameTx for TcpTx {
 struct TcpRx {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// The read timeout the socket currently carries, so it is set again
+    /// only when a caller asks for a different one.
+    read_timeout: Option<Duration>,
 }
 
 impl TcpRx {
@@ -238,23 +245,30 @@ impl TcpRx {
 }
 
 impl FrameRx for TcpRx {
+    /// Every poller passes a constant `timeout`, so the socket is armed
+    /// with it once, not with the time left before every `read` — a
+    /// `setsockopt` per frame otherwise. The deadline is re-checked
+    /// after each read, so a call that finds nothing times out on time;
+    /// one whose read is entered late, behind a partial frame, may
+    /// overshoot by at most one `timeout`.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, NetError> {
         // lint: wall-clock-ok: real-socket read deadline; the sim backend never runs this.
         let deadline = Instant::now() + timeout;
+        // `set_read_timeout` rejects zero (and `None` would block
+        // forever); clamp low.
+        let arm = Some(timeout.max(Duration::from_millis(1)));
+        if self.read_timeout != arm {
+            self.stream.set_read_timeout(arm).map_err(|e| NetError::Io(e.to_string()))?;
+            self.read_timeout = arm;
+        }
         loop {
             if let Some(frame) = self.take_frame()? {
                 return Ok(frame);
             }
             // lint: wall-clock-ok: real-socket read deadline; the sim backend never runs this.
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return Err(NetError::Timeout);
             }
-            // `set_read_timeout(None)` would block forever; clamp low.
-            let remaining = (deadline - now).max(Duration::from_millis(1));
-            self.stream
-                .set_read_timeout(Some(remaining))
-                .map_err(|e| NetError::Io(e.to_string()))?;
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(NetError::Closed),
@@ -676,6 +690,27 @@ mod tests {
             Frame::Status { code: StatusCode::ShuttingDown }
         );
         drop(c);
+    }
+
+    #[test]
+    fn tcp_read_timeout_follows_the_caller_across_calls() {
+        let acc = TcpAcceptorT::bind("127.0.0.1:0").unwrap();
+        let mut c = TcpDialer.dial(&acc.addr()).unwrap();
+        let mut s = acc.accept_timeout(SEC).unwrap();
+        c.tx.send(&Frame::EpochPing { req: 1 }).unwrap();
+        assert_eq!(s.rx.recv_timeout(10 * SEC).unwrap(), Frame::EpochPing { req: 1 });
+        // The socket is armed with 10 s; a 10 ms call must not inherit it.
+        let t0 = Instant::now();
+        assert_eq!(s.rx.recv_timeout(Duration::from_millis(10)), Err(NetError::Timeout));
+        let waited = t0.elapsed();
+        assert!(waited >= Duration::from_millis(10) && waited < SEC, "waited {waited:?}");
+        // Same timeout again (nothing to re-arm), then a frame still arrives.
+        assert_eq!(s.rx.recv_timeout(Duration::from_millis(10)), Err(NetError::Timeout));
+        c.tx.send(&Frame::EpochPing { req: 2 }).unwrap();
+        assert_eq!(
+            s.rx.recv_timeout(Duration::from_millis(10)).unwrap(),
+            Frame::EpochPing { req: 2 }
+        );
     }
 
     #[test]

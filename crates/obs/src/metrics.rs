@@ -92,15 +92,28 @@ impl AtomicLogHistogram {
         }
     }
 
-    /// Record one sample. Wait-free: three `fetch_` ops, no locks, no
-    /// allocation.
+    /// Record one sample. No locks, no allocation: four atomic
+    /// read-modify-writes (`fetch_min` / `fetch_max` are compare-exchange
+    /// loops on x86-64).
     #[inline]
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` samples of one value — what `n` calls of
+    /// [`record`](Self::record) leave, for the price of one: how a
+    /// sampled measurement stands in for the `n` it was picked from.
+    /// `n == 0` records nothing.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         // ordering: relaxed-ok: each field is independently monotonic (or
         // min/max-convergent); `snapshot` folds a possibly-skewed view,
         // which the histogram contract explicitly permits.
-        self.bins[LogHistogram::bin_index(v as f64)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.bins[LogHistogram::bin_index(v as f64)].fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -341,6 +354,20 @@ mod tests {
         }
         assert_eq!(a.snapshot(), plain);
         assert_eq!(a.count(), 5);
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        let (weighted, repeated) = (AtomicLogHistogram::new(), AtomicLogHistogram::new());
+        for (v, n) in [(0u64, 3u64), (267, 64), (45_000, 1), (9, 0), (2_000_000, 256)] {
+            weighted.record_n(v, n);
+            for _ in 0..n {
+                repeated.record(v);
+            }
+        }
+        // Count, sum, min, max and every bin.
+        assert_eq!(weighted.snapshot(), repeated.snapshot());
+        assert_eq!(weighted.count(), 3 + 64 + 1 + 256);
     }
 
     #[test]

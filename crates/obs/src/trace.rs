@@ -226,11 +226,34 @@ impl TraceRing {
     /// Wait-free, allocation-free.
     #[inline]
     pub fn sample(&self) -> bool {
+        self.sample_n(1) == 1
+    }
+
+    /// Offer `n` requests at once: how many of them the sampler picks —
+    /// what `n` calls of [`sample`](Self::sample) would count, for one
+    /// atomic add. A caller that learns this *before* doing the work
+    /// can skip reading the clock for a batch nobody will look at.
+    #[inline]
+    pub fn sample_n(&self, n: u64) -> u64 {
         if self.slots.is_empty() {
-            return false;
+            return 0;
         }
-        let n = self.considered.fetch_add(1, Ordering::Relaxed);
-        n % self.period == self.phase
+        let first = self.considered.fetch_add(n, Ordering::Relaxed);
+        // Offers from `first` to the next pick (the next counter value
+        // ≡ phase mod period); one division when nothing is picked.
+        let at = first % self.period;
+        let gap = if self.phase >= at { self.phase - at } else { self.period - at + self.phase };
+        if gap >= n {
+            0
+        } else {
+            1 + (n - 1 - gap) / self.period
+        }
+    }
+
+    /// The sampling period: each picked request stands for this many
+    /// offered ones (0 = sampling is off).
+    pub fn period(&self) -> u64 {
+        self.period
     }
 
     /// Write one record (single-writer). Wait-free, allocation-free:
@@ -368,9 +391,24 @@ mod tests {
     }
 
     #[test]
+    fn sample_n_counts_what_n_samples_would() {
+        for (period, seed) in [(1, 0), (7, 3), (8, 42), (64, 0x5EED), (1 << 40, 9)] {
+            let cfg = TraceConfig { capacity: 4, sample_period: period, seed };
+            let (one, many) = (TraceRing::new(&cfg), TraceRing::new(&cfg));
+            for n in [1u64, 1, 0, 5, 64, 3, 256, 1, 7, 100] {
+                let expect = (0..n).filter(|_| one.sample()).count() as u64;
+                assert_eq!(many.sample_n(n), expect, "period {period}, group of {n}");
+                assert_eq!(many.considered(), one.considered());
+            }
+            assert_eq!(many.period(), period);
+        }
+    }
+
+    #[test]
     fn disabled_ring_never_samples_and_snapshots_empty() {
         let ring = TraceRing::new(&TraceConfig::disabled());
         assert!(!ring.sample());
+        assert_eq!(ring.sample_n(9), 0);
         ring.push(&rec(1)); // must be a no-op, not a panic
         assert!(ring.snapshot().is_empty());
         assert_eq!(ring.recorded(), 0);

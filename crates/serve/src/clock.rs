@@ -73,10 +73,21 @@ pub fn dur_ns(d: Duration) -> Nanos {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
+#[cfg(test)]
+thread_local! {
+    /// System-clock reads made by this thread: what the clock-read pin
+    /// (`server::tests::claimed_lookup_reads_the_clock_only_when_timed`)
+    /// counts. Per thread, so concurrently running tests and the
+    /// server's own threads do not disturb a caller's count.
+    pub(crate) static SYS_NOW_READS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Process-wide zero point for the system clock.
 #[inline]
 fn sys_now() -> Nanos {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
+    #[cfg(test)]
+    SYS_NOW_READS.with(|n| n.set(n.get() + 1));
     dur_ns(ANCHOR.get_or_init(Instant::now).elapsed())
 }
 

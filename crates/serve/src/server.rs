@@ -797,10 +797,18 @@ impl ServerHandle {
 
     /// Answer `n` requests on the caller's own thread, under the claim
     /// the caller holds on `replica` of `shard`: pin the snapshot, run
-    /// `rank` against it, fold the batch into the replica's accounting
-    /// just as its dispatcher would, release the claim. Admission,
-    /// collection and dispatch are one instant, so the recorded wait is
-    /// exactly zero.
+    /// `rank` against it, fold the batch into the replica's accounting,
+    /// release the claim. Admission, collection and dispatch are one
+    /// instant, so a recorded wait is exactly zero.
+    ///
+    /// Two clock reads and a histogram record cost more than ranking a
+    /// key, so a batch is timed only when someone will read the result:
+    /// the replica's seeded sampler — consulted first, once per request,
+    /// as the dispatcher does — picked one of its requests, or it
+    /// carries a trace id. An untimed batch is counted (`served`,
+    /// `batches`, `batch_size`) and touches neither the clock nor
+    /// `latency_ns`; a timed one records its latency once, weighted by
+    /// the requests each pick stands for.
     fn serve_claimed<T>(
         &self,
         shard: usize,
@@ -811,32 +819,34 @@ impl ServerHandle {
     ) -> T {
         let q = &self.queues[shard][replica];
         let stats = &self.replica_metrics[shard * self.selector.n_replicas() + replica];
-        let admitted = self.clock.now();
+        let sampler = stats.trace();
+        let picked = sampler.sample_n(n as u64);
+        // A request carrying a trace id is always recorded.
+        let records = if trace != 0 { n as u64 } else { picked };
+        let admitted = (records > 0).then(|| self.clock.now());
         self.clock.yield_now();
         let answer = rank(&self.cells[shard].load());
-        let done = self.clock.now();
-        stats.record_batch((0..n).map(|_| done.saturating_sub(admitted)));
-        // Same sampling rule as the dispatcher: the seeded counter
-        // advances once per request, and a request carrying a trace id
-        // is always recorded.
-        let sampler = stats.trace();
-        for _ in 0..n {
-            if sampler.sample() || trace != 0 {
-                stats.claim_trace().push(&StageRecord {
-                    shard: shard as u16,
-                    replica: replica as u16,
-                    batch_len: n as u32,
-                    trace,
-                    admitted_ns: admitted,
-                    collected_ns: admitted,
-                    dispatched_ns: admitted,
-                    answered_ns: done,
-                    filled_ns: done,
-                    encoded_ns: 0,
-                    acked_ns: 0,
-                });
+        if let Some(admitted) = admitted {
+            let done = self.clock.now();
+            stats.record_latency_n(done.saturating_sub(admitted), picked * sampler.period());
+            let record = StageRecord {
+                shard: shard as u16,
+                replica: replica as u16,
+                batch_len: n as u32,
+                trace,
+                admitted_ns: admitted,
+                collected_ns: admitted,
+                dispatched_ns: admitted,
+                answered_ns: done,
+                filled_ns: done,
+                encoded_ns: 0,
+                acked_ns: 0,
+            };
+            for _ in 0..records {
+                stats.claim_trace().push(&record);
             }
         }
+        stats.count_batch(n as u64);
         // Last: the claim is what makes this thread the claim ring's
         // only writer.
         q.complete(n);
@@ -1847,8 +1857,17 @@ mod tests {
                 .collect();
             traces.sort_unstable();
             let counts = (stats.served, stats.admitted, stats.batches, stats.shed);
-            let served: Vec<u64> = server.replica_stats().iter().map(|r| r.served).collect();
-            (counts, served, server.heat_snapshot(), traces, slots)
+            let replicas = server.replica_stats();
+            // Latencies are exhaustive on the dispatcher path and sampled
+            // on the claimed one, each pick weighted by the period: a
+            // replica's count is never more than a period off its served.
+            for r in &replicas {
+                let off = r.latency_ns.count().abs_diff(r.served);
+                assert!(off < 7, "latency count {} vs served {}", r.latency_ns.count(), r.served);
+            }
+            let batch_sizes = (stats.batch_size.count(), stats.batch_size.max());
+            let served: Vec<u64> = replicas.iter().map(|r| r.served).collect();
+            (counts, served, server.heat_snapshot(), traces, slots, batch_sizes)
         };
         let nudge = Duration::from_nanos(1);
         let claimed = run(ServeFaultPlan::none(), 0);
@@ -1862,7 +1881,50 @@ mod tests {
         assert_eq!(claimed.1, queued.1, "per-replica split");
         assert_eq!(claimed.2, queued.2, "heat");
         assert_eq!(claimed.3, queued.3, "stage records: same requests sampled, same shapes");
+        assert_eq!(claimed.5, queued.5, "batch sizes");
         assert!(claimed.3.len() > 100, "every traced request and a seventh of the rest");
+    }
+
+    #[test]
+    fn claimed_lookup_reads_the_clock_only_when_timed() {
+        use crate::clock::SYS_NOW_READS;
+        use dini_obs::TraceConfig;
+        let keys = gen_sorted_unique_keys(5_000, 81);
+        // System-clock reads this thread makes over `lookups` lone
+        // lookups of a warmed one-replica server, each ranked under its
+        // own claim.
+        let reads = |trace: TraceConfig, lookups: u32, id: u64| {
+            let mut c = cfg(1);
+            c.trace = trace;
+            let server = IndexServer::build(&keys, c);
+            let h = server.handle();
+            for q in 0..10u32 {
+                h.lookup(q * 7919).unwrap();
+            }
+            let before = SYS_NOW_READS.get();
+            for i in 0..lookups {
+                let q = i.wrapping_mul(2_654_435_761);
+                h.begin_lookup_traced(q, id).unwrap().wait().unwrap();
+            }
+            let reads = SYS_NOW_READS.get() - before;
+            assert_eq!(server.pools[0].idle(), 0, "a slot was taken: some lookup queued");
+            let stats = server.stats();
+            assert_eq!((stats.served, stats.batches), (10 + u64::from(lookups), stats.served));
+            reads
+        };
+        // Any 6 400 consecutive offers hold exactly 100 picks of one in 64.
+        let sampled = TraceConfig { sample_period: 64, ..TraceConfig::default() };
+        assert_eq!(
+            reads(sampled, 6_400, 0),
+            2 * 100,
+            "two reads per picked lookup, none otherwise"
+        );
+        assert_eq!(reads(TraceConfig::disabled(), 6_400, 0), 0, "counts only");
+        assert_eq!(reads(TraceConfig::dense(), 6_400, 0), 2 * 6_400, "every lookup timed");
+        // A sampler that never picks, and one request carrying a trace id.
+        let never = TraceConfig { sample_period: 1 << 40, ..TraceConfig::default() };
+        assert_eq!(reads(never.clone(), 100, 0), 0);
+        assert_eq!(reads(never, 1, 7), 2);
     }
 
     #[test]

@@ -6,6 +6,20 @@
 //! delay) land in [`dini_cluster::LogHistogram`]s — fixed memory, O(1)
 //! insert, quantiles good to one log-bin.
 //!
+//! The latency histogram is **exhaustive on the dispatcher path and
+//! sampled-and-weighted on the claimed path**. A dispatcher's batch
+//! already cost a wake-up, so it records one latency per query. A caller
+//! that ranks its own key under a claim would spend more time reading
+//! the clock (twice) and recording (four atomic RMWs) than ranking, so
+//! it times a batch only when the replica's seeded 1-in-`sample_period`
+//! sampler picks one of its requests (or it carries a trace id) and
+//! records that one latency with weight picked × period
+//! ([`ReplicaMetrics::record_latency_n`]). The count therefore stays
+//! within one period of `served` per replica and the two paths mix
+//! without bias; `served`, `batches` and `batch_size` are exact on both.
+//! `TraceConfig::dense()` times every claimed batch,
+//! `TraceConfig::disabled()` none.
+//!
 //! The live accumulators are [`ReplicaMetrics`]: `dini-obs` atomics
 //! (lock-free histograms, counters, and a stage-trace ring) registered
 //! under named handles in the server's
@@ -72,16 +86,30 @@ impl ReplicaMetrics {
         }
     }
 
-    /// Fold one departed batch in, one latency per query. Lock-free and
-    /// allocation-free: atomic adds only.
+    /// Fold one departed batch in, one latency per query (the
+    /// dispatcher's record: exhaustive). Lock-free and allocation-free:
+    /// atomic adds only.
     pub fn record_batch(&self, latencies_ns: impl ExactSizeIterator<Item = Nanos>) {
         let n = latencies_ns.len() as u64;
         for ns in latencies_ns {
             self.latency_ns.record(ns);
         }
+        self.count_batch(n);
+    }
+
+    /// Count one departed batch of `n` queries without a latency: all a
+    /// claimant leaves for a batch the sampler did not pick.
+    pub fn count_batch(&self, n: u64) {
         self.batch_size.record(n);
         self.served.add(n);
         self.batches.inc();
+    }
+
+    /// Record one measured latency standing for `weight` queries: a
+    /// claimant's timed batch, `weight` = requests picked × sampling
+    /// period, so the histogram's count keeps pace with `served`.
+    pub fn record_latency_n(&self, ns: Nanos, weight: u64) {
+        self.latency_ns.record_n(ns, weight);
     }
 
     /// Overwrite the main-epochs-crossed total (the dispatcher reads it
@@ -140,7 +168,8 @@ impl ReplicaMetrics {
 /// per-replica load and failover activity stay visible).
 #[derive(Debug, Clone, Default)]
 pub struct ShardStats {
-    /// Per-query latency (ns): reply time − enqueue time.
+    /// Per-query latency (ns): reply time − enqueue time. Sampled and
+    /// weighted for queries their caller ranked (see the module docs).
     pub latency_ns: LogHistogram,
     /// Batch sizes at departure.
     pub batch_size: LogHistogram,
@@ -170,7 +199,11 @@ impl ShardStats {
 /// A point-in-time aggregate over all shards plus writer-side counters.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
-    /// Merged per-query latency across shards (ns).
+    /// Merged per-query latency across shards (ns): one sample per
+    /// query a dispatcher served; for queries their caller ranked, one
+    /// measured latency per sampler pick, weighted by the sampling
+    /// period — so `count()` tracks `served` to within one period per
+    /// replica, not exactly (see the module docs).
     pub latency_ns: LogHistogram,
     /// Merged batch-size distribution.
     pub batch_size: LogHistogram,
