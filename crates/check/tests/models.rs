@@ -8,7 +8,8 @@
 //!
 //! * `EpochCell`: readers never observe a torn or freed snapshot; the
 //!   superseded epoch is released by the cell inside `publish` and freed
-//!   exactly once, on the last unpin.
+//!   exactly once, on the last unpin; a borrow under the pin (`with`)
+//!   holds off the `publish` that supersedes its epoch until it ends.
 //! * `SlotPool` / `ReplyCell`: a reply is never lost and never
 //!   duplicated, across fills, parks, and generation recycling.
 //! * `TraceRing`: a concurrent snapshot never returns a torn record.
@@ -143,6 +144,44 @@ fn epoch_cell_unpin_frees_last_under_double_publish() {
         assert_eq!(cell.load().main_epoch, 2);
     });
     assert!(report.executions >= 10, "double-publish race under-explored: {report:?}");
+}
+
+/// `EpochCell::with` lends the snapshot under the pin instead of a
+/// reference, so the pin itself must keep the epoch alive: a borrower
+/// yields inside `f` while a publisher publishes twice (the second
+/// recycles the slot the first retired). `open` holds the epoch a borrow
+/// has open (`u64::MAX`: none), set and cleared inside `f`. Once
+/// `publish(e)` has returned, no borrow of an epoch before `e` may still
+/// be open — the drain waited it out — and the borrower must read one
+/// whole, live snapshot throughout (the model `Arc` turns a premature
+/// free into a use-after-free failure).
+#[test]
+fn epoch_cell_with_holds_publish_until_the_borrow_ends() {
+    const NONE: u64 = u64::MAX;
+    let report = model("epoch-cell/with-vs-double-publish", || {
+        let cell = StdArc::new(EpochCell::new(snap(0)));
+        let open = StdArc::new(AtomicU64::new(NONE));
+        let borrower = {
+            let (cell, open) = (StdArc::clone(&cell), StdArc::clone(&open));
+            thread::spawn(move || {
+                cell.with(|s| {
+                    open.store(s.main_epoch, Ordering::SeqCst);
+                    dini_check::sync::yield_now();
+                    assert_untorn(s);
+                    open.store(NONE, Ordering::SeqCst);
+                    s.main_epoch
+                })
+            })
+        };
+        for e in 1..=2 {
+            cell.publish(snap(e));
+            let o = open.load(Ordering::SeqCst);
+            assert!(o == NONE || o >= e, "publish({e}) returned with a borrow of epoch {o} open");
+        }
+        assert!(borrower.join() <= 2);
+        assert_eq!(cell.with(|s| s.main_epoch), 2);
+    });
+    assert!(report.executions >= 10, "with/publish race under-explored: {report:?}");
 }
 
 /// A pooled reply crosses threads exactly once: the filler's value is
@@ -286,7 +325,7 @@ fn admission_depth_holds_a_request_before_it_can_be_served() {
 }
 
 /// The claim: two callers race for one idle replica exactly as
-/// `ServerHandle` does — `claim(1)`, and either rank-and-`complete` or
+/// `ServerHandle` does — `claim(1)`, and either rank-and-`release` or
 /// queue — beside the replica's dispatcher, which serves whatever was
 /// queued. Whatever the interleaving: the two callers are never both
 /// inside the claim; a caller that lost is queued exactly once and
@@ -294,7 +333,9 @@ fn admission_depth_holds_a_request_before_it_can_be_served() {
 /// its caller or by the dispatcher); the gauge covers a queued request
 /// for as long as it is queued or in service (it never dips below
 /// zero, and nobody reads it above the two requests that exist); and it
-/// reads 0 at the end. The dispatcher *may* serve the loser while the
+/// reads 0 at the end. Two successive claimants both write the
+/// admitted-under-claim count with a plain load and store, so `admitted`
+/// reading 2 at the end shows the claim orders them. The dispatcher *may* serve the loser while the
 /// winner is still inside its claim — a caller and the dispatcher share
 /// nothing that is not atomic (they write different trace rings) — so
 /// that overlap is explored, not forbidden.
@@ -313,7 +354,7 @@ fn claim_admits_one_claimant_and_queues_the_loser_once() {
                     let others = inside.fetch_add(1, Ordering::SeqCst);
                     assert_eq!(others, 0, "two callers inside one replica's claim");
                     inside.fetch_sub(1, Ordering::SeqCst);
-                    q.complete(1);
+                    q.release(1);
                 } else {
                     q.try_submit(req(key)).expect("a lost claim queues, with room to spare");
                 }

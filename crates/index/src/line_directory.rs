@@ -20,6 +20,10 @@
 //!   prefetches the block that key reads at the next level, so the misses
 //!   of a group are in flight at once instead of queueing behind one
 //!   another. It is the native descendant of Method C-2's batching.
+//! * **One pass per line** — within a line, the number of entries `≤ key`
+//!   is one SSE2 compare-and-mask on x86_64 (`count_le`) rather than a
+//!   chain of dependent binary-search steps, so once the misses overlap
+//!   the per-level work does not become the critical path instead.
 //!
 //! The key slice itself is never copied or re-laid-out — it is a window
 //! into a [`SharedKeys`] backing (an `Arc`-shared vector or a mapped
@@ -76,6 +80,51 @@ fn prefetch<T>(ptr: *const T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = ptr;
+}
+
+/// Number of entries of the sorted `block` that are `≤ key`: std's
+/// branchless binary search. Short level-0 blocks use it on every
+/// target, full lines wherever [`count_le`] has no vector form.
+#[inline(always)]
+fn count_le_scalar(block: &[u32], key: u32) -> usize {
+    block.partition_point(|&k| k <= key)
+}
+
+/// Number of entries of the sorted 16-entry `line` that are `≤ key`, in
+/// one SSE2 pass: four unsigned `>` compares (XOR-biased by `0x8000_0000`
+/// so signed `pcmpgtd` orders them as `u32`), packed into one 16-bit
+/// `movemask`. The line is sorted, so its `>` bits are a suffix and the
+/// count is the index of the first one — `trailing_zeros` of the mask
+/// with bit 16 set as a sentinel, a BSF, no population count.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn count_le(line: &[u32; FANOUT], key: u32) -> usize {
+    use core::arch::x86_64::{
+        __m128i, _mm_cmpgt_epi32, _mm_loadu_si128, _mm_movemask_epi8, _mm_packs_epi16,
+        _mm_packs_epi32, _mm_set1_epi32, _mm_xor_si128,
+    };
+    let quads = line.as_ptr().cast::<__m128i>();
+    // SAFETY: SSE2 is part of the x86_64 baseline, so every intrinsic
+    // here exists; `line` is 64 readable bytes, so the four 16-byte loads
+    // at offsets 0, 16, 32 and 48 stay inside it, and `loadu` has no
+    // alignment requirement.
+    let mask = unsafe {
+        let bias = _mm_set1_epi32(i32::MIN);
+        let key = _mm_xor_si128(_mm_set1_epi32(key as i32), bias);
+        let gt = |i| _mm_cmpgt_epi32(_mm_xor_si128(_mm_loadu_si128(quads.add(i)), bias), key);
+        // Each lane is 0 or −1; the saturating packs keep that, in order.
+        let lo = _mm_packs_epi32(gt(0), gt(1));
+        let hi = _mm_packs_epi32(gt(2), gt(3));
+        _mm_movemask_epi8(_mm_packs_epi16(lo, hi)) as u32
+    };
+    (mask | 1 << FANOUT).trailing_zeros() as usize
+}
+
+/// [`count_le_scalar`] over a whole line, where SSE2 is not there.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn count_le(line: &[u32; FANOUT], key: u32) -> usize {
+    count_le_scalar(line, key)
 }
 
 /// A sorted key slice plus its cache-line separator directory.
@@ -203,8 +252,8 @@ impl LineDirectory {
     /// Invariant per key going into a level: `at` is the index of the one
     /// block of that level the answer lies in — every earlier block is
     /// wholly `≤ key`, every later one wholly `> key`. The number of the
-    /// block's entries `≤ key` (a branchless binary search within the
-    /// line) therefore gives the number of entries of the whole level
+    /// block's entries `≤ key` ([`count_le`] within the line) therefore
+    /// gives the number of entries of the whole level
     /// `≤ key`, which is the number of blocks of the level below that are
     /// wholly `≤ key`, i.e. the next `at` — clamped to the last block,
     /// because a key `≥` the maximum (and the `u32::MAX` padding, which
@@ -221,7 +270,7 @@ impl LineDirectory {
                 let line = level.first_line + *at;
                 ns += mem.touch(dir_base + line as u64 * LINE_BYTES, 64, AccessKind::Read);
                 ns += mem.compute(self.node_cost_ns);
-                let le = *at * FANOUT + self.lines[line].0.partition_point(|&k| k <= key);
+                let le = *at * FANOUT + count_le(&self.lines[line].0, key);
                 *at = le.min(level.entries - 1);
                 match below {
                     Some(b) => prefetch(self.lines.as_ptr().wrapping_add(b.first_line + *at)),
@@ -242,7 +291,10 @@ impl LineDirectory {
             );
             ns += mem.compute(self.node_cost_ns);
             let block = &slice[lo..hi];
-            let le = block.partition_point(|&k| k <= *key);
+            let le = match block.try_into() {
+                Ok(line) => count_le(line, *key),
+                Err(_) => count_le_scalar(block, *key),
+            };
             *key = (lo + le) as u32;
         }
         ns
@@ -321,6 +373,45 @@ mod tests {
                         "n {n} start {start} query {q}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn vector_count_matches_scalar_count() {
+        // Sorted lines with duplicates, `u32::MAX` padding and entries
+        // straddling the sign bit the vector compare biases away; every
+        // key a count can change at, plus both extremes.
+        let mut lines: Vec<[u32; FANOUT]> = vec![
+            [0; FANOUT],
+            [u32::MAX; FANOUT],
+            std::array::from_fn(|i| i as u32),
+            std::array::from_fn(|i| 0x8000_0000 - 8 + i as u32),
+            std::array::from_fn(|i| if i < 5 { i as u32 * 3 } else { u32::MAX }),
+            std::array::from_fn(|i| [0, 7, 7, 7, 0x7FFF_FFFF, 0x8000_0000][i.min(5)]),
+            std::array::from_fn(|i| (i as u32 / 4) * 0x4000_0000),
+        ];
+        let mut x = 0x2545_F491_u32;
+        for _ in 0..200 {
+            let mut line: [u32; FANOUT] = std::array::from_fn(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                // A narrow window every few lines, so values repeat.
+                if x.is_multiple_of(3) {
+                    0x8000_0000 ^ (x % 8)
+                } else {
+                    x
+                }
+            });
+            line.sort_unstable();
+            let padded = (x % FANOUT as u32) as usize;
+            line[FANOUT - padded..].fill(u32::MAX);
+            lines.push(line);
+        }
+        for line in &lines {
+            for q in probes(line) {
+                assert_eq!(count_le(line, q), count_le_scalar(line, q), "line {line:?} key {q}");
             }
         }
     }

@@ -41,6 +41,19 @@ impl Counter {
         self.add(1);
     }
 
+    /// Add `n` as this counter's only writer: a load and a store, no
+    /// read-modify-write. Sound only while writers exclude each other and
+    /// each one's store happens before the next one's load (the serving
+    /// layer's claim is such an exclusion); a concurrent `add` or
+    /// `add_unshared` could be lost. Readers may still read at any time.
+    #[inline]
+    pub fn add_unshared(&self, n: u64) {
+        // ordering: relaxed-ok: writers are ordered by the caller's own
+        // exclusion (see above), so this load sees the last store; readers
+        // only fold the value into snapshots.
+        self.0.store(self.0.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
+
     /// Overwrite the value (for level-style counters, e.g. "rebuilds
     /// adopted" which the owner tracks as a running total).
     #[inline]
@@ -92,9 +105,10 @@ impl AtomicLogHistogram {
         }
     }
 
-    /// Record one sample. No locks, no allocation: four atomic
-    /// read-modify-writes (`fetch_min` / `fetch_max` are compare-exchange
-    /// loops on x86-64).
+    /// Record one sample. No locks, no allocation: two atomic
+    /// read-modify-writes (bin, sum), plus a `fetch_min` / `fetch_max`
+    /// (compare-exchange loops on x86-64) only for a sample that moves
+    /// the minimum or the maximum.
     #[inline]
     pub fn record(&self, v: u64) {
         self.record_n(v, 1);
@@ -114,8 +128,39 @@ impl AtomicLogHistogram {
         // which the histogram contract explicitly permits.
         self.bins[LogHistogram::bin_index(v as f64)].fetch_add(n, Ordering::Relaxed);
         self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // The minimum only falls and the maximum only rises, so one that
+        // already bounds `v` still will: skipping the RMW then is exact.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    /// [`record_n`](Self::record_n) as this histogram's only writer: a
+    /// load and a store per field, no read-modify-write. The contract of
+    /// [`Counter::add_unshared`] applies: writers must exclude each other
+    /// and be ordered one after the next; readers may snapshot at any
+    /// time.
+    #[inline]
+    pub fn record_n_unshared(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        // ordering: relaxed-ok: writers are ordered by the caller's own
+        // exclusion, so each load sees the previous writer's store;
+        // `snapshot` folds a possibly-skewed view, as for `record_n`.
+        let bin = &self.bins[LogHistogram::bin_index(v as f64)];
+        bin.store(bin.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        let sum = self.sum.load(Ordering::Relaxed).wrapping_add(v.wrapping_mul(n));
+        self.sum.store(sum, Ordering::Relaxed);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.store(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Samples recorded so far.
@@ -359,26 +404,38 @@ mod tests {
     #[test]
     fn record_n_is_n_records() {
         let (weighted, repeated) = (AtomicLogHistogram::new(), AtomicLogHistogram::new());
+        let (unshared, served, plain) = (AtomicLogHistogram::new(), Counter::new(), Counter::new());
         for (v, n) in [(0u64, 3u64), (267, 64), (45_000, 1), (9, 0), (2_000_000, 256)] {
             weighted.record_n(v, n);
+            unshared.record_n_unshared(v, n);
+            served.add(n);
+            plain.add_unshared(n);
             for _ in 0..n {
                 repeated.record(v);
             }
         }
-        // Count, sum, min, max and every bin.
+        // Count, sum, min, max and every bin — and, with one writer, the
+        // same from the load-and-store variants.
         assert_eq!(weighted.snapshot(), repeated.snapshot());
+        assert_eq!(unshared.snapshot(), repeated.snapshot());
         assert_eq!(weighted.count(), 3 + 64 + 1 + 256);
+        assert_eq!(plain.get(), served.get());
     }
 
     #[test]
     fn atomic_histogram_concurrent_writers_sum_exactly() {
+        // Four writers whose streams each move the min and the max late
+        // and often, so skipped and taken `fetch_min`/`fetch_max` race:
+        // bins, sum, min and max must be what one thread recording every
+        // sample leaves.
+        let sample = |t: u64, i: u64| (i * 7_919 + t * 104_729) % 1_000_003 + (i % 97) * t;
         let h = Arc::new(AtomicLogHistogram::new());
-        let threads: Vec<_> = (0..4)
+        let threads: Vec<_> = (0..4u64)
             .map(|t| {
                 let h = h.clone();
                 std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        h.record(1 + (i ^ t) % 1000);
+                    for i in 0..20_000u64 {
+                        h.record(sample(t, i));
                     }
                 })
             })
@@ -386,9 +443,14 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 40_000);
-        assert!(snap.min() >= 1.0 && snap.max() <= 1000.0);
+        let serial = AtomicLogHistogram::new();
+        for t in 0..4u64 {
+            for i in 0..20_000u64 {
+                serial.record(sample(t, i));
+            }
+        }
+        assert_eq!(h.snapshot(), serial.snapshot());
+        assert_eq!(h.count(), 80_000);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   is exactly "depth 0", the gauge is also **the claim**: a caller
 //!   that takes it 0 → n ([`claim`](AdmissionQueue::claim)) found
 //!   nothing queued and nothing in service, holds the replica until its
-//!   [`complete`](AdmissionQueue::complete), and ranks its own keys on
+//!   [`release`](AdmissionQueue::release), and ranks its own keys on
 //!   its own thread instead of waking the dispatcher. A caller that
 //!   finds depth > 0 queues as ever. At most one claimant holds a
 //!   replica at a time, and its parked dispatcher is woken only by a
@@ -58,8 +58,12 @@ pub struct AdmissionQueue {
     // itself. The one pairing on `depth` is the claim: `claim` is an
     // Acquire RMW and `complete` a Release RMW — every other write is an
     // RMW too, so the release sequence is never broken — which orders
-    // successive claimants, who share the replica's claim-side trace ring.
+    // successive claimants, who share the replica's claim-side trace ring
+    // and accounting — `claimed` below among them.
     admitted: Arc<AtomicU64>,
+    /// Requests admitted under a claim: written only by the claim's
+    /// holder, in [`release`](Self::release), with a load and a store.
+    claimed: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
     /// Requests admitted and not yet answered or handed off — the live
     /// load signal replica routing samples, and the claim.
@@ -80,6 +84,7 @@ impl AdmissionQueue {
             tx,
             clock,
             admitted: Arc::new(AtomicU64::new(0)),
+            claimed: Arc::new(AtomicU64::new(0)),
             shed: Arc::new(AtomicU64::new(0)),
             depth: Arc::new(AtomicU64::new(0)),
             alive: Arc::new(AtomicBool::new(true)),
@@ -98,25 +103,37 @@ impl AdmissionQueue {
 
     /// Claim the replica for `n` requests if it is idle: `true` means
     /// the depth gauge went 0 → `n` — nothing was queued, nothing in
-    /// service — and the caller now holds the replica: its `n` requests
-    /// count as admitted (they never enter the channel, so no send will
-    /// count them), it answers them itself, and it releases with
-    /// [`complete(n)`](Self::complete). `false` (busy, or
+    /// service — and the caller now holds the replica: it answers its
+    /// `n` requests itself and releases with
+    /// [`release(n)`](Self::release), which counts them as admitted (they
+    /// never enter the channel, so no send will). `false` (busy, or
     /// [`dispatcher_only`](Self::dispatcher_only)) changes nothing: the
     /// requests go down the queue like any others.
     #[inline]
     pub fn claim(&self, n: usize) -> bool {
         // Acquire on success: pairs with the Release in `complete`,
         // ordering this claimant after whatever the last holder did.
-        let claimed = self.claimable
+        self.claimable
             && self
                 .depth
                 .compare_exchange(0, n as u64, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok();
-        if claimed {
-            self.admitted.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        claimed
+                .is_ok()
+    }
+
+    /// Release a [`claim`](Self::claim) of `n` requests, answered: count
+    /// them as admitted and [`complete`](Self::complete) them. Only the
+    /// claim's holder may call this — it is the admitted-under-claim
+    /// count's single writer, so the count costs a load and a store, and
+    /// the `complete` that follows is what orders it before the next
+    /// holder's.
+    #[inline]
+    pub fn release(&self, n: usize) {
+        // ordering: relaxed-ok: single writer — successive holders are
+        // ordered by `claim` (Acquire) after `complete` (Release), so this
+        // load sees the last holder's store; readers only sum it.
+        let claimed = self.claimed.load(Ordering::Relaxed) + n as u64;
+        self.claimed.store(claimed, Ordering::Relaxed);
+        self.complete(n);
     }
 
     /// Admit without blocking; a full queue sheds the request.
@@ -237,9 +254,9 @@ impl AdmissionQueue {
         self.replica
     }
 
-    /// Requests admitted so far.
+    /// Requests admitted so far: queued, plus claimed and released.
     pub fn admitted(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
+        self.admitted.load(Ordering::Relaxed) + self.claimed.load(Ordering::Relaxed)
     }
 
     /// Requests shed so far.
@@ -310,8 +327,8 @@ mod tests {
         assert!(q.claim(3), "idle: the gauge goes 0 → 3");
         assert_eq!(q.depth(), 3);
         assert!(!q.claim(1), "held: a second claimant loses and pays nothing");
-        assert_eq!(q.depth(), 3);
-        q.complete(3);
+        assert_eq!((q.admitted(), q.depth()), (0, 3), "admitted when released");
+        q.release(3);
         assert_eq!((q.admitted(), q.depth()), (3, 0));
         // A queued request keeps the replica busy until it is answered.
         q.try_submit(req(1)).unwrap();
@@ -319,7 +336,8 @@ mod tests {
         drop(rx.recv().unwrap());
         q.complete(1);
         assert!(q.claim(1));
-        q.complete(1);
+        q.release(1);
+        assert_eq!((q.admitted(), q.depth()), (5, 0), "queued plus claimed");
         // A scripted replica is never claimed, idle or not.
         let (tx, _rx) = sync_channel(1);
         let q = AdmissionQueue::new(0, 0, tx, Clock::system()).dispatcher_only();

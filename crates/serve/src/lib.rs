@@ -49,8 +49,9 @@
 //!   [`DeltaArray`](dini_index::DeltaArray)s and publishes each shard's
 //!   whole read state — main array, overlay, base rank — as one
 //!   immutable snapshot via a hand-rolled **lock-free epoch swap**
-//!   (`AtomicPtr` two-slot scheme: readers pin with three atomic RMWs
-//!   and no lock, superseded epochs freed on last unpin); on crossing the
+//!   (`AtomicPtr` two-slot scheme: readers pin with three atomic RMWs —
+//!   two when they only borrow the snapshot for one rank — and no lock,
+//!   superseded epochs freed on last unpin); on crossing the
 //!   merge threshold it merges and builds the new main array's directory
 //!   off the read path and publishes it the same way. Lookups never
 //!   block on writers.

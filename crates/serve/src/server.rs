@@ -67,8 +67,9 @@
 //!   holds for a claimant, which is why it can stand in: a shard's read
 //!   state is one immutable value any thread may pin. A dispatcher is
 //!   woken only by a request that lost a claim, and may serve it while
-//!   the winner is still ranking — the two share the replica's atomics
-//!   and nothing else (each writes its own stage-trace ring).
+//!   the winner is still ranking — the two share the replica's sampler
+//!   and nothing else (each writes its own stage-trace ring and its own
+//!   set of counters and histograms, merged when stats are read).
 //! * **The writer** (single thread) owns every shard's
 //!   [`DeltaArray`], folds churn through it,
 //!   publishes snapshots every `publish_every` ops (once per shard — the
@@ -790,16 +791,18 @@ impl ServerHandle {
     fn select(&self, shard: usize) -> Option<usize> {
         let group = &self.queues[shard];
         // ordering: relaxed-ok: per-clone rotation phase; only atomicity
-        // matters, and clones never share the counter.
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
+        // matters, and clones never share the counter. A lone replica
+        // needs no rotation, so it skips the RMW.
+        let tick = if group.len() == 1 { 0 } else { self.tick.fetch_add(1, Ordering::Relaxed) };
         self.selector.select(tick, |r| group[r].probe())
     }
 
     /// Answer `n` requests on the caller's own thread, under the claim
-    /// the caller holds on `replica` of `shard`: pin the snapshot, run
-    /// `rank` against it, fold the batch into the replica's accounting,
-    /// release the claim. Admission, collection and dispatch are one
-    /// instant, so a recorded wait is exactly zero.
+    /// the caller holds on `replica` of `shard`: run `rank` on the
+    /// snapshot while its slot is pinned ([`EpochCell::with`]), fold the
+    /// batch into the replica's claim-side accounting, release the claim.
+    /// Admission, collection and dispatch are one instant, so a recorded
+    /// wait is exactly zero.
     ///
     /// Two clock reads and a histogram record cost more than ranking a
     /// key, so a batch is timed only when someone will read the result:
@@ -809,6 +812,11 @@ impl ServerHandle {
     /// `batches`, `batch_size`) and touches neither the clock nor
     /// `latency_ns`; a timed one records its latency once, weighted by
     /// the requests each pick stands for.
+    ///
+    /// Atomic read-modify-writes, untimed: the sampler's add, the pin and
+    /// unpin, and the release's `complete` — with the caller's heat record
+    /// and claim, six a lookup. The counts are plain stores: the claim
+    /// makes this thread their only writer.
     fn serve_claimed<T>(
         &self,
         shard: usize,
@@ -824,11 +832,13 @@ impl ServerHandle {
         // A request carrying a trace id is always recorded.
         let records = if trace != 0 { n as u64 } else { picked };
         let admitted = (records > 0).then(|| self.clock.now());
+        // Outside the pin: under a virtual clock this may hand off to the
+        // writer, whose publish would wait out a pin held across it.
         self.clock.yield_now();
-        let answer = rank(&self.cells[shard].load());
+        let answer = self.cells[shard].with(rank);
         if let Some(admitted) = admitted {
             let done = self.clock.now();
-            stats.record_latency_n(done.saturating_sub(admitted), picked * sampler.period());
+            stats.record_claimed_latency(done.saturating_sub(admitted), picked * sampler.period());
             let record = StageRecord {
                 shard: shard as u16,
                 replica: replica as u16,
@@ -846,10 +856,10 @@ impl ServerHandle {
                 stats.claim_trace().push(&record);
             }
         }
-        stats.count_batch(n as u64);
-        // Last: the claim is what makes this thread the claim ring's
-        // only writer.
-        q.complete(n);
+        stats.count_claimed(n as u64);
+        // Last: the claim is what makes this thread the only writer of
+        // the claim ring and the claim-side counts.
+        q.release(n);
         answer
     }
 
@@ -1800,7 +1810,8 @@ mod tests {
         // … and the accounting reads as if a dispatcher had served 200
         // batches of one that never waited.
         let stats = server.stats();
-        assert_eq!((stats.served, stats.admitted, stats.batches), (200, 200, 200));
+        let counts = (stats.served, stats.claimed, stats.admitted, stats.batches);
+        assert_eq!(counts, (200, 200, 200, 200));
         let traces = server.stage_traces();
         assert_eq!(traces.len(), 200);
         assert!(traces
@@ -1867,7 +1878,18 @@ mod tests {
             }
             let batch_sizes = (stats.batch_size.count(), stats.batch_size.max());
             let served: Vec<u64> = replicas.iter().map(|r| r.served).collect();
-            (counts, served, server.heat_snapshot(), traces, slots, batch_sizes)
+            // The registry carries each path's series (`path="claim"` for
+            // the callers'); summed, they are what `stats()` merged.
+            let registry_served: u64 = server
+                .metrics_snapshot()
+                .counters
+                .iter()
+                .filter(|(name, _, _)| name == "dini_serve_served")
+                .map(|(_, _, v)| v)
+                .sum();
+            assert_eq!(registry_served, stats.served);
+            let by_path = (stats.claimed, stats.served - stats.claimed);
+            (counts, served, server.heat_snapshot(), traces, slots, batch_sizes, by_path)
         };
         let nudge = Duration::from_nanos(1);
         let claimed = run(ServeFaultPlan::none(), 0);
@@ -1881,7 +1903,9 @@ mod tests {
         assert_eq!(claimed.1, queued.1, "per-replica split");
         assert_eq!(claimed.2, queued.2, "heat");
         assert_eq!(claimed.3, queued.3, "stage records: same requests sampled, same shapes");
-        assert_eq!(claimed.5, queued.5, "batch sizes");
+        assert_eq!(claimed.5, queued.5, "batch sizes: count and max");
+        assert_eq!(claimed.6, (300, 0), "(claimed, dispatched): callers answered all");
+        assert_eq!(queued.6, (0, 300), "(claimed, dispatched): dispatchers answered all");
         assert!(claimed.3.len() > 100, "every traced request and a seventh of the rest");
     }
 

@@ -8,7 +8,10 @@
 //! keep using their pinned snapshot for the whole batch. A superseded
 //! snapshot is freed when its last reader drops its pin — no reader ever
 //! blocks on the writer, and the writer waits for readers only across
-//! their few-instruction pin window.
+//! their few-instruction pin window. A reader with one short job (a
+//! caller ranking its own keys under a replica's claim) can instead run
+//! it *inside* the pin window ([`EpochCell::with`]: two atomic RMWs, no
+//! reference bump or drop), so a publish may wait out one claimed rank.
 //!
 //! A snapshot is a shard's *whole* read state: the merged main array
 //! behind its [`LineDirectory`] (rebuilt only on merge, `Arc`-shared by
@@ -143,12 +146,24 @@ impl PinSlot {
     }
 }
 
+/// One reader's pin on a slot, released on drop — so a panic while the
+/// pin is held (inside [`EpochCell::with`]'s `f`) cannot wedge `publish`.
+struct Pin<'a>(&'a AtomicUsize);
+
+impl Drop for Pin<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// A publication point for [`ShardSnapshot`]s (one per shard) — a
 /// hand-rolled lock-free `Arc` swap.
 ///
 /// [`load`](Self::load) is genuinely lock-free: no mutex, no poisoning
 /// panic path. A reader costs three atomic read-modify-writes (pin the
-/// active slot, bump the `Arc` count, unpin) plus two loads.
+/// active slot, bump the `Arc` count, unpin) plus two loads, and a fourth
+/// when it drops the `Arc`; [`with`](Self::with) borrows the snapshot
+/// under the pin for two (pin, unpin).
 /// The two-slot scheme closes the classic race between reading the
 /// pointer and bumping its count: [`publish`](Self::publish) installs
 /// into the *inactive* (empty) slot and flips, so the slot a reader
@@ -186,9 +201,11 @@ impl EpochCell {
         cell
     }
 
-    /// Pin and return the current snapshot. Lock-free; three atomic RMWs
-    /// (pin, `Arc` bump, unpin) and two loads on the uncontended path.
-    pub fn load(&self) -> Arc<ShardSnapshot> {
+    /// Pin the active slot and read its pointer. The slot holds one
+    /// strong count of the pointed-to snapshot, and `publish` releases it
+    /// only after the slot's pinners drain — so the pointer stays valid
+    /// for as long as the returned [`Pin`] lives.
+    fn pin(&self) -> (Pin<'_>, *const ShardSnapshot) {
         loop {
             let i = self.active.load(Ordering::SeqCst);
             let slot = &self.slots[i];
@@ -198,30 +215,50 @@ impl EpochCell {
             // neither (which is exactly the store-buffering interleaving
             // weaker orderings would allow).
             slot.pinners.fetch_add(1, Ordering::SeqCst);
+            let pin = Pin(&slot.pinners);
             if self.active.load(Ordering::SeqCst) == i {
                 // The slot is pinned and still active: its pointer cannot
                 // be swapped out and released until the pin drops.
-                let ptr = slot.ptr.load(Ordering::Acquire);
-                // SAFETY: `ptr` came from `Arc::into_raw` and the slot
-                // holds one strong count that cannot be released while
-                // `pinners > 0`; bumping the count here hands this reader
-                // its own reference.
-                let snap = unsafe {
-                    Arc::increment_strong_count(ptr);
-                    Arc::from_raw(ptr)
-                };
-                slot.pinners.fetch_sub(1, Ordering::SeqCst);
-                return snap;
+                return (pin, slot.ptr.load(Ordering::Acquire));
             }
-            // Superseded between the two loads; unpin and retry.
-            slot.pinners.fetch_sub(1, Ordering::SeqCst);
+            // Superseded between the two loads; `pin` unpins, retry.
         }
+    }
+
+    /// Pin and return the current snapshot. Lock-free; three atomic RMWs
+    /// (pin, `Arc` bump, unpin) and two loads on the uncontended path.
+    pub fn load(&self) -> Arc<ShardSnapshot> {
+        let (_pin, ptr) = self.pin();
+        // SAFETY: `ptr` came from `Arc::into_raw` and is valid while
+        // `_pin` lives (see `pin`); bumping the count here hands this
+        // reader its own reference.
+        unsafe {
+            Arc::increment_strong_count(ptr);
+            Arc::from_raw(ptr)
+        }
+    }
+
+    /// Run `f` on the current snapshot, pinning its slot for the whole
+    /// call instead of taking a reference: two atomic RMWs (pin, unpin)
+    /// and two loads, against [`load`](Self::load)'s three plus the
+    /// `Arc` drop. The price is that a [`publish`](Self::publish) that
+    /// supersedes this epoch waits out `f`, not just a pin window — so
+    /// `f` must be short and must not wait on anything, the writer
+    /// included: a claimed rank, never a batch's lifetime. The pin is
+    /// released however `f` exits, unwinding included.
+    pub fn with<R>(&self, f: impl FnOnce(&ShardSnapshot) -> R) -> R {
+        let (_pin, ptr) = self.pin();
+        // SAFETY: `ptr` is valid while `_pin` lives (see `pin`), and
+        // `_pin` drops only after `f` has returned, so the snapshot
+        // outlives the borrow.
+        f(unsafe { &*ptr })
     }
 
     /// Publish `snapshot`, superseding the current epoch, and release the
     /// cell's reference to the superseded one. Readers holding the old
     /// `Arc` finish their batch on the old epoch. Never blocks on readers
-    /// beyond the few-instruction pin window of the slot being retired.
+    /// beyond the pin window of the slot being retired: a few
+    /// instructions for a `load`, one claimed rank for a `with`.
     pub fn publish(&self, snapshot: ShardSnapshot) {
         let mut spins = 0u32;
         while self.publishing.swap(true, Ordering::Acquire) {
@@ -237,8 +274,9 @@ impl EpochCell {
         self.slots[1 - retired].ptr.store(fresh, Ordering::Release);
         self.active.store(1 - retired, Ordering::SeqCst);
         // Wait out readers still pinning the retired slot. Pins last a
-        // handful of instructions (increment → recheck → count bump), so
-        // this resolves in a few spins — except when a pinner is
+        // handful of instructions (increment → recheck → count bump), or
+        // one claimed rank under `with`, so this resolves in a few spins
+        // or one short backoff — except when a pinner is
         // preempted mid-window, which is what the backoff's yield is for
         // (otherwise the writer would burn a core for the reader's whole
         // scheduling quantum). A reader that pins after this drain
@@ -353,6 +391,23 @@ mod tests {
     }
 
     #[test]
+    fn with_borrows_the_current_epoch_and_unpins_on_unwind() {
+        let cell = EpochCell::new(ShardSnapshot::empty(0, 3));
+        assert_eq!(cell.with(|s| (s.main_epoch, s.base_rank)), (0, 3));
+        cell.publish(ShardSnapshot::empty(1, 4));
+        assert_eq!(cell.with(|s| (s.main_epoch, s.base_rank)), (1, 4));
+        // A panicking borrower must not leave its slot pinned: the next
+        // two publishes retire both slots, and would spin forever on it.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cell.with(|_| panic!("borrower fails"));
+        }));
+        assert!(unwound.is_err());
+        cell.publish(ShardSnapshot::empty(2, 0));
+        cell.publish(ShardSnapshot::empty(3, 0));
+        assert_eq!(cell.with(|s| s.main_epoch), 3);
+    }
+
+    #[test]
     fn dropping_the_cell_frees_both_slots() {
         let cell = EpochCell::new(ShardSnapshot::empty(0, 0));
         cell.publish(ShardSnapshot::empty(1, 0));
@@ -400,14 +455,19 @@ mod tests {
             .map(|_| {
                 let (cell, stop, loads) = (cell.clone(), stop.clone(), loads.clone());
                 thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let s = cell.load();
+                    let check = |s: &ShardSnapshot| {
                         let e = s.main_epoch;
                         assert_eq!(u64::from(s.base_rank), e % 1000, "torn epoch {e}");
                         assert_eq!(s.inserts.len(), (e % 7) as usize, "torn epoch {e}");
                         for (i, &k) in s.inserts.iter().enumerate() {
                             assert_eq!(u64::from(k), e + i as u64, "torn epoch {e}");
                         }
+                    };
+                    while !stop.load(Ordering::Relaxed) {
+                        // Both ways in: a pinned reference, and a borrow
+                        // under the pin.
+                        check(&cell.load());
+                        cell.with(check);
                         loads.fetch_add(1, Ordering::Relaxed);
                     }
                 })

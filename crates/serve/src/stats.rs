@@ -10,12 +10,12 @@
 //! sampled-and-weighted on the claimed path**. A dispatcher's batch
 //! already cost a wake-up, so it records one latency per query. A caller
 //! that ranks its own key under a claim would spend more time reading
-//! the clock (twice) and recording (four atomic RMWs) than ranking, so
+//! the clock (twice) and recording a latency than ranking, so
 //! it times a batch only when the replica's seeded 1-in-`sample_period`
 //! sampler picks one of its requests (or it carries a trace id) and
 //! records that one latency with weight picked × period
-//! ([`ReplicaMetrics::record_latency_n`]). The count therefore stays
-//! within one period of `served` per replica and the two paths mix
+//! ([`ReplicaMetrics::record_claimed_latency`]). The count therefore
+//! stays within one period of `served` per replica and the two paths mix
 //! without bias; `served`, `batches` and `batch_size` are exact on both.
 //! `TraceConfig::dense()` times every claimed batch,
 //! `TraceConfig::disabled()` none.
@@ -25,9 +25,15 @@
 //! under named handles in the server's
 //! [`MetricsRegistry`]. Whoever answers a batch — the replica's
 //! dispatcher, or the caller that claimed the idle replica — records
-//! once per *batch* without taking any lock; the mutex-guarded fold
-//! this replaced only materializes now at snapshot time, as the plain
-//! [`ShardStats`] value type.
+//! once per *batch* without taking any lock, each path into its own set
+//! of instruments: the dispatcher's with atomic adds, the claimants'
+//! (series labelled `path="claim"`) with plain load-and-store, because
+//! the claim already makes its holder the set's only writer. The
+//! mutex-guarded fold this replaced only materializes now at snapshot
+//! time, as the plain [`ShardStats`] value type, where the two sets are
+//! merged — so a claimed lookup's accounting costs no read-modify-write
+//! at all, and `served`, `batches`, `batch_size` and `latency_ns` read
+//! as one. [`ShardStats::claimed`] keeps the split.
 
 use crate::clock::Nanos;
 use crate::sync::Arc;
@@ -48,12 +54,21 @@ use dini_obs::{AtomicLogHistogram, Counter, MetricsRegistry, StageRecord, TraceC
 /// is an acquire/release handoff through the reply slot, and so a
 /// caller that has observed its reply observes the `Relaxed` counter
 /// updates sequenced before it.
+///
+/// The four per-batch instruments exist twice, one set per answering
+/// path. The dispatcher's set is written with atomic adds, which cost
+/// little beside the wake-up its batch already paid. The claim-side set
+/// — where they cost more than the rank — is written only under the replica's
+/// claim, and claimants exclude each other through the claim's
+/// Acquire/Release — the argument that already lets them share
+/// `claim_trace` — so it is written with a load and a store per field
+/// ([`Counter::add_unshared`],
+/// [`AtomicLogHistogram::record_n_unshared`]) instead of a
+/// read-modify-write. [`snapshot`](Self::snapshot) merges the two.
 #[derive(Debug)]
 pub struct ReplicaMetrics {
-    latency_ns: Arc<AtomicLogHistogram>,
-    batch_size: Arc<AtomicLogHistogram>,
-    served: Counter,
-    batches: Counter,
+    dispatched: PathMetrics,
+    claimed: PathMetrics,
     rebuilds: Counter,
     rerouted: Counter,
     /// The dispatcher's ring, and the one sampler both paths consult.
@@ -65,20 +80,34 @@ pub struct ReplicaMetrics {
     claim_trace: TraceRing,
 }
 
+/// The per-batch instruments of one answering path.
+#[derive(Debug)]
+struct PathMetrics {
+    latency_ns: Arc<AtomicLogHistogram>,
+    batch_size: Arc<AtomicLogHistogram>,
+    served: Counter,
+    batches: Counter,
+}
+
 impl ReplicaMetrics {
     /// Build one replica's handles, registering them in `reg` labelled
-    /// with the replica's coordinates. The trace ring's sampling seed
-    /// is decorrelated per replica so replicas sample different
-    /// residue classes of their own request streams.
+    /// with the replica's coordinates; the claim-side set's series carry
+    /// `path="claim"` as well. The trace ring's sampling seed is
+    /// decorrelated per replica so replicas sample different residue
+    /// classes of their own request streams.
     pub fn new(reg: &MetricsRegistry, shard: usize, replica: usize, trace: &TraceConfig) -> Self {
         let labels = format!("shard=\"{shard}\",replica=\"{replica}\"");
+        let path = |labels: &str| PathMetrics {
+            latency_ns: reg.histogram("dini_serve_latency_ns", labels),
+            batch_size: reg.histogram("dini_serve_batch_size", labels),
+            served: reg.counter("dini_serve_served", labels),
+            batches: reg.counter("dini_serve_batches", labels),
+        };
         let flat_salt = ((shard as u64) << 16 | replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let trace = TraceConfig { seed: trace.seed ^ flat_salt, ..trace.clone() };
         Self {
-            latency_ns: reg.histogram("dini_serve_latency_ns", &labels),
-            batch_size: reg.histogram("dini_serve_batch_size", &labels),
-            served: reg.counter("dini_serve_served", &labels),
-            batches: reg.counter("dini_serve_batches", &labels),
+            dispatched: path(&labels),
+            claimed: path(&format!("{labels},path=\"claim\"")),
             rebuilds: reg.counter("dini_serve_rebuilds", &labels),
             rerouted: reg.counter("dini_serve_rerouted", &labels),
             trace: TraceRing::new(&trace),
@@ -90,26 +119,34 @@ impl ReplicaMetrics {
     /// dispatcher's record: exhaustive). Lock-free and allocation-free:
     /// atomic adds only.
     pub fn record_batch(&self, latencies_ns: impl ExactSizeIterator<Item = Nanos>) {
+        let d = &self.dispatched;
         let n = latencies_ns.len() as u64;
         for ns in latencies_ns {
-            self.latency_ns.record(ns);
+            d.latency_ns.record(ns);
         }
-        self.count_batch(n);
+        d.batch_size.record(n);
+        d.served.add(n);
+        d.batches.inc();
     }
 
-    /// Count one departed batch of `n` queries without a latency: all a
-    /// claimant leaves for a batch the sampler did not pick.
-    pub fn count_batch(&self, n: u64) {
-        self.batch_size.record(n);
-        self.served.add(n);
-        self.batches.inc();
+    /// Count one batch of `n` queries answered by the caller holding
+    /// this replica's [claim](crate::admission::AdmissionQueue::claim)
+    /// — all it leaves for a batch the sampler did not pick. Only the
+    /// claim's holder may call this (see the type docs): a load and a
+    /// store per field, no read-modify-write.
+    pub fn count_claimed(&self, n: u64) {
+        let c = &self.claimed;
+        c.batch_size.record_n_unshared(n, 1);
+        c.served.add_unshared(n);
+        c.batches.add_unshared(1);
     }
 
-    /// Record one measured latency standing for `weight` queries: a
-    /// claimant's timed batch, `weight` = requests picked × sampling
-    /// period, so the histogram's count keeps pace with `served`.
-    pub fn record_latency_n(&self, ns: Nanos, weight: u64) {
-        self.latency_ns.record_n(ns, weight);
+    /// Record one latency a claimant measured, standing for `weight`
+    /// queries (`weight` = requests picked × sampling period, so the
+    /// histogram's count keeps pace with `served`). Only the claim's
+    /// holder may call this, as for [`count_claimed`](Self::count_claimed).
+    pub fn record_claimed_latency(&self, ns: Nanos, weight: u64) {
+        self.claimed.latency_ns.record_n_unshared(ns, weight);
     }
 
     /// Overwrite the main-epochs-crossed total (the dispatcher reads it
@@ -149,13 +186,22 @@ impl ReplicaMetrics {
     }
 
     /// Materialize the atomics into a plain [`ShardStats`] value — the
-    /// merge point that replaced the old once-per-batch mutex fold.
+    /// merge point that replaced the old once-per-batch mutex fold, and
+    /// where the two paths' sets become one.
     pub fn snapshot(&self) -> ShardStats {
+        let (d, c) = (&self.dispatched, &self.claimed);
+        let merged = |a: &AtomicLogHistogram, b: &AtomicLogHistogram| {
+            let mut h = a.snapshot();
+            h.merge(&b.snapshot());
+            h
+        };
+        let claimed = c.served.get();
         ShardStats {
-            latency_ns: self.latency_ns.snapshot(),
-            batch_size: self.batch_size.snapshot(),
-            served: self.served.get(),
-            batches: self.batches.get(),
+            latency_ns: merged(&d.latency_ns, &c.latency_ns),
+            batch_size: merged(&d.batch_size, &c.batch_size),
+            served: d.served.get() + claimed,
+            claimed,
+            batches: d.batches.get() + c.batches.get(),
             rebuilds: self.rebuilds.get(),
             rerouted: self.rerouted.get(),
         }
@@ -175,6 +221,9 @@ pub struct ShardStats {
     pub batch_size: LogHistogram,
     /// Queries served.
     pub served: u64,
+    /// Of `served`, the queries their caller ranked under the replica's
+    /// claim (the rest its dispatcher answered).
+    pub claimed: u64,
     /// Batches dispatched.
     pub batches: u64,
     /// Main epochs (merges of its shard) this replica has crossed.
@@ -209,6 +258,10 @@ pub struct ServeStats {
     pub batch_size: LogHistogram,
     /// Total queries served.
     pub served: u64,
+    /// Of `served`, the queries answered by their caller (ranked under
+    /// an idle replica's claim) rather than by a dispatcher — which
+    /// regime served the load.
+    pub claimed: u64,
     /// Total batches dispatched.
     pub batches: u64,
     /// Main epochs crossed, summed over replicas.
@@ -243,6 +296,7 @@ impl ServeStats {
         self.latency_ns.merge(&s.latency_ns);
         self.batch_size.merge(&s.batch_size);
         self.served += s.served;
+        self.claimed += s.claimed;
         self.batches += s.batches;
         self.rebuilds += s.rebuilds;
         self.rerouted += s.rerouted;
@@ -326,6 +380,39 @@ mod tests {
             .find(|(n, l, _)| n == "dini_serve_served" && l.contains("shard=\"1\""))
             .expect("served counter registered");
         assert_eq!(served.2, 4);
+    }
+
+    #[test]
+    fn claim_side_set_merges_into_the_snapshot() {
+        // One batch per path: the snapshot reads as if one set had
+        // recorded both, with the claimed share kept apart, and the
+        // registry shows the claim side as its own `path="claim"` series.
+        let reg = MetricsRegistry::new();
+        let m = ReplicaMetrics::new(&reg, 0, 2, &TraceConfig::default());
+        let mut plain = ShardStats::default();
+        m.record_batch([100, 300].into_iter());
+        plain.record_batch(&[100.0, 300.0]);
+        m.count_claimed(4);
+        m.record_claimed_latency(50, 4);
+        plain.record_batch(&[50.0; 4]);
+        let snap = m.snapshot();
+        assert_eq!((snap.served, snap.claimed, snap.batches), (6, 4, 2));
+        assert_eq!(snap.latency_ns, plain.latency_ns);
+        assert_eq!(snap.batch_size, plain.batch_size);
+        let served: Vec<(String, u64)> = reg
+            .snapshot()
+            .counters
+            .into_iter()
+            .filter(|(n, _, _)| n == "dini_serve_served")
+            .map(|(_, l, v)| (l, v))
+            .collect();
+        assert_eq!(
+            served,
+            [
+                ("shard=\"0\",replica=\"2\"".to_owned(), 2),
+                ("shard=\"0\",replica=\"2\",path=\"claim\"".to_owned(), 4)
+            ]
+        );
     }
 
     #[test]
