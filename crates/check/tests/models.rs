@@ -35,7 +35,7 @@ use dini_serve::admission::AdmissionQueue;
 use dini_serve::batcher::Request;
 use dini_serve::oneshot::reply_pair;
 use dini_serve::{
-    Clock, EpochCell, ReplicaMetrics, ShardSnapshot, SlotPool, StageRecord, TraceConfig,
+    Clock, EpochCell, ReplicaMetrics, ServeStats, ShardSnapshot, SlotPool, StageRecord, TraceConfig,
 };
 use std::sync::Arc as StdArc;
 
@@ -414,10 +414,10 @@ fn replica_metrics_record_before_release_is_visible() {
             })
         };
         assert_eq!(slot.wait(), Ok(1));
-        let served = m.snapshot().served;
+        let served = ServeStats::from(&reg.snapshot()).served;
         assert!(served >= 1, "observed a reply but served={served}: count released early");
         dispatcher.join();
-        assert_eq!(m.snapshot().served, 1);
+        assert_eq!(ServeStats::from(&reg.snapshot()).served, 1);
     });
     assert!(report.executions >= 2, "record/release race under-explored: {report:?}");
 }

@@ -93,6 +93,19 @@ impl LogHistogram {
         self.max
     }
 
+    /// Sum of all samples.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Per-bin sample counts (length [`LogHistogram::nbins`]) — with
+    /// [`sum`](Self::sum), [`min`](Self::min) and [`max`](Self::max),
+    /// everything [`LogHistogram::from_parts`] rebuilds the histogram
+    /// from.
+    pub fn bins(&self) -> &[u64] {
+        &self.bins
+    }
+
     /// Approximate quantile `q ∈ [0, 1]`: the lower edge of the bin
     /// containing the q-th sample. Accurate to one bin (≈ 2.2 % width).
     pub fn quantile(&self, q: f64) -> f64 {

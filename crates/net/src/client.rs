@@ -54,10 +54,10 @@
 
 use crate::topology::Topology;
 use crate::transport::{Dialer, Duplex, FrameRx, FrameTx, NetError};
-use crate::wire::{Frame, LookupStatus, StatsMsg, StatusCode, WireOp, WIRE_VERSION};
+use crate::wire::{Frame, LookupStatus, StatusCode, WireOp, WIRE_VERSION};
 use dini_cluster::LogHistogram;
 use dini_flight::{EventKind, FlightJournal};
-use dini_obs::{AtomicLogHistogram, StageRecord, TraceConfig, TraceRing};
+use dini_obs::{AtomicLogHistogram, MetricsSnapshot, StageRecord, TraceConfig, TraceRing};
 use dini_serve::admission::AdmissionQueue;
 use dini_serve::batcher::{collect_batch_into, Request};
 use dini_serve::clock::dur_ns;
@@ -155,13 +155,13 @@ impl Default for ClientConfig {
 
 /// Receipt for a control-frame round trip. Live-key payloads are folded
 /// into `span_live` by the reader before the waiter is released; a
-/// stats poll carries the span's [`StatsMsg`] through to the waiter.
+/// stats poll carries the span's [`MetricsSnapshot`] through to the waiter.
 #[derive(Debug, Clone)]
 enum CtrlReply {
     /// A bare acknowledgement (update ack, quiesce ack, epoch pong).
     Ack,
     /// A [`Frame::StatsReply`] payload.
-    Stats(Box<StatsMsg>),
+    Stats(MetricsSnapshot),
 }
 
 /// One message to a span's churn-log appender thread.
@@ -1053,8 +1053,8 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
                 core.span_live[span].store(live_keys, Ordering::SeqCst);
                 core.ctrl_fill(req, CtrlReply::Ack);
             }
-            Ok(Frame::StatsReply { req, stats }) => {
-                core.ctrl_fill(req, CtrlReply::Stats(stats));
+            Ok(Frame::StatsReply { req, metrics }) => {
+                core.ctrl_fill(req, CtrlReply::Stats(metrics));
             }
             Ok(Frame::Status { code: StatusCode::ShuttingDown }) | Err(NetError::Closed) => {
                 // Endpoint gone: mark dead before draining so reroutes
@@ -1370,19 +1370,21 @@ impl NetHandle {
         }
     }
 
-    /// Poll one span process for its live server-side stats (queue
-    /// depths, per-replica service split, latency quantiles,
-    /// stage-trace sums) over the wire — a cheap, barrier-free
+    /// Poll one span process for its live server-side metrics — its
+    /// hosted server's whole registry (queue depths, per-replica service
+    /// split, latency histograms, stage-trace sums, log position), read
+    /// by series name — over the wire: a cheap, barrier-free
     /// [`Frame::StatsRequest`] round trip to the first live endpoint of
-    /// `span`. This is what `dini_top` refreshes on.
-    pub fn span_stats(&self, span: usize) -> Result<StatsMsg, ServeError> {
+    /// `span`. This is what `dini_top` refreshes on; `ServeStats::from`
+    /// reads the serving totals off it.
+    pub fn span_stats(&self, span: usize) -> Result<MetricsSnapshot, ServeError> {
         let core = &self.core;
         for &e in &core.span_eps[span] {
             if !core.queues[e].is_alive() {
                 continue;
             }
             match core.ctrl_roundtrip(e, |req| Frame::StatsRequest { req }) {
-                Ok(CtrlReply::Stats(stats)) => return Ok(*stats),
+                Ok(CtrlReply::Stats(metrics)) => return Ok(metrics),
                 Ok(CtrlReply::Ack) => continue, // protocol noise; try a sibling
                 Err(_) => continue,
             }

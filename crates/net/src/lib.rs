@@ -84,6 +84,4 @@ pub use client::{
 pub use server::{LogPosition, NetServer, NetServerConfig};
 pub use topology::{Span, Topology};
 pub use transport::{Acceptor, ChanNet, Dialer, Duplex, FrameRx, FrameTx, NetError};
-pub use wire::{
-    Frame, LookupStatus, ReplicaStatsMsg, StatsMsg, StatusCode, WireError, WireOp, WIRE_VERSION,
-};
+pub use wire::{Frame, LookupStatus, StatusCode, WireError, WireOp, WIRE_VERSION};

@@ -35,6 +35,9 @@
 //! * Updates feed the span's single writer; `Quiesce` runs the writer
 //!   barrier and returns the fresh live-key count (the client uses it
 //!   to recompose cross-span base ranks).
+//! * A `StatsRequest` is answered with the hosted server's metrics
+//!   registry, snapshotted whole; the span's churn-log position is two
+//!   more series in it (`dini_net_log_epoch`, `dini_net_log_seq`).
 //!
 //! Every thread is spawned on the hosted server's [`Clock`], so under
 //! `dini-simtest` the acceptor, readers, and responders all wait in
@@ -42,9 +45,7 @@
 
 use crate::topology::Topology;
 use crate::transport::{Acceptor, Duplex, NetError};
-use crate::wire::{
-    Frame, LookupStatus, ReplicaStatsMsg, StatsMsg, StatusCode, WireOp, WIRE_VERSION,
-};
+use crate::wire::{Frame, LookupStatus, StatusCode, WireOp, WIRE_VERSION};
 use dini_serve::{
     open_snapshot, Clock, ClockJoinHandle, IndexServer, LookupScratch, PendingLookup, ServeConfig,
     ServeError, SnapError,
@@ -135,62 +136,6 @@ fn lookup_status(outcome: Result<u32, ServeError>) -> LookupStatus {
     }
 }
 
-/// Assemble a [`StatsMsg`] from the hosted server's live accounting:
-/// the merged [`ServeStats`](dini_serve::ServeStats) snapshot,
-/// replica-major depths zipped with per-replica served counts, and the
-/// sampled stage-trace sums. A poll can land while dispatchers are
-/// serving (any thread may write a `StatsRequest` to the socket at any
-/// time), so the message is made consistent by construction rather than
-/// by timing: the per-replica split is snapshotted first, `served` is
-/// the sum of exactly that split, and everything read afterwards
-/// (`admitted` in particular) can only be ahead of it.
-fn assemble_stats(server: &IndexServer, log: &LogPosition) -> StatsMsg {
-    let per_replica = server.replica_stats();
-    let s = server.stats();
-    let replicas: Vec<ReplicaStatsMsg> = per_replica
-        .iter()
-        .zip(server.replica_depths())
-        .enumerate()
-        .map(|(i, (rs, depth))| {
-            let per_shard = server.replicas_per_shard();
-            ReplicaStatsMsg {
-                shard: (i / per_shard) as u16,
-                replica: (i % per_shard) as u16,
-                depth,
-                served: rs.served,
-            }
-        })
-        .collect();
-    let traces = server.stage_traces();
-    let (mut wait, mut service, mut fill) = (0u64, 0u64, 0u64);
-    for t in &traces {
-        wait += t.wait_ns();
-        service += t.service_ns();
-        fill += t.fill_ns();
-    }
-    StatsMsg {
-        served: replicas.iter().map(|r| r.served).sum(),
-        admitted: s.admitted,
-        shed: s.shed,
-        rerouted: s.rerouted,
-        batches: s.batches,
-        snapshots: s.snapshots_published,
-        merges: s.merges,
-        live_keys: server.len() as u64,
-        p50_ns: s.latency_quantile_ns(0.50) as u64,
-        p99_ns: s.latency_quantile_ns(0.99) as u64,
-        p999_ns: s.latency_quantile_ns(0.999) as u64,
-        trace_records: traces.len() as u64,
-        stage_wait_ns: wait,
-        stage_service_ns: service,
-        stage_fill_ns: fill,
-        log_epoch: log.get().0,
-        log_seq: log.get().1,
-        replicas,
-        heat: server.heat_snapshot(),
-    }
-}
-
 /// An [`IndexServer`] (one span's shards + replicas + writer) hosted
 /// behind a transport [`Acceptor`]. Dropping (or
 /// [`shutdown`](Self::shutdown)-ing) the `NetServer` notifies connected
@@ -257,6 +202,12 @@ impl NetServer {
         // A recovered span's high-water mark starts at the snapshot
         // watermark, not zero — everything below it is already folded in.
         log.advance(init_log.0, init_log.1);
+        // The log position rides every `StatsReply` as two more series in
+        // the hosted server's registry.
+        let l = log.clone();
+        server.metrics().gauge_fn("dini_net_log_epoch", "", move || l.get().0);
+        let l = log.clone();
+        server.metrics().gauge_fn("dini_net_log_seq", "", move || l.get().1);
 
         let acceptor_thread = {
             let server = server.clone();
@@ -393,7 +344,6 @@ fn spawn_connection(
 
     let reader = {
         let server = server.clone();
-        let log = log.clone();
         let frame_tx = frame_tx.clone();
         clock.spawn(&format!("dini-net-read-{conn_id}"), move || {
             let handle = server.handle();
@@ -545,7 +495,7 @@ fn spawn_connection(
                         snapshots: server.snapshots_published(),
                     },
                     Job::Stats { req } => {
-                        Frame::StatsReply { req, stats: Box::new(assemble_stats(&server, &log)) }
+                        Frame::StatsReply { req, metrics: server.metrics_snapshot() }
                     }
                     Job::Bye => {
                         let _ = frame_tx
@@ -636,22 +586,46 @@ mod tests {
         let _ = c.rx.recv_timeout(SEC).unwrap();
         c.tx.send(&Frame::StatsRequest { req: 2 }).unwrap();
         match c.rx.recv_timeout(SEC).unwrap() {
-            Frame::StatsReply { req, stats } => {
+            Frame::StatsReply { req, metrics } => {
                 assert_eq!(req, 2);
-                assert_eq!(stats.served, 3);
-                assert_eq!(stats.live_keys, 10_000);
-                assert_eq!(stats.replicas.len(), 2, "2 shards × 1 replica");
-                let split: u64 = stats.replicas.iter().map(|r| r.served).sum();
-                assert_eq!(split, 3, "per-replica split must sum to the total");
+                assert_eq!(metrics.sum("dini_serve_served"), 3);
+                assert_eq!(metrics.sum("dini_serve_live_keys"), 10_000);
+                let depths: Vec<&(String, String, u64)> =
+                    metrics.gauges.iter().filter(|(n, ..)| n == "dini_serve_queue_depth").collect();
+                assert_eq!(depths.len(), 2, "2 shards × 1 replica");
                 // The dispatcher releases depth *after* replies go out,
                 // so a poll racing the reply may still see the batch.
-                assert!(stats.replicas.iter().all(|r| r.depth <= 3), "depth bounded by issued");
+                assert!(depths.iter().all(|(.., d)| *d <= 3), "depth bounded by issued");
                 // Default sampling (period 64) may or may not have hit
                 // these 3 requests, but can never exceed them.
-                assert!(stats.trace_records <= stats.served);
+                assert!(metrics.sum("dini_serve_trace_records") <= 3);
+                assert_eq!(metrics.sum("dini_net_log_seq"), 0, "no update applied yet");
+                // The frame is the process's own registry, whole.
+                let local = server.server().metrics_snapshot();
+                assert_eq!(metrics.counters, local.counters);
+                assert_eq!(metrics.histograms, local.histograms);
             }
             other => panic!("expected StatsReply, got {other:?}"),
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_registered_series_reaches_span_stats_by_name() {
+        // A counter registered on the hosted server's registry and
+        // nothing else: the next poll carries it.
+        let net = ChanNet::new(Clock::system());
+        let acc = net.listen("srv");
+        let keys: Vec<u32> = (0..1_000).collect();
+        let server = NetServer::start(Box::new(acc), &keys, cfg("srv"));
+        let extra = server.server().metrics().counter("dini_test_extra", "kind=\"new\"");
+        extra.add(41);
+        let client = crate::RemoteClient::connect(net.dialer(), "srv", Default::default()).unwrap();
+        extra.inc();
+        let polled = client.handle().span_stats(0).expect("span 0 answers");
+        assert_eq!(polled.sum("dini_test_extra"), 42);
+        assert!(polled.counters.contains(&("dini_test_extra".into(), "kind=\"new\"".into(), 42)));
+        drop(client);
         server.shutdown();
     }
 

@@ -27,7 +27,26 @@
 //! | [`Frame::Quiesce`] / [`Frame::QuiesceAck`] | round trip | update-visibility barrier + fresh live count |
 //! | [`Frame::EpochPing`] / [`Frame::EpochPong`] | round trip | snapshot-epoch / live-count refresh |
 //! | [`Frame::Status`] | server → client | shed/shutdown notice for the whole connection |
-//! | [`Frame::StatsRequest`] / [`Frame::StatsReply`] | round trip | live introspection: queue depths, per-replica service split, latency quantiles, stage-trace sums |
+//! | [`Frame::StatsRequest`] / [`Frame::StatsReply`] | round trip | the span process's whole metrics registry, snapshotted: every named counter, gauge and histogram |
+//!
+//! A [`Frame::StatsReply`] body is the request id, then three sections —
+//! counters, gauges, histograms — each a `u32` series count followed by
+//! its series in registration order:
+//!
+//! ```text
+//!   series    = name: str, labels: str, value
+//!   str       = [ len: u32 ][ UTF-8 bytes ]
+//!   scalar    = value: u64
+//!   histogram = sum: f64, min: f64, max: f64, pairs: u32, pairs × (bin: u16, count: u64)
+//! ```
+//!
+//! Histograms carry only their non-empty bins, ascending, and a frame
+//! carries at most [`MAX_HISTOGRAMS`] of them (each decodes dense). The frame
+//! names every number it carries, so a new counter crosses the wire
+//! without a new frame field or a new [`WIRE_VERSION`].
+
+use dini_cluster::LogHistogram;
+use dini_obs::MetricsSnapshot;
 
 /// Protocol version carried by every frame; decoders reject all others.
 /// Version 2 restamped [`Frame::Update`] / [`Frame::UpdateAck`] with the
@@ -36,12 +55,24 @@
 /// client (re)joining a snapshot-restarted span knows which log suffix
 /// to replay. Version 4 added the causal trace context (`trace` +
 /// `parent`) to [`Frame::Lookup`] / [`Frame::Update`] / [`Frame::Reply`]
-/// and the key-range heat counters to [`Frame::StatsReply`].
-pub const WIRE_VERSION: u8 = 4;
+/// and the key-range heat counters to the stats reply. Version 5 made
+/// [`Frame::StatsReply`] carry the server's [`MetricsSnapshot`], series
+/// by name, in place of a fixed list of fields, and made every count and
+/// string length in every frame a checked `u32` (the shard map's were
+/// `u16`).
+pub const WIRE_VERSION: u8 = 5;
 
 /// Upper bound on the post-prefix length of one frame (16 MiB): a
 /// corrupt or hostile length prefix is rejected before any allocation.
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
+
+/// Upper bound on the histogram series one [`Frame::StatsReply`] may
+/// carry. A histogram decodes to its dense bin array
+/// ([`LogHistogram::nbins`] counters, 8.5 KiB) from as little as 36
+/// bytes on the wire, so the frame length alone would let one frame
+/// demand gigabytes; this cap holds a decode to 4 096 × 8.5 KiB = 34 MiB,
+/// about twice [`MAX_FRAME_LEN`]. A server registers four per replica.
+pub const MAX_HISTOGRAMS: usize = 4096;
 
 const KIND_HELLO: u8 = 1;
 const KIND_SHARD_MAP: u8 = 2;
@@ -75,6 +106,12 @@ pub enum WireError {
     Trailing(usize),
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// A histogram's bins were out of range or out of order, or its
+    /// counts overflowed.
+    BadHistogram,
+    /// A stats reply carried more histogram series than
+    /// [`MAX_HISTOGRAMS`].
+    TooMany(usize),
 }
 
 impl std::fmt::Display for WireError {
@@ -87,6 +124,8 @@ impl std::fmt::Display for WireError {
             WireError::BadTag(t) => write!(f, "unknown tag {t}"),
             WireError::Trailing(n) => write!(f, "{n} trailing bytes after frame body"),
             WireError::BadUtf8 => write!(f, "string field is not UTF-8"),
+            WireError::BadHistogram => write!(f, "histogram bins out of range or order"),
+            WireError::TooMany(n) => write!(f, "{n} histogram series, past {MAX_HISTOGRAMS}"),
         }
     }
 }
@@ -114,66 +153,6 @@ pub enum WireOp {
     Delete(u32),
 }
 
-/// One replica's live numbers inside a [`StatsMsg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaStatsMsg {
-    /// Server-local shard index.
-    pub shard: u16,
-    /// Replica index within the shard.
-    pub replica: u16,
-    /// Admission-queue depth at snapshot time (in-flight requests).
-    pub depth: u64,
-    /// Queries this replica has served so far.
-    pub served: u64,
-}
-
-/// A span process's live accounting, as carried by [`Frame::StatsReply`]
-/// — everything a `dini_top` poller (or a simtest oracle) needs to see
-/// a remote server's health without touching its process.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsMsg {
-    /// Queries served in total.
-    pub served: u64,
-    /// Requests admitted into some replica queue.
-    pub admitted: u64,
-    /// Requests shed by admission control.
-    pub shed: u64,
-    /// Failover hand-offs to surviving siblings.
-    pub rerouted: u64,
-    /// Batches dispatched.
-    pub batches: u64,
-    /// Snapshot epochs published by the writer.
-    pub snapshots: u64,
-    /// Delta merges (index rebuilds) performed.
-    pub merges: u64,
-    /// Live keys the span holds.
-    pub live_keys: u64,
-    /// Latency p50, in nanoseconds (log-bin resolution).
-    pub p50_ns: u64,
-    /// Latency p99, in nanoseconds.
-    pub p99_ns: u64,
-    /// Latency p999, in nanoseconds.
-    pub p999_ns: u64,
-    /// Stage-trace records sampled so far (across all replicas).
-    pub trace_records: u64,
-    /// Sum of per-sample coalescing wait (admitted → collected), ns.
-    pub stage_wait_ns: u64,
-    /// Sum of per-sample index service (collected → answered), ns.
-    pub stage_service_ns: u64,
-    /// Sum of per-sample reply fill (answered → filled), ns.
-    pub stage_fill_ns: u64,
-    /// Highest churn-log epoch this span process has adopted.
-    pub log_epoch: u64,
-    /// Highest churn-log sequence contiguously applied (0 = none).
-    pub log_seq: u64,
-    /// Per-replica split, replica-major (shard-major outer order).
-    pub replicas: Vec<ReplicaStatsMsg>,
-    /// Key-range heat counters, shard-major:
-    /// `heat[shard * HEAT_BUCKETS + bucket]` lookups landed in that
-    /// top-key-bits bucket. Empty when heat telemetry is off.
-    pub heat: Vec<u64>,
-}
-
 /// One span of the shard map: a contiguous slice of the key space and
 /// the replica endpoints serving it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,7 +165,7 @@ pub struct SpanMsg {
 
 /// One protocol frame. See the module docs for the layout and the
 /// direction each frame travels.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client handshake: announces the protocol version it speaks.
     Hello {
@@ -305,12 +284,13 @@ pub enum Frame {
         /// Request id for the reply.
         req: u64,
     },
-    /// The span process's live accounting.
+    /// The span process's live accounting: its hosted server's metrics
+    /// registry, snapshotted.
     StatsReply {
         /// The request id being answered.
         req: u64,
-        /// The numbers (boxed: this frame is rare and large).
-        stats: Box<StatsMsg>,
+        /// Every series the registry holds, by name and labels.
+        metrics: MetricsSnapshot,
     },
 }
 
@@ -336,6 +316,18 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 #[inline]
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A count or byte length as its `u32` prefix. No count in a frame can
+/// pass `u32` — the frame would be far past [`MAX_FRAME_LEN`] first — so
+/// this never truncates.
+fn put_len(buf: &mut Vec<u8>, n: usize) {
+    put_u32(buf, u32::try_from(n).expect("a frame's counts fit in u32"));
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_len(buf, s.len());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 impl Frame {
@@ -371,13 +363,12 @@ impl Frame {
                 put_u64(buf, *live_keys);
                 put_u64(buf, *log_epoch);
                 put_u64(buf, *log_seq);
-                put_u16(buf, spans.len() as u16);
+                put_len(buf, spans.len());
                 for s in spans {
                     put_u32(buf, s.lo_key);
-                    put_u16(buf, s.endpoints.len() as u16);
+                    put_len(buf, s.endpoints.len());
                     for e in &s.endpoints {
-                        put_u16(buf, e.len() as u16);
-                        buf.extend_from_slice(e.as_bytes());
+                        put_str(buf, e);
                     }
                 }
             }
@@ -385,7 +376,7 @@ impl Frame {
                 put_u64(buf, *req);
                 put_u64(buf, *trace);
                 put_u32(buf, *parent);
-                put_u32(buf, keys.len() as u32);
+                put_len(buf, keys.len());
                 for &k in keys {
                     put_u32(buf, k);
                 }
@@ -394,7 +385,7 @@ impl Frame {
                 put_u64(buf, *req);
                 put_u64(buf, *trace);
                 put_u32(buf, *parent);
-                put_u32(buf, results.len() as u32);
+                put_len(buf, results.len());
                 for r in results {
                     match r {
                         LookupStatus::Rank(v) => {
@@ -418,7 +409,7 @@ impl Frame {
                 put_u64(buf, *seq);
                 put_u64(buf, *trace);
                 put_u32(buf, *parent);
-                put_u32(buf, ops.len() as u32);
+                put_len(buf, ops.len());
                 for op in ops {
                     match op {
                         WireOp::Insert(k) => {
@@ -448,39 +439,30 @@ impl Frame {
                 StatusCode::ShuttingDown => 0,
             }),
             Frame::StatsRequest { req } => put_u64(buf, *req),
-            Frame::StatsReply { req, stats } => {
+            Frame::StatsReply { req, metrics } => {
                 put_u64(buf, *req);
-                for v in [
-                    stats.served,
-                    stats.admitted,
-                    stats.shed,
-                    stats.rerouted,
-                    stats.batches,
-                    stats.snapshots,
-                    stats.merges,
-                    stats.live_keys,
-                    stats.p50_ns,
-                    stats.p99_ns,
-                    stats.p999_ns,
-                    stats.trace_records,
-                    stats.stage_wait_ns,
-                    stats.stage_service_ns,
-                    stats.stage_fill_ns,
-                    stats.log_epoch,
-                    stats.log_seq,
-                ] {
-                    put_u64(buf, v);
+                for section in [&metrics.counters, &metrics.gauges] {
+                    put_len(buf, section.len());
+                    for (name, labels, v) in section {
+                        put_str(buf, name);
+                        put_str(buf, labels);
+                        put_u64(buf, *v);
+                    }
                 }
-                put_u16(buf, stats.replicas.len() as u16);
-                for r in &stats.replicas {
-                    put_u16(buf, r.shard);
-                    put_u16(buf, r.replica);
-                    put_u64(buf, r.depth);
-                    put_u64(buf, r.served);
-                }
-                put_u16(buf, stats.heat.len() as u16);
-                for &h in &stats.heat {
-                    put_u64(buf, h);
+                debug_assert!(metrics.histograms.len() <= MAX_HISTOGRAMS, "too many histograms");
+                put_len(buf, metrics.histograms.len());
+                for (name, labels, h) in &metrics.histograms {
+                    put_str(buf, name);
+                    put_str(buf, labels);
+                    for v in [h.sum(), h.min(), h.max()] {
+                        put_u64(buf, v.to_bits());
+                    }
+                    let filled = || h.bins().iter().enumerate().filter(|(_, &n)| n > 0);
+                    put_len(buf, filled().count());
+                    for (bin, &n) in filled() {
+                        put_u16(buf, u16::try_from(bin).expect("NBINS fits a u16"));
+                        put_u64(buf, n);
+                    }
                 }
             }
         }
@@ -515,18 +497,14 @@ impl Frame {
                 let live_keys = c.u64()?;
                 let log_epoch = c.u64()?;
                 let log_seq = c.u64()?;
-                let n_spans = c.u16()? as usize;
-                let mut spans = Vec::with_capacity(n_spans.min(c.remaining()));
-                for _ in 0..n_spans {
+                // A span is its key and an endpoint count; an endpoint
+                // its length prefix.
+                let n = c.count(4 + 4)?;
+                let mut spans = Vec::with_capacity(n);
+                for _ in 0..n {
                     let lo_key = c.u32()?;
-                    let n_eps = c.u16()? as usize;
-                    let mut endpoints = Vec::with_capacity(n_eps.min(c.remaining()));
-                    for _ in 0..n_eps {
-                        let n = c.u16()? as usize;
-                        let bytes = c.bytes(n)?;
-                        let s = std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)?;
-                        endpoints.push(s.to_owned());
-                    }
+                    let n_eps = c.count(4)?;
+                    let endpoints = (0..n_eps).map(|_| c.str()).collect::<Result<_, _>>()?;
                     spans.push(SpanMsg { lo_key, endpoints });
                 }
                 Frame::ShardMap { spans, my_span, live_keys, log_epoch, log_seq }
@@ -535,10 +513,7 @@ impl Frame {
                 let req = c.u64()?;
                 let trace = c.u64()?;
                 let parent = c.u32()?;
-                let n = c.u32()? as usize;
-                if n.checked_mul(4).is_none_or(|bytes| bytes > c.remaining()) {
-                    return Err(WireError::Truncated);
-                }
+                let n = c.count(4)?;
                 let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
                     keys.push(c.u32()?);
@@ -549,10 +524,7 @@ impl Frame {
                 let req = c.u64()?;
                 let trace = c.u64()?;
                 let parent = c.u32()?;
-                let n = c.u32()? as usize;
-                if n.checked_mul(5).is_none_or(|bytes| bytes > c.remaining()) {
-                    return Err(WireError::Truncated);
-                }
+                let n = c.count(5)?;
                 let mut results = Vec::with_capacity(n);
                 for _ in 0..n {
                     let tag = c.u8()?;
@@ -572,10 +544,7 @@ impl Frame {
                 let seq = c.u64()?;
                 let trace = c.u64()?;
                 let parent = c.u32()?;
-                let n = c.u32()? as usize;
-                if n.checked_mul(5).is_none_or(|bytes| bytes > c.remaining()) {
-                    return Err(WireError::Truncated);
-                }
+                let n = c.count(5)?;
                 let mut ops = Vec::with_capacity(n);
                 for _ in 0..n {
                     let tag = c.u8()?;
@@ -604,61 +573,7 @@ impl Frame {
                 },
             },
             KIND_STATS_REQUEST => Frame::StatsRequest { req: c.u64()? },
-            KIND_STATS_REPLY => {
-                let req = c.u64()?;
-                let mut scalars = [0u64; 17];
-                for s in &mut scalars {
-                    *s = c.u64()?;
-                }
-                let n = c.u16()? as usize;
-                // Each replica entry is 2 + 2 + 8 + 8 = 20 bytes.
-                if n.checked_mul(20).is_none_or(|bytes| bytes > c.remaining()) {
-                    return Err(WireError::Truncated);
-                }
-                let mut replicas = Vec::with_capacity(n);
-                for _ in 0..n {
-                    replicas.push(ReplicaStatsMsg {
-                        shard: c.u16()?,
-                        replica: c.u16()?,
-                        depth: c.u64()?,
-                        served: c.u64()?,
-                    });
-                }
-                let n_heat = c.u16()? as usize;
-                if n_heat.checked_mul(8).is_none_or(|bytes| bytes > c.remaining()) {
-                    return Err(WireError::Truncated);
-                }
-                let mut heat = Vec::with_capacity(n_heat);
-                for _ in 0..n_heat {
-                    heat.push(c.u64()?);
-                }
-                let [served, admitted, shed, rerouted, batches, snapshots, merges, live_keys, p50_ns, p99_ns, p999_ns, trace_records, stage_wait_ns, stage_service_ns, stage_fill_ns, log_epoch, log_seq] =
-                    scalars;
-                Frame::StatsReply {
-                    req,
-                    stats: Box::new(StatsMsg {
-                        served,
-                        admitted,
-                        shed,
-                        rerouted,
-                        batches,
-                        snapshots,
-                        merges,
-                        live_keys,
-                        p50_ns,
-                        p99_ns,
-                        p999_ns,
-                        trace_records,
-                        stage_wait_ns,
-                        stage_service_ns,
-                        stage_fill_ns,
-                        log_epoch,
-                        log_seq,
-                        replicas,
-                        heat,
-                    }),
-                }
-            }
+            KIND_STATS_REPLY => Frame::StatsReply { req: c.u64()?, metrics: c.metrics()? },
             k => return Err(WireError::BadKind(k)),
         };
         if c.remaining() != 0 {
@@ -711,6 +626,75 @@ impl<'a> Cur<'a> {
 
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// A `u32` count of items at least `min_bytes` long each, rejected
+    /// before anything is allocated for them if the rest of the input
+    /// cannot hold that many.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, WireError> {
+        let n = self.u32()? as usize;
+        if n.checked_mul(min_bytes).is_none_or(|bytes| bytes > self.remaining()) {
+            return Err(WireError::Truncated);
+        }
+        Ok(n)
+    }
+
+    fn str(&mut self) -> Result<String, WireError> {
+        let n = self.count(1)?;
+        let s = std::str::from_utf8(self.bytes(n)?).map_err(|_| WireError::BadUtf8)?;
+        Ok(s.to_owned())
+    }
+
+    /// One section of a snapshot: at most `max` `(name, labels, value)`
+    /// series, each at least `min_bytes` long on the wire.
+    fn series<T>(
+        &mut self,
+        min_bytes: usize,
+        max: usize,
+        mut value: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<(String, String, T)>, WireError> {
+        let n = self.count(min_bytes)?;
+        if n > max {
+            return Err(WireError::TooMany(n));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push((self.str()?, self.str()?, value(self)?));
+        }
+        Ok(out)
+    }
+
+    /// A histogram: exact sum/min/max plus its non-empty bins, strictly
+    /// ascending. It decodes to its dense bin array, which is why a frame
+    /// may carry at most [`MAX_HISTOGRAMS`] of them.
+    fn histogram(&mut self) -> Result<LogHistogram, WireError> {
+        let [sum, min, max] = [self.u64()?, self.u64()?, self.u64()?].map(f64::from_bits);
+        let pairs = self.count(2 + 8)?;
+        let mut bins = vec![0u64; LogHistogram::nbins()];
+        let (mut next, mut total) = (0usize, 0u64);
+        for _ in 0..pairs {
+            let bin = usize::from(self.u16()?);
+            let n = self.u64()?;
+            // Ascending and in range keeps one encoding per histogram; a
+            // bounded total keeps `from_parts`'s count exact.
+            if bin < next || bin >= bins.len() {
+                return Err(WireError::BadHistogram);
+            }
+            total = total.checked_add(n).ok_or(WireError::BadHistogram)?;
+            bins[bin] = n;
+            next = bin + 1;
+        }
+        Ok(LogHistogram::from_parts(&bins, sum, min, max))
+    }
+
+    /// A [`Frame::StatsReply`]'s snapshot (layout in the module docs).
+    fn metrics(&mut self) -> Result<MetricsSnapshot, WireError> {
+        // A series is two length prefixes plus its value.
+        Ok(MetricsSnapshot {
+            counters: self.series(4 + 4 + 8, usize::MAX, Self::u64)?,
+            gauges: self.series(4 + 4 + 8, usize::MAX, Self::u64)?,
+            histograms: self.series(4 + 4 + 3 * 8 + 4, MAX_HISTOGRAMS, Self::histogram)?,
+        })
     }
 }
 
@@ -767,61 +751,161 @@ mod tests {
         round_trip(Frame::EpochPong { req: 12, live_keys: 13, snapshots: 14 });
         round_trip(Frame::Status { code: StatusCode::ShuttingDown });
         round_trip(Frame::StatsRequest { req: 15 });
-        round_trip(Frame::StatsReply {
-            req: 15,
-            stats: Box::new(StatsMsg {
-                served: 1,
-                admitted: 2,
-                shed: 3,
-                rerouted: 4,
-                batches: 5,
-                snapshots: 6,
-                merges: 7,
-                live_keys: 8,
-                p50_ns: 9,
-                p99_ns: 10,
-                p999_ns: 11,
-                trace_records: 12,
-                stage_wait_ns: 13,
-                stage_service_ns: 14,
-                stage_fill_ns: 15,
-                log_epoch: 16,
-                log_seq: 17,
-                replicas: vec![
-                    ReplicaStatsMsg { shard: 0, replica: 0, depth: 3, served: 100 },
-                    ReplicaStatsMsg { shard: 1, replica: 1, depth: 0, served: u64::MAX },
-                ],
-                heat: vec![0, 7, u64::MAX, 3],
-            }),
-        });
-        round_trip(Frame::StatsReply { req: 0, stats: Box::default() });
+        round_trip(Frame::StatsReply { req: 15, metrics: sample_metrics() });
+        round_trip(Frame::StatsReply { req: 0, metrics: MetricsSnapshot::default() });
+    }
+
+    /// A snapshot with every section filled: labelled and bare series, a
+    /// non-ASCII label, an empty histogram and one with a sample in the
+    /// last bin.
+    fn sample_metrics() -> MetricsSnapshot {
+        let mut lat = LogHistogram::new();
+        for v in [0.0, 1.0, 267.0, 45_000.0, 1e30] {
+            lat.record(v);
+        }
+        MetricsSnapshot {
+            counters: vec![
+                ("dini_serve_served".into(), "shard=\"0\",replica=\"1\"".into(), 100),
+                ("dini_serve_merges".into(), String::new(), u64::MAX),
+            ],
+            gauges: vec![("dini_net_log_seq".into(), "span=\"é\"".into(), 9)],
+            histograms: vec![
+                ("dini_serve_latency_ns".into(), "shard=\"0\"".into(), lat),
+                ("dini_serve_batch_size".into(), String::new(), LogHistogram::new()),
+            ],
+        }
+    }
+
+    /// The body of a `StatsReply` carrying one histogram series named
+    /// `h` with these raw `(bin, count)` pairs.
+    fn histogram_body(pairs: &[(u16, u64)]) -> Vec<u8> {
+        let mut bytes = vec![WIRE_VERSION, KIND_STATS_REPLY];
+        put_u64(&mut bytes, 1);
+        put_len(&mut bytes, 0);
+        put_len(&mut bytes, 0);
+        put_len(&mut bytes, 1);
+        put_str(&mut bytes, "h");
+        put_str(&mut bytes, "");
+        for v in [3.0f64, 1.0, 2.0] {
+            put_u64(&mut bytes, v.to_bits());
+        }
+        put_len(&mut bytes, pairs.len());
+        for &(bin, n) in pairs {
+            put_u16(&mut bytes, bin);
+            put_u64(&mut bytes, n);
+        }
+        bytes
     }
 
     #[test]
-    fn stats_reply_replica_count_cannot_drive_allocation() {
-        // A StatsReply claiming u16::MAX replicas with an empty tail:
-        // the 20-byte-per-entry guard must reject before with_capacity.
-        let mut bytes = vec![WIRE_VERSION, KIND_STATS_REPLY];
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        for _ in 0..17 {
-            bytes.extend_from_slice(&0u64.to_le_bytes());
-        }
-        bytes.extend_from_slice(&u16::MAX.to_le_bytes());
-        assert_eq!(Frame::decode(&bytes), Err(WireError::Truncated));
+    fn a_snapshot_past_u16_series_round_trips() {
+        // 4 096 shards × 16 heat buckets = 65 536 series, one past
+        // `u16::MAX`: a `u16` count would wrap to 0 here.
+        let gauges = (0..=u16::MAX as usize)
+            .map(|i| {
+                (
+                    "dini_serve_heat".to_owned(),
+                    format!("shard=\"{}\",bucket=\"{}\"", i / 16, i % 16),
+                    i as u64,
+                )
+            })
+            .collect();
+        let metrics = MetricsSnapshot { gauges, ..sample_metrics() };
+        assert_eq!(metrics.gauges.len(), 65_536);
+        round_trip(Frame::StatsReply { req: 3, metrics });
     }
 
     #[test]
-    fn stats_reply_heat_count_cannot_drive_allocation() {
-        // Zero replicas, then a heat count of u16::MAX with nothing
-        // behind it: the 8-byte-per-entry guard must reject first.
-        let mut bytes = vec![WIRE_VERSION, KIND_STATS_REPLY];
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        for _ in 0..17 {
-            bytes.extend_from_slice(&0u64.to_le_bytes());
+    fn histogram_bins_are_checked() {
+        let ok = histogram_body(&[(1, 2), (5, 1)]);
+        match Frame::decode(&ok) {
+            Ok(Frame::StatsReply { metrics, .. }) => assert_eq!(metrics.histograms[0].2.count(), 3),
+            other => panic!("expected a StatsReply, got {other:?}"),
         }
-        bytes.extend_from_slice(&0u16.to_le_bytes());
-        bytes.extend_from_slice(&u16::MAX.to_le_bytes());
+        let last = (LogHistogram::nbins() - 1) as u16;
+        assert!(Frame::decode(&histogram_body(&[(last, 1)])).is_ok());
+        let bad = [
+            vec![(last + 1, 1)],         // past the last bin
+            vec![(5, 1), (1, 2)],        // descending
+            vec![(5, 1), (5, 1)],        // repeated
+            vec![(0, u64::MAX), (1, 1)], // the count overflows
+        ];
+        for pairs in bad {
+            assert_eq!(
+                Frame::decode(&histogram_body(&pairs)),
+                Err(WireError::BadHistogram),
+                "{pairs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_strings_must_be_utf8() {
+        let mut bytes = histogram_body(&[]);
+        // The name "h" sits after version, kind, req, three counts and
+        // its own length.
+        let at = 2 + 8 + 3 * 4 + 4;
+        assert_eq!(bytes[at], b'h');
+        bytes[at] = 0xFF;
+        assert_eq!(Frame::decode(&bytes), Err(WireError::BadUtf8));
+    }
+
+    #[test]
+    fn snapshot_counts_cannot_drive_allocation() {
+        // A series count of u32::MAX with nothing behind it, in each
+        // section, and a name length past the input: each guard rejects
+        // before anything is allocated.
+        for section in 0..3 {
+            let mut bytes = vec![WIRE_VERSION, KIND_STATS_REPLY];
+            put_u64(&mut bytes, 1);
+            for _ in 0..section {
+                put_len(&mut bytes, 0);
+            }
+            put_u32(&mut bytes, u32::MAX);
+            assert_eq!(Frame::decode(&bytes), Err(WireError::Truncated), "section {section}");
+        }
+        let mut bytes = histogram_body(&[]);
+        let name_len = 2 + 8 + 3 * 4;
+        bytes[name_len..name_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(Frame::decode(&bytes), Err(WireError::Truncated));
+        let mut bytes = histogram_body(&[]);
+        let pairs = bytes.len() - 4;
+        bytes[pairs..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(Frame::decode(&bytes), Err(WireError::Truncated));
+    }
+
+    /// A `StatsReply` body carrying `n` empty, unnamed histograms — 36
+    /// bytes each on the wire, 8.5 KiB each decoded.
+    fn empty_histograms_body(n: usize) -> Vec<u8> {
+        let mut bytes = vec![WIRE_VERSION, KIND_STATS_REPLY];
+        put_u64(&mut bytes, 1);
+        put_len(&mut bytes, 0);
+        put_len(&mut bytes, 0);
+        put_len(&mut bytes, n);
+        for _ in 0..n {
+            bytes.extend_from_slice(&[0; 4 + 4 + 3 * 8 + 4]);
+        }
+        bytes
+    }
+
+    #[test]
+    fn histogram_count_cannot_drive_allocation() {
+        // A frame of empty histograms filling MAX_FRAME_LEN would decode
+        // to ~4 GB of bins; the cap rejects it before decoding any.
+        let most = (MAX_FRAME_LEN as usize - 2 - 8 - 3 * 4) / 36;
+        let body = empty_histograms_body(most);
+        assert!(body.len() <= MAX_FRAME_LEN as usize);
+        assert_eq!(Frame::decode(&body), Err(WireError::TooMany(most)));
+        assert_eq!(
+            Frame::decode(&empty_histograms_body(MAX_HISTOGRAMS + 1)),
+            Err(WireError::TooMany(MAX_HISTOGRAMS + 1))
+        );
+        match Frame::decode(&empty_histograms_body(MAX_HISTOGRAMS)) {
+            Ok(Frame::StatsReply { metrics, .. }) => {
+                assert_eq!(metrics.histograms.len(), MAX_HISTOGRAMS)
+            }
+            other => panic!("expected a StatsReply, got {other:?}"),
+        }
     }
 
     #[test]

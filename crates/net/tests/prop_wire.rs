@@ -8,11 +8,10 @@
 //! bytes are read back by a *different process* after a crash — so its
 //! properties ride along here.
 
+use dini_cluster::LogHistogram;
 use dini_flight::{decode_entry, encode_entry, FlightEvent, ENTRY_BYTES};
-use dini_net::wire::{
-    frame_len, Frame, LookupStatus, ReplicaStatsMsg, SpanMsg, StatsMsg, StatusCode, WireOp,
-    MAX_FRAME_LEN,
-};
+use dini_net::wire::{frame_len, Frame, LookupStatus, SpanMsg, StatusCode, WireOp, MAX_FRAME_LEN};
+use dini_obs::MetricsSnapshot;
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 
@@ -58,38 +57,49 @@ fn flight_event() -> impl Strategy<Value = FlightEvent> {
         })
 }
 
-fn replica_stats_msg() -> impl Strategy<Value = ReplicaStatsMsg> {
-    (any::<u16>(), any::<u16>(), any::<u64>(), any::<u64>()).prop_map(
-        |(shard, replica, depth, served)| ReplicaStatsMsg { shard, replica, depth, served },
+/// Series names and label lists: short, from an alphabet with a
+/// two-byte UTF-8 letter in it, possibly empty.
+fn series_name() -> impl Strategy<Value = String> {
+    prop_vec(0u8..29, 0..10).prop_map(|letters| {
+        letters
+            .into_iter()
+            .map(|b| match b {
+                26 => '_',
+                27 => '"',
+                28 => 'é',
+                b => (b'a' + b) as char,
+            })
+            .collect()
+    })
+}
+
+fn scalar_series() -> impl Strategy<Value = (String, String, u64)> {
+    (series_name(), series_name(), any::<u64>())
+}
+
+/// A histogram of up to 20 samples spread over every octave.
+fn histogram_series() -> impl Strategy<Value = (String, String, LogHistogram)> {
+    (series_name(), series_name(), prop_vec((any::<u64>(), 0u32..64), 0..20)).prop_map(
+        |(name, labels, samples)| {
+            let mut h = LogHistogram::new();
+            for (v, shift) in samples {
+                h.record((v >> shift) as f64);
+            }
+            (name, labels, h)
+        },
     )
 }
 
-fn stats_msg() -> impl Strategy<Value = StatsMsg> {
+fn metrics_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
     (
-        prop_vec(any::<u64>(), 17),
-        prop_vec(replica_stats_msg(), 0..24),
-        prop_vec(any::<u64>(), 0..64),
+        prop_vec(scalar_series(), 0..6),
+        prop_vec(scalar_series(), 0..6),
+        prop_vec(histogram_series(), 0..3),
     )
-        .prop_map(|(s, replicas, heat)| StatsMsg {
-            served: s[0],
-            admitted: s[1],
-            shed: s[2],
-            rerouted: s[3],
-            batches: s[4],
-            snapshots: s[5],
-            merges: s[6],
-            live_keys: s[7],
-            p50_ns: s[8],
-            p99_ns: s[9],
-            p999_ns: s[10],
-            trace_records: s[11],
-            stage_wait_ns: s[12],
-            stage_service_ns: s[13],
-            stage_fill_ns: s[14],
-            log_epoch: s[15],
-            log_seq: s[16],
-            replicas,
-            heat,
+        .prop_map(|(counters, gauges, histograms)| MetricsSnapshot {
+            counters,
+            gauges,
+            histograms,
         })
 }
 
@@ -137,8 +147,8 @@ fn frame() -> impl Strategy<Value = Frame> {
         }),
         Just(Frame::Status { code: StatusCode::ShuttingDown }),
         any::<u64>().prop_map(|req| Frame::StatsRequest { req }),
-        (any::<u64>(), stats_msg())
-            .prop_map(|(req, stats)| Frame::StatsReply { req, stats: Box::new(stats) }),
+        (any::<u64>(), metrics_snapshot())
+            .prop_map(|(req, metrics)| Frame::StatsReply { req, metrics }),
     ]
 }
 
@@ -226,5 +236,32 @@ proptest! {
         // Wrong lengths and garbage alike: the call returning is the
         // property (an accidental checksum match is a 2^-64 event).
         let _ = decode_entry(&bytes);
+    }
+}
+
+proptest! {
+    // Every cut and every byte of a whole snapshot, so fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn snapshot_payloads_round_trip_and_never_panic(
+        metrics in metrics_snapshot(),
+        req in any::<u64>(),
+    ) {
+        let f = Frame::StatsReply { req, metrics };
+        let bytes = f.encode();
+        let body = &bytes[4..];
+        prop_assert_eq!(Frame::decode(body).expect("own encoding must decode"), f);
+        // Under Miri, a sample of the positions.
+        let step = if cfg!(miri) { 37 } else { 1 };
+        for cut in (0..body.len()).step_by(step) {
+            prop_assert!(Frame::decode(&body[..cut]).is_err(), "a prefix of {cut} bytes decoded");
+        }
+        let mut corrupt = body.to_vec();
+        for pos in (0..body.len()).step_by(step) {
+            corrupt[pos] ^= 0xFF;
+            let _ = Frame::decode(&corrupt);
+            corrupt[pos] ^= 0xFF;
+        }
     }
 }

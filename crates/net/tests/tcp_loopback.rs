@@ -6,8 +6,8 @@
 
 use dini_net::transport::{TcpAcceptorT, TcpDialer};
 use dini_net::{Acceptor, ClientConfig, NetServer, NetServerConfig, RemoteClient, Span, Topology};
-use dini_obs::stitch;
-use dini_serve::{ServeConfig, ServeError, TraceConfig};
+use dini_obs::{stitch, MetricsSnapshot};
+use dini_serve::{ServeConfig, ServeError, ServeStats, TraceConfig};
 use dini_workload::{ChurnGen, KeyDistribution, Op, OpMix};
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -16,6 +16,11 @@ fn serve_cfg(shards: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(shards);
     cfg.max_batch = 64;
     cfg
+}
+
+/// Every replica's admission-queue depth in a polled snapshot.
+fn depths(snap: &MetricsSnapshot) -> Vec<u64> {
+    snap.series("dini_serve_queue_depth").map(|(_, d)| d).collect()
 }
 
 /// Bind first so the topology can carry the real ephemeral address.
@@ -203,16 +208,14 @@ fn live_stats_poll_agrees_with_client_accounting() {
     let mut last_served = 0u64;
     for _ in 0..5 {
         std::thread::sleep(Duration::from_millis(30));
-        let s = handle.span_stats(0).expect("mid-load stats poll");
+        let snap = handle.span_stats(0).expect("mid-load stats poll");
+        let s = ServeStats::from(&snap);
         assert!(s.served >= last_served, "served must be monotonic");
         last_served = s.served;
-        assert_eq!(s.replicas.len(), 4, "2 shards × 2 replicas");
-        assert_eq!(s.live_keys, 30_000);
-        for r in &s.replicas {
-            assert!(r.depth <= 1024, "depth within queue capacity, got {}", r.depth);
-        }
-        let split: u64 = s.replicas.iter().map(|r| r.served).sum();
-        assert_eq!(split, s.served, "per-replica split must sum to the total");
+        assert_eq!(snap.sum("dini_serve_live_keys"), 30_000);
+        let depths: Vec<u64> = depths(&snap);
+        assert_eq!(depths.len(), 4, "2 shards × 2 replicas");
+        assert!(depths.iter().all(|&d| d <= 1024), "depth within queue capacity, got {depths:?}");
     }
     assert!(last_served > 0, "polled stats must show live traffic");
 
@@ -224,20 +227,21 @@ fn live_stats_poll_agrees_with_client_accounting() {
     // Quiesced: the final wire-polled numbers agree with the client's
     // own accounting and the server's in-process view.
     let total_issued = issued.load(std::sync::atomic::Ordering::Relaxed);
-    let s = handle.span_stats(0).expect("final stats poll");
+    let snap = handle.span_stats(0).expect("final stats poll");
+    let s = ServeStats::from(&snap);
     assert_eq!(s.served, total_issued, "wire-polled served == client-issued lookups");
     assert_eq!(s.served, server.server().stats().served, "wire == in-process view");
     assert_eq!(s.shed, 0, "closed-loop traffic must not shed");
     // Depth is released *after* replies go out, so give the last batch
     // a beat to drain before pinning the queues empty.
-    let mut drained = s.replicas.iter().all(|r| r.depth == 0);
+    let mut drained = depths(&snap).iter().all(|&d| d == 0);
     for _ in 0..50 {
         if drained {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
-        let s = handle.span_stats(0).expect("drain poll");
-        drained = s.replicas.iter().all(|r| r.depth == 0);
+        let snap = handle.span_stats(0).expect("drain poll");
+        drained = depths(&snap).iter().all(|&d| d == 0);
     }
     assert!(drained, "queues must drain once load stops");
 

@@ -12,7 +12,8 @@
 //! enough to see a Zipf head, a flash crowd, or a cold half of a shard
 //! — the signals the elastic shard-split and hot-key-cache work need —
 //! while costing one cache line per shard and nothing to configure.
-//! Snapshots are reader-side and allocate; the write path never does.
+//! Each cell is read on its own ([`HeatMap::count`]), which is what the
+//! serving layer's per-cell `dini_serve_heat` gauges do.
 
 use crate::sync::{AtomicU64, Ordering};
 
@@ -23,8 +24,8 @@ pub const HEAT_BUCKETS: usize = 16;
 /// A shard-major grid of key-range access counters.
 ///
 /// Any number of threads may [`record`](Self::record) concurrently;
-/// counts are monotone and advisory (relaxed), read back whole via
-/// [`snapshot`](Self::snapshot).
+/// counts are monotone and advisory (relaxed), read back cell by cell
+/// via [`count`](Self::count).
 #[derive(Debug)]
 pub struct HeatMap {
     /// Flat shard-major grid: `counts[shard * HEAT_BUCKETS + bucket]`.
@@ -65,13 +66,6 @@ impl HeatMap {
         self.counts[shard * HEAT_BUCKETS + bucket].load(Ordering::Relaxed)
     }
 
-    /// Copy the grid out, shard-major (`shard * HEAT_BUCKETS + bucket`)
-    /// — the exact layout the wire `StatsReply` heat vector carries.
-    /// Reader-side (allocates).
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
     /// Total accesses counted for one shard.
     pub fn shard_total(&self, shard: usize) -> u64 {
         self.counts[shard * HEAT_BUCKETS..(shard + 1) * HEAT_BUCKETS]
@@ -99,10 +93,8 @@ mod tests {
         heat.record(0, 0);
         heat.record(0, 5);
         heat.record(1, u32::MAX);
-        let snap = heat.snapshot();
-        assert_eq!(snap.len(), 2 * HEAT_BUCKETS);
-        assert_eq!(snap[0], 2, "shard 0 bucket 0");
-        assert_eq!(snap[HEAT_BUCKETS + HEAT_BUCKETS - 1], 1, "shard 1 top bucket");
+        assert_eq!(heat.count(0, 0), 2, "shard 0 bucket 0");
+        assert_eq!(heat.count(1, HEAT_BUCKETS - 1), 1, "shard 1 top bucket");
         assert_eq!(heat.shard_total(0), 2);
         assert_eq!(heat.shard_total(1), 1);
     }

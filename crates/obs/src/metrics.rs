@@ -7,7 +7,10 @@
 //! registry's mutex guards *registration and snapshotting only* — no
 //! request ever takes it. Snapshots fold the atomics into plain
 //! [`LogHistogram`]s (via `LogHistogram::from_parts`) and serialize to
-//! JSON or a Prometheus-style text exposition.
+//! JSON or a Prometheus-style text exposition. A snapshot is the one
+//! place a number has a name: every other view of the numbers (the
+//! serving layer's stats, the wire's stats reply, `dini_top`) reads it
+//! by series name.
 
 use crate::sync::{Arc, AtomicU64, Mutex, Ordering};
 use dini_cluster::LogHistogram;
@@ -242,6 +245,16 @@ impl MetricsRegistry {
         c
     }
 
+    /// Register and return a settable gauge: a [`Counter`] handle whose
+    /// owner [`set`](Counter::set)s (or adds to) a level, snapshotted
+    /// among the gauges.
+    pub fn gauge(&self, name: &str, labels: &str) -> Counter {
+        let c = Counter::new();
+        let level = c.clone();
+        self.gauge_fn(name, labels, move || level.get());
+        c
+    }
+
     /// Register a gauge computed at snapshot time.
     pub fn gauge_fn(&self, name: &str, labels: &str, f: impl Fn() -> u64 + Send + Sync + 'static) {
         self.push(name, labels, Instrument::Gauge(Box::new(f)));
@@ -254,7 +267,12 @@ impl MetricsRegistry {
         h
     }
 
-    /// Materialize every instrument's current value.
+    /// Materialize every instrument's current value, reading them one
+    /// after another in registration order. The copy is not atomic: an
+    /// effect's counter registered before its cause's (served before
+    /// admitted) rules out an event that completes between the two reads
+    /// showing its effect alone, but not a writer that bumps the effect
+    /// first.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let entries = self.entries.lock().expect("metrics registry poisoned");
         let mut snap = MetricsSnapshot::default();
@@ -276,10 +294,12 @@ impl MetricsRegistry {
 }
 
 /// A point-in-time copy of a registry: plain values and plain
-/// histograms, detached from the live atomics. Serializes to JSON
+/// histograms, detached from the live atomics. Every view of the
+/// numbers is read off it by name ([`series`](Self::series),
+/// [`sum`](Self::sum), [`merged_where`](Self::merged_where)); it serializes to JSON
 /// ([`to_json`](Self::to_json)) and Prometheus text exposition
-/// ([`to_prometheus`](Self::to_prometheus)).
-#[derive(Debug, Default, Clone)]
+/// ([`to_prometheus`](Self::to_prometheus)), and crosses the wire whole.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, labels, value)` for every counter.
     pub counters: Vec<(String, String, u64)>,
@@ -302,6 +322,50 @@ impl MetricsSnapshot {
             latency_ns.quantile(0.99) / 1_000.0,
             latency_ns.quantile(0.999) / 1_000.0,
         )
+    }
+
+    /// Every scalar series (counter or gauge) named `name`, as
+    /// `(labels, value)` in registration order.
+    pub fn series<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (&'a str, u64)> + 'a {
+        self.counters
+            .iter()
+            .chain(&self.gauges)
+            .filter(move |(n, ..)| n == name)
+            .map(|(_, l, v)| (l.as_str(), *v))
+    }
+
+    /// Every scalar series named `name` whose label list `keep` accepts,
+    /// summed: how a view reads one family across shards, replicas and
+    /// paths without knowing how many there are. A name nobody
+    /// registered reads 0.
+    pub fn sum_where(&self, name: &str, keep: impl Fn(&str) -> bool) -> u64 {
+        self.series(name).filter(|(l, _)| keep(l)).fold(0, |sum, (_, v)| sum.wrapping_add(v))
+    }
+
+    /// [`sum_where`](Self::sum_where) over every label set.
+    pub fn sum(&self, name: &str) -> u64 {
+        self.sum_where(name, |_| true)
+    }
+
+    /// Every histogram series named `name` whose label list `keep`
+    /// accepts, merged into one.
+    pub fn merged_where(&self, name: &str, keep: impl Fn(&str) -> bool) -> LogHistogram {
+        let mut merged = LogHistogram::new();
+        for (_, _, h) in self.histograms.iter().filter(|(n, l, _)| n == name && keep(l)) {
+            merged.merge(h);
+        }
+        merged
+    }
+
+    /// Whether the label list `labels` lies within `scope`: it is
+    /// `scope`, or `scope` followed by more pairs. `shard="0",replica="1"`
+    /// holds `shard="0",replica="1",path="claim"`, but not
+    /// `shard="0",replica="10"`; the empty scope holds everything.
+    pub fn in_scope(labels: &str, scope: &str) -> bool {
+        scope.is_empty()
+            || labels
+                .strip_prefix(scope)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with(','))
     }
 
     fn key(name: &str, labels: &str) -> String {
@@ -353,36 +417,58 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Prometheus text exposition: one `name{labels} value` line per
+    /// Prometheus text exposition: one `# TYPE` line per family, then
+    /// that family's series together — one `name{labels} value` line per
     /// scalar; histograms as `_count`/`_sum` plus `quantile`-labelled
     /// summary lines.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        for (name, labels, v) in &self.counters {
-            out.push_str(&format!("# TYPE {name} counter\n{} {v}\n", Self::key(name, labels)));
-        }
-        for (name, labels, v) in &self.gauges {
-            out.push_str(&format!("# TYPE {name} gauge\n{} {v}\n", Self::key(name, labels)));
-        }
-        for (name, labels, h) in &self.histograms {
-            out.push_str(&format!("# TYPE {name} summary\n"));
-            for (q, tag) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
-                let ql = if labels.is_empty() {
-                    format!("quantile=\"{tag}\"")
-                } else {
-                    format!("{labels},quantile=\"{tag}\"")
-                };
-                out.push_str(&format!("{name}{{{ql}}} {:.1}\n", h.quantile(q)));
+        for (kind, series) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            for (name, family) in families(series) {
+                out.push_str(&format!("# TYPE {name} {kind}\n"));
+                for (labels, v) in family {
+                    out.push_str(&format!("{} {v}\n", Self::key(name, labels)));
+                }
             }
-            out.push_str(&format!(
-                "{}_sum {:.1}\n",
-                Self::key(name, labels),
-                h.mean() * h.count() as f64
-            ));
-            out.push_str(&format!("{}_count {}\n", Self::key(name, labels), h.count()));
+        }
+        for (name, family) in families(&self.histograms) {
+            out.push_str(&format!("# TYPE {name} summary\n"));
+            for (labels, h) in family {
+                for (q, tag) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
+                    let ql = if labels.is_empty() {
+                        format!("quantile=\"{tag}\"")
+                    } else {
+                        format!("{labels},quantile=\"{tag}\"")
+                    };
+                    out.push_str(&format!("{name}{{{ql}}} {:.1}\n", h.quantile(q)));
+                }
+                out.push_str(&format!(
+                    "{} {:.1}\n",
+                    Self::key(&format!("{name}_sum"), labels),
+                    h.sum()
+                ));
+                out.push_str(&format!(
+                    "{} {}\n",
+                    Self::key(&format!("{name}_count"), labels),
+                    h.count()
+                ));
+            }
         }
         out
     }
+}
+
+/// `series` grouped by family name: families in order of first
+/// appearance, each family's series in registration order.
+fn families<T>(series: &[(String, String, T)]) -> Vec<(&str, Vec<(&str, &T)>)> {
+    let mut out: Vec<(&str, Vec<(&str, &T)>)> = Vec::new();
+    for (name, labels, v) in series {
+        match out.iter_mut().find(|(n, _)| n == name) {
+            Some((_, family)) => family.push((labels, v)),
+            None => out.push((name, vec![(labels, v)])),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -488,10 +574,16 @@ mod tests {
 
     #[test]
     fn json_and_prometheus_render() {
+        // Two label sets of one counter and of one histogram, registered
+        // with other families in between.
         let reg = MetricsRegistry::new();
         reg.counter("dini_served", "shard=\"1\"").add(9);
         reg.gauge_fn("dini_depth", "", || 3);
-        reg.histogram("dini_lat_ns", "").record(100);
+        reg.histogram("dini_lat_ns", "shard=\"1\"").record(100);
+        reg.counter("dini_batches", "").add(2);
+        reg.counter("dini_served", "shard=\"2\"").add(4);
+        reg.histogram("dini_size", "").record(5);
+        reg.histogram("dini_lat_ns", "shard=\"2\"").record(300);
         let snap = reg.snapshot();
 
         let json = snap.to_json();
@@ -500,12 +592,47 @@ mod tests {
         assert!(json.contains("\"count\":1"), "{json}");
         assert!(json.starts_with('{') && json.ends_with('}'));
 
+        // One TYPE line per family, and the family's lines right under it.
         let prom = snap.to_prometheus();
-        assert!(prom.contains("# TYPE dini_served counter"), "{prom}");
-        assert!(prom.contains("dini_served{shard=\"1\"} 9"), "{prom}");
+        let lines: Vec<&str> = prom.lines().collect();
+        for family in ["dini_served", "dini_depth", "dini_batches", "dini_lat_ns", "dini_size"] {
+            let types = lines.iter().filter(|l| l.starts_with(&format!("# TYPE {family} ")));
+            assert_eq!(types.count(), 1, "{family}: {prom}");
+        }
+        let at = |line: &str| lines.iter().position(|l| *l == line).expect(line);
+        let served = at("# TYPE dini_served counter");
+        assert_eq!(
+            lines[served + 1..served + 3],
+            ["dini_served{shard=\"1\"} 9", "dini_served{shard=\"2\"} 4"]
+        );
+        let lat = at("# TYPE dini_lat_ns summary");
+        assert_eq!(lines[lat + 4], "dini_lat_ns_sum{shard=\"1\"} 100.0", "{prom}");
+        assert_eq!(lines[lat + 5], "dini_lat_ns_count{shard=\"1\"} 1", "{prom}");
+        assert!(lines[lat + 6].starts_with("dini_lat_ns{shard=\"2\",quantile=\"0.5\"} "), "{prom}");
+        assert_eq!(lines[lat + 10], "dini_lat_ns_count{shard=\"2\"} 1", "{prom}");
         assert!(prom.contains("dini_depth 3"), "{prom}");
-        assert!(prom.contains("dini_lat_ns_count 1"), "{prom}");
-        assert!(prom.contains("quantile=\"0.99\""), "{prom}");
+        assert!(prom.contains("dini_size_count 1"), "{prom}");
+    }
+
+    #[test]
+    fn views_read_families_by_name_and_scope() {
+        let reg = MetricsRegistry::new();
+        reg.counter("dini_served", "shard=\"0\",replica=\"1\"").add(2);
+        reg.counter("dini_served", "shard=\"0\",replica=\"1\",path=\"claim\"").add(3);
+        reg.counter("dini_served", "shard=\"0\",replica=\"10\"").add(5);
+        reg.gauge("dini_live", "").set(7);
+        reg.histogram("dini_lat_ns", "shard=\"0\",replica=\"1\"").record(10);
+        reg.histogram("dini_lat_ns", "shard=\"0\",replica=\"10\"").record(1_000);
+        let snap = reg.snapshot();
+        let r1 = |l: &str| MetricsSnapshot::in_scope(l, "shard=\"0\",replica=\"1\"");
+        assert_eq!(snap.sum("dini_served"), 10);
+        assert_eq!(snap.sum_where("dini_served", r1), 5);
+        assert_eq!(snap.sum("dini_live"), 7, "a settable gauge reads as a gauge");
+        assert_eq!(snap.gauges, [("dini_live".to_owned(), String::new(), 7)]);
+        assert_eq!(snap.sum("dini_nobody"), 0);
+        assert_eq!(snap.merged_where("dini_lat_ns", r1).count(), 1);
+        assert_eq!(snap.merged_where("dini_lat_ns", |_| true).max(), 1_000.0);
+        assert!(MetricsSnapshot::in_scope("shard=\"3\"", ""));
     }
 
     #[test]

@@ -59,7 +59,9 @@
 //!   [`LogHistogram`](dini_cluster::LogHistogram)s, held live in
 //!   lock-free `dini-obs` atomics ([`ReplicaMetrics`]) registered in a
 //!   [`MetricsRegistry`](dini_obs::MetricsRegistry) — nobody takes a
-//!   stats lock; snapshots merge per replica on demand. Each replica
+//!   stats lock. The registry is the one place a number gets a name:
+//!   [`ServeStats`] is read off its snapshot by name, locally or after
+//!   a `StatsReply` carried it over the wire. Each replica
 //!   also carries seeded-sampling **stage-trace rings**
 //!   ([`TraceConfig`]; one its dispatcher writes, one its claimants do):
 //!   admitted → collected → dispatched → answered → filled timestamps
@@ -127,7 +129,7 @@ pub use oneshot::SlotPool;
 pub use router::{ReplicaSelector, ShardRouter};
 pub use server::{IndexServer, LookupScratch, PendingLookup, ServerHandle, UpdateHandle};
 pub use snapshot::{EpochCell, ShardSnapshot};
-pub use stats::{ReplicaMetrics, ServeStats, ShardStats};
+pub use stats::{ReplicaMetrics, ServeStats};
 
 // Observability vocabulary re-exported so serving callers can configure
 // tracing and consume snapshots without naming the obs crate.

@@ -92,11 +92,11 @@ use crate::faults::ReplicaFaults;
 use crate::oneshot::{ReplySlot, SlotPool};
 use crate::router::{ReplicaSelector, ShardRouter};
 use crate::snapshot::{EpochCell, ShardSnapshot};
-use crate::stats::{ReplicaMetrics, ServeStats, ShardStats};
+use crate::stats::{replica_labels, ReplicaMetrics, ServeStats};
 use dini_cache_sim::NullMemory;
 use dini_flight::EventKind;
 use dini_index::{DeltaArray, LineDirectory, RankIndex};
-use dini_obs::{HeatMap, MetricsRegistry, MetricsSnapshot, StageRecord, HEAT_BUCKETS};
+use dini_obs::{Counter, HeatMap, MetricsRegistry, MetricsSnapshot, StageRecord, HEAT_BUCKETS};
 use dini_store::{write_snapshot, ShardRecord, SharedKeys, Snapshot, SpanRecord};
 use dini_workload::Op;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -125,29 +125,46 @@ enum WriterMsg {
     Quiesce(SyncSender<()>),
 }
 
-// ordering: relaxed-ok: pure monotonic accounting — written by the single
-// writer thread, read by gauges and `stats()` which tolerate a slightly
-// stale view; no other data is published through these counters.
-#[derive(Debug, Default)]
-struct WriterCounters {
+/// The writer's accounting: one handle per series, registered once in
+/// the server's registry and bumped by the single writer thread. The
+/// server reads a few directly ([`IndexServer::len`],
+/// [`IndexServer::snapshots_published`], the checkpoint counts).
+#[derive(Clone)]
+struct WriterMetrics {
     /// Mutations that changed the index (insert of an absent key, delete
     /// of a present one).
-    updates: AtomicU64,
+    updates: Counter,
     /// No-op mutations (duplicate insert, delete of an absent key):
     /// accepted, probed, but changed nothing — counted separately so
     /// `updates_applied` means what it says.
-    nops: AtomicU64,
+    nops: Counter,
     /// Coalesced churn-log batches received via `update_batch`.
-    update_batches: AtomicU64,
-    snapshots: AtomicU64,
-    merges: AtomicU64,
-    live_keys: AtomicU64,
+    update_batches: Counter,
+    snapshots: Counter,
+    merges: Counter,
+    /// Live keys as of the last publish: a level, not a count.
+    live_keys: Counter,
     /// `dini-store` snapshot files written by the checkpointer.
-    checkpoints: AtomicU64,
+    checkpoints: Counter,
     /// Checkpoint attempts that failed (I/O): serving continues — a
     /// full disk must never take the read path down — but the failure
     /// is counted, never swallowed silently.
-    checkpoint_failures: AtomicU64,
+    checkpoint_failures: Counter,
+}
+
+impl WriterMetrics {
+    fn new(reg: &MetricsRegistry) -> Self {
+        Self {
+            updates: reg.counter("dini_serve_updates_applied", ""),
+            nops: reg.counter("dini_serve_update_nops", ""),
+            update_batches: reg.counter("dini_serve_update_batches", ""),
+            snapshots: reg.counter("dini_serve_snapshots", ""),
+            merges: reg.counter("dini_serve_merges", ""),
+            live_keys: reg.gauge("dini_serve_live_keys", ""),
+            checkpoints: reg.counter("dini_serve_checkpoints", ""),
+            checkpoint_failures: reg.counter("dini_serve_checkpoint_failures", ""),
+        }
+    }
 }
 
 /// One shard's initial state: the shared (owned or mapped) main array
@@ -202,9 +219,9 @@ pub struct IndexServer {
     replica_metrics: Vec<Arc<ReplicaMetrics>>,
     /// Every instrument above plus queue/writer gauges, behind named
     /// handles — what [`metrics_snapshot`](Self::metrics_snapshot)
-    /// serializes.
-    metrics: Arc<MetricsRegistry>,
-    counters: Arc<WriterCounters>,
+    /// serializes and [`stats`](Self::stats) reads.
+    metrics: MetricsRegistry,
+    writer_metrics: WriterMetrics,
     /// Key-range heat grid shared with every handle; `None` when
     /// [`ServeConfig::heat`] is off.
     heat: Option<Arc<HeatMap>>,
@@ -331,10 +348,9 @@ impl IndexServer {
     ) -> Self {
         let selector = ReplicaSelector::new(cfg.replicas_per_shard);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(WriterCounters::default());
-        let live: u64 = seeds.iter().map(|s| s.live_len() as u64).sum();
-        counters.live_keys.store(live, Ordering::Relaxed);
-        let metrics = Arc::new(MetricsRegistry::new());
+        let metrics = MetricsRegistry::new();
+        let writer_metrics = WriterMetrics::new(&metrics);
+        writer_metrics.live_keys.set(seeds.iter().map(|s| s.live_len() as u64).sum());
         let heat = cfg.heat.then(|| Arc::new(HeatMap::new(cfg.n_shards)));
         if let Some(h) = &heat {
             // One gauge per grid cell: each reads a single relaxed
@@ -404,16 +420,6 @@ impl IndexServer {
             }
             for (r, (req_rx, faults)) in wiring.into_iter().enumerate() {
                 let stats = Arc::new(ReplicaMetrics::new(&metrics, s, r, &cfg.trace));
-                // Queue gauges poll the admission atomics at snapshot
-                // time — live depth is already load-bearing state (the
-                // p2c router reads it), so exposing it costs nothing.
-                let q = group[r].clone();
-                let labels = format!("shard=\"{s}\",replica=\"{r}\"");
-                metrics.gauge_fn("dini_serve_queue_depth", &labels, move || q.depth());
-                let q = group[r].clone();
-                metrics.gauge_fn("dini_serve_admitted", &labels, move || q.admitted());
-                let q = group[r].clone();
-                metrics.gauge_fn("dini_serve_shed", &labels, move || q.shed());
                 dispatchers.push(spawn_dispatcher(Dispatcher {
                     shard: s,
                     replica: r,
@@ -434,12 +440,57 @@ impl IndexServer {
             cells.push(cell);
         }
 
+        // Queue gauges poll the admission atomics at snapshot time — live
+        // depth is already load-bearing state (the p2c router reads it),
+        // so exposing it costs nothing. They come after every replica's
+        // `served` series: a snapshot reads in registration order, so a
+        // lookup admitted and served between the two reads cannot show
+        // as served but not admitted. The writes still count `served`
+        // first on the claimed path (`count_claimed`, then `release`) and
+        // may on the queued path (the dispatcher can serve before
+        // `try_submit` counts), so only a snapshot that no thread switch
+        // can split — simtest's — is guaranteed `served ≤ admitted`.
+        for (i, q) in queues.iter().flatten().enumerate() {
+            let labels = replica_labels(i / n_replicas, i % n_replicas);
+            let q2 = q.clone();
+            metrics.gauge_fn("dini_serve_queue_depth", &labels, move || q2.depth());
+            let q2 = q.clone();
+            metrics.gauge_fn("dini_serve_admitted", &labels, move || q2.admitted());
+            let q2 = q.clone();
+            metrics.gauge_fn("dini_serve_shed", &labels, move || q2.shed());
+        }
+        // The sampled stage sums over every replica's retained records, in
+        // one walk per snapshot: reading `trace_records` walks the rings
+        // and sets the three sums registered after it, which the same
+        // snapshot reads next (registration order, under the registry's
+        // lock) — so all four describe one set of records.
+        let stages = [
+            ("dini_serve_stage_wait_ns", StageRecord::wait_ns as fn(&StageRecord) -> u64),
+            ("dini_serve_stage_service_ns", StageRecord::service_ns),
+            ("dini_serve_stage_fill_ns", StageRecord::fill_ns),
+        ];
+        let sums = stages.map(|_| Counter::new());
+        let (replicas, walked) = (replica_metrics.clone(), sums.clone());
+        metrics.gauge_fn("dini_serve_trace_records", "", move || {
+            let records: Vec<StageRecord> = replicas
+                .iter()
+                .flat_map(|m| m.trace().snapshot().into_iter().chain(m.claim_trace().snapshot()))
+                .collect();
+            for (sum, (_, stage)) in walked.iter().zip(&stages) {
+                sum.set(records.iter().map(stage).sum());
+            }
+            records.len() as u64
+        });
+        for ((name, _), sum) in stages.into_iter().zip(sums) {
+            metrics.gauge_fn(name, "", move || sum.get());
+        }
+
         let (writer_tx, writer_rx) = sync_channel::<WriterMsg>(4096);
         let writer = spawn_writer(
             shards,
             watermark,
             router.clone(),
-            counters.clone(),
+            writer_metrics.clone(),
             writer_rx,
             cfg.clone(),
         );
@@ -458,18 +509,6 @@ impl IndexServer {
             })
             .collect();
 
-        // Writer-side gauges: snapshots read the same atomics stats()
-        // folds, just through named handles.
-        let c = counters.clone();
-        metrics.gauge_fn("dini_serve_live_keys", "", move || c.live_keys.load(Ordering::Relaxed));
-        let c = counters.clone();
-        metrics.gauge_fn("dini_serve_snapshots", "", move || c.snapshots.load(Ordering::Relaxed));
-        let c = counters.clone();
-        metrics.gauge_fn("dini_serve_merges", "", move || c.merges.load(Ordering::Relaxed));
-        let c = counters.clone();
-        metrics
-            .gauge_fn("dini_serve_updates_applied", "", move || c.updates.load(Ordering::Relaxed));
-
         Self {
             router,
             selector,
@@ -478,7 +517,7 @@ impl IndexServer {
             cells,
             replica_metrics,
             metrics,
-            counters,
+            writer_metrics,
             heat,
             shutdown,
             clock: cfg.clock,
@@ -556,12 +595,12 @@ impl IndexServer {
     /// Number of `dini-store` checkpoint files successfully written
     /// (0 unless [`ServeConfig::store`] is set).
     pub fn checkpoints(&self) -> u64 {
-        self.counters.checkpoints.load(Ordering::Relaxed)
+        self.writer_metrics.checkpoints.get()
     }
 
     /// Number of checkpoint attempts that failed with an I/O error.
     pub fn checkpoint_failures(&self) -> u64 {
-        self.counters.checkpoint_failures.load(Ordering::Relaxed)
+        self.writer_metrics.checkpoint_failures.get()
     }
 
     /// Block until every previously submitted update is applied *and*
@@ -578,7 +617,7 @@ impl IndexServer {
 
     /// Number of live keys as of the last snapshot publication.
     pub fn len(&self) -> usize {
-        self.counters.live_keys.load(Ordering::Relaxed) as usize
+        self.writer_metrics.live_keys.get() as usize
     }
 
     /// Whether the index currently holds no live keys.
@@ -588,10 +627,10 @@ impl IndexServer {
 
     /// Snapshots the writer has published so far — the one counter a
     /// control frame reports, read directly: [`stats`](Self::stats)
-    /// returns the same number but folds every replica's histograms to
-    /// get there.
+    /// returns the same number but snapshots the whole registry to get
+    /// there.
     pub fn snapshots_published(&self) -> u64 {
-        self.counters.snapshots.load(Ordering::Relaxed)
+        self.writer_metrics.snapshots.get()
     }
 
     /// Number of shards.
@@ -612,38 +651,23 @@ impl IndexServer {
         self.selector.n_replicas()
     }
 
-    /// Point-in-time aggregate statistics: the per-replica atomics
-    /// merged at snapshot time (no dispatcher is ever blocked by this).
+    /// Point-in-time aggregate statistics, read off a registry
+    /// snapshot (no dispatcher is ever blocked by this).
     pub fn stats(&self) -> ServeStats {
-        let mut total = ServeStats::default();
-        for m in &self.replica_metrics {
-            total.absorb_shard(&m.snapshot());
-        }
-        for q in self.queues.iter().flatten() {
-            total.admitted += q.admitted();
-            total.shed += q.shed();
-        }
-        total.updates_applied = self.counters.updates.load(Ordering::Relaxed);
-        total.update_nops = self.counters.nops.load(Ordering::Relaxed);
-        total.update_batches = self.counters.update_batches.load(Ordering::Relaxed);
-        total.snapshots_published = self.snapshots_published();
-        total.merges = self.counters.merges.load(Ordering::Relaxed);
-        total
+        ServeStats::from(&self.metrics_snapshot())
     }
 
-    /// Per-replica accounting snapshots, replica-major:
-    /// entry `shard * replicas_per_shard + replica`. This is the
-    /// breakdown load-balance assertions (and the simtest straggler
-    /// oracle) read.
-    pub fn replica_stats(&self) -> Vec<ShardStats> {
-        self.replica_metrics.iter().map(|m| m.snapshot()).collect()
-    }
-
-    /// Live admission-queue depths, replica-major (same indexing as
-    /// [`replica_stats`](Self::replica_stats)) — the per-replica load
-    /// split a `StatsReply` frame reports over the wire.
-    pub fn replica_depths(&self) -> Vec<u64> {
-        self.queues.iter().flatten().map(|q| q.depth()).collect()
+    /// Per-replica statistics, replica-major: entry
+    /// `shard * replicas_per_shard + replica` is the same view as
+    /// [`stats`](Self::stats) over that replica's series alone (the
+    /// writer's counters read 0). This is the breakdown load-balance
+    /// assertions (and the simtest straggler oracle) read.
+    pub fn replica_stats(&self) -> Vec<ServeStats> {
+        let snap = self.metrics_snapshot();
+        let per_shard = self.replicas_per_shard();
+        (0..self.replica_metrics.len())
+            .map(|i| ServeStats::within(&snap, &replica_labels(i / per_shard, i % per_shard)))
+            .collect()
     }
 
     /// Every replica's sampled stage records, replica-major then
@@ -653,20 +677,21 @@ impl IndexServer {
         self.replica_metrics.iter().flat_map(|m| m.stage_records()).collect()
     }
 
-    /// The key-range heat grid, shard-major
-    /// (`shard * HEAT_BUCKETS + bucket`) — exactly the vector a
-    /// `StatsReply` frame carries. Empty when [`ServeConfig::heat`] is
-    /// off. Reader-side (allocates).
-    pub fn heat_snapshot(&self) -> Vec<u64> {
-        self.heat.as_ref().map(|h| h.snapshot()).unwrap_or_default()
-    }
-
     /// Snapshot the whole metrics registry: per-replica
-    /// counters/histograms, queue gauges, and writer gauges, ready for
+    /// counters/histograms, queue gauges, writer counters and stage-trace
+    /// sums, ready for [`ServeStats::from`],
     /// [`MetricsSnapshot::to_json`] or
-    /// [`MetricsSnapshot::to_prometheus`].
+    /// [`MetricsSnapshot::to_prometheus`] — and what a `StatsReply`
+    /// carries.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
+    }
+
+    /// The metrics registry itself. A layer hosting this server registers
+    /// its own series here, and they appear in every snapshot from then
+    /// on — in a `StatsReply` too — with no other change.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
     }
 }
 
@@ -1306,7 +1331,7 @@ fn spawn_writer(
     mut shards: Vec<WriterShard>,
     watermark: (u64, u64),
     router: Arc<ShardRouter>,
-    counters: Arc<WriterCounters>,
+    counters: WriterMetrics,
     rx: Receiver<WriterMsg>,
     cfg: ServeConfig,
 ) -> ClockJoinHandle<()> {
@@ -1347,13 +1372,13 @@ fn spawn_writer(
             };
             match write_snapshot(&plan.path, &rec) {
                 Ok(()) => {
-                    counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+                    counters.checkpoints.inc();
                     if let Some(j) = &cfg.flight {
                         j.record(EventKind::CheckpointOk, 0, 0, watermark.1, 0, clock.now());
                     }
                 }
                 Err(_) => {
-                    counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+                    counters.checkpoint_failures.inc();
                     if let Some(j) = &cfg.flight {
                         j.record(EventKind::CheckpointFail, 0, 0, watermark.1, 0, clock.now());
                     }
@@ -1375,8 +1400,8 @@ fn spawn_writer(
                 });
                 base_rank += sh.delta.len() as u32;
             }
-            counters.live_keys.store(u64::from(base_rank), Ordering::Relaxed);
-            counters.snapshots.fetch_add(1, Ordering::Relaxed);
+            counters.live_keys.set(u64::from(base_rank));
+            counters.snapshots.inc();
         };
 
         // The sim-visible analogue of `for msg in rx.iter()`: the
@@ -1389,7 +1414,7 @@ fn spawn_writer(
             let (one, many, mark) = match msg {
                 WriterMsg::Apply(op) => (Some(op), Vec::new(), None),
                 WriterMsg::ApplyBatch { ops, mark } => {
-                    counters.update_batches.fetch_add(1, Ordering::Relaxed);
+                    counters.update_batches.inc();
                     (None, ops, mark)
                 }
                 WriterMsg::Quiesce(ack) => {
@@ -1416,9 +1441,9 @@ fn spawn_writer(
                 // applied; duplicate inserts and deletes of
                 // absent keys are no-ops, tallied separately.
                 if applied {
-                    counters.updates.fetch_add(1, Ordering::Relaxed);
+                    counters.updates.inc();
                 } else {
-                    counters.nops.fetch_add(1, Ordering::Relaxed);
+                    counters.nops.inc();
                 }
 
                 if sh.delta.needs_merge() {
@@ -1429,7 +1454,7 @@ fn spawn_writer(
                     sh.delta.merge(&mut mem);
                     sh.main = directory(sh.delta.main_shared());
                     sh.main_epoch += 1;
-                    counters.merges.fetch_add(1, Ordering::Relaxed);
+                    counters.merges.inc();
                     if let Some(j) = &cfg.flight {
                         j.record(EventKind::EpochSwap, s as u16, 0, sh.main_epoch, 0, clock.now());
                     }
@@ -1806,7 +1831,11 @@ mod tests {
         }
         // No slot was ever taken, nothing ever queued …
         assert_eq!(server.pools.iter().map(|p| p.idle()).sum::<usize>(), 0);
-        assert_eq!(server.replica_depths(), vec![0, 0]);
+        let snap = server.metrics_snapshot();
+        assert_eq!(
+            snap.series("dini_serve_queue_depth").map(|(_, d)| d).collect::<Vec<_>>(),
+            [0, 0]
+        );
         // … and the accounting reads as if a dispatcher had served 200
         // batches of one that never waited.
         let stats = server.stats();
@@ -1880,16 +1909,12 @@ mod tests {
             let served: Vec<u64> = replicas.iter().map(|r| r.served).collect();
             // The registry carries each path's series (`path="claim"` for
             // the callers'); summed, they are what `stats()` merged.
-            let registry_served: u64 = server
-                .metrics_snapshot()
-                .counters
-                .iter()
-                .filter(|(name, _, _)| name == "dini_serve_served")
-                .map(|(_, _, v)| v)
-                .sum();
-            assert_eq!(registry_served, stats.served);
+            let snap = server.metrics_snapshot();
+            assert_eq!(snap.series("dini_serve_served").count(), 4, "2 replicas × 2 paths");
+            assert_eq!(snap.sum("dini_serve_served"), stats.served);
+            let heat: Vec<u64> = snap.series("dini_serve_heat").map(|(_, v)| v).collect();
             let by_path = (stats.claimed, stats.served - stats.claimed);
-            (counts, served, server.heat_snapshot(), traces, slots, batch_sizes, by_path)
+            (counts, served, heat, traces, slots, batch_sizes, by_path)
         };
         let nudge = Duration::from_nanos(1);
         let claimed = run(ServeFaultPlan::none(), 0);
@@ -2020,13 +2045,11 @@ mod tests {
             assert!((t.shard as usize) < 2);
             assert!(t.batch_len >= 1 && t.batch_len as usize <= 64);
         }
-        // Depth gauges exist per replica and read 0 once all replies
-        // are reaped and the queues drained.
-        let depths = server.replica_depths();
-        assert_eq!(depths.len(), 2);
-        // The registry snapshot renders both formats without panicking
-        // and carries the per-replica served counters.
+        // One depth gauge per replica; the registry snapshot renders
+        // both formats without panicking and carries the per-replica
+        // served counters.
         let snap = server.metrics_snapshot();
+        assert_eq!(snap.series("dini_serve_queue_depth").count(), 2);
         assert!(snap.to_prometheus().contains("dini_serve_served"));
         assert!(snap.to_json().contains("dini_serve_latency_ns"));
     }
@@ -2097,6 +2120,12 @@ mod tests {
         server.quiesce();
         assert!(server.checkpoints() >= 1, "quiesce is a durability barrier");
         assert_eq!(server.checkpoint_failures(), 0);
+        // Every writer counter is a registry series, read by name.
+        let snap = server.metrics_snapshot();
+        assert_eq!(snap.sum("dini_serve_checkpoints"), server.checkpoints());
+        assert_eq!(snap.sum("dini_serve_checkpoint_failures"), 0);
+        assert_eq!(snap.sum("dini_serve_update_batches"), 1);
+        assert_eq!(snap.sum("dini_serve_live_keys"), expect.len() as u64);
         drop(server);
 
         // Restart by mapping: no sort, same answers, same watermark.

@@ -28,17 +28,33 @@
 //! once per *batch* without taking any lock, each path into its own set
 //! of instruments: the dispatcher's with atomic adds, the claimants'
 //! (series labelled `path="claim"`) with plain load-and-store, because
-//! the claim already makes its holder the set's only writer. The
-//! mutex-guarded fold this replaced only materializes now at snapshot
-//! time, as the plain [`ShardStats`] value type, where the two sets are
-//! merged — so a claimed lookup's accounting costs no read-modify-write
-//! at all, and `served`, `batches`, `batch_size` and `latency_ns` read
-//! as one. [`ShardStats::claimed`] keeps the split.
+//! the claim already makes its holder the set's only writer — so a
+//! claimed lookup's accounting costs no read-modify-write at all.
+//!
+//! The registry is the only counter schema. [`ServeStats`] holds no
+//! number of its own: it is read off a [`MetricsSnapshot`] by series
+//! name ([`ServeStats::within`]), summing each family across replicas and
+//! both paths, so `served`, `batches`, `batch_size` and `latency_ns`
+//! read as one and [`ServeStats::claimed`] keeps the split. The same
+//! mapping serves a local snapshot, a single replica's series, and a
+//! snapshot that crossed the wire in a `StatsReply`.
 
 use crate::clock::Nanos;
 use crate::sync::Arc;
 use dini_cluster::LogHistogram;
-use dini_obs::{AtomicLogHistogram, Counter, MetricsRegistry, StageRecord, TraceConfig, TraceRing};
+use dini_obs::{
+    AtomicLogHistogram, Counter, MetricsRegistry, MetricsSnapshot, StageRecord, TraceConfig,
+    TraceRing,
+};
+
+/// The label the claim-side set's series carry on top of their
+/// replica's coordinates.
+const CLAIM_PATH: &str = "path=\"claim\"";
+
+/// The label list naming one replica's series.
+pub(crate) fn replica_labels(shard: usize, replica: usize) -> String {
+    format!("shard=\"{shard}\",replica=\"{replica}\"")
+}
 
 /// One replica's live, lock-free accounting: `dini-obs` atomics that
 /// whoever answers a batch — the dispatcher, or a caller holding the
@@ -64,7 +80,7 @@ use dini_obs::{AtomicLogHistogram, Counter, MetricsRegistry, StageRecord, TraceC
 /// `claim_trace` — so it is written with a load and a store per field
 /// ([`Counter::add_unshared`],
 /// [`AtomicLogHistogram::record_n_unshared`]) instead of a
-/// read-modify-write. [`snapshot`](Self::snapshot) merges the two.
+/// read-modify-write. [`ServeStats`] sums the two.
 #[derive(Debug)]
 pub struct ReplicaMetrics {
     dispatched: PathMetrics,
@@ -96,7 +112,7 @@ impl ReplicaMetrics {
     /// decorrelated per replica so replicas sample different residue
     /// classes of their own request streams.
     pub fn new(reg: &MetricsRegistry, shard: usize, replica: usize, trace: &TraceConfig) -> Self {
-        let labels = format!("shard=\"{shard}\",replica=\"{replica}\"");
+        let labels = replica_labels(shard, replica);
         let path = |labels: &str| PathMetrics {
             latency_ns: reg.histogram("dini_serve_latency_ns", labels),
             batch_size: reg.histogram("dini_serve_batch_size", labels),
@@ -107,7 +123,7 @@ impl ReplicaMetrics {
         let trace = TraceConfig { seed: trace.seed ^ flat_salt, ..trace.clone() };
         Self {
             dispatched: path(&labels),
-            claimed: path(&format!("{labels},path=\"claim\"")),
+            claimed: path(&format!("{labels},{CLAIM_PATH}")),
             rebuilds: reg.counter("dini_serve_rebuilds", &labels),
             rerouted: reg.counter("dini_serve_rerouted", &labels),
             trace: TraceRing::new(&trace),
@@ -184,69 +200,14 @@ impl ReplicaMetrics {
         records.sort_by_key(|r| r.admitted_ns);
         records
     }
-
-    /// Materialize the atomics into a plain [`ShardStats`] value — the
-    /// merge point that replaced the old once-per-batch mutex fold, and
-    /// where the two paths' sets become one.
-    pub fn snapshot(&self) -> ShardStats {
-        let (d, c) = (&self.dispatched, &self.claimed);
-        let merged = |a: &AtomicLogHistogram, b: &AtomicLogHistogram| {
-            let mut h = a.snapshot();
-            h.merge(&b.snapshot());
-            h
-        };
-        let claimed = c.served.get();
-        ShardStats {
-            latency_ns: merged(&d.latency_ns, &c.latency_ns),
-            batch_size: merged(&d.batch_size, &c.batch_size),
-            served: d.served.get() + claimed,
-            claimed,
-            batches: d.batches.get() + c.batches.get(),
-            rebuilds: self.rebuilds.get(),
-            rerouted: self.rerouted.get(),
-        }
-    }
 }
 
-/// One replica's accounting at a point in time (the value
-/// [`ReplicaMetrics::snapshot`] materializes from the live atomics —
-/// with replica groups, every replica of a shard has its own, so
-/// per-replica load and failover activity stay visible).
-#[derive(Debug, Clone, Default)]
-pub struct ShardStats {
-    /// Per-query latency (ns): reply time − enqueue time. Sampled and
-    /// weighted for queries their caller ranked (see the module docs).
-    pub latency_ns: LogHistogram,
-    /// Batch sizes at departure.
-    pub batch_size: LogHistogram,
-    /// Queries served.
-    pub served: u64,
-    /// Of `served`, the queries their caller ranked under the replica's
-    /// claim (the rest its dispatcher answered).
-    pub claimed: u64,
-    /// Batches dispatched.
-    pub batches: u64,
-    /// Main epochs (merges of its shard) this replica has crossed.
-    pub rebuilds: u64,
-    /// Requests this replica re-routed to surviving siblings when it
-    /// crashed (failover hand-offs, not errors).
-    pub rerouted: u64,
-}
-
-impl ShardStats {
-    /// Fold one departed batch into the stats.
-    pub fn record_batch(&mut self, latencies_ns: &[f64]) {
-        for &ns in latencies_ns {
-            self.latency_ns.record(ns);
-        }
-        self.batch_size.record(latencies_ns.len() as f64);
-        self.served += latencies_ns.len() as u64;
-        self.batches += 1;
-    }
-}
-
-/// A point-in-time aggregate over all shards plus writer-side counters.
-#[derive(Debug, Clone, Default)]
+/// The serving totals, as a named view over a [`MetricsSnapshot`]: the
+/// whole server's (`ServeStats::from(&snapshot)`, what
+/// [`IndexServer::stats`](crate::IndexServer::stats) returns) or one
+/// replica's ([`within`](Self::within) its labels — then the writer's
+/// counters, which carry no replica labels, read 0).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Merged per-query latency across shards (ns): one sample per
     /// query a dispatcher served; for queries their caller ranked, one
@@ -290,16 +251,37 @@ pub struct ServeStats {
     pub merges: u64,
 }
 
+impl From<&MetricsSnapshot> for ServeStats {
+    /// Every series the view reads, summed over all its labels.
+    fn from(snap: &MetricsSnapshot) -> Self {
+        Self::within(snap, "")
+    }
+}
+
 impl ServeStats {
-    /// Fold one shard's stats in.
-    pub fn absorb_shard(&mut self, s: &ShardStats) {
-        self.latency_ns.merge(&s.latency_ns);
-        self.batch_size.merge(&s.batch_size);
-        self.served += s.served;
-        self.claimed += s.claimed;
-        self.batches += s.batches;
-        self.rebuilds += s.rebuilds;
-        self.rerouted += s.rerouted;
+    /// The view over the series whose labels lie within `scope` (see
+    /// [`MetricsSnapshot::in_scope`]): `shard="s",replica="r"` for one
+    /// replica, `""` for everything. This is the one place a field gets
+    /// its series name.
+    pub fn within(snap: &MetricsSnapshot, scope: &str) -> Self {
+        let keep = |labels: &str| MetricsSnapshot::in_scope(labels, scope);
+        let sum = |name| snap.sum_where(name, keep);
+        Self {
+            latency_ns: snap.merged_where("dini_serve_latency_ns", keep),
+            batch_size: snap.merged_where("dini_serve_batch_size", keep),
+            served: sum("dini_serve_served"),
+            claimed: snap.sum_where("dini_serve_served", |l| keep(l) && l.ends_with(CLAIM_PATH)),
+            batches: sum("dini_serve_batches"),
+            rebuilds: sum("dini_serve_rebuilds"),
+            admitted: sum("dini_serve_admitted"),
+            shed: sum("dini_serve_shed"),
+            rerouted: sum("dini_serve_rerouted"),
+            updates_applied: sum("dini_serve_updates_applied"),
+            update_nops: sum("dini_serve_update_nops"),
+            update_batches: sum("dini_serve_update_batches"),
+            snapshots_published: sum("dini_serve_snapshots"),
+            merges: sum("dini_serve_merges"),
+        }
     }
 
     /// Mean departed-batch size (0 when no batches departed).
@@ -338,80 +320,71 @@ impl ServeStats {
 mod tests {
     use super::*;
 
-    #[test]
-    fn batches_accumulate() {
-        let mut s = ShardStats::default();
-        s.record_batch(&[100.0, 200.0, 300.0]);
-        s.record_batch(&[50.0]);
-        assert_eq!(s.served, 4);
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.latency_ns.count(), 4);
-        assert_eq!(s.batch_size.count(), 2);
-    }
-
-    #[test]
-    fn replica_metrics_snapshot_matches_mutex_era_fold() {
-        // The atomic accumulator must materialize exactly what the old
-        // mutex-guarded ShardStats fold produced for the same batches.
-        let reg = MetricsRegistry::new();
-        let m = ReplicaMetrics::new(&reg, 1, 0, &TraceConfig::default());
-        let mut plain = ShardStats::default();
-        for batch in [&[100.0, 200.0, 300.0][..], &[50.0][..]] {
-            m.record_batch(batch.iter().map(|&ns| ns as Nanos));
-            plain.record_batch(batch);
+    /// What one plain fold of these batches leaves: `(latency, batch size)`.
+    fn fold(batches: &[&[u64]]) -> (LogHistogram, LogHistogram) {
+        let (mut latency, mut size) = (LogHistogram::new(), LogHistogram::new());
+        for batch in batches {
+            for &ns in *batch {
+                latency.record(ns as f64);
+            }
+            size.record(batch.len() as f64);
         }
-        m.set_rebuilds(3);
-        plain.rebuilds = 3;
-        m.inc_rerouted();
-        plain.rerouted = 1;
-        let snap = m.snapshot();
-        assert_eq!(snap.served, plain.served);
-        assert_eq!(snap.batches, plain.batches);
-        assert_eq!(snap.rebuilds, 3);
-        assert_eq!(snap.rerouted, 1);
-        assert_eq!(snap.latency_ns, plain.latency_ns);
-        assert_eq!(snap.batch_size, plain.batch_size);
-
-        // And the registry sees the same replica through its labels.
-        let reg_snap = reg.snapshot();
-        let served = reg_snap
-            .counters
-            .iter()
-            .find(|(n, l, _)| n == "dini_serve_served" && l.contains("shard=\"1\""))
-            .expect("served counter registered");
-        assert_eq!(served.2, 4);
+        (latency, size)
     }
 
     #[test]
-    fn claim_side_set_merges_into_the_snapshot() {
-        // One batch per path: the snapshot reads as if one set had
-        // recorded both, with the claimed share kept apart, and the
-        // registry shows the claim side as its own `path="claim"` series.
+    fn the_view_reads_what_the_replicas_recorded() {
+        // Two replicas' atomics, read back through the registry by name:
+        // per replica within its labels, and summed over both.
+        let reg = MetricsRegistry::new();
+        let a = ReplicaMetrics::new(&reg, 1, 0, &TraceConfig::default());
+        let b = ReplicaMetrics::new(&reg, 1, 1, &TraceConfig::default());
+        for batch in [&[100, 200, 300][..], &[50][..]] {
+            a.record_batch(batch.iter().copied());
+        }
+        b.record_batch([1_000].into_iter());
+        a.set_rebuilds(3);
+        b.inc_rerouted();
+        let snap = reg.snapshot();
+
+        let one = ServeStats::within(&snap, "shard=\"1\",replica=\"0\"");
+        let (latency, size) = fold(&[&[100, 200, 300], &[50]]);
+        assert_eq!((one.served, one.batches, one.rebuilds, one.rerouted), (4, 2, 3, 0));
+        assert_eq!((one.latency_ns, one.batch_size), (latency, size));
+
+        let all = ServeStats::from(&snap);
+        let (latency, size) = fold(&[&[100, 200, 300], &[50], &[1_000]]);
+        assert_eq!((all.served, all.batches, all.rebuilds, all.rerouted), (5, 3, 3, 1));
+        assert_eq!((&all.latency_ns, &all.batch_size), (&latency, &size));
+        let line = all.summary();
+        assert!(line.contains("served 5") && line.contains("rerouted 1"), "{line}");
+        // One log2/32 bin is ~2.2 % wide; the 1000 ns sample's bin floor is ~981.
+        assert!(all.latency_quantile_ns(1.0) >= 975.0);
+    }
+
+    #[test]
+    fn claim_side_set_sums_into_the_view() {
+        // One batch per path: the view reads as if one set had recorded
+        // both, with the claimed share kept apart, and the registry shows
+        // the claim side as its own `path="claim"` series.
         let reg = MetricsRegistry::new();
         let m = ReplicaMetrics::new(&reg, 0, 2, &TraceConfig::default());
-        let mut plain = ShardStats::default();
         m.record_batch([100, 300].into_iter());
-        plain.record_batch(&[100.0, 300.0]);
         m.count_claimed(4);
         m.record_claimed_latency(50, 4);
-        plain.record_batch(&[50.0; 4]);
-        let snap = m.snapshot();
-        assert_eq!((snap.served, snap.claimed, snap.batches), (6, 4, 2));
-        assert_eq!(snap.latency_ns, plain.latency_ns);
-        assert_eq!(snap.batch_size, plain.batch_size);
-        let served: Vec<(String, u64)> = reg
-            .snapshot()
+        let snap = reg.snapshot();
+        let view = ServeStats::from(&snap);
+        assert_eq!((view.served, view.claimed, view.batches), (6, 4, 2));
+        assert_eq!((view.latency_ns, view.batch_size), fold(&[&[100, 300], &[50; 4]]));
+        let served: Vec<(&str, u64)> = snap
             .counters
-            .into_iter()
+            .iter()
             .filter(|(n, _, _)| n == "dini_serve_served")
-            .map(|(_, l, v)| (l, v))
+            .map(|(_, l, v)| (l.as_str(), *v))
             .collect();
         assert_eq!(
             served,
-            [
-                ("shard=\"0\",replica=\"2\"".to_owned(), 2),
-                ("shard=\"0\",replica=\"2\",path=\"claim\"".to_owned(), 4)
-            ]
+            [("shard=\"0\",replica=\"2\"", 2), ("shard=\"0\",replica=\"2\",path=\"claim\"", 4)]
         );
     }
 
@@ -425,27 +398,5 @@ mod tests {
         let hits_b: Vec<bool> = (0..16).map(|_| b.trace().sample()).collect();
         assert_eq!(hits_a.iter().filter(|&&h| h).count(), 4);
         assert_ne!(hits_a, hits_b, "replicas must sample different residue classes");
-    }
-
-    #[test]
-    fn absorb_merges_everything() {
-        let mut a = ShardStats::default();
-        a.record_batch(&[100.0, 200.0]);
-        let mut b = ShardStats::default();
-        b.record_batch(&[1_000.0]);
-        b.rebuilds = 2;
-        b.rerouted = 5;
-        let mut total = ServeStats::default();
-        total.absorb_shard(&a);
-        total.absorb_shard(&b);
-        assert_eq!(total.served, 3);
-        assert_eq!(total.batches, 2);
-        assert_eq!(total.rebuilds, 2);
-        assert_eq!(total.rerouted, 5);
-        assert!(total.summary().contains("rerouted 5"));
-        // One log2/32 bin is ~2.2 % wide; the 1000 ns sample's bin floor is ~981.
-        assert!(total.latency_quantile_ns(1.0) >= 975.0);
-        let line = total.summary();
-        assert!(line.contains("served 3"), "{line}");
     }
 }

@@ -54,8 +54,9 @@
 //!    process, where the probes are the only way in, client- and
 //!    server-side sheds match exactly; with wire stats polls, every
 //!    mid-load poll is monotone and never ahead of admissions, and a
-//!    final poll per single-endpoint span equals that process's own
-//!    counters.
+//!    final poll per single-endpoint span, read through `ServeStats`,
+//!    equals that process's own `stats()` — every count and both
+//!    histograms — and its live-key count.
 //! 6. **Stage timing** (tracing on, sampled or dense) — on *every*
 //!    server process, each sampled record advances monotonically
 //!    through admitted → collected → dispatched → answered → filled,

@@ -7,7 +7,7 @@ use crate::{Deployment, Report, Step};
 use dini_net::NetClientStats;
 use dini_obs::{stitch, StageRecord};
 use dini_serve::clock::dur_ns;
-use dini_serve::{EventKind, FlightEvent};
+use dini_serve::{EventKind, FlightEvent, ServeStats};
 use std::collections::BTreeSet;
 
 /// A finished run, before teardown: what was described, what ran, and
@@ -134,9 +134,11 @@ pub(crate) fn servers_hold(o: &Outcome, traces: &[StageRecord]) {
 
 /// Oracle 5, over the wire: with load drained, a final `StatsRequest`
 /// to each reachable single-endpoint span must report exactly what that
-/// server's own counters say (served settles once every reply is
-/// reaped). One endpoint per span means the endpoint index is the span,
-/// so each poll names its process unambiguously.
+/// server's own registry says — every serving count and both
+/// histograms, read through the same [`ServeStats`] view, plus the live
+/// keys (they settle once every reply is reaped). One endpoint per span
+/// means the endpoint index is the span, so each poll names its process
+/// unambiguously.
 pub(crate) fn final_stats_polls(o: &Outcome) {
     if o.d.stats_polls == 0 || o.d.endpoints_per_span != 1 {
         return;
@@ -151,12 +153,12 @@ pub(crate) fn final_stats_polls(o: &Outcome) {
             .span_stats(span)
             .unwrap_or_else(|e| panic!("[{name}] final stats poll failed: {e:?}"));
         assert_eq!(
-            wire.served,
-            server.stats().served,
-            "[{name}] span {span}: wire-polled served disagrees with the process"
+            ServeStats::from(&wire),
+            server.stats(),
+            "[{name}] span {span}: wire-polled stats disagree with the process"
         );
         assert_eq!(
-            wire.live_keys,
+            wire.sum("dini_serve_live_keys"),
             server.len() as u64,
             "[{name}] span {span}: wire-polled live_keys disagrees with the process"
         );

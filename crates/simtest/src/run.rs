@@ -13,14 +13,12 @@ use crate::oracles::{self, Outcome};
 use crate::{Deployment, Report, Step};
 use dini_cluster::{FaultPlan, LinkPlan};
 use dini_net::transport::ChanNet;
-use dini_net::{
-    ClientConfig, NetHandle, NetServer, NetServerConfig, RemoteClient, Span, StatsMsg, Topology,
-};
+use dini_net::{ClientConfig, NetHandle, NetServer, NetServerConfig, RemoteClient, Span, Topology};
 use dini_obs::StageRecord;
 use dini_serve::clock::dur_ns;
 use dini_serve::{
     read_journal, Clock, FlightEvent, FlightJournal, IndexServer, Nanos, ServeConfig, ServeError,
-    ServerHandle, SimClock, SnapError, StorePlan, TraceConfig, UpdateHandle,
+    ServeStats, ServerHandle, SimClock, SnapError, StorePlan, TraceConfig, UpdateHandle,
 };
 use dini_workload::{
     gen_sorted_unique_keys, ArrivalGen, ChurnGen, KeyDistribution, KeyGen, Op, OpMix,
@@ -529,7 +527,10 @@ impl<'a> Cluster<'a> {
 
 /// Mid-load wire introspection: `StatsRequest`s at every reachable span
 /// while the probes hammer the same sockets; the counters may only move
-/// forward, and never ahead of admissions. Returns the polls answered.
+/// forward, and never ahead of admissions. (The second holds here, not
+/// on real threads: the simulator switches threads only at clock calls,
+/// and none falls between a lookup's `served` and admission counts.)
+/// Returns the polls answered.
 fn poll_stats(h: NetHandle, d: Deployment) -> u64 {
     let (dark, name) = (d.dark_owners(), d.name);
     let mut prev_served = vec![0u64; d.spans];
@@ -540,7 +541,8 @@ fn poll_stats(h: NetHandle, d: Deployment) -> u64 {
             if dark.contains(&span) {
                 continue;
             }
-            let Ok(StatsMsg { served, admitted, .. }) = h.span_stats(span) else { continue };
+            let Ok(polled) = h.span_stats(span) else { continue };
+            let ServeStats { served, admitted, .. } = ServeStats::from(&polled);
             assert!(
                 served >= *prev,
                 "[{name}] span {span} served counter went backwards: {prev} then {served}"

@@ -354,7 +354,7 @@ fn fast_path_second_caller_is_queued_for_the_dispatcher() {
         let stats = server.stats();
         assert_eq!((stats.served, stats.admitted, stats.batches), (2, 2, 2), "seed {seed}");
         assert_eq!(stats.latency_ns.max(), 0.0, "seed {seed}");
-        assert_eq!(server.replica_depths(), vec![0], "seed {seed}");
+        assert_eq!(server.metrics_snapshot().sum("dini_serve_queue_depth"), 0, "seed {seed}");
         // One record per path; the dispatcher's is stamped on its own
         // time, after the reply that let the caller (and us) go on.
         clock.sleep(Duration::from_millis(1));

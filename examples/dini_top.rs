@@ -7,8 +7,11 @@
 //! key-range heat bar (the 16-bucket access grid the servers count on
 //! the read path), queue depths per replica, latency quantiles, and
 //! the stage-latency breakdown the servers sample into their trace
-//! rings. No server-side cooperation beyond the protocol — the
-//! observability plane is just frames.
+//! rings. Every number is a series of the span's metrics registry,
+//! which the `StatsReply` frame carries whole; this view reads them by
+//! name ([`ServeStats`] for the serving totals). No server-side
+//! cooperation beyond the protocol — the observability plane is just
+//! frames.
 //!
 //! ```text
 //! cargo run --release --example dini_top -- 127.0.0.1:4100        # attach
@@ -22,9 +25,9 @@
 //! exits 0 — the same code path CI exercises.
 
 use dini::net::transport::{TcpAcceptorT, TcpDialer};
-use dini::net::{Acceptor, ClientConfig, NetServerConfig, StatsMsg, Topology};
+use dini::net::{Acceptor, ClientConfig, NetServerConfig, Topology};
 use dini::obs::{Meter, MetricsSnapshot, HEAT_BUCKETS};
-use dini::serve::ServeConfig;
+use dini::serve::{ServeConfig, ServeStats};
 use dini::{NetServer, RemoteClient};
 use dini_cluster::LogHistogram;
 use std::time::{Duration, Instant};
@@ -55,7 +58,7 @@ impl RateView {
 
     /// Feed one poll; returns `(served/s, shed/s)` over the window just
     /// closed (0.0 until the second poll primes the window).
-    fn observe(&mut self, span: usize, s: &StatsMsg) -> (f64, f64) {
+    fn observe(&mut self, span: usize, s: &ServeStats) -> (f64, f64) {
         let t_ns = self.start.elapsed().as_nanos() as u64;
         let r = &mut self.spans[span];
         (r.served.observe(t_ns, s.served), r.shed.observe(t_ns, s.shed))
@@ -89,58 +92,52 @@ fn heat_bar(heat: &[u64]) -> String {
 }
 
 /// One rendered frame of the display: every span's live counters.
-fn render(tick: u64, spans: &[(usize, Option<StatsMsg>)], rates: &mut RateView) {
+fn render(tick: u64, spans: &[(usize, Option<MetricsSnapshot>)], rates: &mut RateView) {
     println!("── dini_top · poll {tick} ──");
     println!(
         "{:>4} {:>10} {:>9} {:>10} {:>7} {:>9} {:>8}  heat / latency / stages / replicas",
         "span", "served", "/s", "admitted", "shed", "rerouted", "keys"
     );
-    for (span, stats) in spans {
-        match stats {
-            None => println!("{span:>4} {:>10}", "(unreachable)"),
-            Some(s) => {
-                let (served_rate, _) = rates.observe(*span, s);
-                let heat = heat_bar(&s.heat);
-                // The server ships quantiles pre-computed (a histogram
-                // does not cross the wire); rebuild a one-line summary
-                // from them with the shared formatter by proxy.
-                let lat = format!(
-                    "p50 {:.1} µs, p99 {:.1} µs, p999 {:.1} µs",
-                    s.p50_ns as f64 / 1e3,
-                    s.p99_ns as f64 / 1e3,
-                    s.p999_ns as f64 / 1e3
-                );
-                let stages = if s.trace_records > 0 {
-                    format!(
-                        " | stages(avg over {} traces): wait {:.1} µs, serve {:.1} µs, \
-                         fill {:.1} µs",
-                        s.trace_records,
-                        s.stage_wait_ns as f64 / s.trace_records as f64 / 1e3,
-                        s.stage_service_ns as f64 / s.trace_records as f64 / 1e3,
-                        s.stage_fill_ns as f64 / s.trace_records as f64 / 1e3,
-                    )
-                } else {
-                    String::new()
-                };
-                let mut replicas = String::new();
-                for r in &s.replicas {
-                    replicas.push_str(&format!(
-                        " s{}r{}[depth {}, served {}]",
-                        r.shard, r.replica, r.depth, r.served
-                    ));
-                }
-                println!(
-                    "{span:>4} {:>10} {served_rate:>9.0} {:>10} {:>7} {:>9} {:>8}  \
-                     [{heat}] {lat}{stages} |{replicas}",
-                    s.served, s.admitted, s.shed, s.rerouted, s.live_keys
-                );
-            }
+    for (span, snap) in spans {
+        let Some(snap) = snap else {
+            println!("{span:>4} {:>10}", "(unreachable)");
+            continue;
+        };
+        let s = ServeStats::from(snap);
+        let (served_rate, _) = rates.observe(*span, &s);
+        let heat: Vec<u64> = snap.series("dini_serve_heat").map(|(_, v)| v).collect();
+        let traces = snap.sum("dini_serve_trace_records");
+        let stages = if traces > 0 {
+            let avg_us = |name| snap.sum(name) as f64 / traces as f64 / 1e3;
+            format!(
+                " | stages(avg over {traces} traces): wait {:.1} µs, serve {:.1} µs, fill {:.1} µs",
+                avg_us("dini_serve_stage_wait_ns"),
+                avg_us("dini_serve_stage_service_ns"),
+                avg_us("dini_serve_stage_fill_ns"),
+            )
+        } else {
+            String::new()
+        };
+        let mut replicas = String::new();
+        for (labels, depth) in snap.series("dini_serve_queue_depth") {
+            let served = ServeStats::within(snap, labels).served;
+            replicas.push_str(&format!(" {{{labels}}}[depth {depth}, served {served}]"));
         }
+        println!(
+            "{span:>4} {:>10} {served_rate:>9.0} {:>10} {:>7} {:>9} {:>8}  [{}] {}{stages} |{replicas}",
+            s.served,
+            s.admitted,
+            s.shed,
+            s.rerouted,
+            snap.sum("dini_serve_live_keys"),
+            heat_bar(&heat),
+            MetricsSnapshot::latency_line(&s.latency_ns),
+        );
     }
 }
 
 /// Poll every span once through the handle.
-fn poll_all(handle: &dini::net::NetHandle) -> Vec<(usize, Option<StatsMsg>)> {
+fn poll_all(handle: &dini::net::NetHandle) -> Vec<(usize, Option<MetricsSnapshot>)> {
     (0..handle.n_spans()).map(|s| (s, handle.span_stats(s).ok())).collect()
 }
 
@@ -202,10 +199,29 @@ fn smoke_run() {
         }
         let polled = poll_all(&handle);
         render(tick, &polled, &mut rates);
-        let s = polled[0].1.as_ref().expect("span 0 must answer its stats poll");
+        let snap = polled[0].1.as_ref().expect("span 0 must answer its stats poll");
+        let s = ServeStats::from(snap);
         assert!(s.served >= last_served + 500, "served must advance by at least the burst");
-        assert_eq!(s.live_keys, keys.len() as u64);
-        assert_eq!(s.replicas.len(), 4, "2 shards × 2 replicas");
+        assert_eq!(snap.sum("dini_serve_live_keys"), keys.len() as u64);
+        assert_eq!(snap.series("dini_serve_queue_depth").count(), 4, "2 shards × 2 replicas");
+        assert!(s.latency_ns.count() > 0, "the latency histogram crossed the wire");
+        // The writer's counters and the span's log position ride the
+        // same frame, by name.
+        for name in [
+            "dini_serve_updates_applied",
+            "dini_serve_update_nops",
+            "dini_serve_update_batches",
+            "dini_serve_snapshots",
+            "dini_serve_merges",
+            "dini_serve_live_keys",
+            "dini_serve_checkpoints",
+            "dini_serve_checkpoint_failures",
+            "dini_net_log_epoch",
+            "dini_net_log_seq",
+        ] {
+            let mut scalars = snap.counters.iter().chain(&snap.gauges);
+            assert!(scalars.any(|(n, ..)| n == name), "{name} missing from the stats frame");
+        }
         if tick >= 2 {
             // The first poll primed the meter; every later window closes
             // over a 500-lookup burst, so the live rate must be positive.
@@ -217,8 +233,9 @@ fn smoke_run() {
         // Key-range heat rode the same stats frame: the burst hits low
         // keys only, so the grid is nonzero and the hottest bucket
         // renders full-block.
-        assert!(s.heat.iter().sum::<u64>() > 0, "heat counters must tick under load");
-        assert!(heat_bar(&s.heat).contains('█'), "the hottest bucket must render");
+        let heat: Vec<u64> = snap.series("dini_serve_heat").map(|(_, v)| v).collect();
+        assert!(heat.iter().sum::<u64>() > 0, "heat counters must tick under load");
+        assert!(heat_bar(&heat).contains('█'), "the hottest bucket must render");
         last_served = s.served;
     }
     // The client kept its own wire clock: RTT histogram + sampled

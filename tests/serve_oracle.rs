@@ -10,7 +10,20 @@ use dini::serve::{IndexServer, LoadMode, Op, ServeConfig, ServeError, ServeFault
 use dini::workload::{ChurnGen, KeyDistribution, OpMix};
 use dini_serve::run_load;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Wait until every reader has counted itself into `started` (one
+/// completed lookup each), or until one has finished: a reader only
+/// stops early by panicking, and its `join` then reports the failure
+/// instead of this wait hanging.
+fn await_readers<T>(started: &AtomicUsize, readers: &[JoinHandle<T>]) {
+    while started.load(Ordering::SeqCst) < readers.len() && !readers.iter().any(|r| r.is_finished())
+    {
+        std::thread::yield_now();
+    }
+}
 
 fn oracle_rank(set: &BTreeSet<u32>, q: u32) -> u32 {
     set.range(..=q).count() as u32
@@ -129,20 +142,26 @@ fn lookups_during_churn_converge_to_oracle() {
     let server = IndexServer::build(&keys, serve_cfg(4));
     let handle = server.handle();
 
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = std::sync::Arc::new(AtomicBool::new(false));
+    // Readers that have completed a lookup: the churn waits for all
+    // four, so none can sleep through it.
+    let started = std::sync::Arc::new(AtomicUsize::new(0));
     let readers: Vec<_> = (0..4)
         .map(|r| {
             let h = server.handle();
-            let stop = stop.clone();
+            let (stop, started) = (stop.clone(), started.clone());
             std::thread::spawn(move || {
                 let mut served = 0u64;
                 let mut k = 0u32;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while !stop.load(Ordering::Relaxed) {
                     k = k.wrapping_add(0x9E37_79B9).wrapping_add(r);
                     let rank = h.lookup(k % 70_000).expect("serving");
                     // Rank is bounded by the key universe at all times —
                     // a torn snapshot would violate this wildly.
                     assert!(rank <= 80_000, "implausible rank {rank}");
+                    if served == 0 {
+                        started.fetch_add(1, Ordering::SeqCst);
+                    }
                     served += 1;
                 }
                 served
@@ -150,9 +169,10 @@ fn lookups_during_churn_converge_to_oracle() {
         })
         .collect();
 
+    await_readers(&started, &readers);
     replay_churn(&server, &mut set, 4242, 6000);
     server.quiesce();
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    stop.store(true, Ordering::Relaxed);
     let concurrent_lookups: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
     assert!(concurrent_lookups > 0, "readers must have made progress");
 
@@ -177,7 +197,6 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
     const PUBLISH_EVERY: usize = 4;
     const MERGE_THRESHOLD: usize = 48;
     const INSERTS: usize = 1200;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let keys = initial_keys(4000);
     let mut set: BTreeSet<u32> = keys.iter().copied().collect();
@@ -189,10 +208,13 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
 
     let sent = std::sync::Arc::new(AtomicUsize::new(0));
     let stop = std::sync::Arc::new(AtomicBool::new(false));
+    // Readers that have completed a lookup: the storm waits for all four,
+    // so none can sleep through it.
+    let started = std::sync::Arc::new(AtomicUsize::new(0));
     let readers: Vec<_> = (0..4)
         .map(|_| {
             let h = server.handle();
-            let (sent, stop) = (sent.clone(), stop.clone());
+            let (sent, stop, started) = (sent.clone(), stop.clone(), started.clone());
             let n0 = keys.len();
             std::thread::spawn(move || {
                 // (ranked by this thread on an idle replica, queued for
@@ -211,6 +233,9 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
                         "rank {rank} outside [{lo}, {}]: a mixed (main, overlay) pair",
                         n0 + after
                     );
+                    if served == (0, 0) {
+                        started.fetch_add(1, Ordering::SeqCst);
+                    }
                     if claimed {
                         served.0 += 1;
                     } else {
@@ -224,6 +249,7 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
 
     // Keys that are never in the initial set (those are ≡ 3 mod 16).
     let fresh: Vec<u32> = (0..INSERTS as u32).map(|i| i * 48 + 5).collect();
+    await_readers(&started, &readers);
     for chunk in fresh.chunks(CHUNK) {
         for &k in chunk {
             sent.fetch_add(1, Ordering::SeqCst);
@@ -273,24 +299,30 @@ fn shard_boundary_churn_with_concurrent_readers_matches_oracle() {
     let server = IndexServer::build(&keys, serve_cfg(4));
     let handle = server.handle();
 
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = std::sync::Arc::new(AtomicBool::new(false));
+    // Readers that have completed a lookup: the churn waits for both.
+    let started = std::sync::Arc::new(AtomicUsize::new(0));
     let readers: Vec<_> = (0..2)
         .map(|r| {
             let h = server.handle();
-            let stop = stop.clone();
+            let (stop, started) = (stop.clone(), started.clone());
             std::thread::spawn(move || {
                 let mut served = 0u64;
                 let mut k = 0u32;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while !stop.load(Ordering::Relaxed) {
                     k = k.wrapping_add(0x9E37_79B9).wrapping_add(r);
                     let rank = h.lookup(k % 60_000).expect("serving");
                     assert!(rank <= 4100, "implausible rank {rank}");
+                    if served == 0 {
+                        started.fetch_add(1, Ordering::SeqCst);
+                    }
                     served += 1;
                 }
                 served
             })
         })
         .collect();
+    await_readers(&started, &readers);
 
     // Below the global minimum: new leftmost keys shift every rank.
     for k in 0..200u32 {
@@ -318,7 +350,7 @@ fn shard_boundary_churn_with_concurrent_readers_matches_oracle() {
     }
     server.quiesce();
 
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    stop.store(true, Ordering::Relaxed);
     let concurrent: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
     assert!(concurrent > 0, "readers must have made progress");
 
