@@ -17,7 +17,8 @@
 //!   choice loom makes by default); the repo's CAS loops retry on any
 //!   failure, so spurious failures add no new behaviors.
 //! * The model `Arc` detects use-after-free and double-free at strong
-//!   count operations (`clone` / `drop` / `increment_strong_count`),
+//!   count operations (`clone` / `drop` / `increment_strong_count` /
+//!   `get_mut`),
 //!   which is where the `EpochCell` reclamation protocol can go wrong;
 //!   it does not model `Weak` (the repo uses `downgrade` only in
 //!   `#[cfg(test)]` code, which is never compiled under the checker).
@@ -489,6 +490,31 @@ mod imp {
         /// Whether two handles point at the same allocation.
         pub fn ptr_eq(a: &Self, b: &Self) -> bool {
             a.ptr == b.ptr
+        }
+
+        /// A mutable borrow of the payload if `this` is the only handle
+        /// (mirrors `std::sync::Arc::get_mut`). The count read is a
+        /// scheduler step, so a racing clone or drop is explored on
+        /// both sides of it.
+        pub fn get_mut(this: &mut Self) -> Option<&mut T> {
+            let r = this.inner();
+            let mut unique = false;
+            let in_model =
+                sched::arc_action(this.ptr.as_ptr() as usize, dealloc_inner::<T>, || {
+                    if r.freed.load(Ordering::Relaxed) {
+                        sched::ArcOutcome::Uaf("get_mut")
+                    } else {
+                        unique = r.strong.load(Ordering::Acquire) == 1;
+                        sched::ArcOutcome::Ok
+                    }
+                });
+            if in_model.is_none() {
+                unique = r.strong.load(Ordering::Acquire) == 1;
+            }
+            // SAFETY: a strong count of 1 read through `&mut this` means
+            // no other handle exists and none can be made while the
+            // borrow lives, so the payload is exclusively ours.
+            unique.then(|| unsafe { &mut *(*this.ptr.as_ptr()).data })
         }
 
         /// Current strong count (inherently racy, as in std).

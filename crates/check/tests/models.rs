@@ -12,6 +12,9 @@
 //!   holds off the `publish` that supersedes its epoch until it ends.
 //! * `SlotPool` / `ReplyCell`: a reply is never lost and never
 //!   duplicated, across fills, parks, and generation recycling.
+//! * `FrameCell`: one fill wakes every waiter of a frame, however it
+//!   races their parking, and a retired cell is recycled only once no
+//!   pending lookup holds it.
 //! * `TraceRing`: a concurrent snapshot never returns a torn record.
 //! * `AdmissionQueue`: the admitted/shed/depth gauges stay coherent
 //!   with what actually entered the queue; the depth gauge holds a
@@ -33,7 +36,7 @@ use dini_check::sync::{Arc, AtomicU64, Ordering};
 use dini_obs::{MetricsRegistry, TraceRing};
 use dini_serve::admission::AdmissionQueue;
 use dini_serve::batcher::Request;
-use dini_serve::oneshot::reply_pair;
+use dini_serve::oneshot::{reply_pair, FrameCell};
 use dini_serve::{
     Clock, EpochCell, ReplicaMetrics, ServeStats, ShardSnapshot, SlotPool, StageRecord, TraceConfig,
 };
@@ -218,6 +221,58 @@ fn slot_pool_stale_generation_cannot_corrupt_new_tenant() {
         staler.join();
     });
     assert!(report.executions >= 2, "stale-fill race under-explored: {report:?}");
+}
+
+/// A frame's one fill races two waiters parking on it (the test thread
+/// and one more): neither may sleep through the fill — a lost wake is a
+/// model deadlock — and both read the one reply. Covers the
+/// SeqCst publish/register handshake the cell shares with `ReplyCell`,
+/// and the condvar park/notify.
+#[test]
+fn frame_cell_fill_wakes_every_parked_waiter() {
+    let report = model("frame-cell/fill-vs-waiters", || {
+        let cell = Arc::new(FrameCell::new(Clock::system()));
+        let waiter = {
+            let cell = cell.clone();
+            thread::spawn(move || *cell.wait())
+        };
+        let filler = {
+            let cell = cell.clone();
+            thread::spawn(move || cell.fill(7u32))
+        };
+        assert_eq!(*cell.wait(), 7, "reply lost or corrupted");
+        assert_eq!(waiter.join(), 7, "second waiter lost the reply");
+        filler.join();
+    });
+    assert!(report.executions >= 10, "fill/park race under-explored: {report:?}");
+}
+
+/// Recycling: the frame's owner fills the cell and then tries to
+/// recycle it for its next frame while a pending lookup still holds it
+/// and reads its reply twice. `recycle` must refuse until that lookup has
+/// dropped its handle — were the cell reset (or refilled) under it, its
+/// second read would see a pending cell or the next frame's reply.
+#[test]
+fn frame_cell_is_not_recycled_under_a_pending_lookup() {
+    let report = model("frame-cell/recycle-vs-pending", || {
+        let mut cell = Arc::new(FrameCell::new(Clock::system()));
+        let pending = cell.clone();
+        let lookup = thread::spawn(move || {
+            let first = *pending.wait();
+            dini_check::sync::yield_now();
+            assert_eq!(pending.poll(), Some(&first), "cell recycled under a pending lookup");
+            first
+        });
+        cell.fill(5u32);
+        while !FrameCell::recycle(&mut cell) {
+            dini_check::sync::yield_now();
+        }
+        assert_eq!(cell.poll(), None, "a recycled cell is pending again");
+        cell.fill(9);
+        assert_eq!(lookup.join(), 5);
+        assert_eq!(*cell.wait(), 9);
+    });
+    assert!(report.executions >= 2, "recycle/pending race under-explored: {report:?}");
 }
 
 /// The seqlock ring: a reader snapshots while the single writer wraps

@@ -8,17 +8,21 @@
 //! * **Routing** — keys route to spans through the same delimiter
 //!   binary search (`dini-serve`'s [`ShardRouter`], one level up), and
 //!   to one of the span's replica endpoints by power-of-two choices
-//!   over live per-endpoint queue depth
-//!   ([`ReplicaSelector`]) — the identical
+//!   over each endpoint's depth gauge (keys admitted, not yet answered;
+//!   [`ReplicaSelector`] over a [`ReplicaGauge`]) — the identical
 //!   machinery `router.rs` runs over replica dispatchers.
-//! * **Coalescing** — submissions land in a per-endpoint
-//!   [`AdmissionQueue`] and a worker thread coalesces them with the
-//!   *same* [`collect_batch_into`] the server's dispatchers use, so one
-//!   `Lookup` frame amortises the per-frame overhead across a batch:
-//!   the paper's Figure 3 economics, applied to the wire. By default
-//!   this is group commit — a frame is the first key plus whatever
-//!   queued while the previous frame was being written — so no lookup
-//!   waits on a timer.
+//! * **Coalescing** — a lookup appends its key to its endpoint's
+//!   *outbox*: the open frame, under one short lock, with the frames
+//!   already sealed full queued behind it. Everything but the key slot
+//!   is paid once per frame: the endpoint's worker is rung only when
+//!   the outbox goes from empty to non-empty, and it ships whole frames,
+//!   so one `Lookup` frame amortises the per-frame overhead across a
+//!   batch — the paper's Figure 3 economics, applied to the wire. By
+//!   default this is group commit — a frame is the first key plus
+//!   whatever queued while the previous frame was being written — so no
+//!   lookup waits on a timer; with `max_delay` set the worker holds a
+//!   partial frame open until `max_delay` after its first key, or until
+//!   it is full, exactly as the server's [`collect_batch_into`] does.
 //! * **One socket, many writers** — an endpoint's sending half sits
 //!   behind a mutex in the client core, and whichever thread has a
 //!   frame for it writes it: the worker its `Lookup` batches, the span
@@ -26,19 +30,26 @@
 //!   `EpochPing` / `StatsRequest`. Frames leave in lock order, so a
 //!   control frame stays FIFO with the updates written before it, and
 //!   nothing but lookups ever waits for the worker.
-//! * **Replies** — pooled generation-tagged reply slots (the server's
-//!   own [`SlotPool`]) match replies to waiters; a duplicated reply
-//!   frame finds its request already resolved and is dropped, so
-//!   retry + duplication can never double-answer a lookup.
+//! * **Replies** — one reply cell per frame ([`FrameCell`], beside the
+//!   server's pooled slots in `dini-serve::oneshot`): a pending lookup
+//!   holds the cell and its key's index in the frame, and the endpoint
+//!   reader fills the cell once with the decoded `Reply` and the span's
+//!   base rank, waking any parked waiter once per frame. A duplicated
+//!   reply frame finds its request no longer in flight and is dropped,
+//!   so retry + duplication can never double-answer a lookup. Retired
+//!   frames hand their key buffer and cell back to the outbox, and a
+//!   cell is reused only once no pending lookup holds it, so a warmed
+//!   caller allocates nothing.
 //! * **Retry** — a batch unanswered after `retry_timeout` is resent
 //!   under the same request id (lookups are idempotent reads); after
 //!   `max_retries` the endpoint is declared dead.
 //! * **Failover** — a dead endpoint (connection loss, server shutdown
 //!   notice, retry exhaustion) marks itself dead *before* re-homing its
-//!   in-flight and queued lookups onto surviving replica endpoints of
-//!   the same span — the protocol `dini-serve`'s crashed replicas run,
-//!   lifted to connections. Only when a span's last endpoint is gone do
-//!   callers see [`ShuttingDown`](ServeError::ShuttingDown).
+//!   in-flight and queued frames, whole, onto the least-loaded surviving
+//!   replica endpoint of the same span — the protocol `dini-serve`'s
+//!   crashed replicas run, lifted to connections. Only when a span's
+//!   last endpoint is gone do callers see
+//!   [`ShuttingDown`](ServeError::ShuttingDown).
 //! * **Rank composition** — a span's server answers ranks within its
 //!   own slice; the client adds the live-key counts of lower spans
 //!   (refreshed by epoch pings and quiesce acks), composing global
@@ -58,22 +69,22 @@ use crate::wire::{Frame, LookupStatus, StatusCode, WireOp, WIRE_VERSION};
 use dini_cluster::LogHistogram;
 use dini_flight::{EventKind, FlightJournal};
 use dini_obs::{AtomicLogHistogram, MetricsSnapshot, StageRecord, TraceConfig, TraceRing};
-use dini_serve::admission::AdmissionQueue;
-use dini_serve::batcher::{collect_batch_into, Request};
+use dini_serve::admission::ReplicaGauge;
+use dini_serve::batcher::collect_batch_into;
 use dini_serve::clock::dur_ns;
-use dini_serve::oneshot::{reply_pair, ReplyHandle, ReplySlot, SlotPool};
+use dini_serve::oneshot::{reply_pair, FrameCell, ReplyHandle, ReplySlot, SlotPool};
 use dini_serve::{Clock, ClockJoinHandle, Nanos, ReplicaSelector, ServeError, ShardRouter};
 use dini_workload::Op;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// An endpoint worker's idle housekeeping tick: lookup retry deadlines,
 /// the endpoint's liveness flag, the shutdown flag. No request waits it
-/// out — a submit wakes the worker through its queue, and update and
-/// control frames never pass through the worker.
+/// out — a lookup that finds its outbox empty rings the worker's bell,
+/// and update and control frames never pass through the worker.
 const WORKER_POLL: Duration = Duration::from_millis(1);
 /// How often an endpoint reader wakes to notice shutdown/death.
 const READER_POLL: Duration = Duration::from_millis(10);
@@ -82,20 +93,34 @@ const READER_POLL: Duration = Duration::from_millis(10);
 /// flag. No update or ack waits it out — an append wakes the appender
 /// through its queue, and an ack is folded by the reader that got it.
 const APPENDER_POLL: Duration = Duration::from_millis(1);
+/// Retired key buffers, and retired reply cells, an outbox keeps for
+/// reuse (each). Past this, a retired one is freed.
+const FREE_FRAMES: usize = 64;
+/// Retired cells an outbox checks, oldest first, before it allocates a
+/// new one for a new frame: a cell some caller still holds a pending
+/// lookup of rotates to the back instead of blocking the ones behind it.
+const RECYCLE_TRIES: usize = 4;
 
 /// Client-side knobs.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Max keys coalesced into one `Lookup` frame.
+    /// Max keys in one `Lookup` frame: the open frame in an endpoint's
+    /// outbox is sealed the moment it holds this many, and the next key
+    /// opens a new one. Also caps a churn-log batch.
     pub max_batch: usize,
     /// How long a partial `Lookup` frame (or churn-log batch) is held
-    /// open for co-travellers after its first item arrives. Zero (the
-    /// default) is group commit: a frame carries that item plus whatever
-    /// queued while the previous frame was being written, and leaves at
-    /// once. See [`ServeConfig::max_delay`](dini_serve::ServeConfig).
+    /// open for co-travellers after its first item arrives: the worker
+    /// ships it at first key + `max_delay`, or as soon as it is full.
+    /// Zero (the default) is group commit: a frame carries that key plus
+    /// whatever was appended while the previous frame was being written,
+    /// and leaves at once. See
+    /// [`ServeConfig::max_delay`](dini_serve::ServeConfig).
     pub max_delay: Duration,
-    /// Per-endpoint submit queue bound; `try_lookup` sheds client-side
-    /// when the chosen endpoint's queue is full.
+    /// Per-endpoint bound on keys waiting for the worker (in the open
+    /// frame and the sealed frames behind it; frames on the wire do not
+    /// count). On a full outbox `begin_lookup` / `try_lookup` shed
+    /// client-side with `Overloaded`, and `lookup` / `lookup_many` block
+    /// (in [`clock`](Self::clock) time) until the worker takes frames.
     pub queue_capacity: usize,
     /// Resend an unanswered lookup batch after this long.
     pub retry_timeout: Duration,
@@ -173,10 +198,288 @@ enum UpdMsg {
     Flush(SyncSender<Result<(), ServeError>>),
 }
 
-/// One lookup batch on the wire, awaiting its reply.
-struct BatchInFlight {
+/// What an endpoint reader publishes for every key of one frame: the
+/// server's per-key results and the span's base rank at reply time. A
+/// key past the end of `results` is answered `ShuttingDown` — the whole
+/// frame when it was dropped unanswered (empty `results`), the missing
+/// tail of a short (corrupt) `Reply`.
+#[derive(Debug, Default)]
+struct FrameReply {
+    base: u32,
+    results: Vec<LookupStatus>,
+}
+
+impl FrameReply {
+    fn answer(&self, idx: usize) -> Result<u32, ServeError> {
+        match self.results.get(idx) {
+            Some(LookupStatus::Rank(r)) => Ok(self.base + r),
+            Some(&LookupStatus::Shed(shard)) => {
+                Err(ServeError::Overloaded { shard: shard as usize })
+            }
+            Some(LookupStatus::Shutdown) | None => Err(ServeError::ShuttingDown),
+        }
+    }
+}
+
+type FrameReplyCell = FrameCell<FrameReply>;
+
+/// One `Lookup` frame on the client side: its keys and the one cell that
+/// answers them all. Dropped unanswered — a client shutting down, a
+/// failover with no survivor — it answers every key `ShuttingDown`, so a
+/// waiter is never stranded.
+struct OutFrame {
     keys: Vec<u32>,
-    handles: Vec<ReplyHandle>,
+    cell: Arc<FrameReplyCell>,
+    /// When its first key was appended (read only with a `max_delay`).
+    opened: Nanos,
+}
+
+impl Drop for OutFrame {
+    fn drop(&mut self) {
+        self.cell.fill(FrameReply::default());
+    }
+}
+
+/// One endpoint's lookups on their way to its worker: the open frame
+/// callers append keys to, the full frames sealed behind it, and the key
+/// buffers and cells of retired frames, for new frames to reuse.
+struct Outbox {
+    state: Mutex<OutboxState>,
+    /// Where a natively clocked caller blocks on a full outbox (a sim
+    /// caller parks in the scheduler instead).
+    room: Condvar,
+    /// The worker's bell: one token, rung when the outbox goes from
+    /// empty to non-empty, and when a frame is sealed while a
+    /// `max_delay` may be holding the worker asleep.
+    bell: SyncSender<()>,
+    /// The span this endpoint serves (what a shed names).
+    span: usize,
+    capacity: usize,
+    max_batch: usize,
+    /// `max_delay` in nanoseconds; `None` at zero (group commit).
+    delay: Option<Nanos>,
+    clock: Clock,
+}
+
+#[derive(Default)]
+struct OutboxState {
+    open: Option<OutFrame>,
+    /// Full frames (and frames re-homed from a dead sibling), oldest
+    /// first; all ship before `open`.
+    sealed: VecDeque<OutFrame>,
+    /// Keys in `open` and `sealed`: what `queue_capacity` bounds.
+    queued: usize,
+    /// The worker has exited: nothing more is admitted.
+    closed: bool,
+    /// Callers blocked in `room`.
+    parked: usize,
+    admitted: u64,
+    shed: u64,
+    free_keys: Vec<Vec<u32>>,
+    /// Oldest first: the likeliest to be held by nobody.
+    free_cells: VecDeque<Arc<FrameReplyCell>>,
+}
+
+impl Outbox {
+    fn new(span: usize, bell: SyncSender<()>, cfg: &ClientConfig) -> Self {
+        let max_batch = cfg.max_batch.max(1);
+        // Two spare frames from the start: a caller opening its next frame
+        // finds the one before last retired even while the reader is still
+        // retiring the last, so a lone warmed caller never allocates.
+        let state = OutboxState {
+            free_keys: (0..2).map(|_| Vec::with_capacity(max_batch)).collect(),
+            free_cells: (0..2).map(|_| Arc::new(FrameCell::new(cfg.clock.clone()))).collect(),
+            ..OutboxState::default()
+        };
+        Self {
+            state: Mutex::new(state),
+            room: Condvar::new(),
+            bell,
+            span,
+            capacity: cfg.queue_capacity.max(1),
+            max_batch,
+            delay: (!cfg.max_delay.is_zero()).then(|| dur_ns(cfg.max_delay)),
+            clock: cfg.clock.clone(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OutboxState> {
+        self.state.lock().expect("outbox lock")
+    }
+
+    fn ring(&self) {
+        // Full means a token is already waiting for the worker.
+        let _ = self.bell.try_send(());
+    }
+
+    /// Append `key` to the open frame, opening one if there is none. A
+    /// full outbox sheds (`Overloaded`) or, `blocking`, waits for the
+    /// worker to take frames.
+    fn push(
+        &self,
+        key: u32,
+        blocking: bool,
+        gauge: &ReplicaGauge,
+    ) -> Result<PendingNetLookup, ServeError> {
+        // Read before the lock: under a sim clock a time read takes the
+        // scheduler's lock, which a parked caller's room check nests the
+        // other way round.
+        let now = self.delay.map_or(0, |_| self.clock.now());
+        let (pending, ring) = {
+            let mut guard = self.lock();
+            while guard.queued >= self.capacity && !guard.closed {
+                if !blocking {
+                    guard.shed += 1;
+                    return Err(ServeError::Overloaded { shard: self.span });
+                }
+                guard = self.wait_for_room(guard);
+            }
+            if guard.closed {
+                return Err(ServeError::ShuttingDown);
+            }
+            let st = &mut *guard;
+            let was_empty = st.queued == 0;
+            if st.open.is_none() {
+                st.open = Some(st.fresh_frame(&self.clock, now, self.max_batch));
+            }
+            let frame = st.open.as_mut().expect("opened above");
+            let idx = frame.keys.len();
+            frame.keys.push(key);
+            let cell = frame.cell.clone();
+            let sealed = frame.keys.len() >= self.max_batch;
+            if sealed {
+                st.sealed.extend(st.open.take());
+            }
+            st.queued += 1;
+            st.admitted += 1;
+            // Counted before the worker can take the key, so the reader's
+            // `complete` can never run ahead of it.
+            gauge.add(1);
+            (PendingNetLookup { cell, idx }, was_empty || (sealed && self.delay.is_some()))
+        };
+        if ring {
+            self.ring();
+        }
+        Ok(pending)
+    }
+
+    /// Block (in clock time) until the worker has taken frames or the
+    /// outbox closed.
+    fn wait_for_room<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, OutboxState>,
+    ) -> MutexGuard<'a, OutboxState> {
+        if let Some(sim) = self.clock.as_sim() {
+            drop(st);
+            sim.wait_until(|| {
+                let st = self.lock();
+                (st.queued < self.capacity || st.closed).then_some(())
+            });
+            return self.lock();
+        }
+        st.parked += 1;
+        st = self.room.wait(st).expect("outbox lock");
+        st.parked -= 1;
+        st
+    }
+
+    /// Move what is ready to ship into `out`: every sealed frame, then
+    /// the open one — at once at zero `max_delay` or when not `hold`ing,
+    /// else once `max_delay` has passed since its first key. Returns the
+    /// deadline of an open frame left held.
+    fn take(&self, out: &mut VecDeque<OutFrame>, hold: bool) -> Option<Nanos> {
+        let now = self.delay.filter(|_| hold).map(|_| self.clock.now());
+        let mut st = self.lock();
+        let mut held = None;
+        let mut taken = 0;
+        for frame in st.sealed.drain(..) {
+            taken += frame.keys.len();
+            out.push_back(frame);
+        }
+        if let Some(frame) = st.open.take() {
+            match (self.delay, now) {
+                (Some(delay), Some(now)) if now < frame.opened + delay => {
+                    held = Some(frame.opened + delay);
+                    st.open = Some(frame);
+                }
+                _ => {
+                    taken += frame.keys.len();
+                    out.push_back(frame);
+                }
+            }
+        }
+        st.queued -= taken;
+        if st.parked > 0 && taken > 0 {
+            self.room.notify_all();
+        }
+        held
+    }
+
+    /// Queue a frame re-homed from a dead sibling: `false` (the frame
+    /// dropped, answering `ShuttingDown`) once this outbox has closed.
+    fn resubmit(&self, frame: OutFrame, gauge: &ReplicaGauge) -> bool {
+        let mut st = self.lock();
+        if st.closed {
+            return false;
+        }
+        gauge.add(frame.keys.len());
+        st.queued += frame.keys.len();
+        st.sealed.push_back(frame);
+        drop(st);
+        self.ring();
+        true
+    }
+
+    /// Hand an answered frame's key buffer and cell back for reuse.
+    fn retire(&self, mut frame: OutFrame) {
+        let mut keys = std::mem::take(&mut frame.keys);
+        keys.clear();
+        let cell = frame.cell.clone();
+        drop(frame);
+        let mut st = self.lock();
+        if st.free_keys.len() < FREE_FRAMES {
+            st.free_keys.push(keys);
+        }
+        if st.free_cells.len() < FREE_FRAMES {
+            st.free_cells.push_back(cell);
+        }
+    }
+
+    /// The worker has exited: refuse new keys, answer every queued one
+    /// `ShuttingDown`, release blocked callers.
+    fn close(&self) {
+        let mut st = self.lock();
+        st.closed = true;
+        let open = st.open.take();
+        let sealed = std::mem::take(&mut st.sealed);
+        st.queued = 0;
+        self.room.notify_all();
+        drop(st);
+        drop((open, sealed));
+    }
+}
+
+impl OutboxState {
+    /// A new open frame, from retired parts where there are any.
+    fn fresh_frame(&mut self, clock: &Clock, opened: Nanos, max_batch: usize) -> OutFrame {
+        let keys = self.free_keys.pop().unwrap_or_else(|| Vec::with_capacity(max_batch));
+        let recycled = (0..self.free_cells.len().min(RECYCLE_TRIES)).find_map(|_| {
+            let mut cell = self.free_cells.pop_front()?;
+            if FrameCell::recycle(&mut cell) {
+                Some(cell)
+            } else {
+                self.free_cells.push_back(cell);
+                None
+            }
+        });
+        let cell = recycled.unwrap_or_else(|| Arc::new(FrameCell::new(clock.clone())));
+        OutFrame { keys, cell, opened }
+    }
+}
+
+/// One lookup frame on the wire, awaiting its reply.
+struct BatchInFlight {
+    frame: OutFrame,
     sent_at: Nanos,
     attempts: u32,
     /// The causal trace id stamped on the frame (0 = unsampled).
@@ -187,12 +490,12 @@ struct BatchInFlight {
 
 type InFlight = Arc<Mutex<BTreeMap<u64, BatchInFlight>>>;
 
-/// Connect-time plumbing for one endpoint worker: the submit receive
-/// half, the dialed connection's receiving half (`None` when the
-/// endpoint was unreachable — the worker starts in its dead-wait loop;
-/// the sending half is already installed in the core), and the revive
-/// route [`NetHandle::rejoin`] hands fresh connections through.
-type EndpointPipes = (Receiver<Request>, Option<Box<dyn FrameRx>>, Receiver<Duplex>);
+/// Connect-time plumbing for one endpoint worker: its outbox bell, the
+/// dialed connection's receiving half (`None` when the endpoint was
+/// unreachable — the worker starts in its dead-wait loop; the sending
+/// half is already installed in the core), and the revive route
+/// [`NetHandle::rejoin`] hands fresh connections through.
+type EndpointPipes = (Receiver<()>, Option<Box<dyn FrameRx>>, Receiver<Duplex>);
 
 /// Client-side accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -201,9 +504,10 @@ pub struct NetClientStats {
     pub retries: u64,
     /// Lookups re-homed from a dead endpoint to a surviving replica.
     pub rerouted: u64,
-    /// Lookups shed client-side (full endpoint queue on `try_lookup`).
+    /// Lookups shed client-side (full endpoint outbox on `try_lookup` or
+    /// `begin_lookup`).
     pub client_shed: u64,
-    /// Lookups admitted into some endpoint queue.
+    /// Lookups admitted into some endpoint outbox.
     pub admitted: u64,
     /// Churn-log suffixes resent to a lagging replica (repair traffic).
     pub update_resends: u64,
@@ -218,8 +522,11 @@ struct ClientCore {
     clock: Clock,
     span_router: ShardRouter,
     selectors: Vec<ReplicaSelector>,
-    /// Flat, span-major: `queues[span_eps[span][i]]`.
-    queues: Vec<AdmissionQueue>,
+    /// Flat, span-major: `gauges[span_eps[span][i]]` — each endpoint's
+    /// depth (keys admitted, not yet answered) and liveness.
+    gauges: Vec<ReplicaGauge>,
+    /// Each endpoint's outbox, same order.
+    outboxes: Vec<Outbox>,
     /// Each endpoint's sending half, `None` between connection
     /// generations. Any thread with a frame for the endpoint writes it
     /// under the lock ([`send_frame`](Self::send_frame)); the endpoint's
@@ -230,7 +537,6 @@ struct ClientCore {
     /// Position of each flat endpoint within its span's endpoint list
     /// (the per-span coordinate the appender's ack bookkeeping runs on).
     ep_pos: Vec<usize>,
-    pools: Vec<SlotPool>,
     /// Per-span append queues into the churn-log appender threads.
     upd_txs: Vec<SyncSender<UpdMsg>>,
     /// Per-span reply-slot pools for pending updates.
@@ -241,7 +547,7 @@ struct ClientCore {
     /// The dialer endpoints were connected through, kept for
     /// [`NetHandle::rejoin`]'s re-dial.
     dialer: Box<dyn Dialer>,
-    /// Flat endpoint addresses, same order as `queues` —
+    /// Flat endpoint addresses, same order as `gauges` —
     /// [`NetHandle::rejoin`] resolves an address to its endpoint slot.
     ep_addrs: Vec<String>,
     /// Per-endpoint revive routes into the worker's dead-wait loop.
@@ -308,7 +614,7 @@ impl ClientCore {
     fn send_frame(&self, ep: usize, frame: &Frame) -> Result<(), ()> {
         let mut conn = self.conns[ep].lock().expect("conn lock");
         let tx = conn.as_mut().ok_or(())?;
-        tx.send(frame).map_err(|_| self.queues[ep].mark_dead())
+        tx.send(frame).map_err(|_| self.gauges[ep].mark_dead())
     }
 
     /// Send `make(req)` to endpoint `ep` and wait for its ack, retrying
@@ -324,7 +630,7 @@ impl ClientCore {
         self.ctrl.lock().expect("ctrl lock").insert(req, tx);
         let frame = make(req);
         for _ in 0..=self.cfg.max_retries {
-            if !self.queues[ep].is_alive() || self.send_frame(ep, &frame).is_err() {
+            if !self.gauges[ep].is_alive() || self.send_frame(ep, &frame).is_err() {
                 break;
             }
             match self.clock.recv_timeout(&rx, self.cfg.ctrl_timeout) {
@@ -337,72 +643,31 @@ impl ClientCore {
         Err(ServeError::ShuttingDown)
     }
 
-    /// Re-home one lookup from dead endpoint `me` to a surviving
-    /// replica endpoint of `span` — the same two-pass protocol
-    /// `dini-serve`'s crashed replicas run: every survivor non-blocking
-    /// in deterministic rotation order, then blocking on the
-    /// least-loaded. `false` (after dropping the request, which fills
-    /// its waiter with `ShuttingDown`) only when no survivor remains.
-    fn reroute(&self, span: usize, me: usize, mut req: Request) -> bool {
-        let eps = &self.span_eps[span];
-        let n = eps.len();
-        // `me` is always one of `span`'s endpoints — the span lists are
-        // fixed at connect time and `ep_span` is their inverse. Fallback
-        // 0 (debug-checked) keeps release builds rotating from a valid
-        // position rather than indexing out of bounds; it skews the
-        // rotation start and exempts endpoint 0 from the blocking pass,
-        // but every survivor is still tried.
-        let me_pos = match eps.iter().position(|&e| e == me) {
-            Some(p) => p,
-            None => {
-                debug_assert!(false, "endpoint {me} not in span {span}'s endpoint list");
-                0
-            }
-        };
-        for off in 1..n {
-            let q = &self.queues[eps[(me_pos + off) % n]];
-            if !q.is_alive() {
-                continue;
-            }
-            match q.resubmit(req, false) {
-                Ok(()) => return true,
-                Err(bounced) => req = bounced,
-            }
-        }
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (pos, &e) in eps.iter().enumerate() {
-                if pos == me_pos || !self.queues[e].is_alive() {
-                    continue;
-                }
-                let d = self.queues[e].depth();
-                if best.is_none_or(|(bd, bp)| d < bd || (d == bd && pos < bp)) {
-                    best = Some((d, pos));
-                }
-            }
-            let Some((_, pos)) = best else {
-                drop(req); // drop-fill: the waiter resolves ShuttingDown
-                return false;
-            };
-            match self.queues[eps[pos]].resubmit(req, true) {
-                Ok(()) => return true,
-                Err(bounced) => req = bounced,
+    /// Re-home a frame from dead endpoint `me`, whole, onto the
+    /// least-loaded live sibling endpoint of its span (the lowest
+    /// position on a tie) — its waiters keep waiting on its cell. A frame
+    /// no sibling can take (none alive, or the client shutting down)
+    /// drops here, which answers it `ShuttingDown`.
+    fn reroute(&self, me: usize, frame: OutFrame) {
+        let n = frame.keys.len();
+        self.gauges[me].complete(n);
+        let target = self.span_eps[self.ep_span[me]]
+            .iter()
+            .copied()
+            .filter(|&e| e != me && self.gauges[e].is_alive())
+            .min_by_key(|&e| self.gauges[e].depth());
+        if let Some(e) = target {
+            if self.outboxes[e].resubmit(frame, &self.gauges[e]) {
+                self.rerouted.fetch_add(n as u64, Ordering::Relaxed);
             }
         }
     }
 
-    /// Drain `ep`'s in-flight wire batches and re-home every lookup.
+    /// Drain `ep`'s in-flight wire frames and re-home every one.
     fn drain_in_flight(&self, ep: usize, in_flight: &InFlight) {
-        let span = self.ep_span[ep];
         let drained = std::mem::take(&mut *in_flight.lock().expect("in-flight lock"));
         for (_, b) in drained {
-            for (key, handle) in b.keys.into_iter().zip(b.handles) {
-                self.queues[ep].complete(1);
-                // `enqueued`: unread on the client, as in `NetHandle::enqueue`.
-                if self.reroute(span, ep, Request { key, enqueued: 0, trace: 0, reply: handle }) {
-                    self.rerouted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            self.reroute(ep, b.frame);
         }
     }
 }
@@ -422,28 +687,40 @@ enum ConnExit {
 
 /// The per-endpoint lifecycle thread. Owns the endpoint across
 /// connection *generations*: serve the current connection's lookups
-/// (coalesce → frame → send, retries — the sending half lives in the
-/// core, where the appender and control callers write to it too),
-/// spawning one reader per generation for the receive half; on endpoint
-/// death, mark dead, re-home the backlog, **join the dead generation's
-/// reader**, and sit in a dead-wait loop that keeps draining (and
-/// re-homing) racing submits until [`NetHandle::rejoin`] hands in a
-/// fresh connection — whose handshake rewinds the span appender's
-/// cursor to the server's recovered snapshot watermark before the
-/// endpoint flips alive again.
+/// (outbox frames → send, retries — the sending half lives in the core,
+/// where the appender and control callers write to it too), spawning one
+/// reader per generation for the receive half; on endpoint death, mark
+/// dead, re-home the backlog, **join the dead generation's reader**, and
+/// sit in a dead-wait loop that keeps re-homing racing appends until
+/// [`NetHandle::rejoin`] hands in a fresh connection — whose handshake
+/// rewinds the span appender's cursor to the server's recovered snapshot
+/// watermark before the endpoint flips alive again. On exit the outbox
+/// closes: what is still queued answers `ShuttingDown`.
 ///
 /// The reader join *before* accepting a revive is load-bearing: a
 /// previous generation's reader left polling a closed connection would
-/// observe its `Err`, and mark the *revived* queue dead.
+/// observe its `Err`, and mark the *revived* endpoint dead.
 fn run_worker(
     core: Arc<ClientCore>,
     ep: usize,
-    req_rx: Receiver<Request>,
-    mut conn: Option<Box<dyn FrameRx>>,
+    bell: Receiver<()>,
+    conn: Option<Box<dyn FrameRx>>,
     revive_rx: Receiver<Duplex>,
 ) {
+    serve_endpoint(&core, ep, &bell, conn, &revive_rx);
+    core.outboxes[ep].close();
+}
+
+fn serve_endpoint(
+    core: &Arc<ClientCore>,
+    ep: usize,
+    bell: &Receiver<()>,
+    mut conn: Option<Box<dyn FrameRx>>,
+    revive_rx: &Receiver<Duplex>,
+) {
     let clock = core.clock.clone();
-    let mut batch: Vec<Request> = Vec::new();
+    let mut frames: VecDeque<OutFrame> = VecDeque::new();
+    let mut wire: Vec<u32> = Vec::new();
     let mut generation = 0u64;
     loop {
         if let Some(frx) = conn.take() {
@@ -457,17 +734,17 @@ fn run_worker(
                 })
             };
             // Flip alive only now: the reader that will drain replies
-            // and the worker that will drain submits are both wired up,
-            // and the sending half was installed before `conn` was
-            // handed here. (No-op on generation 1 — the queue starts
+            // and the worker that will drain the outbox are both wired
+            // up, and the sending half was installed before `conn` was
+            // handed here. (No-op on generation 1 — the gauge starts
             // alive.)
-            core.queues[ep].revive();
-            let exit = serve_conn(&core, ep, &req_rx, &in_flight, &mut batch);
+            core.gauges[ep].revive();
+            let exit = serve_conn(core, ep, bell, &in_flight, &mut frames, &mut wire);
             // Mark dead before re-homing (even on teardown — it lets the
             // reader exit on its poll) so nothing re-routes back here,
             // then close the sending half: frames for a dead connection
             // are refused at `send_frame`, exactly as if sent and lost.
-            core.queues[ep].mark_dead();
+            core.gauges[ep].mark_dead();
             core.conns[ep].lock().expect("conn lock").take();
             if exit == ConnExit::Dead {
                 // One record per death, whoever noticed first (reader,
@@ -476,86 +753,77 @@ fn run_worker(
                 core.flight(EventKind::EndpointDead, core.ep_span[ep] as u16, ep as u32, 0);
             }
             if exit == ConnExit::Teardown {
-                // Dropping the backlog drop-fills its waiters
+                // Dropping the backlog answers its waiters
                 // `ShuttingDown`; re-homing at teardown would bounce
-                // lookups between endpoints that are all dying.
-                batch.clear();
+                // frames between endpoints that are all dying.
+                frames.clear();
                 let _ = reader.join();
                 return;
             }
-            for req in batch.drain(..) {
-                core.queues[ep].complete(1);
-                if core.reroute(core.ep_span[ep], ep, req) {
-                    core.rerouted.fetch_add(1, Ordering::Relaxed);
-                }
+            for frame in frames.drain(..) {
+                core.reroute(ep, frame);
             }
             core.drain_in_flight(ep, &in_flight);
             let _ = reader.join();
         }
-        // Dead wait: drain racing submits into survivors, watch for a
+        // Dead wait: re-home racing appends into survivors, watch for a
         // revive.
         loop {
             if core.shutdown.load(Ordering::SeqCst) {
                 return;
             }
             if let Ok(duplex) = revive_rx.try_recv() {
-                conn = revive_handshake(&core, ep, duplex);
+                conn = revive_handshake(core, ep, duplex);
                 if conn.is_some() {
                     break;
                 }
             }
-            match clock.recv_timeout(&req_rx, READER_POLL) {
-                Ok(req) => {
-                    core.queues[ep].complete(1);
-                    if core.reroute(core.ep_span[ep], ep, req) {
-                        core.rerouted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+            // Rung or not: the bell's sender lives in the core, so this
+            // only ever wakes or times out.
+            let _ = clock.recv_timeout(bell, READER_POLL);
+            core.outboxes[ep].take(&mut frames, false);
+            for frame in frames.drain(..) {
+                core.reroute(ep, frame);
             }
         }
     }
 }
 
 /// Serve one connection generation's lookups until teardown or endpoint
-/// death. The worker blocks on its submit queue — the one thing every
-/// producer of work for it wakes; `WORKER_POLL` only bounds how stale
-/// the housekeeping around it (flags, retry deadlines) can get.
+/// death. The worker blocks on its outbox bell — rung by the key that
+/// finds the outbox empty, and by a frame sealed while a `max_delay`
+/// holds another open — or, while it holds a partial frame open, until
+/// that frame's deadline; `WORKER_POLL` only bounds how stale the
+/// housekeeping around it (flags, retry deadlines) can get. A frame
+/// whose send fails stays in flight for the death path to re-home, and
+/// the frames not yet sent stay in `frames`.
 fn serve_conn(
     core: &ClientCore,
     ep: usize,
-    req_rx: &Receiver<Request>,
+    bell: &Receiver<()>,
     in_flight: &InFlight,
-    batch: &mut Vec<Request>,
+    frames: &mut VecDeque<OutFrame>,
+    wire: &mut Vec<u32>,
 ) -> ConnExit {
-    let clock = core.clock.clone();
+    let clock = &core.clock;
+    let mut held: Option<Nanos> = None;
     loop {
         if core.shutdown.load(Ordering::SeqCst) {
             return ConnExit::Teardown;
         }
-        if !core.queues[ep].is_alive() {
+        if !core.gauges[ep].is_alive() {
             return ConnExit::Dead;
         }
-        match clock.recv_timeout(req_rx, WORKER_POLL) {
-            Ok(first) => {
-                let disconnected = collect_batch_into(
-                    &clock,
-                    req_rx,
-                    first,
-                    batch,
-                    core.cfg.max_batch,
-                    core.cfg.max_delay,
-                );
-                if send_batch(core, ep, batch, in_flight).is_err() {
-                    return ConnExit::Dead;
-                }
-                if disconnected {
-                    return ConnExit::Teardown; // client dropped
-                }
+        // Rung or timed out, the outbox says what is ready.
+        let _ = match held {
+            None => clock.recv_timeout(bell, WORKER_POLL),
+            Some(due) => clock.recv_deadline(bell, due.min(clock.now() + dur_ns(WORKER_POLL))),
+        };
+        held = core.outboxes[ep].take(frames, true);
+        while let Some(frame) = frames.pop_front() {
+            if send_batch(core, ep, frame, in_flight, wire).is_err() {
+                return ConnExit::Dead;
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return ConnExit::Teardown,
         }
         if check_retries(core, ep, in_flight).is_err() {
             return ConnExit::Dead;
@@ -566,7 +834,7 @@ fn serve_conn(
 /// Handshake a revive connection: `Hello` → `ShardMap`, whose
 /// `log_seq` is the restarted server's recovered snapshot watermark.
 /// The span log's cursors for this endpoint are positioned there —
-/// *before* the caller flips the queue alive, so a stale-high ack from
+/// *before* the caller flips the endpoint alive, so a stale-high ack from
 /// the endpoint's previous life can never count toward quorum — and the
 /// appender's next ship pass replays exactly the churn-log suffix the
 /// snapshot missed. On success the sending half is installed in the
@@ -602,45 +870,46 @@ fn revive_handshake(core: &ClientCore, ep: usize, mut duplex: Duplex) -> Option<
     }
 }
 
-/// Assign a request id, record the batch in flight, ship the frame.
+/// Assign a request id, record the frame in flight, ship it.
 ///
-/// A batch the endpoint's wire-trace ring samples is stamped with a
+/// A frame the endpoint's wire-trace ring samples is stamped with a
 /// nonzero trace id (derived from the request id, so both sides of the
 /// wire agree without coordination) and `parent` = the flat endpoint
-/// index — the client span the server's stage records hang off.
+/// index — the client span the server's stage records hang off. The
+/// keys go out through `wire`, the worker's reusable copy: the frame
+/// itself stays in flight for a retry or a failover to resend.
 fn send_batch(
     core: &ClientCore,
     ep: usize,
-    batch: &mut Vec<Request>,
+    frame: OutFrame,
     in_flight: &InFlight,
+    wire: &mut Vec<u32>,
 ) -> Result<(), ()> {
-    if batch.is_empty() {
-        return Ok(());
-    }
     let req = core.fresh_req();
     let now = core.clock.now();
-    let mut keys = Vec::with_capacity(batch.len());
-    let mut handles = Vec::with_capacity(batch.len());
-    for r in batch.drain(..) {
-        keys.push(r.key);
-        handles.push(r.reply);
-    }
     // `| 1` keeps a sampled id nonzero (0 means untraced on the wire).
     let trace =
         if core.wire_traces[ep].sample() { req.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1 } else { 0 };
-    let frame = Frame::Lookup { req, trace, parent: ep as u32, keys: keys.clone() };
+    let mut keys = std::mem::take(wire);
+    keys.clear();
+    keys.extend_from_slice(&frame.keys);
     // Record before sending: if the send fails, the death path drains
-    // this batch out of the map and re-homes it — nothing is stranded.
+    // this frame out of the map and re-homes it — nothing is stranded.
     in_flight
         .lock()
         .expect("in-flight lock")
-        .insert(req, BatchInFlight { keys, handles, sent_at: now, attempts: 1, trace });
-    core.send_frame(ep, &frame)
+        .insert(req, BatchInFlight { frame, sent_at: now, attempts: 1, trace });
+    let lookup = Frame::Lookup { req, trace, parent: ep as u32, keys };
+    let sent = core.send_frame(ep, &lookup);
+    if let Frame::Lookup { keys, .. } = lookup {
+        *wire = keys;
+    }
+    sent
 }
 
-/// Resend overdue batches (same request id: replies are deduplicated by
-/// the in-flight map). A batch past `max_retries` fails the whole
-/// endpoint — per-batch surrender would strand its sibling batches on a
+/// Resend overdue frames (same request id: replies are deduplicated by
+/// the in-flight map). A frame past `max_retries` fails the whole
+/// endpoint — per-frame surrender would strand its sibling frames on a
 /// connection that is clearly gone.
 fn check_retries(core: &ClientCore, ep: usize, in_flight: &InFlight) -> Result<(), ()> {
     let now = core.clock.now();
@@ -657,7 +926,7 @@ fn check_retries(core: &ClientCore, ep: usize, in_flight: &InFlight) -> Result<(
             }
             b.attempts += 1;
             b.sent_at = now;
-            resend.push((*req, b.trace, b.keys.clone()));
+            resend.push((*req, b.trace, b.frame.keys.clone()));
         }
     }
     for (req, trace, keys) in resend {
@@ -854,8 +1123,9 @@ impl SpanLog {
 /// One span's churn-log appender: the thread that sequences the span's
 /// [`SpanLog`]. It blocks on the append queue — the one thing every
 /// producer of work for it wakes — coalesces what it finds
-/// ([`collect_batch_into`], the same group commit the lookup path
-/// batches with), and then runs one pass over the log: election after
+/// ([`collect_batch_into`], the server's group commit: one batch is the
+/// first item plus whatever queued meanwhile, as a lookup frame is), and
+/// then runs one pass over the log: election after
 /// an endpoint death, repair of stalled endpoints, shipping each live
 /// endpoint its missing suffix. Acks do not come through here: the
 /// reader that receives one folds it into the log itself.
@@ -911,7 +1181,7 @@ fn run_appender(core: Arc<ClientCore>, span: usize, upd_rx: Receiver<UpdMsg>) {
         // positioned its cursors before flipping the queue alive.
         let mut died = false;
         for (pos, &e) in eps.iter().enumerate() {
-            let alive = core.queues[e].is_alive();
+            let alive = core.gauges[e].is_alive();
             died |= log.was_alive[pos] && !alive;
             log.was_alive[pos] = alive;
         }
@@ -941,7 +1211,7 @@ fn run_appender(core: Arc<ClientCore>, span: usize, upd_rx: Receiver<UpdMsg>) {
             if log.acked[pos] < log.sent[pos] && now.saturating_sub(log.progress_at[pos]) >= timeout
             {
                 if log.tries[pos] >= core.cfg.max_retries {
-                    core.queues[e].mark_dead();
+                    core.gauges[e].mark_dead();
                     continue;
                 }
                 log.tries[pos] += 1;
@@ -981,9 +1251,10 @@ fn run_appender(core: Arc<ClientCore>, span: usize, upd_rx: Receiver<UpdMsg>) {
     }
 }
 
-/// The per-endpoint receiver: match replies to in-flight batches, fill
-/// reply slots (adding the span's base rank), and detect endpoint
-/// death. Owns the connection's receive half.
+/// The per-endpoint receiver: match replies to in-flight frames, fill
+/// each frame's reply cell (with the span's base rank), hand the frame's
+/// parts back to the outbox, and detect endpoint death. Owns the
+/// connection's receive half.
 fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_flight: InFlight) {
     let span = core.ep_span[ep];
     loop {
@@ -998,9 +1269,9 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
                 let Some(b) = in_flight.lock().expect("in-flight lock").remove(&req) else {
                     continue;
                 };
-                let served = b.handles.len();
+                let served = b.frame.keys.len();
                 // Wire stages: `sent_at` is the frame's encode/send
-                // instant (refreshed on retry, so a retried batch
+                // instant (refreshed on retry, so a retried frame
                 // reports its *answered* attempt's round trip). The
                 // sampling decision was made at send time (it chose the
                 // frame's trace id); a nonzero id means record.
@@ -1017,24 +1288,19 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
                         ..StageRecord::default()
                     });
                 }
-                let base = core.span_base(span);
-                // Positional alignment; a short result list (protocol
-                // corruption) drop-fills the leftovers ShuttingDown.
-                let mut sheds = 0u32;
-                for (handle, res) in b.handles.into_iter().zip(results) {
-                    handle.send(match res {
-                        LookupStatus::Rank(r) => Ok(base + r),
-                        LookupStatus::Shed(shard) => {
-                            sheds += 1;
-                            Err(ServeError::Overloaded { shard: shard as usize })
-                        }
-                        LookupStatus::Shutdown => Err(ServeError::ShuttingDown),
-                    });
-                }
+                let sheds = results
+                    .iter()
+                    .take(served)
+                    .filter(|r| matches!(r, LookupStatus::Shed(_)))
+                    .count();
+                // One fill answers the frame: key `i` reads `results[i]`
+                // (a short list answers its missing tail ShuttingDown).
+                b.frame.cell.fill(FrameReply { base: core.span_base(span), results });
                 if sheds > 0 {
-                    core.flight(EventKind::ShedBurst, span as u16, sheds, 0);
+                    core.flight(EventKind::ShedBurst, span as u16, sheds as u32, 0);
                 }
-                core.queues[ep].complete(served);
+                core.gauges[ep].complete(served);
+                core.outboxes[ep].retire(b.frame);
             }
             Ok(Frame::UpdateAck { req: _, epoch: _, seq }) => {
                 // Update acks feed the span's log (quorum tracking),
@@ -1061,18 +1327,18 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
                 // can't land back here, then re-home the wire batches.
                 // The worker notices the flag and drains the submit
                 // queue side.
-                core.queues[ep].mark_dead();
+                core.gauges[ep].mark_dead();
                 core.drain_in_flight(ep, &in_flight);
                 return;
             }
             Ok(_) => {} // server-bound frames: protocol noise, ignore
             Err(NetError::Timeout) => {
-                if !core.queues[ep].is_alive() {
+                if !core.gauges[ep].is_alive() {
                     return;
                 }
             }
             Err(_) => {
-                core.queues[ep].mark_dead();
+                core.gauges[ep].mark_dead();
                 core.drain_in_flight(ep, &in_flight);
                 return;
             }
@@ -1087,18 +1353,21 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
 /// [`wait`](Self::wait) or reap with [`poll`](Self::poll).
 #[derive(Debug)]
 pub struct PendingNetLookup {
-    slot: ReplySlot,
+    /// The reply cell of the frame the key travels in.
+    cell: Arc<FrameReplyCell>,
+    /// The key's position in that frame.
+    idx: usize,
 }
 
 impl PendingNetLookup {
     /// Block for the (globally composed) rank.
     pub fn wait(self) -> Result<u32, ServeError> {
-        self.slot.wait()
+        self.cell.wait().answer(self.idx)
     }
 
     /// The rank if it has arrived, `None` while in flight.
     pub fn poll(&self) -> Option<Result<u32, ServeError>> {
-        self.slot.poll()
+        self.cell.poll().map(|reply| reply.answer(self.idx))
     }
 }
 
@@ -1143,42 +1412,32 @@ impl NetHandle {
         let eps = &core.span_eps[span];
         // ordering: relaxed-ok: per-handle rotation phase; atomicity only.
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let Some(choice) = core.selectors[span].select(tick, |i| core.queues[eps[i]].probe())
+        let Some(choice) = core.selectors[span].select(tick, |i| core.gauges[eps[i]].probe())
         else {
             return Err(ServeError::ShuttingDown);
         };
-        let (slot, handle) = core.pools[span].take();
-        // `enqueued` is the dispatcher's input in `dini-serve`; nothing on
-        // the client reads it (the worker stamps `sent_at` once per
-        // frame), so a remote lookup does not pay a clock read for it.
-        let req = Request { key, enqueued: 0, trace: 0, reply: handle };
-        let q = &core.queues[eps[choice]];
-        if blocking {
-            q.submit(req)?;
-        } else {
-            q.try_submit(req)?;
-        }
-        Ok(PendingNetLookup { slot })
+        let ep = eps[choice];
+        core.outboxes[ep].push(key, blocking, &core.gauges[ep])
     }
 
     /// Rank of `key` across the whole cluster, blocking while the
-    /// chosen endpoint's queue is full.
+    /// chosen endpoint's outbox is full.
     pub fn lookup(&self, key: u32) -> Result<u32, ServeError> {
         self.enqueue(key, true)?.wait()
     }
 
     /// Rank of `key`, shedding instead of blocking on a full endpoint
-    /// queue.
+    /// outbox.
     pub fn try_lookup(&self, key: u32) -> Result<u32, ServeError> {
         self.enqueue(key, false)?.wait()
     }
 
-    /// Submit without waiting (sheds on a full endpoint queue).
+    /// Submit without waiting (sheds on a full endpoint outbox).
     pub fn begin_lookup(&self, key: u32) -> Result<PendingNetLookup, ServeError> {
         self.enqueue(key, false)
     }
 
-    /// Rank every key, preserving order; submits everything first so the
+    /// Rank every key, preserving order; appends everything first so the
     /// slice coalesces into few frames.
     pub fn lookup_many(&self, keys: &[u32]) -> Result<Vec<u32>, ServeError> {
         let mut replies = Vec::with_capacity(keys.len());
@@ -1249,7 +1508,7 @@ impl NetHandle {
             core.clock.recv(&rx).map_err(|_| ServeError::ShuttingDown)??;
             let mut reached = false;
             for &e in &core.span_eps[span] {
-                if !core.queues[e].is_alive() {
+                if !core.gauges[e].is_alive() {
                     continue;
                 }
                 match core.ctrl_roundtrip(e, |req| Frame::Quiesce { req }) {
@@ -1258,7 +1517,7 @@ impl NetHandle {
                     // not the barrier's: bury it (its backlog re-homes
                     // through the usual death path) and carry on with
                     // the span's survivors.
-                    Err(_) => core.queues[e].mark_dead(),
+                    Err(_) => core.gauges[e].mark_dead(),
                 }
             }
             if !reached {
@@ -1276,7 +1535,7 @@ impl NetHandle {
         for span in 0..core.span_eps.len() {
             let mut reached = false;
             for &e in &core.span_eps[span] {
-                if !core.queues[e].is_alive() {
+                if !core.gauges[e].is_alive() {
                     continue;
                 }
                 if core.ctrl_roundtrip(e, |req| Frame::EpochPing { req }).is_ok() {
@@ -1311,7 +1570,7 @@ impl NetHandle {
 
     /// Is any endpoint of `span` still alive?
     pub fn span_alive(&self, span: usize) -> bool {
-        self.core.span_eps[span].iter().any(|&e| self.core.queues[e].is_alive())
+        self.core.span_eps[span].iter().any(|&e| self.core.gauges[e].is_alive())
     }
 
     /// Is the endpoint at `addr` (as listed in the connect-time shard
@@ -1321,7 +1580,7 @@ impl NetHandle {
             .ep_addrs
             .iter()
             .position(|a| a == addr)
-            .is_some_and(|ep| self.core.queues[ep].is_alive())
+            .is_some_and(|ep| self.core.gauges[ep].is_alive())
     }
 
     /// Reconnect a dead endpoint whose server came back — typically a
@@ -1344,7 +1603,7 @@ impl NetHandle {
         let Some(ep) = core.ep_addrs.iter().position(|a| a == addr) else {
             return Err(NetError::Refused(format!("{addr} is not in the shard map")));
         };
-        if core.queues[ep].is_alive() {
+        if core.gauges[ep].is_alive() {
             return Ok(());
         }
         let duplex = core.dialer.dial(addr)?;
@@ -1360,11 +1619,17 @@ impl NetHandle {
     /// Point-in-time client-side accounting.
     pub fn stats(&self) -> NetClientStats {
         let core = &self.core;
+        let (mut admitted, mut client_shed) = (0, 0);
+        for outbox in &core.outboxes {
+            let st = outbox.lock();
+            admitted += st.admitted;
+            client_shed += st.shed;
+        }
         NetClientStats {
             retries: core.retries.load(Ordering::Relaxed),
             rerouted: core.rerouted.load(Ordering::Relaxed),
-            client_shed: core.queues.iter().map(AdmissionQueue::shed).sum(),
-            admitted: core.queues.iter().map(AdmissionQueue::admitted).sum(),
+            client_shed,
+            admitted,
             update_resends: core.update_resends.load(Ordering::Relaxed),
             elections: core.elections.load(Ordering::Relaxed),
         }
@@ -1380,7 +1645,7 @@ impl NetHandle {
     pub fn span_stats(&self, span: usize) -> Result<MetricsSnapshot, ServeError> {
         let core = &self.core;
         for &e in &core.span_eps[span] {
-            if !core.queues[e].is_alive() {
+            if !core.gauges[e].is_alive() {
                 continue;
             }
             match core.ctrl_roundtrip(e, |req| Frame::StatsRequest { req }) {
@@ -1467,7 +1732,8 @@ impl RemoteClient {
 
         // Wire up every endpoint (span-major order, deterministic).
         let n_spans = topology.n_spans();
-        let mut queues = Vec::new();
+        let mut gauges = Vec::new();
+        let mut outboxes = Vec::new();
         let mut conns = Vec::new();
         let mut span_eps: Vec<Vec<usize>> = Vec::with_capacity(n_spans);
         let mut ep_span = Vec::new();
@@ -1478,45 +1744,37 @@ impl RemoteClient {
         for (span, s) in topology.spans.iter().enumerate() {
             let mut eps = Vec::with_capacity(s.endpoints.len());
             for (pos, addr) in s.endpoints.iter().enumerate() {
-                let ep = queues.len();
-                let (req_tx, req_rx) = sync_channel::<Request>(cfg.queue_capacity);
+                let ep = gauges.len();
+                let (bell_tx, bell_rx) = sync_channel::<()>(1);
                 let (rev_tx, rev_rx) = sync_channel::<Duplex>(1);
-                let queue = AdmissionQueue::new(span, pos, req_tx, clock.clone());
+                let gauge = ReplicaGauge::new();
                 let (tx, rx) = match dialer.dial(addr) {
                     Ok(Duplex { tx, rx, peer: _ }) => (Some(tx), Some(rx)),
                     Err(_) => {
                         // Unreachable from the start: a dead endpoint,
                         // exactly as if it crashed later — its worker
                         // starts in the dead-wait loop, rejoinable.
-                        queue.mark_dead();
+                        gauge.mark_dead();
                         (None, None)
                     }
                 };
-                plumbing.push((req_rx, rx, rev_rx));
+                plumbing.push((bell_rx, rx, rev_rx));
                 revive_txs.push(rev_tx);
                 ep_addrs.push(addr.clone());
-                queues.push(queue);
+                gauges.push(gauge);
+                outboxes.push(Outbox::new(span, bell_tx, &cfg));
                 conns.push(Mutex::new(tx));
                 ep_span.push(span);
                 ep_pos.push(pos);
                 eps.push(ep);
             }
-            if !eps.iter().any(|&e| queues[e].is_alive()) {
+            if !eps.iter().any(|&e| gauges[e].is_alive()) {
                 return Err(NetError::Refused(format!("no endpoint of span {span} is reachable")));
             }
             span_eps.push(eps);
         }
 
         let selectors = span_eps.iter().map(|eps| ReplicaSelector::new(eps.len())).collect();
-        let pools = span_eps
-            .iter()
-            .map(|eps| {
-                SlotPool::with_clock(
-                    (cfg.queue_capacity + cfg.max_batch) * eps.len(),
-                    clock.clone(),
-                )
-            })
-            .collect();
         // Per-span churn-log plumbing: the log itself, and one appender
         // thread per span (the span's sequencer) fed through a bounded
         // append queue.
@@ -1525,7 +1783,7 @@ impl RemoteClient {
         let logs = span_eps
             .iter()
             .map(|eps| {
-                let alive = eps.iter().map(|&e| queues[e].is_alive()).collect();
+                let alive = eps.iter().map(|&e| gauges[e].is_alive()).collect();
                 Mutex::new(SpanLog::new(alive, clock.now()))
             })
             .collect();
@@ -1540,7 +1798,7 @@ impl RemoteClient {
         // One wire-trace ring per endpoint (its reader thread is the
         // single writer), seeds decorrelated the same way the server
         // decorrelates replica rings.
-        let wire_traces: Vec<TraceRing> = (0..queues.len())
+        let wire_traces: Vec<TraceRing> = (0..gauges.len())
             .map(|ep| {
                 let salt = (ep as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 TraceRing::new(&TraceConfig { seed: cfg.trace.seed ^ salt, ..cfg.trace.clone() })
@@ -1551,12 +1809,12 @@ impl RemoteClient {
             clock: clock.clone(),
             span_router: topology.router(),
             selectors,
-            queues,
+            gauges,
+            outboxes,
             conns,
             span_eps,
             ep_span,
             ep_pos,
-            pools,
             upd_txs,
             upd_pools,
             logs,
@@ -1579,10 +1837,10 @@ impl RemoteClient {
         // server that comes back later can rejoin. Each worker spawns
         // (and joins) its own per-generation reader.
         let mut threads = Vec::new();
-        for (ep, (req_rx, conn, rev_rx)) in plumbing.into_iter().enumerate() {
+        for (ep, (bell_rx, conn, rev_rx)) in plumbing.into_iter().enumerate() {
             let c = core.clone();
             threads.push(clock.spawn(&format!("dini-net-cw-{ep}"), move || {
-                run_worker(c, ep, req_rx, conn, rev_rx)
+                run_worker(c, ep, bell_rx, conn, rev_rx)
             }));
         }
         for (span, upd_rx) in upd_rxs.into_iter().enumerate() {

@@ -35,10 +35,10 @@
 //!   slots and muxes replies back.
 //! * [`client`] — [`RemoteClient`]/[`NetHandle`]: shard-map routing
 //!   (the same delimiter search as `router.rs`), client-side batch
-//!   coalescing (the same `collect_batch_into`), retry with reply
-//!   deduplication, and connection-loss failover between replica
-//!   endpoints — callers see the exact `ServeError` semantics local
-//!   callers do.
+//!   coalescing (a lookup appends its key to its endpoint's open frame;
+//!   one reply cell answers the frame), retry with reply deduplication,
+//!   and connection-loss failover between replica endpoints — callers
+//!   see the exact `ServeError` semantics local callers do.
 //!
 //! ## Two processes on one laptop
 //!

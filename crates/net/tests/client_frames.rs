@@ -1,0 +1,185 @@
+//! `RemoteClient`'s lookup contract at the client boundary: the
+//! admission bound of an endpoint's outbox, and what a frame's reply —
+//! short, missing, or polled — answers each key in it.
+//!
+//! The reply-contract tests talk to a hand-scripted span over `ChanNet`
+//! that answers the handshake and epoch pings itself and hands every
+//! `Lookup` frame to the test's script; the admission test runs a real
+//! `NetServer` on a `SimClock`, where nothing runs until the test thread
+//! blocks, so the outbox fills deterministically.
+
+use dini_net::transport::{ChanNet, Duplex};
+use dini_net::wire::{LookupStatus, SpanMsg};
+use dini_net::{Acceptor, ClientConfig, Frame, NetServer, NetServerConfig, RemoteClient, Topology};
+use dini_serve::{Clock, ServeConfig, ServeError, SimClock};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+const SEC: Duration = Duration::from_secs(5);
+
+/// What the scripted span does with one `Lookup` frame's keys: the
+/// results to reply with, or `None` to leave the frame unanswered.
+type Script = Box<dyn FnMut(&[u32]) -> Option<Vec<LookupStatus>> + Send>;
+
+/// A one-span, one-endpoint fake server at `srv`: answers the bootstrap
+/// handshake, then serves the endpoint connection — `Hello`, epoch
+/// pings — and runs `script` on every `Lookup`. Each frame's keys are
+/// also reported on the returned channel once the frame has arrived.
+fn fake_span(
+    net: &std::sync::Arc<ChanNet>,
+    mut script: Script,
+) -> (JoinHandle<()>, Receiver<Vec<u32>>) {
+    let acceptor = net.listen("srv");
+    let (seen_tx, seen_rx): (Sender<Vec<u32>>, _) = channel();
+    let server = std::thread::spawn(move || {
+        let mut boot: Duplex = acceptor.accept_timeout(SEC).expect("bootstrap dial");
+        match boot.rx.recv_timeout(SEC).expect("hello") {
+            Frame::Hello { .. } => {}
+            other => panic!("expected Hello, got {other:?}"),
+        }
+        boot.tx
+            .send(&Frame::ShardMap {
+                spans: vec![SpanMsg { lo_key: 0, endpoints: vec!["srv".to_owned()] }],
+                my_span: 0,
+                live_keys: 0,
+                log_epoch: 0,
+                log_seq: 0,
+            })
+            .expect("shard map");
+        let mut conn = acceptor.accept_timeout(SEC).expect("endpoint dial");
+        // A recv error means the client hung up: the script is over.
+        while let Ok(frame) = conn.rx.recv_timeout(SEC) {
+            match frame {
+                Frame::EpochPing { req } => {
+                    let _ = conn.tx.send(&Frame::EpochPong { req, live_keys: 0, snapshots: 0 });
+                }
+                Frame::Lookup { req, keys, .. } => {
+                    if let Some(results) = script(&keys) {
+                        let _ = conn.tx.send(&Frame::Reply { req, trace: 0, parent: 0, results });
+                    }
+                    let _ = seen_tx.send(keys);
+                }
+                _ => {}
+            }
+        }
+    });
+    (server, seen_rx)
+}
+
+/// `max_batch` 4 and a `max_delay` no test outlasts: four keys make one
+/// frame that ships the moment it is full, and fewer stay queued.
+fn four_key_frames() -> ClientConfig {
+    ClientConfig {
+        max_batch: 4,
+        max_delay: Duration::from_secs(3600),
+        retry_timeout: Duration::from_secs(3600),
+        ..ClientConfig::default()
+    }
+}
+
+#[test]
+fn a_short_reply_answers_its_head_exactly_and_its_tail_shutting_down() {
+    let net = ChanNet::new(Clock::system());
+    let script: Script =
+        Box::new(|keys| Some(keys.iter().take(2).map(|&k| LookupStatus::Rank(k * 10)).collect()));
+    let (server, seen) = fake_span(&net, script);
+    let client = RemoteClient::connect(net.dialer(), "srv", four_key_frames()).expect("connect");
+    let pending: Vec<_> = (1..=4u32).map(|k| client.begin_lookup(k).expect("admitted")).collect();
+    assert_eq!(seen.recv_timeout(SEC).expect("one frame"), vec![1, 2, 3, 4]);
+    let got: Vec<_> = pending.into_iter().map(|p| p.wait()).collect();
+    assert_eq!(
+        got,
+        vec![Ok(10), Ok(20), Err(ServeError::ShuttingDown), Err(ServeError::ShuttingDown)]
+    );
+    drop(client);
+    server.join().unwrap();
+}
+
+#[test]
+fn dropping_the_client_answers_queued_and_wire_lookups_shutting_down() {
+    let net = ChanNet::new(Clock::system());
+    let (server, seen) = fake_span(&net, Box::new(|_| None));
+    let client = RemoteClient::connect(net.dialer(), "srv", four_key_frames()).expect("connect");
+    // Keys 1–4 fill a frame, which ships and is never answered; keys 5
+    // and 6 stay in the open frame, held by `max_delay`.
+    let pending: Vec<_> = (1..=6u32).map(|k| client.begin_lookup(k).expect("admitted")).collect();
+    assert_eq!(seen.recv_timeout(SEC).expect("the full frame"), vec![1, 2, 3, 4]);
+    assert!(pending.iter().all(|p| p.poll().is_none()), "nothing is answered yet");
+    let (done_tx, done_rx) = channel();
+    std::thread::spawn(move || {
+        drop(client);
+        let got: Vec<_> = pending.into_iter().map(|p| p.wait()).collect();
+        let _ = done_tx.send(got);
+    });
+    let got = done_rx.recv_timeout(SEC).expect("every waiter resolves after the drop");
+    assert_eq!(got, vec![Err(ServeError::ShuttingDown); 6]);
+    assert!(seen.try_recv().is_err(), "the held frame never shipped");
+    server.join().unwrap();
+}
+
+#[test]
+fn poll_then_wait_return_the_same_answer() {
+    let net = ChanNet::new(Clock::system());
+    let script: Script =
+        Box::new(|keys| Some(keys.iter().map(|&k| LookupStatus::Rank(k + 1)).collect()));
+    let (server, _seen) = fake_span(&net, script);
+    let client =
+        RemoteClient::connect(net.dialer(), "srv", ClientConfig::default()).expect("connect");
+    let pending = client.begin_lookup(41).expect("admitted");
+    let polled = loop {
+        if let Some(answer) = pending.poll() {
+            break answer;
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!(polled, Ok(42));
+    assert_eq!(pending.wait(), polled);
+    drop(client);
+    server.join().unwrap();
+}
+
+/// Four lookups fill an outbox of capacity 4; the fifth is shed
+/// client-side, naming its span; a blocking `lookup_many` then waits for
+/// room instead of shedding, and every rank comes back exact.
+#[test]
+fn a_full_outbox_sheds_begin_lookup_and_blocks_lookup_many() {
+    let sim = SimClock::new();
+    let _main = sim.register_main();
+    let clock = Clock::sim(&sim);
+    let net = ChanNet::new(clock.clone());
+    let keys: Vec<u32> = (0..1_000u32).map(|i| i * 3 + 1).collect();
+    let rank = |q: u32| keys.partition_point(|&k| k <= q) as u32;
+    let serve = ServeConfig { clock: clock.clone(), ..ServeConfig::new(2) };
+    let server = NetServer::start(
+        Box::new(net.listen("srv")),
+        &keys,
+        NetServerConfig::new(serve, Topology::single(vec!["srv".into()]), 0),
+    );
+    let cfg = ClientConfig { clock, queue_capacity: 4, ..ClientConfig::default() };
+    let client = RemoteClient::connect(net.dialer(), "srv", cfg).expect("connect");
+    let handle = client.handle();
+
+    // Nothing else runs until this thread blocks: the worker cannot take
+    // a key before the fifth is refused.
+    let admitted: Vec<_> =
+        (0..4u32).map(|i| (i * 7, handle.begin_lookup(i * 7).expect("room for four"))).collect();
+    assert_eq!(
+        handle.begin_lookup(500).unwrap_err(),
+        ServeError::Overloaded { shard: handle.span_of(500) }
+    );
+    assert_eq!((handle.stats().client_shed, handle.stats().admitted), (1, 4));
+
+    let queries: Vec<u32> = (0..64u32).map(|i| i * 47 + 2).collect();
+    let ranks = handle.lookup_many(&queries).expect("a blocking lookup waits for room");
+    assert_eq!(ranks, queries.iter().map(|&q| rank(q)).collect::<Vec<_>>());
+    for (q, p) in admitted {
+        assert_eq!(p.wait(), Ok(rank(q)));
+    }
+    let stats = handle.stats();
+    assert_eq!((stats.client_shed, stats.admitted), (1, 4 + 64));
+
+    drop(handle);
+    drop(client);
+    server.shutdown();
+}

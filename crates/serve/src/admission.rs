@@ -14,7 +14,8 @@
 //! and the `queue_capacity` slots are allocated once, at construction.
 //!
 //! With replica groups, each queue also carries the two signals the
-//! router and the failover path live on:
+//! router and the failover path live on — its [`ReplicaGauge`], which
+//! `dini-net`'s `RemoteClient` keeps per remote endpoint as well:
 //!
 //! * a **depth gauge** — requests admitted to this replica and not yet
 //!   answered (or handed off). Incremented *before* the request is sent
@@ -43,7 +44,101 @@ use crate::config::ServeError;
 use crate::sync::{Arc, AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{SyncSender, TrySendError};
 
-/// The admission side of one replica's request queue.
+/// The load-and-liveness half of a queue: a depth gauge and an alive
+/// flag, shared by every clone. An [`AdmissionQueue`] is one with a
+/// channel in front (and derefs to it); `dini-net`'s `RemoteClient`
+/// keeps one per remote endpoint beside its own outbox, so its
+/// power-of-two-choices routing and failover read the same two signals
+/// a server's replica routing does.
+#[derive(Debug, Clone)]
+pub struct ReplicaGauge {
+    // ordering: relaxed-ok: a *reader* of `depth` (the p2c probe, the
+    // gauge) wants atomicity, never synchronization; whatever hands the
+    // request over orders the handoff itself. The one pairing on `depth`
+    // is the claim: `claim` is an Acquire RMW and `complete` a Release
+    // RMW — every other write is an RMW too, so the release sequence is
+    // never broken — which orders successive claimants, who share the
+    // replica's claim-side trace ring and accounting.
+    /// Requests admitted and not yet answered or handed off — the live
+    /// load signal replica routing samples, and the claim.
+    depth: Arc<AtomicU64>,
+    /// Cleared when the serving side dies.
+    alive: Arc<AtomicBool>,
+}
+
+impl Default for ReplicaGauge {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ReplicaGauge {
+    /// Depth 0, alive.
+    pub fn new() -> Self {
+        Self { depth: Arc::new(AtomicU64::new(0)), alive: Arc::new(AtomicBool::new(true)) }
+    }
+
+    /// `n` requests were admitted (or handed over from a dead sibling).
+    /// Count them *before* they can be answered: counted late, an early
+    /// [`complete`](Self::complete) would dip the gauge below zero and
+    /// wrap.
+    #[inline]
+    pub fn add(&self, n: usize) {
+        self.depth.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// `n` admitted requests were answered (or re-routed, or dropped):
+    /// release them from the depth gauge.
+    #[inline]
+    pub fn complete(&self, n: usize) {
+        // Release: the claim's other half (see `AdmissionQueue::claim`).
+        self.depth.fetch_sub(n as u64, Ordering::Release);
+    }
+
+    /// Live queue depth: admitted requests not yet answered.
+    pub fn depth(&self) -> u64 {
+        self.depth.load(Ordering::Relaxed)
+    }
+
+    /// Is the serving side still alive?
+    pub fn is_alive(&self) -> bool {
+        self.alive.load(Ordering::Relaxed)
+    }
+
+    /// The routing probe: `Some(depth)` while alive, `None` once dead —
+    /// exactly the shape [`ReplicaSelector::select`](crate::ReplicaSelector::select)
+    /// samples.
+    #[inline]
+    pub fn probe(&self) -> Option<u64> {
+        self.is_alive().then(|| self.depth())
+    }
+
+    /// Mark the serving side dead (a crashed dispatcher, a lost
+    /// endpoint). Ordering matters on the failover path: the flag is
+    /// cleared *before* the backlog is re-routed, so a sibling that
+    /// receives a re-routed request can never bounce it back here
+    /// believing it alive.
+    pub fn mark_dead(&self) {
+        // ordering: SeqCst so the flag flip is globally ordered before the
+        // backlog re-route that follows; a sibling probing after receiving
+        // a re-routed request must observe `alive == false`.
+        self.alive.store(false, Ordering::SeqCst);
+    }
+
+    /// Re-arm a dead gauge: its serving side came back (a transport
+    /// endpoint whose server restarted from a snapshot and rejoined).
+    /// The caller must have the replacement consumer fully wired up
+    /// *before* flipping the flag — a request routed here the instant
+    /// the flag rises must land somewhere that drains.
+    pub fn revive(&self) {
+        // ordering: SeqCst — pairs with mark_dead; globally ordered after
+        // the rejoined connection's setup that precedes the call.
+        self.alive.store(true, Ordering::SeqCst);
+    }
+}
+
+/// The admission side of one replica's request queue: a bounded channel
+/// in front of the replica's [`ReplicaGauge`].
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue {
     shard: usize,
@@ -52,26 +147,24 @@ pub struct AdmissionQueue {
     /// Blocking admission waits in this clock's time (a full queue under
     /// a sim clock parks in the scheduler instead of wedging the run).
     clock: Clock,
-    // ordering: relaxed-ok: `admitted` and `shed` are accounting, and a
-    // *reader* of `depth` (the p2c probe, the gauge) wants atomicity, never
-    // synchronization; the channel send/recv orders the request handoff
-    // itself. The one pairing on `depth` is the claim: `claim` is an
-    // Acquire RMW and `complete` a Release RMW — every other write is an
-    // RMW too, so the release sequence is never broken — which orders
-    // successive claimants, who share the replica's claim-side trace ring
-    // and accounting — `claimed` below among them.
+    // ordering: relaxed-ok: `admitted` and `shed` are accounting; the
+    // channel send/recv orders the request handoff itself.
     admitted: Arc<AtomicU64>,
     /// Requests admitted under a claim: written only by the claim's
     /// holder, in [`release`](Self::release), with a load and a store.
     claimed: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
-    /// Requests admitted and not yet answered or handed off — the live
-    /// load signal replica routing samples, and the claim.
-    depth: Arc<AtomicU64>,
-    /// Cleared when this replica's dispatcher crashes.
-    alive: Arc<AtomicBool>,
+    gauge: ReplicaGauge,
     /// Whether a [`claim`](Self::claim) may ever succeed.
     claimable: bool,
+}
+
+impl std::ops::Deref for AdmissionQueue {
+    type Target = ReplicaGauge;
+
+    fn deref(&self) -> &ReplicaGauge {
+        &self.gauge
+    }
 }
 
 impl AdmissionQueue {
@@ -86,8 +179,7 @@ impl AdmissionQueue {
             admitted: Arc::new(AtomicU64::new(0)),
             claimed: Arc::new(AtomicU64::new(0)),
             shed: Arc::new(AtomicU64::new(0)),
-            depth: Arc::new(AtomicU64::new(0)),
-            alive: Arc::new(AtomicBool::new(true)),
+            gauge: ReplicaGauge::new(),
             claimable: true,
         }
     }
@@ -115,13 +207,14 @@ impl AdmissionQueue {
         // ordering this claimant after whatever the last holder did.
         self.claimable
             && self
+                .gauge
                 .depth
                 .compare_exchange(0, n as u64, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
     }
 
     /// Release a [`claim`](Self::claim) of `n` requests, answered: count
-    /// them as admitted and [`complete`](Self::complete) them. Only the
+    /// them as admitted and [`complete`](ReplicaGauge::complete) them. Only the
     /// claim's holder may call this — it is the admitted-under-claim
     /// count's single writer, so the count costs a load and a store, and
     /// the `complete` that follows is what orders it before the next
@@ -141,7 +234,7 @@ impl AdmissionQueue {
         // Depth first: the dispatcher may answer (and `complete`) the
         // request the instant it is sent, and the gauge must already
         // hold it — counted late, it would dip below zero and wrap.
-        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
         match self.tx.try_send(req) {
             Ok(()) => {
                 self.admitted.fetch_add(1, Ordering::Relaxed);
@@ -161,7 +254,7 @@ impl AdmissionQueue {
 
     /// Admit, blocking while the queue is full (closed-loop callers).
     pub fn submit(&self, req: Request) -> Result<(), ServeError> {
-        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
         match self.clock.send(&self.tx, req) {
             Ok(()) => {
                 self.admitted.fetch_add(1, Ordering::Relaxed);
@@ -178,13 +271,13 @@ impl AdmissionQueue {
     /// re-route): bumps the depth gauge but neither `admitted` nor
     /// `shed` — the request was already admitted once, at the door.
     /// Returns the request on a full (`blocking == false`) or
-    /// disconnected queue so the caller can try the next survivor.
-    /// Public because `dini-net`'s `RemoteClient` runs the same
-    /// protocol one level up: its per-endpoint submit queues *are*
-    /// `AdmissionQueue`s, and a dead endpoint re-homes its backlog
-    /// through its replica endpoints exactly like a crashed replica.
+    /// disconnected queue so the caller can try the next survivor —
+    /// the server's crashed-replica failover runs exactly that two-pass
+    /// protocol over its replica group. (`dini-net`'s `RemoteClient`
+    /// re-homes a dead endpoint's lookups a whole frame at a time into
+    /// its own outboxes, reading only the [`ReplicaGauge`] half.)
     pub fn resubmit(&self, req: Request, blocking: bool) -> Result<(), Request> {
-        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
         let sent = if blocking {
             self.clock.send(&self.tx, req).map_err(|e| e.0)
         } else {
@@ -196,57 +289,6 @@ impl AdmissionQueue {
             self.complete(1);
         }
         sent
-    }
-
-    /// `n` admitted requests were answered (or re-routed, or dropped) —
-    /// by the dispatcher, or by the claimant that held the replica:
-    /// release them from the depth gauge. (Public for transport layers
-    /// that drain the queue themselves — see [`resubmit`](Self::resubmit).)
-    pub fn complete(&self, n: usize) {
-        // Release: the claim's other half (see `claim`).
-        self.depth.fetch_sub(n as u64, Ordering::Release);
-    }
-
-    /// Live queue depth: admitted requests not yet answered.
-    pub fn depth(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Is this replica's dispatcher still serving?
-    pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Relaxed)
-    }
-
-    /// The routing probe: `Some(depth)` while alive, `None` once dead —
-    /// exactly the shape [`ReplicaSelector::select`](crate::ReplicaSelector::select)
-    /// samples.
-    #[inline]
-    pub fn probe(&self) -> Option<u64> {
-        self.is_alive().then(|| self.depth())
-    }
-
-    /// Mark this replica dead (its dispatcher crashed). Ordering
-    /// matters on the failover path: the dispatcher clears the flag
-    /// *before* re-routing its backlog, so a sibling that receives a
-    /// re-routed request can never bounce it back here believing the
-    /// replica alive. (Public for transport layers running the same
-    /// protocol over remote endpoints.)
-    pub fn mark_dead(&self) {
-        // ordering: SeqCst so the flag flip is globally ordered before the
-        // backlog re-route that follows; a sibling probing after receiving
-        // a re-routed request must observe `alive == false`.
-        self.alive.store(false, Ordering::SeqCst);
-    }
-
-    /// Re-arm a dead queue: its serving side came back (a transport
-    /// endpoint whose server restarted from a snapshot and rejoined).
-    /// The caller must have the replacement consumer fully wired up
-    /// *before* flipping the flag — a request routed here the instant
-    /// the flag rises must land somewhere that drains.
-    pub fn revive(&self) {
-        // ordering: SeqCst — pairs with mark_dead; globally ordered after
-        // the rejoined connection's setup that precedes the call.
-        self.alive.store(true, Ordering::SeqCst);
     }
 
     /// Which replica this queue admits for.

@@ -39,10 +39,22 @@
 //! queue destroyed with requests aboard) fills `SHUTDOWN` so the waiter
 //! is never stranded — the pooled analogue of a oneshot channel's
 //! disconnect.
+//!
+//! ## The frame cell
+//!
+//! [`FrameCell`] shares the cell's parking lot under a different reply:
+//! one cell answers a whole *frame* of requests (`dini-net`'s
+//! `RemoteClient` gives each outgoing `Lookup` frame one), and each
+//! request's waiter keeps an `Arc` of it plus its own index into the
+//! reply. The filler publishes once and wakes once per frame. Its owner
+//! recycles a retired cell only through [`FrameCell::recycle`], which
+//! needs the only `Arc` left — so no pending request can ever see its
+//! cell reused under it.
 
 use crate::clock::Clock;
 use crate::config::ServeError;
 use crate::sync::{Arc, AtomicU64, Condvar, Mutex, Ordering};
+use std::sync::OnceLock;
 
 const TAG_SHIFT: u32 = 32;
 const GEN_SHIFT: u32 = 34;
@@ -76,32 +88,101 @@ fn decode(word: u64) -> Option<Result<u32, ServeError>> {
     }
 }
 
-/// One reusable reply cell. Lives in `Arc`s held by the pool, the waiter,
-/// and (transiently) the filler; all coordination is through `word`.
+/// The parking lot every reply cell here shares: a parked-waiter count
+/// and a `Mutex<()>` + `Condvar` touched only when a waiter actually has
+/// to block. The cell that owns it publishes its reply with a SeqCst
+/// write and then calls [`wake`](Self::wake); a waiter's `ready` check
+/// reads that publication with a SeqCst load.
 #[derive(Debug)]
-struct ReplyCell {
-    word: AtomicU64,
+struct Parking {
     /// Waiters currently parked (or committing to park) on `cv`. Lets
-    /// `fill` skip the lock/notify entirely on the poll-driven path,
+    /// `wake` skip the lock/notify entirely on the poll-driven path,
     /// where nobody ever sleeps.
     parked: AtomicU64,
-    /// Parking lot for a blocking waiter. The filler acquires the lock
-    /// between publishing the word and notifying, which is what makes the
-    /// sleep/notify handoff race-free.
+    /// The filler acquires the lock between publishing its reply and
+    /// notifying, which is what makes the sleep/notify handoff
+    /// race-free.
     // lint: lock-ok: parking lot only — poll-driven replies never touch it.
     lock: Mutex<()>,
     cv: Condvar,
 }
 
-impl ReplyCell {
+impl Parking {
     fn new() -> Self {
         Self {
-            word: AtomicU64::new(0),
             parked: AtomicU64::new(0),
             // lint: lock-ok: parking lot only (see the field's contract).
             lock: Mutex::new(()),
             cv: Condvar::new(),
         }
+    }
+
+    /// Wake every parked waiter. Call after the SeqCst write that
+    /// published the reply.
+    fn wake(&self) {
+        // SeqCst on the publishing write and on this load pairs with the
+        // waiter's SeqCst (register-parked → recheck-reply) sequence:
+        // either this load observes the waiter registering (notify
+        // runs), or the waiter's recheck observes the reply (it never
+        // sleeps) — store buffering can't hide both.
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            // Hold the lock across notify: a registered waiter either
+            // rechecks the reply before sleeping (it holds this lock to
+            // do so) or is parked and gets the wakeup.
+            let _held = self.lock.lock().expect("reply cell lock");
+            self.cv.notify_all();
+        }
+    }
+
+    /// Block until `ready` (a SeqCst read of the owner's reply) yields
+    /// one. Under a sim `clock`, park in the scheduler instead of on the
+    /// condvar: the filler runs serialized with us, so the scheduler
+    /// re-polls `ready` the moment it could have changed (and a reply
+    /// that never comes is a detected deadlock, not a hang).
+    fn wait<R>(&self, clock: Option<&Clock>, ready: impl Fn() -> Option<R>) -> R {
+        if let Some(reply) = ready() {
+            return reply;
+        }
+        if let Some(sim) = clock.and_then(Clock::as_sim) {
+            return sim.wait_until(ready);
+        }
+        // A native condvar park is invisible to a sim scheduler: the
+        // thread would stay marked Running and wedge the whole
+        // simulation in wall-clock, bypassing the deadlock detector.
+        // Refuse loudly instead.
+        assert!(
+            !crate::clock::thread_registered_in_sim(),
+            "a reply wait on a natively clocked cell from a sim-registered thread; build the \
+             SlotPool (or FrameCell) with the sim clock"
+        );
+        let mut held = self.lock.lock().expect("reply cell lock");
+        // Register as a parked waiter *before* the under-lock recheck so
+        // a concurrent filler either sees the registration (and takes
+        // the notify path) or we see its reply here and never sleep.
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let reply = loop {
+            if let Some(reply) = ready() {
+                break reply;
+            }
+            held = self.cv.wait(held).expect("reply cell lock");
+        };
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        drop(held);
+        reply
+    }
+}
+
+/// One reusable reply cell. Lives in `Arc`s held by the pool, the waiter,
+/// and (transiently) the filler; all coordination is through `word`.
+#[derive(Debug)]
+struct ReplyCell {
+    word: AtomicU64,
+    parking: Parking,
+}
+
+impl ReplyCell {
+    fn new() -> Self {
+        Self { word: AtomicU64::new(0), parking: Parking::new() }
     }
 
     /// Publish `reply` for generation `gen`. A stale generation (the cell
@@ -113,18 +194,7 @@ impl ReplyCell {
             .compare_exchange(pending, encode(gen, reply), Ordering::SeqCst, Ordering::Acquire)
             .is_ok()
         {
-            // SeqCst on both the CAS above and this load pairs with the
-            // waiter's SeqCst (register-parked → recheck-word) sequence:
-            // either this load observes the waiter registering (notify
-            // runs), or the waiter's recheck observes the filled word
-            // (it never sleeps) — store buffering can't hide both.
-            if self.parked.load(Ordering::SeqCst) > 0 {
-                // Hold the lock across notify: a registered waiter either
-                // rechecks the word before sleeping (it holds this lock
-                // to do so) or is parked and gets the wakeup.
-                let _held = self.lock.lock().expect("reply cell lock");
-                self.cv.notify_all();
-            }
+            self.parking.wake();
         }
     }
 }
@@ -142,40 +212,8 @@ pub struct ReplySlot {
 impl ReplySlot {
     /// Block until the reply arrives.
     pub fn wait(self) -> Result<u32, ServeError> {
-        if let Some(reply) = decode(self.cell.word.load(Ordering::Acquire)) {
-            return reply;
-        }
-        // Under a sim clock, park in the scheduler instead of on the
-        // cell's condvar: the filler runs serialized with us, so the
-        // scheduler re-polls this word the moment it could have changed
-        // (and a reply that never comes is a detected deadlock, not a
-        // hang). The native path below is untouched.
-        if let Some(sim) = self.pool.as_ref().and_then(|p| p.shared.clock.as_sim()) {
-            return sim.wait_until(|| decode(self.cell.word.load(Ordering::Acquire)));
-        }
-        // A native condvar park is invisible to a sim scheduler: the
-        // thread would stay marked Running and wedge the whole
-        // simulation in wall-clock, bypassing the deadlock detector.
-        // Refuse loudly instead.
-        assert!(
-            !crate::clock::thread_registered_in_sim(),
-            "ReplySlot::wait on a pool-less (or natively clocked) slot from a sim-registered \
-             thread; use a SlotPool built with the sim clock"
-        );
-        let mut held = self.cell.lock.lock().expect("reply cell lock");
-        // Register as a parked waiter *before* the under-lock recheck so
-        // a concurrent `fill` either sees the registration (and takes
-        // the notify path) or we see its word here and never sleep.
-        self.cell.parked.fetch_add(1, Ordering::SeqCst);
-        let reply = loop {
-            if let Some(reply) = decode(self.cell.word.load(Ordering::SeqCst)) {
-                break reply;
-            }
-            held = self.cell.cv.wait(held).expect("reply cell lock");
-        };
-        self.cell.parked.fetch_sub(1, Ordering::SeqCst);
-        drop(held);
-        reply
+        let clock = self.pool.as_ref().map(|p| &p.shared.clock);
+        self.cell.parking.wait(clock, || decode(self.cell.word.load(Ordering::SeqCst)))
     }
 
     /// The reply if it has arrived, `None` while still in flight.
@@ -309,6 +347,85 @@ pub fn reply_pair() -> (ReplySlot, ReplyHandle) {
     (ReplySlot { cell: cell.clone(), gen, pool: None }, ReplyHandle { cell, gen, sent: false })
 }
 
+const FRAME_PENDING: u64 = 0;
+const FRAME_FILLED: u64 = 1;
+
+/// One reply cell for a whole frame of requests: the filler publishes
+/// one reply `T` for all of them, and every request's waiter holds an
+/// `Arc` of the cell plus its own index into that reply. Parking is the
+/// same as a pooled slot's — a waiter blocks only if the reply is not
+/// there yet, and the fill wakes parked waiters once per frame, not per
+/// request.
+///
+/// Written once per tenancy: the first [`fill`](Self::fill) wins, later
+/// ones are no-ops. Reuse needs no generation tag, because a cell is
+/// made pending again only through [`recycle`](Self::recycle), which
+/// succeeds only while the caller holds the *only* `Arc` — no waiter and
+/// no filler can still see the old tenancy.
+#[derive(Debug)]
+pub struct FrameCell<T> {
+    /// `FRAME_PENDING` or `FRAME_FILLED`; the SeqCst store of
+    /// `FRAME_FILLED` publishes `reply`.
+    word: AtomicU64,
+    /// Set once per tenancy, before `word` flips; read only after a
+    /// waiter has seen `word` filled. A plain `std` cell, not a seam
+    /// type: it carries no ordering of its own that anything relies on —
+    /// `word` publishes it — so the checker needs to see only `word`.
+    reply: OnceLock<T>,
+    parking: Parking,
+    /// How a waiter blocks: natively (condvar) or in a sim scheduler.
+    clock: Clock,
+}
+
+impl<T> FrameCell<T> {
+    /// A pending cell whose waiters block in `clock` time.
+    pub fn new(clock: Clock) -> Self {
+        Self {
+            word: AtomicU64::new(FRAME_PENDING),
+            reply: OnceLock::new(),
+            parking: Parking::new(),
+            clock,
+        }
+    }
+
+    /// Publish `reply` and wake every parked waiter. A cell that already
+    /// holds a reply keeps it.
+    pub fn fill(&self, reply: T) {
+        if self.reply.set(reply).is_ok() {
+            self.word.store(FRAME_FILLED, Ordering::SeqCst);
+            self.parking.wake();
+        }
+    }
+
+    fn filled(&self, order: Ordering) -> Option<&T> {
+        (self.word.load(order) == FRAME_FILLED)
+            .then(|| self.reply.get().expect("a filled word follows the reply's set"))
+    }
+
+    /// The reply if it has been filled, `None` while pending.
+    pub fn poll(&self) -> Option<&T> {
+        self.filled(Ordering::Acquire)
+    }
+
+    /// Block until the reply is filled.
+    pub fn wait(&self) -> &T {
+        self.parking.wait(Some(&self.clock), || self.filled(Ordering::SeqCst))
+    }
+
+    /// Make `cell` pending again for a new tenancy, if nothing else holds
+    /// it: `false` (and nothing changes) while any other `Arc` of it — a
+    /// waiter's, a filler's — is alive.
+    pub fn recycle(cell: &mut Arc<Self>) -> bool {
+        let Some(cell) = Arc::get_mut(cell) else { return false };
+        cell.reply.take();
+        // ordering: relaxed-ok: `get_mut` proved this the only handle;
+        // the next tenancy is published through whatever hands the `Arc`
+        // to another thread.
+        cell.word.store(FRAME_PENDING, Ordering::Relaxed);
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +450,7 @@ mod tests {
         let (slot, handle) = reply_pair();
         let cell = slot.cell.clone();
         let t = thread::spawn(move || slot.wait());
-        while cell.parked.load(Ordering::SeqCst) == 0 {
+        while cell.parking.parked.load(Ordering::SeqCst) == 0 {
             thread::yield_now();
         }
         handle.send(Ok(7));
