@@ -1,23 +1,15 @@
-//! An inclusive cache hierarchy: L1 + L2, with optional L3 and an
-//! optional victim cache behind L1.
+//! An inclusive L1/L2 cache hierarchy.
 //!
 //! On the Pentium III the L2 is inclusive of L1; we model that: a fill
-//! inserts into both levels, and an outer-level eviction back-invalidates
-//! the inner levels. The hierarchy reports *where* an access hit, which
-//! the cost model translates into Table 2 penalties (L1 hit ≈ free,
-//! L2 hit = B1 miss penalty, memory = B2 miss penalty).
+//! inserts into both levels, and an L2 eviction back-invalidates L1. The
+//! hierarchy reports *where* an access hit, which the cost model
+//! translates into Table 2 penalties (L1 hit ≈ free, L2 hit = B1 miss
+//! penalty, memory = B2 miss penalty).
 //!
-//! Extensions beyond the paper's machine (all opt-in, all ablations):
-//!
-//! * **L3** ([`CacheHierarchy::with_l3`]) — a third level for modern
-//!   geometries ([`crate::params::MachineParams::modern_x86`]).
-//! * **victim cache** ([`CacheHierarchy::with_victim`]) — a small
-//!   fully-associative buffer catching L1 conflict evictions
-//!   (Jouppi's classic mitigation for low-associativity L1s).
-//! * **write-back accounting** — [`CacheHierarchy::access_write`] marks
-//!   last-level lines dirty; dirty evictions are counted as
-//!   [`CacheHierarchy::writebacks`] so a cost model can bill the
-//!   memory-bus traffic real write-back caches generate.
+//! Write-back accounting: [`CacheHierarchy::access_write`] marks L2 lines
+//! dirty; dirty evictions are counted as [`CacheHierarchy::writebacks`] so
+//! a cost model can bill the memory-bus traffic real write-back caches
+//! generate.
 
 use crate::params::CacheConfig;
 use crate::set_assoc::SetAssocCache;
@@ -27,47 +19,25 @@ use crate::set_assoc::SetAssocCache;
 pub enum HitLevel {
     /// Satisfied by the L1 data cache.
     L1,
-    /// Missed L1 but found in the victim cache (≈ L1-speed).
-    Victim,
     /// Missed L1, hit L2 (costs one B1 fill).
     L2,
-    /// Missed L2, hit the optional L3.
-    L3,
-    /// Missed every level (costs one B2 fill; the dominant term in the
+    /// Missed both levels (costs one B2 fill; the dominant term in the
     /// paper).
     Memory,
 }
 
-/// Inclusive L1/L2(/L3) hierarchy with an optional victim cache.
+/// Inclusive L1/L2 hierarchy.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     l1: SetAssocCache,
-    victim: Option<SetAssocCache>,
     l2: SetAssocCache,
-    l3: Option<SetAssocCache>,
 }
 
 impl CacheHierarchy {
     /// Build an empty two-level hierarchy from per-level geometry.
     pub fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
         assert!(l1.line_bytes <= l2.line_bytes, "L1 line must not exceed L2 line");
-        Self { l1: SetAssocCache::new(l1), victim: None, l2: SetAssocCache::new(l2), l3: None }
-    }
-
-    /// Add an L3 behind the L2 (inclusive of both).
-    pub fn with_l3(mut self, l3: CacheConfig) -> Self {
-        assert!(self.l2.config().line_bytes <= l3.line_bytes, "L2 line must not exceed L3 line");
-        self.l3 = Some(SetAssocCache::new(l3));
-        self
-    }
-
-    /// Add a fully-associative victim cache of `n_lines` L1 lines.
-    pub fn with_victim(mut self, n_lines: u32) -> Self {
-        assert!(n_lines >= 1);
-        let line = self.l1.config().line_bytes;
-        let cfg = CacheConfig::new(line * n_lines as u64, line, n_lines);
-        self.victim = Some(SetAssocCache::new(cfg));
-        self
+        Self { l1: SetAssocCache::new(l1), l2: SetAssocCache::new(l2) }
     }
 
     /// Access one byte address (the caller splits multi-line accesses).
@@ -76,126 +46,58 @@ impl CacheHierarchy {
         if self.l1.access(addr) {
             return HitLevel::L1;
         }
-        // Victim cache: swap the line back into L1.
-        if let Some(v) = &mut self.victim {
-            if v.contains(addr) {
-                v.invalidate(addr);
-                self.fill_l1(addr);
-                return HitLevel::Victim;
-            }
-        }
         if self.l2.access(addr) {
             // L1 fill from L2; an L1 eviction needs no L2 action
             // (inclusive: the line is still in L2).
-            self.fill_l1(addr);
+            self.l1.fill(addr);
             return HitLevel::L2;
         }
-        if let Some(l3) = &mut self.l3 {
-            if l3.access(addr) {
-                self.fill_l2(addr);
-                self.fill_l1(addr);
-                return HitLevel::L3;
-            }
-        }
-        // Miss everywhere: fill all levels outer-in.
-        self.fill_l3(addr);
+        // Miss everywhere: fill both levels outer-in.
         self.fill_l2(addr);
-        self.fill_l1(addr);
+        self.l1.fill(addr);
         HitLevel::Memory
     }
 
     /// Access for a write: like [`CacheHierarchy::access`], then mark the
-    /// last-level line dirty so its eventual eviction counts as a
-    /// write-back.
+    /// L2 line dirty so its eventual eviction counts as a write-back.
     pub fn access_write(&mut self, addr: u64) -> HitLevel {
         let level = self.access(addr);
         self.mark_dirty_llc(addr);
         level
     }
 
-    /// Insert a line into all levels without charging an access
+    /// Insert a line into both levels without charging an access
     /// (used to model DMA/overlapped-receive cache pollution).
     pub fn install(&mut self, addr: u64) {
-        if let Some(l3) = &self.l3 {
-            if !l3.contains(addr) {
-                self.fill_l3(addr);
-            }
-        }
         if !self.l2.contains(addr) {
             self.fill_l2(addr);
         }
-        self.fill_l1(addr);
+        self.l1.fill(addr);
     }
 
-    /// Mark the last-level line holding `addr` dirty (DMA writes, stream
-    /// writes). No-op when not resident.
+    /// Mark the L2 line holding `addr` dirty (DMA writes, stream writes).
+    /// No-op when not resident.
     pub fn mark_dirty_llc(&mut self, addr: u64) {
-        match &mut self.l3 {
-            Some(l3) => {
-                l3.mark_dirty(addr);
-            }
-            None => {
-                self.l2.mark_dirty(addr);
-            }
-        }
+        self.l2.mark_dirty(addr);
     }
 
-    /// Dirty lines evicted from the last level so far (each is one line of
-    /// write traffic to memory).
+    /// Dirty lines evicted from L2 so far (each is one line of write
+    /// traffic to memory).
     pub fn writebacks(&self) -> u64 {
-        match &self.l3 {
-            Some(l3) => l3.writebacks(),
-            None => self.l2.writebacks(),
-        }
+        self.l2.writebacks()
     }
 
-    /// L1 fill; evicted L1 lines spill into the victim cache if present.
-    fn fill_l1(&mut self, addr: u64) {
-        let evicted = self.l1.fill(addr);
-        if let (Some(v), Some(line)) = (&mut self.victim, evicted) {
-            v.fill(line * self.l1.config().line_bytes);
-        }
-    }
-
-    /// L2 fill with back-invalidation of L1 (and the victim cache).
+    /// L2 fill with back-invalidation of L1.
     fn fill_l2(&mut self, addr: u64) {
         if let Some(evicted_l2_line) = self.l2.fill(addr) {
-            let byte_addr = evicted_l2_line * self.l2.config().line_bytes;
-            self.back_invalidate_l1(byte_addr, self.l2.config().line_bytes);
-        }
-    }
-
-    /// L3 fill with back-invalidation of L2 and L1. No-op without an L3.
-    fn fill_l3(&mut self, addr: u64) {
-        let line_bytes = match &self.l3 {
-            Some(l3) => l3.config().line_bytes,
-            None => return,
-        };
-        let evicted = self.l3.as_mut().unwrap().fill(addr);
-        if let Some(evicted_line) = evicted {
-            let byte_addr = evicted_line * line_bytes;
-            // Invalidate every L2 line covered by the evicted L3 line.
-            let step = self.l2.config().line_bytes;
+            let line_bytes = self.l2.config().line_bytes;
+            let byte_addr = evicted_l2_line * line_bytes;
+            let step = self.l1.config().line_bytes;
             let mut a = byte_addr;
-            let end = byte_addr + line_bytes;
-            while a < end {
-                self.l2.invalidate(a);
+            while a < byte_addr + line_bytes {
+                self.l1.invalidate(a);
                 a += step;
             }
-            self.back_invalidate_l1(byte_addr, line_bytes);
-        }
-    }
-
-    fn back_invalidate_l1(&mut self, byte_addr: u64, span: u64) {
-        let step = self.l1.config().line_bytes;
-        let mut a = byte_addr;
-        let end = byte_addr + span;
-        while a < end {
-            self.l1.invalidate(a);
-            if let Some(v) = &mut self.victim {
-                v.invalidate(a);
-            }
-            a += step;
         }
     }
 
@@ -209,36 +111,20 @@ impl CacheHierarchy {
         self.l1.contains(addr)
     }
 
-    /// Whether `addr` is resident in the L3 (false without an L3).
-    pub fn resident_l3(&self, addr: u64) -> bool {
-        self.l3.as_ref().is_some_and(|l3| l3.contains(addr))
-    }
-
-    /// Empty all levels (cold start).
+    /// Empty both levels (cold start).
     pub fn flush(&mut self) {
         self.l1.flush();
         self.l2.flush();
-        if let Some(v) = &mut self.victim {
-            v.flush();
-        }
-        if let Some(l3) = &mut self.l3 {
-            l3.flush();
-        }
     }
 
-    /// The L1 cache (for inspection in tests/ablations).
+    /// The L1 cache (for inspection in tests).
     pub fn l1(&self) -> &SetAssocCache {
         &self.l1
     }
 
-    /// The L2 cache (for inspection in tests/ablations).
+    /// The L2 cache (for inspection in tests).
     pub fn l2(&self) -> &SetAssocCache {
         &self.l2
-    }
-
-    /// The L3 cache, if configured.
-    pub fn l3(&self) -> Option<&SetAssocCache> {
-        self.l3.as_ref()
     }
 }
 
@@ -303,69 +189,6 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Victim cache
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn victim_catches_conflict_eviction() {
-        let mut h = small().with_victim(4);
-        h.access(0); // L1 set 0
-        h.access(64); // L1 set 0
-        h.access(128); // evicts line 0 from L1 → victim
-        assert_eq!(h.access(0), HitLevel::Victim, "victim cache should catch the conflict");
-        // After the swap the line is back in L1.
-        assert_eq!(h.access(0), HitLevel::L1);
-    }
-
-    #[test]
-    fn without_victim_same_pattern_costs_l2() {
-        let mut h = small();
-        h.access(0);
-        h.access(64);
-        h.access(128);
-        assert_eq!(h.access(0), HitLevel::L2);
-    }
-
-    // ------------------------------------------------------------------
-    // L3
-    // ------------------------------------------------------------------
-
-    fn three_level() -> CacheHierarchy {
-        // L1: 4 lines, L2: 8 lines (2 sets × 4-way), L3: 32 lines.
-        CacheHierarchy::new(CacheConfig::new(128, 32, 2), CacheConfig::new(256, 32, 4))
-            .with_l3(CacheConfig::new(1024, 32, 4))
-    }
-
-    #[test]
-    fn l2_eviction_leaves_l3_hit() {
-        let mut h = three_level();
-        // L2 set 0 holds lines ≡ 0 (mod 2): addrs 0, 64, 128, 192, 256.
-        for a in [0u64, 64, 128, 192] {
-            h.access(a);
-        }
-        h.access(256); // evicts line 0 from L2 (LRU); L3 keeps it
-        assert!(!h.resident_l2(0));
-        assert!(h.resident_l3(0));
-        assert_eq!(h.access(0), HitLevel::L3);
-        // Refilled into L2/L1 by the L3 hit.
-        assert_eq!(h.access(0), HitLevel::L1);
-    }
-
-    #[test]
-    fn l3_back_invalidates_inner_levels() {
-        let mut h = three_level();
-        // L3: 8 sets × 4-way; set 0 holds lines ≡ 0 (mod 8) → addrs 0,
-        // 256, 512, 1024… Fill five conflicting L3 lines.
-        for a in [0u64, 256, 512, 768, 1024] {
-            h.access(a);
-        }
-        assert!(!h.resident_l3(0), "L3 LRU should have evicted line 0");
-        assert!(!h.resident_l2(0), "L3 eviction must back-invalidate L2");
-        assert!(!h.resident_l1(0), "L3 eviction must back-invalidate L1");
-        assert_eq!(h.access(0), HitLevel::Memory);
-    }
-
-    // ------------------------------------------------------------------
     // Write-backs
     // ------------------------------------------------------------------
 
@@ -388,17 +211,5 @@ mod tests {
             h.access(a);
         }
         assert_eq!(h.writebacks(), 0);
-    }
-
-    #[test]
-    fn writebacks_tracked_at_l3_when_present() {
-        let mut h = three_level();
-        h.access_write(0);
-        // Evict line 0 from L3 (set 0: ≡ 0 mod 8).
-        for a in [256u64, 512, 768, 1024] {
-            h.access(a);
-        }
-        assert_eq!(h.writebacks(), 1);
-        assert!(h.l2().writebacks() == 0, "dirty state lives at the LLC");
     }
 }

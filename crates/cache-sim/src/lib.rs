@@ -14,18 +14,16 @@
 //!
 //! ## Layers
 //!
-//! * [`set_assoc`] — a single set-associative cache with pluggable
-//!   replacement policies (LRU, FIFO, random, tree-PLRU).
+//! * [`set_assoc`] — a single set-associative LRU cache.
 //! * [`hierarchy`] — an inclusive L1/L2 hierarchy.
 //! * [`params`] — [`MachineParams`]: the paper's Table 2 plus presets for
-//!   the Pentium III, Pentium 4, and technology-scaled future machines.
+//!   the Pentium III and the Pentium 4 of its §2.2 remark.
 //! * [`memory`] — the [`MemoryModel`] trait that index structures and the
 //!   cluster simulator program against: [`SimMemory`] bills simulated
 //!   nanoseconds, [`NullMemory`] is free (native runs), [`CountingMemory`]
 //!   records accesses for tests.
 //! * [`tlb`] — an optional TLB model (the paper explicitly ignores TLB
-//!   misses; we model them as an ablation).
-//! * [`prefetch`] — an optional next-line prefetcher (ablation).
+//!   misses; Table 3's "TLB on" rows measure what that leaves out).
 //! * [`addr`] — a bump allocator handing out virtual address regions so
 //!   index arenas, message buffers, and key arrays occupy disjoint,
 //!   realistically-aligned address ranges.
@@ -39,21 +37,17 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod color;
 pub mod hierarchy;
 pub mod memory;
 pub mod params;
-pub mod prefetch;
 pub mod set_assoc;
 pub mod stats;
 pub mod tlb;
 
 pub use addr::AddressSpace;
-pub use color::PageMapper;
 pub use hierarchy::{CacheHierarchy, HitLevel};
 pub use memory::{AccessKind, CountingMemory, MemoryModel, NullMemory, SimMemory};
-pub use params::{CacheConfig, MachineParams, ReplacementPolicy};
-pub use prefetch::{Prefetcher, StrideState};
+pub use params::{CacheConfig, MachineParams};
 pub use set_assoc::SetAssocCache;
 pub use stats::{AccessStats, LevelStats};
 pub use tlb::Tlb;

@@ -12,10 +12,8 @@
 //! * [`CountingMemory`] — records every access; used by tests to assert
 //!   access patterns (e.g. "binary search touches ⌈log2 n⌉ probes").
 
-use crate::color::PageMapper;
 use crate::hierarchy::{CacheHierarchy, HitLevel};
 use crate::params::MachineParams;
-use crate::prefetch::{Prefetcher, StrideState};
 use crate::stats::AccessStats;
 use crate::tlb::Tlb;
 
@@ -119,39 +117,28 @@ impl CountingMemory {
     }
 }
 
-/// The simulated memory: hierarchy + Table 2 cost model (+ optional TLB,
-/// prefetcher, victim cache, page coloring, and write-back billing — all
-/// default-off so the baseline stays the paper's model).
+/// The simulated memory: hierarchy + Table 2 cost model (+ optional TLB
+/// and write-back billing, both default-off so the baseline stays the
+/// paper's model).
 #[derive(Debug, Clone)]
 pub struct SimMemory {
     params: MachineParams,
     hierarchy: CacheHierarchy,
     tlb: Option<Tlb>,
-    prefetcher: Prefetcher,
-    stride: StrideState,
-    mapper: Option<PageMapper>,
     bill_writebacks: bool,
     seen_writebacks: u64,
     stats: AccessStats,
 }
 
 impl SimMemory {
-    /// Build from machine parameters, TLB disabled (the paper's model),
-    /// no prefetcher (the paper's machine). An L3 is attached when the
-    /// parameters define one.
+    /// Build from machine parameters, TLB disabled (the paper's model).
     pub fn new(params: MachineParams) -> Self {
         params.validate();
-        let mut hierarchy = CacheHierarchy::new(params.l1, params.l2);
-        if let Some(l3) = params.l3 {
-            hierarchy = hierarchy.with_l3(l3);
-        }
+        let hierarchy = CacheHierarchy::new(params.l1, params.l2);
         Self {
             params,
             hierarchy,
             tlb: None,
-            prefetcher: Prefetcher::None,
-            stride: StrideState::default(),
-            mapper: None,
             bill_writebacks: false,
             seen_writebacks: 0,
             stats: AccessStats::default(),
@@ -162,32 +149,6 @@ impl SimMemory {
     pub fn with_tlb(mut self) -> Self {
         self.tlb = Some(Tlb::new(self.params.tlb_entries, self.params.page_bytes));
         self
-    }
-
-    /// Enable a prefetcher (ablation).
-    pub fn with_prefetcher(mut self, p: Prefetcher) -> Self {
-        self.prefetcher = p;
-        self
-    }
-
-    /// Add a victim cache of `n_lines` behind L1 (ablation).
-    pub fn with_victim_cache(mut self, n_lines: u32) -> Self {
-        self.hierarchy = self.hierarchy.with_victim(n_lines);
-        self
-    }
-
-    /// Translate addresses through a page-coloring mapper (ablation for
-    /// the paper's "even without cache coloring" remark). Use
-    /// [`PageMapper::assign`] to pin regions to colors before running.
-    pub fn with_page_mapper(mut self, mapper: PageMapper) -> Self {
-        self.mapper = Some(mapper);
-        self
-    }
-
-    /// Mutable access to the page mapper (to assign regions after
-    /// construction).
-    pub fn page_mapper_mut(&mut self) -> Option<&mut PageMapper> {
-        self.mapper.as_mut()
     }
 
     /// Bill write-backs of dirty lines at W1 (ablation; the paper's model
@@ -212,10 +173,9 @@ impl SimMemory {
         self.stats = AccessStats::default();
     }
 
-    /// Flush caches, TLB, and prefetcher state (cold start).
+    /// Flush caches and TLB (cold start).
     pub fn flush(&mut self) {
         self.hierarchy.flush();
-        self.stride.reset();
         if let Some(t) = &mut self.tlb {
             t.flush();
         }
@@ -236,21 +196,11 @@ impl SimMemory {
                 ns += self.params.tlb_miss_ns;
             }
         }
-        let phys = match &mut self.mapper {
-            Some(m) => m.translate(addr),
-            None => addr,
-        };
-        let predicted = self.prefetcher.adaptive_depth().and_then(|_| self.stride.observe(phys));
         let level =
-            if write { self.hierarchy.access_write(phys) } else { self.hierarchy.access(phys) };
+            if write { self.hierarchy.access_write(addr) } else { self.hierarchy.access(addr) };
         match level {
             HitLevel::L1 => {
                 self.stats.l1.hits += 1;
-                ns += self.params.l1_hit_ns;
-            }
-            HitLevel::Victim => {
-                self.stats.l1.misses += 1;
-                self.stats.victim_hits += 1;
                 ns += self.params.l1_hit_ns;
             }
             HitLevel::L2 => {
@@ -258,33 +208,11 @@ impl SimMemory {
                 self.stats.l2.hits += 1;
                 ns += self.params.b1_miss_penalty_ns;
             }
-            HitLevel::L3 => {
-                self.stats.l1.misses += 1;
-                self.stats.l2.misses += 1;
-                self.stats.l3.hits += 1;
-                ns += self.params.l3_hit_ns;
-            }
             HitLevel::Memory => {
                 self.stats.l1.misses += 1;
                 self.stats.l2.misses += 1;
-                if self.params.l3.is_some() {
-                    self.stats.l3.misses += 1;
-                }
                 self.stats.memory_accesses += 1;
                 ns += self.params.b2_miss_penalty_ns;
-                for line in self.prefetcher.lines_after_miss(phys, self.params.l2.line_bytes) {
-                    self.hierarchy.install(line);
-                    self.stats.prefetched_lines += 1;
-                }
-                if let (Some(depth), Some(stride)) = (self.prefetcher.adaptive_depth(), predicted) {
-                    for k in 1..=depth as i64 {
-                        let target = phys as i64 + k * stride;
-                        if target >= 0 {
-                            self.hierarchy.install(target as u64);
-                            self.stats.prefetched_lines += 1;
-                        }
-                    }
-                }
             }
         }
         ns + self.charge_writebacks()
@@ -343,13 +271,9 @@ impl MemoryModel for SimMemory {
                             ns += self.params.tlb_miss_ns;
                         }
                     }
-                    let phys = match &mut self.mapper {
-                        Some(m) => m.translate(base),
-                        None => base,
-                    };
-                    self.hierarchy.install(phys);
+                    self.hierarchy.install(base);
                     if write {
-                        self.hierarchy.mark_dirty_llc(phys);
+                        self.hierarchy.mark_dirty_llc(base);
                     }
                 }
                 self.stats.streamed_bytes += len as u64;
@@ -358,11 +282,7 @@ impl MemoryModel for SimMemory {
             AccessKind::Pollute => {
                 let lines: Vec<u64> = self.lines_covered(addr, len).collect();
                 for base in lines {
-                    let phys = match &mut self.mapper {
-                        Some(m) => m.translate(base),
-                        None => base,
-                    };
-                    self.hierarchy.install(phys);
+                    self.hierarchy.install(base);
                     self.stats.polluted_lines += 1;
                 }
                 // Pollution itself is free, but it can still displace
@@ -500,117 +420,6 @@ mod tests {
         }
         assert_eq!(m.stats().writebacks, 1);
         assert!((cost - 8.0 * 110.0).abs() < 1e-6, "billing leaked into baseline: {cost}");
-    }
-
-    #[test]
-    fn victim_cache_turns_conflict_misses_into_near_hits() {
-        // Working set of 8 lines all mapping to one L1 set (4-way P-III
-        // L1: conflicting addrs are 4096 apart). Without a victim cache a
-        // round-robin walk misses L1 every time; a 16-line victim catches
-        // them all after warmup.
-        let walk = |m: &mut SimMemory| {
-            for _ in 0..10 {
-                for i in 0..8u64 {
-                    m.touch(i * 4096, 4, AccessKind::Read);
-                }
-            }
-            m.stats().victim_hits
-        };
-        let mut plain = mem();
-        assert_eq!(walk(&mut plain), 0);
-        let mut vict = SimMemory::new(MachineParams::pentium_iii()).with_victim_cache(16);
-        assert!(walk(&mut vict) > 40, "victim hits: {}", vict.stats().victim_hits);
-    }
-
-    #[test]
-    fn stride_prefetcher_eliminates_strided_misses() {
-        // Walk 4 KB-strided addresses: every access is a new line —
-        // without prefetch each is a memory miss.
-        let run = |m: &mut SimMemory| {
-            for i in 0..256u64 {
-                m.touch(i * 4096, 4, AccessKind::Read);
-            }
-            m.stats().memory_accesses
-        };
-        let mut plain = mem();
-        let base_misses = run(&mut plain);
-        let mut pf = SimMemory::new(MachineParams::pentium_iii())
-            .with_prefetcher(Prefetcher::AdaptiveStride { depth: 4 });
-        let pf_misses = run(&mut pf);
-        assert!(base_misses >= 256);
-        assert!(
-            pf_misses < base_misses / 3,
-            "stride prefetch ineffective: {pf_misses} vs {base_misses}"
-        );
-        assert!(pf.stats().prefetched_lines > 0);
-    }
-
-    #[test]
-    fn page_coloring_isolates_regions() {
-        use crate::color::PageMapper;
-        // Index region: 448 KB resident; stream region: 512 KB. Uncolored,
-        // the stream evicts most of the index. Colored 14/2 split: the
-        // stream only recycles its own 2 colors.
-        let l2 = MachineParams::pentium_iii().l2;
-        let n_colors = PageMapper::colors_of(&l2, 4096);
-        assert_eq!(n_colors, 16);
-
-        let index_base = 0u64;
-        let index_bytes = 448 * 1024u64;
-        let stream_base = 1 << 24;
-        let stream_bytes = 512 * 1024u32;
-
-        let resident_after = |m: &mut SimMemory| {
-            // Touch the whole index, then stream, then re-touch: count
-            // re-touches that still hit (anywhere but memory).
-            for a in (0..index_bytes).step_by(32) {
-                m.touch(index_base + a, 4, AccessKind::Read);
-            }
-            m.reset_stats();
-            m.touch(stream_base, stream_bytes, AccessKind::StreamRead);
-            for a in (0..index_bytes).step_by(32) {
-                m.touch(index_base + a, 4, AccessKind::Read);
-            }
-            let s = m.stats();
-            s.random_accesses() - s.memory_accesses
-        };
-
-        let mut plain = mem();
-        let kept_plain = resident_after(&mut plain);
-
-        let mut mapper = PageMapper::new(4096, n_colors);
-        // Index gets colors 0..13 (spread round-robin page by page),
-        // stream gets 14..15.
-        for (i, page) in (0..index_bytes).step_by(4096).enumerate() {
-            mapper.assign(index_base + page, 4096, (i % 14) as u32);
-        }
-        for (i, page) in (0..stream_bytes as u64).step_by(4096).enumerate() {
-            mapper.assign(stream_base + page, 4096, 14 + (i % 2) as u32);
-        }
-        let mut colored = SimMemory::new(MachineParams::pentium_iii()).with_page_mapper(mapper);
-        let kept_colored = resident_after(&mut colored);
-
-        assert!(
-            kept_colored > kept_plain * 2,
-            "coloring did not protect the index: {kept_colored} vs {kept_plain}"
-        );
-    }
-
-    #[test]
-    fn modern_machine_exercises_l3() {
-        let mut m = SimMemory::new(MachineParams::modern_x86());
-        // Working set of 4 MB: fits L3, not L2 (1 MB).
-        let ws = 4 * 1024 * 1024u64;
-        for a in (0..ws).step_by(64) {
-            m.touch(a, 4, AccessKind::Read);
-        }
-        m.reset_stats();
-        for a in (0..ws).step_by(64) {
-            m.touch(a, 4, AccessKind::Read);
-        }
-        let s = m.stats();
-        assert_eq!(s.memory_accesses, 0, "4 MB fits in the 8 MB L3");
-        assert!(s.l3.hits > 0, "L2-missing accesses must be served by L3");
     }
 
     #[test]

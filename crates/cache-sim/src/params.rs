@@ -18,22 +18,9 @@ pub fn gbit_per_s(gb: f64) -> f64 {
     gb * 1e9 / 8.0 / 1e9
 }
 
-/// Replacement policy for a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Evict the least-recently-used way (the paper's assumption: "to the
-    /// extent that a cache eviction algorithm approximates an LRU
-    /// algorithm…").
-    Lru,
-    /// Evict the way that was filled first.
-    Fifo,
-    /// Evict a pseudo-random way (deterministic xorshift stream).
-    Random,
-    /// Tree pseudo-LRU, as implemented by many real L2 caches.
-    TreePlru,
-}
-
-/// Geometry and policy of one cache level.
+/// Geometry of one cache level. Replacement is always LRU, the paper's
+/// assumption ("to the extent that a cache eviction algorithm approximates
+/// an LRU algorithm…").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -42,14 +29,12 @@ pub struct CacheConfig {
     pub line_bytes: u64,
     /// Associativity (ways per set).
     pub assoc: u32,
-    /// Replacement policy.
-    pub policy: ReplacementPolicy,
 }
 
 impl CacheConfig {
-    /// A new LRU cache configuration.
+    /// A new cache configuration.
     pub fn new(size_bytes: u64, line_bytes: u64, assoc: u32) -> Self {
-        Self { size_bytes, line_bytes, assoc, policy: ReplacementPolicy::Lru }
+        Self { size_bytes, line_bytes, assoc }
     }
 
     /// Number of sets implied by the geometry.
@@ -89,17 +74,10 @@ pub struct MachineParams {
     pub l1: CacheConfig,
     /// L2 unified cache geometry.
     pub l2: CacheConfig,
-    /// Optional L3 geometry. The paper's Pentium III has none; modern
-    /// presets use it so the examples can model today's hierarchies.
-    pub l3: Option<CacheConfig>,
     /// Cost of filling an L1 line from L2 ("B1 Miss Penalty", 16.25 ns).
     pub b1_miss_penalty_ns: f64,
     /// Cost of filling an L2 line from RAM ("B2 Miss Penalty", 110 ns).
-    /// With an L3 present this is the cost of an access served by *memory*
-    /// (missing all levels); L3 hits cost [`MachineParams::l3_hit_ns`].
     pub b2_miss_penalty_ns: f64,
-    /// Cost of an L2 miss served by the L3 (ignored without an L3).
-    pub l3_hit_ns: f64,
     /// Cost of an access that hits in L1 (the paper neglects this; 0 by
     /// default so the model stays a lower bound, as the paper notes).
     pub l1_hit_ns: f64,
@@ -135,8 +113,6 @@ impl MachineParams {
             name: "Pentium III (paper Table 2)".to_owned(),
             l1,
             l2,
-            l3: None,
-            l3_hit_ns: 0.0,
             b1_miss_penalty_ns: 16.25,
             b2_miss_penalty_ns: 110.0,
             l1_hit_ns: 0.0,
@@ -161,8 +137,6 @@ impl MachineParams {
             name: "Pentium 4".to_owned(),
             l1,
             l2,
-            l3: None,
-            l3_hit_ns: 0.0,
             b1_miss_penalty_ns: 9.0,
             b2_miss_penalty_ns: 150.0,
             l1_hit_ns: 0.0,
@@ -173,34 +147,6 @@ impl MachineParams {
             tlb_entries: 64,
             page_bytes: 4096,
             tlb_miss_ns: 100.0,
-            word_bytes: 4,
-        }
-    }
-
-    /// A modern three-level x86 hierarchy (Skylake-class: 32 KB L1 /
-    /// 1 MB L2 / 8 MB L3, 64-byte lines). Used by examples and the
-    /// "would the paper's argument still hold today?" ablations — note
-    /// how the L2→memory gap (the paper's whole lever) has *widened*.
-    pub fn modern_x86() -> Self {
-        let l1 = CacheConfig::new(32 * 1024, 64, 8);
-        let l2 = CacheConfig::new(1024 * 1024, 64, 16);
-        let l3 = CacheConfig::new(8 * 1024 * 1024, 64, 16);
-        Self {
-            name: "Modern x86 (3-level)".to_owned(),
-            l1,
-            l2,
-            l3: Some(l3),
-            l3_hit_ns: 12.0,
-            b1_miss_penalty_ns: 3.0,
-            b2_miss_penalty_ns: 80.0,
-            l1_hit_ns: 0.0,
-            comp_cost_node_ns: 6.0,
-            cmp_cost_ns: 6.0 / 15.0,
-            mem_bw_seq: mb_per_s(20_000.0),
-            mem_bw_rand: mb_per_s(800.0),
-            tlb_entries: 1536,
-            page_bytes: 4096,
-            tlb_miss_ns: 30.0,
             word_bytes: 4,
         }
     }
@@ -228,21 +174,7 @@ impl MachineParams {
         self.l1.validate();
         self.l2.validate();
         assert!(self.l1.line_bytes <= self.l2.line_bytes);
-        if let Some(l3) = &self.l3 {
-            l3.validate();
-            assert!(self.l2.line_bytes <= l3.line_bytes);
-            assert!(self.l3_hit_ns >= 0.0);
-        }
         assert!(self.mem_bw_seq > 0.0 && self.b2_miss_penalty_ns > 0.0);
-    }
-
-    /// Effective random-access bandwidth implied by the miss penalty:
-    /// one word per `b2_miss_penalty_ns`. The paper observes ~48 MB/s
-    /// against a 110 ns penalty loading 32-byte lines of which 4 bytes
-    /// are useful: 4 B / 110 ns ≈ 36 MB/s, within 25 % of the measured
-    /// figure (DRAM page locality explains the rest).
-    pub fn implied_rand_bw(&self) -> f64 {
-        self.word_bytes as f64 / self.b2_miss_penalty_ns
     }
 }
 
@@ -281,14 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn implied_random_bw_is_same_order_as_measured() {
-        let p = MachineParams::pentium_iii();
-        let implied = p.implied_rand_bw();
-        // 4 B / 110 ns = 0.036 B/ns = 36 MB/s vs measured 48 MB/s.
-        assert!(implied > 0.5 * p.mem_bw_rand && implied < 2.0 * p.mem_bw_rand);
-    }
-
-    #[test]
     fn sets_are_power_of_two() {
         let p = MachineParams::pentium_iii();
         assert_eq!(p.l1.n_sets(), 128);
@@ -300,17 +224,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_line_size_panics() {
         CacheConfig::new(1024, 48, 2).validate();
-    }
-
-    #[test]
-    fn modern_preset_validates_with_l3() {
-        let m = MachineParams::modern_x86();
-        m.validate();
-        let l3 = m.l3.expect("modern preset has an L3");
-        assert!(l3.size_bytes > m.l2.size_bytes);
-        assert!(m.l3_hit_ns > m.b1_miss_penalty_ns);
-        assert!(m.l3_hit_ns < m.b2_miss_penalty_ns);
-        // 64-byte node → 15 keys + pointer → 16-ary.
-        assert_eq!(m.fanout(), 16);
     }
 }

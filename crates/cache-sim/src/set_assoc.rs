@@ -1,18 +1,17 @@
-//! A single set-associative cache with pluggable replacement.
+//! A single set-associative LRU cache.
 //!
 //! Addresses are virtual byte addresses (from [`crate::addr::AddressSpace`]).
 //! The cache tracks *line* addresses (`addr / line_bytes`). Lookups and
-//! fills are O(associativity); the whole structure is deterministic,
-//! including the `Random` policy (seeded xorshift).
+//! fills are O(associativity); the whole structure is deterministic.
 
-use crate::params::{CacheConfig, ReplacementPolicy};
+use crate::params::CacheConfig;
 
 /// One way of one set.
 #[derive(Debug, Clone, Copy)]
 struct Way {
     /// Line address (`byte_addr >> line_shift`), or `u64::MAX` when empty.
     line: u64,
-    /// Policy metadata: LRU/FIFO tick of last touch/fill.
+    /// LRU metadata: tick of the last touch or fill.
     stamp: u64,
     /// Written since fill (write-back accounting).
     dirty: bool,
@@ -25,12 +24,9 @@ const EMPTY: u64 = u64::MAX;
 pub struct SetAssocCache {
     cfg: CacheConfig,
     ways: Vec<Way>,
-    /// Tree-PLRU bit state, one word per set (supports assoc ≤ 64).
-    plru: Vec<u64>,
     n_sets: u64,
     line_shift: u32,
     tick: u64,
-    rng: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -47,11 +43,9 @@ impl SetAssocCache {
                 Way { line: EMPTY, stamp: 0, dirty: false };
                 (n_sets * cfg.assoc as u64) as usize
             ],
-            plru: vec![0u64; n_sets as usize],
             n_sets,
             line_shift: cfg.line_bytes.trailing_zeros(),
             tick: 0,
-            rng: 0x9E3779B97F4A7C15,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -92,7 +86,7 @@ impl SetAssocCache {
         let range = self.set_range(set);
         for i in range {
             if self.ways[i].line == line {
-                self.touch_way(set, i);
+                self.ways[i].stamp = self.tick;
                 self.hits += 1;
                 return true;
             }
@@ -126,7 +120,7 @@ impl SetAssocCache {
         // Already resident?
         for i in range.clone() {
             if self.ways[i].line == line {
-                self.touch_way(set, i);
+                self.ways[i].stamp = self.tick;
                 return None;
             }
         }
@@ -134,17 +128,14 @@ impl SetAssocCache {
         for i in range.clone() {
             if self.ways[i].line == EMPTY {
                 self.ways[i] = Way { line, stamp: self.tick, dirty: false };
-                self.touch_plru(set, i - range.start);
                 return None;
             }
         }
-        // Evict.
-        let victim = self.pick_victim(set);
+        // Evict the least recently used way.
+        let victim = range.min_by_key(|&i| self.ways[i].stamp).expect("assoc >= 1");
         let evicted = self.ways[victim].line;
         let was_dirty = self.ways[victim].dirty;
         self.ways[victim] = Way { line, stamp: self.tick, dirty: false };
-        let way_idx = victim - range.start;
-        self.touch_plru(set, way_idx);
         self.evictions += 1;
         if was_dirty {
             self.writebacks += 1;
@@ -190,9 +181,6 @@ impl SetAssocCache {
         for w in &mut self.ways {
             w.line = EMPTY;
         }
-        for p in &mut self.plru {
-            *p = 0;
-        }
     }
 
     /// Number of valid lines currently resident.
@@ -221,92 +209,6 @@ impl SetAssocCache {
         self.misses = 0;
         self.evictions = 0;
     }
-
-    fn touch_way(&mut self, set: u64, idx: usize) {
-        match self.cfg.policy {
-            ReplacementPolicy::Lru => self.ways[idx].stamp = self.tick,
-            ReplacementPolicy::Fifo => {} // FIFO ignores touches
-            ReplacementPolicy::Random => {}
-            ReplacementPolicy::TreePlru => {
-                let base = (set * self.cfg.assoc as u64) as usize;
-                self.touch_plru(set, idx - base);
-            }
-        }
-    }
-
-    /// Update tree-PLRU bits so that `way` is protected.
-    fn touch_plru(&mut self, set: u64, way: usize) {
-        if self.cfg.policy != ReplacementPolicy::TreePlru {
-            return;
-        }
-        let assoc = self.cfg.assoc as usize;
-        let mut bits = self.plru[set as usize];
-        // Walk the implicit binary tree from root; node i has children
-        // 2i+1 / 2i+2; leaves map to ways. Set bits to point *away* from
-        // the touched way.
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = assoc;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if way < mid {
-                bits |= 1 << node; // 1 = victim search goes right
-                node = 2 * node + 1;
-                hi = mid;
-            } else {
-                bits &= !(1 << node); // 0 = victim search goes left
-                node = 2 * node + 2;
-                lo = mid;
-            }
-        }
-        self.plru[set as usize] = bits;
-    }
-
-    fn pick_victim(&mut self, set: u64) -> usize {
-        let base = (set * self.cfg.assoc as u64) as usize;
-        let assoc = self.cfg.assoc as usize;
-        match self.cfg.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                let mut best = base;
-                let mut best_stamp = u64::MAX;
-                for i in base..base + assoc {
-                    if self.ways[i].stamp < best_stamp {
-                        best_stamp = self.ways[i].stamp;
-                        best = i;
-                    }
-                }
-                best
-            }
-            ReplacementPolicy::Random => {
-                // xorshift64*
-                let mut x = self.rng;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng = x;
-                base + (x.wrapping_mul(0x2545F4914F6CDD1D) >> 32) as usize % assoc
-            }
-            ReplacementPolicy::TreePlru => {
-                let bits = self.plru[set as usize];
-                let mut node = 0usize;
-                let mut lo = 0usize;
-                let mut hi = assoc;
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    // bit == 1 records "last touch went left", so the
-                    // victim search goes right, and vice versa.
-                    if bits & (1 << node) != 0 {
-                        node = 2 * node + 2;
-                        lo = mid;
-                    } else {
-                        node = 2 * node + 1;
-                        hi = mid;
-                    }
-                }
-                base + lo
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -314,16 +216,14 @@ mod tests {
     use super::*;
     use crate::params::CacheConfig;
 
-    fn tiny(policy: ReplacementPolicy) -> SetAssocCache {
+    fn tiny() -> SetAssocCache {
         // 4 lines of 32 B, 2-way → 2 sets.
-        let mut cfg = CacheConfig::new(128, 32, 2);
-        cfg.policy = policy;
-        SetAssocCache::new(cfg)
+        SetAssocCache::new(CacheConfig::new(128, 32, 2))
     }
 
     #[test]
     fn miss_then_fill_then_hit() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         assert!(!c.access(0));
         assert_eq!(c.fill(0), None);
         assert!(c.access(0));
@@ -333,7 +233,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         // Set 0 holds lines 0, 2, 4, … (2 sets × 32 B lines).
         c.fill(0); // line 0 → set 0
         c.fill(64); // line 2 → set 0
@@ -345,18 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_touches() {
-        let mut c = tiny(ReplacementPolicy::Fifo);
-        c.fill(0);
-        c.fill(64);
-        assert!(c.access(0)); // touch does not protect under FIFO
-        let evicted = c.fill(128);
-        assert_eq!(evicted, Some(0));
-    }
-
-    #[test]
     fn occupancy_tracks_fills() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         assert_eq!(c.occupancy(), 0);
         c.fill(0);
         c.fill(32);
@@ -368,7 +258,7 @@ mod tests {
 
     #[test]
     fn occupancy_in_range_counts_lines() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0);
         c.fill(32);
         c.fill(96);
@@ -378,7 +268,7 @@ mod tests {
 
     #[test]
     fn invalidate_removes_line() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0);
         assert!(c.invalidate(5)); // same line as addr 0
         assert!(!c.contains(0));
@@ -386,37 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn plru_victim_is_not_most_recent() {
-        let mut cfg = CacheConfig::new(256, 32, 4); // 2 sets, 4-way
-        cfg.policy = ReplacementPolicy::TreePlru;
-        let mut c = SetAssocCache::new(cfg);
-        // Fill set 0 (lines 0,2,4,6 → addrs 0,64,128,192).
-        for a in [0u64, 64, 128, 192] {
-            c.fill(a);
-        }
-        c.access(192); // most recently touched
-        let evicted = c.fill(256).unwrap(); // line 8 → set 0
-        assert_ne!(evicted, 6, "PLRU must not evict the most recently touched way");
-    }
-
-    #[test]
-    fn random_policy_is_deterministic() {
-        let run = || {
-            let mut c = tiny(ReplacementPolicy::Random);
-            let mut evs = Vec::new();
-            for a in (0..2048).step_by(64) {
-                if let Some(e) = c.fill(a) {
-                    evs.push(e);
-                }
-            }
-            evs
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn dirty_eviction_counts_writeback() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0);
         assert!(c.mark_dirty(0));
         c.fill(64); // set 0 now full (2-way)
@@ -427,7 +288,7 @@ mod tests {
 
     #[test]
     fn clean_eviction_is_not_a_writeback() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0);
         c.fill(64);
         let evicted = c.fill_tracked(128);
@@ -437,7 +298,7 @@ mod tests {
 
     #[test]
     fn mark_dirty_misses_nonresident() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         assert!(!c.mark_dirty(0));
     }
 
@@ -445,7 +306,7 @@ mod tests {
     fn refill_clears_nothing_but_keeps_dirty() {
         // Refilling a resident dirty line must not lose the dirty bit
         // (the write still has to reach memory eventually).
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.fill(0);
         c.mark_dirty(0);
         c.fill(0); // refresh
@@ -456,7 +317,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut c = tiny(ReplacementPolicy::Lru);
+        let mut c = tiny();
         c.access(0);
         c.fill(0);
         c.access(0);

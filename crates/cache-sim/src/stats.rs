@@ -28,14 +28,8 @@ pub struct AccessStats {
     pub l1: LevelStats,
     /// L2 outcomes for random accesses that missed L1.
     pub l2: LevelStats,
-    /// L3 outcomes (0 unless the machine has an L3).
-    pub l3: LevelStats,
     /// Random accesses that went all the way to memory.
     pub memory_accesses: u64,
-    /// L1 misses satisfied by the victim cache (0 unless enabled).
-    pub victim_hits: u64,
-    /// Lines prefetched (next-line/stream/stride; 0 without a prefetcher).
-    pub prefetched_lines: u64,
     /// Dirty lines written back to memory (0 unless write-back billing is
     /// enabled).
     pub writebacks: u64,
@@ -61,11 +55,7 @@ impl AccessStats {
         self.l1.misses += other.l1.misses;
         self.l2.hits += other.l2.hits;
         self.l2.misses += other.l2.misses;
-        self.l3.hits += other.l3.hits;
-        self.l3.misses += other.l3.misses;
         self.memory_accesses += other.memory_accesses;
-        self.victim_hits += other.victim_hits;
-        self.prefetched_lines += other.prefetched_lines;
         self.writebacks += other.writebacks;
         self.streamed_bytes += other.streamed_bytes;
         self.polluted_lines += other.polluted_lines;

@@ -2,9 +2,9 @@
 //!
 //! The paper *excludes* TLB misses from its model and notes the consequence:
 //! "Method A and method B are significantly affected by TLB misses … In
-//! contrast, method C generates few TLB misses". Modelling the TLB is our
-//! ablation that quantifies that remark (see `dini-bench`'s
-//! `ablation_tlb`): with 64 entries × 4 KB pages, only 256 KB of the 3.2 MB
+//! contrast, method C generates few TLB misses". Modelling the TLB
+//! quantifies that remark (the `paper` binary's `table3` "TLB on" rows):
+//! with 64 entries × 4 KB pages, only 256 KB of the 3.2 MB
 //! replicated tree is mapped at once, so Methods A/B pay TLB walks that
 //! Method C's ≤ 320 KB contiguous partition does not.
 

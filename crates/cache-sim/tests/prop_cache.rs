@@ -1,27 +1,17 @@
 //! Property-based tests for the cache simulator invariants.
 
 use dini_cache_sim::{
-    AccessKind, CacheConfig, CacheHierarchy, MachineParams, MemoryModel, ReplacementPolicy,
-    SetAssocCache, SimMemory,
+    AccessKind, CacheConfig, CacheHierarchy, MachineParams, MemoryModel, SetAssocCache, SimMemory,
 };
 use proptest::prelude::*;
 
-fn arb_policy() -> impl Strategy<Value = ReplacementPolicy> {
-    prop_oneof![
-        Just(ReplacementPolicy::Lru),
-        Just(ReplacementPolicy::Fifo),
-        Just(ReplacementPolicy::Random),
-        Just(ReplacementPolicy::TreePlru),
-    ]
-}
-
 fn arb_cfg() -> impl Strategy<Value = CacheConfig> {
     // Small geometries so property runs stay fast: sets ∈ {2,4,8}, ways ∈ {1,2,4}.
-    (1u32..=3, 1u32..=2, arb_policy()).prop_map(|(set_pow, way_pow, policy)| {
+    (1u32..=3, 1u32..=2).prop_map(|(set_pow, way_pow)| {
         let sets = 2u64 << set_pow; // 4..16
         let assoc = 1u32 << way_pow; // 2..4
         let line = 32u64;
-        CacheConfig { size_bytes: sets * assoc as u64 * line, line_bytes: line, assoc, policy }
+        CacheConfig::new(sets * assoc as u64 * line, line, assoc)
     })
 }
 
@@ -40,7 +30,7 @@ proptest! {
         }
     }
 
-    /// access() after fill() of the same line always hits regardless of policy.
+    /// access() after fill() of the same line always hits.
     #[test]
     fn fill_then_access_hits(cfg in arb_cfg(), addr in 0u64..1_000_000) {
         let mut c = SetAssocCache::new(cfg);

@@ -63,26 +63,10 @@ impl NetworkModel {
         }
     }
 
-    /// An idealised network: infinite bandwidth, zero latency/overhead.
-    /// Useful in tests to isolate CPU/cache effects.
-    pub fn ideal() -> Self {
-        Self {
-            name: "ideal",
-            bandwidth: f64::INFINITY,
-            latency_ns: 0.0,
-            send_overhead_ns: 0.0,
-            recv_overhead_ns: 0.0,
-        }
-    }
-
     /// Wire transfer time for a message of `bytes`.
     #[inline]
     pub fn transfer_ns(&self, bytes: u64) -> f64 {
-        if self.bandwidth.is_infinite() {
-            0.0
-        } else {
-            bytes as f64 / self.bandwidth
-        }
+        bytes as f64 / self.bandwidth
     }
 
     /// Message size at which transmission time equals latency — the
@@ -90,13 +74,6 @@ impl NetworkModel {
     /// ~200 KB framing for GigE once overheads are included).
     pub fn latency_breakeven_bytes(&self) -> u64 {
         (self.latency_ns * self.bandwidth) as u64
-    }
-
-    /// Scale bandwidth by `factor` (used by the future-trends model:
-    /// network speed doubles every 3 years).
-    pub fn scaled_bandwidth(mut self, factor: f64) -> Self {
-        self.bandwidth *= factor;
-        self
     }
 }
 
@@ -129,18 +106,5 @@ mod tests {
         assert!(
             g.latency_breakeven_bytes() > 10 * NetworkModel::myrinet().latency_breakeven_bytes()
         );
-    }
-
-    #[test]
-    fn ideal_is_free() {
-        let i = NetworkModel::ideal();
-        assert_eq!(i.transfer_ns(1 << 30), 0.0);
-    }
-
-    #[test]
-    fn scaling_bandwidth() {
-        let m = NetworkModel::myrinet().scaled_bandwidth(2.0);
-        assert!((m.bandwidth - 0.275).abs() < 1e-12);
-        assert_eq!(m.transfer_ns(1024), NetworkModel::myrinet().transfer_ns(1024) / 2.0);
     }
 }

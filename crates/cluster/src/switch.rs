@@ -6,7 +6,8 @@
 //! close, but cheaper interconnects do not — and Method C funnels *all*
 //! query traffic through the master's links and the switch fabric, so a
 //! capacity-limited backplane is exactly where the paper's assumption
-//! would first break. This module provides the ablation hook: a
+//! would first break. This module bounds it (the `paper` binary's
+//! `table3` backplane rows): a
 //! [`SwitchModel`] serialises every transfer on a shared fabric with a
 //! finite aggregate bandwidth, on top of the per-node TX/ingress links.
 

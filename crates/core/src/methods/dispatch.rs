@@ -10,7 +10,7 @@
 //! assumption can be tested rather than granted: compare
 //! [`run_replicated_distributed`] against the normalised
 //! [`crate::methods::run_method_a`]/[`crate::methods::run_method_b`] ideal
-//! (`ablation_dispatch` regenerates this).
+//! (the `paper` binary's `table3` dispatch rows).
 //!
 //! Unlike Method C's master, the dispatcher does *not* inspect keys — any
 //! replica can answer any query — so its per-key CPU work is lower (no

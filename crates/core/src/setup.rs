@@ -60,8 +60,8 @@ pub struct ExperimentSetup {
     pub machine: MachineParams,
     /// Interconnect model (measured Myrinet in the paper).
     pub network: NetworkModel,
-    /// Master nodes (1 in all paper runs; >1 is the paper's remark on
-    /// master overload, our ablation).
+    /// Master nodes (1 in all paper runs; >1 is the paper's §3.2 remark
+    /// on master overload, the `paper` binary's `table3` master rows).
     pub n_masters: usize,
     /// Slave nodes (10 in all paper runs).
     pub n_slaves: usize,
@@ -73,12 +73,14 @@ pub struct ExperimentSetup {
     /// (leaves room for the buffers; 0.5 reproduces the paper's 320 KB
     /// subtrees under a 512 KB L2).
     pub fill_factor: f64,
-    /// Enable TLB modelling (the paper ignores TLB misses; ablation).
+    /// Enable TLB modelling (the paper ignores TLB misses; `table3`'s
+    /// "TLB on" rows).
     pub model_tlb: bool,
     /// Model the cache pollution of the *next* message/batch being
     /// received while the current one is processed (the paper's §4.1
-    /// overlapped-communication contention). On by default; the
-    /// `ablation_contention` binary switches it off to isolate the effect.
+    /// overlapped-communication contention). On by default; the `paper`
+    /// binary's `fig3` "no receive pollution" series switch it off to
+    /// isolate the effect.
     pub model_receive_pollution: bool,
     /// Cap on the bytes a master may hold buffered across all outgoing
     /// slave buffers before force-flushing everything (a bounded MPI send
@@ -87,11 +89,12 @@ pub struct ExperimentSetup {
     /// *some* bound — the paper's cluster cannot have sent true 4 MB
     /// messages (each slave's whole share is 3.2 MB), which is how its
     /// Figure 3 stays flat at nominal batch sizes our strict model cannot
-    /// reach. The `ablation_window` binary demonstrates this.
+    /// reach. The `paper` binary's `fig3` send-pool series demonstrate this.
     pub max_outstanding_bytes: Option<usize>,
     /// Optional finite-capacity switch backplane. `None` (the default)
     /// reproduces the paper's Appendix A assumption 1 — "aggregate network
-    /// bandwidth is unlimited"; the `ablation_backplane` binary bounds it.
+    /// bandwidth is unlimited"; the `paper` binary's `table3` backplane
+    /// rows bound it.
     pub switch: Option<dini_cluster::SwitchModel>,
 }
 

@@ -60,33 +60,6 @@ impl RunStats {
             self.mem.memory_accesses as f64 / self.n_keys as f64
         }
     }
-
-    /// One CSV row (see [`RunStats::csv_header`]).
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{:.6},{:.2},{:.4},{:.4},{},{},{},{},{:.1},{:.1},{}",
-            self.method.name().replace(' ', "_"),
-            self.batch_bytes,
-            self.n_keys,
-            self.search_time_s,
-            self.per_key_ns,
-            self.slave_idle,
-            self.master_idle,
-            self.msgs,
-            self.net_bytes,
-            self.mem.memory_accesses,
-            self.mem.l1.misses,
-            self.batch_rtt_mean_ns,
-            self.batch_rtt_p99_ns,
-            self.rank_checksum,
-        )
-    }
-
-    /// Header matching [`RunStats::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "method,batch_bytes,n_keys,search_time_s,per_key_ns,slave_idle,master_idle,\
-         msgs,net_bytes,l2_misses,l1_misses,batch_rtt_mean_ns,batch_rtt_p99_ns,rank_checksum"
-    }
 }
 
 #[cfg(test)]
@@ -116,12 +89,6 @@ mod tests {
         let s = stats();
         let expect = (1u64 << 23) as f64 / 0.32 / 1e6;
         assert!((s.mlookups_per_s() - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csv_row_has_header_arity() {
-        let s = stats();
-        assert_eq!(s.csv_row().split(',').count(), RunStats::csv_header().split(',').count());
     }
 
     #[test]

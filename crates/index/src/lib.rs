@@ -16,16 +16,12 @@
 //!   each 1-line node stores `n` keys plus a single first-child index;
 //!   children are contiguous (Methods A, B, and C-1).
 //! * [`PtrNaryTree`] — the classic layout storing every child pointer
-//!   (halves the fan-out; our ablation quantifying the CSB+ optimisation).
+//!   (halves the fan-out; Table 1's layout rows set it beside CSB+).
 //! * [`buffered`] — the Zhou–Ross buffering access technique: decompose
 //!   the tree into cache-sized subtrees with per-subtree key buffers and
 //!   process lookups in batches (Method B targets L2, Method C-2 L1).
 //! * [`partition`] — range-partitioning a sorted key set across slaves,
 //!   with the delimiter array the master dispatches on (Method C).
-//! * [`hash_index`] — the structure the paper *excludes* ("we do not
-//!   consider hash arrays"): exact-match only, so it cannot implement
-//!   [`RankIndex`]; built anyway as the ablation quantifying what the
-//!   range requirement costs.
 //! * [`delta`] — [`DeltaArray`]: updates (insert/delete/merge) on top of a
 //!   static sorted main array, for the paper's dynamic use-cases.
 //!
@@ -41,7 +37,6 @@
 pub mod buffered;
 pub mod csb;
 pub mod delta;
-pub mod hash_index;
 pub mod line_directory;
 pub mod partition;
 pub mod ptr_tree;
@@ -51,7 +46,6 @@ pub mod traits;
 pub use buffered::{BufferedLookup, SubtreeCuts};
 pub use csb::CsbTree;
 pub use delta::DeltaArray;
-pub use hash_index::HashIndex;
 pub use line_directory::LineDirectory;
 pub use partition::{PartitionedIndex, Partitions};
 pub use ptr_tree::PtrNaryTree;

@@ -14,7 +14,7 @@
 //!   network 2× / 3 years, per-processor memory bandwidth +20 % / year,
 //!   memory latency flat) applied to the parameters, regenerating
 //!   Figure 4.
-//! * [`sensitivity`] — one-parameter sweeps and crossover solvers: the
+//! * [`sensitivity`] — crossover solvers and a sweep: the
 //!   network-bandwidth break-even behind the paper's §2 premise, the
 //!   slave count at which a single master saturates (§3.2's remark), and
 //!   the CPU-memory-gap axis.
@@ -30,8 +30,7 @@ pub mod xd;
 pub use methods::{method_a_per_key_ns, method_b_per_key_ns, method_c3_per_key_ns, MethodCosts};
 pub use params::ModelParams;
 pub use sensitivity::{
-    master_bound_slave_count, network_bw_breakeven, sweep_b2_penalty, sweep_network_bw,
-    sweep_slaves, SweepPoint,
+    master_bound_slave_count, network_bw_breakeven, sweep_b2_penalty, SweepPoint,
 };
 pub use trends::{scale_params, TrendPoint};
 pub use xd::{expected_distinct_lines, solve_q0, tree_level_lines, TreeShape};

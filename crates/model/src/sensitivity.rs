@@ -2,7 +2,7 @@
 //!
 //! The paper varies exactly one axis (years, Figure 4). The model supports
 //! asking sharper questions, each grounded in a claim the paper makes in
-//! prose:
+//! prose (the `paper` binary's `fig4` mode prints all three):
 //!
 //! * **network bandwidth** — §2 premises the whole design on the network
 //!   (138 MB/s) out-running random memory (48 MB/s);
@@ -25,19 +25,6 @@ pub struct SweepPoint {
     pub costs: MethodCosts,
 }
 
-/// Evaluate the three methods while scaling the network bandwidth W2 by
-/// each factor in `factors` (1.0 = the paper's measured Myrinet).
-pub fn sweep_network_bw(p: &ModelParams, factors: &[f64]) -> Vec<SweepPoint> {
-    factors
-        .iter()
-        .map(|&f| {
-            let mut q = p.clone();
-            q.w2 = p.w2 * f;
-            SweepPoint { value: q.w2, costs: MethodCosts::evaluate(&q) }
-        })
-        .collect()
-}
-
 /// Evaluate while scaling the B2 (RAM) miss penalty by each factor —
 /// the CPU-memory-gap axis. Methods A/B absorb it linearly; C-3 is
 /// untouched (its slaves never miss to RAM).
@@ -48,20 +35,6 @@ pub fn sweep_b2_penalty(p: &ModelParams, factors: &[f64]) -> Vec<SweepPoint> {
             let mut q = p.clone();
             q.machine.b2_miss_penalty_ns = p.machine.b2_miss_penalty_ns * f;
             SweepPoint { value: q.machine.b2_miss_penalty_ns, costs: MethodCosts::evaluate(&q) }
-        })
-        .collect()
-}
-
-/// Evaluate across slave counts (the cluster-size axis). The index size
-/// is held fixed, so larger clusters mean smaller (always cache-fitting)
-/// partitions, shorter slave trees, and eventually a master-bound system.
-pub fn sweep_slaves(p: &ModelParams, slave_counts: &[usize]) -> Vec<SweepPoint> {
-    slave_counts
-        .iter()
-        .map(|&n| {
-            let mut q = p.clone();
-            q.n_slaves = n;
-            SweepPoint { value: n as f64, costs: MethodCosts::evaluate(&q) }
         })
         .collect()
 }
@@ -118,17 +91,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn faster_networks_only_help_c3() {
-        let p = ModelParams::paper();
-        let pts = sweep_network_bw(&p, &[0.5, 1.0, 2.0, 4.0]);
-        for w in pts.windows(2) {
-            assert!(w[1].costs.c3 <= w[0].costs.c3 + 1e-12, "C-3 must improve with W2");
-            assert_eq!(w[1].costs.a, w[0].costs.a, "A never touches the network");
-            assert_eq!(w[1].costs.b, w[0].costs.b, "B never touches the network");
-        }
-    }
-
-    #[test]
     fn wider_cpu_memory_gap_hurts_a_most() {
         let p = ModelParams::paper();
         let pts = sweep_b2_penalty(&p, &[1.0, 2.0, 4.0]);
@@ -140,28 +102,6 @@ mod tests {
         // than A.
         let b_growth = pts[2].costs.b / pts[0].costs.b;
         assert!(b_growth > 1.0 && b_growth < a_growth);
-    }
-
-    #[test]
-    fn more_slaves_help_until_master_bound() {
-        // With one master the paper's own 10-slave cluster sits almost at
-        // the master bound (see master_bound_exists…), so scaling slaves
-        // barely helps. Give the system four masters and the slave side
-        // scales again — until the (now higher) bound.
-        let mut p = ModelParams::paper();
-        p.n_masters = 4;
-        let bound = master_bound_slave_count(&p, 100_000).expect("binds eventually");
-        let pts = sweep_slaves(&p, &[10, 20, 320, 640]);
-        assert!(bound > 20, "4 masters must feed more than 20 slaves, bound {bound}");
-        assert!(
-            pts[1].costs.c3 < pts[0].costs.c3,
-            "below the bound, more slaves must help: {} vs {}",
-            pts[1].costs.c3,
-            pts[0].costs.c3
-        );
-        // Far past the bound the cost is master-pinned: flat.
-        let (a, b) = (pts[2].costs.c3, pts[3].costs.c3);
-        assert!((a - b).abs() / a < 0.2, "cost must flatten at the master bound: {a} vs {b}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! in-process channel as the stand-in "network".
 //!
 //! These numbers parameterise nothing (the simulator uses the paper's own
-//! Table 2 values); they exist so `table2 --measure` can print the
+//! Table 2 values); they exist so `paper host` can print the
 //! paper-era and present-day columns side by side, demonstrating that the
 //! random-access penalty the paper exploits still exists today.
 //!

@@ -1,9 +1,9 @@
 //! Key distributions.
 //!
 //! The paper assumes uniformly distributed keys ("We assume uniformly
-//! distributed search key values"). The skewed distributions here support
-//! the beyond-paper ablation: skew concentrates load on one slave and
-//! erodes Method C's balance assumption.
+//! distributed search key values"). The skewed distributions here drive
+//! the serving layer's load generators and tests: skew concentrates load
+//! on one shard and erodes Method C's balance assumption.
 
 use rand::Rng;
 

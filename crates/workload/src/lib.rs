@@ -5,8 +5,8 @@
 //! The paper's evaluation uses "randomly generated" 4-byte keys for both the
 //! index contents and the 8 million (2^23) search keys, drawn uniformly.
 //! This crate provides seeded, reproducible generators for that workload
-//! plus skewed variants (Zipf, clustered, self-similar) used by our
-//! beyond-paper ablations, interleaved update streams ([`churn`]) for the
+//! plus skewed variants (Zipf, clustered, self-similar) for the serving
+//! layer's load, interleaved update streams ([`churn`]) for the
 //! dynamic-index extensions, open-loop arrival processes ([`arrivals`])
 //! for serving-layer load generation, and compact query-trace descriptions
 //! ([`trace`]: seeds and counts, not keys) for replay.

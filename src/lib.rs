@@ -7,9 +7,9 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`cache_sim`] | set-associative L1/L2(/L3) simulator + Table 2 cost model, TLB, prefetchers, victim cache, page coloring, write-backs |
+//! | [`cache_sim`] | set-associative LRU L1/L2 simulator + Table 2 cost model, TLB, write-backs |
 //! | [`cluster`] | discrete-event cluster/network simulator (timers, fault injection, switch backplane, tracing, RTT histograms) |
-//! | [`index`] | sorted array, cache-line directory with group-interleaved batch probes (the kernel serving dispatchers and native slaves rank batches with), CSB+ tree, Zhou–Ross buffered traversal, partitioning, hash strawman, updatable delta array |
+//! | [`index`] | sorted array, cache-line directory with group-interleaved batch probes (the kernel serving dispatchers and native slaves rank batches with), CSB+ tree, Zhou–Ross buffered traversal, partitioning, updatable delta array |
 //! | [`workload`] | seeded key/query generators (uniform, Zipf, clustered, self-similar) + churn streams |
 //! | [`model`] | the paper's Appendix-A analytical model + Figure 4 trends + sensitivity solvers |
 //! | [`sysprobe`] | host measurements of the paper's Table 2 quantities + cache-size knee detection + thread placement (allowed cores, pinning) |
@@ -83,12 +83,14 @@
 //! ## Reproducing the paper
 //!
 //! ```text
-//! cargo run -p dini-bench --release --bin table1
-//! cargo run -p dini-bench --release --bin table2 -- --measure
-//! cargo run -p dini-bench --release --bin table3
-//! cargo run -p dini-bench --release --bin fig3
-//! cargo run -p dini-bench --release --bin fig4
+//! cargo run -p dini-bench --release --bin paper                  # Tables 1–3, Figures 3–4
+//! cargo run -p dini-bench --release --bin paper -- fig3 --quick  # one mode, 2^20 keys
+//! cargo run -p dini-bench --release --bin paper -- host          # Table 2 probed on this host
 //! ```
+//!
+//! Each mode writes `{mode, series, x, metric, value}` JSON lines to
+//! stdout and the same records as tables to stderr; `paper --quick` is
+//! pinned by `crates/bench/paper-quick.jsonl`.
 //!
 //! See `DESIGN.md` for the workspace layout and system inventory.
 

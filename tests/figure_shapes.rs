@@ -1,6 +1,6 @@
 //! Shape tests for the paper's evaluation claims, at reduced scale
-//! (2^20–2^21 keys instead of 2^23; the `fig3`/`table3` binaries run full
-//! scale). Each test pins one qualitative claim from §4.
+//! (2^20–2^21 keys instead of 2^23; `paper fig3 table3` runs full scale).
+//! Each test pins one qualitative claim from §4.
 
 use dini::core::{run_method, standard_workload, ExperimentSetup, MethodId};
 use dini::model::{MethodCosts, ModelParams};
