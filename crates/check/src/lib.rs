@@ -3,7 +3,7 @@
 //!
 //! The performance story of this reproduction rests on a handful of
 //! lock-free constructions — `EpochCell`'s two-slot `AtomicPtr` swap,
-//! `SlotPool`'s generation-tagged reply cells, the `TraceRing` seqlock,
+//! the pooled `ReplyCell` every reply goes through, the `TraceRing` seqlock,
 //! the record-before-release `ReplicaMetrics` contract. Execution-based
 //! testing (`dini-simtest`) samples interleavings; it cannot prove the
 //! absence of a weak-memory-ordering bug inside a primitive. This crate

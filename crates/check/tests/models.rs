@@ -10,11 +10,11 @@
 //!   superseded epoch is released by the cell inside `publish` and freed
 //!   exactly once, on the last unpin; a borrow under the pin (`with`)
 //!   holds off the `publish` that supersedes its epoch until it ends.
-//! * `SlotPool` / `ReplyCell`: a reply is never lost and never
-//!   duplicated, across fills, parks, and generation recycling.
-//! * `FrameCell`: one fill wakes every waiter of a frame, however it
-//!   races their parking, and a retired cell is recycled only once no
-//!   pending lookup holds it.
+//! * `ReplyCell` / `CellPool` / `Filler`: a reply is never lost and
+//!   never duplicated, and one fill wakes every waiter, however it races
+//!   their parking; an answered cell goes back to its pool; a cell held
+//!   by a waiter or by a filler is never handed to a new tenant; a
+//!   filler dropped unanswered answers `ShuttingDown`.
 //! * `TraceRing`: a concurrent snapshot never returns a torn record.
 //! * `AdmissionQueue`: the admitted/shed/depth gauges stay coherent
 //!   with what actually entered the queue; the depth gauge holds a
@@ -36,9 +36,10 @@ use dini_check::sync::{Arc, AtomicU64, Ordering};
 use dini_obs::{MetricsRegistry, TraceRing};
 use dini_serve::admission::AdmissionQueue;
 use dini_serve::batcher::Request;
-use dini_serve::oneshot::{reply_pair, FrameCell};
+use dini_serve::oneshot::CellPool;
 use dini_serve::{
-    Clock, EpochCell, ReplicaMetrics, ServeStats, ShardSnapshot, SlotPool, StageRecord, TraceConfig,
+    Clock, EpochCell, ReplicaMetrics, ServeError, ServeStats, ShardSnapshot, StageRecord,
+    TraceConfig,
 };
 use std::sync::Arc as StdArc;
 
@@ -187,90 +188,126 @@ fn epoch_cell_with_holds_publish_until_the_borrow_ends() {
     assert!(report.executions >= 10, "with/publish race under-explored: {report:?}");
 }
 
-/// A pooled reply crosses threads exactly once: the filler's value is
-/// neither lost (the waiter parks forever — a detected deadlock) nor
-/// observed as anything but what was sent. Covers the word CAS, the
-/// parked-counter SeqCst handshake, and the condvar park/notify.
+/// What a lookup's caller reads.
+type Reply = Result<u32, ServeError>;
+
+fn pool(capacity: usize) -> CellPool<Reply> {
+    CellPool::new(capacity, Clock::system())
+}
+
+/// (a) A pooled reply crosses threads exactly once: the filler's value
+/// is neither lost (the waiter parks forever — a detected deadlock) nor
+/// observed as anything but what was sent, and the answered cell is back
+/// in the pool once the filler is gone. Covers the SeqCst
+/// publish/register handshake and the condvar park/notify.
 #[test]
-fn slot_pool_reply_is_never_lost() {
-    let report = model("slot-pool/fill-vs-wait", || {
-        let pool = SlotPool::new(2);
-        let (slot, handle) = pool.take();
-        let filler = thread::spawn(move || handle.send(Ok(7)));
-        assert_eq!(slot.wait(), Ok(7), "reply lost or corrupted");
-        filler.join();
-        assert_eq!(pool.idle(), 1, "reaped cell must return to the pool");
+fn cell_pool_reply_is_never_lost() {
+    let report = model("cell-pool/fill-vs-wait", || {
+        let pool = pool(2);
+        let filler = pool.take();
+        let cell = filler.waiter();
+        let dispatcher = thread::spawn(move || filler.fill(Ok(7)));
+        assert_eq!(*cell.wait(), Ok(7), "reply lost or corrupted");
+        dispatcher.join();
+        assert_eq!(pool.idle(), 2, "the answered cell must be back in the pool");
     });
     assert!(report.executions >= 2, "fill/wait race under-explored: {report:?}");
 }
 
-/// Generation recycling: a stale `ReplyHandle` from an abandoned
-/// lookup races the recycled cell's new tenant. Whatever the
-/// interleaving, the stale fill (a `SHUTDOWN` written by the handle's
-/// drop) must miss, and the new tenant's reply must win.
+/// (b) A request its waiter abandoned while its filler still holds it:
+/// the filler's drop (answering `ShuttingDown` for nobody) races two new
+/// tenants taking cells. Whatever the interleaving, a new tenant's cell
+/// is pending when taken and reads its own reply — the pool never hands
+/// out a cell the stale filler can still write.
 #[test]
-fn slot_pool_stale_generation_cannot_corrupt_new_tenant() {
-    let report = model("slot-pool/stale-generation", || {
-        let pool = SlotPool::new(2);
-        let (slot, stale) = pool.take();
-        drop(slot); // abandon while pending: the cell is recycled below
-        let (slot2, handle2) = pool.take(); // same cell, new generation
-        let staler = thread::spawn(move || drop(stale)); // fills SHUTDOWN at the old gen
-        handle2.send(Ok(9));
-        assert_eq!(slot2.wait(), Ok(9), "stale fill corrupted the recycled cell");
-        staler.join();
+fn cell_pool_never_hands_a_held_cell_to_a_new_tenant() {
+    let report = model("cell-pool/abandoned-vs-new-tenant", || {
+        let pool = pool(2);
+        let stale = pool.take();
+        drop(stale.waiter()); // the waiter gives up; the filler still holds the cell
+        let dispatcher = thread::spawn(move || drop(stale));
+        for n in 0..2u32 {
+            let filler = pool.take();
+            let cell = filler.waiter();
+            assert_eq!(cell.poll(), None, "a new tenant's cell came answered");
+            filler.fill(Ok(n));
+            drop(filler);
+            assert_eq!(*cell.wait(), Ok(n), "a stale filler reached a recycled cell");
+        }
+        dispatcher.join();
     });
-    assert!(report.executions >= 2, "stale-fill race under-explored: {report:?}");
+    assert!(report.executions >= 2, "stale-filler race under-explored: {report:?}");
+}
+
+/// (c) The drop-fill rule: a queue torn down with a request aboard
+/// answers the request's parked waiter `ShuttingDown` — never a lost
+/// wake (a model deadlock), never a silent hang.
+#[test]
+fn a_request_dropped_unanswered_wakes_its_waiter() {
+    let report = model("filler/drop-vs-parked-waiter", || {
+        let pool = pool(2);
+        let reply = pool.take();
+        let cell = reply.waiter();
+        let queue = vec![Request { key: 1, enqueued: 0, trace: 0, reply }];
+        let teardown = thread::spawn(move || drop(queue));
+        assert_eq!(*cell.wait(), Err(ServeError::ShuttingDown), "waiter stranded or misanswered");
+        teardown.join();
+    });
+    assert!(report.executions >= 2, "drop-fill/park race under-explored: {report:?}");
 }
 
 /// A frame's one fill races two waiters parking on it (the test thread
 /// and one more): neither may sleep through the fill — a lost wake is a
-/// model deadlock — and both read the one reply. Covers the
-/// SeqCst publish/register handshake the cell shares with `ReplyCell`,
-/// and the condvar park/notify.
+/// model deadlock — and both read the one reply.
 #[test]
-fn frame_cell_fill_wakes_every_parked_waiter() {
-    let report = model("frame-cell/fill-vs-waiters", || {
-        let cell = Arc::new(FrameCell::new(Clock::system()));
+fn reply_cell_fill_wakes_every_parked_waiter() {
+    let report = model("reply-cell/fill-vs-waiters", || {
+        let pool = pool(2);
+        let filler = pool.take();
+        let cell = filler.waiter();
         let waiter = {
-            let cell = cell.clone();
+            let cell = filler.waiter();
             thread::spawn(move || *cell.wait())
         };
-        let filler = {
-            let cell = cell.clone();
-            thread::spawn(move || cell.fill(7u32))
-        };
-        assert_eq!(*cell.wait(), 7, "reply lost or corrupted");
-        assert_eq!(waiter.join(), 7, "second waiter lost the reply");
-        filler.join();
+        // The filler comes back unreturned: its trip to the pool is not
+        // what this model is about, and would only multiply schedules.
+        let dispatcher = thread::spawn(move || {
+            filler.fill(Ok(7));
+            filler
+        });
+        assert_eq!(*cell.wait(), Ok(7), "reply lost or corrupted");
+        assert_eq!(waiter.join(), Ok(7), "second waiter lost the reply");
+        drop(dispatcher.join());
     });
     assert!(report.executions >= 10, "fill/park race under-explored: {report:?}");
 }
 
-/// Recycling: the frame's owner fills the cell and then tries to
-/// recycle it for its next frame while a pending lookup still holds it
-/// and reads its reply twice. `recycle` must refuse until that lookup has
-/// dropped its handle — were the cell reset (or refilled) under it, its
-/// second read would see a pending cell or the next frame's reply.
+/// Recycling: the filler answers a one-cell pool's cell and gives it
+/// back while a pending lookup still holds it and reads its reply twice;
+/// the next take races that lookup. The pool must not recycle the cell
+/// until the lookup has dropped its handle — were the cell reset (or
+/// refilled) under it, its second read would see a pending cell or the
+/// next tenant's reply.
 #[test]
-fn frame_cell_is_not_recycled_under_a_pending_lookup() {
-    let report = model("frame-cell/recycle-vs-pending", || {
-        let mut cell = Arc::new(FrameCell::new(Clock::system()));
-        let pending = cell.clone();
+fn reply_cell_is_not_recycled_under_a_pending_lookup() {
+    let report = model("reply-cell/recycle-vs-pending", || {
+        let pool = pool(1);
+        let filler = pool.take();
+        let pending = filler.waiter();
         let lookup = thread::spawn(move || {
             let first = *pending.wait();
             dini_check::sync::yield_now();
             assert_eq!(pending.poll(), Some(&first), "cell recycled under a pending lookup");
             first
         });
-        cell.fill(5u32);
-        while !FrameCell::recycle(&mut cell) {
-            dini_check::sync::yield_now();
-        }
+        filler.fill(Ok(5));
+        drop(filler);
+        let next = pool.take();
+        let cell = next.waiter();
         assert_eq!(cell.poll(), None, "a recycled cell is pending again");
-        cell.fill(9);
-        assert_eq!(lookup.join(), 5);
-        assert_eq!(*cell.wait(), 9);
+        next.fill(Ok(9));
+        assert_eq!(lookup.join(), Ok(5));
+        assert_eq!(*cell.wait(), Ok(9));
     });
     assert!(report.executions >= 2, "recycle/pending race under-explored: {report:?}");
 }
@@ -305,10 +342,9 @@ fn trace_ring_snapshot_never_returns_torn_record() {
     assert!(report.executions >= 10, "seqlock race under-explored: {report:?}");
 }
 
-/// A request nobody waits on (the waiter half is dropped at once).
+/// A request nobody waits on.
 fn req(key: u32) -> Request {
-    let (_slot, handle) = reply_pair();
-    Request { key, enqueued: Clock::system().now(), trace: 0, reply: handle }
+    Request { key, enqueued: Clock::system().now(), trace: 0, reply: pool(0).take() }
 }
 
 /// Admission gauges under a submit/probe race: `admitted`, `shed`, and
@@ -460,18 +496,21 @@ fn replica_metrics_record_before_release_is_visible() {
     let report = model("replica-metrics/record-before-release", || {
         let reg = MetricsRegistry::new();
         let m = StdArc::new(ReplicaMetrics::new(&reg, 0, 0, &TraceConfig::disabled()));
-        let (slot, handle) = reply_pair();
+        let pool = pool(1);
+        let reply = pool.take();
+        let cell = reply.waiter();
         let dispatcher = {
             let m = StdArc::clone(&m);
             thread::spawn(move || {
                 m.record_batch([100].into_iter());
-                handle.send(Ok(1));
+                reply.fill(Ok(1));
+                reply // returned to the pool after the join, off the race
             })
         };
-        assert_eq!(slot.wait(), Ok(1));
+        assert_eq!(*cell.wait(), Ok(1));
         let served = ServeStats::from(&reg.snapshot()).served;
         assert!(served >= 1, "observed a reply but served={served}: count released early");
-        dispatcher.join();
+        drop(dispatcher.join());
         assert_eq!(ServeStats::from(&reg.snapshot()).served, 1);
     });
     assert!(report.executions >= 2, "record/release race under-explored: {report:?}");

@@ -22,6 +22,11 @@ type Req = (u64, Vec<(u32, u32)>);
 /// A response: `(batch_id, (query slot, global rank) pairs)`.
 type Resp = (u64, Vec<(u32, u32)>);
 
+/// Request-channel slots per slave (and response slots per slave). A
+/// lookup drains every response before it returns, so a slave never has
+/// more than one request queued; the number only has to be at least 1.
+const CHANNEL_CAPACITY: usize = 8;
+
 /// Which structure each worker holds — the native descendants of the
 /// paper's C-1 / C-2 / C-3 slaves.
 ///
@@ -60,21 +65,14 @@ pub struct NativeConfig {
     /// refuses) the slaves run unpinned, and
     /// [`DistributedIndex::pinned_slaves`] says how many did pin.
     pub pin_cores: bool,
-    /// Bounded-channel capacity per worker (backpressure ≈ MPI buffering).
-    pub channel_capacity: usize,
     /// Per-worker lookup structure.
     pub structure: NativeStructure,
 }
 
 impl NativeConfig {
-    /// `n_slaves` workers, pinning on, capacity 8, sorted-array slaves.
+    /// `n_slaves` workers, pinning on, sorted-array slaves.
     pub fn new(n_slaves: usize) -> Self {
-        Self {
-            n_slaves,
-            pin_cores: true,
-            channel_capacity: 8,
-            structure: NativeStructure::SortedArray,
-        }
+        Self { n_slaves, pin_cores: true, structure: NativeStructure::SortedArray }
     }
 }
 
@@ -213,14 +211,14 @@ impl DistributedIndex {
         // Each slave that is asked to pin reports whether it did.
         let (pin_tx, pin_rx) = channel::<bool>();
 
-        let (resp_tx, from_slaves) = sync_channel::<Resp>(cfg.channel_capacity * cfg.n_slaves);
+        let (resp_tx, from_slaves) = sync_channel::<Resp>(CHANNEL_CAPACITY * cfg.n_slaves);
         let mut to_slaves = Vec::with_capacity(cfg.n_slaves);
         let mut joins = Vec::with_capacity(cfg.n_slaves);
 
         for (j, range) in ranges.into_iter().enumerate() {
             let part = keys.clone();
             let base_rank = base_ranks[j];
-            let (req_tx, req_rx) = sync_channel::<Req>(cfg.channel_capacity);
+            let (req_tx, req_rx) = sync_channel::<Req>(CHANNEL_CAPACITY);
             to_slaves.push(req_tx);
             let tx = resp_tx.clone();
             let pin = (!cores.is_empty()).then(|| (cores[(j + 1) % cores.len()], pin_tx.clone()));
@@ -392,7 +390,7 @@ mod tests {
     use dini_workload::gen_sorted_unique_keys;
 
     fn cfg(n: usize) -> NativeConfig {
-        NativeConfig { n_slaves: n, pin_cores: false, channel_capacity: 4, ..NativeConfig::new(1) }
+        NativeConfig { n_slaves: n, pin_cores: false, ..NativeConfig::new(1) }
     }
 
     #[test]

@@ -30,16 +30,16 @@
 //!   `EpochPing` / `StatsRequest`. Frames leave in lock order, so a
 //!   control frame stays FIFO with the updates written before it, and
 //!   nothing but lookups ever waits for the worker.
-//! * **Replies** — one reply cell per frame ([`FrameCell`], beside the
-//!   server's pooled slots in `dini-serve::oneshot`): a pending lookup
-//!   holds the cell and its key's index in the frame, and the endpoint
-//!   reader fills the cell once with the decoded `Reply` and the span's
-//!   base rank, waking any parked waiter once per frame. A duplicated
-//!   reply frame finds its request no longer in flight and is dropped,
-//!   so retry + duplication can never double-answer a lookup. Retired
-//!   frames hand their key buffer and cell back to the outbox, and a
-//!   cell is reused only once no pending lookup holds it, so a warmed
-//!   caller allocates nothing.
+//! * **Replies** — one reply cell per frame (`dini-serve`'s pooled
+//!   [`ReplyCell`](dini_serve::oneshot::ReplyCell), the server's own): a
+//!   pending lookup holds the cell and its key's index in the frame, and
+//!   the endpoint reader fills the cell once with the decoded `Reply` and
+//!   the span's base rank, waking any parked waiter once per frame. A
+//!   duplicated reply frame finds its request no longer in flight and is
+//!   dropped, so retry + duplication can never double-answer a lookup.
+//!   Retired frames hand their key buffer and cell back to the outbox,
+//!   and a cell is reused only once no pending lookup holds it, so a
+//!   warmed caller allocates nothing.
 //! * **Retry** — a batch unanswered after `retry_timeout` is resent
 //!   under the same request id (lookups are idempotent reads); after
 //!   `max_retries` the endpoint is declared dead.
@@ -72,7 +72,7 @@ use dini_obs::{AtomicLogHistogram, MetricsSnapshot, StageRecord, TraceConfig, Tr
 use dini_serve::admission::ReplicaGauge;
 use dini_serve::batcher::collect_batch_into;
 use dini_serve::clock::dur_ns;
-use dini_serve::oneshot::{reply_pair, FrameCell, ReplyHandle, ReplySlot, SlotPool};
+use dini_serve::oneshot::{CellPool, Filler, Unanswered, Waiter};
 use dini_serve::{Clock, ClockJoinHandle, Nanos, ReplicaSelector, ServeError, ShardRouter};
 use dini_workload::Op;
 use std::collections::{BTreeMap, VecDeque};
@@ -96,10 +96,6 @@ const APPENDER_POLL: Duration = Duration::from_millis(1);
 /// Retired key buffers, and retired reply cells, an outbox keeps for
 /// reuse (each). Past this, a retired one is freed.
 const FREE_FRAMES: usize = 64;
-/// Retired cells an outbox checks, oldest first, before it allocates a
-/// new one for a new frame: a cell some caller still holds a pending
-/// lookup of rotates to the back instead of blocking the ones behind it.
-const RECYCLE_TRIES: usize = 4;
 
 /// Client-side knobs.
 #[derive(Debug, Clone)]
@@ -192,7 +188,7 @@ enum CtrlReply {
 /// One message to a span's churn-log appender thread.
 enum UpdMsg {
     /// Append one log record; `reply` resolves once quorum-acked.
-    Op { op: WireOp, reply: ReplyHandle },
+    Op { op: WireOp, reply: Filler<UpdateReply> },
     /// Resolve once every *live* endpoint has acked everything appended
     /// before this flush (the pre-barrier half of `quiesce`).
     Flush(SyncSender<Result<(), ServeError>>),
@@ -209,6 +205,12 @@ struct FrameReply {
     results: Vec<LookupStatus>,
 }
 
+impl Unanswered for FrameReply {
+    fn unanswered() -> Self {
+        Self::default()
+    }
+}
+
 impl FrameReply {
     fn answer(&self, idx: usize) -> Result<u32, ServeError> {
         match self.results.get(idx) {
@@ -221,23 +223,18 @@ impl FrameReply {
     }
 }
 
-type FrameReplyCell = FrameCell<FrameReply>;
+/// A replicated update's verdict: `Ok` once quorum-acked.
+type UpdateReply = Result<(), ServeError>;
 
 /// One `Lookup` frame on the client side: its keys and the one cell that
 /// answers them all. Dropped unanswered — a client shutting down, a
-/// failover with no survivor — it answers every key `ShuttingDown`, so a
-/// waiter is never stranded.
+/// failover with no survivor — its filler answers every key
+/// `ShuttingDown`, so a waiter is never stranded.
 struct OutFrame {
     keys: Vec<u32>,
-    cell: Arc<FrameReplyCell>,
+    reply: Filler<FrameReply>,
     /// When its first key was appended (read only with a `max_delay`).
     opened: Nanos,
-}
-
-impl Drop for OutFrame {
-    fn drop(&mut self) {
-        self.cell.fill(FrameReply::default());
-    }
 }
 
 /// One endpoint's lookups on their way to its worker: the open frame
@@ -245,6 +242,8 @@ impl Drop for OutFrame {
 /// buffers and cells of retired frames, for new frames to reuse.
 struct Outbox {
     state: Mutex<OutboxState>,
+    /// Reply cells: a frame's goes back here when the frame is dropped.
+    cells: CellPool<FrameReply>,
     /// Where a natively clocked caller blocks on a full outbox (a sim
     /// caller parks in the scheduler instead).
     room: Condvar,
@@ -276,23 +275,22 @@ struct OutboxState {
     admitted: u64,
     shed: u64,
     free_keys: Vec<Vec<u32>>,
-    /// Oldest first: the likeliest to be held by nobody.
-    free_cells: VecDeque<Arc<FrameReplyCell>>,
 }
 
 impl Outbox {
     fn new(span: usize, bell: SyncSender<()>, cfg: &ClientConfig) -> Self {
         let max_batch = cfg.max_batch.max(1);
-        // Two spare frames from the start: a caller opening its next frame
-        // finds the one before last retired even while the reader is still
-        // retiring the last, so a lone warmed caller never allocates.
+        // Two spare frames from the start (the cell pool starts with two
+        // spare cells): a caller opening its next frame finds the one
+        // before last retired even while the reader is still retiring the
+        // last, so a lone warmed caller never allocates.
         let state = OutboxState {
             free_keys: (0..2).map(|_| Vec::with_capacity(max_batch)).collect(),
-            free_cells: (0..2).map(|_| Arc::new(FrameCell::new(cfg.clock.clone()))).collect(),
             ..OutboxState::default()
         };
         Self {
             state: Mutex::new(state),
+            cells: CellPool::new(FREE_FRAMES, cfg.clock.clone()),
             room: Condvar::new(),
             bell,
             span,
@@ -340,12 +338,12 @@ impl Outbox {
             let st = &mut *guard;
             let was_empty = st.queued == 0;
             if st.open.is_none() {
-                st.open = Some(st.fresh_frame(&self.clock, now, self.max_batch));
+                st.open = Some(st.fresh_frame(&self.cells, now, self.max_batch));
             }
             let frame = st.open.as_mut().expect("opened above");
             let idx = frame.keys.len();
             frame.keys.push(key);
-            let cell = frame.cell.clone();
+            let cell = frame.reply.waiter();
             let sealed = frame.keys.len() >= self.max_batch;
             if sealed {
                 st.sealed.extend(st.open.take());
@@ -430,18 +428,15 @@ impl Outbox {
         true
     }
 
-    /// Hand an answered frame's key buffer and cell back for reuse.
+    /// Hand an answered frame's key buffer back for reuse (dropping the
+    /// frame hands its cell back to the pool).
     fn retire(&self, mut frame: OutFrame) {
         let mut keys = std::mem::take(&mut frame.keys);
         keys.clear();
-        let cell = frame.cell.clone();
         drop(frame);
         let mut st = self.lock();
         if st.free_keys.len() < FREE_FRAMES {
             st.free_keys.push(keys);
-        }
-        if st.free_cells.len() < FREE_FRAMES {
-            st.free_cells.push_back(cell);
         }
     }
 
@@ -461,19 +456,14 @@ impl Outbox {
 
 impl OutboxState {
     /// A new open frame, from retired parts where there are any.
-    fn fresh_frame(&mut self, clock: &Clock, opened: Nanos, max_batch: usize) -> OutFrame {
+    fn fresh_frame(
+        &mut self,
+        cells: &CellPool<FrameReply>,
+        opened: Nanos,
+        max_batch: usize,
+    ) -> OutFrame {
         let keys = self.free_keys.pop().unwrap_or_else(|| Vec::with_capacity(max_batch));
-        let recycled = (0..self.free_cells.len().min(RECYCLE_TRIES)).find_map(|_| {
-            let mut cell = self.free_cells.pop_front()?;
-            if FrameCell::recycle(&mut cell) {
-                Some(cell)
-            } else {
-                self.free_cells.push_back(cell);
-                None
-            }
-        });
-        let cell = recycled.unwrap_or_else(|| Arc::new(FrameCell::new(clock.clone())));
-        OutFrame { keys, cell, opened }
+        OutFrame { keys, reply: cells.take(), opened }
     }
 }
 
@@ -539,8 +529,8 @@ struct ClientCore {
     ep_pos: Vec<usize>,
     /// Per-span append queues into the churn-log appender threads.
     upd_txs: Vec<SyncSender<UpdMsg>>,
-    /// Per-span reply-slot pools for pending updates.
-    upd_pools: Vec<SlotPool>,
+    /// Per-span reply-cell pools for pending updates.
+    upd_pools: Vec<CellPool<UpdateReply>>,
     /// Per-span churn logs, shared by the span's appender and its
     /// endpoints' readers and workers.
     logs: Vec<Mutex<SpanLog>>,
@@ -992,7 +982,9 @@ struct SpanLog {
     /// The liveness the log last acted on; the appender's election scan
     /// compares it with the queues' live flags.
     was_alive: Vec<bool>,
-    waiters: VecDeque<(u64, ReplyHandle)>,
+    /// Pending appends by sequence; an entry dropped unanswered
+    /// answers `ShuttingDown`.
+    waiters: VecDeque<(u64, Filler<UpdateReply>)>,
     flushes: Vec<(u64, SyncSender<Result<(), ServeError>>)>,
 }
 
@@ -1056,9 +1048,7 @@ impl SpanLog {
     }
 
     fn fail_pending(&mut self) {
-        for (_, h) in self.waiters.drain(..) {
-            h.send(Err(ServeError::ShuttingDown));
-        }
+        self.waiters.clear();
         for (_, tx) in self.flushes.drain(..) {
             let _ = tx.send(Err(ServeError::ShuttingDown));
         }
@@ -1093,7 +1083,7 @@ impl SpanLog {
         let durable = live_acks[live_acks.len() / 2];
         while self.waiters.front().is_some_and(|&(seq, _)| seq <= durable) {
             let (_, h) = self.waiters.pop_front().expect("non-empty: just peeked");
-            h.send(Ok(0));
+            h.fill(Ok(()));
         }
         // A flush resolves only when *every* live endpoint has acked
         // its target — stronger than quorum, because the quiesce
@@ -1295,7 +1285,7 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
                     .count();
                 // One fill answers the frame: key `i` reads `results[i]`
                 // (a short list answers its missing tail ShuttingDown).
-                b.frame.cell.fill(FrameReply { base: core.span_base(span), results });
+                b.frame.reply.fill(FrameReply { base: core.span_base(span), results });
                 if sheds > 0 {
                     core.flight(EventKind::ShedBurst, span as u16, sheds as u32, 0);
                 }
@@ -1354,7 +1344,7 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
 #[derive(Debug)]
 pub struct PendingNetLookup {
     /// The reply cell of the frame the key travels in.
-    cell: Arc<FrameReplyCell>,
+    cell: Waiter<FrameReply>,
     /// The key's position in that frame.
     idx: usize,
 }
@@ -1375,19 +1365,21 @@ impl PendingNetLookup {
 /// quorum-acked. [`wait`](Self::wait) blocks for the durability verdict.
 #[derive(Debug)]
 pub struct PendingNetUpdate {
-    slot: ReplySlot,
+    /// The update's reply cell; `None` for an `Op::Query`, which is
+    /// answered `Ok` on the spot.
+    cell: Option<Waiter<UpdateReply>>,
 }
 
 impl PendingNetUpdate {
     /// Block until the record is quorum-acked (`Ok`) or the span can no
     /// longer reach a quorum (`Err`).
     pub fn wait(self) -> Result<(), ServeError> {
-        self.slot.wait().map(|_| ())
+        self.cell.map_or(Ok(()), |cell| *cell.wait())
     }
 
     /// The verdict if it has arrived, `None` while still replicating.
     pub fn poll(&self) -> Option<Result<(), ServeError>> {
-        self.slot.poll().map(|r| r.map(|_| ()))
+        self.cell.as_ref().map_or(Some(Ok(())), |cell| cell.poll().copied())
     }
 }
 
@@ -1458,17 +1450,16 @@ impl NetHandle {
             Op::Query(_) => {
                 // Accepted-and-ignored, pre-resolved: whole ChurnGen
                 // streams feed through unfiltered, as locally.
-                let (slot, handle) = reply_pair();
-                handle.send(Ok(0));
-                return Ok(PendingNetUpdate { slot });
+                return Ok(PendingNetUpdate { cell: None });
             }
         };
         let span = core.span_router.route(key);
-        let (slot, handle) = core.upd_pools[span].take();
+        let reply = core.upd_pools[span].take();
+        let cell = Some(reply.waiter());
         core.clock
-            .send(&core.upd_txs[span], UpdMsg::Op { op: wire_op, reply: handle })
+            .send(&core.upd_txs[span], UpdMsg::Op { op: wire_op, reply })
             .map_err(|_| ServeError::ShuttingDown)?;
-        Ok(PendingNetUpdate { slot })
+        Ok(PendingNetUpdate { cell })
     }
 
     /// Apply one churn operation through the owning span's replicated
@@ -1787,8 +1778,8 @@ impl RemoteClient {
                 Mutex::new(SpanLog::new(alive, clock.now()))
             })
             .collect();
-        let upd_pools: Vec<SlotPool> = (0..n_spans)
-            .map(|_| SlotPool::with_clock(cfg.queue_capacity + cfg.max_batch, clock.clone()))
+        let upd_pools = (0..n_spans)
+            .map(|_| CellPool::new(cfg.queue_capacity + cfg.max_batch, clock.clone()))
             .collect();
         let span_live: Vec<AtomicU64> = (0..n_spans).map(|_| AtomicU64::new(0)).collect();
         // ordering: SeqCst to match the reader-thread refreshes — span

@@ -26,7 +26,7 @@
 //!   hand-off, no second thread.
 //! * The **responder** takes what cannot be answered on the spot: a
 //!   frame with keys still queued behind a busy replica (it redeems
-//!   their pooled reply slots and ships the positionally-aligned
+//!   their pooled reply cells and ships the positionally-aligned
 //!   `Reply`, so a slow dispatcher never stalls the connection's frame
 //!   stream), and every non-lookup reply.
 //! * The **send half** sits behind a mutex shared by the two, the

@@ -1,50 +1,55 @@
-//! What a remote lookup costs its *caller* in heap allocations, pinned
-//! with a per-thread counting global allocator: nothing, once warm.
+//! What a remote lookup or update costs its *caller* in heap
+//! allocations, pinned with a per-thread counting global allocator:
+//! nothing, once warm.
 //!
 //! A lookup appends its key to its endpoint's open frame and waits on
 //! that frame's reply cell. The frame's key buffer and cell are recycled
 //! when its reply has been handed out — the reader gives them back to
 //! the outbox, and a cell is reused only once no pending lookup holds
 //! it — and an outbox starts with two spare frames, so a caller opening
-//! its next frame always finds the one before last retired. The worker,
-//! the reader and the server allocate on their own threads (the wire's
-//! copies, the decoded reply); this test counts only the thread playing
-//! the caller.
+//! its next frame always finds the one before last retired. An update
+//! takes a reply cell from its span's pool and hands the filler side to
+//! the span's appender, which gives the cell back once the quorum has
+//! answered; an `Op::Query` update is answered on the spot and needs no
+//! cell. The worker, the reader, the appender and the server allocate on
+//! their own threads (the wire's copies, the decoded reply, the log);
+//! these tests count only the thread playing the caller.
 
 use dini_net::transport::ChanNet;
-use dini_net::{ClientConfig, NetServer, NetServerConfig, RemoteClient, Topology};
-use dini_serve::{Clock, ServeConfig};
+use dini_net::{ClientConfig, NetHandle, NetServer, NetServerConfig, RemoteClient, Topology};
+use dini_serve::{Clock, Op, ServeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
-
 thread_local! {
-    /// Set on the thread playing the caller: only its allocations count.
-    /// Const-initialized and destructor-free, so touching it from inside
-    /// the allocator cannot itself allocate.
-    static CALLER: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread has made since [`allocs_in`] armed it;
+    /// `None` while unarmed. Const-initialized and destructor-free, so
+    /// touching it from inside the allocator cannot itself allocate.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-fn counted() -> bool {
-    ARMED.load(Ordering::Relaxed) && CALLER.try_with(Cell::get).unwrap_or(false)
+fn count() {
+    let _ = ALLOCS.try_with(|a| a.set(a.get().map(|n| n + 1)));
 }
 
-// SAFETY: pure passthrough to the `System` allocator plus lock-free
-// counters and a const-initialized thread-local flag; upholds
-// `GlobalAlloc`'s contract because `System` does, and the counting adds
-// no allocation, locking, or reentrancy.
+/// Heap allocations `f` makes on the calling thread.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|a| a.set(Some(0)));
+    f();
+    ALLOCS.with(|a| a.replace(None)).expect("armed above")
+}
+
+// SAFETY: pure passthrough to the `System` allocator plus a
+// const-initialized thread-local counter; upholds `GlobalAlloc`'s
+// contract because `System` does, and the counting adds no allocation,
+// locking, or reentrancy.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same layout contract as `System::alloc`, to which this
     // delegates unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
@@ -57,9 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same ptr/layout/size contract as `System::realloc`, to
     // which this delegates unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -67,8 +70,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-#[test]
-fn a_warmed_remote_caller_allocates_nothing() {
+/// A two-shard server on a `ChanNet` holding every fourth key from 1,
+/// and a client connected to it; `drive` gets the client's handle and
+/// the keys.
+fn with_client(drive: impl FnOnce(&NetHandle, &[u32])) {
     let net = ChanNet::new(Clock::system());
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
     let cfg = NetServerConfig::new(ServeConfig::new(2), Topology::single(vec!["srv".into()]), 0);
@@ -76,32 +81,65 @@ fn a_warmed_remote_caller_allocates_nothing() {
     let client =
         RemoteClient::connect(net.dialer(), "srv", ClientConfig::default()).expect("connect");
     let handle = client.handle();
-    let query = |i: u32| i.wrapping_mul(2_654_435_761) % 200_004;
-    let lookup = |i: u32| {
-        let q = query(i);
-        let got = handle.begin_lookup(q).expect("admitted").wait();
-        assert_eq!(got, Ok(keys.partition_point(|&k| k <= q) as u32));
-    };
-
-    CALLER.with(|c| c.set(true));
-    const WARMUP: u32 = 1_000;
-    for i in 0..WARMUP {
-        lookup(i);
-    }
-    const LOOKUPS: u32 = 10_000;
-    ARMED.store(true, Ordering::SeqCst);
-    for i in WARMUP..WARMUP + LOOKUPS {
-        lookup(i);
-    }
-    ARMED.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    CALLER.with(|c| c.set(false));
-    assert_eq!(
-        allocs, 0,
-        "{allocs} caller-thread allocations across {LOOKUPS} warmed begin_lookup/wait calls"
-    );
-
+    drive(&handle, &keys);
     drop(handle);
     drop(client);
     server.shutdown();
+}
+
+const WARMUP: u32 = 1_000;
+
+#[test]
+fn a_warmed_remote_caller_allocates_nothing() {
+    with_client(|handle, keys| {
+        let query = |i: u32| i.wrapping_mul(2_654_435_761) % 200_004;
+        let lookup = |i: u32| {
+            let q = query(i);
+            let got = handle.begin_lookup(q).expect("admitted").wait();
+            assert_eq!(got, Ok(keys.partition_point(|&k| k <= q) as u32));
+        };
+        for i in 0..WARMUP {
+            lookup(i);
+        }
+        const LOOKUPS: u32 = 10_000;
+        let allocs = allocs_in(|| (WARMUP..WARMUP + LOOKUPS).for_each(lookup));
+        assert_eq!(
+            allocs, 0,
+            "{allocs} caller-thread allocations across {LOOKUPS} warmed begin_lookup/wait calls"
+        );
+    });
+}
+
+#[test]
+fn a_warmed_remote_updater_allocates_nothing() {
+    with_client(|handle, _| {
+        // Keys the server does not hold (every fourth from 3), inserted
+        // and deleted again, so the live set ends where it started.
+        let update = |op: Op| handle.begin_update(op).expect("appended").wait();
+        let churn = |i: u32| {
+            let k = (i % 50_000) * 4 + 3;
+            assert_eq!(update(Op::Insert(k)), Ok(()));
+            assert_eq!(update(Op::Delete(k)), Ok(()));
+        };
+        for i in 0..WARMUP {
+            churn(i);
+        }
+        const CYCLES: u32 = 2_000;
+        let allocs = allocs_in(|| (WARMUP..WARMUP + CYCLES).for_each(churn));
+        assert_eq!(
+            allocs, 0,
+            "{allocs} caller-thread allocations across {CYCLES} warmed Insert + Delete \
+             begin_update/wait pairs"
+        );
+        const QUERIES: u32 = 1_000;
+        let allocs = allocs_in(|| {
+            for i in 0..QUERIES {
+                assert_eq!(update(Op::Query(i)), Ok(()));
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{allocs} caller-thread allocations across {QUERIES} Op::Query begin_update/wait calls"
+        );
+    });
 }

@@ -310,13 +310,13 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oneshot::reply_pair;
+    use crate::oneshot::CellPool;
     use std::sync::mpsc::sync_channel;
 
     fn req(key: u32) -> Request {
-        // The waiter half is dropped: these tests never reap replies.
-        let (_slot, handle) = reply_pair();
-        Request { key, enqueued: Clock::system().now(), trace: 0, reply: handle }
+        // No waiter: these tests never reap replies.
+        let reply = CellPool::new(0, Clock::system()).take();
+        Request { key, enqueued: Clock::system().now(), trace: 0, reply }
     }
 
     #[test]

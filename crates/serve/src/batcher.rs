@@ -36,7 +36,7 @@
 
 use crate::clock::{dur_ns, Clock, Nanos};
 use crate::config::ServeError;
-use crate::oneshot::ReplyHandle;
+use crate::oneshot::Filler;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::Duration;
 
@@ -54,15 +54,15 @@ pub struct Request {
     /// [`StageRecord`](dini_obs::StageRecord)s join the client's wire
     /// records into one cross-process timeline.
     pub trace: u64,
-    /// Where the rank goes: the filler half of a pooled oneshot slot.
-    /// Dropping it unsent signals `ShuttingDown` to the waiter.
-    pub reply: ReplyHandle,
+    /// Where the rank goes: the filler side of a pooled reply cell.
+    /// Dropping the request unanswered answers `ShuttingDown`.
+    pub reply: Filler<Result<u32, ServeError>>,
 }
 
 impl Request {
-    /// Answer the request (consumes the reply slot).
+    /// Answer the request; dropping it then returns its cell to the pool.
     pub fn respond(self, reply: Result<u32, ServeError>) {
-        self.reply.send(reply);
+        self.reply.fill(reply);
     }
 }
 
@@ -72,10 +72,9 @@ impl Request {
 /// `max_delay`, a batch still short of `max_batch` then waits for
 /// co-travellers until `max_delay` after it opened (= now, in `clock`
 /// time); at zero the clock is never read. Returns whether the queue
-/// disconnected while collecting. Generic over the item type: the read
-/// path coalesces [`Request`]s, `dini-net`'s endpoint workers and
-/// churn-log appender coalesce lookups and update records through the
-/// same code.
+/// disconnected while collecting. Generic over the item type: a shard's
+/// dispatcher coalesces [`Request`]s, and `dini-net`'s span appender
+/// coalesces churn-log records, through the same code.
 pub fn collect_batch_into<T>(
     clock: &Clock,
     rx: &Receiver<T>,
@@ -116,13 +115,14 @@ pub fn collect_batch_into<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oneshot::{reply_pair, ReplySlot};
+    use crate::oneshot::{CellPool, Waiter};
     use std::sync::mpsc::sync_channel;
     use std::time::Instant;
 
-    fn req(key: u32) -> (Request, ReplySlot) {
-        let (slot, handle) = reply_pair();
-        (Request { key, enqueued: Clock::system().now(), trace: 0, reply: handle }, slot)
+    fn req(key: u32) -> (Request, Waiter<Result<u32, ServeError>>) {
+        let reply = CellPool::new(1, Clock::system()).take();
+        let cell = reply.waiter();
+        (Request { key, enqueued: Clock::system().now(), trace: 0, reply }, cell)
     }
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
         let mut batch = Vec::new();
         collect_batch_into(&clock, &rx, r0, &mut batch, 4, Duration::ZERO);
         drop(batch); // dispatcher dying with requests aboard
-        assert_eq!(s0.wait(), Err(ServeError::ShuttingDown));
-        assert_eq!(s1.wait(), Err(ServeError::ShuttingDown));
+        assert_eq!(*s0.wait(), Err(ServeError::ShuttingDown));
+        assert_eq!(*s1.wait(), Err(ServeError::ShuttingDown));
     }
 }

@@ -39,11 +39,12 @@
 //!   instead of unbounded queueing delay. Each queue's depth gauge is
 //!   the router's load signal and, read as "idle", the **claim** that
 //!   decides who ranks: the caller, or the dispatcher.
-//! * [`oneshot`] — **pooled reply slots**: a slab of reusable
-//!   generation-tagged reply cells replaces the per-lookup reply
-//!   channel, making the queued lookup path allocation-free end to end
-//!   (slots and batch scratch all recycle; a lookup its caller ranks
-//!   needs neither).
+//! * [`oneshot`] — **pooled reply cells**: a pool of reusable reply
+//!   cells replaces the per-lookup reply channel, making the queued
+//!   lookup path allocation-free end to end (cells and batch scratch all
+//!   recycle; a lookup its caller ranks needs neither). A cell is reused
+//!   only once nothing else holds it, and a request dropped unanswered
+//!   answers `ShuttingDown`.
 //! * [`snapshot`] + the writer in [`server`] — **online updates**: one
 //!   writer folds churn through
 //!   [`DeltaArray`](dini_index::DeltaArray)s and publishes each shard's
@@ -125,7 +126,6 @@ pub use clock::{Clock, ClockJoinHandle, Nanos, SimClock, SimMainGuard};
 pub use config::{ServeConfig, ServeError};
 pub use faults::ServeFaultPlan;
 pub use loadgen::{run_load, LoadMode, LoadReport};
-pub use oneshot::SlotPool;
 pub use router::{ReplicaSelector, ShardRouter};
 pub use server::{IndexServer, LookupScratch, PendingLookup, ServerHandle, UpdateHandle};
 pub use snapshot::{EpochCell, ShardSnapshot};

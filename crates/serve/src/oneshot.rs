@@ -1,96 +1,59 @@
-//! Pooled oneshot reply slots: the allocation-free half of the read path.
+//! Pooled reply cells: the allocation-free half of every reply path.
 //!
 //! The first serving layer paid two heap allocations per lookup for a
 //! fresh `bounded(1)` reply channel. In the paper's economics those are
 //! exactly the per-query overheads batching exists to amortise — so this
-//! module replaces the channel with a **slab of reusable reply cells**:
-//! [`ServerHandle`](crate::ServerHandle) takes a cell from its
-//! [`SlotPool`], splits it into a waiter half ([`ReplySlot`]) and a
-//! filler half ([`ReplyHandle`]), and the waiter returns the cell to the
-//! pool when it reaps the reply. In steady state every lookup reuses a
-//! warmed cell and the path allocates nothing.
+//! module replaces the channel with reusable reply cells, and every
+//! reply in the workspace goes through the same three pieces:
 //!
-//! ## The cell
+//! * [`ReplyCell<T>`] — written once per tenancy with one reply `T`,
+//!   which any number of waiters read through their own `Arc` of it. A
+//!   server lookup's cell answers one key; a `dini-net` client's answers
+//!   a whole `Lookup` frame (each pending lookup keeps its index into
+//!   the reply), or one replicated update.
+//! * [`CellPool<T>`] — a bounded free list of cells. It hands a cell to
+//!   a new tenant only while it holds the *only* `Arc` of it, so no
+//!   waiter and no filler of the old tenancy can still see it: reuse
+//!   needs no generation tag, and a stale filler cannot reach a recycled
+//!   cell because it still holds the `Arc` that keeps the cell out of
+//!   circulation.
+//! * [`Filler<T>`] — the one side that may answer. Whatever holds it
+//!   (a queued [`Request`](crate::batcher::Request), a client frame, a
+//!   churn-log waiter entry) answers [`T::unanswered`](Unanswered) if it
+//!   is dropped before it filled — a dispatcher shutting down, a queue
+//!   destroyed with requests aboard — so a waiter is never stranded, and
+//!   then gives the cell back to its pool.
 //!
-//! A cell is an `AtomicU64` word, a parked-waiter count, and a parking
-//! lot (`Mutex<()>` + `Condvar`) touched only when a waiter actually has
-//! to block — a poll-driven (open-loop) reply never takes the lock on
-//! either side. The word packs
+//! In steady state every reply reuses a warmed cell and the path
+//! allocates nothing.
 //!
-//! ```text
-//!   63           34 33  32 31            0
-//!  [  generation  ][ tag ][   payload    ]
-//! ```
+//! ## Parking
 //!
-//! * `tag` — `PENDING` (0), `OK` (rank in payload), `SHUTDOWN`, or
-//!   `OVERLOAD` (shard in payload);
-//! * `generation` — bumped every time the pool hands the cell out.
-//!
-//! The generation is what makes pooling safe without reference-count
-//! gymnastics: a filler writes its reply with a compare-exchange from
-//! `gen | PENDING`, so a stale [`ReplyHandle`] whose waiter abandoned the
-//! lookup (and whose cell has since been re-issued at a higher
-//! generation) fails the CAS and silently discards its write instead of
-//! corrupting the cell's new tenant. Cells can therefore go back to the
-//! pool the moment the waiter is done with them, even if a filler clone
-//! is still in flight somewhere in a shutdown path.
-//!
-//! A [`ReplyHandle`] dropped without sending (dispatcher shutting down,
-//! queue destroyed with requests aboard) fills `SHUTDOWN` so the waiter
-//! is never stranded — the pooled analogue of a oneshot channel's
-//! disconnect.
-//!
-//! ## The frame cell
-//!
-//! [`FrameCell`] shares the cell's parking lot under a different reply:
-//! one cell answers a whole *frame* of requests (`dini-net`'s
-//! `RemoteClient` gives each outgoing `Lookup` frame one), and each
-//! request's waiter keeps an `Arc` of it plus its own index into the
-//! reply. The filler publishes once and wakes once per frame. Its owner
-//! recycles a retired cell only through [`FrameCell::recycle`], which
-//! needs the only `Arc` left — so no pending request can ever see its
-//! cell reused under it.
+//! A cell is a filled flag, the reply, and a parking lot (`Mutex<()>` +
+//! `Condvar` plus a parked-waiter count) touched only when a waiter
+//! actually has to block — a poll-driven (open-loop) reply never takes
+//! the lock on either side, and a fill wakes parked waiters once per
+//! cell, however many requests it answers.
 
 use crate::clock::Clock;
 use crate::config::ServeError;
 use crate::sync::{Arc, AtomicU64, Condvar, Mutex, Ordering};
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
-const TAG_SHIFT: u32 = 32;
-const GEN_SHIFT: u32 = 34;
-const TAG_MASK: u64 = 0b11 << TAG_SHIFT;
-const PAYLOAD_MASK: u64 = (1 << TAG_SHIFT) - 1;
-/// 30 bits of generation: 10⁹ reuses per cell before wraparound.
-const GEN_MASK: u64 = (1 << (64 - GEN_SHIFT)) - 1;
+/// Cells a new pool starts with: a caller taking its next cell finds
+/// the one before last back in the pool even while the filler of the
+/// last is still giving it back, so a lone warmed caller never
+/// allocates.
+const SPARE_CELLS: usize = 2;
+/// Pooled cells [`CellPool::take`] checks, oldest first, before it
+/// allocates: a cell some waiter still holds rotates to the back instead
+/// of blocking the ones behind it.
+const RECYCLE_TRIES: usize = 4;
 
-const TAG_PENDING: u64 = 0;
-const TAG_OK: u64 = 1;
-const TAG_SHUTDOWN: u64 = 2;
-const TAG_OVERLOAD: u64 = 3;
-
-#[inline]
-fn encode(gen: u64, reply: Result<u32, ServeError>) -> u64 {
-    let (tag, payload) = match reply {
-        Ok(rank) => (TAG_OK, u64::from(rank)),
-        Err(ServeError::ShuttingDown) => (TAG_SHUTDOWN, 0),
-        Err(ServeError::Overloaded { shard }) => (TAG_OVERLOAD, shard as u64 & PAYLOAD_MASK),
-    };
-    (gen << GEN_SHIFT) | (tag << TAG_SHIFT) | payload
-}
-
-#[inline]
-fn decode(word: u64) -> Option<Result<u32, ServeError>> {
-    match (word & TAG_MASK) >> TAG_SHIFT {
-        TAG_PENDING => None,
-        TAG_OK => Some(Ok((word & PAYLOAD_MASK) as u32)),
-        TAG_SHUTDOWN => Some(Err(ServeError::ShuttingDown)),
-        _ => Some(Err(ServeError::Overloaded { shard: (word & PAYLOAD_MASK) as usize })),
-    }
-}
-
-/// The parking lot every reply cell here shares: a parked-waiter count
-/// and a `Mutex<()>` + `Condvar` touched only when a waiter actually has
-/// to block. The cell that owns it publishes its reply with a SeqCst
+/// The parking lot a reply cell blocks its waiters in: a parked-waiter
+/// count and a `Mutex<()>` + `Condvar` touched only when a waiter
+/// actually has to block. The cell publishes its reply with a SeqCst
 /// write and then calls [`wake`](Self::wake); a waiter's `ready` check
 /// reads that publication with a SeqCst load.
 #[derive(Debug)]
@@ -139,11 +102,11 @@ impl Parking {
     /// condvar: the filler runs serialized with us, so the scheduler
     /// re-polls `ready` the moment it could have changed (and a reply
     /// that never comes is a detected deadlock, not a hang).
-    fn wait<R>(&self, clock: Option<&Clock>, ready: impl Fn() -> Option<R>) -> R {
+    fn wait<R>(&self, clock: &Clock, ready: impl Fn() -> Option<R>) -> R {
         if let Some(reply) = ready() {
             return reply;
         }
-        if let Some(sim) = clock.and_then(Clock::as_sim) {
+        if let Some(sim) = clock.as_sim() {
             return sim.wait_until(ready);
         }
         // A native condvar park is invisible to a sim scheduler: the
@@ -153,7 +116,7 @@ impl Parking {
         assert!(
             !crate::clock::thread_registered_in_sim(),
             "a reply wait on a natively clocked cell from a sim-registered thread; build the \
-             SlotPool (or FrameCell) with the sim clock"
+             CellPool with the sim clock"
         );
         let mut held = self.lock.lock().expect("reply cell lock");
         // Register as a parked waiter *before* the under-lock recheck so
@@ -172,200 +135,22 @@ impl Parking {
     }
 }
 
-/// One reusable reply cell. Lives in `Arc`s held by the pool, the waiter,
-/// and (transiently) the filler; all coordination is through `word`.
-#[derive(Debug)]
-struct ReplyCell {
-    word: AtomicU64,
-    parking: Parking,
-}
+const PENDING: u64 = 0;
+const FILLED: u64 = 1;
 
-impl ReplyCell {
-    fn new() -> Self {
-        Self { word: AtomicU64::new(0), parking: Parking::new() }
-    }
-
-    /// Publish `reply` for generation `gen`. A stale generation (the cell
-    /// was re-issued) or an already-filled cell is a silent no-op.
-    fn fill(&self, gen: u64, reply: Result<u32, ServeError>) {
-        let pending = gen << GEN_SHIFT; // tag PENDING, payload 0
-        if self
-            .word
-            .compare_exchange(pending, encode(gen, reply), Ordering::SeqCst, Ordering::Acquire)
-            .is_ok()
-        {
-            self.parking.wake();
-        }
-    }
-}
-
-/// The waiter half of one pooled lookup: redeem with [`wait`](Self::wait)
-/// or poll with [`poll`](Self::poll); dropping it returns the cell to the
-/// pool it came from.
-#[derive(Debug)]
-pub struct ReplySlot {
-    cell: Arc<ReplyCell>,
-    gen: u64,
-    pool: Option<SlotPool>,
-}
-
-impl ReplySlot {
-    /// Block until the reply arrives.
-    pub fn wait(self) -> Result<u32, ServeError> {
-        let clock = self.pool.as_ref().map(|p| &p.shared.clock);
-        self.cell.parking.wait(clock, || decode(self.cell.word.load(Ordering::SeqCst)))
-    }
-
-    /// The reply if it has arrived, `None` while still in flight.
-    pub fn poll(&self) -> Option<Result<u32, ServeError>> {
-        let word = self.cell.word.load(Ordering::Acquire);
-        debug_assert_eq!(word >> GEN_SHIFT, self.gen & GEN_MASK, "slot outlived its generation");
-        decode(word)
-    }
-}
-
-impl Drop for ReplySlot {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.put(self.cell.clone());
-        }
-    }
-}
-
-/// The filler half of one pooled lookup: consumed by
-/// [`send`](Self::send); dropping it unsent fills `ShuttingDown` so the
-/// waiter is never stranded.
-#[derive(Debug)]
-pub struct ReplyHandle {
-    cell: Arc<ReplyCell>,
-    gen: u64,
-    sent: bool,
-}
-
-impl ReplyHandle {
-    /// Publish the reply and wake the waiter.
-    pub fn send(mut self, reply: Result<u32, ServeError>) {
-        self.sent = true;
-        self.cell.fill(self.gen, reply);
-    }
-}
-
-impl Drop for ReplyHandle {
-    fn drop(&mut self) {
-        if !self.sent {
-            self.cell.fill(self.gen, Err(ServeError::ShuttingDown));
-        }
-    }
-}
-
-/// A slab of reusable reply cells. The server keeps one per shard,
-/// shared by every [`ServerHandle`](crate::ServerHandle) clone, so slab
-/// traffic contends only within a shard; cells cycle
-/// take → submit → reply → reap → put without touching the allocator once
-/// the pool is warm.
-#[derive(Debug, Clone)]
-pub struct SlotPool {
-    /// Cheaply clonable handle: every clone shares the same slab (the
-    /// server hands one clone per `ServerHandle`). Hiding the `Arc`
-    /// here keeps `take` an ordinary `&self` method, which is also what
-    /// lets the whole pool compile against the `dini-check` model
-    /// `Arc` (no `Arc<Self>` receivers).
-    shared: Arc<PoolShared>,
-}
-
-#[derive(Debug)]
-struct PoolShared {
-    // lint: lock-ok: slab free-list, touched once per take/put — the
-    // reply handoff itself is the lock-free word protocol above.
-    free: Mutex<Vec<Arc<ReplyCell>>>,
-    /// Pool size cap: cells beyond this are dropped on return instead of
-    /// pooled, bounding memory under in-flight spikes.
-    capacity: usize,
-    /// How waiters on this pool's slots block: natively (condvar) or in
-    /// a sim scheduler.
-    clock: Clock,
-}
-
-impl SlotPool {
-    /// An empty pool retaining at most `capacity` idle cells, with
-    /// native (wall-clock) waiting.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_clock(capacity, Clock::system())
-    }
-
-    /// An empty pool whose waiters block in `clock` time.
-    pub fn with_clock(capacity: usize, clock: Clock) -> Self {
-        Self {
-            shared: Arc::new(PoolShared {
-                // lint: lock-ok: slab free-list (see the field's contract).
-                free: Mutex::new(Vec::with_capacity(capacity)),
-                capacity,
-                clock,
-            }),
-        }
-    }
-
-    /// Idle cells currently pooled.
-    pub fn idle(&self) -> usize {
-        self.shared.free.lock().expect("slot pool lock").len()
-    }
-
-    /// Hand out a cell as a fresh-generation waiter/filler pair,
-    /// allocating only when the pool is empty (cold start or an in-flight
-    /// spike beyond anything seen before).
-    pub fn take(&self) -> (ReplySlot, ReplyHandle) {
-        let cell = self
-            .shared
-            .free
-            .lock()
-            .expect("slot pool lock")
-            .pop()
-            .unwrap_or_else(|| Arc::new(ReplyCell::new()));
-        // ordering: relaxed-ok: the pool's free-list mutex already ordered
-        // this cell's last tenant before us; no filler is in flight.
-        let gen = (cell.word.load(Ordering::Relaxed) >> GEN_SHIFT).wrapping_add(1) & GEN_MASK;
-        cell.word.store(gen << GEN_SHIFT, Ordering::Release);
-        let slot = ReplySlot { cell: cell.clone(), gen, pool: Some(self.clone()) };
-        let handle = ReplyHandle { cell, gen, sent: false };
-        (slot, handle)
-    }
-
-    fn put(&self, cell: Arc<ReplyCell>) {
-        let mut free = self.shared.free.lock().expect("slot pool lock");
-        if free.len() < self.shared.capacity {
-            free.push(cell);
-        }
-    }
-}
-
-/// A poolless waiter/filler pair (tests and one-off callers; steady-state
-/// serving always goes through a [`SlotPool`]).
-pub fn reply_pair() -> (ReplySlot, ReplyHandle) {
-    let cell = Arc::new(ReplyCell::new());
-    let gen = 1u64;
-    cell.word.store(gen << GEN_SHIFT, Ordering::Release);
-    (ReplySlot { cell: cell.clone(), gen, pool: None }, ReplyHandle { cell, gen, sent: false })
-}
-
-const FRAME_PENDING: u64 = 0;
-const FRAME_FILLED: u64 = 1;
-
-/// One reply cell for a whole frame of requests: the filler publishes
-/// one reply `T` for all of them, and every request's waiter holds an
-/// `Arc` of the cell plus its own index into that reply. Parking is the
-/// same as a pooled slot's — a waiter blocks only if the reply is not
-/// there yet, and the fill wakes parked waiters once per frame, not per
-/// request.
+/// One reply cell: its [`Filler`] publishes one reply `T`, and every
+/// waiter holding an `Arc` of the cell reads it — once it is there
+/// ([`poll`](Self::poll)) or by blocking until it is
+/// ([`wait`](Self::wait)).
 ///
-/// Written once per tenancy: the first [`fill`](Self::fill) wins, later
-/// ones are no-ops. Reuse needs no generation tag, because a cell is
-/// made pending again only through [`recycle`](Self::recycle), which
-/// succeeds only while the caller holds the *only* `Arc` — no waiter and
-/// no filler can still see the old tenancy.
+/// Written once per tenancy: the first fill wins, later ones are no-ops.
+/// Cells come from a [`CellPool`], which makes one pending again only
+/// while it holds the *only* `Arc` — no waiter and no filler can still
+/// see the old tenancy.
 #[derive(Debug)]
-pub struct FrameCell<T> {
-    /// `FRAME_PENDING` or `FRAME_FILLED`; the SeqCst store of
-    /// `FRAME_FILLED` publishes `reply`.
+pub struct ReplyCell<T> {
+    /// `PENDING` or `FILLED`; the SeqCst store of `FILLED` publishes
+    /// `reply`.
     word: AtomicU64,
     /// Set once per tenancy, before `word` flips; read only after a
     /// waiter has seen `word` filled. A plain `std` cell, not a seam
@@ -377,11 +162,10 @@ pub struct FrameCell<T> {
     clock: Clock,
 }
 
-impl<T> FrameCell<T> {
-    /// A pending cell whose waiters block in `clock` time.
-    pub fn new(clock: Clock) -> Self {
+impl<T> ReplyCell<T> {
+    fn new(clock: Clock) -> Self {
         Self {
-            word: AtomicU64::new(FRAME_PENDING),
+            word: AtomicU64::new(PENDING),
             reply: OnceLock::new(),
             parking: Parking::new(),
             clock,
@@ -390,15 +174,15 @@ impl<T> FrameCell<T> {
 
     /// Publish `reply` and wake every parked waiter. A cell that already
     /// holds a reply keeps it.
-    pub fn fill(&self, reply: T) {
+    fn fill(&self, reply: T) {
         if self.reply.set(reply).is_ok() {
-            self.word.store(FRAME_FILLED, Ordering::SeqCst);
+            self.word.store(FILLED, Ordering::SeqCst);
             self.parking.wake();
         }
     }
 
     fn filled(&self, order: Ordering) -> Option<&T> {
-        (self.word.load(order) == FRAME_FILLED)
+        (self.word.load(order) == FILLED)
             .then(|| self.reply.get().expect("a filled word follows the reply's set"))
     }
 
@@ -409,20 +193,156 @@ impl<T> FrameCell<T> {
 
     /// Block until the reply is filled.
     pub fn wait(&self) -> &T {
-        self.parking.wait(Some(&self.clock), || self.filled(Ordering::SeqCst))
+        self.parking.wait(&self.clock, || self.filled(Ordering::SeqCst))
     }
 
     /// Make `cell` pending again for a new tenancy, if nothing else holds
     /// it: `false` (and nothing changes) while any other `Arc` of it — a
     /// waiter's, a filler's — is alive.
-    pub fn recycle(cell: &mut Arc<Self>) -> bool {
+    fn recycle(cell: &mut Arc<Self>) -> bool {
         let Some(cell) = Arc::get_mut(cell) else { return false };
         cell.reply.take();
         // ordering: relaxed-ok: `get_mut` proved this the only handle;
         // the next tenancy is published through whatever hands the `Arc`
         // to another thread.
-        cell.word.store(FRAME_PENDING, Ordering::Relaxed);
+        cell.word.store(PENDING, Ordering::Relaxed);
         true
+    }
+}
+
+/// A waiter's handle on a reply cell: read the reply through it. The
+/// pool reuses the cell only once every handle on it is gone.
+pub type Waiter<T> = Arc<ReplyCell<T>>;
+
+/// The reply a [`Filler`] dropped before it filled leaves its waiters.
+pub trait Unanswered {
+    /// "Nobody will answer this": what a waiter reads when the request
+    /// was torn down with its filler.
+    fn unanswered() -> Self;
+}
+
+impl<T> Unanswered for Result<T, ServeError> {
+    fn unanswered() -> Self {
+        Err(ServeError::ShuttingDown)
+    }
+}
+
+/// The filler side of one pooled [`ReplyCell`]: the only handle that
+/// can answer it. Dropped, it answers [`Unanswered::unanswered`] if it
+/// had not filled, and gives the cell back to the pool it came from.
+#[derive(Debug)]
+pub struct Filler<T: Unanswered> {
+    /// `Some` until `drop` hands it back to `pool`.
+    cell: Option<Arc<ReplyCell<T>>>,
+    pool: CellPool<T>,
+}
+
+impl<T: Unanswered> Filler<T> {
+    fn cell(&self) -> &Arc<ReplyCell<T>> {
+        self.cell.as_ref().expect("a filler holds its cell until dropped")
+    }
+
+    /// A waiter's handle on the cell.
+    pub fn waiter(&self) -> Waiter<T> {
+        self.cell().clone()
+    }
+
+    /// Publish `reply` and wake every parked waiter; the first fill of a
+    /// tenancy wins.
+    pub fn fill(&self, reply: T) {
+        self.cell().fill(reply);
+    }
+}
+
+impl<T: Unanswered> Drop for Filler<T> {
+    fn drop(&mut self) {
+        let cell = self.cell.take().expect("dropped once");
+        cell.fill(T::unanswered());
+        self.pool.put(cell);
+    }
+}
+
+/// A bounded free list of reply cells, shared by every clone. The server
+/// keeps one per shard, shared by every
+/// [`ServerHandle`](crate::ServerHandle), so pool traffic contends only
+/// within a shard; a `dini-net` client keeps one per endpoint outbox and
+/// one per span's churn log. Cells cycle take → fill → drop the filler →
+/// take without touching the allocator once the pool is warm.
+#[derive(Debug)]
+pub struct CellPool<T> {
+    /// Hiding the `Arc` here keeps `take` an ordinary `&self` method,
+    /// which is also what lets the pool compile against the `dini-check`
+    /// model `Arc` (no `Arc<Self>` receivers).
+    shared: Arc<PoolShared<T>>,
+}
+
+impl<T> Clone for CellPool<T> {
+    fn clone(&self) -> Self {
+        Self { shared: self.shared.clone() }
+    }
+}
+
+#[derive(Debug)]
+struct PoolShared<T> {
+    /// Oldest first: the likeliest to be held by nobody.
+    // lint: lock-ok: free list, touched once per take and once per
+    // returned filler — the reply handoff itself is the cell's word.
+    free: Mutex<VecDeque<Arc<ReplyCell<T>>>>,
+    /// Cells beyond this are freed on return instead of pooled, bounding
+    /// memory under in-flight spikes.
+    capacity: usize,
+    /// How waiters on this pool's cells block.
+    clock: Clock,
+}
+
+impl<T: Unanswered> CellPool<T> {
+    /// A pool retaining at most `capacity` idle cells, whose waiters
+    /// block in `clock` time. It starts with two spare cells (fewer if
+    /// `capacity` is smaller).
+    pub fn new(capacity: usize, clock: Clock) -> Self {
+        let free = (0..SPARE_CELLS.min(capacity))
+            .map(|_| Arc::new(ReplyCell::new(clock.clone())))
+            .collect();
+        Self {
+            shared: Arc::new(PoolShared {
+                // lint: lock-ok: free list (see the field's contract).
+                free: Mutex::new(free),
+                capacity,
+                clock,
+            }),
+        }
+    }
+
+    /// Idle cells currently pooled (some may still be held by a waiter).
+    pub fn idle(&self) -> usize {
+        self.shared.free.lock().expect("cell pool lock").len()
+    }
+
+    /// A pending cell for a new request, as its filler: a pooled one no
+    /// one else holds, or a new one when the oldest few are all held
+    /// (cold start, or an in-flight spike beyond anything seen before).
+    pub fn take(&self) -> Filler<T> {
+        let recycled = {
+            let mut free = self.shared.free.lock().expect("cell pool lock");
+            (0..free.len().min(RECYCLE_TRIES)).find_map(|_| {
+                let mut cell = free.pop_front()?;
+                if ReplyCell::recycle(&mut cell) {
+                    Some(cell)
+                } else {
+                    free.push_back(cell);
+                    None
+                }
+            })
+        };
+        let cell = recycled.unwrap_or_else(|| Arc::new(ReplyCell::new(self.shared.clock.clone())));
+        Filler { cell: Some(cell), pool: self.clone() }
+    }
+
+    fn put(&self, cell: Arc<ReplyCell<T>>) {
+        let mut free = self.shared.free.lock().expect("cell pool lock");
+        if free.len() < self.shared.capacity {
+            free.push_back(cell);
+        }
     }
 }
 
@@ -431,13 +351,23 @@ mod tests {
     use super::*;
     use std::thread;
 
+    type Reply = Result<u32, ServeError>;
+
+    fn pool(capacity: usize) -> CellPool<Reply> {
+        CellPool::new(capacity, Clock::system())
+    }
+
     #[test]
-    fn send_then_wait_round_trips() {
-        let (slot, handle) = reply_pair();
-        assert_eq!(slot.poll(), None);
-        handle.send(Ok(42));
-        assert_eq!(slot.poll(), Some(Ok(42)));
-        assert_eq!(slot.wait(), Ok(42));
+    fn fill_then_wait_round_trips() {
+        let pool = pool(8);
+        let filler = pool.take();
+        let cell = filler.waiter();
+        assert_eq!(cell.poll(), None);
+        filler.fill(Ok(42));
+        assert_eq!(cell.poll(), Some(&Ok(42)));
+        assert_eq!(*cell.wait(), Ok(42));
+        filler.fill(Ok(7));
+        assert_eq!(*cell.wait(), Ok(42), "the first fill of a tenancy wins");
     }
 
     #[test]
@@ -447,89 +377,86 @@ mod tests {
         // observe `parked == 1` the waiter is committed to the
         // park-and-recheck protocol and the fill must wake it. No
         // timing assumption, so the test cannot flake under load.
-        let (slot, handle) = reply_pair();
-        let cell = slot.cell.clone();
-        let t = thread::spawn(move || slot.wait());
+        let pool = pool(8);
+        let filler = pool.take();
+        let cell = filler.waiter();
+        let t = thread::spawn({
+            let cell = cell.clone();
+            move || *cell.wait()
+        });
         while cell.parking.parked.load(Ordering::SeqCst) == 0 {
             thread::yield_now();
         }
-        handle.send(Ok(7));
+        filler.fill(Ok(7));
         assert_eq!(t.join().unwrap(), Ok(7));
     }
 
     #[test]
-    fn dropped_handle_signals_shutdown() {
-        let (slot, handle) = reply_pair();
-        drop(handle);
-        assert_eq!(slot.wait(), Err(ServeError::ShuttingDown));
-    }
-
-    #[test]
-    fn errors_round_trip() {
-        let (slot, handle) = reply_pair();
-        handle.send(Err(ServeError::Overloaded { shard: 5 }));
-        assert_eq!(slot.wait(), Err(ServeError::Overloaded { shard: 5 }));
+    fn dropped_filler_answers_shutdown_and_returns_the_cell() {
+        let pool = pool(8);
+        let filler = pool.take();
+        let cell = filler.waiter();
+        assert_eq!(pool.idle(), 1);
+        drop(filler);
+        assert_eq!(*cell.wait(), Err(ServeError::ShuttingDown));
+        assert_eq!(pool.idle(), 2);
     }
 
     #[test]
     fn pool_recycles_cells_without_reallocating() {
-        let pool = SlotPool::new(8);
-        let (slot, handle) = pool.take();
-        handle.send(Ok(1));
-        assert_eq!(slot.wait(), Ok(1)); // drop returns the cell
-        assert_eq!(pool.idle(), 1);
+        let pool = pool(8);
+        let cells: Vec<_> = (0..2).map(|_| Arc::as_ptr(&pool.take().waiter())).collect();
         for i in 0..100u32 {
-            let (slot, handle) = pool.take();
-            assert_eq!(pool.idle(), 0, "single-caller reuse must hit the pooled cell");
-            handle.send(Ok(i));
-            assert_eq!(slot.wait(), Ok(i));
+            let filler = pool.take();
+            let cell = filler.waiter();
+            assert!(cells.contains(&Arc::as_ptr(&cell)), "a lone caller reuses the spares");
+            assert_eq!(cell.poll(), None, "a recycled cell is pending again");
+            filler.fill(Ok(i));
+            drop(filler);
+            assert_eq!(*cell.wait(), Ok(i));
         }
-        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.idle(), 2);
     }
 
     #[test]
-    fn stale_filler_cannot_corrupt_a_recycled_cell() {
-        let pool = SlotPool::new(8);
-        let (slot, stale_handle) = pool.take();
-        drop(slot); // abandon while still pending: cell goes back pooled
-        assert_eq!(pool.idle(), 1);
-
-        let (slot2, handle2) = pool.take(); // same cell, new generation
-        stale_handle.send(Ok(999)); // stale write must miss
-        assert_eq!(slot2.poll(), None, "stale generation must not fill the new tenant");
-        handle2.send(Ok(5));
-        assert_eq!(slot2.wait(), Ok(5));
+    fn a_cell_some_waiter_holds_is_not_recycled() {
+        let pool = pool(8);
+        let held: Vec<_> = (0..2).map(|_| pool.take().waiter()).collect();
+        assert_eq!(pool.idle(), 2, "both spares returned, both still held by waiters");
+        let filler = pool.take();
+        let fresh = filler.waiter();
+        assert!(held.iter().all(|h| !Arc::ptr_eq(h, &fresh)), "a held cell was recycled");
+        assert_eq!(held[0].poll(), Some(&Err(ServeError::ShuttingDown)));
+        assert_eq!(fresh.poll(), None);
     }
 
     #[test]
     fn pool_capacity_bounds_idle_cells() {
-        let pool = SlotPool::new(2);
-        let pairs: Vec<_> = (0..5).map(|_| pool.take()).collect();
-        for (slot, handle) in pairs {
-            handle.send(Ok(0));
-            let _ = slot.wait();
-        }
+        let pool = pool(2);
+        let fillers: Vec<_> = (0..5).map(|_| pool.take()).collect();
+        drop(fillers);
         assert_eq!(pool.idle(), 2, "returns beyond capacity are dropped");
     }
 
     #[test]
     fn many_threads_share_one_pool() {
-        let pool = SlotPool::new(64);
-        let fillers: Vec<_> = (0..4u32)
+        let pool = pool(64);
+        let callers: Vec<_> = (0..4u32)
             .map(|t| {
                 let pool = pool.clone();
                 thread::spawn(move || {
                     for i in 0..500u32 {
-                        let (slot, handle) = pool.take();
-                        let filler = thread::spawn(move || handle.send(Ok(t * 1000 + i)));
-                        assert_eq!(slot.wait(), Ok(t * 1000 + i));
-                        filler.join().unwrap();
+                        let filler = pool.take();
+                        let cell = filler.waiter();
+                        let f = thread::spawn(move || filler.fill(Ok(t * 1000 + i)));
+                        assert_eq!(*cell.wait(), Ok(t * 1000 + i));
+                        f.join().unwrap();
                     }
                 })
             })
             .collect();
-        for f in fillers {
-            f.join().unwrap();
+        for c in callers {
+            c.join().unwrap();
         }
         assert!(pool.idle() <= 64);
     }

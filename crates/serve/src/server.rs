@@ -35,7 +35,7 @@
 //!   folds the same accounting the dispatcher would have (served,
 //!   admitted, batch size, heat, stage records with a wait of exactly
 //!   zero), releases the claim and returns a resolved
-//!   [`PendingLookup`] — no slot, no channel, no wake. A caller that
+//!   [`PendingLookup`] — no reply cell, no channel, no wake. A caller that
 //!   finds depth > 0 queues as ever, which is where batches keep forming
 //!   by themselves under concurrent load: the dispatcher keeps exactly
 //!   the regime the paper argues for. No threshold, option or spin
@@ -89,7 +89,7 @@ use crate::batcher::{collect_batch_into, Request};
 use crate::clock::{Clock, ClockJoinHandle};
 use crate::config::{ServeConfig, ServeError};
 use crate::faults::ReplicaFaults;
-use crate::oneshot::{ReplySlot, SlotPool};
+use crate::oneshot::{CellPool, Waiter};
 use crate::router::{ReplicaSelector, ShardRouter};
 use crate::snapshot::{EpochCell, ShardSnapshot};
 use crate::stats::{replica_labels, ReplicaMetrics, ServeStats};
@@ -209,7 +209,7 @@ pub struct IndexServer {
     selector: ReplicaSelector,
     /// `queues[shard][replica]`.
     queues: Vec<Vec<AdmissionQueue>>,
-    pools: Vec<SlotPool>,
+    pools: Vec<CellPool<Reply>>,
     /// `cells[shard]`, shared with the writer, the shard's dispatchers
     /// and every handle.
     cells: Vec<Arc<EpochCell>>,
@@ -239,11 +239,11 @@ pub struct IndexServer {
 /// queue depth — and, when that replica is idle, ranks them right here
 /// on the calling thread against the shard's pinned snapshot.
 ///
-/// For lookups that queue, handles share one [`SlotPool`] of reusable
+/// For lookups that queue, handles share one [`CellPool`] of reusable
 /// reply cells *per shard*, so a warmed-up lookup allocates nothing on
-/// either path (the cell cycles take → submit → reply → reap → return
-/// for the server's whole lifetime) and slab traffic serializes only
-/// within a shard, never across the server.
+/// either path (the cell cycles take → submit → fill → return for the
+/// server's whole lifetime) and pool traffic serializes only within a
+/// shard, never across the server.
 /// Each clone carries its own routing tick, so clones never contend on
 /// a shared counter (a fresh clone restarts its candidate rotation —
 /// load awareness, not the rotation phase, is what balances replicas).
@@ -251,7 +251,7 @@ pub struct ServerHandle {
     router: Arc<ShardRouter>,
     selector: ReplicaSelector,
     queues: Vec<Vec<AdmissionQueue>>,
-    pools: Vec<SlotPool>,
+    pools: Vec<CellPool<Reply>>,
     /// `cells[shard]`: the shard's read state, which any thread may pin —
     /// what lets a caller that claimed an idle replica rank its own keys.
     cells: Vec<Arc<EpochCell>>,
@@ -495,17 +495,14 @@ impl IndexServer {
             cfg.clone(),
         );
 
-        // One slab per shard (contention splits along the same lines as
+        // One pool per shard (contention splits along the same lines as
         // the admission queues), shared by the shard's replicas, with
-        // enough idle cells for every replica's full queue plus an
-        // in-flight batch; returns beyond that are dropped, bounding
-        // memory under pathological in-flight spikes.
+        // room for every replica's full queue plus an in-flight batch;
+        // returns beyond that are dropped, bounding memory under
+        // pathological in-flight spikes.
         let pools = (0..cfg.n_shards)
             .map(|_| {
-                SlotPool::with_clock(
-                    (cfg.queue_capacity + cfg.max_batch) * n_replicas,
-                    cfg.clock.clone(),
-                )
+                CellPool::new((cfg.queue_capacity + cfg.max_batch) * n_replicas, cfg.clock.clone())
             })
             .collect();
 
@@ -724,17 +721,20 @@ impl Drop for IndexServer {
 /// replies.
 ///
 /// A lookup that found its replica idle was ranked by the submitting
-/// thread and is born resolved. One that was queued is backed by a
-/// pooled oneshot slot rather than a per-lookup channel: dropping the
-/// `PendingLookup` (after reaping, or abandoning the lookup) returns the
-/// reply cell to the server's slab for reuse.
+/// thread and is born resolved. One that was queued holds a pooled
+/// reply cell rather than a per-lookup channel; the cell goes back to
+/// the server's pool once the dispatcher has answered, and is reused
+/// once this `PendingLookup` (reaped, or abandoned) has let go of it.
 #[derive(Debug)]
 pub struct PendingLookup(Pending);
 
+/// What a lookup's caller reads: its global rank, or why there is none.
+type Reply = Result<u32, ServeError>;
+
 #[derive(Debug)]
 enum Pending {
-    Ready(Result<u32, ServeError>),
-    Queued(ReplySlot),
+    Ready(Reply),
+    Queued(Waiter<Reply>),
 }
 
 impl PendingLookup {
@@ -746,7 +746,7 @@ impl PendingLookup {
     pub fn wait(self) -> Result<u32, ServeError> {
         match self.0 {
             Pending::Ready(reply) => reply,
-            Pending::Queued(slot) => slot.wait(),
+            Pending::Queued(cell) => *cell.wait(),
         }
     }
 
@@ -754,7 +754,7 @@ impl PendingLookup {
     pub fn poll(&self) -> Option<Result<u32, ServeError>> {
         match &self.0 {
             Pending::Ready(reply) => Some(*reply),
-            Pending::Queued(slot) => slot.poll(),
+            Pending::Queued(cell) => cell.poll().copied(),
         }
     }
 }
@@ -897,8 +897,9 @@ impl ServerHandle {
         blocking: bool,
         trace: u64,
     ) -> Result<PendingLookup, ServeError> {
-        let (slot, handle) = self.pools[shard].take();
-        let req = Request { key, enqueued: self.clock.now(), trace, reply: handle };
+        let reply = self.pools[shard].take();
+        let cell = reply.waiter();
+        let req = Request { key, enqueued: self.clock.now(), trace, reply };
         let q = &self.queues[shard][replica];
         if blocking {
             q.submit(req)?;
@@ -906,9 +907,10 @@ impl ServerHandle {
             q.try_submit(req)?;
         }
         // On the error paths above the un-submitted request is dropped
-        // inside the admission queue, which drop-fills the cell; `slot`
-        // then returns it to the pool on its own drop. No leak, no alloc.
-        Ok(PendingLookup(Pending::Queued(slot)))
+        // inside the admission queue, which answers the cell and returns
+        // it to the pool; `cell` lets go of it on return. No leak, no
+        // alloc.
+        Ok(PendingLookup(Pending::Queued(cell)))
     }
 
     fn enqueue(&self, key: u32, blocking: bool, trace: u64) -> Result<PendingLookup, ServeError> {
@@ -1112,7 +1114,7 @@ fn reroute_one(group: &[AdmissionQueue], me: usize, mut req: Request) -> bool {
 /// (via the drop-fill protocol) only when no sibling survives. Runs
 /// until the server shuts down or every sender hangs up; exiting
 /// earlier would strand whatever sits in the admission queue — the
-/// buffered `ReplyHandle`s only drop with the channel, and the channel
+/// buffered requests only drop with the channel, and the channel
 /// lives as long as any `ServerHandle` clone holds its sender (often
 /// the very caller blocked on the reply).
 fn crashed_failover(
@@ -1268,8 +1270,8 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
             // respond() below wakes its caller, and a caller that has
             // reaped every reply must be able to read fully settled
             // counters (stats().served includes its lookups). The adds
-            // are Relaxed but sequenced before the reply slot's Release
-            // fill, and the caller's reap is an Acquire — so a reaped
+            // are Relaxed but sequenced before the reply cell's SeqCst
+            // fill, and the caller's reap is at least an Acquire — so a reaped
             // reply implies visible counters, mutex or no mutex.
             stats.record_batch(batch.iter().map(|req| done.saturating_sub(req.enqueued)));
             stats.set_rebuilds(state.main_epoch - main_epoch);
@@ -1289,8 +1291,8 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
                 }
             }
             for (req, &rank) in batch.drain(..).zip(ranks.iter()) {
-                // A gone caller is fine; the stale-generation CAS
-                // discards the reply.
+                // A gone caller is fine: nobody reads the cell, and the
+                // pool reuses it once no one holds it.
                 req.respond(Ok(rank));
             }
             // Replies are out: release the batch from the depth gauge
@@ -1796,7 +1798,7 @@ mod tests {
     #[test]
     fn steady_state_lookups_reuse_pooled_slots() {
         let keys = gen_sorted_unique_keys(5_000, 77);
-        // Slots are the queued path's: a (barely) slow plan sends every
+        // Cells are the queued path's: a (barely) slow plan sends every
         // lookup through the dispatchers.
         let mut c = cfg(2);
         let extra = Duration::from_micros(20);
@@ -1806,15 +1808,18 @@ mod tests {
         for _ in 0..50 {
             h.lookup(12345).unwrap();
         }
-        // A single closed-loop caller needs exactly one cell per shard it
-        // touched; the slabs hold it between lookups.
-        let idle = |s: &IndexServer| s.pools.iter().map(|p| p.idle()).sum::<usize>();
-        assert!(idle(&server) >= 1);
-        let idle_before = idle(&server);
+        // A single closed-loop caller alternates between its shard pool's
+        // two spare cells: the dispatcher gives one back before it
+        // answers the lookup that holds the other, so neither is ever
+        // found held and no cell is allocated.
+        let mut cells = BTreeSet::new();
         for _ in 0..100 {
-            h.lookup(54321).unwrap();
+            let pending = h.begin_lookup(54321).unwrap();
+            let Pending::Queued(cell) = &pending.0 else { panic!("a slow replica was claimed") };
+            cells.insert(Arc::as_ptr(cell) as usize);
+            pending.wait().unwrap();
         }
-        assert_eq!(idle(&server), idle_before, "steady state must not grow the slabs");
+        assert_eq!(cells.len(), 2, "steady state must cycle the spares, not grow the pool");
     }
 
     #[test]
@@ -1829,8 +1834,7 @@ mod tests {
             let q = i.wrapping_mul(2_654_435_761);
             assert_eq!(h.lookup(q).unwrap(), oracle(&set, q), "query {q}");
         }
-        // No slot was ever taken, nothing ever queued …
-        assert_eq!(server.pools.iter().map(|p| p.idle()).sum::<usize>(), 0);
+        // Nothing ever queued …
         let snap = server.metrics_snapshot();
         assert_eq!(
             snap.series("dini_serve_queue_depth").map(|(_, d)| d).collect::<Vec<_>>(),
@@ -1881,7 +1885,6 @@ mod tests {
                 h.begin_lookup_traced(q, trace).unwrap().wait().unwrap();
             }
             let stats = server.stats();
-            let slots: usize = server.pools.iter().map(|p| p.idle()).sum();
             // A dispatcher stamps its records after releasing the
             // replies: give the last batch's a moment to land.
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -1914,7 +1917,7 @@ mod tests {
             assert_eq!(snap.sum("dini_serve_served"), stats.served);
             let heat: Vec<u64> = snap.series("dini_serve_heat").map(|(_, v)| v).collect();
             let by_path = (stats.claimed, stats.served - stats.claimed);
-            (counts, served, heat, traces, slots, batch_sizes, by_path)
+            (counts, served, heat, traces, batch_sizes, by_path)
         };
         let nudge = Duration::from_nanos(1);
         let claimed = run(ServeFaultPlan::none(), 0);
@@ -1922,15 +1925,13 @@ mod tests {
             ServeFaultPlan::none().slow_shard(0, nudge).slow_shard(1, nudge),
             claimed.3.len() as u64,
         );
-        assert_eq!(claimed.4, 0, "idle replicas: the callers ranked, no slot was taken");
-        assert!(queued.4 > 0, "scripted replicas: every lookup went through a dispatcher");
         assert_eq!(claimed.0, queued.0, "served/admitted/batches/shed");
         assert_eq!(claimed.1, queued.1, "per-replica split");
         assert_eq!(claimed.2, queued.2, "heat");
         assert_eq!(claimed.3, queued.3, "stage records: same requests sampled, same shapes");
-        assert_eq!(claimed.5, queued.5, "batch sizes: count and max");
-        assert_eq!(claimed.6, (300, 0), "(claimed, dispatched): callers answered all");
-        assert_eq!(queued.6, (0, 300), "(claimed, dispatched): dispatchers answered all");
+        assert_eq!(claimed.4, queued.4, "batch sizes: count and max");
+        assert_eq!(claimed.5, (300, 0), "(claimed, dispatched): callers answered all");
+        assert_eq!(queued.5, (0, 300), "(claimed, dispatched): dispatchers answered all");
         assert!(claimed.3.len() > 100, "every traced request and a seventh of the rest");
     }
 
@@ -1956,9 +1957,10 @@ mod tests {
                 h.begin_lookup_traced(q, id).unwrap().wait().unwrap();
             }
             let reads = SYS_NOW_READS.get() - before;
-            assert_eq!(server.pools[0].idle(), 0, "a slot was taken: some lookup queued");
             let stats = server.stats();
-            assert_eq!((stats.served, stats.batches), (10 + u64::from(lookups), stats.served));
+            let n = 10 + u64::from(lookups);
+            assert_eq!((stats.served, stats.batches), (n, n));
+            assert_eq!(stats.claimed, n, "some lookup queued");
             reads
         };
         // Any 6 400 consecutive offers hold exactly 100 picks of one in 64.

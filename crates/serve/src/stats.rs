@@ -67,7 +67,7 @@ pub(crate) fn replica_labels(shard: usize, replica: usize) -> String {
 /// The visibility contract callers rely on (`stats().served` includes
 /// every reaped lookup) survives the mutex removal: the dispatcher
 /// records a batch *before* releasing its replies, each reply release
-/// is an acquire/release handoff through the reply slot, and so a
+/// is an acquire/release handoff through the reply cell, and so a
 /// caller that has observed its reply observes the `Relaxed` counter
 /// updates sequenced before it.
 ///

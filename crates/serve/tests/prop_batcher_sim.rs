@@ -18,7 +18,7 @@
 
 use dini_serve::batcher::{collect_batch_into, Request};
 use dini_serve::clock::{dur_ns, Clock, SimClock};
-use dini_serve::oneshot::reply_pair;
+use dini_serve::oneshot::CellPool;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,10 +52,12 @@ proptest! {
             let clock = clock.clone();
             let gaps = gaps_us.clone();
             let sent = sent.clone();
+            // No waiter: the test reads batches, not replies.
+            let replies = CellPool::new(0, clock.clone());
             clock.clone().spawn("feeder", move || {
                 for (i, gap) in gaps.into_iter().enumerate() {
                     clock.sleep(Duration::from_micros(gap));
-                    let (_slot, reply) = reply_pair();
+                    let reply = replies.take();
                     let req = Request { key: i as u32, enqueued: clock.now(), trace: 0, reply };
                     if tx.send(req).is_err() {
                         break;

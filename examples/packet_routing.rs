@@ -52,8 +52,7 @@ fn main() {
 
     // Keys are the range starts; rank(addr) - 1 is the covering range.
     let keys: Vec<u32> = routes.iter().map(|r| r.start).collect();
-    let cfg =
-        NativeConfig { n_slaves: 8, pin_cores: false, channel_capacity: 8, ..NativeConfig::new(1) };
+    let cfg = NativeConfig { n_slaves: 8, pin_cores: false, ..NativeConfig::new(1) };
     let mut fib = DistributedIndex::build(&keys, cfg);
 
     // A packet stream with mixed hot destinations and random scans.

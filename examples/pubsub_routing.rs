@@ -31,12 +31,7 @@ fn main() {
     sample.sort_unstable();
     sample.dedup();
 
-    let cfg = NativeConfig {
-        n_slaves: N_BROKERS,
-        pin_cores: false,
-        channel_capacity: 8,
-        ..NativeConfig::new(1)
-    };
+    let cfg = NativeConfig { n_slaves: N_BROKERS, pin_cores: false, ..NativeConfig::new(1) };
     let mut router = DistributedIndex::build(&sample, cfg);
     println!(
         "pub/sub router: {} sampled topics, {} brokers, ~{} topics each",

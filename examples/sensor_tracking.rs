@@ -59,12 +59,7 @@ fn main() {
     cells.sort_unstable();
     cells.dedup();
 
-    let cfg = NativeConfig {
-        n_slaves: N_TRACKERS,
-        pin_cores: false,
-        channel_capacity: 8,
-        ..NativeConfig::new(1)
-    };
+    let cfg = NativeConfig { n_slaves: N_TRACKERS, pin_cores: false, ..NativeConfig::new(1) };
     let mut field = DistributedIndex::build(&cells, cfg);
     println!("sensor field: {} cells over {N_TRACKERS} tracking nodes", cells.len());
 

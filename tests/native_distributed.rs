@@ -9,7 +9,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 fn cfg(n: usize) -> NativeConfig {
-    NativeConfig { n_slaves: n, pin_cores: false, channel_capacity: 4, ..NativeConfig::new(1) }
+    NativeConfig { n_slaves: n, pin_cores: false, ..NativeConfig::new(1) }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! with a counting global allocator so it cannot silently regress.
 //!
 //! The serving read path is built so that a warmed-up lookup touches the
-//! allocator zero times: reply cells come from a pooled slab, the
+//! allocator zero times: reply cells come from a pool, the
 //! dispatcher's batch/keys/ranks/latency scratch is reused across
 //! batches, the lockstep probe's group state lives on the stack, and
 //! snapshot pins are `Arc`-count bumps on a lock-free epoch cell (a bare
@@ -15,7 +15,7 @@
 //!
 //! Warmup is what "steady state" means: the server's threads start and
 //! park on their queues (`settle`), and the first lookups grow batch
-//! scratch and the slot slab to the workload's shape; those allocations
+//! scratch and the reply-cell pool to the workload's shape; those allocations
 //! are the amortised setup the paper's economics permit. What the
 //! invariant forbids is *per-lookup* allocation.
 
@@ -181,7 +181,7 @@ fn serve_steady_state_lookup_is_allocation_free() {
     let h = server.handle();
 
     // Warmup: the server's own threads first (two dispatchers and the
-    // writer), then the slot slab and dispatcher scratch; spread keys
+    // writer), then the reply-cell pool and dispatcher scratch; spread keys
     // across both shards.
     settle(3);
     let mut k = 0u32;
@@ -201,7 +201,7 @@ fn serve_steady_state_lookup_is_allocation_free() {
     assert_eq!(
         allocs, 0,
         "the steady-state dispatch path allocated {allocs} times across 1000 lookups \
-         with dense stage tracing enabled; pooled reply slots + reused batch scratch + \
+         with dense stage tracing enabled; pooled reply cells + reused batch scratch + \
          pre-allocated trace rings must make warmed, fully instrumented lookups \
          allocation-free end to end"
     );
@@ -242,13 +242,13 @@ fn serve_queued_and_claimed_paths_are_allocation_free_when_warm() {
     /// the counter is armed from before the first lookup until after the
     /// last. Returns (allocations, lookups seen queued).
     ///
-    /// The slab grows to the most reply cells ever out at once, which
-    /// for two callers is two — but only at a moment when both are
+    /// The pool grows to the most reply cells ever out at once, which
+    /// for two callers is a few — but only at a moment when both are
     /// queued, and whether a pass has such a moment is up to the
     /// scheduler. So the warmup pass (`armed == false`) makes it
     /// certain: each caller keeps its first two queued lookups
     /// un-redeemed while it carries on, and redeems them at the end.
-    /// After that the slab holds at least as many cells as the armed
+    /// After that the pool holds at least as many cells as the armed
     /// pass, which holds none back, can ever have out.
     fn hammer(server: &IndexServer, armed: bool) -> (u64, u64) {
         const WANT_QUEUED: u64 = 64;
@@ -315,7 +315,7 @@ fn serve_queued_and_claimed_paths_are_allocation_free_when_warm() {
     cfg.heat = true;
     let server = IndexServer::build(&keys, cfg);
 
-    // Warmup runs the same mix: it is the queued path's slab and the
+    // Warmup runs the same mix: it is the queued path's pool and the
     // dispatcher's scratch that need filling.
     settle(2);
     let (_, warm_queued) = hammer(&server, false);
