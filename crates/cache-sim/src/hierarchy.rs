@@ -8,7 +8,7 @@
 //!
 //! Write-back accounting: [`CacheHierarchy::access_write`] marks L2 lines
 //! dirty; dirty evictions are counted as [`CacheHierarchy::writebacks`] so
-//! a cost model can bill the memory-bus traffic real write-back caches
+//! a cost model can report the memory-bus traffic real write-back caches
 //! generate.
 
 use crate::params::CacheConfig;

@@ -117,16 +117,15 @@ impl CountingMemory {
     }
 }
 
-/// The simulated memory: hierarchy + Table 2 cost model (+ optional TLB
-/// and write-back billing, both default-off so the baseline stays the
-/// paper's model).
+/// The simulated memory: hierarchy + Table 2 cost model (+ optional TLB,
+/// default-off so the baseline stays the paper's model). Write-backs of
+/// dirty lines are counted, never billed: the paper's model ignores
+/// write traffic.
 #[derive(Debug, Clone)]
 pub struct SimMemory {
     params: MachineParams,
     hierarchy: CacheHierarchy,
     tlb: Option<Tlb>,
-    bill_writebacks: bool,
-    seen_writebacks: u64,
     stats: AccessStats,
 }
 
@@ -135,26 +134,12 @@ impl SimMemory {
     pub fn new(params: MachineParams) -> Self {
         params.validate();
         let hierarchy = CacheHierarchy::new(params.l1, params.l2);
-        Self {
-            params,
-            hierarchy,
-            tlb: None,
-            bill_writebacks: false,
-            seen_writebacks: 0,
-            stats: AccessStats::default(),
-        }
+        Self { params, hierarchy, tlb: None, stats: AccessStats::default() }
     }
 
     /// Enable TLB modelling (ablation).
     pub fn with_tlb(mut self) -> Self {
         self.tlb = Some(Tlb::new(self.params.tlb_entries, self.params.page_bytes));
-        self
-    }
-
-    /// Bill write-backs of dirty lines at W1 (ablation; the paper's model
-    /// ignores write traffic).
-    pub fn with_writeback_billing(mut self) -> Self {
-        self.bill_writebacks = true;
         self
     }
 
@@ -215,23 +200,7 @@ impl SimMemory {
                 ns += self.params.b2_miss_penalty_ns;
             }
         }
-        ns + self.charge_writebacks()
-    }
-
-    /// Bill any write-backs the hierarchy performed since the last call.
-    fn charge_writebacks(&mut self) -> f64 {
-        let total = self.hierarchy.writebacks();
-        let delta = total - self.seen_writebacks;
-        self.seen_writebacks = total;
-        if delta == 0 {
-            return 0.0;
-        }
-        self.stats.writebacks += delta;
-        if self.bill_writebacks {
-            delta as f64 * self.params.l2.line_bytes as f64 / self.params.mem_bw_seq
-        } else {
-            0.0
-        }
+        ns
     }
 
     /// Iterate the line-aligned addresses covered by `[addr, addr+len)`
@@ -246,6 +215,7 @@ impl SimMemory {
 
 impl MemoryModel for SimMemory {
     fn touch(&mut self, addr: u64, len: u32, kind: AccessKind) -> f64 {
+        let writebacks = self.hierarchy.writebacks();
         let ns = match kind {
             AccessKind::Read | AccessKind::Write => {
                 let mut ns = 0.0;
@@ -277,7 +247,7 @@ impl MemoryModel for SimMemory {
                     }
                 }
                 self.stats.streamed_bytes += len as u64;
-                ns + self.charge_writebacks()
+                ns
             }
             AccessKind::Pollute => {
                 let lines: Vec<u64> = self.lines_covered(addr, len).collect();
@@ -285,11 +255,12 @@ impl MemoryModel for SimMemory {
                     self.hierarchy.install(base);
                     self.stats.polluted_lines += 1;
                 }
-                // Pollution itself is free, but it can still displace
-                // dirty lines whose write-backs are real traffic.
-                self.charge_writebacks()
+                // Pollution is free, but it can still displace dirty
+                // lines, whose write-backs are counted below.
+                0.0
             }
         };
+        self.stats.writebacks += self.hierarchy.writebacks() - writebacks;
         self.stats.total_ns += ns;
         ns
     }
@@ -392,26 +363,7 @@ mod tests {
     }
 
     #[test]
-    fn write_marks_dirty_and_eviction_is_billed_when_enabled() {
-        let p = MachineParams::pentium_iii();
-        let line = p.l2.line_bytes;
-        let w1 = p.mem_bw_seq;
-        let mut m = SimMemory::new(p).with_writeback_billing();
-        m.touch(0, 4, AccessKind::Write);
-        // Evict line 0 from L2: its set takes addrs 64 KB apart (2048 sets
-        // × 32 B), 8-way → 8 conflicting fills.
-        let mut evict_cost = 0.0;
-        for i in 1..=8u64 {
-            evict_cost += m.touch(i * 65536, 4, AccessKind::Read);
-        }
-        assert_eq!(m.stats().writebacks, 1);
-        let wb_ns = line as f64 / w1;
-        // One of the eviction fills paid B2 + the write-back.
-        assert!(evict_cost > 8.0 * 110.0 + wb_ns - 1e-6, "write-back not billed: {evict_cost}");
-    }
-
-    #[test]
-    fn writebacks_counted_but_free_without_billing() {
+    fn writebacks_are_counted_but_free() {
         let mut m = mem();
         m.touch(0, 4, AccessKind::Write);
         let mut cost = 0.0;
@@ -419,7 +371,7 @@ mod tests {
             cost += m.touch(i * 65536, 4, AccessKind::Read);
         }
         assert_eq!(m.stats().writebacks, 1);
-        assert!((cost - 8.0 * 110.0).abs() < 1e-6, "billing leaked into baseline: {cost}");
+        assert!((cost - 8.0 * 110.0).abs() < 1e-6, "a write-back was billed: {cost}");
     }
 
     #[test]

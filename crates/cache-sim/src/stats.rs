@@ -30,8 +30,8 @@ pub struct AccessStats {
     pub l2: LevelStats,
     /// Random accesses that went all the way to memory.
     pub memory_accesses: u64,
-    /// Dirty lines written back to memory (0 unless write-back billing is
-    /// enabled).
+    /// Dirty lines written back to memory (counted, never billed: the
+    /// paper's model ignores write traffic).
     pub writebacks: u64,
     /// Bytes moved by streaming reads/writes (billed at W1).
     pub streamed_bytes: u64,

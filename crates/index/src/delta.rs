@@ -7,8 +7,9 @@
 //! main array stays read-only and cache-resident; inserts and deletes
 //! accumulate in two small sorted side arrays ("delta"); ranks compose as
 //! `main + inserts − deletes`; when the delta outgrows its budget it is
-//! merged into a fresh main array with one streaming pass (billed at W1,
-//! exactly the access pattern the paper says RAM is good at).
+//! merged into a new main array with one sequential pass that copies main
+//! in runs between delta entries (billed at W1, exactly the access
+//! pattern the paper says RAM is good at).
 //!
 //! This is the classic log-structured/differential-file design (also how
 //! column stores bolt updates onto sorted runs), specialised to rank
@@ -233,41 +234,85 @@ impl DeltaArray {
         self.delta_len() > self.merge_threshold
     }
 
-    /// Merge the delta into a fresh main array with one streaming pass.
+    /// Merge the delta into a fresh main array: [`merge_into`](Self::merge_into)
+    /// a newly allocated buffer.
+    pub fn merge<M: MemoryModel>(&mut self, mem: &mut M) -> Cost {
+        self.merge_into(Vec::new(), mem)
+    }
+
+    /// Merge the delta into a new main array built in `buf`, whose
+    /// contents are discarded and whose capacity is reused (it grows only
+    /// if the merged array does not fit). A caller that keeps the array a
+    /// previous merge replaced can hand it back here and merge without
+    /// touching the allocator.
+    ///
+    /// The merge walks the delta in key order and copies main in runs:
+    /// for each insert or tombstone it gallops from the current position
+    /// to the delta key, copies main up to there in one slice copy, then
+    /// pushes the insert or skips the deleted key. With a delta far
+    /// smaller than main that is a memcpy of main plus a few probes per
+    /// delta entry.
+    ///
     /// Billed: a streaming read of main + delta and a streaming write of
     /// the new array — the sequential pattern the paper bills at W1.
-    pub fn merge<M: MemoryModel>(&mut self, mem: &mut M) -> Cost {
+    pub fn merge_into<M: MemoryModel>(&mut self, mut buf: Vec<u32>, mem: &mut M) -> Cost {
         let mut ns = 0.0;
         let old_bytes = (self.main.len() + self.delta_len()) as u32 * 4;
         ns += mem.touch(self.main.base(), old_bytes.max(4), AccessKind::StreamRead);
 
-        let mut merged = Vec::with_capacity(self.main.len() + self.inserts.len());
-        let mut del = self.deletes.iter().copied().peekable();
-        let mut ins = self.inserts.iter().copied().peekable();
-        for &k in self.main.keys() {
-            while ins.peek().is_some_and(|&i| i < k) {
-                merged.push(ins.next().expect("peeked"));
+        let main = self.main.keys();
+        buf.clear();
+        buf.reserve(main.len() + self.inserts.len() - self.deletes.len());
+        let (inserts, deletes) = (&self.inserts, &self.deletes);
+        // `at`: the first main key not yet copied or skipped. Inserts are
+        // absent from main and tombstones present in it, so the two
+        // never tie.
+        let (mut at, mut i, mut d) = (0, 0, 0);
+        while i < inserts.len() || d < deletes.len() {
+            let insert = d == deletes.len() || (i < inserts.len() && inserts[i] < deletes[d]);
+            let key = if insert { inserts[i] } else { deletes[d] };
+            let run_end = gallop(main, at, key);
+            buf.extend_from_slice(&main[at..run_end]);
+            if insert {
+                buf.push(key);
+                at = run_end;
+                i += 1;
+            } else {
+                debug_assert_eq!(main[run_end], key, "tombstones are present in main");
+                at = run_end + 1;
+                d += 1;
             }
-            if del.peek() == Some(&k) {
-                del.next();
-                continue;
-            }
-            merged.push(k);
         }
-        merged.extend(ins);
+        buf.extend_from_slice(&main[at..]);
 
-        let new_bytes = merged.len() as u32 * 4;
+        let new_bytes = buf.len() as u32 * 4;
         ns += mem.touch(self.main.base(), new_bytes.max(4), AccessKind::StreamWrite);
 
         let base = self.main.base();
-        let main_bytes = merged.len() as u64 * 4;
-        self.main = SortedArray::new(merged, base, self.cmp_cost_ns);
+        let main_bytes = buf.len() as u64 * 4;
+        self.main = SortedArray::new(buf, base, self.cmp_cost_ns);
         self.inserts.clear();
         self.deletes.clear();
         self.ins_base = base + main_bytes;
         self.del_base = base + main_bytes + self.merge_threshold as u64 * 4;
         ns
     }
+}
+
+/// The first index `≥ from` whose key is `≥ key` in sorted `keys`:
+/// probe `from + 1, 2, 4, …` until one reaches `key`, then binary-search
+/// the last doubling. Costs `O(log d)` for a position `d` past `from`,
+/// so a merge pays per delta entry, not per main key.
+fn gallop(keys: &[u32], from: usize, key: u32) -> usize {
+    let tail = &keys[from..];
+    // Invariant: `tail[..lo]` is all `< key`.
+    let (mut lo, mut hi) = (0, 1);
+    while hi <= tail.len() && tail[hi - 1] < key {
+        lo = hi;
+        hi *= 2;
+    }
+    let hi = hi.min(tail.len());
+    from + lo + tail[lo..hi].partition_point(|&k| k < key)
 }
 
 impl RankIndex for DeltaArray {

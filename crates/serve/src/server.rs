@@ -77,7 +77,13 @@
 //!   `merge_threshold` merges and builds the merged array's directory on
 //!   its own thread (readers keep serving the old epoch), then
 //!   publishes the new main array like any other snapshot. Lookups
-//!   therefore never block on writers.
+//!   therefore never block on writers. A merge copies the old main
+//!   array in runs between delta entries
+//!   ([`DeltaArray::merge_into`]) into the array the merge before it
+//!   replaced, reclaimed by [`Arc::try_unwrap`] only when no reader
+//!   still pins that epoch — so a steady merge is a memcpy into warm
+//!   memory plus the directory pass, and a reader that lingers costs
+//!   the writer one fresh allocation, never a wait.
 //! * **Global ranks** compose across shards: the writer republishes every
 //!   shard's `base_rank` (live keys in lower shards) with each snapshot
 //!   wave, so a lookup in shard `s` returns
@@ -293,7 +299,31 @@ struct WriterShard {
     /// Directory over `delta`'s current main array: rebuilt on merge,
     /// shared by every snapshot published until the next one.
     main: Option<Arc<LineDirectory>>,
+    /// The heap-owned main array the last merge replaced. The next merge
+    /// builds into it if no reader still pins it (see [`Self::merge`]).
+    retired: Option<Arc<Vec<u32>>>,
     cell: Arc<EpochCell>,
+}
+
+impl WriterShard {
+    /// Merge the delta into a new main array and rebuild its directory.
+    /// The array is built in the one the previous merge retired when
+    /// [`Arc::try_unwrap`] finds nothing else holding it: a warm buffer,
+    /// so the merge is a copy, not an allocation plus a page fault per
+    /// 4 KiB. A reader still on that epoch keeps it, and a mapped
+    /// snapshot was never ours to write: either way the merge allocates
+    /// afresh and the writer never waits on readers.
+    fn merge(&mut self) {
+        let buf = self.retired.take().and_then(|keys| Arc::try_unwrap(keys).ok());
+        let replaced = self.delta.main_shared().clone();
+        self.delta.merge_into(buf.unwrap_or_default(), &mut NullMemory);
+        self.main = directory(self.delta.main_shared());
+        self.main_epoch += 1;
+        self.retired = match replaced {
+            SharedKeys::Owned(keys) => Some(keys),
+            SharedKeys::Mapped(_) => None,
+        };
+    }
 }
 
 impl IndexServer {
@@ -401,6 +431,7 @@ impl IndexServer {
                 ),
                 main_epoch,
                 main,
+                retired: None,
                 cell: cell.clone(),
             });
 
@@ -1451,11 +1482,9 @@ fn spawn_writer(
                 if sh.delta.needs_merge() {
                     // Merge and directory build off the read path:
                     // readers keep serving the old epoch until the
-                    // publish below, and its main array is freed when
-                    // the last of them unpins it.
-                    sh.delta.merge(&mut mem);
-                    sh.main = directory(sh.delta.main_shared());
-                    sh.main_epoch += 1;
+                    // publish below; its main array is kept for the
+                    // next merge to build into.
+                    sh.merge();
                     counters.merges.inc();
                     if let Some(j) = &cfg.flight {
                         j.record(EventKind::EpochSwap, s as u16, 0, sh.main_epoch, 0, clock.now());
@@ -2163,6 +2192,145 @@ mod tests {
         drop(server);
         let snap = dini_store::open_snapshot(&path).unwrap();
         assert_eq!(snap.live_keys(), 5_000);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Odd, so a [`Churn`] merge's `THRESHOLD + 1` updates split evenly
+    /// into inserts and deletes and a shard keeps its size: a recycled
+    /// array always fits, and where it lands is a pure function of who
+    /// still holds what.
+    const THRESHOLD: usize = 15;
+
+    /// Where shard 0's published main array lives. An address seen
+    /// again could in principle be the allocator handing a freed array
+    /// back; `tests/zero_alloc.rs` pins that recycled merges allocate
+    /// nothing.
+    fn main_at(server: &IndexServer) -> *const u32 {
+        server.cells[0].load().main.as_ref().expect("a non-empty main").keys().as_ptr()
+    }
+
+    /// Drives a one-shard server built with `merge_threshold =
+    /// THRESHOLD` over keys below 16 000, one merge at a time.
+    struct Churn {
+        /// The keys the server holds.
+        set: BTreeSet<u32>,
+        /// The last key inserted.
+        next: u32,
+    }
+
+    impl Churn {
+        fn new(keys: &[u32]) -> Self {
+            Churn { set: keys.iter().copied().collect(), next: 16_000 }
+        }
+
+        /// Exactly one merge: fresh inserts above every key so far and
+        /// deletes of the smallest key (always in main), then quiesce.
+        fn merge(&mut self, server: &IndexServer) {
+            let merges = server.stats().merges;
+            for i in 0..=THRESHOLD {
+                if i % 2 == 0 {
+                    self.next += 1;
+                    server.update(Op::Insert(self.next)).unwrap();
+                    self.set.insert(self.next);
+                } else {
+                    let k = self.set.pop_first().expect("keys left to delete");
+                    server.update(Op::Delete(k)).unwrap();
+                }
+            }
+            server.quiesce();
+            assert_eq!(server.stats().merges, merges + 1, "THRESHOLD + 1 updates merge once");
+        }
+
+        fn assert_exact(&self, server: &IndexServer) {
+            let h = server.handle();
+            for q in (0..20_000u32).step_by(61) {
+                assert_eq!(h.lookup(q).unwrap(), oracle(&self.set, q), "rank({q})");
+            }
+        }
+    }
+
+    fn one_shard_cfg() -> ServeConfig {
+        let mut c = cfg(1);
+        c.merge_threshold = THRESHOLD;
+        c
+    }
+
+    #[test]
+    fn a_merge_builds_into_the_array_the_merge_before_it_retired() {
+        let keys: Vec<u32> = (0..2_000).map(|i| i * 8).collect();
+        let mut churn = Churn::new(&keys);
+        let server = IndexServer::build(&keys, one_shard_cfg());
+        // `at[k]`: main array after merge k (`at[0]`: the build's).
+        let mut at = vec![main_at(&server)];
+        for _ in 0..5 {
+            churn.merge(&server);
+            churn.assert_exact(&server);
+            at.push(main_at(&server));
+        }
+        for k in 2..at.len() {
+            assert_eq!(at[k], at[k - 2], "merge {k} must build into merge {}'s array", k - 2);
+            assert_ne!(at[k], at[k - 1], "a merge never writes the array readers are on");
+        }
+    }
+
+    #[test]
+    fn a_pinned_epoch_keeps_its_array_until_released() {
+        let keys: Vec<u32> = (0..2_000).map(|i| i * 8).collect();
+        let mut churn = Churn::new(&keys);
+        let server = IndexServer::build(&keys, one_shard_cfg());
+        let mut at = vec![main_at(&server)];
+        churn.merge(&server);
+        at.push(main_at(&server));
+
+        // A reader pins epoch 1 across the two merges that would reuse
+        // its array: the second of them must allocate instead.
+        let pinned = server.cells[0].load();
+        let pinned_set = churn.set.clone();
+        for _ in 0..2 {
+            churn.merge(&server);
+            at.push(main_at(&server));
+        }
+        assert_eq!(at[2], at[0], "merge 2 reuses the build's array: nobody pins it");
+        assert!(at[3] != at[1] && at[3] != at[2], "merge 3 must not touch the pinned array");
+        let queries: Vec<u32> = (0..20_000).step_by(61).collect();
+        let mut ranks = Vec::new();
+        pinned.rank_batch(&queries, &mut ranks);
+        for (&q, &r) in queries.iter().zip(&ranks) {
+            assert_eq!(r, oracle(&pinned_set, q), "pinned epoch 1's rank({q})");
+        }
+        churn.assert_exact(&server);
+
+        // Released, the arrays cycle again.
+        drop(pinned);
+        churn.merge(&server);
+        at.push(main_at(&server));
+        assert_eq!(at[4], at[2], "merge 4 reuses the array merge 3 retired");
+        churn.assert_exact(&server);
+    }
+
+    #[test]
+    fn a_recovered_shard_merges_off_the_map_then_recycles() {
+        let path = scratch_snapshot("recycle");
+        let keys: Vec<u32> = (0..2_000).map(|i| i * 8).collect();
+        let mut churn = Churn::new(&keys);
+        let mut c = one_shard_cfg();
+        c.store = Some(StorePlan::new(path.clone()));
+        IndexServer::build(&keys, c.clone()).quiesce();
+        let snap = dini_store::open_snapshot(&path).unwrap();
+        c.store = None;
+        let server = IndexServer::build_recovered(&snap, c);
+
+        let mut at = vec![main_at(&server)];
+        assert_eq!(at[0], snap.shards[0].main.as_slice().as_ptr(), "served off the snapshot");
+        for _ in 0..3 {
+            churn.merge(&server);
+            churn.assert_exact(&server);
+            at.push(main_at(&server));
+        }
+        assert_ne!(at[1], at[0], "merge 1 leaves the map for a fresh owned array");
+        assert!(at[2] != at[0] && at[2] != at[1], "a mapped main retires nothing to reuse");
+        assert_eq!(at[3], at[1], "merge 3 reuses merge 1's owned array");
+        drop(server);
         std::fs::remove_file(&path).ok();
     }
 

@@ -18,32 +18,46 @@
 //! scratch and the reply-cell pool to the workload's shape; those allocations
 //! are the amortised setup the paper's economics permit. What the
 //! invariant forbids is *per-lookup* allocation.
+//!
+//! The write side has one pin of the same kind, filtered by size: once
+//! two merges have run, a shard's merge builds into the key array the
+//! merge before it retired, so further merges allocate nothing the size
+//! of a key array.
 
 use dini::serve::{open_snapshot, IndexServer, ServeConfig, StorePlan, TraceConfig};
 use dini::workload::Op;
 use dini::{DistributedIndex, NativeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Counts allocations (and reallocations) while armed; delegates to the
-/// system allocator.
+/// Counts allocations (and reallocations) while armed, and separately
+/// those of at least `BIG_BYTES`; delegates to the system allocator.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BIG_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-// SAFETY: pure passthrough to the `System` allocator plus two lock-free
+fn count(size: usize) {
+    if ARMED.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if size >= BIG_BYTES.load(Ordering::Relaxed) {
+            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+// SAFETY: pure passthrough to the `System` allocator plus lock-free
 // atomic counters; upholds `GlobalAlloc`'s contract because `System`
 // does, and the counting adds no allocation, locking, or reentrancy.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same layout contract as `System::alloc`, to which this
     // delegates unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -56,9 +70,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same ptr/layout/size contract as `System::realloc`, to
     // which this delegates unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -80,27 +92,42 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 }
 
 /// Wait (at most ten seconds) until the `n` threads a server owns have
-/// all started and gone to sleep on their queues. A thread the scheduler
+/// all started and gone to sleep on their queues, and every other thread
+/// but the caller is asleep too. A thread the scheduler
 /// has not yet run, or has not yet let park, still owes the allocator
 /// its start-up — its name, and on its first park the channel's
 /// per-thread context and the queue's waiter list — and on a busy host
 /// that can be milliseconds after `build` returned, inside a window
 /// armed by then. A thread names itself when it first runs, so `n`
 /// sleeping `dini-…` threads in `/proc` means none is left to start.
+/// The rest of the process is the test harness: when the test before
+/// this one ends, it starts the next on a fresh thread, which allocates
+/// until it blocks on [`GATE`].
 /// Elsewhere than Linux this is a no-op and warmup is the lookups alone.
 fn settle(n: usize) {
     #[cfg(target_os = "linux")]
     {
-        let asleep = || {
-            std::fs::read_dir("/proc/self/task")
-                .expect("procfs")
-                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("stat")).ok())
-                // "<tid> (<name>) <state> …"
-                .filter(|stat| stat.contains("(dini-") && stat.contains(") S "))
-                .count()
+        let me = std::fs::read_link("/proc/thread-self").expect("procfs");
+        let quiet = || {
+            let (mut parked, mut busy) = (0, 0);
+            let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+            for task in tasks.filter_map(Result::ok) {
+                if Some(task.file_name().as_os_str()) == me.file_name() {
+                    continue;
+                }
+                // "<tid> (<name>) <state> …"; a thread that exited
+                // since the listing has no stat to read.
+                let Ok(stat) = std::fs::read_to_string(task.path().join("stat")) else { continue };
+                match (stat.contains("(dini-"), stat.contains(") S ")) {
+                    (true, true) => parked += 1,
+                    (_, false) => busy += 1,
+                    (false, true) => {}
+                }
+            }
+            parked == n && busy == 0
         };
         let started = std::time::Instant::now();
-        while asleep() != n && started.elapsed() < std::time::Duration::from_secs(10) {
+        while !quiet() && started.elapsed() < std::time::Duration::from_secs(10) {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
@@ -406,5 +433,78 @@ fn recovered_mapped_backing_lookup_is_allocation_free_when_warm() {
 
     drop(h);
     drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The write side's pin: a merge builds into the key array the merge
+/// before it retired, so once two merges have run — the first has no
+/// retired array (a mapped main is never one), the second reclaims the
+/// build's or the first's — a shard's merges allocate nothing the size
+/// of a key array. Over an owned build and a mapped recovery alike.
+#[test]
+fn recycled_merges_allocate_no_key_array() {
+    const KEYS: u32 = 200_000;
+    /// Insert + delete pairs per merge: `2 · PAIRS` updates are one more
+    /// than the merge threshold.
+    const PAIRS: usize = 32;
+
+    /// Count the allocations of at least half the shard's key bytes
+    /// across `n` merges. Each is `PAIRS` fresh inserts and as many
+    /// deletes of build keys, so the shard keeps its size and a retired
+    /// array always fits.
+    fn big_allocs_across(server: &IndexServer, n: u64, next: &mut u32) -> u64 {
+        let merges = server.stats().merges;
+        BIG_BYTES.store(KEYS as usize * 4 / 2, Ordering::SeqCst);
+        let before = BIG_ALLOCS.load(Ordering::SeqCst);
+        count_allocs(|| {
+            for _ in 0..n {
+                for _ in 0..PAIRS {
+                    server.update(Op::Insert(*next * 4 + 3)).unwrap();
+                    server.update(Op::Delete(*next * 4 + 1)).unwrap();
+                    *next += 1;
+                }
+                server.quiesce();
+            }
+        });
+        BIG_BYTES.store(usize::MAX, Ordering::SeqCst);
+        assert_eq!(server.stats().merges, merges + n, "each round is one merge");
+        BIG_ALLOCS.load(Ordering::SeqCst) - before
+    }
+
+    let _gate = GATE.lock().unwrap();
+    let dir = std::env::temp_dir().join(format!("dini-zero-alloc-merge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("snapshot scratch dir");
+    let path = dir.join("recycle.snap");
+    let keys: Vec<u32> = (0..KEYS).map(|i| i * 4 + 1).collect();
+    let mut cfg = ServeConfig::new(1);
+    cfg.merge_threshold = 2 * PAIRS - 1;
+    cfg.store = Some(StorePlan::new(path.clone()));
+    IndexServer::build(&keys, cfg.clone()).quiesce();
+    let snap = open_snapshot(&path).expect("checkpoint must map back");
+    cfg.store = None;
+
+    for (what, server) in [
+        ("owned build", IndexServer::build(&keys, cfg.clone())),
+        ("mapped recovery", IndexServer::build_recovered(&snap, cfg.clone())),
+    ] {
+        let mut next = 0;
+        // The counter sees the warm-up merges' fresh arrays: one for a
+        // build (the second merge reclaims the build's array), two for a
+        // recovery.
+        let warm = big_allocs_across(&server, 2, &mut next);
+        assert!(warm >= 1, "{what}: the size filter missed the warm-up merges' arrays");
+        let allocs = big_allocs_across(&server, 3, &mut next);
+        assert_eq!(
+            allocs, 0,
+            "{what}: {allocs} key-array-sized allocations across three warm merges; each \
+             must build into the array the merge before it retired"
+        );
+        let h = server.handle();
+        for q in [0u32, 4 * next, 4 * next + 3, u32::MAX] {
+            let want = keys.partition_point(|&k| k <= q) as u32;
+            assert_eq!(h.lookup(q).unwrap(), want, "{what}: rank({q})");
+        }
+    }
+    drop(snap);
     std::fs::remove_dir_all(&dir).ok();
 }
