@@ -138,7 +138,7 @@ impl FaultState {
     }
 
     /// The plan's jitter window (public so frame-level transports built
-    /// on [`crate::inject`] can bound duplicate-delivery offsets with
+    /// on [`crate::schedule`] can bound duplicate-delivery offsets with
     /// the same constant the simulator uses).
     pub fn jitter_max_ns(&self) -> f64 {
         self.plan.jitter_max_ns

@@ -19,25 +19,27 @@
 //!   paper's "aggregate network bandwidth is unlimited" assumption.
 //! * [`fault`] — seeded, deterministic drop/duplicate/jitter/crash
 //!   injection for testing recovery protocols on top of the simulator.
-//! * [`inject`] — the same fate machinery repackaged per **frame** for
-//!   real transports: [`LinkPlan`]/[`LinkState`] turn each outgoing
-//!   frame into a deliver/drop/duplicate/link-down decision, which is
-//!   how `dini-net`'s simulated network backend drops and jitters wire
-//!   frames deterministically.
+//! * [`schedule`] — one run's faults as one [`FaultSchedule`] (link
+//!   rates, dispatch jitter, and a flat list of timed crashes,
+//!   straggles, severances and partitions), with the per-**frame**
+//!   interpreter real transports apply: [`LinkFaults`]/[`LinkState`]
+//!   turn each outgoing frame into a deliver/drop/duplicate/link-down
+//!   decision, which is how `dini-net`'s simulated network backend drops
+//!   and jitters wire frames deterministically.
 //! * [`metrics`] — log-spaced histograms for response-time accounting.
 
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod inject;
 pub mod metrics;
 pub mod network;
+pub mod schedule;
 pub mod sim;
 pub mod switch;
 
 pub use fault::{FaultPlan, FaultState, MsgFate};
-pub use inject::{FrameFate, LinkPlan, LinkState};
 pub use metrics::LogHistogram;
 pub use network::NetworkModel;
+pub use schedule::{Fault, FaultSchedule, FrameFate, LinkFaults, LinkState};
 pub use sim::{Actor, Ctx, MsgRecord, NodeId, NodeReport, SimCluster, SimReport};
 pub use switch::SwitchModel;

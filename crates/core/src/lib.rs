@@ -28,6 +28,6 @@ pub use methods::{
     run_method_a, run_method_b, run_method_c, run_replicated_distributed, LoadBalance,
     ReplicaEngine, SlaveStructure,
 };
-pub use native::{DistributedIndex, NativeConfig, NativeStructure};
+pub use native::{DistributedIndex, NativeConfig};
 pub use setup::{ExperimentSetup, MethodId, Table1};
 pub use stats::RunStats;

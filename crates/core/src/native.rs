@@ -11,7 +11,7 @@
 //! private L2: the cache-aggregation argument carries over unchanged.
 
 use dini_cache_sim::NullMemory;
-use dini_index::{CsbTree, LineDirectory, Partitions, RankIndex};
+use dini_index::{LineDirectory, Partitions};
 use dini_store::SharedKeys;
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -27,32 +27,6 @@ type Resp = (u64, Vec<(u32, u32)>);
 /// more than one request queued; the number only has to be at least 1.
 const CHANNEL_CAPACITY: usize = 8;
 
-/// Which structure each worker holds — the native descendants of the
-/// paper's C-1 / C-2 / C-3 slaves.
-///
-/// The paper's winner is C-3 (sorted array), on a Pentium III whose
-/// partitions fit its cache. On a partition that does *not* fit, the
-/// committed ladder (`benchmark ladder`, 2^24 keys, naming host) says
-/// buffering is what pays: `index.buffered_rank_ns.big` 349 ns per key
-/// against 463 for per-key binary search and 530 for the CSB+ walk —
-/// batching the accesses beats either layout probed one key at a time.
-/// The default slave is therefore C-3's array probed C-2's way: the
-/// sorted slice stays the only copy of the keys, a [`LineDirectory`] over
-/// it cuts a lookup to one line per level, and the worker answers its
-/// whole share of a batch in lockstep groups so the misses that remain
-/// overlap (see DESIGN.md, "Slave kernel").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NativeStructure {
-    /// The partition's sorted slice under a cache-line separator
-    /// directory, batches probed group-interleaved (Method C-3's
-    /// structure with Method C-2's batching; the default).
-    #[default]
-    SortedArray,
-    /// CSB+ n-ary tree with 64-byte nodes, walked one key at a time
-    /// (Method C-1 on a modern line; kept as the ablation).
-    CsbTree,
-}
-
 /// Configuration for [`DistributedIndex`].
 #[derive(Debug, Clone)]
 pub struct NativeConfig {
@@ -65,71 +39,12 @@ pub struct NativeConfig {
     /// refuses) the slaves run unpinned, and
     /// [`DistributedIndex::pinned_slaves`] says how many did pin.
     pub pin_cores: bool,
-    /// Per-worker lookup structure.
-    pub structure: NativeStructure,
 }
 
 impl NativeConfig {
-    /// `n_slaves` workers, pinning on, sorted-array slaves.
+    /// `n_slaves` workers, pinning on.
     pub fn new(n_slaves: usize) -> Self {
-        Self { n_slaves, pin_cores: true, structure: NativeStructure::SortedArray }
-    }
-}
-
-/// A worker's lookup engine (built once, owned by the thread).
-///
-/// The sorted-array engine does not copy its partition: its
-/// [`LineDirectory`] holds the shared key backing ([`SharedKeys`]: an
-/// `Arc`-shared sorted vector or a mapped snapshot window) plus its slice
-/// bounds, so any number of indexes built over the same backing (replica
-/// groups in `dini-serve`) share one copy of the keys — and a mapped
-/// backing is served straight out of the OS page cache with no
-/// deserialization. What the worker owns is the directory (1/15 of its
-/// partition's bytes), derived from the slice when the thread starts. The
-/// CSB+ engine rebuilds its node pages from the slice and therefore still
-/// owns its storage.
-enum WorkerEngine {
-    Array(LineDirectory),
-    Tree(CsbTree),
-}
-
-impl WorkerEngine {
-    fn build(structure: NativeStructure, keys: SharedKeys, start: usize, end: usize) -> Self {
-        match structure {
-            // Addresses are simulated-only; NullMemory makes the walk free
-            // of instrumentation.
-            NativeStructure::SortedArray => {
-                WorkerEngine::Array(LineDirectory::new(keys, start..end, 0, 0.0))
-            }
-            NativeStructure::CsbTree => {
-                // 64-byte nodes: 15 keys + first-child, 8 (key, id) leaf
-                // entries — the modern-line equivalent of the paper's
-                // geometry.
-                WorkerEngine::Tree(CsbTree::with_leaf_entries(
-                    &keys.as_slice()[start..end],
-                    15,
-                    8,
-                    64,
-                    1 << 20,
-                    0.0,
-                ))
-            }
-        }
-    }
-
-    /// Answer a slave's share of a batch in place: every `(slot, key)`
-    /// becomes `(slot, base_rank + local rank of key)`.
-    fn rank_pairs(&self, pairs: &mut [(u32, u32)], base_rank: u32) {
-        match self {
-            WorkerEngine::Array(dir) => {
-                dir.rank_pairs(pairs, base_rank, &mut NullMemory);
-            }
-            WorkerEngine::Tree(t) => {
-                for (_, kr) in pairs.iter_mut() {
-                    *kr = base_rank + t.rank(*kr, &mut NullMemory).0;
-                }
-            }
-        }
+        Self { n_slaves, pin_cores: true }
     }
 }
 
@@ -175,14 +90,11 @@ impl DistributedIndex {
     }
 
     /// Build over an `Arc`-shared key array without copying it: each
-    /// sorted-array worker holds the `Arc` plus its partition bounds, so
+    /// worker holds the `Arc` plus its partition bounds, so
     /// several indexes built from the *same* `Arc` (e.g. the replicas of
     /// one `dini-serve` shard) share a single copy of the keys — replicas
     /// cost threads and a derived directory (1/15 of the key bytes), not
     /// a copy of the index. `keys` must be sorted ascending, unique.
-    /// (CSB+ workers rebuild node pages from the slice and so still own
-    /// their storage; sharing only pays off for the default sorted-array
-    /// structure.)
     pub fn build_shared(keys: &Arc<Vec<u32>>, cfg: NativeConfig) -> Self {
         Self::build_backed(SharedKeys::from_arc(keys.clone()), cfg)
     }
@@ -222,19 +134,22 @@ impl DistributedIndex {
             to_slaves.push(req_tx);
             let tx = resp_tx.clone();
             let pin = (!cores.is_empty()).then(|| (cores[(j + 1) % cores.len()], pin_tx.clone()));
-            let structure = cfg.structure;
             joins.push(
                 std::thread::Builder::new()
                     .name(format!("dini-native-{j}"))
                     .spawn(move || {
                         if let Some((core, pin_tx)) = pin {
-                            // Before the engine is built, so its pages are
+                            // Before the directory is built, so its pages are
                             // first touched from the core that will read them.
                             let _ = pin_tx.send(dini_sysprobe::pin_current_thread(core));
                         }
-                        let engine = WorkerEngine::build(structure, part, range.start, range.end);
+                        // The worker owns only its directory (1/15 of its
+                        // partition's bytes); the keys stay in the shared
+                        // backing. Addresses are simulated-only: NullMemory
+                        // makes the probe free of instrumentation.
+                        let dir = LineDirectory::new(part, range, 0, 0.0);
                         for (batch, mut pairs) in req_rx.iter() {
-                            engine.rank_pairs(&mut pairs, base_rank);
+                            dir.rank_pairs(&mut pairs, base_rank, &mut NullMemory);
                             if tx.send((batch, pairs)).is_err() {
                                 return; // master hung up
                             }
@@ -390,7 +305,7 @@ mod tests {
     use dini_workload::gen_sorted_unique_keys;
 
     fn cfg(n: usize) -> NativeConfig {
-        NativeConfig { n_slaves: n, pin_cores: false, ..NativeConfig::new(1) }
+        NativeConfig { n_slaves: n, pin_cores: false }
     }
 
     #[test]
@@ -503,30 +418,6 @@ mod tests {
         .expect("probe thread");
         assert_eq!(pinned.pinned_slaves(), if permitted { 3 } else { 0 });
         assert_eq!(pinned.lookup_batch(&queries), unpinned.lookup_batch(&queries));
-    }
-
-    #[test]
-    fn csb_tree_workers_match_sorted_array_workers() {
-        let keys = gen_sorted_unique_keys(60_000, 44);
-        let queries: Vec<u32> = (0..20_000u32).map(|i| i.wrapping_mul(747_796_405)).collect();
-        let mut arr_idx = DistributedIndex::build(&keys, cfg(4));
-        let mut tree_idx = DistributedIndex::build(
-            &keys,
-            NativeConfig { structure: NativeStructure::CsbTree, ..cfg(4) },
-        );
-        assert_eq!(arr_idx.lookup_batch(&queries), tree_idx.lookup_batch(&queries));
-    }
-
-    #[test]
-    fn csb_tree_workers_match_oracle() {
-        let keys = gen_sorted_unique_keys(10_000, 45);
-        let mut idx = DistributedIndex::build(
-            &keys,
-            NativeConfig { structure: NativeStructure::CsbTree, ..cfg(3) },
-        );
-        for q in [0u32, keys[0], keys[500], keys[9_999], u32::MAX] {
-            assert_eq!(idx.lookup(q), oracle_rank(&keys, q), "query {q}");
-        }
     }
 
     #[test]

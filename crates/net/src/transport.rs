@@ -12,17 +12,17 @@
 //!   real sockets cannot wait in virtual time.
 //! * **Simulated channels** ([`ChanNet`]): in-process frame pipes that
 //!   wait in [`Clock`] time and route every frame through
-//!   [`dini_cluster::inject`]'s seeded fate machinery — per-link fixed
+//!   [`dini_cluster::schedule`]'s seeded fate machinery — per-link fixed
 //!   latency, jitter (which reorders frames, as a real network would),
-//!   drops, duplicates, and link severance at a virtual instant. Under
-//!   a [`SimClock`](dini_serve::SimClock) the whole transport replays
-//!   bit-for-bit, which is how `dini-simtest` crashes links inside its
-//!   determinism digest. With the system clock and
-//!   [`LinkPlan::reliable`] the same pipes double as the in-process
-//!   loopback used by unit tests.
+//!   drops, duplicates, partitions that heal, and link severance at a
+//!   virtual instant. Under a [`SimClock`](dini_serve::SimClock) the
+//!   whole transport replays bit-for-bit, which is how `dini-simtest`
+//!   crashes links inside its determinism digest. With the system clock
+//!   and perfect links (the default) the same pipes double as the
+//!   in-process loopback used by unit tests.
 
 use crate::wire::{frame_len, Frame, WireError};
-use dini_cluster::{FrameFate, LinkPlan};
+use dini_cluster::{FrameFate, LinkFaults};
 use dini_serve::clock::dur_ns;
 use dini_serve::{Clock, Nanos};
 use std::collections::{BinaryHeap, HashMap};
@@ -317,7 +317,7 @@ impl Ord for Delivery {
 }
 
 /// An in-process network of frame pipes waiting in [`Clock`] time, with
-/// per-destination [`LinkPlan`] fault injection. One `ChanNet` plays the
+/// per-destination [`LinkFaults`] injection. One `ChanNet` plays the
 /// role of "the wire" for every listener registered on it.
 ///
 /// ```
@@ -341,7 +341,7 @@ pub struct ChanNet {
 
 struct ChanInner {
     listeners: HashMap<String, Sender<Duplex>>,
-    plans: HashMap<String, LinkPlan>,
+    links: HashMap<String, LinkFaults>,
     dials: u64,
 }
 
@@ -352,7 +352,7 @@ impl ChanNet {
             clock,
             inner: Mutex::new(ChanInner {
                 listeners: HashMap::new(),
-                plans: HashMap::new(),
+                links: HashMap::new(),
                 dials: 0,
             }),
         })
@@ -366,11 +366,12 @@ impl ChanNet {
         ChanAcceptor { clock: self.clock.clone(), rx, addr: addr.to_owned() }
     }
 
-    /// Apply `plan` to every connection subsequently dialed **to**
-    /// `addr` (both directions of each such connection draw independent
-    /// fate streams from it).
-    pub fn set_link_plan(&self, addr: &str, plan: LinkPlan) {
-        self.inner.lock().expect("net lock").plans.insert(addr.to_owned(), plan);
+    /// Apply `link` — one endpoint's resolution of a
+    /// [`FaultSchedule`](dini_cluster::FaultSchedule) — to every
+    /// connection subsequently dialed **to** `addr` (both directions of
+    /// each such connection draw independent fate streams from it).
+    pub fn set_link(&self, addr: &str, link: LinkFaults) {
+        self.inner.lock().expect("net lock").links.insert(addr.to_owned(), link);
     }
 
     /// A dialer into this network.
@@ -406,21 +407,22 @@ struct ChanDialer {
 
 impl Dialer for ChanDialer {
     fn dial(&self, addr: &str) -> Result<Duplex, NetError> {
-        let (listener, plan, n) = {
+        let (listener, link, n) = {
             let mut inner = self.net.inner.lock().expect("net lock");
             let Some(listener) = inner.listeners.get(addr).cloned() else {
                 return Err(NetError::Refused(addr.to_owned()));
             };
-            let plan = inner.plans.get(addr).cloned().unwrap_or_else(LinkPlan::reliable);
+            let link = inner.links.get(addr).cloned().unwrap_or_default();
             inner.dials += 1;
-            (listener, plan, inner.dials)
+            (listener, link, inner.dials)
         };
         let clock = self.net.clock.clone();
         let (c2s_tx, c2s_rx) = channel::<Delivery>();
         let (s2c_tx, s2c_rx) = channel::<Delivery>();
-        let down_at = plan.down_at_ns;
+        let (server_link, client_link) = (link.state(n * 2), link.state(n * 2 + 1));
+        let down_at = server_link.down_at_ns();
         let server_half = Duplex {
-            tx: Box::new(ChanTx { clock: clock.clone(), tx: s2c_tx, link: plan.state(n * 2) }),
+            tx: Box::new(ChanTx { clock: clock.clone(), tx: s2c_tx, link: server_link }),
             rx: Box::new(ChanRx {
                 clock: clock.clone(),
                 rx: c2s_rx,
@@ -433,7 +435,7 @@ impl Dialer for ChanDialer {
         };
         listener.send(server_half).map_err(|_| NetError::Refused(addr.to_owned()))?;
         Ok(Duplex {
-            tx: Box::new(ChanTx { clock: clock.clone(), tx: c2s_tx, link: plan.state(n * 2 + 1) }),
+            tx: Box::new(ChanTx { clock: clock.clone(), tx: c2s_tx, link: client_link }),
             rx: Box::new(ChanRx {
                 clock,
                 rx: s2c_rx,
@@ -544,7 +546,7 @@ impl FrameRx for ChanRx {
 mod tests {
     use super::*;
     use crate::wire::StatusCode;
-    use dini_cluster::FaultPlan;
+    use dini_cluster::{Fault, FaultSchedule};
 
     const SEC: Duration = Duration::from_secs(1);
 
@@ -598,7 +600,11 @@ mod tests {
         let _main = sim.register_main();
         let clock = Clock::sim(&sim);
         let net = ChanNet::new(clock.clone());
-        net.set_link_plan("a", LinkPlan::reliable().down_at(1_000_000));
+        let sever = Fault::Sever { endpoint: 0, at: Duration::from_millis(1) };
+        net.set_link(
+            "a",
+            FaultSchedule { events: vec![sever], ..FaultSchedule::default() }.link(0),
+        );
         let acc = net.listen("a");
         let mut c = net.dialer().dial("a").unwrap();
         let mut s = acc.accept_timeout(SEC).unwrap();
@@ -617,7 +623,8 @@ mod tests {
             let _main = sim.register_main();
             let clock = Clock::sim(&sim);
             let net = ChanNet::new(clock.clone());
-            net.set_link_plan("a", LinkPlan::reliable().with_faults(FaultPlan::with_drops(9, 0.5)));
+            let lossy = FaultSchedule { seed: 9, drop_prob: 0.5, ..FaultSchedule::default() };
+            net.set_link("a", lossy.link(0));
             let acc = net.listen("a");
             let mut c = net.dialer().dial("a").unwrap();
             let mut s = acc.accept_timeout(SEC).unwrap();
@@ -641,12 +648,13 @@ mod tests {
         let _main = sim.register_main();
         let clock = Clock::sim(&sim);
         let net = ChanNet::new(clock.clone());
-        net.set_link_plan(
-            "a",
-            LinkPlan::reliable()
-                .with_latency_ns(10_000)
-                .with_faults(FaultPlan::with_jitter(3, 50_000.0)),
-        );
+        let jittered = FaultSchedule {
+            seed: 3,
+            latency: Duration::from_micros(10),
+            jitter: Duration::from_micros(50),
+            ..FaultSchedule::default()
+        };
+        net.set_link("a", jittered.link(0));
         let acc = net.listen("a");
         let mut c = net.dialer().dial("a").unwrap();
         let mut s = acc.accept_timeout(SEC).unwrap();

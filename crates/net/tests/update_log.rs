@@ -10,7 +10,7 @@
 //!   and stray acks (including byzantine sequence numbers) are dropped
 //!   on the floor.
 
-use dini_cluster::LinkPlan;
+use dini_cluster::{Fault, FaultSchedule};
 use dini_net::transport::ChanNet;
 use dini_net::wire::SpanMsg;
 use dini_net::{Acceptor, ClientConfig, Frame, NetServer, NetServerConfig, RemoteClient, Topology};
@@ -164,16 +164,18 @@ fn update_is_not_ok_until_quorum_applied_despite_dropped_frames() {
 
     let keys: Vec<u32> = (0..1_000u32).map(|i| i * 4).collect();
     let topology = Topology::single(vec!["a".to_owned(), "b".to_owned()]);
-    let latency = 50_000u64; // 50 µs one way
-                             // Endpoint a goes dark for frames sent in [20ms, 80ms) — long
-                             // enough to swallow the first sends and several repair attempts,
-                             // short enough that the appender's retry budget (50 × 4ms) never
-                             // declares it dead.
-    net.set_link_plan(
-        "a",
-        LinkPlan::reliable().with_latency_ns(latency).blackout_ns(20 * MS, 80 * MS),
-    );
-    net.set_link_plan("b", LinkPlan::reliable().with_latency_ns(latency));
+    // 50 µs one way. Endpoint a goes dark for frames sent in
+    // [20ms, 80ms) — long enough to swallow the first sends and several
+    // repair attempts, short enough that the appender's retry budget
+    // (50 × 4ms) never declares it dead.
+    let (from, until) = (Duration::from_millis(20), Duration::from_millis(80));
+    let schedule = FaultSchedule {
+        latency: Duration::from_micros(50),
+        events: vec![Fault::Partition { endpoint: 0, from, until }],
+        ..FaultSchedule::default()
+    };
+    net.set_link("a", schedule.link(0));
+    net.set_link("b", schedule.link(1));
 
     let servers: Vec<NetServer> = ["a", "b"]
         .iter()
@@ -244,7 +246,12 @@ fn update_errors_once_the_whole_span_is_gone() {
 
     let keys: Vec<u32> = (0..500u32).map(|i| i * 3).collect();
     let topology = Topology::single(vec!["solo".to_owned()]);
-    net.set_link_plan("solo", LinkPlan::reliable().with_latency_ns(50_000).down_at(10 * MS));
+    let schedule = FaultSchedule {
+        latency: Duration::from_micros(50),
+        events: vec![Fault::Sever { endpoint: 0, at: Duration::from_millis(10) }],
+        ..FaultSchedule::default()
+    };
+    net.set_link("solo", schedule.link(0));
 
     let server = NetServer::start(
         Box::new(net.listen("solo")),

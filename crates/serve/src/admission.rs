@@ -33,7 +33,7 @@
 //!   replica at a time, and its parked dispatcher is woken only by a
 //!   request that lost a claim — which it may then serve while the
 //!   winner is still ranking: the two share nothing that is not atomic.
-//! * an **alive flag** — cleared by the dispatcher when its fault plan
+//! * an **alive flag** — cleared by the dispatcher when its fault schedule
 //!   crashes it, so routers stop picking the replica and its siblings
 //!   know not to re-route back into it. A shard is only `ShuttingDown`
 //!   once every replica's flag is down.
@@ -186,7 +186,7 @@ impl AdmissionQueue {
 
     /// This replica's requests always go through its dispatcher:
     /// [`claim`](Self::claim) never succeeds. For a replica with a
-    /// scripted fault plan — stragglers and crashes are dispatcher
+    /// scripted fault schedule — stragglers and crashes are dispatcher
     /// faults, so its traffic must reach the dispatcher to meet them.
     pub fn dispatcher_only(mut self) -> Self {
         self.claimable = false;

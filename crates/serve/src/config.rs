@@ -1,7 +1,7 @@
 //! Serving-layer configuration.
 
 use crate::clock::Clock;
-use crate::faults::ServeFaultPlan;
+use dini_cluster::{Fault, FaultSchedule};
 use dini_flight::FlightJournal;
 use dini_obs::TraceConfig;
 use dini_store::StorePlan;
@@ -69,10 +69,12 @@ pub struct ServeConfig {
     /// here runs the whole server on deterministic virtual time
     /// (`dini-simtest`).
     pub clock: Clock,
-    /// Deterministic fault injection on the dispatch path (crashes,
-    /// jitter, stragglers). Defaults to none; the fault-free path pays
-    /// only a pre-resolved branch per batch.
-    pub faults: ServeFaultPlan,
+    /// Deterministic fault injection on the dispatch path: the
+    /// schedule's crashes, straggles and dispatch jitter (its link
+    /// rates and link events are a transport's, and ignored here).
+    /// Defaults to none; the fault-free path pays only a pre-resolved
+    /// branch per batch.
+    pub faults: FaultSchedule,
     /// Per-request stage tracing (see [`dini_obs::trace`]): seeded
     /// sampling into pre-allocated per-replica rings. **On by
     /// default** — the write path is a few atomic stores per *sampled*
@@ -117,7 +119,7 @@ impl ServeConfig {
             merge_threshold: 4096,
             publish_every: 64,
             clock: Clock::system(),
-            faults: ServeFaultPlan::none(),
+            faults: FaultSchedule::default(),
             trace: TraceConfig::default(),
             store: None,
             heat: true,
@@ -125,7 +127,9 @@ impl ServeConfig {
         }
     }
 
-    /// Panic unless every knob is usable.
+    /// Panic unless every knob is usable — and every dispatcher fault
+    /// names a shard and replica this server has, so none is scripted
+    /// that could never fire.
     pub fn validate(&self) {
         assert!(self.n_shards >= 1, "need at least one shard");
         assert!(self.replicas_per_shard >= 1, "need at least one replica per shard");
@@ -135,6 +139,19 @@ impl ServeConfig {
         assert!(self.publish_every >= 1, "publish_every must be at least 1");
         if let Some(plan) = &self.store {
             assert!(plan.every_merges >= 1, "store.every_merges must be at least 1");
+        }
+        for event in &self.faults.events {
+            if let Fault::Crash { shard, replica, .. } | Fault::Straggle { shard, replica, .. } =
+                *event
+            {
+                assert!(
+                    shard < self.n_shards && replica.is_none_or(|r| r < self.replicas_per_shard),
+                    "{event:?} names a dispatcher this server does not have ({} shards × {} \
+                     replicas)",
+                    self.n_shards,
+                    self.replicas_per_shard
+                );
+            }
         }
     }
 }
@@ -194,6 +211,24 @@ mod tests {
     fn zero_batch_rejected() {
         let mut cfg = ServeConfig::new(2);
         cfg.max_batch = 0;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "names a dispatcher this server does not have (3 shards")]
+    fn a_crash_on_a_missing_shard_is_rejected() {
+        let mut cfg = ServeConfig::new(3);
+        cfg.faults.events.push(Fault::Crash { shard: 5, replica: Some(0), at: Duration::ZERO });
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "names a dispatcher this server does not have (2 shards × 2")]
+    fn a_straggle_on_a_missing_replica_is_rejected() {
+        let mut cfg = ServeConfig::new(2);
+        cfg.replicas_per_shard = 2;
+        let extra = Duration::from_millis(1);
+        cfg.faults.events.push(Fault::Straggle { shard: 1, replica: Some(2), extra });
         cfg.validate();
     }
 

@@ -1,157 +1,29 @@
-//! Dispatch-path fault injection for `dini-simtest` scenarios.
+//! Dispatch-path fault injection for `dini-simtest` scenarios: the
+//! serving layer's interpreter of a [`FaultSchedule`].
 //!
-//! `dini-cluster`'s [`FaultPlan`] perturbs a
-//! message-passing simulation at the network layer. The serving layer
-//! has no network, but its dispatch path has the same failure surface:
-//! a replica's dispatcher can die mid-batch, dispatch can be delayed by
-//! scheduling jitter, and one replica can be persistently slower than
-//! its peers (the straggler every scatter-gather system eventually
-//! meets). [`ServeFaultPlan`] injects exactly those, deterministically:
-//! jitter draws come from the cluster crate's seeded
-//! [`FaultState`] (one fate per batch), and
-//! crash/slowdown points are fixed virtual-time constants, so a
-//! scenario replays bit-for-bit from its seed.
-//!
-//! Faults address either a whole shard (every replica of it — with
+//! `dini-cluster`'s schedule perturbs links at the network layer. The
+//! serving layer has no network, but its dispatch path has the same
+//! failure surface: a replica's dispatcher can die mid-batch, dispatch
+//! can be delayed by scheduling jitter, and one replica can be
+//! persistently slower than its peers (the straggler every
+//! scatter-gather system eventually meets). [`ReplicaFaults`] resolves
+//! exactly those for one `(shard, replica)` — its
+//! [`Crash`](Fault::Crash) point, its [`Straggle`](Fault::Straggle)
+//! delay, and its seeded jitter stream (one fate per batch) — so a
+//! scenario replays bit-for-bit from its seed. An event with
+//! `replica: None` hits every replica of its shard: with
 //! `replicas_per_shard == 1` that is the classic single-dispatcher
-//! crash) or one `(shard, replica)` pair, which is what failover
-//! scenarios script: kill replica 0 of a shard mid-batch and require
-//! every one of its requests to be re-routed to the survivors rather
-//! than answered `ShuttingDown`.
+//! crash, while failover scenarios kill one replica mid-batch and
+//! require every one of its requests to be re-routed to the survivors
+//! rather than answered `ShuttingDown`.
 //!
-//! The plan defaults to [`none`](ServeFaultPlan::none), and every hook
-//! is a branch on a pre-resolved `Option` — the production dispatch
-//! path pays no RNG draw, no allocation, and no sleep for the seam.
+//! The schedule defaults to empty, and every hook is a branch on a
+//! pre-resolved `Option` — the production dispatch path pays no RNG
+//! draw, no allocation, and no sleep for the seam.
 
-use crate::clock::{Clock, Nanos};
-use dini_cluster::{FaultPlan, FaultState};
+use crate::clock::{dur_ns, Clock, Nanos};
+use dini_cluster::{Fault, FaultSchedule, FaultState};
 use std::time::Duration;
-
-/// A deterministic fault schedule for an [`IndexServer`](crate::IndexServer).
-///
-/// All delays and crash points are in the server's [`Clock`]
-/// time — virtual under `dini-simtest`, wall-clock if you inject faults
-/// into a natively clocked server (useful for soak tests).
-#[derive(Debug, Clone, Default)]
-pub struct ServeFaultPlan {
-    /// Seed for the per-batch jitter draws (shard and replica ids are
-    /// folded in, so every dispatcher sees an independent but
-    /// reproducible stream).
-    pub seed: u64,
-    /// Uniform extra dispatch delay in `[0, max)` added to every batch
-    /// of every replica (`ZERO` disables; drawn per batch).
-    pub dispatch_jitter_max: Duration,
-    /// Per-shard fixed extra delay per batch: `(shard, extra)` — every
-    /// replica of the shard becomes a straggler.
-    pub slow_shards: Vec<(usize, Duration)>,
-    /// Per-replica fixed extra delay per batch:
-    /// `(shard, replica, extra)` — one straggler inside an otherwise
-    /// healthy replica group (the scenario load-aware routing exists
-    /// for).
-    pub slow_replicas: Vec<(usize, usize, Duration)>,
-    /// Per-shard crash points: `(shard, at_ns)` — every replica of the
-    /// shard crashes at the first batch boundary at or after `at_ns`,
-    /// so the whole shard is gone and its traffic resolves to
-    /// `ShuttingDown`.
-    pub crash_at: Vec<(usize, Nanos)>,
-    /// Per-replica crash points: `(shard, replica, at_ns)` — one
-    /// replica dies; its collected batch and queued backlog are
-    /// re-routed to surviving replicas of the shard, and callers keep
-    /// getting answers as long as any replica survives.
-    pub crash_replica_at: Vec<(usize, usize, Nanos)>,
-}
-
-impl ServeFaultPlan {
-    /// No faults (the default for every production server).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// True when the plan can never perturb a run.
-    pub fn is_noop(&self) -> bool {
-        self.dispatch_jitter_max.is_zero()
-            && self.slow_shards.iter().all(|(_, d)| d.is_zero())
-            && self.slow_replicas.iter().all(|(_, _, d)| d.is_zero())
-            && self.crash_at.is_empty()
-            && self.crash_replica_at.is_empty()
-    }
-
-    /// Builder: uniform dispatch jitter in `[0, max)` per batch.
-    pub fn with_jitter(mut self, seed: u64, max: Duration) -> Self {
-        self.seed = seed;
-        self.dispatch_jitter_max = max;
-        self
-    }
-
-    /// Builder: make every replica of `shard` a straggler (`extra` per
-    /// batch).
-    pub fn slow_shard(mut self, shard: usize, extra: Duration) -> Self {
-        self.slow_shards.push((shard, extra));
-        self
-    }
-
-    /// Builder: make one `replica` of `shard` a straggler (`extra` per
-    /// batch) while its siblings stay fast.
-    pub fn slow_replica(mut self, shard: usize, replica: usize, extra: Duration) -> Self {
-        self.slow_replicas.push((shard, replica, extra));
-        self
-    }
-
-    /// Builder: crash every replica of `shard` at virtual time `at_ns`.
-    pub fn crash_shard(mut self, shard: usize, at_ns: Nanos) -> Self {
-        self.crash_at.push((shard, at_ns));
-        self
-    }
-
-    /// Builder: crash one `replica` of `shard` at virtual time `at_ns`
-    /// (its backlog fails over to the surviving replicas).
-    pub fn crash_replica(mut self, shard: usize, replica: usize, at_ns: Nanos) -> Self {
-        self.crash_replica_at.push((shard, replica, at_ns));
-        self
-    }
-
-    /// Resolve the plan into one replica dispatcher's runtime fault
-    /// state.
-    pub(crate) fn for_replica(&self, shard: usize, replica: usize) -> ReplicaFaults {
-        let jitter = (!self.dispatch_jitter_max.is_zero()).then(|| {
-            // Reuse the cluster simulator's seeded fate machinery; the
-            // shard and replica ids perturb the seed so every
-            // dispatcher draws independently.
-            FaultPlan::with_jitter(
-                self.seed
-                    ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ (replica as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-                self.dispatch_jitter_max.as_nanos() as f64,
-            )
-            .state()
-        });
-        let slow_ns: Nanos = self
-            .slow_shards
-            .iter()
-            .filter(|(s, _)| *s == shard)
-            .map(|(_, d)| d.as_nanos() as u64)
-            .chain(
-                self.slow_replicas
-                    .iter()
-                    .filter(|(s, r, _)| *s == shard && *r == replica)
-                    .map(|(_, _, d)| d.as_nanos() as u64),
-            )
-            .sum();
-        let crash_at = self
-            .crash_at
-            .iter()
-            .filter(|(s, _)| *s == shard)
-            .map(|&(_, t)| t)
-            .chain(
-                self.crash_replica_at
-                    .iter()
-                    .filter(|(s, r, _)| *s == shard && *r == replica)
-                    .map(|&(_, _, t)| t),
-            )
-            .min();
-        ReplicaFaults { jitter, slow_ns, crash_at }
-    }
-}
 
 /// One replica dispatcher's resolved fault state.
 #[derive(Debug)]
@@ -162,6 +34,26 @@ pub(crate) struct ReplicaFaults {
 }
 
 impl ReplicaFaults {
+    /// Resolve what `schedule` scripts for `replica` of `shard`: its
+    /// straggles add up, its earliest crash counts. Times are read on
+    /// the server's [`Clock`].
+    pub(crate) fn resolve(schedule: &FaultSchedule, shard: usize, replica: usize) -> Self {
+        let hits = |s: usize, r: Option<usize>| s == shard && r.is_none_or(|r| r == replica);
+        let (mut slow_ns, mut crash_at) = (0, None::<Nanos>);
+        for event in &schedule.events {
+            match *event {
+                Fault::Straggle { shard, replica, extra } if hits(shard, replica) => {
+                    slow_ns += dur_ns(extra);
+                }
+                Fault::Crash { shard, replica, at } if hits(shard, replica) => {
+                    crash_at = Some(crash_at.map_or(dur_ns(at), |t| t.min(dur_ns(at))));
+                }
+                _ => {}
+            }
+        }
+        Self { jitter: schedule.dispatch_fates(shard, replica), slow_ns, crash_at }
+    }
+
     /// True when nothing is scripted for this replica — the condition
     /// under which a caller may rank in its dispatcher's place.
     pub(crate) fn is_noop(&self) -> bool {
@@ -196,44 +88,53 @@ impl ReplicaFaults {
 mod tests {
     use super::*;
 
+    const MS: Duration = Duration::from_millis(1);
+
+    fn with(events: Vec<Fault>) -> FaultSchedule {
+        FaultSchedule { events, ..FaultSchedule::default() }
+    }
+
     #[test]
     fn none_is_noop_and_free() {
-        let plan = ServeFaultPlan::none();
-        assert!(plan.is_noop());
-        let mut sf = plan.for_replica(0, 0);
+        let schedule = FaultSchedule::default();
+        assert!(!schedule.has_dispatch_faults());
+        let mut sf = ReplicaFaults::resolve(&schedule, 0, 0);
+        assert!(sf.is_noop());
         assert!(!sf.crashed(&Clock::system()));
         assert_eq!(sf.batch_delay(), None);
     }
 
     #[test]
     fn jitter_is_seeded_and_bounded() {
-        let plan = ServeFaultPlan::none().with_jitter(7, Duration::from_micros(500));
-        assert!(!plan.is_noop());
+        let bound = Duration::from_micros(500);
+        let schedule =
+            FaultSchedule { seed: 7, dispatch_jitter: bound, ..FaultSchedule::default() };
+        assert!(schedule.has_dispatch_faults());
         let draw = |shard, replica| {
-            let mut sf = plan.for_replica(shard, replica);
+            let mut sf = ReplicaFaults::resolve(&schedule, shard, replica);
             (0..64).map(|_| sf.batch_delay().unwrap_or_default()).collect::<Vec<_>>()
         };
         assert_eq!(draw(1, 0), draw(1, 0), "same seed+dispatcher, same stream");
         assert_ne!(draw(1, 0), draw(2, 0), "shards draw independently");
         assert_ne!(draw(1, 0), draw(1, 1), "replicas draw independently");
-        assert!(draw(1, 0).iter().all(|d| *d < Duration::from_micros(500)));
+        assert!(draw(1, 0).iter().all(|d| *d < bound));
     }
 
     #[test]
     fn slow_shard_hits_all_its_replicas() {
-        let plan = ServeFaultPlan::none().slow_shard(2, Duration::from_millis(3));
-        assert_eq!(plan.for_replica(0, 0).batch_delay(), None);
-        assert_eq!(plan.for_replica(2, 0).batch_delay(), Some(Duration::from_millis(3)));
-        assert_eq!(plan.for_replica(2, 1).batch_delay(), Some(Duration::from_millis(3)));
+        let schedule = with(vec![Fault::Straggle { shard: 2, replica: None, extra: 3 * MS }]);
+        assert_eq!(ReplicaFaults::resolve(&schedule, 0, 0).batch_delay(), None);
+        assert_eq!(ReplicaFaults::resolve(&schedule, 2, 0).batch_delay(), Some(3 * MS));
+        assert_eq!(ReplicaFaults::resolve(&schedule, 2, 1).batch_delay(), Some(3 * MS));
     }
 
     #[test]
     fn slow_replica_hits_only_its_replica() {
-        let plan = ServeFaultPlan::none().slow_replica(1, 1, Duration::from_millis(2));
-        assert!(!plan.is_noop());
-        assert_eq!(plan.for_replica(1, 0).batch_delay(), None);
-        assert_eq!(plan.for_replica(1, 1).batch_delay(), Some(Duration::from_millis(2)));
-        assert_eq!(plan.for_replica(0, 1).batch_delay(), None);
+        let schedule = with(vec![Fault::Straggle { shard: 1, replica: Some(1), extra: 2 * MS }]);
+        assert!(schedule.has_dispatch_faults());
+        assert_eq!(ReplicaFaults::resolve(&schedule, 1, 0).batch_delay(), None);
+        assert_eq!(ReplicaFaults::resolve(&schedule, 1, 1).batch_delay(), Some(2 * MS));
+        assert_eq!(ReplicaFaults::resolve(&schedule, 0, 1).batch_delay(), None);
     }
 
     #[test]
@@ -241,20 +142,23 @@ mod tests {
         let sim = crate::SimClock::new();
         let _main = sim.register_main();
         let clock = Clock::sim(&sim);
-        let plan = ServeFaultPlan::none().crash_shard(1, 5_000);
-        let sf = plan.for_replica(1, 0);
+        let at = Duration::from_nanos(5_000);
+        let schedule = with(vec![Fault::Crash { shard: 1, replica: None, at }]);
+        let sf = ReplicaFaults::resolve(&schedule, 1, 0);
         assert!(!sf.crashed(&clock), "virtual t = 0 is before the crash");
         clock.sleep(Duration::from_nanos(4_999));
         assert!(!sf.crashed(&clock));
         clock.sleep(Duration::from_nanos(1));
         assert!(sf.crashed(&clock));
         assert!(sf.crashed(&clock));
-        assert!(!plan.for_replica(0, 0).crashed(&clock), "other shards never crash");
+        let other = ReplicaFaults::resolve(&schedule, 0, 0);
+        assert!(!other.crashed(&clock), "other shards never crash");
         // A shard-wide crash fells every replica of the shard…
-        assert!(plan.for_replica(1, 3).crashed(&clock));
+        assert!(ReplicaFaults::resolve(&schedule, 1, 3).crashed(&clock));
         // …while a replica crash fells exactly one.
-        let plan = ServeFaultPlan::none().crash_replica(1, 1, 5_000);
-        assert!(plan.for_replica(1, 1).crashed(&clock));
-        assert!(!plan.for_replica(1, 0).crashed(&clock), "sibling replicas survive");
+        let schedule = with(vec![Fault::Crash { shard: 1, replica: Some(1), at }]);
+        assert!(ReplicaFaults::resolve(&schedule, 1, 1).crashed(&clock));
+        let sibling = ReplicaFaults::resolve(&schedule, 1, 0);
+        assert!(!sibling.crashed(&clock), "sibling replicas survive");
     }
 }

@@ -71,13 +71,16 @@
 //! * [`loadgen`] — closed- and open-loop load generators (uniform/Zipf
 //!   keys via `dini-workload`, Poisson arrivals) for exercising all of
 //!   the above.
-//! * [`clock`] + [`faults`] — **time virtualization**: every wait in
+//! * [`clock`] + `faults` — **time virtualization**: every wait in
 //!   the crate goes through a [`Clock`]. `Clock::system()` is a
 //!   zero-overhead passthrough to the native primitives; a seeded
 //!   [`SimClock`] runs the whole server — dispatchers, writer, load
 //!   clients — on deterministic virtual time, with dispatch-path fault
-//!   injection via [`ServeFaultPlan`]. This is the foundation the
-//!   `dini-simtest` scenario suite builds on.
+//!   injection: [`ServeConfig::faults`] holds a
+//!   [`FaultSchedule`](dini_cluster::FaultSchedule), and each
+//!   dispatcher resolves its crash point, straggle and jitter stream
+//!   from it. This is the foundation the `dini-simtest` scenario suite
+//!   builds on.
 //!
 //! ## Quickstart
 //!
@@ -113,7 +116,7 @@ pub mod admission;
 pub mod batcher;
 pub mod clock;
 pub mod config;
-pub mod faults;
+mod faults;
 pub mod loadgen;
 pub mod oneshot;
 pub mod router;
@@ -124,7 +127,6 @@ pub(crate) mod sync;
 
 pub use clock::{Clock, ClockJoinHandle, Nanos, SimClock, SimMainGuard};
 pub use config::{ServeConfig, ServeError};
-pub use faults::ServeFaultPlan;
 pub use loadgen::{run_load, LoadMode, LoadReport};
 pub use router::{ReplicaSelector, ShardRouter};
 pub use server::{IndexServer, LookupScratch, PendingLookup, ServerHandle, UpdateHandle};

@@ -55,7 +55,7 @@
 //!   (ranks must compose), then a replica by **power-of-two choices**
 //!   on live queue depth ([`ReplicaSelector`]) — a straggling replica's
 //!   depth grows and traffic flows around it.
-//! * **Failover**: a replica whose fault plan crashes it marks itself
+//! * **Failover**: a replica whose fault schedule crashes it marks itself
 //!   dead, then **re-routes** its collected batch and queued backlog to
 //!   surviving replicas of the same shard — callers see degraded
 //!   capacity, not errors. Only when a shard's *last* replica dies does
@@ -445,7 +445,7 @@ impl IndexServer {
                 let q = AdmissionQueue::new(s, r, req_tx, cfg.clock.clone());
                 // Stragglers and crashes are dispatcher faults: a replica
                 // scripted to have any never lets a caller rank in its place.
-                let faults = cfg.faults.for_replica(s, r);
+                let faults = ReplicaFaults::resolve(&cfg.faults, s, r);
                 group.push(if faults.is_noop() { q } else { q.dispatcher_only() });
                 wiring.push((req_rx, faults));
             }
@@ -1522,7 +1522,7 @@ fn spawn_writer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::ServeFaultPlan;
+    use dini_cluster::{Fault, FaultSchedule};
     use dini_store::StorePlan;
     use dini_workload::gen_sorted_unique_keys;
     use std::collections::BTreeSet;
@@ -1582,7 +1582,8 @@ mod tests {
         let mut c = ServeConfig::new(1);
         c.replicas_per_shard = 2;
         c.max_batch = 1024;
-        c.faults = ServeFaultPlan::none().slow_shard(0, Duration::from_millis(40));
+        let extra = Duration::from_millis(40);
+        c.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra });
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
         let pending: Vec<_> =
@@ -1608,7 +1609,7 @@ mod tests {
         let keys: Vec<u32> = (0..5_000).map(|i| i * 3).collect();
         let mut c = cfg(1);
         c.replicas_per_shard = 2;
-        c.faults = ServeFaultPlan::none().crash_replica(0, 0, 0);
+        c.faults.events.push(Fault::Crash { shard: 0, replica: Some(0), at: Duration::ZERO });
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
         for i in 0..300u32 {
@@ -1631,7 +1632,13 @@ mod tests {
         let keys: Vec<u32> = (0..1_000).map(|i| i * 2).collect();
         let mut c = cfg(1);
         c.replicas_per_shard = 2;
-        c.faults = ServeFaultPlan::none().crash_replica(0, 0, 0).crash_replica(0, 1, 0);
+        for replica in [0, 1] {
+            c.faults.events.push(Fault::Crash {
+                shard: 0,
+                replica: Some(replica),
+                at: Duration::ZERO,
+            });
+        }
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
         let outcomes: Vec<Result<u32, ServeError>> = (0..50u32).map(|i| h.lookup(i * 17)).collect();
@@ -1831,7 +1838,8 @@ mod tests {
         // lookup through the dispatchers.
         let mut c = cfg(2);
         let extra = Duration::from_micros(20);
-        c.faults = ServeFaultPlan::none().slow_shard(0, extra).slow_shard(1, extra);
+        c.faults.events =
+            (0..2).map(|shard| Fault::Straggle { shard, replica: None, extra }).collect();
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
         for _ in 0..50 {
@@ -1901,7 +1909,7 @@ mod tests {
         // by the caller and once — a replica with any fault scripted
         // never lets a caller rank for it — by the dispatchers.
         let keys = gen_sorted_unique_keys(10_000, 80);
-        let run = |faults: ServeFaultPlan, expect_traces: u64| {
+        let run = |faults: FaultSchedule, expect_traces: u64| {
             let mut c = cfg(2);
             c.heat = true;
             c.trace = dini_obs::TraceConfig { sample_period: 7, ..Default::default() };
@@ -1949,9 +1957,10 @@ mod tests {
             (counts, served, heat, traces, batch_sizes, by_path)
         };
         let nudge = Duration::from_nanos(1);
-        let claimed = run(ServeFaultPlan::none(), 0);
+        let claimed = run(FaultSchedule::default(), 0);
+        let events = (0..2).map(|shard| Fault::Straggle { shard, replica: None, extra: nudge });
         let queued = run(
-            ServeFaultPlan::none().slow_shard(0, nudge).slow_shard(1, nudge),
+            FaultSchedule { events: events.collect(), ..FaultSchedule::default() },
             claimed.3.len() as u64,
         );
         assert_eq!(claimed.0, queued.0, "served/admitted/batches/shed");

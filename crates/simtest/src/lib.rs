@@ -12,10 +12,10 @@
 //!
 //! * idle waits fast-forward: a multi-second soak finishes in
 //!   milliseconds of wall-clock;
-//! * hostile schedules are *scripted*, not hoped for: a
-//!   [`ServeFaultPlan`] crashes or slows a shard or one replica at an
-//!   exact virtual instant, a link drops, duplicates, reorders, blacks
-//!   out or is severed, and a [`Step`] list kills a server process,
+//! * hostile schedules are *scripted*, not hoped for: one
+//!   [`FaultSchedule`] crashes or slows a shard or one replica at an
+//!   exact virtual instant and makes links drop, duplicate, reorder,
+//!   black out or sever, and a [`Step`] list kills a server process,
 //!   restarts it from its snapshot and rejoins it;
 //! * every run is reproducible: every thread (dispatchers, acceptors,
 //!   connection readers, client workers, probes) waits through the same
@@ -116,7 +116,7 @@ mod run;
 
 pub use run::run;
 
-use dini_serve::ServeFaultPlan;
+use dini_cluster::{Fault, FaultSchedule};
 use dini_workload::ArrivalProcess;
 use std::time::Duration;
 
@@ -175,24 +175,13 @@ pub struct Deployment {
     pub churn_ops: usize,
     /// Virtual pause between those operations.
     pub churn_gap: Duration,
-    /// Fault plan of every server (crashes / jitter / stragglers).
-    pub faults: ServeFaultPlan,
-    /// Fixed one-way link latency (all links).
-    pub link_latency: Duration,
-    /// Per-frame drop probability (all links).
-    pub drop_prob: f64,
-    /// Per-frame duplicate probability (all links).
-    pub duplicate_prob: f64,
-    /// Uniform per-frame delivery jitter in `[0, max)` (all links;
-    /// reorders frames).
-    pub jitter_max: Duration,
-    /// Sever the link to these endpoints at a virtual instant — the
-    /// network view of an endpoint crash.
-    pub link_down: Vec<(usize, Duration)>,
-    /// Black out the link to these endpoints over a half-open virtual
-    /// window `[start, end)`: frames sent inside it are dropped, the
-    /// link heals afterwards — a partition that ends.
-    pub blackout: Vec<(usize, Duration, Duration)>,
+    /// Everything the run injects: the rates of every link, dispatch
+    /// jitter, and the timed crashes, straggles, severances and
+    /// partitions. Every server reads its dispatcher faults from it and
+    /// every link its own; its seed is the run's (the runner stamps
+    /// it). A severance is the network view of an endpoint crash; a
+    /// partition is one that heals.
+    pub faults: FaultSchedule,
     /// What the driving thread does, in order, while the probes run.
     pub lifecycle: Vec<Step>,
     /// Upper bound on the worst latency, where the deployment measures
@@ -271,13 +260,7 @@ impl Deployment {
             arrival: ArrivalProcess::poisson_rate(20_000.0),
             churn_ops: 0,
             churn_gap: Duration::from_micros(50),
-            faults: ServeFaultPlan::none(),
-            link_latency: Duration::from_micros(50),
-            drop_prob: 0.0,
-            duplicate_prob: 0.0,
-            jitter_max: Duration::ZERO,
-            link_down: Vec::new(),
-            blackout: Vec::new(),
+            faults: FaultSchedule { latency: Duration::from_micros(50), ..Default::default() },
             lifecycle: Vec::new(),
             latency_bound: Some(Duration::from_micros(250)),
             stats_polls: 0,
@@ -343,14 +326,14 @@ impl Deployment {
     /// link is severed. One survivor keeps an owner answering.
     pub(crate) fn dark_owners(&self) -> Vec<usize> {
         if self.spans == 0 {
-            let f = &self.faults;
-            (0..self.shards)
-                .filter(|&s| {
-                    f.crash_at.iter().any(|&(cs, _)| cs == s)
-                        || (0..self.replicas_per_shard).all(|r| {
-                            f.crash_replica_at.iter().any(|&(cs, cr, _)| (cs, cr) == (s, r))
-                        })
+            let crashed = |s: usize, r: usize| {
+                self.faults.events.iter().any(|e| {
+                    matches!(*e, Fault::Crash { shard, replica, .. }
+                        if shard == s && replica.is_none_or(|x| x == r))
                 })
+            };
+            (0..self.shards)
+                .filter(|&s| (0..self.replicas_per_shard).all(|r| crashed(s, r)))
                 .collect()
         } else {
             (0..self.spans)
@@ -369,7 +352,10 @@ impl Deployment {
 
     /// Is this endpoint's link severed at some point of the run?
     pub(crate) fn severed(&self, endpoint: usize) -> bool {
-        self.link_down.iter().any(|&(ep, _)| ep == endpoint)
+        self.faults
+            .events
+            .iter()
+            .any(|e| matches!(*e, Fault::Sever { endpoint: ep, .. } if ep == endpoint))
     }
 }
 
@@ -510,6 +496,14 @@ mod tests {
         let a = run(&d, 1);
         let b = run(&d, 2);
         assert_ne!(a.digest, b.digest, "different seeds must interleave differently");
+    }
+
+    #[test]
+    #[should_panic(expected = "[unit-sever-nowhere] Sever { endpoint: 2")]
+    fn a_link_event_past_the_last_endpoint_is_refused() {
+        let mut d = Deployment::wire("unit-sever-nowhere");
+        d.faults.events.push(Fault::Sever { endpoint: 2, at: Duration::from_millis(1) });
+        run(&d, 0);
     }
 
     #[test]

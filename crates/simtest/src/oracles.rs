@@ -126,7 +126,10 @@ pub(crate) fn servers_hold(o: &Outcome, traces: &[StageRecord]) {
     // Dense sampling with no crashes: every served query was considered,
     // so a busy run must have retained records.
     assert!(
-        d.trace_sample_period != 1 || !d.faults.is_noop() || t.served == 0 || !traces.is_empty(),
+        d.trace_sample_period != 1
+            || d.faults.has_dispatch_faults()
+            || t.served == 0
+            || !traces.is_empty(),
         "[{name}] dense tracing recorded nothing across {} served",
         t.served
     );

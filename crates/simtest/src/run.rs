@@ -11,7 +11,7 @@
 
 use crate::oracles::{self, Outcome};
 use crate::{Deployment, Report, Step};
-use dini_cluster::{FaultPlan, LinkPlan};
+use dini_cluster::{Fault, FaultSchedule};
 use dini_net::transport::ChanNet;
 use dini_net::{ClientConfig, NetHandle, NetServer, NetServerConfig, RemoteClient, Span, Topology};
 use dini_obs::StageRecord;
@@ -286,6 +286,8 @@ impl Drop for Scratch {
 pub(crate) struct Site<'a> {
     d: &'a Deployment,
     seed: u64,
+    /// The deployment's schedule under the run's seed.
+    faults: FaultSchedule,
     clock: Clock,
     keys: Arc<Vec<u32>>,
     net: Arc<ChanNet>,
@@ -310,7 +312,7 @@ impl Site<'_> {
         cfg.merge_threshold = d.merge_threshold;
         cfg.publish_every = d.publish_every;
         cfg.clock = self.clock.clone();
-        cfg.faults = d.faults.clone();
+        cfg.faults = self.faults.clone();
         cfg.trace = self.trace();
         if let Some(scratch) = &self.scratch {
             cfg.store = Some(StorePlan::new(scratch.0.join(format!("{who}.snap"))));
@@ -362,9 +364,17 @@ impl<'a> Cluster<'a> {
         // Spans of near-equal population, replica endpoints named
         // span-major.
         let per = d.n_keys / d.spans.max(1);
+        let endpoints = d.spans * d.endpoints_per_span;
+        for event in &d.faults.events {
+            if let Fault::Sever { endpoint, .. } | Fault::Partition { endpoint, .. } = *event {
+                let name = d.name;
+                assert!(endpoint < endpoints, "[{name}] {event:?} names none of {endpoints} links");
+            }
+        }
         let mut site = Site {
             d,
             seed,
+            faults: FaultSchedule { seed, ..d.faults.clone() },
             clock: clock.clone(),
             keys: keys.clone(),
             net: ChanNet::new(clock.clone()),
@@ -389,24 +399,8 @@ impl<'a> Cluster<'a> {
             return Self { front, client: None, client_journal, local, hosted, stories, site };
         }
 
-        // Every link gets the deployment's fault envelope, decorrelated
-        // by endpoint; severed and blacked-out links get their instants.
-        let endpoints = d.spans * d.endpoints_per_span;
         for ep in 0..endpoints {
-            let mut fault = FaultPlan::none();
-            fault.seed = seed ^ (ep as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
-            fault.drop_prob = d.drop_prob;
-            fault.duplicate_prob = d.duplicate_prob;
-            fault.jitter_max_ns = dur_ns(d.jitter_max) as f64;
-            let mut plan =
-                LinkPlan::reliable().with_latency_ns(dur_ns(d.link_latency)).with_faults(fault);
-            if let Some(&(_, at)) = d.link_down.iter().find(|&&(e, _)| e == ep) {
-                plan = plan.down_at(dur_ns(at));
-            }
-            if let Some(&(_, from, until)) = d.blackout.iter().find(|&&(e, _, _)| e == ep) {
-                plan = plan.blackout_ns(dur_ns(from), dur_ns(until));
-            }
-            site.net.set_link_plan(&site.addr(ep), plan);
+            site.net.set_link(&site.addr(ep), site.faults.link(ep));
         }
         let hosted = (0..endpoints).map(|ep| Some(site.host(ep, false).0)).collect();
 

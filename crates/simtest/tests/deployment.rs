@@ -2,6 +2,7 @@
 //! load run both ways and compared, and one scratch-directory guard for
 //! every run that keeps journals.
 
+use dini_cluster::FaultSchedule;
 use dini_simtest::{run, seeds_from_env, Deployment, Report};
 use std::time::Duration;
 
@@ -22,7 +23,7 @@ fn in_process_and_over_a_free_wire_agree() {
         let wired = Deployment {
             name: "differential-over-a-free-wire",
             spans: 1,
-            link_latency: Duration::ZERO,
+            faults: FaultSchedule::default(),
             latency_bound: local.latency_bound.map(|b| b + Duration::from_micros(100 + 100)),
             ..local.clone()
         };

@@ -13,8 +13,8 @@ use std::time::Duration;
 #[test]
 fn same_seed_byte_identical_reports() {
     for seed in [0u64, 7, 42] {
-        let a = run(&determinism_busy(seed), seed);
-        let b = run(&determinism_busy(seed), seed);
+        let a = run(&determinism_busy(), seed);
+        let b = run(&determinism_busy(), seed);
         assert_eq!(a, b, "seed {seed}: rerun diverged — wall clock leaked into the sim path");
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.events, b.events);
@@ -24,7 +24,7 @@ fn same_seed_byte_identical_reports() {
 
 #[test]
 fn distinct_seeds_distinct_interleavings() {
-    let reports: Vec<Report> = (0..4).map(|seed| run(&determinism_busy(seed), seed)).collect();
+    let reports: Vec<Report> = (0..4).map(|seed| run(&determinism_busy(), seed)).collect();
     let digests: HashSet<u64> = reports.iter().map(|r| r.digest).collect();
     assert_eq!(
         digests.len(),
@@ -44,7 +44,7 @@ fn virtual_time_outruns_wall_clock() {
     // gaps) must complete orders of magnitude faster in wall-clock:
     // the sim fast-forwards idle waits instead of sleeping them.
     let wall = std::time::Instant::now();
-    let report = run(&catalog::determinism_fastforward(5), 5);
+    let report = run(&catalog::determinism_fastforward(), 5);
     let wall = wall.elapsed();
     assert!(
         report.virtual_ns > 30_000_000,

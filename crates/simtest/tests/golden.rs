@@ -18,7 +18,7 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden.txt");
 const PINNED_SEEDS: u64 = 8;
 
 fn line(file: &str, make: catalog::Make, seed: u64) -> String {
-    let d = make(seed);
+    let d = make();
     let r = run(&d, seed);
     format!("{file}/{} {seed} {:016x} {} {}", d.name, r.digest, r.events, r.virtual_ns)
 }

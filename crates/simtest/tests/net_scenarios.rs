@@ -6,7 +6,7 @@
 
 mod catalog;
 
-use dini_cluster::LinkPlan;
+use dini_cluster::FaultSchedule;
 use dini_net::transport::ChanNet;
 use dini_net::{ClientConfig, NetServer, NetServerConfig, RemoteClient, Topology};
 use dini_serve::{Clock, ServeConfig, SimClock};
@@ -21,7 +21,7 @@ fn clean_two_span_deployment_is_exact_and_bounded() {
     // bounded by coalescing (client 100 µs + server 200 µs) + two link
     // crossings + the probe's 100 µs reap cadence.
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_clean_two_spans(seed), seed);
+        let r = run_reproducibly(&catalog::net_clean_two_spans(), seed);
         assert_eq!(r.issued, 2 * 300);
         assert_eq!(r.ok, r.issued, "fault-free: every lookup answers");
         assert_eq!((r.shed, r.shutdown, r.retries, r.rerouted), (0, 0, 0, 0));
@@ -43,7 +43,7 @@ fn frame_drops_with_retry_lose_and_duplicate_nothing() {
     // exact.
     let mut total_retries = 0u64;
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_frame_drop_retry(seed), seed);
+        let r = run_reproducibly(&catalog::net_frame_drop_retry(), seed);
         assert_eq!(r.ok, r.issued, "drops must be repaired, not surfaced: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0));
         assert_eq!(r.oracle_checks, r.ok, "every recovered rank verified exact");
@@ -60,7 +60,7 @@ fn endpoint_crash_fails_over_to_replica_endpoint() {
     // degraded capacity, never errors, never a wrong rank.
     let mut total_rerouted = 0u64;
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_endpoint_crash_failover(seed), seed);
+        let r = run_reproducibly(&catalog::net_endpoint_crash_failover(), seed);
         assert_eq!(r.ok, r.issued, "failover must hide the crash: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0), "a surviving replica means no errors");
         assert_eq!(r.oracle_checks, r.ok);
@@ -84,7 +84,7 @@ fn jittered_links_keep_virtual_time_tails_bounded() {
     // client-observed latency stays under coalescing + two worst-case
     // link crossings + the reap cadence.
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_jittered_links(seed), seed);
+        let r = run_reproducibly(&catalog::net_jittered_links(), seed);
         assert_eq!(r.ok, r.issued, "jitter delays, it must not lose: {r:?}");
         assert_eq!((r.shed, r.shutdown, r.retries), (0, 0, 0));
         assert_eq!(r.oracle_checks, r.ok);
@@ -98,7 +98,7 @@ fn churn_stays_epoch_consistent_across_processes() {
     // cross-span base ranks must recompose exactly: a post-quiesce
     // sweep against the BTreeSet mirror, plus live-key accounting.
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_epoch_consistency(seed), seed);
+        let r = run_reproducibly(&catalog::net_epoch_consistency(), seed);
         assert_eq!(r.issued, r.ok + r.shed + r.shutdown);
         assert_eq!((r.shed, r.shutdown), (0, 0));
         assert!(r.updates_applied > 0, "churn must mutate the indexes");
@@ -118,7 +118,7 @@ fn lossy_links_cannot_diverge_replicas_thanks_to_the_quorum_log() {
     // the check the old fire-and-forget broadcast failed.
     let mut total_resends = 0u64;
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_lossy_update_quorum(seed), seed);
+        let r = run_reproducibly(&catalog::net_lossy_update_quorum(), seed);
         assert_eq!(r.ok, r.issued, "drops must be repaired, not surfaced: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0));
         assert!(r.updates_applied > 0, "churn must mutate the indexes");
@@ -141,7 +141,7 @@ fn append_target_crash_mid_churn_elects_and_replays() {
     // surviving replica's applied-op set must equal the mirror exactly
     // (the runner's convergence + post-quiesce sweep oracles).
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_leader_crash_mid_append(seed), seed);
+        let r = run_reproducibly(&catalog::net_leader_crash_mid_append(), seed);
         assert_eq!(r.ok, r.issued, "failover must hide the crash: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0), "a surviving replica means no errors");
         assert!(
@@ -171,7 +171,7 @@ fn partition_heals_and_the_lagging_replica_reconverges() {
     // oracle then checks the *healed* replica against the mirror — it
     // lagged, it must not have diverged.
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_partition_then_heal(seed), seed);
+        let r = run_reproducibly(&catalog::net_partition_then_heal(), seed);
         assert_eq!(r.ok, r.issued, "a healed partition must cost time, not answers: {r:?}");
         assert_eq!((r.shed, r.shutdown), (0, 0));
         assert!(r.update_resends >= 1, "seed {seed}: healing must have replayed a suffix ({r:?})");
@@ -199,7 +199,7 @@ fn dense_tracing_stitches_monotone_timelines_across_the_wire() {
     // attempts. The flight journal rides along and must stay silent —
     // a fault-free run records no elections and no resends.
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_dense_tracing_stitch(seed), seed);
+        let r = run_reproducibly(&catalog::net_dense_tracing_stitch(), seed);
         assert_eq!(r.ok, r.issued, "clean links: every lookup answers: {r:?}");
         assert!(
             r.stitched_timelines > 0,
@@ -223,7 +223,7 @@ fn live_stats_polls_mid_load_agree_with_the_processes() {
     // *exactly* with the in-process server's own accounting — the
     // observability plane and the data plane describing one truth.
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::net_live_stats_polls(seed), seed);
+        let r = run_reproducibly(&catalog::net_live_stats_polls(), seed);
         assert_eq!(r.ok, r.issued, "polling must not perturb the load: {r:?}");
         assert_eq!((r.shed, r.shutdown, r.retries), (0, 0, 0));
         assert!(
@@ -260,7 +260,8 @@ fn lone_update_resolves_in_exactly_its_quorum_round_trip() {
         .iter()
         .zip(one_way_ns)
         .map(|(addr, ns)| {
-            net.set_link_plan(addr, LinkPlan::reliable().with_latency_ns(ns));
+            let link = FaultSchedule { latency: Duration::from_nanos(ns), ..Default::default() };
+            net.set_link(addr, link.link(0));
             let mut serve = ServeConfig::new(2);
             serve.clock = clock.clone();
             NetServer::start(
@@ -298,7 +299,7 @@ fn lone_update_resolves_in_exactly_its_quorum_round_trip() {
 
 #[test]
 fn distinct_seeds_produce_distinct_schedules() {
-    let a = run(&catalog::net_seeds_differ(1), 1);
-    let b = run(&catalog::net_seeds_differ(2), 2);
+    let a = run(&catalog::net_seeds_differ(), 1);
+    let b = run(&catalog::net_seeds_differ(), 2);
     assert_ne!(a.digest, b.digest, "different seeds must interleave the cluster differently");
 }

@@ -31,7 +31,7 @@ use dini_simtest::{run_reproducibly, seeds_from_env};
 #[test]
 fn kill_span_mid_churn_restart_mirrors_exactly() {
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::kill_span_mid_churn(seed), seed);
+        let r = run_reproducibly(&catalog::kill_span_mid_churn(), seed);
         let (_, recovered_seq) = r.recovered_watermark.expect("restart must map, not rebuild");
         assert!(
             r.elections >= 1,
@@ -67,7 +67,7 @@ fn kill_span_mid_churn_restart_mirrors_exactly() {
 #[test]
 fn snapshot_mid_churn_storm_recovers_from_merge_checkpoint() {
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::snapshot_mid_churn_storm(seed), seed);
+        let r = run_reproducibly(&catalog::snapshot_mid_churn_storm(), seed);
         let (_, recovered_seq) = r.recovered_watermark.expect(
             "500 pre-kill ops across 2 shards at threshold 16 must have merge-checkpointed; \
              the restart must map that snapshot",
@@ -89,7 +89,7 @@ fn snapshot_mid_churn_storm_recovers_from_merge_checkpoint() {
 #[test]
 fn stale_snapshot_recovers_via_long_log_replay() {
     for seed in seeds_from_env() {
-        let r = run_reproducibly(&catalog::stale_snapshot_log_replay(seed), seed);
+        let r = run_reproducibly(&catalog::stale_snapshot_log_replay(), seed);
         let (_, recovered_seq) = r.recovered_watermark.expect("the stale snapshot must still map");
         // The watermark sits at the early barrier; everything after —
         // the 600-op dead window — must have come back as log replay.

@@ -24,7 +24,7 @@ use std::time::Duration;
 #[test]
 fn clean_quiesce() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::clean_quiesce(seed), seed);
+        let report = run_reproducibly(&catalog::clean_quiesce(), seed);
         assert_eq!(report.issued, report.ok, "no faults: every lookup must answer (seed {seed})");
         assert_eq!(report.shutdown, 0);
         assert_eq!(report.shed, 0);
@@ -42,7 +42,7 @@ fn clean_quiesce() {
 #[test]
 fn group_commit_lone_request_departs_at_open() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::group_commit_lone(seed), seed);
+        let report = run_reproducibly(&catalog::group_commit_lone(), seed);
         assert_eq!(report.issued, report.ok, "seed {seed}");
         assert!(report.trace_records > 0, "seed {seed}: dense tracing must see the requests");
         assert_eq!(report.max_wait_ns, 0, "seed {seed}: a lone request waited on something");
@@ -61,7 +61,7 @@ fn group_commit_lone_request_departs_at_open() {
 fn group_commit_backlog_leaves_as_one_batch() {
     for seed in seeds_from_env() {
         let d = catalog::BACKLOG_D;
-        let report = run_reproducibly(&catalog::group_commit_backlog(seed), seed);
+        let report = run_reproducibly(&catalog::group_commit_backlog(), seed);
         assert_eq!(report.issued, report.ok, "a straggler is slow, not wrong (seed {seed})");
         assert!(
             report.max_wait_ns <= d.as_nanos() as u64,
@@ -84,7 +84,7 @@ fn group_commit_backlog_leaves_as_one_batch() {
 #[test]
 fn shard_crash_mid_batch() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::shard_crash_mid_batch(seed), seed);
+        let report = run_reproducibly(&catalog::shard_crash_mid_batch(), seed);
         assert!(report.shutdown > 0, "seed {seed}: the crash window must catch in-flight lookups");
         assert!(report.ok > 0, "surviving shards keep serving");
         assert_eq!(report.issued, report.ok + report.shed + report.shutdown);
@@ -101,7 +101,7 @@ fn shard_crash_mid_batch() {
 #[test]
 fn shard_crash_with_queued_backlog() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::shard_crash_with_queued_backlog(seed), seed);
+        let report = run_reproducibly(&catalog::shard_crash_with_queued_backlog(), seed);
         assert!(report.shutdown > 0, "seed {seed}: the backlog must be shut down, not lost");
         assert_eq!(report.issued, report.ok + report.shed + report.shutdown);
     }
@@ -117,7 +117,7 @@ fn shard_crash_with_queued_backlog() {
 #[test]
 fn replica_crash_mid_batch() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::replica_crash_mid_batch(seed), seed);
+        let report = run_reproducibly(&catalog::replica_crash_mid_batch(), seed);
         assert_eq!(
             report.shutdown, 0,
             "seed {seed}: a crash with a surviving replica must never surface ShuttingDown"
@@ -149,7 +149,7 @@ fn replica_crash_mid_batch() {
 #[test]
 fn straggler_replica_with_bounded_tail() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::straggler_replica(seed), seed);
+        let report = run_reproducibly(&catalog::straggler_replica(), seed);
         assert_eq!(report.issued, report.ok, "a straggler is slow, not wrong (seed {seed})");
         assert_eq!(report.rerouted, 0, "nothing crashes here");
         let straggler = report.per_replica_served[0]; // shard 0, replica 0
@@ -169,7 +169,7 @@ fn straggler_replica_with_bounded_tail() {
 #[test]
 fn all_replicas_down_is_shutdown() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::all_replicas_down(seed), seed);
+        let report = run_reproducibly(&catalog::all_replicas_down(), seed);
         assert!(
             report.rerouted > 0,
             "seed {seed}: the first crash must fail over while its sibling lives"
@@ -184,12 +184,12 @@ fn all_replicas_down_is_shutdown() {
 }
 
 /// Seeded uniform jitter on every dispatch: answers stay exact, and the
-/// worst served latency stays below `max_delay + 2 × jitter_max` — a
+/// worst served latency stays below `max_delay + 2 × dispatch_jitter` — a
 /// bound that only holds because delays are virtual and scripted.
 #[test]
 fn dispatch_jitter() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::dispatch_jitter(seed), seed);
+        let report = run_reproducibly(&catalog::dispatch_jitter(), seed);
         assert_eq!(report.issued, report.ok, "jitter delays, never drops (seed {seed})");
         assert!(report.max_latency_ns > 0);
     }
@@ -202,7 +202,7 @@ fn dispatch_jitter() {
 fn slow_shard_straggler() {
     for seed in seeds_from_env() {
         let extra = catalog::STRAGGLER_EXTRA;
-        let report = run_reproducibly(&catalog::slow_shard_straggler(seed), seed);
+        let report = run_reproducibly(&catalog::slow_shard_straggler(), seed);
         assert_eq!(report.issued, report.ok, "straggler is slow, not wrong (seed {seed})");
         assert!(
             report.max_latency_ns > extra.as_nanos() as u64,
@@ -217,7 +217,7 @@ fn slow_shard_straggler() {
 #[test]
 fn churn_storm_during_snapshot_publish() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::churn_storm(seed), seed);
+        let report = run_reproducibly(&catalog::churn_storm(), seed);
         assert!(report.merges > 0, "seed {seed}: the storm must cross the merge threshold");
         assert!(report.snapshots > 20, "publication storm must publish constantly");
         assert_eq!(report.issued, report.ok);
@@ -236,7 +236,7 @@ fn churn_storm_during_snapshot_publish() {
 #[test]
 fn stage_traces_on_virtual_time() {
     for seed in seeds_from_env() {
-        let dense = run_reproducibly(&catalog::stage_traces_dense(seed), seed);
+        let dense = run_reproducibly(&catalog::stage_traces_dense(), seed);
         assert_eq!(dense.issued, dense.ok, "tracing must not perturb correctness (seed {seed})");
         assert!(
             dense.trace_records > 0,
@@ -244,7 +244,7 @@ fn stage_traces_on_virtual_time() {
             dense.served
         );
 
-        let sparse = run_reproducibly(&catalog::stage_traces_sparse(seed), seed);
+        let sparse = run_reproducibly(&catalog::stage_traces_sparse(), seed);
         assert!(
             sparse.trace_records < dense.trace_records,
             "seed {seed}: 1-in-64 sampling must retain fewer records than dense \
@@ -253,7 +253,7 @@ fn stage_traces_on_virtual_time() {
             dense.trace_records
         );
 
-        let off = run_reproducibly(&catalog::stage_traces_disabled(seed), seed);
+        let off = run_reproducibly(&catalog::stage_traces_disabled(), seed);
         assert_eq!(off.trace_records, 0, "seed {seed}: disabled tracing must record nothing");
         assert_eq!(off.issued, off.ok);
     }
@@ -266,7 +266,7 @@ fn stage_traces_on_virtual_time() {
 #[test]
 fn overload_to_shed() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::overload_to_shed(seed), seed);
+        let report = run_reproducibly(&catalog::overload_to_shed(), seed);
         assert!(report.shed > 0, "seed {seed}: overload must shed");
         assert!(report.ok > 0, "admitted traffic is still served");
         assert_eq!(report.issued, report.ok + report.shed + report.shutdown);

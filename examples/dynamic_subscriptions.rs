@@ -45,7 +45,7 @@ fn main() {
 
     let mut index = DeltaArray::new(boot.clone(), 1 << 20, 1.0, MERGE_THRESHOLD);
     let mut mem = NullMemory;
-    let cfg = NativeConfig { n_slaves: N_BROKERS, pin_cores: false, ..NativeConfig::new(1) };
+    let cfg = NativeConfig { n_slaves: N_BROKERS, pin_cores: false };
     let mut router = DistributedIndex::build(&boot, cfg);
     assert_eq!(router.len(), boot.len(), "bootstrap router must cover all subscriptions");
 
@@ -104,7 +104,7 @@ fn main() {
             let keys = sorted_keys(&oracle);
             router = DistributedIndex::build(
                 &keys,
-                NativeConfig { n_slaves: N_BROKERS, pin_cores: false, ..NativeConfig::new(1) },
+                NativeConfig { n_slaves: N_BROKERS, pin_cores: false },
             );
             // The fresh router serves traffic immediately: spot-check it
             // against the delta index on the last key we touched.
@@ -121,7 +121,7 @@ fn main() {
     let final_keys = sorted_keys(&oracle);
     router = DistributedIndex::build(
         &final_keys,
-        NativeConfig { n_slaves: N_BROKERS, pin_cores: false, ..NativeConfig::new(1) },
+        NativeConfig { n_slaves: N_BROKERS, pin_cores: false },
     );
     index.merge(&mut mem);
     let probes: Vec<u32> = (0..10_000u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();

@@ -31,7 +31,7 @@ fn main() {
     sample.sort_unstable();
     sample.dedup();
 
-    let cfg = NativeConfig { n_slaves: N_BROKERS, pin_cores: false, ..NativeConfig::new(1) };
+    let cfg = NativeConfig { n_slaves: N_BROKERS, pin_cores: false };
     let mut router = DistributedIndex::build(&sample, cfg);
     println!(
         "pub/sub router: {} sampled topics, {} brokers, ~{} topics each",

@@ -59,7 +59,7 @@ fn main() {
     cells.sort_unstable();
     cells.dedup();
 
-    let cfg = NativeConfig { n_slaves: N_TRACKERS, pin_cores: false, ..NativeConfig::new(1) };
+    let cfg = NativeConfig { n_slaves: N_TRACKERS, pin_cores: false };
     let mut field = DistributedIndex::build(&cells, cfg);
     println!("sensor field: {} cells over {N_TRACKERS} tracking nodes", cells.len());
 

@@ -51,7 +51,7 @@ fn native_backend_agrees_with_simulated_methods() {
 
     let sim = run_method(MethodId::C3, &s, &idx, &q);
 
-    let cfg = NativeConfig { n_slaves: s.n_slaves, pin_cores: false, ..NativeConfig::new(1) };
+    let cfg = NativeConfig { n_slaves: s.n_slaves, pin_cores: false };
     let mut native = DistributedIndex::build(&idx, cfg);
     let ranks = native.lookup_batch(&q);
     let native_sum: u64 = ranks.iter().map(|&r| r as u64).sum();

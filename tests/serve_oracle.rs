@@ -6,7 +6,8 @@
 //! forced often, and with concurrent readers hammering the server while
 //! snapshots are being published.
 
-use dini::serve::{IndexServer, LoadMode, Op, ServeConfig, ServeError, ServeFaultPlan};
+use dini::cluster::Fault;
+use dini::serve::{IndexServer, LoadMode, Op, ServeConfig, ServeError};
 use dini::workload::{ChurnGen, KeyDistribution, OpMix};
 use dini_serve::run_load;
 use std::collections::BTreeSet;
@@ -377,7 +378,8 @@ fn overload_sheds_instead_of_queueing_without_bound() {
     cfg.queue_capacity = 1;
     cfg.max_batch = 1;
     cfg.max_delay = Duration::ZERO;
-    cfg.faults = ServeFaultPlan::none().slow_shard(0, Duration::from_micros(50));
+    let extra = Duration::from_micros(50);
+    cfg.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra });
     let server = IndexServer::build(&keys, cfg);
 
     let submitters: Vec<_> = (0..4u32)
