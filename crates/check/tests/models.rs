@@ -15,6 +15,10 @@
 //!   their parking; an answered cell goes back to its pool; a cell held
 //!   by a waiter or by a filler is never handed to a new tenant; a
 //!   filler dropped unanswered answers `ShuttingDown`.
+//! * `OpenGroup` / `Member`: a pipelined caller joining its open group
+//!   while another thread polls one of the group's lookups loses no key
+//!   and answers each exactly once; a group's cell is never recycled
+//!   while any of its lookups is held.
 //! * `TraceRing`: a concurrent snapshot never returns a torn record.
 //! * `AdmissionQueue`: the admitted/shed/depth gauges stay coherent
 //!   with what actually entered the queue; the depth gauge holds a
@@ -36,6 +40,7 @@ use dini_check::sync::{Arc, AtomicU64, Ordering};
 use dini_obs::{MetricsRegistry, TraceRing};
 use dini_serve::admission::AdmissionQueue;
 use dini_serve::batcher::Request;
+use dini_serve::group::{OpenGroup, Ranker};
 use dini_serve::oneshot::CellPool;
 use dini_serve::{
     Clock, EpochCell, ReplicaMetrics, ServeError, ServeStats, ShardSnapshot, StageRecord,
@@ -192,6 +197,10 @@ fn epoch_cell_with_holds_publish_until_the_borrow_ends() {
 type Reply = Result<u32, ServeError>;
 
 fn pool(capacity: usize) -> CellPool<Reply> {
+    pool_of(capacity)
+}
+
+fn pool_of<T: dini_serve::oneshot::Unanswered>(capacity: usize) -> CellPool<T> {
     CellPool::new(capacity, Clock::system())
 }
 
@@ -310,6 +319,78 @@ fn reply_cell_is_not_recycled_under_a_pending_lookup() {
         assert_eq!(*cell.wait(), Ok(9));
     });
     assert!(report.executions >= 2, "recycle/pending race under-explored: {report:?}");
+}
+
+/// A ranker for the open-group models: answers `key * 10`, and records
+/// each key it ranks as a bit, failing if one comes round twice.
+#[derive(Default)]
+struct Tens {
+    ranked: AtomicU64,
+}
+
+impl Ranker for Tens {
+    type Answer = Reply;
+    type Scratch = ();
+    fn rank(&self, keys: &[u32], _: &mut (), answers: &mut Vec<Reply>) {
+        answers.clear();
+        for &key in keys {
+            let before = self.ranked.fetch_or(1 << key, Ordering::SeqCst);
+            assert_eq!(before & (1 << key), 0, "key {key} ranked twice");
+            answers.push(Ok(key * 10));
+        }
+    }
+}
+
+/// (a) The owner keeps joining keys to its open group while another
+/// thread polls the group's first lookup — a poll ranks a group still
+/// open, so the two race to close it. Whatever the interleaving, the
+/// polled group is ranked once, the owner's later keys land in it or in
+/// the next group, and every key is ranked exactly once and answered
+/// with its own rank.
+#[test]
+fn open_group_join_races_a_poll_and_loses_no_key() {
+    let report = model("open-group/join-vs-poll", || {
+        let group = OpenGroup::shared(Tens::default(), pool_of(2));
+        let first = OpenGroup::join(&group, 1);
+        let poller = thread::spawn(move || {
+            // `None` only while the owner is mid-rank on this group.
+            let reply = first.poll().copied();
+            reply.unwrap_or_else(|| *first.wait())
+        });
+        let second = OpenGroup::join(&group, 2);
+        let third = OpenGroup::join(&group, 3);
+        assert_eq!(*third.wait(), Ok(30));
+        assert_eq!(*second.wait(), Ok(20));
+        assert_eq!(poller.join(), Ok(10), "the polled lookup misanswered");
+        assert_eq!(group.ranker().ranked.load(Ordering::SeqCst), 0b1110, "a key was lost");
+    });
+    assert!(report.executions >= 10, "join/poll race under-explored: {report:?}");
+}
+
+/// (b) Recycling: a group's two lookups are answered by one cell; one
+/// is read twice from another thread while the owner drops the other
+/// and opens the next group, whose cell comes from a one-cell pool. The
+/// pool must not hand the first group's cell to the next group while
+/// the held lookup can still read it.
+#[test]
+fn a_group_cell_is_not_recycled_under_a_held_lookup() {
+    let report = model("open-group/recycle-vs-held-lookup", || {
+        let group = OpenGroup::shared(Tens::default(), pool_of(1));
+        let held = OpenGroup::join(&group, 1);
+        let dropped = OpenGroup::join(&group, 2);
+        let reader = thread::spawn(move || {
+            let first = *held.wait();
+            dini_check::sync::yield_now();
+            assert_eq!(held.poll(), Some(&first), "group cell recycled under a held lookup");
+            first
+        });
+        assert_eq!(*dropped.wait(), Ok(20));
+        drop(dropped);
+        let next = OpenGroup::join(&group, 3);
+        assert_eq!(*next.wait(), Ok(30), "the next group misanswered");
+        assert_eq!(reader.join(), Ok(10));
+    });
+    assert!(report.executions >= 2, "recycle/held race under-explored: {report:?}");
 }
 
 /// The seqlock ring: a reader snapshots while the single writer wraps

@@ -193,6 +193,12 @@ impl AdmissionQueue {
         self
     }
 
+    /// Whether a caller may ever [`claim`](Self::claim) this replica:
+    /// `false` once [`dispatcher_only`](Self::dispatcher_only).
+    pub fn claimable(&self) -> bool {
+        self.claimable
+    }
+
     /// Claim the replica for `n` requests if it is idle: `true` means
     /// the depth gauge went 0 → `n` — nothing was queued, nothing in
     /// service — and the caller now holds the replica: it answers its

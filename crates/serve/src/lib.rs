@@ -117,6 +117,7 @@ pub mod batcher;
 pub mod clock;
 pub mod config;
 mod faults;
+pub mod group;
 pub mod loadgen;
 pub mod oneshot;
 pub mod router;

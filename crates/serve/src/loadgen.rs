@@ -7,12 +7,15 @@
 //!   well-behaved callers (and can never shed).
 //! * **Open loop** — arrivals come from a seeded
 //!   [`ArrivalProcess`] regardless of
-//!   completions, issued with [`ServerHandle::try_lookup`]; overload
-//!   surfaces as shed requests instead of collapsing offered load. This
-//!   is the regime admission control exists for.
+//!   completions, issued with [`ServerHandle::begin_lookup`] and reaped
+//!   by polling; overload surfaces as shed requests (refused at submit,
+//!   or, for a lookup that joined the handle's open group, reported when
+//!   it is reaped) instead of collapsing offered load. This is the
+//!   regime admission control exists for.
 //!
-//! Latency is recorded *caller-side* (submit → reply, including
-//! coalescing delay and queueing), per client, into
+//! Latency is recorded *caller-side*, from just before the submit to
+//! the reply (so a lookup ranked inside the submit call bills that
+//! rank), coalescing delay and queueing included, per client, into
 //! [`LogHistogram`]s merged into the report. With replica groups each
 //! client's handle routes load-aware (power-of-two choices on live
 //! replica queue depth), so the generators exercise exactly the path
@@ -181,15 +184,27 @@ struct InFlight {
 /// over-reported p50 by up to 20 ms).
 const MAX_REAP_INTERVAL: Duration = Duration::from_micros(500);
 
+impl ClientResult {
+    /// Count one reaped reply issued at `issued`.
+    fn settle(&mut self, clock: &Clock, issued: Nanos, reply: Result<u32, ServeError>) {
+        match reply {
+            Ok(_) => {
+                self.latency_ns.record(clock.now().saturating_sub(issued) as f64);
+                self.completed += 1;
+            }
+            Err(ServeError::Overloaded { .. }) => self.shed += 1,
+            Err(ServeError::ShuttingDown) => {}
+        }
+    }
+}
+
 /// Reap completed lookups; replies never gate arrivals.
 fn reap(clock: &Clock, in_flight: &mut Vec<InFlight>, r: &mut ClientResult) {
     in_flight.retain(|f| match f.pending.poll() {
-        Some(Ok(_)) => {
-            r.latency_ns.record(clock.now().saturating_sub(f.issued) as f64);
-            r.completed += 1;
+        Some(reply) => {
+            r.settle(clock, f.issued, reply);
             false
         }
-        Some(Err(_)) => false,
         None => true,
     });
 }
@@ -235,17 +250,18 @@ fn open_loop(
             };
             clock.sleep(Duration::from_nanos(nap));
         }
+        // Stamped before the submit: a lookup ranked inside it bills
+        // the rank.
+        let issued = clock.now();
         match h.begin_lookup(keys.next_key()) {
-            Ok(pending) => in_flight.push(InFlight { issued: clock.now(), pending }),
+            Ok(pending) => in_flight.push(InFlight { issued, pending }),
             Err(ServeError::Overloaded { .. }) => r.shed += 1,
             Err(ServeError::ShuttingDown) => break,
         }
     }
     for f in in_flight {
-        if f.pending.wait().is_ok() {
-            r.latency_ns.record(clock.now().saturating_sub(f.issued) as f64);
-            r.completed += 1;
-        }
+        let reply = f.pending.wait();
+        r.settle(&clock, f.issued, reply);
     }
     r
 }

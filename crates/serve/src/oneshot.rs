@@ -8,7 +8,8 @@
 //!
 //! * [`ReplyCell<T>`] — written once per tenancy with one reply `T`,
 //!   which any number of waiters read through their own `Arc` of it. A
-//!   server lookup's cell answers one key; a `dini-net` client's answers
+//!   queued server lookup's cell answers one key; a pipelined caller's
+//!   open group's answers the group's keys, and a `dini-net` client's
 //!   a whole `Lookup` frame (each pending lookup keeps its index into
 //!   the reply), or one replicated update.
 //! * [`CellPool<T>`] — a bounded free list of cells. It hands a cell to
@@ -227,6 +228,13 @@ impl<T> Unanswered for Result<T, ServeError> {
     }
 }
 
+/// A group's answers: every slot unanswered.
+impl<T: Unanswered, const N: usize> Unanswered for [T; N] {
+    fn unanswered() -> Self {
+        std::array::from_fn(|_| T::unanswered())
+    }
+}
+
 /// The filler side of one pooled [`ReplyCell`]: the only handle that
 /// can answer it. Dropped, it answers [`Unanswered::unanswered`] if it
 /// had not filled, and gives the cell back to the pool it came from.
@@ -245,6 +253,11 @@ impl<T: Unanswered> Filler<T> {
     /// A waiter's handle on the cell.
     pub fn waiter(&self) -> Waiter<T> {
         self.cell().clone()
+    }
+
+    /// Whether `cell` is the cell this filler answers.
+    pub fn fills(&self, cell: &Waiter<T>) -> bool {
+        Arc::ptr_eq(self.cell(), cell)
     }
 
     /// Publish `reply` and wake every parked waiter; the first fill of a

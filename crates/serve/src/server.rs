@@ -5,6 +5,8 @@
 //! `n·R` dispatchers and one writer, nothing else:
 //!
 //! ```text
+//!  pipelined callers: [open group ≤ GROUP keys] ─┐ (full, or a member reaped)
+//!                                                ▼
 //!                                    ┌─ depth 0 → n: claimed ─► the caller pins the shard's snapshot,
 //!                                    │                          ranks its own key(s), returns
 //!  callers ──route(key) → p2c(depth)─┤                                          │ load()
@@ -46,6 +48,15 @@
 //!   open only batches a dispatcher collects. A replica with any fault
 //!   scripted is never claimed: stragglers and crashes are dispatcher
 //!   faults.
+//! * **A pipelined caller ranks its own group**: a caller that still
+//!   holds a lookup it began has a batch in hand, one key at a time.
+//!   [`ServerHandle::begin_lookup`] then adds the key to the handle's
+//!   open group ([`crate::group`]) of up to [`GROUP`] keys — the
+//!   kernel's lockstep group, so no knob — which is ranked like a slice
+//!   (one claim and one pinned rank per shard) when it fills or when one
+//!   of its lookups is reaped. A lone lookup (nothing held) is ranked
+//!   inside `begin_lookup`, as before: a paced caller's latency keeps
+//!   the rank. The group's answers live in one pooled reply cell.
 //! * **Replica groups**: each keyspace shard is served by
 //!   `replicas_per_shard` replicated dispatchers. Replicas share one
 //!   [`EpochCell`] — the shard's whole read state (main array behind
@@ -95,7 +106,8 @@ use crate::batcher::{collect_batch_into, Request};
 use crate::clock::{Clock, ClockJoinHandle};
 use crate::config::{ServeConfig, ServeError};
 use crate::faults::ReplicaFaults;
-use crate::oneshot::{CellPool, Waiter};
+use crate::group::{Answers, Member, OpenGroup, Ranker, Shared, GROUP};
+use crate::oneshot::{CellPool, Unanswered, Waiter};
 use crate::router::{ReplicaSelector, ShardRouter};
 use crate::snapshot::{EpochCell, ShardSnapshot};
 use crate::stats::{replica_labels, ReplicaMetrics, ServeStats};
@@ -216,6 +228,8 @@ pub struct IndexServer {
     /// `queues[shard][replica]`.
     queues: Vec<Vec<AdmissionQueue>>,
     pools: Vec<CellPool<Reply>>,
+    /// Reply cells of the handles' open groups, one cell a group.
+    groups: CellPool<Answers<PendingLookup>>,
     /// `cells[shard]`, shared with the writer, the shard's dispatchers
     /// and every handle.
     cells: Vec<Arc<EpochCell>>,
@@ -252,8 +266,20 @@ pub struct IndexServer {
 /// shard, never across the server.
 /// Each clone carries its own routing tick, so clones never contend on
 /// a shared counter (a fresh clone restarts its candidate rotation —
-/// load awareness, not the rotation phase, is what balances replicas).
+/// load awareness, not the rotation phase, is what balances replicas),
+/// and its own open group (see [`begin_lookup`](Self::begin_lookup)),
+/// whose cells come from one pool the server's handles share.
 pub struct ServerHandle {
+    /// This clone's open group, over everything a lookup reaches. Every
+    /// lookup [`begin_lookup`](Self::begin_lookup) hands out holds a
+    /// clone of it until reaped, which is how the handle knows whether
+    /// its caller is pipelining.
+    group: Shared<HandleCore>,
+}
+
+/// What a handle clone reaches — routing, admission, reply pools, the
+/// shards' read state and accounting — and what ranks its open group.
+struct HandleCore {
     router: Arc<ShardRouter>,
     selector: ReplicaSelector,
     queues: Vec<Vec<AdmissionQueue>>,
@@ -271,6 +297,13 @@ pub struct ServerHandle {
 }
 
 impl Clone for ServerHandle {
+    /// A handle with its own routing tick and its own, empty, open group.
+    fn clone(&self) -> Self {
+        Self { group: self.group.sibling() }
+    }
+}
+
+impl Clone for HandleCore {
     fn clone(&self) -> Self {
         Self {
             router: self.router.clone(),
@@ -531,17 +564,19 @@ impl IndexServer {
         // room for every replica's full queue plus an in-flight batch;
         // returns beyond that are dropped, bounding memory under
         // pathological in-flight spikes.
-        let pools = (0..cfg.n_shards)
-            .map(|_| {
-                CellPool::new((cfg.queue_capacity + cfg.max_batch) * n_replicas, cfg.clock.clone())
-            })
-            .collect();
+        let shard_cells = (cfg.queue_capacity + cfg.max_batch) * n_replicas;
+        let pools =
+            (0..cfg.n_shards).map(|_| CellPool::new(shard_cells, cfg.clock.clone())).collect();
+        // Group cells, one per up to `GROUP` lookups: as many as the
+        // shard pools' cells would fill.
+        let groups = CellPool::new((shard_cells * cfg.n_shards).div_ceil(GROUP), cfg.clock.clone());
 
         Self {
             router,
             selector,
             queues,
             pools,
+            groups,
             cells,
             replica_metrics,
             metrics,
@@ -557,7 +592,7 @@ impl IndexServer {
 
     /// A cloneable caller handle.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
+        let core = HandleCore {
             router: self.router.clone(),
             selector: self.selector,
             queues: self.queues.clone(),
@@ -567,7 +602,8 @@ impl IndexServer {
             heat: self.heat.clone(),
             clock: self.clock.clone(),
             tick: AtomicU64::new(0),
-        }
+        };
+        ServerHandle { group: OpenGroup::shared(core, self.groups.clone()) }
     }
 
     /// A cloneable churn-feeding handle (e.g. for a dedicated updater
@@ -745,19 +781,27 @@ impl Drop for IndexServer {
     }
 }
 
-/// A lookup that has been admitted but not yet answered. Redeem with
+/// A lookup submitted but not yet reaped. Redeem with
 /// [`wait`](Self::wait) (blocking) or reap with [`poll`](Self::poll) —
-/// the primitive a genuinely open-loop caller needs: admission happens at
-/// submit time, so the caller's arrival schedule never stretches on slow
-/// replies.
+/// the primitive a genuinely open-loop caller needs: the caller's
+/// arrival schedule never stretches on slow replies.
 ///
-/// A lookup that found its replica idle was ranked by the submitting
-/// thread and is born resolved. One that was queued holds a pooled
-/// reply cell rather than a per-lookup channel; the cell goes back to
-/// the server's pool once the dispatcher has answered, and is reused
-/// once this `PendingLookup` (reaped, or abandoned) has let go of it.
+/// A lookup ranked when it was submitted — by the submitting thread, on
+/// an idle replica — is born resolved. One that was queued holds a
+/// pooled reply cell rather than a per-lookup channel; the cell goes
+/// back to the server's pool once the dispatcher has answered, and is
+/// reused once this `PendingLookup` (reaped, or abandoned) has let go of
+/// it. One that joined its handle's open group (a pipelined
+/// [`ServerHandle::begin_lookup`]) holds its slot in the group's one
+/// pooled cell: the first `poll` or `wait` on any member ranks a group
+/// still open, and dropping it before then takes its key out unranked.
 #[derive(Debug)]
-pub struct PendingLookup(Pending);
+pub struct PendingLookup {
+    pending: Pending,
+    /// [`ServerHandle::begin_lookup`]'s lookups answered alone: counts
+    /// the lookup as held against its handle until it is reaped.
+    held: Option<Shared<HandleCore>>,
+}
 
 /// What a lookup's caller reads: its global rank, or why there is none.
 type Reply = Result<u32, ServeError>;
@@ -766,27 +810,43 @@ type Reply = Result<u32, ServeError>;
 enum Pending {
     Ready(Reply),
     Queued(Waiter<Reply>),
+    /// A slot of an open group's cell; the slot itself is `Ready` or
+    /// `Queued`.
+    Grouped(Member<HandleCore>),
 }
 
 impl PendingLookup {
     fn ready(reply: Result<u32, ServeError>) -> Self {
-        Self(Pending::Ready(reply))
+        Self { pending: Pending::Ready(reply), held: None }
     }
 
     /// Block for the rank.
     pub fn wait(self) -> Result<u32, ServeError> {
-        match self.0 {
-            Pending::Ready(reply) => reply,
+        self.get()
+    }
+
+    fn get(&self) -> Reply {
+        match &self.pending {
+            Pending::Ready(reply) => *reply,
             Pending::Queued(cell) => *cell.wait(),
+            Pending::Grouped(member) => member.wait().get(),
         }
     }
 
     /// The rank if it has arrived, `None` if still in flight.
     pub fn poll(&self) -> Option<Result<u32, ServeError>> {
-        match &self.0 {
+        match &self.pending {
             Pending::Ready(reply) => Some(*reply),
             Pending::Queued(cell) => cell.poll().copied(),
+            Pending::Grouped(member) => member.poll().and_then(Self::poll),
         }
+    }
+}
+
+/// An unfilled group slot: a hole, or past the group's end.
+impl Unanswered for PendingLookup {
+    fn unanswered() -> Self {
+        Self::ready(Err(ServeError::ShuttingDown))
     }
 }
 
@@ -839,7 +899,7 @@ impl UpdateHandle {
     }
 }
 
-impl ServerHandle {
+impl HandleCore {
     /// Pick a live replica of `shard`: power-of-two choices on live
     /// queue depth, skipping crashed replicas. `None` means the whole
     /// group is gone — the shard is shutting down, and saying so here
@@ -941,7 +1001,7 @@ impl ServerHandle {
         // inside the admission queue, which answers the cell and returns
         // it to the pool; `cell` lets go of it on return. No leak, no
         // alloc.
-        Ok(PendingLookup(Pending::Queued(cell)))
+        Ok(PendingLookup { pending: Pending::Queued(cell), held: None })
     }
 
     fn enqueue(&self, key: u32, blocking: bool, trace: u64) -> Result<PendingLookup, ServeError> {
@@ -1019,30 +1079,83 @@ impl ServerHandle {
         }
     }
 
+    /// Whether a caller may rank `shard`'s keys: some replica of it has
+    /// no fault scripted. A shard without one is the dispatchers' alone.
+    fn claimable(&self, shard: usize) -> bool {
+        self.queues[shard].iter().any(AdmissionQueue::claimable)
+    }
+}
+
+/// A pipelined caller's open group is ranked the way a slice is: one
+/// replica choice and one claim per shard, and, for the claim's winner,
+/// one pinned [`rank_batch`](ShardSnapshot::rank_batch). Its keys are
+/// admitted — or shed — here, at its rank, not at `begin_lookup`.
+impl Ranker for HandleCore {
+    type Answer = PendingLookup;
+    type Scratch = LookupScratch;
+
+    fn rank(&self, keys: &[u32], scratch: &mut LookupScratch, answers: &mut Vec<PendingLookup>) {
+        self.enqueue_many(keys, false, 0, scratch, answers);
+    }
+}
+
+impl ServerHandle {
+    fn core(&self) -> &HandleCore {
+        self.group.ranker()
+    }
+
     /// Rank of `key` (number of live index keys ≤ `key`), blocking while
     /// the chosen replica's queue is full (closed-loop semantics).
     pub fn lookup(&self, key: u32) -> Result<u32, ServeError> {
-        self.enqueue(key, true, 0)?.wait()
+        self.core().enqueue(key, true, 0)?.wait()
     }
 
     /// Rank of `key`, shedding instead of blocking when the chosen
     /// replica's queue is full, then waiting for the answer.
     pub fn try_lookup(&self, key: u32) -> Result<u32, ServeError> {
-        self.enqueue(key, false, 0)?.wait()
+        self.core().enqueue(key, false, 0)?.wait()
     }
 
-    /// Submit without waiting: sheds when the chosen replica's queue is
-    /// full, otherwise returns a [`PendingLookup`] to redeem later —
-    /// already resolved if the replica was idle.
+    /// Submit without waiting, and return a [`PendingLookup`] to redeem
+    /// later. One rule decides when `key` is ranked — Nagle's, turned
+    /// round:
+    ///
+    /// * **Alone, at once.** If the caller holds no lookup it began on
+    ///   this handle and has not reaped, `key` is admitted now: ranked on
+    ///   this thread if its replica is idle (the lookup is born
+    ///   resolved, and counted as served before this returns), queued
+    ///   for the dispatcher otherwise, or shed when that queue is full.
+    /// * **Pipelined, in a group.** If the caller still holds one, `key`
+    ///   joins this handle's open group of up to [`GROUP`] keys, the
+    ///   kernel's lockstep group. The group is ranked when it is full or
+    ///   as soon as any of its lookups is polled or waited on, as a
+    ///   slice is: one claim and one pinned rank per shard. A grouped
+    ///   lookup is admitted, and may be shed, then — its `poll` or
+    ///   `wait` reports the shed — and one dropped before its group is
+    ///   ranked is never admitted. A sampled group's stage records start
+    ///   at its rank: the caller's time in its own open group is
+    ///   client-side, like a `dini-net` frame's before it is encoded.
+    ///
+    /// A key whose shard no caller may rank (every replica has a fault
+    /// scripted) gains nothing from a group and is admitted at once.
+    /// [`begin_lookup_traced`](Self::begin_lookup_traced) and the slice
+    /// calls never group.
     pub fn begin_lookup(&self, key: u32) -> Result<PendingLookup, ServeError> {
-        self.enqueue(key, false, 0)
+        let core = self.core();
+        if !OpenGroup::is_idle(&self.group) && core.claimable(core.router.route(key)) {
+            let member = OpenGroup::join(&self.group, key);
+            return Ok(PendingLookup { pending: Pending::Grouped(member), held: None });
+        }
+        let mut lookup = core.enqueue(key, false, 0)?;
+        lookup.held = Some(self.group.clone());
+        Ok(lookup)
     }
 
     /// [`begin_lookup`](Self::begin_lookup) carrying a causal trace id
     /// (0 = untraced), so the stage records of whoever answers share the
-    /// originating client's timeline.
+    /// originating client's timeline. Never grouped: admitted at once.
     pub fn begin_lookup_traced(&self, key: u32, trace: u64) -> Result<PendingLookup, ServeError> {
-        self.enqueue(key, false, trace)
+        self.core().enqueue(key, false, trace)
     }
 
     /// [`begin_lookup_traced`](Self::begin_lookup_traced) for a whole
@@ -1058,7 +1171,7 @@ impl ServerHandle {
         scratch: &mut LookupScratch,
         out: &mut Vec<PendingLookup>,
     ) {
-        self.enqueue_many(keys, false, trace, scratch, out);
+        self.core().enqueue_many(keys, false, trace, scratch, out);
     }
 
     /// Rank every key, preserving order. Submits everything before
@@ -1066,30 +1179,30 @@ impl ServerHandle {
     /// coalesces into few batches.
     pub fn lookup_many(&self, keys: &[u32]) -> Result<Vec<u32>, ServeError> {
         let mut replies = Vec::with_capacity(keys.len());
-        self.enqueue_many(keys, true, 0, &mut LookupScratch::default(), &mut replies);
+        self.core().enqueue_many(keys, true, 0, &mut LookupScratch::default(), &mut replies);
         replies.into_iter().map(PendingLookup::wait).collect()
     }
 
     /// Number of shards behind this handle.
     pub fn n_shards(&self) -> usize {
-        self.router.n_shards()
+        self.core().router.n_shards()
     }
 
     /// Number of replicas serving each shard.
     pub fn replicas_per_shard(&self) -> usize {
-        self.selector.n_replicas()
+        self.core().selector.n_replicas()
     }
 
     /// The clock this server waits on (virtual under `dini-simtest`).
     pub fn clock(&self) -> &Clock {
-        &self.clock
+        &self.core().clock
     }
 
     /// Which shard serves `key` — the server's own routing, exposed so
     /// callers (e.g. the simtest sweep avoiding crashed shards) never
     /// have to reconstruct it and risk divergence.
     pub fn shard_of(&self, key: u32) -> usize {
-        self.router.route(key)
+        self.core().router.route(key)
     }
 }
 
@@ -1852,7 +1965,9 @@ mod tests {
         let mut cells = BTreeSet::new();
         for _ in 0..100 {
             let pending = h.begin_lookup(54321).unwrap();
-            let Pending::Queued(cell) = &pending.0 else { panic!("a slow replica was claimed") };
+            let Pending::Queued(cell) = &pending.pending else {
+                panic!("a slow replica was claimed")
+            };
             cells.insert(Arc::as_ptr(cell) as usize);
             pending.wait().unwrap();
         }
@@ -2004,7 +2119,7 @@ mod tests {
         // Any 6 400 consecutive offers hold exactly 100 picks of one in 64.
         let sampled = TraceConfig { sample_period: 64, ..TraceConfig::default() };
         assert_eq!(
-            reads(sampled, 6_400, 0),
+            reads(sampled.clone(), 6_400, 0),
             2 * 100,
             "two reads per picked lookup, none otherwise"
         );
@@ -2014,6 +2129,114 @@ mod tests {
         let never = TraceConfig { sample_period: 1 << 40, ..TraceConfig::default() };
         assert_eq!(reads(never.clone(), 100, 0), 0);
         assert_eq!(reads(never, 1, 7), 2);
+
+        // The same for a pipelined caller: one lookup held, then `groups`
+        // full groups, each ranked under one claim by the begin that
+        // fills it. A group is timed once, if any of its lookups is
+        // picked.
+        let group_reads = |trace: TraceConfig, groups: u32| {
+            let mut c = cfg(1);
+            c.trace = trace;
+            let server = IndexServer::build(&keys, c);
+            let h = server.handle();
+            for q in 0..10u32 {
+                h.lookup(q * 7919).unwrap();
+            }
+            let held = h.begin_lookup(1).unwrap();
+            let mut group = Vec::with_capacity(GROUP);
+            let before = SYS_NOW_READS.get();
+            for g in 0..groups {
+                for i in 0..GROUP as u32 {
+                    group.push(h.begin_lookup((g * 64 + i).wrapping_mul(2_654_435_761)).unwrap());
+                }
+                for p in group.drain(..) {
+                    p.wait().unwrap();
+                }
+            }
+            let reads = SYS_NOW_READS.get() - before;
+            drop(held);
+            let stats = server.stats();
+            let n = 11 + u64::from(groups) * GROUP as u64;
+            assert_eq!((stats.served, stats.claimed), (n, n), "some lookup queued");
+            assert_eq!(stats.batches, 11 + u64::from(groups), "one batch a group");
+            reads
+        };
+        // 200 groups are 6 400 offers: 100 picks, none two in one group.
+        assert_eq!(group_reads(sampled, 200), 2 * 100, "two reads per picked group");
+        assert_eq!(group_reads(TraceConfig::disabled(), 200), 0, "an unsampled group reads none");
+        assert_eq!(group_reads(TraceConfig::dense(), 200), 2 * 200, "every group timed once");
+    }
+
+    #[test]
+    fn a_lone_begin_lookup_is_answered_before_it_returns() {
+        let keys = gen_sorted_unique_keys(5_000, 82);
+        let set: BTreeSet<u32> = keys.iter().copied().collect();
+        let server = IndexServer::build(&keys, cfg(1));
+        let h = server.handle();
+        let counts = || {
+            let s = server.stats();
+            (s.served, s.batches)
+        };
+        let query = |i: u32| i.wrapping_mul(2_654_435_761);
+        // begin → poll and begin → wait: nothing else held, so each key
+        // is ranked, and counted, before `begin_lookup` returns, and the
+        // reap ranks nothing. (A paced caller reads its clock before it
+        // reaps: a rank moved into the reap would fall out of its
+        // latency.)
+        for i in 0..100u32 {
+            let (before, q) = (counts(), query(i));
+            let pending = h.begin_lookup(q).unwrap();
+            let begun = counts();
+            assert_eq!(begun, (before.0 + 1, before.1 + 1), "lookup {i} not ranked at begin");
+            if i % 2 == 0 {
+                assert_eq!(pending.poll(), Some(Ok(oracle(&set, q))));
+            } else {
+                assert_eq!(pending.wait(), Ok(oracle(&set, q)));
+            }
+            assert_eq!(counts(), begun, "the reap of lookup {i} ranked something");
+        }
+        // Pipelined: with one earlier lookup still held, the next 31
+        // begins only join the open group, and the first reap ranks all
+        // 31 as one batch.
+        let held = h.begin_lookup(query(1000)).unwrap();
+        let before = counts();
+        let group: Vec<_> =
+            (0..31u32).map(|i| (query(i), h.begin_lookup(query(i)).unwrap())).collect();
+        assert_eq!(counts(), before, "a pipelined begin ranked its key alone");
+        assert_eq!(group[30].1.poll(), Some(Ok(oracle(&set, group[30].0))));
+        assert_eq!(counts(), (before.0 + 31, before.1 + 1), "31 keys, one batch");
+        for (q, p) in group {
+            assert_eq!(p.poll(), Some(Ok(oracle(&set, q))));
+        }
+        // A 32nd key fills a group: the begin that adds it ranks it.
+        let before = counts();
+        let group: Vec<_> = (0..GROUP as u32).map(|i| h.begin_lookup(query(i)).unwrap()).collect();
+        assert_eq!(counts(), (before.0 + GROUP as u64, before.1 + 1), "a full group is ranked");
+        assert!(group.iter().all(|p| p.poll().is_some()));
+        assert_eq!(server.stats().batch_size.max(), GROUP as f64);
+        drop((held, group));
+        // Nothing held again: the next lookup is lone.
+        let before = counts();
+        let lone = h.begin_lookup(query(7)).unwrap();
+        assert_eq!(counts(), (before.0 + 1, before.1 + 1));
+        assert_eq!(lone.wait(), Ok(oracle(&set, query(7))));
+    }
+
+    #[test]
+    fn a_grouped_lookup_dropped_unranked_is_never_admitted() {
+        let keys = gen_sorted_unique_keys(5_000, 83);
+        let server = IndexServer::build(&keys, cfg(2));
+        let h = server.handle();
+        let held = h.begin_lookup(1).unwrap();
+        let dropped: Vec<_> = (0..5u32).map(|i| h.begin_lookup(i * 977).unwrap()).collect();
+        drop(dropped);
+        let kept = h.begin_lookup(12_345).unwrap();
+        let gone = h.begin_lookup(54_321).unwrap();
+        drop(gone);
+        assert_eq!(kept.wait(), Ok(keys.partition_point(|&k| k <= 12_345) as u32));
+        drop(held);
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.admitted), (2, 2), "the held lookup and the kept one");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! their few-instruction pin window. A reader with one short job (a
 //! caller ranking its own keys under a replica's claim) can instead run
 //! it *inside* the pin window ([`EpochCell::with`]: two atomic RMWs, no
-//! reference bump or drop), so a publish may wait out one claimed rank.
+//! reference bump or drop), so a publish may wait out one claimed rank
+//! (up to a group of keys: a pipelined caller ranks its open group at
+//! once).
 //!
 //! A snapshot is a shard's *whole* read state: the merged main array
 //! behind its [`LineDirectory`] (rebuilt only on merge, `Arc`-shared by
@@ -244,7 +246,9 @@ impl EpochCell {
     /// `Arc` drop. The price is that a [`publish`](Self::publish) that
     /// supersedes this epoch waits out `f`, not just a pin window — so
     /// `f` must be short and must not wait on anything, the writer
-    /// included: a claimed rank, never a batch's lifetime. The pin is
+    /// included: a claimed rank — one key, a pipelined caller's open
+    /// group of up to [`GROUP`](crate::group::GROUP) keys, or a slice's
+    /// share of one shard — never a batch's lifetime. The pin is
     /// released however `f` exits, unwinding included.
     pub fn with<R>(&self, f: impl FnOnce(&ShardSnapshot) -> R) -> R {
         let (_pin, ptr) = self.pin();

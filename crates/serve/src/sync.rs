@@ -5,7 +5,7 @@
 //! `dini-check`'s model type under `--cfg dini_check`, where the
 //! checker's CI job (`RUSTFLAGS="--cfg dini_check" cargo test -p
 //! dini-check`) explores the primitives' interleavings exhaustively.
-//! `snapshot`, `oneshot`, and `admission` import their atomics, `Arc`,
+//! `snapshot`, `oneshot`, `group` and `admission` import their atomics, `Arc`,
 //! and parking primitives from here — and only from here — so they
 //! compile unchanged against either world.
 //!
@@ -16,5 +16,5 @@
 
 pub(crate) use dini_check::sync::{
     spin_loop, yield_now, Arc, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Condvar, Mutex,
-    Ordering,
+    MutexGuard, Ordering,
 };

@@ -364,6 +364,116 @@ fn shard_boundary_churn_with_concurrent_readers_matches_oracle() {
 }
 
 #[test]
+fn a_pipelined_caller_stays_inside_the_rank_window_under_churn() {
+    // A caller keeping a window of lookups in flight has every lookup
+    // after its first join its handle's open group, ranked when the
+    // group fills or is first reaped — some time between its begin and
+    // its reap. Insert-only churn of ascending keys makes the reply's
+    // window computable: rank(q) counts the initial keys ≤ q plus the
+    // fresh keys ≤ q among those inserted so far. So a reply must lie
+    // between the rank over what was certainly published at the begin
+    // and the rank over what had been sent at the reap. Two such
+    // callers on two shards: a group finds its replica claimed by the
+    // other caller often enough to queue part of itself.
+    const WINDOW: usize = 64;
+    const CHUNK: usize = 8;
+    const PUBLISH_EVERY: usize = 4;
+    const INSERTS: usize = 1200;
+
+    let keys = initial_keys(4000);
+    let mut set: BTreeSet<u32> = keys.iter().copied().collect();
+    let mut cfg = serve_cfg(2);
+    cfg.merge_threshold = 48;
+    cfg.publish_every = PUBLISH_EVERY;
+    let server = IndexServer::build(&keys, cfg);
+    // Keys that are never in the initial set (those are ≡ 3 mod 16),
+    // ascending: the first `n` inserted that are ≤ q are
+    // `min(n, fresh.partition_point(≤ q))`.
+    let fresh: std::sync::Arc<Vec<u32>> =
+        std::sync::Arc::new((0..INSERTS as u32).map(|i| i * 48 + 5).collect());
+    let base = std::sync::Arc::new(keys.clone());
+    let rank_after = move |base: &[u32], fresh: &[u32], q: u32, n: usize| {
+        (base.partition_point(|&k| k <= q) + n.min(fresh.partition_point(|&k| k <= q))) as u32
+    };
+
+    let sent = std::sync::Arc::new(AtomicUsize::new(0));
+    let stop = std::sync::Arc::new(AtomicBool::new(false));
+    let started = std::sync::Arc::new(AtomicUsize::new(0));
+    let readers: Vec<_> = (0..2u32)
+        .map(|r| {
+            let h = server.handle();
+            let (sent, stop, started) = (sent.clone(), stop.clone(), started.clone());
+            let (base, fresh) = (base.clone(), fresh.clone());
+            std::thread::spawn(move || {
+                let mut flight = std::collections::VecDeque::with_capacity(WINDOW);
+                let check = |(q, before, p): (u32, usize, dini::serve::PendingLookup)| {
+                    let rank = p.wait().expect("serving");
+                    let after = sent.load(Ordering::SeqCst);
+                    let lo = before.saturating_sub(CHUNK + PUBLISH_EVERY);
+                    let (lo, hi) =
+                        (rank_after(&base, &fresh, q, lo), rank_after(&base, &fresh, q, after));
+                    assert!((lo..=hi).contains(&rank), "rank({q}) = {rank} outside [{lo}, {hi}]");
+                };
+                let mut reaped = 0u64;
+                let mut i = r;
+                while !stop.load(Ordering::SeqCst) {
+                    if flight.len() == WINDOW {
+                        check(flight.pop_front().expect("window is full"));
+                        reaped += 1;
+                        if reaped == 1 {
+                            started.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    i = i.wrapping_add(2);
+                    let q = i.wrapping_mul(2_654_435_761) % 70_000;
+                    let before = sent.load(Ordering::SeqCst);
+                    flight.push_back((q, before, h.begin_lookup(q).expect("deep queues")));
+                }
+                reaped += flight.len() as u64;
+                flight.into_iter().for_each(check);
+                reaped
+            })
+        })
+        .collect();
+
+    await_readers(&started, &readers);
+    for chunk in fresh.chunks(CHUNK) {
+        for &k in chunk {
+            sent.fetch_add(1, Ordering::SeqCst);
+            server.update(Op::Insert(k)).expect("writer alive");
+            set.insert(k);
+        }
+        while server.len() + PUBLISH_EVERY <= set.len() {
+            std::thread::yield_now();
+        }
+    }
+    server.quiesce();
+    stop.store(true, Ordering::SeqCst);
+    for r in readers {
+        assert!(r.join().unwrap() > WINDOW as u64, "every reader must have made progress");
+    }
+    let stats = server.stats();
+    assert!(stats.merges > 0, "the storm must cross merges");
+    assert_eq!(stats.served, stats.admitted, "every admitted lookup was answered");
+    assert!(stats.mean_batch() > 2.0, "pipelined lookups were not grouped");
+
+    // Quiesced: a pipelined caller's ranks are exact.
+    let h = server.handle();
+    let mut flight = std::collections::VecDeque::with_capacity(WINDOW);
+    for i in 0..5_000u32 {
+        if flight.len() == WINDOW {
+            let (q, p): (u32, dini::serve::PendingLookup) = flight.pop_front().unwrap();
+            assert_eq!(p.wait().expect("serving"), oracle_rank(&set, q), "query {q}");
+        }
+        let q = i.wrapping_mul(747_796_405) % 70_100;
+        flight.push_back((q, h.begin_lookup(q).expect("deep queues")));
+    }
+    for (q, p) in flight {
+        assert_eq!(p.wait().expect("serving"), oracle_rank(&set, q), "query {q}");
+    }
+}
+
+#[test]
 fn overload_sheds_instead_of_queueing_without_bound() {
     // One shard, queue of 1, no coalescing: every lookup is a full
     // dispatch round, so a multi-threaded fire-and-forget burst offers

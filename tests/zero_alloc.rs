@@ -24,17 +24,26 @@
 //! merge before it retired, so further merges allocate nothing the size
 //! of a key array.
 
-use dini::serve::{open_snapshot, IndexServer, ServeConfig, StorePlan, TraceConfig};
+use dini::serve::{open_snapshot, IndexServer, PendingLookup, ServeConfig, StorePlan, TraceConfig};
 use dini::workload::Op;
 use dini::{DistributedIndex, NativeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::BTreeSet;
+use std::cell::Cell;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Counts allocations (and reallocations) while armed, and separately
-/// those of at least `BIG_BYTES`; delegates to the system allocator.
+/// those of at least `BIG_BYTES`, and those of a thread that armed its
+/// own count; delegates to the system allocator.
 struct CountingAlloc;
+
+thread_local! {
+    /// This thread's allocations since it armed its count; `None` while
+    /// disarmed. Const-initialised and without a destructor, so reading
+    /// it from inside the allocator allocates nothing.
+    static MINE: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -42,6 +51,11 @@ static BIG_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
 static ARMED: AtomicBool = AtomicBool::new(false);
 
 fn count(size: usize) {
+    let _ = MINE.try_with(|mine| {
+        if let Some(n) = mine.get() {
+            mine.set(Some(n + 1));
+        }
+    });
     if ARMED.load(Ordering::Relaxed) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         if size >= BIG_BYTES.load(Ordering::Relaxed) {
@@ -133,6 +147,14 @@ fn settle(n: usize) {
     }
     #[cfg(not(target_os = "linux"))]
     let _ = n;
+}
+
+/// Run `f` with this thread's own count armed; returns the allocations
+/// this thread made. Other threads' are not counted.
+fn count_thread_allocs(f: impl FnOnce()) -> u64 {
+    MINE.with(|mine| mine.set(Some(0)));
+    f();
+    MINE.with(|mine| mine.take()).expect("armed above")
 }
 
 #[test]
@@ -251,6 +273,65 @@ fn serve_steady_state_lookup_is_allocation_free() {
     for q in [0u32, 1, 199_997, 200_000, u32::MAX] {
         assert_eq!(h.lookup(q).unwrap(), keys.partition_point(|&key| key <= q) as u32);
     }
+}
+
+/// A pipelined caller — 256 lookups in flight, waiting on the oldest
+/// before each new one, as a closed-loop load generator does — has every
+/// lookup after its first join its handle's open group, ranked 32 keys
+/// under one claim. Group cells come from a pool, the group's keys,
+/// scratch and answers are reused, and a slot's answer is a plain
+/// value: once the pool holds a window's worth of cells, the caller
+/// allocates nothing. Counted on the caller's thread alone, with dense
+/// tracing and heat on.
+#[test]
+fn a_pipelined_caller_is_allocation_free_when_warm() {
+    const WINDOW: usize = 256;
+    const LOOKUPS: usize = 40_000;
+    let _gate = GATE.lock().unwrap();
+    let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
+    let mut cfg = ServeConfig::new(2);
+    cfg.max_batch = 64;
+    cfg.trace = TraceConfig::dense();
+    cfg.heat = true;
+    let server = IndexServer::build(&keys, cfg);
+    let h = server.handle();
+    let mut flight: VecDeque<(u32, PendingLookup)> = VecDeque::with_capacity(WINDOW);
+    let mut k = 0u32;
+    let mut wrong = 0u64;
+    let mut run = |lookups: usize, flight: &mut VecDeque<(u32, PendingLookup)>| {
+        for _ in 0..lookups {
+            if flight.len() == WINDOW {
+                let (q, p) = flight.pop_front().expect("window is full");
+                wrong += u64::from(p.wait() != Ok(keys.partition_point(|&key| key <= q) as u32));
+            }
+            k = k.wrapping_add(0x9E37_79B9);
+            let q = k % 250_000;
+            flight.push_back((q, h.begin_lookup(q).expect("an idle server admits")));
+        }
+    };
+
+    // The per-thread count counts (so a 0 below is not vacuous).
+    let mine = count_thread_allocs(|| {
+        std::hint::black_box(Vec::<u64>::with_capacity(32));
+    });
+    assert_eq!(mine, 1, "this thread's one Vec allocation must be observed");
+
+    settle(3);
+    run(LOOKUPS / 2, &mut flight);
+    let allocs = count_thread_allocs(|| run(LOOKUPS, &mut flight));
+    for (q, p) in flight.drain(..) {
+        assert_eq!(p.wait(), Ok(keys.partition_point(|&key| key <= q) as u32));
+    }
+    assert_eq!(
+        allocs, 0,
+        "a warmed pipelined caller allocated {allocs} times across {LOOKUPS} lookups with \
+         {WINDOW} in flight; pooled group cells and reused group scratch must make it \
+         allocation-free"
+    );
+    assert_eq!(wrong, 0, "every reply exact");
+    let stats = server.stats();
+    assert_eq!(stats.served, (LOOKUPS + LOOKUPS / 2) as u64);
+    assert!(stats.mean_batch() > 8.0, "lookups were not grouped: {}", stats.mean_batch());
 }
 
 /// The pins above are single-caller, so every lookup in them finds its
