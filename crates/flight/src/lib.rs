@@ -71,7 +71,7 @@ pub const MAX_CAPACITY: u32 = 1 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum EventKind {
-    /// A client appender elected a new primary for a span
+    /// A client's span log elected a new primary for a span
     /// (`a` = span, `c` = new epoch).
     Election = 1,
     /// An endpoint stopped answering and was marked dead

@@ -22,14 +22,15 @@
 //!   whatever queued while the previous frame was being written — so no
 //!   lookup waits on a timer; with `max_delay` set the worker holds a
 //!   partial frame open until `max_delay` after its first key, or until
-//!   it is full, exactly as the server's [`collect_batch_into`] does.
+//!   it is full, exactly as the server's
+//!   [`collect_batch_into`](dini_serve::batcher::collect_batch_into) does.
 //! * **One socket, many writers** — an endpoint's sending half sits
 //!   behind a mutex in the client core, and whichever thread has a
-//!   frame for it writes it: the worker its `Lookup` batches, the span
-//!   appender its `Update` records, a caller its `Quiesce` /
-//!   `EpochPing` / `StatsRequest`. Frames leave in lock order, so a
-//!   control frame stays FIFO with the updates written before it, and
-//!   nothing but lookups ever waits for the worker.
+//!   frame for it writes it: the endpoint's worker its `Lookup` batches
+//!   and its `Update` records, a caller its `Quiesce` / `EpochPing` /
+//!   `StatsRequest`. Frames leave in lock order, so a control frame stays
+//!   FIFO with the updates written before it, and a write held up on one
+//!   endpoint holds up only that endpoint's worker.
 //! * **Replies** — one reply cell per frame (`dini-serve`'s pooled
 //!   [`ReplyCell`](dini_serve::oneshot::ReplyCell), the server's own): a
 //!   pending lookup holds the cell and its key's index in the frame, and
@@ -55,13 +56,15 @@
 //!   (refreshed by epoch pings and quiesce acks), composing global
 //!   ranks exactly like the paper's master composes slave ranks.
 //! * **Replicated churn** — updates append to a per-span single-writer
-//!   log (epoch-stamped, sequence-numbered, coalesced like lookups) and
+//!   log (epoch-stamped, sequence-numbered) on the caller's thread, and
 //!   only report `Ok` once a quorum of the span's live endpoints has
-//!   acked applying them in order; endpoint death elects the
-//!   longest-log survivor and replays laggards' missing suffixes
-//!   (`SpanLog` and the appender thread's docs spell out the
-//!   protocol). The endpoint reader that receives an `UpdateAck` folds
-//!   it into the quorum itself and releases the waiters it covers.
+//!   acked applying them in order. Each endpoint's worker ships its own
+//!   endpoint the suffix it has not been sent, on the wake and socket
+//!   its lookups use, and repairs its own endpoint's stalls; the death
+//!   path of an endpoint's worker elects (bumps the epoch and replays
+//!   laggards' missing suffixes). `SpanLog`'s docs spell out the
+//!   protocol. The endpoint reader that receives an `UpdateAck` folds it
+//!   into the quorum itself and releases the waiters it covers.
 
 use crate::topology::Topology;
 use crate::transport::{Dialer, Duplex, FrameRx, FrameTx, NetError};
@@ -70,7 +73,6 @@ use dini_cluster::LogHistogram;
 use dini_flight::{EventKind, FlightJournal};
 use dini_obs::{AtomicLogHistogram, MetricsSnapshot, StageRecord, TraceConfig, TraceRing};
 use dini_serve::admission::ReplicaGauge;
-use dini_serve::batcher::collect_batch_into;
 use dini_serve::clock::dur_ns;
 use dini_serve::oneshot::{CellPool, Filler, Unanswered, Waiter};
 use dini_serve::{Clock, ClockJoinHandle, Nanos, ReplicaSelector, ServeError, ShardRouter};
@@ -82,17 +84,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// An endpoint worker's idle housekeeping tick: lookup retry deadlines,
-/// the endpoint's liveness flag, the shutdown flag. No request waits it
-/// out — a lookup that finds its outbox empty rings the worker's bell,
-/// and update and control frames never pass through the worker.
+/// churn-log repair (resend) deadlines, the endpoint's liveness flag, the
+/// shutdown flag. No request waits it out — a lookup that finds its
+/// outbox empty rings the worker's bell, an update rings the bell of
+/// every live endpoint of its span, and control frames never pass
+/// through the worker.
 const WORKER_POLL: Duration = Duration::from_millis(1);
 /// How often an endpoint reader wakes to notice shutdown/death.
 const READER_POLL: Duration = Duration::from_millis(10);
-/// A span appender's idle housekeeping tick: repair (resend) deadlines,
-/// the liveness scan that elects after an endpoint death, the shutdown
-/// flag. No update or ack waits it out — an append wakes the appender
-/// through its queue, and an ack is folded by the reader that got it.
-const APPENDER_POLL: Duration = Duration::from_millis(1);
 /// Retired key buffers, and retired reply cells, an outbox keeps for
 /// reuse (each). Past this, a retired one is freed.
 const FREE_FRAMES: usize = 64;
@@ -102,21 +101,22 @@ const FREE_FRAMES: usize = 64;
 pub struct ClientConfig {
     /// Max keys in one `Lookup` frame: the open frame in an endpoint's
     /// outbox is sealed the moment it holds this many, and the next key
-    /// opens a new one. Also caps a churn-log batch.
+    /// opens a new one. Lookup frames only: an `Update` frame carries
+    /// every record its endpoint has not been sent.
     pub max_batch: usize,
-    /// How long a partial `Lookup` frame (or churn-log batch) is held
-    /// open for co-travellers after its first item arrives: the worker
-    /// ships it at first key + `max_delay`, or as soon as it is full.
-    /// Zero (the default) is group commit: a frame carries that key plus
-    /// whatever was appended while the previous frame was being written,
-    /// and leaves at once. See
-    /// [`ServeConfig::max_delay`](dini_serve::ServeConfig).
+    /// How long a partial `Lookup` frame is held open for co-travellers
+    /// after its first key arrives: the worker ships it at first key +
+    /// `max_delay`, or as soon as it is full. Zero (the default) is group
+    /// commit: a frame carries that key plus whatever was appended while
+    /// the previous frame was being written, and leaves at once. See
+    /// [`ServeConfig::max_delay`](dini_serve::ServeConfig). Lookup frames
+    /// only: updates ship at once, one frame per worker wake.
     pub max_delay: Duration,
     /// Per-endpoint bound on keys waiting for the worker (in the open
     /// frame and the sealed frames behind it; frames on the wire do not
-    /// count). On a full outbox `begin_lookup` / `try_lookup` shed
-    /// client-side with `Overloaded`, and `lookup` / `lookup_many` block
-    /// (in [`clock`](Self::clock) time) until the worker takes frames.
+    /// count). On a full outbox `begin_lookup` sheds client-side with
+    /// `Overloaded`, and `lookup` / `lookup_many` block (in
+    /// [`clock`](Self::clock) time) until the worker takes frames.
     pub queue_capacity: usize,
     /// Resend an unanswered lookup batch after this long.
     pub retry_timeout: Duration,
@@ -128,13 +128,13 @@ pub struct ClientConfig {
     pub ctrl_timeout: Duration,
     /// Budget for the connect-time `Hello`/`ShardMap` handshake.
     pub handshake_timeout: Duration,
-    /// How many quorum-acked churn-log records each span's appender
-    /// retains *below* its trim watermark. A span process that restarts
+    /// How many quorum-acked churn-log records each span's log retains
+    /// *below* its trim watermark. A span process that restarts
     /// from a `dini-store` snapshot rejoins ([`NetHandle::rejoin`]) at
     /// its snapshot's `(epoch, seq)` watermark and is caught up by
     /// replaying this tail; a watermark older than the retained window
     /// cannot be repaired and the endpoint stays dead. Memory cost is
-    /// `~5 bytes × log_retention` per span.
+    /// `8 bytes × log_retention` per span, reserved at connect.
     pub log_retention: u64,
     /// The clock all client threads wait on (a
     /// [`SimClock`](dini_serve::SimClock) runs the whole client on
@@ -174,6 +174,21 @@ impl Default for ClientConfig {
     }
 }
 
+impl ClientConfig {
+    /// Panic unless every knob is usable: a frame must hold a key, an
+    /// outbox must admit one, and no timeout may be zero (a zero
+    /// `retry_timeout` resends on every tick, a zero `ctrl_timeout` or
+    /// `handshake_timeout` fails every round trip).
+    /// [`RemoteClient::connect`] calls it.
+    pub fn validate(&self) {
+        assert!(self.max_batch >= 1, "max_batch must be at least 1");
+        assert!(self.queue_capacity >= 1, "queue_capacity must be at least 1");
+        assert!(!self.retry_timeout.is_zero(), "retry_timeout must be nonzero");
+        assert!(!self.ctrl_timeout.is_zero(), "ctrl_timeout must be nonzero");
+        assert!(!self.handshake_timeout.is_zero(), "handshake_timeout must be nonzero");
+    }
+}
+
 /// Receipt for a control-frame round trip. Live-key payloads are folded
 /// into `span_live` by the reader before the waiter is released; a
 /// stats poll carries the span's [`MetricsSnapshot`] through to the waiter.
@@ -183,15 +198,6 @@ enum CtrlReply {
     Ack,
     /// A [`Frame::StatsReply`] payload.
     Stats(MetricsSnapshot),
-}
-
-/// One message to a span's churn-log appender thread.
-enum UpdMsg {
-    /// Append one log record; `reply` resolves once quorum-acked.
-    Op { op: WireOp, reply: Filler<UpdateReply> },
-    /// Resolve once every *live* endpoint has acked everything appended
-    /// before this flush (the pre-barrier half of `quiesce`).
-    Flush(SyncSender<Result<(), ServeError>>),
 }
 
 /// What an endpoint reader publishes for every key of one frame: the
@@ -279,7 +285,7 @@ struct OutboxState {
 
 impl Outbox {
     fn new(span: usize, bell: SyncSender<()>, cfg: &ClientConfig) -> Self {
-        let max_batch = cfg.max_batch.max(1);
+        let max_batch = cfg.max_batch;
         // Two spare frames from the start (the cell pool starts with two
         // spare cells): a caller opening its next frame finds the one
         // before last retired even while the reader is still retiring the
@@ -294,7 +300,7 @@ impl Outbox {
             room: Condvar::new(),
             bell,
             span,
-            capacity: cfg.queue_capacity.max(1),
+            capacity: cfg.queue_capacity,
             max_batch,
             delay: (!cfg.max_delay.is_zero()).then(|| dur_ns(cfg.max_delay)),
             clock: cfg.clock.clone(),
@@ -494,8 +500,7 @@ pub struct NetClientStats {
     pub retries: u64,
     /// Lookups re-homed from a dead endpoint to a surviving replica.
     pub rerouted: u64,
-    /// Lookups shed client-side (full endpoint outbox on `try_lookup` or
-    /// `begin_lookup`).
+    /// Lookups shed client-side (full endpoint outbox on `begin_lookup`).
     pub client_shed: u64,
     /// Lookups admitted into some endpoint outbox.
     pub admitted: u64,
@@ -525,14 +530,13 @@ struct ClientCore {
     span_eps: Vec<Vec<usize>>,
     ep_span: Vec<usize>,
     /// Position of each flat endpoint within its span's endpoint list
-    /// (the per-span coordinate the appender's ack bookkeeping runs on).
+    /// (the per-span coordinate the log's cursors run on).
     ep_pos: Vec<usize>,
-    /// Per-span append queues into the churn-log appender threads.
-    upd_txs: Vec<SyncSender<UpdMsg>>,
     /// Per-span reply-cell pools for pending updates.
     upd_pools: Vec<CellPool<UpdateReply>>,
-    /// Per-span churn logs, shared by the span's appender and its
-    /// endpoints' readers and workers.
+    /// Per-span churn logs, advanced under the lock by whichever thread
+    /// has the event: callers (appends, flushes), the span's endpoint
+    /// workers (ship, repair, revive, election) and readers (acks).
     logs: Vec<Mutex<SpanLog>>,
     /// The dialer endpoints were connected through, kept for
     /// [`NetHandle::rejoin`]'s re-dial.
@@ -653,6 +657,29 @@ impl ClientCore {
         }
     }
 
+    /// Run `f` on `span`'s log under its lock, then answer `Ok` every
+    /// waiter the quorum watermark now covers — one at a time, each after
+    /// the lock is released, so a caller the fill wakes never finds the
+    /// log still held by the thread that woke it.
+    fn with_log<R>(&self, span: usize, f: impl FnOnce(&mut SpanLog) -> R) -> R {
+        let out = f(&mut self.logs[span].lock().expect("log lock"));
+        loop {
+            let next = self.logs[span].lock().expect("log lock").pop_durable();
+            let Some(waiter) = next else { return out };
+            waiter.fill(Ok(()));
+        }
+    }
+
+    /// Ring the bell of every live endpoint worker of `span`: there is
+    /// churn log for it to ship.
+    fn ring_span(&self, span: usize) {
+        for &e in &self.span_eps[span] {
+            if self.gauges[e].is_alive() {
+                self.outboxes[e].ring();
+            }
+        }
+    }
+
     /// Drain `ep`'s in-flight wire frames and re-home every one.
     fn drain_in_flight(&self, ep: usize, in_flight: &InFlight) {
         let drained = std::mem::take(&mut *in_flight.lock().expect("in-flight lock"));
@@ -677,30 +704,20 @@ enum ConnExit {
 
 /// The per-endpoint lifecycle thread. Owns the endpoint across
 /// connection *generations*: serve the current connection's lookups
-/// (outbox frames → send, retries — the sending half lives in the core,
-/// where the appender and control callers write to it too), spawning one
-/// reader per generation for the receive half; on endpoint death, mark
-/// dead, re-home the backlog, **join the dead generation's reader**, and
-/// sit in a dead-wait loop that keeps re-homing racing appends until
+/// (outbox frames → send, retries) and its share of the span's churn log
+/// (ship, repair) — the sending half lives in the core, where control
+/// callers write to it too — spawning one reader per generation for the
+/// receive half; on endpoint death, mark dead, elect, re-home the
+/// backlog, **join the dead generation's reader**, and sit in a
+/// dead-wait loop that keeps re-homing racing appends until
 /// [`NetHandle::rejoin`] hands in a fresh connection — whose handshake
-/// rewinds the span appender's cursor to the server's recovered snapshot
-/// watermark before the endpoint flips alive again. On exit the outbox
-/// closes: what is still queued answers `ShuttingDown`.
+/// rewinds the endpoint's log cursors to the server's recovered snapshot
+/// watermark before the endpoint flips alive again. On its return the
+/// thread closes the outbox: what is still queued answers `ShuttingDown`.
 ///
 /// The reader join *before* accepting a revive is load-bearing: a
 /// previous generation's reader left polling a closed connection would
 /// observe its `Err`, and mark the *revived* endpoint dead.
-fn run_worker(
-    core: Arc<ClientCore>,
-    ep: usize,
-    bell: Receiver<()>,
-    conn: Option<Box<dyn FrameRx>>,
-    revive_rx: Receiver<Duplex>,
-) {
-    serve_endpoint(&core, ep, &bell, conn, &revive_rx);
-    core.outboxes[ep].close();
-}
-
 fn serve_endpoint(
     core: &Arc<ClientCore>,
     ep: usize,
@@ -737,10 +754,20 @@ fn serve_endpoint(
             core.gauges[ep].mark_dead();
             core.conns[ep].lock().expect("conn lock").take();
             if exit == ConnExit::Dead {
-                // One record per death, whoever noticed first (reader,
-                // appender stall, or this worker's send failure) — every
-                // dead generation exits through exactly this point.
-                core.flight(EventKind::EndpointDead, core.ep_span[ep] as u16, ep as u32, 0);
+                // One record and one election per death, whoever noticed
+                // first (reader, repair exhaustion, a failed control round
+                // trip, or this worker's send failure) — every dead
+                // generation exits through exactly this point.
+                let span = core.ep_span[ep];
+                core.flight(EventKind::EndpointDead, span as u16, ep as u32, 0);
+                let now = clock.now();
+                let elected = core.with_log(span, |log| log.elect(core.ep_pos[ep], now));
+                if let Some(epoch) = elected {
+                    core.elections.fetch_add(1, Ordering::Relaxed);
+                    core.flight(EventKind::Election, span as u16, 0, epoch);
+                    // The survivors' workers ship the replay at once.
+                    core.ring_span(span);
+                }
             }
             if exit == ConnExit::Teardown {
                 // Dropping the backlog answers its waiters
@@ -779,14 +806,17 @@ fn serve_endpoint(
     }
 }
 
-/// Serve one connection generation's lookups until teardown or endpoint
-/// death. The worker blocks on its outbox bell — rung by the key that
-/// finds the outbox empty, and by a frame sealed while a `max_delay`
-/// holds another open — or, while it holds a partial frame open, until
+/// Serve one connection generation until teardown or endpoint death:
+/// its lookups, and its endpoint's churn-log suffix. The worker blocks
+/// on its outbox bell — rung by the key that finds the outbox empty, by
+/// a frame sealed while a `max_delay` holds another open, and by every
+/// append to its span — or, while it holds a partial frame open, until
 /// that frame's deadline; `WORKER_POLL` only bounds how stale the
-/// housekeeping around it (flags, retry deadlines) can get. A frame
-/// whose send fails stays in flight for the death path to re-home, and
-/// the frames not yet sent stay in `frames`.
+/// housekeeping around it (flags, retry and repair deadlines) can get.
+/// Each wake ships every record appended since the last one in one
+/// `Update` frame (group commit). A frame whose send fails stays in
+/// flight for the death path to re-home, and the frames not yet sent
+/// stay in `frames`.
 fn serve_conn(
     core: &ClientCore,
     ep: usize,
@@ -815,7 +845,12 @@ fn serve_conn(
                 return ConnExit::Dead;
             }
         }
-        if check_retries(core, ep, in_flight).is_err() {
+        // One clock read serves the log's and the lookups' deadlines.
+        let now = clock.now();
+        if ship_updates(core, ep, now).is_err() {
+            return ConnExit::Dead;
+        }
+        if check_retries(core, ep, in_flight, now).is_err() {
             return ConnExit::Dead;
         }
     }
@@ -825,9 +860,9 @@ fn serve_conn(
 /// `log_seq` is the restarted server's recovered snapshot watermark.
 /// The span log's cursors for this endpoint are positioned there —
 /// *before* the caller flips the endpoint alive, so a stale-high ack from
-/// the endpoint's previous life can never count toward quorum — and the
-/// appender's next ship pass replays exactly the churn-log suffix the
-/// snapshot missed. On success the sending half is installed in the
+/// the endpoint's previous life can never count toward quorum — and this
+/// worker's first ship replays exactly the churn-log suffix the snapshot
+/// missed. On success the sending half is installed in the
 /// core and the receiving half returned; `None` (endpoint stays dead)
 /// on any failure, a wrong-span server, or a watermark the retained
 /// log tail no longer reaches.
@@ -841,11 +876,8 @@ fn revive_handshake(core: &ClientCore, ep: usize, mut duplex: Duplex) -> Option<
             if my_span as usize != span {
                 return None; // a different server answered this address
             }
-            let revived = core.logs[span].lock().expect("log lock").revive(
-                core.ep_pos[ep],
-                log_seq,
-                core.clock.now(),
-            );
+            let now = core.clock.now();
+            let revived = core.with_log(span, |log| log.revive(core.ep_pos[ep], log_seq, now));
             if !revived {
                 return None;
             }
@@ -901,8 +933,7 @@ fn send_batch(
 /// the in-flight map). A frame past `max_retries` fails the whole
 /// endpoint — per-frame surrender would strand its sibling frames on a
 /// connection that is clearly gone.
-fn check_retries(core: &ClientCore, ep: usize, in_flight: &InFlight) -> Result<(), ()> {
-    let now = core.clock.now();
+fn check_retries(core: &ClientCore, ep: usize, in_flight: &InFlight, now: Nanos) -> Result<(), ()> {
     let timeout = dur_ns(core.cfg.retry_timeout);
     let mut resend: Vec<(u64, u64, Vec<u32>)> = Vec::new();
     {
@@ -928,33 +959,69 @@ fn check_retries(core: &ClientCore, ep: usize, in_flight: &InFlight) -> Result<(
     Ok(())
 }
 
+/// Ship endpoint `ep` the churn-log suffix it has not been sent — every
+/// record appended since this worker's last wake, in one `Update` frame —
+/// after repairing a stall ([`SpanLog::ship`]). The frame is built under
+/// the log lock and written after it is released, so a write held up by
+/// TCP back-pressure keeps no reader from folding an ack and no caller
+/// from appending. `Err` means the endpoint is dead: the write failed, or
+/// it stalled through its repair budget.
+fn ship_updates(core: &ClientCore, ep: usize, now: Nanos) -> Result<(), ()> {
+    let span = core.ep_span[ep];
+    let shipped = core.logs[span].lock().expect("log lock").ship(core.ep_pos[ep], now);
+    match shipped {
+        Ship::Idle => Ok(()),
+        Ship::Dead => Err(()),
+        Ship::Suffix { epoch, seq, ops, resend } => {
+            if resend {
+                core.update_resends.fetch_add(1, Ordering::Relaxed);
+                core.flight(EventKind::UpdateResend, span as u16, ep as u32, seq);
+            }
+            let req = core.fresh_req();
+            core.send_frame(ep, &Frame::Update { req, epoch, seq, trace: 0, parent: 0, ops })
+        }
+    }
+}
+
+/// What [`SpanLog::ship`] asks of an endpoint's worker.
+enum Ship {
+    /// Nothing unsent, no stall to repair.
+    Idle,
+    /// Send `ops`, records `seq..`, stamped `epoch`; `resend` when a
+    /// stall rewound the endpoint's cursor first (repair traffic).
+    Suffix { epoch: u64, seq: u64, ops: Vec<WireOp>, resend: bool },
+    /// The endpoint's acks stalled through `max_retries` repairs: it is
+    /// dead.
+    Dead,
+}
+
 /// One span's replicated churn log: the state behind the span's single
-/// sequencer (neon-safekeeper shape, one level down).
+/// sequencer (neon-safekeeper shape, one level down), and the whole of
+/// its protocol. It holds no socket, clock, counter or thread: each
+/// method takes the instant and the liveness its step depends on and
+/// returns what to send or whom to release, and the thread that has the
+/// event calls it under the span's lock and does the I/O — socket
+/// writes, and waking the callers an ack released
+/// ([`ClientCore::with_log`]) — after releasing it.
 ///
-/// Callers append epoch-stamped, sequence-numbered records through the
-/// span's appender thread ([`run_appender`]), which ships each live
-/// endpoint the log suffix it has not yet been sent; a record's waiter
-/// resolves only once a **quorum** (majority of the span's live
-/// endpoints) has acked its sequence. Replicas apply strictly in order
-/// from a per-connection cursor, so an acked record is applied — never
-/// reordered, never silently lost.
-///
-/// The log sits behind a mutex because two kinds of thread advance it,
-/// each the moment it has the event in hand instead of through another
-/// thread's inbox: the appender (appends, shipping, repair, election)
-/// and the endpoints' readers and workers (acks, revive cursors — the
-/// reader that receives an `UpdateAck` releases the waiters it covers
-/// itself). Nobody holds the lock across a socket write or any other
-/// wait, so a reader folding an ack only ever waits for in-memory work.
+/// Callers append epoch-stamped, sequence-numbered records
+/// ([`append`](Self::append)); each live endpoint's worker takes the
+/// suffix its endpoint has not yet been sent ([`ship`](Self::ship)); a
+/// record's waiter resolves only once a **quorum** (majority of the
+/// span's live endpoints) has acked its sequence ([`ack`](Self::ack),
+/// folded by the endpoint reader that received it). Replicas apply
+/// strictly in order from a per-connection cursor, so an acked record is
+/// applied — never reordered, never silently lost.
 ///
 /// Failure handling:
 /// * a lagging endpoint (acks stalled past `retry_timeout`) gets the
-///   suffix past its ack point resent (`update_resends`); after
-///   `max_retries` stalls it is declared dead;
-/// * an endpoint death bumps the epoch (`elections`) and rewinds every
-///   survivor's send cursor to its ack point, replaying the suffix the
-///   laggards are missing — the surviving longest log wins by
-///   construction, because the sequencer never moved;
+///   suffix past its ack point resent (`update_resends`) by its own
+///   worker; after `max_retries` stalls it is declared dead;
+/// * an endpoint death bumps the epoch (`elections`,
+///   [`elect`](Self::elect), run by the dead endpoint's worker) and
+///   rewinds every survivor's send cursor to its ack point, replaying
+///   the suffix the laggards are missing — the surviving longest log
+///   wins by construction, because the sequencer never moved;
 /// * a span with no live endpoint left fails all pending appends
 ///   `ShuttingDown` — but **keeps its log tail** (see below), because a
 ///   snapshot-restarted server can still rejoin and be caught up.
@@ -979,29 +1046,47 @@ struct SpanLog {
     sent: Vec<u64>,
     progress_at: Vec<Nanos>,
     tries: Vec<u32>,
-    /// The liveness the log last acted on; the appender's election scan
-    /// compares it with the queues' live flags.
-    was_alive: Vec<bool>,
+    /// Which endpoints the quorum counts: set when an endpoint's
+    /// connection comes up, cleared by its election.
+    alive: Vec<bool>,
     /// Pending appends by sequence; an entry dropped unanswered
     /// answers `ShuttingDown`.
     waiters: VecDeque<(u64, Filler<UpdateReply>)>,
-    flushes: Vec<(u64, SyncSender<Result<(), ServeError>>)>,
+    /// The quorum watermark as of the last settle: a majority of the
+    /// live endpoints has acked every sequence up to it.
+    durable: u64,
+    /// Pending flushes (the pre-barrier half of `quiesce`) by target
+    /// sequence, answered like appends.
+    flushes: Vec<(u64, Filler<UpdateReply>)>,
+    /// `log_retention`.
+    retention: u64,
+    /// `retry_timeout`: how long unacked records may sit before a repair.
+    repair_after: Nanos,
+    /// `max_retries`: repairs an endpoint may stall through.
+    max_repairs: u32,
 }
 
 impl SpanLog {
-    fn new(alive: Vec<bool>, now: Nanos) -> Self {
+    fn new(alive: Vec<bool>, now: Nanos, cfg: &ClientConfig) -> Self {
         let n = alive.len();
         Self {
             epoch: 1,
             base: 0,
-            ops: VecDeque::new(),
+            // The retained tail is the log's steady-state size: reserving
+            // it keeps appends, which run on callers' threads, from
+            // growing it.
+            ops: VecDeque::with_capacity(cfg.log_retention as usize),
             acked: vec![0; n],
             sent: vec![0; n],
             progress_at: vec![now; n],
             tries: vec![0; n],
-            was_alive: alive,
+            alive,
             waiters: VecDeque::new(),
+            durable: 0,
             flushes: Vec::new(),
+            retention: cfg.log_retention,
+            repair_after: dur_ns(cfg.retry_timeout),
+            max_repairs: cfg.max_retries,
         }
     }
 
@@ -1010,10 +1095,87 @@ impl SpanLog {
         self.base + self.ops.len() as u64
     }
 
+    /// Append one record; `reply` resolves once it is quorum-acked.
+    fn append(&mut self, op: WireOp, reply: Filler<UpdateReply>) {
+        self.ops.push_back(op);
+        self.waiters.push_back((self.head(), reply));
+    }
+
+    /// Answer `reply` once every *live* endpoint has acked everything
+    /// appended so far (at once if they already have).
+    fn flush(&mut self, reply: Filler<UpdateReply>) {
+        self.flushes.push((self.head(), reply));
+        self.settle();
+    }
+
+    /// Endpoint `pos`'s next frame: first repair a stall (acks stuck
+    /// short of what was sent for `retry_timeout` since its last
+    /// progress rewind its cursor to its ack point; `max_retries` such
+    /// repairs and it is [`Dead`](Ship::Dead)), then hand out every
+    /// record it has not been sent and advance its cursor to the head.
+    fn ship(&mut self, pos: usize, now: Nanos) -> Ship {
+        if !self.alive[pos] {
+            return Ship::Idle;
+        }
+        let mut resend = false;
+        if self.acked[pos] < self.sent[pos]
+            && now.saturating_sub(self.progress_at[pos]) >= self.repair_after
+        {
+            if self.tries[pos] >= self.max_repairs {
+                return Ship::Dead;
+            }
+            self.tries[pos] += 1;
+            self.progress_at[pos] = now;
+            self.sent[pos] = self.acked[pos];
+            resend = true;
+        }
+        let head = self.head();
+        if self.sent[pos] >= head {
+            return Ship::Idle;
+        }
+        if self.sent[pos] == self.acked[pos] {
+            // Nothing was outstanding: the stall clock starts with this
+            // send, not at the last ack.
+            self.progress_at[pos] = now;
+        }
+        // Everything below `base` is trimmed away — a cursor under it
+        // belongs to a replica the revive path refused.
+        let from = self.sent[pos].max(self.base);
+        let ops = self.ops.range((from - self.base) as usize..).copied().collect();
+        // A frame that then fails to go out kills its endpoint, whose
+        // election rewinds the survivors; a revive resets this cursor.
+        self.sent[pos] = head;
+        Ship::Suffix { epoch: self.epoch, seq: from + 1, ops, resend }
+    }
+
+    /// Endpoint `pos` died: bump the epoch and rewind every survivor's
+    /// send cursor to its ack point, so each survivor's next
+    /// [`ship`](Self::ship) replays whatever suffix it is missing. (The
+    /// longest-log survivor needs no catch-up: its rewind re-sends
+    /// nothing it has already acked.) Returns the new epoch, or `None`
+    /// when the quorum already did not count `pos` — one election per
+    /// death.
+    fn elect(&mut self, pos: usize, now: Nanos) -> Option<u64> {
+        if !std::mem::replace(&mut self.alive[pos], false) {
+            return None;
+        }
+        self.epoch += 1;
+        for p in 0..self.alive.len() {
+            if self.alive[p] {
+                self.sent[p] = self.acked[p];
+                self.progress_at[p] = now;
+                self.tries[p] = 0;
+            }
+        }
+        self.settle();
+        Some(self.epoch)
+    }
+
     /// Fold in an `UpdateAck`: endpoint `pos` has applied the log
-    /// through `seq`. The ack's epoch is dropped at the reader —
-    /// sequences are global (one sequencer, records immutable per seq),
-    /// so a seq means the same thing in every epoch.
+    /// through `seq`, and settle what that covers. The ack's epoch is
+    /// dropped at the reader — sequences are global (one sequencer,
+    /// records immutable per seq), so a seq means the same thing in
+    /// every epoch.
     fn ack(&mut self, pos: usize, seq: u64, now: Nanos) {
         // An honest ack never exceeds the log head; clamping keeps a
         // stray or corrupt one from dragging the trim watermark past
@@ -1024,17 +1186,19 @@ impl SpanLog {
             self.progress_at[pos] = now;
             self.tries[pos] = 0;
         }
+        self.settle();
     }
 
     /// `pos`'s server restarted from a snapshot whose watermark is
     /// `seq` — everything at or below is folded in, everything above
     /// must be replayed. Both cursors land exactly there (clamped to
     /// the head — a server that folded records this log already trimmed
-    /// acks of is simply up to date), so the next ship pass sends
-    /// precisely the suffix the snapshot missed. `false` when that
-    /// suffix starts below the retained tail: the endpoint cannot be
-    /// caught up from this log and must stay dead — a future snapshot
-    /// on its side (with a fresher watermark) can still rejoin.
+    /// acks of is simply up to date), the quorum counts `pos` again, and
+    /// its next ship sends precisely the suffix the snapshot missed.
+    /// `false` when that suffix starts below the retained tail: the
+    /// endpoint cannot be caught up from this log and must stay dead — a
+    /// future snapshot on its side (with a fresher watermark) can still
+    /// rejoin.
     fn revive(&mut self, pos: usize, seq: u64, now: Nanos) -> bool {
         if seq < self.base {
             return false;
@@ -1044,23 +1208,26 @@ impl SpanLog {
         self.sent[pos] = seq;
         self.tries[pos] = 0;
         self.progress_at[pos] = now;
+        self.alive[pos] = true;
+        self.settle();
         true
     }
 
-    fn fail_pending(&mut self) {
-        self.waiters.clear();
-        for (_, tx) in self.flushes.drain(..) {
-            let _ = tx.send(Err(ServeError::ShuttingDown));
-        }
+    /// Take the next waiter the quorum watermark covers, to be answered
+    /// `Ok` once the log's lock is released ([`ClientCore::with_log`]).
+    fn pop_durable(&mut self) -> Option<Filler<UpdateReply>> {
+        let covered = self.waiters.front().is_some_and(|&(seq, _)| seq <= self.durable);
+        covered.then(|| self.waiters.pop_front().expect("non-empty: just peeked").1)
     }
 
-    /// Release everything the acks now cover — waiters up to the quorum
-    /// watermark, flushes up to the slowest live endpoint — and trim.
-    fn settle(&mut self, retention: u64) {
+    /// Fold what the acks now cover: advance the quorum watermark
+    /// waiters are released up to, resolve flushes up to the slowest
+    /// live endpoint, and trim.
+    fn settle(&mut self) {
         let mut live_acks: Vec<u64> = self
             .acked
             .iter()
-            .zip(&self.was_alive)
+            .zip(&self.alive)
             .filter_map(|(&acked, &alive)| alive.then_some(acked))
             .collect();
         live_acks.sort_unstable_by(|a, b| b.cmp(a));
@@ -1074,169 +1241,33 @@ impl SpanLog {
         // different content could silently diverge a replica that
         // checkpointed the original.
         let Some(&min_live) = live_acks.last() else {
-            self.fail_pending();
-            self.trim(self.head().saturating_sub(retention));
+            self.waiters.clear();
+            self.flushes.clear();
+            self.trim(self.head().saturating_sub(self.retention));
             return;
         };
         // A record is durable once a majority of the span's live
         // endpoints has acked it.
-        let durable = live_acks[live_acks.len() / 2];
-        while self.waiters.front().is_some_and(|&(seq, _)| seq <= durable) {
-            let (_, h) = self.waiters.pop_front().expect("non-empty: just peeked");
-            h.fill(Ok(()));
-        }
+        self.durable = live_acks[live_acks.len() / 2];
         // A flush resolves only when *every* live endpoint has acked
         // its target — stronger than quorum, because the quiesce
         // barrier that follows it must find all replicas caught up.
-        self.flushes.retain(|(target, tx)| {
+        self.flushes.retain(|(target, reply)| {
             if *target <= min_live {
-                let _ = tx.send(Ok(()));
-                false
-            } else {
-                true
+                reply.fill(Ok(()));
             }
+            *target > min_live
         });
         // Retain `log_retention` records *below* the fully-acked
         // watermark — the replay window a snapshot-restarted endpoint
         // catches up from when it rejoins.
-        self.trim(min_live.saturating_sub(retention));
+        self.trim(min_live.saturating_sub(self.retention));
     }
 
     fn trim(&mut self, keep_from: u64) {
         if keep_from > self.base {
             self.ops.drain(..(keep_from - self.base) as usize);
             self.base = keep_from;
-        }
-    }
-}
-
-/// One span's churn-log appender: the thread that sequences the span's
-/// [`SpanLog`]. It blocks on the append queue — the one thing every
-/// producer of work for it wakes — coalesces what it finds
-/// ([`collect_batch_into`], the server's group commit: one batch is the
-/// first item plus whatever queued meanwhile, as a lookup frame is), and
-/// then runs one pass over the log: election after
-/// an endpoint death, repair of stalled endpoints, shipping each live
-/// endpoint its missing suffix. Acks do not come through here: the
-/// reader that receives one folds it into the log itself.
-/// `APPENDER_POLL` only bounds how late an idle pass (repair deadline,
-/// liveness scan, shutdown) can run.
-fn run_appender(core: Arc<ClientCore>, span: usize, upd_rx: Receiver<UpdMsg>) {
-    let clock = core.clock.clone();
-    let eps: Vec<usize> = core.span_eps[span].clone();
-    let mut batch: Vec<UpdMsg> = Vec::new();
-    let mut frames: Vec<(usize, Frame)> = Vec::new();
-
-    loop {
-        match clock.recv_timeout(&upd_rx, APPENDER_POLL) {
-            Ok(first) => {
-                collect_batch_into(
-                    &clock,
-                    &upd_rx,
-                    first,
-                    &mut batch,
-                    core.cfg.max_batch,
-                    core.cfg.max_delay,
-                );
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            // The core owns a sender for the appender's whole lifetime;
-            // disconnect means teardown already ran.
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-
-        let mut guard = core.logs[span].lock().expect("log lock");
-        let log = &mut *guard;
-        for msg in batch.drain(..) {
-            match msg {
-                UpdMsg::Op { op, reply } => {
-                    log.ops.push_back(op);
-                    log.waiters.push_back((log.head(), reply));
-                }
-                UpdMsg::Flush(tx) => log.flushes.push((log.head(), tx)),
-            }
-        }
-        if core.shutdown.load(Ordering::SeqCst) {
-            log.fail_pending();
-            return;
-        }
-        let now = clock.now();
-
-        // Election: any live→dead transition bumps the epoch and
-        // rewinds every survivor's send cursor to its ack point, so the
-        // ship pass below replays whatever suffix each laggard is
-        // missing. (The longest-log survivor needs no catch-up: its
-        // rewind re-sends nothing it has already acked.) A dead→alive
-        // transition needs nothing here: the revived endpoint's worker
-        // positioned its cursors before flipping the queue alive.
-        let mut died = false;
-        for (pos, &e) in eps.iter().enumerate() {
-            let alive = core.gauges[e].is_alive();
-            died |= log.was_alive[pos] && !alive;
-            log.was_alive[pos] = alive;
-        }
-        if died {
-            log.epoch += 1;
-            core.elections.fetch_add(1, Ordering::Relaxed);
-            core.flight(EventKind::Election, span as u16, 0, log.epoch);
-            for pos in 0..eps.len() {
-                if log.was_alive[pos] {
-                    log.sent[pos] = log.acked[pos];
-                    log.progress_at[pos] = now;
-                    log.tries[pos] = 0;
-                }
-            }
-        }
-
-        // Ship + repair, per live endpoint.
-        let last = log.head();
-        let timeout = dur_ns(core.cfg.retry_timeout);
-        for (pos, &e) in eps.iter().enumerate() {
-            if !log.was_alive[pos] {
-                continue;
-            }
-            // Repair a stalled endpoint: rewind to its ack point and
-            // resend that suffix; too many stalls and it is dead (the
-            // election above fails the span over on the next pass).
-            if log.acked[pos] < log.sent[pos] && now.saturating_sub(log.progress_at[pos]) >= timeout
-            {
-                if log.tries[pos] >= core.cfg.max_retries {
-                    core.gauges[e].mark_dead();
-                    continue;
-                }
-                log.tries[pos] += 1;
-                log.progress_at[pos] = now;
-                log.sent[pos] = log.acked[pos];
-                core.update_resends.fetch_add(1, Ordering::Relaxed);
-                core.flight(EventKind::UpdateResend, span as u16, e as u32, log.acked[pos] + 1);
-            }
-            if log.sent[pos] < last {
-                if log.sent[pos] == log.acked[pos] {
-                    // Nothing was outstanding: the stall clock starts
-                    // with this send, not at the last ack.
-                    log.progress_at[pos] = now;
-                }
-                // Everything below `base` is trimmed away — a cursor
-                // under it belongs to a replica the revive path refused.
-                let from = log.sent[pos].max(log.base);
-                let ops: Vec<WireOp> =
-                    log.ops.iter().skip((from - log.base) as usize).copied().collect();
-                let req = core.fresh_req();
-                let (epoch, seq) = (log.epoch, from + 1);
-                frames.push((e, Frame::Update { req, epoch, seq, trace: 0, parent: 0, ops }));
-                // A frame that then fails to go out marked its endpoint
-                // dead in `send_frame`; the next pass's election rewinds
-                // the survivors, and a revive resets this cursor.
-                log.sent[pos] = last;
-            }
-        }
-        log.settle(core.cfg.log_retention);
-        drop(guard);
-
-        // The socket writes, outside the log lock: a write held up by
-        // TCP back-pressure must not keep a reader from folding an ack.
-        for (e, frame) in frames.drain(..) {
-            let _ = core.send_frame(e, &frame);
         }
     }
 }
@@ -1297,9 +1328,8 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
                 // not the ctrl waiter map: the ack's meaning is its log
                 // position, not its request id. This thread folds it
                 // and releases the waiters it covers — no hand-off.
-                let mut log = core.logs[span].lock().expect("log lock");
-                log.ack(core.ep_pos[ep], seq, core.clock.now());
-                log.settle(core.cfg.log_retention);
+                let now = core.clock.now();
+                core.with_log(span, |log| log.ack(core.ep_pos[ep], seq, now));
             }
             Ok(Frame::QuiesceAck { req, live_keys, snapshots: _ })
             | Ok(Frame::EpochPong { req, live_keys, snapshots: _ }) => {
@@ -1418,12 +1448,6 @@ impl NetHandle {
         self.enqueue(key, true)?.wait()
     }
 
-    /// Rank of `key`, shedding instead of blocking on a full endpoint
-    /// outbox.
-    pub fn try_lookup(&self, key: u32) -> Result<u32, ServeError> {
-        self.enqueue(key, false)?.wait()
-    }
-
     /// Submit without waiting (sheds on a full endpoint outbox).
     pub fn begin_lookup(&self, key: u32) -> Result<PendingNetLookup, ServeError> {
         self.enqueue(key, false)
@@ -1442,6 +1466,11 @@ impl NetHandle {
     /// Append one churn operation to the owning span's replicated log
     /// without waiting; the returned [`PendingNetUpdate`] resolves once
     /// the record is quorum-acked. `Op::Query` resolves immediately.
+    ///
+    /// Never blocks: the record is appended on this thread, under the
+    /// span's log lock, and the span's live endpoint workers are rung to
+    /// ship it. A span with no live endpoint refuses it at once
+    /// (`ShuttingDown`), as does a client that has shut down.
     pub fn begin_update(&self, op: Op) -> Result<PendingNetUpdate, ServeError> {
         let core = &self.core;
         let (key, wire_op) = match op {
@@ -1456,9 +1485,13 @@ impl NetHandle {
         let span = core.span_router.route(key);
         let reply = core.upd_pools[span].take();
         let cell = Some(reply.waiter());
-        core.clock
-            .send(&core.upd_txs[span], UpdMsg::Op { op: wire_op, reply })
-            .map_err(|_| ServeError::ShuttingDown)?;
+        // Liveness is read under the log's lock: a client shut down has
+        // every gauge dead before it fails what is pending under this
+        // lock, so a record is either refused here or failed there.
+        let appended =
+            core.with_log(span, |log| self.span_alive(span).then(|| log.append(wire_op, reply)));
+        appended.ok_or(ServeError::ShuttingDown)?;
+        core.ring_span(span);
         Ok(PendingNetUpdate { cell })
     }
 
@@ -1483,7 +1516,7 @@ impl NetHandle {
     /// cross-span base ranks are refreshed from the acks.
     ///
     /// Two phases per span: first a log **flush** (all live endpoints
-    /// caught up to the log head — the appender repairs or buries
+    /// caught up to the log head — their workers repair or bury
     /// laggards), then a `Quiesce` round trip per endpoint so each
     /// publishes what it applied. An endpoint that stops answering
     /// mid-barrier is marked dead and the barrier proceeds with the
@@ -1492,11 +1525,10 @@ impl NetHandle {
     pub fn quiesce(&self) -> Result<(), ServeError> {
         let core = &self.core;
         for span in 0..core.span_eps.len() {
-            let (tx, rx) = sync_channel(1);
-            core.clock
-                .send(&core.upd_txs[span], UpdMsg::Flush(tx))
-                .map_err(|_| ServeError::ShuttingDown)?;
-            core.clock.recv(&rx).map_err(|_| ServeError::ShuttingDown)??;
+            let reply = core.upd_pools[span].take();
+            let flushed = reply.waiter();
+            core.logs[span].lock().expect("log lock").flush(reply);
+            (*flushed.wait())?;
             let mut reached = false;
             for &e in &core.span_eps[span] {
                 if !core.gauges[e].is_alive() {
@@ -1579,8 +1611,8 @@ impl NetHandle {
     /// ([`NetServer::restart`](crate::NetServer::restart)). Dials the
     /// address and hands the fresh connection to the endpoint's worker,
     /// which handshakes it: the server's `ShardMap` carries its
-    /// recovered churn-log watermark, the span appender rewinds this
-    /// endpoint's cursor there, ships the retained log suffix, and the
+    /// recovered churn-log watermark, the worker rewinds this endpoint's
+    /// log cursors there, ships the retained log suffix, and the
     /// endpoint rejoins quorum, lookups, and barriers exactly caught up.
     ///
     /// Returns once the connection is handed off (the handshake and
@@ -1680,6 +1712,7 @@ impl RemoteClient {
         bootstrap: &str,
         cfg: ClientConfig,
     ) -> Result<Self, NetError> {
+        cfg.validate();
         let clock = cfg.clock.clone();
 
         // Handshake: any server teaches us the whole topology. Retried
@@ -1702,7 +1735,7 @@ impl RemoteClient {
             match boot.rx.recv_timeout(cfg.handshake_timeout) {
                 Ok(Frame::ShardMap { spans, my_span, live_keys, .. }) => {
                     // The watermark fields matter to *rejoin* handshakes
-                    // (the appender rewinds a revived endpoint's cursor
+                    // (the log rewinds a revived endpoint's cursors
                     // there); a cold connect has no cursor to rewind.
                     handshake = Some((Topology::from_wire(&spans), my_span as usize, live_keys));
                     break;
@@ -1766,16 +1799,11 @@ impl RemoteClient {
         }
 
         let selectors = span_eps.iter().map(|eps| ReplicaSelector::new(eps.len())).collect();
-        // Per-span churn-log plumbing: the log itself, and one appender
-        // thread per span (the span's sequencer) fed through a bounded
-        // append queue.
-        let (upd_txs, upd_rxs): (Vec<_>, Vec<_>) =
-            (0..n_spans).map(|_| sync_channel::<UpdMsg>(cfg.queue_capacity)).unzip();
         let logs = span_eps
             .iter()
             .map(|eps| {
                 let alive = eps.iter().map(|&e| gauges[e].is_alive()).collect();
-                Mutex::new(SpanLog::new(alive, clock.now()))
+                Mutex::new(SpanLog::new(alive, clock.now(), &cfg))
             })
             .collect();
         let upd_pools = (0..n_spans)
@@ -1806,7 +1834,6 @@ impl RemoteClient {
             span_eps,
             ep_span,
             ep_pos,
-            upd_txs,
             upd_pools,
             logs,
             dialer,
@@ -1831,14 +1858,9 @@ impl RemoteClient {
         for (ep, (bell_rx, conn, rev_rx)) in plumbing.into_iter().enumerate() {
             let c = core.clone();
             threads.push(clock.spawn(&format!("dini-net-cw-{ep}"), move || {
-                run_worker(c, ep, bell_rx, conn, rev_rx)
+                serve_endpoint(&c, ep, &bell_rx, conn, &rev_rx);
+                c.outboxes[ep].close();
             }));
-        }
-        for (span, upd_rx) in upd_rxs.into_iter().enumerate() {
-            let c = core.clone();
-            threads.push(
-                clock.spawn(&format!("dini-net-ua-{span}"), move || run_appender(c, span, upd_rx)),
-            );
         }
 
         let client = Self { handle: NetHandle { core, tick: AtomicU64::new(0) }, threads };
@@ -1894,9 +1916,20 @@ impl Drop for RemoteClient {
     fn drop(&mut self) {
         // ordering: SeqCst — teardown flag, checked by lookup entry points
         // and reader drains; cold path, strongest ordering for free.
-        self.handle.core.shutdown.store(true, Ordering::SeqCst);
+        let core = &self.handle.core;
+        core.shutdown.store(true, Ordering::SeqCst);
         for t in self.threads.drain(..) {
             let _ = t.join();
+        }
+        // No worker is left to ship or elect, and every gauge is dead:
+        // what is pending can never be acked, and a later append or
+        // flush fails at once. (A poisoned log is skipped: drop must not
+        // panic.)
+        for log in &core.logs {
+            if let Ok(mut log) = log.lock() {
+                log.alive.fill(false);
+                log.settle();
+            }
         }
     }
 }

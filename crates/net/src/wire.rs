@@ -227,10 +227,10 @@ pub enum Frame {
         /// Log sequence number of `ops[0]`; sequences start at 1. An
         /// empty `ops` is a pure log-position probe.
         seq: u64,
-        /// Causal trace id stamped by the appender (0 = unsampled);
+        /// Causal trace id stamped by the client (0 = unsampled);
         /// resends reuse the original id.
         trace: u64,
-        /// The appender-side parent span for the stitcher.
+        /// The client-side parent span for the stitcher.
         parent: u32,
         /// The log records, applied in order.
         ops: Vec<WireOp>,

@@ -8,12 +8,14 @@
 //! the outbox, and a cell is reused only once no pending lookup holds
 //! it — and an outbox starts with two spare frames, so a caller opening
 //! its next frame always finds the one before last retired. An update
-//! takes a reply cell from its span's pool and hands the filler side to
-//! the span's appender, which gives the cell back once the quorum has
-//! answered; an `Op::Query` update is answered on the spot and needs no
-//! cell. The worker, the reader, the appender and the server allocate on
-//! their own threads (the wire's copies, the decoded reply, the log);
-//! these tests count only the thread playing the caller.
+//! takes a reply cell from its span's pool and appends its record to the
+//! span's log on the caller's thread — the log reserves its retained
+//! tail up front, so the append does not grow it — and the cell goes back
+//! once the quorum has answered; an `Op::Query` update is answered on the
+//! spot and needs no cell. The workers, the readers and the server
+//! allocate on their own threads (the wire's copies, the decoded reply,
+//! the shipped log suffix); these tests count only the thread playing
+//! the caller.
 
 use dini_net::transport::ChanNet;
 use dini_net::{ClientConfig, NetHandle, NetServer, NetServerConfig, RemoteClient, Topology};

@@ -1,6 +1,7 @@
 //! `RemoteClient`'s lookup contract at the client boundary: the
-//! admission bound of an endpoint's outbox, and what a frame's reply —
-//! short, missing, or polled — answers each key in it.
+//! admission bound of an endpoint's outbox, what a frame's reply —
+//! short, missing, or polled — answers each key in it, and the knobs
+//! `connect` refuses before it dials anything.
 //!
 //! The reply-contract tests talk to a hand-scripted span over `ChanNet`
 //! that answers the handshake and epoch pings itself and hands every
@@ -182,4 +183,49 @@ fn a_full_outbox_sheds_begin_lookup_and_blocks_lookup_many() {
     drop(handle);
     drop(client);
     server.shutdown();
+}
+
+/// `connect` validates its config before dialing: a frame must hold a
+/// key, an outbox must admit one, and no timeout may be zero. Each
+/// refusal names its knob.
+fn connect_with(tweak: impl FnOnce(&mut ClientConfig)) {
+    let mut cfg = ClientConfig::default();
+    tweak(&mut cfg);
+    let net = ChanNet::new(Clock::system());
+    let _ = RemoteClient::connect(net.dialer(), "nowhere", cfg);
+}
+
+#[test]
+#[should_panic(expected = "max_batch must be at least 1")]
+fn a_zero_max_batch_is_refused() {
+    connect_with(|c| c.max_batch = 0);
+}
+
+#[test]
+#[should_panic(expected = "queue_capacity must be at least 1")]
+fn a_zero_queue_capacity_is_refused() {
+    connect_with(|c| c.queue_capacity = 0);
+}
+
+#[test]
+#[should_panic(expected = "retry_timeout must be nonzero")]
+fn a_zero_retry_timeout_is_refused() {
+    connect_with(|c| c.retry_timeout = Duration::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "ctrl_timeout must be nonzero")]
+fn a_zero_ctrl_timeout_is_refused() {
+    connect_with(|c| c.ctrl_timeout = Duration::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "handshake_timeout must be nonzero")]
+fn a_zero_handshake_timeout_is_refused() {
+    connect_with(|c| c.handshake_timeout = Duration::ZERO);
+}
+
+#[test]
+fn the_default_config_is_valid() {
+    ClientConfig::default().validate();
 }

@@ -2,9 +2,13 @@
 //! boundary:
 //!
 //! * `update()` returning `Ok` means the record is quorum-acked and
-//!   applied — a dropped `Update` frame delays the `Ok` (the appender
-//!   repairs by resending the unacked suffix), it never produces a
+//!   applied — a dropped `Update` frame delays the `Ok` (the endpoint's
+//!   worker repairs by resending the unacked suffix), it never produces a
 //!   silent `Ok`-but-lost. With every endpoint gone, `update()` errors.
+//! * A replica whose socket write is stuck holds up only its own worker:
+//!   the span's other endpoints still form the quorum.
+//! * Shutdown answers every pending update `ShuttingDown`, and refuses
+//!   appends and barriers from handles that outlive the client.
 //! * `ctrl_roundtrip`'s timeout-retry fills its waiter exactly once:
 //!   a late first ack plus the retry's ack is one resolution, duplicate
 //!   and stray acks (including byzantine sequence numbers) are dropped
@@ -13,10 +17,15 @@
 use dini_cluster::{Fault, FaultSchedule};
 use dini_net::transport::ChanNet;
 use dini_net::wire::SpanMsg;
-use dini_net::{Acceptor, ClientConfig, Frame, NetServer, NetServerConfig, RemoteClient, Topology};
+use dini_net::{
+    Acceptor, ClientConfig, Dialer, Duplex, Frame, FrameTx, NetError, NetServer, NetServerConfig,
+    RemoteClient, Topology,
+};
 use dini_serve::{Clock, ServeConfig, ServeError, SimClock};
 use dini_workload::Op;
-use std::time::Duration;
+use std::collections::BTreeSet;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 const MS: u64 = 1_000_000;
 
@@ -27,7 +36,7 @@ const MS: u64 = 1_000_000;
 /// `UpdateAck { req: 0 }` and a byzantine ack whose sequence is far
 /// past anything appended. The waiter must resolve exactly once, the
 /// strays must be dropped, and the client must stay fully functional
-/// afterwards (the churn-log appender in particular must survive the
+/// afterwards (the span's churn log in particular must survive the
 /// byzantine sequence number).
 #[test]
 fn ctrl_retry_fills_waiter_once_and_strays_are_dropped() {
@@ -85,7 +94,7 @@ fn ctrl_retry_fills_waiter_once_and_strays_are_dropped() {
                     }
                     // Strays first: a req-0 ack (guarded) and a
                     // byzantine sequence far past the log head (the
-                    // appender must clamp, not corrupt its trim).
+                    // log must clamp, not corrupt its trim).
                     conn.tx.send(&Frame::UpdateAck { req: 0, epoch: 1, seq: 0 }).expect("stray");
                     conn.tx
                         .send(&Frame::UpdateAck { req: 7_777, epoch: 1, seq: 999 })
@@ -119,7 +128,7 @@ fn ctrl_retry_fills_waiter_once_and_strays_are_dropped() {
     let handle = client.handle();
     assert_eq!(handle.live_keys(), 7, "the quiesce ack's live count must land");
 
-    // The appender survived the stray and byzantine acks: a real append
+    // The log survived the stray and byzantine acks: a real append
     // still quorum-acks, and a refresh still round-trips.
     client.update(Op::Insert(42)).expect("append after the stray acks");
     handle.refresh().expect("refresh after the stray acks");
@@ -152,7 +161,7 @@ fn sim_client_cfg(clock: &Clock) -> ClientConfig {
 /// Satellite (the regression the tentpole exists for): a blackout
 /// window swallows the first `Update` frame to one replica. The old
 /// fire-and-forget broadcast returned `Ok` and silently diverged; the
-/// churn log must instead hold the `Ok` until the appender's repair
+/// churn log must instead hold the `Ok` until the worker's repair
 /// resends the suffix and a quorum (here: both endpoints) has acked —
 /// acked *and applied*, never silently lost.
 #[test]
@@ -166,7 +175,7 @@ fn update_is_not_ok_until_quorum_applied_despite_dropped_frames() {
     let topology = Topology::single(vec!["a".to_owned(), "b".to_owned()]);
     // 50 µs one way. Endpoint a goes dark for frames sent in
     // [20ms, 80ms) — long enough to swallow the first sends and several
-    // repair attempts, short enough that the appender's retry budget
+    // repair attempts, short enough that the worker's retry budget
     // (50 × 4ms) never declares it dead.
     let (from, until) = (Duration::from_millis(20), Duration::from_millis(80));
     let schedule = FaultSchedule {
@@ -275,4 +284,165 @@ fn update_errors_once_the_whole_span_is_gone() {
 
     drop(client);
     server.shutdown();
+}
+
+/// Shutdown answers the log's waiters: an update still short of its
+/// quorum when the client drops resolves `ShuttingDown`, and a handle
+/// that outlives the client has its later appends and barriers refused
+/// at once rather than left to hang.
+#[test]
+fn shutdown_fails_pending_and_later_appends() {
+    let sim = SimClock::new();
+    let _main = sim.register_main();
+    let clock = Clock::sim(&sim);
+    let net = ChanNet::new(clock.clone());
+
+    let keys: Vec<u32> = (0..500u32).map(|i| i * 3).collect();
+    let topology = Topology::single(vec!["solo".to_owned()]);
+    // Dark from 10 ms for a virtual hour: no frame after that lands.
+    let schedule = FaultSchedule {
+        latency: Duration::from_micros(50),
+        events: vec![Fault::Partition {
+            endpoint: 0,
+            from: Duration::from_millis(10),
+            until: Duration::from_secs(3_600),
+        }],
+        ..FaultSchedule::default()
+    };
+    net.set_link("solo", schedule.link(0));
+    let server = NetServer::start(
+        Box::new(net.listen("solo")),
+        &keys,
+        NetServerConfig::new(sim_serve_cfg(&clock), topology.clone(), 0),
+    );
+    // A repair budget far past the test, so the endpoint is never buried.
+    let cfg = ClientConfig { max_retries: 100_000, ..sim_client_cfg(&clock) };
+    let client = RemoteClient::connect(net.dialer(), "solo", cfg).expect("connect");
+    let handle = client.handle();
+
+    clock.sleep(Duration::from_millis(15));
+    let pending = handle.begin_update(Op::Insert(1)).expect("the endpoint is alive");
+    clock.sleep(Duration::from_millis(30));
+    assert_eq!(pending.poll(), None, "nothing can ack through the partition");
+
+    drop(client);
+    assert_eq!(pending.wait(), Err(ServeError::ShuttingDown), "pending at shutdown");
+    assert_eq!(handle.update(Op::Insert(2)), Err(ServeError::ShuttingDown), "after shutdown");
+    assert_eq!(handle.quiesce(), Err(ServeError::ShuttingDown), "barrier after shutdown");
+
+    drop(handle);
+    server.shutdown();
+}
+
+/// Whether the sending halves [`GatedDialer`] hands out may write.
+#[derive(Default)]
+struct Gate {
+    shut: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn set(&self, shut: bool) {
+        *self.shut.lock().unwrap() = shut;
+        self.opened.notify_all();
+    }
+}
+
+/// A dialer whose connections to one address send only while the gate is
+/// open: a shut gate holds the writer in `send`, as a full TCP send
+/// buffer does.
+struct GatedDialer {
+    inner: Box<dyn Dialer>,
+    addr: String,
+    gate: Arc<Gate>,
+}
+
+struct GatedTx {
+    inner: Box<dyn FrameTx>,
+    gate: Arc<Gate>,
+}
+
+impl FrameTx for GatedTx {
+    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+        let mut shut = self.gate.shut.lock().unwrap();
+        while *shut {
+            shut = self.gate.opened.wait(shut).unwrap();
+        }
+        drop(shut);
+        self.inner.send(frame)
+    }
+}
+
+impl Dialer for GatedDialer {
+    fn dial(&self, addr: &str) -> Result<Duplex, NetError> {
+        let mut duplex = self.inner.dial(addr)?;
+        if addr == self.addr {
+            duplex.tx = Box::new(GatedTx { inner: duplex.tx, gate: self.gate.clone() });
+        }
+        Ok(duplex)
+    }
+}
+
+/// One span, three replica endpoints, and the client's sending half to
+/// position 0 stuck in `send`. Each endpoint's worker ships its own
+/// endpoint's log suffix, so serial `update()`s still resolve through the
+/// other two — a quorum of three — in far less than the transport's 10 s
+/// write timeout; once the write is released, position 0 catches up and
+/// the barrier finds all three converged, with nobody declared dead.
+#[test]
+fn a_stalled_endpoint_does_not_hold_up_its_span() {
+    let net = ChanNet::new(Clock::system());
+    let keys: Vec<u32> = (0..2_000u32).map(|i| i * 4).collect();
+    let addrs = ["a", "b", "c"];
+    let topology = Topology::single(addrs.iter().map(|a| a.to_string()).collect());
+    let servers: Vec<NetServer> = addrs
+        .iter()
+        .map(|addr| {
+            let cfg = NetServerConfig::new(ServeConfig::new(2), topology.clone(), 0);
+            NetServer::start(Box::new(net.listen(addr)), &keys, cfg)
+        })
+        .collect();
+    let gate = Arc::new(Gate::default());
+    let dialer = GatedDialer { inner: net.dialer(), addr: "a".to_owned(), gate: gate.clone() };
+    let client =
+        RemoteClient::connect(Box::new(dialer), "b", ClientConfig::default()).expect("connect");
+    let handle = client.handle();
+
+    gate.set(true);
+    const UPDATES: u32 = 40;
+    let (done_tx, done_rx) = mpsc::channel();
+    let updater = {
+        let handle = handle.clone();
+        std::thread::spawn(move || {
+            let start = Instant::now();
+            for i in 0..UPDATES {
+                assert_eq!(handle.update(Op::Insert(i * 4 + 1)), Ok(()), "update {i}");
+            }
+            done_tx.send(start.elapsed()).unwrap();
+        })
+    };
+    let bound = Duration::from_secs(2);
+    let took = done_rx.recv_timeout(bound);
+    // Released either way, so a failing run still unwinds.
+    gate.set(false);
+    let took = took.unwrap_or_else(|_| {
+        panic!("{UPDATES} serial updates did not resolve within {bound:?} with endpoint a stalled")
+    });
+    updater.join().unwrap();
+    assert!(took < bound, "{UPDATES} serial updates took {took:?}");
+
+    client.quiesce().expect("barrier after the release");
+    let mut mirror: BTreeSet<u32> = keys.iter().copied().collect();
+    mirror.extend((0..UPDATES).map(|i| i * 4 + 1));
+    for (addr, srv) in addrs.iter().zip(&servers) {
+        assert!(handle.endpoint_alive(addr), "endpoint {addr} must not have been buried");
+        assert_eq!(srv.server().len(), mirror.len(), "replica {addr} must converge");
+    }
+    assert_eq!(client.stats().elections, 0, "nobody died; the epoch must not move");
+
+    drop(handle);
+    drop(client);
+    for s in servers {
+        s.shutdown();
+    }
 }

@@ -1,12 +1,20 @@
 //! Key-range heat telemetry: where in the keyspace load lands.
 //!
 //! A [`HeatMap`] holds a fixed grid of relaxed atomic counters —
-//! [`HEAT_BUCKETS`] buckets per shard, each bucket one sixteenth of the
-//! `u32` key space (top four key bits) — bumped once per lookup on the
-//! read path. Increments are plain `fetch_add(1, Relaxed)`: no locks,
-//! no allocation, no ordering (the counters publish nothing), so the
-//! warmed zero-allocation lookup path stays zero-allocation with heat
-//! telemetry on (`tests/zero_alloc.rs` pins it).
+//! [`HEAT_BUCKETS`] buckets per shard, cut from the shard's *own* key
+//! span (its first to its last key at build), so a shard resolves its
+//! load whatever its width — bumped once per lookup on the read path. A
+//! key's bucket is its offset from the span's first key, shifted right by
+//! the span's scale: the smallest power of two that fits the span into
+//! sixteen buckets, so a span of 8 keys or more lights between 9 and all
+//! 16 of them (all 16 when its width is within a sixteenth below a power
+//! of two).
+//! Keys outside the span — inserted after build, or routed across a
+//! shard's edge — clamp into the edge buckets. Increments are plain
+//! `fetch_add(1, Relaxed)`: no locks, no allocation, no ordering (the
+//! counters publish nothing), so the warmed zero-allocation lookup path
+//! stays zero-allocation with heat telemetry on (`tests/zero_alloc.rs`
+//! pins it).
 //!
 //! The grid is deliberately coarse and fixed: sixteen buckets are
 //! enough to see a Zipf head, a flash crowd, or a cold half of a shard
@@ -17,9 +25,26 @@
 
 use crate::sync::{AtomicU64, Ordering};
 
-/// Key-range buckets per shard. Bucket = top four bits of the key, so
-/// bucket `b` covers keys `[b << 28, (b + 1) << 28)`.
+/// Key-range buckets per shard.
 pub const HEAT_BUCKETS: usize = 16;
+
+/// Where one shard's buckets start and how wide each is.
+#[derive(Debug, Clone, Copy)]
+struct Scale {
+    /// The shard's first key: bucket 0 starts here.
+    lo: u32,
+    /// Each bucket covers `1 << shift` keys.
+    shift: u32,
+}
+
+impl Scale {
+    /// The scale that fits `lo..=hi` into [`HEAT_BUCKETS`] buckets.
+    fn new(lo: u32, hi: u32) -> Self {
+        let width = hi.saturating_sub(lo);
+        let bits = u32::BITS - width.leading_zeros();
+        Self { lo, shift: bits.saturating_sub(HEAT_BUCKETS.trailing_zeros()) }
+    }
+}
 
 /// A shard-major grid of key-range access counters.
 ///
@@ -32,32 +57,39 @@ pub struct HeatMap {
     // ordering: relaxed-ok: advisory monotone telemetry counters; no
     // data is published through them.
     counts: Vec<AtomicU64>,
-    n_shards: usize,
+    scales: Vec<Scale>,
 }
 
 impl HeatMap {
-    /// A zeroed grid for `n_shards` shards.
-    pub fn new(n_shards: usize) -> Self {
-        Self { counts: (0..n_shards * HEAT_BUCKETS).map(|_| AtomicU64::new(0)).collect(), n_shards }
+    /// A zeroed grid with one row per shard, each cut from that
+    /// shard's key span `(first key, last key)`. An empty shard passes
+    /// `(0, u32::MAX)`: the whole key space.
+    pub fn new(spans: &[(u32, u32)]) -> Self {
+        Self {
+            counts: (0..spans.len() * HEAT_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            scales: spans.iter().map(|&(lo, hi)| Scale::new(lo, hi)).collect(),
+        }
     }
 
-    /// The key-range bucket a key falls in (its top four bits).
+    /// The bucket `key` falls in on `shard`: its offset into the shard's
+    /// span, scaled, with keys outside the span clamped to the edges.
     #[inline]
-    pub fn bucket_of(key: u32) -> usize {
-        (key >> 28) as usize
+    pub fn bucket_of(&self, shard: usize, key: u32) -> usize {
+        let Scale { lo, shift } = self.scales[shard];
+        ((key.saturating_sub(lo) >> shift) as usize).min(HEAT_BUCKETS - 1)
     }
 
     /// Count one access to `key` on `shard`. Wait-free,
-    /// allocation-free: one relaxed `fetch_add`.
+    /// allocation-free: a subtract, a shift and one relaxed `fetch_add`.
     #[inline]
     pub fn record(&self, shard: usize, key: u32) {
-        debug_assert!(shard < self.n_shards, "heat shard out of range");
-        self.counts[shard * HEAT_BUCKETS + Self::bucket_of(key)].fetch_add(1, Ordering::Relaxed);
+        self.counts[shard * HEAT_BUCKETS + self.bucket_of(shard, key)]
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Shards in the grid.
     pub fn n_shards(&self) -> usize {
-        self.n_shards
+        self.scales.len()
     }
 
     /// One cell of the grid — the allocation-free read a per-bucket
@@ -80,16 +112,61 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_partition_the_key_space() {
-        assert_eq!(HeatMap::bucket_of(0), 0);
-        assert_eq!(HeatMap::bucket_of((1 << 28) - 1), 0);
-        assert_eq!(HeatMap::bucket_of(1 << 28), 1);
-        assert_eq!(HeatMap::bucket_of(u32::MAX), HEAT_BUCKETS - 1);
+    fn a_whole_key_space_shard_buckets_by_the_top_bits() {
+        let heat = HeatMap::new(&[(0, u32::MAX)]);
+        assert_eq!(heat.bucket_of(0, 0), 0);
+        assert_eq!(heat.bucket_of(0, (1 << 28) - 1), 0);
+        assert_eq!(heat.bucket_of(0, 1 << 28), 1);
+        assert_eq!(heat.bucket_of(0, u32::MAX), HEAT_BUCKETS - 1);
+    }
+
+    #[test]
+    fn a_shard_buckets_its_own_span_and_clamps_outside_it() {
+        // 1 600 keys wide: 128-key buckets, the last key in bucket 12.
+        let heat = HeatMap::new(&[(1_000, 2_600)]);
+        assert_eq!(heat.bucket_of(0, 1_000), 0);
+        assert_eq!(heat.bucket_of(0, 1_127), 0);
+        assert_eq!(heat.bucket_of(0, 1_128), 1);
+        assert_eq!(heat.bucket_of(0, 2_600), 12);
+        assert_eq!(heat.bucket_of(0, 0), 0, "below the span: the first bucket");
+        assert_eq!(heat.bucket_of(0, u32::MAX), HEAT_BUCKETS - 1, "above: the last");
+        // A one-key (or empty-width) span puts everything at or above it
+        // in the last bucket, never out of range.
+        let point = HeatMap::new(&[(7, 7)]);
+        assert_eq!(point.bucket_of(0, 7), 0);
+        assert_eq!(point.bucket_of(0, 8), 1);
+        assert_eq!(point.bucket_of(0, 100), HEAT_BUCKETS - 1);
+    }
+
+    #[test]
+    fn uniform_lookups_over_compact_keys_light_every_cell_of_every_shard() {
+        // 2^16 contiguous keys on 4 shards of 2^14 keys each, all far
+        // below the top four bits of `u32`.
+        let spans: Vec<(u32, u32)> = (0..4).map(|s| (s << 14, ((s + 1) << 14) - 1)).collect();
+        let heat = HeatMap::new(&spans);
+        let mut x = 1u32;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let key = x & 0xFFFF;
+            heat.record((key >> 14) as usize, key);
+        }
+        for shard in 0..4 {
+            for bucket in 0..HEAT_BUCKETS {
+                assert!(heat.count(shard, bucket) > 0, "shard {shard} bucket {bucket} is dark");
+            }
+        }
+        // A width that is no power of two lights fewer, never under 9.
+        let odd = HeatMap::new(&[(0, 9_999)]);
+        let lit: std::collections::BTreeSet<usize> =
+            (0..10_000).map(|k| odd.bucket_of(0, k)).collect();
+        assert_eq!(lit.len(), 10, "10 000 keys in 1 024-key buckets");
     }
 
     #[test]
     fn records_land_in_their_shard_and_bucket() {
-        let heat = HeatMap::new(2);
+        let heat = HeatMap::new(&[(0, u32::MAX); 2]);
         heat.record(0, 0);
         heat.record(0, 5);
         heat.record(1, u32::MAX);
@@ -102,7 +179,7 @@ mod tests {
     #[test]
     fn concurrent_records_never_lose_counts() {
         use std::sync::Arc;
-        let heat = Arc::new(HeatMap::new(1));
+        let heat = Arc::new(HeatMap::new(&[(0, u32::MAX)]));
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let heat = heat.clone();

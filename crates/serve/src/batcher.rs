@@ -72,9 +72,8 @@ impl Request {
 /// `max_delay`, a batch still short of `max_batch` then waits for
 /// co-travellers until `max_delay` after it opened (= now, in `clock`
 /// time); at zero the clock is never read. Returns whether the queue
-/// disconnected while collecting. Generic over the item type: a shard's
-/// dispatcher coalesces [`Request`]s, and `dini-net`'s span appender
-/// coalesces churn-log records, through the same code.
+/// disconnected while collecting. Generic over the item type; a
+/// shard's dispatcher coalesces [`Request`]s through it.
 pub fn collect_batch_into<T>(
     clock: &Clock,
     rx: &Receiver<T>,

@@ -56,7 +56,8 @@ pub struct ServeConfig {
     /// reaches one (the caller ranks it) and waits on nothing.
     pub max_delay: Duration,
     /// Bound of each shard's admission queue; a full queue sheds
-    /// (`try_lookup` fails fast) rather than growing without limit.
+    /// (`begin_lookup` fails fast with `Overloaded`) rather than growing
+    /// without limit.
     pub queue_capacity: usize,
     /// Per-shard delta budget: when a shard's pending churn exceeds this,
     /// the writer merges and publishes the new main array.

@@ -198,6 +198,18 @@ impl ShardSeed {
     fn live_len(&self) -> usize {
         self.main.len() + self.inserts.len() - self.deletes.len()
     }
+
+    /// First and last key the shard starts with, main and inserts
+    /// together — what its heat row is cut from. An empty shard spans
+    /// the whole key space.
+    fn span(&self) -> (u32, u32) {
+        let main = self.main.as_slice();
+        let keys = || main.first().into_iter().chain(main.last()).chain(&self.inserts);
+        match (keys().min(), keys().max()) {
+            (Some(&lo), Some(&hi)) => (lo, hi),
+            _ => (0, u32::MAX),
+        }
+    }
 }
 
 /// A sharded, replicated, batch-coalescing, online-updatable rank-query
@@ -414,7 +426,9 @@ impl IndexServer {
         let metrics = MetricsRegistry::new();
         let writer_metrics = WriterMetrics::new(&metrics);
         writer_metrics.live_keys.set(seeds.iter().map(|s| s.live_len() as u64).sum());
-        let heat = cfg.heat.then(|| Arc::new(HeatMap::new(cfg.n_shards)));
+        let heat = cfg.heat.then(|| {
+            Arc::new(HeatMap::new(&seeds.iter().map(ShardSeed::span).collect::<Vec<_>>()))
+        });
         if let Some(h) = &heat {
             // One gauge per grid cell: each reads a single relaxed
             // atomic, so a metrics snapshot costs O(cells), not
@@ -1108,12 +1122,6 @@ impl ServerHandle {
     /// the chosen replica's queue is full (closed-loop semantics).
     pub fn lookup(&self, key: u32) -> Result<u32, ServeError> {
         self.core().enqueue(key, true, 0)?.wait()
-    }
-
-    /// Rank of `key`, shedding instead of blocking when the chosen
-    /// replica's queue is full, then waiting for the answer.
-    pub fn try_lookup(&self, key: u32) -> Result<u32, ServeError> {
-        self.core().enqueue(key, false, 0)?.wait()
     }
 
     /// Submit without waiting, and return a [`PendingLookup`] to redeem
@@ -2262,7 +2270,7 @@ mod tests {
         assert!(h.lookup(5).is_ok());
         drop(server);
         assert_eq!(h.lookup(5), Err(ServeError::ShuttingDown));
-        assert_eq!(h.try_lookup(5), Err(ServeError::ShuttingDown));
+        assert_eq!(h.begin_lookup(5).and_then(PendingLookup::wait), Err(ServeError::ShuttingDown));
     }
 
     #[test]

@@ -495,7 +495,7 @@ impl<'a> Cluster<'a> {
 
     /// [`Step::Rejoin`]: dial, handshake, position the replay cursors
     /// at the recovered watermark, then flip the endpoint live. The
-    /// appender ships the retained suffix from there.
+    /// endpoint's worker ships the retained suffix from there.
     fn rejoin(&self, endpoint: usize) {
         let (name, addr, h) = (self.site.d.name, self.site.addr(endpoint), self.front.wire());
         h.rejoin(&addr).unwrap_or_else(|e| panic!("[{name}] rejoin failed: {e:?}"));

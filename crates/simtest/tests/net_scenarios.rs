@@ -135,8 +135,9 @@ fn lossy_links_cannot_diverge_replicas_thanks_to_the_quorum_log() {
 fn append_target_crash_mid_churn_elects_and_replays() {
     // The acceptance scenario: one span, two replica endpoints, 5 %
     // frame drops, churn in flight — and endpoint 0 (the bootstrap and
-    // an append target) has its link severed mid-batch. The appender
-    // must bump the epoch (election), rewind the survivor's send cursor
+    // an append target) has its link severed mid-batch. The dead
+    // endpoint's worker must bump the epoch (election), rewind the
+    // survivor's send cursor
     // to its ack point, and replay the missing suffix; afterwards the
     // surviving replica's applied-op set must equal the mirror exactly
     // (the runner's convergence + post-quiesce sweep oracles).
@@ -166,8 +167,8 @@ fn partition_heals_and_the_lagging_replica_reconverges() {
     // A partition that *ends*: endpoint 1's link blacks out over
     // [2ms, 10ms) while churn streams through the span. Records
     // appended during the window reach only endpoint 0; the quorum of
-    // two holds every Ok until the window heals and the appender's
-    // repair resends the suffix endpoint 1 missed. The convergence
+    // two holds every Ok until the window heals and endpoint 1's
+    // worker's repair resends the suffix it missed. The convergence
     // oracle then checks the *healed* replica against the mirror — it
     // lagged, it must not have diverged.
     for seed in seeds_from_env() {
@@ -241,8 +242,8 @@ fn lone_update_resolves_in_exactly_its_quorum_round_trip() {
     // replica endpoints with one-way latencies 20 / 50 / 90 µs: the
     // record is durable when the second ack lands (quorum 2 of 3), so
     // the call returns exactly 2 × 50 µs after it was made — out and
-    // back on the median link. Every hop in between (caller → appender
-    // → socket → server reader → responder → socket → client reader →
+    // back on the median link. Every hop in between (caller → endpoint
+    // workers → socket → server reader → responder → socket → client reader →
     // quorum fold → caller) is a wake-up, which costs no virtual time;
     // a poll anywhere on the path would show up as a residue of its
     // period, which is why the calls are issued at instants that share

@@ -28,15 +28,6 @@ pub enum KeyDistribution {
         /// Exclusive upper bound of the hotspot.
         hi: u32,
     },
-    /// Hierarchically self-similar keys (the b-model): each address bit is
-    /// drawn 1 with probability `bias`, so mass concentrates recursively —
-    /// `bias = 0.5` degenerates to uniform, `0.9` is heavily skewed at
-    /// every scale. A standard model for spatial sensor-reading and
-    /// network-prefix locality.
-    SelfSimilar {
-        /// Per-bit probability of a 1 (in `(0, 1)`).
-        bias: f64,
-    },
 }
 
 impl KeyDistribution {
@@ -56,17 +47,6 @@ impl KeyDistribution {
             KeyDistribution::Clustered { lo, hi } => {
                 assert!(lo < hi, "clustered range must be non-empty");
                 rng.gen_range(lo..hi)
-            }
-            KeyDistribution::SelfSimilar { bias } => {
-                assert!(bias > 0.0 && bias < 1.0, "bias must be in (0, 1)");
-                let mut key = 0u32;
-                for _ in 0..32 {
-                    key <<= 1;
-                    if rng.gen::<f64>() < bias {
-                        key |= 1;
-                    }
-                }
-                key
             }
         }
     }
@@ -159,35 +139,6 @@ mod tests {
             let k = d.sample(&mut rng);
             assert!((1000..2000).contains(&k));
         }
-    }
-
-    #[test]
-    fn self_similar_half_bias_is_uniformish() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let d = KeyDistribution::SelfSimilar { bias: 0.5 };
-        let n = 10_000;
-        let low = (0..n).filter(|_| d.sample(&mut rng) < u32::MAX / 2).count();
-        assert!((low as f64 / n as f64 - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn self_similar_high_bias_concentrates_high_keys() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let d = KeyDistribution::SelfSimilar { bias: 0.9 };
-        let n = 10_000;
-        // Top bit is 1 with p = 0.9 → ~90 % of keys in the upper half, and
-        // the same recursively within it.
-        let high = (0..n).filter(|_| d.sample(&mut rng) >= u32::MAX / 2).count();
-        assert!(high as f64 / n as f64 > 0.85);
-        let top_quarter = (0..n).filter(|_| d.sample(&mut rng) >= u32::MAX / 4 * 3).count();
-        assert!(top_quarter as f64 / n as f64 > 0.75);
-    }
-
-    #[test]
-    #[should_panic(expected = "bias must be in")]
-    fn self_similar_rejects_degenerate_bias() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = KeyDistribution::SelfSimilar { bias: 1.0 }.sample(&mut rng);
     }
 
     #[test]

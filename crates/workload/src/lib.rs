@@ -5,24 +5,19 @@
 //! The paper's evaluation uses "randomly generated" 4-byte keys for both the
 //! index contents and the 8 million (2^23) search keys, drawn uniformly.
 //! This crate provides seeded, reproducible generators for that workload
-//! plus skewed variants (Zipf, clustered, self-similar) for the serving
-//! layer's load, interleaved update streams ([`churn`]) for the
-//! dynamic-index extensions, open-loop arrival processes ([`arrivals`])
-//! for serving-layer load generation, and compact query-trace descriptions
-//! ([`trace`]: seeds and counts, not keys) for replay.
+//! plus skewed variants (Zipf, clustered) for the serving layer's load,
+//! interleaved update streams ([`churn`]) for the dynamic-index
+//! extensions, and open-loop arrival processes ([`arrivals`]) for
+//! serving-layer load generation.
 
 #![warn(missing_docs)]
 
 pub mod arrivals;
-pub mod batch;
 pub mod churn;
 pub mod dist;
 pub mod keys;
-pub mod trace;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess};
-pub use batch::{batch_count, BatchIter};
 pub use churn::{ChurnGen, Op, OpMix};
 pub use dist::KeyDistribution;
 pub use keys::{gen_search_keys, gen_sorted_unique_keys, KeyGen};
-pub use trace::QueryTrace;

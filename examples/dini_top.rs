@@ -66,7 +66,8 @@ impl RateView {
 }
 
 /// Render a span's key-range heat grid (shard-major ×
-/// [`HEAT_BUCKETS`]) as one bar, buckets summed across shards and
+/// [`HEAT_BUCKETS`]) as one bar, buckets summed across shards — bucket
+/// `b` is the same position within each shard's own key span — and
 /// scaled to the hottest: `·` cold, `▁`…`█` relative heat.
 fn heat_bar(heat: &[u64]) -> String {
     if heat.is_empty() {
@@ -192,8 +193,11 @@ fn smoke_run() {
     let mut rates = RateView::new(handle.n_spans());
     let mut last_served = 0u64;
     for tick in 1..=3u64 {
+        // Scattered over the whole key range (and one past its end), so
+        // every shard's heat row has load across its span.
+        let reach = keys[keys.len() - 1] + 2;
         for i in 0..500u32 {
-            let q = i.wrapping_mul(2_654_435_761) % 40_000;
+            let q = i.wrapping_mul(2_654_435_761) % reach;
             let want = keys.partition_point(|&k| k <= q) as u32;
             assert_eq!(handle.lookup(q), Ok(want), "smoke rank({q})");
         }
@@ -230,12 +234,14 @@ fn smoke_run() {
                 "windowed served rate must advance once primed"
             );
         }
-        // Key-range heat rode the same stats frame: the burst hits low
-        // keys only, so the grid is nonzero and the hottest bucket
-        // renders full-block.
+        // Key-range heat rode the same stats frame: each shard's row is
+        // cut from its own key span, so a burst across the keys lights
+        // more than one bucket, and the hottest renders full-block.
         let heat: Vec<u64> = snap.series("dini_serve_heat").map(|(_, v)| v).collect();
         assert!(heat.iter().sum::<u64>() > 0, "heat counters must tick under load");
-        assert!(heat_bar(&heat).contains('█'), "the hottest bucket must render");
+        let bar = heat_bar(&heat);
+        assert!(bar.contains('█'), "the hottest bucket must render");
+        assert!(bar.chars().filter(|&c| c != '·').count() > 1, "one lit bucket: {bar}");
         last_served = s.served;
     }
     // The client kept its own wire clock: RTT histogram + sampled

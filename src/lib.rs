@@ -10,7 +10,7 @@
 //! | [`cache_sim`] | set-associative LRU L1/L2 simulator + Table 2 cost model, TLB, write-backs |
 //! | [`cluster`] | discrete-event cluster/network simulator (timers, fault injection, switch backplane, tracing, RTT histograms) |
 //! | [`index`] | sorted array, cache-line directory with group-interleaved batch probes (the kernel serving dispatchers and native slaves rank batches with), CSB+ tree, Zhou–Ross buffered traversal, partitioning, updatable delta array |
-//! | [`workload`] | seeded key/query generators (uniform, Zipf, clustered, self-similar) + churn streams |
+//! | [`workload`] | seeded key/query generators (uniform, Zipf, clustered) + churn streams + arrival processes |
 //! | [`model`] | the paper's Appendix-A analytical model + Figure 4 trends + sensitivity solvers |
 //! | [`sysprobe`] | host measurements of the paper's Table 2 quantities + cache-size knee detection + thread placement (allowed cores, pinning) |
 //! | [`core`] | Methods A, B, C-1/C-2/C-3, really-dispatched A/B + the native [`DistributedIndex`] |
