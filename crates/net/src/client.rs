@@ -1058,6 +1058,10 @@ struct SpanLog {
     /// Pending flushes (the pre-barrier half of `quiesce`) by target
     /// sequence, answered like appends.
     flushes: Vec<(u64, Filler<UpdateReply>)>,
+    /// [`settle`](Self::settle)'s scratch: the live endpoints' acks,
+    /// sized to the span's endpoints up front so settling allocates
+    /// nothing.
+    live_acks: Vec<u64>,
     /// `log_retention`.
     retention: u64,
     /// `retry_timeout`: how long unacked records may sit before a repair.
@@ -1084,6 +1088,7 @@ impl SpanLog {
             waiters: VecDeque::new(),
             durable: 0,
             flushes: Vec::new(),
+            live_acks: Vec::with_capacity(n),
             retention: cfg.log_retention,
             repair_after: dur_ns(cfg.retry_timeout),
             max_repairs: cfg.max_retries,
@@ -1224,13 +1229,14 @@ impl SpanLog {
     /// waiters are released up to, resolve flushes up to the slowest
     /// live endpoint, and trim.
     fn settle(&mut self) {
-        let mut live_acks: Vec<u64> = self
-            .acked
-            .iter()
-            .zip(&self.alive)
-            .filter_map(|(&acked, &alive)| alive.then_some(acked))
-            .collect();
-        live_acks.sort_unstable_by(|a, b| b.cmp(a));
+        self.live_acks.clear();
+        self.live_acks.extend(
+            self.acked
+                .iter()
+                .zip(&self.alive)
+                .filter_map(|(&acked, &alive)| alive.then_some(acked)),
+        );
+        self.live_acks.sort_unstable_by(|a, b| b.cmp(a));
         // With no live endpoint no quorum is reachable: fail the
         // pending appends (their outcome is *unknown* — some replica
         // may have applied them before dying, and a revived endpoint
@@ -1240,7 +1246,7 @@ impl SpanLog {
         // this very log, and re-issuing a consumed sequence with
         // different content could silently diverge a replica that
         // checkpointed the original.
-        let Some(&min_live) = live_acks.last() else {
+        let Some(&min_live) = self.live_acks.last() else {
             self.waiters.clear();
             self.flushes.clear();
             self.trim(self.head().saturating_sub(self.retention));
@@ -1248,7 +1254,7 @@ impl SpanLog {
         };
         // A record is durable once a majority of the span's live
         // endpoints has acked it.
-        self.durable = live_acks[live_acks.len() / 2];
+        self.durable = self.live_acks[self.live_acks.len() / 2];
         // A flush resolves only when *every* live endpoint has acked
         // its target — stronger than quorum, because the quiesce
         // barrier that follows it must find all replicas caught up.
@@ -1987,4 +1993,137 @@ pub fn run_net_load(
         report.latency_ns.merge(&hist);
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    struct CountingAlloc;
+
+    thread_local! {
+        /// Allocations this thread has made while armed; `None` while
+        /// unarmed. Const-initialized and destructor-free, so touching
+        /// it from inside the allocator cannot itself allocate.
+        static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    fn count() {
+        let _ = ALLOCS.try_with(|a| a.set(a.get().map(|n| n + 1)));
+    }
+
+    // SAFETY: pure passthrough to the `System` allocator plus a
+    // const-initialized thread-local counter; upholds `GlobalAlloc`'s
+    // contract because `System` does, and the counting adds no
+    // allocation, locking, or reentrancy.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        // SAFETY: same layout contract as `System::alloc`, to which this
+        // delegates unchanged.
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            System.alloc(layout)
+        }
+
+        // SAFETY: same ptr/layout contract as `System::dealloc`, to
+        // which this delegates unchanged.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+
+        // SAFETY: same ptr/layout/size contract as `System::realloc`, to
+        // which this delegates unchanged.
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTER: CountingAlloc = CountingAlloc;
+
+    /// Heap allocations `f` makes on the calling thread.
+    fn allocs_in(f: impl FnOnce()) -> u64 {
+        ALLOCS.with(|a| a.set(Some(0)));
+        f();
+        ALLOCS.with(|a| a.replace(None)).expect("armed above")
+    }
+
+    #[test]
+    fn settle_matches_a_sorting_reference_and_allocates_nothing() {
+        const HEAD: u64 = 12;
+        const RETENTION: u64 = 3;
+        let cfg = ClientConfig { log_retention: RETENTION, ..ClientConfig::default() };
+        // Capacity past anything one case holds, and its free list grown
+        // to it up front: a filler settle drops goes back without the
+        // pool itself allocating.
+        let pool = CellPool::<UpdateReply>::new(64, Clock::system());
+        drop((0..64).map(|_| pool.take()).collect::<Vec<_>>());
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut settle_allocs = 0;
+        let mut cases = 0;
+        for n in 1..=5usize {
+            for mask in 0..1u32 << n {
+                let alive: Vec<bool> = (0..n).map(|p| mask >> p & 1 == 1).collect();
+                for spread in 0..12 {
+                    // Acks at the head, at zero, or anywhere between.
+                    let acked: Vec<u64> = (0..n)
+                        .map(|_| {
+                            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                            match spread {
+                                0 => HEAD,
+                                1 => 0,
+                                _ => (rng >> 33) % (HEAD + 1),
+                            }
+                        })
+                        .collect();
+                    let mut log = SpanLog::new(alive.clone(), 0, &cfg);
+                    for _ in 0..HEAD {
+                        log.ops.push_back(WireOp::Insert(0));
+                    }
+                    log.acked.clone_from(&acked);
+                    // One flush per target; `waiters[t]` reads flush `t`.
+                    let waiters: Vec<_> = (0..=HEAD)
+                        .map(|target| {
+                            let reply = pool.take();
+                            let waiter = reply.waiter();
+                            log.flushes.push((target, reply));
+                            waiter
+                        })
+                        .collect();
+                    settle_allocs += allocs_in(|| log.settle());
+                    cases += 1;
+
+                    // The reference: the live acks, freshly sorted.
+                    let mut live: Vec<u64> =
+                        (0..n).filter(|&p| alive[p]).map(|p| acked[p]).collect();
+                    live.sort_unstable_by(|a, b| b.cmp(a));
+                    let at = format!("alive {alive:?}, acked {acked:?}");
+                    match live.last() {
+                        Some(&min_live) => {
+                            assert_eq!(log.durable, live[live.len() / 2], "quorum mark, {at}");
+                            for (target, waiter) in (0..=HEAD).zip(&waiters) {
+                                let released = waiter.poll().is_some();
+                                assert_eq!(released, target <= min_live, "flush {target}, {at}");
+                                assert!(waiter.poll().is_none_or(Result::is_ok), "{at}");
+                            }
+                            assert_eq!(log.base, min_live.saturating_sub(RETENTION), "trim, {at}");
+                        }
+                        None => {
+                            assert_eq!(log.durable, 0, "no quorum to advance, {at}");
+                            // Every flush fails: nobody left to ack it.
+                            for waiter in &waiters {
+                                assert_eq!(waiter.poll(), Some(&Err(ServeError::ShuttingDown)));
+                            }
+                            assert_eq!(log.base, HEAD - RETENTION, "trim, {at}");
+                        }
+                    }
+                    assert_eq!(log.head(), HEAD, "settling trims, never drops the head");
+                }
+            }
+        }
+        assert_eq!(cases, 12 * (2 + 4 + 8 + 16 + 32));
+        assert_eq!(settle_allocs, 0, "settle allocated across {cases} cases");
+    }
 }

@@ -30,9 +30,10 @@
 //!   shards) and their replica endpoints; global ranks compose as
 //!   `Σ live_keys(lower spans) + span_local_rank`.
 //! * [`server`] — [`NetServer`]: an [`IndexServer`](dini_serve::IndexServer)
-//!   hosted behind a listener; per-connection readers feed the existing
-//!   admission queues, a per-connection responder redeems pooled reply
-//!   slots and muxes replies back.
+//!   hosted behind a listener; a connection is one thread, its reader,
+//!   which feeds the existing admission queues (or ranks a frame itself
+//!   when its replicas are idle), redeems any queued keys' pooled reply
+//!   cells, and writes every reply back in frame order.
 //! * [`client`] — [`RemoteClient`]/[`NetHandle`]: shard-map routing
 //!   (the same delimiter search as `router.rs`), client-side batch
 //!   coalescing (a lookup appends its key to its endpoint's open frame;

@@ -6,32 +6,26 @@
 //!
 //! ```text
 //!   acceptor thread ──► per-connection reader ──begin_lookup_many()──► IndexServer
-//!                          │       │   (ranks the frame itself when          │
-//!                          │       │    its replicas are idle)               │
-//!                          │       └─jobs─► per-connection responder ◄───────┘
-//!                          │                  (waits a frame's still-pending
-//!                          ▼                   lookups; acks, stats, bye)
-//!                       send half ◄───────────────────┘
-//!                  (one mutex; whoever has a frame writes it)
+//!                          │   (ranks the frame itself when its replicas
+//!                          │    are idle; otherwise waits the queued
+//!                          │    keys' reply cells)
+//!                          ▼
+//!                       send half (the reader's own)
 //! ```
 //!
-//! * The **reader** decodes frames. A `Lookup` frame is already a
-//!   batch, and it is admitted as one
+//! * A connection is **one thread**, its reader: it decodes a frame,
+//!   handles it, and writes the frame's reply itself before it reads
+//!   the next, so replies leave in frame order.
+//! * A `Lookup` frame is already a batch, and it is admitted as one
 //!   ([`begin_lookup_many`](dini_serve::ServerHandle::begin_lookup_many),
 //!   non-blocking, so server-side admission control sheds exactly as it
 //!   does for local callers): the keys bound for an idle replica are
-//!   ranked in place, by this thread, as one batch. When every rank is
-//!   ready on return — the quiet case — the reader encodes the `Reply`
-//!   and writes it through the connection's send half itself: no
-//!   hand-off, no second thread.
-//! * The **responder** takes what cannot be answered on the spot: a
-//!   frame with keys still queued behind a busy replica (it redeems
-//!   their pooled reply cells and ships the positionally-aligned
-//!   `Reply`, so a slow dispatcher never stalls the connection's frame
-//!   stream), and every non-lookup reply.
-//! * The **send half** sits behind a mutex shared by the two, the
-//!   client's `conns[ep]` pattern server-side. Replies are matched by
-//!   `req`, so their order across the two writers is free.
+//!   ranked in place, by this thread, as one batch. Keys queued behind a
+//!   busy replica are redeemed from their pooled reply cells — the
+//!   reader parks on them like any in-process caller whose claim lost —
+//!   and the positionally-aligned `Reply` goes out. The wait holds the
+//!   connection's later frames for one dispatcher turnaround, as a
+//!   `Quiesce` or a full writer queue already does.
 //! * Updates feed the span's single writer; `Quiesce` runs the writer
 //!   barrier and returns the fresh live-key count (the client uses it
 //!   to recompose cross-span base ranks).
@@ -40,19 +34,18 @@
 //!   more series in it (`dini_net_log_epoch`, `dini_net_log_seq`).
 //!
 //! Every thread is spawned on the hosted server's [`Clock`], so under
-//! `dini-simtest` the acceptor, readers, and responders all wait in
-//! virtual time inside the deterministic scheduler.
+//! `dini-simtest` the acceptor and readers wait in virtual time inside
+//! the deterministic scheduler.
 
 use crate::topology::Topology;
 use crate::transport::{Acceptor, Duplex, NetError};
 use crate::wire::{Frame, LookupStatus, StatusCode, WireOp, WIRE_VERSION};
 use dini_serve::{
-    open_snapshot, Clock, ClockJoinHandle, IndexServer, LookupScratch, PendingLookup, ServeConfig,
-    ServeError, SnapError,
+    open_snapshot, Clock, ClockJoinHandle, IndexServer, LookupScratch, ServeConfig, ServeError,
+    SnapError,
 };
 use dini_workload::Op;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -104,27 +97,6 @@ impl LogPosition {
     pub fn get(&self) -> (u64, u64) {
         (self.epoch.load(Ordering::Relaxed), self.seq.load(Ordering::Relaxed))
     }
-}
-
-/// What the reader hands the responder, in connection order.
-enum Job {
-    /// Answer the handshake.
-    Map,
-    /// Redeem a lookup batch some of whose keys are still queued and
-    /// ship its reply, echoing the frame's causal trace context so the
-    /// client can stitch.
-    Reply { req: u64, trace: u64, parent: u32, pendings: Vec<PendingLookup> },
-    /// Acknowledge an acked update, reporting the connection's applied
-    /// log position.
-    Ack { req: u64, epoch: u64, seq: u64 },
-    /// Acknowledge a quiesce barrier.
-    QuiesceAck { req: u64 },
-    /// Answer an epoch ping.
-    Pong { req: u64 },
-    /// Assemble and ship the span's live stats.
-    Stats { req: u64 },
-    /// Tell the peer we are going away, then hang up.
-    Bye,
 }
 
 /// What one key's outcome looks like on the wire.
@@ -226,7 +198,7 @@ impl NetServer {
                     match acceptor.accept_timeout(ACCEPT_POLL) {
                         Ok(duplex) => {
                             conn_id += 1;
-                            let (reader, responder) = spawn_connection(
+                            let reader = spawn_connection(
                                 &clock2,
                                 conn_id,
                                 duplex,
@@ -246,7 +218,6 @@ impl NetServer {
                             // finished thread's handle just detaches it.)
                             guard.retain(|h| !h.is_finished());
                             guard.push(reader);
-                            guard.push(responder);
                         }
                         Err(NetError::Timeout) => continue,
                         Err(NetError::Closed) => break, // listener gone
@@ -328,191 +299,139 @@ struct ConnShared {
     init_log: (u64, u64),
 }
 
-/// Spawn the reader + responder pair for one accepted connection.
+/// Spawn the one thread that serves an accepted connection: it reads
+/// each frame, handles it, and writes its reply.
 fn spawn_connection(
     clock: &Clock,
     conn_id: u64,
     duplex: Duplex,
     shared: ConnShared,
-) -> (ClockJoinHandle<()>, ClockJoinHandle<()>) {
+) -> ClockJoinHandle<()> {
     let ConnShared { server, topology, span, shutdown, log, init_log } = shared;
-    let Duplex { tx: frame_tx, rx: mut frame_rx, peer: _ } = duplex;
-    // The send half: whoever has a frame writes it (the reader a lookup
-    // reply it could complete itself, the responder everything else).
-    let frame_tx = Arc::new(Mutex::new(frame_tx));
-    let (job_tx, job_rx) = channel::<Job>();
-
-    let reader = {
-        let server = server.clone();
-        let frame_tx = frame_tx.clone();
-        clock.spawn(&format!("dini-net-read-{conn_id}"), move || {
-            let handle = server.handle();
-            // Kept across frames: a warmed quiet `Lookup` allocates only
-            // what the transport does.
-            let mut scratch = LookupScratch::default();
-            let mut pendings: Vec<PendingLookup> = Vec::new();
-            let mut results: Vec<LookupStatus> = Vec::new();
-            // The connection's churn-log cursor: the highest sequence
-            // applied with no gaps below it, and the epoch adopted from
-            // the writer. One writer per connection keeps the cursor
-            // race-free. On a snapshot restart the cursor opens at the
-            // recovered watermark — those records are already folded in.
-            let mut applied = init_log.1;
-            let mut adopted_epoch = init_log.0;
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    let _ = job_tx.send(Job::Bye);
-                    break;
+    let Duplex { tx: mut frame_tx, rx: mut frame_rx, peer: _ } = duplex;
+    clock.spawn(&format!("dini-net-read-{conn_id}"), move || {
+        let handle = server.handle();
+        // Kept across frames: a warmed `Lookup`, quiet or queued,
+        // allocates only what the transport does.
+        let mut scratch = LookupScratch::default();
+        let mut pendings = Vec::new();
+        let mut results = Vec::new();
+        // The connection's churn-log cursor: the highest sequence
+        // applied with no gaps below it, and the epoch adopted from the
+        // writer. One writer per connection keeps the cursor race-free.
+        // On a snapshot restart the cursor opens at the recovered
+        // watermark — those records are already folded in.
+        let mut applied = init_log.1;
+        let mut adopted_epoch = init_log.0;
+        loop {
+            // Every frame read so far is answered: nothing is pending.
+            if shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            let frame = match frame_rx.recv_timeout(READ_POLL) {
+                Ok(f) => f,
+                Err(NetError::Timeout) => continue,
+                Err(_) => return, // peer gone (or stream corrupt): hang up
+            };
+            let reply = match frame {
+                // One version so far; a future v2 negotiates here.
+                Frame::Hello { proto: _ } => Frame::ShardMap {
+                    spans: topology.to_wire(),
+                    my_span: span as u16,
+                    live_keys: server.len() as u64,
+                    log_epoch: init_log.0,
+                    log_seq: init_log.1,
+                },
+                Frame::Lookup { req, trace, parent, keys } => {
+                    // Non-blocking: remote traffic sheds under the same
+                    // admission control as local callers. The frame's
+                    // trace id rides along, so the stage records of
+                    // whoever ranks this batch carry the same id as the
+                    // client's wire record. A key queued behind a busy
+                    // replica parks this thread on its reply cell.
+                    handle.begin_lookup_many(&keys, trace, &mut scratch, &mut pendings);
+                    results.extend(pendings.drain(..).map(|p| lookup_status(p.wait())));
+                    Frame::Reply { req, trace, parent, results: std::mem::take(&mut results) }
                 }
-                let frame = match frame_rx.recv_timeout(READ_POLL) {
-                    Ok(f) => f,
-                    Err(NetError::Timeout) => continue,
-                    Err(_) => break, // peer gone (or stream corrupt): hang up
-                };
-                match frame {
-                    Frame::Hello { proto: _ } => {
-                        // One version so far; a future v2 negotiates here.
-                        let _ = job_tx.send(Job::Map);
-                    }
-                    Frame::Lookup { req, trace, parent, keys } => {
-                        // Non-blocking: remote traffic sheds under the
-                        // same admission control as local callers. The
-                        // frame's trace id rides along, so the stage
-                        // records of whoever ranks this batch carry the
-                        // same id as the client's wire record.
-                        handle.begin_lookup_many(&keys, trace, &mut scratch, &mut pendings);
-                        if pendings.iter().any(|p| p.poll().is_none()) {
-                            let pendings = std::mem::take(&mut pendings);
-                            let _ = job_tx.send(Job::Reply { req, trace, parent, pendings });
-                            continue;
-                        }
-                        results.clear();
-                        results.extend(pendings.drain(..).map(|p| lookup_status(p.wait())));
-                        let reply = Frame::Reply { req, trace, parent, results };
-                        let sent = frame_tx.lock().expect("send half lock").send(&reply);
-                        let Frame::Reply { results: shipped, .. } = reply else { unreachable!() };
-                        results = shipped;
-                        if sent.is_err() {
-                            break;
-                        }
-                    }
-                    Frame::Update { req, epoch, seq, trace: _, parent: _, ops } => {
-                        // Strict in-order apply from the cursor: a
-                        // duplicate or overlapping suffix is trimmed, a
-                        // frame opening past `applied + 1` (a gap) is
-                        // held off entirely — the writer learns the
-                        // position from the ack and replays. Every log
-                        // record is applied exactly once, in order.
-                        adopted_epoch = adopted_epoch.max(epoch);
-                        let n = ops.len() as u64;
-                        if seq <= applied + 1 {
-                            let skip = (applied + 1 - seq) as usize;
-                            if skip < ops.len() {
-                                let batch: Vec<Op> = ops[skip..]
-                                    .iter()
-                                    .map(|&op| match op {
-                                        WireOp::Insert(k) => Op::Insert(k),
-                                        WireOp::Delete(k) => Op::Delete(k),
-                                    })
-                                    .collect();
-                                // `update_batch_at` stamps the writer's
-                                // checkpoint watermark: the next snapshot
-                                // records that everything through
-                                // `seq + n - 1` is folded in.
-                                if server
-                                    .update_batch_at(batch, adopted_epoch, seq + n - 1)
-                                    .is_err()
-                                {
-                                    let _ = job_tx.send(Job::Bye);
-                                    break;
-                                }
-                                applied = seq + n - 1;
-                                log.advance(adopted_epoch, applied);
+                Frame::Update { req, epoch, seq, trace: _, parent: _, ops } => {
+                    // Strict in-order apply from the cursor: a duplicate
+                    // or overlapping suffix is trimmed, a frame opening
+                    // past `applied + 1` (a gap) is held off entirely —
+                    // the writer learns the position from the ack and
+                    // replays. Every log record is applied exactly once,
+                    // in order.
+                    adopted_epoch = adopted_epoch.max(epoch);
+                    let n = ops.len() as u64;
+                    if seq <= applied + 1 {
+                        let skip = (applied + 1 - seq) as usize;
+                        if skip < ops.len() {
+                            let batch: Vec<Op> = ops[skip..]
+                                .iter()
+                                .map(|&op| match op {
+                                    WireOp::Insert(k) => Op::Insert(k),
+                                    WireOp::Delete(k) => Op::Delete(k),
+                                })
+                                .collect();
+                            // `update_batch_at` stamps the writer's
+                            // checkpoint watermark: the next snapshot
+                            // records that everything through
+                            // `seq + n - 1` is folded in.
+                            if server.update_batch_at(batch, adopted_epoch, seq + n - 1).is_err() {
+                                break;
                             }
-                        }
-                        if req != 0 {
-                            let _ =
-                                job_tx.send(Job::Ack { req, epoch: adopted_epoch, seq: applied });
+                            applied = seq + n - 1;
+                            log.advance(adopted_epoch, applied);
                         }
                     }
-                    Frame::Quiesce { req } => {
-                        // The barrier blocks this connection's frame
-                        // stream — that is its point: every update this
-                        // reader already applied is published when the
-                        // ack goes out.
-                        server.quiesce();
-                        let _ = job_tx.send(Job::QuiesceAck { req });
+                    if req == 0 {
+                        continue; // a probe: no ack
                     }
-                    Frame::EpochPing { req } => {
-                        let _ = job_tx.send(Job::Pong { req });
-                    }
-                    Frame::StatsRequest { req } => {
-                        let _ = job_tx.send(Job::Stats { req });
-                    }
-                    // Client-bound frames arriving here are protocol
-                    // noise (e.g. a fuzzer); ignore rather than kill the
-                    // connection.
-                    Frame::ShardMap { .. }
-                    | Frame::Reply { .. }
-                    | Frame::UpdateAck { .. }
-                    | Frame::QuiesceAck { .. }
-                    | Frame::EpochPong { .. }
-                    | Frame::StatsReply { .. }
-                    | Frame::Status { .. } => {}
+                    Frame::UpdateAck { req, epoch: adopted_epoch, seq: applied }
                 }
-            }
-            // job_tx drops here; the responder drains and exits.
-        })
-    };
-
-    let responder = {
-        let clock2 = clock.clone();
-        clock.spawn(&format!("dini-net-send-{conn_id}"), move || {
-            while let Ok(job) = clock2.recv(&job_rx) {
-                let frame = match job {
-                    Job::Map => Frame::ShardMap {
-                        spans: topology.to_wire(),
-                        my_span: span as u16,
-                        live_keys: server.len() as u64,
-                        log_epoch: init_log.0,
-                        log_seq: init_log.1,
-                    },
-                    Job::Reply { req, trace, parent, pendings } => Frame::Reply {
-                        req,
-                        trace,
-                        parent,
-                        results: pendings.into_iter().map(|p| lookup_status(p.wait())).collect(),
-                    },
-                    Job::Ack { req, epoch, seq } => Frame::UpdateAck { req, epoch, seq },
-                    Job::QuiesceAck { req } => Frame::QuiesceAck {
+                Frame::Quiesce { req } => {
+                    // The barrier blocks this connection's frame stream —
+                    // that is its point: every update this reader already
+                    // applied is published when the ack goes out.
+                    server.quiesce();
+                    Frame::QuiesceAck {
                         req,
                         live_keys: server.len() as u64,
                         snapshots: server.snapshots_published(),
-                    },
-                    Job::Pong { req } => Frame::EpochPong {
-                        req,
-                        live_keys: server.len() as u64,
-                        snapshots: server.snapshots_published(),
-                    },
-                    Job::Stats { req } => {
-                        Frame::StatsReply { req, metrics: server.metrics_snapshot() }
                     }
-                    Job::Bye => {
-                        let _ = frame_tx
-                            .lock()
-                            .expect("send half lock")
-                            .send(&Frame::Status { code: StatusCode::ShuttingDown });
-                        break;
-                    }
-                };
-                if frame_tx.lock().expect("send half lock").send(&frame).is_err() {
-                    break;
                 }
+                Frame::EpochPing { req } => Frame::EpochPong {
+                    req,
+                    live_keys: server.len() as u64,
+                    snapshots: server.snapshots_published(),
+                },
+                Frame::StatsRequest { req } => {
+                    Frame::StatsReply { req, metrics: server.metrics_snapshot() }
+                }
+                // Client-bound frames arriving here are protocol noise
+                // (e.g. a fuzzer); ignore rather than kill the
+                // connection.
+                Frame::ShardMap { .. }
+                | Frame::Reply { .. }
+                | Frame::UpdateAck { .. }
+                | Frame::QuiesceAck { .. }
+                | Frame::EpochPong { .. }
+                | Frame::StatsReply { .. }
+                | Frame::Status { .. } => continue,
+            };
+            let sent = frame_tx.send(&reply);
+            // The result vector goes back to scratch for the next frame.
+            if let Frame::Reply { results: shipped, .. } = reply {
+                results = shipped;
+                results.clear();
             }
-        })
-    };
-
-    (reader, responder)
+            if sent.is_err() {
+                return;
+            }
+        }
+        // The server is going away (shutdown, or its writer is gone):
+        // tell the peer, then hang up.
+        let _ = frame_tx.send(&Frame::Status { code: StatusCode::ShuttingDown });
+    })
 }
 
 /// The protocol version this build speaks (re-exported for handshakes).
@@ -570,6 +489,68 @@ mod tests {
             }
             other => panic!("expected EpochPong, got {other:?}"),
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn queued_lookup_frames_are_answered_in_frame_order_before_later_acks() {
+        // A straggle on every replica makes each one dispatcher-only:
+        // every key of every frame queues, and the reader waits on the
+        // keys' reply cells before it reads the next frame.
+        use dini_cluster::{Fault, FaultSchedule};
+        let extra = Duration::from_micros(200);
+        let mut c = cfg("srv");
+        c.serve.faults = FaultSchedule {
+            events: (0..2).map(|shard| Fault::Straggle { shard, replica: None, extra }).collect(),
+            ..FaultSchedule::default()
+        };
+        let net = ChanNet::new(Clock::system());
+        let acc = net.listen("srv");
+        let keys: Vec<u32> = (0..10_000).map(|i| i * 3).collect();
+        let server = NetServer::start(Box::new(acc), &keys, c);
+
+        let mut c = net.dialer().dial("srv").unwrap();
+        const FRAMES: u64 = 8;
+        let frame_keys =
+            |req: u64| -> Vec<u32> { (0..24).map(|i| (req as u32 * 24 + i) * 1_237).collect() };
+        for req in 1..=FRAMES {
+            c.tx.send(&Frame::Lookup { req, trace: req, parent: 7, keys: frame_keys(req) })
+                .unwrap();
+        }
+        let ops = vec![WireOp::Insert(1), WireOp::Delete(0)];
+        c.tx.send(&Frame::Update { req: FRAMES + 1, epoch: 1, seq: 1, trace: 0, parent: 0, ops })
+            .unwrap();
+        c.tx.send(&Frame::Quiesce { req: FRAMES + 2 }).unwrap();
+
+        for want in 1..=FRAMES {
+            match c.rx.recv_timeout(SEC).unwrap() {
+                Frame::Reply { req, trace, parent, results } => {
+                    assert_eq!(req, want, "replies leave in frame order");
+                    assert_eq!((trace, parent), (want, 7), "the trace context is echoed");
+                    let expect: Vec<LookupStatus> = frame_keys(req)
+                        .iter()
+                        .map(|&q| LookupStatus::Rank(keys.partition_point(|&k| k <= q) as u32))
+                        .collect();
+                    assert_eq!(results, expect);
+                }
+                other => panic!("expected Reply {want}, got {other:?}"),
+            }
+        }
+        match c.rx.recv_timeout(SEC).unwrap() {
+            Frame::UpdateAck { req, epoch, seq } => {
+                assert_eq!((req, epoch, seq), (FRAMES + 1, 1, 2))
+            }
+            other => panic!("expected UpdateAck, got {other:?}"),
+        }
+        match c.rx.recv_timeout(SEC).unwrap() {
+            Frame::QuiesceAck { req, live_keys, .. } => {
+                assert_eq!((req, live_keys), (FRAMES + 2, 10_000), "one insert, one delete");
+            }
+            other => panic!("expected QuiesceAck, got {other:?}"),
+        }
+        let stats = server.server().stats();
+        assert_eq!(stats.served, FRAMES * 24);
+        assert_eq!(stats.claimed, 0, "the dispatchers ranked every key");
         server.shutdown();
     }
 

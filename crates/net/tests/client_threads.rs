@@ -1,7 +1,8 @@
 //! The client's thread topology, pinned from the outside: a connected
 //! `RemoteClient` runs one worker per endpoint (plus that endpoint's
 //! per-connection reader) and nothing per span — the churn log ships
-//! through the endpoint workers. Read from `/proc/self/task/*/comm`, so
+//! through the endpoint workers. The servers' side too: a connection is
+//! one thread, its reader, which answers every frame itself. Read from `/proc/self/task/*/comm`, so
 //! Linux only; one test in its own file (its own process), so no other
 //! test's client is alive while the threads are counted.
 
@@ -22,6 +23,17 @@ fn threads_named(prefix: &str) -> usize {
         .count()
 }
 
+/// Wait up to 10 s for `census` to read `want`, then return what it
+/// reads. A thread names itself once it runs, and one that is exiting
+/// may still be listed, so a census settles rather than holds at once.
+fn settled<const N: usize>(census: impl Fn() -> [usize; N], want: [usize; N]) -> [usize; N] {
+    let start = Instant::now();
+    while census() != want && start.elapsed() < Duration::from_secs(10) {
+        std::thread::yield_now();
+    }
+    census()
+}
+
 #[test]
 fn a_client_is_one_worker_and_one_reader_per_endpoint() {
     // workers, readers, per-span threads (none expected), all client threads
@@ -33,6 +45,8 @@ fn a_client_is_one_worker_and_one_reader_per_endpoint() {
             threads_named("dini-net-c"),
         ]
     };
+    // connection readers and responders (none expected) across the servers
+    let server_census = || [threads_named("dini-net-read-"), threads_named("dini-net-send-")];
     let net = ChanNet::new(Clock::system());
     let keys: Vec<u32> = (0..20_000u32).map(|i| i * 10).collect();
     // Two spans of two and three replica endpoints: five endpoints.
@@ -54,6 +68,7 @@ fn a_client_is_one_worker_and_one_reader_per_endpoint() {
         })
         .collect();
     assert_eq!(census(), [0, 0, 0, 0], "no client yet");
+    assert_eq!(server_census(), [0, 0], "no connection yet");
 
     let client =
         RemoteClient::connect(net.dialer(), "a0", ClientConfig::default()).expect("connect");
@@ -62,15 +77,23 @@ fn a_client_is_one_worker_and_one_reader_per_endpoint() {
     client.update(Op::Insert(100_005)).unwrap();
     client.quiesce().unwrap();
     assert_eq!(client.lookup(u32::MAX), Ok(20_002));
-    // A thread names itself once it runs; connect waited for none.
-    let named = Instant::now();
-    while census() != [5, 5, 0, 10] && named.elapsed() < Duration::from_secs(10) {
-        std::thread::yield_now();
-    }
-    assert_eq!(census(), [5, 5, 0, 10], "5 endpoints: 5 workers, 5 readers, no span thread");
+    // Connect waited for no thread to name itself.
+    assert_eq!(
+        settled(census, [5, 5, 0, 10]),
+        [5, 5, 0, 10],
+        "5 endpoints: 5 workers, 5 readers, no span thread"
+    );
+    // The bootstrap connection's reader exits once the client hangs it
+    // up, leaving one connection per server.
+    assert_eq!(
+        settled(server_census, [5, 0]),
+        [5, 0],
+        "5 servers, one client connection each: one reader per connection and no responder"
+    );
 
     drop(client);
     assert_eq!(census(), [0, 0, 0, 0], "dropping the client joins every thread it owned");
+    assert_eq!(settled(server_census, [0, 0]), [0, 0], "a hung-up connection's reader exits");
     for s in servers {
         s.shutdown();
     }

@@ -11,9 +11,15 @@
 //! decoded key vector is allocated by whoever decodes, here the client
 //! half cloning the `Lookup` onto the wire (over TCP that one moves to
 //! the server's reader: the tally is the same two per frame, split
-//! differently). This test counts every allocation made by any thread
-//! *but* the one playing the client, so it sees exactly the server's
+//! differently). These tests count every allocation made by any thread
+//! *but* the one playing the client, so they see exactly the server's
 //! share.
+//!
+//! A queued frame — every replica scripted to straggle, so each key
+//! waits behind a dispatcher — costs the same: the reader parks on the
+//! keys' pooled reply cells, the dispatchers rank out of their own
+//! reused batches, and the `Reply` is built out of the same pending list
+//! and result vector the reader keeps for quiet frames.
 //!
 //! **The wire's own blocks are counted, exactly.** `ChanNet`'s pipes are
 //! unbounded `std::sync::mpsc` channels, which keep their messages in
@@ -33,13 +39,15 @@
 //! 31. If `std` changes its block size this test fails with the new
 //! count in hand, which is the point of pinning it.
 
+use dini_cluster::{Fault, FaultSchedule};
 use dini_net::transport::ChanNet;
 use dini_net::wire::{Frame, LookupStatus};
 use dini_net::{NetServer, NetServerConfig, Topology};
-use dini_serve::{Clock, ServeConfig};
+use dini_serve::{Clock, ServeConfig, ServeStats};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 struct CountingAlloc;
@@ -113,23 +121,28 @@ fn round_trip(c: &mut dini_net::transport::Duplex, keys: &[u32], req: u64) {
     }
 }
 
-#[test]
-fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
+/// Server-side allocations over `FRAMES` warmed `Lookup` frames, on one
+/// connection to a two-shard server scripted with `faults`, after
+/// checking every rank; also returns the server's accounting.
+fn warmed_frame_allocs(faults: FaultSchedule) -> (u64, ServeStats) {
+    // The count is process-wide: one measured server at a time.
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     CLIENT_SIDE.with(|c| c.set(true));
     let net = ChanNet::new(Clock::system());
     let acceptor = net.listen("srv");
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
-    let cfg = NetServerConfig::new(ServeConfig::new(2), Topology::single(vec!["srv".into()]), 0);
+    let mut serve = ServeConfig::new(2);
+    serve.faults = faults;
+    let cfg = NetServerConfig::new(serve, Topology::single(vec!["srv".into()]), 0);
     let server = NetServer::start(Box::new(acceptor), &keys, cfg);
     let mut c = net.dialer().dial("srv").unwrap();
 
-    // Warmup: the reader's scratch.
-    const WARMUP: u64 = 300;
+    // Warmup: the reader's scratch (and, queued, the reply-cell pools).
     for req in 1..=WARMUP {
         round_trip(&mut c, &keys, req);
     }
 
-    const FRAMES: u64 = 200;
     let before = ALLOCS.load(Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     for req in WARMUP + 1..=WARMUP + FRAMES {
@@ -137,23 +150,51 @@ fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
     }
     ARMED.store(false, Ordering::SeqCst);
     let allocs = ALLOCS.load(Ordering::SeqCst) - before;
-
-    // Every frame was ranked by the reader: one batch per shard it
-    // touched, and nothing ever reached a dispatcher's queue.
     let stats = server.server().stats();
-    assert_eq!(stats.served, (WARMUP + FRAMES) * u64::from(FRAME_KEYS));
-    assert!(stats.batches <= 2 * (WARMUP + FRAMES), "a frame is one batch per shard");
-    // Replies WARMUP + 1 ..= WARMUP + FRAMES on the server → client pipe:
-    // each one that is a block's 31st allocates the next block.
-    const WIRE_BLOCK: u64 = 31;
-    let wire_blocks = (WARMUP + FRAMES) / WIRE_BLOCK - WARMUP / WIRE_BLOCK;
-    assert_eq!(
-        allocs,
-        FRAMES + wire_blocks,
-        "{allocs} server-side allocations across {FRAMES} warmed quiet Lookup frames: the \
-         budget is one per frame — ChanNet cloning the Reply's result vector onto the wire — \
-         plus {wire_blocks} for the wire's own 31-slot blocks"
-    );
     drop(c);
     server.shutdown();
+    (allocs, stats)
+}
+
+const WARMUP: u64 = 300;
+const FRAMES: u64 = 200;
+/// Replies WARMUP + 1 ..= WARMUP + FRAMES on the server → client pipe:
+/// each one that is a block's 31st allocates the next block.
+const WIRE_BLOCKS: u64 = (WARMUP + FRAMES) / 31 - WARMUP / 31;
+
+#[test]
+fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
+    let (allocs, stats) = warmed_frame_allocs(FaultSchedule::default());
+    // Every frame was ranked by the reader: one batch per shard it
+    // touched, and nothing ever reached a dispatcher's queue.
+    assert_eq!(stats.served, (WARMUP + FRAMES) * u64::from(FRAME_KEYS));
+    assert_eq!(stats.claimed, stats.served, "the reader ranked every key");
+    assert!(stats.batches <= 2 * (WARMUP + FRAMES), "a frame is one batch per shard");
+    assert_eq!(
+        allocs,
+        FRAMES + WIRE_BLOCKS,
+        "{allocs} server-side allocations across {FRAMES} warmed quiet Lookup frames: the \
+         budget is one per frame — ChanNet cloning the Reply's result vector onto the wire — \
+         plus {WIRE_BLOCKS} for the wire's own 31-slot blocks"
+    );
+}
+
+#[test]
+fn a_warmed_queued_lookup_frame_costs_the_server_no_more_than_a_quiet_one() {
+    // A straggle on every replica makes every replica dispatcher-only:
+    // each key of each frame queues, and the reader waits on its pooled
+    // reply cell before it writes the frame's reply itself.
+    let extra = Duration::from_micros(20);
+    let events = (0..2).map(|shard| Fault::Straggle { shard, replica: None, extra }).collect();
+    let (allocs, stats) = warmed_frame_allocs(FaultSchedule { events, ..FaultSchedule::default() });
+    assert_eq!(stats.served, (WARMUP + FRAMES) * u64::from(FRAME_KEYS));
+    assert_eq!(stats.claimed, 0, "the dispatchers ranked every key");
+    assert_eq!(
+        allocs,
+        FRAMES + WIRE_BLOCKS,
+        "{allocs} server-side allocations across {FRAMES} warmed queued Lookup frames: the \
+         reader reuses its pending list and result vector, the dispatchers their batches and \
+         the pools their reply cells, so the quiet frame's budget holds — one per frame for \
+         ChanNet's copy of the Reply, plus {WIRE_BLOCKS} for the wire's 31-slot blocks"
+    );
 }

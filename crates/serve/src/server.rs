@@ -262,7 +262,9 @@ pub struct IndexServer {
     shutdown: Arc<AtomicBool>,
     clock: Clock,
     dispatchers: Vec<ClockJoinHandle<()>>,
-    writer_tx: Option<SyncSender<WriterMsg>>,
+    /// The server's own way in to the writer; `None` once `drop` has
+    /// hung it up.
+    updates: Option<UpdateHandle>,
     writer: Option<ClockJoinHandle<()>>,
 }
 
@@ -597,9 +599,9 @@ impl IndexServer {
             writer_metrics,
             heat,
             shutdown,
+            updates: Some(UpdateHandle { tx: writer_tx, clock: cfg.clock.clone() }),
             clock: cfg.clock,
             dispatchers,
-            writer_tx: Some(writer_tx),
             writer: Some(writer),
         }
     }
@@ -625,10 +627,11 @@ impl IndexServer {
     /// dropping the server: the writer thread only shuts down once the
     /// last update sender hangs up.
     pub fn updater(&self) -> UpdateHandle {
-        UpdateHandle {
-            tx: self.writer_tx.as_ref().expect("writer alive until drop").clone(),
-            clock: self.clock.clone(),
-        }
+        self.updates().clone()
+    }
+
+    fn updates(&self) -> &UpdateHandle {
+        self.updates.as_ref().expect("writer alive until drop")
     }
 
     /// Apply one churn operation (applied asynchronously by the writer;
@@ -637,8 +640,7 @@ impl IndexServer {
     /// so whole [`ChurnGen`](dini_workload::ChurnGen) streams can be fed
     /// through unfiltered.
     pub fn update(&self, op: Op) -> Result<(), ServeError> {
-        let tx = self.writer_tx.as_ref().expect("writer alive until drop");
-        self.clock.send(tx, WriterMsg::Apply(op)).map_err(|_| ServeError::ShuttingDown)
+        self.updates().update(op)
     }
 
     /// Apply a coalesced churn batch strictly in order — semantically
@@ -646,13 +648,7 @@ impl IndexServer {
     /// one writer-channel hop for the whole batch. This is the apply
     /// path the transport layer's replicated churn log rides.
     pub fn update_batch(&self, ops: Vec<Op>) -> Result<(), ServeError> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        let tx = self.writer_tx.as_ref().expect("writer alive until drop");
-        self.clock
-            .send(tx, WriterMsg::ApplyBatch { ops, mark: None })
-            .map_err(|_| ServeError::ShuttingDown)
+        self.updates().update_batch(ops)
     }
 
     /// [`update_batch`](Self::update_batch), stamped with the churn-log
@@ -661,13 +657,7 @@ impl IndexServer {
     /// Checkpoints persist this watermark, so a restarted process knows
     /// exactly which log suffix to replay.
     pub fn update_batch_at(&self, ops: Vec<Op>, epoch: u64, seq: u64) -> Result<(), ServeError> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        let tx = self.writer_tx.as_ref().expect("writer alive until drop");
-        self.clock
-            .send(tx, WriterMsg::ApplyBatch { ops, mark: Some((epoch, seq)) })
-            .map_err(|_| ServeError::ShuttingDown)
+        self.updates().update_batch_at(ops, epoch, seq)
     }
 
     /// Number of `dini-store` checkpoint files successfully written
@@ -687,8 +677,7 @@ impl IndexServer {
     /// durability barrier: a checkpoint lands before `quiesce` returns.
     pub fn quiesce(&self) {
         let (ack_tx, ack_rx) = sync_channel(1);
-        let tx = self.writer_tx.as_ref().expect("writer alive until drop");
-        if self.clock.send(tx, WriterMsg::Quiesce(ack_tx)).is_ok() {
+        if self.clock.send(&self.updates().tx, WriterMsg::Quiesce(ack_tx)).is_ok() {
             let _ = self.clock.recv(&ack_rx);
         }
     }
@@ -776,7 +765,7 @@ impl IndexServer {
 impl Drop for IndexServer {
     fn drop(&mut self) {
         // Writer first: it exits once the last update sender hangs up.
-        self.writer_tx.take(); // hang up
+        self.updates.take(); // hang up
         if let Some(w) = self.writer.take() {
             let _ = w.join();
         }

@@ -243,8 +243,8 @@ fn lone_update_resolves_in_exactly_its_quorum_round_trip() {
     // record is durable when the second ack lands (quorum 2 of 3), so
     // the call returns exactly 2 × 50 µs after it was made — out and
     // back on the median link. Every hop in between (caller → endpoint
-    // workers → socket → server reader → responder → socket → client reader →
-    // quorum fold → caller) is a wake-up, which costs no virtual time;
+    // workers → socket → server reader → socket → client reader → quorum
+    // fold → caller) is a wake-up, which costs no virtual time;
     // a poll anywhere on the path would show up as a residue of its
     // period, which is why the calls are issued at instants that share
     // no factor with a millisecond tick.
