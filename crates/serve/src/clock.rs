@@ -323,6 +323,9 @@ enum Slot {
 struct SimState {
     now: Nanos,
     threads: Vec<Slot>,
+    /// One per slot: a slot's thread parks on its own condvar, so a
+    /// hand-off wakes exactly the thread the cursor moved to.
+    wakers: Vec<Arc<Condvar>>,
     /// Number of `Running` slots (0 or 1 away from transitions).
     running: usize,
     /// `Some(i)` while a scheduling round is active and it is slot
@@ -349,6 +352,19 @@ impl SimState {
             h = (h ^ v).wrapping_mul(0x100_0000_01b3);
         }
         self.digest = h;
+    }
+
+    fn push_slot(&mut self, slot: Slot) {
+        self.threads.push(slot);
+        self.wakers.push(Arc::new(Condvar::new()));
+    }
+
+    /// Wake the thread whose turn it now is (if any). Only the cursor's
+    /// holder can act on a hand-off, so no other parked thread is woken.
+    fn wake_cursor(&self) {
+        if let Some(c) = self.cursor {
+            self.wakers[c].notify_one();
+        }
     }
 
     /// First slot at or after `from` that a round should visit.
@@ -386,7 +402,6 @@ impl SimState {
 #[derive(Debug)]
 pub struct SimClock {
     state: Mutex<SimState>,
-    cv: Condvar,
     /// Virtual-time runaway guard: advancing past this panics.
     horizon: Nanos,
 }
@@ -424,12 +439,12 @@ impl SimClock {
             state: Mutex::new(SimState {
                 now: 0,
                 threads: Vec::new(),
+                wakers: Vec::new(),
                 running: 0,
                 cursor: None,
                 digest: 0xcbf2_9ce4_8422_2325,
                 events: 0,
             }),
-            cv: Condvar::new(),
             horizon: horizon_ns,
         }
     }
@@ -450,7 +465,7 @@ impl SimClock {
             assert_eq!(s.get(), NOT_REGISTERED, "thread already registered with a sim clock");
             let mut st = self.lock();
             assert!(st.threads.is_empty(), "register_main must be the first registration");
-            st.threads.push(Slot::Running);
+            st.push_slot(Slot::Running);
             st.running = 1;
             st.record(EV_SPAWN, 0, 0);
             s.set(0);
@@ -474,7 +489,7 @@ impl SimClock {
     /// the running thread, so ids are assigned in program order).
     fn prepare_slot(&self) -> usize {
         let mut st = self.lock();
-        st.threads.push(Slot::Starting);
+        st.push_slot(Slot::Starting);
         let id = st.threads.len() - 1;
         st.record(EV_SPAWN, id, 0);
         id
@@ -484,16 +499,16 @@ impl SimClock {
     /// first turn.
     fn wait_first_turn(&self, id: usize) {
         let mut st = self.lock();
+        let waker = st.wakers[id].clone();
         loop {
             if st.cursor == Some(id) {
                 st.threads[id] = Slot::Running;
                 st.running += 1;
                 st.cursor = None;
                 st.record(EV_WAKE, id, 0);
-                self.cv.notify_all();
                 return;
             }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = waker.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -509,7 +524,7 @@ impl SimClock {
         if st.running == 0 {
             self.start_round(&mut st);
         }
-        self.cv.notify_all();
+        st.wake_cursor();
     }
 
     /// Block in the scheduler until `joinee` has exited.
@@ -601,7 +616,8 @@ impl SimClock {
         if st.running == 0 {
             self.start_round(&mut st);
         }
-        self.cv.notify_all();
+        st.wake_cursor();
+        let waker = st.wakers[id].clone();
         loop {
             if st.cursor == Some(id) {
                 if let Some(v) = attempt(&st) {
@@ -609,7 +625,6 @@ impl SimClock {
                     st.running += 1;
                     st.cursor = None;
                     st.record(EV_WAKE, id, 0);
-                    self.cv.notify_all();
                     return Some(v);
                 }
                 if deadline.is_some_and(|d| st.now >= d) {
@@ -617,7 +632,6 @@ impl SimClock {
                     st.running += 1;
                     st.cursor = None;
                     st.record(EV_TIMEOUT, id, 0);
-                    self.cv.notify_all();
                     return None;
                 }
                 // Not ready: pass the cursor down the line. After an
@@ -629,10 +643,10 @@ impl SimClock {
                     Some(next) => st.cursor = Some(next),
                     None => self.end_of_round(&mut st),
                 }
-                self.cv.notify_all();
+                st.wake_cursor();
                 continue;
             }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = waker.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
