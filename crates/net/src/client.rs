@@ -17,13 +17,12 @@
 //!   is paid once per frame: the endpoint's worker is rung only when
 //!   the outbox goes from empty to non-empty, and it ships whole frames,
 //!   so one `Lookup` frame amortises the per-frame overhead across a
-//!   batch — the paper's Figure 3 economics, applied to the wire. By
-//!   default this is group commit — a frame is the first key plus
-//!   whatever queued while the previous frame was being written — so no
-//!   lookup waits on a timer; with `max_delay` set the worker holds a
-//!   partial frame open until `max_delay` after its first key, or until
-//!   it is full, exactly as the server's
-//!   [`collect_batch_into`](dini_serve::batcher::collect_batch_into) does.
+//!   batch — the paper's Figure 3 economics, applied to the wire. This
+//!   is group commit — a frame is the first key plus whatever queued
+//!   while the previous frame was being written — so no lookup waits on
+//!   a timer, exactly as the server's
+//!   [`collect_batch_into`](dini_serve::batcher::collect_batch_into)
+//!   forms its batches.
 //! * **One socket, many writers** — an endpoint's sending half sits
 //!   behind a mutex in the client core, and whichever thread has a
 //!   frame for it writes it: the endpoint's worker its `Lookup` batches
@@ -104,14 +103,6 @@ pub struct ClientConfig {
     /// opens a new one. Lookup frames only: an `Update` frame carries
     /// every record its endpoint has not been sent.
     pub max_batch: usize,
-    /// How long a partial `Lookup` frame is held open for co-travellers
-    /// after its first key arrives: the worker ships it at first key +
-    /// `max_delay`, or as soon as it is full. Zero (the default) is group
-    /// commit: a frame carries that key plus whatever was appended while
-    /// the previous frame was being written, and leaves at once. See
-    /// [`ServeConfig::max_delay`](dini_serve::ServeConfig). Lookup frames
-    /// only: updates ship at once, one frame per worker wake.
-    pub max_delay: Duration,
     /// Per-endpoint bound on keys waiting for the worker (in the open
     /// frame and the sealed frames behind it; frames on the wire do not
     /// count). On a full outbox `begin_lookup` sheds client-side with
@@ -160,7 +151,6 @@ impl Default for ClientConfig {
     fn default() -> Self {
         Self {
             max_batch: 256,
-            max_delay: Duration::ZERO,
             queue_capacity: 1024,
             retry_timeout: Duration::from_secs(1),
             max_retries: 8,
@@ -239,8 +229,6 @@ type UpdateReply = Result<(), ServeError>;
 struct OutFrame {
     keys: Vec<u32>,
     reply: Filler<FrameReply>,
-    /// When its first key was appended (read only with a `max_delay`).
-    opened: Nanos,
 }
 
 /// One endpoint's lookups on their way to its worker: the open frame
@@ -254,15 +242,12 @@ struct Outbox {
     /// caller parks in the scheduler instead).
     room: Condvar,
     /// The worker's bell: one token, rung when the outbox goes from
-    /// empty to non-empty, and when a frame is sealed while a
-    /// `max_delay` may be holding the worker asleep.
+    /// empty to non-empty.
     bell: SyncSender<()>,
     /// The span this endpoint serves (what a shed names).
     span: usize,
     capacity: usize,
     max_batch: usize,
-    /// `max_delay` in nanoseconds; `None` at zero (group commit).
-    delay: Option<Nanos>,
     clock: Clock,
 }
 
@@ -302,7 +287,6 @@ impl Outbox {
             span,
             capacity: cfg.queue_capacity,
             max_batch,
-            delay: (!cfg.max_delay.is_zero()).then(|| dur_ns(cfg.max_delay)),
             clock: cfg.clock.clone(),
         }
     }
@@ -325,10 +309,6 @@ impl Outbox {
         blocking: bool,
         gauge: &ReplicaGauge,
     ) -> Result<PendingNetLookup, ServeError> {
-        // Read before the lock: under a sim clock a time read takes the
-        // scheduler's lock, which a parked caller's room check nests the
-        // other way round.
-        let now = self.delay.map_or(0, |_| self.clock.now());
         let (pending, ring) = {
             let mut guard = self.lock();
             while guard.queued >= self.capacity && !guard.closed {
@@ -344,14 +324,13 @@ impl Outbox {
             let st = &mut *guard;
             let was_empty = st.queued == 0;
             if st.open.is_none() {
-                st.open = Some(st.fresh_frame(&self.cells, now, self.max_batch));
+                st.open = Some(st.fresh_frame(&self.cells, self.max_batch));
             }
             let frame = st.open.as_mut().expect("opened above");
             let idx = frame.keys.len();
             frame.keys.push(key);
             let cell = frame.reply.waiter();
-            let sealed = frame.keys.len() >= self.max_batch;
-            if sealed {
+            if frame.keys.len() >= self.max_batch {
                 st.sealed.extend(st.open.take());
             }
             st.queued += 1;
@@ -359,7 +338,7 @@ impl Outbox {
             // Counted before the worker can take the key, so the reader's
             // `complete` can never run ahead of it.
             gauge.add(1);
-            (PendingNetLookup { cell, idx }, was_empty || (sealed && self.delay.is_some()))
+            (PendingNetLookup { cell, idx }, was_empty)
         };
         if ring {
             self.ring();
@@ -387,36 +366,17 @@ impl Outbox {
         st
     }
 
-    /// Move what is ready to ship into `out`: every sealed frame, then
-    /// the open one — at once at zero `max_delay` or when not `hold`ing,
-    /// else once `max_delay` has passed since its first key. Returns the
-    /// deadline of an open frame left held.
-    fn take(&self, out: &mut VecDeque<OutFrame>, hold: bool) -> Option<Nanos> {
-        let now = self.delay.filter(|_| hold).map(|_| self.clock.now());
+    /// Move every queued frame into `out`: the sealed ones, then the
+    /// open one.
+    fn take(&self, out: &mut VecDeque<OutFrame>) {
         let mut st = self.lock();
-        let mut held = None;
-        let mut taken = 0;
-        for frame in st.sealed.drain(..) {
-            taken += frame.keys.len();
-            out.push_back(frame);
-        }
-        if let Some(frame) = st.open.take() {
-            match (self.delay, now) {
-                (Some(delay), Some(now)) if now < frame.opened + delay => {
-                    held = Some(frame.opened + delay);
-                    st.open = Some(frame);
-                }
-                _ => {
-                    taken += frame.keys.len();
-                    out.push_back(frame);
-                }
-            }
-        }
-        st.queued -= taken;
+        let st = &mut *st;
+        let taken = st.queued;
+        out.extend(st.sealed.drain(..).chain(st.open.take()));
+        st.queued = 0;
         if st.parked > 0 && taken > 0 {
             self.room.notify_all();
         }
-        held
     }
 
     /// Queue a frame re-homed from a dead sibling: `false` (the frame
@@ -462,14 +422,9 @@ impl Outbox {
 
 impl OutboxState {
     /// A new open frame, from retired parts where there are any.
-    fn fresh_frame(
-        &mut self,
-        cells: &CellPool<FrameReply>,
-        opened: Nanos,
-        max_batch: usize,
-    ) -> OutFrame {
+    fn fresh_frame(&mut self, cells: &CellPool<FrameReply>, max_batch: usize) -> OutFrame {
         let keys = self.free_keys.pop().unwrap_or_else(|| Vec::with_capacity(max_batch));
-        OutFrame { keys, reply: cells.take(), opened }
+        OutFrame { keys, reply: cells.take() }
     }
 }
 
@@ -798,7 +753,7 @@ fn serve_endpoint(
             // Rung or not: the bell's sender lives in the core, so this
             // only ever wakes or times out.
             let _ = clock.recv_timeout(bell, READER_POLL);
-            core.outboxes[ep].take(&mut frames, false);
+            core.outboxes[ep].take(&mut frames);
             for frame in frames.drain(..) {
                 core.reroute(ep, frame);
             }
@@ -808,15 +763,13 @@ fn serve_endpoint(
 
 /// Serve one connection generation until teardown or endpoint death:
 /// its lookups, and its endpoint's churn-log suffix. The worker blocks
-/// on its outbox bell — rung by the key that finds the outbox empty, by
-/// a frame sealed while a `max_delay` holds another open, and by every
-/// append to its span — or, while it holds a partial frame open, until
-/// that frame's deadline; `WORKER_POLL` only bounds how stale the
-/// housekeeping around it (flags, retry and repair deadlines) can get.
-/// Each wake ships every record appended since the last one in one
-/// `Update` frame (group commit). A frame whose send fails stays in
-/// flight for the death path to re-home, and the frames not yet sent
-/// stay in `frames`.
+/// on its outbox bell — rung by the key that finds the outbox empty and
+/// by every append to its span — or for `WORKER_POLL`, which only bounds
+/// how stale the housekeeping around it (flags, retry and repair
+/// deadlines) can get. Each wake ships every queued lookup frame, and
+/// every record appended since the last wake in one `Update` frame
+/// (group commit). A frame whose send fails stays in flight for the
+/// death path to re-home, and the frames not yet sent stay in `frames`.
 fn serve_conn(
     core: &ClientCore,
     ep: usize,
@@ -826,7 +779,6 @@ fn serve_conn(
     wire: &mut Vec<u32>,
 ) -> ConnExit {
     let clock = &core.clock;
-    let mut held: Option<Nanos> = None;
     loop {
         if core.shutdown.load(Ordering::SeqCst) {
             return ConnExit::Teardown;
@@ -835,11 +787,8 @@ fn serve_conn(
             return ConnExit::Dead;
         }
         // Rung or timed out, the outbox says what is ready.
-        let _ = match held {
-            None => clock.recv_timeout(bell, WORKER_POLL),
-            Some(due) => clock.recv_deadline(bell, due.min(clock.now() + dur_ns(WORKER_POLL))),
-        };
-        held = core.outboxes[ep].take(frames, true);
+        let _ = clock.recv_timeout(bell, WORKER_POLL);
+        core.outboxes[ep].take(frames);
         while let Some(frame) = frames.pop_front() {
             if send_batch(core, ep, frame, in_flight, wire).is_err() {
                 return ConnExit::Dead;

@@ -5,15 +5,17 @@
 //!
 //! The reply-contract tests talk to a hand-scripted span over `ChanNet`
 //! that answers the handshake and epoch pings itself and hands every
-//! `Lookup` frame to the test's script; the admission test runs a real
+//! `Lookup` frame to the test's script, and a [`Hold`] on the client's
+//! sending half shapes its frames; the admission test runs a real
 //! `NetServer` on a `SimClock`, where nothing runs until the test thread
 //! blocks, so the outbox fills deterministically.
 
-use dini_net::transport::{ChanNet, Duplex};
+use dini_net::transport::{ChanNet, Dialer, Duplex, FrameRx, FrameTx, NetError};
 use dini_net::wire::{LookupStatus, SpanMsg};
 use dini_net::{Acceptor, ClientConfig, Frame, NetServer, NetServerConfig, RemoteClient, Topology};
 use dini_serve::{Clock, ServeConfig, ServeError, SimClock};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -68,15 +70,100 @@ fn fake_span(
     (server, seen_rx)
 }
 
-/// `max_batch` 4 and a `max_delay` no test outlasts: four keys make one
-/// frame that ships the moment it is full, and fewer stay queued.
-fn four_key_frames() -> ClientConfig {
-    ClientConfig {
+/// How many more `Lookup` sends may return: the endpoint worker sends
+/// a frame, then waits in `send` until the budget lets it go. While it
+/// waits it takes nothing from its outbox, so the keys appended
+/// meanwhile form the next frames — up to `max_batch` each — exactly.
+struct Hold {
+    budget: Mutex<u64>,
+    changed: Condvar,
+}
+
+impl Hold {
+    fn new() -> Arc<Self> {
+        Arc::new(Self { budget: Mutex::new(u64::MAX), changed: Condvar::new() })
+    }
+
+    fn set(&self, budget: u64) {
+        *self.budget.lock().unwrap() = budget;
+        self.changed.notify_all();
+    }
+}
+
+/// A dialer whose connections hold their `Lookup` sends on one [`Hold`],
+/// and release it for good once their reader hangs up — which the
+/// client's reader does on shutdown, so a dropped client never waits on
+/// the test.
+struct HeldDialer {
+    inner: Box<dyn Dialer>,
+    hold: Arc<Hold>,
+}
+
+struct HeldTx {
+    inner: Box<dyn FrameTx>,
+    hold: Arc<Hold>,
+}
+
+struct HeldRx {
+    inner: Box<dyn FrameRx>,
+    hold: Arc<Hold>,
+}
+
+impl FrameTx for HeldTx {
+    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+        self.inner.send(frame)?;
+        if matches!(frame, Frame::Lookup { .. }) {
+            let mut budget = self.hold.budget.lock().unwrap();
+            while *budget == 0 {
+                budget = self.hold.changed.wait(budget).unwrap();
+            }
+            *budget -= 1;
+        }
+        Ok(())
+    }
+}
+
+impl FrameRx for HeldRx {
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, NetError> {
+        self.inner.recv_timeout(timeout)
+    }
+}
+
+impl Drop for HeldRx {
+    fn drop(&mut self) {
+        self.hold.set(u64::MAX);
+    }
+}
+
+impl Dialer for HeldDialer {
+    fn dial(&self, addr: &str) -> Result<Duplex, NetError> {
+        let Duplex { tx, rx, peer } = self.inner.dial(addr)?;
+        let hold = self.hold.clone();
+        let tx = Box::new(HeldTx { inner: tx, hold: hold.clone() });
+        Ok(Duplex { tx, rx: Box::new(HeldRx { inner: rx, hold }), peer })
+    }
+}
+
+/// A client of frames of at most four keys, over a [`HeldDialer`], that
+/// never resends, with its worker held in the send of a first lookup
+/// (key 0): what it is handed next ships in frames of exactly four keys
+/// and a partial remainder. Returns the primer, answered or not.
+fn four_key_frames(
+    net: &Arc<ChanNet>,
+    seen: &Receiver<Vec<u32>>,
+) -> (RemoteClient, Arc<Hold>, dini_net::PendingNetLookup) {
+    let hold = Hold::new();
+    let cfg = ClientConfig {
         max_batch: 4,
-        max_delay: Duration::from_secs(3600),
         retry_timeout: Duration::from_secs(3600),
         ..ClientConfig::default()
-    }
+    };
+    let dialer = HeldDialer { inner: net.dialer(), hold: hold.clone() };
+    let client = RemoteClient::connect(Box::new(dialer), "srv", cfg).expect("connect");
+    hold.set(0);
+    let primer = client.begin_lookup(0).expect("admitted");
+    assert_eq!(seen.recv_timeout(SEC).expect("the primer"), vec![0]);
+    (client, hold, primer)
 }
 
 #[test]
@@ -85,9 +172,11 @@ fn a_short_reply_answers_its_head_exactly_and_its_tail_shutting_down() {
     let script: Script =
         Box::new(|keys| Some(keys.iter().take(2).map(|&k| LookupStatus::Rank(k * 10)).collect()));
     let (server, seen) = fake_span(&net, script);
-    let client = RemoteClient::connect(net.dialer(), "srv", four_key_frames()).expect("connect");
+    let (client, hold, primer) = four_key_frames(&net, &seen);
     let pending: Vec<_> = (1..=4u32).map(|k| client.begin_lookup(k).expect("admitted")).collect();
+    hold.set(u64::MAX);
     assert_eq!(seen.recv_timeout(SEC).expect("one frame"), vec![1, 2, 3, 4]);
+    assert_eq!(primer.wait(), Ok(0));
     let got: Vec<_> = pending.into_iter().map(|p| p.wait()).collect();
     assert_eq!(
         got,
@@ -101,11 +190,16 @@ fn a_short_reply_answers_its_head_exactly_and_its_tail_shutting_down() {
 fn dropping_the_client_answers_queued_and_wire_lookups_shutting_down() {
     let net = ChanNet::new(Clock::system());
     let (server, seen) = fake_span(&net, Box::new(|_| None));
-    let client = RemoteClient::connect(net.dialer(), "srv", four_key_frames()).expect("connect");
-    // Keys 1–4 fill a frame, which ships and is never answered; keys 5
-    // and 6 stay in the open frame, held by `max_delay`.
-    let pending: Vec<_> = (1..=6u32).map(|k| client.begin_lookup(k).expect("admitted")).collect();
+    let (client, hold, primer) = four_key_frames(&net, &seen);
+    // Keys 1–4 fill a frame, which ships (the worker is let through
+    // once more) and is never answered; keys 5 and 6 are appended while
+    // the worker is held again, so they are still queued at the drop.
+    let mut pending: Vec<_> =
+        (1..=4u32).map(|k| client.begin_lookup(k).expect("admitted")).collect();
+    hold.set(1);
     assert_eq!(seen.recv_timeout(SEC).expect("the full frame"), vec![1, 2, 3, 4]);
+    pending.extend((5..=6u32).map(|k| client.begin_lookup(k).expect("admitted")));
+    pending.push(primer);
     assert!(pending.iter().all(|p| p.poll().is_none()), "nothing is answered yet");
     let (done_tx, done_rx) = channel();
     std::thread::spawn(move || {
@@ -114,9 +208,9 @@ fn dropping_the_client_answers_queued_and_wire_lookups_shutting_down() {
         let _ = done_tx.send(got);
     });
     let got = done_rx.recv_timeout(SEC).expect("every waiter resolves after the drop");
-    assert_eq!(got, vec![Err(ServeError::ShuttingDown); 6]);
-    assert!(seen.try_recv().is_err(), "the held frame never shipped");
+    assert_eq!(got, vec![Err(ServeError::ShuttingDown); 7]);
     server.join().unwrap();
+    assert!(seen.try_recv().is_err(), "the queued keys never shipped");
 }
 
 #[test]

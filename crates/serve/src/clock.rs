@@ -1,8 +1,8 @@
 //! Time virtualization: the `Clock` seam and the deterministic
 //! [`SimClock`] scheduler behind `dini-simtest`.
 //!
-//! Every timing decision in the serving layer — batcher deadlines,
-//! idle polls, open-loop arrival naps, blocking admission — goes through
+//! Every timing decision in the serving layer — idle polls, open-loop
+//! arrival naps, blocking admission, reply waits — goes through
 //! a [`Clock`] instead of touching `Instant::now()` / `thread::sleep`
 //! directly. A clock comes in two flavours:
 //!
@@ -786,7 +786,7 @@ mod tests {
     // clocks. (Unblocked cases are pinned elsewhere: a send to a dropped
     // receiver by `admission::tests::disconnect_is_shutdown_not_shed`,
     // one sender's order by `sim_blocking_send_waits_for_capacity` and
-    // `batcher::tests::fills_to_max_batch_without_waiting_out_the_delay`.)
+    // `batcher::tests::fills_to_max_batch_and_leaves_the_rest_queued`.)
 
     #[test]
     fn a_sender_blocked_in_send_observes_the_receivers_drop() {

@@ -10,17 +10,15 @@ use std::time::Duration;
 
 /// Configuration for [`IndexServer`](crate::IndexServer).
 ///
-/// The two coalescing knobs are the server-side analogue of the paper's
-/// Figure 3 batch-size trade-off. Larger batches amortise the
-/// dispatcher's wake-up and the per-message overhead across more queries
+/// `max_batch` is the server-side analogue of the paper's Figure 3
+/// batch-size trade-off. Larger batches amortise the dispatcher's
+/// wake-up and the per-message overhead across more queries
 /// (throughput ↑) at the price of queueing delay (response time ↑) — but
-/// a server does not have to pick a point on that curve with a clock:
-/// by default a batch is whatever queued while the previous batch was in
-/// service (group commit), so batches grow with load, and a query that
-/// finds its replica idle is not dispatched at all: the calling thread
-/// ranks it (see [`server`](crate::server)). `max_batch` caps a batch;
-/// `max_delay`, zero by default, makes a partial batch a dispatcher has
-/// opened wait for co-travellers.
+/// a server does not have to pick a point on that curve with a clock: a
+/// batch is whatever queued while the previous batch was in service
+/// (group commit), so batches grow with load, and a query that finds its
+/// replica idle is not dispatched at all: the calling thread ranks it
+/// (see [`server`](crate::server)). `max_batch` caps a batch.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of shards; each shard is one contiguous key range — the
@@ -45,15 +43,11 @@ pub struct ServeConfig {
     pub slaves_per_shard: usize,
     /// Maximum queries coalesced into one index batch.
     pub max_batch: usize,
-    /// How long a partial batch is held open for co-travellers after its
-    /// first query arrives. Zero (the default) is group commit: the batch
-    /// is that query plus whatever queued while the previous batch was
-    /// in service, dispatched at once — no request ever waits on a
-    /// timer. A nonzero delay trades response time for batch size under
-    /// sparse traffic, and is what the simulation tests use to place
-    /// requests in one batch deliberately. It governs batches a
-    /// dispatcher collects; a request that finds its replica idle never
-    /// reaches one (the caller ranks it) and waits on nothing.
+    /// Dead: batches are group-committed and no request waits on a
+    /// timer. Kept only because the frozen `benchmark/` still assigns it;
+    /// goes with that line.
+    #[deprecated(note = "read nowhere; a batch departs with whatever queued behind it")]
+    #[doc(hidden)]
     pub max_delay: Duration,
     /// Bound of each shard's admission queue; a full queue sheds
     /// (`begin_lookup` fails fast with `Overloaded`) rather than growing
@@ -105,10 +99,10 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// `n_shards` shards with serving-friendly defaults: 1 replica per
-    /// shard, group-committed batches of ≤ 256 (no coalescing delay),
+    /// shard, group-committed batches of ≤ 256,
     /// queues of 1024, merges every 4096 delta entries, snapshots every
     /// 64 ops.
-    #[allow(deprecated)] // the one initialiser of `slaves_per_shard`
+    #[allow(deprecated)] // the one initialiser of `slaves_per_shard` and `max_delay`
     pub fn new(n_shards: usize) -> Self {
         Self {
             n_shards,

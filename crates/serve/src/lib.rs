@@ -32,8 +32,7 @@
 //!   commit: a batch is the first request plus whatever queued while the
 //!   previous batch was in service (≤ `max_batch`), dispatched at once —
 //!   the paper's Figure 3 batch-size trade-off settled by load, not by a
-//!   timer. A nonzero `max_delay` additionally holds a partial batch
-//!   open for co-travellers.
+//!   timer.
 //! * [`admission`] — bounded per-shard queues **shed on full**, so
 //!   overload surfaces as cheap explicit rejection (and a counter)
 //!   instead of unbounded queueing delay. Each queue's depth gauge is

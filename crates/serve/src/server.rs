@@ -44,8 +44,7 @@
 //!   decides between the two. A slice of keys
 //!   ([`ServerHandle::lookup_many`], a wire frame) is admitted shard by
 //!   shard as a unit, so an idle replica's share of it is *one* batch
-//!   through the kernel's lockstep groups. `max_delay`, when set, holds
-//!   open only batches a dispatcher collects. A replica with any fault
+//!   through the kernel's lockstep groups. A replica with any fault
 //!   scripted is never claimed: stragglers and crashes are dispatcher
 //!   faults.
 //! * **A pipelined caller ranks its own group**: a caller that still
@@ -510,7 +509,6 @@ impl IndexServer {
                     shutdown: shutdown.clone(),
                     main_epoch,
                     max_batch: cfg.max_batch,
-                    max_delay: cfg.max_delay,
                     clock: cfg.clock.clone(),
                     faults,
                 }));
@@ -1309,7 +1307,6 @@ struct Dispatcher {
     /// epochs this replica has crossed since.
     main_epoch: u64,
     max_batch: usize,
-    max_delay: Duration,
     clock: Clock,
     faults: ReplicaFaults,
 }
@@ -1326,7 +1323,6 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
         shutdown,
         main_epoch,
         max_batch,
-        max_delay,
         clock,
         mut faults,
     } = d;
@@ -1366,8 +1362,7 @@ fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
                 Err(RecvTimeoutError::Disconnected) => break,
             };
 
-            let disconnected =
-                collect_batch_into(&clock, &req_rx, first, &mut batch, max_batch, max_delay);
+            let disconnected = collect_batch_into(&req_rx, first, &mut batch, max_batch);
             let collected = clock.now();
 
             // Injected faults, in virtual (or wall) time: a crash here
@@ -1639,7 +1634,6 @@ mod tests {
 
     fn cfg(shards: usize) -> ServeConfig {
         let mut c = ServeConfig::new(shards);
-        c.max_delay = Duration::from_micros(200);
         c.max_batch = 64;
         c
     }

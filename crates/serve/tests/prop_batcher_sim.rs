@@ -1,23 +1,15 @@
-//! Property tests for batcher semantics — group commit and the timed
-//! wait — on virtual time.
+//! Property tests for the batcher's group commit on virtual time.
 //!
-//! The wall-clock batcher tests can only assert loose brackets ("waited
-//! at least 25 ms, at most 300 ms") because real schedulers add noise.
-//! Under a [`SimClock`] the semantics are *exact*, so proptest can pin
-//! them across arbitrary arrival patterns:
+//! Under a [`SimClock`] the semantics are *exact* whatever the real
+//! scheduler does, so proptest can pin them across arbitrary arrival
+//! patterns:
 //!
 //! 1. a batch never exceeds `max_batch`;
-//! 2. no batch is held open past `open + max_delay`;
-//! 3. a partial batch (not full, feeder still alive) departs at
-//!    **exactly** its deadline — in particular, a lone request
-//!    dispatches at precisely `enqueue + max_delay`;
-//! 4. at `max_delay` 0 (group commit, the shipped default) a batch
-//!    departs at its open instant holding exactly the backlog present
-//!    then, capped at `max_batch` — which is what 2 and 3 say at zero,
-//!    plus the size.
+//! 2. a batch departs at its open instant holding exactly the backlog
+//!    present then, capped at `max_batch`.
 
 use dini_serve::batcher::{collect_batch_into, Request};
-use dini_serve::clock::{dur_ns, Clock, SimClock};
+use dini_serve::clock::{Clock, SimClock};
 use dini_serve::oneshot::CellPool;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -30,16 +22,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn deadline_semantics_exact_under_virtual_time(
+    fn group_commit_exact_under_virtual_time(
         max_batch in 1usize..24,
-        max_delay_us in prop_oneof![Just(0u64), 0u64..400],
         // Arrival gaps in µs; 0 = back-to-back (co-travellers for free).
         gaps_us in vec(0u64..600, 1..48),
     ) {
         let sim = SimClock::new();
         let _main = sim.register_main();
         let clock = Clock::sim(&sim);
-        let max_delay = Duration::from_micros(max_delay_us);
 
         let (tx, rx) = sync_channel::<Request>(1024);
         // Requests sent so far. `std`'s receiver has no `len()`, so the
@@ -78,36 +68,16 @@ proptest! {
             };
             let open = clock.now();
             let backlog = sent.load(Ordering::Relaxed) - (collected + 1);
-            let disconnected =
-                collect_batch_into(&clock, &rx, first, &mut batch, max_batch, max_delay);
+            let disconnected = collect_batch_into(&rx, first, &mut batch, max_batch);
             let departed = clock.now();
             collected += batch.len();
 
             // (1) size bound.
             prop_assert!(batch.len() <= max_batch, "batch overfilled: {}", batch.len());
-            // (2) no batch held past its deadline.
-            prop_assert!(
-                departed <= open + dur_ns(max_delay),
-                "held {} ns past a {} ns budget",
-                departed - open,
-                dur_ns(max_delay)
-            );
-            // (3) a partial batch with a live feeder departs exactly at
-            // its deadline (this is the lone-request case whenever
-            // batch.len() == 1).
-            if batch.len() < max_batch && !disconnected {
-                prop_assert_eq!(
-                    departed,
-                    open + dur_ns(max_delay),
-                    "partial batch departed early"
-                );
-            }
-            // (4) group commit: the opener plus the backlog at open,
+            // (2) group commit: the opener plus the backlog at open,
             // nothing else, at once.
-            if max_delay.is_zero() {
-                prop_assert_eq!(departed, open, "a zero-delay batch waited");
-                prop_assert_eq!(batch.len(), (1 + backlog).min(max_batch));
-            }
+            prop_assert_eq!(departed, open, "a batch waited");
+            prop_assert_eq!(batch.len(), (1 + backlog).min(max_batch));
             batch.clear();
             if disconnected {
                 break;

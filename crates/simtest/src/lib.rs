@@ -104,7 +104,7 @@
 //!
 //! // The same load through a client, over a wire, to one server process.
 //! d.spans = 1;
-//! d.latency_bound = None; // links and client coalescing add to what a probe sees
+//! d.latency_bound = None; // links add to what a probe sees
 //! let wired = run(&d, 42);
 //! assert_eq!((wired.issued, wired.ok), (report.issued, report.ok));
 //! ```
@@ -141,13 +141,11 @@ pub struct Deployment {
     /// Replicated dispatchers per shard (more than one enables failover
     /// and load-aware routing inside a server).
     pub replicas_per_shard: usize,
-    /// Queries per dispatcher batch, and keys per client frame.
+    /// Queries per dispatcher batch, and keys per client frame. Both
+    /// are group-committed, as shipped: a deployment that needs requests
+    /// queued when a fault fires scripts the queueing in
+    /// [`faults`](Self::faults) (a straggle, dispatch jitter).
     pub max_batch: usize,
-    /// Server-side coalescing window. The constructors set one
-    /// explicitly — a timed batch is how the fault scenarios keep
-    /// requests queued and coalescing when a fault fires; zero is the
-    /// server's shipped group commit.
-    pub max_delay: Duration,
     /// Admission queue depth per shard.
     pub queue_capacity: usize,
     /// Writer delta budget before a merge — and, with
@@ -156,8 +154,6 @@ pub struct Deployment {
     pub merge_threshold: usize,
     /// Writer ops per snapshot publication.
     pub publish_every: usize,
-    /// Client-side coalescing window.
-    pub client_max_delay: Duration,
     /// Client resend timeout for unanswered lookup batches.
     pub retry_timeout: Duration,
     /// Client retry budget before declaring an endpoint dead.
@@ -188,6 +184,8 @@ pub struct Deployment {
     /// it: every server's served latency and traced stage spans, and —
     /// over a wire — what the probes observed, issue to reap (they reap
     /// on a 100 µs cadence, already included in the bound you pass).
+    /// Service is instantaneous on virtual time, so the in-process
+    /// baseline's bound is zero and a bound is a sum of injected delays.
     /// `None` disables it (overload, or drops, where tails legitimately
     /// include queueing or retry timeouts).
     pub latency_bound: Option<Duration>,
@@ -248,11 +246,9 @@ impl Deployment {
             shards: 3,
             replicas_per_shard: 1,
             max_batch: 32,
-            max_delay: Duration::from_micros(200),
             queue_capacity: 1024,
             merge_threshold: 4096,
             publish_every: 64,
-            client_max_delay: Duration::from_micros(100),
             retry_timeout: Duration::from_millis(5),
             max_retries: 40,
             clients: 3,
@@ -262,7 +258,7 @@ impl Deployment {
             churn_gap: Duration::from_micros(50),
             faults: FaultSchedule { latency: Duration::from_micros(50), ..Default::default() },
             lifecycle: Vec::new(),
-            latency_bound: Some(Duration::from_micros(250)),
+            latency_bound: Some(Duration::ZERO),
             stats_polls: 0,
             stats_poll_gap: Duration::from_micros(500),
             trace_sample_period: 64,

@@ -85,7 +85,7 @@ pub(crate) fn servers_hold(o: &Outcome, traces: &[StageRecord]) {
     assert!(
         t.served == 0 || bound.is_none_or(|b| t.max_latency_ns <= b),
         "[{name}] worst served latency {} ns exceeds the virtual-time bound {bound:?} \
-         (max_delay + injected delays)",
+         (the injected delays)",
         t.max_latency_ns
     );
     if d.spans > 0 {

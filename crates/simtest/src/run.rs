@@ -307,7 +307,6 @@ impl Site<'_> {
         let mut cfg = ServeConfig::new(d.shards);
         cfg.replicas_per_shard = d.replicas_per_shard;
         cfg.max_batch = d.max_batch;
-        cfg.max_delay = d.max_delay;
         cfg.queue_capacity = d.queue_capacity;
         cfg.merge_threshold = d.merge_threshold;
         cfg.publish_every = d.publish_every;
@@ -408,7 +407,6 @@ impl<'a> Cluster<'a> {
         let ccfg = ClientConfig {
             clock: clock.clone(),
             max_batch: d.max_batch,
-            max_delay: d.client_max_delay,
             retry_timeout: d.retry_timeout,
             max_retries: d.max_retries,
             ctrl_timeout: Duration::from_millis(20),

@@ -27,17 +27,15 @@ pub fn clean_quiesce() -> Deployment {
     d.churn_ops = 600;
     d.churn_gap = Duration::from_micros(20);
     d.lifecycle = QUIESCE_MID_RUN.to_vec();
-    d.latency_bound = Some(Duration::from_micros(250));
     d
 }
 
-/// The shipped coalescing defaults, read off `ServeConfig::new` so these
-/// scenarios follow whatever the server actually ships.
+/// The shipped batch cap, read off `ServeConfig::new` so these
+/// scenarios follow whatever the server actually ships, with every
+/// request's wait recorded.
 fn shipped_coalescing(d: &mut Deployment) {
-    let shipped = ServeConfig::new(d.shards);
-    d.max_batch = shipped.max_batch;
-    d.max_delay = shipped.max_delay;
-    d.trace_sample_period = 1; // every request's wait is recorded
+    d.max_batch = ServeConfig::new(d.shards).max_batch;
+    d.trace_sample_period = 1;
 }
 
 pub fn group_commit_lone() -> Deployment {
@@ -46,7 +44,6 @@ pub fn group_commit_lone() -> Deployment {
     d.clients = 1;
     d.lookups_per_client = 64;
     d.arrival = ArrivalProcess::poisson_rate(1_000.0);
-    d.latency_bound = Some(Duration::ZERO);
     d
 }
 
@@ -66,11 +63,15 @@ pub fn group_commit_backlog() -> Deployment {
 
 pub fn shard_crash_mid_batch() -> Deployment {
     let mut d = Deployment::in_process("shard_crash_mid_batch");
-    // Crash shard 1 at 3 virtual ms — squarely inside the ~20 ms
-    // load window, so requests are queued and coalescing when it
-    // dies.
-    d.faults.events = vec![Fault::Crash { shard: 1, replica: None, at: 3 * MS }];
-    d.latency_bound = Some(Duration::from_micros(250));
+    // Shard 1 pays `extra` per batch, about two arrivals' worth, so its
+    // dispatcher is nearly always serving a batch with more queued
+    // behind it; it crashes at 3 virtual ms — squarely inside the
+    // ~20 ms load window — with both on hand.
+    let extra = Duration::from_micros(100);
+    d.faults.events =
+        vec![slow_shard(1, extra), Fault::Crash { shard: 1, replica: None, at: 3 * MS }];
+    // Queued behind one slow batch, then riding its own.
+    d.latency_bound = Some(2 * extra);
     d
 }
 
@@ -88,14 +89,18 @@ pub fn shard_crash_with_queued_backlog() -> Deployment {
 pub fn replica_crash_mid_batch() -> Deployment {
     let mut d = Deployment::in_process("replica_crash_mid_batch");
     d.replicas_per_shard = 2;
-    // Crash replica 0 of shard 1 at 3 virtual ms — squarely inside
-    // the ~20 ms load window, so requests are queued and coalescing
-    // on the dying replica.
-    d.faults.events = vec![Fault::Crash { shard: 1, replica: Some(0), at: 3 * MS }];
-    // Re-homed requests ride one extra coalescing window on the
-    // survivor; anything slower than a handful of max_delays would
-    // mean the backlog sat un-drained.
-    d.latency_bound = Some(5 * d.max_delay);
+    // Both replicas of shard 1 pay `extra` per batch, so each is nearly
+    // always serving a batch with more queued behind it; replica 0
+    // crashes at 3 virtual ms — squarely inside the ~20 ms load window
+    // — with both on hand.
+    let extra = Duration::from_micros(200);
+    d.faults.events =
+        vec![slow_shard(1, extra), Fault::Crash { shard: 1, replica: Some(0), at: 3 * MS }];
+    // The worst case is a request in the dying replica's batch: ≤ one
+    // slow batch queued, its own batch until the crash is seen, then ≤
+    // one slow batch on the survivor and the batch that serves it.
+    // Anything slower would mean the backlog sat un-drained.
+    d.latency_bound = Some(4 * extra);
     d
 }
 
@@ -106,11 +111,11 @@ pub fn straggler_replica() -> Deployment {
     d.faults.events = vec![Fault::Straggle { shard: 0, replica: Some(0), extra }];
     d.arrival = ArrivalProcess::poisson_rate(4_000.0);
     // A request can land on the straggler just as a slow batch
-    // departs and then ride its own: ≤ max_delay + 2 × extra. The
-    // healthy replica's own traffic stays under max_delay, which is
-    // what keeps the *shard's* tail bounded by the straggler's
-    // single-batch delay instead of its queue length.
-    d.latency_bound = Some(d.max_delay + 2 * extra);
+    // departs and then ride its own: ≤ 2 × extra. The healthy
+    // replica's own traffic waits on nothing, which is what keeps the
+    // *shard's* tail bounded by the straggler's single-batch delay
+    // instead of its queue length.
+    d.latency_bound = Some(2 * extra);
     d
 }
 
@@ -130,7 +135,8 @@ pub fn dispatch_jitter() -> Deployment {
     let jitter = Duration::from_micros(400);
     d.faults.dispatch_jitter = jitter;
     d.arrival = ArrivalProcess::poisson_rate(5_000.0);
-    d.latency_bound = Some(d.max_delay + 2 * jitter);
+    // Queued behind one jittered batch, then riding its own.
+    d.latency_bound = Some(2 * jitter);
     d
 }
 
@@ -142,9 +148,8 @@ pub fn slow_shard_straggler() -> Deployment {
     d.faults.events = vec![slow_shard(0, STRAGGLER_EXTRA)];
     d.arrival = ArrivalProcess::poisson_rate(4_000.0);
     // A request can land behind one in-flight slow batch and then
-    // ride its own: ≤ max_delay + 2 × extra, exactly, in virtual
-    // time.
-    d.latency_bound = Some(d.max_delay + 2 * STRAGGLER_EXTRA);
+    // ride its own: ≤ 2 × extra, exactly, in virtual time.
+    d.latency_bound = Some(2 * STRAGGLER_EXTRA);
     d
 }
 
@@ -154,14 +159,12 @@ pub fn churn_storm() -> Deployment {
     d.churn_gap = Duration::from_micros(5); // storm
     d.merge_threshold = 48; // force frequent merges/rebuilds
     d.publish_every = 4; // publication storm
-    d.latency_bound = Some(Duration::from_micros(250));
     d
 }
 
 pub fn stage_traces_dense() -> Deployment {
     let mut d = Deployment::in_process("stage_traces_on_virtual_time");
     d.trace_sample_period = 1; // dense: every request sampled
-    d.latency_bound = Some(Duration::from_micros(250));
     d
 }
 
@@ -209,7 +212,7 @@ pub fn determinism_busy() -> Deployment {
     let extra = Duration::from_micros(300);
     d.faults.events = vec![slow_shard(0, extra)];
     // Queued behind one slow batch, then riding its own.
-    d.latency_bound = Some(d.max_delay + 2 * extra);
+    d.latency_bound = Some(2 * extra);
     d
 }
 
@@ -222,7 +225,8 @@ pub fn determinism_fastforward() -> Deployment {
 
 pub fn net_clean_two_spans() -> Deployment {
     let mut d = Deployment::wire("net-clean-two-spans");
-    d.latency_bound = Some(Duration::from_micros(700));
+    // Two 50 µs link crossings + the probe's 100 µs reap cadence.
+    d.latency_bound = Some(Duration::from_micros(2 * 50 + 100));
     d
 }
 
@@ -267,8 +271,8 @@ pub fn net_jittered_links() -> Deployment {
     d.spans = 1;
     d.faults.latency = Duration::from_micros(20);
     d.faults.jitter = Duration::from_micros(300);
-    // client 100 + server 200 + 2×(20+300) + reap 100 = 1040 µs; margin.
-    d.latency_bound = Some(Duration::from_micros(1200));
+    // Two crossings of at most 20 + 300 µs + the 100 µs reap cadence.
+    d.latency_bound = Some(Duration::from_micros(2 * (20 + 300) + 100));
     d
 }
 

@@ -8,9 +8,9 @@ use std::time::Duration;
 
 /// Differential: the same keys, probes and seed, once in process and
 /// once through a client to one server process over a link that costs
-/// nothing. The wire may add waiting — exactly the client's coalescing
-/// window and the probe's reap cadence, which is all the looser bound
-/// below allows — but not change what is asked, answered or served.
+/// nothing. The wire may add waiting — exactly the probe's reap cadence,
+/// which is all the looser bound below allows — but not change what is
+/// asked, answered or served.
 /// Every reply is checked against the static key set in both runs, so
 /// equal counts of checked replies are equal per-key ranks.
 #[test]
@@ -24,7 +24,7 @@ fn in_process_and_over_a_free_wire_agree() {
             name: "differential-over-a-free-wire",
             spans: 1,
             faults: FaultSchedule::default(),
-            latency_bound: local.latency_bound.map(|b| b + Duration::from_micros(100 + 100)),
+            latency_bound: local.latency_bound.map(|b| b + Duration::from_micros(100)),
             ..local.clone()
         };
         let (a, b) = (run(&local, seed), run(&wired, seed));

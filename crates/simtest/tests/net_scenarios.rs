@@ -18,8 +18,8 @@ use std::time::Duration;
 fn clean_two_span_deployment_is_exact_and_bounded() {
     // Baseline: two server processes, no faults, fixed 50 µs links.
     // Every rank is verified at reap time, and the end-to-end tail is
-    // bounded by coalescing (client 100 µs + server 200 µs) + two link
-    // crossings + the probe's 100 µs reap cadence.
+    // bounded by two link crossings + the probe's 100 µs reap cadence:
+    // no frame or batch waits on a timer.
     for seed in seeds_from_env() {
         let r = run_reproducibly(&catalog::net_clean_two_spans(), seed);
         assert_eq!(r.issued, 2 * 300);
@@ -81,8 +81,8 @@ fn endpoint_crash_fails_over_to_replica_endpoint() {
 fn jittered_links_keep_virtual_time_tails_bounded() {
     // Per-frame jitter up to 300 µs (which also reorders frames on the
     // wire). Request-id matching absorbs the reordering, and the worst
-    // client-observed latency stays under coalescing + two worst-case
-    // link crossings + the reap cadence.
+    // client-observed latency stays under two worst-case link crossings
+    // + the reap cadence.
     for seed in seeds_from_env() {
         let r = run_reproducibly(&catalog::net_jittered_links(), seed);
         assert_eq!(r.ok, r.issued, "jitter delays, it must not lose: {r:?}");

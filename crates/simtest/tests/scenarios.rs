@@ -1,7 +1,7 @@
 //! The seeded fault-scenario suite: the real `IndexServer` under nine
-//! hostile (and one clean) schedules plus the two group-commit and the
-//! two fast-path scenarios that run the shipped coalescing defaults, on
-//! deterministic virtual time.
+//! hostile (and one clean) schedules plus two group-commit and two
+//! fast-path scenarios, all forming batches by the shipped group
+//! commit, on deterministic virtual time.
 //!
 //! Every scenario runs across the seed matrix (`DINI_SIMTEST_SEEDS`,
 //! default 3, CI 8) and **twice per seed** via
@@ -54,9 +54,8 @@ fn group_commit_lone_request_departs_at_open() {
 /// previous one is in service. The only shard pays an injected `D` per
 /// batch; everything that arrives during one batch's `D` leaves together
 /// as the next batch, the moment the dispatcher frees up. So no request
-/// waits longer than `D` to be collected — not `D + max_delay`, and not
-/// `2 D`, which is what a backlog split over two batches would cost its
-/// second half.
+/// waits longer than `D` to be collected — not `2 D`, which is what a
+/// backlog split over two batches would cost its second half.
 #[test]
 fn group_commit_backlog_leaves_as_one_batch() {
     for seed in seeds_from_env() {
@@ -184,7 +183,7 @@ fn all_replicas_down_is_shutdown() {
 }
 
 /// Seeded uniform jitter on every dispatch: answers stay exact, and the
-/// worst served latency stays below `max_delay + 2 × dispatch_jitter` — a
+/// worst served latency stays below `2 × dispatch_jitter` — a
 /// bound that only holds because delays are virtual and scripted.
 #[test]
 fn dispatch_jitter() {

@@ -38,7 +38,6 @@ fn initial_keys(n: usize) -> Vec<u32> {
 
 fn serve_cfg(shards: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(shards);
-    cfg.max_delay = Duration::from_micros(200);
     cfg.max_batch = 128;
     cfg.merge_threshold = 64; // force many merge/rebuild epochs
     cfg.publish_every = 16;
@@ -487,7 +486,6 @@ fn overload_sheds_instead_of_queueing_without_bound() {
     let mut cfg = ServeConfig::new(1);
     cfg.queue_capacity = 1;
     cfg.max_batch = 1;
-    cfg.max_delay = Duration::ZERO;
     let extra = Duration::from_micros(50);
     cfg.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra });
     let server = IndexServer::build(&keys, cfg);
