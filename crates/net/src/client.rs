@@ -12,24 +12,31 @@
 //!   [`ReplicaSelector`] over a [`ReplicaGauge`]) — the identical
 //!   machinery `router.rs` runs over replica dispatchers.
 //! * **Coalescing** — a lookup appends its key to its endpoint's
-//!   *outbox*: the open frame, under one short lock, with the frames
-//!   already sealed full queued behind it. Everything but the key slot
-//!   is paid once per frame: the endpoint's worker is rung only when
-//!   the outbox goes from empty to non-empty, and it ships whole frames,
-//!   so one `Lookup` frame amortises the per-frame overhead across a
-//!   batch — the paper's Figure 3 economics, applied to the wire. This
-//!   is group commit — a frame is the first key plus whatever queued
-//!   while the previous frame was being written — so no lookup waits on
-//!   a timer, exactly as the server's
-//!   [`collect_batch_into`](dini_serve::batcher::collect_batch_into)
-//!   forms its batches.
+//!   *outbox*: the open frame, under one short lock. Everything but the
+//!   key slot is paid once per frame, so one `Lookup` frame amortises
+//!   the per-frame overhead across a batch — the paper's Figure 3
+//!   economics, applied to the wire. The caller that has a frame writes
+//!   it, by the rule
+//!   [`ServerHandle::begin_lookup`](dini_serve::ServerHandle::begin_lookup)
+//!   groups by (Nagle's,
+//!   turned round): a lookup begun on a handle that holds no unreaped
+//!   lookup writes its frame at once; a pipelined one leaves its key in
+//!   the open frame, and the caller whose key fills the frame to
+//!   `max_batch` writes it; a caller that polls, waits on or drops an
+//!   unanswered lookup first writes every open frame holding a key it
+//!   began. No lookup waits on a timer, and none on another thread's
+//!   wake-up before it leaves.
 //! * **One socket, many writers** — an endpoint's sending half sits
 //!   behind a mutex in the client core, and whichever thread has a
-//!   frame for it writes it: the endpoint's worker its `Lookup` batches
-//!   and its `Update` records, a caller its `Quiesce` / `EpochPing` /
-//!   `StatsRequest`. Frames leave in lock order, so a control frame stays
-//!   FIFO with the updates written before it, and a write held up on one
-//!   endpoint holds up only that endpoint's worker.
+//!   frame for it writes it: a caller its `Lookup` frames and its
+//!   `Quiesce` / `EpochPing` / `StatsRequest`, the endpoint's worker its
+//!   retries and `Update` records. A lookup caller never blocks on the
+//!   socket: it writes only if the lock is free, and only what the
+//!   socket takes at once, and leaves a frame it could not start (and
+//!   the unsent tail of one it could) to the endpoint's worker. Frames
+//!   leave in lock order, so a control frame stays FIFO with the updates
+//!   written before it, and a write held up on one endpoint holds up only
+//!   that endpoint's worker and control callers.
 //! * **Replies** — one reply cell per frame (`dini-serve`'s pooled
 //!   [`ReplyCell`](dini_serve::oneshot::ReplyCell), the server's own): a
 //!   pending lookup holds the cell and its key's index in the frame, and
@@ -66,7 +73,7 @@
 //!   into the quorum itself and releases the waiters it covers.
 
 use crate::topology::Topology;
-use crate::transport::{Dialer, Duplex, FrameRx, FrameTx, NetError};
+use crate::transport::{Dialer, Duplex, FrameRx, FrameTx, NetError, TrySend};
 use crate::wire::{Frame, LookupStatus, StatusCode, WireOp, WIRE_VERSION};
 use dini_cluster::LogHistogram;
 use dini_flight::{EventKind, FlightJournal};
@@ -84,10 +91,11 @@ use std::time::Duration;
 
 /// An endpoint worker's idle housekeeping tick: lookup retry deadlines,
 /// churn-log repair (resend) deadlines, the endpoint's liveness flag, the
-/// shutdown flag. No request waits it out — a lookup that finds its
-/// outbox empty rings the worker's bell, an update rings the bell of
-/// every live endpoint of its span, and control frames never pass
-/// through the worker.
+/// shutdown flag. No request waits it out — lookup callers write their
+/// own frames and ring the worker's bell only for what they could not
+/// write without blocking, an update rings the bell of every live
+/// endpoint of its span, and control frames never pass through the
+/// worker.
 const WORKER_POLL: Duration = Duration::from_millis(1);
 /// How often an endpoint reader wakes to notice shutdown/death.
 const READER_POLL: Duration = Duration::from_millis(10);
@@ -98,16 +106,19 @@ const FREE_FRAMES: usize = 64;
 /// Client-side knobs.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Max keys in one `Lookup` frame: the open frame in an endpoint's
-    /// outbox is sealed the moment it holds this many, and the next key
+    /// Max keys in one `Lookup` frame: the caller whose key fills an
+    /// endpoint's open frame to this many writes it, and the next key
     /// opens a new one. Lookup frames only: an `Update` frame carries
     /// every record its endpoint has not been sent.
     pub max_batch: usize,
-    /// Per-endpoint bound on keys waiting for the worker (in the open
-    /// frame and the sealed frames behind it; frames on the wire do not
-    /// count). On a full outbox `begin_lookup` sheds client-side with
-    /// `Overloaded`, and `lookup` / `lookup_many` block (in
-    /// [`clock`](Self::clock) time) until the worker takes frames.
+    /// Per-endpoint bound on keys not yet on the wire: those in the open
+    /// frame, and those in frames waiting for the endpoint's worker —
+    /// frames a caller could not write without blocking, and frames
+    /// re-homed from a dead sibling. On a full outbox `begin_lookup`
+    /// sheds client-side with `Overloaded`, and `lookup` /
+    /// `lookup_many` make room: they write the open frame themselves,
+    /// or block (in [`clock`](Self::clock) time) until the worker takes
+    /// frames.
     pub queue_capacity: usize,
     /// Resend an unanswered lookup batch after this long.
     pub retry_timeout: Duration,
@@ -231,9 +242,10 @@ struct OutFrame {
     reply: Filler<FrameReply>,
 }
 
-/// One endpoint's lookups on their way to its worker: the open frame
-/// callers append keys to, the full frames sealed behind it, and the key
-/// buffers and cells of retired frames, for new frames to reuse.
+/// One endpoint's lookups not yet on the wire: the open frame callers
+/// append keys to, the whole frames waiting for the endpoint's worker,
+/// and the key buffers and cells of retired frames, for new frames to
+/// reuse.
 struct Outbox {
     state: Mutex<OutboxState>,
     /// Reply cells: a frame's goes back here when the frame is dropped.
@@ -241,8 +253,8 @@ struct Outbox {
     /// Where a natively clocked caller blocks on a full outbox (a sim
     /// caller parks in the scheduler instead).
     room: Condvar,
-    /// The worker's bell: one token, rung when the outbox goes from
-    /// empty to non-empty.
+    /// The worker's bell: one token, rung when there is something for
+    /// it to write.
     bell: SyncSender<()>,
     /// The span this endpoint serves (what a shed names).
     span: usize,
@@ -254,10 +266,11 @@ struct Outbox {
 #[derive(Default)]
 struct OutboxState {
     open: Option<OutFrame>,
-    /// Full frames (and frames re-homed from a dead sibling), oldest
-    /// first; all ship before `open`.
-    sealed: VecDeque<OutFrame>,
-    /// Keys in `open` and `sealed`: what `queue_capacity` bounds.
+    /// Whole frames for the worker to write, oldest first: frames a
+    /// caller could not write without blocking, and frames re-homed from
+    /// a dead sibling.
+    for_worker: VecDeque<OutFrame>,
+    /// Keys in `open` and `for_worker`: what `queue_capacity` bounds.
     queued: usize,
     /// The worker has exited: nothing more is admitted.
     closed: bool,
@@ -274,9 +287,11 @@ impl Outbox {
         // Two spare frames from the start (the cell pool starts with two
         // spare cells): a caller opening its next frame finds the one
         // before last retired even while the reader is still retiring the
-        // last, so a lone warmed caller never allocates.
+        // last, so a lone warmed caller never allocates — nor when it
+        // leaves a frame it could not write to the worker.
         let state = OutboxState {
             free_keys: (0..2).map(|_| Vec::with_capacity(max_batch)).collect(),
+            for_worker: VecDeque::with_capacity(2),
             ..OutboxState::default()
         };
         Self {
@@ -300,50 +315,23 @@ impl Outbox {
         let _ = self.bell.try_send(());
     }
 
-    /// Append `key` to the open frame, opening one if there is none. A
-    /// full outbox sheds (`Overloaded`) or, `blocking`, waits for the
-    /// worker to take frames.
-    fn push(
+    /// Take the open frame out to write it, if `which` is it (any open
+    /// frame, for `None`); its keys stop counting against the bound.
+    fn take_open(
         &self,
-        key: u32,
-        blocking: bool,
-        gauge: &ReplicaGauge,
-    ) -> Result<PendingNetLookup, ServeError> {
-        let (pending, ring) = {
-            let mut guard = self.lock();
-            while guard.queued >= self.capacity && !guard.closed {
-                if !blocking {
-                    guard.shed += 1;
-                    return Err(ServeError::Overloaded { shard: self.span });
-                }
-                guard = self.wait_for_room(guard);
-            }
-            if guard.closed {
-                return Err(ServeError::ShuttingDown);
-            }
-            let st = &mut *guard;
-            let was_empty = st.queued == 0;
-            if st.open.is_none() {
-                st.open = Some(st.fresh_frame(&self.cells, self.max_batch));
-            }
-            let frame = st.open.as_mut().expect("opened above");
-            let idx = frame.keys.len();
-            frame.keys.push(key);
-            let cell = frame.reply.waiter();
-            if frame.keys.len() >= self.max_batch {
-                st.sealed.extend(st.open.take());
-            }
-            st.queued += 1;
-            st.admitted += 1;
-            // Counted before the worker can take the key, so the reader's
-            // `complete` can never run ahead of it.
-            gauge.add(1);
-            (PendingNetLookup { cell, idx }, was_empty)
-        };
-        if ring {
-            self.ring();
+        st: &mut OutboxState,
+        which: Option<&Waiter<FrameReply>>,
+    ) -> Option<OutFrame> {
+        let open = st.open.as_ref()?;
+        if which.is_some_and(|cell| !open.reply.fills(cell)) {
+            return None;
         }
-        Ok(pending)
+        let frame = st.open.take().expect("checked above");
+        st.queued -= frame.keys.len();
+        if st.parked > 0 {
+            self.room.notify_all();
+        }
+        Some(frame)
     }
 
     /// Block (in clock time) until the worker has taken frames or the
@@ -366,29 +354,32 @@ impl Outbox {
         st
     }
 
-    /// Move every queued frame into `out`: the sealed ones, then the
-    /// open one.
-    fn take(&self, out: &mut VecDeque<OutFrame>) {
+    /// Move the frames waiting for the worker into `out`, and with
+    /// `open_too` the open frame after them.
+    fn take(&self, out: &mut VecDeque<OutFrame>, open_too: bool) {
         let mut st = self.lock();
         let st = &mut *st;
-        let taken = st.queued;
-        out.extend(st.sealed.drain(..).chain(st.open.take()));
-        st.queued = 0;
+        out.extend(st.for_worker.drain(..));
+        if open_too {
+            out.extend(st.open.take());
+        }
+        let left = st.open.as_ref().map_or(0, |f| f.keys.len());
+        let taken = st.queued - left;
+        st.queued = left;
         if st.parked > 0 && taken > 0 {
             self.room.notify_all();
         }
     }
 
-    /// Queue a frame re-homed from a dead sibling: `false` (the frame
+    /// Queue a whole frame for the worker and ring it: `false` (the frame
     /// dropped, answering `ShuttingDown`) once this outbox has closed.
-    fn resubmit(&self, frame: OutFrame, gauge: &ReplicaGauge) -> bool {
+    fn hand_off(&self, frame: OutFrame) -> bool {
         let mut st = self.lock();
         if st.closed {
             return false;
         }
-        gauge.add(frame.keys.len());
         st.queued += frame.keys.len();
-        st.sealed.push_back(frame);
+        st.for_worker.push_back(frame);
         drop(st);
         self.ring();
         true
@@ -412,11 +403,11 @@ impl Outbox {
         let mut st = self.lock();
         st.closed = true;
         let open = st.open.take();
-        let sealed = std::mem::take(&mut st.sealed);
+        let for_worker = std::mem::take(&mut st.for_worker);
         st.queued = 0;
         self.room.notify_all();
         drop(st);
-        drop((open, sealed));
+        drop((open, for_worker));
     }
 }
 
@@ -440,6 +431,22 @@ struct BatchInFlight {
 }
 
 type InFlight = Arc<Mutex<BTreeMap<u64, BatchInFlight>>>;
+
+/// One connection generation's sending side, as the core holds it: the
+/// sending half, the lookup frames written on it and not yet answered
+/// (shared with the generation's reader), and the buffer a frame's keys
+/// are copied into for the write.
+struct Conn {
+    tx: Box<dyn FrameTx>,
+    in_flight: InFlight,
+    wire: Vec<u32>,
+}
+
+impl Conn {
+    fn new(tx: Box<dyn FrameTx>) -> Self {
+        Self { tx, in_flight: Arc::default(), wire: Vec::new() }
+    }
+}
 
 /// Connect-time plumbing for one endpoint worker: its outbox bell, the
 /// dialed connection's receiving half (`None` when the endpoint was
@@ -477,11 +484,13 @@ struct ClientCore {
     gauges: Vec<ReplicaGauge>,
     /// Each endpoint's outbox, same order.
     outboxes: Vec<Outbox>,
-    /// Each endpoint's sending half, `None` between connection
+    /// Each endpoint's connection, `None` between connection
     /// generations. Any thread with a frame for the endpoint writes it
-    /// under the lock ([`send_frame`](Self::send_frame)); the endpoint's
-    /// worker installs and clears the slot.
-    conns: Vec<Mutex<Option<Box<dyn FrameTx>>>>,
+    /// under the lock ([`send_frame`](Self::send_frame),
+    /// [`write_batch`](Self::write_batch)); a lookup caller only takes a
+    /// free lock ([`ship`](Self::ship)). The connect and revive paths
+    /// install the slot, and the endpoint's worker clears it.
+    conns: Vec<Mutex<Option<Conn>>>,
     span_eps: Vec<Vec<usize>>,
     ep_span: Vec<usize>,
     /// Position of each flat endpoint within its span's endpoint list
@@ -562,8 +571,165 @@ impl ClientCore {
     /// never send, so the peer's replies keep draining meanwhile.
     fn send_frame(&self, ep: usize, frame: &Frame) -> Result<(), ()> {
         let mut conn = self.conns[ep].lock().expect("conn lock");
-        let tx = conn.as_mut().ok_or(())?;
-        tx.send(frame).map_err(|_| self.gauges[ep].mark_dead())
+        let conn = conn.as_mut().ok_or(())?;
+        conn.tx.send(frame).map_err(|_| self.gauges[ep].mark_dead())
+    }
+
+    /// Append `key` to endpoint `ep`'s open frame, opening one if there
+    /// is none, and write the frame from this thread if `alone` asks for
+    /// it or the key filled it. Returns the key's cell and index, and
+    /// whether its frame is still open. A full outbox sheds
+    /// (`Overloaded`) or, `blocking`, makes room: this thread writes the
+    /// open frame, or waits for the worker to take frames.
+    fn admit(
+        &self,
+        ep: usize,
+        key: u32,
+        blocking: bool,
+        alone: bool,
+    ) -> Result<(Waiter<FrameReply>, usize, bool), ServeError> {
+        let outbox = &self.outboxes[ep];
+        let mut guard = outbox.lock();
+        while guard.queued >= outbox.capacity && !guard.closed {
+            if !blocking {
+                guard.shed += 1;
+                return Err(ServeError::Overloaded { shard: outbox.span });
+            }
+            match outbox.take_open(&mut guard, None) {
+                Some(frame) => {
+                    drop(guard);
+                    self.ship(ep, frame);
+                    guard = outbox.lock();
+                }
+                None => guard = outbox.wait_for_room(guard),
+            }
+        }
+        if guard.closed {
+            return Err(ServeError::ShuttingDown);
+        }
+        let st = &mut *guard;
+        if st.open.is_none() {
+            st.open = Some(st.fresh_frame(&outbox.cells, outbox.max_batch));
+        }
+        let frame = st.open.as_mut().expect("opened above");
+        let idx = frame.keys.len();
+        frame.keys.push(key);
+        let cell = frame.reply.waiter();
+        let full = frame.keys.len() >= outbox.max_batch;
+        st.queued += 1;
+        st.admitted += 1;
+        // Counted before the frame can be written, so the reader's
+        // `complete` can never run ahead of it.
+        self.gauges[ep].add(1);
+        let write = if alone || full { outbox.take_open(st, None) } else { None };
+        drop(guard);
+        let left_open = write.is_none();
+        if let Some(frame) = write {
+            self.ship(ep, frame);
+        }
+        Ok((cell, idx, left_open))
+    }
+
+    /// Write endpoint `ep`'s open frame from this thread, if `which` is
+    /// it (any open frame, for `None`).
+    fn ship_open(&self, ep: usize, which: Option<&Waiter<FrameReply>>) {
+        let frame = self.outboxes[ep].take_open(&mut self.outboxes[ep].lock(), which);
+        if let Some(frame) = frame {
+            self.ship(ep, frame);
+        }
+    }
+
+    /// Write a lookup frame from a caller's thread, never blocking: only
+    /// if the connection's lock is free, and only what the socket takes
+    /// at once ([`FrameTx::try_send`]). A frame the caller cannot write —
+    /// the connection's lock or its in-flight map is held, the endpoint
+    /// is between connections, or the socket still holds an earlier
+    /// frame's unsent tail — goes to the endpoint's worker whole, and the
+    /// worker writes the unsent tail of one the socket took only part of.
+    fn ship(&self, ep: usize, frame: OutFrame) {
+        let refused = match self.conns[ep].try_lock() {
+            Ok(mut slot) => match slot.as_mut() {
+                Some(conn) => self.write_batch(ep, conn, frame, false).unwrap_or(None),
+                None => Some(frame),
+            },
+            Err(_) => Some(frame),
+        };
+        if let Some(frame) = refused {
+            let n = frame.keys.len();
+            if !self.outboxes[ep].hand_off(frame) {
+                self.gauges[ep].complete(n);
+            }
+        }
+    }
+
+    /// Assign a request id, record the frame in `conn`'s in-flight map
+    /// and write it: with the blocking [`FrameTx::send`] (`blocking`, the
+    /// worker) or [`FrameTx::try_send`] (a caller). Recorded first, under
+    /// the connection's lock, so a reply can never overtake its record,
+    /// and a frame whose write fails stays in flight for the death path
+    /// to re-home. `Err` means the write failed (the endpoint is marked
+    /// dead); `Ok(Some)` hands back a frame a caller could not record or
+    /// write without waiting.
+    ///
+    /// A frame the endpoint's wire-trace ring samples is stamped with a
+    /// nonzero trace id (derived from the request id, so both sides of
+    /// the wire agree without coordination) and `parent` = the flat
+    /// endpoint index — the client span the server's stage records hang
+    /// off. The keys go out through `conn.wire`, the connection's
+    /// reusable copy: the frame itself stays in flight for a retry or a
+    /// failover to resend.
+    fn write_batch(
+        &self,
+        ep: usize,
+        conn: &mut Conn,
+        frame: OutFrame,
+        blocking: bool,
+    ) -> Result<Option<OutFrame>, ()> {
+        // A caller does not wait for the map either: the reader and the
+        // worker hold it only briefly, but may be descheduled meanwhile.
+        let map = if blocking {
+            Some(conn.in_flight.lock().expect("in-flight lock"))
+        } else {
+            conn.in_flight.try_lock().ok()
+        };
+        let Some(mut map) = map else { return Ok(Some(frame)) };
+        let req = self.fresh_req();
+        let now = self.clock.now();
+        // `| 1` keeps a sampled id nonzero (0 means untraced on the wire).
+        let trace = if self.wire_traces[ep].sample() {
+            req.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
+        } else {
+            0
+        };
+        let mut keys = std::mem::take(&mut conn.wire);
+        keys.clear();
+        keys.extend_from_slice(&frame.keys);
+        map.insert(req, BatchInFlight { frame, sent_at: now, attempts: 1, trace });
+        drop(map);
+        let lookup = Frame::Lookup { req, trace, parent: ep as u32, keys };
+        let wrote = if blocking {
+            conn.tx.send(&lookup).map(|()| TrySend::Sent)
+        } else {
+            conn.tx.try_send(&lookup)
+        };
+        if let Frame::Lookup { keys, .. } = lookup {
+            conn.wire = keys;
+        }
+        match wrote {
+            Ok(TrySend::Sent) => Ok(None),
+            Ok(TrySend::Tail) => {
+                self.outboxes[ep].ring();
+                Ok(None)
+            }
+            Ok(TrySend::Busy) => {
+                let b = conn.in_flight.lock().expect("in-flight lock").remove(&req);
+                Ok(Some(b.expect("recorded above").frame))
+            }
+            Err(_) => {
+                self.gauges[ep].mark_dead();
+                Err(())
+            }
+        }
     }
 
     /// Send `make(req)` to endpoint `ep` and wait for its ack, retrying
@@ -606,8 +772,12 @@ impl ClientCore {
             .filter(|&e| e != me && self.gauges[e].is_alive())
             .min_by_key(|&e| self.gauges[e].depth());
         if let Some(e) = target {
-            if self.outboxes[e].resubmit(frame, &self.gauges[e]) {
+            // Counted before the frame can be written, as at admission.
+            self.gauges[e].add(n);
+            if self.outboxes[e].hand_off(frame) {
                 self.rerouted.fetch_add(n as u64, Ordering::Relaxed);
+            } else {
+                self.gauges[e].complete(n);
             }
         }
     }
@@ -659,9 +829,10 @@ enum ConnExit {
 
 /// The per-endpoint lifecycle thread. Owns the endpoint across
 /// connection *generations*: serve the current connection's lookups
-/// (outbox frames → send, retries) and its share of the span's churn log
-/// (ship, repair) — the sending half lives in the core, where control
-/// callers write to it too — spawning one reader per generation for the
+/// (the frames callers left it, unsent tails, retries) and its share of
+/// the span's churn log (ship, repair) — the sending half lives in the
+/// core, where callers write to it too — spawning one reader per
+/// generation for the
 /// receive half; on endpoint death, mark dead, elect, re-home the
 /// backlog, **join the dead generation's reader**, and sit in a
 /// dead-wait loop that keeps re-homing racing appends until
@@ -682,12 +853,17 @@ fn serve_endpoint(
 ) {
     let clock = core.clock.clone();
     let mut frames: VecDeque<OutFrame> = VecDeque::new();
-    let mut wire: Vec<u32> = Vec::new();
     let mut generation = 0u64;
     loop {
         if let Some(frx) = conn.take() {
             generation += 1;
-            let in_flight: InFlight = Arc::new(Mutex::new(BTreeMap::new()));
+            let in_flight = core.conns[ep]
+                .lock()
+                .expect("conn lock")
+                .as_ref()
+                .expect("a sending half is installed before its receiving half is handed over")
+                .in_flight
+                .clone();
             let reader = {
                 let c = core.clone();
                 let inf = in_flight.clone();
@@ -701,11 +877,14 @@ fn serve_endpoint(
             // handed here. (No-op on generation 1 — the gauge starts
             // alive.)
             core.gauges[ep].revive();
-            let exit = serve_conn(core, ep, bell, &in_flight, &mut frames, &mut wire);
+            let exit = serve_conn(core, ep, bell, &in_flight, &mut frames);
             // Mark dead before re-homing (even on teardown — it lets the
             // reader exit on its poll) so nothing re-routes back here,
-            // then close the sending half: frames for a dead connection
-            // are refused at `send_frame`, exactly as if sent and lost.
+            // then close the sending half: control frames for a dead
+            // connection are refused at `send_frame`, exactly as if sent
+            // and lost, and a caller's lookup frame goes to this worker.
+            // Every frame a caller recorded in flight was recorded under
+            // the slot's lock, so the drain below finds it.
             core.gauges[ep].mark_dead();
             core.conns[ep].lock().expect("conn lock").take();
             if exit == ConnExit::Dead {
@@ -753,7 +932,7 @@ fn serve_endpoint(
             // Rung or not: the bell's sender lives in the core, so this
             // only ever wakes or times out.
             let _ = clock.recv_timeout(bell, READER_POLL);
-            core.outboxes[ep].take(&mut frames);
+            core.outboxes[ep].take(&mut frames, true);
             for frame in frames.drain(..) {
                 core.reroute(ep, frame);
             }
@@ -762,21 +941,22 @@ fn serve_endpoint(
 }
 
 /// Serve one connection generation until teardown or endpoint death:
-/// its lookups, and its endpoint's churn-log suffix. The worker blocks
-/// on its outbox bell — rung by the key that finds the outbox empty and
-/// by every append to its span — or for `WORKER_POLL`, which only bounds
-/// how stale the housekeeping around it (flags, retry and repair
-/// deadlines) can get. Each wake ships every queued lookup frame, and
-/// every record appended since the last wake in one `Update` frame
-/// (group commit). A frame whose send fails stays in flight for the
-/// death path to re-home, and the frames not yet sent stay in `frames`.
+/// what the endpoint's lookup callers could not write without blocking,
+/// and its churn-log suffix. The worker blocks on its outbox bell — rung
+/// by a caller that left it a frame or an unsent tail, and by every
+/// append to its span — or for `WORKER_POLL`, which only bounds how stale
+/// the housekeeping around it (flags, retry and repair deadlines) can
+/// get. Each wake writes the unsent tail and every frame left for it,
+/// and every record appended since the last wake in one `Update` frame
+/// (group commit). A frame whose write fails stays in flight for the
+/// death path to re-home, and the frames not yet written stay in
+/// `frames`.
 fn serve_conn(
     core: &ClientCore,
     ep: usize,
     bell: &Receiver<()>,
     in_flight: &InFlight,
     frames: &mut VecDeque<OutFrame>,
-    wire: &mut Vec<u32>,
 ) -> ConnExit {
     let clock = &core.clock;
     loop {
@@ -788,11 +968,9 @@ fn serve_conn(
         }
         // Rung or timed out, the outbox says what is ready.
         let _ = clock.recv_timeout(bell, WORKER_POLL);
-        core.outboxes[ep].take(frames);
-        while let Some(frame) = frames.pop_front() {
-            if send_batch(core, ep, frame, in_flight, wire).is_err() {
-                return ConnExit::Dead;
-            }
+        core.outboxes[ep].take(frames, false);
+        if write_frames(core, ep, frames).is_err() {
+            return ConnExit::Dead;
         }
         // One clock read serves the log's and the lookups' deadlines.
         let now = clock.now();
@@ -834,48 +1012,25 @@ fn revive_handshake(core: &ClientCore, ep: usize, mut duplex: Duplex) -> Option<
             // reader-thread refreshes of this gauge.
             core.span_live[span].store(live_keys, Ordering::SeqCst);
             core.flight(EventKind::EndpointRejoin, span as u16, ep as u32, log_seq);
-            *core.conns[ep].lock().expect("conn lock") = Some(duplex.tx);
+            *core.conns[ep].lock().expect("conn lock") = Some(Conn::new(duplex.tx));
             Some(duplex.rx)
         }
         _ => None,
     }
 }
 
-/// Assign a request id, record the frame in flight, ship it.
-///
-/// A frame the endpoint's wire-trace ring samples is stamped with a
-/// nonzero trace id (derived from the request id, so both sides of the
-/// wire agree without coordination) and `parent` = the flat endpoint
-/// index — the client span the server's stage records hang off. The
-/// keys go out through `wire`, the worker's reusable copy: the frame
-/// itself stays in flight for a retry or a failover to resend.
-fn send_batch(
-    core: &ClientCore,
-    ep: usize,
-    frame: OutFrame,
-    in_flight: &InFlight,
-    wire: &mut Vec<u32>,
-) -> Result<(), ()> {
-    let req = core.fresh_req();
-    let now = core.clock.now();
-    // `| 1` keeps a sampled id nonzero (0 means untraced on the wire).
-    let trace =
-        if core.wire_traces[ep].sample() { req.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1 } else { 0 };
-    let mut keys = std::mem::take(wire);
-    keys.clear();
-    keys.extend_from_slice(&frame.keys);
-    // Record before sending: if the send fails, the death path drains
-    // this frame out of the map and re-homes it — nothing is stranded.
-    in_flight
-        .lock()
-        .expect("in-flight lock")
-        .insert(req, BatchInFlight { frame, sent_at: now, attempts: 1, trace });
-    let lookup = Frame::Lookup { req, trace, parent: ep as u32, keys };
-    let sent = core.send_frame(ep, &lookup);
-    if let Frame::Lookup { keys, .. } = lookup {
-        *wire = keys;
+/// Write the unsent tail a caller left on endpoint `ep`'s socket, then
+/// every frame in `frames`, under one hold of the connection's lock.
+/// `Err` means the endpoint is dead; the frames not yet written stay in
+/// `frames`.
+fn write_frames(core: &ClientCore, ep: usize, frames: &mut VecDeque<OutFrame>) -> Result<(), ()> {
+    let mut slot = core.conns[ep].lock().expect("conn lock");
+    let conn = slot.as_mut().ok_or(())?;
+    conn.tx.flush().map_err(|_| core.gauges[ep].mark_dead())?;
+    while let Some(frame) = frames.pop_front() {
+        core.write_batch(ep, conn, frame, true)?;
     }
-    sent
+    Ok(())
 }
 
 /// Resend overdue frames (same request id: replies are deduplicated by
@@ -1325,24 +1480,54 @@ fn run_reader(core: Arc<ClientCore>, ep: usize, mut rx: Box<dyn FrameRx>, in_fli
 
 /// A lookup submitted over the transport, not yet answered. Same
 /// contract as [`dini_serve::PendingLookup`]: block with
-/// [`wait`](Self::wait) or reap with [`poll`](Self::poll).
-#[derive(Debug)]
+/// [`wait`](Self::wait) or reap with [`poll`](Self::poll). Polling or
+/// waiting while it is unanswered first writes every open frame holding
+/// a key its handle began; dropping it unanswered writes its own frame
+/// if that is still open, so no key is stranded in an open frame.
 pub struct PendingNetLookup {
     /// The reply cell of the frame the key travels in.
     cell: Waiter<FrameReply>,
     /// The key's position in that frame.
     idx: usize,
+    /// The endpoint the frame goes to.
+    ep: usize,
+    /// Its handle's: held, it keeps the handle from reading idle.
+    caller: Arc<Caller>,
 }
 
 impl PendingNetLookup {
     /// Block for the (globally composed) rank.
     pub fn wait(self) -> Result<u32, ServeError> {
+        if self.cell.poll().is_none() {
+            self.caller.flush();
+        }
         self.cell.wait().answer(self.idx)
     }
 
     /// The rank if it has arrived, `None` while in flight.
     pub fn poll(&self) -> Option<Result<u32, ServeError>> {
+        if self.cell.poll().is_none() {
+            self.caller.flush();
+        }
         self.cell.poll().map(|reply| reply.answer(self.idx))
+    }
+}
+
+impl Drop for PendingNetLookup {
+    fn drop(&mut self) {
+        if self.cell.poll().is_none() {
+            self.caller.core.ship_open(self.ep, Some(&self.cell));
+        }
+    }
+}
+
+impl std::fmt::Debug for PendingNetLookup {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PendingNetLookup")
+            .field("cell", &self.cell)
+            .field("idx", &self.idx)
+            .field("ep", &self.ep)
+            .finish_non_exhaustive()
     }
 }
 
@@ -1368,23 +1553,63 @@ impl PendingNetUpdate {
     }
 }
 
+/// What a [`NetHandle`] shares with the lookups it began: the client,
+/// and which endpoints' open frames hold a key it began and has not
+/// written. Every [`PendingNetLookup`] holds it, so a handle whose
+/// `Caller` is held by nothing else holds no unreaped lookup.
+struct Caller {
+    core: Arc<ClientCore>,
+    /// Per endpoint: a key this handle began was left in the open frame.
+    open: Vec<AtomicBool>,
+}
+
+impl Caller {
+    fn new(core: Arc<ClientCore>) -> Arc<Self> {
+        let open = core.gauges.iter().map(|_| AtomicBool::new(false)).collect();
+        Arc::new(Self { core, open })
+    }
+
+    /// Write every open frame holding a key this handle began.
+    fn flush(&self) {
+        for (ep, open) in self.open.iter().enumerate() {
+            // Acquire pairs with the release in `enqueue`: the key that
+            // set the flag is in the outbox this thread then locks.
+            if open.load(Ordering::Acquire) && open.swap(false, Ordering::Acquire) {
+                self.core.ship_open(ep, None);
+            }
+        }
+    }
+}
+
 /// A cheap, cloneable caller handle onto a [`RemoteClient`] (the
 /// transport analogue of [`dini_serve::ServerHandle`]). Clones carry
-/// their own routing tick and can be moved to other threads.
+/// their own routing tick, and the frame rule of
+/// [`begin_lookup`](Self::begin_lookup) counts only the lookups begun
+/// on the clone itself; they can be moved to other threads.
 pub struct NetHandle {
-    core: Arc<ClientCore>,
+    caller: Arc<Caller>,
     tick: AtomicU64,
 }
 
 impl Clone for NetHandle {
     fn clone(&self) -> Self {
-        Self { core: self.core.clone(), tick: AtomicU64::new(0) }
+        Self { caller: Caller::new(self.caller.core.clone()), tick: AtomicU64::new(0) }
     }
 }
 
 impl NetHandle {
-    fn enqueue(&self, key: u32, blocking: bool) -> Result<PendingNetLookup, ServeError> {
-        let core = &self.core;
+    /// Admit `key` to an endpoint of its span. With `alone_if_idle`, a
+    /// key begun while this handle holds no unreaped lookup has its frame
+    /// written at once; any other key waits in the open frame for the
+    /// frame to fill, or for this handle to poll, wait on or drop a
+    /// lookup.
+    fn enqueue(
+        &self,
+        key: u32,
+        blocking: bool,
+        alone_if_idle: bool,
+    ) -> Result<PendingNetLookup, ServeError> {
+        let core = &self.caller.core;
         let span = core.span_router.route(key);
         let eps = &core.span_eps[span];
         // ordering: relaxed-ok: per-handle rotation phase; atomicity only.
@@ -1394,18 +1619,41 @@ impl NetHandle {
             return Err(ServeError::ShuttingDown);
         };
         let ep = eps[choice];
-        core.outboxes[ep].push(key, blocking, &core.gauges[ep])
+        let alone = alone_if_idle && Arc::strong_count(&self.caller) == 1;
+        let (cell, idx, left_open) = core.admit(ep, key, blocking, alone)?;
+        if left_open {
+            // Release pairs with the acquire in `Caller::flush`: the key
+            // is in the open frame before the flag says so.
+            self.caller.open[ep].store(true, Ordering::Release);
+        }
+        Ok(PendingNetLookup { cell, idx, ep, caller: self.caller.clone() })
     }
 
     /// Rank of `key` across the whole cluster, blocking while the
     /// chosen endpoint's outbox is full.
     pub fn lookup(&self, key: u32) -> Result<u32, ServeError> {
-        self.enqueue(key, true)?.wait()
+        self.enqueue(key, true, true)?.wait()
     }
 
-    /// Submit without waiting (sheds on a full endpoint outbox).
+    /// Submit without waiting (sheds on a full endpoint outbox). One
+    /// rule decides when the key's frame is written — Nagle's, turned
+    /// round, as [`ServerHandle::begin_lookup`] groups:
+    ///
+    /// * **Alone, at once.** If this handle holds no lookup it began and
+    ///   has not reaped, the key's frame — the endpoint's open frame,
+    ///   with whatever other handles left in it — is written before this
+    ///   returns.
+    /// * **Pipelined, in a frame.** Otherwise the key joins the
+    ///   endpoint's open frame, which is written by the caller whose key
+    ///   fills it to `max_batch`, or by this handle's next poll, wait or
+    ///   drop of an unanswered lookup, whichever comes first.
+    ///
+    /// A frame is written on the calling thread without blocking; what
+    /// the socket will not take at once goes to the endpoint's worker.
+    ///
+    /// [`ServerHandle::begin_lookup`]: dini_serve::ServerHandle::begin_lookup
     pub fn begin_lookup(&self, key: u32) -> Result<PendingNetLookup, ServeError> {
-        self.enqueue(key, false)
+        self.enqueue(key, false, true)
     }
 
     /// Rank every key, preserving order; appends everything first so the
@@ -1413,7 +1661,7 @@ impl NetHandle {
     pub fn lookup_many(&self, keys: &[u32]) -> Result<Vec<u32>, ServeError> {
         let mut replies = Vec::with_capacity(keys.len());
         for &k in keys {
-            replies.push(self.enqueue(k, true)?);
+            replies.push(self.enqueue(k, true, false)?);
         }
         replies.into_iter().map(PendingNetLookup::wait).collect()
     }
@@ -1427,7 +1675,7 @@ impl NetHandle {
     /// ship it. A span with no live endpoint refuses it at once
     /// (`ShuttingDown`), as does a client that has shut down.
     pub fn begin_update(&self, op: Op) -> Result<PendingNetUpdate, ServeError> {
-        let core = &self.core;
+        let core = &self.caller.core;
         let (key, wire_op) = match op {
             Op::Insert(k) => (k, WireOp::Insert(k)),
             Op::Delete(k) => (k, WireOp::Delete(k)),
@@ -1478,7 +1726,7 @@ impl NetHandle {
     /// survivors; only a span with no live endpoint left fails the
     /// barrier.
     pub fn quiesce(&self) -> Result<(), ServeError> {
-        let core = &self.core;
+        let core = &self.caller.core;
         for span in 0..core.span_eps.len() {
             let reply = core.upd_pools[span].take();
             let flushed = reply.waiter();
@@ -1509,7 +1757,7 @@ impl NetHandle {
     /// ranks) with epoch pings — cheaper than [`quiesce`](Self::quiesce),
     /// no barrier.
     pub fn refresh(&self) -> Result<(), ServeError> {
-        let core = &self.core;
+        let core = &self.caller.core;
         for span in 0..core.span_eps.len() {
             let mut reached = false;
             for &e in &core.span_eps[span] {
@@ -1532,33 +1780,31 @@ impl NetHandle {
     pub fn live_keys(&self) -> u64 {
         // ordering: relaxed-ok: advisory total for reporting; staleness
         // only lags the gauge, it cannot corrupt routing or ranks.
-        self.core.span_live.iter().map(|a| a.load(Ordering::Relaxed)).sum()
+        self.caller.core.span_live.iter().map(|a| a.load(Ordering::Relaxed)).sum()
     }
 
     /// Number of spans in the shard map.
     pub fn n_spans(&self) -> usize {
-        self.core.span_eps.len()
+        self.caller.core.span_eps.len()
     }
 
     /// Which span serves `key` (the client's own routing, exposed for
     /// oracles).
     pub fn span_of(&self, key: u32) -> usize {
-        self.core.span_router.route(key)
+        self.caller.core.span_router.route(key)
     }
 
     /// Is any endpoint of `span` still alive?
     pub fn span_alive(&self, span: usize) -> bool {
-        self.core.span_eps[span].iter().any(|&e| self.core.gauges[e].is_alive())
+        let core = &self.caller.core;
+        core.span_eps[span].iter().any(|&e| core.gauges[e].is_alive())
     }
 
     /// Is the endpoint at `addr` (as listed in the connect-time shard
     /// map) currently alive?
     pub fn endpoint_alive(&self, addr: &str) -> bool {
-        self.core
-            .ep_addrs
-            .iter()
-            .position(|a| a == addr)
-            .is_some_and(|ep| self.core.gauges[ep].is_alive())
+        let core = &self.caller.core;
+        core.ep_addrs.iter().position(|a| a == addr).is_some_and(|ep| core.gauges[ep].is_alive())
     }
 
     /// Reconnect a dead endpoint whose server came back — typically a
@@ -1577,7 +1823,7 @@ impl NetHandle {
     /// dial's; a failed handshake leaves the endpoint dead, to try
     /// again.
     pub fn rejoin(&self, addr: &str) -> Result<(), NetError> {
-        let core = &self.core;
+        let core = &self.caller.core;
         let Some(ep) = core.ep_addrs.iter().position(|a| a == addr) else {
             return Err(NetError::Refused(format!("{addr} is not in the shard map")));
         };
@@ -1591,12 +1837,12 @@ impl NetHandle {
 
     /// The clock this client waits on.
     pub fn clock(&self) -> &Clock {
-        &self.core.clock
+        &self.caller.core.clock
     }
 
     /// Point-in-time client-side accounting.
     pub fn stats(&self) -> NetClientStats {
-        let core = &self.core;
+        let core = &self.caller.core;
         let (mut admitted, mut client_shed) = (0, 0);
         for outbox in &core.outboxes {
             let st = outbox.lock();
@@ -1621,7 +1867,7 @@ impl NetHandle {
     /// `span`. This is what `dini_top` refreshes on; `ServeStats::from`
     /// reads the serving totals off it.
     pub fn span_stats(&self, span: usize) -> Result<MetricsSnapshot, ServeError> {
-        let core = &self.core;
+        let core = &self.caller.core;
         for &e in &core.span_eps[span] {
             if !core.gauges[e].is_alive() {
                 continue;
@@ -1638,7 +1884,7 @@ impl NetHandle {
     /// Client-observed wire round-trip distribution (frame send → reply
     /// receipt), nanoseconds, across all endpoints.
     pub fn wire_rtt(&self) -> LogHistogram {
-        self.core.wire_rtt.snapshot()
+        self.caller.core.wire_rtt.snapshot()
     }
 
     /// Sampled wire-stage records (`encoded_ns` → `acked_ns`; the serve
@@ -1646,7 +1892,7 @@ impl NetHandle {
     /// record's `shard` is the span, `replica` the flat endpoint index,
     /// `batch_len` the frame's key count.
     pub fn wire_traces(&self) -> Vec<StageRecord> {
-        self.core.wire_traces.iter().flat_map(|r| r.snapshot()).collect()
+        self.caller.core.wire_traces.iter().flat_map(|r| r.snapshot()).collect()
     }
 }
 
@@ -1742,7 +1988,7 @@ impl RemoteClient {
                 ep_addrs.push(addr.clone());
                 gauges.push(gauge);
                 outboxes.push(Outbox::new(span, bell_tx, &cfg));
-                conns.push(Mutex::new(tx));
+                conns.push(Mutex::new(tx.map(Conn::new)));
                 ep_span.push(span);
                 ep_pos.push(pos);
                 eps.push(ep);
@@ -1818,7 +2064,10 @@ impl RemoteClient {
             }));
         }
 
-        let client = Self { handle: NetHandle { core, tick: AtomicU64::new(0) }, threads };
+        let client = Self {
+            handle: NetHandle { caller: Caller::new(core), tick: AtomicU64::new(0) },
+            threads,
+        };
         // Base ranks need every span's live count, not just bootstrap's.
         client.handle.refresh().map_err(|_| {
             NetError::Protocol("could not refresh live counts from every span".to_owned())
@@ -1871,7 +2120,7 @@ impl Drop for RemoteClient {
     fn drop(&mut self) {
         // ordering: SeqCst — teardown flag, checked by lookup entry points
         // and reader drains; cold path, strongest ordering for free.
-        let core = &self.handle.core;
+        let core = &self.handle.caller.core;
         core.shutdown.store(true, Ordering::SeqCst);
         for t in self.threads.drain(..) {
             let _ = t.join();

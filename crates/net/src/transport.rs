@@ -11,7 +11,8 @@
 //!   without losing stream sync. TCP always runs on the system clock —
 //!   real sockets cannot wait in virtual time.
 //! * **Simulated channels** ([`ChanNet`]): in-process frame pipes that
-//!   wait in [`Clock`] time and route every frame through
+//!   carry encoded frames, as the socket does, wait in [`Clock`] time
+//!   and route every frame through
 //!   [`dini_cluster::schedule`]'s seeded fate machinery — per-link fixed
 //!   latency, jitter (which reorders frames, as a real network would),
 //!   drops, duplicates, partitions that heal, and link severance at a
@@ -25,10 +26,12 @@ use crate::wire::{frame_len, Frame, WireError};
 use dini_cluster::{FrameFate, LinkFaults};
 use dini_serve::clock::dur_ns;
 use dini_serve::{Clock, Nanos};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
+};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -74,9 +77,42 @@ impl From<WireError> for NetError {
 
 /// The sending half of one connection.
 pub trait FrameTx: Send {
-    /// Ship one frame. `Err(Closed)` means the connection is dead and
-    /// will never carry another frame.
+    /// Ship one frame, blocking while the connection cannot take it
+    /// (after writing out any tail [`try_send`](Self::try_send) left).
+    /// `Err(Closed)` means the connection is dead and will never carry
+    /// another frame.
     fn send(&mut self, frame: &Frame) -> Result<(), NetError>;
+
+    /// Ship one frame without blocking: write what the connection takes
+    /// now and keep the rest as this half's unsent tail, which goes out
+    /// before any other frame ([`flush`](Self::flush) writes it). A half
+    /// already holding a tail it cannot write now refuses the frame
+    /// ([`TrySend::Busy`]), so a tail never exceeds one frame. The
+    /// default refuses every frame: a transport that cannot tell whether
+    /// a write would block leaves every frame to [`send`](Self::send).
+    fn try_send(&mut self, frame: &Frame) -> Result<TrySend, NetError> {
+        let _ = frame;
+        Ok(TrySend::Busy)
+    }
+
+    /// Write out the tail a [`try_send`](Self::try_send) left, blocking
+    /// as [`send`](Self::send) does. Nothing to do when there is none.
+    fn flush(&mut self) -> Result<(), NetError> {
+        Ok(())
+    }
+}
+
+/// What [`FrameTx::try_send`] did with its frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrySend {
+    /// The whole frame is written.
+    Sent,
+    /// Part of it is (possibly none); the rest is the half's unsent
+    /// tail, for [`FrameTx::flush`] or the next [`FrameTx::send`].
+    Tail,
+    /// Nothing: an earlier tail is still unsent. The frame is the
+    /// caller's again.
+    Busy,
 }
 
 /// The receiving half of one connection.
@@ -145,7 +181,7 @@ fn tcp_duplex(stream: TcpStream, peer: String) -> Result<Duplex, NetError> {
     stream.set_write_timeout(Some(TCP_WRITE_TIMEOUT)).map_err(|e| NetError::Io(e.to_string()))?;
     let rx_stream = stream.try_clone().map_err(|e| NetError::Io(e.to_string()))?;
     Ok(Duplex {
-        tx: Box::new(TcpTx { stream, buf: Vec::with_capacity(4096) }),
+        tx: Box::new(TcpTx { stream, buf: Vec::with_capacity(4096), sent: 0 }),
         rx: Box::new(TcpRx {
             stream: rx_stream,
             buf: Vec::with_capacity(4096),
@@ -197,24 +233,100 @@ impl Dialer for TcpDialer {
 
 struct TcpTx {
     stream: TcpStream,
+    /// The last frame encoded; `buf[sent..]` is its unsent tail. A
+    /// failed write leaves no tail: the stream is unusable after it.
     buf: Vec<u8>,
+    sent: usize,
+}
+
+/// What a failed socket write means for the connection.
+fn tcp_write_err(e: std::io::Error) -> NetError {
+    match e.kind() {
+        std::io::ErrorKind::BrokenPipe
+        | std::io::ErrorKind::ConnectionReset
+        | std::io::ErrorKind::ConnectionAborted
+        | std::io::ErrorKind::UnexpectedEof => NetError::Closed,
+        // A write timeout may have left a partial frame on the
+        // stream; the connection is unusable either way — callers
+        // treat Closed as final and fail over.
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => NetError::Closed,
+        _ => NetError::Io(e.to_string()),
+    }
 }
 
 impl FrameTx for TcpTx {
     fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+        self.flush()?;
         self.buf.clear();
         frame.encode_into(&mut self.buf);
-        self.stream.write_all(&self.buf).map_err(|e| match e.kind() {
-            std::io::ErrorKind::BrokenPipe
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::UnexpectedEof => NetError::Closed,
-            // A write timeout may have left a partial frame on the
-            // stream; the connection is unusable either way — callers
-            // treat Closed as final and fail over.
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => NetError::Closed,
-            _ => NetError::Io(e.to_string()),
-        })
+        self.sent = self.buf.len();
+        self.stream.write_all(&self.buf).map_err(tcp_write_err)
+    }
+
+    #[cfg(target_os = "linux")]
+    fn try_send(&mut self, frame: &Frame) -> Result<TrySend, NetError> {
+        if self.sent < self.buf.len() {
+            let from = std::mem::replace(&mut self.sent, self.buf.len());
+            self.sent = from + sys::send_now(&self.stream, &self.buf[from..])?;
+            if self.sent < self.buf.len() {
+                return Ok(TrySend::Busy);
+            }
+        }
+        self.buf.clear();
+        frame.encode_into(&mut self.buf);
+        // Left at "all sent" if the write fails (see `buf`).
+        self.sent = self.buf.len();
+        self.sent = sys::send_now(&self.stream, &self.buf)?;
+        Ok(if self.sent < self.buf.len() { TrySend::Tail } else { TrySend::Sent })
+    }
+
+    fn flush(&mut self) -> Result<(), NetError> {
+        let from = std::mem::replace(&mut self.sent, self.buf.len());
+        self.stream.write_all(&self.buf[from..]).map_err(tcp_write_err)
+    }
+}
+
+/// The one socket call `std` does not offer: a write that returns
+/// instead of blocking, on a socket whose other writes block.
+#[cfg(target_os = "linux")]
+mod sys {
+    use super::{tcp_write_err, NetError};
+    use std::ffi::{c_int, c_void};
+    use std::net::TcpStream;
+    use std::os::unix::io::AsRawFd;
+
+    const MSG_DONTWAIT: c_int = 0x40;
+    const MSG_NOSIGNAL: c_int = 0x4000;
+
+    extern "C" {
+        fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
+    }
+
+    /// Write as much of `buf` as `stream` takes without blocking: how
+    /// many bytes went, 0 when its send buffer is full.
+    pub(super) fn send_now(stream: &TcpStream, buf: &[u8]) -> Result<usize, NetError> {
+        loop {
+            // SAFETY: `buf` is a live, initialised slice of `buf.len()`
+            // bytes for the whole call, and the descriptor belongs to
+            // `stream`, which outlives it; `send` only reads the slice.
+            let n = unsafe {
+                send(
+                    stream.as_raw_fd(),
+                    buf.as_ptr().cast(),
+                    buf.len(),
+                    MSG_DONTWAIT | MSG_NOSIGNAL,
+                )
+            };
+            if n >= 0 {
+                return Ok(n as usize);
+            }
+            let e = std::io::Error::last_os_error();
+            match e.kind() {
+                std::io::ErrorKind::Interrupted => continue,
+                std::io::ErrorKind::WouldBlock => return Ok(0),
+                _ => return Err(tcp_write_err(e)),
+            }
+        }
     }
 }
 
@@ -290,11 +402,11 @@ impl FrameRx for TcpRx {
 
 // ------------------------------------------- simulated / in-process net
 
-/// A frame queued for delivery at a virtual instant.
+/// An encoded frame queued for delivery at a virtual instant.
 struct Delivery {
     at: Nanos,
     seq: u64,
-    frame: Frame,
+    bytes: Vec<u8>,
 }
 
 impl PartialEq for Delivery {
@@ -416,42 +528,69 @@ impl Dialer for ChanDialer {
             inner.dials += 1;
             (listener, link, inner.dials)
         };
-        let clock = self.net.clock.clone();
-        let (c2s_tx, c2s_rx) = channel::<Delivery>();
-        let (s2c_tx, s2c_rx) = channel::<Delivery>();
+        let clock = &self.net.clock;
         let (server_link, client_link) = (link.state(n * 2), link.state(n * 2 + 1));
         let down_at = server_link.down_at_ns();
-        let server_half = Duplex {
-            tx: Box::new(ChanTx { clock: clock.clone(), tx: s2c_tx, link: server_link }),
-            rx: Box::new(ChanRx {
-                clock: clock.clone(),
-                rx: c2s_rx,
-                heap: BinaryHeap::new(),
-                seq: 0,
-                down_at,
-                disconnected: false,
-            }),
-            peer: format!("dial-{n}"),
-        };
+        let (s2c_tx, s2c_rx) = pipe(clock, server_link, down_at);
+        let (c2s_tx, c2s_rx) = pipe(clock, client_link, down_at);
+        let server_half =
+            Duplex { tx: Box::new(s2c_tx), rx: Box::new(c2s_rx), peer: format!("dial-{n}") };
         listener.send(server_half).map_err(|_| NetError::Refused(addr.to_owned()))?;
-        Ok(Duplex {
-            tx: Box::new(ChanTx { clock: clock.clone(), tx: c2s_tx, link: client_link }),
-            rx: Box::new(ChanRx {
-                clock,
-                rx: s2c_rx,
-                heap: BinaryHeap::new(),
-                seq: 0,
-                down_at,
-                disconnected: false,
-            }),
-            peer: addr.to_owned(),
-        })
+        Ok(Duplex { tx: Box::new(c2s_tx), rx: Box::new(s2c_rx), peer: addr.to_owned() })
+    }
+}
+
+/// Encoded-frame buffers a pipe keeps for reuse. Past this, a decoded
+/// frame's buffer is freed.
+const SPARE_BUFFERS: usize = 16;
+
+/// One direction of a [`ChanNet`] connection: the encoded frames its
+/// sender has queued and its receiver not yet taken, and the buffers of
+/// frames already decoded, for the sender to encode into again. The
+/// sender encodes into a reused buffer and the receiver decodes, as over
+/// a socket, so a warmed sender allocates nothing; the pipe's bell (one
+/// token) wakes the receiver.
+#[derive(Default)]
+struct Pipe {
+    queue: VecDeque<Delivery>,
+    spare: Vec<Vec<u8>>,
+}
+
+/// A fresh pipe's two ends: frames written to it meet `link`'s fates,
+/// and its receiver reads it closed from `down_at` on.
+fn pipe(clock: &Clock, link: dini_cluster::LinkState, down_at: Option<Nanos>) -> (ChanTx, ChanRx) {
+    let shared = Arc::new(Mutex::new(Pipe {
+        queue: VecDeque::new(),
+        spare: Vec::with_capacity(SPARE_BUFFERS),
+    }));
+    let (bell_tx, bell_rx) = sync_channel(1);
+    let tx = ChanTx { clock: clock.clone(), pipe: shared.clone(), bell: bell_tx, link };
+    let rx = ChanRx {
+        clock: clock.clone(),
+        pipe: shared,
+        bell: bell_rx,
+        heap: BinaryHeap::new(),
+        seq: 0,
+        down_at,
+        disconnected: false,
+    };
+    (tx, rx)
+}
+
+impl Pipe {
+    /// Queue `frame`, encoded into a spare buffer, for delivery at `at`.
+    fn push(&mut self, at: Nanos, frame: &Frame) {
+        let mut bytes = self.spare.pop().unwrap_or_default();
+        bytes.clear();
+        frame.encode_into(&mut bytes);
+        self.queue.push_back(Delivery { at, seq: 0, bytes });
     }
 }
 
 struct ChanTx {
     clock: Clock,
-    tx: Sender<Delivery>,
+    pipe: Arc<Mutex<Pipe>>,
+    bell: SyncSender<()>,
     link: dini_cluster::LinkState,
 }
 
@@ -462,22 +601,33 @@ impl FrameTx for ChanTx {
             FrameFate::Down => Err(NetError::Closed),
             FrameFate::Drop => Ok(()), // the sender believes it went out
             FrameFate::Deliver { offset_ns, duplicate_offset_ns } => {
-                let first = Delivery { at: now + offset_ns, seq: 0, frame: frame.clone() };
-                // A receiver that hung up looks like a closed socket.
-                self.tx.send(first).map_err(|_| NetError::Closed)?;
-                if let Some(dup) = duplicate_offset_ns {
-                    let copy = Delivery { at: now + dup, seq: 0, frame: frame.clone() };
-                    let _ = self.tx.send(copy);
+                {
+                    let mut pipe = self.pipe.lock().expect("pipe lock");
+                    pipe.push(now + offset_ns, frame);
+                    if let Some(dup) = duplicate_offset_ns {
+                        pipe.push(now + dup, frame);
+                    }
                 }
-                Ok(())
+                // A receiver that hung up looks like a closed socket; a
+                // full bell is a wake-up already waiting for it.
+                match self.bell.try_send(()) {
+                    Ok(()) | Err(TrySendError::Full(())) => Ok(()),
+                    Err(TrySendError::Disconnected(())) => Err(NetError::Closed),
+                }
             }
         }
+    }
+
+    /// A pipe never fills: every frame goes whole, at once.
+    fn try_send(&mut self, frame: &Frame) -> Result<TrySend, NetError> {
+        self.send(frame).map(|()| TrySend::Sent)
     }
 }
 
 struct ChanRx {
     clock: Clock,
-    rx: Receiver<Delivery>,
+    pipe: Arc<Mutex<Pipe>>,
+    bell: Receiver<()>,
     /// Frames in flight, ordered by delivery instant (jitter reorders).
     heap: BinaryHeap<Delivery>,
     /// Receiver-side arrival counter: FIFO tie-break among frames due at
@@ -488,10 +638,24 @@ struct ChanRx {
 }
 
 impl ChanRx {
-    fn push(&mut self, mut d: Delivery) {
-        self.seq += 1;
-        d.seq = self.seq;
-        self.heap.push(d);
+    /// Move every frame the sender has queued into the delivery heap.
+    fn drain(&mut self) {
+        let mut pipe = self.pipe.lock().expect("pipe lock");
+        while let Some(mut d) = pipe.queue.pop_front() {
+            self.seq += 1;
+            d.seq = self.seq;
+            self.heap.push(d);
+        }
+    }
+
+    /// Decode a delivered frame and hand its buffer back to the sender.
+    fn decode(&mut self, d: Delivery) -> Result<Frame, NetError> {
+        let frame = Frame::decode(&d.bytes[4..]);
+        let mut pipe = self.pipe.lock().expect("pipe lock");
+        if pipe.spare.len() < SPARE_BUFFERS {
+            pipe.spare.push(d.bytes);
+        }
+        Ok(frame?)
     }
 }
 
@@ -500,9 +664,10 @@ impl FrameRx for ChanRx {
         let deadline = self.clock.now().saturating_add(dur_ns(timeout));
         loop {
             if !self.disconnected {
-                while let Ok(d) = self.rx.try_recv() {
-                    self.push(d);
-                }
+                // The token first: a frame queued after the drain rings
+                // again.
+                let _ = self.bell.try_recv();
+                self.drain();
             }
             let now = self.clock.now();
             // A severed link loses whatever was in flight: Closed, not
@@ -512,7 +677,8 @@ impl FrameRx for ChanRx {
                 return Err(NetError::Closed);
             }
             if self.heap.peek().is_some_and(|d| d.at <= now) {
-                return Ok(self.heap.pop().expect("peeked").frame);
+                let d = self.heap.pop().expect("peeked");
+                return self.decode(d);
             }
             if now >= deadline {
                 return Err(NetError::Timeout);
@@ -533,10 +699,13 @@ impl FrameRx for ChanRx {
                 self.clock.sleep(Duration::from_nanos(wake.saturating_sub(now).max(1)));
                 continue;
             }
-            match self.clock.recv_deadline(&self.rx, wake) {
-                Ok(d) => self.push(d),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => self.disconnected = true,
+            match self.clock.recv_deadline(&self.bell, wake) {
+                Ok(()) | Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
+                    // Whatever the sender queued before it hung up.
+                    self.drain();
+                    self.disconnected = true;
+                }
             }
         }
     }
@@ -698,6 +867,45 @@ mod tests {
             Frame::Status { code: StatusCode::ShuttingDown }
         );
         drop(c);
+    }
+
+    /// `try_send` on a socket nobody reads: frames go whole until the
+    /// buffers fill, then one goes in part (its tail kept), then the
+    /// next is refused; a blocking `send` writes the tail first, so the
+    /// peer reads every frame whole and in order once it drains.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn tcp_try_send_keeps_one_tail_and_never_blocks() {
+        let acc = TcpAcceptorT::bind("127.0.0.1:0").unwrap();
+        let mut c = TcpDialer.dial(&acc.addr()).unwrap();
+        let mut s = acc.accept_timeout(SEC).unwrap();
+        let frame = |req| Frame::Lookup { req, trace: 0, parent: 0, keys: (0..4096).collect() };
+        let mut written = 0u64;
+        loop {
+            assert!(written < 10_000, "a loopback socket's buffers never filled");
+            match c.tx.try_send(&frame(written)).unwrap() {
+                TrySend::Sent => written += 1,
+                TrySend::Tail => {
+                    written += 1;
+                    break;
+                }
+                TrySend::Busy => panic!("refused with no tail held"),
+            }
+        }
+        assert_eq!(c.tx.try_send(&frame(written)).unwrap(), TrySend::Busy, "one tail at most");
+        let reader = std::thread::spawn(move || {
+            (0..=written)
+                .map(|_| match s.rx.recv_timeout(10 * SEC).unwrap() {
+                    Frame::Lookup { req, keys, .. } => {
+                        assert_eq!(keys, (0..4096).collect::<Vec<u32>>(), "frame {req} whole");
+                        req
+                    }
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        });
+        c.tx.send(&frame(written)).unwrap();
+        assert_eq!(reader.join().unwrap(), (0..=written).collect::<Vec<_>>());
     }
 
     #[test]

@@ -7,15 +7,18 @@
 //! when its reply has been handed out — the reader gives them back to
 //! the outbox, and a cell is reused only once no pending lookup holds
 //! it — and an outbox starts with two spare frames, so a caller opening
-//! its next frame always finds the one before last retired. An update
+//! its next frame always finds the one before last retired. A lone
+//! lookup's frame is written by the caller itself: its keys are copied
+//! into the connection's reusable buffer, its in-flight record goes into
+//! a map that keeps its node once warm, and `ChanNet` encodes the frame
+//! into a buffer its pipe hands back after decoding. An update
 //! takes a reply cell from its span's pool and appends its record to the
 //! span's log on the caller's thread — the log reserves its retained
 //! tail up front, so the append does not grow it — and the cell goes back
 //! once the quorum has answered; an `Op::Query` update is answered on the
 //! spot and needs no cell. The workers, the readers and the server
-//! allocate on their own threads (the wire's copies, the decoded reply,
-//! the shipped log suffix); these tests count only the thread playing
-//! the caller.
+//! allocate on their own threads (the decoded frames, the shipped log
+//! suffix); these tests count only the thread playing the caller.
 
 use dini_net::transport::ChanNet;
 use dini_net::{ClientConfig, NetHandle, NetServer, NetServerConfig, RemoteClient, Topology};

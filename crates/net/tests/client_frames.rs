@@ -234,9 +234,11 @@ fn poll_then_wait_return_the_same_answer() {
     server.join().unwrap();
 }
 
-/// Four lookups fill an outbox of capacity 4; the fifth is shed
-/// client-side, naming its span; a blocking `lookup_many` then waits for
-/// room instead of shedding, and every rank comes back exact.
+/// A lone lookup's frame is written at once; the four pipelined lookups
+/// behind it fill an outbox of capacity 4, and the next is shed
+/// client-side, naming its span; a blocking `lookup_many` then makes
+/// room — it writes the open frame itself — instead of shedding, and
+/// every rank comes back exact.
 #[test]
 fn a_full_outbox_sheds_begin_lookup_and_blocks_lookup_many() {
     let sim = SimClock::new();
@@ -255,15 +257,16 @@ fn a_full_outbox_sheds_begin_lookup_and_blocks_lookup_many() {
     let client = RemoteClient::connect(net.dialer(), "srv", cfg).expect("connect");
     let handle = client.handle();
 
-    // Nothing else runs until this thread blocks: the worker cannot take
-    // a key before the fifth is refused.
+    // Nothing else runs until this thread blocks: no reply can retire a
+    // frame, and nothing but this thread writes one, before the sixth
+    // key is refused.
     let admitted: Vec<_> =
-        (0..4u32).map(|i| (i * 7, handle.begin_lookup(i * 7).expect("room for four"))).collect();
+        (0..5u32).map(|i| (i * 7, handle.begin_lookup(i * 7).expect("room for five"))).collect();
     assert_eq!(
         handle.begin_lookup(500).unwrap_err(),
         ServeError::Overloaded { shard: handle.span_of(500) }
     );
-    assert_eq!((handle.stats().client_shed, handle.stats().admitted), (1, 4));
+    assert_eq!((handle.stats().client_shed, handle.stats().admitted), (1, 5));
 
     let queries: Vec<u32> = (0..64u32).map(|i| i * 47 + 2).collect();
     let ranks = handle.lookup_many(&queries).expect("a blocking lookup waits for room");
@@ -272,7 +275,7 @@ fn a_full_outbox_sheds_begin_lookup_and_blocks_lookup_many() {
         assert_eq!(p.wait(), Ok(rank(q)));
     }
     let stats = handle.stats();
-    assert_eq!((stats.client_shed, stats.admitted), (1, 4 + 64));
+    assert_eq!((stats.client_shed, stats.admitted), (1, 5 + 64));
 
     drop(handle);
     drop(client);

@@ -5,13 +5,10 @@
 //! answered by the connection's reader thread alone, out of scratch it
 //! keeps across frames: the shard grouping, the ranks, the pending list
 //! and the `Reply`'s result vector all recycle. What is left is the
-//! transport's own: over `ChanNet` the reply is cloned onto the
-//! in-process "wire" (one allocation, its result vector — the analogue
-//! of TCP's encoded reply, which goes into a reused buffer), and the
-//! decoded key vector is allocated by whoever decodes, here the client
-//! half cloning the `Lookup` onto the wire (over TCP that one moves to
-//! the server's reader: the tally is the same two per frame, split
-//! differently). These tests count every allocation made by any thread
+//! transport's own, and it is TCP's: `ChanNet` carries encoded frames,
+//! so the server's reader decodes each `Lookup` into a fresh key vector
+//! (one allocation), and encodes its `Reply` into a buffer the pipe
+//! reuses (none). These tests count every allocation made by any thread
 //! *but* the one playing the client, so they see exactly the server's
 //! share.
 //!
@@ -21,23 +18,9 @@
 //! reused batches, and the `Reply` is built out of the same pending list
 //! and result vector the reader keeps for quiet frames.
 //!
-//! **The wire's own blocks are counted, exactly.** `ChanNet`'s pipes are
-//! unbounded `std::sync::mpsc` channels, which keep their messages in
-//! linked blocks of 31 slots; the *sender* of a block's 31st message
-//! allocates the next block, and the sender of a `Reply` is the server's
-//! reader. So the server pays one more allocation every 31 frames, and
-//! which frames those are is fixed by how many went before: the budget
-//! below is `FRAMES` plus the multiples of 31 in `(WARMUP, WARMUP +
-//! FRAMES]` — 7 for 300 and 200 — not "about one per frame". The other
-//! way to keep the number at `FRAMES` was to make the pipes bounded
-//! `sync_channel`s (slots allocated once, up front) written through
-//! `Clock::send`; that was not taken because it changes what `ChanNet`
-//! is: every frame sent would become a scheduling point under a
-//! `SimClock` (so every net scenario's schedule would move), and a
-//! capacity would have to be picked for a wire whose real queue is the
-//! receiver's delivery heap, not the pipe — to save one allocation in
-//! 31. If `std` changes its block size this test fails with the new
-//! count in hand, which is the point of pinning it.
+//! The wire itself allocates nothing once warm: a `ChanNet` pipe keeps
+//! its queue and its decoded frames' buffers for reuse, so the budget
+//! below is exactly one per frame, not "about one per frame".
 
 use dini_cluster::{Fault, FaultSchedule};
 use dini_net::transport::ChanNet;
@@ -57,8 +40,7 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     /// Set on the thread playing the client: its allocations (building
-    /// and cloning `Lookup` frames, receiving replies) are not the
-    /// server's. Const-initialized and destructor-free, so touching it
+    /// `Lookup` frames, decoding replies) are not the server's. Const-initialized and destructor-free, so touching it
     /// from inside the allocator cannot itself allocate.
     static CLIENT_SIDE: Cell<bool> = const { Cell::new(false) };
 }
@@ -158,9 +140,6 @@ fn warmed_frame_allocs(faults: FaultSchedule) -> (u64, ServeStats) {
 
 const WARMUP: u64 = 300;
 const FRAMES: u64 = 200;
-/// Replies WARMUP + 1 ..= WARMUP + FRAMES on the server → client pipe:
-/// each one that is a block's 31st allocates the next block.
-const WIRE_BLOCKS: u64 = (WARMUP + FRAMES) / 31 - WARMUP / 31;
 
 #[test]
 fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
@@ -171,11 +150,9 @@ fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
     assert_eq!(stats.claimed, stats.served, "the reader ranked every key");
     assert!(stats.batches <= 2 * (WARMUP + FRAMES), "a frame is one batch per shard");
     assert_eq!(
-        allocs,
-        FRAMES + WIRE_BLOCKS,
+        allocs, FRAMES,
         "{allocs} server-side allocations across {FRAMES} warmed quiet Lookup frames: the \
-         budget is one per frame — ChanNet cloning the Reply's result vector onto the wire — \
-         plus {WIRE_BLOCKS} for the wire's own 31-slot blocks"
+         budget is one per frame — the reader decoding the Lookup's key vector"
     );
 }
 
@@ -190,11 +167,10 @@ fn a_warmed_queued_lookup_frame_costs_the_server_no_more_than_a_quiet_one() {
     assert_eq!(stats.served, (WARMUP + FRAMES) * u64::from(FRAME_KEYS));
     assert_eq!(stats.claimed, 0, "the dispatchers ranked every key");
     assert_eq!(
-        allocs,
-        FRAMES + WIRE_BLOCKS,
+        allocs, FRAMES,
         "{allocs} server-side allocations across {FRAMES} warmed queued Lookup frames: the \
          reader reuses its pending list and result vector, the dispatchers their batches and \
-         the pools their reply cells, so the quiet frame's budget holds — one per frame for \
-         ChanNet's copy of the Reply, plus {WIRE_BLOCKS} for the wire's 31-slot blocks"
+         the pools their reply cells, so the quiet frame's budget holds — one per frame, the \
+         decoded Lookup's key vector"
     );
 }

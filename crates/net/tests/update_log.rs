@@ -15,7 +15,7 @@
 //!   on the floor.
 
 use dini_cluster::{Fault, FaultSchedule};
-use dini_net::transport::ChanNet;
+use dini_net::transport::{ChanNet, TrySend};
 use dini_net::wire::SpanMsg;
 use dini_net::{
     Acceptor, ClientConfig, Dialer, Duplex, Frame, FrameTx, NetError, NetServer, NetServerConfig,
@@ -24,6 +24,7 @@ use dini_net::{
 use dini_serve::{Clock, ServeConfig, ServeError, SimClock};
 use dini_workload::Op;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -334,11 +335,14 @@ fn shutdown_fails_pending_and_later_appends() {
     server.shutdown();
 }
 
-/// Whether the sending halves [`GatedDialer`] hands out may write.
+/// Whether the sending halves [`GatedDialer`] hands out may write, and
+/// how many `Lookup` frames went through their blocking `send` — which
+/// only an endpoint's worker calls for lookups.
 #[derive(Default)]
 struct Gate {
     shut: Mutex<bool>,
     opened: Condvar,
+    lookups_sent: AtomicU64,
 }
 
 impl Gate {
@@ -349,8 +353,8 @@ impl Gate {
 }
 
 /// A dialer whose connections to one address send only while the gate is
-/// open: a shut gate holds the writer in `send`, as a full TCP send
-/// buffer does.
+/// open: a shut gate holds the writer in `send`, and refuses a
+/// `try_send`, as a full TCP send buffer does.
 struct GatedDialer {
     inner: Box<dyn Dialer>,
     addr: String,
@@ -369,7 +373,21 @@ impl FrameTx for GatedTx {
             shut = self.gate.opened.wait(shut).unwrap();
         }
         drop(shut);
+        if matches!(frame, Frame::Lookup { .. }) {
+            self.gate.lookups_sent.fetch_add(1, Ordering::SeqCst);
+        }
         self.inner.send(frame)
+    }
+
+    fn try_send(&mut self, frame: &Frame) -> Result<TrySend, NetError> {
+        if *self.gate.shut.lock().unwrap() {
+            return Ok(TrySend::Busy);
+        }
+        self.inner.try_send(frame)
+    }
+
+    fn flush(&mut self) -> Result<(), NetError> {
+        self.inner.flush()
     }
 }
 
@@ -437,6 +455,92 @@ fn a_stalled_endpoint_does_not_hold_up_its_span() {
     for (addr, srv) in addrs.iter().zip(&servers) {
         assert!(handle.endpoint_alive(addr), "endpoint {addr} must not have been buried");
         assert_eq!(srv.server().len(), mirror.len(), "replica {addr} must converge");
+    }
+    assert_eq!(client.stats().elections, 0, "nobody died; the epoch must not move");
+
+    drop(handle);
+    drop(client);
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// The lookup twin: the same span, endpoint a's sending half held. A
+/// lookup caller never waits on it: the first frame routed to a finds
+/// the socket refusing its `try_send`, the rest find a's worker stuck in
+/// `send` holding the connection's lock, and either way `begin_lookup`
+/// and `poll` return at once and the frame goes to a's worker. The other
+/// two endpoints answer meanwhile; once the gate opens, a's worker writes
+/// what it was left and every rank comes back exact.
+#[test]
+fn a_stalled_endpoint_does_not_hold_up_a_lookup_caller() {
+    let net = ChanNet::new(Clock::system());
+    let keys: Vec<u32> = (0..2_000u32).map(|i| i * 4).collect();
+    let rank = |q: u32| keys.partition_point(|&k| k <= q) as u32;
+    let addrs = ["a", "b", "c"];
+    let topology = Topology::single(addrs.iter().map(|a| a.to_string()).collect());
+    let servers: Vec<NetServer> = addrs
+        .iter()
+        .map(|addr| {
+            let cfg = NetServerConfig::new(ServeConfig::new(2), topology.clone(), 0);
+            NetServer::start(Box::new(net.listen(addr)), &keys, cfg)
+        })
+        .collect();
+    let gate = Arc::new(Gate::default());
+    let dialer = GatedDialer { inner: net.dialer(), addr: "a".to_owned(), gate: gate.clone() };
+    let client =
+        RemoteClient::connect(Box::new(dialer), "b", ClientConfig::default()).expect("connect");
+    let handle = client.handle();
+
+    gate.set(true);
+    const LOOKUPS: u32 = 64;
+    let (done_tx, done_rx) = mpsc::channel();
+    let caller = {
+        let handle = handle.clone();
+        std::thread::spawn(move || {
+            let mut slowest = Duration::ZERO;
+            let mut pending = Vec::new();
+            for i in 0..LOOKUPS {
+                let q = i * 97 % 8_000;
+                let start = Instant::now();
+                let p = handle.begin_lookup(q).expect("admitted");
+                let _ = p.poll();
+                slowest = slowest.max(start.elapsed());
+                pending.push((q, p));
+            }
+            // The span still answers: a holds at most the frames routed
+            // to it, and the power-of-two choice steers around its depth.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while pending.iter().filter(|(_, p)| p.poll().is_some()).count() < LOOKUPS as usize / 2
+                && Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            let answered = pending.iter().filter(|(_, p)| p.poll().is_some()).count();
+            done_tx.send((slowest, answered)).unwrap();
+            pending
+        })
+    };
+    let bound = Duration::from_secs(5);
+    let done = done_rx.recv_timeout(bound);
+    let held = gate.lookups_sent.load(Ordering::SeqCst);
+    // Released either way, so a failing run still unwinds.
+    gate.set(false);
+    let (slowest, answered) =
+        done.unwrap_or_else(|_| panic!("{LOOKUPS} lookups did not submit within {bound:?}"));
+    let pending = caller.join().unwrap();
+    assert!(slowest < Duration::from_millis(100), "a begin_lookup + poll took {slowest:?}");
+    assert!(answered >= LOOKUPS as usize / 2, "only {answered} answered around the stall");
+    assert_eq!(held, 0, "nothing got through a's gate while it was shut");
+    for (q, p) in pending {
+        assert_eq!(p.wait(), Ok(rank(q)), "rank({q})");
+    }
+    assert!(
+        gate.lookups_sent.load(Ordering::SeqCst) > 0,
+        "a's worker wrote the frames its callers could not"
+    );
+    for addr in addrs {
+        assert!(handle.endpoint_alive(addr), "endpoint {addr} must not have been buried");
     }
     assert_eq!(client.stats().elections, 0, "nobody died; the epoch must not move");
 

@@ -162,6 +162,26 @@ pub fn churn_storm() -> Deployment {
     d
 }
 
+/// The straggling replica's per-batch delay in
+/// `churn_storm_straggler`.
+pub const STORM_STRAGGLE: Duration = Duration::from_micros(100);
+
+/// The churn storm with one replica of shard 0 straggling. A replica
+/// with a fault scripted is never claimed, so its lookups queue for its
+/// dispatcher: the storm's epoch swaps and rebuilds then race a
+/// dispatcher's pinned batch, not only the probes' own claimed ranks, and
+/// dense tracing hands the stage-timing oracle the queued stages.
+pub fn churn_storm_straggler() -> Deployment {
+    let mut d = churn_storm();
+    d.name = "churn_storm_against_a_straggling_replica";
+    d.replicas_per_shard = 2;
+    d.faults.events = vec![Fault::Straggle { shard: 0, replica: Some(0), extra: STORM_STRAGGLE }];
+    d.trace_sample_period = 1;
+    // Queued behind one slow batch, then riding its own.
+    d.latency_bound = Some(2 * STORM_STRAGGLE);
+    d
+}
+
 pub fn stage_traces_dense() -> Deployment {
     let mut d = Deployment::in_process("stage_traces_on_virtual_time");
     d.trace_sample_period = 1; // dense: every request sampled
@@ -385,6 +405,7 @@ pub const ALL: &[(&str, Make)] = &[
     ("scenarios", dispatch_jitter),
     ("scenarios", slow_shard_straggler),
     ("scenarios", churn_storm),
+    ("scenarios", churn_storm_straggler),
     ("scenarios", stage_traces_dense),
     ("scenarios", stage_traces_sparse),
     ("scenarios", stage_traces_disabled),

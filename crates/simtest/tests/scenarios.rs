@@ -1,4 +1,4 @@
-//! The seeded fault-scenario suite: the real `IndexServer` under nine
+//! The seeded fault-scenario suite: the real `IndexServer` under ten
 //! hostile (and one clean) schedules plus two group-commit and two
 //! fast-path scenarios, all forming batches by the shipped group
 //! commit, on deterministic virtual time.
@@ -221,6 +221,30 @@ fn churn_storm_during_snapshot_publish() {
         assert!(report.snapshots > 20, "publication storm must publish constantly");
         assert_eq!(report.issued, report.ok);
         assert!(report.oracle_checks > 0);
+    }
+}
+
+/// The churn storm against a dispatcher: one replica of shard 0
+/// straggles, so its share of shard 0's lookups queues for its
+/// dispatcher instead of being ranked by the probes. Epoch swaps and
+/// rebuilds race that dispatcher's pinned batches, the post-quiesce
+/// sweep must still match the mirror exactly, and the stage-timing
+/// oracle holds every queued record to admitted → collected →
+/// dispatched → answered → filled.
+#[test]
+fn churn_storm_against_a_straggling_replica() {
+    for seed in seeds_from_env() {
+        let report = run_reproducibly(&catalog::churn_storm_straggler(), seed);
+        assert!(report.merges > 0, "seed {seed}: the storm must cross the merge threshold");
+        assert!(report.snapshots > 20, "publication storm must publish constantly");
+        assert_eq!(report.issued, report.ok, "a straggler is slow, not wrong (seed {seed})");
+        assert!(report.oracle_checks > 0);
+        assert!(report.per_replica_served[0] > 0, "seed {seed}: the straggler served nothing");
+        assert!(
+            report.max_latency_ns >= catalog::STORM_STRAGGLE.as_nanos() as u64,
+            "seed {seed}: no lookup waited on the straggler's dispatcher"
+        );
+        assert!(report.trace_records > 0, "seed {seed}: dense tracing recorded nothing");
     }
 }
 
