@@ -15,10 +15,12 @@
 //!   their parking; an answered cell goes back to its pool; a cell held
 //!   by a waiter or by a filler is never handed to a new tenant; a
 //!   filler dropped unanswered answers `ShuttingDown`.
-//! * `OpenGroup` / `Member`: a pipelined caller joining its open group
-//!   while another thread polls one of the group's lookups loses no key
-//!   and answers each exactly once; a group's cell is never recycled
-//!   while any of its lookups is held.
+//! * `OpenGroup` / `Member` and the group's ticket (the one counted
+//!   reference a grouped lookup holds): a pipelined caller joining its
+//!   open group while another thread polls one of the group's lookups
+//!   loses no key and answers each exactly once; a group's ticket, and
+//!   the cell it carries, never pass to a new group while any of its
+//!   lookups is held — dropped on the owner's thread or on another.
 //! * `TraceRing`: a concurrent snapshot never returns a torn record.
 //! * `AdmissionQueue`: the admitted/shed/depth gauges stay coherent
 //!   with what actually entered the queue; the depth gauge holds a
@@ -367,11 +369,11 @@ fn open_group_join_races_a_poll_and_loses_no_key() {
     assert!(report.executions >= 10, "join/poll race under-explored: {report:?}");
 }
 
-/// (b) Recycling: a group's two lookups are answered by one cell; one
-/// is read twice from another thread while the owner drops the other
-/// and opens the next group, whose cell comes from a one-cell pool. The
-/// pool must not hand the first group's cell to the next group while
-/// the held lookup can still read it.
+/// (b) Recycling: a group's two lookups hold one ticket, which carries
+/// the group's cell; one is read twice from another thread while the
+/// owner drops the other and opens the next group, whose cell comes from
+/// a one-cell pool. Neither the ticket nor the cell may pass to the next
+/// group while the held lookup can still read them.
 #[test]
 fn a_group_cell_is_not_recycled_under_a_held_lookup() {
     let report = model("open-group/recycle-vs-held-lookup", || {
@@ -391,6 +393,33 @@ fn a_group_cell_is_not_recycled_under_a_held_lookup() {
         assert_eq!(reader.join(), Ok(10));
     });
     assert!(report.executions >= 2, "recycle/held race under-explored: {report:?}");
+}
+
+/// (c) A lookup dropped on another thread while its owner opens the
+/// next group: the owner holds one lookup of a ranked group and hands
+/// the other to a thread that drops it, racing the owner's next join,
+/// which takes its ticket from the group's free list and its cell from a
+/// one-cell pool. The drop lets go of a count, never of the ticket the
+/// owner's lookup still holds: the next group gets a fresh ticket, the
+/// held answer stays put, and once everything is dropped the group is
+/// idle again (its strong count is back to the owner's).
+#[test]
+fn a_lookup_dropped_on_another_thread_frees_no_held_ticket() {
+    let report = model("open-group/drop-vs-next-group", || {
+        let group = OpenGroup::shared(Tens::default(), pool_of(1));
+        let held = OpenGroup::join(&group, 1);
+        let handed = OpenGroup::join(&group, 2);
+        assert_eq!(*held.wait(), Ok(10));
+        let dropper = thread::spawn(move || drop(handed));
+        let next = OpenGroup::join(&group, 3);
+        assert_eq!(held.poll(), Some(&Ok(10)), "a held lookup's ticket went to the next group");
+        assert_eq!(*next.wait(), Ok(30), "the next group misanswered");
+        dropper.join();
+        assert_eq!(held.poll(), Some(&Ok(10)));
+        drop((held, next));
+        assert!(OpenGroup::is_idle(&group), "a released ticket still holds the group");
+    });
+    assert!(report.executions >= 2, "drop/next-group race under-explored: {report:?}");
 }
 
 /// The seqlock ring: a reader snapshots while the single writer wraps

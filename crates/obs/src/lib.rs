@@ -24,8 +24,8 @@
 //!   into a [`CausalTimeline`] with per-hop wire/wait/service/fill
 //!   breakdown and a monotonicity check the simtest oracles enforce.
 //! * [`heat`] — **key-range heat**: a [`HeatMap`] of per-shard
-//!   fixed-bucket access counters (relaxed increments, zero-alloc on
-//!   the read path) showing where in the keyspace load lands — the
+//!   fixed-bucket access counters (relaxed, zero-alloc on the read
+//!   path, and a load and a store for a replica claim's holder) showing where in the keyspace load lands — the
 //!   telemetry elastic shard splits and hot-key caches steer by.
 //! * [`rate`] — [`Meter`]: windowed per-second rates from successive
 //!   polls of the monotone counters everything above exposes.

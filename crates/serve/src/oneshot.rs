@@ -9,9 +9,11 @@
 //! * [`ReplyCell<T>`] — written once per tenancy with one reply `T`,
 //!   which any number of waiters read through their own `Arc` of it. A
 //!   queued server lookup's cell answers one key; a pipelined caller's
-//!   open group's answers the group's keys, and a `dini-net` client's
-//!   a whole `Lookup` frame (each pending lookup keeps its index into
-//!   the reply), or one replicated update.
+//!   open group's answers the group's keys — its lookups read it through
+//!   the group's ticket, which holds the cell's [`Filler`], rather than
+//!   through an `Arc` each (see [`crate::group`]) — and a `dini-net`
+//!   client's a whole `Lookup` frame (each pending lookup keeps its
+//!   index into the reply), or one replicated update.
 //! * [`CellPool<T>`] — a bounded free list of cells. It hands a cell to
 //!   a new tenant only while it holds the *only* `Arc` of it, so no
 //!   waiter and no filler of the old tenancy can still see it: reuse
@@ -246,18 +248,24 @@ pub struct Filler<T: Unanswered> {
 }
 
 impl<T: Unanswered> Filler<T> {
-    fn cell(&self) -> &Arc<ReplyCell<T>> {
+    fn arc(&self) -> &Arc<ReplyCell<T>> {
         self.cell.as_ref().expect("a filler holds its cell until dropped")
+    }
+
+    /// The cell this filler answers, borrowed: what a reader that holds
+    /// the filler's owner, not a [`Waiter`], polls or waits on.
+    pub fn cell(&self) -> &ReplyCell<T> {
+        self.arc()
     }
 
     /// A waiter's handle on the cell.
     pub fn waiter(&self) -> Waiter<T> {
-        self.cell().clone()
+        self.arc().clone()
     }
 
     /// Whether `cell` is the cell this filler answers.
     pub fn fills(&self, cell: &Waiter<T>) -> bool {
-        Arc::ptr_eq(self.cell(), cell)
+        Arc::ptr_eq(self.arc(), cell)
     }
 
     /// Publish `reply` and wake every parked waiter; the first fill of a
@@ -270,7 +278,11 @@ impl<T: Unanswered> Filler<T> {
 impl<T: Unanswered> Drop for Filler<T> {
     fn drop(&mut self) {
         let cell = self.cell.take().expect("dropped once");
-        cell.fill(T::unanswered());
+        // Only this filler answers the cell: one it filled needs no
+        // `unanswered` built to be refused.
+        if cell.poll().is_none() {
+            cell.fill(T::unanswered());
+        }
         self.pool.put(cell);
     }
 }

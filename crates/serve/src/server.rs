@@ -240,7 +240,7 @@ pub struct IndexServer {
     queues: Vec<Vec<AdmissionQueue>>,
     pools: Vec<CellPool<Reply>>,
     /// Reply cells of the handles' open groups, one cell a group.
-    groups: CellPool<Answers<PendingLookup>>,
+    groups: CellPool<Answers<Pending>>,
     /// `cells[shard]`, shared with the writer, the shard's dispatchers
     /// and every handle.
     cells: Vec<Arc<EpochCell>>,
@@ -428,7 +428,8 @@ impl IndexServer {
         let writer_metrics = WriterMetrics::new(&metrics);
         writer_metrics.live_keys.set(seeds.iter().map(|s| s.live_len() as u64).sum());
         let heat = cfg.heat.then(|| {
-            Arc::new(HeatMap::new(&seeds.iter().map(ShardSeed::span).collect::<Vec<_>>()))
+            let spans: Vec<_> = seeds.iter().map(ShardSeed::span).collect();
+            Arc::new(HeatMap::new(&spans, cfg.replicas_per_shard))
         });
         if let Some(h) = &heat {
             // One gauge per grid cell: each reads a single relaxed
@@ -793,20 +794,24 @@ impl Drop for IndexServer {
 /// back to the server's pool once the dispatcher has answered, and is
 /// reused once this `PendingLookup` (reaped, or abandoned) has let go of
 /// it. One that joined its handle's open group (a pipelined
-/// [`ServerHandle::begin_lookup`]) holds its slot in the group's one
-/// pooled cell: the first `poll` or `wait` on any member ranks a group
-/// still open, and dropping it before then takes its key out unranked.
+/// [`ServerHandle::begin_lookup`]) holds its group's ticket — one
+/// counted reference that carries the group's pooled reply cell (see
+/// [`crate::group`]): the first `poll` or `wait` on any member ranks a
+/// group still open, and dropping it before then takes its key out
+/// unranked.
 #[derive(Debug)]
 pub struct PendingLookup {
     pending: Pending,
     /// [`ServerHandle::begin_lookup`]'s lookups answered alone: counts
     /// the lookup as held against its handle until it is reaped.
-    held: Option<Shared<HandleCore>>,
+    _held: Option<Shared<HandleCore>>,
 }
 
 /// What a lookup's caller reads: its global rank, or why there is none.
 type Reply = Result<u32, ServeError>;
 
+/// One key's answer, as admission leaves it — and, ranked, what a slot
+/// of an open group's reply cell holds.
 #[derive(Debug)]
 enum Pending {
     Ready(Reply),
@@ -816,27 +821,17 @@ enum Pending {
     Grouped(Member<HandleCore>),
 }
 
-impl PendingLookup {
-    fn ready(reply: Result<u32, ServeError>) -> Self {
-        Self { pending: Pending::Ready(reply), held: None }
-    }
-
-    /// Block for the rank.
-    pub fn wait(self) -> Result<u32, ServeError> {
-        self.get()
-    }
-
-    fn get(&self) -> Reply {
-        match &self.pending {
+impl Pending {
+    fn wait(&self) -> Reply {
+        match self {
             Pending::Ready(reply) => *reply,
             Pending::Queued(cell) => *cell.wait(),
-            Pending::Grouped(member) => member.wait().get(),
+            Pending::Grouped(member) => member.wait().wait(),
         }
     }
 
-    /// The rank if it has arrived, `None` if still in flight.
-    pub fn poll(&self) -> Option<Result<u32, ServeError>> {
-        match &self.pending {
+    fn poll(&self) -> Option<Reply> {
+        match self {
             Pending::Ready(reply) => Some(*reply),
             Pending::Queued(cell) => cell.poll().copied(),
             Pending::Grouped(member) => member.poll().and_then(Self::poll),
@@ -845,21 +840,64 @@ impl PendingLookup {
 }
 
 /// An unfilled group slot: a hole, or past the group's end.
-impl Unanswered for PendingLookup {
+impl Unanswered for Pending {
     fn unanswered() -> Self {
-        Self::ready(Err(ServeError::ShuttingDown))
+        Pending::Ready(Err(ServeError::ShuttingDown))
+    }
+}
+
+/// Admitted alone or in a slice: held against no handle.
+impl From<Pending> for PendingLookup {
+    fn from(pending: Pending) -> Self {
+        Self { pending, _held: None }
+    }
+}
+
+impl PendingLookup {
+    /// Block for the rank.
+    pub fn wait(self) -> Result<u32, ServeError> {
+        self.pending.wait()
+    }
+
+    /// The rank if it has arrived, `None` if still in flight.
+    pub fn poll(&self) -> Option<Result<u32, ServeError>> {
+        self.pending.poll()
     }
 }
 
 /// Reusable scratch for [`ServerHandle::begin_lookup_many`]: per-key
-/// shard assignments and one shard's keys, positions and ranks. Keep one
-/// per submitting thread and a warmed call allocates nothing.
+/// shard assignments and answers, and one shard's keys and ranks. Keep
+/// one per submitting thread and a warmed call allocates nothing.
 #[derive(Debug, Default)]
 pub struct LookupScratch {
+    /// `shards[i]`: the shard `keys[i]` routes to.
     shards: Vec<usize>,
+    /// `admitted[shard]`: how the shard's keys were admitted, if they
+    /// have been yet.
+    admitted: Vec<Admitted>,
+    /// `slots[i]`, for a key whose shard was ranked here, its rank; for
+    /// one whose shard was queued, its lookup's index in `queued`.
+    slots: Vec<u32>,
+    /// One shard's keys, and their ranks.
     keys: Vec<u32>,
-    positions: Vec<usize>,
     ranks: Vec<u32>,
+    /// Lookups queued for a dispatcher (or refused), until they are
+    /// moved out to their keys' places.
+    queued: Vec<Pending>,
+}
+
+/// How a slice's keys of one shard were admitted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Admitted {
+    /// Not yet: no key of the shard has been reached.
+    No,
+    /// Under a claim, by this thread: a key's slot is its rank.
+    Ranked,
+    /// Queued for the replica's dispatcher, or refused: a key's slot
+    /// indexes its lookup.
+    Queued,
+    /// No replica is alive.
+    Refused,
 }
 
 /// A cloneable churn-feeding handle: routes [`Op`]s to the writer from
@@ -914,12 +952,12 @@ impl HandleCore {
         self.selector.select(tick, |r| group[r].probe())
     }
 
-    /// Answer `n` requests on the caller's own thread, under the claim
-    /// the caller holds on `replica` of `shard`: run `rank` on the
-    /// snapshot while its slot is pinned ([`EpochCell::with`]), fold the
-    /// batch into the replica's claim-side accounting, release the claim.
-    /// Admission, collection and dispatch are one instant, so a recorded
-    /// wait is exactly zero.
+    /// Answer `keys` on the caller's own thread, under the claim the
+    /// caller holds on `replica` of `shard`: run `rank` on the snapshot
+    /// while its slot is pinned ([`EpochCell::with`]), fold the batch
+    /// into the replica's claim-side accounting and heat row, release
+    /// the claim. Admission, collection and dispatch are one instant, so
+    /// a recorded wait is exactly zero.
     ///
     /// Two clock reads and a histogram record cost more than ranking a
     /// key, so a batch is timed only when someone will read the result:
@@ -931,17 +969,19 @@ impl HandleCore {
     /// the requests each pick stands for.
     ///
     /// Atomic read-modify-writes, untimed: the sampler's add, the pin and
-    /// unpin, and the release's `complete` — with the caller's heat record
-    /// and claim, six a lookup. The counts are plain stores: the claim
-    /// makes this thread their only writer.
+    /// unpin, and the release's `complete` — with the caller's claim,
+    /// five a batch, however many keys it holds. The counts and the heat
+    /// row are plain stores: the claim makes this thread their only
+    /// writer.
     fn serve_claimed<T>(
         &self,
         shard: usize,
         replica: usize,
-        n: usize,
+        keys: &[u32],
         trace: u64,
         rank: impl FnOnce(&ShardSnapshot) -> T,
     ) -> T {
+        let n = keys.len();
         let q = &self.queues[shard][replica];
         let stats = &self.replica_metrics[shard * self.selector.n_replicas() + replica];
         let sampler = stats.trace();
@@ -974,10 +1014,25 @@ impl HandleCore {
             }
         }
         stats.count_claimed(n as u64);
+        if let Some(h) = &self.heat {
+            for &key in keys {
+                h.record_unshared(shard, replica, key);
+            }
+        }
         // Last: the claim is what makes this thread the only writer of
-        // the claim ring and the claim-side counts.
+        // the claim ring, the claim-side counts and the heat row.
         q.release(n);
         answer
+    }
+
+    /// Count `key` in the shared heat row: a key this thread does not
+    /// rank under a claim — queued, shed, or refused — was still demand
+    /// on its key range, which is what a split/cache decision wants to
+    /// see.
+    fn heat_shared(&self, shard: usize, key: u32) {
+        if let Some(h) = &self.heat {
+            h.record(shard, key);
+        }
     }
 
     /// Queue one request for `replica`'s dispatcher.
@@ -988,7 +1043,8 @@ impl HandleCore {
         key: u32,
         blocking: bool,
         trace: u64,
-    ) -> Result<PendingLookup, ServeError> {
+    ) -> Result<Pending, ServeError> {
+        self.heat_shared(shard, key);
         let reply = self.pools[shard].take();
         let cell = reply.waiter();
         let req = Request { key, enqueued: self.clock.now(), trace, reply };
@@ -1002,23 +1058,21 @@ impl HandleCore {
         // inside the admission queue, which answers the cell and returns
         // it to the pool; `cell` lets go of it on return. No leak, no
         // alloc.
-        Ok(PendingLookup { pending: Pending::Queued(cell), held: None })
+        Ok(Pending::Queued(cell))
     }
 
-    fn enqueue(&self, key: u32, blocking: bool, trace: u64) -> Result<PendingLookup, ServeError> {
+    fn enqueue(&self, key: u32, blocking: bool, trace: u64) -> Result<Pending, ServeError> {
         let shard = self.router.route(key);
-        // Heat is counted at admission — shed requests were still
-        // demand on this key range, which is what a split/cache
-        // decision wants to see.
-        if let Some(h) = &self.heat {
-            h.record(shard, key);
-        }
-        let replica = self.select(shard).ok_or(ServeError::ShuttingDown)?;
+        let Some(replica) = self.select(shard) else {
+            self.heat_shared(shard, key);
+            return Err(ServeError::ShuttingDown);
+        };
         // Claim before anything else: the caller that takes the depth
         // gauge 0 → 1 ranks its own key.
         if self.queues[shard][replica].claim(1) {
-            let rank = self.serve_claimed(shard, replica, 1, trace, |state| state.rank(key));
-            return Ok(PendingLookup::ready(Ok(rank)));
+            let keys = std::slice::from_ref(&key);
+            let rank = self.serve_claimed(shard, replica, keys, trace, |state| state.rank(key));
+            return Ok(Pending::Ready(Ok(rank)));
         }
         self.queue(shard, replica, key, blocking, trace)
     }
@@ -1026,58 +1080,94 @@ impl HandleCore {
     /// [`enqueue`](Self::enqueue) for a slice: `out[i]` answers
     /// `keys[i]`. The keys of one shard travel together — one replica
     /// choice, one claim, and if it wins one pinned snapshot and one
-    /// [`rank_batch`](ShardSnapshot::rank_batch), counted as one batch.
-    fn enqueue_many(
+    /// [`rank_batch`](ShardSnapshot::rank_batch), counted as one batch —
+    /// in the order each shard's first key comes. Each key's answer is
+    /// built once, in its place: a rank, straight off the batch, or the
+    /// lookup its shard's dispatcher will answer.
+    fn enqueue_many<T: From<Pending>>(
         &self,
         keys: &[u32],
         blocking: bool,
         trace: u64,
         scratch: &mut LookupScratch,
-        out: &mut Vec<PendingLookup>,
+        out: &mut Vec<T>,
     ) {
-        /// Marks a key whose shard has been handled.
-        const DONE: usize = usize::MAX;
         out.clear();
-        out.extend(keys.iter().map(|_| PendingLookup::ready(Err(ServeError::ShuttingDown))));
+        out.reserve(keys.len());
         scratch.shards.clear();
         scratch.shards.extend(keys.iter().map(|&k| self.router.route(k)));
-        if let Some(h) = &self.heat {
-            for (&shard, &key) in scratch.shards.iter().zip(keys) {
-                h.record(shard, key);
+        scratch.admitted.clear();
+        scratch.admitted.resize(self.router.n_shards(), Admitted::No);
+        scratch.slots.clear();
+        scratch.slots.resize(keys.len(), 0);
+        for (i, &key) in keys.iter().enumerate() {
+            let shard = scratch.shards[i];
+            if scratch.admitted[shard] == Admitted::No {
+                scratch.admitted[shard] =
+                    self.admit_shard(shard, i, keys, blocking, trace, scratch);
             }
+            let pending = match scratch.admitted[shard] {
+                Admitted::Ranked => Pending::Ready(Ok(scratch.slots[i])),
+                Admitted::Queued => std::mem::replace(
+                    &mut scratch.queued[scratch.slots[i] as usize],
+                    Pending::unanswered(),
+                ),
+                Admitted::Refused => {
+                    self.heat_shared(shard, key);
+                    Pending::Ready(Err(ServeError::ShuttingDown))
+                }
+                Admitted::No => unreachable!("admitted above"),
+            };
+            out.push(T::from(pending));
         }
-        for first in 0..keys.len() {
-            let shard = scratch.shards[first];
-            if shard == DONE {
-                continue;
-            }
+        scratch.queued.clear();
+    }
+
+    /// Admit the keys of `keys` from `first` on that route to `shard`,
+    /// as one unit, leaving each one's slot: ranked under a claim of
+    /// one of its replicas, queued for that replica's dispatcher, or
+    /// refused when none is alive.
+    fn admit_shard(
+        &self,
+        shard: usize,
+        first: usize,
+        keys: &[u32],
+        blocking: bool,
+        trace: u64,
+        scratch: &mut LookupScratch,
+    ) -> Admitted {
+        let Some(replica) = self.select(shard) else { return Admitted::Refused };
+        let mine = |i: &usize| scratch.shards[*i] == shard;
+        // Every key this shard's — a one-shard server, most slices and
+        // groups — ranks straight into the slots.
+        let whole = first == 0 && scratch.shards.iter().all(|&s| s == shard);
+        if !whole {
             scratch.keys.clear();
-            scratch.positions.clear();
-            for (i, (mark, &key)) in scratch.shards.iter_mut().zip(keys).enumerate().skip(first) {
-                if *mark == shard {
-                    *mark = DONE;
-                    scratch.keys.push(key);
-                    scratch.positions.push(i);
-                }
-            }
-            // A shard with no live replica keeps its `ShuttingDown`s.
-            let Some(replica) = self.select(shard) else { continue };
-            let n = scratch.keys.len();
-            if self.queues[shard][replica].claim(n) {
-                self.serve_claimed(shard, replica, n, trace, |state| {
-                    state.rank_batch(&scratch.keys, &mut scratch.ranks)
-                });
-                for (&i, &rank) in scratch.positions.iter().zip(&scratch.ranks) {
-                    out[i] = PendingLookup::ready(Ok(rank));
-                }
-            } else {
-                for (&i, &key) in scratch.positions.iter().zip(&scratch.keys) {
-                    out[i] = self
-                        .queue(shard, replica, key, blocking, trace)
-                        .unwrap_or_else(|e| PendingLookup::ready(Err(e)));
-                }
-            }
+            scratch.keys.extend((first..keys.len()).filter(mine).map(|i| keys[i]));
         }
+        let batch = if whole { keys } else { &scratch.keys };
+        if self.queues[shard][replica].claim(batch.len()) {
+            if whole {
+                self.serve_claimed(shard, replica, batch, trace, |state| {
+                    state.rank_batch(batch, &mut scratch.slots)
+                });
+            } else {
+                self.serve_claimed(shard, replica, batch, trace, |state| {
+                    state.rank_batch(batch, &mut scratch.ranks)
+                });
+                let positions = (first..keys.len()).filter(mine);
+                for (i, &rank) in positions.zip(&scratch.ranks) {
+                    scratch.slots[i] = rank;
+                }
+            }
+            return Admitted::Ranked;
+        }
+        for i in (first..keys.len()).filter(mine) {
+            scratch.slots[i] = scratch.queued.len() as u32;
+            let queued = self.queue(shard, replica, keys[i], blocking, trace);
+            scratch.queued.push(queued.unwrap_or_else(|e| Pending::Ready(Err(e))));
+        }
+        Admitted::Queued
     }
 
     /// Whether a caller may rank `shard`'s keys: some replica of it has
@@ -1092,10 +1182,10 @@ impl HandleCore {
 /// one pinned [`rank_batch`](ShardSnapshot::rank_batch). Its keys are
 /// admitted — or shed — here, at its rank, not at `begin_lookup`.
 impl Ranker for HandleCore {
-    type Answer = PendingLookup;
+    type Answer = Pending;
     type Scratch = LookupScratch;
 
-    fn rank(&self, keys: &[u32], scratch: &mut LookupScratch, answers: &mut Vec<PendingLookup>) {
+    fn rank(&self, keys: &[u32], scratch: &mut LookupScratch, answers: &mut Vec<Pending>) {
         self.enqueue_many(keys, false, 0, scratch, answers);
     }
 }
@@ -1139,18 +1229,17 @@ impl ServerHandle {
         let core = self.core();
         if !OpenGroup::is_idle(&self.group) && core.claimable(core.router.route(key)) {
             let member = OpenGroup::join(&self.group, key);
-            return Ok(PendingLookup { pending: Pending::Grouped(member), held: None });
+            return Ok(Pending::Grouped(member).into());
         }
-        let mut lookup = core.enqueue(key, false, 0)?;
-        lookup.held = Some(self.group.clone());
-        Ok(lookup)
+        let pending = core.enqueue(key, false, 0)?;
+        Ok(PendingLookup { pending, _held: Some(self.group.clone()) })
     }
 
     /// [`begin_lookup`](Self::begin_lookup) carrying a causal trace id
     /// (0 = untraced), so the stage records of whoever answers share the
     /// originating client's timeline. Never grouped: admitted at once.
     pub fn begin_lookup_traced(&self, key: u32, trace: u64) -> Result<PendingLookup, ServeError> {
-        self.core().enqueue(key, false, trace)
+        self.core().enqueue(key, false, trace).map(PendingLookup::from)
     }
 
     /// [`begin_lookup_traced`](Self::begin_lookup_traced) for a whole
@@ -1173,9 +1262,9 @@ impl ServerHandle {
     /// collecting, so whatever this thread does not rank itself
     /// coalesces into few batches.
     pub fn lookup_many(&self, keys: &[u32]) -> Result<Vec<u32>, ServeError> {
-        let mut replies = Vec::with_capacity(keys.len());
+        let mut replies: Vec<Pending> = Vec::with_capacity(keys.len());
         self.core().enqueue_many(keys, true, 0, &mut LookupScratch::default(), &mut replies);
-        replies.into_iter().map(PendingLookup::wait).collect()
+        replies.iter().map(Pending::wait).collect()
     }
 
     /// Number of shards behind this handle.
@@ -2211,6 +2300,85 @@ mod tests {
         let lone = h.begin_lookup(query(7)).unwrap();
         assert_eq!(counts(), (before.0 + 1, before.1 + 1));
         assert_eq!(lone.wait(), Ok(oracle(&set, query(7))));
+    }
+
+    #[test]
+    fn four_threads_share_one_pipelined_handle() {
+        use std::collections::VecDeque;
+        use std::sync::mpsc::channel;
+        const THREADS: u32 = 4;
+        const WINDOW: usize = 256;
+        const PER_THREAD: u32 = 20_000;
+        let keys = gen_sorted_unique_keys(50_000, 84);
+        let rank = |q: u32| Ok(keys.partition_point(|&k| k <= q) as u32);
+        let mut c = cfg(2);
+        c.replicas_per_shard = 2;
+        c.heat = true;
+        c.queue_capacity = 1 << 16;
+        let server = IndexServer::build(&keys, c);
+        let h = server.handle();
+        let begun = AtomicU64::new(0);
+        // Thread t hands every fifth lookup it begins to thread t + 1,
+        // which waits on half of them and drops the rest once a poll
+        // has seen them answered: reaped and dropped away from the
+        // thread that began them, while that thread keeps joining the
+        // same open groups.
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..THREADS).map(|_| channel::<(u32, PendingLookup)>()).unzip();
+        let reap = |(q, p): (u32, PendingLookup)| {
+            if q % 2 == 0 {
+                assert_eq!(p.wait(), rank(q), "handed-off query {q}");
+            } else {
+                while p.poll().is_none() {
+                    std::thread::yield_now();
+                }
+                drop(p);
+            }
+        };
+        std::thread::scope(|s| {
+            for (t, handed) in receivers.into_iter().enumerate() {
+                let next = senders[(t + 1) % THREADS as usize].clone();
+                let (h, begun, rank, reap) = (&h, &begun, &rank, &reap);
+                s.spawn(move || {
+                    let mut flight = VecDeque::with_capacity(WINDOW);
+                    for i in 0..PER_THREAD {
+                        if flight.len() == WINDOW {
+                            let (q, p): (u32, PendingLookup) = flight.pop_front().unwrap();
+                            assert_eq!(p.wait(), rank(q), "query {q}");
+                        }
+                        let q = (i * THREADS + t as u32).wrapping_mul(2_654_435_761);
+                        let p = h.begin_lookup(q).expect("a deep queue sheds nothing");
+                        begun.fetch_add(1, Ordering::Relaxed);
+                        if i % 5 == 0 {
+                            next.send((q, p)).unwrap();
+                        } else {
+                            flight.push_back((q, p));
+                        }
+                        while let Ok(lookup) = handed.try_recv() {
+                            reap(lookup);
+                        }
+                    }
+                    drop(next);
+                    for (q, p) in flight {
+                        assert_eq!(p.wait(), rank(q), "query {q}");
+                    }
+                    handed.into_iter().for_each(reap);
+                });
+            }
+            drop(senders);
+        });
+        // Nothing held: one lone lookup, then five that join a group and
+        // are dropped, unranked, on another thread.
+        let held = h.begin_lookup(1).unwrap();
+        let unranked: Vec<_> = (0..5u32).map(|i| h.begin_lookup(i * 977).unwrap()).collect();
+        std::thread::scope(|s| s.spawn(move || drop(unranked)).join().unwrap());
+        assert_eq!(held.wait(), rank(1));
+        let begun = begun.into_inner() + 6;
+        let stats = server.stats();
+        assert_eq!(stats.served, begun - 5, "served = begun - dropped unranked");
+        assert_eq!(stats.shed, 0);
+        let heat: u64 = server.metrics_snapshot().series("dini_serve_heat").map(|(_, v)| v).sum();
+        assert_eq!(heat, stats.served, "every served key counted in heat once");
     }
 
     #[test]
