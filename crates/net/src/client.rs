@@ -89,13 +89,13 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// An endpoint worker's idle housekeeping tick: lookup retry deadlines,
-/// churn-log repair (resend) deadlines, the endpoint's liveness flag, the
-/// shutdown flag. No request waits it out — lookup callers write their
-/// own frames and ring the worker's bell only for what they could not
-/// write without blocking, an update rings the bell of every live
-/// endpoint of its span, and control frames never pass through the
-/// worker.
+/// The longest an endpoint worker sleeps: it bounds how stale the
+/// endpoint's liveness flag and the shutdown flag can get. No request
+/// waits it out — lookup callers write their own frames and ring the
+/// worker's bell only for what they could not write without blocking,
+/// an update rings the bell of every live endpoint of its span, control
+/// frames never pass through the worker, and a pending lookup retry or
+/// churn-log repair deadline sooner than this is slept to exactly.
 const WORKER_POLL: Duration = Duration::from_millis(1);
 /// How often an endpoint reader wakes to notice shutdown/death.
 const READER_POLL: Duration = Duration::from_millis(10);
@@ -944,9 +944,10 @@ fn serve_endpoint(
 /// what the endpoint's lookup callers could not write without blocking,
 /// and its churn-log suffix. The worker blocks on its outbox bell — rung
 /// by a caller that left it a frame or an unsent tail, and by every
-/// append to its span — or for `WORKER_POLL`, which only bounds how stale
-/// the housekeeping around it (flags, retry and repair deadlines) can
-/// get. Each wake writes the unsent tail and every frame left for it,
+/// append to its span — until the earliest pending deadline (a lookup
+/// frame's retry, its endpoint's churn-log repair), or for at most
+/// `WORKER_POLL`, which bounds how stale the liveness and shutdown
+/// flags can get. Each wake writes the unsent tail and every frame left for it,
 /// and every record appended since the last wake in one `Update` frame
 /// (group commit). A frame whose write fails stays in flight for the
 /// death path to re-home, and the frames not yet written stay in
@@ -959,6 +960,7 @@ fn serve_conn(
     frames: &mut VecDeque<OutFrame>,
 ) -> ConnExit {
     let clock = &core.clock;
+    let mut sleep = WORKER_POLL;
     loop {
         if core.shutdown.load(Ordering::SeqCst) {
             return ConnExit::Teardown;
@@ -967,19 +969,19 @@ fn serve_conn(
             return ConnExit::Dead;
         }
         // Rung or timed out, the outbox says what is ready.
-        let _ = clock.recv_timeout(bell, WORKER_POLL);
+        let _ = clock.recv_timeout(bell, sleep);
         core.outboxes[ep].take(frames, false);
         if write_frames(core, ep, frames).is_err() {
             return ConnExit::Dead;
         }
         // One clock read serves the log's and the lookups' deadlines.
         let now = clock.now();
-        if ship_updates(core, ep, now).is_err() {
-            return ConnExit::Dead;
-        }
-        if check_retries(core, ep, in_flight, now).is_err() {
-            return ConnExit::Dead;
-        }
+        let Ok(repair) = ship_updates(core, ep, now) else { return ConnExit::Dead };
+        let Ok(retry) = check_retries(core, ep, in_flight, now) else { return ConnExit::Dead };
+        let due = repair.into_iter().chain(retry).min();
+        sleep = due.map_or(WORKER_POLL, |at| {
+            Duration::from_nanos(at.saturating_sub(now)).min(WORKER_POLL)
+        });
     }
 }
 
@@ -1034,24 +1036,31 @@ fn write_frames(core: &ClientCore, ep: usize, frames: &mut VecDeque<OutFrame>) -
 }
 
 /// Resend overdue frames (same request id: replies are deduplicated by
-/// the in-flight map). A frame past `max_retries` fails the whole
-/// endpoint — per-frame surrender would strand its sibling frames on a
-/// connection that is clearly gone.
-fn check_retries(core: &ClientCore, ep: usize, in_flight: &InFlight, now: Nanos) -> Result<(), ()> {
+/// the in-flight map), and say when the next one falls due. A frame
+/// past `max_retries` fails the whole endpoint — per-frame surrender
+/// would strand its sibling frames on a connection that is clearly gone.
+fn check_retries(
+    core: &ClientCore,
+    ep: usize,
+    in_flight: &InFlight,
+    now: Nanos,
+) -> Result<Option<Nanos>, ()> {
     let timeout = dur_ns(core.cfg.retry_timeout);
     let mut resend: Vec<(u64, u64, Vec<u32>)> = Vec::new();
+    let mut due = None;
     {
         let mut map = in_flight.lock().expect("in-flight lock");
         for (req, b) in map.iter_mut() {
-            if now.saturating_sub(b.sent_at) < timeout {
-                continue;
+            if now.saturating_sub(b.sent_at) >= timeout {
+                if b.attempts > core.cfg.max_retries {
+                    return Err(()); // endpoint unresponsive: fail over
+                }
+                b.attempts += 1;
+                b.sent_at = now;
+                resend.push((*req, b.trace, b.frame.keys.clone()));
             }
-            if b.attempts > core.cfg.max_retries {
-                return Err(()); // endpoint unresponsive: fail over
-            }
-            b.attempts += 1;
-            b.sent_at = now;
-            resend.push((*req, b.trace, b.frame.keys.clone()));
+            let at = b.sent_at + timeout;
+            due = Some(due.map_or(at, |d: Nanos| d.min(at)));
         }
     }
     for (req, trace, keys) in resend {
@@ -1060,7 +1069,7 @@ fn check_retries(core: &ClientCore, ep: usize, in_flight: &InFlight, now: Nanos)
         // same request, and the reply joins whichever attempt answered.
         core.send_frame(ep, &Frame::Lookup { req, trace, parent: ep as u32, keys })?;
     }
-    Ok(())
+    Ok(due)
 }
 
 /// Ship endpoint `ep` the churn-log suffix it has not been sent — every
@@ -1068,13 +1077,18 @@ fn check_retries(core: &ClientCore, ep: usize, in_flight: &InFlight, now: Nanos)
 /// after repairing a stall ([`SpanLog::ship`]). The frame is built under
 /// the log lock and written after it is released, so a write held up by
 /// TCP back-pressure keeps no reader from folding an ack and no caller
-/// from appending. `Err` means the endpoint is dead: the write failed, or
-/// it stalled through its repair budget.
-fn ship_updates(core: &ClientCore, ep: usize, now: Nanos) -> Result<(), ()> {
+/// from appending. `Ok` carries when the endpoint's next repair falls
+/// due, if its acks trail what it was sent. `Err` means the endpoint is
+/// dead: the write failed, or it stalled through its repair budget.
+fn ship_updates(core: &ClientCore, ep: usize, now: Nanos) -> Result<Option<Nanos>, ()> {
     let span = core.ep_span[ep];
-    let shipped = core.logs[span].lock().expect("log lock").ship(core.ep_pos[ep], now);
+    let (shipped, due) = {
+        let mut log = core.logs[span].lock().expect("log lock");
+        let shipped = log.ship(core.ep_pos[ep], now);
+        (shipped, log.repair_due(core.ep_pos[ep]))
+    };
     match shipped {
-        Ship::Idle => Ok(()),
+        Ship::Idle => Ok(due),
         Ship::Dead => Err(()),
         Ship::Suffix { epoch, seq, ops, resend } => {
             if resend {
@@ -1082,7 +1096,8 @@ fn ship_updates(core: &ClientCore, ep: usize, now: Nanos) -> Result<(), ()> {
                 core.flight(EventKind::UpdateResend, span as u16, ep as u32, seq);
             }
             let req = core.fresh_req();
-            core.send_frame(ep, &Frame::Update { req, epoch, seq, trace: 0, parent: 0, ops })
+            core.send_frame(ep, &Frame::Update { req, epoch, seq, trace: 0, parent: 0, ops })?;
+            Ok(due)
         }
     }
 }
@@ -1255,6 +1270,13 @@ impl SpanLog {
         // election rewinds the survivors; a revive resets this cursor.
         self.sent[pos] = head;
         Ship::Suffix { epoch: self.epoch, seq: from + 1, ops, resend }
+    }
+
+    /// When endpoint `pos`'s stall repair falls due, if its acks trail
+    /// what it was sent: [`ship`](Self::ship) rewinds it then.
+    fn repair_due(&self, pos: usize) -> Option<Nanos> {
+        (self.alive[pos] && self.acked[pos] < self.sent[pos])
+            .then(|| self.progress_at[pos] + self.repair_after)
     }
 
     /// Endpoint `pos` died: bump the epoch and rewind every survivor's
