@@ -1635,7 +1635,8 @@ impl NetHandle {
         let span = core.span_router.route(key);
         let eps = &core.span_eps[span];
         // ordering: relaxed-ok: per-handle rotation phase; atomicity only.
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
+        // A lone endpoint needs no rotation, so it skips the RMW.
+        let tick = if eps.len() == 1 { 0 } else { self.tick.fetch_add(1, Ordering::Relaxed) };
         let Some(choice) = core.selectors[span].select(tick, |i| core.gauges[eps[i]].probe())
         else {
             return Err(ServeError::ShuttingDown);

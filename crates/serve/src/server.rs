@@ -1147,14 +1147,11 @@ impl HandleCore {
         }
         let batch = if whole { keys } else { &scratch.keys };
         if self.queues[shard][replica].claim(batch.len()) {
-            if whole {
-                self.serve_claimed(shard, replica, batch, trace, |state| {
-                    state.rank_batch(batch, &mut scratch.slots)
-                });
-            } else {
-                self.serve_claimed(shard, replica, batch, trace, |state| {
-                    state.rank_batch(batch, &mut scratch.ranks)
-                });
+            let ranks = if whole { &mut scratch.slots } else { &mut scratch.ranks };
+            self.serve_claimed(shard, replica, batch, trace, |state| {
+                state.rank_batch(batch, ranks)
+            });
+            if !whole {
                 let positions = (first..keys.len()).filter(mine);
                 for (i, &rank) in positions.zip(&scratch.ranks) {
                     scratch.slots[i] = rank;
