@@ -55,7 +55,8 @@
 //!   (one claim and one pinned rank per shard) when it fills or when one
 //!   of its lookups is reaped. A lone lookup (nothing held) is ranked
 //!   inside `begin_lookup`, as before: a paced caller's latency keeps
-//!   the rank. The group's answers live in one pooled reply cell.
+//!   the rank. The group's answers live in one pooled reply cell, which
+//!   its lookups hold through one ticket each (see [`crate::group`]).
 //! * **Replica groups**: each keyspace shard is served by
 //!   `replicas_per_shard` replicated dispatchers. Replicas share one
 //!   [`EpochCell`] — the shard's whole read state (main array behind
@@ -285,8 +286,9 @@ pub struct IndexServer {
 pub struct ServerHandle {
     /// This clone's open group, over everything a lookup reaches. Every
     /// lookup [`begin_lookup`](Self::begin_lookup) hands out holds a
-    /// clone of it until reaped, which is how the handle knows whether
-    /// its caller is pipelining.
+    /// clone of it until reaped — a lone one directly, a grouped one
+    /// through its group's ticket — which is how the handle knows
+    /// whether its caller is pipelining.
     group: Shared<HandleCore>,
 }
 
@@ -1138,8 +1140,9 @@ impl HandleCore {
     ) -> Admitted {
         let Some(replica) = self.select(shard) else { return Admitted::Refused };
         let mine = |i: &usize| scratch.shards[*i] == shard;
-        // Every key this shard's — a one-shard server, most slices and
-        // groups — ranks straight into the slots.
+        // When every key is this shard's (a one-shard server, most
+        // slices and groups), the batch is `keys` and ranks straight into
+        // the slots.
         let whole = first == 0 && scratch.shards.iter().all(|&s| s == shard);
         if !whole {
             scratch.keys.clear();
