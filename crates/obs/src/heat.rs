@@ -16,9 +16,9 @@
 //! cell reads the sum ([`HeatMap::count`]):
 //!
 //! * the **shared row** takes [`record`](HeatMap::record), a plain
-//!   `fetch_add(1, Relaxed)` any thread may make — a dispatcher's queued
-//!   keys and the keys a caller could not rank itself (queued or shed at
-//!   admission);
+//!   `fetch_add(1, Relaxed)` any thread may make — in the serving layer,
+//!   for the keys a caller could not rank itself: queued for a
+//!   dispatcher, shed, or refused at admission;
 //! * one **claim row per writer** (the serving layer's writers are a
 //!   shard's replicas) takes
 //!   [`record_unshared`](HeatMap::record_unshared), a load and a store:
