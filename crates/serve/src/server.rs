@@ -434,9 +434,9 @@ impl IndexServer {
             Arc::new(HeatMap::new(&spans, cfg.replicas_per_shard))
         });
         if let Some(h) = &heat {
-            // One gauge per grid cell: each reads a single relaxed
-            // atomic, so a metrics snapshot costs O(cells), not
-            // O(cells²) whole-grid copies.
+            // One gauge per grid cell: each sums one shared cell and
+            // `replicas_per_shard` claim cells, so a metrics snapshot
+            // costs O(cells × replicas), not O(cells²) whole-grid copies.
             for s in 0..cfg.n_shards {
                 for b in 0..HEAT_BUCKETS {
                     let h = h.clone();
@@ -1140,25 +1140,16 @@ impl HandleCore {
     ) -> Admitted {
         let Some(replica) = self.select(shard) else { return Admitted::Refused };
         let mine = |i: &usize| scratch.shards[*i] == shard;
-        // When every key is this shard's (a one-shard server, most
-        // slices and groups), the batch is `keys` and ranks straight into
-        // the slots.
-        let whole = first == 0 && scratch.shards.iter().all(|&s| s == shard);
-        if !whole {
-            scratch.keys.clear();
-            scratch.keys.extend((first..keys.len()).filter(mine).map(|i| keys[i]));
-        }
-        let batch = if whole { keys } else { &scratch.keys };
-        if self.queues[shard][replica].claim(batch.len()) {
-            let ranks = if whole { &mut scratch.slots } else { &mut scratch.ranks };
+        scratch.keys.clear();
+        scratch.keys.extend((first..keys.len()).filter(mine).map(|i| keys[i]));
+        if self.queues[shard][replica].claim(scratch.keys.len()) {
+            let (batch, ranks) = (&scratch.keys, &mut scratch.ranks);
             self.serve_claimed(shard, replica, batch, trace, |state| {
                 state.rank_batch(batch, ranks)
             });
-            if !whole {
-                let positions = (first..keys.len()).filter(mine);
-                for (i, &rank) in positions.zip(&scratch.ranks) {
-                    scratch.slots[i] = rank;
-                }
+            let positions = (first..keys.len()).filter(mine);
+            for (i, &rank) in positions.zip(&scratch.ranks) {
+                scratch.slots[i] = rank;
             }
             return Admitted::Ranked;
         }
