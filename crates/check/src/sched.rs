@@ -694,6 +694,12 @@ pub(crate) fn condvar_notify_one(cv_addr: usize) -> Option<()> {
 /// fairness point: the yielding thread cannot run again until every
 /// other runnable thread has had a chance — which is what makes
 /// wait-for-a-flag spin loops terminate under exhaustive exploration.
+/// A bare scheduling point: any runnable thread may go next, the caller
+/// included, and nothing else happens.
+pub(crate) fn switch_point() -> Option<()> {
+    atomic_step(|_, _| StepOutcome::Done(()))
+}
+
 pub(crate) fn yield_now() -> Option<()> {
     atomic_step(|exec, tid| {
         exec.threads[tid].yielded = true;

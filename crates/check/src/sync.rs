@@ -41,6 +41,13 @@ pub fn yield_now() {
     std::thread::yield_now();
 }
 
+/// A point where the checker may switch threads, standing for an
+/// operation it does not model (a `std::sync::mpsc` send, say); in a
+/// normal build, nothing at all.
+#[cfg(not(dini_check))]
+#[inline(always)]
+pub fn switch_point() {}
+
 /// Spin-loop hint (busy-wait fast path). Under the checker this is the
 /// same fairness point as [`yield_now`] — a modeled spinner must let
 /// every other thread run before it retries, or exploration would
@@ -53,8 +60,8 @@ pub fn spin_loop() {
 
 #[cfg(dini_check)]
 pub use imp::{
-    fence, spin_loop, yield_now, Arc, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Condvar,
-    Mutex, MutexGuard, Ordering,
+    fence, spin_loop, switch_point, yield_now, Arc, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize,
+    Condvar, Mutex, MutexGuard, Ordering,
 };
 
 // ---------------------------------------------------------------------
@@ -363,6 +370,12 @@ mod imp {
         if sched::yield_now().is_none() {
             std::thread::yield_now();
         }
+    }
+
+    /// A scheduling point standing for an unmodeled operation (see the
+    /// non-checker doc).
+    pub fn switch_point() {
+        let _ = sched::switch_point();
     }
 
     /// Spin-loop hint: under the checker, identical to [`yield_now`].

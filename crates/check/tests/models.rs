@@ -23,10 +23,11 @@
 //!   lookups is held — dropped on the owner's thread or on another.
 //! * `TraceRing`: a concurrent snapshot never returns a torn record.
 //! * `AdmissionQueue`: the admitted/shed/depth gauges stay coherent
-//!   with what actually entered the queue; the depth gauge holds a
-//!   request before the request can be served (so it never dips below
-//!   zero), and as the claim it admits one claimant at a time and sends
-//!   every loser down the queue exactly once.
+//!   with what actually entered the queue, and the gauge never wraps;
+//!   as the claim it admits one holder at a time, and the combining
+//!   protocol answers every pushed request exactly once — by the holder,
+//!   or by a pusher whose count found the replica idle — with no thread
+//!   parked for good and the gauge back at 0.
 //! * `ReplicaMetrics`: a caller that has observed its reply observes
 //!   the `served` count of the batch that produced it (the
 //!   record-before-release contract `stats.rs` documents).
@@ -48,6 +49,7 @@ use dini_serve::{
     Clock, EpochCell, ReplicaMetrics, ServeError, ServeStats, ShardSnapshot, StageRecord,
     TraceConfig,
 };
+use std::sync::mpsc::Receiver;
 use std::sync::Arc as StdArc;
 
 /// A self-describing snapshot: `base_rank` is derived from the epoch,
@@ -457,147 +459,173 @@ fn req(key: u32) -> Request {
     Request { key, enqueued: Clock::system().now(), trace: 0, reply: pool(0).take() }
 }
 
-/// Admission gauges under a submit/probe race: `admitted`, `shed`, and
+/// A replica as the server has one: its admission queue, and the
+/// receiving end only a holder drains. The receiver sits in a
+/// `try_lock`ed mutex, so two holders draining at once fail the model.
+#[derive(Clone)]
+struct Replica {
+    q: AdmissionQueue,
+    rx: StdArc<std::sync::Mutex<Receiver<Request>>>,
+    /// Requests a holder answered.
+    answered: StdArc<AtomicU64>,
+}
+
+impl Replica {
+    fn new(capacity: usize) -> Self {
+        let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
+        Self {
+            q: AdmissionQueue::new(0, tx, Clock::system()),
+            rx: StdArc::new(std::sync::Mutex::new(rx)),
+            answered: StdArc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// The rest of a hold with `owed` counts for work done: drain,
+    /// answering each request `key * 10`, until the gauge is back to 0.
+    fn combine(&self, owed: u64) {
+        self.q.drain(owed, || {
+            let rx = self.rx.try_lock().expect("two holders drained at once");
+            for req in rx.try_iter() {
+                self.answered.fetch_add(1, Ordering::SeqCst);
+                let key = req.key;
+                req.respond(Ok(key * 10));
+            }
+        });
+    }
+
+    /// A whole caller, as `ServerHandle` is one: claim and rank its own
+    /// key, or push it — holding and combining if its count found the
+    /// replica idle — and wait for the answer. Returns whether it was
+    /// ranked under a claim, and the answer.
+    fn call(&self, key: u32, pool: &CellPool<Reply>) -> (bool, Reply) {
+        if self.q.claim(1) {
+            self.q.admit_claimed(1);
+            self.combine(1);
+            return (true, Ok(key * 10));
+        }
+        let reply = pool.take();
+        let cell = reply.waiter();
+        let req = Request { key, enqueued: 0, trace: 0, reply };
+        match self.q.push(req, false) {
+            Ok(holds) => {
+                if holds {
+                    self.combine(0);
+                }
+                (false, *cell.wait())
+            }
+            Err(e) => {
+                assert_eq!(*cell.wait(), Err(ServeError::ShuttingDown), "a shed cell answered");
+                (false, Err(e))
+            }
+        }
+    }
+}
+
+/// Admission gauges under a push/probe race: `admitted`, `shed`, and
 /// the depth gauge must agree with what actually entered the bounded
 /// queue, and a concurrent probe must never read a depth beyond what
-/// was ever submitted.
+/// was ever counted. The holder's drain may take the pushed request
+/// before its count lands, and gives back only counts it saw: the gauge
+/// never wraps.
 #[test]
 fn admission_gauges_stay_coherent_under_race() {
     let report = model("admission/gauges", || {
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let q = AdmissionQueue::new(0, 0, tx, Clock::system());
-        let submitter = {
-            let q = q.clone();
+        let r = Replica::new(1);
+        assert!(r.q.claim(1), "an idle replica");
+        let pusher = {
+            let q = r.q.clone();
             thread::spawn(move || {
-                let first = q.try_submit(req(1)).is_ok();
-                let second = q.try_submit(req(2)).is_ok();
-                (first, second)
+                let first = q.push(req(1), false);
+                let d = q.depth();
+                assert!(d <= 2, "depth {d} beyond the two counts that exist");
+                (first, q.push(req(2), false))
             })
         };
-        let d = q.depth();
-        assert!(d <= 2, "depth gauge beyond anything submitted: {d}");
-        let (first, second) = submitter.join();
-        assert!(first, "capacity-1 queue must admit the first request");
-        assert!(!second, "capacity-1 queue must shed the second request");
-        assert_eq!((q.admitted(), q.shed(), q.depth()), (1, 1, 1));
-        q.complete(1);
-        assert_eq!(q.probe(), Some(0));
-        q.mark_dead();
-        assert_eq!(q.probe(), None, "dead replicas must probe None");
-        drop(rx);
+        let d = r.q.depth();
+        assert!((1..=2).contains(&d), "depth {d} with one holder and one push");
+        let (first, second) = pusher.join();
+        assert_eq!(first, Ok(false), "a held replica turns a push into a queued request");
+        assert_eq!(second, Err(ServeError::Overloaded { shard: 0 }), "a 1-slot queue sheds");
+        assert_eq!((r.q.admitted(), r.q.shed(), r.q.depth()), (1, 1, 2));
+        r.q.admit_claimed(1);
+        r.combine(1);
+        assert_eq!((r.q.admitted(), r.q.depth()), (2, 0));
+        assert_eq!(r.answered.load(Ordering::SeqCst), 1);
+        r.q.mark_dead();
+        assert_eq!(r.q.probe(), None, "dead replicas must probe None");
     });
     assert!(report.executions >= 2, "gauge race under-explored: {report:?}");
 }
 
-/// Regression (admit ‖ serve-and-complete): the depth gauge must hold a
-/// request *before* the request is sent. A dispatcher can receive,
-/// answer and `complete` it the instant it lands in the channel; with
-/// the increment after the send, that `complete` ran first and the
-/// unsigned gauge wrapped to 2^64 − 1 — which power-of-two-choices then
-/// read as an unboundedly loaded replica. With one request ever
-/// admitted, no thread may ever read a depth above 1.
-#[test]
-fn admission_depth_holds_a_request_before_it_can_be_served() {
-    let report = model("admission/depth-before-send", || {
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let q = AdmissionQueue::new(0, 0, tx, Clock::system());
-        let dispatcher = {
-            let q = q.clone();
-            thread::spawn(move || loop {
-                match rx.try_recv() {
-                    Ok(request) => {
-                        drop(request);
-                        q.complete(1);
-                        let d = q.depth();
-                        assert!(d <= 1, "depth {d} after serving the only request: it wrapped");
-                        break;
-                    }
-                    Err(_) => dini_check::sync::yield_now(),
-                }
-            })
-        };
-        q.try_submit(req(1)).expect("room for one");
-        let d = q.depth();
-        assert!(d <= 1, "depth {d} with one request ever admitted");
-        dispatcher.join();
-        assert_eq!((q.admitted(), q.depth()), (1, 0));
-    });
-    assert!(report.executions >= 2, "admit/serve race under-explored: {report:?}");
-}
-
 /// The claim: two callers race for one idle replica exactly as
-/// `ServerHandle` does — `claim(1)`, and either rank-and-`release` or
-/// queue — beside the replica's dispatcher, which serves whatever was
-/// queued. Whatever the interleaving: the two callers are never both
-/// inside the claim; a caller that lost is queued exactly once and
-/// served exactly once (so every request is answered exactly once, by
-/// its caller or by the dispatcher); the gauge covers a queued request
-/// for as long as it is queued or in service (it never dips below
-/// zero, and nobody reads it above the two requests that exist); and it
-/// reads 0 at the end. Two successive claimants both write the
-/// admitted-under-claim count with a plain load and store, so `admitted`
-/// reading 2 at the end shows the claim orders them. The dispatcher *may* serve the loser while the
-/// winner is still inside its claim — a caller and the dispatcher share
-/// nothing that is not atomic (they write different trace rings) — so
-/// that overlap is explored, not forbidden.
+/// `ServerHandle` does — `claim(1)` and rank, or push and wait — with no
+/// other thread serving. Whatever the interleaving: the first to act
+/// holds; the two never drain at once; a caller that lost is answered
+/// exactly once, by whichever caller holds when its count lands (itself,
+/// if the holder had left); and the gauge reads 0 at the end. Both
+/// holders write the admitted-under-claim count with a plain load and
+/// store, so `admitted` reading 2 shows the hold orders them.
 #[test]
 fn claim_admits_one_claimant_and_queues_the_loser_once() {
     let report = model("admission/claim", || {
-        let (tx, rx) = std::sync::mpsc::sync_channel(2);
-        let q = AdmissionQueue::new(0, 0, tx, Clock::system());
-        let inside = StdArc::new(AtomicU64::new(0));
-        let finished = StdArc::new(AtomicU64::new(0));
+        let (r, pool) = (Replica::new(2), pool(2));
         let caller = |key: u32| {
-            let (q, inside, finished) = (q.clone(), inside.clone(), finished.clone());
-            thread::spawn(move || {
-                let claimed = q.claim(1);
-                if claimed {
-                    let others = inside.fetch_add(1, Ordering::SeqCst);
-                    assert_eq!(others, 0, "two callers inside one replica's claim");
-                    inside.fetch_sub(1, Ordering::SeqCst);
-                    q.release(1);
-                } else {
-                    q.try_submit(req(key)).expect("a lost claim queues, with room to spare");
-                }
-                finished.fetch_add(1, Ordering::SeqCst);
-                claimed
-            })
+            let (r, pool) = (r.clone(), pool.clone());
+            thread::spawn(move || r.call(key, &pool))
         };
         let callers = [caller(1), caller(2)];
-        let dispatcher = {
-            let (q, finished) = (q.clone(), finished.clone());
-            thread::spawn(move || {
-                let mut served = 0u64;
-                loop {
-                    // Read `finished` first: a request sent before a
-                    // caller finished is then certainly seen below.
-                    let all_in = finished.load(Ordering::SeqCst) == 2;
-                    match rx.try_recv() {
-                        Ok(request) => {
-                            drop(request);
-                            q.complete(1);
-                            served += 1;
-                            let d = q.depth();
-                            assert!(d <= 2, "depth {d} with two requests in existence");
-                        }
-                        Err(_) if all_in => return served,
-                        Err(_) => dini_check::sync::yield_now(),
-                    }
-                }
-            })
-        };
-        let claimed = callers.map(|c| u64::from(c.join())).iter().sum::<u64>();
-        let served = dispatcher.join();
-        assert!(claimed >= 1, "an idle replica turned both callers away");
-        assert_eq!(claimed + served, 2, "a request was lost, or answered twice");
-        assert_eq!((q.admitted(), q.depth()), (2, 0));
+        let [(c1, a1), (c2, a2)] = callers.map(|c| c.join());
+        assert_eq!((a1, a2), (Ok(10), Ok(20)), "a caller misanswered");
+        assert!(c1 || c2, "an idle replica turned both callers away");
+        let claimed = u64::from(c1) + u64::from(c2);
+        assert_eq!(claimed + r.answered.load(Ordering::SeqCst), 2, "answered twice, or never");
+        assert_eq!((r.q.admitted(), r.q.depth()), (2, 0));
     });
     assert!(report.executions >= 10, "claim race under-explored: {report:?}");
 }
 
+/// Flat combining: a holder ranks its own key and drains, while two
+/// pushers race it on a 1-slot queue — one may be shed by the full
+/// queue, and either may be preempted between its send and its count,
+/// so the holder can find a request it has no count for, or a count
+/// whose request it already answered. Whatever the interleaving: every
+/// pushed request is answered exactly once, and a shed one never; no
+/// thread parks forever (a pusher whose request nobody drains waits on
+/// its cell for good — a detected deadlock); no two holders drain at
+/// once; and the gauge ends at 0.
+#[test]
+fn combining_answers_every_pushed_request_exactly_once() {
+    let report = model("admission/combine", || {
+        let (r, pool) = (Replica::new(1), pool(2));
+        assert!(r.q.claim(1), "the holder takes the idle replica");
+        let pusher = |key: u32| {
+            let (r, pool) = (r.clone(), pool.clone());
+            thread::spawn(move || r.call(key, &pool))
+        };
+        let pushers = [pusher(1), pusher(2)];
+        r.q.admit_claimed(1);
+        r.combine(1);
+        let replies = pushers.map(|p| p.join());
+        let mut pushed = 0;
+        for ((claimed, reply), key) in replies.into_iter().zip([1, 2]) {
+            match reply {
+                Ok(rank) => {
+                    assert_eq!(rank, key * 10, "pusher {key} misanswered");
+                    pushed += u64::from(!claimed);
+                }
+                Err(e) => assert_eq!(e, ServeError::Overloaded { shard: 0 }, "pusher {key}"),
+            }
+        }
+        assert_eq!(r.answered.load(Ordering::SeqCst), pushed, "answered twice, or never");
+        assert_eq!(r.q.depth(), 0, "the gauge outlived every hold");
+        assert_eq!(r.q.admitted() + r.q.shed(), 3, "the holder's key and both pushes");
+    });
+    assert!(report.executions >= 20, "combining under-explored: {report:?}");
+}
+
 /// Regression: the record-before-release contract `stats.rs` documents.
-/// The dispatcher folds a batch into `ReplicaMetrics` (all `Relaxed`
-/// adds) *before* releasing the reply; the release is an
+/// The holder folds a batch into `ReplicaMetrics` (`Relaxed` loads and
+/// stores) *before* releasing the reply; the release is an
 /// acquire/release handoff through the reply word, so a caller that has
 /// observed its reply must observe `served >= 1` — under every
 /// interleaving and every weak-memory value choice.
@@ -609,10 +637,10 @@ fn replica_metrics_record_before_release_is_visible() {
         let pool = pool(1);
         let reply = pool.take();
         let cell = reply.waiter();
-        let dispatcher = {
+        let holder = {
             let m = StdArc::clone(&m);
             thread::spawn(move || {
-                m.record_batch([100].into_iter());
+                m.count_batch(1, false);
                 reply.fill(Ok(1));
                 reply // returned to the pool after the join, off the race
             })
@@ -620,7 +648,7 @@ fn replica_metrics_record_before_release_is_visible() {
         assert_eq!(*cell.wait(), Ok(1));
         let served = ServeStats::from(&reg.snapshot()).served;
         assert!(served >= 1, "observed a reply but served={served}: count released early");
-        drop(dispatcher.join());
+        drop(holder.join());
         assert_eq!(ServeStats::from(&reg.snapshot()).served, 1);
     });
     assert!(report.executions >= 2, "record/release race under-explored: {report:?}");

@@ -10,7 +10,7 @@
 //!   to one of the span's replica endpoints by power-of-two choices
 //!   over each endpoint's depth gauge (keys admitted, not yet answered;
 //!   [`ReplicaSelector`] over a [`ReplicaGauge`]) — the identical
-//!   machinery `router.rs` runs over replica dispatchers.
+//!   machinery `router.rs` runs over a server's replicas.
 //! * **Coalescing** — a lookup appends its key to its endpoint's
 //!   *outbox*: the open frame, under one short lock. Everything but the
 //!   key slot is paid once per frame, so one `Lookup` frame amortises

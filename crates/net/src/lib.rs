@@ -5,7 +5,7 @@
 //! *processes on other nodes* and gathers sub-answers over a real
 //! network. Everything `dini-serve` built — sharding, batching, replica
 //! groups, failover — lived in one process behind channels; this crate
-//! lifts the dispatcher↔caller boundary onto a wire so shards and
+//! lifts the server↔caller boundary onto a wire so shards and
 //! replicas can live in separate processes or hosts.
 //!
 //! * [`wire`] — a versioned, length-prefixed binary protocol: lookup

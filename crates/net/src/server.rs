@@ -1,14 +1,13 @@
 //! `NetServer`: an [`IndexServer`] hosted behind a transport listener.
 //!
-//! One `NetServer` owns one span of the key space (its whole replica
-//! group of shards, dispatchers, and writer — everything PR 1–4 built)
-//! and serves it to remote callers:
+//! One `NetServer` owns one span of the key space (its shards, their
+//! replica groups, and its writer) and serves it to remote callers:
 //!
 //! ```text
 //!   acceptor thread ──► per-connection reader ──begin_lookup_many()──► IndexServer
 //!                          │   (ranks the frame itself when its replicas
-//!                          │    are idle; otherwise waits the queued
-//!                          │    keys' reply cells)
+//!                          │    are idle, and what queued behind it;
+//!                          │    otherwise waits the queued keys' cells)
 //!                          ▼
 //!                       send half (the reader's own)
 //! ```
@@ -22,9 +21,10 @@
 //!   does for local callers): the keys bound for an idle replica are
 //!   ranked in place, by this thread, as one batch. Keys queued behind a
 //!   busy replica are redeemed from their pooled reply cells — the
-//!   reader parks on them like any in-process caller whose claim lost —
-//!   and the positionally-aligned `Reply` goes out. The wait holds the
-//!   connection's later frames for one dispatcher turnaround, as a
+//!   reader parks on them like any in-process caller whose claim lost,
+//!   until the replica's holder answers them — and the
+//!   positionally-aligned `Reply` goes out. The wait holds the
+//!   connection's later frames for one holder's turnaround, as a
 //!   `Quiesce` or a full writer queue already does.
 //! * Updates feed the span's single writer; `Quiesce` runs the writer
 //!   barrier and returns the fresh live-key count (the client uses it
@@ -271,7 +271,7 @@ impl NetServer {
             let _ = c.join();
         }
         // `self.server` (the last strong count) drops with `self`,
-        // joining dispatchers and the writer.
+        // joining the writer.
     }
 }
 
@@ -494,25 +494,32 @@ mod tests {
 
     #[test]
     fn queued_lookup_frames_are_answered_in_frame_order_before_later_acks() {
-        // A straggle on every replica makes each one dispatcher-only:
-        // every key of every frame queues, and the reader waits on the
-        // keys' reply cells before it reads the next frame.
-        use dini_cluster::{Fault, FaultSchedule};
-        let extra = Duration::from_micros(200);
+        // A second connection holds the one replica, sleeping out its
+        // straggle, when the first frame arrives: that frame's keys queue
+        // behind it, and the reader waits on their reply cells — answered
+        // by the other connection's reader — before it reads the next.
+        use dini_cluster::Fault;
+        let extra = Duration::from_millis(20);
         let mut c = cfg("srv");
-        c.serve.faults = FaultSchedule {
-            events: (0..2).map(|shard| Fault::Straggle { shard, replica: None, extra }).collect(),
-            ..FaultSchedule::default()
-        };
+        c.serve.n_shards = 1;
+        c.serve.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra });
         let net = ChanNet::new(Clock::system());
         let acc = net.listen("srv");
         let keys: Vec<u32> = (0..10_000).map(|i| i * 3).collect();
         let server = NetServer::start(Box::new(acc), &keys, c);
 
         let mut c = net.dialer().dial("srv").unwrap();
+        let mut holder = net.dialer().dial("srv").unwrap();
         const FRAMES: u64 = 8;
         let frame_keys =
             |req: u64| -> Vec<u32> { (0..24).map(|i| (req as u32 * 24 + i) * 1_237).collect() };
+        holder
+            .tx
+            .send(&Frame::Lookup { req: 1, trace: 0, parent: 0, keys: frame_keys(0) })
+            .unwrap();
+        while server.server().metrics_snapshot().sum("dini_serve_queue_depth") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         for req in 1..=FRAMES {
             c.tx.send(&Frame::Lookup { req, trace: req, parent: 7, keys: frame_keys(req) })
                 .unwrap();
@@ -548,9 +555,10 @@ mod tests {
             }
             other => panic!("expected QuiesceAck, got {other:?}"),
         }
+        assert!(matches!(holder.rx.recv_timeout(SEC).unwrap(), Frame::Reply { req: 1, .. }));
         let stats = server.server().stats();
-        assert_eq!(stats.served, FRAMES * 24);
-        assert_eq!(stats.claimed, 0, "the dispatchers ranked every key");
+        assert_eq!(stats.served, (FRAMES + 1) * 24);
+        assert!(stats.served - stats.claimed >= 24, "the first frame queued behind the holder");
         server.shutdown();
     }
 
@@ -574,7 +582,7 @@ mod tests {
                 let depths: Vec<&(String, String, u64)> =
                     metrics.gauges.iter().filter(|(n, ..)| n == "dini_serve_queue_depth").collect();
                 assert_eq!(depths.len(), 2, "2 shards × 1 replica");
-                // The dispatcher releases depth *after* replies go out,
+                // A holder leaves the gauge *after* its keys are ranked,
                 // so a poll racing the reply may still see the batch.
                 assert!(depths.iter().all(|(.., d)| *d <= 3), "depth bounded by issued");
                 // Default sampling (period 64) may or may not have hit

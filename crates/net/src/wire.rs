@@ -14,7 +14,7 @@
 //! returns a [`WireError`] — never a panic — which `prop_wire.rs` pins
 //! with randomized corruption.
 //!
-//! The frame set is the dispatcher↔caller boundary, serialized:
+//! The frame set is the server↔caller boundary, serialized:
 //!
 //! | frame | direction | carries |
 //! |---|---|---|

@@ -12,17 +12,18 @@
 //! *but* the one playing the client, so they see exactly the server's
 //! share.
 //!
-//! A queued frame — every replica scripted to straggle, so each key
-//! waits behind a dispatcher — costs the same: the reader parks on the
-//! keys' pooled reply cells, the dispatchers rank out of their own
-//! reused batches, and the `Reply` is built out of the same pending list
-//! and result vector the reader keeps for quiet frames.
+//! A queued frame — sent while a second connection's reader holds the
+//! one replica, sleeping out its scripted straggle, so each key is
+//! pushed and answered by that holder — costs the same: the reader
+//! parks on the keys' pooled reply cells, the holder ranks out of the
+//! replica's reused batch, and the `Reply` is built out of the same
+//! pending list and result vector the reader keeps for quiet frames.
 //!
 //! The wire itself allocates nothing once warm: a `ChanNet` pipe keeps
 //! its queue and its decoded frames' buffers for reuse, so the budget
 //! below is exactly one per frame, not "about one per frame".
 
-use dini_cluster::{Fault, FaultSchedule};
+use dini_cluster::Fault;
 use dini_net::transport::ChanNet;
 use dini_net::wire::{Frame, LookupStatus};
 use dini_net::{NetServer, NetServerConfig, Topology};
@@ -85,13 +86,18 @@ static COUNTER: CountingAlloc = CountingAlloc;
 const SEC: Duration = Duration::from_secs(5);
 const FRAME_KEYS: u32 = 16;
 
-/// One `Lookup` frame of `FRAME_KEYS` keys spread over both shards, and
-/// its reply checked against the key set.
-fn round_trip(c: &mut dini_net::transport::Duplex, keys: &[u32], req: u64) {
+/// Send one `Lookup` frame of `FRAME_KEYS` keys spread over the key
+/// space; returns its keys.
+fn send_lookup(c: &mut dini_net::transport::Duplex, req: u64) -> Vec<u32> {
     let queries: Vec<u32> = (0..FRAME_KEYS)
         .map(|i| (req as u32 * FRAME_KEYS + i).wrapping_mul(2_654_435_761))
         .collect();
     c.tx.send(&Frame::Lookup { req, trace: 0, parent: 0, keys: queries.clone() }).unwrap();
+    queries
+}
+
+/// Receive the reply to `req`, checked against the key set.
+fn check_reply(c: &mut dini_net::transport::Duplex, keys: &[u32], req: u64, queries: &[u32]) {
     match c.rx.recv_timeout(SEC).unwrap() {
         Frame::Reply { req: got, results, .. } => {
             assert_eq!(got, req);
@@ -103,10 +109,15 @@ fn round_trip(c: &mut dini_net::transport::Duplex, keys: &[u32], req: u64) {
     }
 }
 
-/// Server-side allocations over `FRAMES` warmed `Lookup` frames, on one
-/// connection to a two-shard server scripted with `faults`, after
-/// checking every rank; also returns the server's accounting.
-fn warmed_frame_allocs(faults: FaultSchedule) -> (u64, ServeStats) {
+/// Server-side allocations over `FRAMES` warmed `Lookup` frames on one
+/// connection, after checking every rank; also returns the server's
+/// accounting. Quiet: a two-shard server, every frame alone on it.
+/// Queued: a one-shard, one-replica server whose replica straggles
+/// `STRAGGLE` per batch, and before each frame a second connection's
+/// frame, sent first and held until its reader is inside its hold — so
+/// the measured frame's keys all queue behind it. The budget then
+/// counts both connections' frames.
+fn warmed_frame_allocs(queued: bool) -> (u64, ServeStats) {
     // The count is process-wide: one measured server at a time.
     static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -114,38 +125,60 @@ fn warmed_frame_allocs(faults: FaultSchedule) -> (u64, ServeStats) {
     let net = ChanNet::new(Clock::system());
     let acceptor = net.listen("srv");
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
-    let mut serve = ServeConfig::new(2);
-    serve.faults = faults;
+    let mut serve = ServeConfig::new(if queued { 1 } else { 2 });
+    if queued {
+        serve.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra: STRAGGLE });
+    }
     let cfg = NetServerConfig::new(serve, Topology::single(vec!["srv".into()]), 0);
     let server = NetServer::start(Box::new(acceptor), &keys, cfg);
     let mut c = net.dialer().dial("srv").unwrap();
+    let mut holder = net.dialer().dial("srv").unwrap();
+    let depth = || server.server().metrics_snapshot().sum("dini_serve_queue_depth");
+    let mut round_trip = |req: u64| {
+        let held = queued.then(|| {
+            let queries = send_lookup(&mut holder, req);
+            while depth() == 0 {
+                std::thread::yield_now();
+            }
+            queries
+        });
+        let queries = send_lookup(&mut c, req);
+        check_reply(&mut c, &keys, req, &queries);
+        if let Some(queries) = held {
+            check_reply(&mut holder, &keys, req, &queries);
+        }
+    };
 
-    // Warmup: the reader's scratch (and, queued, the reply-cell pools).
+    // Warmup: the readers' scratch (and, queued, the reply-cell pool and
+    // the replica's batch).
     for req in 1..=WARMUP {
-        round_trip(&mut c, &keys, req);
+        round_trip(req);
     }
 
     let before = ALLOCS.load(Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     for req in WARMUP + 1..=WARMUP + FRAMES {
-        round_trip(&mut c, &keys, req);
+        round_trip(req);
     }
     ARMED.store(false, Ordering::SeqCst);
     let allocs = ALLOCS.load(Ordering::SeqCst) - before;
     let stats = server.server().stats();
-    drop(c);
+    drop((c, holder));
     server.shutdown();
     (allocs, stats)
 }
 
 const WARMUP: u64 = 300;
 const FRAMES: u64 = 200;
+/// The queued server's per-batch straggle: the window in which the
+/// measured frame's reader reaches the held replica.
+const STRAGGLE: Duration = Duration::from_millis(5);
 
 #[test]
 fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
-    let (allocs, stats) = warmed_frame_allocs(FaultSchedule::default());
+    let (allocs, stats) = warmed_frame_allocs(false);
     // Every frame was ranked by the reader: one batch per shard it
-    // touched, and nothing ever reached a dispatcher's queue.
+    // touched, and nothing ever queued.
     assert_eq!(stats.served, (WARMUP + FRAMES) * u64::from(FRAME_KEYS));
     assert_eq!(stats.claimed, stats.served, "the reader ranked every key");
     assert!(stats.batches <= 2 * (WARMUP + FRAMES), "a frame is one batch per shard");
@@ -158,19 +191,20 @@ fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
 
 #[test]
 fn a_warmed_queued_lookup_frame_costs_the_server_no_more_than_a_quiet_one() {
-    // A straggle on every replica makes every replica dispatcher-only:
-    // each key of each frame queues, and the reader waits on its pooled
-    // reply cell before it writes the frame's reply itself.
-    let extra = Duration::from_micros(20);
-    let events = (0..2).map(|shard| Fault::Straggle { shard, replica: None, extra }).collect();
-    let (allocs, stats) = warmed_frame_allocs(FaultSchedule { events, ..FaultSchedule::default() });
-    assert_eq!(stats.served, (WARMUP + FRAMES) * u64::from(FRAME_KEYS));
-    assert_eq!(stats.claimed, 0, "the dispatchers ranked every key");
+    let (allocs, stats) = warmed_frame_allocs(true);
+    let per_connection = (WARMUP + FRAMES) * u64::from(FRAME_KEYS);
+    assert_eq!(stats.served, 2 * per_connection);
     assert_eq!(
-        allocs, FRAMES,
-        "{allocs} server-side allocations across {FRAMES} warmed queued Lookup frames: the \
-         reader reuses its pending list and result vector, the dispatchers their batches and \
-         the pools their reply cells, so the quiet frame's budget holds — one per frame, the \
-         decoded Lookup's key vector"
+        (stats.claimed, stats.served - stats.claimed),
+        (per_connection, per_connection),
+        "the holding connection ranked its own keys, and combined every key of the other"
+    );
+    assert_eq!(
+        allocs,
+        2 * FRAMES,
+        "{allocs} server-side allocations across {FRAMES} warmed queued Lookup frames and the \
+         {FRAMES} frames holding the replica ahead of them: the readers reuse their pending \
+         lists and result vectors, the holder the replica's batch and the pool its reply cells, \
+         so the quiet frame's budget holds — one per frame, the decoded Lookup's key vector"
     );
 }

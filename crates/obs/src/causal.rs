@@ -3,7 +3,7 @@
 //!
 //! The network client stamps a compact trace context (trace id +
 //! parent span) onto every `Lookup` frame; the server threads the id
-//! through admission into its dispatcher, so the sampled
+//! through admission to whoever ranks it, so the sampled
 //! [`StageRecord`]s on *both* sides of the wire carry the same
 //! [`StageRecord::trace`]. This module joins them:
 //!
@@ -26,8 +26,8 @@ use crate::trace::StageRecord;
 use std::collections::HashMap;
 
 /// One request's stitched client↔server story: the wire record the
-/// client's reader sampled and a stage record the serving dispatcher
-/// sampled, joined on their shared trace id.
+/// client's reader sampled and a stage record the serving replica's
+/// holder sampled, joined on their shared trace id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CausalTimeline {
     /// The shared trace id (never 0 — untraced records cannot stitch).
@@ -81,11 +81,11 @@ impl CausalTimeline {
     /// [`StageRecord::stages_monotonic`].
     ///
     /// The cross-process bound on the ack is `answered`, not `filled`:
-    /// `answered` is stamped *before* the dispatcher releases any
-    /// reply, so it causally precedes the client's ack, while `filled`
-    /// is deliberately stamped after the replies are out (off every
-    /// caller's critical path) and on real hardware can race a fast
-    /// return wire by a few microseconds. Server-internally the stages
+    /// `answered` is stamped *before* the serving side releases any
+    /// reply, so it causally precedes the client's ack, while a writer
+    /// may stamp `filled` after the replies are out (off every caller's
+    /// critical path), where on real hardware it can race a fast return
+    /// wire by a few microseconds. Server-internally the stages
     /// are still required monotone through `filled`.
     pub fn monotone(&self) -> bool {
         self.client.encoded_ns <= self.server.admitted_ns

@@ -4,8 +4,8 @@
 //! A sampled request leaves a [`StageRecord`] — seven stage timestamps
 //! plus a causal trace id packed into nine words — in a pre-allocated
 //! [`TraceRing`]. Rings
-//! are **single-writer** (one per dispatcher / client reader, the
-//! thread that already owns the request's lifecycle), so writes are
+//! are **single-writer** (a serving replica's holder, a client reader:
+//! whoever owns the request's lifecycle), so writes are
 //! plain atomic stores guarded by a per-slot seqlock version; readers
 //! snapshot concurrently and simply skip a slot they catch mid-write.
 //! Nothing on the write path allocates, locks, or waits — the warmed
@@ -72,7 +72,7 @@ impl TraceConfig {
 
 /// One sampled request's stage timeline. Serving-side stages
 /// (`admitted` → `collected` → `dispatched` → `answered` → `filled`)
-/// are stamped by the shard dispatcher; wire stages (`encoded` →
+/// are stamped by the serving replica's holder; wire stages (`encoded` →
 /// `acked`) by the network client. A stage a record's writer doesn't
 /// own is left `0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -181,8 +181,8 @@ struct Slot {
 /// A pre-allocated, fixed-capacity ring of [`StageRecord`]s with
 /// seeded deterministic sampling.
 ///
-/// Writer contract: **one writer thread per ring** (the dispatcher or
-/// client reader that owns the request lifecycle). Any number of
+/// Writer contract: **one writer at a time per ring** (the replica's
+/// holder, or the client reader that owns the request lifecycle). Any number of
 /// concurrent snapshot readers.
 #[derive(Debug)]
 pub struct TraceRing {

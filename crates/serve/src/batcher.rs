@@ -10,14 +10,14 @@
 //! service joins it (up to `max_batch`), and the batch departs at once.
 //! Under load the queue is never empty and batches fill by themselves;
 //! a lone query on an idle replica never gets here — its caller ranks
-//! it (see [`server`](crate::server)) — so what a dispatcher sees is
-//! contention, and the first request it receives departs the moment it
-//! arrives. The dispatcher then ranks the whole batch in place against
-//! one pinned snapshot
+//! it (see [`server`](crate::server)) — so what queues is contention,
+//! drained by the caller holding the replica the moment its own keys are
+//! ranked. The holder then ranks the whole batch in place against one
+//! pinned snapshot
 //! ([`ShardSnapshot::rank_batch`](crate::ShardSnapshot::rank_batch)).
 //!
-//! Collection fills a caller-owned buffer ([`collect_batch_into`]) so the
-//! dispatcher loop reuses one `Vec` for every batch it ever dispatches —
+//! Collection fills a caller-owned buffer ([`collect_batch_into`]) so
+//! every holder of a replica reuses its one `Vec` for every batch —
 //! part of the allocation-free steady-state read path.
 //!
 //! On virtual time `dini-simtest` proves the one semantics exactly: a
@@ -27,7 +27,7 @@
 use crate::clock::Nanos;
 use crate::config::ServeError;
 use crate::oneshot::Filler;
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::mpsc::Receiver;
 
 /// One enqueued lookup.
 #[derive(Debug)]
@@ -39,7 +39,7 @@ pub struct Request {
     /// enqueue time includes queueing delay).
     pub enqueued: Nanos,
     /// Causal trace id stamped by the transport layer (0 = untraced):
-    /// carried through the batch so the dispatcher's sampled
+    /// carried through the batch so the holder's sampled
     /// [`StageRecord`](dini_obs::StageRecord)s join the client's wire
     /// records into one cross-process timeline.
     pub trace: u64,
@@ -57,25 +57,12 @@ impl Request {
 
 /// Collect one batch into `batch` (cleared first): `first` plus whatever
 /// already sits in `rx`, up to `max_batch` items — the backlog that
-/// formed while the caller served its previous batch. Returns whether
-/// the queue disconnected while collecting. Generic over the item type;
-/// a shard's dispatcher coalesces [`Request`]s through it.
-pub fn collect_batch_into<T>(
-    rx: &Receiver<T>,
-    first: T,
-    batch: &mut Vec<T>,
-    max_batch: usize,
-) -> bool {
+/// formed while the caller ranked its previous batch. Generic over the
+/// item type; a replica's holder coalesces [`Request`]s through it.
+pub fn collect_batch_into<T>(rx: &Receiver<T>, first: T, batch: &mut Vec<T>, max_batch: usize) {
     batch.clear();
     batch.push(first);
-    while batch.len() < max_batch {
-        match rx.try_recv() {
-            Ok(req) => batch.push(req),
-            Err(TryRecvError::Empty) => break,
-            Err(TryRecvError::Disconnected) => return true,
-        }
-    }
-    false
+    batch.extend(rx.try_iter().take(max_batch - 1));
 }
 
 #[cfg(test)]
@@ -98,22 +85,10 @@ mod tests {
             tx.send(req(k).0).unwrap();
         }
         let mut batch = Vec::new();
-        let disc = collect_batch_into(&rx, req(0).0, &mut batch, 4);
+        collect_batch_into(&rx, req(0).0, &mut batch, 4);
         assert_eq!(batch.len(), 4);
-        assert!(!disc);
         assert_eq!(batch.iter().map(|r| r.key).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert_eq!(rx.try_iter().map(|r| r.key).collect::<Vec<_>>(), vec![4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn reports_disconnect() {
-        let (tx, rx) = sync_channel(4);
-        tx.send(req(1).0).unwrap();
-        drop(tx);
-        let mut batch = Vec::new();
-        let disc = collect_batch_into(&rx, req(0).0, &mut batch, 10);
-        assert_eq!(batch.len(), 2);
-        assert!(disc);
     }
 
     #[test]
@@ -121,7 +96,7 @@ mod tests {
         let (tx, rx) = sync_channel(4);
         tx.send(req(1).0).unwrap();
         let mut batch = Vec::new();
-        let _ = collect_batch_into(&rx, req(0).0, &mut batch, 1);
+        collect_batch_into(&rx, req(0).0, &mut batch, 1);
         assert_eq!(batch.len(), 1);
         assert_eq!(rx.try_iter().count(), 1);
     }
@@ -135,8 +110,7 @@ mod tests {
                 tx.send(req(round * 10 + k).0).unwrap();
             }
             let (first, _slot) = req(round * 10 + 99);
-            let disc = collect_batch_into(&rx, first, &mut batch, 8);
-            assert!(!disc);
+            collect_batch_into(&rx, first, &mut batch, 8);
             assert_eq!(batch.len(), 5, "round {round}: first + 4 queued");
             assert_eq!(batch[0].key, round * 10 + 99);
         }
@@ -152,7 +126,7 @@ mod tests {
         let (r0, s0) = req(0);
         let mut batch = Vec::new();
         collect_batch_into(&rx, r0, &mut batch, 4);
-        drop(batch); // dispatcher dying with requests aboard
+        drop(batch); // a holder dying with requests aboard
         assert_eq!(*s0.wait(), Err(ServeError::ShuttingDown));
         assert_eq!(*s1.wait(), Err(ServeError::ShuttingDown));
     }

@@ -20,7 +20,7 @@
 //!
 //! ## How `SimClock` makes real threads deterministic
 //!
-//! The serving stack uses genuine OS threads (dispatchers, the writer,
+//! The serving stack uses genuine OS threads (the writer, callers,
 //! load clients), so determinism cannot come from a single-threaded
 //! event loop the way it does in `dini-cluster::sim`. Instead the
 //! `SimClock` borrows the discrete-event scheduler's core idea — a
@@ -30,8 +30,8 @@
 //! 1. Every thread that participates in simulated time **registers**
 //!    (the scenario's main thread via [`SimClock::register_main`];
 //!    children are spawned through [`Clock::spawn`], which assigns slot
-//!    ids in program order). Every thread the server owns —
-//!    dispatchers and the writer — is spawned this way.
+//!    ids in program order). The one thread the server owns — the
+//!    writer — is spawned this way.
 //! 2. **At most one registered thread runs at a time.** All blocking
 //!    operations (sleeps, channel sends/recvs, reply waits, joins)
 //!    funnel into `SimClock::block`, which parks the caller and hands

@@ -11,37 +11,39 @@ use std::time::Duration;
 /// Configuration for [`IndexServer`](crate::IndexServer).
 ///
 /// `max_batch` is the server-side analogue of the paper's Figure 3
-/// batch-size trade-off. Larger batches amortise the dispatcher's
-/// wake-up and the per-message overhead across more queries
+/// batch-size trade-off. Larger batches amortise the per-batch overhead
+/// (a snapshot pin, the holder's scripted delay) across more queries
 /// (throughput ↑) at the price of queueing delay (response time ↑) — but
 /// a server does not have to pick a point on that curve with a clock: a
-/// batch is whatever queued while the previous batch was in service
+/// batch is whatever queued while the replica's holder was ranking
 /// (group commit), so batches grow with load, and a query that finds its
-/// replica idle is not dispatched at all: the calling thread ranks it
-/// (see [`server`](crate::server)). `max_batch` caps a batch.
+/// replica idle is not queued at all: the calling thread ranks it (see
+/// [`server`](crate::server)). `max_batch` caps a batch.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of shards; each shard is one contiguous key range — the
-    /// paper's partition — answered by its dispatcher thread. This is
-    /// the knob for parallelism inside the key space: pick it so a
-    /// shard's keys fit a core's L2.
+    /// paper's partition — ranked by whichever caller holds one of its
+    /// replicas. This is the knob for parallelism inside the key space:
+    /// pick it so a shard's keys fit a core's L2.
     pub n_shards: usize,
-    /// Replicated dispatchers per shard. Replicas share the shard's one
+    /// Replicas per shard: independent claims on the shard, so up to
+    /// this many callers rank it at once. Replicas share the shard's one
     /// [`EpochCell`](crate::EpochCell) — main array, directory and
-    /// overlay alike — so a replica costs one dispatcher thread and
-    /// nothing else.
+    /// overlay alike — so a replica costs an admission queue and nothing
+    /// else; no replica owns a thread.
     /// Lookups are routed among a shard's replicas by
-    /// power-of-two-choices on live queue depth (see
+    /// power-of-two-choices on live depth (see
     /// [`ReplicaSelector`](crate::ReplicaSelector)); when a replica
     /// crashes, its backlog is re-routed to surviving siblings and a
     /// shard only answers `ShuttingDown` once its last replica is gone.
     pub replicas_per_shard: usize,
-    /// Dead: the dispatcher ranks its batch itself. Kept only because
+    /// Dead: the replica's holder ranks its batch itself. Kept only because
     /// the frozen `benchmark/` still assigns it; goes with that line.
     #[deprecated(note = "read nowhere; use more shards for parallelism inside a key range")]
     #[doc(hidden)]
     pub slaves_per_shard: usize,
-    /// Maximum queries coalesced into one index batch.
+    /// Maximum queries a replica's holder drains into one index batch
+    /// (its own keys are one batch whatever their number).
     pub max_batch: usize,
     /// Dead: batches are group-committed and no request waits on a
     /// timer. Kept only because the frozen `benchmark/` still assigns it;
@@ -64,11 +66,12 @@ pub struct ServeConfig {
     /// here runs the whole server on deterministic virtual time
     /// (`dini-simtest`).
     pub clock: Clock,
-    /// Deterministic fault injection on the dispatch path: the
-    /// schedule's crashes, straggles and dispatch jitter (its link
-    /// rates and link events are a transport's, and ignored here).
-    /// Defaults to none; the fault-free path pays only a pre-resolved
-    /// branch per batch.
+    /// Deterministic fault injection on the ranking path: the
+    /// schedule's crashes, straggles and dispatch jitter, met by
+    /// whichever caller holds the replica, before each batch it ranks
+    /// (its link rates and link events are a transport's, and ignored
+    /// here). Defaults to none; the fault-free path pays only a
+    /// pre-resolved branch per batch.
     pub faults: FaultSchedule,
     /// Per-request stage tracing (see [`dini_obs::trace`]): seeded
     /// sampling into pre-allocated per-replica rings. **On by
@@ -122,7 +125,7 @@ impl ServeConfig {
         }
     }
 
-    /// Panic unless every knob is usable — and every dispatcher fault
+    /// Panic unless every knob is usable — and every replica fault
     /// names a shard and replica this server has, so none is scripted
     /// that could never fire.
     pub fn validate(&self) {
@@ -141,7 +144,7 @@ impl ServeConfig {
             {
                 assert!(
                     shard < self.n_shards && replica.is_none_or(|r| r < self.replicas_per_shard),
-                    "{event:?} names a dispatcher this server does not have ({} shards × {} \
+                    "{event:?} names a replica this server does not have ({} shards × {} \
                      replicas)",
                     self.n_shards,
                     self.replicas_per_shard
@@ -210,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "names a dispatcher this server does not have (3 shards")]
+    #[should_panic(expected = "names a replica this server does not have (3 shards")]
     fn a_crash_on_a_missing_shard_is_rejected() {
         let mut cfg = ServeConfig::new(3);
         cfg.faults.events.push(Fault::Crash { shard: 5, replica: Some(0), at: Duration::ZERO });
@@ -218,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "names a dispatcher this server does not have (2 shards × 2")]
+    #[should_panic(expected = "names a replica this server does not have (2 shards × 2")]
     fn a_straggle_on_a_missing_replica_is_rejected() {
         let mut cfg = ServeConfig::new(2);
         cfg.replicas_per_shard = 2;

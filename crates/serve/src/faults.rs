@@ -2,17 +2,18 @@
 //! serving layer's interpreter of a [`FaultSchedule`].
 //!
 //! `dini-cluster`'s schedule perturbs links at the network layer. The
-//! serving layer has no network, but its dispatch path has the same
-//! failure surface: a replica's dispatcher can die mid-batch, dispatch
-//! can be delayed by scheduling jitter, and one replica can be
-//! persistently slower than its peers (the straggler every
-//! scatter-gather system eventually meets). [`ReplicaFaults`] resolves
+//! serving layer has no network, but its ranking path has the same
+//! failure surface: a replica can die mid-batch, a batch can be delayed
+//! by scheduling jitter, and one replica can be persistently slower
+//! than its peers (the straggler every scatter-gather system eventually
+//! meets). A replica owns no thread, so its faults are met by whoever
+//! holds it, before each batch it ranks. [`ReplicaFaults`] resolves
 //! exactly those for one `(shard, replica)` — its
 //! [`Crash`](Fault::Crash) point, its [`Straggle`](Fault::Straggle)
 //! delay, and its seeded jitter stream (one fate per batch) — so a
 //! scenario replays bit-for-bit from its seed. An event with
 //! `replica: None` hits every replica of its shard: with
-//! `replicas_per_shard == 1` that is the classic single-dispatcher
+//! `replicas_per_shard == 1` that is the classic single-server
 //! crash, while failover scenarios kill one replica mid-batch and
 //! require every one of its requests to be re-routed to the survivors
 //! rather than answered `ShuttingDown`.
@@ -25,7 +26,7 @@ use crate::clock::{dur_ns, Clock, Nanos};
 use dini_cluster::{Fault, FaultSchedule, FaultState};
 use std::time::Duration;
 
-/// One replica dispatcher's resolved fault state.
+/// One replica's resolved fault state.
 #[derive(Debug)]
 pub(crate) struct ReplicaFaults {
     jitter: Option<FaultState>,
@@ -54,8 +55,8 @@ impl ReplicaFaults {
         Self { jitter: schedule.dispatch_fates(shard, replica), slow_ns, crash_at }
     }
 
-    /// True when nothing is scripted for this replica — the condition
-    /// under which a caller may rank in its dispatcher's place.
+    /// True when nothing is scripted for this replica: its holder need
+    /// not meet faults before its own keys.
     pub(crate) fn is_noop(&self) -> bool {
         self.jitter.is_none() && self.slow_ns == 0 && self.crash_at.is_none()
     }
@@ -114,7 +115,7 @@ mod tests {
             let mut sf = ReplicaFaults::resolve(&schedule, shard, replica);
             (0..64).map(|_| sf.batch_delay().unwrap_or_default()).collect::<Vec<_>>()
         };
-        assert_eq!(draw(1, 0), draw(1, 0), "same seed+dispatcher, same stream");
+        assert_eq!(draw(1, 0), draw(1, 0), "same seed and replica, same stream");
         assert_ne!(draw(1, 0), draw(2, 0), "shards draw independently");
         assert_ne!(draw(1, 0), draw(1, 1), "replicas draw independently");
         assert!(draw(1, 0).iter().all(|d| *d < bound));

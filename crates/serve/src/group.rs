@@ -406,8 +406,17 @@ impl<R: Ranker> Member<R> {
 /// ticket lets go of the group's tenancy.
 impl<R: Ranker> Drop for Member<R> {
     fn drop(&mut self) {
-        if self.ticket.cell().poll().is_none() {
-            self.ticket.group().abandon(&self.ticket, self.slot);
+        // A ticket with no cell was recycled under this member: a broken
+        // count. Say so and leave it; a panic here, while the thread
+        // unwinds from whatever the broken ticket did first, would abort
+        // the process and take that first report with it.
+        let ticket = self.ticket.get();
+        let (Some(filler), Some(group)) = (&ticket.filler, &ticket.group) else {
+            eprintln!("dini-serve: a grouped lookup (slot {}) outlived its ticket", self.slot);
+            return;
+        };
+        if filler.cell().poll().is_none() {
+            group.abandon(&self.ticket, self.slot);
         }
     }
 }

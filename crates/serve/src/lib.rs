@@ -9,35 +9,36 @@
 //! cannot choose its batch size, so this crate manufactures the paper's
 //! batches from live traffic and wraps the result in the machinery a
 //! serving system needs. The paper's design appears here exactly once:
-//! the router is the master, a shard is a partition, and the shard's
-//! dispatcher is the slave that answers a batch over its sorted piece
-//! (with [`LineDirectory`](dini_index::LineDirectory)'s batch kernel) —
-//! and, the paper's own economics applied to a batch of one, a caller
-//! that finds the replica idle ranks its key itself rather than pay a
-//! hand-off worth a hundred ranks (see [`server`]).
+//! the router is the master, a shard is a partition, and the slave that
+//! answers a batch over its sorted piece (with
+//! [`LineDirectory`](dini_index::LineDirectory)'s batch kernel) is the
+//! caller: whoever finds a replica idle holds it, ranks its own keys and
+//! then whatever queued behind them — the paper's own economics applied
+//! to a batch of one, which buys nothing a hand-off worth a hundred
+//! ranks could (see [`server`]). The server owns one thread, its writer.
 //!
 //! * [`router`] — the u32 key space is **range-sharded** across
 //!   `n_shards` shards; routing is a binary search over a delimiter
 //!   array, and global ranks compose as `base_rank(shard) + local_rank`
 //!   (the paper's master/slave rank composition). Each
 //!   shard is served by a **replica group** of `replicas_per_shard`
-//!   dispatchers over one `Arc`-shared snapshot — keys, directory and
-//!   overlay (a replica costs one thread and nothing else); a
+//!   independent claims over one `Arc`-shared snapshot — keys,
+//!   directory and overlay (a replica costs a queue and nothing else); a
 //!   [`ReplicaSelector`] picks among
-//!   them by **power-of-two choices** on live queue depth, and a
+//!   them by **power-of-two choices** on live depth, and a
 //!   crashed replica **fails over** — its backlog is re-routed to
 //!   surviving siblings, so a shard only answers `ShuttingDown` once
 //!   its last replica is gone.
 //! * [`batcher`] — concurrent callers' requests **coalesce** by group
 //!   commit: a batch is the first request plus whatever queued while the
-//!   previous batch was in service (≤ `max_batch`), dispatched at once —
-//!   the paper's Figure 3 batch-size trade-off settled by load, not by a
-//!   timer.
+//!   holder was ranking (≤ `max_batch`), ranked at once — the paper's
+//!   Figure 3 batch-size trade-off settled by load, not by a timer.
 //! * [`admission`] — bounded per-shard queues **shed on full**, so
 //!   overload surfaces as cheap explicit rejection (and a counter)
 //!   instead of unbounded queueing delay. Each queue's depth gauge is
-//!   the router's load signal and, read as "idle", the **claim** that
-//!   decides who ranks: the caller, or the dispatcher.
+//!   the router's load signal and the **hold**: the caller that finds
+//!   it at 0 ranks for the replica until it is back at 0 (flat
+//!   combining), every other caller pushes and parks.
 //! * [`oneshot`] — **pooled reply cells**: a pool of reusable reply
 //!   cells replaces the per-lookup reply channel, making the queued
 //!   lookup path allocation-free end to end (cells and batch scratch all
@@ -62,8 +63,8 @@
 //!   stats lock. The registry is the one place a number gets a name:
 //!   [`ServeStats`] is read off its snapshot by name, locally or after
 //!   a `StatsReply` carried it over the wire. Each replica
-//!   also carries seeded-sampling **stage-trace rings**
-//!   ([`TraceConfig`]; one its dispatcher writes, one its claimants do):
+//!   also carries a seeded-sampling **stage-trace ring**
+//!   ([`TraceConfig`]; its holders write it):
 //!   admitted → collected → dispatched → answered → filled timestamps
 //!   per sampled request, readable via
 //!   [`IndexServer::stage_traces`](server::IndexServer::stage_traces).
@@ -73,12 +74,12 @@
 //! * [`clock`] + `faults` — **time virtualization**: every wait in
 //!   the crate goes through a [`Clock`]. `Clock::system()` is a
 //!   zero-overhead passthrough to the native primitives; a seeded
-//!   [`SimClock`] runs the whole server — dispatchers, writer, load
+//!   [`SimClock`] runs the whole server — writer, callers, load
 //!   clients — on deterministic virtual time, with dispatch-path fault
 //!   injection: [`ServeConfig::faults`] holds a
-//!   [`FaultSchedule`](dini_cluster::FaultSchedule), and each
-//!   dispatcher resolves its crash point, straggle and jitter stream
-//!   from it. This is the foundation the `dini-simtest` scenario suite
+//!   [`FaultSchedule`](dini_cluster::FaultSchedule), and each replica
+//!   resolves its crash point, straggle and jitter stream from it, met
+//!   by whoever holds it. This is the foundation the `dini-simtest` scenario suite
 //!   builds on.
 //!
 //! ## Quickstart
@@ -88,7 +89,7 @@
 //! use dini_serve::loadgen::run_load;
 //! use dini_serve::KeyDistribution;
 //!
-//! // 40k keys, 2 shards: two dispatcher threads and one writer.
+//! // 40k keys, 2 shards: one writer thread; callers rank for themselves.
 //! let keys: Vec<u32> = (0..40_000).map(|i| i * 2).collect();
 //! let server = IndexServer::build(&keys, ServeConfig::new(2));
 //!

@@ -23,8 +23,8 @@
 //! * [`Filler<T>`] — the one side that may answer. Whatever holds it
 //!   (a queued [`Request`](crate::batcher::Request), a client frame, a
 //!   churn-log waiter entry) answers [`T::unanswered`](Unanswered) if it
-//!   is dropped before it filled — a dispatcher shutting down, a queue
-//!   destroyed with requests aboard — so a waiter is never stranded, and
+//!   is dropped before it filled — a crashed replica with no survivor to
+//!   re-route to, a queue destroyed with requests aboard — so a waiter is never stranded, and
 //!   then gives the cell back to its pool.
 //!
 //! In steady state every reply reuses a warmed cell and the path

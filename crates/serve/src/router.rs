@@ -16,7 +16,7 @@
 //!    **power-of-two choices** over live queue depths — the classic
 //!    result that sampling two queues and joining the shorter one gets
 //!    exponentially close to the balance of global shortest-queue at a
-//!    constant cost. Dead replicas (crashed dispatchers) are skipped;
+//!    constant cost. Dead replicas (past their crash point) are skipped;
 //!    selection is a pure function of `(tick, depths)`, which is what
 //!    keeps `dini-simtest` runs bit-reproducible.
 

@@ -1,52 +1,55 @@
-//! The multi-tenant index server: shards, replica groups, dispatchers,
-//! and the writer.
+//! The multi-tenant index server: shards, replica groups, the callers
+//! that rank for them, and the writer.
 //!
-//! Thread topology for an `n`-shard server with `R` replicas per shard —
-//! `n·R` dispatchers and one writer, nothing else:
+//! Thread topology for an `n`-shard server with `R` replicas per shard:
+//! one writer thread, nothing else. Every lookup is ranked by a thread
+//! that called in:
 //!
 //! ```text
 //!  pipelined callers: [open group ≤ GROUP keys] ─┐ (full, or a member reaped)
 //!                                                ▼
-//!                                    ┌─ depth 0 → n: claimed ─► the caller pins the shard's snapshot,
-//!                                    │                          ranks its own key(s), returns
-//!  callers ──route(key) → p2c(depth)─┤                                          │ load()
-//!    │                               └─ depth > 0 ─► [admission queue s·r] ─► dispatcher s·r ─► replies
-//!    │                                                  (bounded,            (coalesces a batch, pins
-//!    │                                                   shed-on-full)        the snapshot, ranks it)
-//!    │                                                                              ▲ load()
-//!    └──update(Op)──► writer ──DeltaArray per shard──► EpochCell s ─────────────────┘
+//!                                    ┌─ depth 0 → n: holds ─► pins the shard's snapshot, ranks its own
+//!                                    │                        key(s), then drains the queue in batches,
+//!  callers ──route(key) → p2c(depth)─┤                        answers each through its reply cell, and
+//!    │                               │                        leaves once depth is back to 0
+//!    │                               │                             ▲ drains         │ load()
+//!    │                               └─ depth > 0 ─► send to [admission queue s·r], count, park on the
+//!    │                                                (bounded, shed-on-full)       reply cell
+//!    └──update(Op)──► writer ──DeltaArray per shard──► EpochCell s ───────────────────┘
 //!                                                      (main array + overlay + base rank,
 //!                                                       one publish, shared by replicas)
 //! ```
 //!
-//! * **The shard is the paper's partition and its dispatcher the paper's
-//!   slave**: the router's delimiter search is the master's dispatch,
-//!   and a dispatcher answers its coalesced batch over one sorted piece
-//!   with [`LineDirectory::rank_batch`](dini_index::LineDirectory) —
-//!   in place, on its own thread. Parallelism inside a key range is
+//! * **The shard is the paper's partition, and its slave is whoever
+//!   holds a replica**: the router's delimiter search is the master's
+//!   dispatch, and the holder answers its batch over one sorted piece
+//!   with [`LineDirectory::rank_batch`](dini_index::LineDirectory) — in
+//!   place, on the caller's thread. Parallelism inside a key range is
 //!   expressed the one way there is: more shards (size `n_shards` so a
 //!   shard's keys fit a core's L2).
-//! * **The thread that has the keys ranks them, when it can**: the paper
-//!   ships a key to another node because the search it buys there is
-//!   cheaper than the hop, and a batch of one buys nothing — waking a
-//!   parked dispatcher costs a hundred times the rank it then performs.
-//!   "Idle" is read off the gauge the router already trusts: the chosen
-//!   replica's depth. A caller that takes it 0 → n
-//!   ([`AdmissionQueue::claim`]) found nothing queued and nothing in
-//!   service; it pins the shard's snapshot, ranks on its own thread,
-//!   folds the same accounting the dispatcher would have (served,
-//!   admitted, batch size, heat, stage records with a wait of exactly
-//!   zero), releases the claim and returns a resolved
-//!   [`PendingLookup`] — no reply cell, no channel, no wake. A caller that
-//!   finds depth > 0 queues as ever, which is where batches keep forming
-//!   by themselves under concurrent load: the dispatcher keeps exactly
-//!   the regime the paper argues for. No threshold, option or spin
-//!   decides between the two. A slice of keys
+//! * **The thread that has the keys ranks them, and whatever queued
+//!   behind them**: the paper ships a key to another node because the
+//!   search it buys there is cheaper than the hop, and a batch of one
+//!   buys nothing — waking a parked thread costs a hundred times the
+//!   rank it then performs. "Idle" is read off the gauge the router
+//!   already trusts: the chosen replica's depth. A caller that takes it
+//!   0 → n ([`AdmissionQueue::claim`]) holds the replica: it pins the
+//!   shard's snapshot, ranks its own keys, folds them into the replica's
+//!   accounting, and leaves — one subtract — unless others queued
+//!   meanwhile. Those it answers before it leaves, in group-committed
+//!   batches of ≤ `max_batch` (flat combining; see [`crate::admission`]
+//!   for the protocol), which is where batches form by themselves under
+//!   concurrent load: the paper's regime, run by whichever caller got
+//!   there first. A caller that finds depth > 0 pushes its request,
+//!   counts it, and parks on its pooled reply cell. No threshold, option
+//!   or spin decides between the two. A slice of keys
 //!   ([`ServerHandle::lookup_many`], a wire frame) is admitted shard by
 //!   shard as a unit, so an idle replica's share of it is *one* batch
-//!   through the kernel's lockstep groups. A replica with any fault
-//!   scripted is never claimed: stragglers and crashes are dispatcher
-//!   faults.
+//!   through the kernel's lockstep groups.
+//! * **What a holder pays**: its own keys are answered first, but its
+//!   call returns only once the queue behind it is empty. Under
+//!   sustained overload the holder keeps combining, and its caller's
+//!   next call waits — the price of a server that owns no threads.
 //! * **A pipelined caller ranks its own group**: a caller that still
 //!   holds a lookup it began has a batch in hand, one key at a time.
 //!   [`ServerHandle::begin_lookup`] then adds the key to the handle's
@@ -54,33 +57,32 @@
 //!   kernel's lockstep group, so no knob — which is ranked like a slice
 //!   (one claim and one pinned rank per shard) when it fills or when one
 //!   of its lookups is reaped. A lone lookup (nothing held) is ranked
-//!   inside `begin_lookup`, as before: a paced caller's latency keeps
-//!   the rank. The group's answers live in one pooled reply cell, which
-//!   its lookups hold through one ticket each (see [`crate::group`]).
+//!   inside `begin_lookup`: a paced caller's latency keeps the rank. The
+//!   group's answers live in one pooled reply cell, which its lookups
+//!   hold through one ticket each (see [`crate::group`]).
 //! * **Replica groups**: each keyspace shard is served by
-//!   `replicas_per_shard` replicated dispatchers. Replicas share one
-//!   [`EpochCell`] — the shard's whole read state (main array behind
-//!   its directory, overlay, base rank) is published once per shard —
-//!   so a replica costs one dispatcher thread and **nothing else**.
-//!   Routing picks the shard from the key
-//!   (ranks must compose), then a replica by **power-of-two choices**
-//!   on live queue depth ([`ReplicaSelector`]) — a straggling replica's
-//!   depth grows and traffic flows around it.
-//! * **Failover**: a replica whose fault schedule crashes it marks itself
-//!   dead, then **re-routes** its collected batch and queued backlog to
-//!   surviving replicas of the same shard — callers see degraded
-//!   capacity, not errors. Only when a shard's *last* replica dies does
-//!   its traffic resolve to [`ShuttingDown`](crate::ServeError::ShuttingDown).
-//! * **Dispatchers** (one per replica) hold no index state between
-//!   batches: each batch is answered from one [`EpochCell::load`] taken
-//!   at service time, so the `(main, overlay)` pair it sees is
-//!   consistent by construction; see [`crate::snapshot`]. The same
-//!   holds for a claimant, which is why it can stand in: a shard's read
-//!   state is one immutable value any thread may pin. A dispatcher is
-//!   woken only by a request that lost a claim, and may serve it while
-//!   the winner is still ranking — the two share the replica's sampler
-//!   and nothing else (each writes its own stage-trace ring and its own
-//!   set of counters and histograms, merged when stats are read).
+//!   `replicas_per_shard` independent claims over one [`EpochCell`] — the
+//!   shard's whole read state (main array behind its directory, overlay,
+//!   base rank) is published once per shard — so a replica costs a
+//!   queue and **nothing else**: more replicas mean more callers ranking
+//!   one shard at once. Routing picks the shard from the key (ranks must
+//!   compose), then a replica by **power-of-two choices** on live depth
+//!   ([`ReplicaSelector`]) — a straggling replica's depth stays up and
+//!   traffic flows around it.
+//! * **Faults are the holder's**: a replica's scripted straggle and
+//!   dispatch jitter are slept out by whoever holds it, before each batch
+//!   it ranks; past the replica's crash point the holder marks it dead
+//!   and **re-routes** everything it holds and drains to surviving
+//!   replicas of the same shard — callers see degraded capacity, not
+//!   errors; the caller's own keys are admitted again on a survivor. Only
+//!   when a shard's *last* replica dies does its traffic resolve to
+//!   [`ShuttingDown`](crate::ServeError::ShuttingDown).
+//! * **A holder keeps no index state**: each batch is answered from the
+//!   shard's snapshot pinned at service time, so the `(main, overlay)`
+//!   pair it sees is consistent by construction; see [`crate::snapshot`].
+//!   A shard's read state is one immutable value any thread may pin. The
+//!   replica's accounting and stage-trace ring are written by its holder
+//!   alone, with plain stores (see [`crate::stats`]).
 //! * **The writer** (single thread) owns every shard's
 //!   [`DeltaArray`], folds churn through it,
 //!   publishes snapshots every `publish_every` ops (once per shard — the
@@ -117,15 +119,9 @@ use dini_index::{DeltaArray, LineDirectory, RankIndex};
 use dini_obs::{Counter, HeatMap, MetricsRegistry, MetricsSnapshot, StageRecord, HEAT_BUCKETS};
 use dini_store::{write_snapshot, ShardRecord, SharedKeys, Snapshot, SpanRecord};
 use dini_workload::Op;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// An idle dispatcher's housekeeping tick: shutdown flag, scripted crash
-/// point, the `rebuilds` gauge. No request waits it out — a submit wakes
-/// the dispatcher through its admission queue.
-const IDLE_POLL: Duration = Duration::from_millis(10);
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 enum WriterMsg {
     Apply(Op),
@@ -218,14 +214,15 @@ impl ShardSeed {
 /// Build one over an initial sorted key set, take cheap cloneable
 /// [`ServerHandle`]s for concurrent callers, feed churn through
 /// [`update`](Self::update), and read accounting from
-/// [`stats`](Self::stats). Dropping the server joins every thread.
+/// [`stats`](Self::stats). The server owns one thread, its writer;
+/// dropping the server joins it.
 ///
 /// ```
 /// use dini_serve::{IndexServer, ServeConfig};
 ///
 /// let keys: Vec<u32> = (0..10_000).map(|i| i * 4).collect();
 /// let mut cfg = ServeConfig::new(2);
-/// cfg.replicas_per_shard = 2; // two dispatchers per shard, shared index memory
+/// cfg.replicas_per_shard = 2; // two claims per shard, shared index memory
 /// let server = IndexServer::build(&keys, cfg);
 /// let handle = server.handle();
 /// assert_eq!(handle.lookup(100).unwrap(), 26); // 0,4,…,100 → 26 keys ≤ 100
@@ -235,33 +232,15 @@ impl ShardSeed {
 /// assert_eq!(handle.lookup(101).unwrap(), 27);
 /// ```
 pub struct IndexServer {
-    router: Arc<ShardRouter>,
-    selector: ReplicaSelector,
-    /// `queues[shard][replica]`.
-    queues: Vec<Vec<AdmissionQueue>>,
-    pools: Vec<CellPool<Reply>>,
+    /// What every handle reaches; each handle clones it.
+    core: HandleCore,
     /// Reply cells of the handles' open groups, one cell a group.
     groups: CellPool<Answers<Pending>>,
-    /// `cells[shard]`, shared with the writer, the shard's dispatchers
-    /// and every handle.
-    cells: Vec<Arc<EpochCell>>,
-    /// Replica-major: `shard * replicas_per_shard + replica`. Live
-    /// lock-free accumulators (whoever answers a batch writes them in
-    /// place); [`stats`](Self::stats) folds them at read time.
-    replica_metrics: Vec<Arc<ReplicaMetrics>>,
-    /// Every instrument above plus queue/writer gauges, behind named
+    /// Every replica's instruments plus queue/writer gauges, behind named
     /// handles — what [`metrics_snapshot`](Self::metrics_snapshot)
     /// serializes and [`stats`](Self::stats) reads.
     metrics: MetricsRegistry,
     writer_metrics: WriterMetrics,
-    /// Key-range heat grid shared with every handle; `None` when
-    /// [`ServeConfig::heat`] is off.
-    heat: Option<Arc<HeatMap>>,
-    // ordering: SeqCst on every access — cold teardown flag; one fence at
-    // exit buys an obviously-correct drain/join handshake.
-    shutdown: Arc<AtomicBool>,
-    clock: Clock,
-    dispatchers: Vec<ClockJoinHandle<()>>,
     /// The server's own way in to the writer; `None` once `drop` has
     /// hung it up.
     updates: Option<UpdateHandle>,
@@ -270,12 +249,12 @@ pub struct IndexServer {
 
 /// A cheap, cloneable caller-side handle: routes lookups to the shard
 /// owning the key, then to a live replica by power-of-two-choices on
-/// queue depth — and, when that replica is idle, ranks them right here
-/// on the calling thread against the shard's pinned snapshot.
+/// depth — and ranks them right here on the calling thread when that
+/// replica is idle, along with whatever queued behind them.
 ///
 /// For lookups that queue, handles share one [`CellPool`] of reusable
 /// reply cells *per shard*, so a warmed-up lookup allocates nothing on
-/// either path (the cell cycles take → submit → fill → return for the
+/// either path (the cell cycles take → push → fill → return for the
 /// server's whole lifetime) and pool traffic serializes only within a
 /// shard, never across the server.
 /// Each clone carries its own routing tick, so clones never contend on
@@ -292,23 +271,56 @@ pub struct ServerHandle {
     group: Shared<HandleCore>,
 }
 
-/// What a handle clone reaches — routing, admission, reply pools, the
-/// shards' read state and accounting — and what ranks its open group.
+/// What a handle clone reaches — routing, the shards, reply pools and
+/// heat — and what ranks its open group.
 struct HandleCore {
     router: Arc<ShardRouter>,
     selector: ReplicaSelector,
-    queues: Vec<Vec<AdmissionQueue>>,
+    shards: Arc<[Shard]>,
     pools: Vec<CellPool<Reply>>,
-    /// `cells[shard]`: the shard's read state, which any thread may pin —
-    /// what lets a caller that claimed an idle replica rank its own keys.
-    cells: Vec<Arc<EpochCell>>,
-    /// Replica-major, as in [`IndexServer`]: a claimant folds its batch
-    /// into the replica's accounting exactly as the dispatcher would.
-    replica_metrics: Vec<Arc<ReplicaMetrics>>,
     heat: Option<Arc<HeatMap>>,
     clock: Clock,
+    max_batch: usize,
     /// Per-clone power-of-two-choices rotation tick.
     tick: AtomicU64,
+}
+
+/// One shard: its read state, which any thread may pin, and its
+/// replica group.
+struct Shard {
+    cell: Arc<EpochCell>,
+    replicas: Vec<Replica>,
+}
+
+/// One replica of a shard. It owns no thread: whoever holds its depth
+/// gauge ranks for it (see [`crate::admission`]).
+struct Replica {
+    queue: AdmissionQueue,
+    metrics: ReplicaMetrics,
+    /// Whether any fault is scripted for it: a holder then meets them
+    /// before it ranks its own keys, too.
+    faulty: bool,
+    holder: Mutex<Holder>,
+}
+
+/// What only a replica's holder touches: the queue's receiving end, the
+/// replica's fault state, and the scratch a drained batch is ranked out
+/// of (reused by every holder, so a warm drain allocates nothing). A
+/// holder takes the lock only inside its hold — to drain, or to meet
+/// faults — and lets it go before the subtract that may end the hold;
+/// the depth gauge admits one holder at a time, so it is never contended.
+struct Holder {
+    rx: Receiver<Request>,
+    faults: ReplicaFaults,
+    batch: Vec<Request>,
+    keys: Vec<u32>,
+    ranks: Vec<u32>,
+}
+
+impl Replica {
+    fn holder(&self) -> MutexGuard<'_, Holder> {
+        self.holder.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl Clone for ServerHandle {
@@ -323,12 +335,11 @@ impl Clone for HandleCore {
         Self {
             router: self.router.clone(),
             selector: self.selector,
-            queues: self.queues.clone(),
+            shards: self.shards.clone(),
             pools: self.pools.clone(),
-            cells: self.cells.clone(),
-            replica_metrics: self.replica_metrics.clone(),
             heat: self.heat.clone(),
             clock: self.clock.clone(),
+            max_batch: self.max_batch,
             tick: AtomicU64::new(0),
         }
     }
@@ -375,9 +386,10 @@ impl WriterShard {
 }
 
 impl IndexServer {
-    /// Build a server over `keys` (sorted ascending, unique). Spawns
-    /// `n_shards × replicas_per_shard` dispatcher threads (replicas of a
-    /// shard share its key storage and directory) and one writer thread.
+    /// Build a server over `keys` (sorted ascending, unique). Spawns one
+    /// thread, the writer; the `n_shards × replicas_per_shard` replicas
+    /// (those of a shard share its key storage and directory) are ranked
+    /// for by their callers.
     pub fn build(keys: &[u32], cfg: ServeConfig) -> Self {
         cfg.validate();
         let router = Arc::new(ShardRouter::from_keys(keys, cfg.n_shards));
@@ -424,8 +436,6 @@ impl IndexServer {
         watermark: (u64, u64),
         cfg: ServeConfig,
     ) -> Self {
-        let selector = ReplicaSelector::new(cfg.replicas_per_shard);
-        let shutdown = Arc::new(AtomicBool::new(false));
         let metrics = MetricsRegistry::new();
         let writer_metrics = WriterMetrics::new(&metrics);
         writer_metrics.live_keys.set(seeds.iter().map(|s| s.live_len() as u64).sum());
@@ -447,17 +457,14 @@ impl IndexServer {
         }
 
         let n_replicas = cfg.replicas_per_shard;
-        let mut queues = Vec::with_capacity(cfg.n_shards);
-        let mut cells = Vec::with_capacity(cfg.n_shards);
-        let mut replica_metrics = Vec::with_capacity(cfg.n_shards * n_replicas);
-        let mut dispatchers = Vec::with_capacity(cfg.n_shards * n_replicas);
         let mut shards = Vec::with_capacity(cfg.n_shards);
-
+        let mut writer_shards = Vec::with_capacity(cfg.n_shards);
+        let mut base_epochs = Vec::with_capacity(cfg.n_shards);
         let mut base_rank = 0u32;
         for (s, seed) in seeds.into_iter().enumerate() {
             // One read state for the whole replica group (owned-sorted
             // or mapped-snapshot backing, transparently): replicas add
-            // threads, not copies of the keys or the directory. The
+            // claims, not copies of the keys or the directory. The
             // initial snapshot must carry the seed's pending deltas: a
             // recovered shard serves exact ranks from its very first
             // batch, before any fresh churn triggers a publish.
@@ -470,8 +477,8 @@ impl IndexServer {
                 deletes: seed.deletes.clone(),
             }));
             base_rank += seed.live_len() as u32;
-            let main_epoch = seed.main_epoch;
-            shards.push(WriterShard {
+            base_epochs.push(seed.main_epoch);
+            writer_shards.push(WriterShard {
                 delta: DeltaArray::from_parts(
                     seed.main,
                     seed.inserts,
@@ -480,46 +487,32 @@ impl IndexServer {
                     0.0,
                     cfg.merge_threshold,
                 ),
-                main_epoch,
+                main_epoch: seed.main_epoch,
                 main,
                 retired: None,
                 cell: cell.clone(),
             });
-
-            // The whole group's admission queues must exist before any
-            // dispatcher spawns: a crashing replica re-routes through
-            // its siblings' queues.
-            let mut group = Vec::with_capacity(n_replicas);
-            let mut wiring = Vec::with_capacity(n_replicas);
-            for r in 0..n_replicas {
-                let (req_tx, req_rx) = sync_channel::<Request>(cfg.queue_capacity);
-                let q = AdmissionQueue::new(s, r, req_tx, cfg.clock.clone());
-                // Stragglers and crashes are dispatcher faults: a replica
-                // scripted to have any never lets a caller rank in its place.
-                let faults = ReplicaFaults::resolve(&cfg.faults, s, r);
-                group.push(if faults.is_noop() { q } else { q.dispatcher_only() });
-                wiring.push((req_rx, faults));
-            }
-            for (r, (req_rx, faults)) in wiring.into_iter().enumerate() {
-                let stats = Arc::new(ReplicaMetrics::new(&metrics, s, r, &cfg.trace));
-                dispatchers.push(spawn_dispatcher(Dispatcher {
-                    shard: s,
-                    replica: r,
-                    req_rx,
-                    cell: cell.clone(),
-                    group: group.clone(),
-                    stats: stats.clone(),
-                    shutdown: shutdown.clone(),
-                    main_epoch,
-                    max_batch: cfg.max_batch,
-                    clock: cfg.clock.clone(),
-                    faults,
-                }));
-                replica_metrics.push(stats);
-            }
-            queues.push(group);
-            cells.push(cell);
+            let replicas = (0..n_replicas)
+                .map(|r| {
+                    let (tx, rx) = sync_channel::<Request>(cfg.queue_capacity);
+                    let faults = ReplicaFaults::resolve(&cfg.faults, s, r);
+                    Replica {
+                        queue: AdmissionQueue::new(s, tx, cfg.clock.clone()),
+                        metrics: ReplicaMetrics::new(&metrics, s, r, &cfg.trace),
+                        faulty: !faults.is_noop(),
+                        holder: Mutex::new(Holder {
+                            rx,
+                            faults,
+                            batch: Vec::new(),
+                            keys: Vec::new(),
+                            ranks: Vec::new(),
+                        }),
+                    }
+                })
+                .collect();
+            shards.push(Shard { cell, replicas });
         }
+        let shards: Arc<[Shard]> = shards.into();
 
         // Queue gauges poll the admission atomics at snapshot time — live
         // depth is already load-bearing state (the p2c router reads it),
@@ -527,18 +520,27 @@ impl IndexServer {
         // `served` series: a snapshot reads in registration order, so a
         // lookup admitted and served between the two reads cannot show
         // as served but not admitted. The writes still count `served`
-        // first on the claimed path (`count_claimed`, then `release`) and
-        // may on the queued path (the dispatcher can serve before
-        // `try_submit` counts), so only a snapshot that no thread switch
-        // can split — simtest's — is guaranteed `served ≤ admitted`.
-        for (i, q) in queues.iter().flatten().enumerate() {
-            let labels = replica_labels(i / n_replicas, i % n_replicas);
-            let q2 = q.clone();
-            metrics.gauge_fn("dini_serve_queue_depth", &labels, move || q2.depth());
-            let q2 = q.clone();
-            metrics.gauge_fn("dini_serve_admitted", &labels, move || q2.admitted());
-            let q2 = q.clone();
-            metrics.gauge_fn("dini_serve_shed", &labels, move || q2.shed());
+        // first on the claimed path (in `rank_batch`, before `claim`'s
+        // admission count lands) and may on the queued path (a holder can
+        // serve before `push` counts it admitted), so only a snapshot
+        // that no thread switch can split — simtest's — is guaranteed
+        // `served ≤ admitted`. `rebuilds` is the epochs the shard's
+        // snapshot has crossed since the build, read off it here.
+        for s in 0..cfg.n_shards {
+            for r in 0..n_replicas {
+                let labels = replica_labels(s, r);
+                let queue = |read: fn(&AdmissionQueue) -> u64| {
+                    let shards = shards.clone();
+                    move || read(&shards[s].replicas[r].queue)
+                };
+                metrics.gauge_fn("dini_serve_queue_depth", &labels, queue(|q| q.depth()));
+                metrics.gauge_fn("dini_serve_admitted", &labels, queue(AdmissionQueue::admitted));
+                metrics.gauge_fn("dini_serve_shed", &labels, queue(AdmissionQueue::shed));
+                let (cell, base) = (shards[s].cell.clone(), base_epochs[s]);
+                metrics.gauge_fn("dini_serve_rebuilds", &labels, move || {
+                    cell.load().main_epoch - base
+                });
+            }
         }
         // The sampled stage sums over every replica's retained records, in
         // one walk per snapshot: reading `trace_records` walks the rings
@@ -551,11 +553,12 @@ impl IndexServer {
             ("dini_serve_stage_fill_ns", StageRecord::fill_ns),
         ];
         let sums = stages.map(|_| Counter::new());
-        let (replicas, walked) = (replica_metrics.clone(), sums.clone());
+        let (walk, walked) = (shards.clone(), sums.clone());
         metrics.gauge_fn("dini_serve_trace_records", "", move || {
-            let records: Vec<StageRecord> = replicas
+            let records: Vec<StageRecord> = walk
                 .iter()
-                .flat_map(|m| m.trace().snapshot().into_iter().chain(m.claim_trace().snapshot()))
+                .flat_map(|s| &s.replicas)
+                .flat_map(|r| r.metrics.trace().snapshot())
                 .collect();
             for (sum, (_, stage)) in walked.iter().zip(&stages) {
                 sum.set(records.iter().map(stage).sum());
@@ -568,7 +571,7 @@ impl IndexServer {
 
         let (writer_tx, writer_rx) = sync_channel::<WriterMsg>(4096);
         let writer = spawn_writer(
-            shards,
+            writer_shards,
             watermark,
             router.clone(),
             writer_metrics.clone(),
@@ -589,38 +592,27 @@ impl IndexServer {
         let groups = CellPool::new((shard_cells * cfg.n_shards).div_ceil(GROUP), cfg.clock.clone());
 
         Self {
-            router,
-            selector,
-            queues,
-            pools,
+            core: HandleCore {
+                router,
+                selector: ReplicaSelector::new(n_replicas),
+                shards,
+                pools,
+                heat,
+                clock: cfg.clock.clone(),
+                max_batch: cfg.max_batch,
+                tick: AtomicU64::new(0),
+            },
             groups,
-            cells,
-            replica_metrics,
             metrics,
             writer_metrics,
-            heat,
-            shutdown,
-            updates: Some(UpdateHandle { tx: writer_tx, clock: cfg.clock.clone() }),
-            clock: cfg.clock,
-            dispatchers,
+            updates: Some(UpdateHandle { tx: writer_tx, clock: cfg.clock }),
             writer: Some(writer),
         }
     }
 
     /// A cloneable caller handle.
     pub fn handle(&self) -> ServerHandle {
-        let core = HandleCore {
-            router: self.router.clone(),
-            selector: self.selector,
-            queues: self.queues.clone(),
-            pools: self.pools.clone(),
-            cells: self.cells.clone(),
-            replica_metrics: self.replica_metrics.clone(),
-            heat: self.heat.clone(),
-            clock: self.clock.clone(),
-            tick: AtomicU64::new(0),
-        };
-        ServerHandle { group: OpenGroup::shared(core, self.groups.clone()) }
+        ServerHandle { group: OpenGroup::shared(self.core.clone(), self.groups.clone()) }
     }
 
     /// A cloneable churn-feeding handle (e.g. for a dedicated updater
@@ -678,8 +670,9 @@ impl IndexServer {
     /// durability barrier: a checkpoint lands before `quiesce` returns.
     pub fn quiesce(&self) {
         let (ack_tx, ack_rx) = sync_channel(1);
-        if self.clock.send(&self.updates().tx, WriterMsg::Quiesce(ack_tx)).is_ok() {
-            let _ = self.clock.recv(&ack_rx);
+        let clock = &self.core.clock;
+        if clock.send(&self.updates().tx, WriterMsg::Quiesce(ack_tx)).is_ok() {
+            let _ = clock.recv(&ack_rx);
         }
     }
 
@@ -703,7 +696,7 @@ impl IndexServer {
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.router.n_shards()
+        self.core.router.n_shards()
     }
 
     /// The clock every server thread waits on (virtual under
@@ -711,16 +704,16 @@ impl IndexServer {
     /// acceptor/connection threads on the same clock so one scheduler
     /// sees every wait.
     pub fn clock(&self) -> &Clock {
-        &self.clock
+        &self.core.clock
     }
 
     /// Number of replicas serving each shard.
     pub fn replicas_per_shard(&self) -> usize {
-        self.selector.n_replicas()
+        self.core.selector.n_replicas()
     }
 
     /// Point-in-time aggregate statistics, read off a registry
-    /// snapshot (no dispatcher is ever blocked by this).
+    /// snapshot (no holder is ever blocked by this).
     pub fn stats(&self) -> ServeStats {
         ServeStats::from(&self.metrics_snapshot())
     }
@@ -733,7 +726,7 @@ impl IndexServer {
     pub fn replica_stats(&self) -> Vec<ServeStats> {
         let snap = self.metrics_snapshot();
         let per_shard = self.replicas_per_shard();
-        (0..self.replica_metrics.len())
+        (0..self.core.shards.len() * per_shard)
             .map(|i| ServeStats::within(&snap, &replica_labels(i / per_shard, i % per_shard)))
             .collect()
     }
@@ -742,7 +735,8 @@ impl IndexServer {
     /// oldest-first within a replica. Each record carries its
     /// shard/replica coordinates. Allocates — a reader-side operation.
     pub fn stage_traces(&self) -> Vec<StageRecord> {
-        self.replica_metrics.iter().flat_map(|m| m.stage_records()).collect()
+        let replicas = self.core.shards.iter().flat_map(|s| &s.replicas);
+        replicas.flat_map(|r| r.metrics.trace().snapshot()).collect()
     }
 
     /// Snapshot the whole metrics registry: per-replica
@@ -765,22 +759,15 @@ impl IndexServer {
 
 impl Drop for IndexServer {
     fn drop(&mut self) {
-        // Writer first: it exits once the last update sender hangs up.
-        self.updates.take(); // hang up
+        // The writer exits once the last update sender hangs up.
+        self.updates.take();
         if let Some(w) = self.writer.take() {
             let _ = w.join();
         }
-        // Dispatchers: the flag covers caller handles that still hold
-        // admission senders (a plain channel-disconnect protocol would
-        // block this join on them).
-        self.shutdown.store(true, Ordering::SeqCst);
         // No replica is alive any more: a handle that outlives the server
         // must not rank on its own against a state nobody publishes to.
-        for q in self.queues.drain(..).flatten() {
-            q.mark_dead();
-        }
-        for d in self.dispatchers.drain(..) {
-            let _ = d.join();
+        for r in self.core.shards.iter().flat_map(|s| &s.replicas) {
+            r.queue.mark_dead();
         }
     }
 }
@@ -793,7 +780,7 @@ impl Drop for IndexServer {
 /// A lookup ranked when it was submitted — by the submitting thread, on
 /// an idle replica — is born resolved. One that was queued holds a
 /// pooled reply cell rather than a per-lookup channel; the cell goes
-/// back to the server's pool once the dispatcher has answered, and is
+/// back to the server's pool once the replica's holder has answered, and is
 /// reused once this `PendingLookup` (reaped, or abandoned) has let go of
 /// it. One that joined its handle's open group (a pipelined
 /// [`ServerHandle::begin_lookup`]) holds its group's ticket — one
@@ -883,7 +870,7 @@ pub struct LookupScratch {
     /// One shard's keys, and their ranks.
     keys: Vec<u32>,
     ranks: Vec<u32>,
-    /// Lookups queued for a dispatcher (or refused), until they are
+    /// Lookups queued for a holder (or refused), until they are
     /// moved out to their keys' places.
     queued: Vec<Pending>,
 }
@@ -895,7 +882,7 @@ enum Admitted {
     No,
     /// Under a claim, by this thread: a key's slot is its rank.
     Ranked,
-    /// Queued for the replica's dispatcher, or refused: a key's slot
+    /// Queued for the replica's holder, or refused: a key's slot
     /// indexes its lookup.
     Queued,
     /// No replica is alive.
@@ -941,90 +928,229 @@ impl UpdateHandle {
 }
 
 impl HandleCore {
+    fn replica(&self, shard: usize, replica: usize) -> &Replica {
+        &self.shards[shard].replicas[replica]
+    }
+
     /// Pick a live replica of `shard`: power-of-two choices on live
-    /// queue depth, skipping crashed replicas. `None` means the whole
-    /// group is gone — the shard is shutting down, and saying so here
-    /// beats queueing into a channel nobody drains.
+    /// depth, skipping crashed replicas. `None` means the whole group is
+    /// gone — the shard is shutting down, and saying so here beats
+    /// queueing into a replica nobody will hold.
     fn select(&self, shard: usize) -> Option<usize> {
-        let group = &self.queues[shard];
+        let group = &self.shards[shard].replicas;
         // ordering: relaxed-ok: per-clone rotation phase; only atomicity
         // matters, and clones never share the counter. A lone replica
         // needs no rotation, so it skips the RMW.
         let tick = if group.len() == 1 { 0 } else { self.tick.fetch_add(1, Ordering::Relaxed) };
-        self.selector.select(tick, |r| group[r].probe())
+        self.selector.select(tick, |r| group[r].queue.probe())
     }
 
-    /// Answer `keys` on the caller's own thread, under the claim the
-    /// caller holds on `replica` of `shard`: run `rank` on the snapshot
-    /// while its slot is pinned ([`EpochCell::with`]), fold the batch
-    /// into the replica's claim-side accounting and heat row, release
-    /// the claim. Admission, collection and dispatch are one instant, so
-    /// a recorded wait is exactly zero.
+    /// Meet `replica`'s scripted faults before ranking a batch under its
+    /// hold: sleep out its straggle and jitter, and report whether it is
+    /// still alive. Past its crash point the replica is marked dead here
+    /// — before anything is re-routed, so no sibling can bounce a request
+    /// back believing it alive.
+    fn meet_faults(&self, shard: usize, replica: usize, faults: &mut ReplicaFaults) -> bool {
+        if !faults.crashed(&self.clock) {
+            let Some(extra) = faults.batch_delay() else { return true };
+            self.clock.sleep(extra);
+            if !faults.crashed(&self.clock) {
+                return true;
+            }
+        }
+        self.replica(shard, replica).queue.mark_dead();
+        false
+    }
+
+    /// Rank one batch under `replica`'s hold and account for it: meet the
+    /// replica's faults (when `faults` is given), pin the shard's
+    /// snapshot, run `rank` on it, and fold the batch into the replica's
+    /// counts, latency, heat row and stage-trace ring — plain stores all,
+    /// the hold making this thread their only writer. `None`: the
+    /// replica met its crash point, and nothing was ranked.
     ///
-    /// Two clock reads and a histogram record cost more than ranking a
-    /// key, so a batch is timed only when someone will read the result:
-    /// the replica's seeded sampler — consulted first, once per request,
-    /// as the dispatcher does — picked one of its requests, or it
-    /// carries a trace id. An untimed batch is counted (`served`,
-    /// `batches`, `batch_size`) and touches neither the clock nor
-    /// `latency_ns`; a timed one records its latency once, weighted by
-    /// the requests each pick stands for.
+    /// A batch is the holder's own `keys` (`queued` empty: admitted now,
+    /// all carrying `trace`, answered by what `rank` returns), or the
+    /// drained requests `queued` whose keys they are, which the caller
+    /// answers once this returns — their counts land first, so a reaped
+    /// reply implies a counted one. A queued request is timed from its
+    /// own admission, exhaustively. Two clock reads and a histogram
+    /// record cost more than ranking a key, so an own batch is timed
+    /// only when someone will read the result: the replica's seeded
+    /// sampler, consulted once for all its keys, picked one of them, or
+    /// they carry a trace id. An untimed own batch touches neither the
+    /// clock nor `latency_ns`; a timed one records its latency once,
+    /// weighted by the requests each pick stands for.
     ///
-    /// Atomic read-modify-writes, untimed: the sampler's add, the pin and
-    /// unpin, and the release's `complete` — with the caller's claim,
-    /// five a batch, however many keys it holds. The counts and the heat
-    /// row are plain stores: the claim makes this thread their only
-    /// writer.
-    fn serve_claimed<T>(
+    /// Atomic read-modify-writes for an untimed own batch: the sampler's
+    /// add and the pin and unpin — with the caller's claim and its
+    /// leave, five a batch, however many keys it holds.
+    #[allow(clippy::too_many_arguments)]
+    fn rank_batch<T>(
+        &self,
+        shard: usize,
+        replica: usize,
+        keys: &[u32],
+        queued: &[Request],
+        trace: u64,
+        faults: Option<&mut ReplicaFaults>,
+        rank: impl FnOnce(&ShardSnapshot) -> T,
+    ) -> Option<T> {
+        let r = self.replica(shard, replica);
+        let (n, own) = (keys.len() as u64, queued.is_empty());
+        let ring = r.metrics.trace();
+        let picked = if own { ring.sample_n(n) } else { 0 };
+        let collected = (!own || picked > 0 || trace != 0).then(|| self.clock.now());
+        let dispatched = match faults {
+            Some(faults) => {
+                if !self.meet_faults(shard, replica, faults) {
+                    return None;
+                }
+                collected.map(|_| self.clock.now())
+            }
+            None => collected,
+        };
+        // Outside the pin: under a virtual clock this may hand off to the
+        // writer, whose publish would wait out a pin held across it.
+        self.clock.yield_now();
+        let answer = self.shards[shard].cell.with(rank);
+        r.metrics.count_batch(n, own);
+        if own {
+            r.queue.admit_claimed(keys.len());
+            if let Some(h) = &self.heat {
+                keys.iter().for_each(|&key| h.record_unshared(shard, replica, key));
+            }
+        }
+        let (Some(collected), Some(dispatched)) = (collected, dispatched) else {
+            return Some(answer);
+        };
+        let done = self.clock.now();
+        let record = |admitted_ns, trace| StageRecord {
+            shard: shard as u16,
+            replica: replica as u16,
+            batch_len: n as u32,
+            trace,
+            admitted_ns,
+            collected_ns: collected,
+            dispatched_ns: dispatched,
+            answered_ns: done,
+            filled_ns: done,
+            encoded_ns: 0,
+            acked_ns: 0,
+        };
+        if own {
+            r.metrics.record_latency(done - collected, picked * ring.period());
+            // A request carrying a trace id is always recorded.
+            let records = if trace != 0 { n } else { picked };
+            (0..records).for_each(|_| ring.push(&record(collected, trace)));
+        }
+        for req in queued {
+            r.metrics.record_latency(done.saturating_sub(req.enqueued), 1);
+            // Head-based sampling: a request that arrives carrying a
+            // trace id was chosen by its client, so it is always recorded
+            // — its wire record then always finds its server half.
+            if ring.sample() || req.trace != 0 {
+                ring.push(&record(req.enqueued, req.trace));
+            }
+        }
+        Some(answer)
+    }
+
+    /// Rank the caller's own `keys` on `replica` of `shard`, just claimed
+    /// for them, then combine whatever queued behind them and leave.
+    /// `None`: the replica met its crash point first and is dead; nothing
+    /// was ranked, and the caller admits the keys again, on a survivor.
+    fn hold<T>(
         &self,
         shard: usize,
         replica: usize,
         keys: &[u32],
         trace: u64,
         rank: impl FnOnce(&ShardSnapshot) -> T,
-    ) -> T {
-        let n = keys.len();
-        let q = &self.queues[shard][replica];
-        let stats = &self.replica_metrics[shard * self.selector.n_replicas() + replica];
-        let sampler = stats.trace();
-        let picked = sampler.sample_n(n as u64);
-        // A request carrying a trace id is always recorded.
-        let records = if trace != 0 { n as u64 } else { picked };
-        let admitted = (records > 0).then(|| self.clock.now());
-        // Outside the pin: under a virtual clock this may hand off to the
-        // writer, whose publish would wait out a pin held across it.
-        self.clock.yield_now();
-        let answer = self.cells[shard].with(rank);
-        if let Some(admitted) = admitted {
-            let done = self.clock.now();
-            stats.record_claimed_latency(done.saturating_sub(admitted), picked * sampler.period());
-            let record = StageRecord {
-                shard: shard as u16,
-                replica: replica as u16,
-                batch_len: n as u32,
-                trace,
-                admitted_ns: admitted,
-                collected_ns: admitted,
-                dispatched_ns: admitted,
-                answered_ns: done,
-                filled_ns: done,
-                encoded_ns: 0,
-                acked_ns: 0,
-            };
-            for _ in 0..records {
-                stats.claim_trace().push(&record);
-            }
+    ) -> Option<T> {
+        let r = self.replica(shard, replica);
+        let mut holder = r.faulty.then(|| r.holder());
+        let faults = holder.as_mut().map(|h| &mut h.faults);
+        let answer = self.rank_batch(shard, replica, keys, &[], trace, faults, rank);
+        drop(holder);
+        // Dead, its keys go to a survivor, if one is left: the caller
+        // admits them again, re-homed like what queued.
+        let survivors = || self.shards[shard].replicas.iter().any(|s| s.queue.is_alive());
+        if answer.is_none() && survivors() {
+            r.metrics.count_rerouted(keys.len() as u64);
         }
-        stats.count_claimed(n as u64);
-        if let Some(h) = &self.heat {
-            for &key in keys {
-                h.record_unshared(shard, replica, key);
-            }
-        }
-        // Last: the claim is what makes this thread the only writer of
-        // the claim ring, the claim-side counts and the heat row.
-        q.release(n);
+        self.combine(shard, replica, keys.len() as u64);
         answer
+    }
+
+    /// The rest of a hold on `replica` of `shard`, with `owed` counts on
+    /// its gauge for work done (0 for a pusher that holds): answer
+    /// whatever queued, in group-committed batches of
+    /// ≤ `max_batch` — each the first request plus whatever queued behind
+    /// it — and leave once the gauge is back to 0 (see
+    /// [`AdmissionQueue::drain`]). Each pass takes the holder state and
+    /// lets it go before the subtract that may end the hold.
+    fn combine(&self, shard: usize, replica: usize, owed: u64) {
+        let r = self.replica(shard, replica);
+        r.queue.drain(owed, || {
+            let mut holder = r.holder();
+            let h = &mut *holder;
+            while let Ok(first) = h.rx.try_recv() {
+                collect_batch_into(&h.rx, first, &mut h.batch, self.max_batch);
+                self.answer_queued(shard, replica, h);
+            }
+        });
+    }
+
+    /// Rank and answer the batch a holder drained — or, past the
+    /// replica's crash point, re-home every request of it.
+    fn answer_queued(&self, shard: usize, replica: usize, h: &mut Holder) {
+        let Holder { batch, keys, ranks, faults, .. } = h;
+        keys.clear();
+        keys.extend(batch.iter().map(|req| req.key));
+        let rank = |state: &ShardSnapshot| state.rank_batch(keys, ranks);
+        if self.rank_batch(shard, replica, keys, batch, 0, Some(faults), rank).is_none() {
+            batch.drain(..).for_each(|req| self.reroute(shard, replica, req));
+            return;
+        }
+        for (req, &rank) in batch.drain(..).zip(ranks.iter()) {
+            // A gone caller is fine: nobody reads the cell, and the pool
+            // reuses it once no one holds it.
+            req.respond(Ok(rank));
+        }
+    }
+
+    /// Re-home one request from crashed replica `me` of `shard` to a
+    /// surviving sibling. Tries every survivor without blocking first
+    /// (rotation order from `me`, deterministic), then blocks on the
+    /// least-loaded survivor (one may crash while we wait, hence the
+    /// rescan). A push that finds the sibling idle holds it, and this
+    /// thread combines there too. With no survivor left the request is
+    /// dropped, which answers its cell `ShuttingDown`: the shard really is
+    /// gone.
+    fn reroute(&self, shard: usize, me: usize, req: Request) {
+        let group = &self.shards[shard].replicas;
+        let n = group.len();
+        let survivors = (1..n).map(|off| (me + off) % n).filter(|&r| group[r].queue.is_alive());
+        let mut sent = Err(req);
+        for r in survivors {
+            match sent {
+                Err(req) => sent = group[r].queue.resubmit(req, false).map(|held| (r, held)),
+                Ok(_) => break,
+            }
+        }
+        // Every survivor's queue is full (or a survivor died between the
+        // probe and the send): block on the least-loaded live sibling.
+        while let Err(req) = sent {
+            let alive = (0..n).filter(|&r| r != me && group[r].queue.is_alive());
+            let Some(r) = alive.min_by_key(|&r| group[r].queue.depth()) else { return };
+            sent = group[r].queue.resubmit(req, true).map(|held| (r, held));
+        }
+        let Ok((r, held)) = sent else { return };
+        self.replica(shard, me).metrics.count_rerouted(1);
+        if held {
+            self.combine(shard, r, 0);
+        }
     }
 
     /// Count `key` in the shared heat row: a key this thread does not
@@ -1037,7 +1163,8 @@ impl HandleCore {
         }
     }
 
-    /// Queue one request for `replica`'s dispatcher.
+    /// Push one request to `replica`, and if its count finds the replica
+    /// idle, hold it and combine — the request is among what queued.
     fn queue(
         &self,
         shard: usize,
@@ -1050,33 +1177,31 @@ impl HandleCore {
         let reply = self.pools[shard].take();
         let cell = reply.waiter();
         let req = Request { key, enqueued: self.clock.now(), trace, reply };
-        let q = &self.queues[shard][replica];
-        if blocking {
-            q.submit(req)?;
-        } else {
-            q.try_submit(req)?;
+        // On the error path the refused request was dropped inside the
+        // admission queue, which answered the cell and returned it to the
+        // pool; `cell` lets go of it on return. No leak, no alloc.
+        if self.replica(shard, replica).queue.push(req, blocking)? {
+            self.combine(shard, replica, 0);
         }
-        // On the error paths above the un-submitted request is dropped
-        // inside the admission queue, which answers the cell and returns
-        // it to the pool; `cell` lets go of it on return. No leak, no
-        // alloc.
         Ok(Pending::Queued(cell))
     }
 
     fn enqueue(&self, key: u32, blocking: bool, trace: u64) -> Result<Pending, ServeError> {
         let shard = self.router.route(key);
-        let Some(replica) = self.select(shard) else {
-            self.heat_shared(shard, key);
-            return Err(ServeError::ShuttingDown);
-        };
         // Claim before anything else: the caller that takes the depth
-        // gauge 0 → 1 ranks its own key.
-        if self.queues[shard][replica].claim(1) {
+        // gauge 0 → 1 ranks its own key. A replica that crashes under the
+        // claim is dead by the next selection.
+        while let Some(replica) = self.select(shard) {
+            if !self.replica(shard, replica).queue.claim(1) {
+                return self.queue(shard, replica, key, blocking, trace);
+            }
             let keys = std::slice::from_ref(&key);
-            let rank = self.serve_claimed(shard, replica, keys, trace, |state| state.rank(key));
-            return Ok(Pending::Ready(Ok(rank)));
+            if let Some(rank) = self.hold(shard, replica, keys, trace, |s| s.rank(key)) {
+                return Ok(Pending::Ready(Ok(rank)));
+            }
         }
-        self.queue(shard, replica, key, blocking, trace)
+        self.heat_shared(shard, key);
+        Err(ServeError::ShuttingDown)
     }
 
     /// [`enqueue`](Self::enqueue) for a slice: `out[i]` answers
@@ -1127,7 +1252,7 @@ impl HandleCore {
 
     /// Admit the keys of `keys` from `first` on that route to `shard`,
     /// as one unit, leaving each one's slot: ranked under a claim of
-    /// one of its replicas, queued for that replica's dispatcher, or
+    /// one of its replicas, queued for that replica's holder, or
     /// refused when none is alive.
     fn admit_shard(
         &self,
@@ -1138,33 +1263,29 @@ impl HandleCore {
         trace: u64,
         scratch: &mut LookupScratch,
     ) -> Admitted {
-        let Some(replica) = self.select(shard) else { return Admitted::Refused };
         let mine = |i: &usize| scratch.shards[*i] == shard;
         scratch.keys.clear();
         scratch.keys.extend((first..keys.len()).filter(mine).map(|i| keys[i]));
-        if self.queues[shard][replica].claim(scratch.keys.len()) {
-            let (batch, ranks) = (&scratch.keys, &mut scratch.ranks);
-            self.serve_claimed(shard, replica, batch, trace, |state| {
-                state.rank_batch(batch, ranks)
-            });
-            let positions = (first..keys.len()).filter(mine);
-            for (i, &rank) in positions.zip(&scratch.ranks) {
-                scratch.slots[i] = rank;
+        while let Some(replica) = self.select(shard) {
+            if !self.replica(shard, replica).queue.claim(scratch.keys.len()) {
+                for i in (first..keys.len()).filter(mine) {
+                    scratch.slots[i] = scratch.queued.len() as u32;
+                    let queued = self.queue(shard, replica, keys[i], blocking, trace);
+                    scratch.queued.push(queued.unwrap_or_else(|e| Pending::Ready(Err(e))));
+                }
+                return Admitted::Queued;
             }
-            return Admitted::Ranked;
+            let (batch, ranks) = (&scratch.keys, &mut scratch.ranks);
+            let rank = |state: &ShardSnapshot| state.rank_batch(batch, ranks);
+            if self.hold(shard, replica, batch, trace, rank).is_some() {
+                let positions = (first..keys.len()).filter(mine);
+                for (i, &rank) in positions.zip(&scratch.ranks) {
+                    scratch.slots[i] = rank;
+                }
+                return Admitted::Ranked;
+            }
         }
-        for i in (first..keys.len()).filter(mine) {
-            scratch.slots[i] = scratch.queued.len() as u32;
-            let queued = self.queue(shard, replica, keys[i], blocking, trace);
-            scratch.queued.push(queued.unwrap_or_else(|e| Pending::Ready(Err(e))));
-        }
-        Admitted::Queued
-    }
-
-    /// Whether a caller may rank `shard`'s keys: some replica of it has
-    /// no fault scripted. A shard without one is the dispatchers' alone.
-    fn claimable(&self, shard: usize) -> bool {
-        self.queues[shard].iter().any(AdmissionQueue::claimable)
+        Admitted::Refused
     }
 }
 
@@ -1199,8 +1320,10 @@ impl ServerHandle {
     /// * **Alone, at once.** If the caller holds no lookup it began on
     ///   this handle and has not reaped, `key` is admitted now: ranked on
     ///   this thread if its replica is idle (the lookup is born
-    ///   resolved, and counted as served before this returns), queued
-    ///   for the dispatcher otherwise, or shed when that queue is full.
+    ///   resolved, and counted as served before this returns — as is
+    ///   whatever queued behind it, which this thread answers before it
+    ///   returns), pushed for the replica's holder otherwise, or shed
+    ///   when that queue is full.
     /// * **Pipelined, in a group.** If the caller still holds one, `key`
     ///   joins this handle's open group of up to [`GROUP`] keys, the
     ///   kernel's lockstep group. The group is ranked when it is full or
@@ -1212,33 +1335,24 @@ impl ServerHandle {
     ///   at its rank: the caller's time in its own open group is
     ///   client-side, like a `dini-net` frame's before it is encoded.
     ///
-    /// A key whose shard no caller may rank (every replica has a fault
-    /// scripted) gains nothing from a group and is admitted at once.
-    /// [`begin_lookup_traced`](Self::begin_lookup_traced) and the slice
-    /// calls never group.
+    /// The slice call [`begin_lookup_many`](Self::begin_lookup_many)
+    /// never groups.
     pub fn begin_lookup(&self, key: u32) -> Result<PendingLookup, ServeError> {
-        let core = self.core();
-        if !OpenGroup::is_idle(&self.group) && core.claimable(core.router.route(key)) {
+        if !OpenGroup::is_idle(&self.group) {
             let member = OpenGroup::join(&self.group, key);
             return Ok(Pending::Grouped(member).into());
         }
-        let pending = core.enqueue(key, false, 0)?;
+        let pending = self.core().enqueue(key, false, 0)?;
         Ok(PendingLookup { pending, _held: Some(self.group.clone()) })
     }
 
-    /// [`begin_lookup`](Self::begin_lookup) carrying a causal trace id
-    /// (0 = untraced), so the stage records of whoever answers share the
-    /// originating client's timeline. Never grouped: admitted at once.
-    pub fn begin_lookup_traced(&self, key: u32, trace: u64) -> Result<PendingLookup, ServeError> {
-        self.core().enqueue(key, false, trace).map(PendingLookup::from)
-    }
-
-    /// [`begin_lookup_traced`](Self::begin_lookup_traced) for a whole
-    /// slice — what a `Lookup` wire frame is: `out` is cleared and
-    /// `out[i]` answers `keys[i]`, refusals included (an already-resolved
-    /// error). Each shard's keys are admitted as one unit: ranked as one
-    /// batch by this thread when their replica is idle, queued for its
-    /// dispatcher otherwise.
+    /// Submit a whole slice at once — what a `Lookup` wire frame is —
+    /// carrying a causal trace id (0 = untraced), so the stage records of
+    /// whoever answers share the originating client's timeline: `out` is
+    /// cleared and `out[i]` answers `keys[i]`, refusals included (an
+    /// already-resolved error). Each shard's keys are admitted as one
+    /// unit: ranked as one batch by this thread when their replica is
+    /// idle, pushed for its holder otherwise. Never grouped.
     pub fn begin_lookup_many(
         &self,
         keys: &[u32],
@@ -1279,267 +1393,6 @@ impl ServerHandle {
     pub fn shard_of(&self, key: u32) -> usize {
         self.core().router.route(key)
     }
-}
-
-/// Re-home one request from a crashed replica to a surviving sibling.
-/// Tries every survivor without blocking first (rotation order from the
-/// crashed replica, deterministic), then blocks on the least-loaded
-/// survivor (one may crash while we wait, hence the rescan loop).
-/// Returns `false` — after dropping the request, which drop-fills its
-/// waiter with `ShuttingDown` — only when no survivor remains.
-fn reroute_one(group: &[AdmissionQueue], me: usize, mut req: Request) -> bool {
-    let n = group.len();
-    for off in 1..n {
-        let q = &group[(me + off) % n];
-        if !q.is_alive() {
-            continue;
-        }
-        match q.resubmit(req, false) {
-            Ok(()) => return true,
-            Err(bounced) => req = bounced,
-        }
-    }
-    // Every survivor's queue is full (or a survivor died between the
-    // probe and the send): block on the least-loaded live sibling.
-    loop {
-        let mut best: Option<(u64, usize)> = None;
-        for (r, q) in group.iter().enumerate() {
-            if r == me || !q.is_alive() {
-                continue;
-            }
-            let d = q.depth();
-            if best.is_none_or(|(bd, br)| d < bd || (d == bd && r < br)) {
-                best = Some((d, r));
-            }
-        }
-        let Some((_, r)) = best else {
-            // Last replica standing was us: the request's drop fills
-            // `ShuttingDown` — the shard really is gone.
-            drop(req);
-            return false;
-        };
-        match group[r].resubmit(req, true) {
-            Ok(()) => return true,
-            // Disconnected (that sibling is fully gone): rescan.
-            Err(bounced) => req = bounced,
-        }
-    }
-}
-
-/// A crashed replica's afterlife: re-route the collected batch, then
-/// keep draining the admission queue, re-routing every queued and
-/// future request to surviving siblings — the request stream sees
-/// degraded capacity, not errors. Requests resolve to `ShuttingDown`
-/// (via the drop-fill protocol) only when no sibling survives. Runs
-/// until the server shuts down or every sender hangs up; exiting
-/// earlier would strand whatever sits in the admission queue — the
-/// buffered requests only drop with the channel, and the channel
-/// lives as long as any `ServerHandle` clone holds its sender (often
-/// the very caller blocked on the reply).
-fn crashed_failover(
-    clock: &Clock,
-    req_rx: &Receiver<Request>,
-    shutdown: &AtomicBool,
-    group: &[AdmissionQueue],
-    me: usize,
-    stats: &ReplicaMetrics,
-    batch: &mut Vec<Request>,
-) {
-    // The flag goes down before any re-route so no sibling can bounce a
-    // request back here believing this replica alive.
-    group[me].mark_dead();
-    let rehome = |req: Request| {
-        group[me].complete(1);
-        if reroute_one(group, me, req) {
-            stats.inc_rerouted();
-        }
-    };
-    for req in batch.drain(..) {
-        rehome(req);
-    }
-    loop {
-        match clock.recv_timeout(req_rx, IDLE_POLL) {
-            Ok(req) => rehome(req),
-            Err(RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
-/// Everything one replica dispatcher owns.
-struct Dispatcher {
-    shard: usize,
-    replica: usize,
-    req_rx: Receiver<Request>,
-    cell: Arc<EpochCell>,
-    /// The whole replica group's admission queues (including this
-    /// replica's own, at index `replica`): the failover path re-routes
-    /// through the siblings, and the depth gauge lives here.
-    group: Vec<AdmissionQueue>,
-    stats: Arc<ReplicaMetrics>,
-    shutdown: Arc<AtomicBool>,
-    /// Main epoch the shard was built on — 0 for a fresh build, the
-    /// recovered epoch after a snapshot restart; `rebuilds` counts the
-    /// epochs this replica has crossed since.
-    main_epoch: u64,
-    max_batch: usize,
-    clock: Clock,
-    faults: ReplicaFaults,
-}
-
-/// Per-replica dispatcher: coalesce → pin the snapshot → rank → reply.
-fn spawn_dispatcher(d: Dispatcher) -> ClockJoinHandle<()> {
-    let Dispatcher {
-        shard,
-        replica,
-        req_rx,
-        cell,
-        group,
-        stats,
-        shutdown,
-        main_epoch,
-        max_batch,
-        clock,
-        mut faults,
-    } = d;
-    clock.clone().spawn(&format!("dini-serve-shard-{shard}-r{replica}"), move || {
-        // Scratch reused across every batch this dispatcher ever
-        // serves: after warmup the dispatch loop never allocates.
-        let mut batch: Vec<Request> = Vec::new();
-        let mut keys: Vec<u32> = Vec::new();
-        let mut ranks: Vec<u32> = Vec::new();
-        // Admission timestamp + trace id of this batch's *sampled*
-        // requests — decided before replies go out (a reaped caller may
-        // tear the server down), stamped after, so tracing never delays
-        // a reply.
-        let mut sampled: Vec<(u64, u64)> = Vec::with_capacity(max_batch);
-        loop {
-            let first = match clock.recv_timeout(&req_rx, IDLE_POLL) {
-                Ok(req) => req,
-                Err(RecvTimeoutError::Timeout) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // An idle replica still honours its crash point, so
-                    // submits racing the crash are failed over too.
-                    if faults.crashed(&clock) {
-                        crashed_failover(
-                            &clock, &req_rx, &shutdown, &group, replica, &stats, &mut batch,
-                        );
-                        break;
-                    }
-                    // Load-aware routing can legitimately starve a
-                    // replica for a while (ties pin single-stream
-                    // traffic to one sibling); it still reports the
-                    // epochs the shard has crossed.
-                    stats.set_rebuilds(cell.load().main_epoch - main_epoch);
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-
-            let disconnected = collect_batch_into(&req_rx, first, &mut batch, max_batch);
-            let collected = clock.now();
-
-            // Injected faults, in virtual (or wall) time: a crash here
-            // is the "mid-batch" case — the batch is collected but never
-            // answered by *this* replica. Failover re-homes the batch
-            // and the queued backlog onto surviving siblings (whose
-            // dispatchers answer normally); only with no survivor left
-            // do waiters see `ShuttingDown` via the drop protocol.
-            // Jitter/straggler delays stretch the dispatch without
-            // reordering it.
-            if faults.crashed(&clock) {
-                crashed_failover(&clock, &req_rx, &shutdown, &group, replica, &stats, &mut batch);
-                break;
-            }
-            if let Some(extra) = faults.batch_delay() {
-                clock.sleep(extra);
-                if faults.crashed(&clock) {
-                    crashed_failover(
-                        &clock, &req_rx, &shutdown, &group, replica, &stats, &mut batch,
-                    );
-                    break;
-                }
-            }
-
-            // Pin the read state at *service* time, after collection:
-            // a request admitted after a writer quiesce() returned may
-            // join this still-open batch, so the snapshot must be at
-            // least as fresh as the youngest batch member. The pin is
-            // dropped with the batch, so an idle replica never keeps a
-            // superseded main array alive.
-            let state = cell.load();
-            let dispatched = clock.now();
-
-            keys.clear();
-            keys.extend(batch.iter().map(|r| r.key));
-            state.rank_batch(&keys, &mut ranks);
-
-            let done = clock.now();
-            let served = batch.len();
-            // Record the batch *before* releasing any reply: the first
-            // respond() below wakes its caller, and a caller that has
-            // reaped every reply must be able to read fully settled
-            // counters (stats().served includes its lookups). The adds
-            // are Relaxed but sequenced before the reply cell's SeqCst
-            // fill, and the caller's reap is at least an Acquire — so a reaped
-            // reply implies visible counters, mutex or no mutex.
-            stats.record_batch(batch.iter().map(|req| done.saturating_sub(req.enqueued)));
-            stats.set_rebuilds(state.main_epoch - main_epoch);
-            // Stage tracing: pick the sampled requests now (the seeded
-            // counter must advance once per request, served or not),
-            // stamp records after replies are released. Sampling is
-            // head-based: a request that arrives carrying a trace id
-            // was already chosen by its client, so it is always
-            // recorded — the client's wire record then always finds its
-            // server half — and the seeded sampler decides only for
-            // untraced (in-process) traffic.
-            sampled.clear();
-            let ring = stats.trace();
-            for req in batch.iter() {
-                if ring.sample() || req.trace != 0 {
-                    sampled.push((req.enqueued, req.trace));
-                }
-            }
-            for (req, &rank) in batch.drain(..).zip(ranks.iter()) {
-                // A gone caller is fine: nobody reads the cell, and the
-                // pool reuses it once no one holds it.
-                req.respond(Ok(rank));
-            }
-            // Replies are out: release the batch from the depth gauge
-            // (in-flight requests count as load, which is what lets
-            // power-of-two-choices steer around a straggling replica).
-            group[replica].complete(served);
-            // Stamp sampled stage records only now, off every caller's
-            // critical path (`filled` = all replies released).
-            if !sampled.is_empty() {
-                let filled = clock.now();
-                for &(admitted, trace) in &sampled {
-                    ring.push(&StageRecord {
-                        shard: shard as u16,
-                        replica: replica as u16,
-                        batch_len: served as u32,
-                        trace,
-                        admitted_ns: admitted,
-                        collected_ns: collected,
-                        dispatched_ns: dispatched,
-                        answered_ns: done,
-                        filled_ns: filled,
-                        encoded_ns: 0,
-                        acked_ns: 0,
-                    });
-                }
-            }
-            if disconnected {
-                break;
-            }
-        }
-    })
 }
 
 /// The single writer: fold churn → publish snapshots → merge (a new
@@ -1707,10 +1560,11 @@ fn spawn_writer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dini_cluster::{Fault, FaultSchedule};
+    use dini_cluster::Fault;
     use dini_store::StorePlan;
     use dini_workload::gen_sorted_unique_keys;
     use std::collections::BTreeSet;
+    use std::time::Duration;
 
     fn cfg(shards: usize) -> ServeConfig {
         let mut c = ServeConfig::new(shards);
@@ -1757,32 +1611,31 @@ mod tests {
 
     #[test]
     fn p2c_spreads_concurrent_backlog_across_replicas() {
-        // Submit a burst without reaping: depths grow, so power-of-two
-        // choices must alternate replicas instead of piling everything
-        // on one. Both replicas are stragglers, which keeps the burst
-        // queued (and in service) while it is being issued — idle
-        // replicas would be ranked on by the caller and never back up.
+        // Eight callers at once on one shard whose replicas both straggle:
+        // a holder sleeps out the straggle inside its hold, so its depth
+        // stays up while the others arrive, and power-of-two choices must
+        // send them to the other replica instead of piling every one on
+        // the first.
         let keys: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
         let mut c = ServeConfig::new(1);
         c.replicas_per_shard = 2;
-        c.max_batch = 1024;
-        let extra = Duration::from_millis(40);
+        let extra = Duration::from_millis(2);
         c.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra });
         let server = IndexServer::build(&keys, c);
-        let h = server.handle();
-        let pending: Vec<_> =
-            (0..64u32).map(|i| h.begin_lookup(i * 311).expect("queue is deep")).collect();
-        for p in pending {
-            p.wait().unwrap();
-        }
-        let per_replica = server.replica_stats();
-        assert_eq!(per_replica.len(), 2);
+        std::thread::scope(|s| {
+            for t in 0..8u32 {
+                let h = server.handle();
+                s.spawn(move || {
+                    (0..8u32).for_each(|i| assert!(h.lookup((t * 8 + i) * 311).is_ok()))
+                });
+            }
+        });
+        let served: Vec<u64> = server.replica_stats().iter().map(|s| s.served).collect();
+        assert_eq!(served.iter().sum::<u64>(), 64);
         assert!(
-            per_replica.iter().all(|s| s.served >= 16),
-            "load-aware routing must spread a backlog over both replicas: {:?}",
-            per_replica.iter().map(|s| s.served).collect::<Vec<_>>()
+            served.iter().all(|&s| s >= 16),
+            "load-aware routing must spread concurrent callers over both replicas: {served:?}"
         );
-        assert_eq!(per_replica.iter().map(|s| s.served).sum::<u64>(), 64);
     }
 
     #[test]
@@ -1934,27 +1787,12 @@ mod tests {
             assert_eq!(h.lookup(q).unwrap(), oracle(&set, q), "rank({q})");
         }
         // Every replica reports the main epochs its shard has crossed —
-        // the shard's merge count — whether it learnt them serving a
-        // batch or, starved by load-aware routing (ties pin
-        // single-stream traffic to its sibling), on its idle poll: give
-        // it a few polls' worth of time before judging.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            // Replica-major: [s0r0, s0r1, s1r0, s1r1].
-            let rebuilds: Vec<u64> = server.replica_stats().iter().map(|s| s.rebuilds).collect();
-            if rebuilds[0] == rebuilds[1]
-                && rebuilds[2] == rebuilds[3]
-                && rebuilds[0] + rebuilds[2] == merges
-            {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "every replica must report its shard's share of the {merges} merges \
-                 (idle polls included): {rebuilds:?}"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // the shard's merge count — read off the shard's snapshot, served
+        // or not.
+        let rebuilds: Vec<u64> = server.replica_stats().iter().map(|s| s.rebuilds).collect();
+        // Replica-major: [s0r0, s0r1, s1r0, s1r1].
+        assert_eq!((rebuilds[0], rebuilds[2]), (rebuilds[1], rebuilds[3]), "{rebuilds:?}");
+        assert_eq!(rebuilds[0] + rebuilds[2], merges, "{rebuilds:?}");
     }
 
     #[test]
@@ -2018,31 +1856,51 @@ mod tests {
     #[test]
     fn steady_state_lookups_reuse_pooled_slots() {
         let keys = gen_sorted_unique_keys(5_000, 77);
-        // Cells are the queued path's: a (barely) slow plan sends every
-        // lookup through the dispatchers.
-        let mut c = cfg(2);
-        let extra = Duration::from_micros(20);
-        c.faults.events =
-            (0..2).map(|shard| Fault::Straggle { shard, replica: None, extra }).collect();
-        let server = IndexServer::build(&keys, c);
+        let server = IndexServer::build(&keys, cfg(2));
         let h = server.handle();
-        for _ in 0..50 {
-            h.lookup(12345).unwrap();
-        }
-        // A single closed-loop caller alternates between its shard pool's
-        // two spare cells: the dispatcher gives one back before it
-        // answers the lookup that holds the other, so neither is ever
-        // found held and no cell is allocated.
+        let core = h.core();
+        // Cells are the push path's: a push that finds its replica idle
+        // holds it and answers its own request through the cell, before
+        // `queue` returns. A lone caller's cells are back in the pool by
+        // its next push, so it cycles the pool's spares and never grows it.
+        let shard = core.router.route(54321);
         let mut cells = BTreeSet::new();
         for _ in 0..100 {
-            let pending = h.begin_lookup(54321).unwrap();
-            let Pending::Queued(cell) = &pending.pending else {
-                panic!("a slow replica was claimed")
-            };
+            let pending = core.queue(shard, 0, 54321, false, 0).unwrap();
+            let Pending::Queued(cell) = &pending else { panic!("a push came back ranked") };
             cells.insert(Arc::as_ptr(cell) as usize);
+            assert!(pending.poll().is_some(), "a push that held returned unanswered");
             pending.wait().unwrap();
         }
-        assert_eq!(cells.len(), 2, "steady state must cycle the spares, not grow the pool");
+        assert!(cells.len() <= 2, "steady state must cycle the spares, not grow the pool");
+        assert_eq!((server.stats().served, server.stats().claimed), (100, 0));
+    }
+
+    #[test]
+    fn a_lookup_that_lost_the_claim_is_answered_before_the_holder_returns() {
+        let keys = gen_sorted_unique_keys(5_000, 85);
+        let rank = |q: u32| Ok(keys.partition_point(|&k| k <= q) as u32);
+        // One replica, whose straggle the holder sleeps out before each
+        // batch it ranks: a window in which a second caller loses the
+        // claim.
+        let mut c = cfg(1);
+        let extra = Duration::from_millis(50);
+        c.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra });
+        let server = IndexServer::build(&keys, c);
+        let queue = &server.core.shards[0].replicas[0].queue;
+        let (h, rank) = (server.handle(), &rank);
+        std::thread::scope(|s| {
+            let holder = s.spawn(move || assert_eq!(h.lookup(1_000), rank(1_000)));
+            while queue.depth() == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let lost = server.handle().begin_lookup(2_000).unwrap();
+            holder.join().unwrap();
+            assert_eq!(lost.poll(), Some(rank(2_000)), "the holder returned before answering");
+        });
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.claimed, stats.batches), (2, 1, 2));
+        assert_eq!(queue.depth(), 0);
     }
 
     #[test]
@@ -2063,8 +1921,8 @@ mod tests {
             snap.series("dini_serve_queue_depth").map(|(_, d)| d).collect::<Vec<_>>(),
             [0, 0]
         );
-        // … and the accounting reads as if a dispatcher had served 200
-        // batches of one that never waited.
+        // … and the accounting reads 200 own batches of one that never
+        // waited.
         let stats = server.stats();
         let counts = (stats.served, stats.claimed, stats.admitted, stats.batches);
         assert_eq!(counts, (200, 200, 200, 200));
@@ -2091,31 +1949,30 @@ mod tests {
 
     #[test]
     fn both_paths_leave_the_same_accounting() {
-        // The same 300 lone lookups (every third one traced), once ranked
-        // by the caller and once — a replica with any fault scripted
-        // never lets a caller rank for it — by the dispatchers.
+        // The same 300 lookups (every third one traced), once ranked by
+        // the callers that issued them and once pushed — a push that finds
+        // its replica idle holds it and answers itself through its cell,
+        // as a holder answers whatever queued.
         let keys = gen_sorted_unique_keys(10_000, 80);
-        let run = |faults: FaultSchedule, expect_traces: u64| {
+        let run = |claim: bool| {
             let mut c = cfg(2);
             c.heat = true;
             c.trace = dini_obs::TraceConfig { sample_period: 7, ..Default::default() };
-            c.faults = faults;
             let server = IndexServer::build(&keys, c);
             let h = server.handle();
+            let (mut scratch, mut out) = (LookupScratch::default(), Vec::new());
             for i in 0..300u32 {
                 let trace = if i % 3 == 0 { u64::from(i) + 1 } else { 0 };
                 let q = i.wrapping_mul(747_796_405);
-                h.begin_lookup_traced(q, trace).unwrap().wait().unwrap();
+                if claim {
+                    h.begin_lookup_many(&[q], trace, &mut scratch, &mut out);
+                    out.pop().unwrap().wait().unwrap();
+                } else {
+                    let core = h.core();
+                    core.queue(core.router.route(q), 0, q, false, trace).unwrap().wait().unwrap();
+                }
             }
             let stats = server.stats();
-            // A dispatcher stamps its records after releasing the
-            // replies: give the last batch's a moment to land.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while (server.stage_traces().len() as u64) < expect_traces
-                && std::time::Instant::now() < deadline
-            {
-                std::thread::sleep(Duration::from_millis(1));
-            }
             let mut traces: Vec<(u16, u16, u32, u64)> = server
                 .stage_traces()
                 .iter()
@@ -2124,38 +1981,32 @@ mod tests {
             traces.sort_unstable();
             let counts = (stats.served, stats.admitted, stats.batches, stats.shed);
             let replicas = server.replica_stats();
-            // Latencies are exhaustive on the dispatcher path and sampled
-            // on the claimed one, each pick weighted by the period: a
-            // replica's count is never more than a period off its served.
+            // Latencies are exhaustive for pushed requests and sampled for
+            // own keys, each pick weighted by the period: a replica's
+            // count is never more than a period off its served.
             for r in &replicas {
                 let off = r.latency_ns.count().abs_diff(r.served);
                 assert!(off < 7, "latency count {} vs served {}", r.latency_ns.count(), r.served);
             }
             let batch_sizes = (stats.batch_size.count(), stats.batch_size.max());
             let served: Vec<u64> = replicas.iter().map(|r| r.served).collect();
-            // The registry carries each path's series (`path="claim"` for
-            // the callers'); summed, they are what `stats()` merged.
+            // The registry carries both `served` series (`path="claim"`
+            // for own keys); summed, they are what `stats()` merged.
             let snap = server.metrics_snapshot();
-            assert_eq!(snap.series("dini_serve_served").count(), 4, "2 replicas × 2 paths");
+            assert_eq!(snap.series("dini_serve_served").count(), 4, "2 replicas × 2 series");
             assert_eq!(snap.sum("dini_serve_served"), stats.served);
             let heat: Vec<u64> = snap.series("dini_serve_heat").map(|(_, v)| v).collect();
             let by_path = (stats.claimed, stats.served - stats.claimed);
             (counts, served, heat, traces, batch_sizes, by_path)
         };
-        let nudge = Duration::from_nanos(1);
-        let claimed = run(FaultSchedule::default(), 0);
-        let events = (0..2).map(|shard| Fault::Straggle { shard, replica: None, extra: nudge });
-        let queued = run(
-            FaultSchedule { events: events.collect(), ..FaultSchedule::default() },
-            claimed.3.len() as u64,
-        );
-        assert_eq!(claimed.0, queued.0, "served/admitted/batches/shed");
-        assert_eq!(claimed.1, queued.1, "per-replica split");
-        assert_eq!(claimed.2, queued.2, "heat");
-        assert_eq!(claimed.3, queued.3, "stage records: same requests sampled, same shapes");
-        assert_eq!(claimed.4, queued.4, "batch sizes: count and max");
-        assert_eq!(claimed.5, (300, 0), "(claimed, dispatched): callers answered all");
-        assert_eq!(queued.5, (0, 300), "(claimed, dispatched): dispatchers answered all");
+        let (claimed, pushed) = (run(true), run(false));
+        assert_eq!(claimed.0, pushed.0, "served/admitted/batches/shed");
+        assert_eq!(claimed.1, pushed.1, "per-replica split");
+        assert_eq!(claimed.2, pushed.2, "heat");
+        assert_eq!(claimed.3, pushed.3, "stage records: same requests sampled, same shapes");
+        assert_eq!(claimed.4, pushed.4, "batch sizes: count and max");
+        assert_eq!(claimed.5, (300, 0), "(claimed, combined): callers ranked all");
+        assert_eq!(pushed.5, (0, 300), "(claimed, combined): holders answered all as queued");
         assert!(claimed.3.len() > 100, "every traced request and a seventh of the rest");
     }
 
@@ -2175,10 +2026,12 @@ mod tests {
             for q in 0..10u32 {
                 h.lookup(q * 7919).unwrap();
             }
+            let (mut scratch, mut out) = (LookupScratch::default(), Vec::with_capacity(1));
             let before = SYS_NOW_READS.get();
             for i in 0..lookups {
                 let q = i.wrapping_mul(2_654_435_761);
-                h.begin_lookup_traced(q, id).unwrap().wait().unwrap();
+                h.begin_lookup_many(&[q], id, &mut scratch, &mut out);
+                out.pop().unwrap().wait().unwrap();
             }
             let reads = SYS_NOW_READS.get() - before;
             let stats = server.stats();
@@ -2470,7 +2323,7 @@ mod tests {
     #[test]
     fn traced_requests_are_always_stage_recorded() {
         // Head-based sampling: a request carrying a trace id was chosen
-        // by its client, so the dispatcher records it whatever its own
+        // by its client, so its holder records it whatever its own
         // sampler says — here a sampler whose first hit is request
         // 24 301, i.e. never.
         let keys = gen_sorted_unique_keys(2_000, 53);
@@ -2478,8 +2331,10 @@ mod tests {
         c.trace = dini_obs::TraceConfig { sample_period: 1 << 40, ..Default::default() };
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
+        let (mut scratch, mut out) = (LookupScratch::default(), Vec::new());
         for id in 1..=50u64 {
-            h.begin_lookup_traced(id as u32 * 7, id).unwrap().wait().unwrap();
+            h.begin_lookup_many(&[id as u32 * 7], id, &mut scratch, &mut out);
+            out.pop().unwrap().wait().unwrap();
             h.lookup(id as u32 * 11).unwrap();
         }
         let mut ids: Vec<u64> = server.stage_traces().iter().map(|t| t.trace).collect();
@@ -2588,7 +2443,7 @@ mod tests {
     /// back; `tests/zero_alloc.rs` pins that recycled merges allocate
     /// nothing.
     fn main_at(server: &IndexServer) -> *const u32 {
-        server.cells[0].load().main.as_ref().expect("a non-empty main").keys().as_ptr()
+        server.core.shards[0].cell.load().main.as_ref().expect("a non-empty main").keys().as_ptr()
     }
 
     /// Drives a one-shard server built with `merge_threshold =
@@ -2666,7 +2521,7 @@ mod tests {
 
         // A reader pins epoch 1 across the two merges that would reuse
         // its array: the second of them must allocate instead.
-        let pinned = server.cells[0].load();
+        let pinned = server.core.shards[0].cell.load();
         let pinned_set = churn.set.clone();
         for _ in 0..2 {
             churn.merge(&server);

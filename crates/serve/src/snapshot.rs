@@ -26,7 +26,7 @@
 //! `rebuilds` statistic), not something readers compare.
 //!
 //! With replica groups, one `EpochCell` serves a whole shard: every
-//! replica's dispatcher pins epochs from the same cell, so publication
+//! replica's holder pins epochs from the same cell, so publication
 //! fans out to `R` replicas for the price of one pointer swap, replicas
 //! share the main array *and* its directory, and they can never serve
 //! diverging states of the same shard.
@@ -112,11 +112,6 @@ impl ShardSnapshot {
         let ins = self.inserts.partition_point(|&k| k <= key) as i64;
         let del = self.deletes.partition_point(|&k| k <= key) as i64;
         ins - del
-    }
-
-    /// Net size delta of this overlay (inserts − deletes).
-    pub fn net_delta(&self) -> i64 {
-        self.inserts.len() as i64 - self.deletes.len() as i64
     }
 }
 
@@ -332,7 +327,6 @@ mod tests {
         assert_eq!(snap.rank_adjust(5), 1);
         assert_eq!(snap.rank_adjust(12), 0); // +5, −10
         assert_eq!(snap.rank_adjust(30), 1); // +3, −2
-        assert_eq!(snap.net_delta(), 1);
     }
 
     fn directory(keys: Vec<u32>) -> std::sync::Arc<LineDirectory> {

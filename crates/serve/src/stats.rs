@@ -6,45 +6,40 @@
 //! delay) land in [`dini_cluster::LogHistogram`]s — fixed memory, O(1)
 //! insert, quantiles good to one log-bin.
 //!
-//! The latency histogram is **exhaustive on the dispatcher path and
-//! sampled-and-weighted on the claimed path**. A dispatcher's batch
-//! already cost a wake-up, so it records one latency per query. A caller
-//! that ranks its own key under a claim would spend more time reading
-//! the clock (twice) and recording a latency than ranking, so
-//! it times a batch only when the replica's seeded 1-in-`sample_period`
-//! sampler picks one of its requests (or it carries a trace id) and
-//! records that one latency with weight picked × period
-//! ([`ReplicaMetrics::record_claimed_latency`]). The count therefore
-//! stays within one period of `served` per replica and the two paths mix
-//! without bias; `served`, `batches` and `batch_size` are exact on both.
-//! `TraceConfig::dense()` times every claimed batch,
-//! `TraceConfig::disabled()` none.
+//! The latency histogram is **exhaustive for queued requests and
+//! sampled-and-weighted for a holder's own keys**. A queued request
+//! already cost a push and a park, so the holder that answers it records
+//! one latency per request. A caller that ranks its own keys under a
+//! claim would spend more time reading the clock (twice) and recording a
+//! latency than ranking, so it times a batch only when the replica's
+//! seeded 1-in-`sample_period` sampler picks one of its requests (or it
+//! carries a trace id) and records that one latency with weight picked ×
+//! period. The count therefore stays within one period of `served` per
+//! replica and the two kinds mix without bias; `served`, `batches` and
+//! `batch_size` are exact for both. `TraceConfig::dense()` times every
+//! batch; `TraceConfig::disabled()` times a holder's own keys never.
 //!
 //! The live accumulators are [`ReplicaMetrics`]: `dini-obs` atomics
 //! (lock-free histograms, counters, and a stage-trace ring) registered
-//! under named handles in the server's
-//! [`MetricsRegistry`]. Whoever answers a batch — the replica's
-//! dispatcher, or the caller that claimed the idle replica — records
-//! once per *batch* without taking any lock, each path into its own set
-//! of instruments: the dispatcher's with atomic adds, the claimants'
-//! (series labelled `path="claim"`) with plain load-and-store, because
-//! the claim already makes its holder the set's only writer — so a
-//! claimed lookup's accounting costs no read-modify-write at all.
+//! under named handles in the server's [`MetricsRegistry`]. Only the
+//! thread holding the replica writes them, once per *batch*, with plain
+//! load-and-store: the hold already makes its holder their only writer,
+//! so a lookup's accounting costs no read-modify-write at all.
 //!
 //! The registry is the only counter schema. [`ServeStats`] holds no
 //! number of its own: it is read off a [`MetricsSnapshot`] by series
-//! name ([`ServeStats::within`]), summing each family across replicas and
-//! both paths, so `served`, `batches`, `batch_size` and `latency_ns`
-//! read as one and [`ServeStats::claimed`] keeps the split. The same
-//! mapping serves a local snapshot, a single replica's series, and a
-//! snapshot that crossed the wire in a `StatsReply`.
+//! name ([`ServeStats::within`]), summing each family across replicas, so
+//! the same mapping serves a local snapshot, a single replica's series,
+//! and a snapshot that crossed the wire in a `StatsReply`. `served` has
+//! two series per replica: the keys holders ranked for themselves carry
+//! `path="claim"` and are [`ServeStats::claimed`]; the rest are what a
+//! holder combined for callers that queued.
 
 use crate::clock::Nanos;
 use crate::sync::Arc;
 use dini_cluster::LogHistogram;
 use dini_obs::{
-    AtomicLogHistogram, Counter, MetricsRegistry, MetricsSnapshot, StageRecord, TraceConfig,
-    TraceRing,
+    AtomicLogHistogram, Counter, MetricsRegistry, MetricsSnapshot, TraceConfig, TraceRing,
 };
 
 /// The label the claim-side set's series carry on top of their
@@ -57,148 +52,83 @@ pub(crate) fn replica_labels(shard: usize, replica: usize) -> String {
 }
 
 /// One replica's live, lock-free accounting: `dini-obs` atomics that
-/// whoever answers a batch — the dispatcher, or a caller holding the
-/// replica's claim — updates in place (no mutex anywhere on the read
-/// path), plus the replica's stage-trace rings. Handles are registered
-/// in the server's [`MetricsRegistry`] under
+/// the thread holding the replica updates in place (no mutex anywhere
+/// on the read path), plus the replica's stage-trace ring. Handles are
+/// registered in the server's [`MetricsRegistry`] under
 /// `shard="s",replica="r"` labels, so a registry snapshot sees every
-/// replica without touching the dispatchers.
+/// replica without asking anyone.
 ///
-/// The visibility contract callers rely on (`stats().served` includes
-/// every reaped lookup) survives the mutex removal: the dispatcher
-/// records a batch *before* releasing its replies, each reply release
-/// is an acquire/release handoff through the reply cell, and so a
-/// caller that has observed its reply observes the `Relaxed` counter
-/// updates sequenced before it.
-///
-/// The four per-batch instruments exist twice, one set per answering
-/// path. The dispatcher's set is written with atomic adds, which cost
-/// little beside the wake-up its batch already paid. The claim-side set
-/// — where they cost more than the rank — is written only under the replica's
-/// claim, and claimants exclude each other through the claim's
-/// Acquire/Release — the argument that already lets them share
-/// `claim_trace` — so it is written with a load and a store per field
-/// ([`Counter::add_unshared`],
+/// Every write is the holder's, and holders exclude each other through
+/// the depth gauge's Acquire/Release (see [`crate::admission`]), so each
+/// field is written with a load and a store ([`Counter::add_unshared`],
 /// [`AtomicLogHistogram::record_n_unshared`]) instead of a
-/// read-modify-write. [`ServeStats`] sums the two.
+/// read-modify-write. The visibility contract callers rely on
+/// (`stats().served` includes every reaped lookup) holds too: a holder
+/// records a batch *before* releasing its replies, each reply release is
+/// an acquire/release handoff through the reply cell, and so a caller
+/// that has observed its reply observes the counts sequenced before it.
 #[derive(Debug)]
 pub struct ReplicaMetrics {
-    dispatched: PathMetrics,
-    claimed: PathMetrics,
-    rebuilds: Counter,
-    rerouted: Counter,
-    /// The dispatcher's ring, and the one sampler both paths consult.
-    trace: TraceRing,
-    /// The ring claimants write. A ring has one writer at a time: the
-    /// dispatcher can be mid-batch (serving a request that lost a claim)
-    /// while the claim's winner is still ranking, so the two cannot
-    /// share one; claimants exclude each other through the claim.
-    claim_trace: TraceRing,
-}
-
-/// The per-batch instruments of one answering path.
-#[derive(Debug)]
-struct PathMetrics {
     latency_ns: Arc<AtomicLogHistogram>,
     batch_size: Arc<AtomicLogHistogram>,
-    served: Counter,
+    /// Keys ranked by the thread that issued them (`path="claim"`).
+    claimed: Counter,
+    /// Keys a holder ranked for callers that queued.
+    combined: Counter,
     batches: Counter,
+    rerouted: Counter,
+    /// The holder's ring, and its sampler.
+    trace: TraceRing,
 }
 
 impl ReplicaMetrics {
     /// Build one replica's handles, registering them in `reg` labelled
-    /// with the replica's coordinates; the claim-side set's series carry
-    /// `path="claim"` as well. The trace ring's sampling seed is
+    /// with the replica's coordinates; the claimed keys' `served` series
+    /// carries `path="claim"` as well. The trace ring's sampling seed is
     /// decorrelated per replica so replicas sample different residue
     /// classes of their own request streams.
     pub fn new(reg: &MetricsRegistry, shard: usize, replica: usize, trace: &TraceConfig) -> Self {
         let labels = replica_labels(shard, replica);
-        let path = |labels: &str| PathMetrics {
-            latency_ns: reg.histogram("dini_serve_latency_ns", labels),
-            batch_size: reg.histogram("dini_serve_batch_size", labels),
-            served: reg.counter("dini_serve_served", labels),
-            batches: reg.counter("dini_serve_batches", labels),
-        };
+        let served = |labels: &str| reg.counter("dini_serve_served", labels);
         let flat_salt = ((shard as u64) << 16 | replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let trace = TraceConfig { seed: trace.seed ^ flat_salt, ..trace.clone() };
         Self {
-            dispatched: path(&labels),
-            claimed: path(&format!("{labels},{CLAIM_PATH}")),
-            rebuilds: reg.counter("dini_serve_rebuilds", &labels),
+            latency_ns: reg.histogram("dini_serve_latency_ns", &labels),
+            batch_size: reg.histogram("dini_serve_batch_size", &labels),
+            claimed: served(&format!("{labels},{CLAIM_PATH}")),
+            combined: served(&labels),
+            batches: reg.counter("dini_serve_batches", &labels),
             rerouted: reg.counter("dini_serve_rerouted", &labels),
             trace: TraceRing::new(&trace),
-            claim_trace: TraceRing::new(&trace),
         }
     }
 
-    /// Fold one departed batch in, one latency per query (the
-    /// dispatcher's record: exhaustive). Lock-free and allocation-free:
-    /// atomic adds only.
-    pub fn record_batch(&self, latencies_ns: impl ExactSizeIterator<Item = Nanos>) {
-        let d = &self.dispatched;
-        let n = latencies_ns.len() as u64;
-        for ns in latencies_ns {
-            d.latency_ns.record(ns);
-        }
-        d.batch_size.record(n);
-        d.served.add(n);
-        d.batches.inc();
+    /// Count one batch of `n` queries: the holder's own keys (`own`), or
+    /// requests it combined. Only the holder may call this (see the type
+    /// docs): a load and a store per field.
+    pub fn count_batch(&self, n: u64, own: bool) {
+        self.batch_size.record_n_unshared(n, 1);
+        if own { &self.claimed } else { &self.combined }.add_unshared(n);
+        self.batches.add_unshared(1);
     }
 
-    /// Count one batch of `n` queries answered by the caller holding
-    /// this replica's [claim](crate::admission::AdmissionQueue::claim)
-    /// — all it leaves for a batch the sampler did not pick. Only the
-    /// claim's holder may call this (see the type docs): a load and a
-    /// store per field, no read-modify-write.
-    pub fn count_claimed(&self, n: u64) {
-        let c = &self.claimed;
-        c.batch_size.record_n_unshared(n, 1);
-        c.served.add_unshared(n);
-        c.batches.add_unshared(1);
+    /// Record one latency, standing for `weight` queries (a sampled own
+    /// batch: requests picked × sampling period, so the histogram's count
+    /// keeps pace with `served`). Only the holder may call this.
+    pub fn record_latency(&self, ns: Nanos, weight: u64) {
+        self.latency_ns.record_n_unshared(ns, weight);
     }
 
-    /// Record one latency a claimant measured, standing for `weight`
-    /// queries (`weight` = requests picked × sampling period, so the
-    /// histogram's count keeps pace with `served`). Only the claim's
-    /// holder may call this, as for [`count_claimed`](Self::count_claimed).
-    pub fn record_claimed_latency(&self, ns: Nanos, weight: u64) {
-        self.claimed.latency_ns.record_n_unshared(ns, weight);
+    /// Count `n` failover hand-offs to a surviving sibling. Only the
+    /// holder may call this.
+    pub fn count_rerouted(&self, n: u64) {
+        self.rerouted.add_unshared(n);
     }
 
-    /// Overwrite the main-epochs-crossed total (the dispatcher reads it
-    /// off the snapshot it loaded and republishes).
-    pub fn set_rebuilds(&self, n: u64) {
-        self.rebuilds.set(n);
-    }
-
-    /// Count one failover hand-off to a surviving sibling.
-    pub fn inc_rerouted(&self) {
-        self.rerouted.inc();
-    }
-
-    /// This replica's stage-trace ring and sampler: the dispatcher is
-    /// the ring's single writer; anyone may snapshot it or offer a
-    /// request to [`sample`](TraceRing::sample).
+    /// This replica's stage-trace ring and sampler: the holder is the
+    /// ring's single writer; anyone may snapshot it.
     pub fn trace(&self) -> &TraceRing {
         &self.trace
-    }
-
-    /// The ring a caller holding this replica's
-    /// [claim](crate::admission::AdmissionQueue::claim) writes its
-    /// stage records to (sampling still goes through
-    /// [`trace`](Self::trace), so which path served a request does not
-    /// change whether it is recorded).
-    pub fn claim_trace(&self) -> &TraceRing {
-        &self.claim_trace
-    }
-
-    /// Sampled stage records currently retained by either ring, oldest
-    /// admission first.
-    pub fn stage_records(&self) -> Vec<StageRecord> {
-        let mut records = self.trace.snapshot();
-        records.extend(self.claim_trace.snapshot());
-        records.sort_by_key(|r| r.admitted_ns);
-        records
     }
 }
 
@@ -210,22 +140,21 @@ impl ReplicaMetrics {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Merged per-query latency across shards (ns): one sample per
-    /// query a dispatcher served; for queries their caller ranked, one
-    /// measured latency per sampler pick, weighted by the sampling
-    /// period — so `count()` tracks `served` to within one period per
+    /// queued query; for keys their caller ranked, one measured latency
+    /// per sampler pick, weighted by the sampling period — so `count()` tracks `served` to within one period per
     /// replica, not exactly (see the module docs).
     pub latency_ns: LogHistogram,
     /// Merged batch-size distribution.
     pub batch_size: LogHistogram,
     /// Total queries served.
     pub served: u64,
-    /// Of `served`, the queries answered by their caller (ranked under
-    /// an idle replica's claim) rather than by a dispatcher — which
-    /// regime served the load.
+    /// Of `served`, the keys ranked by the thread that issued them (under
+    /// an idle replica's claim); `served − claimed` is what holders
+    /// combined for callers that queued.
     pub claimed: u64,
     /// Total batches dispatched.
     pub batches: u64,
-    /// Main epochs crossed, summed over replicas.
+    /// Main epochs each replica's shard has crossed, summed over replicas.
     pub rebuilds: u64,
     /// Requests admitted into some replica queue.
     pub admitted: u64,
@@ -340,21 +269,22 @@ mod tests {
         let a = ReplicaMetrics::new(&reg, 1, 0, &TraceConfig::default());
         let b = ReplicaMetrics::new(&reg, 1, 1, &TraceConfig::default());
         for batch in [&[100, 200, 300][..], &[50][..]] {
-            a.record_batch(batch.iter().copied());
+            a.count_batch(batch.len() as u64, false);
+            batch.iter().for_each(|&ns| a.record_latency(ns, 1));
         }
-        b.record_batch([1_000].into_iter());
-        a.set_rebuilds(3);
-        b.inc_rerouted();
+        b.count_batch(1, false);
+        b.record_latency(1_000, 1);
+        b.count_rerouted(1);
         let snap = reg.snapshot();
 
         let one = ServeStats::within(&snap, "shard=\"1\",replica=\"0\"");
         let (latency, size) = fold(&[&[100, 200, 300], &[50]]);
-        assert_eq!((one.served, one.batches, one.rebuilds, one.rerouted), (4, 2, 3, 0));
+        assert_eq!((one.served, one.batches, one.rerouted), (4, 2, 0));
         assert_eq!((one.latency_ns, one.batch_size), (latency, size));
 
         let all = ServeStats::from(&snap);
         let (latency, size) = fold(&[&[100, 200, 300], &[50], &[1_000]]);
-        assert_eq!((all.served, all.batches, all.rebuilds, all.rerouted), (5, 3, 3, 1));
+        assert_eq!((all.served, all.batches, all.rerouted), (5, 3, 1));
         assert_eq!((&all.latency_ns, &all.batch_size), (&latency, &size));
         let line = all.summary();
         assert!(line.contains("served 5") && line.contains("rerouted 1"), "{line}");
@@ -363,15 +293,17 @@ mod tests {
     }
 
     #[test]
-    fn claim_side_set_sums_into_the_view() {
-        // One batch per path: the view reads as if one set had recorded
-        // both, with the claimed share kept apart, and the registry shows
-        // the claim side as its own `path="claim"` series.
+    fn claimed_keys_are_their_own_served_series() {
+        // One combined batch and one own batch: the view sums them, keeps
+        // the claimed share apart, and the registry shows the claimed
+        // keys as their own `path="claim"` series.
         let reg = MetricsRegistry::new();
         let m = ReplicaMetrics::new(&reg, 0, 2, &TraceConfig::default());
-        m.record_batch([100, 300].into_iter());
-        m.count_claimed(4);
-        m.record_claimed_latency(50, 4);
+        m.count_batch(2, false);
+        m.record_latency(100, 1);
+        m.record_latency(300, 1);
+        m.count_batch(4, true);
+        m.record_latency(50, 4);
         let snap = reg.snapshot();
         let view = ServeStats::from(&snap);
         assert_eq!((view.served, view.claimed, view.batches), (6, 4, 2));
@@ -384,7 +316,7 @@ mod tests {
             .collect();
         assert_eq!(
             served,
-            [("shard=\"0\",replica=\"2\"", 2), ("shard=\"0\",replica=\"2\",path=\"claim\"", 4)]
+            [("shard=\"0\",replica=\"2\",path=\"claim\"", 4), ("shard=\"0\",replica=\"2\"", 2)]
         );
     }
 

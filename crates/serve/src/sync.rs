@@ -15,6 +15,6 @@
 //! them under the checker would explode the model state space.
 
 pub(crate) use dini_check::sync::{
-    spin_loop, yield_now, Arc, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Condvar, Mutex,
-    MutexGuard, Ordering,
+    spin_loop, switch_point, yield_now, Arc, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize,
+    Condvar, Mutex, MutexGuard, Ordering,
 };

@@ -68,7 +68,7 @@ proptest! {
             };
             let open = clock.now();
             let backlog = sent.load(Ordering::Relaxed) - (collected + 1);
-            let disconnected = collect_batch_into(&rx, first, &mut batch, max_batch);
+            collect_batch_into(&rx, first, &mut batch, max_batch);
             let departed = clock.now();
             collected += batch.len();
 
@@ -79,9 +79,6 @@ proptest! {
             prop_assert_eq!(departed, open, "a batch waited");
             prop_assert_eq!(batch.len(), (1 + backlog).min(max_batch));
             batch.clear();
-            if disconnected {
-                break;
-            }
         }
         // Whatever the interleaving, every request rode exactly one batch.
         while let Ok(req) = rx.try_recv() {

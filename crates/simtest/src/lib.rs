@@ -2,7 +2,7 @@
 //!
 //! FoundationDB-style deterministic simulation testing for the whole
 //! serving stack: the **actual** [`IndexServer`](dini_serve::IndexServer)
-//! — dispatchers, admission queues, the writer's snapshot/merge
+//! — replica holds, admission queues, the writer's snapshot/merge
 //! machinery — alone in a process or hosted by several
 //! [`NetServer`](dini_net::NetServer)s behind a
 //! [`RemoteClient`](dini_net::RemoteClient), with the wire between them
@@ -17,7 +17,7 @@
 //!   exact virtual instant and makes links drop, duplicate, reorder,
 //!   black out or sever, and a [`Step`] list kills a server process,
 //!   restarts it from its snapshot and rejoins it;
-//! * every run is reproducible: every thread (dispatchers, acceptors,
+//! * every run is reproducible: every thread (writers, acceptors,
 //!   connection readers, client workers, probes) waits through the same
 //!   clock, the scheduler folds its event trace into a digest, and the
 //!   same deployment + seed yields the same digest bit-for-bit — a
@@ -61,7 +61,7 @@
 //!    server process, each sampled record advances monotonically
 //!    through admitted → collected → dispatched → answered → filled,
 //!    names a shard and replica that exist, and carries a batch length
-//!    in `1..=max_batch`. That one field sizes both the dispatcher's
+//!    in `1..=max_batch`. That one field sizes both a holder's drained
 //!    batches and the client's frames, which is why it is the ceiling
 //!    either way a lookup is answered: a frame the connection reader
 //!    ranks in place is one claimed batch per shard, so it is bounded
@@ -138,10 +138,10 @@ pub struct Deployment {
     pub n_keys: usize,
     /// Shards inside each server.
     pub shards: usize,
-    /// Replicated dispatchers per shard (more than one enables failover
+    /// Replicas per shard — independent claims (more than one enables failover
     /// and load-aware routing inside a server).
     pub replicas_per_shard: usize,
-    /// Queries per dispatcher batch, and keys per client frame. Both
+    /// Queries per drained batch, and keys per client frame. Both
     /// are group-committed, as shipped: a deployment that needs requests
     /// queued when a fault fires scripts the queueing in
     /// [`faults`](Self::faults) (a straggle, dispatch jitter).
@@ -173,7 +173,7 @@ pub struct Deployment {
     pub churn_gap: Duration,
     /// Everything the run injects: the rates of every link, dispatch
     /// jitter, and the timed crashes, straggles, severances and
-    /// partitions. Every server reads its dispatcher faults from it and
+    /// partitions. Every server reads its replicas' faults from it and
     /// every link its own; its seed is the run's (the runner stamps
     /// it). A severance is the network view of an endpoint crash; a
     /// partition is one that heals.

@@ -63,9 +63,9 @@ pub fn group_commit_backlog() -> Deployment {
 
 pub fn shard_crash_mid_batch() -> Deployment {
     let mut d = Deployment::in_process("shard_crash_mid_batch");
-    // Shard 1 pays `extra` per batch, about two arrivals' worth, so its
-    // dispatcher is nearly always serving a batch with more queued
-    // behind it; it crashes at 3 virtual ms — squarely inside the
+    // Shard 1 pays `extra` per batch, about two arrivals' worth, so a
+    // holder is nearly always ranking a batch with more queued behind
+    // it; it crashes at 3 virtual ms — squarely inside the
     // ~20 ms load window — with both on hand.
     let extra = Duration::from_micros(100);
     d.faults.events =
@@ -89,8 +89,9 @@ pub fn shard_crash_with_queued_backlog() -> Deployment {
 pub fn replica_crash_mid_batch() -> Deployment {
     let mut d = Deployment::in_process("replica_crash_mid_batch");
     d.replicas_per_shard = 2;
-    // Both replicas of shard 1 pay `extra` per batch, so each is nearly
-    // always serving a batch with more queued behind it; replica 0
+    // Both replicas of shard 1 pay `extra` per batch, so each one's
+    // holder is nearly always ranking a batch with more queued behind
+    // it; replica 0
     // crashes at 3 virtual ms — squarely inside the ~20 ms load window
     // — with both on hand.
     let extra = Duration::from_micros(200);
@@ -166,11 +167,12 @@ pub fn churn_storm() -> Deployment {
 /// `churn_storm_straggler`.
 pub const STORM_STRAGGLE: Duration = Duration::from_micros(100);
 
-/// The churn storm with one replica of shard 0 straggling. A replica
-/// with a fault scripted is never claimed, so its lookups queue for its
-/// dispatcher: the storm's epoch swaps and rebuilds then race a
-/// dispatcher's pinned batch, not only the probes' own claimed ranks, and
-/// dense tracing hands the stage-timing oracle the queued stages.
+/// The churn storm with one replica of shard 0 straggling. Its holder
+/// sleeps out the straggle inside its hold, so other probes' lookups
+/// queue behind it: the storm's epoch swaps and rebuilds then race a
+/// holder's pinned batch of queued requests, not only the probes' own
+/// claimed ranks, and dense tracing hands the stage-timing oracle the
+/// queued stages.
 pub fn churn_storm_straggler() -> Deployment {
     let mut d = churn_storm();
     d.name = "churn_storm_against_a_straggling_replica";
@@ -217,10 +219,11 @@ pub fn overload_to_shed() -> Deployment {
 /// A scenario that exercises every subsystem at once (churn + merges +
 /// publication + mid-run quiesce + multiple clients + both ways a lookup
 /// is answered): the widest surface a nondeterminism bug could hide in.
-/// Shard 0 is a straggler, so its requests queue, coalesce and wait on
-/// its dispatcher — real contention, whose timing follows the seeded
-/// arrivals — while the other shards' lookups are ranked by the clients
-/// themselves, at no virtual cost.
+/// Shard 0 is a straggler, so its holders sleep inside their holds and
+/// other probes' requests queue, coalesce and wait behind them — real
+/// contention, whose timing follows the seeded arrivals — while the
+/// other shards' lookups are ranked by the clients themselves, at no
+/// virtual cost.
 pub fn determinism_busy() -> Deployment {
     let mut d = Deployment::in_process("determinism-busy");
     d.churn_ops = 800;

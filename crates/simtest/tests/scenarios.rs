@@ -35,7 +35,7 @@ fn clean_quiesce() {
 }
 
 /// Group commit, idle half: under the shipped defaults a lone request on
-/// an idle dispatcher departs at its open instant. Sparse arrivals from
+/// an idle replica is ranked the instant it arrives, by its caller. Sparse arrivals from
 /// one client — every request is lone — and in virtual time service is
 /// instantaneous, so the worst coalescing wait *and* the worst served
 /// latency are exactly zero: there is no timer on the path.
@@ -53,7 +53,7 @@ fn group_commit_lone_request_departs_at_open() {
 /// Group commit, busy half: batches form by themselves while the
 /// previous one is in service. The only shard pays an injected `D` per
 /// batch; everything that arrives during one batch's `D` leaves together
-/// as the next batch, the moment the dispatcher frees up. So no request
+/// as the next batch its holder drains, the moment the first is ranked. So no request
 /// waits longer than `D` to be collected — not `2 D`, which is what a
 /// backlog split over two batches would cost its second half.
 #[test]
@@ -76,8 +76,9 @@ fn group_commit_backlog_leaves_as_one_batch() {
     }
 }
 
-/// A shard dispatcher crashes mid-batch while traffic is in flight: its
-/// collected batch is dropped and every waiter gets `ShuttingDown` — no
+/// A shard's only replica crashes mid-batch while traffic is in flight:
+/// its holder finds no survivor for what it holds, and every waiter gets
+/// `ShuttingDown` — no
 /// reply is ever lost — while the surviving shards keep answering
 /// exactly.
 #[test]
@@ -93,9 +94,9 @@ fn shard_crash_mid_batch() {
 /// Regression: a crash with a *deep backlog* behind it. With one slow
 /// single-request-batch shard, requests pile up in the admission queue;
 /// when the crash fires, everything queued (not just the collected
-/// batch) must resolve as `ShuttingDown` — the crashed dispatcher
-/// drains its queue rather than stranding waiters whose own
-/// `ServerHandle`s keep the channel alive. Before the drain existed,
+/// batch) must resolve as `ShuttingDown` — the holder that meets the
+/// crash drains the queue, and so does whoever holds the dead replica
+/// after it, rather than stranding waiters. Before the drain existed,
 /// this scenario deadlocked (caught by the sim's detector).
 #[test]
 fn shard_crash_with_queued_backlog() {
@@ -107,10 +108,10 @@ fn shard_crash_with_queued_backlog() {
 }
 
 /// The failover tentpole: one replica of a shard crashes **mid-batch**
-/// while traffic is in flight, and — unlike the single-dispatcher crash
-/// above — not a single request may resolve to `ShuttingDown`: the
-/// crashed replica's collected batch and queued backlog are re-routed
-/// to its surviving sibling, and (the key set being static) every
+/// while traffic is in flight, and — unlike the single-replica crash
+/// above — not a single request may resolve to `ShuttingDown`: what the
+/// crashed replica's holder holds and drains is re-routed to its
+/// surviving sibling, and (the key set being static) every
 /// re-routed reply is still verified exact on the spot. The request
 /// stream sees degraded capacity, never errors.
 #[test]
@@ -224,10 +225,10 @@ fn churn_storm_during_snapshot_publish() {
     }
 }
 
-/// The churn storm against a dispatcher: one replica of shard 0
-/// straggles, so its share of shard 0's lookups queues for its
-/// dispatcher instead of being ranked by the probes. Epoch swaps and
-/// rebuilds race that dispatcher's pinned batches, the post-quiesce
+/// The churn storm against a straggler: one replica of shard 0
+/// straggles, so its holder sleeps inside its hold and its share of
+/// shard 0's lookups queues behind it. Epoch swaps and rebuilds race
+/// that holder's pinned batches, the post-quiesce
 /// sweep must still match the mirror exactly, and the stage-timing
 /// oracle holds every queued record to admitted → collected →
 /// dispatched → answered → filled.
@@ -242,7 +243,7 @@ fn churn_storm_against_a_straggling_replica() {
         assert!(report.per_replica_served[0] > 0, "seed {seed}: the straggler served nothing");
         assert!(
             report.max_latency_ns >= catalog::STORM_STRAGGLE.as_nanos() as u64,
-            "seed {seed}: no lookup waited on the straggler's dispatcher"
+            "seed {seed}: no lookup waited on the straggler's holder"
         );
         assert!(report.trace_records > 0, "seed {seed}: dense tracing recorded nothing");
     }
@@ -311,8 +312,8 @@ fn fast_path_cfg(sim: &std::sync::Arc<SimClock>, shards: usize, seed: u64) -> Se
 /// idle replica is ranked by its caller, so answering it involves no
 /// other thread at all — not a block, not a wake, not even a
 /// satisfied-at-once wait: the sim's event count does not move across
-/// the call. (The queued path costs a reply wait and a dispatcher wake
-/// at the least.) Wait and latency are exactly zero and the accounting
+/// the call. (The queued path costs a reply wait and a wake at the
+/// least.) Wait and latency are exactly zero and the accounting
 /// reads one batch of one per lookup.
 #[test]
 fn fast_path_lone_request_makes_no_scheduler_handoff() {
@@ -344,12 +345,12 @@ fn fast_path_lone_request_makes_no_scheduler_handoff() {
 /// Two callers due at the same virtual instant on a one-replica shard,
 /// no fault scripted anywhere. The first takes the claim; the claim
 /// window is a scheduling point, so the second arrives *inside* it,
-/// finds depth 1, queues, and is answered by the dispatcher — while the
-/// first is still in service. Both answers are exact, each path served
-/// exactly one of them, nobody waited (virtual service is instant), and
+/// finds depth 1, queues, and is answered by the first before the first
+/// returns: the holder combines what queued behind its own key. Both
+/// answers are exact, each path served exactly one of them, nobody waited (virtual service is instant), and
 /// the whole interleaving reproduces.
 #[test]
-fn fast_path_second_caller_is_queued_for_the_dispatcher() {
+fn fast_path_second_caller_is_answered_by_the_holder() {
     fn run(seed: u64) -> (u64, u64) {
         let sim = SimClock::new();
         let _main = sim.register_main();
@@ -378,8 +379,7 @@ fn fast_path_second_caller_is_queued_for_the_dispatcher() {
         assert_eq!((stats.served, stats.admitted, stats.batches), (2, 2, 2), "seed {seed}");
         assert_eq!(stats.latency_ns.max(), 0.0, "seed {seed}");
         assert_eq!(server.metrics_snapshot().sum("dini_serve_queue_depth"), 0, "seed {seed}");
-        // One record per path; the dispatcher's is stamped on its own
-        // time, after the reply that let the caller (and us) go on.
+        // One record per path.
         clock.sleep(Duration::from_millis(1));
         let traces = server.stage_traces();
         assert_eq!(traces.len(), 2, "seed {seed}");
