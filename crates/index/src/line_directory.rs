@@ -238,7 +238,7 @@ impl LineDirectory {
             for (g, &(_, key)) in group.iter_mut().zip(chunk.iter()) {
                 *g = key;
             }
-            ns += self.walk_group(group, mem);
+            ns += self.rank_group(group, mem);
             for ((_, kr), &rank) in chunk.iter_mut().zip(group.iter()) {
                 *kr = base_rank + rank;
             }
@@ -246,20 +246,27 @@ impl LineDirectory {
         ns
     }
 
-    /// The kernel: `group` holds up to [`GROUP`] keys on entry and their
-    /// ranks on return.
+    /// The kernel, on one group: `group` holds up to [`GROUP`] keys on
+    /// entry and their ranks on return, walked down the levels in
+    /// lockstep. Allocates nothing — the per-key state is a stack array —
+    /// so a caller composing this directory with another can put one
+    /// group through both without a second output vector.
     ///
-    /// Invariant per key going into a level: `at` is the index of the one
-    /// block of that level the answer lies in — every earlier block is
-    /// wholly `≤ key`, every later one wholly `> key`. The number of the
-    /// block's entries `≤ key` ([`count_le`] within the line) therefore
-    /// gives the number of entries of the whole level
-    /// `≤ key`, which is the number of blocks of the level below that are
-    /// wholly `≤ key`, i.e. the next `at` — clamped to the last block,
-    /// because a key `≥` the maximum (and the `u32::MAX` padding, which
-    /// `u32::MAX` itself counts) would step one block past the end.
-    fn walk_group<M: MemoryModel>(&self, group: &mut [u32], mem: &mut M) -> Cost {
-        debug_assert!(group.len() <= GROUP);
+    /// # Panics
+    ///
+    /// If `group` holds more than [`GROUP`] keys.
+    pub fn rank_group<M: MemoryModel>(&self, group: &mut [u32], mem: &mut M) -> Cost {
+        // Invariant per key going into a level: `at` is the index of the
+        // one block of that level the answer lies in — every earlier
+        // block is wholly `≤ key`, every later one wholly `> key`. The
+        // number of the block's entries `≤ key` (`count_le` within the
+        // line) therefore gives the number of entries of the whole level
+        // `≤ key`, which is the number of blocks of the level below that
+        // are wholly `≤ key`, i.e. the next `at` — clamped to the last
+        // block, because a key `≥` the maximum (and the `u32::MAX`
+        // padding, which `u32::MAX` itself counts) would step one block
+        // past the end.
+        assert!(group.len() <= GROUP, "a group holds at most {GROUP} keys");
         let slice = self.keys();
         let dir_base = self.base + (slice.len() + self.skew).div_ceil(FANOUT) as u64 * LINE_BYTES;
         let mut ns = 0.0;
@@ -314,7 +321,7 @@ impl RankIndex for LineDirectory {
     /// [`rank_batch`](Self::rank_batch) with a group of one.
     fn rank<M: MemoryModel>(&self, key: u32, mem: &mut M) -> (u32, Cost) {
         let mut one = [key];
-        let ns = self.walk_group(&mut one, mem);
+        let ns = self.rank_group(&mut one, mem);
         (one[0], ns)
     }
 
@@ -323,7 +330,7 @@ impl RankIndex for LineDirectory {
     fn rank_batch<M: MemoryModel>(&self, keys: &[u32], out: &mut Vec<u32>, mem: &mut M) -> Cost {
         out.clear();
         out.extend_from_slice(keys);
-        out.chunks_mut(GROUP).map(|group| self.walk_group(group, mem)).sum()
+        out.chunks_mut(GROUP).map(|group| self.rank_group(group, mem)).sum()
     }
 }
 

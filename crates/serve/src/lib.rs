@@ -131,7 +131,7 @@ pub use config::{ServeConfig, ServeError};
 pub use loadgen::{run_load, LoadMode, LoadReport};
 pub use router::{ReplicaSelector, ShardRouter};
 pub use server::{IndexServer, LookupScratch, PendingLookup, ServerHandle, UpdateHandle};
-pub use snapshot::{EpochCell, ShardSnapshot};
+pub use snapshot::{EpochCell, Overlay, ShardSnapshot};
 pub use stats::{ReplicaMetrics, ServeStats};
 
 // Observability vocabulary re-exported so serving callers can configure

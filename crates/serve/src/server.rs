@@ -105,7 +105,7 @@
 
 use crate::admission::AdmissionQueue;
 use crate::batcher::{collect_batch_into, Request};
-use crate::clock::{Clock, ClockJoinHandle};
+use crate::clock::{Clock, ClockJoinHandle, Nanos};
 use crate::config::{ServeConfig, ServeError};
 use crate::faults::ReplicaFaults;
 use crate::group::{Answers, Member, OpenGroup, Ranker, Shared, GROUP};
@@ -304,17 +304,53 @@ struct Replica {
 }
 
 /// What only a replica's holder touches: the queue's receiving end, the
-/// replica's fault state, and the scratch a drained batch is ranked out
-/// of (reused by every holder, so a warm drain allocates nothing). A
-/// holder takes the lock only inside its hold — to drain, or to meet
-/// faults — and lets it go before the subtract that may end the hold;
-/// the depth gauge admits one holder at a time, so it is never contended.
+/// replica's fault state, and the scratch a drained batch is ranked and
+/// traced out of (reused by every holder, so a warm drain allocates
+/// nothing). A holder takes the lock only inside its hold — to drain, or
+/// to meet faults — and lets it go before the subtract that may end the
+/// hold; the depth gauge admits one holder at a time, so it is never
+/// contended.
 struct Holder {
     rx: Receiver<Request>,
     faults: ReplicaFaults,
     batch: Vec<Request>,
     keys: Vec<u32>,
     ranks: Vec<u32>,
+    /// `(admitted, trace)` of the drained requests picked for a stage
+    /// record, stamped once their replies are out.
+    sampled: Vec<(Nanos, u64)>,
+}
+
+/// When a timed batch passed each stage up to its answer: what its
+/// sampled [`StageRecord`]s share.
+#[derive(Debug, Clone, Copy)]
+struct Stages {
+    shard: usize,
+    replica: usize,
+    batch_len: u64,
+    collected: Nanos,
+    dispatched: Nanos,
+    answered: Nanos,
+}
+
+impl Stages {
+    /// The record of one request of the batch, admitted at `admitted`
+    /// and carrying `trace`, whose reply was out by `filled`.
+    fn record(&self, admitted: Nanos, trace: u64, filled: Nanos) -> StageRecord {
+        StageRecord {
+            shard: self.shard as u16,
+            replica: self.replica as u16,
+            batch_len: self.batch_len as u32,
+            trace,
+            admitted_ns: admitted,
+            collected_ns: self.collected,
+            dispatched_ns: self.dispatched,
+            answered_ns: self.answered,
+            filled_ns: filled,
+            encoded_ns: 0,
+            acked_ns: 0,
+        }
+    }
 }
 
 impl Replica {
@@ -469,13 +505,13 @@ impl IndexServer {
             // recovered shard serves exact ranks from its very first
             // batch, before any fresh churn triggers a publish.
             let main = directory(&seed.main);
-            let cell = Arc::new(EpochCell::new(ShardSnapshot {
-                main_epoch: seed.main_epoch,
+            let cell = Arc::new(EpochCell::new(ShardSnapshot::new(
+                seed.main_epoch,
                 base_rank,
-                main: main.clone(),
-                inserts: seed.inserts.clone(),
-                deletes: seed.deletes.clone(),
-            }));
+                main.clone(),
+                &seed.inserts,
+                &seed.deletes,
+            )));
             base_rank += seed.live_len() as u32;
             base_epochs.push(seed.main_epoch);
             writer_shards.push(WriterShard {
@@ -506,6 +542,7 @@ impl IndexServer {
                             batch: Vec::new(),
                             keys: Vec::new(),
                             ranks: Vec::new(),
+                            sampled: Vec::new(),
                         }),
                     }
                 })
@@ -965,22 +1002,25 @@ impl HandleCore {
     /// Rank one batch under `replica`'s hold and account for it: meet the
     /// replica's faults (when `faults` is given), pin the shard's
     /// snapshot, run `rank` on it, and fold the batch into the replica's
-    /// counts, latency, heat row and stage-trace ring — plain stores all,
-    /// the hold making this thread their only writer. `None`: the
-    /// replica met its crash point, and nothing was ranked.
+    /// counts — plain stores all, the hold making this thread their only
+    /// writer. `None`: the replica met its crash point, and nothing was
+    /// ranked.
     ///
-    /// A batch is the holder's own `keys` (`queued` empty: admitted now,
-    /// all carrying `trace`, answered by what `rank` returns), or the
-    /// drained requests `queued` whose keys they are, which the caller
-    /// answers once this returns — their counts land first, so a reaped
-    /// reply implies a counted one. A queued request is timed from its
-    /// own admission, exhaustively. Two clock reads and a histogram
-    /// record cost more than ranking a key, so an own batch is timed
-    /// only when someone will read the result: the replica's seeded
-    /// sampler, consulted once for all its keys, picked one of them, or
-    /// they carry a trace id. An untimed own batch touches neither the
-    /// clock nor `latency_ns`; a timed one records its latency once,
-    /// weighted by the requests each pick stands for.
+    /// A batch is the holder's `own` keys (admitted now, all carrying
+    /// `trace`, answered by what `rank` returns), accounted for in full
+    /// here: counts, latency, heat row and stage-trace ring. Or it is the
+    /// keys of drained requests, timed always: this counts them, and
+    /// returns the batch's [`Stages`] for
+    /// [`answer_queued`](Self::answer_queued) to time each request from
+    /// its own admission by — before any reply, so a reaped reply
+    /// implies a counted one — and to stamp its sampled records with
+    /// once the replies are out. Two clock reads and a histogram record
+    /// cost more than ranking a key, so an own batch is timed only when
+    /// someone will read the result: the replica's seeded sampler,
+    /// consulted once for all its keys, picked one of them, or they
+    /// carry a trace id. An untimed own batch touches neither the clock
+    /// nor `latency_ns`; a timed one records its latency once, weighted
+    /// by the requests each pick stands for.
     ///
     /// Atomic read-modify-writes for an untimed own batch: the sampler's
     /// add and the pin and unpin — with the caller's claim and its
@@ -991,13 +1031,13 @@ impl HandleCore {
         shard: usize,
         replica: usize,
         keys: &[u32],
-        queued: &[Request],
+        own: bool,
         trace: u64,
         faults: Option<&mut ReplicaFaults>,
         rank: impl FnOnce(&ShardSnapshot) -> T,
-    ) -> Option<T> {
+    ) -> Option<(T, Option<Stages>)> {
         let r = self.replica(shard, replica);
-        let (n, own) = (keys.len() as u64, queued.is_empty());
+        let n = keys.len() as u64;
         let ring = r.metrics.trace();
         let picked = if own { ring.sample_n(n) } else { 0 };
         let collected = (!own || picked > 0 || trace != 0).then(|| self.clock.now());
@@ -1022,38 +1062,18 @@ impl HandleCore {
             }
         }
         let (Some(collected), Some(dispatched)) = (collected, dispatched) else {
-            return Some(answer);
+            return Some((answer, None));
         };
-        let done = self.clock.now();
-        let record = |admitted_ns, trace| StageRecord {
-            shard: shard as u16,
-            replica: replica as u16,
-            batch_len: n as u32,
-            trace,
-            admitted_ns,
-            collected_ns: collected,
-            dispatched_ns: dispatched,
-            answered_ns: done,
-            filled_ns: done,
-            encoded_ns: 0,
-            acked_ns: 0,
-        };
+        let answered = self.clock.now();
+        let stages = Stages { shard, replica, batch_len: n, collected, dispatched, answered };
         if own {
-            r.metrics.record_latency(done - collected, picked * ring.period());
-            // A request carrying a trace id is always recorded.
+            r.metrics.record_latency(answered - collected, picked * ring.period());
+            // A request carrying a trace id is always recorded. Its
+            // answer is the return value: filled as it is answered.
             let records = if trace != 0 { n } else { picked };
-            (0..records).for_each(|_| ring.push(&record(collected, trace)));
+            (0..records).for_each(|_| ring.push(&stages.record(collected, trace, answered)));
         }
-        for req in queued {
-            r.metrics.record_latency(done.saturating_sub(req.enqueued), 1);
-            // Head-based sampling: a request that arrives carrying a
-            // trace id was chosen by its client, so it is always recorded
-            // — its wire record then always finds its server half.
-            if ring.sample() || req.trace != 0 {
-                ring.push(&record(req.enqueued, req.trace));
-            }
-        }
-        Some(answer)
+        Some((answer, Some(stages)))
     }
 
     /// Rank the caller's own `keys` on `replica` of `shard`, just claimed
@@ -1071,7 +1091,7 @@ impl HandleCore {
         let r = self.replica(shard, replica);
         let mut holder = r.faulty.then(|| r.holder());
         let faults = holder.as_mut().map(|h| &mut h.faults);
-        let answer = self.rank_batch(shard, replica, keys, &[], trace, faults, rank);
+        let answer = self.rank_batch(shard, replica, keys, true, trace, faults, rank);
         drop(holder);
         // Dead, its keys go to a survivor, if one is left: the caller
         // admits them again, re-homed like what queued.
@@ -1080,7 +1100,7 @@ impl HandleCore {
             r.metrics.count_rerouted(keys.len() as u64);
         }
         self.combine(shard, replica, keys.len() as u64);
-        answer
+        answer.map(|(answer, _)| answer)
     }
 
     /// The rest of a hold on `replica` of `shard`, with `owed` counts on
@@ -1103,20 +1123,44 @@ impl HandleCore {
     }
 
     /// Rank and answer the batch a holder drained — or, past the
-    /// replica's crash point, re-home every request of it.
+    /// replica's crash point, re-home every request of it. Each request
+    /// is timed from its own admission before any reply goes out; the
+    /// sampled ones are stamped after the last, `filled` = all replies
+    /// released, so a record's fill stage is what filling the batch's
+    /// reply cells cost.
     fn answer_queued(&self, shard: usize, replica: usize, h: &mut Holder) {
-        let Holder { batch, keys, ranks, faults, .. } = h;
+        let Holder { batch, keys, ranks, faults, sampled, .. } = h;
         keys.clear();
         keys.extend(batch.iter().map(|req| req.key));
         let rank = |state: &ShardSnapshot| state.rank_batch(keys, ranks);
-        if self.rank_batch(shard, replica, keys, batch, 0, Some(faults), rank).is_none() {
+        let Some((_, stages)) = self.rank_batch(shard, replica, keys, false, 0, Some(faults), rank)
+        else {
             batch.drain(..).for_each(|req| self.reroute(shard, replica, req));
             return;
+        };
+        let stages = stages.expect("a drained batch is always timed");
+        let metrics = &self.replica(shard, replica).metrics;
+        let ring = metrics.trace();
+        sampled.clear();
+        for req in batch.iter() {
+            metrics.record_latency(stages.answered.saturating_sub(req.enqueued), 1);
+            // Head-based sampling: a request that arrives carrying a
+            // trace id was chosen by its client, so it is always recorded
+            // — its wire record then always finds its server half.
+            if ring.sample() || req.trace != 0 {
+                sampled.push((req.enqueued, req.trace));
+            }
         }
         for (req, &rank) in batch.drain(..).zip(ranks.iter()) {
             // A gone caller is fine: nobody reads the cell, and the pool
             // reuses it once no one holds it.
             req.respond(Ok(rank));
+        }
+        if !sampled.is_empty() {
+            let filled = self.clock.now();
+            for &(admitted, trace) in sampled.iter() {
+                ring.push(&stages.record(admitted, trace, filled));
+            }
         }
     }
 
@@ -1462,13 +1506,13 @@ fn spawn_writer(
             for sh in shards {
                 // One publish per shard: the shard's replicas share
                 // the cell, so publication fan-out is free.
-                sh.cell.publish(ShardSnapshot {
-                    main_epoch: sh.main_epoch,
+                sh.cell.publish(ShardSnapshot::new(
+                    sh.main_epoch,
                     base_rank,
-                    main: sh.main.clone(),
-                    inserts: sh.delta.pending_inserts().to_vec(),
-                    deletes: sh.delta.pending_deletes().to_vec(),
-                });
+                    sh.main.clone(),
+                    sh.delta.pending_inserts(),
+                    sh.delta.pending_deletes(),
+                ));
                 base_rank += sh.delta.len() as u32;
             }
             counters.live_keys.set(u64::from(base_rank));
@@ -2008,6 +2052,30 @@ mod tests {
         assert_eq!(claimed.5, (300, 0), "(claimed, combined): callers ranked all");
         assert_eq!(pushed.5, (0, 300), "(claimed, combined): holders answered all as queued");
         assert!(claimed.3.len() > 100, "every traced request and a seventh of the rest");
+    }
+
+    #[test]
+    fn a_drained_batch_is_stamped_filled_after_its_replies() {
+        // Every lookup pushed, so a holder drains it and answers it
+        // through its reply cell: the records' fill stage is the time
+        // those fills took, not the zero of a record stamped before them.
+        let keys = gen_sorted_unique_keys(10_000, 82);
+        let mut c = cfg(1);
+        c.trace = dini_obs::TraceConfig::dense();
+        let server = IndexServer::build(&keys, c);
+        let h = server.handle();
+        let core = h.core();
+        for i in 0..300u32 {
+            let q = i.wrapping_mul(747_796_405);
+            core.queue(0, 0, q, false, 0).unwrap().wait().unwrap();
+        }
+        let traces = server.stage_traces();
+        assert!(traces.len() >= 100, "dense tracing keeps what the ring holds");
+        assert!(traces.iter().all(|t| t.answered_ns <= t.filled_ns), "fill after answer");
+        let fill: u64 = traces.iter().map(StageRecord::fill_ns).sum();
+        assert!(fill > 0, "{} drained records, summed fill_ns {fill}", traces.len());
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.claimed), (300, 0), "every lookup was drained");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! through per-shard `DeltaArray`s, published as epoch snapshots,
 //! merged/rebuilt when over budget) and into a `BTreeSet`; ranks must
 //! agree exactly after `quiesce()` — for any shard count, with merges
-//! forced often, and with concurrent readers hammering the server while
-//! snapshots are being published.
+//! forced often, with an overlay never merged until its directory is
+//! three levels deep, and with concurrent readers hammering the server
+//! while snapshots are being published.
 
 use dini::cluster::Fault;
 use dini::serve::{IndexServer, LoadMode, Op, ServeConfig, ServeError};
@@ -128,6 +129,75 @@ fn second_churn_round_stays_correct_after_rebuilds() {
         }
     }
     assert!(server.stats().merges >= 2);
+}
+
+#[test]
+fn a_deep_overlay_ranks_exactly_after_quiesce() {
+    // Every other test merges at 8–64 pending ops. Here nothing merges:
+    // 5 500 mixed inserts and deletes all stay in the overlay, whose
+    // line directory grows to two levels (over 256 keys) and then to
+    // three (over 4 096), and every rank must still be the oracle's.
+    let keys = initial_keys(4000);
+    let initial: BTreeSet<u32> = keys.iter().copied().collect();
+    let mut set = initial.clone();
+    let mut cfg = ServeConfig::new(1);
+    cfg.merge_threshold = 1 << 30;
+    let server = IndexServer::build(&keys, cfg);
+    let handle = server.handle();
+    let mut x = 0x2545_F491_4F6C_DD1D_u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for (round, ops) in [(0, 2_000), (1, 3_500)] {
+        for _ in 0..ops {
+            let r = next();
+            // Mostly fresh inserts and deletes of initial keys; one op in
+            // twenty undoes a pending one (deletes an insert, re-inserts
+            // a tombstone), which shrinks the overlay instead.
+            let op = match r % 20 {
+                0..=11 => Op::Insert((r >> 8) as u32 % 70_000),
+                12..=18 => Op::Delete(keys[(r >> 8) as usize % keys.len()]),
+                _ => match set.symmetric_difference(&initial).nth((r >> 8) as usize % 64) {
+                    Some(&k) if set.contains(&k) => Op::Delete(k),
+                    Some(&k) => Op::Insert(k),
+                    None => continue,
+                },
+            };
+            match op {
+                Op::Insert(k) => set.insert(k),
+                Op::Delete(k) => set.remove(&k),
+                Op::Query(_) => unreachable!(),
+            };
+            server.update(op).expect("writer alive");
+        }
+        server.quiesce();
+        // With no merge, the overlay is exactly the keys whose presence
+        // changed: pending inserts and tombstones.
+        let overlay: Vec<u32> = set.symmetric_difference(&initial).copied().collect();
+        let (lo, hi, levels) = [(257, 4096, 2), (4097, usize::MAX, 3)][round];
+        assert!(
+            (lo..=hi).contains(&overlay.len()),
+            "round {round}: an overlay of {} keys has no {levels}-level directory",
+            overlay.len()
+        );
+        let mut probes = vec![0, u32::MAX];
+        for &k in &overlay {
+            probes.extend([k.saturating_sub(1), k, k + 1]);
+        }
+        probes.extend((0..70_100u32).step_by(97));
+        let live: Vec<u32> = set.iter().copied().collect();
+        let want: Vec<u32> =
+            probes.iter().map(|&q| live.partition_point(|&k| k <= q) as u32).collect();
+        assert_eq!(handle.lookup_many(&probes).expect("serving"), want, "round {round}");
+        for (&q, &w) in probes.iter().zip(&want) {
+            assert_eq!(handle.lookup(q).expect("serving"), w, "round {round}, query {q}");
+        }
+        assert_eq!(server.len(), set.len());
+    }
+    assert_eq!(server.stats().merges, 0, "the overlay is never merged away");
 }
 
 #[test]
