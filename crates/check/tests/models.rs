@@ -21,13 +21,14 @@
 //!   loses no key and answers each exactly once; a group's ticket, and
 //!   the cell it carries, never pass to a new group while any of its
 //!   lookups is held — dropped on the owner's thread or on another.
-//! * `TraceRing`: a concurrent snapshot never returns a torn record.
-//! * `AdmissionQueue`: the admitted/shed/depth gauges stay coherent
-//!   with what actually entered the queue, and the gauge never wraps;
-//!   as the claim it admits one holder at a time, and the combining
-//!   protocol answers every pushed request exactly once — by the holder,
-//!   or by a pusher whose count found the replica idle — with no thread
-//!   parked for good and the gauge back at 0.
+//! * `TraceRing`: a concurrent snapshot never returns a torn record,
+//!   with one writer or two racing for a slot.
+//! * `ReplicaGauge` and the two rows of `ReplicaMetrics`: the depth
+//!   gauge reads only counts that exist and ends at 0; a caller that
+//!   wins the claim counts in the claim row with plain stores, one that
+//!   loses counts in the shared row with read-modify-writes, and the
+//!   totals come out exact — a later claimant reads every count the
+//!   earlier one stored.
 //! * `ReplicaMetrics`: a caller that has observed its reply observes
 //!   the `served` count of the batch that produced it (the
 //!   record-before-release contract `stats.rs` documents).
@@ -41,15 +42,13 @@
 use dini_check::model::{model, thread, Checker};
 use dini_check::sync::{Arc, AtomicU64, Ordering};
 use dini_obs::{MetricsRegistry, TraceRing};
-use dini_serve::admission::AdmissionQueue;
-use dini_serve::batcher::Request;
+use dini_serve::admission::ReplicaGauge;
 use dini_serve::group::{OpenGroup, Ranker};
 use dini_serve::oneshot::CellPool;
 use dini_serve::{
     Clock, EpochCell, ReplicaMetrics, ServeError, ServeStats, ShardSnapshot, StageRecord,
     TraceConfig,
 };
-use std::sync::mpsc::Receiver;
 use std::sync::Arc as StdArc;
 
 /// A self-describing snapshot: `base_rank` is derived from the epoch,
@@ -252,16 +251,17 @@ fn cell_pool_never_hands_a_held_cell_to_a_new_tenant() {
     assert!(report.executions >= 2, "stale-filler race under-explored: {report:?}");
 }
 
-/// (c) The drop-fill rule: a queue torn down with a request aboard
-/// answers the request's parked waiter `ShuttingDown` — never a lost
-/// wake (a model deadlock), never a silent hang.
+/// (c) The drop-fill rule: a filler dropped unanswered — a client
+/// frame torn down with its keys aboard, say — answers its parked
+/// waiter `ShuttingDown`: never a lost wake (a model deadlock), never a
+/// silent hang.
 #[test]
 fn a_request_dropped_unanswered_wakes_its_waiter() {
     let report = model("filler/drop-vs-parked-waiter", || {
         let pool = pool(2);
         let reply = pool.take();
         let cell = reply.waiter();
-        let queue = vec![Request { key: 1, enqueued: 0, trace: 0, reply }];
+        let queue = vec![reply];
         let teardown = thread::spawn(move || drop(queue));
         assert_eq!(*cell.wait(), Err(ServeError::ShuttingDown), "waiter stranded or misanswered");
         teardown.join();
@@ -454,181 +454,150 @@ fn trace_ring_snapshot_never_returns_torn_record() {
     assert!(report.executions >= 10, "seqlock race under-explored: {report:?}");
 }
 
-/// A request nobody waits on.
-fn req(key: u32) -> Request {
-    Request { key, enqueued: Clock::system().now(), trace: 0, reply: pool(0).take() }
-}
-
-/// A replica as the server has one: its admission queue, and the
-/// receiving end only a holder drains. The receiver sits in a
-/// `try_lock`ed mutex, so two holders draining at once fail the model.
-#[derive(Clone)]
-struct Replica {
-    q: AdmissionQueue,
-    rx: StdArc<std::sync::Mutex<Receiver<Request>>>,
-    /// Requests a holder answered.
-    answered: StdArc<AtomicU64>,
-}
-
-impl Replica {
-    fn new(capacity: usize) -> Self {
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-        Self {
-            q: AdmissionQueue::new(0, tx, Clock::system()),
-            rx: StdArc::new(std::sync::Mutex::new(rx)),
-            answered: StdArc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// The rest of a hold with `owed` counts for work done: drain,
-    /// answering each request `key * 10`, until the gauge is back to 0.
-    fn combine(&self, owed: u64) {
-        self.q.drain(owed, || {
-            let rx = self.rx.try_lock().expect("two holders drained at once");
-            for req in rx.try_iter() {
-                self.answered.fetch_add(1, Ordering::SeqCst);
-                let key = req.key;
-                req.respond(Ok(key * 10));
+/// Two writers race for the ring's slots while a reader snapshots it:
+/// on a one-slot ring both writers want the same slot (one keeps it, or
+/// the later position overwrites the earlier), on a two-slot ring each
+/// has its own. Every record a snapshot returns, during the race or
+/// after it, must be exactly one of the pushed records — the version
+/// compare-exchange must keep a second writer out of a slot in flight.
+#[test]
+fn trace_ring_writers_and_a_reader_never_tear() {
+    for (name, capacity) in [("trace-ring/two-writers-one-slot", 1), ("trace-ring/two-writers", 2)]
+    {
+        let report = model(name, || {
+            let cfg = TraceConfig { capacity, sample_period: 1, seed: 0 };
+            let ring = StdArc::new(TraceRing::new(&cfg));
+            let writers = [1, 2].map(|i| {
+                let ring = StdArc::clone(&ring);
+                thread::spawn(move || ring.push(&rec(i)))
+            });
+            let whole = |r: &StageRecord| {
+                assert_eq!(r.collected_ns, r.admitted_ns + 10, "torn record escaped: {r:?}");
+                assert_eq!(r.filled_ns, r.admitted_ns + 25, "torn record escaped: {r:?}");
+                assert!(r.admitted_ns == 100 || r.admitted_ns == 200, "phantom record: {r:?}");
+            };
+            ring.snapshot().iter().for_each(whole);
+            for w in writers {
+                w.join();
+            }
+            let settled = ring.snapshot();
+            settled.iter().for_each(whole);
+            assert_eq!(ring.recorded(), 2);
+            if capacity == 2 {
+                let mut kept: Vec<u64> = settled.iter().map(|r| r.admitted_ns).collect();
+                kept.sort_unstable();
+                assert_eq!(kept, [100, 200], "a writer with a slot of its own lost its record");
+            } else {
+                assert!(settled.len() <= 1);
             }
         });
-    }
-
-    /// A whole caller, as `ServerHandle` is one: claim and rank its own
-    /// key, or push it — holding and combining if its count found the
-    /// replica idle — and wait for the answer. Returns whether it was
-    /// ranked under a claim, and the answer.
-    fn call(&self, key: u32, pool: &CellPool<Reply>) -> (bool, Reply) {
-        if self.q.claim(1) {
-            self.q.admit_claimed(1);
-            self.combine(1);
-            return (true, Ok(key * 10));
-        }
-        let reply = pool.take();
-        let cell = reply.waiter();
-        let req = Request { key, enqueued: 0, trace: 0, reply };
-        match self.q.push(req, false) {
-            Ok(holds) => {
-                if holds {
-                    self.combine(0);
-                }
-                (false, *cell.wait())
-            }
-            Err(e) => {
-                assert_eq!(*cell.wait(), Err(ServeError::ShuttingDown), "a shed cell answered");
-                (false, Err(e))
-            }
-        }
+        assert!(report.executions >= 10, "{name} under-explored: {report:?}");
     }
 }
 
-/// Admission gauges under a push/probe race: `admitted`, `shed`, and
-/// the depth gauge must agree with what actually entered the bounded
-/// queue, and a concurrent probe must never read a depth beyond what
-/// was ever counted. The holder's drain may take the pushed request
-/// before its count lands, and gives back only counts it saw: the gauge
-/// never wraps.
+/// A caller as `HandleCore::rank_here` is one, for a batch of one key:
+/// take the replica's claim or add to its depth, count the batch — in
+/// the claim row under the claim, in the shared row without it — and
+/// give the depth back. Returns whether it held the claim.
+fn rank_one(gauge: &ReplicaGauge, metrics: &ReplicaMetrics) -> bool {
+    let claimed = gauge.claim(1);
+    if !claimed {
+        gauge.add(1);
+    }
+    metrics.count_batch(1, claimed);
+    if claimed {
+        gauge.release(1);
+    } else {
+        gauge.complete(1);
+    }
+    claimed
+}
+
+/// A replica's depth gauge and accounting, shared by its callers.
+fn replica(reg: &MetricsRegistry) -> StdArc<(ReplicaGauge, ReplicaMetrics)> {
+    StdArc::new((ReplicaGauge::new(), ReplicaMetrics::new(reg, 0, 0, &TraceConfig::disabled())))
+}
+
+/// The depth gauge under a claim/add/probe race: a probe never reads a
+/// depth beyond the counts that exist, the claim goes to at most one
+/// caller at a time, and once everyone is gone the gauge reads 0 — and a
+/// dead replica probes `None`.
 #[test]
 fn admission_gauges_stay_coherent_under_race() {
     let report = model("admission/gauges", || {
-        let r = Replica::new(1);
-        assert!(r.q.claim(1), "an idle replica");
-        let pusher = {
-            let q = r.q.clone();
+        let g = ReplicaGauge::new();
+        let caller = {
+            let g = g.clone();
             thread::spawn(move || {
-                let first = q.push(req(1), false);
-                let d = q.depth();
-                assert!(d <= 2, "depth {d} beyond the two counts that exist");
-                (first, q.push(req(2), false))
+                let claimed = g.claim(1);
+                if !claimed {
+                    g.add(1);
+                }
+                let d = g.depth();
+                assert!((1..=2).contains(&d), "depth {d} while this caller counts itself");
+                if claimed {
+                    g.release(1);
+                } else {
+                    g.complete(1);
+                }
+                claimed
             })
         };
-        let d = r.q.depth();
-        assert!((1..=2).contains(&d), "depth {d} with one holder and one push");
-        let (first, second) = pusher.join();
-        assert_eq!(first, Ok(false), "a held replica turns a push into a queued request");
-        assert_eq!(second, Err(ServeError::Overloaded { shard: 0 }), "a 1-slot queue sheds");
-        assert_eq!((r.q.admitted(), r.q.shed(), r.q.depth()), (1, 1, 2));
-        r.q.admit_claimed(1);
-        r.combine(1);
-        assert_eq!((r.q.admitted(), r.q.depth()), (2, 0));
-        assert_eq!(r.answered.load(Ordering::SeqCst), 1);
-        r.q.mark_dead();
-        assert_eq!(r.q.probe(), None, "dead replicas must probe None");
+        let claimed = g.claim(1);
+        if !claimed {
+            g.add(1);
+        }
+        let d = g.depth();
+        assert!((1..=2).contains(&d), "depth {d} with one or two callers counted");
+        let caller_claimed = caller.join();
+        assert!(!(claimed && caller_claimed) || d == 1, "two callers held the claim at once");
+        if claimed {
+            g.release(1);
+        } else {
+            g.complete(1);
+        }
+        assert_eq!(g.depth(), 0, "the gauge outlived every caller");
+        g.mark_dead();
+        assert_eq!(g.probe(), None, "dead replicas must probe None");
     });
     assert!(report.executions >= 2, "gauge race under-explored: {report:?}");
 }
 
-/// The claim: two callers race for one idle replica exactly as
-/// `ServerHandle` does — `claim(1)` and rank, or push and wait — with no
-/// other thread serving. Whatever the interleaving: the first to act
-/// holds; the two never drain at once; a caller that lost is answered
-/// exactly once, by whichever caller holds when its count lands (itself,
-/// if the holder had left); and the gauge reads 0 at the end. Both
-/// holders write the admitted-under-claim count with a plain load and
-/// store, so `admitted` reading 2 shows the hold orders them.
+/// A claim winner and a loser on one replica, racing a third caller on
+/// this thread: whichever wins the claim counts in the claim row with
+/// plain loads and stores, whichever loses in the shared row with
+/// read-modify-writes. `served` must read all three keys and `claimed`
+/// exactly the winners' — which holds only if a later winner's load
+/// sees every store an earlier one made (the release sequence the
+/// losers' depth RMWs continue), and no loser writes the claim row.
 #[test]
-fn claim_admits_one_claimant_and_queues_the_loser_once() {
-    let report = model("admission/claim", || {
-        let (r, pool) = (Replica::new(2), pool(2));
-        let caller = |key: u32| {
-            let (r, pool) = (r.clone(), pool.clone());
-            thread::spawn(move || r.call(key, &pool))
+fn a_claim_winner_and_a_loser_count_exactly() {
+    let report = model("admission/winner-and-loser", || {
+        let reg = MetricsRegistry::new();
+        let r = replica(&reg);
+        let caller = || {
+            let r = StdArc::clone(&r);
+            thread::spawn(move || rank_one(&r.0, &r.1))
         };
-        let callers = [caller(1), caller(2)];
-        let [(c1, a1), (c2, a2)] = callers.map(|c| c.join());
-        assert_eq!((a1, a2), (Ok(10), Ok(20)), "a caller misanswered");
-        assert!(c1 || c2, "an idle replica turned both callers away");
-        let claimed = u64::from(c1) + u64::from(c2);
-        assert_eq!(claimed + r.answered.load(Ordering::SeqCst), 2, "answered twice, or never");
-        assert_eq!((r.q.admitted(), r.q.depth()), (2, 0));
+        let (a, b) = (caller(), caller());
+        let later = rank_one(&r.0, &r.1);
+        let wins = [a.join(), b.join(), later].into_iter().filter(|&w| w).count() as u64;
+        assert!(wins >= 1, "nobody won the claim of an idle replica");
+        let stats = ServeStats::from(&reg.snapshot());
+        assert_eq!(stats.served, 3, "a count was lost");
+        assert_eq!(stats.claimed, wins, "the claim row does not count exactly the winners");
+        assert_eq!(r.0.depth(), 0, "the gauge outlived every caller");
     });
-    assert!(report.executions >= 10, "claim race under-explored: {report:?}");
-}
-
-/// Flat combining: a holder ranks its own key and drains, while two
-/// pushers race it on a 1-slot queue — one may be shed by the full
-/// queue, and either may be preempted between its send and its count,
-/// so the holder can find a request it has no count for, or a count
-/// whose request it already answered. Whatever the interleaving: every
-/// pushed request is answered exactly once, and a shed one never; no
-/// thread parks forever (a pusher whose request nobody drains waits on
-/// its cell for good — a detected deadlock); no two holders drain at
-/// once; and the gauge ends at 0.
-#[test]
-fn combining_answers_every_pushed_request_exactly_once() {
-    let report = model("admission/combine", || {
-        let (r, pool) = (Replica::new(1), pool(2));
-        assert!(r.q.claim(1), "the holder takes the idle replica");
-        let pusher = |key: u32| {
-            let (r, pool) = (r.clone(), pool.clone());
-            thread::spawn(move || r.call(key, &pool))
-        };
-        let pushers = [pusher(1), pusher(2)];
-        r.q.admit_claimed(1);
-        r.combine(1);
-        let replies = pushers.map(|p| p.join());
-        let mut pushed = 0;
-        for ((claimed, reply), key) in replies.into_iter().zip([1, 2]) {
-            match reply {
-                Ok(rank) => {
-                    assert_eq!(rank, key * 10, "pusher {key} misanswered");
-                    pushed += u64::from(!claimed);
-                }
-                Err(e) => assert_eq!(e, ServeError::Overloaded { shard: 0 }, "pusher {key}"),
-            }
-        }
-        assert_eq!(r.answered.load(Ordering::SeqCst), pushed, "answered twice, or never");
-        assert_eq!(r.q.depth(), 0, "the gauge outlived every hold");
-        assert_eq!(r.q.admitted() + r.q.shed(), 3, "the holder's key and both pushes");
-    });
-    assert!(report.executions >= 20, "combining under-explored: {report:?}");
+    assert!(report.executions >= 20, "winner/loser race under-explored: {report:?}");
 }
 
 /// Regression: the record-before-release contract `stats.rs` documents.
-/// The holder folds a batch into `ReplicaMetrics` (`Relaxed` loads and
-/// stores) *before* releasing the reply; the release is an
-/// acquire/release handoff through the reply word, so a caller that has
-/// observed its reply must observe `served >= 1` — under every
-/// interleaving and every weak-memory value choice.
+/// A caller folds its batch into `ReplicaMetrics` (the claim row's
+/// `Relaxed` loads and stores) *before* releasing the answers — a
+/// group's reply cell, read by the thread that began a grouped lookup;
+/// the release is an acquire/release handoff through the reply word, so
+/// a thread that has observed its reply must observe `served >= 1` —
+/// under every interleaving and every weak-memory value choice.
 #[test]
 fn replica_metrics_record_before_release_is_visible() {
     let report = model("replica-metrics/record-before-release", || {
@@ -640,7 +609,7 @@ fn replica_metrics_record_before_release_is_visible() {
         let holder = {
             let m = StdArc::clone(&m);
             thread::spawn(move || {
-                m.count_batch(1, false);
+                m.count_batch(1, true);
                 reply.fill(Ok(1));
                 reply // returned to the pool after the join, off the race
             })

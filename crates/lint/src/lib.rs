@@ -20,12 +20,9 @@
 //!   unvirtualized clock read is invisible to `SimClock` and breaks
 //!   deterministic simulation.
 //! * **R4 `hot-path-lock`** — no `Mutex` / `RwLock` in the hot-path
-//!   modules (`admission.rs`, `oneshot.rs`, `snapshot.rs`,
-//!   `batcher.rs`, `trace.rs`, `metrics.rs`) unless annotated
-//!   `// lint: lock-ok: <reason>`; these modules' doc contracts promise
-//!   lock-free operation. The `std::sync::mpsc` queues they send and
-//!   receive on keep it: a lock is taken there only to park, or to wake
-//!   a parked peer.
+//!   modules (`admission.rs`, `oneshot.rs`, `snapshot.rs`, `trace.rs`,
+//!   `metrics.rs`) unless annotated `// lint: lock-ok: <reason>`; these
+//!   modules' doc contracts promise lock-free operation.
 //! * **R5 `metric-name-dup`** — every metric name literal passed to
 //!   `MetricsRegistry::counter` / `histogram` / `gauge_fn` is
 //!   registered at exactly one non-test source site, workspace-wide.
@@ -33,13 +30,20 @@
 //!   two *sites* sharing a name silently merge their series in every
 //!   snapshot and dashboard. A deliberate second site is annotated
 //!   `// lint: metric-name-ok: <reason>`.
+//! * **R6 `unbounded-wait`** — in test code (a `tests/`, `benches/` or
+//!   `examples/` tree, or a `#[cfg(test)]` module), a `while` or `loop`
+//!   whose body calls `yield_now`, `sleep` or `spin_loop` names
+//!   `Instant`, `elapsed` or `deadline` — it can give up, and say what
+//!   it waited for — or is annotated `// lint: wait-ok: <reason>`. A
+//!   wait on a condition that never comes must fail the test, not hang
+//!   the CI job.
 //!
 //! The scanner is a hand-rolled Rust lexer — comment-, string-, and
 //! char-literal-aware, with `#[cfg(test)]` module tracking — so the
 //! tool stays dependency-free and hermetic. R1 applies everywhere
 //! (test `unsafe` needs justification too); R2–R5 exempt test code,
 //! where scaffolding legitimately spins clocks, takes locks, and
-//! builds throwaway registries.
+//! builds throwaway registries; R6 applies to test code only.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -56,7 +60,8 @@ pub struct Finding {
     /// 1-based line number.
     pub line: usize,
     /// Short rule identifier (`unsafe-safety`, `contract-relaxed`,
-    /// `wall-clock`, `hot-path-lock`, `metric-name-dup`).
+    /// `wall-clock`, `hot-path-lock`, `metric-name-dup`,
+    /// `unbounded-wait`).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -75,7 +80,7 @@ const CONTRACT_ATOMICS: &[&str] = &["served", "word", "version"];
 
 /// Modules whose documentation promises lock-free hot paths.
 const HOT_PATH_FILES: &[&str] =
-    &["admission.rs", "oneshot.rs", "snapshot.rs", "batcher.rs", "trace.rs", "metrics.rs"];
+    &["admission.rs", "oneshot.rs", "snapshot.rs", "trace.rs", "metrics.rs"];
 
 /// Files allowed to read the wall clock: the time-virtualization seams.
 const CLOCK_FILES: &[&str] = &["clock.rs", "host.rs"];
@@ -498,6 +503,67 @@ fn rule_hot_path_lock(path: &Path, lines: &[Line], out: &mut Vec<Finding>) {
     }
 }
 
+/// Calls that wait without a bound of their own (R6).
+const WAIT_CALLS: &[&str] = &["yield_now", "sleep", "spin_loop"];
+
+/// Names that show a loop can give up (R6).
+const BOUND_NAMES: &[&str] = &["Instant", "elapsed", "deadline"];
+
+/// The code of the loop whose keyword (`while` or `loop`) sits at
+/// `at` on line `i`: from the keyword to the brace that closes its
+/// body, joined across lines.
+fn loop_text(lines: &[Line], i: usize, at: usize) -> String {
+    let mut text = String::new();
+    let mut depth = 0i64;
+    let mut opened = false;
+    for (j, l) in lines.iter().enumerate().skip(i) {
+        let code = if j == i { &l.code[at..] } else { &l.code[..] };
+        for c in code.chars() {
+            text.push(c);
+            match c {
+                '{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                '}' => depth -= 1,
+                _ => {}
+            }
+            if opened && depth == 0 {
+                return text;
+            }
+        }
+        text.push('\n');
+    }
+    text
+}
+
+/// R6: a waiting loop in test code must be able to give up.
+fn rule_unbounded_wait(path: &Path, lines: &[Line], out: &mut Vec<Finding>) {
+    let tree = in_test_tree(path);
+    for (i, l) in lines.iter().enumerate() {
+        if !(tree || l.test) {
+            continue;
+        }
+        let Some(at) = ["while", "loop"].iter().filter_map(|kw| word(&l.code, kw)).min() else {
+            continue;
+        };
+        let body = loop_text(lines, i, at);
+        let waits = WAIT_CALLS.iter().any(|call| word(&body, call).is_some());
+        let bounded = BOUND_NAMES.iter().any(|name| word(&body, name).is_some());
+        if waits && !bounded && !annotated(lines, i, "wait-ok:") {
+            out.push(Finding {
+                file: path.to_path_buf(),
+                line: i + 1,
+                rule: "unbounded-wait",
+                message: "a test loop waits (`yield_now`/`sleep`/`spin_loop`) with no \
+                          `Instant`/`elapsed`/`deadline` bound and no \
+                          `// lint: wait-ok: <reason>` annotation"
+                    .to_owned(),
+            });
+        }
+    }
+}
+
 /// One metric-name registration site: `name` registered at
 /// `file:line`. Input to R5, which wants exactly one per name.
 struct MetricSite {
@@ -569,12 +635,13 @@ fn rule_metric_name_dup(sites: &[MetricSite], out: &mut Vec<Finding>) {
     }
 }
 
-/// The per-file rules (R1–R4) on one lexed file.
+/// The per-file rules (R1–R4, R6) on one lexed file.
 fn per_file_rules(path: &Path, lines: &[Line], out: &mut Vec<Finding>) {
     rule_unsafe_safety(path, lines, out);
     rule_contract_relaxed(path, lines, out);
     rule_wall_clock(path, lines, out);
     rule_hot_path_lock(path, lines, out);
+    rule_unbounded_wait(path, lines, out);
 }
 
 /// Lints one file's source text. `path` is used for reporting and for
@@ -586,7 +653,7 @@ pub fn scan_source(path: &Path, src: &str) -> Vec<Finding> {
     scan_sources(&[(path, src)])
 }
 
-/// Lints a set of files together: R1–R4 per file, plus R5 across the
+/// Lints a set of files together: R1–R4 and R6 per file, plus R5 across the
 /// whole set (a metric name registered once per file but in two files
 /// is still a duplicate). Findings are ordered by file, then line.
 pub fn scan_sources(files: &[(&Path, &str)]) -> Vec<Finding> {

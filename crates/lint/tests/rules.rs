@@ -150,6 +150,30 @@ fn r5_spans_files_and_wrapped_calls() {
 }
 
 #[test]
+fn r6_unbounded_test_waits_are_flagged() {
+    let spin = "fn t() {\n    while !done() {\n        std::thread::yield_now();\n    }\n}\n";
+    assert_eq!(rules("tests/a.rs", spin), vec!["unbounded-wait"]);
+    let napping = "fn t() {\n    let x = loop {\n        if let Some(x) = poll() {\n            break x;\n        }\n        sleep(MS);\n    };\n}\n";
+    assert_eq!(rules("crates/x/tests/b.rs", napping), vec!["unbounded-wait"]);
+    // A wrapped condition, in a `#[cfg(test)]` module of a source file.
+    let wrapped = "#[cfg(test)]\nmod tests {\n    fn t() {\n        while a()\n            && b()\n        {\n            std::hint::spin_loop();\n        }\n    }\n}\n";
+    assert_eq!(rules("crates/x/src/a.rs", wrapped), vec!["unbounded-wait"]);
+
+    // Bounded: a deadline, an elapsed check, or an Instant in the loop.
+    let deadline = "fn t() {\n    while !done() {\n        assert!(Instant::now() < deadline, \"done\");\n        std::thread::yield_now();\n    }\n}\n";
+    assert!(rules("tests/a.rs", deadline).is_empty());
+    let elapsed =
+        "fn t() {\n    while !done() && start.elapsed() < MAX {\n        sleep(MS);\n    }\n}\n";
+    assert!(rules("tests/a.rs", elapsed).is_empty());
+    // Annotated, or not waiting, or not test code.
+    let annotated = "fn t() {\n    // lint: wait-ok: virtual time; the scheduler's detector fails a stuck run.\n    while !done() {\n        clock.sleep(MS);\n    }\n}\n";
+    assert!(rules("tests/a.rs", annotated).is_empty());
+    let busy = "fn t() {\n    while let Some(x) = it.next() {\n        use_it(x);\n    }\n}\n";
+    assert!(rules("tests/a.rs", busy).is_empty());
+    assert!(rules("crates/x/src/a.rs", spin).is_empty(), "library code is not a test tree");
+}
+
+#[test]
 fn findings_render_with_location_and_rule() {
     let f = &scan_source(Path::new("crates/x/src/a.rs"), "fn f() { unsafe { } }\n")[0];
     let line = f.to_string();

@@ -5,9 +5,8 @@
 //!
 //! ```text
 //!   acceptor thread ──► per-connection reader ──begin_lookup_many()──► IndexServer
-//!                          │   (ranks the frame itself when its replicas
-//!                          │    are idle, and what queued behind it;
-//!                          │    otherwise waits the queued keys' cells)
+//!                          │   (ranks the frame itself: one batch per
+//!                          │    shard, claim or no claim)
 //!                          ▼
 //!                       send half (the reader's own)
 //! ```
@@ -15,17 +14,14 @@
 //! * A connection is **one thread**, its reader: it decodes a frame,
 //!   handles it, and writes the frame's reply itself before it reads
 //!   the next, so replies leave in frame order.
-//! * A `Lookup` frame is already a batch, and it is admitted as one
-//!   ([`begin_lookup_many`](dini_serve::ServerHandle::begin_lookup_many),
-//!   non-blocking, so server-side admission control sheds exactly as it
-//!   does for local callers): the keys bound for an idle replica are
-//!   ranked in place, by this thread, as one batch. Keys queued behind a
-//!   busy replica are redeemed from their pooled reply cells — the
-//!   reader parks on them like any in-process caller whose claim lost,
-//!   until the replica's holder answers them — and the
-//!   positionally-aligned `Reply` goes out. The wait holds the
-//!   connection's later frames for one holder's turnaround, as a
-//!   `Quiesce` or a full writer queue already does.
+//! * A `Lookup` frame is already a batch, and it is ranked as one
+//!   ([`begin_lookup_many`](dini_serve::ServerHandle::begin_lookup_many)):
+//!   each shard's keys are ranked in place, by this thread, as one batch
+//!   — whether or not another caller holds the replica's claim, since a
+//!   caller never queues behind a holder — and the positionally-aligned
+//!   `Reply` goes out. A frame holds the connection's later frames only
+//!   for its own ranking (and any straggle scripted on its replicas),
+//!   as a `Quiesce` or a full writer queue already does.
 //! * Updates feed the span's single writer; `Quiesce` runs the writer
 //!   barrier and returns the fresh live-key count (the client uses it
 //!   to recompose cross-span base ranks).
@@ -311,7 +307,7 @@ fn spawn_connection(
     let Duplex { tx: mut frame_tx, rx: mut frame_rx, peer: _ } = duplex;
     clock.spawn(&format!("dini-net-read-{conn_id}"), move || {
         let handle = server.handle();
-        // Kept across frames: a warmed `Lookup`, quiet or queued,
+        // Kept across frames: a warmed `Lookup`, under a claim or not,
         // allocates only what the transport does.
         let mut scratch = LookupScratch::default();
         let mut pendings = Vec::new();
@@ -343,12 +339,10 @@ fn spawn_connection(
                     log_seq: init_log.1,
                 },
                 Frame::Lookup { req, trace, parent, keys } => {
-                    // Non-blocking: remote traffic sheds under the same
-                    // admission control as local callers. The frame's
-                    // trace id rides along, so the stage records of
-                    // whoever ranks this batch carry the same id as the
-                    // client's wire record. A key queued behind a busy
-                    // replica parks this thread on its reply cell.
+                    // Ranked here, every key resolved before the call
+                    // returns. The frame's trace id rides along, so the
+                    // stage records of this batch carry the same id as
+                    // the client's wire record.
                     handle.begin_lookup_many(&keys, trace, &mut scratch, &mut pendings);
                     results.extend(pendings.drain(..).map(|p| lookup_status(p.wait())));
                     Frame::Reply { req, trace, parent, results: std::mem::take(&mut results) }
@@ -493,11 +487,12 @@ mod tests {
     }
 
     #[test]
-    fn queued_lookup_frames_are_answered_in_frame_order_before_later_acks() {
-        // A second connection holds the one replica, sleeping out its
-        // straggle, when the first frame arrives: that frame's keys queue
-        // behind it, and the reader waits on their reply cells — answered
-        // by the other connection's reader — before it reads the next.
+    fn a_lost_claim_frame_is_ranked_by_its_own_reader_in_frame_order() {
+        // A second connection's reader holds the one replica, sleeping
+        // out its straggle, when the first frame arrives: that frame's
+        // reader loses the claim and ranks the frame itself, beside the
+        // holder, then the next — replies in frame order, before the
+        // acks of the update and quiesce sent after them.
         use dini_cluster::Fault;
         let extra = Duration::from_millis(20);
         let mut c = cfg("srv");
@@ -517,7 +512,9 @@ mod tests {
             .tx
             .send(&Frame::Lookup { req: 1, trace: 0, parent: 0, keys: frame_keys(0) })
             .unwrap();
+        let deadline = std::time::Instant::now() + 60 * SEC;
         while server.server().metrics_snapshot().sum("dini_serve_queue_depth") == 0 {
+            assert!(std::time::Instant::now() < deadline, "the holder's frame never claimed");
             std::thread::sleep(Duration::from_millis(1));
         }
         for req in 1..=FRAMES {
@@ -558,7 +555,7 @@ mod tests {
         assert!(matches!(holder.rx.recv_timeout(SEC).unwrap(), Frame::Reply { req: 1, .. }));
         let stats = server.server().stats();
         assert_eq!(stats.served, (FRAMES + 1) * 24);
-        assert!(stats.served - stats.claimed >= 24, "the first frame queued behind the holder");
+        assert!(stats.served - stats.claimed >= 24, "the first frame lost the claim");
         server.shutdown();
     }
 

@@ -222,10 +222,12 @@ fn poll_then_wait_return_the_same_answer() {
     let client =
         RemoteClient::connect(net.dialer(), "srv", ClientConfig::default()).expect("connect");
     let pending = client.begin_lookup(41).expect("admitted");
+    let deadline = std::time::Instant::now() + 12 * SEC;
     let polled = loop {
         if let Some(answer) = pending.poll() {
             break answer;
         }
+        assert!(std::time::Instant::now() < deadline, "the polled lookup was never answered");
         std::thread::yield_now();
     };
     assert_eq!(polled, Ok(42));

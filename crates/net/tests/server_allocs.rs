@@ -12,12 +12,10 @@
 //! *but* the one playing the client, so they see exactly the server's
 //! share.
 //!
-//! A queued frame — sent while a second connection's reader holds the
-//! one replica, sleeping out its scripted straggle, so each key is
-//! pushed and answered by that holder — costs the same: the reader
-//! parks on the keys' pooled reply cells, the holder ranks out of the
-//! replica's reused batch, and the `Reply` is built out of the same
-//! pending list and result vector the reader keeps for quiet frames.
+//! A lost-claim frame — sent while a second connection's reader holds
+//! the one replica's claim, sleeping out its scripted straggle — costs
+//! the same: its reader ranks it anyway, beside the holder, out of the
+//! same scratch, and only the row it counts in differs.
 //!
 //! The wire itself allocates nothing once warm: a `ChanNet` pipe keeps
 //! its queue and its decoded frames' buffers for reuse, so the budget
@@ -32,7 +30,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct CountingAlloc;
 
@@ -98,7 +96,12 @@ fn send_lookup(c: &mut dini_net::transport::Duplex, req: u64) -> Vec<u32> {
 
 /// Receive the reply to `req`, checked against the key set.
 fn check_reply(c: &mut dini_net::transport::Duplex, keys: &[u32], req: u64, queries: &[u32]) {
-    match c.rx.recv_timeout(SEC).unwrap() {
+    check(c.rx.recv_timeout(SEC).unwrap(), keys, req, queries);
+}
+
+/// `reply` answers `req`, whose keys were `queries`, exactly.
+fn check(reply: Frame, keys: &[u32], req: u64, queries: &[u32]) {
+    match reply {
         Frame::Reply { req: got, results, .. } => {
             assert_eq!(got, req);
             for (q, r) in queries.iter().zip(&results) {
@@ -110,14 +113,16 @@ fn check_reply(c: &mut dini_net::transport::Duplex, keys: &[u32], req: u64, quer
 }
 
 /// Server-side allocations over `FRAMES` warmed `Lookup` frames on one
-/// connection, after checking every rank; also returns the server's
-/// accounting. Quiet: a two-shard server, every frame alone on it.
-/// Queued: a one-shard, one-replica server whose replica straggles
-/// `STRAGGLE` per batch, and before each frame a second connection's
-/// frame, sent first and held until its reader is inside its hold — so
-/// the measured frame's keys all queue behind it. The budget then
-/// counts both connections' frames.
-fn warmed_frame_allocs(queued: bool) -> (u64, ServeStats) {
+/// connection, after checking every rank; the frames the holding
+/// connection sent meanwhile, and in all; and the server's accounting.
+/// Quiet: a two-shard server, every frame alone on it. Lost claim: a
+/// one-shard, one-replica server whose replica straggles `STRAGGLE` per
+/// batch, and before each frame a second connection's frame, sent first
+/// and seen inside its reader's claim — so the measured frame's reader
+/// loses the claim. A holder frame whose reply comes back before it is
+/// seen holding (this thread descheduled past the straggle) is checked
+/// and sent again. The budget counts both connections' frames.
+fn warmed_frame_allocs(lost_claim: bool) -> (u64, (u64, u64), ServeStats) {
     // The count is process-wide: one measured server at a time.
     static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
@@ -125,8 +130,8 @@ fn warmed_frame_allocs(queued: bool) -> (u64, ServeStats) {
     let net = ChanNet::new(Clock::system());
     let acceptor = net.listen("srv");
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
-    let mut serve = ServeConfig::new(if queued { 1 } else { 2 });
-    if queued {
+    let mut serve = ServeConfig::new(if lost_claim { 1 } else { 2 });
+    if lost_claim {
         serve.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra: STRAGGLE });
     }
     let cfg = NetServerConfig::new(serve, Topology::single(vec!["srv".into()]), 0);
@@ -134,51 +139,66 @@ fn warmed_frame_allocs(queued: bool) -> (u64, ServeStats) {
     let mut c = net.dialer().dial("srv").unwrap();
     let mut holder = net.dialer().dial("srv").unwrap();
     let depth = || server.server().metrics_snapshot().sum("dini_serve_queue_depth");
+    // Holder frames sent so far; each gets its own request id.
+    let holder_frames = Cell::new(0u64);
     let mut round_trip = |req: u64| {
-        let held = queued.then(|| {
-            let queries = send_lookup(&mut holder, req);
-            while depth() == 0 {
-                std::thread::yield_now();
+        let held = lost_claim.then(|| {
+            let deadline = Instant::now() + 60 * SEC;
+            loop {
+                holder_frames.set(holder_frames.get() + 1);
+                let hreq = 1_000_000 + holder_frames.get();
+                let queries = send_lookup(&mut holder, hreq);
+                // Inside the claim once the depth gauge shows it; out of
+                // it for good once its reply is back.
+                loop {
+                    assert!(Instant::now() < deadline, "no holder frame was seen claiming");
+                    if depth() > 0 {
+                        return (hreq, queries);
+                    }
+                    if let Ok(reply) = holder.rx.recv_timeout(Duration::ZERO) {
+                        check(reply, &keys, hreq, &queries);
+                        break;
+                    }
+                }
             }
-            queries
         });
         let queries = send_lookup(&mut c, req);
         check_reply(&mut c, &keys, req, &queries);
-        if let Some(queries) = held {
-            check_reply(&mut holder, &keys, req, &queries);
+        if let Some((hreq, queries)) = held {
+            check_reply(&mut holder, &keys, hreq, &queries);
         }
     };
 
-    // Warmup: the readers' scratch (and, queued, the reply-cell pool and
-    // the replica's batch).
+    // Warmup: the readers' scratch.
     for req in 1..=WARMUP {
         round_trip(req);
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let (before, warm) = (ALLOCS.load(Ordering::SeqCst), holder_frames.get());
     ARMED.store(true, Ordering::SeqCst);
     for req in WARMUP + 1..=WARMUP + FRAMES {
         round_trip(req);
     }
     ARMED.store(false, Ordering::SeqCst);
     let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    let sent = (holder_frames.get() - warm, holder_frames.get());
     let stats = server.server().stats();
     drop((c, holder));
     server.shutdown();
-    (allocs, stats)
+    (allocs, sent, stats)
 }
 
 const WARMUP: u64 = 300;
 const FRAMES: u64 = 200;
-/// The queued server's per-batch straggle: the window in which the
+/// The lost-claim server's per-batch straggle: the window in which the
 /// measured frame's reader reaches the held replica.
 const STRAGGLE: Duration = Duration::from_millis(5);
 
 #[test]
 fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
-    let (allocs, stats) = warmed_frame_allocs(false);
-    // Every frame was ranked by the reader: one batch per shard it
-    // touched, and nothing ever queued.
+    let (allocs, _, stats) = warmed_frame_allocs(false);
+    // Every frame was ranked by the reader under the claim: one batch
+    // per shard it touched.
     assert_eq!(stats.served, (WARMUP + FRAMES) * u64::from(FRAME_KEYS));
     assert_eq!(stats.claimed, stats.served, "the reader ranked every key");
     assert!(stats.batches <= 2 * (WARMUP + FRAMES), "a frame is one batch per shard");
@@ -190,21 +210,21 @@ fn a_warmed_quiet_lookup_frame_costs_the_server_one_allocation() {
 }
 
 #[test]
-fn a_warmed_queued_lookup_frame_costs_the_server_no_more_than_a_quiet_one() {
-    let (allocs, stats) = warmed_frame_allocs(true);
-    let per_connection = (WARMUP + FRAMES) * u64::from(FRAME_KEYS);
-    assert_eq!(stats.served, 2 * per_connection);
+fn a_warmed_lost_claim_lookup_frame_costs_the_server_no_more_than_a_quiet_one() {
+    let (allocs, (armed_holder_frames, holder_frames), stats) = warmed_frame_allocs(true);
+    let measured = (WARMUP + FRAMES) * u64::from(FRAME_KEYS);
+    let held = holder_frames * u64::from(FRAME_KEYS);
+    assert_eq!(stats.served, measured + held);
     assert_eq!(
         (stats.claimed, stats.served - stats.claimed),
-        (per_connection, per_connection),
-        "the holding connection ranked its own keys, and combined every key of the other"
+        (held, measured),
+        "the holding connection ranked its keys under the claim, the other beside it"
     );
     assert_eq!(
         allocs,
-        2 * FRAMES,
-        "{allocs} server-side allocations across {FRAMES} warmed queued Lookup frames and the \
-         {FRAMES} frames holding the replica ahead of them: the readers reuse their pending \
-         lists and result vectors, the holder the replica's batch and the pool its reply cells, \
-         so the quiet frame's budget holds — one per frame, the decoded Lookup's key vector"
+        FRAMES + armed_holder_frames,
+        "{allocs} server-side allocations across {FRAMES} warmed lost-claim Lookup frames and \
+         the holder frames beside them: each reader reuses its scratch whichever row it counts \
+         in, so the quiet frame's budget holds — one per frame, the decoded Lookup's key vector"
     );
 }

@@ -13,12 +13,10 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 fn serve_cfg(shards: usize) -> ServeConfig {
-    let mut cfg = ServeConfig::new(shards);
-    cfg.max_batch = 64;
-    cfg
+    ServeConfig::new(shards)
 }
 
-/// Every replica's admission-queue depth in a polled snapshot.
+/// Every replica's depth gauge in a polled snapshot.
 fn depths(snap: &MetricsSnapshot) -> Vec<u64> {
     snap.series("dini_serve_queue_depth").map(|(_, d)| d).collect()
 }

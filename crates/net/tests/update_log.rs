@@ -142,7 +142,6 @@ fn ctrl_retry_fills_waiter_once_and_strays_are_dropped() {
 
 fn sim_serve_cfg(clock: &Clock) -> ServeConfig {
     let mut serve = ServeConfig::new(2);
-    serve.max_batch = 64;
     serve.clock = clock.clone();
     serve
 }

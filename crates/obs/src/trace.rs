@@ -3,13 +3,15 @@
 //!
 //! A sampled request leaves a [`StageRecord`] — seven stage timestamps
 //! plus a causal trace id packed into nine words — in a pre-allocated
-//! [`TraceRing`]. Rings
-//! are **single-writer** (a serving replica's holder, a client reader:
-//! whoever owns the request's lifecycle), so writes are
-//! plain atomic stores guarded by a per-slot seqlock version; readers
-//! snapshot concurrently and simply skip a slot they catch mid-write.
-//! Nothing on the write path allocates, locks, or waits — the warmed
-//! zero-allocation read path stays zero-allocation with tracing on.
+//! [`TraceRing`]. Rings are **multi-writer** (every caller that ranks
+//! for a serving replica, a client reader): a writer takes its slot
+//! with one add on the ring's head and the slot with one
+//! compare-exchange of its seqlock version, even to odd, then writes
+//! plain atomic stores; readers snapshot concurrently and simply skip a
+//! slot they catch mid-write. Nothing on the write path allocates,
+//! locks, or waits — a writer that finds its slot taken by another
+//! drops its record — so the warmed zero-allocation read path stays
+//! zero-allocation with tracing on.
 //!
 //! Sampling is seeded and counter-based (`n % period == seed % period`),
 //! not random: under `dini-simtest`'s deterministic scheduler the same
@@ -169,10 +171,13 @@ impl StageRecord {
     }
 }
 
-/// One slot: a seqlock version (odd while a write is in flight) and
-/// the record's words. Everything is an atomic, so a torn read is a
-/// *stale or mixed value*, never undefined behavior — and the version
-/// check discards it anyway.
+/// One slot: a seqlock version and the record's words. The record at
+/// logical position `L` (the head value its writer drew) holds the
+/// slot at version `2L + 1` while its words are written and settles it
+/// at `2L + 2`, so versions only grow and a reader can tell the record
+/// it wants from an older lap's. Everything is an atomic, so a torn
+/// read is a *stale or mixed value*, never undefined behavior — and
+/// the version check discards it anyway.
 struct Slot {
     version: AtomicU64,
     words: [AtomicU64; WORDS],
@@ -181,9 +186,9 @@ struct Slot {
 /// A pre-allocated, fixed-capacity ring of [`StageRecord`]s with
 /// seeded deterministic sampling.
 ///
-/// Writer contract: **one writer at a time per ring** (the replica's
-/// holder, or the client reader that owns the request lifecycle). Any number of
-/// concurrent snapshot readers.
+/// Any number of concurrent writers and snapshot readers. Two writers
+/// that meet on one slot (the ring wrapped under them) keep one record:
+/// the later lap's, or the one whose compare-exchange won.
 #[derive(Debug)]
 pub struct TraceRing {
     slots: Vec<Slot>,
@@ -256,28 +261,39 @@ impl TraceRing {
         self.period
     }
 
-    /// Write one record (single-writer). Wait-free, allocation-free:
-    /// a version bump, nine stores, a version bump.
+    /// Write one record. Wait-free, allocation-free: an add on the head,
+    /// a compare-exchange of the slot's version, nine stores and a
+    /// version store. A writer that finds its slot held by another write,
+    /// or already settled by a later lap, drops its record.
     pub fn push(&self, rec: &StageRecord) {
         if self.slots.is_empty() {
             return;
         }
-        let h = self.head.load(Ordering::Relaxed);
+        // ordering: relaxed-ok: the head only hands out positions; the
+        // slot's version publishes the record.
+        let h = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(h % self.slots.len() as u64) as usize];
-        // ordering: relaxed-ok: single-writer ring — only this thread ever
-        // stores the version, so its own last store is always visible.
+        // ordering: relaxed-ok: the compare-exchange below re-reads it.
         let v = slot.version.load(Ordering::Relaxed);
-        slot.version.store(v + 1, Ordering::Release); // odd: write in flight
+        let (writing, settled) = (2 * h + 1, 2 * h + 2);
+        if v % 2 == 1 || v >= writing {
+            return; // another writer holds the slot, or a later lap settled it
+        }
+        let (ok, failed) = (Ordering::Acquire, Ordering::Relaxed);
+        // ordering: relaxed-ok: a failed exchange writes nothing.
+        if slot.version.compare_exchange(v, writing, ok, failed).is_err() {
+            return;
+        }
         fence(Ordering::Release);
         for (w, val) in slot.words.iter().zip(rec.pack()) {
             w.store(val, Ordering::Relaxed);
         }
-        slot.version.store(v + 2, Ordering::Release); // even: settled
-        self.head.store(h + 1, Ordering::Release);
+        slot.version.store(settled, Ordering::Release);
     }
 
     /// Total records pushed over the ring's lifetime (≥ what a
-    /// snapshot can return once the ring has wrapped).
+    /// snapshot can return once the ring has wrapped, or a write lost
+    /// its slot to another).
     pub fn recorded(&self) -> u64 {
         self.head.load(Ordering::Acquire)
     }
@@ -303,8 +319,8 @@ impl TraceRing {
             let slot = &self.slots[(logical % cap) as usize];
             for _ in 0..TORN_RETRIES {
                 let v1 = slot.version.load(Ordering::Acquire);
-                if v1 % 2 == 1 {
-                    continue; // write in flight right now
+                if v1 != 2 * logical + 2 {
+                    continue; // not settled with this record: in flight, or another lap's
                 }
                 let mut words = [0u64; WORDS];
                 for (dst, src) in words.iter_mut().zip(&slot.words) {
@@ -458,5 +474,32 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_keep_whole_records() {
+        use std::sync::Arc;
+        let ring =
+            Arc::new(TraceRing::new(&TraceConfig { capacity: 2, sample_period: 1, seed: 0 }));
+        let writers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let ring = ring.clone();
+                std::thread::spawn(move || (0..20_000).for_each(|i| ring.push(&rec(2 * i + w))))
+            })
+            .collect();
+        for _ in 0..2_000 {
+            for r in ring.snapshot() {
+                assert_eq!(r.collected_ns, r.admitted_ns + 10, "torn record escaped: {r:?}");
+                assert_eq!(r.filled_ns, r.admitted_ns + 25, "torn record escaped: {r:?}");
+            }
+        }
+        writers.into_iter().for_each(|w| w.join().unwrap());
+        assert_eq!(ring.recorded(), 40_000);
+        // Settled: the slot of each of the last two positions holds that
+        // position's record, or none if its write lost the slot.
+        assert!(ring.snapshot().len() <= 2);
+        ring.push(&rec(7));
+        ring.push(&rec(8));
+        assert_eq!(ring.snapshot(), [rec(7), rec(8)], "a lone writer keeps every record");
     }
 }

@@ -783,10 +783,8 @@ mod tests {
     }
 
     // The three channel behaviours the serving code leans on, on both
-    // clocks. (Unblocked cases are pinned elsewhere: a send to a dropped
-    // receiver by `admission::tests::disconnect_is_shutdown_not_shed`,
-    // one sender's order by `sim_blocking_send_waits_for_capacity` and
-    // `batcher::tests::fills_to_max_batch_and_leaves_the_rest_queued`.)
+    // clocks. (One sender's order is pinned elsewhere, by
+    // `sim_blocking_send_waits_for_capacity`.)
 
     #[test]
     fn a_sender_blocked_in_send_observes_the_receivers_drop() {

@@ -10,15 +10,12 @@ use std::time::Duration;
 
 /// Configuration for [`IndexServer`](crate::IndexServer).
 ///
-/// `max_batch` is the server-side analogue of the paper's Figure 3
-/// batch-size trade-off. Larger batches amortise the per-batch overhead
-/// (a snapshot pin, the holder's scripted delay) across more queries
-/// (throughput ↑) at the price of queueing delay (response time ↑) — but
-/// a server does not have to pick a point on that curve with a clock: a
-/// batch is whatever queued while the replica's holder was ranking
-/// (group commit), so batches grow with load, and a query that finds its
-/// replica idle is not queued at all: the calling thread ranks it (see
-/// [`server`](crate::server)). `max_batch` caps a batch.
+/// There is no batch-size knob: the paper's Figure 3 trade-off is
+/// settled by the caller, whose batch is whatever it already holds — a
+/// lone key, a pipelined caller's open group, a slice, a wire frame —
+/// ranked on its own thread against one pinned snapshot per shard (see
+/// [`server`](crate::server)). Nothing queues, so nothing waits to be
+/// coalesced.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of shards; each shard is one contiguous key range — the
@@ -26,34 +23,32 @@ pub struct ServeConfig {
     /// replicas. This is the knob for parallelism inside the key space:
     /// pick it so a shard's keys fit a core's L2.
     pub n_shards: usize,
-    /// Replicas per shard: independent claims on the shard, so up to
-    /// this many callers rank it at once. Replicas share the shard's one
+    /// Replicas per shard: independent claims and fault scripts on the
+    /// shard. Replicas share the shard's one
     /// [`EpochCell`](crate::EpochCell) — main array, directory and
-    /// overlay alike — so a replica costs an admission queue and nothing
-    /// else; no replica owns a thread.
+    /// overlay alike — so a replica costs a depth gauge and its
+    /// accounting and nothing else; no replica owns a thread.
     /// Lookups are routed among a shard's replicas by
     /// power-of-two-choices on live depth (see
-    /// [`ReplicaSelector`](crate::ReplicaSelector)); when a replica
-    /// crashes, its backlog is re-routed to surviving siblings and a
-    /// shard only answers `ShuttingDown` once its last replica is gone.
+    /// [`ReplicaSelector`](crate::ReplicaSelector)); a caller that meets
+    /// a replica's crash selects a surviving sibling, and a shard only
+    /// answers `ShuttingDown` once its last replica is gone.
     pub replicas_per_shard: usize,
-    /// Dead: the replica's holder ranks its batch itself. Kept only because
+    /// Dead: the caller ranks its batch itself. Kept only because
     /// the frozen `benchmark/` still assigns it; goes with that line.
     #[deprecated(note = "read nowhere; use more shards for parallelism inside a key range")]
     #[doc(hidden)]
     pub slaves_per_shard: usize,
-    /// Maximum queries a replica's holder drains into one index batch
-    /// (its own keys are one batch whatever their number).
-    pub max_batch: usize,
-    /// Dead: batches are group-committed and no request waits on a
-    /// timer. Kept only because the frozen `benchmark/` still assigns it;
-    /// goes with that line.
-    #[deprecated(note = "read nowhere; a batch departs with whatever queued behind it")]
+    /// Dead: no request waits on a timer. Kept only because the frozen
+    /// `benchmark/` still assigns it; goes with that line.
+    #[deprecated(note = "read nowhere; no request waits to be batched")]
     #[doc(hidden)]
     pub max_delay: Duration,
-    /// Bound of each shard's admission queue; a full queue sheds
-    /// (`begin_lookup` fails fast with `Overloaded`) rather than growing
-    /// without limit.
+    /// Dead: no lookup queues, so nothing is bounded or shed in process.
+    /// Kept only because the frozen `benchmark/` still assigns it; goes
+    /// with that line.
+    #[deprecated(note = "read nowhere; a caller ranks its own keys and never queues")]
+    #[doc(hidden)]
     pub queue_capacity: usize,
     /// Per-shard delta budget: when a shard's pending churn exceeds this,
     /// the writer merges and publishes the new main array.
@@ -67,8 +62,8 @@ pub struct ServeConfig {
     /// (`dini-simtest`).
     pub clock: Clock,
     /// Deterministic fault injection on the ranking path: the
-    /// schedule's crashes, straggles and dispatch jitter, met by
-    /// whichever caller holds the replica, before each batch it ranks
+    /// schedule's crashes, straggles and dispatch jitter, met by every
+    /// caller that ranks on the replica, before each batch it ranks
     /// (its link rates and link events are a transport's, and ignored
     /// here). Defaults to none; the fault-free path pays only a
     /// pre-resolved branch per batch.
@@ -102,16 +97,13 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// `n_shards` shards with serving-friendly defaults: 1 replica per
-    /// shard, group-committed batches of ≤ 256,
-    /// queues of 1024, merges every 4096 delta entries, snapshots every
-    /// 64 ops.
-    #[allow(deprecated)] // the one initialiser of `slaves_per_shard` and `max_delay`
+    /// shard, merges every 4096 delta entries, snapshots every 64 ops.
+    #[allow(deprecated)] // the one initialiser of the dead fields
     pub fn new(n_shards: usize) -> Self {
         Self {
             n_shards,
             replicas_per_shard: 1,
             slaves_per_shard: 1,
-            max_batch: 256,
             max_delay: Duration::ZERO,
             queue_capacity: 1024,
             merge_threshold: 4096,
@@ -131,8 +123,6 @@ impl ServeConfig {
     pub fn validate(&self) {
         assert!(self.n_shards >= 1, "need at least one shard");
         assert!(self.replicas_per_shard >= 1, "need at least one replica per shard");
-        assert!(self.max_batch >= 1, "max_batch must be at least 1");
-        assert!(self.queue_capacity >= 1, "queue_capacity must be at least 1");
         assert!(self.merge_threshold >= 1, "merge_threshold must be at least 1");
         assert!(self.publish_every >= 1, "publish_every must be at least 1");
         if let Some(plan) = &self.store {
@@ -157,10 +147,10 @@ impl ServeConfig {
 /// Why a request was not served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
-    /// Admission control shed the request: the target shard's queue was
-    /// full. Retry later or against a replica.
+    /// Admission control shed the request: the queue it needed was
+    /// full — a `dini-net` client's outbox for the span. Retry later.
     Overloaded {
-        /// Shard whose queue was full.
+        /// Span (over a wire) whose queue was full.
         shard: usize,
     },
     /// The server is shutting down; no further requests are accepted.
@@ -201,14 +191,6 @@ mod tests {
     fn zero_replicas_rejected() {
         let mut cfg = ServeConfig::new(2);
         cfg.replicas_per_shard = 0;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "max_batch")]
-    fn zero_batch_rejected() {
-        let mut cfg = ServeConfig::new(2);
-        cfg.max_batch = 0;
         cfg.validate();
     }
 

@@ -6,8 +6,8 @@
 //! failure surface: a replica can die mid-batch, a batch can be delayed
 //! by scheduling jitter, and one replica can be persistently slower
 //! than its peers (the straggler every scatter-gather system eventually
-//! meets). A replica owns no thread, so its faults are met by whoever
-//! holds it, before each batch it ranks. [`ReplicaFaults`] resolves
+//! meets). A replica owns no thread, so its faults are met by every
+//! caller that ranks on it, before each batch. [`ReplicaFaults`] resolves
 //! exactly those for one `(shard, replica)` — its
 //! [`Crash`](Fault::Crash) point, its [`Straggle`](Fault::Straggle)
 //! delay, and its seeded jitter stream (one fate per batch) — so a
@@ -15,8 +15,8 @@
 //! `replica: None` hits every replica of its shard: with
 //! `replicas_per_shard == 1` that is the classic single-server
 //! crash, while failover scenarios kill one replica mid-batch and
-//! require every one of its requests to be re-routed to the survivors
-//! rather than answered `ShuttingDown`.
+//! require every caller that meets the crash to rank on a survivor
+//! rather than be answered `ShuttingDown`.
 //!
 //! The schedule defaults to empty, and every hook is a branch on a
 //! pre-resolved `Option` — the production dispatch path pays no RNG
@@ -55,7 +55,7 @@ impl ReplicaFaults {
         Self { jitter: schedule.dispatch_fates(shard, replica), slow_ns, crash_at }
     }
 
-    /// True when nothing is scripted for this replica: its holder need
+    /// True when nothing is scripted for this replica: its callers need
     /// not meet faults before its own keys.
     pub(crate) fn is_noop(&self) -> bool {
         self.jitter.is_none() && self.slow_ns == 0 && self.crash_at.is_none()

@@ -1,50 +1,47 @@
 //! # dini-serve
 //!
-//! A sharded, batch-coalescing, online-updatable query-serving layer —
-//! the production-shaped face of the DINI reproduction of Ma & Cooperman
+//! A sharded, online-updatable query-serving layer — the
+//! production-shaped face of the DINI reproduction of Ma & Cooperman
 //! (CLUSTER 2005).
 //!
 //! The paper shows that batching queries across a master/slaves index
-//! turns a latency-bound lookup into a throughput machine. A real server
-//! cannot choose its batch size, so this crate manufactures the paper's
-//! batches from live traffic and wraps the result in the machinery a
-//! serving system needs. The paper's design appears here exactly once:
-//! the router is the master, a shard is a partition, and the slave that
-//! answers a batch over its sorted piece (with
+//! turns a latency-bound lookup into a throughput machine, and ships a
+//! key to another node only when the search it buys there costs less
+//! than the hop. In process it never does: a shard's read state is one
+//! immutable snapshot any thread may pin, and a hand-off costs a hundred
+//! ranks. So the paper's design appears here exactly once: the router is
+//! the master, a shard is a partition, and the slave that answers a
+//! batch over its sorted piece (with
 //! [`LineDirectory`](dini_index::LineDirectory)'s batch kernel) is the
-//! caller: whoever finds a replica idle holds it, ranks its own keys and
-//! then whatever queued behind them — the paper's own economics applied
-//! to a batch of one, which buys nothing a hand-off worth a hundred
-//! ranks could (see [`server`]). The server owns one thread, its writer.
+//! caller, ranking the batch it already holds — a key, a pipelined
+//! group, a slice, a wire frame — on its own thread (see [`server`]).
+//! Nothing queues. The server owns one thread, its writer.
 //!
 //! * [`router`] — the u32 key space is **range-sharded** across
 //!   `n_shards` shards; routing is a binary search over a delimiter
 //!   array, and global ranks compose as `base_rank(shard) + local_rank`
 //!   (the paper's master/slave rank composition). Each
 //!   shard is served by a **replica group** of `replicas_per_shard`
-//!   independent claims over one `Arc`-shared snapshot — keys,
-//!   directory and overlay (a replica costs a queue and nothing else); a
-//!   [`ReplicaSelector`] picks among
-//!   them by **power-of-two choices** on live depth, and a
-//!   crashed replica **fails over** — its backlog is re-routed to
-//!   surviving siblings, so a shard only answers `ShuttingDown` once
-//!   its last replica is gone.
-//! * [`batcher`] — concurrent callers' requests **coalesce** by group
-//!   commit: a batch is the first request plus whatever queued while the
-//!   holder was ranking (≤ `max_batch`), ranked at once — the paper's
-//!   Figure 3 batch-size trade-off settled by load, not by a timer.
-//! * [`admission`] — bounded per-shard queues **shed on full**, so
-//!   overload surfaces as cheap explicit rejection (and a counter)
-//!   instead of unbounded queueing delay. Each queue's depth gauge is
-//!   the router's load signal and the **hold**: the caller that finds
-//!   it at 0 ranks for the replica until it is back at 0 (flat
-//!   combining), every other caller pushes and parks.
-//! * [`oneshot`] — **pooled reply cells**: a pool of reusable reply
-//!   cells replaces the per-lookup reply channel, making the queued
-//!   lookup path allocation-free end to end (cells and batch scratch all
-//!   recycle; a lookup its caller ranks needs neither). A cell is reused
-//!   only once nothing else holds it, and a request dropped unanswered
-//!   answers `ShuttingDown`.
+//!   replicas over one `Arc`-shared snapshot — keys, directory and
+//!   overlay (a replica costs a depth gauge, its accounting and its
+//!   fault script, and nothing else); a [`ReplicaSelector`] picks among
+//!   them by **power-of-two choices** on live depth, and a caller that
+//!   meets a crashed replica **fails over** to a surviving sibling, so
+//!   a shard only answers `ShuttingDown` once its last replica is gone.
+//! * [`admission`] — each replica's **depth gauge**: the router's load
+//!   signal, and the **claim**. The caller that takes it 0 → n counts
+//!   its batch in the replica's claim row with plain stores; every other
+//!   caller adds its n, ranks just the same, and counts in the shared
+//!   row with read-modify-writes. Nobody waits for anybody.
+//! * [`group`] — a pipelined caller's **open group** of up to
+//!   [`GROUP`](group::GROUP) keys, ranked as one batch — the paper's
+//!   batch, formed by the caller that holds the keys rather than by a
+//!   queue.
+//! * [`oneshot`] — **pooled reply cells**: a group's answers, and a
+//!   `dini-net` client's frames and updates, come back through reusable
+//!   cells instead of a channel per reply, so those paths allocate
+//!   nothing once warm. A cell is reused only once nothing else holds
+//!   it, and a filler dropped unanswered answers `ShuttingDown`.
 //! * [`snapshot`] + the writer in [`server`] — **online updates**: one
 //!   writer folds churn through
 //!   [`DeltaArray`](dini_index::DeltaArray)s and publishes each shard's
@@ -64,7 +61,7 @@
 //!   [`ServeStats`] is read off its snapshot by name, locally or after
 //!   a `StatsReply` carried it over the wire. Each replica
 //!   also carries a seeded-sampling **stage-trace ring**
-//!   ([`TraceConfig`]; its holders write it):
+//!   ([`TraceConfig`]; the callers that rank on it write it):
 //!   admitted → collected → dispatched → answered → filled timestamps
 //!   per sampled request, readable via
 //!   [`IndexServer::stage_traces`](server::IndexServer::stage_traces).
@@ -79,7 +76,7 @@
 //!   injection: [`ServeConfig::faults`] holds a
 //!   [`FaultSchedule`](dini_cluster::FaultSchedule), and each replica
 //!   resolves its crash point, straggle and jitter stream from it, met
-//!   by whoever holds it. This is the foundation the `dini-simtest` scenario suite
+//!   by every caller that ranks on it. This is the foundation the `dini-simtest` scenario suite
 //!   builds on.
 //!
 //! ## Quickstart
@@ -113,7 +110,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod admission;
-pub mod batcher;
 pub mod clock;
 pub mod config;
 mod faults;

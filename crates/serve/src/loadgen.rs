@@ -8,17 +8,17 @@
 //! * **Open loop** — arrivals come from a seeded
 //!   [`ArrivalProcess`] regardless of
 //!   completions, issued with [`ServerHandle::begin_lookup`] and reaped
-//!   by polling; overload surfaces as shed requests (refused at submit,
-//!   or, for a lookup that joined the handle's open group, reported when
-//!   it is reaped) instead of collapsing offered load. This is the
-//!   regime admission control exists for.
+//!   by polling, so offered load never stretches with latency. In
+//!   process every lookup is ranked by the thread that submits or reaps
+//!   it, so nothing is shed; the report still counts an `Overloaded`
+//!   refusal, should a handle return one.
 //!
 //! Latency is recorded *caller-side*, from just before the submit to
 //! the reply (so a lookup ranked inside the submit call bills that
-//! rank), coalescing delay and queueing included, per client, into
-//! [`LogHistogram`]s merged into the report. With replica groups each
-//! client's handle routes load-aware (power-of-two choices on live
-//! replica queue depth), so the generators exercise exactly the path
+//! rank), per client, into [`LogHistogram`]s merged into the report.
+//! With replica groups each client's handle routes load-aware
+//! (power-of-two choices on live replica depth), so the generators
+//! exercise exactly the path
 //! production callers take; the per-replica service breakdown lives
 //! server-side in [`IndexServer::replica_stats`](crate::IndexServer::replica_stats).
 //!
@@ -48,7 +48,7 @@ pub enum LoadMode {
     },
     /// `clients` open-loop callers, each following `process` for
     /// `duration` (arrivals that would block are issued late, not
-    /// dropped; arrivals that find a full queue are shed by the server).
+    /// dropped).
     Open {
         /// Concurrent caller threads.
         clients: usize,

@@ -8,8 +8,8 @@
 //!
 //! * [`ReplyCell<T>`] — written once per tenancy with one reply `T`,
 //!   which any number of waiters read through their own `Arc` of it. A
-//!   queued server lookup's cell answers one key; a pipelined caller's
-//!   open group's answers the group's keys — its lookups read it through
+//!   pipelined caller's open group's answers the group's keys — its
+//!   lookups read it through
 //!   the group's ticket, which holds the cell's [`Filler`], rather than
 //!   through an `Arc` each (see [`crate::group`]) — and a `dini-net`
 //!   client's a whole `Lookup` frame (each pending lookup keeps its
@@ -21,11 +21,11 @@
 //!   cell because it still holds the `Arc` that keeps the cell out of
 //!   circulation.
 //! * [`Filler<T>`] — the one side that may answer. Whatever holds it
-//!   (a queued [`Request`](crate::batcher::Request), a client frame, a
-//!   churn-log waiter entry) answers [`T::unanswered`](Unanswered) if it
-//!   is dropped before it filled — a crashed replica with no survivor to
-//!   re-route to, a queue destroyed with requests aboard — so a waiter is never stranded, and
-//!   then gives the cell back to its pool.
+//!   (a group's ticket, a client frame, a churn-log waiter entry)
+//!   answers [`T::unanswered`](Unanswered) if it is dropped before it
+//!   filled — a client torn down with frames aboard, a failover with no
+//!   survivor — so a waiter is never stranded, and then gives the cell
+//!   back to its pool.
 //!
 //! In steady state every reply reuses a warmed cell and the path
 //! allocates nothing.
@@ -409,7 +409,9 @@ mod tests {
             let cell = cell.clone();
             move || *cell.wait()
         });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
         while cell.parking.parked.load(Ordering::SeqCst) == 0 {
+            assert!(std::time::Instant::now() < deadline, "the waiter never parked");
             thread::yield_now();
         }
         filler.fill(Ok(7));

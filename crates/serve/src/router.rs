@@ -13,7 +13,8 @@
 //! 2. **Which replica** ([`ReplicaSelector`]) is load-aware: any replica
 //!    of a shard can answer any of that shard's keys (replicas serve the
 //!    same `Arc`-shared snapshots), so the selector picks among them by
-//!    **power-of-two choices** over live queue depths — the classic
+//!    **power-of-two choices** over live depths (keys being ranked on a
+//!    replica, or in flight to an endpoint) — the classic
 //!    result that sampling two queues and joining the shorter one gets
 //!    exponentially close to the balance of global shortest-queue at a
 //!    constant cost. Dead replicas (past their crash point) are skipped;

@@ -2,87 +2,77 @@
 //! that rank for them, and the writer.
 //!
 //! Thread topology for an `n`-shard server with `R` replicas per shard:
-//! one writer thread, nothing else. Every lookup is ranked by a thread
-//! that called in:
+//! one writer thread, nothing else. Every lookup is ranked by the thread
+//! that issued it:
 //!
 //! ```text
 //!  pipelined callers: [open group ≤ GROUP keys] ─┐ (full, or a member reaped)
 //!                                                ▼
-//!                                    ┌─ depth 0 → n: holds ─► pins the shard's snapshot, ranks its own
-//!                                    │                        key(s), then drains the queue in batches,
-//!  callers ──route(key) → p2c(depth)─┤                        answers each through its reply cell, and
-//!    │                               │                        leaves once depth is back to 0
-//!    │                               │                             ▲ drains         │ load()
-//!    │                               └─ depth > 0 ─► send to [admission queue s·r], count, park on the
-//!    │                                                (bounded, shed-on-full)       reply cell
-//!    └──update(Op)──► writer ──DeltaArray per shard──► EpochCell s ───────────────────┘
+//!                                    ┌─ depth 0 → n: claims ─► meets the replica's faults, pins the
+//!  callers ──route(key) → p2c(depth)─┤                         shard's snapshot, ranks its keys, counts
+//!    │                               │                         them in the claim row; subtracts n
+//!    │                               └─ depth > 0: adds n ───► the same, counted in the shared row;
+//!    │                                                         subtracts n
+//!    └──update(Op)──► writer ──DeltaArray per shard──► EpochCell s  (pinned by both, above)
 //!                                                      (main array + overlay + base rank,
 //!                                                       one publish, shared by replicas)
 //! ```
 //!
-//! * **The shard is the paper's partition, and its slave is whoever
-//!   holds a replica**: the router's delimiter search is the master's
-//!   dispatch, and the holder answers its batch over one sorted piece
-//!   with [`LineDirectory::rank_batch`](dini_index::LineDirectory) — in
-//!   place, on the caller's thread. Parallelism inside a key range is
+//! * **The shard is the paper's partition, and its slave is the
+//!   caller**: the router's delimiter search is the master's dispatch,
+//!   and the caller answers its batch over one sorted piece with
+//!   [`LineDirectory::rank_batch`](dini_index::LineDirectory) — in
+//!   place, on its own thread. Parallelism inside a key range is
 //!   expressed the one way there is: more shards (size `n_shards` so a
 //!   shard's keys fit a core's L2).
-//! * **The thread that has the keys ranks them, and whatever queued
-//!   behind them**: the paper ships a key to another node because the
-//!   search it buys there is cheaper than the hop, and a batch of one
-//!   buys nothing — waking a parked thread costs a hundred times the
-//!   rank it then performs. "Idle" is read off the gauge the router
-//!   already trusts: the chosen replica's depth. A caller that takes it
-//!   0 → n ([`AdmissionQueue::claim`]) holds the replica: it pins the
-//!   shard's snapshot, ranks its own keys, folds them into the replica's
-//!   accounting, and leaves — one subtract — unless others queued
-//!   meanwhile. Those it answers before it leaves, in group-committed
-//!   batches of ≤ `max_batch` (flat combining; see [`crate::admission`]
-//!   for the protocol), which is where batches form by themselves under
-//!   concurrent load: the paper's regime, run by whichever caller got
-//!   there first. A caller that finds depth > 0 pushes its request,
-//!   counts it, and parks on its pooled reply cell. No threshold, option
-//!   or spin decides between the two. A slice of keys
-//!   ([`ServerHandle::lookup_many`], a wire frame) is admitted shard by
-//!   shard as a unit, so an idle replica's share of it is *one* batch
-//!   through the kernel's lockstep groups.
-//! * **What a holder pays**: its own keys are answered first, but its
-//!   call returns only once the queue behind it is empty. Under
-//!   sustained overload the holder keeps combining, and its caller's
-//!   next call waits — the price of a server that owns no threads.
+//! * **A key never travels to be ranked**: the paper ships a key to
+//!   another node because the search it buys there is cheaper than the
+//!   hop, and in process it never is — waking a parked thread costs a
+//!   hundred times the rank it then performs, and a shard's read state is
+//!   one immutable snapshot any thread may pin. So every caller ranks
+//!   its own keys, and nothing on the read path parks. The batch is the
+//!   one the caller already holds: a lone key, a pipelined caller's open
+//!   group, a slice ([`ServerHandle::lookup_many`], a wire frame), whose
+//!   keys of one shard are ranked as *one* batch through the kernel's
+//!   lockstep groups. No threshold, option or spin is involved.
+//! * **The claim keeps the books cheap**: the chosen replica's depth
+//!   gauge is the router's load signal, and a caller that takes it
+//!   0 → n ([`ReplicaGauge::claim`]) holds the replica while it ranks.
+//!   Holding buys only accounting: the replica's claim row (counts,
+//!   latency, the heat grid's claim row) is written with plain loads
+//!   and stores, the hold making its holder their only writer. A caller
+//!   that finds depth > 0 adds its `n`, ranks just the same, and counts
+//!   in the shared row with read-modify-writes (see [`crate::admission`]
+//!   and [`crate::stats`]). Neither waits for the other.
 //! * **A pipelined caller ranks its own group**: a caller that still
 //!   holds a lookup it began has a batch in hand, one key at a time.
 //!   [`ServerHandle::begin_lookup`] then adds the key to the handle's
-//!   open group ([`crate::group`]) of up to [`GROUP`] keys — the
+//!   open group ([`crate::group`]) of up to [`GROUP`](crate::group::GROUP) keys — the
 //!   kernel's lockstep group, so no knob — which is ranked like a slice
-//!   (one claim and one pinned rank per shard) when it fills or when one
-//!   of its lookups is reaped. A lone lookup (nothing held) is ranked
-//!   inside `begin_lookup`: a paced caller's latency keeps the rank. The
-//!   group's answers live in one pooled reply cell, which its lookups
-//!   hold through one ticket each (see [`crate::group`]).
+//!   (one replica choice and one pinned rank per shard) when it fills or
+//!   when one of its lookups is reaped. A lone lookup (nothing held) is
+//!   ranked inside `begin_lookup`: a paced caller's latency keeps the
+//!   rank. The group's answers live in one pooled reply cell, which its
+//!   lookups hold through one ticket each (see [`crate::group`]).
 //! * **Replica groups**: each keyspace shard is served by
-//!   `replicas_per_shard` independent claims over one [`EpochCell`] — the
-//!   shard's whole read state (main array behind its directory, overlay,
-//!   base rank) is published once per shard — so a replica costs a
-//!   queue and **nothing else**: more replicas mean more callers ranking
-//!   one shard at once. Routing picks the shard from the key (ranks must
-//!   compose), then a replica by **power-of-two choices** on live depth
-//!   ([`ReplicaSelector`]) — a straggling replica's depth stays up and
-//!   traffic flows around it.
-//! * **Faults are the holder's**: a replica's scripted straggle and
-//!   dispatch jitter are slept out by whoever holds it, before each batch
-//!   it ranks; past the replica's crash point the holder marks it dead
-//!   and **re-routes** everything it holds and drains to surviving
-//!   replicas of the same shard — callers see degraded capacity, not
-//!   errors; the caller's own keys are admitted again on a survivor. Only
-//!   when a shard's *last* replica dies does its traffic resolve to
-//!   [`ShuttingDown`](crate::ServeError::ShuttingDown).
-//! * **A holder keeps no index state**: each batch is answered from the
-//!   shard's snapshot pinned at service time, so the `(main, overlay)`
-//!   pair it sees is consistent by construction; see [`crate::snapshot`].
-//!   A shard's read state is one immutable value any thread may pin. The
-//!   replica's accounting and stage-trace ring are written by its holder
-//!   alone, with plain stores (see [`crate::stats`]).
+//!   `replicas_per_shard` replicas over one [`EpochCell`] — the shard's
+//!   whole read state (main array behind its directory, overlay, base
+//!   rank) is published once per shard — so a replica costs a gauge,
+//!   its accounting and its fault script, and **nothing else**. Routing
+//!   picks the shard from the key (ranks must compose), then a replica
+//!   by **power-of-two choices** on live depth ([`ReplicaSelector`]) —
+//!   a straggling replica's depth stays up and traffic flows around it.
+//! * **Faults are the replica's, met by every caller**: a replica's
+//!   scripted straggle and dispatch jitter are slept out by whoever
+//!   ranks on it, before each batch, claim or not — the fate is drawn
+//!   under a lock that is never held across the sleep. Past the
+//!   replica's crash point a caller marks it dead and selects again,
+//!   among the survivors of the same shard — callers see degraded
+//!   capacity, not errors. Only when a shard's *last* replica dies does
+//!   its traffic resolve to [`ShuttingDown`](crate::ServeError::ShuttingDown).
+//! * **No caller keeps index state**: each batch is answered from the
+//!   shard's snapshot pinned at rank time, so the `(main, overlay)` pair
+//!   it sees is consistent by construction; see [`crate::snapshot`].
 //! * **The writer** (single thread) owns every shard's
 //!   [`DeltaArray`], folds churn through it,
 //!   publishes snapshots every `publish_every` ops (once per shard — the
@@ -103,13 +93,12 @@
 //!   `base_rank(s) + main_rank + overlay_adjust` — the paper's
 //!   master/slave rank composition.
 
-use crate::admission::AdmissionQueue;
-use crate::batcher::{collect_batch_into, Request};
-use crate::clock::{Clock, ClockJoinHandle, Nanos};
+use crate::admission::ReplicaGauge;
+use crate::clock::{Clock, ClockJoinHandle};
 use crate::config::{ServeConfig, ServeError};
 use crate::faults::ReplicaFaults;
-use crate::group::{Answers, Member, OpenGroup, Ranker, Shared, GROUP};
-use crate::oneshot::{CellPool, Unanswered, Waiter};
+use crate::group::{Answers, Member, OpenGroup, Ranker, Shared};
+use crate::oneshot::{CellPool, Unanswered};
 use crate::router::{ReplicaSelector, ShardRouter};
 use crate::snapshot::{EpochCell, ShardSnapshot};
 use crate::stats::{replica_labels, ReplicaMetrics, ServeStats};
@@ -121,7 +110,12 @@ use dini_store::{write_snapshot, ShardRecord, SharedKeys, Snapshot, SpanRecord};
 use dini_workload::Op;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Idle reply cells the handles' open groups keep pooled: room for
+/// 32 768 grouped lookups in flight at once before a group's cell is
+/// freed rather than kept.
+const GROUP_CELLS: usize = 1024;
 
 enum WriterMsg {
     Apply(Op),
@@ -208,8 +202,8 @@ impl ShardSeed {
     }
 }
 
-/// A sharded, replicated, batch-coalescing, online-updatable rank-query
-/// server.
+/// A sharded, replicated, online-updatable rank-query server whose
+/// callers rank their own keys.
 ///
 /// Build one over an initial sorted key set, take cheap cloneable
 /// [`ServerHandle`]s for concurrent callers, feed churn through
@@ -236,7 +230,7 @@ pub struct IndexServer {
     core: HandleCore,
     /// Reply cells of the handles' open groups, one cell a group.
     groups: CellPool<Answers<Pending>>,
-    /// Every replica's instruments plus queue/writer gauges, behind named
+    /// Every replica's instruments plus depth/writer gauges, behind named
     /// handles — what [`metrics_snapshot`](Self::metrics_snapshot)
     /// serializes and [`stats`](Self::stats) reads.
     metrics: MetricsRegistry,
@@ -249,14 +243,8 @@ pub struct IndexServer {
 
 /// A cheap, cloneable caller-side handle: routes lookups to the shard
 /// owning the key, then to a live replica by power-of-two-choices on
-/// depth — and ranks them right here on the calling thread when that
-/// replica is idle, along with whatever queued behind them.
+/// depth — and ranks them right here on the calling thread.
 ///
-/// For lookups that queue, handles share one [`CellPool`] of reusable
-/// reply cells *per shard*, so a warmed-up lookup allocates nothing on
-/// either path (the cell cycles take → push → fill → return for the
-/// server's whole lifetime) and pool traffic serializes only within a
-/// shard, never across the server.
 /// Each clone carries its own routing tick, so clones never contend on
 /// a shared counter (a fresh clone restarts its candidate rotation —
 /// load awareness, not the rotation phase, is what balances replicas),
@@ -271,16 +259,14 @@ pub struct ServerHandle {
     group: Shared<HandleCore>,
 }
 
-/// What a handle clone reaches — routing, the shards, reply pools and
-/// heat — and what ranks its open group.
+/// What a handle clone reaches — routing, the shards and heat — and
+/// what ranks its open group.
 struct HandleCore {
     router: Arc<ShardRouter>,
     selector: ReplicaSelector,
     shards: Arc<[Shard]>,
-    pools: Vec<CellPool<Reply>>,
     heat: Option<Arc<HeatMap>>,
     clock: Clock,
-    max_batch: usize,
     /// Per-clone power-of-two-choices rotation tick.
     tick: AtomicU64,
 }
@@ -292,71 +278,17 @@ struct Shard {
     replicas: Vec<Replica>,
 }
 
-/// One replica of a shard. It owns no thread: whoever holds its depth
-/// gauge ranks for it (see [`crate::admission`]).
+/// One replica of a shard. It owns no thread and no queue: every
+/// caller routed to it ranks on it, the one holding its claim (see
+/// [`crate::admission`]) or not.
 struct Replica {
-    queue: AdmissionQueue,
+    gauge: ReplicaGauge,
     metrics: ReplicaMetrics,
-    /// Whether any fault is scripted for it: a holder then meets them
-    /// before it ranks its own keys, too.
-    faulty: bool,
-    holder: Mutex<Holder>,
-}
-
-/// What only a replica's holder touches: the queue's receiving end, the
-/// replica's fault state, and the scratch a drained batch is ranked and
-/// traced out of (reused by every holder, so a warm drain allocates
-/// nothing). A holder takes the lock only inside its hold — to drain, or
-/// to meet faults — and lets it go before the subtract that may end the
-/// hold; the depth gauge admits one holder at a time, so it is never
-/// contended.
-struct Holder {
-    rx: Receiver<Request>,
-    faults: ReplicaFaults,
-    batch: Vec<Request>,
-    keys: Vec<u32>,
-    ranks: Vec<u32>,
-    /// `(admitted, trace)` of the drained requests picked for a stage
-    /// record, stamped once their replies are out.
-    sampled: Vec<(Nanos, u64)>,
-}
-
-/// When a timed batch passed each stage up to its answer: what its
-/// sampled [`StageRecord`]s share.
-#[derive(Debug, Clone, Copy)]
-struct Stages {
-    shard: usize,
-    replica: usize,
-    batch_len: u64,
-    collected: Nanos,
-    dispatched: Nanos,
-    answered: Nanos,
-}
-
-impl Stages {
-    /// The record of one request of the batch, admitted at `admitted`
-    /// and carrying `trace`, whose reply was out by `filled`.
-    fn record(&self, admitted: Nanos, trace: u64, filled: Nanos) -> StageRecord {
-        StageRecord {
-            shard: self.shard as u16,
-            replica: self.replica as u16,
-            batch_len: self.batch_len as u32,
-            trace,
-            admitted_ns: admitted,
-            collected_ns: self.collected,
-            dispatched_ns: self.dispatched,
-            answered_ns: self.answered,
-            filled_ns: filled,
-            encoded_ns: 0,
-            acked_ns: 0,
-        }
-    }
-}
-
-impl Replica {
-    fn holder(&self) -> MutexGuard<'_, Holder> {
-        self.holder.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    /// Its scripted faults, if any: every caller meets them before each
+    /// batch it ranks. Locked only to draw a fate or read the crash
+    /// point — never across a clock call, since several callers may
+    /// rank on the replica at once.
+    faults: Option<Mutex<ReplicaFaults>>,
 }
 
 impl Clone for ServerHandle {
@@ -372,10 +304,8 @@ impl Clone for HandleCore {
             router: self.router.clone(),
             selector: self.selector,
             shards: self.shards.clone(),
-            pools: self.pools.clone(),
             heat: self.heat.clone(),
             clock: self.clock.clone(),
-            max_batch: self.max_batch,
             tick: AtomicU64::new(0),
         }
     }
@@ -530,20 +460,11 @@ impl IndexServer {
             });
             let replicas = (0..n_replicas)
                 .map(|r| {
-                    let (tx, rx) = sync_channel::<Request>(cfg.queue_capacity);
                     let faults = ReplicaFaults::resolve(&cfg.faults, s, r);
                     Replica {
-                        queue: AdmissionQueue::new(s, tx, cfg.clock.clone()),
+                        gauge: ReplicaGauge::new(),
                         metrics: ReplicaMetrics::new(&metrics, s, r, &cfg.trace),
-                        faulty: !faults.is_noop(),
-                        holder: Mutex::new(Holder {
-                            rx,
-                            faults,
-                            batch: Vec::new(),
-                            keys: Vec::new(),
-                            ranks: Vec::new(),
-                            sampled: Vec::new(),
-                        }),
+                        faults: (!faults.is_noop()).then(|| Mutex::new(faults)),
                     }
                 })
                 .collect();
@@ -551,28 +472,17 @@ impl IndexServer {
         }
         let shards: Arc<[Shard]> = shards.into();
 
-        // Queue gauges poll the admission atomics at snapshot time — live
+        // Depth gauges poll the replicas' atomics at snapshot time — live
         // depth is already load-bearing state (the p2c router reads it),
-        // so exposing it costs nothing. They come after every replica's
-        // `served` series: a snapshot reads in registration order, so a
-        // lookup admitted and served between the two reads cannot show
-        // as served but not admitted. The writes still count `served`
-        // first on the claimed path (in `rank_batch`, before `claim`'s
-        // admission count lands) and may on the queued path (a holder can
-        // serve before `push` counts it admitted), so only a snapshot
-        // that no thread switch can split — simtest's — is guaranteed
-        // `served ≤ admitted`. `rebuilds` is the epochs the shard's
-        // snapshot has crossed since the build, read off it here.
+        // so exposing it costs nothing. `rebuilds` is the epochs the
+        // shard's snapshot has crossed since the build, read off it here.
         for s in 0..cfg.n_shards {
             for r in 0..n_replicas {
                 let labels = replica_labels(s, r);
-                let queue = |read: fn(&AdmissionQueue) -> u64| {
-                    let shards = shards.clone();
-                    move || read(&shards[s].replicas[r].queue)
-                };
-                metrics.gauge_fn("dini_serve_queue_depth", &labels, queue(|q| q.depth()));
-                metrics.gauge_fn("dini_serve_admitted", &labels, queue(AdmissionQueue::admitted));
-                metrics.gauge_fn("dini_serve_shed", &labels, queue(AdmissionQueue::shed));
+                let depth = shards.clone();
+                metrics.gauge_fn("dini_serve_queue_depth", &labels, move || {
+                    depth[s].replicas[r].gauge.depth()
+                });
                 let (cell, base) = (shards[s].cell.clone(), base_epochs[s]);
                 metrics.gauge_fn("dini_serve_rebuilds", &labels, move || {
                     cell.load().main_epoch - base
@@ -616,27 +526,18 @@ impl IndexServer {
             cfg.clone(),
         );
 
-        // One pool per shard (contention splits along the same lines as
-        // the admission queues), shared by the shard's replicas, with
-        // room for every replica's full queue plus an in-flight batch;
-        // returns beyond that are dropped, bounding memory under
-        // pathological in-flight spikes.
-        let shard_cells = (cfg.queue_capacity + cfg.max_batch) * n_replicas;
-        let pools =
-            (0..cfg.n_shards).map(|_| CellPool::new(shard_cells, cfg.clock.clone())).collect();
-        // Group cells, one per up to `GROUP` lookups: as many as the
-        // shard pools' cells would fill.
-        let groups = CellPool::new((shard_cells * cfg.n_shards).div_ceil(GROUP), cfg.clock.clone());
+        // Group cells, one per up to `GROUP` lookups; returns beyond
+        // `GROUP_CELLS` are dropped, bounding memory under pathological
+        // in-flight spikes.
+        let groups = CellPool::new(GROUP_CELLS, cfg.clock.clone());
 
         Self {
             core: HandleCore {
                 router,
                 selector: ReplicaSelector::new(n_replicas),
                 shards,
-                pools,
                 heat,
                 clock: cfg.clock.clone(),
-                max_batch: cfg.max_batch,
                 tick: AtomicU64::new(0),
             },
             groups,
@@ -750,7 +651,7 @@ impl IndexServer {
     }
 
     /// Point-in-time aggregate statistics, read off a registry
-    /// snapshot (no holder is ever blocked by this).
+    /// snapshot (no caller is ever blocked by this).
     pub fn stats(&self) -> ServeStats {
         ServeStats::from(&self.metrics_snapshot())
     }
@@ -777,7 +678,7 @@ impl IndexServer {
     }
 
     /// Snapshot the whole metrics registry: per-replica
-    /// counters/histograms, queue gauges, writer counters and stage-trace
+    /// counters/histograms, depth gauges, writer counters and stage-trace
     /// sums, ready for [`ServeStats::from`],
     /// [`MetricsSnapshot::to_json`] or
     /// [`MetricsSnapshot::to_prometheus`] — and what a `StatsReply`
@@ -804,7 +705,7 @@ impl Drop for IndexServer {
         // No replica is alive any more: a handle that outlives the server
         // must not rank on its own against a state nobody publishes to.
         for r in self.core.shards.iter().flat_map(|s| &s.replicas) {
-            r.queue.mark_dead();
+            r.gauge.mark_dead();
         }
     }
 }
@@ -814,12 +715,9 @@ impl Drop for IndexServer {
 /// the primitive a genuinely open-loop caller needs: the caller's
 /// arrival schedule never stretches on slow replies.
 ///
-/// A lookup ranked when it was submitted — by the submitting thread, on
-/// an idle replica — is born resolved. One that was queued holds a
-/// pooled reply cell rather than a per-lookup channel; the cell goes
-/// back to the server's pool once the replica's holder has answered, and is
-/// reused once this `PendingLookup` (reaped, or abandoned) has let go of
-/// it. One that joined its handle's open group (a pipelined
+/// A lookup ranked when it was submitted — by the submitting thread,
+/// which is every lookup but a grouped one — is born resolved. One that
+/// joined its handle's open group (a pipelined
 /// [`ServerHandle::begin_lookup`]) holds its group's ticket — one
 /// counted reference that carries the group's pooled reply cell (see
 /// [`crate::group`]): the first `poll` or `wait` on any member ranks a
@@ -836,14 +734,12 @@ pub struct PendingLookup {
 /// What a lookup's caller reads: its global rank, or why there is none.
 type Reply = Result<u32, ServeError>;
 
-/// One key's answer, as admission leaves it — and, ranked, what a slot
+/// One key's answer, as ranking leaves it — and, ranked, what a slot
 /// of an open group's reply cell holds.
 #[derive(Debug)]
 enum Pending {
     Ready(Reply),
-    Queued(Waiter<Reply>),
-    /// A slot of an open group's cell; the slot itself is `Ready` or
-    /// `Queued`.
+    /// A slot of an open group's cell; the slot itself is `Ready`.
     Grouped(Member<HandleCore>),
 }
 
@@ -851,7 +747,6 @@ impl Pending {
     fn wait(&self) -> Reply {
         match self {
             Pending::Ready(reply) => *reply,
-            Pending::Queued(cell) => *cell.wait(),
             Pending::Grouped(member) => member.wait().wait(),
         }
     }
@@ -859,7 +754,6 @@ impl Pending {
     fn poll(&self) -> Option<Reply> {
         match self {
             Pending::Ready(reply) => Some(*reply),
-            Pending::Queued(cell) => cell.poll().copied(),
             Pending::Grouped(member) => member.poll().and_then(Self::poll),
         }
     }
@@ -892,38 +786,21 @@ impl PendingLookup {
 }
 
 /// Reusable scratch for [`ServerHandle::begin_lookup_many`]: per-key
-/// shard assignments and answers, and one shard's keys and ranks. Keep
+/// shard assignments and ranks, and one shard's keys and ranks. Keep
 /// one per submitting thread and a warmed call allocates nothing.
 #[derive(Debug, Default)]
 pub struct LookupScratch {
     /// `shards[i]`: the shard `keys[i]` routes to.
     shards: Vec<usize>,
-    /// `admitted[shard]`: how the shard's keys were admitted, if they
-    /// have been yet.
-    admitted: Vec<Admitted>,
-    /// `slots[i]`, for a key whose shard was ranked here, its rank; for
-    /// one whose shard was queued, its lookup's index in `queued`.
+    /// `ranked[shard]`: whether the shard's keys were ranked (`Some(true)`),
+    /// refused for want of a live replica (`Some(false)`), or not yet
+    /// reached (`None`).
+    ranked: Vec<Option<bool>>,
+    /// `slots[i]`: the rank of `keys[i]`, once its shard is ranked.
     slots: Vec<u32>,
     /// One shard's keys, and their ranks.
     keys: Vec<u32>,
     ranks: Vec<u32>,
-    /// Lookups queued for a holder (or refused), until they are
-    /// moved out to their keys' places.
-    queued: Vec<Pending>,
-}
-
-/// How a slice's keys of one shard were admitted.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Admitted {
-    /// Not yet: no key of the shard has been reached.
-    No,
-    /// Under a claim, by this thread: a key's slot is its rank.
-    Ranked,
-    /// Queued for the replica's holder, or refused: a key's slot
-    /// indexes its lookup.
-    Queued,
-    /// No replica is alive.
-    Refused,
 }
 
 /// A cloneable churn-feeding handle: routes [`Op`]s to the writer from
@@ -971,79 +848,110 @@ impl HandleCore {
 
     /// Pick a live replica of `shard`: power-of-two choices on live
     /// depth, skipping crashed replicas. `None` means the whole group is
-    /// gone — the shard is shutting down, and saying so here beats
-    /// queueing into a replica nobody will hold.
+    /// gone — the shard is shutting down.
     fn select(&self, shard: usize) -> Option<usize> {
         let group = &self.shards[shard].replicas;
         // ordering: relaxed-ok: per-clone rotation phase; only atomicity
         // matters, and clones never share the counter. A lone replica
         // needs no rotation, so it skips the RMW.
         let tick = if group.len() == 1 { 0 } else { self.tick.fetch_add(1, Ordering::Relaxed) };
-        self.selector.select(tick, |r| group[r].queue.probe())
+        self.selector.select(tick, |r| group[r].gauge.probe())
     }
 
-    /// Meet `replica`'s scripted faults before ranking a batch under its
-    /// hold: sleep out its straggle and jitter, and report whether it is
-    /// still alive. Past its crash point the replica is marked dead here
-    /// — before anything is re-routed, so no sibling can bounce a request
-    /// back believing it alive.
-    fn meet_faults(&self, shard: usize, replica: usize, faults: &mut ReplicaFaults) -> bool {
-        if !faults.crashed(&self.clock) {
-            let Some(extra) = faults.batch_delay() else { return true };
-            self.clock.sleep(extra);
-            if !faults.crashed(&self.clock) {
-                return true;
+    /// Meet `replica`'s scripted faults before ranking a batch on it:
+    /// draw the batch's fate under the lock, sleep out its straggle and
+    /// jitter with the lock released, and report whether the replica is
+    /// still alive. Past its crash point the replica is marked dead here,
+    /// before the caller selects again, so it cannot be picked twice.
+    fn meet_faults(&self, r: &Replica, faults: &Mutex<ReplicaFaults>) -> bool {
+        let faults = || faults.lock().unwrap_or_else(PoisonError::into_inner);
+        let delay = {
+            let mut f = faults();
+            (!f.crashed(&self.clock)).then(|| f.batch_delay())
+        };
+        match delay {
+            Some(None) => return true,
+            Some(Some(extra)) => {
+                self.clock.sleep(extra);
+                if !faults().crashed(&self.clock) {
+                    return true;
+                }
             }
+            None => {}
         }
-        self.replica(shard, replica).queue.mark_dead();
+        r.gauge.mark_dead();
         false
     }
 
-    /// Rank one batch under `replica`'s hold and account for it: meet the
-    /// replica's faults (when `faults` is given), pin the shard's
-    /// snapshot, run `rank` on it, and fold the batch into the replica's
-    /// counts — plain stores all, the hold making this thread their only
-    /// writer. `None`: the replica met its crash point, and nothing was
-    /// ranked.
+    /// Rank `keys` of `shard` on this thread, on a live replica: claim it
+    /// if it is idle, add to its depth otherwise, meet its faults, pin
+    /// the shard's snapshot, run `rank` on it, and fold the batch into
+    /// the replica's accounting — the claim row's plain stores under a
+    /// claim, the shared row's read-modify-writes without one. A replica
+    /// met past its crash point is dead, and the keys go to the next
+    /// selection. `None`: no replica of the shard is alive.
     ///
-    /// A batch is the holder's `own` keys (admitted now, all carrying
-    /// `trace`, answered by what `rank` returns), accounted for in full
-    /// here: counts, latency, heat row and stage-trace ring. Or it is the
-    /// keys of drained requests, timed always: this counts them, and
-    /// returns the batch's [`Stages`] for
-    /// [`answer_queued`](Self::answer_queued) to time each request from
-    /// its own admission by — before any reply, so a reaped reply
-    /// implies a counted one — and to stamp its sampled records with
-    /// once the replies are out. Two clock reads and a histogram record
-    /// cost more than ranking a key, so an own batch is timed only when
-    /// someone will read the result: the replica's seeded sampler,
-    /// consulted once for all its keys, picked one of them, or they
-    /// carry a trace id. An untimed own batch touches neither the clock
-    /// nor `latency_ns`; a timed one records its latency once, weighted
-    /// by the requests each pick stands for.
+    /// The batch is timed only when someone will read the result — two
+    /// clock reads and a histogram record cost more than ranking a key:
+    /// the replica's seeded sampler, consulted once for all its keys,
+    /// picked one of them, or they carry a trace id. An untimed batch
+    /// touches neither the clock nor `latency_ns`; a timed one records
+    /// its latency once, weighted by the requests each pick stands for,
+    /// and one stage record per pick (per key, when traced).
     ///
-    /// Atomic read-modify-writes for an untimed own batch: the sampler's
-    /// add and the pin and unpin — with the caller's claim and its
-    /// leave, five a batch, however many keys it holds.
-    #[allow(clippy::too_many_arguments)]
-    fn rank_batch<T>(
+    /// Atomic read-modify-writes for an untimed batch under a claim: the
+    /// sampler's add, the pin and unpin, the claim and its subtract —
+    /// five a batch, however many keys it holds.
+    fn rank_here<T>(
+        &self,
+        shard: usize,
+        keys: &[u32],
+        trace: u64,
+        mut rank: impl FnMut(&ShardSnapshot) -> T,
+    ) -> Option<T> {
+        let n = keys.len();
+        while let Some(replica) = self.select(shard) {
+            let r = self.replica(shard, replica);
+            let claimed = r.gauge.claim(n);
+            if !claimed {
+                r.gauge.add(n);
+            }
+            let answer = self.rank_on(shard, replica, keys, claimed, trace, &mut rank);
+            if claimed {
+                r.gauge.release(n);
+            } else {
+                r.gauge.complete(n);
+            }
+            if answer.is_some() {
+                return answer;
+            }
+            if self.shards[shard].replicas.iter().any(|s| s.gauge.is_alive()) {
+                r.metrics.count_rerouted(n as u64);
+            }
+        }
+        None
+    }
+
+    /// The body of [`rank_here`](Self::rank_here) on one replica, with
+    /// its gauge already counting the batch. `None`: the replica met its
+    /// crash point, and nothing was ranked.
+    fn rank_on<T>(
         &self,
         shard: usize,
         replica: usize,
         keys: &[u32],
-        own: bool,
+        claimed: bool,
         trace: u64,
-        faults: Option<&mut ReplicaFaults>,
         rank: impl FnOnce(&ShardSnapshot) -> T,
-    ) -> Option<(T, Option<Stages>)> {
+    ) -> Option<T> {
         let r = self.replica(shard, replica);
         let n = keys.len() as u64;
         let ring = r.metrics.trace();
-        let picked = if own { ring.sample_n(n) } else { 0 };
-        let collected = (!own || picked > 0 || trace != 0).then(|| self.clock.now());
-        let dispatched = match faults {
+        let picked = ring.sample_n(n);
+        let collected = (picked > 0 || trace != 0).then(|| self.clock.now());
+        let dispatched = match &r.faults {
             Some(faults) => {
-                if !self.meet_faults(shard, replica, faults) {
+                if !self.meet_faults(r, faults) {
                     return None;
                 }
                 collected.map(|_| self.clock.now())
@@ -1054,211 +962,73 @@ impl HandleCore {
         // writer, whose publish would wait out a pin held across it.
         self.clock.yield_now();
         let answer = self.shards[shard].cell.with(rank);
-        r.metrics.count_batch(n, own);
-        if own {
-            r.queue.admit_claimed(keys.len());
-            if let Some(h) = &self.heat {
-                keys.iter().for_each(|&key| h.record_unshared(shard, replica, key));
+        r.metrics.count_batch(n, claimed);
+        if let Some(h) = &self.heat {
+            for &key in keys {
+                if claimed {
+                    h.record_unshared(shard, replica, key);
+                } else {
+                    h.record(shard, key);
+                }
             }
         }
         let (Some(collected), Some(dispatched)) = (collected, dispatched) else {
-            return Some((answer, None));
+            return Some(answer);
         };
         let answered = self.clock.now();
-        let stages = Stages { shard, replica, batch_len: n, collected, dispatched, answered };
-        if own {
-            r.metrics.record_latency(answered - collected, picked * ring.period());
-            // A request carrying a trace id is always recorded. Its
-            // answer is the return value: filled as it is answered.
-            let records = if trace != 0 { n } else { picked };
-            (0..records).for_each(|_| ring.push(&stages.record(collected, trace, answered)));
-        }
-        Some((answer, Some(stages)))
-    }
-
-    /// Rank the caller's own `keys` on `replica` of `shard`, just claimed
-    /// for them, then combine whatever queued behind them and leave.
-    /// `None`: the replica met its crash point first and is dead; nothing
-    /// was ranked, and the caller admits the keys again, on a survivor.
-    fn hold<T>(
-        &self,
-        shard: usize,
-        replica: usize,
-        keys: &[u32],
-        trace: u64,
-        rank: impl FnOnce(&ShardSnapshot) -> T,
-    ) -> Option<T> {
-        let r = self.replica(shard, replica);
-        let mut holder = r.faulty.then(|| r.holder());
-        let faults = holder.as_mut().map(|h| &mut h.faults);
-        let answer = self.rank_batch(shard, replica, keys, true, trace, faults, rank);
-        drop(holder);
-        // Dead, its keys go to a survivor, if one is left: the caller
-        // admits them again, re-homed like what queued.
-        let survivors = || self.shards[shard].replicas.iter().any(|s| s.queue.is_alive());
-        if answer.is_none() && survivors() {
-            r.metrics.count_rerouted(keys.len() as u64);
-        }
-        self.combine(shard, replica, keys.len() as u64);
-        answer.map(|(answer, _)| answer)
-    }
-
-    /// The rest of a hold on `replica` of `shard`, with `owed` counts on
-    /// its gauge for work done (0 for a pusher that holds): answer
-    /// whatever queued, in group-committed batches of
-    /// ≤ `max_batch` — each the first request plus whatever queued behind
-    /// it — and leave once the gauge is back to 0 (see
-    /// [`AdmissionQueue::drain`]). Each pass takes the holder state and
-    /// lets it go before the subtract that may end the hold.
-    fn combine(&self, shard: usize, replica: usize, owed: u64) {
-        let r = self.replica(shard, replica);
-        r.queue.drain(owed, || {
-            let mut holder = r.holder();
-            let h = &mut *holder;
-            while let Ok(first) = h.rx.try_recv() {
-                collect_batch_into(&h.rx, first, &mut h.batch, self.max_batch);
-                self.answer_queued(shard, replica, h);
-            }
-        });
-    }
-
-    /// Rank and answer the batch a holder drained — or, past the
-    /// replica's crash point, re-home every request of it. Each request
-    /// is timed from its own admission before any reply goes out; the
-    /// sampled ones are stamped after the last, `filled` = all replies
-    /// released, so a record's fill stage is what filling the batch's
-    /// reply cells cost.
-    fn answer_queued(&self, shard: usize, replica: usize, h: &mut Holder) {
-        let Holder { batch, keys, ranks, faults, sampled, .. } = h;
-        keys.clear();
-        keys.extend(batch.iter().map(|req| req.key));
-        let rank = |state: &ShardSnapshot| state.rank_batch(keys, ranks);
-        let Some((_, stages)) = self.rank_batch(shard, replica, keys, false, 0, Some(faults), rank)
-        else {
-            batch.drain(..).for_each(|req| self.reroute(shard, replica, req));
-            return;
+        r.metrics.record_latency(answered - collected, picked * ring.period(), claimed);
+        // A request carrying a trace id is always recorded (head-based
+        // sampling: its client chose it, so its wire record always finds
+        // its server half). Its answer is the return value: filled as it
+        // is answered.
+        let record = StageRecord {
+            shard: shard as u16,
+            replica: replica as u16,
+            batch_len: n as u32,
+            trace,
+            admitted_ns: collected,
+            collected_ns: collected,
+            dispatched_ns: dispatched,
+            answered_ns: answered,
+            filled_ns: answered,
+            encoded_ns: 0,
+            acked_ns: 0,
         };
-        let stages = stages.expect("a drained batch is always timed");
-        let metrics = &self.replica(shard, replica).metrics;
-        let ring = metrics.trace();
-        sampled.clear();
-        for req in batch.iter() {
-            metrics.record_latency(stages.answered.saturating_sub(req.enqueued), 1);
-            // Head-based sampling: a request that arrives carrying a
-            // trace id was chosen by its client, so it is always recorded
-            // — its wire record then always finds its server half.
-            if ring.sample() || req.trace != 0 {
-                sampled.push((req.enqueued, req.trace));
-            }
-        }
-        for (req, &rank) in batch.drain(..).zip(ranks.iter()) {
-            // A gone caller is fine: nobody reads the cell, and the pool
-            // reuses it once no one holds it.
-            req.respond(Ok(rank));
-        }
-        if !sampled.is_empty() {
-            let filled = self.clock.now();
-            for &(admitted, trace) in sampled.iter() {
-                ring.push(&stages.record(admitted, trace, filled));
+        let records = if trace != 0 { n } else { picked };
+        (0..records).for_each(|_| ring.push(&record));
+        Some(answer)
+    }
+
+    /// Rank one key, here. Refused — no replica of its shard alive — it
+    /// still counts in the shard's shared heat row: it was demand on its
+    /// key range, which is what a split/cache decision wants to see.
+    fn enqueue(&self, key: u32, trace: u64) -> Reply {
+        let shard = self.router.route(key);
+        let keys = std::slice::from_ref(&key);
+        match self.rank_here(shard, keys, trace, |s| s.rank(key)) {
+            Some(rank) => Ok(rank),
+            None => {
+                self.heat_refused(shard, key);
+                Err(ServeError::ShuttingDown)
             }
         }
     }
 
-    /// Re-home one request from crashed replica `me` of `shard` to a
-    /// surviving sibling. Tries every survivor without blocking first
-    /// (rotation order from `me`, deterministic), then blocks on the
-    /// least-loaded survivor (one may crash while we wait, hence the
-    /// rescan). A push that finds the sibling idle holds it, and this
-    /// thread combines there too. With no survivor left the request is
-    /// dropped, which answers its cell `ShuttingDown`: the shard really is
-    /// gone.
-    fn reroute(&self, shard: usize, me: usize, req: Request) {
-        let group = &self.shards[shard].replicas;
-        let n = group.len();
-        let survivors = (1..n).map(|off| (me + off) % n).filter(|&r| group[r].queue.is_alive());
-        let mut sent = Err(req);
-        for r in survivors {
-            match sent {
-                Err(req) => sent = group[r].queue.resubmit(req, false).map(|held| (r, held)),
-                Ok(_) => break,
-            }
-        }
-        // Every survivor's queue is full (or a survivor died between the
-        // probe and the send): block on the least-loaded live sibling.
-        while let Err(req) = sent {
-            let alive = (0..n).filter(|&r| r != me && group[r].queue.is_alive());
-            let Some(r) = alive.min_by_key(|&r| group[r].queue.depth()) else { return };
-            sent = group[r].queue.resubmit(req, true).map(|held| (r, held));
-        }
-        let Ok((r, held)) = sent else { return };
-        self.replica(shard, me).metrics.count_rerouted(1);
-        if held {
-            self.combine(shard, r, 0);
-        }
-    }
-
-    /// Count `key` in the shared heat row: a key this thread does not
-    /// rank under a claim — queued, shed, or refused — was still demand
-    /// on its key range, which is what a split/cache decision wants to
-    /// see.
-    fn heat_shared(&self, shard: usize, key: u32) {
+    fn heat_refused(&self, shard: usize, key: u32) {
         if let Some(h) = &self.heat {
             h.record(shard, key);
         }
     }
 
-    /// Push one request to `replica`, and if its count finds the replica
-    /// idle, hold it and combine — the request is among what queued.
-    fn queue(
-        &self,
-        shard: usize,
-        replica: usize,
-        key: u32,
-        blocking: bool,
-        trace: u64,
-    ) -> Result<Pending, ServeError> {
-        self.heat_shared(shard, key);
-        let reply = self.pools[shard].take();
-        let cell = reply.waiter();
-        let req = Request { key, enqueued: self.clock.now(), trace, reply };
-        // On the error path the refused request was dropped inside the
-        // admission queue, which answered the cell and returned it to the
-        // pool; `cell` lets go of it on return. No leak, no alloc.
-        if self.replica(shard, replica).queue.push(req, blocking)? {
-            self.combine(shard, replica, 0);
-        }
-        Ok(Pending::Queued(cell))
-    }
-
-    fn enqueue(&self, key: u32, blocking: bool, trace: u64) -> Result<Pending, ServeError> {
-        let shard = self.router.route(key);
-        // Claim before anything else: the caller that takes the depth
-        // gauge 0 → 1 ranks its own key. A replica that crashes under the
-        // claim is dead by the next selection.
-        while let Some(replica) = self.select(shard) {
-            if !self.replica(shard, replica).queue.claim(1) {
-                return self.queue(shard, replica, key, blocking, trace);
-            }
-            let keys = std::slice::from_ref(&key);
-            if let Some(rank) = self.hold(shard, replica, keys, trace, |s| s.rank(key)) {
-                return Ok(Pending::Ready(Ok(rank)));
-            }
-        }
-        self.heat_shared(shard, key);
-        Err(ServeError::ShuttingDown)
-    }
-
     /// [`enqueue`](Self::enqueue) for a slice: `out[i]` answers
     /// `keys[i]`. The keys of one shard travel together — one replica
-    /// choice, one claim, and if it wins one pinned snapshot and one
+    /// choice, one pinned snapshot and one
     /// [`rank_batch`](ShardSnapshot::rank_batch), counted as one batch —
     /// in the order each shard's first key comes. Each key's answer is
-    /// built once, in its place: a rank, straight off the batch, or the
-    /// lookup its shard's dispatcher will answer.
+    /// built once, in its place.
     fn enqueue_many<T: From<Pending>>(
         &self,
         keys: &[u32],
-        blocking: bool,
         trace: u64,
         scratch: &mut LookupScratch,
         out: &mut Vec<T>,
@@ -1267,82 +1037,67 @@ impl HandleCore {
         out.reserve(keys.len());
         scratch.shards.clear();
         scratch.shards.extend(keys.iter().map(|&k| self.router.route(k)));
-        scratch.admitted.clear();
-        scratch.admitted.resize(self.router.n_shards(), Admitted::No);
+        scratch.ranked.clear();
+        scratch.ranked.resize(self.router.n_shards(), None);
         scratch.slots.clear();
         scratch.slots.resize(keys.len(), 0);
         for (i, &key) in keys.iter().enumerate() {
             let shard = scratch.shards[i];
-            if scratch.admitted[shard] == Admitted::No {
-                scratch.admitted[shard] =
-                    self.admit_shard(shard, i, keys, blocking, trace, scratch);
-            }
-            let pending = match scratch.admitted[shard] {
-                Admitted::Ranked => Pending::Ready(Ok(scratch.slots[i])),
-                Admitted::Queued => std::mem::replace(
-                    &mut scratch.queued[scratch.slots[i] as usize],
-                    Pending::unanswered(),
-                ),
-                Admitted::Refused => {
-                    self.heat_shared(shard, key);
-                    Pending::Ready(Err(ServeError::ShuttingDown))
+            let ranked = match scratch.ranked[shard] {
+                Some(ranked) => ranked,
+                None => {
+                    let ranked = self.rank_shard(shard, i, keys, trace, scratch);
+                    scratch.ranked[shard] = Some(ranked);
+                    ranked
                 }
-                Admitted::No => unreachable!("admitted above"),
             };
-            out.push(T::from(pending));
+            let reply = if ranked {
+                Ok(scratch.slots[i])
+            } else {
+                self.heat_refused(shard, key);
+                Err(ServeError::ShuttingDown)
+            };
+            out.push(T::from(Pending::Ready(reply)));
         }
-        scratch.queued.clear();
     }
 
-    /// Admit the keys of `keys` from `first` on that route to `shard`,
-    /// as one unit, leaving each one's slot: ranked under a claim of
-    /// one of its replicas, queued for that replica's holder, or
-    /// refused when none is alive.
-    fn admit_shard(
+    /// Rank the keys of `keys` from `first` on that route to `shard`, as
+    /// one batch, leaving each one's rank in its slot. `false`: no
+    /// replica of the shard is alive.
+    fn rank_shard(
         &self,
         shard: usize,
         first: usize,
         keys: &[u32],
-        blocking: bool,
         trace: u64,
         scratch: &mut LookupScratch,
-    ) -> Admitted {
+    ) -> bool {
         let mine = |i: &usize| scratch.shards[*i] == shard;
         scratch.keys.clear();
         scratch.keys.extend((first..keys.len()).filter(mine).map(|i| keys[i]));
-        while let Some(replica) = self.select(shard) {
-            if !self.replica(shard, replica).queue.claim(scratch.keys.len()) {
-                for i in (first..keys.len()).filter(mine) {
-                    scratch.slots[i] = scratch.queued.len() as u32;
-                    let queued = self.queue(shard, replica, keys[i], blocking, trace);
-                    scratch.queued.push(queued.unwrap_or_else(|e| Pending::Ready(Err(e))));
-                }
-                return Admitted::Queued;
-            }
-            let (batch, ranks) = (&scratch.keys, &mut scratch.ranks);
-            let rank = |state: &ShardSnapshot| state.rank_batch(batch, ranks);
-            if self.hold(shard, replica, batch, trace, rank).is_some() {
-                let positions = (first..keys.len()).filter(mine);
-                for (i, &rank) in positions.zip(&scratch.ranks) {
-                    scratch.slots[i] = rank;
-                }
-                return Admitted::Ranked;
-            }
+        let (batch, ranks) = (&scratch.keys, &mut scratch.ranks);
+        let rank = |state: &ShardSnapshot| state.rank_batch(batch, ranks);
+        if self.rank_here(shard, batch, trace, rank).is_none() {
+            return false;
         }
-        Admitted::Refused
+        let positions = (first..keys.len()).filter(mine);
+        for (i, &rank) in positions.zip(&scratch.ranks) {
+            scratch.slots[i] = rank;
+        }
+        true
     }
 }
 
 /// A pipelined caller's open group is ranked the way a slice is: one
-/// replica choice and one claim per shard, and, for the claim's winner,
-/// one pinned [`rank_batch`](ShardSnapshot::rank_batch). Its keys are
-/// admitted — or shed — here, at its rank, not at `begin_lookup`.
+/// replica choice and one pinned
+/// [`rank_batch`](ShardSnapshot::rank_batch) per shard. Its keys are
+/// admitted here, at its rank, not at `begin_lookup`.
 impl Ranker for HandleCore {
     type Answer = Pending;
     type Scratch = LookupScratch;
 
     fn rank(&self, keys: &[u32], scratch: &mut LookupScratch, answers: &mut Vec<Pending>) {
-        self.enqueue_many(keys, false, 0, scratch, answers);
+        self.enqueue_many(keys, 0, scratch, answers);
     }
 }
 
@@ -1351,10 +1106,10 @@ impl ServerHandle {
         self.group.ranker()
     }
 
-    /// Rank of `key` (number of live index keys ≤ `key`), blocking while
-    /// the chosen replica's queue is full (closed-loop semantics).
+    /// Rank of `key` (number of live index keys ≤ `key`), ranked on this
+    /// thread.
     pub fn lookup(&self, key: u32) -> Result<u32, ServeError> {
-        self.core().enqueue(key, true, 0)?.wait()
+        self.core().enqueue(key, 0)
     }
 
     /// Submit without waiting, and return a [`PendingLookup`] to redeem
@@ -1362,22 +1117,19 @@ impl ServerHandle {
     /// round:
     ///
     /// * **Alone, at once.** If the caller holds no lookup it began on
-    ///   this handle and has not reaped, `key` is admitted now: ranked on
-    ///   this thread if its replica is idle (the lookup is born
-    ///   resolved, and counted as served before this returns — as is
-    ///   whatever queued behind it, which this thread answers before it
-    ///   returns), pushed for the replica's holder otherwise, or shed
-    ///   when that queue is full.
+    ///   this handle and has not reaped, `key` is ranked now, on this
+    ///   thread: the lookup is born resolved, and counted as served
+    ///   before this returns.
     /// * **Pipelined, in a group.** If the caller still holds one, `key`
-    ///   joins this handle's open group of up to [`GROUP`] keys, the
+    ///   joins this handle's open group of up to [`GROUP`](crate::group::GROUP) keys, the
     ///   kernel's lockstep group. The group is ranked when it is full or
     ///   as soon as any of its lookups is polled or waited on, as a
-    ///   slice is: one claim and one pinned rank per shard. A grouped
-    ///   lookup is admitted, and may be shed, then — its `poll` or
-    ///   `wait` reports the shed — and one dropped before its group is
-    ///   ranked is never admitted. A sampled group's stage records start
-    ///   at its rank: the caller's time in its own open group is
-    ///   client-side, like a `dini-net` frame's before it is encoded.
+    ///   slice is: one replica choice and one pinned rank per shard. A
+    ///   grouped lookup is admitted then, and one dropped before its
+    ///   group is ranked is never admitted. A sampled group's stage
+    ///   records start at its rank: the caller's time in its own open
+    ///   group is client-side, like a `dini-net` frame's before it is
+    ///   encoded.
     ///
     /// The slice call [`begin_lookup_many`](Self::begin_lookup_many)
     /// never groups.
@@ -1386,17 +1138,17 @@ impl ServerHandle {
             let member = OpenGroup::join(&self.group, key);
             return Ok(Pending::Grouped(member).into());
         }
-        let pending = self.core().enqueue(key, false, 0)?;
-        Ok(PendingLookup { pending, _held: Some(self.group.clone()) })
+        let rank = self.core().enqueue(key, 0)?;
+        Ok(PendingLookup { pending: Pending::Ready(Ok(rank)), _held: Some(self.group.clone()) })
     }
 
     /// Submit a whole slice at once — what a `Lookup` wire frame is —
     /// carrying a causal trace id (0 = untraced), so the stage records of
     /// whoever answers share the originating client's timeline: `out` is
     /// cleared and `out[i]` answers `keys[i]`, refusals included (an
-    /// already-resolved error). Each shard's keys are admitted as one
-    /// unit: ranked as one batch by this thread when their replica is
-    /// idle, pushed for its holder otherwise. Never grouped.
+    /// already-resolved error). Each shard's keys are ranked as one batch
+    /// by this thread, so every lookup comes back resolved. Never
+    /// grouped.
     pub fn begin_lookup_many(
         &self,
         keys: &[u32],
@@ -1404,15 +1156,13 @@ impl ServerHandle {
         scratch: &mut LookupScratch,
         out: &mut Vec<PendingLookup>,
     ) {
-        self.core().enqueue_many(keys, false, trace, scratch, out);
+        self.core().enqueue_many(keys, trace, scratch, out);
     }
 
-    /// Rank every key, preserving order. Submits everything before
-    /// collecting, so whatever this thread does not rank itself
-    /// coalesces into few batches.
+    /// Rank every key, preserving order: each shard's keys as one batch.
     pub fn lookup_many(&self, keys: &[u32]) -> Result<Vec<u32>, ServeError> {
         let mut replies: Vec<Pending> = Vec::with_capacity(keys.len());
-        self.core().enqueue_many(keys, true, 0, &mut LookupScratch::default(), &mut replies);
+        self.core().enqueue_many(keys, 0, &mut LookupScratch::default(), &mut replies);
         replies.iter().map(Pending::wait).collect()
     }
 
@@ -1604,17 +1354,12 @@ fn spawn_writer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::GROUP;
     use dini_cluster::Fault;
     use dini_store::StorePlan;
     use dini_workload::gen_sorted_unique_keys;
     use std::collections::BTreeSet;
     use std::time::Duration;
-
-    fn cfg(shards: usize) -> ServeConfig {
-        let mut c = ServeConfig::new(shards);
-        c.max_batch = 64;
-        c
-    }
 
     fn oracle(set: &BTreeSet<u32>, q: u32) -> u32 {
         set.range(..=q).count() as u32
@@ -1624,7 +1369,7 @@ mod tests {
     fn static_lookups_match_oracle() {
         let keys = gen_sorted_unique_keys(20_000, 11);
         let set: BTreeSet<u32> = keys.iter().copied().collect();
-        let server = IndexServer::build(&keys, cfg(4));
+        let server = IndexServer::build(&keys, ServeConfig::new(4));
         let h = server.handle();
         for i in 0..500u32 {
             let q = i.wrapping_mul(2_654_435_761);
@@ -1639,7 +1384,7 @@ mod tests {
     fn replicated_lookups_match_oracle() {
         let keys = gen_sorted_unique_keys(20_000, 12);
         let set: BTreeSet<u32> = keys.iter().copied().collect();
-        let mut c = cfg(2);
+        let mut c = ServeConfig::new(2);
         c.replicas_per_shard = 3;
         let server = IndexServer::build(&keys, c);
         assert_eq!(server.replicas_per_shard(), 3);
@@ -1656,10 +1401,10 @@ mod tests {
     #[test]
     fn p2c_spreads_concurrent_backlog_across_replicas() {
         // Eight callers at once on one shard whose replicas both straggle:
-        // a holder sleeps out the straggle inside its hold, so its depth
-        // stays up while the others arrive, and power-of-two choices must
-        // send them to the other replica instead of piling every one on
-        // the first.
+        // a caller sleeps out the straggle with its keys on the replica's
+        // depth, so the depth stays up while the others arrive, and
+        // power-of-two choices must send them to the other replica
+        // instead of piling every one on the first.
         let keys: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
         let mut c = ServeConfig::new(1);
         c.replicas_per_shard = 2;
@@ -1685,10 +1430,10 @@ mod tests {
     #[test]
     fn replica_crash_fails_over_without_errors() {
         // Replica 0 of the only shard crashes at t = 0: every lookup
-        // must still answer correctly via replica 1 — failover re-homes
-        // anything that lands in the dead replica's queue.
+        // must still answer correctly via replica 1 — a caller that meets
+        // the crash selects the survivor and ranks there.
         let keys: Vec<u32> = (0..5_000).map(|i| i * 3).collect();
-        let mut c = cfg(1);
+        let mut c = ServeConfig::new(1);
         c.replicas_per_shard = 2;
         c.faults.events.push(Fault::Crash { shard: 0, replica: Some(0), at: Duration::ZERO });
         let server = IndexServer::build(&keys, c);
@@ -1711,7 +1456,7 @@ mod tests {
         // Both replicas crash at t = 0: the shard is gone, and the
         // handle reports ShuttingDown instead of hanging.
         let keys: Vec<u32> = (0..1_000).map(|i| i * 2).collect();
-        let mut c = cfg(1);
+        let mut c = ServeConfig::new(1);
         c.replicas_per_shard = 2;
         for replica in [0, 1] {
             c.faults.events.push(Fault::Crash {
@@ -1735,7 +1480,7 @@ mod tests {
     #[test]
     fn lookup_many_preserves_order() {
         let keys: Vec<u32> = (1..=1000).map(|i| i * 10).collect();
-        let server = IndexServer::build(&keys, cfg(3));
+        let server = IndexServer::build(&keys, ServeConfig::new(3));
         let h = server.handle();
         let queries = vec![0u32, 10, 9_999, 10_000, u32::MAX, 5];
         assert_eq!(h.lookup_many(&queries).unwrap(), vec![0, 1, 999, 1000, 1000, 0]);
@@ -1744,7 +1489,7 @@ mod tests {
     #[test]
     fn updates_become_visible_after_quiesce() {
         let keys: Vec<u32> = (0..1000).map(|i| i * 4).collect();
-        let server = IndexServer::build(&keys, cfg(2));
+        let server = IndexServer::build(&keys, ServeConfig::new(2));
         let h = server.handle();
         assert_eq!(h.lookup(1).unwrap(), 1); // only key 0 ≤ 1
 
@@ -1765,7 +1510,7 @@ mod tests {
         // Insert a pile of keys into shard 0's range; ranks of keys in
         // the highest shard must shift by exactly that pile.
         let keys: Vec<u32> = (0..4000).map(|i| i * 1000).collect();
-        let server = IndexServer::build(&keys, cfg(4));
+        let server = IndexServer::build(&keys, ServeConfig::new(4));
         let h = server.handle();
         let before = h.lookup(u32::MAX).unwrap();
         for k in 0..100u32 {
@@ -1779,7 +1524,7 @@ mod tests {
     fn merges_rebuild_indexes_without_wrong_answers() {
         let keys: Vec<u32> = (0..2000).map(|i| i * 8).collect();
         let mut set: BTreeSet<u32> = keys.iter().copied().collect();
-        let mut c = cfg(2);
+        let mut c = ServeConfig::new(2);
         c.merge_threshold = 32; // force frequent merges
         c.publish_every = 8;
         let server = IndexServer::build(&keys, c);
@@ -1806,7 +1551,7 @@ mod tests {
     fn merges_reach_every_replica() {
         let keys: Vec<u32> = (0..2000).map(|i| i * 8).collect();
         let mut set: BTreeSet<u32> = keys.iter().copied().collect();
-        let mut c = cfg(2);
+        let mut c = ServeConfig::new(2);
         c.replicas_per_shard = 2;
         c.merge_threshold = 32;
         c.publish_every = 8;
@@ -1842,7 +1587,7 @@ mod tests {
     #[test]
     fn deleting_everything_then_reinserting_works() {
         let keys: Vec<u32> = (1..=64).collect();
-        let mut c = cfg(2);
+        let mut c = ServeConfig::new(2);
         c.merge_threshold = 8;
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
@@ -1867,7 +1612,7 @@ mod tests {
         // and deletes of absent keys must land in `update_nops`, never in
         // `updates_applied`.
         let keys: Vec<u32> = (0..100).map(|i| i * 10).collect();
-        let server = IndexServer::build(&keys, cfg(2));
+        let server = IndexServer::build(&keys, ServeConfig::new(2));
 
         let mut expect_applied = 0u64;
         let mut expect_nops = 0u64;
@@ -1898,60 +1643,49 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_lookups_reuse_pooled_slots() {
-        let keys = gen_sorted_unique_keys(5_000, 77);
-        let server = IndexServer::build(&keys, cfg(2));
-        let h = server.handle();
-        let core = h.core();
-        // Cells are the push path's: a push that finds its replica idle
-        // holds it and answers its own request through the cell, before
-        // `queue` returns. A lone caller's cells are back in the pool by
-        // its next push, so it cycles the pool's spares and never grows it.
-        let shard = core.router.route(54321);
-        let mut cells = BTreeSet::new();
-        for _ in 0..100 {
-            let pending = core.queue(shard, 0, 54321, false, 0).unwrap();
-            let Pending::Queued(cell) = &pending else { panic!("a push came back ranked") };
-            cells.insert(Arc::as_ptr(cell) as usize);
-            assert!(pending.poll().is_some(), "a push that held returned unanswered");
-            pending.wait().unwrap();
-        }
-        assert!(cells.len() <= 2, "steady state must cycle the spares, not grow the pool");
-        assert_eq!((server.stats().served, server.stats().claimed), (100, 0));
-    }
-
-    #[test]
-    fn a_lookup_that_lost_the_claim_is_answered_before_the_holder_returns() {
+    fn a_lookup_that_lost_the_claim_is_ranked_by_its_caller() {
+        // On virtual time: A claims the one replica and reaches the
+        // scheduling point before its pin, where it stays parked while
+        // any other thread is due. B arrives then, loses the claim, ranks
+        // its own key and returns while A is still parked: a lost claim
+        // hands nothing to the claimant and waits for nothing.
+        use crate::clock::SimClock;
+        use std::sync::atomic::AtomicBool;
         let keys = gen_sorted_unique_keys(5_000, 85);
         let rank = |q: u32| Ok(keys.partition_point(|&k| k <= q) as u32);
-        // One replica, whose straggle the holder sleeps out before each
-        // batch it ranks: a window in which a second caller loses the
-        // claim.
-        let mut c = cfg(1);
-        let extra = Duration::from_millis(50);
-        c.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra });
+        let sim = SimClock::new();
+        let _main = sim.register_main();
+        let mut c = ServeConfig::new(1);
+        c.clock = Clock::sim(&sim);
         let server = IndexServer::build(&keys, c);
-        let queue = &server.core.shards[0].replicas[0].queue;
-        let (h, rank) = (server.handle(), &rank);
-        std::thread::scope(|s| {
-            let holder = s.spawn(move || assert_eq!(h.lookup(1_000), rank(1_000)));
-            while queue.depth() == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let lost = server.handle().begin_lookup(2_000).unwrap();
-            holder.join().unwrap();
-            assert_eq!(lost.poll(), Some(rank(2_000)), "the holder returned before answering");
+        let clock = server.clock().clone();
+        let a_returned = Arc::new(AtomicBool::new(false));
+        let (h, done) = (server.handle(), a_returned.clone());
+        let a = clock.spawn("claimant", move || {
+            let answer = h.lookup(1_000);
+            done.store(true, Ordering::SeqCst);
+            answer
         });
+        let (h, done) = (server.handle(), a_returned.clone());
+        let b = clock.spawn("loser", move || {
+            let answer = h.lookup(2_000);
+            (answer, done.load(Ordering::SeqCst))
+        });
+        let (b_answer, a_had_returned) = b.join().unwrap();
+        assert_eq!(b_answer, rank(2_000));
+        assert!(!a_had_returned, "the loser's lookup waited for the claimant to return");
+        assert_eq!(a.join().unwrap(), rank(1_000));
         let stats = server.stats();
-        assert_eq!((stats.served, stats.claimed, stats.batches), (2, 1, 2));
-        assert_eq!(queue.depth(), 0);
+        assert_eq!((stats.served, stats.claimed, stats.batches), (2, 1, 2), "B lost the claim");
+        assert_eq!(server.core.shards[0].replicas[0].gauge.depth(), 0);
+        drop(server);
     }
 
     #[test]
     fn idle_lookups_are_ranked_by_the_caller() {
         let keys = gen_sorted_unique_keys(5_000, 78);
         let set: BTreeSet<u32> = keys.iter().copied().collect();
-        let mut c = cfg(2);
+        let mut c = ServeConfig::new(2);
         c.trace = dini_obs::TraceConfig::dense();
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
@@ -1959,14 +1693,14 @@ mod tests {
             let q = i.wrapping_mul(2_654_435_761);
             assert_eq!(h.lookup(q).unwrap(), oracle(&set, q), "query {q}");
         }
-        // Nothing ever queued …
+        // Nothing is ranking now …
         let snap = server.metrics_snapshot();
         assert_eq!(
             snap.series("dini_serve_queue_depth").map(|(_, d)| d).collect::<Vec<_>>(),
             [0, 0]
         );
-        // … and the accounting reads 200 own batches of one that never
-        // waited.
+        // … and the accounting reads 200 claimed batches of one that
+        // never waited.
         let stats = server.stats();
         let counts = (stats.served, stats.claimed, stats.admitted, stats.batches);
         assert_eq!(counts, (200, 200, 200, 200));
@@ -1981,7 +1715,7 @@ mod tests {
     fn a_slice_bound_for_idle_replicas_is_one_batch_per_shard() {
         let keys = gen_sorted_unique_keys(20_000, 79);
         let set: BTreeSet<u32> = keys.iter().copied().collect();
-        let server = IndexServer::build(&keys, cfg(2));
+        let server = IndexServer::build(&keys, ServeConfig::new(2));
         let h = server.handle();
         let queries: Vec<u32> = (0..256u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
         let want: Vec<u32> = queries.iter().map(|&q| oracle(&set, q)).collect();
@@ -1993,89 +1727,66 @@ mod tests {
 
     #[test]
     fn both_paths_leave_the_same_accounting() {
-        // The same 300 lookups (every third one traced), once ranked by
-        // the callers that issued them and once pushed — a push that finds
-        // its replica idle holds it and answers itself through its cell,
-        // as a holder answers whatever queued.
+        // The same 300 lookups (every third one traced), once ranked
+        // under the replicas' claims and once by callers that lost them —
+        // every gauge held up by a phantom key for the whole run — leave
+        // the same counts, the claim row's in the one and the shared
+        // row's in the other.
         let keys = gen_sorted_unique_keys(10_000, 80);
         let run = |claim: bool| {
-            let mut c = cfg(2);
+            let mut c = ServeConfig::new(2);
             c.heat = true;
             c.trace = dini_obs::TraceConfig { sample_period: 7, ..Default::default() };
             let server = IndexServer::build(&keys, c);
+            let replicas = || server.core.shards.iter().flat_map(|s| &s.replicas);
+            if !claim {
+                replicas().for_each(|r| r.gauge.add(1));
+            }
             let h = server.handle();
             let (mut scratch, mut out) = (LookupScratch::default(), Vec::new());
             for i in 0..300u32 {
                 let trace = if i % 3 == 0 { u64::from(i) + 1 } else { 0 };
                 let q = i.wrapping_mul(747_796_405);
-                if claim {
-                    h.begin_lookup_many(&[q], trace, &mut scratch, &mut out);
-                    out.pop().unwrap().wait().unwrap();
-                } else {
-                    let core = h.core();
-                    core.queue(core.router.route(q), 0, q, false, trace).unwrap().wait().unwrap();
-                }
+                h.begin_lookup_many(&[q], trace, &mut scratch, &mut out);
+                out.pop().unwrap().wait().unwrap();
             }
+            if !claim {
+                replicas().for_each(|r| r.gauge.complete(1));
+            }
+            assert!(replicas().all(|r| r.gauge.depth() == 0), "a batch left its count behind");
             let stats = server.stats();
-            let mut traces: Vec<(u16, u16, u32, u64)> = server
-                .stage_traces()
-                .iter()
-                .map(|t| (t.shard, t.replica, t.batch_len, t.trace))
-                .collect();
+            let records = server.stage_traces();
+            for t in &records {
+                assert!(t.stages_monotonic() && t.wait_ns() == 0 && t.fill_ns() == 0, "{t:?}");
+            }
+            let mut traces: Vec<(u16, u16, u32, u64)> =
+                records.iter().map(|t| (t.shard, t.replica, t.batch_len, t.trace)).collect();
             traces.sort_unstable();
             let counts = (stats.served, stats.admitted, stats.batches, stats.shed);
             let replicas = server.replica_stats();
-            // Latencies are exhaustive for pushed requests and sampled for
-            // own keys, each pick weighted by the period: a replica's
-            // count is never more than a period off its served.
-            for r in &replicas {
-                let off = r.latency_ns.count().abs_diff(r.served);
-                assert!(off < 7, "latency count {} vs served {}", r.latency_ns.count(), r.served);
-            }
+            let latencies: Vec<u64> = replicas.iter().map(|r| r.latency_ns.count()).collect();
             let batch_sizes = (stats.batch_size.count(), stats.batch_size.max());
             let served: Vec<u64> = replicas.iter().map(|r| r.served).collect();
-            // The registry carries both `served` series (`path="claim"`
-            // for own keys); summed, they are what `stats()` merged.
+            // The registry carries both rows' `served` series
+            // (`path="claim"` for the claim row); summed, they are what
+            // `stats()` merged.
             let snap = server.metrics_snapshot();
-            assert_eq!(snap.series("dini_serve_served").count(), 4, "2 replicas × 2 series");
+            assert_eq!(snap.series("dini_serve_served").count(), 4, "2 replicas × 2 rows");
             assert_eq!(snap.sum("dini_serve_served"), stats.served);
             let heat: Vec<u64> = snap.series("dini_serve_heat").map(|(_, v)| v).collect();
             let by_path = (stats.claimed, stats.served - stats.claimed);
-            (counts, served, heat, traces, batch_sizes, by_path)
+            (counts, served, heat, traces, batch_sizes, latencies, by_path)
         };
-        let (claimed, pushed) = (run(true), run(false));
-        assert_eq!(claimed.0, pushed.0, "served/admitted/batches/shed");
-        assert_eq!(claimed.1, pushed.1, "per-replica split");
-        assert_eq!(claimed.2, pushed.2, "heat");
-        assert_eq!(claimed.3, pushed.3, "stage records: same requests sampled, same shapes");
-        assert_eq!(claimed.4, pushed.4, "batch sizes: count and max");
-        assert_eq!(claimed.5, (300, 0), "(claimed, combined): callers ranked all");
-        assert_eq!(pushed.5, (0, 300), "(claimed, combined): holders answered all as queued");
+        let (claimed, lost) = (run(true), run(false));
+        assert_eq!(claimed.0, lost.0, "served/admitted/batches/shed");
+        assert_eq!(claimed.1, lost.1, "per-replica split");
+        assert_eq!(claimed.2, lost.2, "heat");
+        assert_eq!(claimed.3, lost.3, "stage records: same requests sampled, same shapes");
+        assert_eq!(claimed.4, lost.4, "batch sizes: count and max");
+        assert_eq!(claimed.5, lost.5, "latency samples per replica");
+        assert_eq!(claimed.6, (300, 0), "(claimed, shared): every claim won");
+        assert_eq!(lost.6, (0, 300), "(claimed, shared): every claim lost");
         assert!(claimed.3.len() > 100, "every traced request and a seventh of the rest");
-    }
-
-    #[test]
-    fn a_drained_batch_is_stamped_filled_after_its_replies() {
-        // Every lookup pushed, so a holder drains it and answers it
-        // through its reply cell: the records' fill stage is the time
-        // those fills took, not the zero of a record stamped before them.
-        let keys = gen_sorted_unique_keys(10_000, 82);
-        let mut c = cfg(1);
-        c.trace = dini_obs::TraceConfig::dense();
-        let server = IndexServer::build(&keys, c);
-        let h = server.handle();
-        let core = h.core();
-        for i in 0..300u32 {
-            let q = i.wrapping_mul(747_796_405);
-            core.queue(0, 0, q, false, 0).unwrap().wait().unwrap();
-        }
-        let traces = server.stage_traces();
-        assert!(traces.len() >= 100, "dense tracing keeps what the ring holds");
-        assert!(traces.iter().all(|t| t.answered_ns <= t.filled_ns), "fill after answer");
-        let fill: u64 = traces.iter().map(StageRecord::fill_ns).sum();
-        assert!(fill > 0, "{} drained records, summed fill_ns {fill}", traces.len());
-        let stats = server.stats();
-        assert_eq!((stats.served, stats.claimed), (300, 0), "every lookup was drained");
     }
 
     #[test]
@@ -2087,7 +1798,7 @@ mod tests {
         // lookups of a warmed one-replica server, each ranked under its
         // own claim.
         let reads = |trace: TraceConfig, lookups: u32, id: u64| {
-            let mut c = cfg(1);
+            let mut c = ServeConfig::new(1);
             c.trace = trace;
             let server = IndexServer::build(&keys, c);
             let h = server.handle();
@@ -2105,7 +1816,7 @@ mod tests {
             let stats = server.stats();
             let n = 10 + u64::from(lookups);
             assert_eq!((stats.served, stats.batches), (n, n));
-            assert_eq!(stats.claimed, n, "some lookup queued");
+            assert_eq!(stats.claimed, n, "some lookup lost the claim");
             reads
         };
         // Any 6 400 consecutive offers hold exactly 100 picks of one in 64.
@@ -2127,7 +1838,7 @@ mod tests {
         // fills it. A group is timed once, if any of its lookups is
         // picked.
         let group_reads = |trace: TraceConfig, groups: u32| {
-            let mut c = cfg(1);
+            let mut c = ServeConfig::new(1);
             c.trace = trace;
             let server = IndexServer::build(&keys, c);
             let h = server.handle();
@@ -2149,7 +1860,7 @@ mod tests {
             drop(held);
             let stats = server.stats();
             let n = 11 + u64::from(groups) * GROUP as u64;
-            assert_eq!((stats.served, stats.claimed), (n, n), "some lookup queued");
+            assert_eq!((stats.served, stats.claimed), (n, n), "some lookup lost the claim");
             assert_eq!(stats.batches, 11 + u64::from(groups), "one batch a group");
             reads
         };
@@ -2163,7 +1874,7 @@ mod tests {
     fn a_lone_begin_lookup_is_answered_before_it_returns() {
         let keys = gen_sorted_unique_keys(5_000, 82);
         let set: BTreeSet<u32> = keys.iter().copied().collect();
-        let server = IndexServer::build(&keys, cfg(1));
+        let server = IndexServer::build(&keys, ServeConfig::new(1));
         let h = server.handle();
         let counts = || {
             let s = server.stats();
@@ -2223,10 +1934,9 @@ mod tests {
         const PER_THREAD: u32 = 20_000;
         let keys = gen_sorted_unique_keys(50_000, 84);
         let rank = |q: u32| Ok(keys.partition_point(|&k| k <= q) as u32);
-        let mut c = cfg(2);
+        let mut c = ServeConfig::new(2);
         c.replicas_per_shard = 2;
         c.heat = true;
-        c.queue_capacity = 1 << 16;
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
         let begun = AtomicU64::new(0);
@@ -2241,7 +1951,11 @@ mod tests {
             if q % 2 == 0 {
                 assert_eq!(p.wait(), rank(q), "handed-off query {q}");
             } else {
+                // A poll finds its group mid-rank on another thread now
+                // and then; that thread answers it within the deadline.
+                let deadline = std::time::Instant::now() + Duration::from_secs(60);
                 while p.poll().is_none() {
+                    assert!(std::time::Instant::now() < deadline, "query {q}: poll never answered");
                     std::thread::yield_now();
                 }
                 drop(p);
@@ -2259,7 +1973,7 @@ mod tests {
                             assert_eq!(p.wait(), rank(q), "query {q}");
                         }
                         let q = (i * THREADS + t as u32).wrapping_mul(2_654_435_761);
-                        let p = h.begin_lookup(q).expect("a deep queue sheds nothing");
+                        let p = h.begin_lookup(q).expect("fault-free");
                         begun.fetch_add(1, Ordering::Relaxed);
                         if i % 5 == 0 {
                             next.send((q, p)).unwrap();
@@ -2296,7 +2010,7 @@ mod tests {
     #[test]
     fn a_grouped_lookup_dropped_unranked_is_never_admitted() {
         let keys = gen_sorted_unique_keys(5_000, 83);
-        let server = IndexServer::build(&keys, cfg(2));
+        let server = IndexServer::build(&keys, ServeConfig::new(2));
         let h = server.handle();
         let held = h.begin_lookup(1).unwrap();
         let dropped: Vec<_> = (0..5u32).map(|i| h.begin_lookup(i * 977).unwrap()).collect();
@@ -2313,7 +2027,7 @@ mod tests {
     #[test]
     fn stats_count_served_queries() {
         let keys = gen_sorted_unique_keys(5_000, 21);
-        let server = IndexServer::build(&keys, cfg(2));
+        let server = IndexServer::build(&keys, ServeConfig::new(2));
         let h = server.handle();
         let queries: Vec<u32> = (0..256u32).map(|i| i * 7919).collect();
         h.lookup_many(&queries).unwrap();
@@ -2328,7 +2042,7 @@ mod tests {
     #[test]
     fn handles_survive_server_drop() {
         let keys = gen_sorted_unique_keys(1_000, 31);
-        let server = IndexServer::build(&keys, cfg(2));
+        let server = IndexServer::build(&keys, ServeConfig::new(2));
         let h = server.handle();
         assert!(h.lookup(5).is_ok());
         drop(server);
@@ -2340,7 +2054,7 @@ mod tests {
     fn concurrent_handles_all_get_correct_answers() {
         let keys = gen_sorted_unique_keys(50_000, 41);
         let keys_arc = Arc::new(keys.clone());
-        let mut c = cfg(4);
+        let mut c = ServeConfig::new(4);
         c.replicas_per_shard = 2;
         let server = IndexServer::build(&keys, c);
         let workers: Vec<_> = (0..8)
@@ -2365,7 +2079,7 @@ mod tests {
     #[test]
     fn stage_traces_sample_and_stay_monotonic() {
         let keys = gen_sorted_unique_keys(10_000, 51);
-        let mut c = cfg(2);
+        let mut c = ServeConfig::new(2);
         c.trace = dini_obs::TraceConfig::dense(); // sample every request
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
@@ -2391,11 +2105,11 @@ mod tests {
     #[test]
     fn traced_requests_are_always_stage_recorded() {
         // Head-based sampling: a request carrying a trace id was chosen
-        // by its client, so its holder records it whatever its own
+        // by its client, so its caller records it whatever its own
         // sampler says — here a sampler whose first hit is request
         // 24 301, i.e. never.
         let keys = gen_sorted_unique_keys(2_000, 53);
-        let mut c = cfg(1);
+        let mut c = ServeConfig::new(1);
         c.trace = dini_obs::TraceConfig { sample_period: 1 << 40, ..Default::default() };
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
@@ -2413,7 +2127,7 @@ mod tests {
     #[test]
     fn disabled_tracing_records_nothing() {
         let keys = gen_sorted_unique_keys(2_000, 52);
-        let mut c = cfg(1);
+        let mut c = ServeConfig::new(1);
         c.trace = dini_obs::TraceConfig::disabled();
         let server = IndexServer::build(&keys, c);
         let h = server.handle();
@@ -2433,7 +2147,7 @@ mod tests {
     fn quiesce_checkpoints_and_recovery_serves_identically() {
         let path = scratch_snapshot("quiesce");
         let keys = gen_sorted_unique_keys(6_000, 61);
-        let mut c = cfg(3);
+        let mut c = ServeConfig::new(3);
         c.store = Some(StorePlan::new(path.clone()));
 
         // Churn through the watermark-stamped path, then quiesce: the
@@ -2484,7 +2198,7 @@ mod tests {
     fn merge_cycle_doubles_as_checkpointer() {
         let path = scratch_snapshot("merge");
         let keys: Vec<u32> = (0..4_000).map(|i| i * 8).collect();
-        let mut c = cfg(2);
+        let mut c = ServeConfig::new(2);
         c.merge_threshold = 64; // force merges
         c.store = Some(StorePlan::new(path.clone()));
         let server = IndexServer::build(&keys, c);
@@ -2555,7 +2269,7 @@ mod tests {
     }
 
     fn one_shard_cfg() -> ServeConfig {
-        let mut c = cfg(1);
+        let mut c = ServeConfig::new(1);
         c.merge_threshold = THRESHOLD;
         c
     }
@@ -2643,7 +2357,7 @@ mod tests {
     fn recovered_pending_deltas_serve_exact_ranks_before_any_publish() {
         let path = scratch_snapshot("pending");
         let keys: Vec<u32> = (0..2_000).map(|i| i * 10).collect();
-        let mut c = cfg(2);
+        let mut c = ServeConfig::new(2);
         c.merge_threshold = 1_000_000; // churn stays in the overlay
         c.store = Some(StorePlan::new(path.clone()));
         let server = IndexServer::build(&keys, c.clone());
@@ -2672,7 +2386,7 @@ mod tests {
         let path =
             std::env::temp_dir().join("dini-serve-no-such-dir").join("nested").join("x.snap");
         let keys: Vec<u32> = (0..1_000).map(|i| i * 2).collect();
-        let mut c = cfg(1);
+        let mut c = ServeConfig::new(1);
         c.store = Some(StorePlan::new(path));
         let server = IndexServer::build(&keys, c);
         server.update(Op::Insert(1)).unwrap();

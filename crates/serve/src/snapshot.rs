@@ -37,7 +37,7 @@
 //! it.
 //!
 //! With replica groups, one `EpochCell` serves a whole shard: every
-//! replica's holder pins epochs from the same cell, so publication
+//! caller on every replica pins epochs from the same cell, so publication
 //! fans out to `R` replicas for the price of one pointer swap, replicas
 //! share the main array *and* its directory, and they can never serve
 //! diverging states of the same shard.

@@ -6,34 +6,35 @@
 //! delay) land in [`dini_cluster::LogHistogram`]s — fixed memory, O(1)
 //! insert, quantiles good to one log-bin.
 //!
-//! The latency histogram is **exhaustive for queued requests and
-//! sampled-and-weighted for a holder's own keys**. A queued request
-//! already cost a push and a park, so the holder that answers it records
-//! one latency per request. A caller that ranks its own keys under a
-//! claim would spend more time reading the clock (twice) and recording a
-//! latency than ranking, so it times a batch only when the replica's
-//! seeded 1-in-`sample_period` sampler picks one of its requests (or it
-//! carries a trace id) and records that one latency with weight picked ×
-//! period. The count therefore stays within one period of `served` per
-//! replica and the two kinds mix without bias; `served`, `batches` and
-//! `batch_size` are exact for both. `TraceConfig::dense()` times every
-//! batch; `TraceConfig::disabled()` times a holder's own keys never.
+//! The latency histogram is **sampled and weighted**. A caller that
+//! ranks its own keys would spend more time reading the clock (twice)
+//! and recording a latency than ranking, so it times a batch only when
+//! the replica's seeded 1-in-`sample_period` sampler picks one of its
+//! requests (or it carries a trace id) and records that one latency
+//! with weight picked × period. The count therefore stays within one
+//! period of `served` per replica; `served`, `batches` and `batch_size`
+//! are exact. `TraceConfig::dense()` times every batch;
+//! `TraceConfig::disabled()` never.
 //!
 //! The live accumulators are [`ReplicaMetrics`]: `dini-obs` atomics
 //! (lock-free histograms, counters, and a stage-trace ring) registered
-//! under named handles in the server's [`MetricsRegistry`]. Only the
-//! thread holding the replica writes them, once per *batch*, with plain
-//! load-and-store: the hold already makes its holder their only writer,
-//! so a lookup's accounting costs no read-modify-write at all.
+//! under named handles in the server's [`MetricsRegistry`], written
+//! once per *batch* by the caller that ranked it. Each replica keeps
+//! two rows of them. The **claim row** is written only by a caller
+//! holding the replica's claim, with plain load-and-store: the claim
+//! already makes its holder the row's only writer, so an uncontended
+//! lookup's accounting costs no read-modify-write at all. The **shared
+//! row** is written by callers that lost the claim and ranked anyway,
+//! with read-modify-writes, since several of them may be counting at
+//! once.
 //!
 //! The registry is the only counter schema. [`ServeStats`] holds no
 //! number of its own: it is read off a [`MetricsSnapshot`] by series
-//! name ([`ServeStats::within`]), summing each family across replicas, so
-//! the same mapping serves a local snapshot, a single replica's series,
-//! and a snapshot that crossed the wire in a `StatsReply`. `served` has
-//! two series per replica: the keys holders ranked for themselves carry
-//! `path="claim"` and are [`ServeStats::claimed`]; the rest are what a
-//! holder combined for callers that queued.
+//! name ([`ServeStats::within`]), summing each family across replicas
+//! and rows, so the same mapping serves a local snapshot, a single
+//! replica's series, and a snapshot that crossed the wire in a
+//! `StatsReply`. The claim row's series carry `path="claim"`, and its
+//! `served` is [`ServeStats::claimed`].
 
 use crate::clock::Nanos;
 use crate::sync::Arc;
@@ -42,8 +43,8 @@ use dini_obs::{
     AtomicLogHistogram, Counter, MetricsRegistry, MetricsSnapshot, TraceConfig, TraceRing,
 };
 
-/// The label the claim-side set's series carry on top of their
-/// replica's coordinates.
+/// The label the claim row's series carry on top of their replica's
+/// coordinates.
 const CLAIM_PATH: &str = "path=\"claim\"";
 
 /// The label list naming one replica's series.
@@ -52,81 +53,121 @@ pub(crate) fn replica_labels(shard: usize, replica: usize) -> String {
 }
 
 /// One replica's live, lock-free accounting: `dini-obs` atomics that
-/// the thread holding the replica updates in place (no mutex anywhere
-/// on the read path), plus the replica's stage-trace ring. Handles are
-/// registered in the server's [`MetricsRegistry`] under
+/// the callers ranking for the replica update in place (no mutex
+/// anywhere on the read path), plus the replica's stage-trace ring.
+/// Handles are registered in the server's [`MetricsRegistry`] under
 /// `shard="s",replica="r"` labels, so a registry snapshot sees every
 /// replica without asking anyone.
 ///
-/// Every write is the holder's, and holders exclude each other through
-/// the depth gauge's Acquire/Release (see [`crate::admission`]), so each
-/// field is written with a load and a store ([`Counter::add_unshared`],
-/// [`AtomicLogHistogram::record_n_unshared`]) instead of a
-/// read-modify-write. The visibility contract callers rely on
-/// (`stats().served` includes every reaped lookup) holds too: a holder
-/// records a batch *before* releasing its replies, each reply release is
-/// an acquire/release handoff through the reply cell, and so a caller
-/// that has observed its reply observes the counts sequenced before it.
+/// The claim row is written by the replica's claim holder alone, and
+/// holders exclude each other through the depth gauge's Acquire/Release
+/// (see [`crate::admission`]), so its fields are written with a load
+/// and a store ([`Counter::add_unshared`],
+/// [`AtomicLogHistogram::record_n_unshared`]). The shared row takes
+/// read-modify-writes ([`Counter::add`], [`AtomicLogHistogram::record_n`]).
+/// A caller counts its batch before it returns the batch's answers, so
+/// `stats().served` includes every lookup its caller has seen answered.
 #[derive(Debug)]
 pub struct ReplicaMetrics {
+    /// Batches ranked under the replica's claim (`path="claim"`).
+    claim: Row,
+    /// Batches ranked by callers that lost the claim.
+    shared: Row,
+    rerouted: Counter,
+    /// The replica's ring, and its sampler: every caller writes it.
+    trace: TraceRing,
+}
+
+/// One row of a replica's counts.
+#[derive(Debug)]
+struct Row {
     latency_ns: Arc<AtomicLogHistogram>,
     batch_size: Arc<AtomicLogHistogram>,
-    /// Keys ranked by the thread that issued them (`path="claim"`).
-    claimed: Counter,
-    /// Keys a holder ranked for callers that queued.
-    combined: Counter,
+    served: Counter,
     batches: Counter,
-    rerouted: Counter,
-    /// The holder's ring, and its sampler.
-    trace: TraceRing,
+    /// Whether the row has one writer at a time (the claim holder).
+    unshared: bool,
+}
+
+impl Row {
+    fn new(reg: &MetricsRegistry, labels: &str, unshared: bool) -> Self {
+        Self {
+            latency_ns: reg.histogram("dini_serve_latency_ns", labels),
+            batch_size: reg.histogram("dini_serve_batch_size", labels),
+            served: reg.counter("dini_serve_served", labels),
+            batches: reg.counter("dini_serve_batches", labels),
+            unshared,
+        }
+    }
+
+    fn add(&self, counter: &Counter, n: u64) {
+        if self.unshared {
+            counter.add_unshared(n);
+        } else {
+            counter.add(n);
+        }
+    }
+
+    fn record(&self, hist: &AtomicLogHistogram, v: u64, weight: u64) {
+        if self.unshared {
+            hist.record_n_unshared(v, weight);
+        } else {
+            hist.record_n(v, weight);
+        }
+    }
 }
 
 impl ReplicaMetrics {
     /// Build one replica's handles, registering them in `reg` labelled
-    /// with the replica's coordinates; the claimed keys' `served` series
-    /// carries `path="claim"` as well. The trace ring's sampling seed is
+    /// with the replica's coordinates; the claim row's series carry
+    /// `path="claim"` as well. The trace ring's sampling seed is
     /// decorrelated per replica so replicas sample different residue
     /// classes of their own request streams.
     pub fn new(reg: &MetricsRegistry, shard: usize, replica: usize, trace: &TraceConfig) -> Self {
         let labels = replica_labels(shard, replica);
-        let served = |labels: &str| reg.counter("dini_serve_served", labels);
         let flat_salt = ((shard as u64) << 16 | replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let trace = TraceConfig { seed: trace.seed ^ flat_salt, ..trace.clone() };
         Self {
-            latency_ns: reg.histogram("dini_serve_latency_ns", &labels),
-            batch_size: reg.histogram("dini_serve_batch_size", &labels),
-            claimed: served(&format!("{labels},{CLAIM_PATH}")),
-            combined: served(&labels),
-            batches: reg.counter("dini_serve_batches", &labels),
+            claim: Row::new(reg, &format!("{labels},{CLAIM_PATH}"), true),
+            shared: Row::new(reg, &labels, false),
             rerouted: reg.counter("dini_serve_rerouted", &labels),
             trace: TraceRing::new(&trace),
         }
     }
 
-    /// Count one batch of `n` queries: the holder's own keys (`own`), or
-    /// requests it combined. Only the holder may call this (see the type
-    /// docs): a load and a store per field.
-    pub fn count_batch(&self, n: u64, own: bool) {
-        self.batch_size.record_n_unshared(n, 1);
-        if own { &self.claimed } else { &self.combined }.add_unshared(n);
-        self.batches.add_unshared(1);
+    fn row(&self, claimed: bool) -> &Row {
+        if claimed {
+            &self.claim
+        } else {
+            &self.shared
+        }
     }
 
-    /// Record one latency, standing for `weight` queries (a sampled own
-    /// batch: requests picked × sampling period, so the histogram's count
-    /// keeps pace with `served`). Only the holder may call this.
-    pub fn record_latency(&self, ns: Nanos, weight: u64) {
-        self.latency_ns.record_n_unshared(ns, weight);
+    /// Count one batch of `n` queries, ranked under the replica's claim
+    /// (`claimed`: only its holder may say so) or not.
+    pub fn count_batch(&self, n: u64, claimed: bool) {
+        let row = self.row(claimed);
+        row.record(&row.batch_size, n, 1);
+        row.add(&row.served, n);
+        row.add(&row.batches, 1);
     }
 
-    /// Count `n` failover hand-offs to a surviving sibling. Only the
-    /// holder may call this.
+    /// Record one latency, standing for `weight` queries (requests
+    /// picked × sampling period, so the histogram's count keeps pace
+    /// with `served`), in the claim row or the shared one.
+    pub fn record_latency(&self, ns: Nanos, weight: u64, claimed: bool) {
+        let row = self.row(claimed);
+        row.record(&row.latency_ns, ns, weight);
+    }
+
+    /// Count `n` keys handed to a surviving sibling after this replica
+    /// met its crash point.
     pub fn count_rerouted(&self, n: u64) {
-        self.rerouted.add_unshared(n);
+        self.rerouted.add(n);
     }
 
-    /// This replica's stage-trace ring and sampler: the holder is the
-    /// ring's single writer; anyone may snapshot it.
+    /// This replica's stage-trace ring and sampler: every caller that
+    /// ranks for the replica writes it; anyone may snapshot it.
     pub fn trace(&self) -> &TraceRing {
         &self.trace
     }
@@ -139,30 +180,33 @@ impl ReplicaMetrics {
 /// counters, which carry no replica labels, read 0).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
-    /// Merged per-query latency across shards (ns): one sample per
-    /// queued query; for keys their caller ranked, one measured latency
-    /// per sampler pick, weighted by the sampling period — so `count()` tracks `served` to within one period per
-    /// replica, not exactly (see the module docs).
+    /// Merged per-query latency across shards (ns): one measured
+    /// latency per sampler pick, weighted by the sampling period — so
+    /// `count()` tracks `served` to within one period per replica, not
+    /// exactly (see the module docs).
     pub latency_ns: LogHistogram,
     /// Merged batch-size distribution.
     pub batch_size: LogHistogram,
     /// Total queries served.
     pub served: u64,
-    /// Of `served`, the keys ranked by the thread that issued them (under
-    /// an idle replica's claim); `served − claimed` is what holders
-    /// combined for callers that queued.
+    /// Of `served`, the keys ranked under an idle replica's claim;
+    /// `served − claimed` is what callers that lost the claim ranked
+    /// beside its holder.
     pub claimed: u64,
     /// Total batches dispatched.
     pub batches: u64,
     /// Main epochs each replica's shard has crossed, summed over replicas.
     pub rebuilds: u64,
-    /// Requests admitted into some replica queue.
+    /// Requests admitted. A key is admitted by being ranked, on its
+    /// caller's thread, so this is `served`.
     pub admitted: u64,
-    /// Requests shed by admission control.
+    /// Requests shed by admission control: always 0 — nothing queues in
+    /// process, so nothing overflows (a `dini-net` client's outbox sheds,
+    /// and counts its own). Kept while `benchmark/` reads it.
     pub shed: u64,
-    /// Requests re-routed from crashed replicas to surviving siblings
+    /// Keys re-routed from crashed replicas to surviving siblings
     /// (each one was admitted once and answered once — failover is a
-    /// hand-off, not a retry).
+    /// re-selection, not a retry).
     pub rerouted: u64,
     /// Churn operations that actually mutated the index (insert of an
     /// absent key, delete of a present one).
@@ -202,8 +246,8 @@ impl ServeStats {
             claimed: snap.sum_where("dini_serve_served", |l| keep(l) && l.ends_with(CLAIM_PATH)),
             batches: sum("dini_serve_batches"),
             rebuilds: sum("dini_serve_rebuilds"),
-            admitted: sum("dini_serve_admitted"),
-            shed: sum("dini_serve_shed"),
+            admitted: sum("dini_serve_served"),
+            shed: 0,
             rerouted: sum("dini_serve_rerouted"),
             updates_applied: sum("dini_serve_updates_applied"),
             update_nops: sum("dini_serve_update_nops"),
@@ -226,13 +270,12 @@ impl ServeStats {
     /// One-line human summary (used by the example and the bench).
     pub fn summary(&self) -> String {
         format!(
-            "served {} in {} batches (mean batch {:.1}), shed {}, rerouted {} | \
+            "served {} in {} batches (mean batch {:.1}), rerouted {} | \
              latency p50 {:.0} ns, p99 {:.0} ns, p999 {:.0} ns | \
              {} updates (+{} nops), {} snapshots, {} merges",
             self.served,
             self.batches,
             self.mean_batch(),
-            self.shed,
             self.rerouted,
             self.latency_quantile_ns(0.50),
             self.latency_quantile_ns(0.99),
@@ -270,10 +313,10 @@ mod tests {
         let b = ReplicaMetrics::new(&reg, 1, 1, &TraceConfig::default());
         for batch in [&[100, 200, 300][..], &[50][..]] {
             a.count_batch(batch.len() as u64, false);
-            batch.iter().for_each(|&ns| a.record_latency(ns, 1));
+            batch.iter().for_each(|&ns| a.record_latency(ns, 1, false));
         }
-        b.count_batch(1, false);
-        b.record_latency(1_000, 1);
+        b.count_batch(1, true);
+        b.record_latency(1_000, 1, true);
         b.count_rerouted(1);
         let snap = reg.snapshot();
 
@@ -293,17 +336,17 @@ mod tests {
     }
 
     #[test]
-    fn claimed_keys_are_their_own_served_series() {
-        // One combined batch and one own batch: the view sums them, keeps
-        // the claimed share apart, and the registry shows the claimed
-        // keys as their own `path="claim"` series.
+    fn the_claim_row_is_its_own_set_of_series() {
+        // One shared batch and one claimed batch: the view sums them,
+        // keeps the claimed share apart, and the registry shows the
+        // claim row as its own `path="claim"` series.
         let reg = MetricsRegistry::new();
         let m = ReplicaMetrics::new(&reg, 0, 2, &TraceConfig::default());
         m.count_batch(2, false);
-        m.record_latency(100, 1);
-        m.record_latency(300, 1);
+        m.record_latency(100, 1, false);
+        m.record_latency(300, 1, false);
         m.count_batch(4, true);
-        m.record_latency(50, 4);
+        m.record_latency(50, 4, true);
         let snap = reg.snapshot();
         let view = ServeStats::from(&snap);
         assert_eq!((view.served, view.claimed, view.batches), (6, 4, 2));

@@ -2,8 +2,8 @@
 //!
 //! FoundationDB-style deterministic simulation testing for the whole
 //! serving stack: the **actual** [`IndexServer`](dini_serve::IndexServer)
-//! — replica holds, admission queues, the writer's snapshot/merge
-//! machinery — alone in a process or hosted by several
+//! — replica claims, callers ranking beside each other, the writer's
+//! snapshot/merge machinery — alone in a process or hosted by several
 //! [`NetServer`](dini_net::NetServer)s behind a
 //! [`RemoteClient`](dini_net::RemoteClient), with the wire between them
 //! ([`ChanNet`](dini_net::transport::ChanNet), whose frames route
@@ -61,11 +61,10 @@
 //!    server process, each sampled record advances monotonically
 //!    through admitted → collected → dispatched → answered → filled,
 //!    names a shard and replica that exist, and carries a batch length
-//!    in `1..=max_batch`. That one field sizes both a holder's drained
-//!    batches and the client's frames, which is why it is the ceiling
-//!    either way a lookup is answered: a frame the connection reader
-//!    ranks in place is one claimed batch per shard, so it is bounded
-//!    by the client's frame size, a queued one by the server's batch.
+//!    no longer than what its caller held: in process a probe's lone
+//!    lookup or open group, so `1..=GROUP`; over a wire a client frame
+//!    the connection reader ranks as one batch per shard, so
+//!    `1..=max_batch`, the client's frame size.
 //! 7. **Causal stitching** (dense tracing over a wire) — client wire
 //!    records and server stage records must stitch into timelines on
 //!    the shared trace id, each monotone on the one virtual clock.
@@ -141,12 +140,11 @@ pub struct Deployment {
     /// Replicas per shard — independent claims (more than one enables failover
     /// and load-aware routing inside a server).
     pub replicas_per_shard: usize,
-    /// Queries per drained batch, and keys per client frame. Both
-    /// are group-committed, as shipped: a deployment that needs requests
-    /// queued when a fault fires scripts the queueing in
-    /// [`faults`](Self::faults) (a straggle, dispatch jitter).
+    /// Keys per client frame (over a wire; a server has no batch knob —
+    /// its callers rank what they hold).
     pub max_batch: usize,
-    /// Admission queue depth per shard.
+    /// Keys the client's outbox holds per span before it sheds (over a
+    /// wire; in process nothing queues).
     pub queue_capacity: usize,
     /// Writer delta budget before a merge — and, with
     /// [`flight`](Self::flight), a checkpoint. Small → a churn storm
@@ -164,6 +162,11 @@ pub struct Deployment {
     pub lookups_per_client: usize,
     /// Per-probe arrival process (virtual time).
     pub arrival: ArrivalProcess,
+    /// Lookups a probe begins back to back at each arrival instant,
+    /// reaping only before the first (1: every arrival alone). A burst
+    /// is how a pipelined caller fills a client's open frame faster
+    /// than a reap writes it.
+    pub burst: usize,
     /// Churn operations fed *beside* the probes by a dedicated thread
     /// (0 = none). Over a wire they ride the replicated churn log: each
     /// op resolves only once quorum-acked. A deployment churns here or
@@ -254,6 +257,7 @@ impl Deployment {
             clients: 3,
             lookups_per_client: 400,
             arrival: ArrivalProcess::poisson_rate(20_000.0),
+            burst: 1,
             churn_ops: 0,
             churn_gap: Duration::from_micros(50),
             faults: FaultSchedule { latency: Duration::from_micros(50), ..Default::default() },

@@ -7,6 +7,7 @@ use crate::{Deployment, Report, Step};
 use dini_net::NetClientStats;
 use dini_obs::{stitch, StageRecord};
 use dini_serve::clock::dur_ns;
+use dini_serve::group::GROUP;
 use dini_serve::{EventKind, FlightEvent, ServeStats};
 use std::collections::BTreeSet;
 
@@ -96,19 +97,21 @@ pub(crate) fn servers_hold(o: &Outcome, traces: &[StageRecord]) {
             t.max_client_latency_ns
         );
     } else {
-        // The probes are the only way in, one hop from the queues.
+        // The probes are the only way in: nothing in process sheds.
         let shed: u64 = o.cluster.servers().into_iter().flatten().map(|s| s.stats().shed).sum();
         assert_eq!(t.shed, shed, "[{name}] shed counts disagree");
     }
     // (A killed process takes its counters with it.)
     assert!(d.has_step(Step::Kill(0)) || t.ok <= t.admitted, "[{name}] more oks than admissions");
 
+    // What a caller holds: a probe's lone lookup or open group in
+    // process, a client frame over a wire.
+    let held = if d.spans == 0 { GROUP } else { d.max_batch };
     for r in traces {
         assert!(r.stages_monotonic(), "[{name}] stage trace not monotonic: {r:?}");
         assert!(
-            (1..=d.max_batch).contains(&(r.batch_len as usize)),
-            "[{name}] traced batch outside 1..={}: {r:?}",
-            d.max_batch
+            (1..=held).contains(&(r.batch_len as usize)),
+            "[{name}] traced batch outside 1..={held}: {r:?}"
         );
         assert!(
             (r.shard as usize) < d.shards && (r.replica as usize) < d.replicas_per_shard,

@@ -208,19 +208,24 @@ fn probe(front: Front, clock: Clock, keys: Arc<Vec<u32>>, seed: u64, d: Deployme
         });
     };
 
-    for _ in 0..d.lookups_per_client {
-        at = arrivals.next_at_ns(at);
-        let target = start.saturating_add(at);
-        loop {
-            reap(&mut in_flight, &mut t);
-            let now = clock.now();
-            if now >= target {
-                break;
+    for i in 0..d.lookups_per_client {
+        if i % d.burst.max(1) == 0 {
+            at = arrivals.next_at_ns(at);
+            let target = start.saturating_add(at);
+            loop {
+                reap(&mut in_flight, &mut t);
+                let now = clock.now();
+                if now >= target {
+                    break;
+                }
+                let remaining = target - now;
+                let nap = if in_flight.is_empty() {
+                    remaining
+                } else {
+                    remaining.min(dur_ns(REAP_CADENCE))
+                };
+                clock.sleep(Duration::from_nanos(nap));
             }
-            let remaining = target - now;
-            let nap =
-                if in_flight.is_empty() { remaining } else { remaining.min(dur_ns(REAP_CADENCE)) };
-            clock.sleep(Duration::from_nanos(nap));
         }
         t.issued += 1;
         let key = keygen.next_key();
@@ -306,8 +311,6 @@ impl Site<'_> {
         let d = self.d;
         let mut cfg = ServeConfig::new(d.shards);
         cfg.replicas_per_shard = d.replicas_per_shard;
-        cfg.max_batch = d.max_batch;
-        cfg.queue_capacity = d.queue_capacity;
         cfg.merge_threshold = d.merge_threshold;
         cfg.publish_every = d.publish_every;
         cfg.clock = self.clock.clone();
@@ -407,6 +410,7 @@ impl<'a> Cluster<'a> {
         let ccfg = ClientConfig {
             clock: clock.clone(),
             max_batch: d.max_batch,
+            queue_capacity: d.queue_capacity,
             retry_timeout: d.retry_timeout,
             max_retries: d.max_retries,
             ctrl_timeout: Duration::from_millis(20),

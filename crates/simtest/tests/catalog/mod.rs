@@ -6,7 +6,6 @@
 #![allow(dead_code)] // each test binary uses its own part of the list
 
 use dini_cluster::Fault;
-use dini_serve::ServeConfig;
 use dini_simtest::{Deployment, Step};
 use dini_workload::ArrivalProcess;
 use std::time::Duration;
@@ -30,78 +29,69 @@ pub fn clean_quiesce() -> Deployment {
     d
 }
 
-/// The shipped batch cap, read off `ServeConfig::new` so these
-/// scenarios follow whatever the server actually ships, with every
-/// request's wait recorded.
-fn shipped_coalescing(d: &mut Deployment) {
-    d.max_batch = ServeConfig::new(d.shards).max_batch;
-    d.trace_sample_period = 1;
-}
-
-pub fn group_commit_lone() -> Deployment {
-    let mut d = Deployment::in_process("group_commit_lone_request_departs_at_open");
-    shipped_coalescing(&mut d);
+pub fn no_wait_lone() -> Deployment {
+    let mut d = Deployment::in_process("lone_request_departs_at_open");
+    d.trace_sample_period = 1; // every request's wait recorded
     d.clients = 1;
     d.lookups_per_client = 64;
     d.arrival = ArrivalProcess::poisson_rate(1_000.0);
     d
 }
 
-/// The straggler's per-batch delay in `group_commit_backlog`.
-pub const BACKLOG_D: Duration = Duration::from_millis(1);
+/// The straggler's per-batch delay in `no_wait_straggler`.
+pub const STRAGGLE_D: Duration = Duration::from_millis(1);
 
-pub fn group_commit_backlog() -> Deployment {
-    let mut d = Deployment::in_process("group_commit_backlog_leaves_as_one_batch");
-    shipped_coalescing(&mut d);
+/// One shard, straggling: every caller sleeps out `D` before it ranks,
+/// and 3 clients × 20k/s put about 60 arrivals in each `D`, so callers
+/// overlap inside the straggle and lose claims all the time.
+pub fn no_wait_straggler() -> Deployment {
+    let mut d = Deployment::in_process("straggling_shard_keeps_no_request_waiting");
+    d.trace_sample_period = 1; // every request's wait recorded
     d.shards = 1;
-    d.faults.events = vec![slow_shard(0, BACKLOG_D)];
-    // 3 clients × 20k/s ≈ 60 arrivals per D: well under max_batch,
-    // so the size cap never splits a backlog.
-    d.latency_bound = Some(2 * BACKLOG_D); // ≤ D queued behind a batch + D in its own
+    d.faults.events = vec![slow_shard(0, STRAGGLE_D)];
+    d.latency_bound = Some(STRAGGLE_D); // its own straggle, nothing queued ahead
     d
 }
 
 pub fn shard_crash_mid_batch() -> Deployment {
     let mut d = Deployment::in_process("shard_crash_mid_batch");
     // Shard 1 pays `extra` per batch, about two arrivals' worth, so a
-    // holder is nearly always ranking a batch with more queued behind
-    // it; it crashes at 3 virtual ms — squarely inside the
-    // ~20 ms load window — with both on hand.
+    // caller is nearly always sleeping out a batch's straggle there; it
+    // crashes at 3 virtual ms — squarely inside the ~20 ms load window.
     let extra = Duration::from_micros(100);
     d.faults.events =
         vec![slow_shard(1, extra), Fault::Crash { shard: 1, replica: None, at: 3 * MS }];
-    // Queued behind one slow batch, then riding its own.
-    d.latency_bound = Some(2 * extra);
+    // Each batch pays its own straggle, nothing ahead of it.
+    d.latency_bound = Some(extra);
     d
 }
 
-pub fn shard_crash_with_queued_backlog() -> Deployment {
-    let mut d = Deployment::in_process("shard_crash_with_queued_backlog");
+pub fn shard_crash_under_concurrent_callers() -> Deployment {
+    let mut d = Deployment::in_process("shard_crash_under_concurrent_callers");
     d.shards = 1;
-    d.max_batch = 1;
+    // A 1 ms straggle against arrivals every ~17 µs: dozens of callers
+    // are inside a straggle on the one replica when it crashes.
     d.faults.events = vec![slow_shard(0, MS), Fault::Crash { shard: 0, replica: None, at: 2 * MS }];
     d.clients = 3;
     d.lookups_per_client = 150;
-    d.latency_bound = None; // the backlog *is* the scenario
+    d.latency_bound = Some(MS);
     d
 }
 
 pub fn replica_crash_mid_batch() -> Deployment {
     let mut d = Deployment::in_process("replica_crash_mid_batch");
     d.replicas_per_shard = 2;
-    // Both replicas of shard 1 pay `extra` per batch, so each one's
-    // holder is nearly always ranking a batch with more queued behind
-    // it; replica 0
-    // crashes at 3 virtual ms — squarely inside the ~20 ms load window
-    // — with both on hand.
+    // Both replicas of shard 1 pay `extra` per batch, so callers are
+    // nearly always sleeping out a straggle on each; replica 0 crashes
+    // at 3 virtual ms — squarely inside the ~20 ms load window — with
+    // callers mid-straggle on it.
     let extra = Duration::from_micros(200);
     d.faults.events =
         vec![slow_shard(1, extra), Fault::Crash { shard: 1, replica: Some(0), at: 3 * MS }];
-    // The worst case is a request in the dying replica's batch: ≤ one
-    // slow batch queued, its own batch until the crash is seen, then ≤
-    // one slow batch on the survivor and the batch that serves it.
-    // Anything slower would mean the backlog sat un-drained.
-    d.latency_bound = Some(4 * extra);
+    // The worst case is a caller on the dying replica: its straggle
+    // until the crash is seen, then its batch's straggle on the
+    // survivor.
+    d.latency_bound = Some(2 * extra);
     d
 }
 
@@ -111,12 +101,9 @@ pub fn straggler_replica() -> Deployment {
     let extra = Duration::from_millis(2);
     d.faults.events = vec![Fault::Straggle { shard: 0, replica: Some(0), extra }];
     d.arrival = ArrivalProcess::poisson_rate(4_000.0);
-    // A request can land on the straggler just as a slow batch
-    // departs and then ride its own: ≤ 2 × extra. The healthy
-    // replica's own traffic waits on nothing, which is what keeps the
-    // *shard's* tail bounded by the straggler's single-batch delay
-    // instead of its queue length.
-    d.latency_bound = Some(2 * extra);
+    // A request that lands on the straggler pays its straggle and
+    // nothing else: no caller waits on another.
+    d.latency_bound = Some(extra);
     d
 }
 
@@ -127,7 +114,7 @@ pub fn all_replicas_down() -> Deployment {
         Fault::Crash { shard: 1, replica: Some(0), at: 2 * MS },
         Fault::Crash { shard: 1, replica: Some(1), at: 6 * MS },
     ];
-    d.latency_bound = None; // the second crash can strand re-homed backlog mid-wait
+    d.latency_bound = None; // a caller can meet both crashes, one straggle-free hop each
     d
 }
 
@@ -136,8 +123,8 @@ pub fn dispatch_jitter() -> Deployment {
     let jitter = Duration::from_micros(400);
     d.faults.dispatch_jitter = jitter;
     d.arrival = ArrivalProcess::poisson_rate(5_000.0);
-    // Queued behind one jittered batch, then riding its own.
-    d.latency_bound = Some(2 * jitter);
+    // Each batch pays its own jitter, nothing ahead of it.
+    d.latency_bound = Some(jitter);
     d
 }
 
@@ -148,9 +135,9 @@ pub fn slow_shard_straggler() -> Deployment {
     let mut d = Deployment::in_process("slow_shard_straggler");
     d.faults.events = vec![slow_shard(0, STRAGGLER_EXTRA)];
     d.arrival = ArrivalProcess::poisson_rate(4_000.0);
-    // A request can land behind one in-flight slow batch and then
-    // ride its own: ≤ 2 × extra, exactly, in virtual time.
-    d.latency_bound = Some(2 * STRAGGLER_EXTRA);
+    // A request pays its own batch's straggle and nothing else: ≤ extra,
+    // exactly, in virtual time.
+    d.latency_bound = Some(STRAGGLER_EXTRA);
     d
 }
 
@@ -167,20 +154,19 @@ pub fn churn_storm() -> Deployment {
 /// `churn_storm_straggler`.
 pub const STORM_STRAGGLE: Duration = Duration::from_micros(100);
 
-/// The churn storm with one replica of shard 0 straggling. Its holder
-/// sleeps out the straggle inside its hold, so other probes' lookups
-/// queue behind it: the storm's epoch swaps and rebuilds then race a
-/// holder's pinned batch of queued requests, not only the probes' own
-/// claimed ranks, and dense tracing hands the stage-timing oracle the
-/// queued stages.
+/// The churn storm with one replica of shard 0 straggling. Its callers
+/// sleep out the straggle before they pin, several at once, claim or no
+/// claim: the storm's epoch swaps and rebuilds then race pins taken
+/// after a straggle, not only the probes' instant ranks, and dense
+/// tracing hands the stage-timing oracle both rows' records.
 pub fn churn_storm_straggler() -> Deployment {
     let mut d = churn_storm();
     d.name = "churn_storm_against_a_straggling_replica";
     d.replicas_per_shard = 2;
     d.faults.events = vec![Fault::Straggle { shard: 0, replica: Some(0), extra: STORM_STRAGGLE }];
     d.trace_sample_period = 1;
-    // Queued behind one slow batch, then riding its own.
-    d.latency_bound = Some(2 * STORM_STRAGGLE);
+    // Its own straggle, nothing ahead of it.
+    d.latency_bound = Some(STORM_STRAGGLE);
     d
 }
 
@@ -204,26 +190,28 @@ pub fn stage_traces_disabled() -> Deployment {
     d
 }
 
+/// Overload where a queue still exists: a client outbox of 4 keys per
+/// span. Each probe begins its lookups in bursts of 8, which join the
+/// open frame with nothing reaped in between, so a burst overruns the
+/// outbox and the client sheds the rest.
 pub fn overload_to_shed() -> Deployment {
-    let mut d = Deployment::in_process("overload_to_shed");
-    // Every batch costs 1 virtual ms to dispatch; arrivals offered
-    // at 20k/s/client against queues of 4 → guaranteed overrun.
-    d.faults.events = (0..3).map(|shard| slow_shard(shard, MS)).collect();
+    let mut d = Deployment::wire("overload_to_shed");
+    d.spans = 1;
+    d.clients = 3;
+    d.lookups_per_client = 320;
+    d.arrival = ArrivalProcess::poisson_rate(2_500.0);
+    d.burst = 8;
     d.queue_capacity = 4;
-    d.max_batch = 4;
-    d.lookups_per_client = 300;
-    d.latency_bound = None; // queueing delay is the point here
     d
 }
 
 /// A scenario that exercises every subsystem at once (churn + merges +
-/// publication + mid-run quiesce + multiple clients + both ways a lookup
-/// is answered): the widest surface a nondeterminism bug could hide in.
-/// Shard 0 is a straggler, so its holders sleep inside their holds and
-/// other probes' requests queue, coalesce and wait behind them — real
-/// contention, whose timing follows the seeded arrivals — while the
-/// other shards' lookups are ranked by the clients themselves, at no
-/// virtual cost.
+/// publication + mid-run quiesce + multiple clients + both rows a
+/// lookup is counted in): the widest surface a nondeterminism bug could
+/// hide in. Shard 0 is a straggler, so its callers overlap inside their
+/// straggles and lose claims — real contention, whose timing follows
+/// the seeded arrivals — while the other shards' lookups are ranked at
+/// no virtual cost.
 pub fn determinism_busy() -> Deployment {
     let mut d = Deployment::in_process("determinism-busy");
     d.churn_ops = 800;
@@ -234,8 +222,8 @@ pub fn determinism_busy() -> Deployment {
     d.arrival = ArrivalProcess::poisson_rate(15_000.0);
     let extra = Duration::from_micros(300);
     d.faults.events = vec![slow_shard(0, extra)];
-    // Queued behind one slow batch, then riding its own.
-    d.latency_bound = Some(2 * extra);
+    // Its own straggle, nothing ahead of it.
+    d.latency_bound = Some(extra);
     d
 }
 
@@ -398,10 +386,10 @@ pub type Make = fn() -> Deployment;
 /// `golden.txt` lists them.
 pub const ALL: &[(&str, Make)] = &[
     ("scenarios", clean_quiesce),
-    ("scenarios", group_commit_lone),
-    ("scenarios", group_commit_backlog),
+    ("scenarios", no_wait_lone),
+    ("scenarios", no_wait_straggler),
     ("scenarios", shard_crash_mid_batch),
-    ("scenarios", shard_crash_with_queued_backlog),
+    ("scenarios", shard_crash_under_concurrent_callers),
     ("scenarios", replica_crash_mid_batch),
     ("scenarios", straggler_replica),
     ("scenarios", all_replicas_down),

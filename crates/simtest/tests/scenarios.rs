@@ -1,7 +1,7 @@
 //! The seeded fault-scenario suite: the real `IndexServer` under ten
-//! hostile (and one clean) schedules plus two group-commit and two
-//! fast-path scenarios, all forming batches by the shipped group
-//! commit, on deterministic virtual time.
+//! hostile (and one clean) schedules plus two no-wait and two fast-path
+//! scenarios, every lookup ranked by the caller that issued it, on
+//! deterministic virtual time.
 //!
 //! Every scenario runs across the seed matrix (`DINI_SIMTEST_SEEDS`,
 //! default 3, CI 8) and **twice per seed** via
@@ -34,15 +34,15 @@ fn clean_quiesce() {
     }
 }
 
-/// Group commit, idle half: under the shipped defaults a lone request on
-/// an idle replica is ranked the instant it arrives, by its caller. Sparse arrivals from
-/// one client — every request is lone — and in virtual time service is
-/// instantaneous, so the worst coalescing wait *and* the worst served
-/// latency are exactly zero: there is no timer on the path.
+/// No wait, idle half: a lone request is ranked the instant it arrives,
+/// by its caller. Sparse arrivals from one client — every request is
+/// lone — and in virtual time service is instantaneous, so the worst
+/// wait *and* the worst served latency are exactly zero: there is no
+/// timer on the path.
 #[test]
-fn group_commit_lone_request_departs_at_open() {
+fn no_wait_lone_request_departs_at_open() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::group_commit_lone(), seed);
+        let report = run_reproducibly(&catalog::no_wait_lone(), seed);
         assert_eq!(report.issued, report.ok, "seed {seed}");
         assert!(report.trace_records > 0, "seed {seed}: dense tracing must see the requests");
         assert_eq!(report.max_wait_ns, 0, "seed {seed}: a lone request waited on something");
@@ -50,37 +50,27 @@ fn group_commit_lone_request_departs_at_open() {
     }
 }
 
-/// Group commit, busy half: batches form by themselves while the
-/// previous one is in service. The only shard pays an injected `D` per
-/// batch; everything that arrives during one batch's `D` leaves together
-/// as the next batch its holder drains, the moment the first is ranked. So no request
-/// waits longer than `D` to be collected — not `2 D`, which is what a
-/// backlog split over two batches would cost its second half.
+/// No wait, busy half: the only shard pays an injected `D` per batch,
+/// and callers arrive about sixty to a `D`, so they overlap inside each
+/// other's straggles and most lose the claim. None waits to be
+/// collected — each is collected the instant it arrives, by itself — and
+/// none pays more than its own `D`: a lost claim queues behind nothing.
 #[test]
-fn group_commit_backlog_leaves_as_one_batch() {
+fn no_wait_behind_a_straggling_shard() {
     for seed in seeds_from_env() {
-        let d = catalog::BACKLOG_D;
-        let report = run_reproducibly(&catalog::group_commit_backlog(), seed);
+        let d = catalog::STRAGGLE_D.as_nanos() as u64;
+        let report = run_reproducibly(&catalog::no_wait_straggler(), seed);
         assert_eq!(report.issued, report.ok, "a straggler is slow, not wrong (seed {seed})");
-        assert!(
-            report.max_wait_ns <= d.as_nanos() as u64,
-            "seed {seed}: a request waited {} ns to be collected behind a {} ns batch",
-            report.max_wait_ns,
-            d.as_nanos()
-        );
-        assert!(
-            report.max_wait_ns > d.as_nanos() as u64 / 2,
-            "seed {seed}: the load must actually queue behind the straggler (worst wait {} ns)",
-            report.max_wait_ns
-        );
+        assert!(report.trace_records > 0, "seed {seed}: dense tracing must see the requests");
+        assert_eq!(report.max_wait_ns, 0, "seed {seed}: a request waited to be collected");
+        assert_eq!(report.max_latency_ns, d, "seed {seed}: latency is the straggle, exactly");
     }
 }
 
 /// A shard's only replica crashes mid-batch while traffic is in flight:
-/// its holder finds no survivor for what it holds, and every waiter gets
-/// `ShuttingDown` — no
-/// reply is ever lost — while the surviving shards keep answering
-/// exactly.
+/// a caller that meets the crash finds no survivor, and gets
+/// `ShuttingDown` — no reply is ever lost — while the surviving shards
+/// keep answering exactly.
 #[test]
 fn shard_crash_mid_batch() {
     for seed in seeds_from_env() {
@@ -91,29 +81,27 @@ fn shard_crash_mid_batch() {
     }
 }
 
-/// Regression: a crash with a *deep backlog* behind it. With one slow
-/// single-request-batch shard, requests pile up in the admission queue;
-/// when the crash fires, everything queued (not just the collected
-/// batch) must resolve as `ShuttingDown` — the holder that meets the
-/// crash drains the queue, and so does whoever holds the dead replica
-/// after it, rather than stranding waiters. Before the drain existed,
-/// this scenario deadlocked (caught by the sim's detector).
+/// A crash with *many callers* inside the replica's straggle: one slow
+/// shard, arrivals every ~17 µs against a 1 ms straggle. When the crash
+/// fires, every caller still sleeping out its straggle meets it on
+/// waking and resolves as `ShuttingDown` — none is stranded, and none
+/// reaches the dead replica's snapshot.
 #[test]
-fn shard_crash_with_queued_backlog() {
+fn shard_crash_under_concurrent_callers() {
     for seed in seeds_from_env() {
-        let report = run_reproducibly(&catalog::shard_crash_with_queued_backlog(), seed);
-        assert!(report.shutdown > 0, "seed {seed}: the backlog must be shut down, not lost");
+        let report = run_reproducibly(&catalog::shard_crash_under_concurrent_callers(), seed);
+        assert!(report.shutdown > 0, "seed {seed}: callers mid-straggle must be shut down");
         assert_eq!(report.issued, report.ok + report.shed + report.shutdown);
     }
 }
 
 /// The failover tentpole: one replica of a shard crashes **mid-batch**
 /// while traffic is in flight, and — unlike the single-replica crash
-/// above — not a single request may resolve to `ShuttingDown`: what the
-/// crashed replica's holder holds and drains is re-routed to its
-/// surviving sibling, and (the key set being static) every
-/// re-routed reply is still verified exact on the spot. The request
-/// stream sees degraded capacity, never errors.
+/// above — not a single request may resolve to `ShuttingDown`: every
+/// caller that meets the crash selects the surviving sibling and ranks
+/// there, and (the key set being static) every re-routed reply is still
+/// verified exact on the spot. The request stream sees degraded
+/// capacity, never errors.
 #[test]
 fn replica_crash_mid_batch() {
     for seed in seeds_from_env() {
@@ -129,7 +117,7 @@ fn replica_crash_mid_batch() {
         );
         assert!(
             report.rerouted > 0,
-            "seed {seed}: the mid-batch crash must actually re-route its backlog"
+            "seed {seed}: the mid-batch crash must actually re-route its callers"
         );
         // The dead replica of shard 1 stops serving; its sibling keeps
         // the shard alive.
@@ -141,11 +129,11 @@ fn replica_crash_mid_batch() {
 
 /// A straggler **replica**: one replica of shard 0 pays +2 ms per batch
 /// while its sibling stays fast. Power-of-two-choices routing sees the
-/// straggler's queue depth and steers around it, so (a) the healthy
-/// replica serves the bulk of the shard's traffic and (b) the worst
-/// served latency stays a small multiple of the injected delay — the
-/// straggler delays the few requests that tie-break onto it, but its
-/// backlog can never compound the way a load-blind router's would.
+/// straggler's depth (the callers sleeping out its straggle) and steers
+/// around it, so (a) the healthy replica serves the bulk of the shard's
+/// traffic and (b) the worst served latency is the injected delay — the
+/// straggler delays the few requests that tie-break onto it, and
+/// nothing waits behind them.
 #[test]
 fn straggler_replica_with_bounded_tail() {
     for seed in seeds_from_env() {
@@ -184,8 +172,8 @@ fn all_replicas_down_is_shutdown() {
 }
 
 /// Seeded uniform jitter on every dispatch: answers stay exact, and the
-/// worst served latency stays below `2 × dispatch_jitter` — a
-/// bound that only holds because delays are virtual and scripted.
+/// worst served latency stays below `dispatch_jitter` — a bound that
+/// only holds because delays are virtual and scripted.
 #[test]
 fn dispatch_jitter() {
     for seed in seeds_from_env() {
@@ -196,17 +184,18 @@ fn dispatch_jitter() {
 }
 
 /// One shard is a straggler (+2 ms per batch): its traffic is slow but
-/// exact, the other shards stay fast, and nothing sheds because the
-/// queue absorbs the straggler's backlog.
+/// exact, the other shards stay fast, and nothing sheds because nothing
+/// queues — each caller sleeps out its own straggle.
 #[test]
 fn slow_shard_straggler() {
     for seed in seeds_from_env() {
         let extra = catalog::STRAGGLER_EXTRA;
         let report = run_reproducibly(&catalog::slow_shard_straggler(), seed);
         assert_eq!(report.issued, report.ok, "straggler is slow, not wrong (seed {seed})");
-        assert!(
-            report.max_latency_ns > extra.as_nanos() as u64,
-            "the straggler's delay must actually be visible in served latency"
+        assert_eq!(
+            report.max_latency_ns,
+            extra.as_nanos() as u64,
+            "the straggler's delay, and nothing queued ahead of it, is the worst served latency"
         );
     }
 }
@@ -226,11 +215,10 @@ fn churn_storm_during_snapshot_publish() {
 }
 
 /// The churn storm against a straggler: one replica of shard 0
-/// straggles, so its holder sleeps inside its hold and its share of
-/// shard 0's lookups queues behind it. Epoch swaps and rebuilds race
-/// that holder's pinned batches, the post-quiesce
-/// sweep must still match the mirror exactly, and the stage-timing
-/// oracle holds every queued record to admitted → collected →
+/// straggles, so its callers sleep out the straggle before they pin,
+/// several at once. Epoch swaps and rebuilds race those pins, the
+/// post-quiesce sweep must still match the mirror exactly, and the
+/// stage-timing oracle holds every record to admitted → collected →
 /// dispatched → answered → filled.
 #[test]
 fn churn_storm_against_a_straggling_replica() {
@@ -243,7 +231,7 @@ fn churn_storm_against_a_straggling_replica() {
         assert!(report.per_replica_served[0] > 0, "seed {seed}: the straggler served nothing");
         assert!(
             report.max_latency_ns >= catalog::STORM_STRAGGLE.as_nanos() as u64,
-            "seed {seed}: no lookup waited on the straggler's holder"
+            "seed {seed}: no lookup slept out the straggle"
         );
         assert!(report.trace_records > 0, "seed {seed}: dense tracing recorded nothing");
     }
@@ -283,9 +271,9 @@ fn stage_traces_on_virtual_time() {
     }
 }
 
-/// Sustained overload into shed: dispatch is artificially slow (virtual
-/// service time) and the queues are tiny, so open-loop arrivals overrun
-/// admission and the server sheds — deterministically, the same requests
+/// Sustained overload into shed where a queue still exists: a client
+/// outbox of 4 keys per span, overrun by open-loop arrivals between
+/// reaps, so the client sheds — deterministically, the same requests
 /// every run.
 #[test]
 fn overload_to_shed() {
@@ -312,9 +300,8 @@ fn fast_path_cfg(sim: &std::sync::Arc<SimClock>, shards: usize, seed: u64) -> Se
 /// idle replica is ranked by its caller, so answering it involves no
 /// other thread at all — not a block, not a wake, not even a
 /// satisfied-at-once wait: the sim's event count does not move across
-/// the call. (The queued path costs a reply wait and a wake at the
-/// least.) Wait and latency are exactly zero and the accounting
-/// reads one batch of one per lookup.
+/// the call. Wait and latency are exactly zero and the accounting reads
+/// one batch of one per lookup.
 #[test]
 fn fast_path_lone_request_makes_no_scheduler_handoff() {
     for seed in seeds_from_env() {
@@ -345,12 +332,12 @@ fn fast_path_lone_request_makes_no_scheduler_handoff() {
 /// Two callers due at the same virtual instant on a one-replica shard,
 /// no fault scripted anywhere. The first takes the claim; the claim
 /// window is a scheduling point, so the second arrives *inside* it,
-/// finds depth 1, queues, and is answered by the first before the first
-/// returns: the holder combines what queued behind its own key. Both
-/// answers are exact, each path served exactly one of them, nobody waited (virtual service is instant), and
-/// the whole interleaving reproduces.
+/// finds depth 1, loses the claim and ranks its own key anyway, counted
+/// in the shared row. Both lookups are born resolved, both answers are
+/// exact, each row counted exactly one of them, nobody waited (virtual
+/// service is instant), and the whole interleaving reproduces.
 #[test]
-fn fast_path_second_caller_is_answered_by_the_holder() {
+fn fast_path_second_caller_ranks_its_own_key() {
     fn run(seed: u64) -> (u64, u64) {
         let sim = SimClock::new();
         let _main = sim.register_main();
@@ -373,13 +360,13 @@ fn fast_path_second_caller_is_answered_by_the_holder() {
         for &(key, _, rank) in &outcomes {
             assert_eq!(rank, keys.partition_point(|&k| k <= key) as u32, "seed {seed}");
         }
-        assert!(outcomes[0].1, "seed {seed}: the first caller found the replica idle");
-        assert!(!outcomes[1].1, "seed {seed}: the second arrived mid-claim and must queue");
+        assert!(outcomes.iter().all(|o| o.1), "seed {seed}: a lookup came back unranked");
         let stats = server.stats();
         assert_eq!((stats.served, stats.admitted, stats.batches), (2, 2, 2), "seed {seed}");
+        assert_eq!(stats.claimed, 1, "seed {seed}: the second arrived mid-claim and lost it");
         assert_eq!(stats.latency_ns.max(), 0.0, "seed {seed}");
         assert_eq!(server.metrics_snapshot().sum("dini_serve_queue_depth"), 0, "seed {seed}");
-        // One record per path.
+        // One record per row.
         clock.sleep(Duration::from_millis(1));
         let traces = server.stage_traces();
         assert_eq!(traces.len(), 2, "seed {seed}");

@@ -164,6 +164,7 @@ fn main() {
     println!("attached to {addr}: {} spans, {} live keys", handle.n_spans(), handle.live_keys());
     let mut rates = RateView::new(handle.n_spans());
     let mut tick = 0u64;
+    // lint: wait-ok: a live dashboard redraws until its operator stops it.
     loop {
         tick += 1;
         render(tick, &poll_all(&handle), &mut rates);

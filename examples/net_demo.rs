@@ -51,7 +51,6 @@ fn server_process() {
         std::thread::available_parallelism().map(|n| (n.get() / 2).clamp(2, 4)).unwrap_or(2);
     let mut cfg = ServeConfig::new(shards);
     cfg.replicas_per_shard = 2;
-    cfg.max_batch = 256;
     cfg.merge_threshold = 2048;
 
     let acceptor = TcpAcceptorT::bind("127.0.0.1:0").expect("bind loopback");

@@ -32,17 +32,16 @@ fn main() {
     let shards =
         std::thread::available_parallelism().map(|n| (n.get() / 2).clamp(2, 4)).unwrap_or(2);
     let mut cfg = ServeConfig::new(shards);
-    // Two replicated dispatchers per shard: they share the shard's
-    // snapshots — keys, directory and overlay (no extra index memory) — the
-    // router spreads load between them by queue depth, and either can
-    // absorb the other's backlog if it crashes.
+    // Two replicas per shard: they share the shard's snapshots — keys,
+    // directory and overlay (no extra index memory) — the router spreads
+    // callers between them by live depth, and either takes the other's
+    // callers if it crashes.
     cfg.replicas_per_shard = 2;
-    cfg.max_batch = 256;
     cfg.merge_threshold = 2048;
     cfg.publish_every = 64;
     println!(
-        "serving {} keys over {} shards × {} replicas (group-committed batches ≤ {})",
-        n_keys, shards, cfg.replicas_per_shard, cfg.max_batch
+        "serving {} keys over {} shards × {} replicas (each caller ranks its own keys)",
+        n_keys, shards, cfg.replicas_per_shard
     );
     let server = IndexServer::build(&keys, cfg);
 
@@ -117,8 +116,8 @@ fn main() {
 
     // Opt-in: the same closed-loop load, but every lookup crosses a real
     // TCP socket through dini-net's RemoteClient (client-side coalescing
-    // packs concurrent callers' keys into Lookup frames; the server's
-    // batcher coalesces them again with any local traffic).
+    // packs concurrent callers' keys into Lookup frames, each ranked by
+    // the server's connection reader as one batch per shard).
     if std::env::var_os("DINI_DEMO_TCP").is_some_and(|v| v != "0" && !v.is_empty()) {
         drop(server); // free the cores; the TCP run builds its own stack
         tcp_comparison(&keys, clients, lookups_per_client);
@@ -132,7 +131,6 @@ fn tcp_comparison(keys: &[u32], clients: usize, lookups_per_client: usize) {
         std::thread::available_parallelism().map(|n| (n.get() / 2).clamp(2, 4)).unwrap_or(2);
     let mut cfg = ServeConfig::new(shards);
     cfg.replicas_per_shard = 2;
-    cfg.max_batch = 256;
 
     let acceptor = TcpAcceptorT::bind("127.0.0.1:0").expect("bind loopback");
     let addr = acceptor.addr();

@@ -14,9 +14,7 @@ use dini::workload::gen_sorted_unique_keys;
 use std::time::Instant;
 
 fn cfg(shards: usize) -> ServeConfig {
-    let mut c = ServeConfig::new(shards);
-    c.max_batch = 64;
-    c
+    ServeConfig::new(shards)
 }
 
 fn main() {

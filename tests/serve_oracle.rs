@@ -7,24 +7,33 @@
 //! three levels deep, and with concurrent readers hammering the server
 //! while snapshots are being published.
 
-use dini::cluster::Fault;
-use dini::serve::{IndexServer, LoadMode, Op, ServeConfig, ServeError};
+use dini::net::{ChanNet, ClientConfig, NetServer, NetServerConfig, RemoteClient, Topology};
+use dini::serve::{Clock, IndexServer, LoadMode, Op, ServeConfig, ServeError};
 use dini::workload::{ChurnGen, KeyDistribution, OpMix};
 use dini_serve::run_load;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Yield until `done` holds; fail, naming `what` was awaited, if a
+/// minute passes first.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
 
 /// Wait until every reader has counted itself into `started` (one
 /// completed lookup each), or until one has finished: a reader only
 /// stops early by panicking, and its `join` then reports the failure
 /// instead of this wait hanging.
 fn await_readers<T>(started: &AtomicUsize, readers: &[JoinHandle<T>]) {
-    while started.load(Ordering::SeqCst) < readers.len() && !readers.iter().any(|r| r.is_finished())
-    {
-        std::thread::yield_now();
-    }
+    wait_for("every reader's first lookup", || {
+        started.load(Ordering::SeqCst) >= readers.len() || readers.iter().any(|r| r.is_finished())
+    });
 }
 
 fn oracle_rank(set: &BTreeSet<u32>, q: u32) -> u32 {
@@ -39,7 +48,6 @@ fn initial_keys(n: usize) -> Vec<u32> {
 
 fn serve_cfg(shards: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(shards);
-    cfg.max_batch = 128;
     cfg.merge_threshold = 64; // force many merge/rebuild epochs
     cfg.publish_every = 16;
     cfg
@@ -287,15 +295,10 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
             let (sent, stop, started) = (sent.clone(), stop.clone(), started.clone());
             let n0 = keys.len();
             std::thread::spawn(move || {
-                // (ranked by this thread on an idle replica, queued for
-                // a dispatcher behind a claimed one)
-                let mut served = (0u64, 0u64);
+                let mut served = 0u64;
                 while !stop.load(Ordering::SeqCst) {
                     let before = sent.load(Ordering::SeqCst);
-                    let pending =
-                        h.begin_lookup(u32::MAX).expect("four callers never fill a queue");
-                    let claimed = pending.poll().is_some();
-                    let rank = pending.wait().expect("serving") as usize;
+                    let rank = h.lookup(u32::MAX).expect("serving") as usize;
                     let after = sent.load(Ordering::SeqCst);
                     let lo = n0 + before.saturating_sub(CHUNK + PUBLISH_EVERY);
                     assert!(
@@ -303,14 +306,10 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
                         "rank {rank} outside [{lo}, {}]: a mixed (main, overlay) pair",
                         n0 + after
                     );
-                    if served == (0, 0) {
+                    if served == 0 {
                         started.fetch_add(1, Ordering::SeqCst);
                     }
-                    if claimed {
-                        served.0 += 1;
-                    } else {
-                        served.1 += 1;
-                    }
+                    served += 1;
                 }
                 served
             })
@@ -328,22 +327,18 @@ fn replica_reads_stay_inside_the_rank_window_across_merges() {
         }
         // `len()` is the live count as of the last publication, which
         // trails the applied count by less than `publish_every`.
-        while server.len() + PUBLISH_EVERY <= set.len() {
-            std::thread::yield_now();
-        }
+        wait_for("the writer to publish the chunk", || server.len() + PUBLISH_EVERY > set.len());
     }
     server.quiesce();
     stop.store(true, Ordering::SeqCst);
-    let (mut claimed, mut queued) = (0, 0);
     for r in readers {
-        let served = r.join().unwrap();
-        assert!(served.0 + served.1 > 0, "every reader must have made progress");
-        claimed += served.0;
-        queued += served.1;
+        assert!(r.join().unwrap() > 0, "every reader must have made progress");
     }
-    // Four callers on two replicas: the window must hold whoever ranks.
-    assert!(claimed > 0, "no lookup was ranked by its caller");
-    assert!(queued > 0, "no lookup was queued behind a claimed replica");
+    // Four callers on two replicas: the window must hold whether a
+    // caller ranked under the replica's claim or beside its holder.
+    let stats = server.stats();
+    assert!(stats.claimed > 0, "no lookup was ranked under a claim");
+    assert!(stats.served > stats.claimed, "no lookup lost a claim and ranked beside its holder");
     assert!(server.stats().merges >= 20, "only {} merges", server.stats().merges);
     assert!(
         server.replica_stats().iter().all(|r| r.served > 0),
@@ -496,7 +491,7 @@ fn a_pipelined_caller_stays_inside_the_rank_window_under_churn() {
                     i = i.wrapping_add(2);
                     let q = i.wrapping_mul(2_654_435_761) % 70_000;
                     let before = sent.load(Ordering::SeqCst);
-                    flight.push_back((q, before, h.begin_lookup(q).expect("deep queues")));
+                    flight.push_back((q, before, h.begin_lookup(q).expect("serving")));
                 }
                 reaped += flight.len() as u64;
                 flight.into_iter().for_each(check);
@@ -512,9 +507,7 @@ fn a_pipelined_caller_stays_inside_the_rank_window_under_churn() {
             server.update(Op::Insert(k)).expect("writer alive");
             set.insert(k);
         }
-        while server.len() + PUBLISH_EVERY <= set.len() {
-            std::thread::yield_now();
-        }
+        wait_for("the writer to publish the chunk", || server.len() + PUBLISH_EVERY > set.len());
     }
     server.quiesce();
     stop.store(true, Ordering::SeqCst);
@@ -535,7 +528,7 @@ fn a_pipelined_caller_stays_inside_the_rank_window_under_churn() {
             assert_eq!(p.wait().expect("serving"), oracle_rank(&set, q), "query {q}");
         }
         let q = i.wrapping_mul(747_796_405) % 70_100;
-        flight.push_back((q, h.begin_lookup(q).expect("deep queues")));
+        flight.push_back((q, h.begin_lookup(q).expect("serving")));
     }
     for (q, p) in flight {
         assert_eq!(p.wait().expect("serving"), oracle_rank(&set, q), "query {q}");
@@ -544,27 +537,26 @@ fn a_pipelined_caller_stays_inside_the_rank_window_under_churn() {
 
 #[test]
 fn overload_sheds_instead_of_queueing_without_bound() {
-    // One shard, queue of 1, no coalescing of what queues: a
-    // multi-threaded fire-and-forget burst offers far more than the shard
-    // can admit and the bounded queue must shed — while every *admitted*
-    // lookup still returns the exact oracle rank. The shard is a (mild)
-    // straggler: its holder sleeps inside its hold, so the others' keys
-    // find it held and queue, or are shed. Each submitter pipelines, so
-    // after its first lookup its keys join its handle's open group and
-    // are admitted — or shed — when the group is ranked: a shed shows at
-    // `begin_lookup` for a lone lookup and at `wait` for a grouped one.
+    // In process nothing queues: every caller ranks its own keys. The
+    // queue a lookup can still wait in is a `RemoteClient`'s outbox for
+    // a span — keys not yet on the wire — and it is bounded: four
+    // submitters share one client whose outbox holds 4 keys, and each
+    // pipelines a fire-and-forget burst, so after its first lookup its
+    // keys join the open frame until the outbox is full and the rest are
+    // shed at `begin_lookup` — while every *admitted* lookup still
+    // returns the exact oracle rank.
     let keys = initial_keys(2000);
     let set: BTreeSet<u32> = keys.iter().copied().collect();
-    let mut cfg = ServeConfig::new(1);
-    cfg.queue_capacity = 1;
-    cfg.max_batch = 1;
-    let extra = Duration::from_micros(50);
-    cfg.faults.events.push(Fault::Straggle { shard: 0, replica: None, extra });
-    let server = IndexServer::build(&keys, cfg);
+    let net = ChanNet::new(Clock::system());
+    let topology = Topology::single(vec!["srv".to_owned()]);
+    let cfg = NetServerConfig::new(ServeConfig::new(1), topology, 0);
+    let server = NetServer::start(Box::new(net.listen("srv")), &keys, cfg);
+    let cfg = ClientConfig { queue_capacity: 4, ..ClientConfig::default() };
+    let client = RemoteClient::connect(net.dialer(), "srv", cfg).expect("connect");
 
     let submitters: Vec<_> = (0..4u32)
         .map(|t| {
-            let h = server.handle();
+            let h = client.handle();
             std::thread::spawn(move || {
                 let mut shed = 0u64;
                 let mut pending = Vec::new();
@@ -573,7 +565,7 @@ fn overload_sheds_instead_of_queueing_without_bound() {
                     match h.begin_lookup(key) {
                         Ok(p) => pending.push((key, p)),
                         Err(ServeError::Overloaded { shard }) => {
-                            assert_eq!(shard, 0);
+                            assert_eq!(shard, 0, "the one span sheds");
                             shed += 1;
                         }
                         Err(e) => panic!("unexpected error {e}"),
@@ -590,25 +582,24 @@ fn overload_sheds_instead_of_queueing_without_bound() {
         let (sh, pending) = s.join().unwrap();
         shed += sh;
         for (key, p) in pending {
-            match p.wait() {
-                Ok(rank) => {
-                    assert_eq!(rank, oracle_rank(&set, key), "an admitted lookup misranked");
-                    ok += 1;
-                }
-                Err(ServeError::Overloaded { shard: 0 }) => shed += 1,
-                Err(e) => panic!("unexpected error {e}"),
-            }
+            let rank = p.wait().expect("an admitted lookup is answered");
+            assert_eq!(rank, oracle_rank(&set, key), "an admitted lookup misranked");
+            ok += 1;
         }
     }
     assert!(ok > 0, "some lookups must be admitted");
-    assert!(shed > 0, "a capacity-1 queue under a 4×5000 burst must shed");
+    assert!(shed > 0, "a 4-key outbox under a 4×5000 burst must shed");
     assert_eq!(ok + shed, 20_000, "every lookup is answered or shed");
     // Shedding is non-destructive: service resumes immediately.
-    assert_eq!(server.handle().lookup(keys[10]).unwrap(), 11);
-    // A holder counts a batch before it releases the batch's replies.
-    let stats = server.stats();
-    assert_eq!(stats.shed, shed);
-    assert_eq!(stats.served, ok + 1);
+    let h = client.handle();
+    assert_eq!(h.lookup(keys[10]).unwrap(), 11);
+    // The client counted every shed, and the server ranked every
+    // admitted key — and nothing else.
+    assert_eq!(h.stats().client_shed, shed);
+    let stats = server.server().stats();
+    assert_eq!((stats.served, stats.shed), (ok + 1, 0));
+    drop((h, client));
+    server.shutdown();
 }
 
 #[test]

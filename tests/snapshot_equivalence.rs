@@ -25,9 +25,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn cfg(shards: usize) -> ServeConfig {
-    let mut c = ServeConfig::new(shards);
-    c.max_batch = 64;
-    c
+    ServeConfig::new(shards)
 }
 
 /// Every stored key, its two neighbours, and the extremes — the points

@@ -2,20 +2,19 @@
 //! with a counting global allocator so it cannot silently regress.
 //!
 //! The serving read path is built so that a warmed-up lookup touches the
-//! allocator zero times: reply cells come from a pool, the
-//! dispatcher's batch/keys/ranks/latency scratch is reused across
-//! batches, the lockstep probe's group state lives on the stack, and
-//! snapshot pins are `Arc`-count bumps on a lock-free epoch cell (a bare
-//! `DistributedIndex` also recycles its master↔slave scatter buffers).
-//! A lookup that finds its replica idle does not even get that far: the
-//! calling thread ranks it against the pinned snapshot and returns.
-//! This binary installs a counting allocator and asserts the invariant
-//! end to end: *after warmup, N lookups perform exactly zero heap
-//! allocations anywhere in the process* — caller and dispatcher included.
+//! allocator zero times: the calling thread ranks its own keys against
+//! the pinned snapshot — a pin is an `Arc`-count bump on a lock-free
+//! epoch cell — and the lockstep probe's group state lives on the stack;
+//! a pipelined caller's group cells come from a pool and its group
+//! scratch is reused (a bare `DistributedIndex` also recycles its
+//! master↔slave scatter buffers). This binary installs a counting
+//! allocator and asserts the invariant end to end: *after warmup, N
+//! lookups perform exactly zero heap allocations anywhere in the
+//! process* — every caller and the server's writer included.
 //!
-//! Warmup is what "steady state" means: the server's threads start and
-//! park on their queues (`settle`), and the first lookups grow batch
-//! scratch and the reply-cell pool to the workload's shape; those allocations
+//! Warmup is what "steady state" means: the server's writer starts and
+//! parks on its channel (`settle`), and the first lookups grow scratch
+//! and the group-cell pool to the workload's shape; those allocations
 //! are the amortised setup the paper's economics permit. What the
 //! invariant forbids is *per-lookup* allocation.
 //!
@@ -218,7 +217,6 @@ fn serve_steady_state_lookup_is_allocation_free() {
     let _gate = GATE.lock().unwrap();
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
     let mut cfg = ServeConfig::new(2);
-    cfg.max_batch = 64;
     // Densest possible observability: *every* request is considered and
     // recorded into the pre-allocated stage-trace rings, key-range heat
     // counters tick on every admission, and the lock-free per-replica
@@ -229,10 +227,9 @@ fn serve_steady_state_lookup_is_allocation_free() {
     let server = IndexServer::build(&keys, cfg);
     let h = server.handle();
 
-    // Warmup: the server's own threads first (two dispatchers and the
-    // writer), then the reply-cell pool and dispatcher scratch; spread keys
-    // across both shards.
-    settle(3);
+    // Warmup: the server's own thread first (its writer), then the
+    // lookups; spread keys across both shards.
+    settle(1);
     let mut k = 0u32;
     for _ in 0..3000 {
         k = k.wrapping_add(0x9E37_79B9);
@@ -290,7 +287,6 @@ fn a_pipelined_caller_is_allocation_free_when_warm() {
     let _gate = GATE.lock().unwrap();
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
     let mut cfg = ServeConfig::new(2);
-    cfg.max_batch = 64;
     cfg.trace = TraceConfig::dense();
     cfg.heat = true;
     let server = IndexServer::build(&keys, cfg);
@@ -316,7 +312,7 @@ fn a_pipelined_caller_is_allocation_free_when_warm() {
     });
     assert_eq!(mine, 1, "this thread's one Vec allocation must be observed");
 
-    settle(3);
+    settle(1);
     run(LOOKUPS / 2, &mut flight);
     let allocs = count_thread_allocs(|| run(LOOKUPS, &mut flight));
     for (q, p) in flight.drain(..) {
@@ -334,108 +330,98 @@ fn a_pipelined_caller_is_allocation_free_when_warm() {
     assert!(stats.mean_batch() > 8.0, "lookups were not grouped: {}", stats.mean_batch());
 }
 
+/// Yield until `done` holds; fail, naming `what` was awaited, if a
+/// minute passes first.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
 /// The pins above are single-caller, so every lookup in them finds its
-/// replica idle and is ranked by the calling thread. This one reaches
-/// the other path: two callers hammer one shard until their claims have
-/// collided — a caller that finds the replica claimed takes a pooled
-/// slot, queues, and is answered by the dispatcher — and the whole mix,
-/// both paths and both hand-offs between them, must stay at zero.
+/// replica idle and is ranked under its claim. This one reaches the
+/// other path: two callers hammer one shard, so their claims collide —
+/// a caller that finds the replica claimed ranks its own key anyway and
+/// counts it in the shared row — and the whole mix must stay at zero.
 #[test]
 fn serve_queued_and_claimed_paths_are_allocation_free_when_warm() {
     use std::sync::atomic::Ordering::{Acquire, Release};
     use std::time::{Duration, Instant};
 
-    /// Two callers, each looking keys up until `WANT_QUEUED` lookups in
-    /// all have been seen still pending on return (or ten seconds pass);
-    /// the counter is armed from before the first lookup until after the
-    /// last. Returns (allocations, lookups seen queued).
-    ///
-    /// The pool grows to the most reply cells ever out at once, which
-    /// for two callers is a few — but only at a moment when both are
-    /// queued, and whether a pass has such a moment is up to the
-    /// scheduler. So the warmup pass (`armed == false`) makes it
-    /// certain: each caller keeps its first two queued lookups
-    /// un-redeemed while it carries on, and redeems them at the end.
-    /// After that the pool holds at least as many cells as the armed
-    /// pass, which holds none back, can ever have out.
-    fn hammer(server: &IndexServer, armed: bool) -> (u64, u64) {
-        const WANT_QUEUED: u64 = 64;
-        let queued = AtomicU64::new(0);
+    /// Two callers, `LOOKUPS` lone lookups each, with the counter armed
+    /// (when `armed`) from before the first lookup until after the
+    /// last. Returns the allocations.
+    fn hammer(server: &IndexServer, armed: bool) -> u64 {
+        const LOOKUPS: u32 = 20_000;
         let go = AtomicBool::new(false);
         let finished = AtomicU64::new(0);
         let release = AtomicBool::new(false);
         let mut allocs = 0;
         std::thread::scope(|s| {
             for t in 0..2u32 {
-                let (queued, go, finished, release) = (&queued, &go, &finished, &release);
+                let (go, finished, release) = (&go, &finished, &release);
                 let h = server.handle();
                 s.spawn(move || {
-                    while !go.load(Acquire) {
-                        std::thread::yield_now();
-                    }
-                    let deadline = Instant::now() + Duration::from_secs(10);
-                    let mut held = Vec::with_capacity(if armed { 0 } else { 2 });
+                    wait_for("the start signal", || go.load(Acquire));
                     let mut k = t;
-                    while queued.load(Ordering::Relaxed) < WANT_QUEUED && Instant::now() < deadline
-                    {
-                        for _ in 0..256 {
-                            k = k.wrapping_add(0x9E37_79B9);
-                            let pending = h.begin_lookup(k % 250_000).unwrap();
-                            if pending.poll().is_none() {
-                                queued.fetch_add(1, Ordering::Relaxed);
-                                if held.len() < held.capacity() {
-                                    held.push(pending);
-                                    continue;
-                                }
-                            }
-                            std::hint::black_box(pending.wait().unwrap());
-                        }
-                    }
-                    for pending in held {
+                    for _ in 0..LOOKUPS {
+                        k = k.wrapping_add(0x9E37_79B9);
+                        let pending = h.begin_lookup(k % 250_000).unwrap();
                         std::hint::black_box(pending.wait().unwrap());
                     }
                     // Park (without exiting: thread teardown may free and
                     // allocate) until the counter is disarmed.
                     finished.fetch_add(1, Release);
-                    while !release.load(Acquire) {
-                        std::thread::yield_now();
-                    }
+                    wait_for("the counter to be disarmed", || release.load(Acquire));
                 });
             }
             let before = ALLOCS.load(Ordering::SeqCst);
             ARMED.store(armed, Ordering::SeqCst);
             go.store(true, Release);
-            while finished.load(Acquire) < 2 {
-                std::thread::yield_now();
-            }
+            wait_for("both callers to finish", || finished.load(Acquire) == 2);
             ARMED.store(false, Ordering::SeqCst);
             allocs = ALLOCS.load(Ordering::SeqCst) - before;
             release.store(true, Release);
         });
-        (allocs, queued.load(Ordering::Relaxed))
+        allocs
     }
 
     let _gate = GATE.lock().unwrap();
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
     let mut cfg = ServeConfig::new(1);
-    cfg.max_batch = 64;
     cfg.trace = TraceConfig::dense();
     cfg.heat = true;
     let server = IndexServer::build(&keys, cfg);
+    // Keys ranked by a caller that lost the claim: the shared row.
+    let lost = || {
+        let stats = server.stats();
+        stats.served - stats.claimed
+    };
 
-    // Warmup runs the same mix: it is the queued path's pool and the
-    // dispatcher's scratch that need filling.
-    settle(2);
-    let (_, warm_queued) = hammer(&server, false);
-    assert!(warm_queued > 0, "two callers on one shard never collided during warmup");
-    let (allocs, queued) = hammer(&server, true);
-    assert!(queued > 0, "the armed window never reached the queued path");
-    assert_eq!(
-        allocs, 0,
-        "{allocs} allocations with {queued} lookups queued behind a claimed replica and the \
-         rest ranked by their callers; both paths must be allocation-free once warm"
-    );
+    settle(1);
+    hammer(&server, false);
+    assert!(lost() > 0, "two callers on one shard never collided during warmup");
+    // Armed passes until one of them has seen a lost claim (each pass
+    // counted on its own, so every one must read 0).
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let lost_armed = loop {
+        let before = lost();
+        let allocs = hammer(&server, true);
+        let lost_armed = lost() - before;
+        assert_eq!(
+            allocs, 0,
+            "{allocs} allocations with {lost_armed} lookups ranked beside a claim holder and \
+             the rest under the claim; both rows must be allocation-free once warm"
+        );
+        if lost_armed > 0 {
+            break lost_armed;
+        }
+        assert!(Instant::now() < deadline, "no armed pass saw a claim lost");
+    };
     let stats = server.stats();
+    assert!(lost_armed <= stats.served - stats.claimed);
     assert_eq!(stats.served, stats.admitted, "every admitted lookup was answered");
 }
 
@@ -457,7 +443,6 @@ fn recovered_mapped_backing_lookup_is_allocation_free_when_warm() {
     let keys: Vec<u32> = (0..50_000u32).map(|i| i * 4 + 1).collect();
     let mut expect: BTreeSet<u32> = keys.iter().copied().collect();
     let mut cfg = ServeConfig::new(2);
-    cfg.max_batch = 64;
     cfg.trace = TraceConfig::dense();
     cfg.store = Some(StorePlan::new(path.clone()));
     let origin = IndexServer::build(&keys, cfg.clone());
@@ -484,7 +469,7 @@ fn recovered_mapped_backing_lookup_is_allocation_free_when_warm() {
 
     // Warmup, then the armed window: identical protocol to the owned
     // sibling test above.
-    settle(3);
+    settle(1);
     let mut k = 0u32;
     for _ in 0..3000 {
         k = k.wrapping_add(0x9E37_79B9);
