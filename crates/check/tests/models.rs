@@ -15,12 +15,15 @@
 //!   their parking; an answered cell goes back to its pool; a cell held
 //!   by a waiter or by a filler is never handed to a new tenant; a
 //!   filler dropped unanswered answers `ShuttingDown`.
-//! * `OpenGroup` / `Member` and the group's ticket (the one counted
-//!   reference a grouped lookup holds): a pipelined caller joining its
-//!   open group while another thread polls one of the group's lookups
-//!   loses no key and answers each exactly once; a group's ticket, and
-//!   the cell it carries, never pass to a new group while any of its
-//!   lookups is held — dropped on the owner's thread or on another.
+//! * `OpenGroup` / `Member` and the group's ticket (the one reference a
+//!   grouped lookup holds, counted from its group's close): a pipelined
+//!   caller joining its open group while another thread polls one of
+//!   the group's lookups loses no key and answers each exactly once; a
+//!   group's ticket, and the cell it carries, never pass to a new group
+//!   while any of its lookups is held — dropped on the owner's thread or
+//!   on another; and a lookup dropped while a poll closes its group
+//!   releases exactly the count it holds, so the ticket's count comes
+//!   back to 0 and the ticket is recycled exactly once.
 //! * `TraceRing`: a concurrent snapshot never returns a torn record,
 //!   with one writer or two racing for a slot.
 //! * `ReplicaGauge` and the two rows of `ReplicaMetrics`: the depth
@@ -422,6 +425,39 @@ fn a_lookup_dropped_on_another_thread_frees_no_held_ticket() {
         assert!(OpenGroup::is_idle(&group), "a released ticket still holds the group");
     });
     assert!(report.executions >= 2, "drop/next-group race under-explored: {report:?}");
+}
+
+/// (d) The count at close: a group's members join uncounted, and its
+/// close counts those still held, under the join lock. Here the owner
+/// drops one of a group's two lookups while another thread polls the
+/// other — a poll closes and ranks a group still open — so the drop
+/// meets the group open (it leaves uncounted, and its key is never
+/// ranked) or closed (the close counted it, and it releases its count).
+/// Either way the polled key is ranked once and answered, the dropped
+/// one at most once, and when the polled lookup goes too the ticket's
+/// count is back to exactly 0: the ticket is in the free list once, its
+/// cell back in the pool, and the group idle.
+#[test]
+fn a_lookup_dropped_while_a_poll_closes_its_group_releases_its_own_count() {
+    let report = model("open-group/drop-vs-close", || {
+        let cells = pool_of(1);
+        let group = OpenGroup::shared(Tens::default(), cells.clone());
+        let polled = OpenGroup::join(&group, 1);
+        let dropped = OpenGroup::join(&group, 2);
+        let poller = thread::spawn(move || {
+            // `None` only while the owner is mid-rank on this group.
+            let reply = polled.poll().copied();
+            reply.unwrap_or_else(|| *polled.wait())
+        });
+        drop(dropped);
+        assert_eq!(poller.join(), Ok(10), "the polled lookup misanswered");
+        let ranked = group.ranker().ranked.load(Ordering::SeqCst);
+        assert!(ranked == 0b010 || ranked == 0b110, "a key was lost: {ranked:#b}");
+        assert_eq!(OpenGroup::free_tickets(&group), 1, "the ticket came back ≠ once");
+        assert_eq!(cells.idle(), 1, "the group's cell is not back in its pool");
+        assert!(OpenGroup::is_idle(&group), "a released ticket still holds the group");
+    });
+    assert!(report.executions >= 10, "drop/close race under-explored: {report:?}");
 }
 
 /// The seqlock ring: a reader snapshots while the single writer wraps

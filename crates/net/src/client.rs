@@ -2206,7 +2206,6 @@ pub fn run_net_load(
     let mut report = dini_serve::LoadReport {
         wall: start.elapsed(),
         completed: 0,
-        shed: 0,
         latency_ns: LogHistogram::new(),
     };
     for (completed, hist) in results {

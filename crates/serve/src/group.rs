@@ -21,21 +21,30 @@
 //!
 //! ## The ticket: one reference a lookup
 //!
-//! What a member holds is its group's **ticket**, and nothing else: one
-//! counted reference to a pooled record of the group's tenancy — its
-//! reply cell (a pooled [`Filler`]) and a hold on the [`OpenGroup`]. A
-//! grouped lookup therefore costs four atomic read-modify-writes from
-//! `join` to drop: the join lock's lock and unlock, the ticket's count
-//! up at join and down at drop. The group's own count on its ticket
-//! goes when the group has been ranked, or discarded.
+//! What a member holds is its group's **ticket**, and nothing else: a
+//! reference to a pooled record of the group's tenancy — its reply cell
+//! (a pooled [`Filler`]) and a hold on the [`OpenGroup`]. The group
+//! holds one count on its ticket from open until it has been ranked, or
+//! discarded, and that count keeps the ticket alive for every member
+//! while the group is open: a member joins uncounted, and the group
+//! counts its members once, at close. Closing adds the number of
+//! members still held to the ticket's count in one read-modify-write,
+//! under the join lock, so a member that later takes the lock and finds
+//! its group closed knows it was counted. A member dropped while its
+//! group is open leaves the group's member tally and releases nothing.
 //!
-//! Whoever lets go of a ticket last — a member, or the thread that
-//! ranked it — gives it back to its group's free list, its cell back to
-//! the cell pool, and drops its hold on the group. So a ticket, and the
-//! cell it carries, pass to a new group only once no lookup holds them;
-//! a warmed owner takes both from its pools and allocates nothing; and
-//! the group's strong count is its owner's reference plus one per
-//! ticket some lookup holds.
+//! A grouped lookup therefore costs three atomic read-modify-writes from
+//! `join` to drop — the join lock's lock and unlock, and its count's
+//! release at drop — and its group pays one add, at close.
+//!
+//! Whoever lets go of a ticket last — a member, the thread that ranked
+//! it, or the last member dropped from a group still open — gives it
+//! back to its group's free list, its cell back to the cell pool, and
+//! drops its hold on the group. So a ticket, and the cell it carries,
+//! pass to a new group only once no lookup holds them; a warmed owner
+//! takes both from its pools and allocates nothing; and the group's
+//! strong count is its owner's reference plus one per ticket some
+//! lookup holds.
 //!
 //! Which lookups join is the owner's rule, not this module's:
 //! [`OpenGroup::is_idle`] tells it whether anything it began is still
@@ -45,6 +54,7 @@ use crate::oneshot::{CellPool, Filler, ReplyCell, Unanswered};
 use crate::sync::{Arc, AtomicUsize, Mutex, Ordering};
 pub use dini_index::line_directory::GROUP;
 use std::fmt;
+use std::mem::ManuallyDrop;
 use std::ptr::NonNull;
 
 /// A group's answers, slot by slot: what its one pooled reply cell
@@ -90,6 +100,10 @@ struct Open<R: Ranker> {
     /// Bit `i`: slot `i`'s member was dropped before the group was
     /// ranked.
     dropped: u32,
+    /// The open group's members still held: joined, not dropped. None
+    /// holds a count on the ticket until [`close`](Self::close) adds
+    /// them.
+    members: usize,
     scratch: R::Scratch,
     answers: Vec<R::Answer>,
     /// Tickets whose last holder has let go, ready for the next group.
@@ -116,6 +130,7 @@ impl<R: Ranker> Default for Open<R> {
             keys: [0; GROUP],
             len: 0,
             dropped: 0,
+            members: 0,
             scratch: R::Scratch::default(),
             answers: Vec::new(),
             free: Vec::new(),
@@ -129,10 +144,15 @@ impl<R: Ranker> Open<R> {
         self.ticket.as_ref().is_some_and(|t| t.0 == ticket.0)
     }
 
-    /// Take the open group out, scratch and all, leaving none open.
+    /// Take the open group out, scratch and all, leaving none open. Its
+    /// members still held are counted on its ticket here, under the
+    /// lock: a member that finds its group closed was counted, and
+    /// releases its own count from then on.
     fn close(&mut self) -> Closed<R> {
+        let ticket = self.ticket.take().expect("only an open group closes");
+        ticket.add(std::mem::take(&mut self.members));
         Closed {
-            ticket: self.ticket.take().expect("only an open group closes"),
+            ticket,
             keys: self.keys,
             len: std::mem::take(&mut self.len),
             dropped: std::mem::take(&mut self.dropped),
@@ -146,9 +166,9 @@ impl<R: Ranker> Open<R> {
 ///
 /// Free (in its group's free list, owned by that `Box`) its fields are
 /// `None` and written only by whoever owns the box. In use (shared as a
-/// [`TicketRef`]) it is only read, and `refs` counts its holders: every
-/// member of the group, plus the group itself until ranked or
-/// discarded.
+/// [`TicketRef`]) it is only read, and `refs` counts its holders: the
+/// group itself until ranked or discarded, plus, once the group has
+/// closed, each of its members still held.
 struct Ticket<R: Ranker> {
     refs: AtomicUsize,
     /// The group's reply cell.
@@ -205,20 +225,28 @@ impl<R: Ranker> TicketRef<R> {
     }
 
     fn get(&self) -> &Ticket<R> {
-        // SAFETY: `self` is one of the ticket's counted references, so
-        // the count is at least one: the box it was leaked from is not
-        // reclaimed (see `Drop`) until this reference is gone, and while
-        // any count is held nothing writes the ticket but its atomic.
+        // SAFETY: `self` is one of the ticket's counted references, or
+        // an uncounted one that a counted reference keeps alive (see
+        // `uncounted`), so the count is at least one: the box it was
+        // leaked from is not reclaimed (see `Drop`) until that reference
+        // is gone, and while any count is held nothing writes the ticket
+        // but its atomic.
         unsafe { self.0.as_ref() }
     }
 
-    /// One more counted reference, as `Arc::clone`.
-    fn count(&self) -> Self {
-        // ordering: relaxed-ok: as `Arc::clone` — a new reference is
+    /// A reference that holds no count, and must never release one:
+    /// valid only while some counted reference keeps the ticket alive
+    /// for it (see [`Member`]).
+    fn uncounted(&self) -> ManuallyDrop<Self> {
+        ManuallyDrop::new(Self(self.0))
+    }
+
+    /// Count `n` more holders, as `n` `Arc::clone`s in one add.
+    fn add(&self, n: usize) {
+        // ordering: relaxed-ok: as `Arc::clone` — the new counts are
         // made from an existing one, which already orders every access
-        // it could make before the ticket's release.
-        self.get().refs.fetch_add(1, Ordering::Relaxed);
-        Self(self.0)
+        // they could make before the ticket's release.
+        self.get().refs.fetch_add(n, Ordering::Relaxed);
     }
 
     fn group(&self) -> &OpenGroup<R> {
@@ -285,6 +313,14 @@ impl<R: Ranker> OpenGroup<R> {
         Arc::strong_count(this) == 1
     }
 
+    /// Tickets in this group's free list: each one recycled and not
+    /// yet reissued. What a model reads to see a ticket come back
+    /// exactly once.
+    #[doc(hidden)]
+    pub fn free_tickets(this: &Shared<R>) -> usize {
+        this.lock().free.len()
+    }
+
     fn lock(&self) -> crate::sync::MutexGuard<'_, Open<R>> {
         self.open.lock().expect("open group lock")
     }
@@ -299,10 +335,13 @@ impl<R: Ranker> OpenGroup<R> {
             });
             open.ticket = Some(TicketRef::issue(free, this.clone(), this.pool.take()));
         }
-        let ticket = open.ticket.as_ref().expect("opened above").count();
+        // Uncounted while the group is open: its own count keeps the
+        // ticket alive, and its close counts this member.
+        let ticket = open.ticket.as_ref().expect("opened above").uncounted();
         let slot = open.len;
         open.keys[slot] = key;
         open.len += 1;
+        open.members += 1;
         let full = (open.len == GROUP).then(|| open.close());
         drop(open);
         if let Some(group) = full {
@@ -321,24 +360,24 @@ impl<R: Ranker> OpenGroup<R> {
         }
     }
 
-    /// Slot `slot` of `ticket`'s group lost its member: if that group is
-    /// still open, its key will not be ranked.
-    fn abandon(&self, ticket: &TicketRef<R>, slot: usize) {
+    /// Slot `slot` of `ticket`'s group lost its member, unranked: if
+    /// that group is still open, its key will not be ranked.
+    fn abandon(&self, ticket: &TicketRef<R>, slot: usize) -> Abandoned<R> {
         let mut open = self.lock();
         if !open.holds(ticket) {
-            return;
+            return Abandoned::Closed;
         }
         open.dropped |= 1 << slot;
-        if open.dropped.count_ones() as usize == open.len {
-            // Nobody is left to read it: the group lets go of its ticket
-            // unranked, and none is open.
-            let discarded = open.ticket.take();
-            open.len = 0;
-            open.dropped = 0;
-            drop(open);
-            // Never the last count: the abandoning member still holds one.
-            drop(discarded);
+        open.members -= 1;
+        if open.members > 0 {
+            return Abandoned::Open(None);
         }
+        // Nobody is left to read it: the group lets go of its ticket
+        // unranked, and none is open.
+        let discarded = open.ticket.take();
+        open.len = 0;
+        open.dropped = 0;
+        Abandoned::Open(discarded)
     }
 
     /// Rank a closed group's live keys, fill its cell, and give the
@@ -366,6 +405,17 @@ impl<R: Ranker> OpenGroup<R> {
     }
 }
 
+/// What an unranked member's drop found of its group.
+enum Abandoned<R: Ranker> {
+    /// The group was still open, and never counted the member: it has
+    /// nothing to release — unless it was the last member held, and the
+    /// group has let go of its ticket, whose count this is. The last
+    /// count: dropping it recycles the ticket.
+    Open(Option<TicketRef<R>>),
+    /// The group had closed, and counted the member.
+    Closed,
+}
+
 impl<R: Ranker> fmt::Debug for OpenGroup<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OpenGroup").finish_non_exhaustive()
@@ -373,9 +423,10 @@ impl<R: Ranker> fmt::Debug for OpenGroup<R> {
 }
 
 /// One key's place in a group: its group's ticket and its slot in the
-/// group's answers.
+/// group's answers. The ticket is counted for this member from its
+/// group's close; until then the group's own count holds it.
 pub struct Member<R: Ranker> {
-    ticket: TicketRef<R>,
+    ticket: ManuallyDrop<TicketRef<R>>,
     slot: usize,
 }
 
@@ -402,8 +453,8 @@ impl<R: Ranker> Member<R> {
     }
 }
 
-/// An unranked member takes its key out of a group still open; then its
-/// ticket lets go of the group's tenancy.
+/// An unranked member takes its key out of a group still open, and
+/// releases nothing; one its group counted lets go of its count.
 impl<R: Ranker> Drop for Member<R> {
     fn drop(&mut self) {
         // A ticket with no cell was recycled under this member: a broken
@@ -415,8 +466,21 @@ impl<R: Ranker> Drop for Member<R> {
             eprintln!("dini-serve: a grouped lookup (slot {}) outlived its ticket", self.slot);
             return;
         };
-        if filler.cell().poll().is_none() {
-            group.abandon(&self.ticket, self.slot);
+        // A filled cell: the group closed, with this member held.
+        let counted = filler.cell().poll().is_some()
+            || match group.abandon(&self.ticket, self.slot) {
+                Abandoned::Closed => true,
+                Abandoned::Open(discarded) => {
+                    // Dropped with nothing of the ticket borrowed: it may
+                    // be the last count, and free the group itself.
+                    drop(discarded);
+                    false
+                }
+            };
+        if counted {
+            // SAFETY: the group's close counted this member, and this
+            // drop is the one place that count is released.
+            unsafe { ManuallyDrop::drop(&mut self.ticket) };
         }
     }
 }
@@ -507,5 +571,35 @@ mod tests {
         assert_eq!(OpenGroup::join(&g, 5).wait(), &Ok(50));
         assert_eq!(g.ranker().keys.load(Ordering::Relaxed), 3);
         assert_eq!(g.ranker().groups.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_ticket_comes_back_once_its_last_holder_lets_go() {
+        let g = group();
+        // Every member dropped while open: the last drop discards the
+        // group, and its count was the ticket's last.
+        let gone: Vec<_> = (0..3).map(|k| OpenGroup::join(&g, k)).collect();
+        drop(gone);
+        assert_eq!(OpenGroup::free_tickets(&g), 1);
+        assert!(OpenGroup::is_idle(&g));
+        // One dropped open, one counted at the close its poll makes.
+        let a = OpenGroup::join(&g, 1);
+        let b = OpenGroup::join(&g, 2);
+        assert_eq!(OpenGroup::free_tickets(&g), 0, "the free ticket is reissued");
+        drop(b);
+        assert_eq!(a.wait(), &Ok(10));
+        assert_eq!(OpenGroup::free_tickets(&g), 0, "a still holds the ticket");
+        drop(a);
+        assert_eq!(OpenGroup::free_tickets(&g), 1);
+        assert!(OpenGroup::is_idle(&g));
+        // A full group: every member counted at the join that closed it.
+        let mut full: Vec<_> = (0..GROUP as u32).map(|k| OpenGroup::join(&g, k)).collect();
+        let last = full.pop().expect("a full group");
+        drop(full);
+        assert_eq!(last.poll(), Some(&Ok((GROUP as u32 - 1) * 10)));
+        assert_eq!(OpenGroup::free_tickets(&g), 0, "the last member holds it");
+        drop(last);
+        assert_eq!(OpenGroup::free_tickets(&g), 1);
+        assert!(OpenGroup::is_idle(&g));
     }
 }

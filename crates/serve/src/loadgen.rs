@@ -4,14 +4,14 @@
 //!
 //! * **Closed loop** — `clients` threads each issue, wait, repeat. Offered
 //!   load self-throttles with latency, so this measures capacity under
-//!   well-behaved callers (and can never shed).
+//!   well-behaved callers.
 //! * **Open loop** — arrivals come from a seeded
 //!   [`ArrivalProcess`] regardless of
 //!   completions, issued with [`ServerHandle::begin_lookup`] and reaped
 //!   by polling, so offered load never stretches with latency. In
 //!   process every lookup is ranked by the thread that submits or reaps
-//!   it, so nothing is shed; the report still counts an `Overloaded`
-//!   refusal, should a handle return one.
+//!   it, so nothing is shed, and a refused lookup is one whose shard has
+//!   no live replica left.
 //!
 //! Latency is recorded *caller-side*, from just before the submit to
 //! the reply (so a lookup ranked inside the submit call bills that
@@ -66,8 +66,6 @@ pub struct LoadReport {
     pub wall: Duration,
     /// Lookups answered.
     pub completed: u64,
-    /// Lookups shed by admission control (open loop only).
-    pub shed: u64,
     /// Caller-observed latency (ns).
     pub latency_ns: LogHistogram,
 }
@@ -84,11 +82,10 @@ impl LoadReport {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "{:.0} lookups/s ({} completed, {} shed, {:.2} s) | \
+            "{:.0} lookups/s ({} completed, {:.2} s) | \
              latency p50 {:.1} µs, p99 {:.1} µs, p999 {:.1} µs",
             self.throughput_lps(),
             self.completed,
-            self.shed,
             self.wall.as_secs_f64(),
             self.latency_ns.quantile(0.50) / 1e3,
             self.latency_ns.quantile(0.99) / 1e3,
@@ -97,9 +94,9 @@ impl LoadReport {
     }
 }
 
+#[derive(Default)]
 struct ClientResult {
     completed: u64,
-    shed: u64,
     latency_ns: LogHistogram,
 }
 
@@ -126,10 +123,9 @@ pub fn run_load(
         }
     };
     let wall = Duration::from_nanos(clock.now().saturating_sub(start));
-    let mut report = LoadReport { wall, completed: 0, shed: 0, latency_ns: LogHistogram::new() };
+    let mut report = LoadReport { wall, completed: 0, latency_ns: LogHistogram::new() };
     for r in results {
         report.completed += r.completed;
-        report.shed += r.shed;
         report.latency_ns.merge(&r.latency_ns);
     }
     report
@@ -155,18 +151,15 @@ fn spawn_clients(
 fn closed_loop(h: ServerHandle, dist: KeyDistribution, seed: u64, lookups: usize) -> ClientResult {
     let clock = h.clock().clone();
     let mut gen = KeyGen::new(seed, dist);
-    let mut r = ClientResult { completed: 0, shed: 0, latency_ns: LogHistogram::new() };
+    let mut r = ClientResult::default();
     for _ in 0..lookups {
         let key = gen.next_key();
         let t0 = clock.now();
-        match h.lookup(key) {
-            Ok(_) => {
-                r.latency_ns.record(clock.now().saturating_sub(t0) as f64);
-                r.completed += 1;
-            }
-            Err(ServeError::ShuttingDown) => break,
-            Err(ServeError::Overloaded { .. }) => unreachable!("closed loop blocks"),
+        if h.lookup(key).is_err() {
+            break;
         }
+        r.latency_ns.record(clock.now().saturating_sub(t0) as f64);
+        r.completed += 1;
     }
     r
 }
@@ -187,13 +180,9 @@ const MAX_REAP_INTERVAL: Duration = Duration::from_micros(500);
 impl ClientResult {
     /// Count one reaped reply issued at `issued`.
     fn settle(&mut self, clock: &Clock, issued: Nanos, reply: Result<u32, ServeError>) {
-        match reply {
-            Ok(_) => {
-                self.latency_ns.record(clock.now().saturating_sub(issued) as f64);
-                self.completed += 1;
-            }
-            Err(ServeError::Overloaded { .. }) => self.shed += 1,
-            Err(ServeError::ShuttingDown) => {}
+        if reply.is_ok() {
+            self.latency_ns.record(clock.now().saturating_sub(issued) as f64);
+            self.completed += 1;
         }
     }
 }
@@ -219,7 +208,7 @@ fn open_loop(
     let clock = h.clock().clone();
     let mut keys = KeyGen::new(seed, dist);
     let mut arrivals = ArrivalGen::new(seed ^ 0x9E37_79B9, process);
-    let mut r = ClientResult { completed: 0, shed: 0, latency_ns: LogHistogram::new() };
+    let mut r = ClientResult::default();
     let mut in_flight: Vec<InFlight> = Vec::new();
     let start = clock.now();
     let duration_ns = dur_ns(duration);
@@ -255,8 +244,7 @@ fn open_loop(
         let issued = clock.now();
         match h.begin_lookup(keys.next_key()) {
             Ok(pending) => in_flight.push(InFlight { issued, pending }),
-            Err(ServeError::Overloaded { .. }) => r.shed += 1,
-            Err(ServeError::ShuttingDown) => break,
+            Err(_) => break,
         }
     }
     for f in in_flight {
@@ -288,7 +276,6 @@ mod tests {
             LoadMode::Closed { clients: 4, lookups_per_client: 250 },
         );
         assert_eq!(report.completed, 1000);
-        assert_eq!(report.shed, 0);
         assert!(report.throughput_lps() > 0.0);
         assert_eq!(report.latency_ns.count(), 1000);
         assert_eq!(server.stats().served, 1000);
@@ -310,8 +297,7 @@ mod tests {
         );
         // 2 clients × 2000/s × 0.2 s ≈ 800 arrivals; allow wide slack for
         // slow CI machines, but the loop must make real progress.
-        let offered = report.completed + report.shed;
-        assert!(offered > 100, "offered only {offered}");
+        assert!(report.completed > 100, "completed only {}", report.completed);
         assert!(report.wall >= Duration::from_millis(150));
     }
 

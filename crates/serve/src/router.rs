@@ -62,6 +62,15 @@ impl ShardRouter {
         self.delimiters.partition_point(|&d| d <= key)
     }
 
+    /// Whether shard `shard` owns `key`: `route(key) == shard`, decided
+    /// by the same `d <= key` test against the shard's two delimiters
+    /// instead of a search over all of them.
+    #[inline]
+    pub fn owns(&self, shard: usize, key: u32) -> bool {
+        let (lo, hi) = self.shard_range(shard);
+        lo <= key && hi.is_none_or(|hi| key < hi)
+    }
+
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.delimiters.len() + 1

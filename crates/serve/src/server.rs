@@ -719,10 +719,10 @@ impl Drop for IndexServer {
 /// which is every lookup but a grouped one — is born resolved. One that
 /// joined its handle's open group (a pipelined
 /// [`ServerHandle::begin_lookup`]) holds its group's ticket — one
-/// counted reference that carries the group's pooled reply cell (see
-/// [`crate::group`]): the first `poll` or `wait` on any member ranks a
-/// group still open, and dropping it before then takes its key out
-/// unranked.
+/// reference, counted from the group's close, that carries the group's
+/// pooled reply cell (see [`crate::group`]): the first `poll` or `wait`
+/// on any member ranks a group still open, and dropping it before then
+/// takes its key out unranked.
 #[derive(Debug)]
 pub struct PendingLookup {
     pending: Pending,
@@ -798,7 +798,8 @@ pub struct LookupScratch {
     ranked: Vec<Option<bool>>,
     /// `slots[i]`: the rank of `keys[i]`, once its shard is ranked.
     slots: Vec<u32>,
-    /// One shard's keys, and their ranks.
+    /// One shard's keys, and their ranks — or, for a slice ranked in
+    /// place, the whole slice's ranks.
     keys: Vec<u32>,
     ranks: Vec<u32>,
 }
@@ -1026,6 +1027,12 @@ impl HandleCore {
     /// [`rank_batch`](ShardSnapshot::rank_batch), counted as one batch —
     /// in the order each shard's first key comes. Each key's answer is
     /// built once, in its place.
+    ///
+    /// A slice whose keys all route to its first key's shard — every
+    /// slice of a one-shard server — is ranked in place, straight into
+    /// `scratch.ranks`, and answered from there: the same batch, claim,
+    /// clock calls and counts, without the per-key shard table and the
+    /// scatter through key slots that a mixed slice needs.
     fn enqueue_many<T: From<Pending>>(
         &self,
         keys: &[u32],
@@ -1035,6 +1042,21 @@ impl HandleCore {
     ) {
         out.clear();
         out.reserve(keys.len());
+        let Some(&first) = keys.first() else { return };
+        let shard = self.router.route(first);
+        if keys.iter().all(|&k| self.router.owns(shard, k)) {
+            let ranks = &mut scratch.ranks;
+            let rank = |state: &ShardSnapshot| state.rank_batch(keys, ranks);
+            if self.rank_here(shard, keys, trace, rank).is_some() {
+                out.extend(scratch.ranks.iter().map(|&rank| T::from(Pending::Ready(Ok(rank)))));
+            } else {
+                for &key in keys {
+                    self.heat_refused(shard, key);
+                    out.push(T::from(Pending::Ready(Err(ServeError::ShuttingDown))));
+                }
+            }
+            return;
+        }
         scratch.shards.clear();
         scratch.shards.extend(keys.iter().map(|&k| self.router.route(k)));
         scratch.ranked.clear();

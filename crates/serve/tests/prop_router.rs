@@ -87,6 +87,21 @@ proptest! {
     }
 
     #[test]
+    fn owns_is_route_without_the_search(input in keys_and_shards(), probe in any::<u32>()) {
+        let (keys, n_shards) = input;
+        let r = ShardRouter::from_keys(&keys, n_shards);
+        let mut probes = vec![0u32, u32::MAX, probe];
+        for &d in r.delimiters() {
+            probes.extend([d - 1, d, d.saturating_add(1)]);
+        }
+        for q in probes {
+            for s in 0..r.n_shards() {
+                prop_assert_eq!(r.owns(s, q), r.route(q) == s, "key {} shard {}", q, s);
+            }
+        }
+    }
+
+    #[test]
     fn boundary_keys_route_to_the_upper_shard(input in keys_and_shards()) {
         let (keys, n_shards) = input;
         let r = ShardRouter::from_keys(&keys, n_shards);
@@ -97,6 +112,19 @@ proptest! {
             prop_assert_eq!(r.route(lo - 1), s - 1);
         }
     }
+}
+
+/// A delimiter at `u32::MAX` gives the last shard the one key `u32::MAX`;
+/// `owns` must route it there too, not to the shard below.
+#[test]
+fn owns_agrees_with_route_at_a_max_delimiter() {
+    let r = ShardRouter::from_delimiters(vec![0, 10, u32::MAX]);
+    for q in [0, 1, 9, 10, 11, u32::MAX - 1, u32::MAX] {
+        for s in 0..r.n_shards() {
+            assert_eq!(r.owns(s, q), r.route(q) == s, "key {q} shard {s}");
+        }
+    }
+    assert!(r.owns(3, u32::MAX) && !r.owns(2, u32::MAX));
 }
 
 /// Per-shard replica state for the selection properties: every shard
